@@ -7,7 +7,7 @@
 // Usage:
 //
 //	go test -run='^$' -bench='...' -benchmem -benchtime=100x -count=5 ./... | tee bench.txt
-//	go run ./cmd/benchjson -in bench.txt -out BENCH_PR4.json -baseline BENCH_BASELINE.json
+//	go run ./cmd/benchjson -in bench.txt -out BENCH.json -baseline BENCH_BASELINE.json
 //
 // Repeated runs of the same benchmark (-count) aggregate to the minimum
 // ns/op (the least-noise estimate) and the maximum allocs/op (the

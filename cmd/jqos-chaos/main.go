@@ -37,7 +37,6 @@ func main() {
 		horizon = flag.Duration("horizon", 0, "per-run fault/traffic window (0 = default 8s)")
 		faults  = flag.Int("faults", 0, "fault events per fuzzed timeline (0 = default 5)")
 		out     = flag.String("out", "", "directory for failing runs' verdict JSON (timeline + snapshot)")
-		full    = flag.Bool("full-recompute", false, "disable incremental SPF: recompute all sources on every change")
 		verbose = flag.Bool("v", false, "print one verdict line per run")
 	)
 	flag.Parse()
@@ -45,7 +44,7 @@ func main() {
 	o := chaos.SoakOptions{
 		Runs:    *runs,
 		Seed:    *seed,
-		Profile: chaos.Profile{Horizon: *horizon, Faults: *faults, FullRecompute: *full},
+		Profile: chaos.Profile{Horizon: *horizon, Faults: *faults},
 	}
 	if *verbose {
 		o.Log = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }

@@ -5,6 +5,7 @@ import (
 	"jqos/internal/coding"
 	"jqos/internal/core"
 	"jqos/internal/forward"
+	"jqos/internal/netem"
 	"jqos/internal/wire"
 )
 
@@ -19,8 +20,11 @@ type DCNode struct {
 	cch  *cache.Store
 	enc  *coding.Encoder
 	rec  *coding.Recoverer
-	arm  uint64 // timer generation counter (stale-timer guard)
 	drop uint64 // undecodable datagrams
+
+	// timer fires at the earliest encoder/recoverer deadline; every
+	// handled message re-arms it (armTimer).
+	timer *netem.Timer
 
 	// egress holds the per-next-hop DRR schedulers when Config.Scheduler
 	// enables weighted fair queueing (lazily built; nil entries and a nil
@@ -33,7 +37,7 @@ func newDCNode(d *Deployment, id core.NodeID) *DCNode {
 	if err != nil {
 		panic("jqos: " + err.Error())
 	}
-	return &DCNode{
+	n := &DCNode{
 		d:   d,
 		id:  id,
 		fwd: forward.New(id),
@@ -41,6 +45,8 @@ func newDCNode(d *Deployment, id core.NodeID) *DCNode {
 		enc: enc,
 		rec: coding.NewRecoverer(id, d.cfg.Recoverer),
 	}
+	n.timer = d.sim.NewTimer(n.onTimer)
+	return n
 }
 
 // ID returns the DC's node identity.
@@ -144,7 +150,7 @@ func (n *DCNode) putOnWire(hop core.NodeID, msg []byte) {
 // putOnWireClass is putOnWire for callers that already know the class —
 // the scheduler pump dequeues (class, msg) pairs, so re-peeking the
 // header per departure would be pure waste. Scheduled sends reach here
-// on dequeue, not enqueue, so LinkLoad reflects what actually left the
+// on dequeue, not enqueue, so Link(a, b).Load reflects what actually left the
 // DC rather than what piled up behind the scheduler.
 func (n *DCNode) putOnWireClass(hop core.NodeID, cls core.Service, msg []byte) {
 	now := n.d.sim.Now()
@@ -468,48 +474,21 @@ func (n *DCNode) onCoopResp(now core.Time, hdr *wire.Header, body []byte) {
 	n.transmit(n.rec.OnCoopResp(now, hdr, &ref, payload))
 }
 
-// armTimer (re)schedules the DC's engine timers. A generation counter
-// invalidates superseded timer events.
+// armTimer (re)schedules the DC's engine timer at the earliest deadline
+// either engine holds; with none pending, an already armed firing stands.
 func (n *DCNode) armTimer() {
-	next, ok := n.nextDeadline()
-	if !ok {
-		return
+	if next, ok := coding.EarliestDeadline(n.enc, n.rec); ok {
+		n.timer.Reset(next)
 	}
-	n.arm++
-	gen := n.arm
-	now := n.d.sim.Now()
-	if next < now {
-		next = now
-	}
-	n.d.sim.At(next, func() {
-		if n.arm != gen {
-			return // superseded by a later arm
-		}
-		t := n.d.sim.Now()
-		// Timer-flushed batches carry parity too: route them like the
-		// batch-full flushes — through loopback, so a partial overlay's
-		// self-addressed parity reaches the local recoverer instead of
-		// being dropped, and pinned flows' parity stays on its path.
-		n.loopback(t, n.enc.OnTimer(t))
-		n.transmit(n.rec.OnTimer(t))
-		n.armTimer()
-	})
 }
 
-func (n *DCNode) nextDeadline() (core.Time, bool) {
-	d1, ok1 := n.enc.NextDeadline()
-	d2, ok2 := n.rec.NextDeadline()
-	switch {
-	case ok1 && ok2:
-		if d1 < d2 {
-			return d1, true
-		}
-		return d2, true
-	case ok1:
-		return d1, true
-	case ok2:
-		return d2, true
-	default:
-		return 0, false
-	}
+func (n *DCNode) onTimer() {
+	t := n.d.sim.Now()
+	// Timer-flushed batches carry parity too: route them like the
+	// batch-full flushes — through loopback, so a partial overlay's
+	// self-addressed parity reaches the local recoverer instead of
+	// being dropped, and pinned flows' parity stays on its path.
+	n.loopback(t, n.enc.OnTimer(t))
+	n.transmit(n.rec.OnTimer(t))
+	n.armTimer()
 }

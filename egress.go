@@ -2,6 +2,7 @@ package jqos
 
 import (
 	"jqos/internal/core"
+	"jqos/internal/netem"
 	"jqos/internal/sched"
 	"jqos/internal/telemetry"
 	"jqos/internal/wire"
@@ -21,7 +22,7 @@ type SchedulerConfig = sched.Config
 // SchedulerStats is one egress scheduler's counter snapshot: per-class
 // enqueued/dequeued/dropped bytes and packets, live queue depth, and
 // deficit rounds (re-exported from internal/sched; see
-// Deployment.SchedStats).
+// Snapshot().Queue).
 type SchedulerStats = sched.Stats
 
 // egressQueue is one directed inter-DC link's egress scheduler plus its
@@ -32,16 +33,17 @@ type SchedulerStats = sched.Stats
 // uncapacitated link drains inline: every enqueue dequeues immediately
 // and the scheduler degenerates to a counted pass-through.
 type egressQueue struct {
-	n      *DCNode
-	to     core.NodeID
-	drr    *sched.DRR
-	busy   bool   // a pump event is scheduled
-	pumpFn func() // bound once, so re-arming allocates no new closure
+	n   *DCNode
+	to  core.NodeID
+	drr *sched.DRR
+	// wire is armed while a released packet occupies the link; it runs
+	// pump when the serialization time is up.
+	wire *netem.Timer
 }
 
 func newEgressQueue(n *DCNode, to core.NodeID) *egressQueue {
 	q := &egressQueue{n: n, to: to, drr: sched.New(n.d.cfg.Scheduler)}
-	q.pumpFn = q.pump
+	q.wire = n.d.sim.NewTimer(q.pump)
 	// Watermark transitions feed the congestion-feedback plane (when one
 	// runs) and the telemetry queue-depth histogram — the transition edge
 	// is exactly when depth is worth sampling. The closure is bound once
@@ -90,7 +92,7 @@ func (n *DCNode) scheduledSend(hop core.NodeID, msg []byte) bool {
 		n.d.noteEgressDrop(flow, cls, len(msg))
 		return true
 	}
-	if !q.busy {
+	if !q.wire.Armed() {
 		q.pump()
 	}
 	return true
@@ -126,7 +128,6 @@ func (q *egressQueue) pump() {
 	for {
 		it, ok := q.drr.Dequeue()
 		if !ok {
-			q.busy = false
 			return
 		}
 		d.tel.spanQueue(it.Msg, q.n.id, q.to, it.Class, d.sim.Now()-it.Stamp)
@@ -139,15 +140,14 @@ func (q *egressQueue) pump() {
 		if tx <= 0 {
 			continue
 		}
-		q.busy = true
-		d.sim.After(tx, q.pumpFn)
+		q.wire.Arm(tx)
 		return
 	}
 }
 
 // noteEgressDrop surfaces one scheduler tail-drop to the owning flow.
 // Unattributable packets (forged or flowless) have nobody to tell; the
-// per-link SchedStats still count them.
+// per-link scheduler counters still count them.
 func (d *Deployment) noteEgressDrop(flow core.FlowID, cls core.Service, size int) {
 	f, ok := d.flows[flow]
 	if !ok {
@@ -161,24 +161,4 @@ func (d *Deployment) noteEgressDrop(flow core.FlowID, cls core.Service, size int
 	if f.spec.Observer != nil {
 		f.spec.Observer.OnEgressDrop(f, cls, size)
 	}
-}
-
-// SchedStats returns the egress scheduler's counters for the directed
-// inter-DC hop a→b: per-class enqueued/dequeued/dropped bytes and
-// packets, live queue depth, and deficit rounds. ok is false when
-// scheduling is disabled (Config.Scheduler.Weights nil), a is not a DC,
-// or a never scheduled anything toward b.
-//
-// Deprecated: use Deployment.Snapshot().Queue(a, b), the coherent
-// whole-deployment view (one capture instead of per-subsystem polls).
-func (d *Deployment) SchedStats(a, b core.NodeID) (SchedulerStats, bool) {
-	dc, ok := d.dcs[a]
-	if !ok {
-		return SchedulerStats{}, false
-	}
-	q := dc.egress[b]
-	if q == nil {
-		return SchedulerStats{}, false
-	}
-	return q.drr.Stats(), true
 }

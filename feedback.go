@@ -6,6 +6,7 @@ import (
 
 	"jqos/internal/core"
 	"jqos/internal/feedback"
+	"jqos/internal/netem"
 	"jqos/internal/sched"
 	"jqos/internal/telemetry"
 	"jqos/internal/tenant"
@@ -39,7 +40,7 @@ type PacerConfig = feedback.PacerConfig
 // is the signal source.
 type FeedbackConfig struct {
 	// Enabled turns the feedback plane on. Off (the default), the
-	// schedulers still track watermark states (visible in SchedStats)
+	// schedulers still track watermark states (visible in Snapshot().Queue)
 	// but nothing is signaled and nobody paces.
 	Enabled bool
 	// SignalInterval batches watermark transitions before fan-out, so a
@@ -87,7 +88,7 @@ type CongestionSignal struct {
 }
 
 // FeedbackStats aggregates the congestion-feedback plane's activity
-// across the deployment (see Deployment.FeedbackStats).
+// across the deployment (see Snapshot().Feedback).
 type FeedbackStats struct {
 	// Transitions counts watermark flips noted at the egress schedulers;
 	// Batches counts the signal-plane flushes that carried them.
@@ -136,15 +137,14 @@ type feedbackPlane struct {
 	bc  *feedback.Broadcaster
 	reg *feedback.Registry
 
-	flushArmed bool
-	flushFn    func()
+	// flushTimer batches noted transitions for one SignalInterval.
+	flushTimer *netem.Timer
 	batchFn    func([]feedback.Transition)
 
 	// hot tracks the (link, class) queues currently past the high
 	// watermark, for the level-triggered refresh loop (see armRefresh).
 	hot          map[hotKey]struct{}
-	refreshArmed bool
-	refreshFn    func()
+	refreshTimer *netem.Timer
 
 	// Scratch buffers reused across flushes. Signal MESSAGES are not
 	// reusable: the emulator defers delivery, so each TypeCongestion
@@ -171,9 +171,9 @@ func newFeedbackPlane(d *Deployment, cfg FeedbackConfig) *feedbackPlane {
 		reg: feedback.NewRegistry(),
 		hot: make(map[hotKey]struct{}),
 	}
-	p.flushFn = p.flush
+	p.flushTimer = d.sim.NewTimer(p.flush)
 	p.batchFn = p.fanOut
-	p.refreshFn = p.refresh
+	p.refreshTimer = d.sim.NewTimer(p.refresh)
 	return p
 }
 
@@ -190,16 +190,10 @@ func (p *feedbackPlane) note(from, to core.NodeID, class core.Service, st sched.
 	} else {
 		delete(p.hot, k)
 	}
-	if !p.flushArmed {
-		p.flushArmed = true
-		p.d.sim.After(p.cfg.SignalInterval, p.flushFn)
-	}
+	p.flushTimer.Arm(p.cfg.SignalInterval)
 }
 
-func (p *feedbackPlane) flush() {
-	p.flushArmed = false
-	p.bc.Flush(p.batchFn)
-}
+func (p *feedbackPlane) flush() { p.bc.Flush(p.batchFn) }
 
 // armRefresh keeps the level-triggered re-signal loop alive while any
 // queue sits Hot. Watermark transitions are EDGES: a queue that stays
@@ -212,15 +206,12 @@ func (p *feedbackPlane) flush() {
 // at, so a standing backlog keeps cutting toward the floor strictly
 // faster than anything climbs.
 func (p *feedbackPlane) armRefresh() {
-	if p.refreshArmed || len(p.hot) == 0 {
-		return
+	if len(p.hot) != 0 {
+		p.refreshTimer.Arm(p.cfg.RecoverInterval)
 	}
-	p.refreshArmed = true
-	p.d.sim.After(p.cfg.RecoverInterval, p.refreshFn)
 }
 
 func (p *feedbackPlane) refresh() {
-	p.refreshArmed = false
 	if len(p.hot) == 0 {
 		return
 	}
@@ -384,13 +375,6 @@ func (p *feedbackPlane) deliver(ingress core.NodeID, sig CongestionSignal) {
 	}
 }
 
-// FeedbackStats returns the congestion-feedback plane's counters. Zero
-// everywhere when feedback is disabled.
-//
-// Deprecated: use Deployment.Snapshot().Feedback, the coherent
-// whole-deployment view (one capture instead of per-subsystem polls).
-func (d *Deployment) FeedbackStats() FeedbackStats { return d.feedbackStats() }
-
 // feedbackStats assembles the live feedback counters (the snapshot
 // builder's source; zero everywhere when feedback is disabled).
 func (d *Deployment) feedbackStats() FeedbackStats {
@@ -476,15 +460,12 @@ func (f *Flow) onCongestionSignal(sig CongestionSignal) {
 // armPacerTick schedules the next additive-recovery step of a throttled
 // pacer (idempotent; stops by itself once the contract rate is back).
 func (f *Flow) armPacerTick() {
-	if f.pacerArmed || f.closed {
-		return
+	if !f.closed {
+		f.pacerTimer.Arm(f.d.fb.cfg.RecoverInterval)
 	}
-	f.pacerArmed = true
-	f.d.sim.After(f.d.fb.cfg.RecoverInterval, f.pacerTickRun)
 }
 
 func (f *Flow) pacerTickRun() {
-	f.pacerArmed = false
 	if f.closed || f.pacer == nil {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"jqos/internal/core"
 	"jqos/internal/feedback"
 	"jqos/internal/load"
+	"jqos/internal/netem"
 	"jqos/internal/overlay"
 	"jqos/internal/stats"
 	"jqos/internal/telemetry"
@@ -95,11 +96,11 @@ type Flow struct {
 
 	// bucket polices the spec's admission contract (nil without one);
 	// pacer throttles its refill rate under congestion feedback (nil
-	// without a contract or with Config.Feedback off). pacerArmed marks
-	// a scheduled additive-recovery tick.
+	// without a contract or with Config.Feedback off). pacerTimer runs
+	// its additive-recovery ticks while it is throttled.
 	bucket     *load.Bucket
 	pacer      *feedback.Pacer
-	pacerArmed bool
+	pacerTimer *netem.Timer
 
 	// tenant is the flow's customer contract (nil when untenanted): the
 	// aggregate quota its cloud copies draw from before the per-flow
@@ -151,43 +152,10 @@ type Flow struct {
 	lastDown bool
 	downAt   time.Duration
 
-	// Adaptation-ticker state: the loop parks after two idle windows so
-	// the simulator can drain; Send re-arms it.
-	tickArmed    bool
-	tickIdle     int
-	lastTickSent uint64
-}
-
-// armAdaptTick starts (or restarts, after parking) the periodic budget
-// re-evaluation loop.
-func (f *Flow) armAdaptTick() {
-	if f.d.cfg.UpgradeInterval <= 0 || f.tickArmed || f.closed {
-		return
-	}
-	f.tickArmed = true
-	f.tickIdle = 0
-	f.d.sim.After(f.d.cfg.UpgradeInterval, f.adaptTickRun)
-}
-
-// adaptTickRun is one ticker firing: evaluate, then re-arm unless the
-// flow has been dormant for two windows (Send wakes it back up).
-func (f *Flow) adaptTickRun() {
-	if f.closed {
-		f.tickArmed = false
-		return
-	}
-	f.adaptTick()
-	if f.metrics.Sent == f.lastTickSent {
-		f.tickIdle++
-	} else {
-		f.tickIdle = 0
-	}
-	f.lastTickSent = f.metrics.Sent
-	if f.tickIdle < 2 {
-		f.d.sim.After(f.d.cfg.UpgradeInterval, f.adaptTickRun)
-		return
-	}
-	f.tickArmed = false // parked; the next Send re-arms
+	// adapt re-evaluates the service against the budget every
+	// Config.UpgradeInterval while the flow sends (nil when adaptation
+	// is off); Send wakes it.
+	adapt *netem.Ticker
 }
 
 // ID returns the flow identity.
@@ -209,6 +177,7 @@ func (f *Flow) Close() {
 		return
 	}
 	f.closed = true
+	f.adapt.Stop()
 	d := f.d
 	d.ctrl.UnpinFlow(f.id)
 	d.ctrl.UnwatchFlow(f.id)
@@ -319,9 +288,9 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 	}
 	f.seq++
 	f.d.noteActivity()
-	f.armAdaptTick()
+	f.adapt.Wake()
 	if f.tenant != nil {
-		f.d.armTenantCostTick()
+		f.d.tenantCost.Wake()
 	}
 	now := f.d.sim.Now()
 	hdr := wire.Header{

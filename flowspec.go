@@ -506,6 +506,13 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	}
 	if d.fb != nil && bucket != nil {
 		f.pacer = feedback.NewPacer(bucket, d.cfg.Feedback.Pacer)
+		f.pacerTimer = d.sim.NewTimer(f.pacerTickRun)
+	}
+	if d.cfg.UpgradeInterval > 0 {
+		f.adapt = d.sim.NewTicker(d.cfg.UpgradeInterval, &f.metrics.Sent, func() bool {
+			f.adaptTick()
+			return false
+		})
 	}
 	d.nextFlow++
 	d.flows[f.id] = f
@@ -538,7 +545,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		f.preferredPath = append([]core.NodeID(nil), f.activePath...)
 	}
 	f.updateFeedbackSub()
-	f.armAdaptTick()
+	f.adapt.Wake()
 	return f, nil
 }
 

@@ -600,11 +600,9 @@ func TestCheapestPathPolicy(t *testing.T) {
 	}
 }
 
-// TestReconnectDCs restores a blackholed link to its original shape
-// without the caller re-specifying the latency. It deliberately stays on
-// the deprecated DisconnectDCs/ReconnectDCs wrappers so the compatibility
-// shims over Deployment.Link keep test coverage.
-func TestReconnectDCs(t *testing.T) {
+// TestReconnect restores a blackholed link to its original shape without
+// the caller re-specifying the latency.
+func TestReconnect(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
@@ -620,15 +618,15 @@ func TestReconnectDCs(t *testing.T) {
 		at := time.Duration(i) * 5 * time.Millisecond
 		d.Sim().At(at, func() { f.Send([]byte("x")) })
 	}
-	d.Sim().At(1500*time.Millisecond, func() { d.DisconnectDCs(dcs[1], dcs[3]) })
-	d.Sim().At(3500*time.Millisecond, func() { d.ReconnectDCs(dcs[1], dcs[3]) })
+	d.Sim().At(1500*time.Millisecond, func() { d.Link(dcs[1], dcs[3]).Disconnect() })
+	d.Sim().At(3500*time.Millisecond, func() { d.Link(dcs[1], dcs[3]).Reconnect() })
 	d.Run(12 * time.Second)
 	st := d.Snapshot().Routing
 	if st.LinkFailures == 0 || st.LinkRecoveries == 0 {
 		t.Fatalf("failure/recovery not observed: %+v", st)
 	}
 	if h, _ := d.LinkHealth(dcs[1], dcs[3]); h.State != routing.LinkUp {
-		t.Errorf("link state = %v after ReconnectDCs", h.State)
+		t.Errorf("link state = %v after Reconnect", h.State)
 	}
 	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[1] {
 		t.Errorf("dc1→dc4 via %v after reconnect, want dc2", via)
@@ -642,10 +640,10 @@ func TestReconnectDCs(t *testing.T) {
 	// Reconnecting DCs that were never connected is a wiring bug.
 	defer func() {
 		if recover() == nil {
-			t.Error("ReconnectDCs on unconnected pair did not panic")
+			t.Error("Reconnect on unconnected pair did not panic")
 		}
 	}()
-	d.ReconnectDCs(dcs[0], dcs[3])
+	d.Link(dcs[0], dcs[3]).Reconnect()
 }
 
 // TestReceiverRTTSeededFromOverlay: with no direct path installed, the

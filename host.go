@@ -1,9 +1,12 @@
 package jqos
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/netem"
 	"jqos/internal/recovery"
 	"jqos/internal/wire"
 )
@@ -18,9 +21,17 @@ type Host struct {
 	dc core.NodeID
 
 	receivers map[core.FlowID]*recovery.Receiver
+	// byFlow lists the same receivers in ascending flow-ID order: the
+	// timer walks it, so flows whose timers expire in the same instant
+	// emit (and draw link jitter and loss) in a fixed order instead of
+	// Go's per-range map order.
+	byFlow    []flowReceiver
 	onDeliver func(core.Delivery)
-	arm       uint64
 	drop      uint64
+
+	// timer fires at the earliest receiver deadline; every handled
+	// message re-arms it (armTimer).
+	timer *netem.Timer
 
 	// unsol lists receivers created for flow IDs the deployment never
 	// allocated (forged or external packets), in least-recently-used
@@ -39,13 +50,20 @@ type Host struct {
 // small enough that forged-ID floods stay O(1) per host.
 const maxUnsolicitedReceivers = 32
 
+type flowReceiver struct {
+	flow core.FlowID
+	r    *recovery.Receiver
+}
+
 func newHost(d *Deployment, id, dc core.NodeID) *Host {
-	return &Host{
+	h := &Host{
 		d:         d,
 		id:        id,
 		dc:        dc,
 		receivers: make(map[core.FlowID]*recovery.Receiver),
 	}
+	h.timer = d.sim.NewTimer(h.onTimer)
+	return h
 }
 
 // ID returns the host's node identity.
@@ -85,7 +103,7 @@ func (h *Host) ensureReceiver(flow core.FlowID, rtt time.Duration, svc core.Serv
 		if len(h.unsol) >= maxUnsolicitedReceivers {
 			evict := h.unsol[0]
 			h.unsol = append(h.unsol[:0], h.unsol[1:]...)
-			delete(h.receivers, evict)
+			h.removeReceiver(evict)
 		}
 		h.unsol = append(h.unsol, flow)
 	} else {
@@ -121,16 +139,35 @@ func (h *Host) ensureReceiver(flow core.FlowID, rtt time.Duration, svc core.Serv
 	}
 	r := recovery.New(cfg)
 	h.receivers[flow] = r
+	h.byFlow = slices.Insert(h.byFlow, h.flowIndex(flow), flowReceiver{flow, r})
 	return r
 }
 
+// flowIndex is flow's position in byFlow, or where it would be inserted.
+func (h *Host) flowIndex(flow core.FlowID) int {
+	i, _ := slices.BinarySearchFunc(h.byFlow, flow, func(e flowReceiver, id core.FlowID) int {
+		return cmp.Compare(e.flow, id)
+	})
+	return i
+}
+
+// removeReceiver deletes flow's engine from the map and the ordered list.
+func (h *Host) removeReceiver(flow core.FlowID) {
+	if _, ok := h.receivers[flow]; !ok {
+		return
+	}
+	delete(h.receivers, flow)
+	i := h.flowIndex(flow)
+	h.byFlow = slices.Delete(h.byFlow, i, i+1)
+}
+
 // dropReceiver frees a closed flow's recovery engine. Armed timer events
-// self-cancel: the sweep only walks receivers still in the map. A
+// self-cancel: the sweep only walks receivers still listed. A
 // previously-unsolicited ID leaves the LRU list too — registration
 // adopting a mid-join receiver must not leave a stale entry whose later
 // eviction would delete the legitimate flow's fresh state.
 func (h *Host) dropReceiver(flow core.FlowID) {
-	delete(h.receivers, flow)
+	h.removeReceiver(flow)
 	for i, id := range h.unsol {
 		if id == flow {
 			h.unsol = append(h.unsol[:i], h.unsol[i+1:]...)
@@ -287,33 +324,28 @@ func (h *Host) PullFlow(flow core.FlowID, after core.Seq) {
 	h.armTimer()
 }
 
-// armTimer schedules the earliest receiver deadline (generation-guarded,
-// like DCNode).
+// armTimer (re)schedules the host's timer at the earliest receiver
+// deadline; with none pending, an already armed firing stands.
 func (h *Host) armTimer() {
 	var min core.Time
 	found := false
-	for _, r := range h.receivers {
-		if dl, ok := r.NextDeadline(); ok && (!found || dl < min) {
+	for _, e := range h.byFlow {
+		if dl, ok := e.r.NextDeadline(); ok && (!found || dl < min) {
 			min, found = dl, true
 		}
 	}
-	if !found {
-		return
+	if found {
+		h.timer.Reset(min)
 	}
-	h.arm++
-	gen := h.arm
-	now := h.d.sim.Now()
-	if min < now {
-		min = now
+}
+
+// onTimer runs every receiver's timers in ascending flow order. By index:
+// a delivery callback may close a flow and shrink the list mid-walk; a
+// receiver skipped that way is still due and fires on the re-arm below.
+func (h *Host) onTimer() {
+	t := h.d.sim.Now()
+	for i := 0; i < len(h.byFlow); i++ {
+		h.process(t, h.byFlow[i].r.OnTimer(t))
 	}
-	h.d.sim.At(min, func() {
-		if h.arm != gen {
-			return
-		}
-		t := h.d.sim.Now()
-		for _, r := range h.receivers {
-			h.process(t, r.OnTimer(t))
-		}
-		h.armTimer()
-	})
+	h.armTimer()
 }

@@ -17,11 +17,6 @@ type Profile struct {
 	// Faults is how many random fault events to inject (flaps count as
 	// one event but expand to several steps). Default 5.
 	Faults int
-	// FullRecompute disables the controller's incremental SPF for the
-	// run, so every health/utilization change recomputes all sources —
-	// the A/B knob CI uses to hold both recompute paths to the same
-	// invariants.
-	FullRecompute bool
 }
 
 func (p Profile) withDefaults() Profile {

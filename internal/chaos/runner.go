@@ -226,9 +226,6 @@ func RunOne(seed int64, p Profile) (Verdict, error) {
 	if err != nil {
 		return Verdict{Seed: seed}, err
 	}
-	if p.FullRecompute {
-		w.D.Routing().SetIncrementalRecompute(false)
-	}
 	sc := Fuzz(seed, p, w.DCs, w.Links)
 	return RunScenario(w, sc, p.withDefaults().Horizon)
 }

@@ -46,6 +46,7 @@ type Simulator struct {
 	now    core.Time
 	events eventHeap
 	seq    uint64
+	cur    uint64 // sequence number of the executing event (see Timer)
 	rng    *rand.Rand
 	steps  uint64
 }
@@ -68,12 +69,16 @@ func (s *Simulator) Fork() *rand.Rand { return rand.New(rand.NewSource(s.rng.Int
 
 // At schedules fn at absolute virtual time t. Scheduling in the past (t <
 // Now) panics: it is always a logic error in an event-driven system.
-func (s *Simulator) At(t core.Time, fn func()) {
+func (s *Simulator) At(t core.Time, fn func()) { s.schedule(t, fn) }
+
+// schedule pushes one event and returns its sequence number.
+func (s *Simulator) schedule(t core.Time, fn func()) uint64 {
 	if t < s.now {
 		panic("netem: scheduling event in the past")
 	}
 	s.seq++
 	s.events.push(event{at: t, seq: s.seq, fn: fn})
+	return s.seq
 }
 
 // After schedules fn d after the current time.
@@ -107,6 +112,7 @@ func (s *Simulator) RunFor(d core.Time) { s.RunUntil(s.now + d) }
 func (s *Simulator) step() {
 	e := s.events.pop()
 	s.now = e.at
+	s.cur = e.seq
 	s.steps++
 	e.fn()
 }

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"runtime"
 	"sort"
 
 	"jqos/internal/core"
@@ -154,7 +153,9 @@ type Controller struct {
 	// mirror the graph in index space and rebuild only on structural
 	// changes (topoGen vs Graph.gen); trees caches one shortest-path tree
 	// per source; unreachBySrc keeps Stats.Unreachable exact under
-	// per-source refreshes.
+	// per-source refreshes. incremental is false only in the differential
+	// test's oracle controller, which it forces onto Recompute for every
+	// link event.
 	incremental  bool
 	nodeList     []core.NodeID
 	listBuf      []core.NodeID // previous nodeList, for install-row remaps
@@ -167,8 +168,6 @@ type Controller struct {
 	utilBuf      [][2]core.NodeID
 	treeBuf      []*srcTree
 	works        []*spfWork
-	parMin       int
-	parWorkers   int
 
 	// Table-epoch state: epoch is the current table version; epochBumped
 	// marks whether the in-progress update already opened a new epoch
@@ -215,10 +214,6 @@ func NewController(k int) *Controller {
 	if k < 1 {
 		k = 1
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
 	return &Controller{
 		g:            NewGraph(),
 		k:            k,
@@ -233,8 +228,6 @@ func NewController(k int) *Controller {
 		unreachBySrc: make(map[core.NodeID]int),
 		idxOf:        make(map[core.NodeID]int32),
 		primBuf:      make(map[[2]core.NodeID][]core.NodeID),
-		parMin:       16,
-		parWorkers:   workers,
 	}
 }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"runtime"
 	"sync"
 
 	"jqos/internal/core"
@@ -332,6 +333,14 @@ func (c *Controller) affectedSources(links [][2]core.NodeID) []int32 {
 	return buf
 }
 
+// Sharding thresholds for computeTrees: below parMinSources affected
+// sources the fan-out costs more than it saves; past maxSPFWorkers the
+// shards are too small to matter on the graphs an overlay has.
+const (
+	parMinSources = 16
+	maxSPFWorkers = 8
+)
+
 // computeTrees runs the per-source Dijkstras for the given source
 // indices, sharding across workers when the set is large enough to pay
 // for the fan-out. Shards use a deterministic stride assignment and each
@@ -344,17 +353,15 @@ func (c *Controller) computeTrees(idxs []int32) {
 		trees = append(trees, c.tree(c.nodeList[i]))
 	}
 	c.treeBuf = trees
-	nw := c.parWorkers
-	if nw > len(idxs) {
-		nw = len(idxs)
-	}
-	if len(idxs) < c.parMin || nw < 2 {
+	nw := min(runtime.GOMAXPROCS(0), maxSPFWorkers, len(idxs))
+	if len(idxs) < parMinSources || nw < 2 {
 		w := c.work(0)
 		for k, i := range idxs {
 			c.spfInto(trees[k], i, w)
 		}
 		return
 	}
+	c.work(nw - 1) // grow the per-worker state here; the shards only read the list
 	var wg sync.WaitGroup
 	for wi := 0; wi < nw; wi++ {
 		wg.Add(1)
@@ -375,27 +382,6 @@ func (c *Controller) work(wi int) *spfWork {
 		c.works = append(c.works, &spfWork{})
 	}
 	return c.works[wi]
-}
-
-// SetRecomputeParallelism tunes the sharded recompute: minAffected is the
-// affected-source count below which the recompute stays serial (the
-// fan-out costs more than it saves on small cuts), workers the maximum
-// shard count. Zero values keep the current setting.
-func (c *Controller) SetRecomputeParallelism(minAffected, workers int) {
-	if minAffected > 0 {
-		c.parMin = minAffected
-	}
-	if workers > 0 {
-		c.parWorkers = workers
-	}
-}
-
-// SetIncrementalRecompute toggles the delta engine. Enabled (the
-// default), link-health and utilization events recompute only affected
-// sources; disabled, every event runs the full all-pairs rebuild —
-// the legacy path, kept selectable until it is deleted.
-func (c *Controller) SetIncrementalRecompute(enabled bool) {
-	c.incremental = enabled
 }
 
 // refreshSource folds source s's freshly computed tree into the routed
@@ -443,8 +429,8 @@ func (c *Controller) refreshSource(s core.NodeID, t *srcTree, sIdx int32) int {
 
 // recomputeLinks is the delta entry point for link-scoped events (health
 // verdicts, utilization reweights): recompute only the affected sources,
-// falling back to the full rebuild when the delta engine is disabled or
-// the topology changed structurally since the trees were built. The
+// falling back to the full rebuild when the topology changed structurally
+// since the trees were built (or in the differential test's oracle). The
 // notification tail (flow-path notes, OnRecompute, epoch advance) runs
 // identically to Recompute — incremental is an optimization, never a
 // behavior change.

@@ -16,8 +16,7 @@ const NumClasses = core.NumServices
 // at a single instant of SIMULATED time: per-link load, per-queue
 // scheduler state, per-flow delivery metrics, routing and feedback
 // counters, aggregate totals, the registered metrics, and the trace
-// ring's occupancy. It replaces polling LinkLoad / SchedStats /
-// FeedbackStats / RoutingStats one call at a time.
+// ring's occupancy — one capture instead of one poll per subsystem.
 //
 // Snapshots are immutable once built: the builder publishes them behind
 // an atomic pointer and the HTTP exposition layer only ever reads.
@@ -60,8 +59,7 @@ type Snapshot struct {
 }
 
 // Link returns the snapshot row for the inter-DC link a↔b (order
-// agnostic). ok is false when the pair was not tracked at capture time —
-// the migration target for callers polling Deployment.LinkLoad.
+// agnostic). ok is false when the pair was not tracked at capture time.
 func (s *Snapshot) Link(a, b core.NodeID) (LinkSnapshot, bool) {
 	if a > b {
 		a, b = b, a
@@ -76,8 +74,7 @@ func (s *Snapshot) Link(a, b core.NodeID) (LinkSnapshot, bool) {
 
 // Queue returns the snapshot row for the directed egress scheduler
 // from→to. ok is false when no scheduler was instantiated for that
-// direction — the migration target for callers polling
-// Deployment.SchedStats.
+// direction.
 func (s *Snapshot) Queue(from, to core.NodeID) (QueueSnapshot, bool) {
 	for i := range s.Queues {
 		if s.Queues[i].From == from && s.Queues[i].To == to {

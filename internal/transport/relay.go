@@ -142,7 +142,7 @@ func (r *Relay) timerLoop() {
 
 // rearmLocked resets the timer to the earliest engine deadline.
 func (r *Relay) rearmLocked() {
-	next, ok := r.nextDeadlineLocked()
+	next, ok := coding.EarliestDeadline(r.enc, r.rec)
 	if !ok {
 		r.timer.Reset(time.Hour)
 		return
@@ -152,23 +152,6 @@ func (r *Relay) rearmLocked() {
 		d = 0
 	}
 	r.timer.Reset(d)
-}
-
-func (r *Relay) nextDeadlineLocked() (core.Time, bool) {
-	d1, ok1 := r.enc.NextDeadline()
-	d2, ok2 := r.rec.NextDeadline()
-	switch {
-	case ok1 && ok2:
-		if d1 < d2 {
-			return d1, true
-		}
-		return d2, true
-	case ok1:
-		return d1, true
-	case ok2:
-		return d2, true
-	}
-	return 0, false
 }
 
 // handle dispatches one datagram (called from the endpoint receive loop).

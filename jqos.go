@@ -32,10 +32,10 @@
 // names the links that changed, an affected-source cut keeps every
 // source whose shortest-path tree cannot have moved (no changed link on
 // or cheaper than its tree), and only the rest re-run Dijkstra —
-// sharded across workers when the affected set is large
-// (SetRecomputeParallelism), falling back to a full recompute on
-// topology edits or SetIncrementalRecompute(false). RoutingStats counts
-// the split (IncrementalRecomputes, SourcesRecomputed).
+// sharded across workers when the affected set is large — falling back
+// to a full recompute on topology edits (a differential test holds the
+// two to identical tables). Snapshot().Routing counts the split
+// (IncrementalRecomputes, SourcesRecomputed).
 //
 // Table pushes are make-before-break. Each recompute opens a new table
 // EPOCH at every forwarder it touches; cloud copies are stamped at the
@@ -62,9 +62,8 @@
 // Fault injection and link inspection go through one surface:
 // Deployment.Link(a, b) returns a LinkHandle with Set / SetOneWay /
 // Disconnect / DisconnectOneWay / Reconnect / ReconnectOneWay mutators
-// plus Shape, Health, Load, and SetCapacity accessors. The legacy
-// Deployment-level forms (SetLinkQuality, DisconnectDCs, ...) remain as
-// deprecated wrappers. Service selection sees routed latencies through
+// plus Shape, Health, Load, and SetCapacity accessors. Service
+// selection sees routed latencies through
 // the topology's PathOracle, so PredictDelay and Register work on
 // sparse graphs too.
 //
@@ -90,13 +89,13 @@
 // The overlay's resources are finite, and judicious use means measuring
 // them: every DC egress is metered per (inter-DC link, service class)
 // into sliding-window rate meters (internal/load), and
-// Deployment.LinkLoad exposes the live rates, peaks, and utilization
+// Link(a, b).Load exposes the live rates, peaks, and utilization
 // (against SetLinkCapacity / Config.LinkCapacity accounting capacities).
 // A periodic reporter (Config.LoadReportInterval) feeds utilization into
 // the routing controller, which inflates hot links' path weights
 // M/M/1-style above a knee (Config.Congestion) — with hysteresis, so
 // routes spread away from congested links without flapping — and
-// RoutingStats counts the resulting congestion reroutes. On the admission
+// Snapshot().Routing counts the resulting congestion reroutes. On the admission
 // side, FlowSpec.Rate declares a per-flow token-bucket contract enforced
 // at the ingress: excess cloud copies are dropped
 // (Observer.OnAdmissionDrop) or, with FlowSpec.AdmissionShape, delayed
@@ -131,10 +130,10 @@
 // share flows to backlogged ones), per-class queues are byte-capped
 // with drop-from-tail accounting (surfaced per flow as
 // FlowMetrics.EgressDropped and Observer.OnEgressDrop), and the load
-// meters feed on DEQUEUE, so LinkLoad reports what actually left the DC
-// rather than what piled up. Deployment.SchedStats exposes per-class
-// enqueued/dequeued/dropped counters, live queue depth, and deficit
-// rounds per directed link. Nil Weights (the default) disables
+// meters feed on DEQUEUE, so Link(a, b).Load reports what actually left
+// the DC rather than what piled up. Snapshot().Queue(a, b) exposes
+// per-class enqueued/dequeued/dropped counters, live queue depth, and
+// deficit rounds per directed link. Nil Weights (the default) disables
 // scheduling — the legacy FIFO send path, byte-for-byte. See
 // examples/fairshare and experiment "fairshare".
 //
@@ -164,8 +163,8 @@
 // the budget when one exists, else up past the backlog — instead of
 // waiting for a budget-violation window (ServiceChange reason
 // "congestion", cooldown-bounded). Observers hear every delivered
-// signal as OnCongestionSignal; Deployment.FeedbackStats counts the
-// plane's activity.
+// signal as OnCongestionSignal; Snapshot().Feedback counts the plane's
+// activity.
 //
 // The scheduler also makes admission scheduler-aware — with or
 // without feedback enabled, whenever Config.Scheduler is on:
@@ -315,6 +314,33 @@
 //
 // See examples/tenancy and experiment "tenancy".
 //
+// # Time
+//
+// Everything runs on the emulator's virtual clock, and everything that
+// waits does so through one of three forms (internal/netem). A one-shot
+// event (Simulator.At / After) is for work that happens once and is
+// never cancelled: a shaped send leaving the ingress, a probe's
+// timeout, a table epoch retiring. A netem.Timer is a re-armable
+// deadline allocated once with its callback: DC and host nodes Reset it
+// to their engines' earliest deadline after every handled message (a
+// superseded firing drains as a no-op), and the batch-flush, hot-queue
+// refresh, pacer-recovery and egress-pump sites Arm it — "make sure a
+// run is coming" — and re-arm from the callback while there is work
+// left. A netem.Ticker is a periodic loop that parks: flow adaptation,
+// the tenant cost check, the load reporter, the snapshot publisher and
+// the SLO sweeper each re-arm one interval after every round until two
+// consecutive rounds see no application send and the loop has nothing
+// left to settle (utilization still draining, an SLO tracker still
+// elevated), then stop scheduling. That is why RunUntilQuiet returns: an
+// idle deployment drains to an empty event heap. Flow.Send wakes every
+// parked loop through one activity counter; the Link handle's fault
+// injectors and NudgeFaultDetection wake the probers and the load
+// reporter, so a fault injected into an idle deployment is still
+// detected. Link probers follow the same discipline on a bare Timer
+// (their cadence adapts per round and a fault grants them a burst of
+// rounds that traffic neither clears nor spends). A new periodic loop
+// is a Ticker; never re-arm from After by hand.
+//
 // # Quick start
 //
 //	cfg := jqos.DefaultConfig()
@@ -448,8 +474,8 @@ type Config struct {
 	LoadWindow time.Duration
 	// LoadReportInterval is how often measured link utilization feeds the
 	// routing controller's congestion-aware weights. Zero disables the
-	// feed — meters still run and LinkLoad still answers, but routing
-	// ignores load.
+	// feed — meters still run and Link(a, b).Load still answers, but
+	// routing ignores load.
 	LoadReportInterval time.Duration
 	// Congestion tunes utilization-driven link-weight inflation (knee,
 	// M/M/1 penalty, flap hysteresis). Zero fields take defaults.
@@ -531,18 +557,12 @@ type Deployment struct {
 	// one-backoff-per-bottleneck congestion pacing across each tenant's
 	// member flows (see tenant.go).
 	tenants *tenant.Registry
-	// Tenant control-loop state: the cost-budget tick (UpgradeInterval
-	// cadence, parks when traffic stops) and the aggregate-pacer
-	// additive-recovery tick (Feedback.RecoverInterval cadence, stops
-	// when no tenant is throttled). Funcs are bound once so re-arming
-	// allocates no closures.
-	tenantCostArmed  bool
-	tenantCostNeeded bool // any tenant has a cost ceiling
-	tenantCostIdle   int
-	tenantCostLast   uint64 // activity mark for parking
-	tenantCostFn     func()
-	tenantPacerArmed bool
-	tenantPacerFn    func()
+	// Tenant control loops: the cost-budget ticker (UpgradeInterval
+	// cadence; nil until a tenant declares a cost ceiling) and the
+	// aggregate-pacer additive-recovery timer (Feedback.RecoverInterval
+	// cadence, re-armed while any tenant is throttled).
+	tenantCost  *netem.Ticker
+	tenantPacer *netem.Timer
 
 	// repinWatch holds RepinOnHeal flows parked off their preferred
 	// path; every recompute checks whether the preferred path healed.
@@ -563,16 +583,15 @@ type Deployment struct {
 
 	// Link-health probing (see probe.go). activity counts application
 	// sends; probers park when it stops moving so the simulator can drain.
-	probers       []*prober
-	parkedProbers int
-	activity      uint64
+	probers  []*prober
+	activity uint64
 
 	// Accounting: bytes that crossed cloud egress links, for cost
 	// reporting (§6.6). Keyed by the sending DC.
 	egressBytes map[core.NodeID]uint64
 
 	// linkShape remembers each inter-DC link's configured one-way
-	// latency so ReconnectDCs can restore a disconnected link without
+	// latency so Link(a, b).Reconnect can restore a disconnected link without
 	// the caller re-specifying it.
 	linkShape map[[2]core.NodeID]time.Duration
 }
@@ -611,8 +630,7 @@ func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 		repinWatch:  make(map[core.FlowID]*Flow),
 		tenants:     tenant.NewRegistry(),
 	}
-	d.tenantCostFn = d.tenantCostRun
-	d.tenantPacerFn = d.tenantPacerRun
+	d.tenantPacer = sim.NewTimer(d.tenantPacerRun)
 	d.loadReg = load.NewRegistry(cfg.LoadWindow)
 	d.tel = newTelemetryPlane(d, cfg.Telemetry)
 	d.ctrl.SetCongestionConfig(cfg.Congestion)
@@ -657,13 +675,6 @@ func (d *Deployment) Topology() *overlay.Topology { return d.topo }
 // Routing exposes the overlay routing control plane (link graph, path
 // queries, stats).
 func (d *Deployment) Routing() *routing.Controller { return d.ctrl }
-
-// RoutingStats returns the control plane's counters (recomputes, pushes,
-// reroutes, link failures/recoveries).
-//
-// Deprecated: use Deployment.Snapshot().Routing, the coherent
-// whole-deployment view (one capture instead of per-subsystem polls).
-func (d *Deployment) RoutingStats() routing.Stats { return d.ctrl.Stats() }
 
 // LinkHealth returns the monitor's view of the inter-DC link a↔b.
 func (d *Deployment) LinkHealth(a, b core.NodeID) (routing.Health, bool) {
@@ -745,60 +756,12 @@ func (d *Deployment) SetLinkCapacity(a, b core.NodeID, bytesPerSec int64) {
 	d.wakeLoadReporter()
 }
 
-// LinkLoad returns the live load snapshot of the inter-DC link a↔b:
-// windowed/EWMA rates and peaks per direction, per-service-class
-// breakdowns, and the utilization reading that congestion-aware routing
-// inflates weights from. ok is false for unconnected pairs.
-//
-// Deprecated: use Deployment.Snapshot().Link(a, b), the coherent
-// whole-deployment view (one capture instead of per-subsystem polls).
-func (d *Deployment) LinkLoad(a, b core.NodeID) (load.LinkLoad, bool) {
-	return d.loadReg.Load(d.sim.Now(), a, b)
-}
-
 func dcPairKey(a, b core.NodeID) [2]core.NodeID {
 	if a > b {
 		a, b = b, a
 	}
 	return [2]core.NodeID{a, b}
 }
-
-// DisconnectDCs blackholes the inter-DC link a↔b in both directions.
-//
-// Deprecated: use Deployment.Link(a, b).Disconnect().
-func (d *Deployment) DisconnectDCs(a, b core.NodeID) { d.Link(a, b).Disconnect() }
-
-// DisconnectDCsOneWay blackholes only the a→b direction of the link.
-//
-// Deprecated: use Deployment.Link(a, b).DisconnectOneWay().
-func (d *Deployment) DisconnectDCsOneWay(a, b core.NodeID) { d.Link(a, b).DisconnectOneWay() }
-
-// ReconnectDCsOneWay restores only the a→b direction to the connected
-// shape.
-//
-// Deprecated: use Deployment.Link(a, b).ReconnectOneWay().
-func (d *Deployment) ReconnectDCsOneWay(a, b core.NodeID) { d.Link(a, b).ReconnectOneWay() }
-
-// SetLinkQuality reshapes the inter-DC link a↔b in both directions to the
-// given one-way latency and random loss rate.
-//
-// Deprecated: use Deployment.Link(a, b).Set(x, loss).
-func (d *Deployment) SetLinkQuality(a, b core.NodeID, x time.Duration, loss float64) {
-	d.Link(a, b).Set(x, loss)
-}
-
-// SetLinkQualityAsym reshapes only the a→b direction of the link.
-//
-// Deprecated: use Deployment.Link(a, b).SetOneWay(x, loss).
-func (d *Deployment) SetLinkQualityAsym(a, b core.NodeID, x time.Duration, loss float64) {
-	d.Link(a, b).SetOneWay(x, loss)
-}
-
-// ReconnectDCs restores a disconnected (or reshaped) inter-DC link a↔b to
-// the shape ConnectDCs originally gave it.
-//
-// Deprecated: use Deployment.Link(a, b).Reconnect().
-func (d *Deployment) ReconnectDCs(a, b core.NodeID) { d.Link(a, b).Reconnect() }
 
 // HostOption customizes AddHost.
 type HostOption func(*hostParams)
@@ -968,7 +931,7 @@ func (d *Deployment) HostIDs() []core.NodeID {
 }
 
 // LinkShape returns the one-way latency ConnectDCs recorded for the
-// inter-DC pair a↔b — the shape ReconnectDCs restores. ok is false for
+// inter-DC pair a↔b — the shape Link(a, b).Reconnect restores. ok is false for
 // pairs that were never connected.
 func (d *Deployment) LinkShape(a, b core.NodeID) (time.Duration, bool) {
 	x, ok := d.linkShape[dcPairKey(a, b)]
@@ -983,7 +946,7 @@ func (d *Deployment) RepinWatchCount() int { return len(d.repinWatch) }
 
 // NudgeFaultDetection grants every link prober a full detection burst
 // and wakes the load reporter, exactly as the built-in fault injectors
-// (DisconnectDCs, SetLinkQuality) do. The chaos engine calls it after
+// (Link(a, b).Disconnect, .Set) do. The chaos engine calls it after
 // swapping link models directly on the emulated fabric, so scripted
 // faults are detected even when they land on an idle deployment. It is
 // allocation-free when nothing is parked.

@@ -12,11 +12,10 @@ import (
 
 // LinkHandle names one inter-DC link of a deployment and carries every
 // fault-injection and inspection operation on it — the single mutation
-// surface behind which the six legacy Deployment link mutators now sit.
-// Handles are plain values: cheap to construct, safe to copy, and valid
-// for the life of the deployment (including before the pair is connected
-// — mutating an unconnected pair is the same no-op or panic the legacy
-// forms produced).
+// surface. Handles are plain values: cheap to construct, safe to copy,
+// and valid for the life of the deployment (including before the pair is
+// connected — mutating an unconnected pair is a no-op, restoring one
+// panics).
 //
 //	link := dep.Link(dc1, dc2)
 //	link.Disconnect()                       // blackhole both directions

@@ -1,6 +1,9 @@
 package jqos
 
-import "jqos/internal/routing"
+import (
+	"jqos/internal/netem"
+	"jqos/internal/routing"
+)
 
 // loadReporter periodically converts the load registry's measured link
 // utilization into the routing controller's congestion weights: every
@@ -8,19 +11,16 @@ import "jqos/internal/routing"
 // deterministic order) and calls SetLinkUtilization, whose hysteresis
 // decides whether anything recomputes.
 //
-// Like the probers, the reporter parks itself when the deployment goes
-// quiet so an idle event heap drains; Flow.Send (via noteActivity) and
-// the failure-injection helpers wake it. Parking additionally waits for
-// every meter window to drain to zero utilization — a link must deflate
-// before the reporter sleeps, whatever the LoadWindow : interval ratio,
-// or a flow registered during the idle period would resolve its path
-// against a phantom-hot link.
+// The reporter is a parking ticker, so an idle event heap drains;
+// Flow.Send (via noteActivity) and the failure-injection helpers wake it.
+// It holds itself awake until every meter window has drained to zero
+// utilization — a link must deflate before the reporter sleeps, whatever
+// the LoadWindow : interval ratio, or a flow registered during the idle
+// period would resolve its path against a phantom-hot link.
 type loadReporter struct {
-	d            *Deployment
-	parked       bool
-	idle         int
-	lastActivity uint64
-	scratch      []routing.UtilizationReport // reused per round
+	d       *Deployment
+	ticker  *netem.Ticker
+	scratch []routing.UtilizationReport // reused per round
 }
 
 // startLoadReporter begins periodic utilization reporting (no-op when
@@ -33,28 +33,12 @@ func (d *Deployment) startLoadReporter() {
 	if d.cfg.LoadReportInterval <= 0 || d.loadRep != nil || !d.loadReg.AnyCapacity() {
 		return
 	}
-	d.loadRep = &loadReporter{d: d}
-	d.sim.After(d.cfg.LoadReportInterval, d.loadRep.round)
-}
-
-// round reports once and reschedules itself — or parks, once the
-// deployment is idle AND the meters have fully drained.
-func (r *loadReporter) round() {
-	d := r.d
-	if act := d.activity; act == r.lastActivity {
-		r.idle++
-	} else {
-		r.lastActivity = act
-		if r.idle > 0 {
-			r.idle = 0
-		}
-	}
-	maxUtil := r.report()
-	if r.idle >= 2 && maxUtil == 0 {
-		r.parked = true
-		return
-	}
-	d.sim.After(d.cfg.LoadReportInterval, r.round)
+	r := &loadReporter{d: d}
+	r.ticker = d.sim.NewTicker(d.cfg.LoadReportInterval, &d.activity, func() bool {
+		return r.report() != 0
+	})
+	d.loadRep = r
+	r.ticker.Wake()
 }
 
 // report feeds every tracked link's current utilization to the
@@ -75,20 +59,9 @@ func (r *loadReporter) report() float64 {
 	return max
 }
 
-// wake restarts a parked reporter (cheap when running); fresh activity
-// resets accumulated idleness either way.
-func (r *loadReporter) wake() {
-	r.idle = 0
-	if !r.parked {
-		return
-	}
-	r.parked = false
-	r.d.sim.After(r.d.cfg.LoadReportInterval, r.round)
-}
-
 // wakeLoadReporter restarts the reporter if one is parked.
 func (d *Deployment) wakeLoadReporter() {
 	if d.loadRep != nil {
-		d.loadRep.wake()
+		d.loadRep.ticker.Wake()
 	}
 }

@@ -2,6 +2,7 @@ package jqos
 
 import (
 	"jqos/internal/core"
+	"jqos/internal/netem"
 	"jqos/internal/wire"
 )
 
@@ -12,22 +13,26 @@ import (
 // Outcomes feed routing.Monitor, whose fail/degrade/recover verdicts make
 // the controller recompute and re-push routes.
 //
-// Scheduling is generation-counted: every (re)schedule supersedes any
-// still-pending round, so a probe timeout can kick the prober onto the
-// fast cadence immediately instead of waiting out a healthy-pace interval.
+// Every (re)schedule supersedes any still-pending round, so a probe
+// timeout can kick the prober onto the fast cadence immediately instead
+// of waiting out a healthy-pace interval.
 //
 // Probers park themselves after two intervals without application sends so
-// an idle deployment's event heap drains (the same discipline as the
-// flow-upgrade loop); Flow.Send and the Link handle's fault injectors wake
-// them again.
+// an idle deployment's event heap drains; Flow.Send and the Link handle's
+// fault injectors wake them again. They drive a netem.Timer directly, not
+// a netem.Ticker, because three things here are not the ticker's rule:
+// the parking round sends nothing, the interval changes per round, and
+// the burst credit is a debt only quiet rounds pay down — traffic neither
+// clears it nor spends it.
 type prober struct {
-	d            *Deployment
-	a, b         core.NodeID // probes travel a→b, acks b→a
-	seq          uint64
-	gen          uint64 // scheduling generation; stale rounds no-op
-	parked       bool
-	idle         int
-	lastActivity uint64
+	d     *Deployment
+	a, b  core.NodeID // probes travel a→b, acks b→a
+	seq   uint64
+	timer *netem.Timer // next round; unarmed = parked
+	// quiet counts consecutive rounds without application sends; a boost
+	// drives it negative by the burst credit.
+	quiet int
+	mark  uint64 // d.activity at the last round
 }
 
 // startProber begins probing the link a↔b (no-op when probing is
@@ -38,21 +43,14 @@ func (d *Deployment) startProber(a, b core.NodeID, base core.Time) {
 	}
 	d.mon.Track(a, b, base)
 	p := &prober{d: d, a: a, b: b}
+	p.timer = d.sim.NewTimer(p.round)
 	d.probers = append(d.probers, p)
 	p.schedule(d.cfg.Monitor.ProbeInterval)
 }
 
 // schedule queues the next round after the given delay, cancelling any
 // round already pending (latest schedule wins).
-func (p *prober) schedule(after core.Time) {
-	p.gen++
-	gen := p.gen
-	p.d.sim.After(after, func() {
-		if p.gen == gen && !p.parked {
-			p.round()
-		}
-	})
-}
+func (p *prober) schedule(after core.Time) { p.timer.Reset(p.d.sim.Now() + after) }
 
 // interval is the current adaptive probe period for this prober's link.
 func (p *prober) interval() core.Time {
@@ -62,21 +60,19 @@ func (p *prober) interval() core.Time {
 // round sends one probe and reschedules itself.
 func (p *prober) round() {
 	d := p.d
-	if act := d.activity; act == p.lastActivity {
-		p.idle++
+	if act := d.activity; act == p.mark {
+		p.quiet++
 	} else {
-		p.lastActivity = act
+		p.mark = act
 		// Fresh traffic clears accumulated idleness but never an
 		// outstanding burst credit — a failure injected just before the
 		// last application send must still run its full detection.
-		if p.idle > 0 {
-			p.idle = 0
+		if p.quiet > 0 {
+			p.quiet = 0
 		}
 	}
-	if p.idle >= 2 {
-		p.parked = true
-		d.parkedProbers++
-		return
+	if p.quiet >= 2 {
+		return // parked: the timer stays unarmed
 	}
 	now := d.sim.Now()
 	p.seq++
@@ -109,7 +105,7 @@ func (p *prober) kick() {
 	if !p.d.mon.Suspicious(p.a, p.b) {
 		return
 	}
-	if p.parked {
+	if !p.timer.Armed() {
 		p.boost()
 		return
 	}
@@ -125,13 +121,8 @@ func (d *Deployment) burstCredit() int {
 
 // boost grants a prober the full detection burst, restarting it if parked.
 func (p *prober) boost() {
-	p.idle = -p.d.burstCredit()
-	if !p.parked {
-		return
-	}
-	p.parked = false
-	p.d.parkedProbers--
-	p.schedule(p.interval())
+	p.quiet = -p.d.burstCredit()
+	p.timer.Arm(p.interval())
 }
 
 // boostProbers gives every prober — parked or running — enough credit to
@@ -145,13 +136,14 @@ func (d *Deployment) boostProbers() {
 	d.wakeLoadReporter()
 }
 
-// wakeProbers restarts every parked prober (cheap when none are parked).
+// wakeProbers boosts every prober if any has parked (a scan of a few
+// bools per send when none has).
 func (d *Deployment) wakeProbers() {
-	if d.parkedProbers == 0 {
-		return
-	}
 	for _, p := range d.probers {
-		p.boost()
+		if !p.timer.Armed() {
+			d.boostProbers()
+			return
+		}
 	}
 }
 

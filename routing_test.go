@@ -221,7 +221,7 @@ func TestRerouteRecovery(t *testing.T) {
 	}
 }
 
-// TestDegradedLinkShiftsSelection: SetLinkQuality slows the primary link;
+// TestDegradedLinkShiftsSelection: Link(a, b).Set slows the primary link;
 // the monitor degrades it and routed latency (hence PredictDelay and new
 // registrations) follows.
 func TestDegradedLinkQualityShiftsRoutes(t *testing.T) {
@@ -257,11 +257,9 @@ func TestDegradedLinkQualityShiftsRoutes(t *testing.T) {
 }
 
 // TestRoutingStatsSurface sanity-checks the deployment-level accessors.
-// It deliberately stays on the deprecated RoutingStats poll so the
-// compatibility shim over Snapshot().Routing keeps test coverage.
 func TestRoutingStatsSurface(t *testing.T) {
 	d, dcs, _, _ := buildDiamond(t, 64, jqos.DefaultConfig())
-	st := d.RoutingStats()
+	st := d.Snapshot().Routing
 	if st.Recomputes == 0 || st.Pushes == 0 {
 		t.Errorf("setup produced no control-plane activity: %+v", st)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"jqos/internal/core"
 	"jqos/internal/load"
+	"jqos/internal/netem"
 	"jqos/internal/telemetry"
 	"jqos/internal/tenant"
 	"jqos/internal/wire"
@@ -70,12 +71,9 @@ type telemetryPlane struct {
 	queueDepth  *telemetry.Histogram
 	snapshots   *telemetry.Counter
 
-	interval     time.Duration
-	started      bool
-	parked       bool
-	idle         int
-	lastActivity uint64
-	roundFn      func()
+	// publisher builds a snapshot every Telemetry.PublishInterval while
+	// traffic flows (nil when periodic publishing is off).
+	publisher *netem.Ticker
 
 	// Hop-level latency attribution (spans.go in internal/telemetry).
 	// The collector is sim-goroutine-only; tracedFlows counts open flows
@@ -85,7 +83,7 @@ type telemetryPlane struct {
 
 	// Continuous SLO engine. slo carries defaults when Enabled; trackers
 	// are created lazily on the first delivery (flow/class/tenant) and
-	// evaluated by a parked ticker plus every snapshot build. The
+	// evaluated by the sloSweeper ticker plus every snapshot build. The
 	// degrade/recover counters increment exactly when the matching trace
 	// event is recorded, so chaos accounting can reconcile them against
 	// the ring's per-kind counts.
@@ -96,12 +94,10 @@ type telemetryPlane struct {
 	sloDegrades uint64
 	sloRecovers uint64
 
-	sloInterval time.Duration
-	sloStarted  bool
-	sloParked   bool
-	sloIdle     int
-	sloLastAct  uint64
-	sloRoundFn  func()
+	// sloSweeper evaluates the trackers every FastWindow/4 — so a burn
+	// crossing is seen well inside one fast window — and holds itself
+	// awake while any tracker is elevated (nil when the engine is off).
+	sloSweeper *netem.Ticker
 }
 
 // sloFlowWatch pairs a flow's SLO tracker with the blackhole-detection
@@ -117,9 +113,8 @@ type sloFlowWatch struct {
 
 func newTelemetryPlane(d *Deployment, cfg TelemetryConfig) *telemetryPlane {
 	p := &telemetryPlane{
-		d:        d,
-		reg:      telemetry.NewRegistry(),
-		interval: cfg.PublishInterval,
+		d:   d,
+		reg: telemetry.NewRegistry(),
 	}
 	if cfg.TraceCapacity >= 0 {
 		cap := cfg.TraceCapacity
@@ -133,17 +128,27 @@ func newTelemetryPlane(d *Deployment, cfg TelemetryConfig) *telemetryPlane {
 	p.pacerFrac = p.reg.Histogram("jqos_pacer_rate_fraction", "ratio", pacerFracBounds...)
 	p.queueDepth = p.reg.Histogram("jqos_egress_queue_depth_bytes", "bytes", queueDepthBounds...)
 	p.snapshots = p.reg.Counter("jqos_snapshots_built_total")
-	p.roundFn = p.round
+	if cfg.PublishInterval > 0 {
+		p.publisher = d.sim.NewTicker(cfg.PublishInterval, &d.activity, func() bool {
+			p.build()
+			return false
+		})
+	}
 	p.spans = telemetry.NewSpanCollector()
 	if cfg.SLO.Enabled() {
 		p.slo = cfg.SLO.WithDefaults()
 		p.sloFlows = make(map[core.FlowID]*sloFlowWatch)
 		p.sloTenants = make(map[core.TenantID]*telemetry.SLOTracker)
-		p.sloInterval = p.slo.FastWindow / 4
-		if p.sloInterval < time.Millisecond {
-			p.sloInterval = time.Millisecond
+		interval := p.slo.FastWindow / 4
+		if interval < time.Millisecond {
+			interval = time.Millisecond
 		}
-		p.sloRoundFn = p.sloRound
+		// The sweep still runs on idle rounds: state can change (clear
+		// holds expiring, blackhole synthesis) with no new deliveries.
+		p.sloSweeper = d.sim.NewTicker(interval, &d.activity, func() bool {
+			p.sloSweep(time.Duration(d.sim.Now()))
+			return p.sloElevated()
+		})
 	}
 	return p
 }
@@ -181,61 +186,12 @@ func (p *telemetryPlane) noteQueueDepth(depth int64) {
 	p.queueDepth.Observe(float64(depth))
 }
 
-// wake (re)starts the parked periodic publisher; called per application
-// send via noteActivity, so the publisher runs exactly while traffic
-// flows. No-op without a PublishInterval.
+// wake keeps the SLO sweeper and the periodic publisher running; called
+// per application send via noteActivity, so both run exactly while
+// traffic flows.
 func (p *telemetryPlane) wake() {
-	p.sloWake()
-	if p.interval <= 0 {
-		return
-	}
-	p.idle = 0
-	if !p.started {
-		p.started = true
-		p.d.sim.After(p.interval, p.roundFn)
-		return
-	}
-	if p.parked {
-		p.parked = false
-		p.d.sim.After(p.interval, p.roundFn)
-	}
-}
-
-// sloWake (re)starts the parked SLO evaluation ticker — same parking
-// discipline as the publisher, at FastWindow/4 so a burn crossing is
-// seen well inside one fast window.
-func (p *telemetryPlane) sloWake() {
-	if !p.slo.Enabled() {
-		return
-	}
-	p.sloIdle = 0
-	if !p.sloStarted {
-		p.sloStarted = true
-		p.d.sim.After(p.sloInterval, p.sloRoundFn)
-		return
-	}
-	if p.sloParked {
-		p.sloParked = false
-		p.d.sim.After(p.sloInterval, p.sloRoundFn)
-	}
-}
-
-// sloRound runs one SLO sweep and reschedules — or parks after two idle
-// rounds. The sweep still runs on idle rounds: state can change (clear
-// holds expiring, blackhole synthesis) with no new deliveries.
-func (p *telemetryPlane) sloRound() {
-	if act := p.d.activity; act == p.sloLastAct {
-		p.sloIdle++
-	} else {
-		p.sloLastAct = act
-		p.sloIdle = 0
-	}
-	p.sloSweep(time.Duration(p.d.sim.Now()))
-	if p.sloIdle >= 2 && !p.sloElevated() {
-		p.sloParked = true
-		return
-	}
-	p.d.sim.After(p.sloInterval, p.sloRoundFn)
+	p.sloSweeper.Wake()
+	p.publisher.Wake()
 }
 
 // sloElevated reports whether any tracker still sits above Met. The
@@ -546,29 +502,11 @@ func sloEntry(tr *telemetry.SLOTracker, now time.Duration) telemetry.SLOEntry {
 	return e
 }
 
-// round publishes one snapshot and reschedules — or parks after two idle
-// rounds so the event heap can drain (the next send wakes it).
-func (p *telemetryPlane) round() {
-	if act := p.d.activity; act == p.lastActivity {
-		p.idle++
-	} else {
-		p.lastActivity = act
-		p.idle = 0
-	}
-	p.build()
-	if p.idle >= 2 {
-		p.parked = true
-		return
-	}
-	p.d.sim.After(p.interval, p.roundFn)
-}
-
 // Snapshot builds, publishes, and returns one coherent view of the whole
 // deployment: per-link load (with per-class rollups), per-queue scheduler
 // state, per-flow delivery metrics, routing and feedback counters,
 // aggregate totals, the metric registry, and trace occupancy — one call
-// instead of polling LinkLoad / SchedStats / FeedbackStats / RoutingStats
-// per subsystem. The timestamp is SIMULATED time.
+// instead of one poll per subsystem. The timestamp is SIMULATED time.
 //
 // Snapshot must run on the simulator goroutine (it walks live engine
 // state); concurrent readers use LatestSnapshot, which returns the

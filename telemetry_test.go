@@ -231,57 +231,6 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeprecatedStatsShims keeps the deprecated per-subsystem pollers
-// covered after their in-repo callers moved to Deployment.Snapshot():
-// each shim must agree with the snapshot surface that replaced it.
-// (RoutingStats keeps its own holdout in routing_test.go.)
-func TestDeprecatedStatsShims(t *testing.T) {
-	d, dc1, dc2, greedy, inter := buildBackpressure(t, 77, true)
-	loadBackpressure(d, greedy, inter, time.Second)
-	d.Run(5 * time.Second)
-	s := d.Snapshot()
-
-	fb := d.FeedbackStats()
-	if fb.FlowSignals != s.Feedback.FlowSignals || fb.RateCuts != s.Feedback.RateCuts ||
-		fb.RateRecoveries != s.Feedback.RateRecoveries || fb.Transitions != s.Feedback.Transitions ||
-		fb.SignalsSent != s.Feedback.SignalsSent || fb.HotRefreshes != s.Feedback.HotRefreshes {
-		t.Errorf("FeedbackStats shim %+v != Snapshot().Feedback %+v", fb, s.Feedback)
-	}
-
-	st, ok := d.SchedStats(dc1, dc2)
-	if !ok {
-		t.Fatal("SchedStats shim found no dc1→dc2 queue")
-	}
-	qs, ok := s.Queue(dc1, dc2)
-	if !ok {
-		t.Fatal("snapshot has no dc1→dc2 queue")
-	}
-	if st.Rounds != qs.Rounds {
-		t.Errorf("SchedStats rounds %d != snapshot %d", st.Rounds, qs.Rounds)
-	}
-	var shimBytes, snapBytes uint64
-	for c := range st.PerClass {
-		shimBytes += st.PerClass[c].DequeuedBytes
-		snapBytes += qs.PerClass[c].DequeuedBytes
-	}
-	if shimBytes != snapBytes {
-		t.Errorf("SchedStats dequeued %d != snapshot %d", shimBytes, snapBytes)
-	}
-
-	ll, ok := d.LinkLoad(dc1, dc2)
-	if !ok {
-		t.Fatal("LinkLoad shim found no dc1↔dc2 link")
-	}
-	ls, ok := s.Link(dc1, dc2)
-	if !ok {
-		t.Fatal("snapshot has no dc1↔dc2 link")
-	}
-	if ll.AB.Bytes != ls.AB.Bytes || ll.BA.Bytes != ls.BA.Bytes {
-		t.Errorf("LinkLoad shim bytes %d/%d != snapshot %d/%d",
-			ll.AB.Bytes, ll.BA.Bytes, ls.AB.Bytes, ls.BA.Bytes)
-	}
-}
-
 // TestTraceDisabled: a negative TraceCapacity turns tracing off — the
 // hooks become no-ops and the read side returns nil.
 func TestTraceDisabled(t *testing.T) {

@@ -26,8 +26,12 @@ func (d *Deployment) RegisterTenant(c TenantContract) error {
 	if err != nil {
 		return err
 	}
-	if c.CostCeilingPerGB > 0 {
-		d.tenantCostNeeded = true
+	// The cost loop exists only once some tenant declared a ceiling.
+	if c.CostCeilingPerGB > 0 && d.tenantCost == nil && d.cfg.UpgradeInterval > 0 {
+		d.tenantCost = d.sim.NewTicker(d.cfg.UpgradeInterval, &d.activity, func() bool {
+			d.tenantCostRun()
+			return false
+		})
 	}
 	return nil
 }
@@ -69,20 +73,6 @@ func (d *Deployment) TenantFlowCount(id TenantID) int {
 	return t.FlowCount()
 }
 
-// armTenantCostTick starts (or restarts, after parking) the tenant
-// cost-budget loop. Called per application send of any tenanted flow —
-// a bool check when already armed — so the loop runs exactly while
-// tenanted traffic flows, and never at all when no tenant declared a
-// cost ceiling.
-func (d *Deployment) armTenantCostTick() {
-	if d.tenantCostArmed || !d.tenantCostNeeded || d.cfg.UpgradeInterval <= 0 {
-		return
-	}
-	d.tenantCostArmed = true
-	d.tenantCostIdle = 0
-	d.sim.After(d.cfg.UpgradeInterval, d.tenantCostFn)
-}
-
 // tenantCostRun is one budget evaluation: for every tenant with a cost
 // ceiling, price the membership's lifetime application volume at each
 // flow's live per-GB price (the same figure the per-flow cost loop
@@ -90,10 +80,9 @@ func (d *Deployment) armTenantCostTick() {
 // ceiling. A violation forces the tenant's most EXPENSIVE adaptive
 // member down a tier — the move that buys the most $/GB relief — and
 // counts on the tenant (one forced move per tick per tenant, mirroring
-// the per-flow loop's one-move-per-tick pacing). The loop parks after
-// two idle windows; the next tenanted send re-arms it.
+// the per-flow loop's one-move-per-tick pacing). Every tenanted send
+// wakes the loop, so it runs exactly while tenanted traffic flows.
 func (d *Deployment) tenantCostRun() {
-	d.tenantCostArmed = false
 	d.tenants.Each(func(t *tenant.Tenant) {
 		ceiling := t.Contract().CostCeilingPerGB
 		if ceiling <= 0 {
@@ -132,16 +121,6 @@ func (d *Deployment) tenantCostRun() {
 		t.NoteCostViolation()
 		victim.forceCheaper()
 	})
-	if act := d.activity; act == d.tenantCostLast {
-		d.tenantCostIdle++
-	} else {
-		d.tenantCostLast = act
-		d.tenantCostIdle = 0
-	}
-	if d.tenantCostIdle < 2 {
-		d.tenantCostArmed = true
-		d.sim.After(d.cfg.UpgradeInterval, d.tenantCostFn)
-	}
 }
 
 // armTenantPacerTick schedules the next additive-recovery step of the
@@ -151,17 +130,14 @@ func (d *Deployment) tenantCostRun() {
 // cooling signal: on aggregate cuts, on member (path, class) changes,
 // and on member close.
 func (d *Deployment) armTenantPacerTick() {
-	if d.tenantPacerArmed || d.fb == nil {
-		return
+	if d.fb != nil {
+		d.tenantPacer.Arm(d.fb.cfg.RecoverInterval)
 	}
-	d.tenantPacerArmed = true
-	d.sim.After(d.fb.cfg.RecoverInterval, d.tenantPacerFn)
 }
 
 // tenantPacerRun is one recovery tick across every tenant, ascending ID
 // — the tenant-level mirror of Flow.pacerTickRun.
 func (d *Deployment) tenantPacerRun() {
-	d.tenantPacerArmed = false
 	now := d.sim.Now()
 	rearm := false
 	d.tenants.Each(func(t *tenant.Tenant) {
