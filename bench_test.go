@@ -97,7 +97,7 @@ func buildBenchWorld(b *testing.B, seed int64) (*jqos.Deployment, []*jqos.Flow) 
 		src := d.AddHost(dc1, 5*time.Millisecond)
 		dst := d.AddHost(dc2, 8*time.Millisecond)
 		d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), netem.Bernoulli{P: 0.01})
-		f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceCoding))
+		f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCoding))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkMarkovTimer(b *testing.B) {
 			src := d.AddHost(dc1, 5*time.Millisecond)
 			dst := d.AddHost(dc2, 8*time.Millisecond)
 			d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), nil)
-			f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceCoding))
+			f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCoding))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -65,17 +65,11 @@ func newEgressQueue(n *DCNode, to core.NodeID) *egressQueue {
 	return q
 }
 
-// scheduledSend routes one data-plane message into the egress scheduler
-// toward hop. It reports false for messages the scheduler cannot
-// classify (non-J-QoS bytes) — the caller sends those unscheduled, so
-// nothing silently vanishes. A byte-cap rejection counts as handled: the
-// message is dropped from the tail, accounted per class, and surfaced to
-// the owning flow (FlowMetrics.EgressDropped, Observer.OnEgressDrop).
-func (n *DCNode) scheduledSend(hop core.NodeID, msg []byte) bool {
-	cls, ok := wire.PeekService(msg)
-	if !ok {
-		return false
-	}
+// scheduledSend routes one data-plane message of class cls into the
+// egress scheduler toward hop. On a byte-cap rejection the message is
+// dropped from the tail, accounted per class, and surfaced to the owning
+// flow (FlowMetrics.EgressDropped, Observer.OnEgressDrop).
+func (n *DCNode) scheduledSend(hop core.NodeID, cls core.Service, msg []byte) {
 	q := n.egress[hop]
 	if q == nil {
 		if n.egress == nil {
@@ -90,12 +84,11 @@ func (n *DCNode) scheduledSend(hop core.NodeID, msg []byte) bool {
 	if !q.drr.EnqueueStamped(cls, flow, msg, n.d.sim.Now()) {
 		n.d.tel.spanDropMsg(msg)
 		n.d.noteEgressDrop(flow, cls, len(msg))
-		return true
+		return
 	}
 	if !q.wire.Armed() {
 		q.pump()
 	}
-	return true
 }
 
 // peekFlow attributes a marshaled message to the flow that pays for it:
@@ -131,7 +124,7 @@ func (q *egressQueue) pump() {
 			return
 		}
 		d.tel.spanQueue(it.Msg, q.n.id, q.to, it.Class, d.sim.Now()-it.Stamp)
-		q.n.putOnWireClass(q.to, it.Class, it.Msg)
+		q.n.putOnWire(q.to, it.Class, it.Msg)
 		rate := d.loadReg.Capacity(q.n.id, q.to)
 		if rate <= 0 {
 			continue

@@ -40,7 +40,7 @@ func TestDCNodeSurvivesGarbage(t *testing.T) {
 		t.Errorf("DC dropped %d malformed datagrams, want ≥6", drops)
 	}
 	// The DC still works afterwards.
-	f, err := w.d.Register(w.src, w.dst, 300*time.Millisecond, jqos.WithService(jqos.ServiceForwarding))
+	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 300*time.Millisecond, jqos.ServiceForwarding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRecoveryTrafficRelayedAcrossDCs(t *testing.T) {
 	outage := &netem.OutageSchedule{}
 	outage.AddOutage(200*time.Millisecond, 200*time.Millisecond)
 	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), outage)
-	f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceCoding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCoding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRecoveryTrafficRelayedAcrossDCs(t *testing.T) {
 		// egress at dst's DC2 for coding... their own direct paths:
 		bd := d.AddHost(dc2, 8*time.Millisecond)
 		d.SetDirectPath(bs, bd, netem.FixedDelay(50*time.Millisecond), nil)
-		bg, err := d.Register(bs, bd, time.Hour, jqos.WithService(jqos.ServiceCoding))
+		bg, err := d.RegisterFlow(fixedSpec(bs, bd, time.Hour, jqos.ServiceCoding))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,8 @@ func TestAccessDelayOptionShapesUplink(t *testing.T) {
 	dst := d.AddHost(dc2, 8*time.Millisecond,
 		jqos.WithAccessDelay(netem.FixedDelay(30*time.Millisecond)))
 	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), nil)
-	f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceForwarding), jqos.WithPathSwitch())
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: time.Hour,
+		Service: jqos.ServiceForwarding, ServiceFixed: true, PathSwitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestSharedFateThroughDeployment(t *testing.T) {
 	src := d.AddHost(dc1, 5*time.Millisecond, jqos.WithAccessLossModel(shared))
 	dst := d.AddHost(dc2, 8*time.Millisecond)
 	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), shared)
-	f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceCaching))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCaching))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestUnsolicitedReceiverPromotedWhenFlowGoesLive(t *testing.T) {
 	if got := h.UnsolicitedReceivers(); got != 1 {
 		t.Fatalf("pre-allocation receiver not unsolicited: %d", got)
 	}
-	f, err := w.d.Register(w.src, w.dst, 300*time.Millisecond)
+	f, err := w.d.RegisterFlow(jqos.FlowSpec{Src: w.src, Dst: w.dst, Budget: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

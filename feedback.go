@@ -290,7 +290,7 @@ func (p *feedbackPlane) sendSignal(ingress core.NodeID, t *feedback.Transition) 
 		p.stats.SignalsDropped++
 		return
 	}
-	via, ok := dc.fwd.Route(ingress)
+	via, ok := dc.dp.Forwarder.Route(ingress)
 	if !ok || via == t.From || !p.d.net.HasRoute(t.From, via) {
 		p.stats.SignalsDropped++
 		return

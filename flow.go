@@ -196,7 +196,7 @@ func (f *Flow) Close() {
 	// DC may have played DC1 for this flow over its lifetime, and DCs
 	// are few — sweep them all.
 	for _, dc := range d.dcs {
-		dc.enc.ForgetFlow(f.id)
+		dc.dp.Encoder.ForgetFlow(f.id)
 	}
 	if d.fb != nil {
 		d.fb.reg.Remove(f.id)
@@ -340,7 +340,7 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 				// entered the overlay under the old tables.
 				cflags := flags | wire.FlagDup
 				if dc, okDC := f.d.dcs[dc1]; okDC {
-					cflags |= wire.EpochFlags(dc.fwd.Epoch())
+					cflags |= wire.EpochFlags(dc.dp.Forwarder.Epoch())
 				}
 				// Deterministic trace sampling: every Nth cloud copy is
 				// stamped FlagTraced so the choke points downstream
@@ -885,82 +885,4 @@ func (f *Flow) adaptTick() {
 	if f.dgStreak >= f.dgNeed && f.downgrade(ReasonOverDelivery) {
 		f.dgStreak = 0
 	}
-}
-
-// RegisterOption customizes the deprecated Register forms by mutating the
-// FlowSpec they build.
-//
-// Deprecated: construct a FlowSpec and call RegisterFlow directly.
-type RegisterOption func(*FlowSpec)
-
-// WithService pins the flow to a service, bypassing selection and
-// disabling adaptation. Note this tightens the historical contract: the
-// old upgrade ticker could silently move a "pinned" flow up-tier on
-// budget violations; a pin now means exactly what it says. Callers that
-// want a starting service the loop may still raise should set
-// FlowSpec.ServiceFloor instead.
-//
-// Deprecated: set FlowSpec.Service with ServiceFixed, or bound adaptation
-// with ServiceFloor/ServiceCeiling.
-func WithService(s core.Service) RegisterOption {
-	return func(sp *FlowSpec) {
-		sp.Service = s
-		sp.ServiceFixed = true
-		// The historical API accepted pinning plain Internet; the spec
-		// requires that to be opted into, so the shim opts in.
-		if s == core.ServiceInternet {
-			sp.AllowInternet = true
-		}
-	}
-}
-
-// WithInternetAllowed lets selection pick plain best-effort when it fits
-// the budget (default: J-QoS always provides a recovery service).
-//
-// Deprecated: set FlowSpec.AllowInternet.
-func WithInternetAllowed() RegisterOption {
-	return func(sp *FlowSpec) { sp.AllowInternet = true }
-}
-
-// WithPathSwitch sends only over the overlay (no direct copy) when the
-// forwarding service is selected.
-//
-// Deprecated: set FlowSpec.PathSwitch.
-func WithPathSwitch() RegisterOption {
-	return func(sp *FlowSpec) { sp.PathSwitch = true }
-}
-
-// WithDuplication installs a selective duplication policy at registration.
-//
-// Deprecated: set FlowSpec.Duplication.
-func WithDuplication(p DuplicationPolicy) RegisterOption {
-	return func(sp *FlowSpec) { sp.Duplication = p }
-}
-
-// Register creates a flow from src to dst under a latency budget, picking
-// the cheapest service whose predicted delivery latency fits (§3.5).
-//
-// Deprecated: Register is a compatibility shim over RegisterFlow; new
-// code should build a FlowSpec, which can additionally express cost
-// ceilings, service floors/ceilings, path policies, and observers.
-func (d *Deployment) Register(src, dst core.NodeID, budget time.Duration, opts ...RegisterOption) (*Flow, error) {
-	spec := FlowSpec{Src: src, Dst: dst, Budget: budget}
-	for _, o := range opts {
-		o(&spec)
-	}
-	return d.RegisterFlow(spec)
-}
-
-// RegisterMulticast creates a flow from src to a member set. The cloud
-// copy is addressed to group (installed with AddGroup); direct copies go
-// to each member.
-//
-// Deprecated: RegisterMulticast is a compatibility shim over
-// RegisterFlow (FlowSpec.Group + FlowSpec.Members).
-func (d *Deployment) RegisterMulticast(src, group core.NodeID, members []core.NodeID, budget time.Duration, opts ...RegisterOption) (*Flow, error) {
-	spec := FlowSpec{Src: src, Group: group, Members: members, Budget: budget}
-	for _, o := range opts {
-		o(&spec)
-	}
-	return d.RegisterFlow(spec)
 }

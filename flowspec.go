@@ -214,7 +214,6 @@ type FlowSpec struct {
 	// Service pins the flow to one service when ServiceFixed is set:
 	// selection is bypassed and the adaptation loop never changes the
 	// service (the Observer still receives OnBudgetViolation telemetry).
-	// This is what the deprecated WithService option maps to.
 	Service      Service
 	ServiceFixed bool
 
@@ -329,9 +328,8 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	default:
 		dsts = []core.NodeID{spec.Dst}
 	}
-	// A fixed service needs no budget to select against — the historical
-	// forced-service API accepted budget 0 (OnTime accounting simply
-	// counts everything late), and the shims must keep doing so.
+	// A fixed service needs no budget to select against (OnTime accounting
+	// simply counts everything late).
 	if spec.Budget <= 0 && !spec.ServiceFixed {
 		return nil, fmt.Errorf("jqos: flow needs a positive latency budget, got %v", spec.Budget)
 	}
@@ -656,19 +654,6 @@ func (d *Deployment) choosePolicyPath(p PathPolicy, dcA, dcB core.NodeID) *routi
 		i = len(alts) - 1
 	}
 	return &alts[i]
-}
-
-// flowPathPolicy folds a flow's declared PathPolicy into the opaque
-// discriminator the encoder batches by: 0 for the default fastest-path
-// (and for unknown flows — a DC1 may see data before registration state,
-// and default-policy batching is always safe), else kind and alternate
-// packed so distinct policies never share a cross-stream batch.
-func (d *Deployment) flowPathPolicy(flow core.FlowID) uint32 {
-	f, ok := d.flows[flow]
-	if !ok || f.spec.Path.Kind == PathFastest {
-		return 0
-	}
-	return uint32(f.spec.Path.Kind)<<16 | uint32(uint16(f.spec.Path.Alternate))
 }
 
 // receiverRTT seeds a receiver's loss-detection timer: twice the direct

@@ -30,90 +30,6 @@ func (r *recorder) OnReroute(_ *jqos.Flow, old, next []jqos.NodeID) {
 func (r *recorder) OnBudgetViolation(*jqos.Flow, float64, uint64) { r.violations++ }
 func (r *recorder) OnDelivery(*jqos.Flow, jqos.Delivery)          { r.deliveries++ }
 
-// TestRegisterOptionShims checks every deprecated RegisterOption maps to
-// the documented FlowSpec equivalent, and that the shims and RegisterFlow
-// produce identically configured flows.
-func TestRegisterOptionShims(t *testing.T) {
-	build := func(seed int64) (d *jqos.Deployment, dc2, src, dst jqos.NodeID) {
-		d = jqos.NewDeployment(seed)
-		dc1 := d.AddDC("a", dataset.RegionUSEast)
-		dc2 = d.AddDC("b", dataset.RegionEU)
-		d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
-		src = d.AddHost(dc1, 5*time.Millisecond)
-		dst = d.AddHost(dc2, 8*time.Millisecond)
-		d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), nil)
-		return d, dc2, src, dst
-	}
-	budget := 300 * time.Millisecond
-
-	cases := []struct {
-		name string
-		opts []jqos.RegisterOption
-		spec func(src, dst jqos.NodeID) jqos.FlowSpec
-	}{
-		{"service pin",
-			[]jqos.RegisterOption{jqos.WithService(jqos.ServiceCaching)},
-			func(src, dst jqos.NodeID) jqos.FlowSpec {
-				return jqos.FlowSpec{Src: src, Dst: dst, Budget: budget,
-					Service: jqos.ServiceCaching, ServiceFixed: true}
-			}},
-		{"internet allowed",
-			[]jqos.RegisterOption{jqos.WithInternetAllowed()},
-			func(src, dst jqos.NodeID) jqos.FlowSpec {
-				return jqos.FlowSpec{Src: src, Dst: dst, Budget: budget,
-					AllowInternet: true}
-			}},
-		{"path switch",
-			[]jqos.RegisterOption{jqos.WithService(jqos.ServiceForwarding), jqos.WithPathSwitch()},
-			func(src, dst jqos.NodeID) jqos.FlowSpec {
-				return jqos.FlowSpec{Src: src, Dst: dst, Budget: budget,
-					Service: jqos.ServiceForwarding, ServiceFixed: true, PathSwitch: true}
-			}},
-		{"duplication",
-			[]jqos.RegisterOption{jqos.WithDuplication(func(seq jqos.Seq, _ []byte) bool { return seq%2 == 0 })},
-			func(src, dst jqos.NodeID) jqos.FlowSpec {
-				return jqos.FlowSpec{Src: src, Dst: dst, Budget: budget,
-					Duplication: func(seq jqos.Seq, _ []byte) bool { return seq%2 == 0 }}
-			}},
-	}
-	for _, c := range cases {
-		d1, _, src1, dst1 := build(1)
-		f1, err := d1.Register(src1, dst1, budget, c.opts...)
-		if err != nil {
-			t.Fatalf("%s: shim register: %v", c.name, err)
-		}
-		d2, _, src2, dst2 := build(1)
-		f2, err := d2.RegisterFlow(c.spec(src2, dst2))
-		if err != nil {
-			t.Fatalf("%s: spec register: %v", c.name, err)
-		}
-		if f1.Service() != f2.Service() {
-			t.Errorf("%s: shim service %v ≠ spec service %v", c.name, f1.Service(), f2.Service())
-		}
-		s1, s2 := f1.Spec(), f2.Spec()
-		if s1.ServiceFixed != s2.ServiceFixed || s1.Service != s2.Service ||
-			s1.AllowInternet != s2.AllowInternet || s1.PathSwitch != s2.PathSwitch ||
-			(s1.Duplication == nil) != (s2.Duplication == nil) {
-			t.Errorf("%s: specs diverge: %+v vs %+v", c.name, s1, s2)
-		}
-	}
-
-	// The multicast shim maps onto Group+Members.
-	d, dc2, src, _ := build(2)
-	m1 := d.AddHost(dc2, 8*time.Millisecond)
-	m2 := d.AddHost(dc2, 9*time.Millisecond)
-	group := d.AllocGroupID()
-	d.AddGroup(dc2, group, m1, m2)
-	f, err := d.RegisterMulticast(src, group, []jqos.NodeID{m1, m2}, budget,
-		jqos.WithService(jqos.ServiceForwarding))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp := f.Spec(); sp.Group != group || len(sp.Members) != 2 {
-		t.Errorf("multicast shim spec: %+v", sp)
-	}
-}
-
 // TestFlowSpecValidation covers the new error paths.
 func TestFlowSpecValidation(t *testing.T) {
 	d := jqos.NewDeployment(3)
@@ -607,7 +523,7 @@ func TestReconnect(t *testing.T) {
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
 	d, dcs, src, dst := buildDiamond(t, 24, cfg)
-	f, err := d.Register(src, dst, 300*time.Millisecond, jqos.WithService(jqos.ServiceForwarding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, 300*time.Millisecond, jqos.ServiceForwarding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +574,7 @@ func TestReceiverRTTSeededFromOverlay(t *testing.T) {
 	d.ConnectDCs(dc2, dc3, 60*time.Millisecond)
 	src := d.AddHost(dc1, 5*time.Millisecond)
 	dst := d.AddHost(dc3, 8*time.Millisecond)
-	f, err := d.Register(src, dst, 300*time.Millisecond)
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +595,7 @@ func TestReceiverRTTSeededFromOverlay(t *testing.T) {
 	d2.ConnectDCs(da, db, time.Millisecond)
 	s2 := d2.AddHost(da, time.Millisecond)
 	r2 := d2.AddHost(db, time.Millisecond)
-	f2, err := d2.Register(s2, r2, 300*time.Millisecond)
+	f2, err := d2.RegisterFlow(jqos.FlowSpec{Src: s2, Dst: r2, Budget: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@
 package coding
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"jqos/internal/core"
 	"jqos/internal/rs"
@@ -158,7 +160,10 @@ type Encoder struct {
 	cfg  EncoderConfig
 	self core.NodeID
 
-	inQs map[core.FlowID]*inQueue
+	// inQs holds the in-stream queues in ascending flow order, so queues
+	// expiring in the same instant flush (and their parity draws link
+	// jitter and loss) in a fixed order rather than a map's.
+	inQs []*inQueue
 	// cross is keyed by (dc2, path policy); crossKeys mirrors it in
 	// ascending (dc2, policy) order so timer flushes emit
 	// deterministically however many sets are live.
@@ -179,7 +184,6 @@ func NewEncoder(self core.NodeID, cfg EncoderConfig) (*Encoder, error) {
 	return &Encoder{
 		cfg:    cfg,
 		self:   self,
-		inQs:   make(map[core.FlowID]*inQueue),
 		cross:  make(map[crossKey]*crossSet),
 		rrIdx:  make(map[core.FlowID]int),
 		codecs: make(map[[2]int]*rs.Codec),
@@ -198,8 +202,17 @@ func (e *Encoder) Stats() EncoderStats { return e.stats }
 // still hold the flow's packets; they flush or expire on their own
 // bounded timers, so nothing here grows with flow churn.
 func (e *Encoder) ForgetFlow(flow core.FlowID) {
-	delete(e.inQs, flow)
+	if i, ok := e.inIndex(flow); ok {
+		e.inQs = slices.Delete(e.inQs, i, i+1)
+	}
 	delete(e.rrIdx, flow)
+}
+
+// inIndex is flow's position in inQs, or where it would be inserted.
+func (e *Encoder) inIndex(flow core.FlowID) (int, bool) {
+	return slices.BinarySearchFunc(e.inQs, flow, func(q *inQueue, id core.FlowID) int {
+		return cmp.Compare(q.flow, id)
+	})
 }
 
 // TrackedFlows returns how many flows hold per-flow encoder state
@@ -248,11 +261,11 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 
 	// (1) In-stream coding (Algorithm 1 lines 1–5).
 	if e.cfg.InBlock > 0 {
-		q := e.inQs[flow]
-		if q == nil {
-			q = &inQueue{flow: flow, dc2: dc2}
-			e.inQs[flow] = q
+		i, ok := e.inIndex(flow)
+		if !ok {
+			e.inQs = slices.Insert(e.inQs, i, &inQueue{flow: flow, dc2: dc2})
 		}
+		q := e.inQs[i]
 		if len(q.pkts) == 0 {
 			q.deadline = now + e.cfg.InTimeout
 		}

@@ -3,6 +3,7 @@ package coding
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -326,6 +327,39 @@ func TestInStreamTimerFlush(t *testing.T) {
 	}
 	if kinds[wire.InStream] != cfg.InParity || kinds[wire.CrossStream] != cfg.CrossParity {
 		t.Errorf("timer kinds: %v", kinds)
+	}
+}
+
+// TestSimultaneousInStreamFlushesInFlowOrder: in-stream queues that expire
+// in the same instant must emit their parity in ascending flow order —
+// downstream, emit order decides which packet draws which link jitter, so
+// a map-ordered walk makes same-seed runs diverge.
+func TestSimultaneousInStreamFlushesInFlowOrder(t *testing.T) {
+	cfg := testConfig()
+	flows := []core.FlowID{9, 3, 7, 5}
+	inStreamOrder := func(emits []core.Emit) []core.FlowID {
+		var order []core.FlowID
+		for _, em := range emits {
+			if _, meta, _ := decodeEmit(t, em); meta.Kind == wire.InStream {
+				order = append(order, meta.Sources[0].Flow)
+			}
+		}
+		return order
+	}
+	want := []core.FlowID{3, 5, 7, 9}
+	for i := 0; i < 50; i++ {
+		for name, drain := range map[string]func(*Encoder) []core.Emit{
+			"OnTimer": func(e *Encoder) []core.Emit { return e.OnTimer(cfg.InTimeout) },
+			"Flush":   func(e *Encoder) []core.Emit { return e.Flush(time.Millisecond) },
+		} {
+			e := mustEncoder(t, cfg)
+			for _, f := range flows {
+				e.OnData(0, dc2, 100, f, 1, payloadFor(int(f), 1))
+			}
+			if got := inStreamOrder(drain(e)); !slices.Equal(got, want) {
+				t.Fatalf("run %d: %s emitted in-stream parity for flows %v, want %v", i, name, got, want)
+			}
+		}
 	}
 }
 

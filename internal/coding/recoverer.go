@@ -436,18 +436,6 @@ func (r *Recoverer) NextDeadline() (core.Time, bool) {
 	return min, found
 }
 
-// EarliestDeadline is the next instant a DC running both engines must
-// wake: the sooner of the encoder's queue timeouts and the recoverer's
-// batch and recovery deadlines. ok is false when neither has one.
-func EarliestDeadline(enc *Encoder, rec *Recoverer) (core.Time, bool) {
-	d1, ok1 := enc.NextDeadline()
-	d2, ok2 := rec.NextDeadline()
-	if ok1 && (!ok2 || d1 < d2) {
-		return d1, true
-	}
-	return d2, ok2
-}
-
 // OnTimer expires batches, fails silent recoveries past deadline, and
 // drops stale parked NACKs.
 func (r *Recoverer) OnTimer(now core.Time) []core.Emit {

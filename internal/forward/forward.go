@@ -174,10 +174,7 @@ func (f *Forwarder) RouteTagged(tag uint8, dst core.NodeID) (core.NodeID, bool) 
 // membership (groups are member sets, not hops — there is nothing to
 // drain), so only unicast resolution consults the overlay.
 func (f *Forwarder) ForwardTagged(tag uint8, dst core.NodeID, msg []byte) []core.Emit {
-	if !f.prevLive || tag == f.EpochTag() {
-		return f.Forward(dst, msg)
-	}
-	if _, isGroup := f.groups[dst]; isGroup {
+	if !f.prevLive || tag == f.EpochTag() || f.IsGroup(dst) {
 		return f.Forward(dst, msg)
 	}
 	f.stats.OldEpochResolves++
@@ -288,24 +285,19 @@ func (f *Forwarder) NoteEgress(class core.Service, n int) {
 	f.stats.ClassPackets[class]++
 }
 
-// NotePinnedForward counts one data copy relayed over a per-flow pinned
-// hop — the pinned analogue of a unicast Forward, counted identically so
-// per-DC copy totals compare across pinned and unpinned flows. The
-// hosting DC resolves pins itself (FlowRoute) so the chosen hop is sent
-// on the wire directly rather than re-resolved through the shared table,
-// and calls this once the copy actually left.
-func (f *Forwarder) NotePinnedForward() {
+// NotePinned counts one copy sent over a per-flow pinned hop. The hosting
+// DC resolves pins itself (FlowRoute) so the chosen hop goes on the wire
+// directly rather than re-resolved through the shared table, and calls
+// this once the copy left. A relayed message counts like the unicast
+// Forward it stands in for, so per-DC copy totals compare across pinned
+// and unpinned flows; an engine emit (coded parity) moves FlowPinned only,
+// because unpinned engine emits bypass the forwarder entirely.
+func (f *Forwarder) NotePinned(relayed bool) {
 	f.stats.FlowPinned++
-	f.stats.Unicast++
-	f.stats.Copies++
-}
-
-// NotePinnedCopy counts one engine emit (coded parity) sent over a
-// per-flow pinned hop. Only FlowPinned moves: unpinned engine emits
-// bypass the forwarder entirely, so counting Copies here would make
-// pinned and unpinned DCs report different totals for identical volume.
-func (f *Forwarder) NotePinnedCopy() {
-	f.stats.FlowPinned++
+	if relayed {
+		f.stats.Unicast++
+		f.stats.Copies++
+	}
 }
 
 // String implements fmt.Stringer for debugging.

@@ -138,8 +138,8 @@ func TestFlowRoutes(t *testing.T) {
 	// Pinned data counts like a unicast Forward; pinned engine emits
 	// count only the FlowPinned marker (their unpinned twins bypass the
 	// forwarder entirely).
-	f.NotePinnedForward()
-	f.NotePinnedCopy()
+	f.NotePinned(true)
+	f.NotePinned(false)
 	if st := f.Stats(); st.FlowPinned != 2 || st.Copies != 1 || st.Unicast != 1 {
 		t.Errorf("stats: %+v", st)
 	}

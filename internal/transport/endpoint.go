@@ -1,9 +1,17 @@
 // Package transport runs the J-QoS protocol engines over real UDP sockets:
-// the same sans-IO cores that power the emulator (coding, cache, forward,
-// recovery) driven by a wall-clock runtime. cmd/jqos-relay, cmd/jqos-send
-// and cmd/jqos-recv are thin CLIs over this package — together they form
-// the paper's prototype shape: endpoints duplicating traffic to a nearby
-// relay, relays encoding across streams and answering NACKs (§5).
+// the same sans-IO cores that power the emulator, driven by a wall-clock
+// runtime. cmd/jqos-relay, cmd/jqos-send and cmd/jqos-recv are thin CLIs
+// over this package — together they form the paper's prototype shape:
+// endpoints duplicating traffic to a nearby relay, relays encoding across
+// streams and answering NACKs (§5).
+//
+// Data plane: a Relay runs the dataplane.Core the emulator's DCNode runs,
+// so pinned paths, epoch drain, group fan-out, partial-overlay loopback
+// and multi-hop routes behave here as they do under test there. The relay
+// is that core's Env — a hop is linked when the address book names it,
+// host bindings say which DC serves a host — plus the socket, a mutex
+// around the single-threaded core, and a wall-clock timer on its
+// deadlines; HostEnd does the same for the receiver engine.
 package transport
 
 import (
@@ -105,10 +113,11 @@ type Endpoint struct {
 	conn  *net.UDPConn
 	epoch time.Time
 
-	// Handler receives every decoded datagram. Called from the receive
-	// goroutine; the payload aliases a reused buffer, so the handler
-	// must copy anything it retains (engines already copy).
-	Handler func(now core.Time, hdr *wire.Header, body []byte)
+	// Handler receives every decoded datagram: the parsed header, the
+	// body, and raw, the whole datagram (body is a slice of it). Called
+	// from the receive goroutine. raw is a copy made for this call — the
+	// one copy a datagram gets — so the handler may keep or forward it.
+	Handler func(now core.Time, hdr *wire.Header, body, raw []byte)
 
 	// DropSend, if set, is consulted before each transmission; returning
 	// true silently drops the datagram. Tests use it to inject loss on
@@ -176,7 +185,8 @@ func (e *Endpoint) receiveLoop() {
 		if err != nil {
 			return // closed
 		}
-		body, err := wire.SplitMessage(&hdr, buf[:n])
+		raw := append([]byte(nil), buf[:n]...)
+		body, err := wire.SplitMessage(&hdr, raw)
 		if err != nil {
 			e.mu.Lock()
 			e.stats.rxErr++
@@ -188,7 +198,7 @@ func (e *Endpoint) receiveLoop() {
 		e.stats.rx++
 		e.mu.Unlock()
 		if e.Handler != nil {
-			e.Handler(e.Now(), &hdr, body)
+			e.Handler(e.Now(), &hdr, body, raw)
 		}
 	}
 }
@@ -231,3 +241,39 @@ func (e *Endpoint) Stats() (rx, tx, rxErr, noRoute uint64) {
 	defer e.mu.Unlock()
 	return e.stats.rx, e.stats.tx, e.stats.rxErr, e.stats.noRoute
 }
+
+// pump is the wall-clock half of a sans-IO engine: one timer parked on the
+// engine's earliest deadline, and the loop that fires it.
+type pump struct {
+	timer *time.Timer
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPump() *pump {
+	return &pump{timer: time.NewTimer(time.Hour), done: make(chan struct{})}
+}
+
+// run calls fire on every expiry until stop.
+func (p *pump) run(fire func()) {
+	for {
+		select {
+		case <-p.done:
+			return
+		case <-p.timer.C:
+			fire()
+		}
+	}
+}
+
+// arm moves the timer to deadline (now when already past), or an hour out
+// when the engine holds none.
+func (p *pump) arm(now, deadline core.Time, ok bool) {
+	d := time.Hour
+	if ok {
+		d = max(0, deadline-now)
+	}
+	p.timer.Reset(d)
+}
+
+func (p *pump) stop() { p.once.Do(func() { close(p.done) }) }

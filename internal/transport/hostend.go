@@ -22,22 +22,14 @@ type HostEnd struct {
 	// receive or timer goroutine).
 	OnDeliver func(core.Delivery)
 
-	timer  *time.Timer
-	done   chan struct{}
-	closed sync.Once
+	pump *pump
 }
 
 // NewHostEnd builds an endpoint host whose nearby DC is dc.
 func NewHostEnd(ep *Endpoint, dc core.NodeID, service core.Service, rtt time.Duration) *HostEnd {
 	cfg := recovery.DefaultConfig(ep.Self, dc, core.Time(rtt))
 	cfg.Service = service
-	h := &HostEnd{
-		ep:    ep,
-		dc:    dc,
-		rcv:   recovery.New(cfg),
-		timer: time.NewTimer(time.Hour),
-		done:  make(chan struct{}),
-	}
+	h := &HostEnd{ep: ep, dc: dc, rcv: recovery.New(cfg), pump: newPump()}
 	ep.Handler = h.handle
 	return h
 }
@@ -45,12 +37,12 @@ func NewHostEnd(ep *Endpoint, dc core.NodeID, service core.Service, rtt time.Dur
 // Start launches the socket loop and the timer pump.
 func (h *HostEnd) Start() {
 	h.ep.Start()
-	go h.timerLoop()
+	go h.pump.run(h.onTimer)
 }
 
 // Close shuts the host down.
 func (h *HostEnd) Close() error {
-	h.closed.Do(func() { close(h.done) })
+	h.pump.stop()
 	return h.ep.Close()
 }
 
@@ -98,32 +90,17 @@ func (h *HostEnd) PullFlow(flow core.FlowID, after core.Seq) {
 	_ = h.ep.Send(h.dc, wire.AppendMessage(nil, &hdr, nil))
 }
 
-func (h *HostEnd) timerLoop() {
-	for {
-		select {
-		case <-h.done:
-			return
-		case <-h.timer.C:
-			h.mu.Lock()
-			res := h.rcv.OnTimer(h.ep.Now())
-			h.rearmLocked()
-			h.mu.Unlock()
-			h.dispatch(res)
-		}
-	}
+func (h *HostEnd) onTimer() {
+	h.mu.Lock()
+	res := h.rcv.OnTimer(h.ep.Now())
+	h.rearmLocked()
+	h.mu.Unlock()
+	h.dispatch(res)
 }
 
 func (h *HostEnd) rearmLocked() {
 	dl, ok := h.rcv.NextDeadline()
-	if !ok {
-		h.timer.Reset(time.Hour)
-		return
-	}
-	d := time.Duration(dl - h.ep.Now())
-	if d < 0 {
-		d = 0
-	}
-	h.timer.Reset(d)
+	h.pump.arm(h.ep.Now(), dl, ok)
 }
 
 func (h *HostEnd) dispatch(res recovery.Result) {
@@ -135,7 +112,7 @@ func (h *HostEnd) dispatch(res recovery.Result) {
 	}
 }
 
-func (h *HostEnd) handle(now core.Time, hdr *wire.Header, body []byte) {
+func (h *HostEnd) handle(now core.Time, hdr *wire.Header, body, _ []byte) {
 	h.mu.Lock()
 	var res recovery.Result
 	switch hdr.Type {

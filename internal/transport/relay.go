@@ -10,6 +10,7 @@ import (
 	"jqos/internal/cache"
 	"jqos/internal/coding"
 	"jqos/internal/core"
+	"jqos/internal/dataplane"
 	"jqos/internal/forward"
 	"jqos/internal/wire"
 )
@@ -58,62 +59,72 @@ func DefaultRelayConfig() RelayConfig {
 	}
 }
 
-// Relay is a J-QoS DC node on a real socket: forwarding, caching, and
-// CR-WAN (both DC1 and DC2 roles), mirroring the emulator's DCNode
-// dispatch. A mutex serializes the receive loop and the timer goroutine
-// around the single-threaded engines.
+// Relay is a J-QoS DC node on a real socket (see the package doc). mu
+// serializes the receive loop and the timer goroutine around the core;
+// what the core sends meanwhile is queued in out and written to the socket
+// once mu is released.
 type Relay struct {
 	ep      *Endpoint
 	mu      sync.Mutex
-	fwd     *forward.Forwarder
-	cch     *cache.Store
-	enc     *coding.Encoder
-	rec     *coding.Recoverer
+	dp      *dataplane.Core
 	nearest map[core.NodeID]core.NodeID
-	timer   *time.Timer
-	done    chan struct{}
-	closed  sync.Once
-	drop    uint64
+	out     []core.Emit // (hop, datagram) pairs awaiting the socket
+	pump    *pump
 }
 
 // NewRelay builds a relay on ep with the given host bindings.
 func NewRelay(ep *Endpoint, cfg RelayConfig, bindings []HostBinding) (*Relay, error) {
-	enc, err := coding.NewEncoder(ep.Self, cfg.Encoder)
+	r := &Relay{
+		ep:      ep,
+		nearest: make(map[core.NodeID]core.NodeID),
+		pump:    newPump(),
+	}
+	dp, err := dataplane.New(ep.Self, (*relayEnv)(r), cfg.Encoder, cfg.Recoverer, core.Time(cfg.CacheTTL), 0)
 	if err != nil {
 		return nil, err
 	}
-	r := &Relay{
-		ep:      ep,
-		fwd:     forward.New(ep.Self),
-		cch:     cache.NewStore(core.Time(cfg.CacheTTL), 0),
-		enc:     enc,
-		rec:     coding.NewRecoverer(ep.Self, cfg.Recoverer),
-		nearest: make(map[core.NodeID]core.NodeID),
-		timer:   time.NewTimer(time.Hour),
-		done:    make(chan struct{}),
-	}
+	r.dp = dp
 	for _, b := range bindings {
 		r.nearest[b.Host] = b.DC
 		if b.DC != ep.Self {
-			r.fwd.SetRoute(b.Host, b.DC)
+			dp.Forwarder.SetRoute(b.Host, b.DC)
 		}
 	}
 	ep.Handler = r.handle
 	return r, nil
 }
 
-// Forwarder exposes route/group installation.
-func (r *Relay) Forwarder() *forward.Forwarder { return r.fwd }
+// relayEnv is Relay as the data-plane core's environment. The core calls
+// it with r.mu held.
+type relayEnv Relay
+
+// Linked: a hop is reachable when the address book can name it.
+func (e *relayEnv) Linked(hop core.NodeID) bool { return e.ep.Book.Lookup(hop) != nil }
+
+func (e *relayEnv) NearestDC(host core.NodeID) (core.NodeID, bool) {
+	dc, ok := e.nearest[host]
+	return dc, ok
+}
+
+// PathPolicy: socket deployments declare no path policies.
+func (e *relayEnv) PathPolicy(core.FlowID) uint32 { return 0 }
+
+func (e *relayEnv) Send(hop core.NodeID, msg []byte) {
+	e.out = append(e.out, core.Emit{To: hop, Msg: msg})
+}
+
+// Forwarder exposes route/group installation. Install before Start.
+func (r *Relay) Forwarder() *forward.Forwarder { return r.dp.Forwarder }
 
 // Start launches the socket loop and timer pump.
 func (r *Relay) Start() {
 	r.ep.Start()
-	go r.timerLoop()
+	go r.pump.run(r.onTimer)
 }
 
 // Close shuts the relay down.
 func (r *Relay) Close() error {
-	r.closed.Do(func() { close(r.done) })
+	r.pump.stop()
 	return r.ep.Close()
 }
 
@@ -121,157 +132,34 @@ func (r *Relay) Close() error {
 func (r *Relay) Stats() (coding.EncoderStats, coding.RecovererStats, cache.Stats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.enc.Stats(), r.rec.Stats(), r.cch.Stats()
+	return r.dp.Encoder.Stats(), r.dp.Recoverer.Stats(), r.dp.Cache.Stats()
 }
 
-func (r *Relay) timerLoop() {
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.timer.C:
-			r.mu.Lock()
-			now := r.ep.Now()
-			emits := append(r.enc.OnTimer(now), r.rec.OnTimer(now)...)
-			r.rearmLocked()
-			r.mu.Unlock()
-			r.ep.Transmit(emits)
-		}
-	}
-}
-
-// rearmLocked resets the timer to the earliest engine deadline.
-func (r *Relay) rearmLocked() {
-	next, ok := coding.EarliestDeadline(r.enc, r.rec)
-	if !ok {
-		r.timer.Reset(time.Hour)
-		return
-	}
-	d := time.Duration(next - r.ep.Now())
-	if d < 0 {
-		d = 0
-	}
-	r.timer.Reset(d)
-}
-
-// handle dispatches one datagram (called from the endpoint receive loop).
-func (r *Relay) handle(now core.Time, hdr *wire.Header, body []byte) {
-	raw := wire.AppendMessage(nil, hdr, body) // stable copy for relaying
-	var emits []core.Emit
+func (r *Relay) onTimer() {
 	r.mu.Lock()
-	relay := hdr.Dst != r.ep.Self
-	switch hdr.Type {
-	case wire.TypeData:
-		emits = r.onDataLocked(now, hdr, body, raw)
-	case wire.TypeCoded:
-		if relay {
-			emits = r.fwd.Forward(hdr.Dst, raw)
-		} else {
-			var meta wire.Coded
-			if shard, err := meta.Unmarshal(body); err == nil {
-				emits = r.rec.OnCoded(now, hdr, &meta, shard)
-			} else {
-				r.drop++
-			}
-		}
-	case wire.TypeNACK:
-		if relay {
-			emits = r.fwd.Forward(hdr.Dst, raw)
-		} else {
-			emits = r.onNACKLocked(now, hdr)
-		}
-	case wire.TypePull:
-		if relay {
-			emits = r.fwd.Forward(hdr.Dst, raw)
-		} else {
-			emits = r.onPullLocked(now, hdr)
-		}
-	case wire.TypeCoopResp:
-		if relay {
-			emits = r.fwd.Forward(hdr.Dst, raw)
-		} else {
-			var ref wire.CoopRef
-			if payload, err := ref.Unmarshal(body); err == nil {
-				emits = r.rec.OnCoopResp(now, hdr, &ref, payload)
-			} else {
-				r.drop++
-			}
-		}
-	case wire.TypeVerifyResp:
-		if relay {
-			emits = r.fwd.Forward(hdr.Dst, raw)
-		} else {
-			emits = r.rec.OnVerifyResp(now, hdr)
-		}
-	default:
-		if relay {
-			emits = r.fwd.Forward(hdr.Dst, raw)
-		} else {
-			r.drop++
-		}
-	}
-	r.rearmLocked()
+	r.dp.OnTimer(r.ep.Now())
+	out := r.finishLocked()
 	r.mu.Unlock()
-	r.ep.Transmit(emits)
+	r.ep.Transmit(out)
 }
 
-func (r *Relay) onDataLocked(now core.Time, hdr *wire.Header, payload, raw []byte) []core.Emit {
-	switch hdr.Service {
-	case core.ServiceCaching:
-		if r.servesLocked(hdr.Dst) {
-			r.cch.Put(now, hdr.ID(), payload)
-			return nil
-		}
-		return r.fwd.Forward(hdr.Dst, raw)
-	case core.ServiceCoding:
-		dc2, ok := r.nearest[hdr.Dst]
-		if !ok {
-			r.drop++
-			return nil
-		}
-		return r.enc.OnData(now, dc2, hdr.Dst, hdr.Flow, hdr.Seq, payload)
-	default: // forwarding (and anything unknown moves along)
-		return r.fwd.Forward(hdr.Dst, raw)
-	}
+// handle feeds one datagram to the core (called from the endpoint receive
+// loop, which hands over its own copy of the bytes).
+func (r *Relay) handle(now core.Time, hdr *wire.Header, body, raw []byte) {
+	r.mu.Lock()
+	r.dp.Handle(now, hdr, body, raw)
+	out := r.finishLocked()
+	r.mu.Unlock()
+	r.ep.Transmit(out)
 }
 
-func (r *Relay) servesLocked(dst core.NodeID) bool {
-	if r.fwd.IsGroup(dst) {
-		return true
-	}
-	return r.nearest[dst] == r.ep.Self
-}
-
-func (r *Relay) onNACKLocked(now core.Time, hdr *wire.Header) []core.Emit {
-	if hdr.Service == core.ServiceCaching {
-		if payload, ok := r.cch.Get(now, hdr.ID()); ok {
-			resp := wire.Header{
-				Type: wire.TypePullResp, Service: core.ServiceCaching,
-				Flow: hdr.Flow, Seq: hdr.Seq, TS: now, Src: r.ep.Self, Dst: hdr.Src,
-			}
-			return []core.Emit{{To: hdr.Src, Msg: wire.AppendMessage(nil, &resp, payload)}}
-		}
-		return nil
-	}
-	return r.rec.OnNACK(now, hdr.Src, hdr.ID(), hdr.Flags)
-}
-
-func (r *Relay) onPullLocked(now core.Time, hdr *wire.Header) []core.Emit {
-	ids := []core.PacketID{hdr.ID()}
-	if hdr.Flags&wire.FlagDrain != 0 {
-		ids = r.cch.DrainFlow(now, hdr.Flow, hdr.Seq)
-	}
-	var emits []core.Emit
-	for _, id := range ids {
-		payload, ok := r.cch.Get(now, id)
-		if !ok {
-			continue
-		}
-		resp := wire.Header{
-			Type: wire.TypePullResp, Service: core.ServiceCaching,
-			Flow: id.Flow, Seq: id.Seq, TS: now, Src: r.ep.Self, Dst: hdr.Src,
-		}
-		emits = append(emits, core.Emit{To: hdr.Src, Msg: wire.AppendMessage(nil, &resp, payload)})
-	}
-	return emits
+// finishLocked ends one turn of the core: the timer moves to the earliest
+// engine deadline and the queued sends are handed to the caller, to be
+// written once the mutex is released.
+func (r *Relay) finishLocked() []core.Emit {
+	next, ok := r.dp.NextDeadline()
+	r.pump.arm(r.ep.Now(), next, ok)
+	out := r.out
+	r.out = nil
+	return out
 }

@@ -78,7 +78,7 @@ func TestEndpointRoundTrip(t *testing.T) {
 	book.Set(2, b.LocalAddr())
 
 	got := make(chan string, 1)
-	b.Handler = func(now core.Time, hdr *wire.Header, body []byte) {
+	b.Handler = func(now core.Time, hdr *wire.Header, body, _ []byte) {
 		if hdr.Type == wire.TypeData {
 			got <- string(body)
 		}
@@ -111,22 +111,37 @@ func TestEndpointRoundTrip(t *testing.T) {
 // relays (DC1, DC2), three helper endpoints and a receiver on loopback
 // UDP. The sender's direct datagrams to the receiver are partially
 // dropped; CR-WAN over the relays repairs the stream on real sockets.
-func TestLiveRecoveryOverUDP(t *testing.T) {
-	book := NewAddrBook()
-	mk := func(id core.NodeID) *Endpoint {
-		ep, err := NewEndpoint(id, "127.0.0.1:0", book)
+func TestLiveRecoveryOverUDP(t *testing.T) { liveRecovery(t, false) }
+
+// TestLiveRecoveryAcrossTransitRelay puts the relays in a line: DC1 has no
+// address for DC2, only a route to it through a third relay. The parity
+// DC1's encoder emits must follow that route — engine emits go through
+// the same hop resolution as forwarded packets — or nothing is repaired.
+func TestLiveRecoveryAcrossTransitRelay(t *testing.T) { liveRecovery(t, true) }
+
+func liveRecovery(t *testing.T, viaTransit bool) {
+	const (
+		dc1     core.NodeID = 1
+		dc2     core.NodeID = 2
+		transit core.NodeID = 3
+		sender  core.NodeID = 101
+		rcvr    core.NodeID = 201
+	)
+	// Every endpoint registers in book; DC1 resolves through its own
+	// book1, which in the transit layout never learns DC2's address.
+	book, book1 := NewAddrBook(), NewAddrBook()
+	mkWith := func(id core.NodeID, own *AddrBook) *Endpoint {
+		ep, err := NewEndpoint(id, "127.0.0.1:0", own)
 		if err != nil {
 			t.Fatal(err)
 		}
 		book.Set(id, ep.LocalAddr())
+		if id != dc2 || !viaTransit {
+			book1.Set(id, ep.LocalAddr())
+		}
 		return ep
 	}
-	const (
-		dc1    core.NodeID = 1
-		dc2    core.NodeID = 2
-		sender core.NodeID = 101
-		rcvr   core.NodeID = 201
-	)
+	mk := func(id core.NodeID) *Endpoint { return mkWith(id, book) }
 	helpers := []core.NodeID{202, 203, 204}
 
 	bindings := []HostBinding{{sender, dc1}, {rcvr, dc2}}
@@ -139,11 +154,23 @@ func TestLiveRecoveryOverUDP(t *testing.T) {
 	cfg.Encoder.InBlock = 0
 	cfg.Encoder.CrossTimeout = 20 * time.Millisecond
 
-	r1, err := NewRelay(mk(dc1), cfg, bindings)
+	ep1 := mkWith(dc1, book1)
+	r1, err := NewRelay(ep1, cfg, bindings)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r1.Close()
+	var ep3 *Endpoint
+	if viaTransit {
+		r1.Forwarder().SetRoute(dc2, transit)
+		ep3 = mk(transit)
+		r3, err := NewRelay(ep3, cfg, bindings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r3.Close()
+		r3.Start()
+	}
 	r2, err := NewRelay(mk(dc2), cfg, bindings)
 	if err != nil {
 		t.Fatal(err)
@@ -181,9 +208,9 @@ func TestLiveRecoveryOverUDP(t *testing.T) {
 	// injected at the sender socket — the wire itself is loopback).
 	var sent atomic.Int64
 	send := NewHostEnd(mk(sender), dc1, core.ServiceCoding, 60*time.Millisecond)
-	send.ep_().DropSend = func(to core.NodeID, hdr *wire.Header) bool {
+	send.SetDropSend(func(to core.NodeID, hdr *wire.Header) bool {
 		return to == rcvr && hdr.Type == wire.TypeData && hdr.Seq%5 == 0
-	}
+	})
 	defer send.Close()
 	send.Start()
 
@@ -229,7 +256,12 @@ func TestLiveRecoveryOverUDP(t *testing.T) {
 	if recStats.CoopRecovered == 0 {
 		t.Errorf("no cooperative recoveries at DC2: %+v", recStats)
 	}
+	if _, _, _, noRoute := ep1.Stats(); noRoute != 0 {
+		t.Errorf("DC1 had no address for %d of its sends", noRoute)
+	}
+	if viaTransit {
+		if rx, tx, _, _ := ep3.Stats(); rx == 0 || tx != rx {
+			t.Errorf("transit relay received %d datagrams and sent on %d", rx, tx)
+		}
+	}
 }
-
-// ep exposes the endpoint for test loss injection.
-func (h *HostEnd) ep_() *Endpoint { return h.ep }

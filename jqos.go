@@ -22,6 +22,18 @@
 // deployments run in-process and reproducibly. The same engines run over
 // real UDP sockets via internal/transport and cmd/jqos-relay.
 //
+// # Data plane
+//
+// What a DC does with a message is one sans-IO core, dataplane.Core:
+// service dispatch, and the one function that picks the hop a message
+// leaves on (pinned path, epoch-tagged table, direct link, nearest DC).
+// It asks its runtime four things through dataplane.Env — is this hop
+// linked, which DC serves this host, what is this flow's path-policy key,
+// send these bytes. DCNode is the emulator backend: it adds the probe and
+// congestion control channel, trace spans, and an egress through the
+// per-link scheduler and load registry. transport.Relay is the socket
+// backend: it adds a UDP endpoint, a mutex and a wall-clock timer.
+//
 // # Routing control plane
 //
 // Overlays need not be full meshes: internal/routing holds the inter-DC
@@ -79,10 +91,6 @@
 // callbacks replace polling Metrics(). Flows with a pinned path are
 // re-resolved automatically when the routing controller observes the
 // path die.
-//
-// The positional Register / RegisterMulticast forms and their
-// RegisterOptions remain as deprecated compatibility shims over
-// RegisterFlow.
 //
 // # Load-aware traffic engineering
 //
@@ -705,7 +713,7 @@ func (d *Deployment) AddDC(name string, region dataset.Region) core.NodeID {
 	dc := newDCNode(d, id)
 	d.dcs[id] = dc
 	d.topo.AddDC(overlay.DC{ID: id, Name: name, Region: region})
-	d.ctrl.AddDC(id, dc.fwd)
+	d.ctrl.AddDC(id, dc.dp.Forwarder)
 	d.net.AddNode(id, dc.handle)
 	return id
 }
@@ -884,7 +892,7 @@ func (d *Deployment) seedDirectEstimate(src, dst core.NodeID, delay netem.DelayM
 // address is attached to the control plane like a host, so every other DC
 // routes it toward its home DC automatically.
 func (d *Deployment) AddGroup(dc core.NodeID, group core.NodeID, members ...core.NodeID) {
-	d.DC(dc).fwd.SetGroup(group, members...)
+	d.DC(dc).dp.Forwarder.SetGroup(group, members...)
 	d.ctrl.AttachHost(group, dc)
 }
 

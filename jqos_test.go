@@ -48,9 +48,15 @@ func sendCBR(w *world, f *jqos.Flow, n int, spacing time.Duration, start time.Du
 	}
 }
 
+// fixedSpec is a unicast flow pinned to svc: selection bypassed,
+// adaptation off.
+func fixedSpec(src, dst jqos.NodeID, budget time.Duration, svc jqos.Service) jqos.FlowSpec {
+	return jqos.FlowSpec{Src: src, Dst: dst, Budget: budget, Service: svc, ServiceFixed: true}
+}
+
 func TestLosslessDeliveryNoRecovery(t *testing.T) {
 	w := newWorld(t, 1, nil)
-	f, err := w.d.Register(w.src, w.dst, 300*time.Millisecond)
+	f, err := w.d.RegisterFlow(jqos.FlowSpec{Src: w.src, Dst: w.dst, Budget: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,17 +82,17 @@ func TestServiceSelectionByBudget(t *testing.T) {
 	w := newWorld(t, 2, nil)
 	// Predicted: internet ~50, fwd ~53, caching ~66+Δ, coding ~66+2·δmed.
 	cases := []struct {
-		budget time.Duration
-		opts   []jqos.RegisterOption
-		want   jqos.Service
+		budget   time.Duration
+		internet bool
+		want     jqos.Service
 	}{
-		{300 * time.Millisecond, nil, jqos.ServiceCoding},
-		{70 * time.Millisecond, nil, jqos.ServiceCaching},
-		{55 * time.Millisecond, nil, jqos.ServiceForwarding},
-		{300 * time.Millisecond, []jqos.RegisterOption{jqos.WithInternetAllowed()}, jqos.ServiceInternet},
+		{300 * time.Millisecond, false, jqos.ServiceCoding},
+		{70 * time.Millisecond, false, jqos.ServiceCaching},
+		{55 * time.Millisecond, false, jqos.ServiceForwarding},
+		{300 * time.Millisecond, true, jqos.ServiceInternet},
 	}
 	for _, c := range cases {
-		f, err := w.d.Register(w.src, w.dst, c.budget, c.opts...)
+		f, err := w.d.RegisterFlow(jqos.FlowSpec{Src: w.src, Dst: w.dst, Budget: c.budget, AllowInternet: c.internet})
 		if err != nil {
 			t.Fatalf("budget %v: %v", c.budget, err)
 		}
@@ -95,14 +101,14 @@ func TestServiceSelectionByBudget(t *testing.T) {
 		}
 	}
 	// Impossible budget.
-	if _, err := w.d.Register(w.src, w.dst, time.Millisecond); err == nil {
+	if _, err := w.d.RegisterFlow(jqos.FlowSpec{Src: w.src, Dst: w.dst, Budget: time.Millisecond}); err == nil {
 		t.Error("impossible budget accepted")
 	}
 }
 
 func TestCodingServiceRecoversRandomLoss(t *testing.T) {
 	w := newWorld(t, 3, netem.Bernoulli{P: 0.05})
-	f, err := w.d.Register(w.src, w.dst, 400*time.Millisecond, jqos.WithService(jqos.ServiceCoding))
+	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 400*time.Millisecond, jqos.ServiceCoding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +140,7 @@ func TestCodingServiceRecoversOutage(t *testing.T) {
 	outage := &netem.OutageSchedule{}
 	outage.AddOutage(500*time.Millisecond, 300*time.Millisecond)
 	w := newWorld(t, 4, outage)
-	f, err := w.d.Register(w.src, w.dst, 400*time.Millisecond, jqos.WithService(jqos.ServiceCoding))
+	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 400*time.Millisecond, jqos.ServiceCoding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +150,7 @@ func TestCodingServiceRecoversOutage(t *testing.T) {
 		bs := w.d.AddHost(w.dc1, 5*time.Millisecond)
 		bd := w.d.AddHost(w.dc2, 8*time.Millisecond)
 		w.d.SetDirectPath(bs, bd, netem.FixedDelay(50*time.Millisecond), nil)
-		bg, err := w.d.Register(bs, bd, 400*time.Millisecond, jqos.WithService(jqos.ServiceCoding))
+		bg, err := w.d.RegisterFlow(fixedSpec(bs, bd, 400*time.Millisecond, jqos.ServiceCoding))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +194,7 @@ func TestCrossStreamRecoveryAcrossFlows(t *testing.T) {
 			loss = o
 		}
 		d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), loss)
-		f, err := d.Register(src, dst, 500*time.Millisecond, jqos.WithService(jqos.ServiceCoding))
+		f, err := d.RegisterFlow(fixedSpec(src, dst, 500*time.Millisecond, jqos.ServiceCoding))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +231,7 @@ func TestCrossStreamRecoveryAcrossFlows(t *testing.T) {
 
 func TestCachingServiceRecovery(t *testing.T) {
 	w := newWorld(t, 6, netem.Bernoulli{P: 0.08})
-	f, err := w.d.Register(w.src, w.dst, 400*time.Millisecond, jqos.WithService(jqos.ServiceCaching))
+	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 400*time.Millisecond, jqos.ServiceCaching))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +259,7 @@ func TestForwardingMultipath(t *testing.T) {
 	// 30% random loss on the direct path; the overlay copy keeps
 	// delivery complete without NACK-based recovery.
 	w := newWorld(t, 7, netem.Bernoulli{P: 0.30})
-	f, err := w.d.Register(w.src, w.dst, 400*time.Millisecond, jqos.WithService(jqos.ServiceForwarding))
+	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 400*time.Millisecond, jqos.ServiceForwarding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +283,8 @@ func TestForwardingMultipath(t *testing.T) {
 func TestForwardingPathSwitch(t *testing.T) {
 	// Path switching sends nothing on the direct path at all.
 	w := newWorld(t, 8, nil)
-	f, err := w.d.Register(w.src, w.dst, 400*time.Millisecond,
-		jqos.WithService(jqos.ServiceForwarding), jqos.WithPathSwitch())
+	f, err := w.d.RegisterFlow(jqos.FlowSpec{Src: w.src, Dst: w.dst, Budget: 400 * time.Millisecond,
+		Service: jqos.ServiceForwarding, ServiceFixed: true, PathSwitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,15 +311,13 @@ func TestSelectiveDuplication(t *testing.T) {
 	// Duplicate only every 10th packet; cloud egress must shrink
 	// accordingly.
 	wFull := newWorld(t, 9, nil)
-	fFull, _ := wFull.d.Register(wFull.src, wFull.dst, 400*time.Millisecond,
-		jqos.WithService(jqos.ServiceForwarding))
+	fFull, _ := wFull.d.RegisterFlow(fixedSpec(wFull.src, wFull.dst, 400*time.Millisecond, jqos.ServiceForwarding))
 	sendCBR(wFull, fFull, 200, 5*time.Millisecond, 0)
 	wFull.d.Run(5 * time.Second)
 
 	wSel := newWorld(t, 9, nil)
-	fSel, _ := wSel.d.Register(wSel.src, wSel.dst, 400*time.Millisecond,
-		jqos.WithService(jqos.ServiceForwarding),
-		jqos.WithDuplication(func(seq jqos.Seq, _ []byte) bool { return seq%10 == 0 }))
+	fSel, _ := wSel.d.RegisterFlow(jqos.FlowSpec{Src: wSel.src, Dst: wSel.dst, Budget: 400 * time.Millisecond,
+		Service: jqos.ServiceForwarding, ServiceFixed: true, Duplication: func(seq jqos.Seq, _ []byte) bool { return seq%10 == 0 }})
 	sendCBR(wSel, fSel, 200, 5*time.Millisecond, 0)
 	wSel.d.Run(5 * time.Second)
 
@@ -342,7 +346,7 @@ func TestServiceUpgradeOnBudgetViolation(t *testing.T) {
 	// Registration-time estimate says 60 ms, so coding looks fine for a
 	// 100 ms budget — but the real path has congestion spikes.
 	d.SetDirectPath(src, dst, netem.FixedDelay(60*time.Millisecond), nil)
-	f, err := d.Register(src, dst, 100*time.Millisecond)
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +391,8 @@ func TestCloudMulticast(t *testing.T) {
 	// AddGroup attaches the group to the control plane, which routes the
 	// group address toward its home DC from everywhere.
 	d.AddGroup(dc2, group, members...)
-	f, err := d.RegisterMulticast(src, group, members, 400*time.Millisecond,
-		jqos.WithService(jqos.ServiceForwarding), jqos.WithPathSwitch())
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Group: group, Members: members, Budget: 400 * time.Millisecond,
+		Service: jqos.ServiceForwarding, ServiceFixed: true, PathSwitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,8 +423,8 @@ func TestHybridMulticastCacheRepair(t *testing.T) {
 	d.SetDirectPath(src, m2, netem.FixedDelay(50*time.Millisecond), nil)
 	group := d.AllocGroupID()
 	d.AddGroup(dc2, group, m1, m2)
-	f, err := d.RegisterMulticast(src, group, []jqos.NodeID{m1, m2}, 400*time.Millisecond,
-		jqos.WithService(jqos.ServiceCaching))
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Group: group, Members: []jqos.NodeID{m1, m2}, Budget: 400 * time.Millisecond,
+		Service: jqos.ServiceCaching, ServiceFixed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +460,7 @@ func TestMobilityRendezvous(t *testing.T) {
 	d.Host(dst).SetDeliveryHandler(func(del core.Delivery) {
 		got = append(got, del.Packet.ID.Seq)
 	})
-	f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceCaching))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCaching))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +488,7 @@ func TestMobilityRendezvous(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, uint64, float64) {
 		w := newWorld(t, 99, netem.Bernoulli{P: 0.05})
-		f, _ := w.d.Register(w.src, w.dst, 400*time.Millisecond, jqos.WithService(jqos.ServiceCoding))
+		f, _ := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 400*time.Millisecond, jqos.ServiceCoding))
 		sendCBR(w, f, 200, 5*time.Millisecond, 0)
 		w.d.Run(20 * time.Second)
 		return f.Metrics().Delivered, f.Metrics().Recovered, f.Metrics().Latency.Mean()
@@ -501,7 +505,7 @@ func TestEgressAccountingOrdersServices(t *testing.T) {
 	// forwarding (the premise of judicious selection).
 	egress := func(svc jqos.Service) uint64 {
 		w := newWorld(t, 20, nil)
-		f, _ := w.d.Register(w.src, w.dst, 500*time.Millisecond, jqos.WithService(svc))
+		f, _ := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 500*time.Millisecond, svc))
 		sendCBR(w, f, 300, 5*time.Millisecond, 0)
 		w.d.Run(10 * time.Second)
 		return w.d.TotalEgressBytes()
@@ -519,10 +523,10 @@ func TestEgressAccountingOrdersServices(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	w := newWorld(t, 22, nil)
-	if _, err := w.d.Register(999, w.dst, time.Second); err == nil {
+	if _, err := w.d.RegisterFlow(jqos.FlowSpec{Src: 999, Dst: w.dst, Budget: time.Second}); err == nil {
 		t.Error("unknown source accepted")
 	}
-	if _, err := w.d.RegisterMulticast(w.src, 50, nil, time.Second); err == nil {
+	if _, err := w.d.RegisterFlow(jqos.FlowSpec{Src: w.src, Group: 50, Budget: time.Second}); err == nil {
 		t.Error("empty multicast accepted")
 	}
 }

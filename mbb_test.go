@@ -28,7 +28,7 @@ func runHealthyReroute(t *testing.T, drain time.Duration) (delivered int, inOrde
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
 	cfg.RouteDrain = drain
 	d, dcs, src, dst := buildDiamond(t, 92, cfg)
-	f, err := d.Register(src, dst, time.Second, jqos.WithService(jqos.ServiceForwarding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Second, jqos.ServiceForwarding))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func buildOutageWorld(t *testing.T, seed int64, outageAt, outageDur time.Duratio
 	o := &netem.OutageSchedule{}
 	o.AddOutage(outageAt, outageDur)
 	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), o)
-	f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceCoding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCoding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func buildOutageWorld(t *testing.T, seed int64, outageAt, outageDur time.Duratio
 		bs := d.AddHost(dc1, 5*time.Millisecond)
 		bd := d.AddHost(dc2, 8*time.Millisecond)
 		d.SetDirectPath(bs, bd, netem.FixedDelay(50*time.Millisecond), nil)
-		bg, err := d.Register(bs, bd, time.Hour, jqos.WithService(jqos.ServiceCoding))
+		bg, err := d.RegisterFlow(fixedSpec(bs, bd, time.Hour, jqos.ServiceCoding))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestPumpDisabledStallsDuringOutage(t *testing.T) {
 	o := &netem.OutageSchedule{}
 	o.AddOutage(outageAt, outageDur)
 	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), o)
-	f, err := d.Register(src, dst, time.Hour, jqos.WithService(jqos.ServiceCoding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCoding))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestSparseOverlayMultiHopForwarding(t *testing.T) {
 	}
 	// With no direct path, only forwarding can serve the flow; selection
 	// must find it on its own.
-	f, err := d.Register(src, dst, 100*time.Millisecond)
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRerouteAcrossLinkFailure(t *testing.T) {
 	d, dcs, src, dst := buildDiamond(t, 61, cfg)
 
 	budget := 300 * time.Millisecond
-	f, err := d.Register(src, dst, budget, jqos.WithService(jqos.ServiceForwarding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, budget, jqos.ServiceForwarding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRerouteRecovery(t *testing.T) {
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
 	d, dcs, src, dst := buildDiamond(t, 62, cfg)
-	f, err := d.Register(src, dst, 300*time.Millisecond, jqos.WithService(jqos.ServiceForwarding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, 300*time.Millisecond, jqos.ServiceForwarding))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDegradedLinkQualityShiftsRoutes(t *testing.T) {
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
 	d, dcs, src, dst := buildDiamond(t, 63, cfg)
-	f, err := d.Register(src, dst, time.Second, jqos.WithService(jqos.ServiceForwarding))
+	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Second, jqos.ServiceForwarding))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -404,13 +404,15 @@ func (p *telemetryPlane) spanTx(msg []byte, at core.Time) {
 	}
 }
 
-// spanRx marks a DC arrival for a traced packet (header already
-// decoded by the caller).
-func (p *telemetryPlane) spanRx(id core.PacketID, at core.Time) {
+// spanRx marks a DC arrival, identifying a traced packet from its encoded
+// header like spanTx.
+func (p *telemetryPlane) spanRx(msg []byte, at core.Time) {
 	if p.spans.Pending() == 0 {
 		return
 	}
-	p.spans.NoteRx(id, time.Duration(at))
+	if id, ok := wire.PeekTrace(msg); ok {
+		p.spans.NoteRx(id, time.Duration(at))
+	}
 }
 
 // spanQueue charges one DRR queue wait at (from, to, class).
