@@ -181,8 +181,8 @@ func TestFeedbackSignalsCrossTheWire(t *testing.T) {
 	dc3 := d.AddDC("c", dataset.RegionEU)
 	d.ConnectDCs(dc1, dc2, 10*time.Millisecond)
 	d.ConnectDCs(dc2, dc3, 10*time.Millisecond)
-	d.SetLinkCapacity(dc1, dc2, 10_000_000) // wide first hop
-	d.SetLinkCapacity(dc2, dc3, 1_000_000)  // bottleneck second hop
+	d.Link(dc1, dc2).SetCapacity(10_000_000) // wide first hop
+	d.Link(dc2, dc3).SetCapacity(1_000_000)  // bottleneck second hop
 	d.Network().LinkBetween(dc2, dc3).Rate = 1_000_000
 	d.Network().LinkBetween(dc3, dc2).Rate = 1_000_000
 

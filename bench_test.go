@@ -125,45 +125,6 @@ func BenchmarkEndToEndCodingService(b *testing.B) {
 	d.Run(5 * time.Second)
 }
 
-// BenchmarkMarkovTimer compares receiver NACK load under the two-state
-// model vs the single-timeout ablation (§6.4's "5× fewer NACKs").
-func BenchmarkMarkovTimer(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		single bool
-	}{{"two-state", false}, {"single-timeout", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := jqos.DefaultConfig()
-			cfg.SingleTimer = mode.single
-			cfg.UpgradeInterval = 0
-			d := jqos.NewDeploymentWithConfig(9, cfg)
-			dc1 := d.AddDC("a", dataset.RegionUSEast)
-			dc2 := d.AddDC("b", dataset.RegionEU)
-			d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
-			src := d.AddHost(dc1, 5*time.Millisecond)
-			dst := d.AddHost(dc2, 8*time.Millisecond)
-			d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), nil)
-			f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCoding))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			// Bursty app: 5-packet bursts with 2 s gaps.
-			for i := 0; i < b.N; i++ {
-				at := d.Now() + time.Duration(i%5)*5*time.Millisecond
-				d.Sim().At(at, func() { f.Send(make([]byte, 200)) })
-				if i%5 == 4 {
-					d.Run(2 * time.Second)
-				}
-			}
-			d.Run(5 * time.Second)
-			st := d.Host(dst).Receiver(f.ID()).Stats()
-			b.ReportMetric(float64(st.NACKsSent())/float64(b.N), "nacks/pkt")
-		})
-	}
-}
-
 // BenchmarkRegisterFlow measures flow registration + teardown — the
 // churn path workloads of millions of short-lived flows pay: service
 // selection, path resolution, contract sizing, and Close's cleanup.

@@ -1,0 +1,96 @@
+package jqos_test
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"jqos"
+	"jqos/internal/transport"
+)
+
+// settableLeaves lists every independently settable value of a config
+// type by field path: structs are recursed into, anything else — a map or
+// a func included — counts once.
+func settableLeaves(t reflect.Type, prefix string, out []string) []string {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type.Kind() == reflect.Struct {
+			out = settableLeaves(f.Type, prefix+f.Name+".", out)
+			continue
+		}
+		out = append(out, prefix+f.Name)
+	}
+	return out
+}
+
+// TestConfigSurface is a ratchet on the configuration surface: every
+// settable leaf of jqos.Config and transport.RelayConfig is listed here,
+// so a new knob is a reviewed line in this file, not an accident. A value
+// earns a field when two callers outside tests need different values;
+// anything else is a named constant beside the code that reads it.
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		typ  reflect.Type
+		want []string
+	}{
+		{"jqos.Config", reflect.TypeOf(jqos.Config{}), []string{
+			"CacheTTL",
+			"Encoder.CrossParity",
+			"Encoder.CrossQueues",
+			"Encoder.CrossTimeout",
+			"Encoder.InBlock",
+			"Encoder.InParity",
+			"Encoder.InTimeout",
+			"Encoder.K",
+			"Feedback.Enabled",
+			"LinkCapacity",
+			"Monitor.ProbeInterval",
+			"Scheduler.HighWatermark",
+			"Scheduler.LowWatermark",
+			"Scheduler.PerFlowQueues",
+			"Scheduler.QueueBytes",
+			"Scheduler.Weights",
+			"Telemetry.PublishInterval",
+			"Telemetry.SLO.AtRiskBurn",
+			"Telemetry.SLO.ClearHold",
+			"Telemetry.SLO.FastWindow",
+			"Telemetry.SLO.MinSamples",
+			"Telemetry.SLO.Objective",
+			"Telemetry.SLO.SlowWindow",
+			"Telemetry.SLO.ViolatedBurn",
+			"UpgradeInterval",
+		}},
+		{"transport.RelayConfig", reflect.TypeOf(transport.RelayConfig{}), []string{
+			"CacheTTL",
+			"Encoder.CrossParity",
+			"Encoder.CrossQueues",
+			"Encoder.CrossTimeout",
+			"Encoder.InBlock",
+			"Encoder.InParity",
+			"Encoder.InTimeout",
+			"Encoder.K",
+		}},
+	} {
+		got := settableLeaves(c.typ, "", nil)
+		sort.Strings(got)
+		if reflect.DeepEqual(got, c.want) {
+			continue
+		}
+		in := func(list []string, s string) bool {
+			i := sort.SearchStrings(list, s)
+			return i < len(list) && list[i] == s
+		}
+		for _, g := range got {
+			if !in(c.want, g) {
+				t.Errorf("%s: new settable leaf %s (%d leaves, golden list has %d)", c.name, g, len(got), len(c.want))
+			}
+		}
+		for _, w := range c.want {
+			if !in(got, w) {
+				t.Errorf("%s: golden leaf %s is gone — delete it from the list", c.name, w)
+			}
+		}
+	}
+}

@@ -33,7 +33,7 @@ type DCNode struct {
 
 func newDCNode(d *Deployment, id core.NodeID) *DCNode {
 	n := &DCNode{d: d, id: id}
-	dp, err := dataplane.New(id, (*dcEnv)(n), d.cfg.Encoder, d.cfg.Recoverer, d.cfg.CacheTTL, d.cfg.CacheBytes)
+	dp, err := dataplane.New(id, (*dcEnv)(n), d.cfg.Encoder, d.cfg.CacheTTL)
 	if err != nil {
 		panic("jqos: " + err.Error())
 	}

@@ -114,8 +114,8 @@ func peekFlow(msg []byte) core.FlowID {
 // holds the link for size/capacity seconds before the next dequeue — the
 // serialization clock that makes per-class queues build (and DRR order
 // matter) when offered load exceeds the link rate. Capacity can change
-// mid-backlog (SetLinkCapacity); the pump reads it per packet. With no
-// capacity configured the whole backlog drains inline.
+// mid-backlog (Link(a, b).SetCapacity); the pump reads it per packet.
+// With no capacity configured the whole backlog drains inline.
 func (q *egressQueue) pump() {
 	d := q.n.d
 	for {

@@ -110,7 +110,7 @@ func main() {
 
 	m := flow.Metrics()
 	st := dep.Snapshot().Routing
-	h, _ := dep.LinkHealth(dc2, dc4)
+	h, _ := dep.Link(dc2, dc4).Health()
 	fmt.Printf("\ndelivered:   %d of %d (%.1f%% lost in the detection gap)\n",
 		m.Delivered, m.Sent, 100*m.LossRate())
 	fmt.Printf("on budget:   %d/%d (300ms)\n", m.OnTime, m.Delivered)

@@ -25,53 +25,35 @@ const (
 	CongestionHot   = feedback.Hot
 )
 
-// PacerConfig tunes the AIMD reaction of Rate-contracted flows to
-// congestion signals (re-exported from internal/feedback; see
-// FeedbackConfig.Pacer).
-type PacerConfig = feedback.PacerConfig
-
-// FeedbackConfig enables and tunes the congestion-feedback plane: the
-// egress schedulers' watermark transitions (Config.Scheduler.Low/
-// HighWatermark) are batched per DC and delivered back — over the
-// control channel, like probes — to every ingress DC whose flows
-// traverse the affected (link, class). Flows with a Rate contract react
-// with an AIMD pacer; others feed the signal into the adaptation loop
-// for preemptive service moves. Requires Config.Scheduler: queue depth
-// is the signal source.
+// FeedbackConfig turns the congestion-feedback plane on (see the package
+// docs' Congestion feedback section): egress watermark transitions travel
+// back to the ingress DCs, where Rate-contracted flows pace with AIMD and
+// the rest move service preemptively. Requires Config.Scheduler: queue
+// depth is the signal source.
 type FeedbackConfig struct {
 	// Enabled turns the feedback plane on. Off (the default), the
 	// schedulers still track watermark states (visible in Snapshot().Queue)
 	// but nothing is signaled and nobody paces.
 	Enabled bool
-	// SignalInterval batches watermark transitions before fan-out, so a
-	// queue flapping across one threshold costs one control message per
-	// interval, not per flip. Zero defaults to 10 ms.
-	SignalInterval time.Duration
-	// RecoverInterval is the additive-recovery tick of throttled pacers
-	// (one AIMD increase per tick while the queue stays cool). Zero
-	// defaults to 250 ms.
-	RecoverInterval time.Duration
-	// Cooldown bounds congestion-driven service moves of UNPACED flows:
-	// after a preemptive downgrade/upgrade the flow ignores further Hot
-	// signals for this long, so one oscillating queue cannot flap a
-	// flow's service. Zero defaults to 2 s.
-	Cooldown time.Duration
-	// Pacer tunes the AIMD parameters of Rate-contracted flows.
-	Pacer PacerConfig
 }
 
-func (c FeedbackConfig) withDefaults() FeedbackConfig {
-	if c.SignalInterval <= 0 {
-		c.SignalInterval = 10 * time.Millisecond
-	}
-	if c.RecoverInterval <= 0 {
-		c.RecoverInterval = 250 * time.Millisecond
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	return c
-}
+// Feedback-plane tuning; the pacers' AIMD parameters (floor 1/8 of the
+// contract, halve per Hot signal, +1/10 per tick) are internal/feedback's.
+const (
+	// signalInterval batches watermark transitions before fan-out, so a
+	// queue flapping across one threshold costs one control message per
+	// interval, not per flip.
+	signalInterval = 10 * time.Millisecond
+	// pacerRecoverInterval is the additive-recovery tick of throttled
+	// pacers (one AIMD increase per tick while the queue stays cool) and
+	// the cadence a standing Hot queue is re-announced at.
+	pacerRecoverInterval = 250 * time.Millisecond
+	// congestionCooldown bounds congestion-driven service moves of
+	// UNPACED flows: after a preemptive downgrade/upgrade the flow
+	// ignores further Hot signals for this long, so one oscillating queue
+	// cannot flap a flow's service.
+	congestionCooldown = 2 * time.Second
+)
 
 // CongestionSignal is one ECN-style backpressure notification delivered
 // to a flow: the directed inter-DC link whose Class egress queue
@@ -106,7 +88,7 @@ type FeedbackStats struct {
 	FlowSignals uint64
 	// HotRefreshes counts level-triggered re-signals: watermark
 	// transitions are edges, so a queue that STAYS Hot is re-announced
-	// every Feedback.RecoverInterval until it drains — without this, a
+	// every pacerRecoverInterval until it drains — without this, a
 	// single cut that still oversubscribes the class would be the last
 	// signal the senders ever hear.
 	HotRefreshes uint64
@@ -133,11 +115,10 @@ type FeedbackStats struct {
 // bypassing the very schedulers it reports on).
 type feedbackPlane struct {
 	d   *Deployment
-	cfg FeedbackConfig
 	bc  *feedback.Broadcaster
 	reg *feedback.Registry
 
-	// flushTimer batches noted transitions for one SignalInterval.
+	// flushTimer batches noted transitions for one signalInterval.
 	flushTimer *netem.Timer
 	batchFn    func([]feedback.Transition)
 
@@ -163,10 +144,9 @@ type hotKey struct {
 	class    core.Service
 }
 
-func newFeedbackPlane(d *Deployment, cfg FeedbackConfig) *feedbackPlane {
+func newFeedbackPlane(d *Deployment) *feedbackPlane {
 	p := &feedbackPlane{
 		d:   d,
-		cfg: cfg.withDefaults(),
 		bc:  feedback.NewBroadcaster(),
 		reg: feedback.NewRegistry(),
 		hot: make(map[hotKey]struct{}),
@@ -190,7 +170,7 @@ func (p *feedbackPlane) note(from, to core.NodeID, class core.Service, st sched.
 	} else {
 		delete(p.hot, k)
 	}
-	p.flushTimer.Arm(p.cfg.SignalInterval)
+	p.flushTimer.Arm(signalInterval)
 }
 
 func (p *feedbackPlane) flush() { p.bc.Flush(p.batchFn) }
@@ -202,12 +182,12 @@ func (p *feedbackPlane) flush() { p.bc.Flush(p.batchFn) }
 // oversubscribes the class (three 600 kB/s contracts halved once still
 // exceed an 800 kB/s share — the queue tail-drops forever with no
 // further feedback). The refresh re-announces Hot for every still-hot
-// (link, class) each RecoverInterval — the cadence the pacers recover
+// (link, class) each pacerRecoverInterval — the cadence the pacers recover
 // at, so a standing backlog keeps cutting toward the floor strictly
 // faster than anything climbs.
 func (p *feedbackPlane) armRefresh() {
 	if len(p.hot) != 0 {
-		p.refreshTimer.Arm(p.cfg.RecoverInterval)
+		p.refreshTimer.Arm(pacerRecoverInterval)
 	}
 }
 
@@ -461,7 +441,7 @@ func (f *Flow) onCongestionSignal(sig CongestionSignal) {
 // pacer (idempotent; stops by itself once the contract rate is back).
 func (f *Flow) armPacerTick() {
 	if !f.closed {
-		f.pacerTimer.Arm(f.d.fb.cfg.RecoverInterval)
+		f.pacerTimer.Arm(pacerRecoverInterval)
 	}
 }
 
@@ -494,7 +474,7 @@ func (f *Flow) congestionAdapt() {
 		return
 	}
 	now := f.d.sim.Now()
-	if f.lastCongMove != 0 && now-f.lastCongMove < f.d.fb.cfg.Cooldown {
+	if f.lastCongMove != 0 && now-f.lastCongMove < congestionCooldown {
 		return
 	}
 	if !f.congestionShift() {

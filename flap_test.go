@@ -19,7 +19,6 @@ func buildTriangle(t *testing.T, seed int64) (*jqos.Deployment, [3]jqos.NodeID, 
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
-	cfg.Monitor.ProbeTimeout = 50 * time.Millisecond
 	d := jqos.NewDeploymentWithConfig(seed, cfg)
 	dc1 := d.AddDC("a", dataset.RegionUSEast)
 	dc2 := d.AddDC("b", dataset.RegionUSWest)
@@ -134,7 +133,7 @@ func TestOneWayPartitionDetected(t *testing.T) {
 			dc1, dc3 := dcs[0], dcs[2]
 			cut(d, dc1, dc3)
 			d.Run(2 * time.Second)
-			if h, ok := d.LinkHealth(dc1, dc3); !ok || h.State != routing.LinkDown {
+			if h, ok := d.Link(dc1, dc3).Health(); !ok || h.State != routing.LinkDown {
 				t.Fatalf("half-dead link health = %+v (ok=%v), want down", h, ok)
 			}
 			// The cheapest pin failed over to the surviving 2-hop route.
@@ -148,7 +147,7 @@ func TestOneWayPartitionDetected(t *testing.T) {
 				d.Link(dc3, dc1).ReconnectOneWay()
 			}
 			d.Run(2 * time.Second)
-			if h, ok := d.LinkHealth(dc1, dc3); !ok || h.State == routing.LinkDown {
+			if h, ok := d.Link(dc1, dc3).Health(); !ok || h.State == routing.LinkDown {
 				t.Fatalf("link health = %+v (ok=%v) after one-way heal, want recovered", h, ok)
 			}
 			if p := f.Path(); len(p) != 2 {
@@ -165,13 +164,13 @@ func TestAsymmetricDegradeRaisesRTT(t *testing.T) {
 	d, dcs, _ := buildTriangle(t, 62)
 	dc1, dc3 := dcs[0], dcs[2]
 	d.Run(2 * time.Second)
-	h0, ok := d.LinkHealth(dc1, dc3)
+	h0, ok := d.Link(dc1, dc3).Health()
 	if !ok || h0.RTT == 0 {
 		t.Fatalf("no baseline RTT estimate: %+v", h0)
 	}
 	d.Link(dc1, dc3).SetOneWay(120*time.Millisecond, 0)
 	d.Run(3 * time.Second)
-	h1, ok := d.LinkHealth(dc1, dc3)
+	h1, ok := d.Link(dc1, dc3).Health()
 	if !ok {
 		t.Fatal("link health vanished")
 	}

@@ -693,7 +693,7 @@ func (f *Flow) upgrade() {
 	if f.lastDown {
 		// A downgrade that had to be reversed was premature: double the
 		// over-delivery streak required before trying again.
-		if f.dgNeed < 8*f.d.cfg.DowngradeAfter {
+		if f.dgNeed < 8*downgradeAfter {
 			f.dgNeed *= 2
 		}
 		f.lastDown = false
@@ -717,7 +717,7 @@ func (f *Flow) directArrivals() uint64 {
 // flapWindow bounds how long after a downgrade an upgrade still counts
 // as reversing it.
 func (f *Flow) flapWindow() time.Duration {
-	return time.Duration(2*f.d.cfg.DowngradeAfter) * f.d.cfg.UpgradeInterval
+	return 2 * downgradeAfter * f.d.cfg.UpgradeInterval
 }
 
 // downgrade steps the flow to the nearest cheaper tier that the floor,
@@ -777,6 +777,22 @@ func (f *Flow) forceCheaper() bool {
 	}
 	return false
 }
+
+// Adaptation thresholds (§3.5's stats-driven loop), judged once per
+// Config.UpgradeInterval window.
+const (
+	// upgradeOnTime is the fraction of a window's deliveries that must
+	// meet the budget; below it the flow upgrades to the next service.
+	upgradeOnTime = 0.95
+	// downgradeOnTime is the on-time fraction a window must reach to
+	// count toward the downgrade streak.
+	downgradeOnTime = 0.99
+	// downgradeAfter is how many consecutive over-delivering windows a
+	// flow must sustain before stepping down to a cheaper service. The
+	// requirement doubles (up to 8×) for a flow whose downgrade had to be
+	// reversed, so flapping backs off.
+	downgradeAfter = 3
+)
 
 // adaptTick evaluates recent delivery quality against the budget: windows
 // that miss the on-time target upgrade the flow (§3.5's stats-driven
@@ -844,10 +860,10 @@ func (f *Flow) adaptTick() {
 	// decay the backed-off streak requirement toward its base.
 	if f.lastDown && f.d.sim.Now()-f.downAt > f.flapWindow() {
 		f.lastDown = false
-		if base := f.d.cfg.DowngradeAfter; f.dgNeed > base {
+		if f.dgNeed > downgradeAfter {
 			f.dgNeed /= 2
-			if f.dgNeed < base {
-				f.dgNeed = base
+			if f.dgNeed < downgradeAfter {
+				f.dgNeed = downgradeAfter
 			}
 		}
 	}
@@ -857,9 +873,8 @@ func (f *Flow) adaptTick() {
 	if delivered < 20 {
 		return // not enough signal this window
 	}
-	cfg := f.d.cfg
 	frac := float64(onTime) / float64(delivered)
-	if frac < cfg.UpgradeOnTime {
+	if frac < upgradeOnTime {
 		f.dgStreak = 0
 		// Telemetry fires even for fixed flows — pinning a service is
 		// exactly when budget-compliance monitoring matters; only the
@@ -874,10 +889,10 @@ func (f *Flow) adaptTick() {
 		f.upgrade()
 		return
 	}
-	if cfg.DowngradeAfter <= 0 || f.spec.ServiceFixed {
+	if f.spec.ServiceFixed {
 		return
 	}
-	if frac >= cfg.DowngradeOnTime {
+	if frac >= downgradeOnTime {
 		f.dgStreak++
 	} else {
 		f.dgStreak = 0

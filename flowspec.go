@@ -11,6 +11,7 @@ import (
 	"jqos/internal/feedback"
 	"jqos/internal/load"
 	"jqos/internal/overlay"
+	"jqos/internal/recovery"
 	"jqos/internal/routing"
 	"jqos/internal/telemetry"
 	"jqos/internal/tenant"
@@ -25,12 +26,11 @@ const (
 	// least-latency path, rerouted automatically on failures). This is
 	// the default.
 	PathFastest PathPolicyKind = iota
-	// PathCheapest pins the flow to the fewest-hop path among the
-	// controller's k-alternate paths (Config.KAltPaths; raise it to
-	// widen the search) — each inter-DC hop is a billable egress event,
-	// so fewest hops is cheapest under the egress price model. Latency
-	// breaks ties. A cheaper path outside the k lowest-latency
-	// alternates is not considered.
+	// PathCheapest pins the flow to the fewest-hop path among the two
+	// paths the controller keeps per DC pair — each inter-DC hop is a
+	// billable egress event, so fewest hops is cheapest under the egress
+	// price model. Latency breaks ties. A cheaper path outside the
+	// lowest-latency alternates is not considered.
 	PathCheapest
 	// PathPinned pins the flow to the k-th alternate path (PathPolicy.
 	// Alternate; 0 is the primary). When the pinned path dies the flow
@@ -499,11 +499,11 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		bucket:     bucket,
 		tenant:     tn,
 		metrics:    newFlowMetrics(),
-		dgNeed:     d.cfg.DowngradeAfter,
+		dgNeed:     downgradeAfter,
 		traceEvery: traceEvery,
 	}
 	if d.fb != nil && bucket != nil {
-		f.pacer = feedback.NewPacer(bucket, d.cfg.Feedback.Pacer)
+		f.pacer = feedback.NewPacer(bucket, feedback.PacerConfig{})
 		f.pacerTimer = d.sim.NewTimer(f.pacerTickRun)
 	}
 	if d.cfg.UpgradeInterval > 0 {
@@ -671,7 +671,7 @@ func (d *Deployment) receiverRTT(src, dst core.NodeID) time.Duration {
 	if ov, ok := d.topo.PredictDelay(core.ServiceForwarding, src, dst); ok {
 		rtt = 2 * ov
 	}
-	if floor := 2 * d.cfg.SmallTimeout; rtt > 0 && rtt < floor {
+	if floor := 2 * recovery.SmallTimeout; rtt > 0 && rtt < floor {
 		rtt = floor
 	}
 	return rtt

@@ -76,7 +76,6 @@ func TestFlowSpecValidation(t *testing.T) {
 func TestBidirectionalAdaptation(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 500 * time.Millisecond
-	cfg.DowngradeAfter = 2
 	d := jqos.NewDeploymentWithConfig(20, cfg)
 	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
 	dc2 := d.AddDC("eu-west", dataset.RegionEU)
@@ -349,7 +348,7 @@ func TestPinnedPathForwardingAndFailover(t *testing.T) {
 
 	// The pinned path died: the controller notified the flow, which
 	// re-resolved onto the surviving alternate.
-	if h, ok := d.LinkHealth(dcs[0], dcs[2]); !ok || h.State != routing.LinkDown {
+	if h, ok := d.Link(dcs[0], dcs[2]).Health(); !ok || h.State != routing.LinkDown {
 		t.Fatalf("link health = %+v %v, want down", h, ok)
 	}
 	if len(rec.reroutes) == 0 {
@@ -427,7 +426,7 @@ func TestPinnedPolicySurvivesTotalOutage(t *testing.T) {
 	d.Sim().At(1500*time.Millisecond, func() { d.Link(dc1, dc2).Disconnect() })
 	d.Sim().At(3500*time.Millisecond, func() { d.Link(dc1, dc2).Reconnect() })
 	d.Run(12 * time.Second)
-	if h, _ := d.LinkHealth(dc1, dc2); h.State != routing.LinkUp {
+	if h, _ := d.Link(dc1, dc2).Health(); h.State != routing.LinkUp {
 		t.Fatalf("link never recovered: %v", h.State)
 	}
 	// The policy re-applied after the heal: the pin is back.
@@ -541,7 +540,7 @@ func TestReconnect(t *testing.T) {
 	if st.LinkFailures == 0 || st.LinkRecoveries == 0 {
 		t.Fatalf("failure/recovery not observed: %+v", st)
 	}
-	if h, _ := d.LinkHealth(dcs[1], dcs[3]); h.State != routing.LinkUp {
+	if h, _ := d.Link(dcs[1], dcs[3]).Health(); h.State != routing.LinkUp {
 		t.Errorf("link state = %v after Reconnect", h.State)
 	}
 	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[1] {
@@ -599,8 +598,8 @@ func TestReceiverRTTSeededFromOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d2.Host(r2).Receiver(f2.ID()).Config().RTT; got != 2*jqos.DefaultConfig().SmallTimeout {
-		t.Errorf("floored RTT = %v, want %v", got, 2*jqos.DefaultConfig().SmallTimeout)
+	if got := d2.Host(r2).Receiver(f2.ID()).Config().RTT; got != 50*time.Millisecond {
+		t.Errorf("floored RTT = %v, want 50ms (2× the 25 ms small timeout)", got)
 	}
 }
 

@@ -119,24 +119,8 @@ func (h *Host) ensureReceiver(flow core.FlowID, rtt time.Duration, svc core.Serv
 			}
 		}
 	}
-	retry := h.d.cfg.NACKRetry
-	if retry == 0 {
-		// Auto: a quarter RTT balances fast escalation to cooperative
-		// recovery against NACK duplication.
-		retry = rtt / 4
-	} else if retry < 0 {
-		retry = 0 // explicit opt-out
-	}
-	cfg := recovery.Config{
-		Self:         h.id,
-		DC:           h.dc,
-		Service:      svc,
-		SmallTimeout: h.d.cfg.SmallTimeout,
-		RTT:          rtt,
-		NACKRetry:    retry,
-		MaxNACKs:     h.d.cfg.MaxNACKs,
-		SingleTimer:  h.d.cfg.SingleTimer,
-	}
+	cfg := recovery.DefaultConfig(h.id, h.dc, rtt)
+	cfg.Service = svc
 	r := recovery.New(cfg)
 	h.receivers[flow] = r
 	h.byFlow = slices.Insert(h.byFlow, h.flowIndex(flow), flowReceiver{flow, r})

@@ -95,7 +95,7 @@ func degradeLoss(p float64) netem.LossModel {
 
 // healShape looks up the latency ConnectDCs recorded for a↔b.
 func (e *Engine) healShape(a, b core.NodeID) (time.Duration, error) {
-	x, ok := e.d.LinkShape(a, b)
+	x, ok := e.d.Link(a, b).Shape()
 	if !ok {
 		return 0, fmt.Errorf("DCs %v and %v were never connected", a, b)
 	}

@@ -48,18 +48,18 @@ type Core struct {
 	drop uint64
 }
 
-// New builds the core of DC self on env. cacheBytes bounds the cache
-// (0 = unbounded).
-func New(self core.NodeID, env Env, enc coding.EncoderConfig, rec coding.RecovererConfig, cacheTTL core.Time, cacheBytes uint64) (*Core, error) {
+// New builds the core of DC self on env. The cache is bounded by cacheTTL
+// alone, and the recoverer runs coding.DefaultRecovererConfig.
+func New(self core.NodeID, env Env, enc coding.EncoderConfig, cacheTTL core.Time) (*Core, error) {
 	e, err := coding.NewEncoder(self, enc)
 	if err != nil {
 		return nil, err
 	}
 	return &Core{
 		Forwarder: forward.New(self),
-		Cache:     cache.NewStore(cacheTTL, cacheBytes),
+		Cache:     cache.NewStore(cacheTTL, 0),
 		Encoder:   e,
-		Recoverer: coding.NewRecoverer(self, rec),
+		Recoverer: coding.NewRecoverer(self, coding.DefaultRecovererConfig()),
 		self:      self,
 		env:       env,
 	}, nil

@@ -51,7 +51,7 @@ func newWorld(t testing.TB) (*Core, *fakeEnv) {
 	}
 	enc := coding.DefaultEncoderConfig()
 	enc.K, enc.CrossParity, enc.InBlock = 2, 1, 0
-	c, err := New(self, env, enc, coding.DefaultRecovererConfig(), core.Time(time.Second), 0)
+	c, err := New(self, env, enc, core.Time(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func runReroute(o Options) (Result, error) {
 	fig.AddSeries(latency)
 	fig.AddSeries(delivered)
 	st := d.Snapshot().Routing
-	h, _ := d.LinkHealth(dc2, dc4)
+	h, _ := d.Link(dc2, dc4).Health()
 	m := flow.Metrics()
 	fig.AddNote("link dc2—dc4 fails at %.1fs, heals at %.1fs; probe interval %v",
 		failAt.Seconds(), healAt.Seconds(), cfg.Monitor.ProbeInterval)

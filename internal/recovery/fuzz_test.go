@@ -1,0 +1,118 @@
+package recovery
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"jqos/internal/core"
+	"jqos/internal/wire"
+)
+
+// step encodes one fuzz record: advance the clock by adv milliseconds,
+// then receive datagram msg.
+func step(adv byte, msg []byte) []byte {
+	return append([]byte{adv, byte(len(msg) >> 8), byte(len(msg))}, msg...)
+}
+
+func steps(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
+
+func fuzzMsg(typ wire.MsgType, flow core.FlowID, seq core.Seq, src core.NodeID, body []byte) []byte {
+	hdr := wire.Header{Type: typ, Service: core.ServiceCoding, Flow: flow, Seq: seq, Src: src, Dst: self}
+	return wire.AppendMessage(nil, &hdr, body)
+}
+
+// FuzzReceiver runs a sequence of datagrams and clock advances through the
+// dispatch transport.HostEnd.handle uses, firing OnTimer at every deadline
+// that comes due in between: no input may panic, everything emitted is a
+// well-formed message to the configured DC or to whoever asked, and a
+// deadline never stays at or behind the time it was serviced at (a host
+// re-arming on NextDeadline would spin).
+func FuzzReceiver(f *testing.F) {
+	inStream := wire.Coded{Batch: 9, Kind: wire.InStream, K: 2, R: 1, ShardLen: 8,
+		Sources: []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: self}, {Flow: 1, Seq: 2, Receiver: self}}}
+	coopRef := wire.CoopRef{Batch: 4, Want: core.PacketID{Flow: 2, Seq: 7}}
+	f.Add(steps(
+		step(0, fuzzMsg(wire.TypeData, 1, 1, sender, pay(1))),
+		step(5, fuzzMsg(wire.TypeData, 1, 4, sender, pay(4))), // gap: NACKs 2 and 3
+		step(1, fuzzMsg(wire.TypeCoded, 0, 0, dcNode, inStream.AppendMarshal(nil, make([]byte, 8)))),
+		step(10, fuzzMsg(wire.TypeRecovered, 1, 3, dcNode, pay(3))),
+		step(0, fuzzMsg(wire.TypePullResp, 1, 2, dcNode, pay(2))),
+		step(1, fuzzMsg(wire.TypeCoopReq, 1, 1, dcNode, coopRef.AppendMarshal(nil, nil))),
+		step(1, fuzzMsg(wire.TypeVerify, 1, 9, dcNode, nil)),
+		step(255, fuzzMsg(wire.TypeData, 1, 5, sender, pay(5))), // after the idle timer
+	))
+	f.Add(step(0, []byte("not a J-QoS datagram")))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := testReceiver()
+		var now core.Time
+		// check validates one event's output; asker is who a reply may go
+		// to besides the DC (0 for timer firings).
+		check := func(what string, at core.Time, res Result, asker core.NodeID) {
+			for _, em := range res.Emits {
+				var out wire.Header
+				if _, err := wire.SplitMessage(&out, em.Msg); err != nil {
+					t.Fatalf("%s: emitted an unparseable message: %v", what, err)
+				}
+				if em.To != out.Dst || (em.To != dcNode && em.To != asker) {
+					t.Fatalf("%s: %v emitted to %v (header Dst %v), want DC %v or asker %v",
+						what, out.Type, em.To, out.Dst, dcNode, asker)
+				}
+			}
+			if dl, ok := r.NextDeadline(); ok && dl <= at {
+				t.Fatalf("%s at %v: NextDeadline = %v, not after it", what, at, dl)
+			}
+		}
+		for len(data) >= 3 {
+			now += core.Time(data[0]) * time.Millisecond
+			n := int(data[1])<<8 | int(data[2])
+			data = data[3:]
+			if n > len(data) {
+				n = len(data)
+			}
+			msg := data[:n]
+			data = data[n:]
+
+			for {
+				dl, ok := r.NextDeadline()
+				if !ok || dl > now {
+					break
+				}
+				check("OnTimer", dl, r.OnTimer(dl), 0)
+			}
+
+			var hdr wire.Header
+			body, err := wire.SplitMessage(&hdr, msg)
+			if err != nil {
+				continue
+			}
+			var res Result
+			switch hdr.Type {
+			case wire.TypeData:
+				res = r.OnData(now, &hdr, body)
+			case wire.TypeRecovered, wire.TypePullResp:
+				res = r.OnRecovered(now, &hdr, body)
+			case wire.TypeCoded:
+				var meta wire.Coded
+				if shard, err := meta.Unmarshal(body); err == nil {
+					res = r.OnCoded(now, &hdr, &meta, shard)
+				}
+			case wire.TypeCoopReq:
+				var ref wire.CoopRef
+				if _, err := ref.Unmarshal(body); err == nil {
+					res = r.OnCoopReq(now, &hdr, &ref)
+				}
+			case wire.TypeVerify:
+				res = r.OnVerify(now, &hdr)
+			}
+			check(hdr.Type.String(), now, res, hdr.Src)
+			for _, d := range res.Deliveries {
+				if d.Packet == nil || d.Packet.Dst != self {
+					t.Fatalf("%v: delivery %+v is not addressed to this receiver", hdr.Type, d)
+				}
+			}
+		}
+	})
+}

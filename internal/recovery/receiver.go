@@ -55,13 +55,17 @@ type Config struct {
 	PumpWindow int
 }
 
+// SmallTimeout is the in-burst loss-detection timer of a deployment's
+// receivers: the paper's 25 ms small timeout (§6.2.1).
+const SmallTimeout core.Time = 25e6
+
 // DefaultConfig returns deployment defaults for a path with the given RTT.
 func DefaultConfig(self, dc core.NodeID, rtt core.Time) Config {
 	return Config{
 		Self:         self,
 		DC:           dc,
 		Service:      core.ServiceCoding,
-		SmallTimeout: 25e6, // 25ms
+		SmallTimeout: SmallTimeout,
 		RTT:          rtt,
 		NACKRetry:    rtt / 4,
 		MaxNACKs:     3,
@@ -72,7 +76,7 @@ func DefaultConfig(self, dc core.NodeID, rtt core.Time) Config {
 
 func (c *Config) fillDefaults() {
 	if c.SmallTimeout <= 0 {
-		c.SmallTimeout = 25e6
+		c.SmallTimeout = SmallTimeout
 	}
 	if c.RTT <= 0 {
 		c.RTT = 100e6
@@ -116,6 +120,9 @@ type Stats struct {
 	GaveUp         uint64
 	CoopResponses  uint64
 	VerifyReplies  uint64
+	// Dropped counts in-stream coded messages rejected as malformed: a
+	// source list that disagrees with K, no parity, or an index outside R.
+	Dropped uint64
 }
 
 // NACKsSent totals every NACK category.
@@ -254,11 +261,7 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 		fs.next = seq + 1
 		res.merge(r.accept(now, fs, hdr, payload, false, via, 0))
 	default: // gap: [next, seq) missing
-		for s := fs.next; s < seq; s++ {
-			res.Emits = append(res.Emits, r.noteMissing(now, fs, s, false)...)
-			r.stats.GapNACKs++
-		}
-		fs.next = seq + 1
+		r.noteGap(now, fs, seq, &res)
 		res.merge(r.accept(now, fs, hdr, payload, false, via, 0))
 	}
 
@@ -302,6 +305,24 @@ func (r *Receiver) accept(now core.Time, fs *flowState, hdr *wire.Header, payloa
 	return Result{Deliveries: []core.Delivery{{
 		Packet: pkt, At: now, Recovered: recovered, Via: via, RecoveryDelay: recDelay,
 	}}}
+}
+
+// maxGap bounds how many losses one arrival can declare. A wider sequence
+// jump is not a loss burst (nothing that far back is still in a recent
+// window) but a restarted sender or a forged header, and NACKing every
+// number in between would let one datagram cost unbounded work and state.
+const maxGap = 4096
+
+// noteGap NACKs the missing range [fs.next, seq) and moves the expectation
+// past seq; past maxGap it rejoins at seq like a first packet.
+func (r *Receiver) noteGap(now core.Time, fs *flowState, seq core.Seq, res *Result) {
+	if seq-fs.next <= maxGap {
+		for s := fs.next; s < seq; s++ {
+			res.Emits = append(res.Emits, r.noteMissing(now, fs, s, false)...)
+			r.stats.GapNACKs++
+		}
+	}
+	fs.next = seq + 1
 }
 
 // noteMissing registers a loss and emits its first NACK.
@@ -370,11 +391,7 @@ func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) 
 	} else if hdr.Seq >= fs.next {
 		// A recovered packet beyond the expectation proves everything
 		// in between existed: NACK the gap.
-		for s := fs.next; s < hdr.Seq; s++ {
-			res.Emits = append(res.Emits, r.noteMissing(now, fs, s, false)...)
-			r.stats.GapNACKs++
-		}
-		fs.next = hdr.Seq + 1
+		r.noteGap(now, fs, hdr.Seq, &res)
 	}
 	via := hdr.Service
 	if via == 0 {
@@ -411,6 +428,13 @@ func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) 
 func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, shard []byte) Result {
 	var res Result
 	if meta.Kind != wire.InStream || len(meta.Sources) == 0 {
+		return res
+	}
+	// The shard table below is sized K+R from the wire and indexed by
+	// source position: the encoder always emits K == len(Sources), and
+	// anything else is a forged or corrupted datagram.
+	if len(meta.Sources) != int(meta.K) || meta.R < 1 || meta.Index >= meta.R {
+		r.stats.Dropped++
 		return res
 	}
 	dec := r.inDec[meta.Batch]

@@ -411,6 +411,44 @@ func TestInStreamDecodeInsufficient(t *testing.T) {
 	}
 }
 
+// TestOnCodedRejectsMalformed: the shard table is sized from the wire's K
+// and R, so an in-stream message whose source list, parity count or parity
+// index disagrees with them must be dropped before anything is indexed.
+func TestOnCodedRejectsMalformed(t *testing.T) {
+	three := []wire.SourceRef{
+		{Flow: 1, Seq: 1, Receiver: self},
+		{Flow: 1, Seq: 2, Receiver: self},
+		{Flow: 1, Seq: 3, Receiver: self},
+	}
+	cases := []struct {
+		name string
+		meta wire.Coded
+	}{
+		// Panicked with "index out of range [2] with length 2".
+		{"more sources than K", wire.Coded{Batch: 9, Kind: wire.InStream, K: 1, R: 1, Sources: three}},
+		{"fewer sources than K", wire.Coded{Batch: 9, Kind: wire.InStream, K: 5, R: 1, Sources: three}},
+		{"no parity", wire.Coded{Batch: 9, Kind: wire.InStream, K: 3, R: 0, Sources: three}},
+		{"index past R", wire.Coded{Batch: 9, Kind: wire.InStream, K: 3, R: 1, Index: 1, Sources: three}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := testReceiver()
+			feed(r, 0, 1, 1)
+			h := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dcNode, Dst: self}
+			res := r.OnCoded(time.Millisecond, &h, &c.meta, make([]byte, 8))
+			if len(res.Deliveries) != 0 || len(res.Emits) != 0 {
+				t.Errorf("malformed parity produced output: %+v", res)
+			}
+			if r.Stats().Dropped != 1 {
+				t.Errorf("Dropped = %d, want 1", r.Stats().Dropped)
+			}
+			if len(r.inDec) != 0 {
+				t.Error("malformed parity left decode state behind")
+			}
+		})
+	}
+}
+
 func TestCrossStreamCodedIgnoredLocally(t *testing.T) {
 	r := testReceiver()
 	meta := wire.Coded{Batch: 9, Kind: wire.CrossStream, K: 2, R: 1,

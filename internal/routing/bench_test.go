@@ -138,7 +138,7 @@ func BenchmarkMonitorProbe(b *testing.B) {
 	c.AddDC(1, newFakeSink())
 	c.AddDC(2, newFakeSink())
 	c.SetLink(1, 2, 10*time.Millisecond)
-	m := NewMonitor(c, DefaultMonitorConfig())
+	m := NewMonitor(c, 500*time.Millisecond)
 	m.Track(1, 2, 10*time.Millisecond)
 	now := core.Time(0)
 	b.ReportAllocs()

@@ -2,80 +2,39 @@ package routing
 
 import "jqos/internal/core"
 
-// CongestionConfig tunes how reported link utilization inflates path
-// weights — the control plane's load-aware costs. The inflation is
-// M/M/1-shaped: negligible below the knee, growing like 1/(1-u) above it,
-// so a link approaching saturation prices itself out of new paths long
-// before it actually saturates.
-type CongestionConfig struct {
-	// Knee is the utilization above which weights start inflating.
-	Knee float64
-	// MaxUtil caps utilization in the penalty denominator so a fully
-	// saturated link gets a large finite weight instead of an infinite
-	// one (it can still carry traffic when it is the only path).
-	MaxUtil float64
-	// Gamma scales the penalty term.
-	Gamma float64
-	// Hysteresis is the minimum relative change of the inflation
+// How reported link utilization inflates path weights — the control
+// plane's load-aware costs. The inflation is M/M/1-shaped: negligible
+// below the knee, growing like 1/(1-u) above it (8× at saturation), so a
+// link approaching saturation prices itself out of new paths long before
+// it actually saturates.
+const (
+	// congestKnee is the utilization above which weights start inflating.
+	congestKnee = 0.6
+	// congestMaxUtil caps utilization in the penalty denominator so a
+	// fully saturated link gets a large finite weight instead of an
+	// infinite one (it can still carry traffic when it is the only path).
+	congestMaxUtil = 0.95
+	// congestHysteresis is the minimum relative change of the inflation
 	// multiplier that triggers a reweight-and-recompute. Smaller changes
 	// are recorded (Link.Util) but do not move routes — utilization
 	// breathes constantly, and without damping routes would flap between
 	// equal-cost paths on every report.
-	Hysteresis float64
-}
+	congestHysteresis = 0.25
+)
 
-// DefaultCongestionConfig returns production defaults: inflation starts
-// at 60% utilization, a saturated link costs 8× its latency, and routes
-// move only on ≥25% multiplier swings.
-func DefaultCongestionConfig() CongestionConfig {
-	return CongestionConfig{Knee: 0.6, MaxUtil: 0.95, Gamma: 1, Hysteresis: 0.25}
-}
-
-// normalized fills zero fields with defaults, so a partially specified
-// (or zero-value) config behaves sanely.
-func (c CongestionConfig) normalized() CongestionConfig {
-	d := DefaultCongestionConfig()
-	if c.Knee <= 0 || c.Knee >= 1 {
-		c.Knee = d.Knee
-	}
-	if c.MaxUtil <= c.Knee || c.MaxUtil >= 1 {
-		c.MaxUtil = d.MaxUtil
-		if c.MaxUtil <= c.Knee {
-			c.MaxUtil = (1 + c.Knee) / 2
-		}
-	}
-	if c.Gamma <= 0 {
-		c.Gamma = d.Gamma
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = d.Hysteresis
-	}
-	return c
-}
-
-// Multiplier converts a utilization reading into the link-weight
+// congestMultiplier converts a utilization reading into the link-weight
 // inflation factor (≥ 1): 1 at or below the knee, then
-// 1 + Gamma·(u−Knee)/(1−u) with u capped at MaxUtil.
-func (c CongestionConfig) Multiplier(util float64) float64 {
-	if util <= c.Knee {
+// 1 + (u−knee)/(1−u) with u capped at congestMaxUtil.
+func congestMultiplier(util float64) float64 {
+	if util <= congestKnee {
 		return 1
 	}
 	u := util
-	if u > c.MaxUtil {
-		u = c.MaxUtil
+	if u > congestMaxUtil {
+		u = congestMaxUtil
 	}
-	return 1 + c.Gamma*(u-c.Knee)/(1-u)
+	return 1 + (u-congestKnee)/(1-u)
 }
-
-// SetCongestionConfig replaces the controller's congestion model (zero
-// fields fall back to defaults). Existing inflation multipliers are kept
-// until the next utilization report re-derives them.
-func (c *Controller) SetCongestionConfig(cfg CongestionConfig) {
-	c.congestion = cfg.normalized()
-}
-
-// CongestionConfig returns the active (normalized) congestion model.
-func (c *Controller) CongestionConfig() CongestionConfig { return c.congestion }
 
 // applyLinkUtilization records one utilization report (0..1, clamped)
 // for the link a↔b and reports whether the link's effective weight
@@ -98,7 +57,7 @@ func (c *Controller) applyLinkUtilization(a, b core.NodeID, util float64) bool {
 		util = 1
 	}
 	l.Util = util
-	mult := c.congestion.Multiplier(util)
+	mult := congestMultiplier(util)
 	cur := l.Congest
 	if cur < 1 {
 		cur = 1
@@ -107,7 +66,7 @@ func (c *Controller) applyLinkUtilization(a, b core.NodeID, util float64) bool {
 	if dev < 0 {
 		dev = -dev
 	}
-	if dev <= c.congestion.Hysteresis && !(mult == 1 && cur > 1) {
+	if dev <= congestHysteresis && !(mult == 1 && cur > 1) {
 		return false
 	}
 	l.Congest = mult

@@ -18,36 +18,22 @@ func aboutDur(got, want core.Time) bool {
 }
 
 func TestCongestionMultiplier(t *testing.T) {
-	cfg := DefaultCongestionConfig()
-	if m := cfg.Multiplier(0); m != 1 {
+	if m := congestMultiplier(0); m != 1 {
 		t.Fatalf("idle multiplier = %v", m)
 	}
-	if m := cfg.Multiplier(cfg.Knee); m != 1 {
+	if m := congestMultiplier(congestKnee); m != 1 {
 		t.Fatalf("knee multiplier = %v", m)
 	}
 	// M/M/1 shape above the knee: 1 + (u-knee)/(1-u).
-	if m := cfg.Multiplier(0.8); math.Abs(m-2) > 1e-9 {
+	if m := congestMultiplier(0.8); math.Abs(m-2) > 1e-9 {
 		t.Fatalf("multiplier(0.8) = %v, want 2", m)
 	}
-	// Saturation clamps at MaxUtil: 1 + 0.35/0.05 = 8.
-	if m := cfg.Multiplier(1); math.Abs(m-8) > 1e-9 {
+	// Saturation clamps at congestMaxUtil: 1 + 0.35/0.05 = 8.
+	if m := congestMultiplier(1); math.Abs(m-8) > 1e-9 {
 		t.Fatalf("multiplier(1) = %v, want 8", m)
 	}
-	if hi, lo := cfg.Multiplier(1), cfg.Multiplier(0.99); hi != lo {
+	if hi, lo := congestMultiplier(1), congestMultiplier(0.99); hi != lo {
 		t.Fatalf("multiplier not clamped: %v vs %v", hi, lo)
-	}
-}
-
-func TestCongestionConfigNormalized(t *testing.T) {
-	var zero CongestionConfig
-	n := zero.normalized()
-	if n != DefaultCongestionConfig() {
-		t.Fatalf("zero config normalized to %+v", n)
-	}
-	// A MaxUtil at or below the knee would make the penalty negative.
-	bad := CongestionConfig{Knee: 0.96, MaxUtil: 0.5, Gamma: 1, Hysteresis: 0.1}.normalized()
-	if bad.MaxUtil <= bad.Knee || bad.MaxUtil >= 1 {
-		t.Fatalf("normalized MaxUtil = %v (knee %v)", bad.MaxUtil, bad.Knee)
 	}
 }
 

@@ -124,10 +124,6 @@ type Controller struct {
 	pins    map[core.FlowID]*flowPin
 	watches map[core.FlowID]*flowWatch
 
-	// congestion is the utilization → weight-inflation model applied by
-	// SetLinkUtilization (always normalized).
-	congestion CongestionConfig
-
 	// OnFlowPath, when set, is invoked after each recompute for every
 	// pinned flow whose path died (next == nil, broken == true) and every
 	// watched flow whose primary path moved (broken == false). Handlers
@@ -222,7 +218,6 @@ func NewController(k int) *Controller {
 		hostSlot:     make(map[core.NodeID]int32),
 		pins:         make(map[core.FlowID]*flowPin),
 		watches:      make(map[core.FlowID]*flowWatch),
-		congestion:   DefaultCongestionConfig(),
 		incremental:  true,
 		trees:        make(map[core.NodeID]*srcTree),
 		unreachBySrc: make(map[core.NodeID]int),

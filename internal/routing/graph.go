@@ -56,8 +56,7 @@ func (s LinkState) String() string {
 // overrides Base in path costs (both are one-way). Util and Congest are
 // the load-telemetry layer: Util is the last reported utilization (raw,
 // for inspection) and Congest the effective weight multiplier the
-// controller derived from it under its CongestionConfig (0 or 1 = no
-// inflation).
+// controller derived from it (congestMultiplier; 0 or 1 = no inflation).
 type Link struct {
 	A, B    core.NodeID
 	Base    core.Time

@@ -6,69 +6,46 @@ import (
 	"jqos/internal/core"
 )
 
-// MonitorConfig tunes the link-health state machine.
-type MonitorConfig struct {
-	// ProbeInterval is the per-link probe period. Zero disables active
-	// monitoring entirely (the hosting runtime checks this before
-	// scheduling probes).
-	ProbeInterval time.Duration
-	// ProbeTimeout is the floor for declaring a probe lost; the effective
-	// per-link timeout is max(ProbeTimeout, 3× the link's base RTT).
-	ProbeTimeout time.Duration
-	// FastProbeInterval, when nonzero, is the probe period for SUSPICIOUS
-	// links — links that are down or degraded, just lost a probe, or
-	// still carry meaningful window loss. Healthy links amble along at
-	// ProbeInterval (probing is overhead); the first hint of trouble
-	// drops the link to the fast cadence so failure detection completes
-	// in FailAfter fast rounds instead of FailAfter slow ones. Zero
-	// disables adaptation (every link probes at ProbeInterval).
-	FastProbeInterval time.Duration
-	// FastProbeTimeout, when nonzero, replaces ProbeTimeout as the
-	// timeout floor for suspicious links (the 3×RTT terms still apply) —
-	// a link under suspicion is declared lost on the RTT evidence, not
-	// the conservative healthy-path floor.
-	FastProbeTimeout time.Duration
-	// FailAfter consecutive probe losses mark the link down.
-	FailAfter int
-	// RecoverAfter consecutive probe answers bring a down link back up.
-	RecoverAfter int
-	// DegradeLoss / ClearLoss bound the windowed probe-loss fraction for
+// The link-health state machine's tuning. A healthy link is probed once per
+// probe interval (the deployment's one setting); its first missed probe —
+// noticed up to one interval plus probeTimeout after the link died — makes
+// it suspicious, and only the remaining failAfter−1 strikes run at the
+// fast cadence.
+const (
+	// probeTimeout is the floor for declaring a healthy link's probe
+	// lost; the effective timeout is max(floor, 3× the link's base RTT,
+	// 3× the measured RTT).
+	probeTimeout = 200 * time.Millisecond
+	// fastProbeInterval / fastProbeTimeout are the probe period and the
+	// timeout floor of a SUSPICIOUS link — down, degraded, mid loss
+	// streak, or still carrying window loss above clearLoss.
+	fastProbeInterval = 25 * time.Millisecond
+	fastProbeTimeout  = 25 * time.Millisecond
+	// failAfter consecutive probe losses mark the link down;
+	// recoverAfter consecutive answers bring a down link back up.
+	failAfter    = 3
+	recoverAfter = 3
+	// degradeLoss / clearLoss bound the windowed probe-loss fraction for
 	// the degraded state. RTT shifts do not change health state — they
-	// re-price the link via RefreshFraction, so a link that legitimately
+	// re-price the link via refreshFraction, so a link that legitimately
 	// got slower converges to its new cost instead of sticking in a
 	// degraded state it can never clear.
-	DegradeLoss float64
-	ClearLoss   float64
-	// LossWindow is the probe-outcome window size for the loss estimate.
-	LossWindow int
-	// EWMAAlpha weights the newest RTT sample in the estimate.
-	EWMAAlpha float64
-	// RefreshFraction re-prices a link when the RTT estimate deviates
+	degradeLoss = 0.25
+	clearLoss   = 0.10
+	// lossWindow is the probe-outcome window size for the loss estimate.
+	lossWindow = 16
+	// ewmaAlpha weights the newest RTT sample (typed: 1−ewmaAlpha must
+	// round as float64 arithmetic does).
+	ewmaAlpha float64 = 0.3
+	// refreshFraction re-prices a link when the RTT estimate deviates
 	// from the advertised cost by more than this fraction (keeps routed
 	// latencies honest without reacting to jitter).
-	RefreshFraction float64
-}
+	refreshFraction = 0.25
+)
 
-// DefaultMonitorConfig returns production defaults: 500 ms probes on
-// healthy links dropping to 25 ms on suspicious ones (sub-100 ms failure
-// detection on short links: FailAfter fast rounds plus the adaptive
-// timeout), three strikes down, three answers up, 25% probe loss =
-// degraded.
-func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{
-		ProbeInterval:     500 * time.Millisecond,
-		ProbeTimeout:      200 * time.Millisecond,
-		FastProbeInterval: 25 * time.Millisecond,
-		FastProbeTimeout:  25 * time.Millisecond,
-		FailAfter:         3,
-		RecoverAfter:      3,
-		DegradeLoss:       0.25,
-		ClearLoss:         0.10,
-		LossWindow:        16,
-		EWMAAlpha:         0.3,
-		RefreshFraction:   0.25,
-	}
-}
+// DetectionRounds is how many probe rounds take a link through failure
+// detection and recovery: what a runtime lets idle probers run after a fault.
+const DetectionRounds = failAfter + recoverAfter
 
 // Health is a read-only snapshot of one link's monitor state.
 type Health struct {
@@ -85,7 +62,7 @@ type linkHealth struct {
 	base        core.Time // configured one-way latency
 	state       LinkState
 	ewmaRTT     core.Time
-	window      []bool // ring of recent outcomes (true = lost)
+	window      [lossWindow]bool // ring of recent outcomes (true = lost)
 	windowAt    int
 	windowFill  int
 	consecLoss  int
@@ -109,14 +86,10 @@ func (h *linkHealth) lossFrac() float64 {
 	return float64(lost) / float64(h.windowFill)
 }
 
-func (h *linkHealth) record(lost bool, window int) {
-	if len(h.window) != window {
-		h.window = make([]bool, window)
-		h.windowAt, h.windowFill = 0, 0
-	}
+func (h *linkHealth) record(lost bool) {
 	h.window[h.windowAt] = lost
-	h.windowAt = (h.windowAt + 1) % window
-	if h.windowFill < window {
+	h.windowAt = (h.windowAt + 1) % lossWindow
+	if h.windowFill < lossWindow {
 		h.windowFill++
 	}
 }
@@ -126,24 +99,16 @@ func (h *linkHealth) record(lost bool, window int) {
 // the probes, times them out, and calls ProbeSent / ProbeAcked /
 // ProbeTimedOut.
 type Monitor struct {
-	c     *Controller
-	cfg   MonitorConfig
-	links map[[2]core.NodeID]*linkHealth
+	c             *Controller
+	probeInterval time.Duration
+	links         map[[2]core.NodeID]*linkHealth
 }
 
-// NewMonitor creates a monitor feeding verdicts into c.
-func NewMonitor(c *Controller, cfg MonitorConfig) *Monitor {
-	if cfg.LossWindow <= 0 {
-		cfg.LossWindow = 16
-	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.3
-	}
-	return &Monitor{c: c, cfg: cfg, links: make(map[[2]core.NodeID]*linkHealth)}
+// NewMonitor creates a monitor feeding verdicts into c. probeInterval is
+// the probe period of a healthy link.
+func NewMonitor(c *Controller, probeInterval time.Duration) *Monitor {
+	return &Monitor{c: c, probeInterval: probeInterval, links: make(map[[2]core.NodeID]*linkHealth)}
 }
-
-// Config returns the monitor's configuration.
-func (m *Monitor) Config() MonitorConfig { return m.cfg }
 
 // Track starts monitoring the link a↔b with configured one-way latency
 // base. Re-tracking re-bases the estimators.
@@ -151,26 +116,25 @@ func (m *Monitor) Track(a, b core.NodeID, base core.Time) {
 	k := linkKey(a, b)
 	m.links[k] = &linkHealth{
 		a: k[0], b: k[1], base: base,
-		window:      make([]bool, m.cfg.LossWindow),
 		outstanding: make(map[uint64]core.Time),
 		timedOut:    make(map[uint64]core.Time),
 	}
 }
 
 // CurrentTimeout returns the effective probe timeout for the link a↔b:
-// the configured floor, 3× the configured RTT, or 3× the measured RTT
-// estimate — whichever is largest. Adapting to the estimate matters: a
-// link that legitimately slowed past the static timeout would otherwise
-// read as lossy forever (late answers re-teach the estimate, which
-// stretches the timeout back over the real RTT).
-// Suspicious links swap the ProbeTimeout floor for FastProbeTimeout (when
-// configured): once a link is under suspicion the RTT-derived terms carry
-// the timeout, not the conservative healthy-path floor.
+// the floor, 3× the configured RTT, or 3× the measured RTT estimate —
+// whichever is largest. Adapting to the estimate matters: a link that
+// legitimately slowed past the static timeout would otherwise read as
+// lossy forever (late answers re-teach the estimate, which stretches the
+// timeout back over the real RTT). Suspicious links swap the probeTimeout
+// floor for fastProbeTimeout: once a link is under suspicion the
+// RTT-derived terms carry the timeout, not the conservative healthy-path
+// floor.
 func (m *Monitor) CurrentTimeout(a, b core.NodeID) core.Time {
-	t := m.cfg.ProbeTimeout
+	t := probeTimeout
 	if h, ok := m.links[linkKey(a, b)]; ok {
-		if m.cfg.FastProbeTimeout > 0 && h.suspicious(m.cfg) {
-			t = m.cfg.FastProbeTimeout
+		if h.suspicious() {
+			t = fastProbeTimeout
 		}
 		if c := 3 * 2 * h.base; c > t {
 			t = c
@@ -185,31 +149,25 @@ func (m *Monitor) CurrentTimeout(a, b core.NodeID) core.Time {
 // suspicious reports whether this link deserves the fast probe cadence:
 // anything short of a clean bill of health — not Up, a loss streak in
 // progress, or window loss still above the degrade-clear threshold.
-func (h *linkHealth) suspicious(cfg MonitorConfig) bool {
-	if h.state != LinkUp || h.consecLoss > 0 {
-		return true
-	}
-	return cfg.ClearLoss > 0 && h.lossFrac() >= cfg.ClearLoss
+func (h *linkHealth) suspicious() bool {
+	return h.state != LinkUp || h.consecLoss > 0 || h.lossFrac() >= clearLoss
 }
 
 // Suspicious reports whether the link a↔b is currently probing (or should
 // probe) at the fast cadence. Untracked links are never suspicious.
 func (m *Monitor) Suspicious(a, b core.NodeID) bool {
 	h, ok := m.links[linkKey(a, b)]
-	return ok && h.suspicious(m.cfg)
+	return ok && h.suspicious()
 }
 
 // ProbeIntervalFor returns the probe period the hosting runtime should use
-// for the link a↔b right now: FastProbeInterval while the link is
-// suspicious (failure detection then completes in FailAfter fast rounds),
-// ProbeInterval otherwise or when adaptation is disabled.
+// for the link a↔b right now: fastProbeInterval while the link is
+// suspicious, the healthy-link interval otherwise.
 func (m *Monitor) ProbeIntervalFor(a, b core.NodeID) time.Duration {
-	if m.cfg.FastProbeInterval > 0 {
-		if h, ok := m.links[linkKey(a, b)]; ok && h.suspicious(m.cfg) {
-			return m.cfg.FastProbeInterval
-		}
+	if m.Suspicious(a, b) {
+		return fastProbeInterval
 	}
-	return m.cfg.ProbeInterval
+	return m.probeInterval
 }
 
 // Health returns the current snapshot for a link.
@@ -251,25 +209,25 @@ func (m *Monitor) ProbeAcked(a, b core.NodeID, seq uint64, now core.Time) {
 	if !out {
 		if lateSent, late := h.timedOut[seq]; late {
 			delete(h.timedOut, seq)
-			h.learnRTT(now-lateSent, m.cfg.EWMAAlpha)
+			h.learnRTT(now - lateSent)
 			m.evaluate(h)
 		}
 		return
 	}
 	delete(h.outstanding, seq)
-	h.learnRTT(now-sentAt, m.cfg.EWMAAlpha)
-	h.record(false, m.cfg.LossWindow)
+	h.learnRTT(now - sentAt)
+	h.record(false)
 	h.consecLoss = 0
 	h.consecOK++
 	m.evaluate(h)
 }
 
-func (h *linkHealth) learnRTT(rtt core.Time, alpha float64) {
+func (h *linkHealth) learnRTT(rtt core.Time) {
 	if h.ewmaRTT == 0 {
 		h.ewmaRTT = rtt
 		return
 	}
-	h.ewmaRTT = core.Time(alpha*float64(rtt) + (1-alpha)*float64(h.ewmaRTT))
+	h.ewmaRTT = core.Time(ewmaAlpha*float64(rtt) + (1-ewmaAlpha)*float64(h.ewmaRTT))
 }
 
 // ProbeTimedOut records a lost probe (no-op if it was answered in time)
@@ -286,7 +244,7 @@ func (m *Monitor) ProbeTimedOut(a, b core.NodeID, seq uint64) {
 	delete(h.outstanding, seq)
 	h.timedOut[seq] = sentAt
 	h.lost++
-	h.record(true, m.cfg.LossWindow)
+	h.record(true)
 	h.consecOK = 0
 	h.consecLoss++
 	m.evaluate(h)
@@ -300,30 +258,28 @@ func (m *Monitor) evaluate(h *linkHealth) {
 	loss := h.lossFrac()
 	switch h.state {
 	case LinkDown:
-		if h.consecOK >= m.cfg.RecoverAfter {
+		if h.consecOK >= recoverAfter {
 			h.state = LinkUp
 			// Fresh estimates: the outage polluted the window.
-			for i := range h.window {
-				h.window[i] = false
-			}
-			m.push(h, LinkUp, h.refreshedCost(m.cfg.RefreshFraction))
+			h.window = [lossWindow]bool{}
+			m.push(h, LinkUp, h.refreshedCost())
 		}
 	case LinkUp, LinkDegraded:
-		if h.consecLoss >= m.cfg.FailAfter {
+		if h.consecLoss >= failAfter {
 			h.state = LinkDown
 			m.push(h, LinkDown, 0)
 			return
 		}
-		lossHigh := h.windowFill >= m.cfg.LossWindow/2 && loss >= m.cfg.DegradeLoss
+		lossHigh := h.windowFill >= lossWindow/2 && loss >= degradeLoss
 		if h.state == LinkUp && lossHigh {
 			h.state = LinkDegraded
 			m.push(h, LinkDegraded, h.degradedCost(loss))
 			return
 		}
 		if h.state == LinkDegraded {
-			if loss <= m.cfg.ClearLoss {
+			if loss <= clearLoss {
 				h.state = LinkUp
-				m.push(h, LinkUp, h.refreshedCost(m.cfg.RefreshFraction))
+				m.push(h, LinkUp, h.refreshedCost())
 				return
 			}
 			// Still degraded: keep the advertised cost roughly current,
@@ -336,7 +292,7 @@ func (m *Monitor) evaluate(h *linkHealth) {
 		// Healthy link: re-price when the measured latency drifts well
 		// past the advertised cost (e.g. after SetLinkQuality slowed the
 		// link — routes shift to the now-cheaper alternates).
-		if h.ewmaRTT > 0 && m.cfg.RefreshFraction > 0 {
+		if h.ewmaRTT > 0 {
 			if est := h.ewmaRTT / 2; m.deviates(h, est) {
 				m.push(h, LinkUp, est)
 			}
@@ -347,8 +303,8 @@ func (m *Monitor) evaluate(h *linkHealth) {
 // refreshedCost is the cost to advertise when a link returns to healthy:
 // the measured estimate if it deviates materially from the configured
 // base, 0 (= base) otherwise.
-func (h *linkHealth) refreshedCost(frac float64) core.Time {
-	if h.ewmaRTT == 0 || frac <= 0 || h.base == 0 {
+func (h *linkHealth) refreshedCost() core.Time {
+	if h.ewmaRTT == 0 || h.base == 0 {
 		return 0
 	}
 	est := h.ewmaRTT / 2
@@ -356,7 +312,7 @@ func (h *linkHealth) refreshedCost(frac float64) core.Time {
 	if dev < 0 {
 		dev = -dev
 	}
-	if dev > frac {
+	if dev > refreshFraction {
 		return est
 	}
 	return 0
@@ -369,7 +325,7 @@ func (m *Monitor) push(h *linkHealth, state LinkState, est core.Time) {
 }
 
 // deviates reports whether cost differs from the currently advertised cost
-// by more than RefreshFraction — the recompute damping threshold.
+// by more than refreshFraction — the recompute damping threshold.
 func (m *Monitor) deviates(h *linkHealth, cost core.Time) bool {
 	cur := h.advertised
 	if cur == 0 {
@@ -382,7 +338,7 @@ func (m *Monitor) deviates(h *linkHealth, cost core.Time) bool {
 	if dev < 0 {
 		dev = -dev
 	}
-	return dev > m.cfg.RefreshFraction
+	return dev > refreshFraction
 }
 
 // degradedCost converts the RTT/loss estimates into an effective one-way

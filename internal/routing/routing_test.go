@@ -234,7 +234,7 @@ func TestRoutingTablesDeterministic(t *testing.T) {
 
 // monWorld pairs a monitor with a 2-link controller for state-machine
 // tests driven by hand-fed probe outcomes.
-func monWorld(t *testing.T, cfg MonitorConfig) (*Controller, *Monitor) {
+func monWorld(t *testing.T) (*Controller, *Monitor) {
 	t.Helper()
 	c := NewController(2)
 	for id := core.NodeID(1); id <= 3; id++ {
@@ -243,14 +243,13 @@ func monWorld(t *testing.T, cfg MonitorConfig) (*Controller, *Monitor) {
 	c.SetLink(1, 2, 10*time.Millisecond)
 	c.SetLink(2, 3, 10*time.Millisecond)
 	c.SetLink(1, 3, 40*time.Millisecond)
-	m := NewMonitor(c, cfg)
+	m := NewMonitor(c, 500*time.Millisecond)
 	m.Track(1, 2, 10*time.Millisecond)
 	return c, m
 }
 
 func TestMonitorFailAndRecover(t *testing.T) {
-	cfg := DefaultMonitorConfig()
-	c, m := monWorld(t, cfg)
+	c, m := monWorld(t)
 	now := core.Time(0)
 	seq := uint64(0)
 	lose := func(n int) {
@@ -273,9 +272,9 @@ func TestMonitorFailAndRecover(t *testing.T) {
 	if h, _ := m.Health(1, 2); h.State != LinkUp || h.RTT == 0 {
 		t.Fatalf("healthy link state = %+v", h)
 	}
-	lose(cfg.FailAfter)
+	lose(failAfter)
 	if h, _ := m.Health(1, 2); h.State != LinkDown {
-		t.Fatalf("state after %d losses = %v", cfg.FailAfter, h.State)
+		t.Fatalf("state after %d losses = %v", failAfter, h.State)
 	}
 	if c.Stats().LinkFailures != 1 {
 		t.Errorf("controller failures = %d", c.Stats().LinkFailures)
@@ -284,7 +283,7 @@ func TestMonitorFailAndRecover(t *testing.T) {
 	if via, ok := c.NextHop(1, 3); !ok || via != 3 {
 		t.Errorf("NextHop(1,3) after failure = %v %v", via, ok)
 	}
-	answer(cfg.RecoverAfter, 20*time.Millisecond)
+	answer(recoverAfter, 20*time.Millisecond)
 	if h, _ := m.Health(1, 2); h.State != LinkUp {
 		t.Fatalf("state after recovery = %v", h.State)
 	}
@@ -297,8 +296,7 @@ func TestMonitorRTTDriftRepricesLink(t *testing.T) {
 	// RTT drift is a cost problem, not a health problem: the link stays
 	// up but its advertised cost tracks the measurement, so routes shift
 	// to now-cheaper alternates and PredictDelay stays honest.
-	cfg := DefaultMonitorConfig()
-	c, m := monWorld(t, cfg)
+	c, m := monWorld(t)
 	now := core.Time(0)
 	// Base RTT 20 ms; feed sustained 80 ms RTTs (4× base).
 	for seq := uint64(1); seq <= 20; seq++ {
@@ -320,7 +318,7 @@ func TestMonitorRTTDriftRepricesLink(t *testing.T) {
 		t.Errorf("NextHop(1,3) after drift = %v %v, want direct", via, ok)
 	}
 	// Adaptive timeout follows the estimate.
-	if to := m.CurrentTimeout(1, 2); to <= cfg.ProbeTimeout {
+	if to := m.CurrentTimeout(1, 2); to <= probeTimeout {
 		t.Errorf("timeout did not adapt: %v", to)
 	}
 	// Drifting back down re-prices again.
@@ -335,8 +333,7 @@ func TestMonitorRTTDriftRepricesLink(t *testing.T) {
 }
 
 func TestMonitorLateAckTeachesRTT(t *testing.T) {
-	cfg := DefaultMonitorConfig()
-	_, m := monWorld(t, cfg)
+	_, m := monWorld(t)
 	m.ProbeSent(1, 2, 1, 0)
 	m.ProbeTimedOut(1, 2, 1)
 	h1, _ := m.Health(1, 2)

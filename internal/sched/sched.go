@@ -22,12 +22,14 @@ import "jqos/internal/core"
 // J-QoS service, indexed by core.Service.
 const NumClasses = core.NumServices
 
+// quantum is the per-weight-unit byte credit added to a class queue each
+// DRR round. One MTU keeps DRR's O(1) guarantee: any packet up to the
+// quantum dequeues within one credit of its class; a larger one needs
+// several rounds to accumulate credit.
+const quantum = 1500
+
 // Defaults for zero-valued Config fields.
 const (
-	// DefaultQuantum is the per-weight-unit byte credit added to a class
-	// queue each round. One MTU keeps DRR's O(1) guarantee: any packet up
-	// to the quantum dequeues within one credit of its class.
-	DefaultQuantum = 1500
 	// DefaultQueueBytes caps each class queue when Config.QueueBytes is
 	// zero. One MiB is ~1 s of a 1 MB/s link — past that, queueing delay
 	// exceeds any interactive budget and dropping beats waiting.
@@ -90,10 +92,6 @@ type Config struct {
 	// bounds backlog without blackholing oversized messages. Zero means
 	// DefaultQueueBytes; negative means unbounded.
 	QueueBytes int64
-	// Quantum is the byte credit per weight unit per DRR round. Zero
-	// means DefaultQuantum. Keep it at least the largest packet size, or
-	// an oversized packet needs several rounds to accumulate credit.
-	Quantum int
 	// LowWatermark / HighWatermark position the congestion-detection
 	// band as fractions of the per-queue byte cap (an unbounded queue
 	// uses DefaultQueueBytes as the basis). A class queue flips Hot at
@@ -308,7 +306,6 @@ func (cf *classFlows) remove(i int) {
 // or serializes per link.
 type DRR struct {
 	weights [NumClasses]int64
-	quantum int64
 	cap     int64 // per-queue byte cap; <0 unbounded
 	// low / high are the watermark thresholds in bytes (see QueueState);
 	// state holds each class queue's current classification.
@@ -347,10 +344,7 @@ type DRR struct {
 // New builds a scheduler from cfg (see Config for defaulting rules).
 // Callers should only construct one when cfg.Enabled().
 func New(cfg Config) *DRR {
-	s := &DRR{quantum: DefaultQuantum, cap: DefaultQueueBytes}
-	if cfg.Quantum > 0 {
-		s.quantum = int64(cfg.Quantum)
-	}
+	s := &DRR{cap: DefaultQueueBytes}
 	if cfg.PerFlowQueues {
 		s.perFlow = true
 		for i := range s.flows {
@@ -586,7 +580,7 @@ func (s *DRR) Dequeue() (Item, bool) {
 			continue
 		}
 		if !s.credited[s.cur] {
-			s.deficit[s.cur] += s.quantum * s.weights[s.cur]
+			s.deficit[s.cur] += quantum * s.weights[s.cur]
 			s.credited[s.cur] = true
 			s.stats.Rounds++
 		}
@@ -632,7 +626,7 @@ func (s *DRR) dequeuePerFlow() (Item, bool) {
 			continue
 		}
 		if !s.credited[s.cur] {
-			s.deficit[s.cur] += s.quantum * s.weights[s.cur]
+			s.deficit[s.cur] += quantum * s.weights[s.cur]
 			s.credited[s.cur] = true
 			s.stats.Rounds++
 		}
@@ -646,7 +640,7 @@ func (s *DRR) dequeuePerFlow() (Item, bool) {
 		for {
 			fq = cf.active[cf.rr]
 			if !fq.credited {
-				fq.deficit += s.quantum
+				fq.deficit += quantum
 				fq.credited = true
 			}
 			size = int64(fq.q.peekSize())

@@ -102,11 +102,8 @@ func TestWorkConserving(t *testing.T) {
 // TestOversizedPacketAccumulatesDeficit: a packet bigger than one
 // quantum×weight grant must still dequeue after enough rounds.
 func TestOversizedPacketAccumulatesDeficit(t *testing.T) {
-	s := New(Config{
-		Weights: map[core.Service]int{core.ServiceCoding: 1},
-		Quantum: 100,
-	})
-	s.Enqueue(core.ServiceCoding, 7, msg(950)) // needs ~10 grants
+	s := New(Config{Weights: map[core.Service]int{core.ServiceCoding: 1}})
+	s.Enqueue(core.ServiceCoding, 7, msg(10*quantum-50)) // needs 10 grants
 	s.Enqueue(core.ServiceForwarding, 8, msg(50))
 	got := drain(s)
 	if len(got) != 2 {
@@ -257,7 +254,7 @@ func TestDisabledConfig(t *testing.T) {
 // half of it.
 func TestWatermarkHysteresis(t *testing.T) {
 	// Cap 1000 → low 250, high 750 with the defaults.
-	s := New(Config{Weights: map[core.Service]int{}, QueueBytes: 1000, Quantum: 1000})
+	s := New(Config{Weights: map[core.Service]int{}, QueueBytes: 1000})
 	type flip struct {
 		st    QueueState
 		depth int64
@@ -325,7 +322,7 @@ func TestWatermarkHysteresis(t *testing.T) {
 // does not fully drain: Hot → Warm at the low watermark, Warm → Clear
 // at half of it.
 func TestWatermarkCoolsThroughWarm(t *testing.T) {
-	s := New(Config{Weights: map[core.Service]int{}, QueueBytes: 1000, Quantum: 1000})
+	s := New(Config{Weights: map[core.Service]int{}, QueueBytes: 1000})
 	for i := 0; i < 8; i++ {
 		s.Enqueue(core.ServiceCoding, 1, msg(100)) // 800 → Hot
 	}

@@ -45,17 +45,15 @@ func ParseBindings(spec string) ([]HostBinding, error) {
 
 // RelayConfig configures a Relay.
 type RelayConfig struct {
-	Encoder   coding.EncoderConfig
-	Recoverer coding.RecovererConfig
-	CacheTTL  time.Duration
+	Encoder  coding.EncoderConfig
+	CacheTTL time.Duration
 }
 
 // DefaultRelayConfig returns deployment defaults.
 func DefaultRelayConfig() RelayConfig {
 	return RelayConfig{
-		Encoder:   coding.DefaultEncoderConfig(),
-		Recoverer: coding.DefaultRecovererConfig(),
-		CacheTTL:  2 * time.Second,
+		Encoder:  coding.DefaultEncoderConfig(),
+		CacheTTL: 2 * time.Second,
 	}
 }
 
@@ -79,7 +77,7 @@ func NewRelay(ep *Endpoint, cfg RelayConfig, bindings []HostBinding) (*Relay, er
 		nearest: make(map[core.NodeID]core.NodeID),
 		pump:    newPump(),
 	}
-	dp, err := dataplane.New(ep.Self, (*relayEnv)(r), cfg.Encoder, cfg.Recoverer, core.Time(cfg.CacheTTL), 0)
+	dp, err := dataplane.New(ep.Self, (*relayEnv)(r), cfg.Encoder, core.Time(cfg.CacheTTL))
 	if err != nil {
 		return nil, err
 	}

@@ -53,23 +53,25 @@
 // EPOCH at every forwarder it touches; cloud copies are stamped at the
 // ingress DC with the epoch they entered under (a 2-bit wire tag), and
 // transit DCs resolve old-epoch packets — hop re-resolution included —
-// against the retiring table for Config.RouteDrain (default 200 ms)
-// before the overlay is dropped. A reroute therefore never re-resolves
-// traffic already in flight: on a healthy path change (say a
-// congestion-priced link) old packets finish on the path they started,
-// new packets take the new one, and nothing blackholes, loops, or
-// arrives out of order. RouteDrain = 0 restores the legacy in-place
-// swap.
+// against the retiring table for a 200 ms drain window before the
+// overlay is dropped. A reroute therefore never re-resolves traffic
+// already in flight: on a healthy path change (say a congestion-priced
+// link) old packets finish on the path they started, new packets take
+// the new one, and nothing blackholes, loops, or arrives out of order.
 //
-// A link-health monitor probes each inter-DC link (Config.Monitor),
-// maintains RTT/loss estimates, and on failure, degradation past a
-// threshold, or recovery triggers recomputation and a route re-push —
-// flows reroute around mid-path failures with no sender involvement.
-// Probing is adaptive: healthy links amble at ProbeInterval (500 ms
-// default), while a link that is down, degraded, or just lost a probe
-// drops to FastProbeInterval (25 ms) with a tightened timeout, so
-// failure detection completes in under 100 ms on short links without
-// paying always-fast probe overhead.
+// A link-health monitor probes each inter-DC link, maintains RTT/loss
+// estimates, and on failure, degradation past a threshold, or recovery
+// triggers recomputation and a route re-push — flows reroute around
+// mid-path failures with no sender involvement. Probing is adaptive:
+// healthy links amble at Config.Monitor.ProbeInterval (500 ms default),
+// while a link that is down, degraded, or just lost a probe drops to a
+// 25 ms cadence with a tightened timeout. What that buys is bounded
+// overhead, not sub-100 ms detection: a link that dies between two
+// healthy-pace probes is first missed when its next probe times out —
+// up to one ProbeInterval plus the 200 ms timeout floor later — and only
+// the remaining two strikes run at the fast cadence (the benchmark's
+// mesh_faults world measures a median of ≈ 570 ms from fault to
+// link-down).
 //
 // Fault injection and link inspection go through one surface:
 // Deployment.Link(a, b) returns a LinkHandle with Set / SetOneWay /
@@ -98,14 +100,15 @@
 // them: every DC egress is metered per (inter-DC link, service class)
 // into sliding-window rate meters (internal/load), and
 // Link(a, b).Load exposes the live rates, peaks, and utilization
-// (against SetLinkCapacity / Config.LinkCapacity accounting capacities).
-// A periodic reporter (Config.LoadReportInterval) feeds utilization into
-// the routing controller, which inflates hot links' path weights
-// M/M/1-style above a knee (Config.Congestion) — with hysteresis, so
-// routes spread away from congested links without flapping — and
-// Snapshot().Routing counts the resulting congestion reroutes. On the admission
-// side, FlowSpec.Rate declares a per-flow token-bucket contract enforced
-// at the ingress: excess cloud copies are dropped
+// (against Config.LinkCapacity / Link(a, b).SetCapacity accounting
+// capacities). Once any link has a capacity, a reporter feeds
+// utilization into the routing controller every 500 ms, which inflates
+// hot links' path weights M/M/1-style above a 60 % knee — with
+// hysteresis, so routes spread away from congested links without
+// flapping — and Snapshot().Routing counts the resulting congestion
+// reroutes. On the admission side, FlowSpec.Rate declares a per-flow
+// token-bucket contract enforced at the ingress: excess cloud copies are
+// dropped
 // (Observer.OnAdmissionDrop) or, with FlowSpec.AdmissionShape, delayed
 // into conformance, so one greedy flow cannot congest the overlay for
 // everyone else. Flows are torn down with Flow.Close, which releases
@@ -142,8 +145,8 @@
 // the DC rather than what piled up. Snapshot().Queue(a, b) exposes
 // per-class enqueued/dequeued/dropped counters, live queue depth, and
 // deficit rounds per directed link. Nil Weights (the default) disables
-// scheduling — the legacy FIFO send path, byte-for-byte. See
-// examples/fairshare and experiment "fairshare".
+// scheduling: egress is a FIFO pass-through. See examples/fairshare and
+// experiment "fairshare".
 //
 // # Congestion feedback
 //
@@ -154,8 +157,8 @@
 // (Config.Scheduler.LowWatermark / HighWatermark, fractions of the
 // byte cap): it flips Hot crossing the high watermark and cools back
 // off below the low one (full hysteresis, allocation-free on the
-// egress hot path). Transitions are batched per DC
-// (Feedback.SignalInterval) and fanned out over the control channel —
+// egress hot path). Transitions are batched per DC for 10 ms and fanned
+// out over the control channel —
 // hop-by-hop TypeCongestion messages that bypass the schedulers they
 // report on — to every ingress DC whose flows traverse the affected
 // (link, class), via a subscription registry maintained on
@@ -164,8 +167,8 @@
 // At the ingress the reaction depends on the flow. Flows with a Rate
 // contract get an AIMD pacer: a Hot signal cuts the admission bucket's
 // refill rate multiplicatively toward a floor, and once the queue
-// cools the rate recovers additively back to the contract
-// (Feedback.Pacer; volume moved under a cut is FlowMetrics.PacedBytes).
+// cools the rate recovers additively back to the contract (volume
+// moved under a cut is FlowMetrics.PacedBytes).
 // Unpaced adaptive flows feed the signal into the adaptation loop and
 // move service PREEMPTIVELY — down to a cheaper tier that still fits
 // the budget when one exists, else up past the backlog — instead of
@@ -349,6 +352,29 @@
 // rounds that traffic neither clears nor spends). A new periodic loop
 // is a Ticker; never re-arm from After by hand.
 //
+// # Tuning constants
+//
+// Config describes a deployment; how its mechanisms are tuned is fixed in
+// unexported constants beside the code that reads them, each equal to the
+// value every example, experiment and benchmark world has always run.
+// Receivers (recovery.DefaultConfig, §3.4, §6.2.1): SmallTimeout 25 ms,
+// at most 3 NACKs per loss, RTT/4 apart. DC recoverer
+// (coding.DefaultRecovererConfig, §4.4, §6.1): parity kept 2 s, helper
+// deadline 250 ms, late-parity wait 500 ms, spurious-recovery check on;
+// the cache is bounded by CacheTTL alone. Adaptation (flow.go, §3.5):
+// upgradeOnTime 0.95, downgradeOnTime 0.99, downgradeAfter 3 windows.
+// Routing (jqos.go): kAltPaths 2, routeDrain 200 ms. Link health
+// (internal/routing/monitor.go): probeTimeout 200 ms, fastProbeInterval
+// and fastProbeTimeout 25 ms, failAfter 3, recoverAfter 3, degradeLoss
+// 0.25, clearLoss 0.10, lossWindow 16, ewmaAlpha 0.3, refreshFraction
+// 0.25. Load (loadreport.go, internal/routing/congestion.go): loadWindow
+// 1 s, loadReportInterval 500 ms, congestKnee 0.6, congestMaxUtil 0.95,
+// congestHysteresis 0.25. Scheduler (internal/sched): quantum 1500 B.
+// Feedback (feedback.go, internal/feedback): signalInterval 10 ms,
+// pacerRecoverInterval 250 ms, congestionCooldown 2 s; pacers halve per
+// Hot signal down to 1/8 of the contract and regain 1/10 per step.
+// Telemetry (telemetry.go): traceCapacity 4096 events.
+//
 // # Quick start
 //
 //	cfg := jqos.DefaultConfig()
@@ -423,82 +449,40 @@ const (
 	ServiceForwarding = core.ServiceForwarding
 )
 
-// Config bundles the deployment-wide engine parameters.
+// Config says what a deployment is: coding parameters, cache lifetime,
+// control-loop cadences, link capacities, and which optional planes run.
+// How the mechanisms are tuned is not configuration — see "Tuning
+// constants" in the package documentation.
 type Config struct {
-	// Encoder configures the CR-WAN DC1 engines.
+	// Encoder configures the CR-WAN DC1 engines: the paper's k, r and s
+	// and the batch timing (§6.2.1).
 	Encoder coding.EncoderConfig
-	// Recoverer configures the CR-WAN DC2 engines.
-	Recoverer coding.RecovererConfig
 	// CacheTTL is the caching service's packet lifetime.
 	CacheTTL time.Duration
-	// CacheBytes bounds each DC cache (0 = unbounded).
-	CacheBytes uint64
-	// SmallTimeout is the receivers' in-burst loss-detection timer.
-	SmallTimeout time.Duration
-	// NACKRetry / MaxNACKs configure receiver re-NACK escalation.
-	// NACKRetry 0 means auto (a quarter of the flow's RTT); negative
-	// disables retries.
-	NACKRetry time.Duration
-	MaxNACKs  int
-	// SingleTimer disables the two-state Markov model on receivers
-	// (ablation).
-	SingleTimer bool
 	// UpgradeInterval is how often flows re-evaluate their service
 	// against the budget (0 disables adaptation entirely).
 	UpgradeInterval time.Duration
-	// UpgradeOnTime is the fraction of recent deliveries that must meet
-	// the budget; below it the flow upgrades to the next service.
-	UpgradeOnTime float64
-	// DowngradeAfter is how many consecutive over-delivering windows a
-	// flow must sustain before stepping down to a cheaper service
-	// (hysteresis; 0 disables downgrades). The requirement doubles for
-	// a flow whose downgrade had to be reversed, so flapping backs off.
-	DowngradeAfter int
-	// DowngradeOnTime is the on-time fraction a window must reach to
-	// count toward the downgrade streak. Zero defaults to 0.99; values
-	// below UpgradeOnTime are clamped up to it (a window cannot count
-	// as over-delivering while also counting as a violation).
-	DowngradeOnTime float64
-	// KAltPaths is how many alternate overlay paths the routing control
-	// plane keeps per DC pair (≥1; the first is the primary route).
-	KAltPaths int
-	// Monitor tunes the inter-DC link-health prober. ProbeInterval 0
-	// disables active probing (routes still follow explicit graph edits).
-	Monitor routing.MonitorConfig
-	// RouteDrain is the make-before-break drain window: after a route
-	// recompute changes next-hop tables, the previous table version stays
-	// resolvable for this long so in-flight packets stamped with the old
-	// epoch finish their journey on the path they started — a reroute
-	// never blackholes or reorders mid-flight traffic. Zero retires the
-	// old version immediately (the legacy in-place table swap).
-	RouteDrain time.Duration
+	// Monitor.ProbeInterval is the inter-DC link-health probe period of a
+	// healthy link. Zero disables active probing (routes still follow
+	// explicit graph edits).
+	Monitor struct{ ProbeInterval time.Duration }
 	// LinkCapacity is the default accounting capacity assumed for every
 	// inter-DC link in utilization telemetry, in bytes/second. Zero means
-	// uncapacitated: the link never reads as congested. Override per link
-	// with SetLinkCapacity.
+	// uncapacitated: the link never reads as congested, and measured
+	// utilization is not fed to routing. Override per link with
+	// Link(a, b).SetCapacity.
 	LinkCapacity int64
-	// LoadWindow is the sliding window of the per-link rate meters
-	// (0 defaults to one second).
-	LoadWindow time.Duration
-	// LoadReportInterval is how often measured link utilization feeds the
-	// routing controller's congestion-aware weights. Zero disables the
-	// feed — meters still run and Link(a, b).Load still answers, but
-	// routing ignores load.
-	LoadReportInterval time.Duration
-	// Congestion tunes utilization-driven link-weight inflation (knee,
-	// M/M/1 penalty, flap hysteresis). Zero fields take defaults.
-	Congestion routing.CongestionConfig
 	// Scheduler enables per-class weighted fair queueing (deficit round
 	// robin) at every inter-DC egress: a per-class weight map, per-queue
 	// byte caps with drop-from-tail accounting, work-conserving. The
 	// scheduler paces each link at its accounting capacity
-	// (Config.LinkCapacity / SetLinkCapacity), so interactive classes
-	// preempt bulk INSIDE a saturated link instead of only routing around
-	// it. The capacity is load-bearing: a link left uncapacitated drains
-	// inline — an unpaced pass-through with nothing to arbitrate, no
-	// different from FIFO — so set LinkCapacity (or SetLinkCapacity per
+	// (Config.LinkCapacity / Link(a, b).SetCapacity), so interactive
+	// classes preempt bulk INSIDE a saturated link instead of only routing
+	// around it. The capacity is load-bearing: a link left uncapacitated
+	// drains inline — an unpaced pass-through with nothing to arbitrate,
+	// no different from FIFO — so set LinkCapacity (or SetCapacity per
 	// link) whenever Weights is. Nil Weights (the default) disables
-	// scheduling — the legacy FIFO send path, byte-for-byte.
+	// scheduling: egress is a FIFO pass-through.
 	Scheduler SchedulerConfig
 	// Feedback enables ECN-style congestion feedback on top of the
 	// scheduler: egress queue-depth watermark transitions flow back to
@@ -507,33 +491,33 @@ type Config struct {
 	// contracts against class shares. Requires Scheduler (the signal
 	// source); ignored without it.
 	Feedback FeedbackConfig
-	// Telemetry tunes the unified observability plane: the control-loop
-	// event trace's ring capacity and the periodic snapshot publisher.
-	// The zero value means tracing on (4096 events) and periodic
-	// publishing off — Deployment.Snapshot still builds on demand.
+	// Telemetry configures the periodic snapshot publisher and the SLO
+	// engine. The zero value means both off — Deployment.Snapshot still
+	// builds on demand, and the control-loop trace is always on.
 	Telemetry TelemetryConfig
 }
 
 // DefaultConfig returns the paper's deployment defaults.
 func DefaultConfig() Config {
-	return Config{
-		Encoder:            coding.DefaultEncoderConfig(),
-		Recoverer:          coding.DefaultRecovererConfig(),
-		CacheTTL:           2 * time.Second,
-		SmallTimeout:       25 * time.Millisecond,
-		MaxNACKs:           3,
-		UpgradeInterval:    5 * time.Second,
-		UpgradeOnTime:      0.95,
-		DowngradeAfter:     3,
-		DowngradeOnTime:    0.99,
-		KAltPaths:          2,
-		Monitor:            routing.DefaultMonitorConfig(),
-		RouteDrain:         200 * time.Millisecond,
-		LoadWindow:         time.Second,
-		LoadReportInterval: 500 * time.Millisecond,
-		Congestion:         routing.DefaultCongestionConfig(),
+	cfg := Config{
+		Encoder:         coding.DefaultEncoderConfig(),
+		CacheTTL:        2 * time.Second,
+		UpgradeInterval: 5 * time.Second,
 	}
+	cfg.Monitor.ProbeInterval = 500 * time.Millisecond
+	return cfg
 }
+
+const (
+	// kAltPaths is how many overlay paths the routing control plane
+	// keeps per DC pair: the primary and one alternate.
+	kAltPaths = 2
+	// routeDrain is the make-before-break drain window: after a recompute
+	// changes next-hop tables, the previous version stays resolvable this
+	// long, so packets stamped with the old epoch finish on the path they
+	// started.
+	routeDrain = 200 * time.Millisecond
+)
 
 // Deployment is one emulated J-QoS world: a simulator, a network, a cloud
 // topology, DC nodes running the services, and host endpoints.
@@ -557,7 +541,7 @@ type Deployment struct {
 
 	// tel is the telemetry plane: metric registry, control-loop trace
 	// ring, and the published-snapshot slot (see telemetry.go). Always
-	// non-nil; individual pieces disable via Config.Telemetry.
+	// non-nil; the publisher and SLO engine run per Config.Telemetry.
 	tel *telemetryPlane
 
 	// tenants is the multi-tenant control plane: per-customer contracts
@@ -567,7 +551,7 @@ type Deployment struct {
 	tenants *tenant.Registry
 	// Tenant control loops: the cost-budget ticker (UpgradeInterval
 	// cadence; nil until a tenant declares a cost ceiling) and the
-	// aggregate-pacer additive-recovery timer (Feedback.RecoverInterval
+	// aggregate-pacer additive-recovery timer (pacerRecoverInterval
 	// cadence, re-armed while any tenant is throttled).
 	tenantCost  *netem.Ticker
 	tenantPacer *netem.Timer
@@ -611,22 +595,13 @@ func NewDeployment(seed int64) *Deployment {
 
 // NewDeploymentWithConfig creates an empty deployment.
 func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
-	if cfg.DowngradeOnTime == 0 {
-		cfg.DowngradeOnTime = 0.99
-	}
-	if cfg.DowngradeOnTime < cfg.UpgradeOnTime {
-		cfg.DowngradeOnTime = cfg.UpgradeOnTime
-	}
-	if cfg.LoadWindow <= 0 {
-		cfg.LoadWindow = time.Second
-	}
 	sim := netem.NewSimulator(seed)
 	d := &Deployment{
 		cfg:         cfg,
 		sim:         sim,
 		net:         netem.NewNetwork(sim),
 		topo:        overlay.NewTopology(),
-		ctrl:        routing.NewController(cfg.KAltPaths),
+		ctrl:        routing.NewController(kAltPaths),
 		nextNode:    1,
 		nextFlow:    1,
 		dcs:         make(map[core.NodeID]*DCNode),
@@ -639,16 +614,15 @@ func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 		tenants:     tenant.NewRegistry(),
 	}
 	d.tenantPacer = sim.NewTimer(d.tenantPacerRun)
-	d.loadReg = load.NewRegistry(cfg.LoadWindow)
+	d.loadReg = load.NewRegistry(loadWindow)
 	d.tel = newTelemetryPlane(d, cfg.Telemetry)
-	d.ctrl.SetCongestionConfig(cfg.Congestion)
-	d.mon = routing.NewMonitor(d.ctrl, cfg.Monitor)
+	d.mon = routing.NewMonitor(d.ctrl, cfg.Monitor.ProbeInterval)
 	d.topo.Oracle = d.ctrl
 	d.ctrl.OnFlowPath = d.onFlowPath
 	d.ctrl.OnRecompute = d.onRecompute
 	d.ctrl.OnEpochAdvance = d.onEpochAdvance
 	if cfg.Feedback.Enabled && cfg.Scheduler.Enabled() {
-		d.fb = newFeedbackPlane(d, cfg.Feedback)
+		d.fb = newFeedbackPlane(d)
 	}
 	d.net.Tap = func(from, to core.NodeID, size int) {
 		if _, isDC := d.dcs[from]; isDC {
@@ -659,15 +633,10 @@ func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 }
 
 // onEpochAdvance runs after a recompute that modified next-hop tables
-// opened a new table epoch: hold the previous version live for the
-// configured drain window, then retire it everywhere. With no drain
-// window the old version retires immediately (in-place swap semantics).
+// opened a new table epoch: hold the previous version live for the drain
+// window, then retire it everywhere.
 func (d *Deployment) onEpochAdvance(epoch uint64) {
-	if d.cfg.RouteDrain <= 0 {
-		d.ctrl.RetireEpoch(epoch)
-		return
-	}
-	d.sim.After(d.cfg.RouteDrain, func() { d.ctrl.RetireEpoch(epoch) })
+	d.sim.After(routeDrain, func() { d.ctrl.RetireEpoch(epoch) })
 }
 
 // Sim exposes the simulator (clock, scheduling, RNG).
@@ -683,11 +652,6 @@ func (d *Deployment) Topology() *overlay.Topology { return d.topo }
 // Routing exposes the overlay routing control plane (link graph, path
 // queries, stats).
 func (d *Deployment) Routing() *routing.Controller { return d.ctrl }
-
-// LinkHealth returns the monitor's view of the inter-DC link a↔b.
-func (d *Deployment) LinkHealth(a, b core.NodeID) (routing.Health, bool) {
-	return d.mon.Health(a, b)
-}
 
 // Now returns current virtual time.
 func (d *Deployment) Now() time.Duration { return d.sim.Now() }
@@ -739,29 +703,13 @@ func (d *Deployment) ConnectDCs(a, b core.NodeID, x time.Duration) {
 	d.linkShape[dcPairKey(a, b)] = x
 	d.ctrl.SetLink(a, b, x)
 	// First contact only: re-connecting an existing pair reshapes its
-	// latency but must not reset a SetLinkCapacity override (or the
-	// meters) back to the config default.
+	// latency but must not reset a SetCapacity override (or the meters)
+	// back to the config default.
 	if !d.loadReg.Tracked(a, b) {
 		d.loadReg.Track(a, b, d.cfg.LinkCapacity)
 	}
 	d.startProber(a, b, x)
 	d.startLoadReporter()
-}
-
-// SetLinkCapacity re-bases the accounting capacity of the inter-DC link
-// a↔b (bytes/second; 0 makes it uncapacitated — it never reads as
-// congested). Capacity is a traffic-engineering input, not an emulated
-// bottleneck: utilization is measured demand over this figure, and the
-// emulated links keep their own serialization model (netem.Link.Rate).
-// Panics when a↔b was never connected (a deployment wiring bug).
-func (d *Deployment) SetLinkCapacity(a, b core.NodeID, bytesPerSec int64) {
-	if !d.loadReg.SetCapacity(a, b, bytesPerSec) {
-		panic(fmt.Sprintf("jqos: SetLinkCapacity(%v, %v): DCs were never connected", a, b))
-	}
-	// The first capacitated link makes utilization meaningful: start (or
-	// wake) the reporter that feeds it into routing.
-	d.startLoadReporter()
-	d.wakeLoadReporter()
 }
 
 func dcPairKey(a, b core.NodeID) [2]core.NodeID {
@@ -936,14 +884,6 @@ func (d *Deployment) HostIDs() []core.NodeID {
 		}
 	}
 	return out
-}
-
-// LinkShape returns the one-way latency ConnectDCs recorded for the
-// inter-DC pair a↔b — the shape Link(a, b).Reconnect restores. ok is false for
-// pairs that were never connected.
-func (d *Deployment) LinkShape(a, b core.NodeID) (time.Duration, bool) {
-	x, ok := d.linkShape[dcPairKey(a, b)]
-	return x, ok
 }
 
 // RepinWatchCount reports how many RepinOnHeal flows are currently

@@ -146,8 +146,18 @@ func (l LinkHandle) Load() (load.LinkLoad, bool) {
 }
 
 // SetCapacity re-bases the link's accounting capacity (bytes/second;
-// 0 makes it uncapacitated — it never reads as congested). Panics when
-// the pair was never connected.
+// 0 makes it uncapacitated — it never reads as congested). Capacity is a
+// traffic-engineering input, not an emulated bottleneck: utilization is
+// measured demand over this figure, and the emulated links keep their own
+// serialization model (netem.Link.Rate). Panics when the pair was never
+// connected (a deployment wiring bug).
 func (l LinkHandle) SetCapacity(bytesPerSec int64) {
-	l.d.SetLinkCapacity(l.a, l.b, bytesPerSec)
+	d := l.d
+	if !d.loadReg.SetCapacity(l.a, l.b, bytesPerSec) {
+		panic(fmt.Sprintf("jqos: Link(%v, %v).SetCapacity: DCs were never connected", l.a, l.b))
+	}
+	// The first capacitated link makes utilization meaningful: start (or
+	// wake) the reporter that feeds it into routing.
+	d.startLoadReporter()
+	d.wakeLoadReporter()
 }

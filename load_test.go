@@ -416,15 +416,20 @@ func TestObservedLossNotMaskedByForwarding(t *testing.T) {
 	}
 }
 
-// TestLoadReporterDrainsLongWindows: with a meter window far longer than
-// the report interval, traffic stopping must still deflate the hot link
-// before the reporter parks — and the simulator must still drain.
-func TestLoadReporterDrainsLongWindows(t *testing.T) {
+// TestLoadReporterOutlastsQueueDrain: a link keeps carrying traffic after
+// the application stops — here a deep egress queue drains for seconds —
+// so the reporter's two idle rounds pass while the link is still hot. It
+// must hold itself awake until the meters read zero, deflate the link,
+// and only then park; and the simulator must still drain.
+func TestLoadReporterOutlastsQueueDrain(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 0
 	cfg.LinkCapacity = 1_000_000
-	cfg.LoadWindow = 5 * time.Second // >> 2 × report interval
+	cfg.Scheduler = jqos.SchedulerConfig{
+		Weights:    map[jqos.Service]int{jqos.ServiceForwarding: 1},
+		QueueBytes: 8 << 20,
+	}
 	d := jqos.NewDeploymentWithConfig(78, cfg)
 	dc1 := d.AddDC("dc1", dataset.RegionUSEast)
 	dc2 := d.AddDC("dc2", dataset.RegionUSWest)
@@ -444,21 +449,21 @@ func TestLoadReporterDrainsLongWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Saturate for longer than the window (so utilization actually
-	// fills the 5 s meters), then silence.
+	// Offer twice the link's capacity for 3 s: ~3 MB of backlog is left
+	// in dc1's egress queue when the sends stop.
 	for i := 0; i < 6000; i++ {
-		at := time.Duration(i) * time.Millisecond
+		at := time.Duration(i) * 500 * time.Microsecond
 		d.Sim().At(at, func() { bulk.Send(make([]byte, 1000)) })
 	}
-	d.Run(6 * time.Second)
+	// Two idle report rounds after the last send the queue is still
+	// draining at line rate, so the link is still inflated.
+	d.Run(4500 * time.Millisecond)
 	if l := d.Routing().Graph().Link(dc1, dc2); l.Congest <= 1 {
-		t.Fatalf("hot link never inflated: %+v", l)
+		t.Fatalf("link not hot while its queue drains: %+v", l)
 	}
-	// The reporter must keep running past the idle threshold until the
-	// 5 s window drains, deflate the link, and only then park.
 	d.RunUntilQuiet()
 	l := d.Routing().Graph().Link(dc1, dc2)
-	if l.Congest != 1 {
+	if l.Congest != 1 || l.Util != 0 {
 		t.Fatalf("idle link still inflated ×%v after drain (util %v)", l.Congest, l.Util)
 	}
 }

@@ -1,22 +1,33 @@
 package jqos
 
 import (
+	"time"
+
 	"jqos/internal/netem"
 	"jqos/internal/routing"
 )
 
+const (
+	// loadWindow is the sliding window of the per-link rate meters.
+	loadWindow = time.Second
+	// loadReportInterval is how often measured link utilization feeds the
+	// routing controller's congestion-aware weights.
+	loadReportInterval = 500 * time.Millisecond
+)
+
 // loadReporter periodically converts the load registry's measured link
 // utilization into the routing controller's congestion weights: every
-// Config.LoadReportInterval it walks the tracked inter-DC links (in
+// loadReportInterval it walks the tracked inter-DC links (in
 // deterministic order) and calls SetLinkUtilization, whose hysteresis
 // decides whether anything recomputes.
 //
 // The reporter is a parking ticker, so an idle event heap drains;
 // Flow.Send (via noteActivity) and the failure-injection helpers wake it.
 // It holds itself awake until every meter window has drained to zero
-// utilization — a link must deflate before the reporter sleeps, whatever
-// the LoadWindow : interval ratio, or a flow registered during the idle
-// period would resolve its path against a phantom-hot link.
+// utilization — links go on carrying queued and in-flight traffic after
+// the application's last send, and a link must deflate before the
+// reporter sleeps, or a flow registered during the idle period would
+// resolve its path against a phantom-hot link.
 type loadReporter struct {
 	d       *Deployment
 	ticker  *netem.Ticker
@@ -24,17 +35,17 @@ type loadReporter struct {
 }
 
 // startLoadReporter begins periodic utilization reporting (no-op when
-// the feed is disabled or already running). ConnectDCs and
-// SetLinkCapacity call it as soon as the deployment has a link worth
-// watching — with every link uncapacitated (the default), utilization is
-// definitionally zero and the rounds would be pure event-heap overhead,
-// so the reporter does not start at all.
+// already running). ConnectDCs and Link(a, b).SetCapacity call it as soon
+// as the deployment has a link worth watching — with every link
+// uncapacitated (the default), utilization is definitionally zero and the
+// rounds would be pure event-heap overhead, so the reporter does not
+// start at all.
 func (d *Deployment) startLoadReporter() {
-	if d.cfg.LoadReportInterval <= 0 || d.loadRep != nil || !d.loadReg.AnyCapacity() {
+	if d.loadRep != nil || !d.loadReg.AnyCapacity() {
 		return
 	}
 	r := &loadReporter{d: d}
-	r.ticker = d.sim.NewTicker(d.cfg.LoadReportInterval, &d.activity, func() bool {
+	r.ticker = d.sim.NewTicker(loadReportInterval, &d.activity, func() bool {
 		return r.report() != 0
 	})
 	d.loadRep = r

@@ -16,17 +16,19 @@ import (
 // dc1 moves its dc4 traffic to the 50 ms branch via dc3, AND dc2's own
 // best route to dc4 flips to back through dc1 — so any in-flight packet
 // re-resolved against dc2's NEW table bounces backward and arrives late
-// and out of order. The epoch overlay (Config.RouteDrain > 0) instead
-// finishes those packets on the table they departed under.
+// and out of order. The epoch overlay instead finishes those packets on
+// the table they departed under, for the 200 ms drain window. With
+// inPlace set the test retires the old epoch itself in the same instant
+// as the reweight — an in-place table swap, the hazard the drain window
+// exists to remove.
 //
 // Returns the in-order arrival count, total deliveries, and how many
 // packets dc2 resolved against the retired epoch.
-func runHealthyReroute(t *testing.T, drain time.Duration) (delivered int, inOrder bool, oldEpoch uint64) {
+func runHealthyReroute(t *testing.T, inPlace bool) (delivered int, inOrder bool, oldEpoch uint64) {
 	t.Helper()
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
-	cfg.RouteDrain = drain
 	d, dcs, src, dst := buildDiamond(t, 92, cfg)
 	f, err := d.RegisterFlow(fixedSpec(src, dst, time.Second, jqos.ServiceForwarding))
 	if err != nil {
@@ -44,7 +46,12 @@ func runHealthyReroute(t *testing.T, drain time.Duration) (delivered int, inOrde
 	// Mid-stream: report dc2—dc4 near saturation. The M/M/1 inflation
 	// prices it at ~8× latency, which moves both dc1's and dc2's tables
 	// in one recompute — while the physical link keeps delivering.
-	d.Sim().At(time.Second, func() { d.Routing().SetLinkUtilization(dcs[1], dcs[3], 0.95) })
+	d.Sim().At(time.Second, func() {
+		d.Routing().SetLinkUtilization(dcs[1], dcs[3], 0.95)
+		if inPlace {
+			d.Routing().RetireEpoch(d.Routing().CurrentEpoch())
+		}
+	})
 	d.Run(10 * time.Second)
 
 	// The reroute must actually have happened, and must have caught
@@ -56,13 +63,12 @@ func runHealthyReroute(t *testing.T, drain time.Duration) (delivered int, inOrde
 	if st.CongestionReroutes == 0 {
 		t.Fatalf("utilization report never rerouted: %+v", st)
 	}
-	if drain > 0 {
-		if st.EpochAdvances == 0 {
-			t.Fatalf("reroute advanced no table epoch: %+v", st)
-		}
-		if st.EpochRetires != st.EpochAdvances {
-			t.Fatalf("drain windows leaked: %d advances, %d retires", st.EpochAdvances, st.EpochRetires)
-		}
+	if st.EpochAdvances == 0 {
+		t.Fatalf("reroute advanced no table epoch: %+v", st)
+	}
+	// The in-place control's own retire comes on top of the scheduled one.
+	if !inPlace && st.EpochRetires != st.EpochAdvances {
+		t.Fatalf("drain windows leaked: %d advances, %d retires", st.EpochAdvances, st.EpochRetires)
 	}
 	inOrder = true
 	for i := 1; i < len(seqs); i++ {
@@ -74,13 +80,13 @@ func runHealthyReroute(t *testing.T, drain time.Duration) (delivered int, inOrde
 	return len(seqs), inOrder, d.DC(dcs[1]).Forwarder().Stats().OldEpochResolves
 }
 
-// TestMakeBeforeBreakHealthyRerouteHitless: with the drain window on
-// (the default), a mid-flow reroute on a healthy path change is hitless
-// — zero packet loss, zero reordering — and the old-epoch counter proves
-// in-flight traffic really was resolved against the retired table rather
-// than the swap landing between packets by luck.
+// TestMakeBeforeBreakHealthyRerouteHitless: with the drain window, a
+// mid-flow reroute on a healthy path change is hitless — zero packet
+// loss, zero reordering — and the old-epoch counter proves in-flight
+// traffic really was resolved against the retired table rather than the
+// swap landing between packets by luck.
 func TestMakeBeforeBreakHealthyRerouteHitless(t *testing.T) {
-	delivered, inOrder, oldEpoch := runHealthyReroute(t, jqos.DefaultConfig().RouteDrain)
+	delivered, inOrder, oldEpoch := runHealthyReroute(t, false)
 	if delivered != 1000 {
 		t.Errorf("delivered %d of 1000 — reroute lost packets", delivered)
 	}
@@ -92,15 +98,15 @@ func TestMakeBeforeBreakHealthyRerouteHitless(t *testing.T) {
 	}
 }
 
-// TestInPlaceSwapIsNotHitless is the control: RouteDrain = 0 selects the
-// legacy in-place table swap, and the very same scenario must then show
-// a hit (loss or reordering from packets re-resolved mid-path). If this
-// starts passing cleanly, the scenario stopped exercising the hazard and
-// the hitless test above is vacuous.
+// TestInPlaceSwapIsNotHitless is the control: with the old epoch retired
+// the instant the tables change, the very same scenario must show a hit
+// (loss or reordering from packets re-resolved mid-path). If this starts
+// passing cleanly, the scenario stopped exercising the hazard and the
+// hitless test above is vacuous.
 func TestInPlaceSwapIsNotHitless(t *testing.T) {
-	delivered, inOrder, oldEpoch := runHealthyReroute(t, 0)
+	delivered, inOrder, oldEpoch := runHealthyReroute(t, true)
 	if oldEpoch != 0 {
-		t.Errorf("legacy swap resolved %d packets against an old epoch", oldEpoch)
+		t.Errorf("in-place swap resolved %d packets against an old epoch", oldEpoch)
 	}
 	if delivered == 1000 && inOrder {
 		t.Error("in-place swap delivered everything in order — scenario no longer creates a hazard")

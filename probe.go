@@ -3,15 +3,19 @@ package jqos
 import (
 	"jqos/internal/core"
 	"jqos/internal/netem"
+	"jqos/internal/routing"
 	"jqos/internal/wire"
 )
 
 // prober drives the link-health monitor for one inter-DC link: it sends a
 // TypeProbe one hop over the link at the monitor's adaptive cadence
-// (Config.Monitor.ProbeInterval while healthy, FastProbeInterval while the
-// link is suspicious) and times it out if no TypeProbeAck returns.
-// Outcomes feed routing.Monitor, whose fail/degrade/recover verdicts make
-// the controller recompute and re-push routes.
+// (Config.Monitor.ProbeInterval while healthy, 25 ms while the link is
+// suspicious) and times it out if no TypeProbeAck returns. Outcomes feed
+// routing.Monitor, whose fail/degrade/recover verdicts make the
+// controller recompute and re-push routes. A healthy link's death is
+// first noticed when its next healthy-pace probe times out — up to one
+// ProbeInterval plus the 200 ms timeout floor after the fact — and only
+// then do the fast rounds deliver the remaining strikes.
 //
 // Every (re)schedule supersedes any still-pending round, so a probe
 // timeout can kick the prober onto the fast cadence immediately instead
@@ -113,15 +117,13 @@ func (p *prober) kick() {
 }
 
 // burstCredit is the idle allowance that takes a link all the way through
-// failure detection or recovery (FailAfter / RecoverAfter rounds plus
-// slack) even if no application traffic accompanies it.
-func (d *Deployment) burstCredit() int {
-	return d.cfg.Monitor.FailAfter + d.cfg.Monitor.RecoverAfter + 2
-}
+// failure detection or recovery (the monitor's strike and answer counts
+// plus slack) even if no application traffic accompanies it.
+const burstCredit = routing.DetectionRounds + 2
 
 // boost grants a prober the full detection burst, restarting it if parked.
 func (p *prober) boost() {
-	p.quiet = -p.d.burstCredit()
+	p.quiet = -burstCredit
 	p.timer.Arm(p.interval())
 }
 

@@ -123,7 +123,7 @@ func TestRerouteAcrossLinkFailure(t *testing.T) {
 	d.Run(10 * time.Second)
 
 	// The link must be observed down and routes must have moved.
-	if h, ok := d.LinkHealth(dcs[1], dcs[3]); !ok || h.State != routing.LinkDown {
+	if h, ok := d.Link(dcs[1], dcs[3]).Health(); !ok || h.State != routing.LinkDown {
 		t.Fatalf("link health = %+v %v, want down", h, ok)
 	}
 	st := d.Snapshot().Routing
@@ -209,7 +209,7 @@ func TestRerouteRecovery(t *testing.T) {
 	if st.LinkFailures == 0 || st.LinkRecoveries == 0 {
 		t.Fatalf("failure/recovery not observed: %+v", st)
 	}
-	if h, _ := d.LinkHealth(dcs[1], dcs[3]); h.State != routing.LinkUp {
+	if h, _ := d.Link(dcs[1], dcs[3]).Health(); h.State != routing.LinkUp {
 		t.Errorf("link state = %v after repair", h.State)
 	}
 	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[1] {
@@ -270,7 +270,7 @@ func TestRoutingStatsSurface(t *testing.T) {
 	if ps[0].Cost != 30*time.Millisecond || ps[1].Cost != 50*time.Millisecond {
 		t.Errorf("path costs = %v / %v", ps[0].Cost, ps[1].Cost)
 	}
-	if _, ok := d.LinkHealth(dcs[0], dcs[1]); !ok {
+	if _, ok := d.Link(dcs[0], dcs[1]).Health(); !ok {
 		t.Error("tracked link has no health")
 	}
 }

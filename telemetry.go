@@ -18,13 +18,12 @@ import (
 // and the recovery hysteresis hold.
 type SLOConfig = telemetry.SLOConfig
 
-// TelemetryConfig tunes the deployment's observability plane (see the
-// package docs' Observability section).
+// traceCapacity bounds the control-loop event ring (overwrite-oldest).
+const traceCapacity = 4096
+
+// TelemetryConfig configures the deployment's observability plane (see
+// the package docs' Observability section).
 type TelemetryConfig struct {
-	// TraceCapacity bounds the control-loop event ring in events. Zero
-	// defaults to 4096; negative disables tracing entirely (recording
-	// becomes a nil check, TraceEvents returns nil).
-	TraceCapacity int
 	// PublishInterval, when positive, builds and publishes a fresh
 	// snapshot every interval of SIMULATED time while the deployment is
 	// active (the publisher parks when traffic stops, like the probers,
@@ -61,7 +60,7 @@ var (
 type telemetryPlane struct {
 	d    *Deployment
 	reg  *telemetry.Registry
-	ring *telemetry.Ring // nil when tracing is disabled
+	ring *telemetry.Ring
 
 	latest atomic.Pointer[telemetry.Snapshot]
 
@@ -113,15 +112,9 @@ type sloFlowWatch struct {
 
 func newTelemetryPlane(d *Deployment, cfg TelemetryConfig) *telemetryPlane {
 	p := &telemetryPlane{
-		d:   d,
-		reg: telemetry.NewRegistry(),
-	}
-	if cfg.TraceCapacity >= 0 {
-		cap := cfg.TraceCapacity
-		if cap == 0 {
-			cap = 4096
-		}
-		p.ring = telemetry.NewRing(cap)
+		d:    d,
+		reg:  telemetry.NewRegistry(),
+		ring: telemetry.NewRing(traceCapacity),
 	}
 	p.latencyMs = p.reg.Histogram("jqos_delivery_latency_ms", "ms", latencyBoundsMs...)
 	p.budgetRatio = p.reg.Histogram("jqos_delivery_budget_ratio", "ratio", budgetRatioBounds...)
@@ -157,12 +150,8 @@ func newTelemetryPlane(d *Deployment, cfg TelemetryConfig) *telemetryPlane {
 // determinism contract: same seed, byte-identical trace). Allocation-free
 // (Event is a value; the ring preallocates).
 func (d *Deployment) trace(e telemetry.Event) {
-	p := d.tel
-	if p.ring == nil {
-		return
-	}
 	e.At = d.sim.Now()
-	p.ring.Record(e)
+	d.tel.ring.Record(e)
 }
 
 // noteDelivery feeds the delivery histograms (latency, latency/budget).
@@ -527,18 +516,12 @@ func (d *Deployment) LatestSnapshot() *telemetry.Snapshot {
 // TraceEvents returns a copy of the buffered control-loop event trace,
 // oldest first. Safe from any goroutine (the ring carries its own lock).
 func (d *Deployment) TraceEvents() []telemetry.Event {
-	if d.tel.ring == nil {
-		return nil
-	}
 	return d.tel.ring.Events(nil)
 }
 
 // TraceSince returns up to max buffered trace events with Seq > seq
 // (max ≤ 0 means all) — the tailing read telemetry.Serve's /trace uses.
 func (d *Deployment) TraceSince(seq uint64, max int) []telemetry.Event {
-	if d.tel.ring == nil {
-		return nil
-	}
 	return d.tel.ring.Since(nil, seq, max)
 }
 
@@ -694,9 +677,7 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 
 	p.snapshots.Inc()
 	s.Counters, s.Gauges, s.Histograms = p.reg.Collect()
-	if p.ring != nil {
-		s.Trace = p.ring.Stats()
-	}
+	s.Trace = p.ring.Stats()
 
 	p.latest.Store(s)
 	return s

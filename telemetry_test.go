@@ -230,28 +230,3 @@ func TestTraceDeterminism(t *testing.T) {
 		t.Fatal("same-seed traces differ")
 	}
 }
-
-// TestTraceDisabled: a negative TraceCapacity turns tracing off — the
-// hooks become no-ops and the read side returns nil.
-func TestTraceDisabled(t *testing.T) {
-	cfg := backpressureConfig(1_000_000, true)
-	cfg.Telemetry.TraceCapacity = -1
-	d := jqos.NewDeploymentWithConfig(71, cfg)
-	dc1 := d.AddDC("a", 0)
-	dc2 := d.AddDC("b", 1)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-	src := d.AddHost(dc1, 5*time.Millisecond)
-	dst := d.AddHost(dc2, 8*time.Millisecond)
-	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Sim().At(0, func() { f.Send(make([]byte, 500)) })
-	d.RunUntilQuiet()
-	if ev := d.TraceEvents(); ev != nil {
-		t.Fatalf("disabled trace returned %d events", len(ev))
-	}
-	if s := d.Snapshot(); s.Trace.Capacity != 0 {
-		t.Fatalf("disabled trace reports capacity %d", s.Trace.Capacity)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jqos/internal/core"
+	"jqos/internal/feedback"
 	"jqos/internal/telemetry"
 	"jqos/internal/tenant"
 )
@@ -18,11 +19,11 @@ type TenantContract = tenant.Contract
 // RegisterTenant registers a customer contract. Flows join it via
 // FlowSpec.Tenant and must register AFTER it; the contract itself is
 // immutable once registered. The aggregate pacer (one AIMD backoff per
-// congested bottleneck across the whole tenant) uses the deployment's
-// Feedback.Pacer parameters. Errors on the reserved ID 0, a duplicate
-// ID, or a negative rate/ceiling.
+// congested bottleneck across the whole tenant) uses the same AIMD
+// parameters as the per-flow pacers. Errors on the reserved ID 0, a
+// duplicate ID, or a negative rate/ceiling.
 func (d *Deployment) RegisterTenant(c TenantContract) error {
-	_, err := d.tenants.Register(c, d.cfg.Feedback.Pacer)
+	_, err := d.tenants.Register(c, feedback.PacerConfig{})
 	if err != nil {
 		return err
 	}
@@ -131,7 +132,7 @@ func (d *Deployment) tenantCostRun() {
 // and on member close.
 func (d *Deployment) armTenantPacerTick() {
 	if d.fb != nil {
-		d.tenantPacer.Arm(d.fb.cfg.RecoverInterval)
+		d.tenantPacer.Arm(pacerRecoverInterval)
 	}
 }
 

@@ -13,12 +13,11 @@ import (
 )
 
 // quietConfig turns every periodic loop off, so a table row can turn on
-// exactly one.
+// exactly one (the load reporter is off while no link has a capacity).
 func quietConfig() jqos.Config {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 0
-	cfg.LoadReportInterval = 0
 	return cfg
 }
 
@@ -35,10 +34,7 @@ func TestParkingLoopsQuiesce(t *testing.T) {
 	}{
 		{name: "flow adaptation", enable: func(c *jqos.Config) { c.UpgradeInterval = period }},
 		{name: "tenant cost", enable: func(c *jqos.Config) { c.UpgradeInterval = period }, tenant: true},
-		{name: "load reporter", enable: func(c *jqos.Config) {
-			c.LoadReportInterval = period
-			c.LinkCapacity = 1_000_000
-		}},
+		{name: "load reporter", enable: func(c *jqos.Config) { c.LinkCapacity = 1_000_000 }},
 		{name: "link prober", enable: func(c *jqos.Config) { c.Monitor.ProbeInterval = period }},
 		{name: "snapshot publisher", enable: func(c *jqos.Config) { c.Telemetry.PublishInterval = period }},
 		{name: "slo sweeper", enable: func(c *jqos.Config) {
