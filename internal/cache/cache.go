@@ -29,6 +29,47 @@ type entry struct {
 	elem    *list.Element // position in the expiry FIFO
 }
 
+// seqRing is one flow's cached seqs in insertion order. TTL expiry and
+// byte-cap eviction both take the store's oldest entry, which is its
+// flow's oldest too unless a re-Put moved it back in the expiry order — so
+// the front leaves in O(1) and the buffer is reused as the flow keeps
+// sending; only that re-Put case searches and closes a gap.
+type seqRing struct {
+	buf     []core.Seq // len is zero or a power of two
+	head, n int
+}
+
+func (r *seqRing) at(i int) *core.Seq { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *seqRing) push(q core.Seq) {
+	if r.n == len(r.buf) {
+		buf := make([]core.Seq, max(2*len(r.buf), 8))
+		for i := 0; i < r.n; i++ {
+			buf[i] = *r.at(i)
+		}
+		r.buf, r.head = buf, 0
+	}
+	*r.at(r.n) = q
+	r.n++
+}
+
+func (r *seqRing) remove(q core.Seq) {
+	if r.n > 0 && *r.at(0) == q {
+		r.head = (r.head + 1) & (len(r.buf) - 1)
+		r.n--
+		return
+	}
+	for i := 1; i < r.n; i++ {
+		if *r.at(i) == q {
+			for ; i+1 < r.n; i++ {
+				*r.at(i) = *r.at(i + 1)
+			}
+			r.n--
+			return
+		}
+	}
+}
+
 // Store is the DC-side packet cache. The zero value is not usable; call
 // NewStore. Store is not safe for concurrent use: in the simulator it runs
 // single-goroutine, and the UDP runtime serializes access per relay loop.
@@ -38,8 +79,9 @@ type Store struct {
 
 	items map[core.PacketID]*entry
 	// flows indexes cached seqs per flow in insertion order, supporting
-	// DrainFlow for the mobility rendezvous use case.
-	flows map[core.FlowID][]core.Seq
+	// DrainFlow for the mobility rendezvous use case. A flow's ring is
+	// dropped when its last packet leaves, so idle flows cost nothing.
+	flows map[core.FlowID]*seqRing
 	// fifo orders entries by expiry (constant TTL ⇒ insertion order).
 	fifo  list.List
 	bytes uint64
@@ -56,7 +98,7 @@ func NewStore(ttl core.Time, maxBytes uint64) *Store {
 		ttl:      ttl,
 		maxBytes: maxBytes,
 		items:    make(map[core.PacketID]*entry),
-		flows:    make(map[core.FlowID][]core.Seq),
+		flows:    make(map[core.FlowID]*seqRing),
 	}
 }
 
@@ -91,7 +133,12 @@ func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 		e := &entry{id: id, payload: append([]byte(nil), payload...), expires: now + s.ttl}
 		e.elem = s.fifo.PushBack(e)
 		s.items[id] = e
-		s.flows[id.Flow] = append(s.flows[id.Flow], id.Seq)
+		seqs := s.flows[id.Flow]
+		if seqs == nil {
+			seqs = &seqRing{}
+			s.flows[id.Flow] = seqs
+		}
+		seqs.push(id.Seq)
 		s.bytes += uint64(len(payload))
 	}
 	s.stats.Puts++
@@ -122,14 +169,14 @@ func (s *Store) Get(now core.Time, id core.PacketID) ([]byte, bool) {
 // receivers may drain the same flow in a multicast).
 func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []core.PacketID {
 	s.expire(now)
+	seqs := s.flows[flow]
+	if seqs == nil {
+		return nil
+	}
 	var out []core.PacketID
-	for _, seq := range s.flows[flow] {
-		if seq <= after {
-			continue
-		}
-		id := core.PacketID{Flow: flow, Seq: seq}
-		if _, ok := s.items[id]; ok {
-			out = append(out, id)
+	for i := 0; i < seqs.n; i++ {
+		if seq := *seqs.at(i); seq > after {
+			out = append(out, core.PacketID{Flow: flow, Seq: seq})
 		}
 	}
 	return out
@@ -157,16 +204,11 @@ func (s *Store) remove(e *entry) {
 	s.fifo.Remove(e.elem)
 	delete(s.items, e.id)
 	s.bytes -= uint64(len(e.payload))
-	// Compact the flow index lazily: drop the seq entry now to keep
-	// DrainFlow linear in live entries.
+	// Drop the seq from the flow index now, so DrainFlow stays linear in
+	// live entries.
 	seqs := s.flows[e.id.Flow]
-	for i, q := range seqs {
-		if q == e.id.Seq {
-			s.flows[e.id.Flow] = append(seqs[:i], seqs[i+1:]...)
-			break
-		}
-	}
-	if len(s.flows[e.id.Flow]) == 0 {
+	seqs.remove(e.id.Seq)
+	if seqs.n == 0 {
 		delete(s.flows, e.id.Flow)
 	}
 }

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -171,14 +173,174 @@ func TestTTLAccessor(t *testing.T) {
 	}
 }
 
-func BenchmarkPutGet(b *testing.B) {
-	s := NewStore(time.Second, 1<<20)
-	payload := make([]byte, 512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		now := core.Time(i) * time.Microsecond
-		pid := id(1, uint64(i))
-		s.Put(now, pid, payload)
-		s.Get(now, pid)
+// modelStore is the reference model for Store: plain slices, linear
+// everywhere, written from the documented behaviour.
+type modelStore struct {
+	ttl      core.Time
+	maxBytes int
+	fifo     []modelEntry               // expiry order
+	flows    map[core.FlowID][]core.Seq // insertion order
+	expired  uint64
+	evicted  uint64
+}
+
+type modelEntry struct {
+	id      core.PacketID
+	payload []byte
+	expires core.Time
+}
+
+func (m *modelStore) find(id core.PacketID) int {
+	for i, e := range m.fifo {
+		if e.id == id {
+			return i
+		}
 	}
+	return -1
+}
+
+func (m *modelStore) bytes() int {
+	n := 0
+	for _, e := range m.fifo {
+		n += len(e.payload)
+	}
+	return n
+}
+
+func (m *modelStore) dropFront() {
+	id := m.fifo[0].id
+	m.fifo = m.fifo[1:]
+	seqs := m.flows[id.Flow]
+	for i, q := range seqs {
+		if q == id.Seq {
+			m.flows[id.Flow] = append(seqs[:i:i], seqs[i+1:]...)
+			break
+		}
+	}
+}
+
+func (m *modelStore) expire(now core.Time) {
+	for len(m.fifo) > 0 && m.fifo[0].expires <= now {
+		m.dropFront()
+		m.expired++
+	}
+}
+
+func (m *modelStore) put(now core.Time, id core.PacketID, payload []byte) {
+	m.expire(now)
+	e := modelEntry{id, append([]byte(nil), payload...), now + m.ttl}
+	if i := m.find(id); i >= 0 {
+		m.fifo = append(m.fifo[:i:i], m.fifo[i+1:]...)
+	} else {
+		m.flows[id.Flow] = append(m.flows[id.Flow], id.Seq)
+	}
+	m.fifo = append(m.fifo, e)
+	for m.maxBytes > 0 && m.bytes() > m.maxBytes && len(m.fifo) > 0 {
+		m.dropFront()
+		m.evicted++
+	}
+}
+
+func (m *modelStore) drain(now core.Time, flow core.FlowID, after core.Seq) []core.PacketID {
+	m.expire(now)
+	var out []core.PacketID
+	for _, q := range m.flows[flow] {
+		if q > after {
+			out = append(out, core.PacketID{Flow: flow, Seq: q})
+		}
+	}
+	return out
+}
+
+// TestStoreMatchesModel is the differential oracle for the per-flow index:
+// random Put, re-Put (which reorders expiry but not the flow's index),
+// byte-cap eviction and TTL expiry, with DrainFlow and Get compared after
+// every step.
+func TestStoreMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const ttl = 40 * time.Millisecond
+	const maxBytes = 3000
+	s := NewStore(ttl, maxBytes)
+	m := &modelStore{ttl: ttl, maxBytes: maxBytes, flows: map[core.FlowID][]core.Seq{}}
+	var now core.Time
+	next := map[core.FlowID]core.Seq{}
+	for step := 0; step < 20000; step++ {
+		flow := core.FlowID(1 + rng.Intn(4))
+		switch r := rng.Intn(10); {
+		case r < 5: // a new packet
+			next[flow]++
+			p := make([]byte, 20+rng.Intn(100))
+			rng.Read(p)
+			pid := core.PacketID{Flow: flow, Seq: next[flow]}
+			s.Put(now, pid, p)
+			m.put(now, pid, p)
+		case r < 7 && next[flow] > 0: // a recent one again
+			pid := core.PacketID{Flow: flow, Seq: next[flow] - core.Seq(rng.Intn(int(min(next[flow], 30))))}
+			p := make([]byte, 20+rng.Intn(100))
+			rng.Read(p)
+			s.Put(now, pid, p)
+			m.put(now, pid, p)
+		case r < 9:
+			now += core.Time(rng.Intn(3000)) * time.Microsecond
+		default: // a quiet spell: the whole cache expires
+			if rng.Intn(20) == 0 {
+				now += ttl
+			}
+		}
+		for f := core.FlowID(1); f <= 4; f++ {
+			after := core.Seq(0)
+			if next[f] > 10 {
+				after = next[f] - core.Seq(rng.Intn(40))
+			}
+			got, want := s.DrainFlow(now, f, after), m.drain(now, f, after)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d at %v: DrainFlow(%d, %d) = %v, model %v", step, now, f, after, got, want)
+			}
+			for _, pid := range want {
+				got, ok := s.Get(now, pid)
+				if !ok || !bytes.Equal(got, m.fifo[m.find(pid)].payload) {
+					t.Fatalf("step %d: Get(%v) = %x %v", step, pid, got, ok)
+				}
+			}
+		}
+		st := s.Stats()
+		if s.Len() != len(m.fifo) || int(s.Bytes()) != m.bytes() || st.Expired != m.expired || st.Evicted != m.evicted {
+			t.Fatalf("step %d at %v: len %d bytes %d expired %d evicted %d, model %d %d %d %d",
+				step, now, s.Len(), s.Bytes(), st.Expired, st.Evicted, len(m.fifo), m.bytes(), m.expired, m.evicted)
+		}
+		if len(s.flows) != countNonEmpty(m.flows) {
+			t.Fatalf("step %d: %d flow indexes for %d flows with cached packets", step, len(s.flows), countNonEmpty(m.flows))
+		}
+	}
+	if m.expired == 0 || m.evicted == 0 {
+		t.Errorf("expired %d evicted %d: a removal path went unexercised", m.expired, m.evicted)
+	}
+}
+
+func countNonEmpty(flows map[core.FlowID][]core.Seq) int {
+	n := 0
+	for _, seqs := range flows {
+		if len(seqs) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func BenchmarkPutGet(b *testing.B) {
+	payload := make([]byte, 512)
+	run := func(b *testing.B, s *Store) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			now := core.Time(i) * time.Microsecond
+			pid := id(1, uint64(i))
+			s.Put(now, pid, payload)
+			s.Get(now, pid)
+		}
+	}
+	// The byte cap evicts: 2 048 live packets of one flow.
+	b.Run("bytecap", func(b *testing.B) { run(b, NewStore(time.Second, 1<<20)) })
+	// The TTL expires: 2 000 live packets of one flow, the oldest leaving
+	// on every Put — the steady state of a caching flow.
+	b.Run("ttl2000", func(b *testing.B) { run(b, NewStore(2000*time.Microsecond, 0)) })
 }

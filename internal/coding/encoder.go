@@ -156,6 +156,11 @@ type crossKey struct {
 // feed it data packets and timer ticks, collect wire-encoded Emits bound
 // for DC2. Not safe for concurrent use — the parallel pipeline (Figure 10)
 // shards flows across independent Encoders instead of locking one.
+//
+// The earliest open-queue deadline is kept cached (see earliest), so
+// NextDeadline is a field read and OnTimer returns at once when nothing is
+// due; the queues are rescanned only after the one holding that deadline
+// closes.
 type Encoder struct {
 	cfg  EncoderConfig
 	self core.NodeID
@@ -171,6 +176,12 @@ type Encoder struct {
 	crossKeys []crossKey
 	rrIdx     map[core.FlowID]int
 	codecs    map[[2]int]*rs.Codec
+
+	// earliest is the soonest deadline among open queues, 0 when none is
+	// open. A queue opening can only lower it; when a queue that may hold
+	// it closes, rescan is set and NextDeadline recomputes it.
+	earliest core.Time
+	rescan   bool
 
 	batchSeq uint64
 	stats    EncoderStats
@@ -203,6 +214,9 @@ func (e *Encoder) Stats() EncoderStats { return e.stats }
 // bounded timers, so nothing here grows with flow churn.
 func (e *Encoder) ForgetFlow(flow core.FlowID) {
 	if i, ok := e.inIndex(flow); ok {
+		if q := e.inQs[i]; len(q.pkts) > 0 {
+			e.closed(q.deadline)
+		}
 		e.inQs = slices.Delete(e.inQs, i, i+1)
 	}
 	delete(e.rrIdx, flow)
@@ -268,6 +282,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 		q := e.inQs[i]
 		if len(q.pkts) == 0 {
 			q.deadline = now + e.cfg.InTimeout
+			e.opened(q.deadline)
 		}
 		q.dc2 = dc2
 		q.pkts = append(q.pkts, srcPkt{ref: ref, payload: append([]byte(nil), payload...)})
@@ -301,6 +316,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 			if len(q.pkts) > 1 {
 				emits = append(emits, e.flushCross(now, dc2, q)...)
 			} else {
+				e.closed(q.deadline)
 				q.reset()
 				e.stats.Evicted++
 			}
@@ -310,6 +326,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 	if len(q.pkts) == 0 {
 		q.deadline = now + e.cfg.CrossTimeout
 		q.opened = now
+		e.opened(q.deadline)
 	}
 	q.flows[flow] = true
 	q.pkts = append(q.pkts, srcPkt{ref: ref, payload: append([]byte(nil), payload...)})
@@ -343,6 +360,7 @@ func (e *Encoder) flushIn(now core.Time, q *inQueue) []core.Emit {
 	emits := e.encodeBatch(now, q.dc2, q.pkts, wire.InStream, e.cfg.InParity)
 	e.stats.InBatches++
 	e.stats.InCoded += uint64(e.cfg.InParity)
+	e.closed(q.deadline)
 	q.pkts = q.pkts[:0]
 	q.deadline = 0
 	return emits
@@ -356,6 +374,7 @@ func (e *Encoder) flushCross(now core.Time, dc2 core.NodeID, q *crossQueue) []co
 	emits := e.encodeBatch(now, dc2, q.pkts, wire.CrossStream, e.cfg.CrossParity)
 	e.stats.CrossBatches++
 	e.stats.CrossCoded += uint64(e.cfg.CrossParity)
+	e.closed(q.deadline)
 	q.reset()
 	return emits
 }
@@ -409,36 +428,49 @@ func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kin
 	return emits
 }
 
+// opened notes that a queue just opened with deadline d.
+func (e *Encoder) opened(d core.Time) {
+	if e.earliest == 0 || d < e.earliest {
+		e.earliest = d
+	}
+}
+
+// closed notes that an open queue with deadline d flushed, reset or was
+// forgotten.
+func (e *Encoder) closed(d core.Time) {
+	if d == e.earliest {
+		e.rescan = true
+	}
+}
+
 // NextDeadline reports the earliest queue timeout, if any queue is open.
 func (e *Encoder) NextDeadline() (core.Time, bool) {
-	var min core.Time
-	found := false
-	consider := func(d core.Time) {
-		if d == 0 {
-			return
-		}
-		if !found || d < min {
-			min, found = d, true
-		}
-	}
-	for _, q := range e.inQs {
-		if len(q.pkts) > 0 {
-			consider(q.deadline)
-		}
-	}
-	for _, set := range e.cross {
-		for _, q := range set.qs {
+	if e.rescan {
+		e.rescan = false
+		e.earliest = 0
+		for _, q := range e.inQs {
 			if len(q.pkts) > 0 {
-				consider(q.deadline)
+				e.opened(q.deadline)
+			}
+		}
+		for _, set := range e.cross {
+			for _, q := range set.qs {
+				if len(q.pkts) > 0 {
+					e.opened(q.deadline)
+				}
 			}
 		}
 	}
-	return min, found
+	return e.earliest, e.earliest != 0
 }
 
 // OnTimer flushes every queue whose deadline has passed ("On expiry of a
-// queue timer, DC1 encodes all packets in the queue and sends them").
+// queue timer, DC1 encodes all packets in the queue and sends them"), in
+// ascending flow order and then crossKeys order.
 func (e *Encoder) OnTimer(now core.Time) []core.Emit {
+	if d, ok := e.NextDeadline(); !ok || d > now {
+		return nil
+	}
 	var emits []core.Emit
 	for _, q := range e.inQs {
 		if len(q.pkts) > 0 && q.deadline <= now {

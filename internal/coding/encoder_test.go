@@ -3,6 +3,7 @@ package coding
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -474,5 +475,77 @@ func TestPayloadCopied(t *testing.T) {
 	got, _ := rs.Unpack(shards[0])
 	if string(got) != "mutable payload" {
 		t.Errorf("encoder aliased caller buffer: %q", got)
+	}
+}
+
+// scanEncoderDeadline is the reference model for Encoder.NextDeadline:
+// the scan over every queue the cached deadline replaced.
+func scanEncoderDeadline(e *Encoder) (core.Time, bool) {
+	var min core.Time
+	found := false
+	consider := func(n int, d core.Time) {
+		if n > 0 && (!found || d < min) {
+			min, found = d, true
+		}
+	}
+	for _, q := range e.inQs {
+		consider(len(q.pkts), q.deadline)
+	}
+	for _, set := range e.cross {
+		for _, q := range set.qs {
+			consider(len(q.pkts), q.deadline)
+		}
+	}
+	return min, found
+}
+
+// TestCachedDeadlineMatchesScan is the differential oracle for the
+// encoder's cached deadline: random data, timers at and between deadlines,
+// flushes and flow teardown, the scan checked after every step.
+func TestCachedDeadlineMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cfg := testConfig()
+	cfg.K = 5
+	cfg.InBlock = 4
+	cfg.CrossQueues = 3
+	e := mustEncoder(t, cfg)
+	var now core.Time
+	seq := map[core.FlowID]core.Seq{}
+	check := func(step int, op string) {
+		t.Helper()
+		want, wantOK := scanEncoderDeadline(e)
+		if got, ok := e.NextDeadline(); got != want || ok != wantOK {
+			t.Fatalf("step %d after %s at %v: NextDeadline = %v %v, scan says %v %v", step, op, now, got, ok, want, wantOK)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 70:
+			flow := core.FlowID(1 + rng.Intn(12))
+			seq[flow]++
+			dc := core.NodeID(2 + rng.Intn(2))
+			e.OnDataPolicy(now, dc, 100+core.NodeID(flow), flow, seq[flow], uint32(rng.Intn(2)), payloadFor(int(flow), int(seq[flow])))
+			check(step, "OnDataPolicy")
+		case r < 80:
+			now += core.Time(rng.Intn(20)) * time.Millisecond
+		case r < 90:
+			if d, ok := e.NextDeadline(); ok && d > now && rng.Intn(2) == 0 {
+				now = d
+			}
+			emits := e.OnTimer(now)
+			if d, ok := scanEncoderDeadline(e); ok && d <= now {
+				t.Fatalf("step %d: OnTimer(%v) returned %d emits and left a queue due at %v", step, now, len(emits), d)
+			}
+			check(step, "OnTimer")
+		case r < 97:
+			e.ForgetFlow(core.FlowID(1 + rng.Intn(12)))
+			check(step, "ForgetFlow")
+		default:
+			e.Flush(now)
+			check(step, "Flush")
+		}
+	}
+	if st := e.Stats(); st.TimerFlushes == 0 || st.Evicted == 0 || st.CrossBatches == 0 || st.InBatches == 0 {
+		t.Errorf("a path went unexercised: %+v", st)
 	}
 }

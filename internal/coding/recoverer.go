@@ -54,10 +54,13 @@ type RecovererStats struct {
 
 // batchState is one coded batch cached at DC2.
 type batchState struct {
-	meta     wire.Coded // Sources/K/R/Kind (Index varies per shard)
-	parity   map[int][]byte
+	meta wire.Coded // Sources/K/R/Kind (Index varies per shard)
+	// parity holds the batch's R shards by shard index (nil = not
+	// received), so they are forwarded and decoded in index order.
+	parity   [][]byte
+	held     int // non-nil parity shards
 	shardLen int
-	expires  core.Time
+	expires  core.Time // 0 once the batch is dropped
 }
 
 type recoveryKey struct {
@@ -70,21 +73,27 @@ type recoveryState struct {
 	key       recoveryKey
 	requester core.NodeID
 	data      map[int][]byte // batch position -> packed data shard
-	deadline  core.Time
-	helpers   int // requests sent
-	done      bool
+	deadline  core.Time      // 0 once the recovery is finished
+	helpers   int            // requests sent
 }
 
 type pendingNACK struct {
 	id         core.PacketID
 	requester  core.NodeID
-	expires    core.Time
+	expires    core.Time // 0 once the NACK is unparked
 	wantVerify bool
 	probed     bool
 }
 
 // Recoverer is the DC2-side CR-WAN engine: caches parity, answers NACKs,
 // and runs cooperative recovery. Sans-IO like the Encoder.
+//
+// Every lifetime it keeps is "now + a configured constant" (BatchTTL,
+// RecoveryDeadline, PendingTTL), so each kind of state is indexed by an
+// expiryQueue: NextDeadline compares three queue heads and OnTimer pops
+// only what is due, whatever the number of live batches. The now passed to
+// the On* methods must never decrease (both hosts feed a monotonic clock);
+// see expiryQueue for what a step back costs.
 type Recoverer struct {
 	cfg  RecovererConfig
 	self core.NodeID
@@ -103,6 +112,14 @@ type Recoverer struct {
 	recent map[core.PacketID]core.Time
 	codecs map[[2]int]*rs.Codec
 	stats  RecovererStats
+
+	// One expiry index per map above; an entry is live while its item
+	// still carries the entry's time (a refresh moves it, removal zeroes
+	// it).
+	batchQ    expiryQueue[*batchState]
+	recoveryQ expiryQueue[*recoveryState]
+	pendingQ  expiryQueue[*pendingNACK]
+	recentQ   expiryQueue[core.PacketID]
 }
 
 // NewRecoverer builds the DC2 engine.
@@ -110,7 +127,7 @@ func NewRecoverer(self core.NodeID, cfg RecovererConfig) *Recoverer {
 	if cfg.BatchTTL <= 0 || cfg.RecoveryDeadline <= 0 || cfg.PendingTTL <= 0 {
 		panic("coding: recoverer TTLs must be positive")
 	}
-	return &Recoverer{
+	r := &Recoverer{
 		cfg:        cfg,
 		self:       self,
 		batches:    make(map[uint64]*batchState),
@@ -121,6 +138,11 @@ func NewRecoverer(self core.NodeID, cfg RecovererConfig) *Recoverer {
 		recent:     make(map[core.PacketID]core.Time),
 		codecs:     make(map[[2]int]*rs.Codec),
 	}
+	r.batchQ.live = func(at core.Time, b *batchState) bool { return b.expires == at }
+	r.recoveryQ.live = func(at core.Time, rec *recoveryState) bool { return rec.deadline == at }
+	r.pendingQ.live = func(at core.Time, p *pendingNACK) bool { return p.expires == at }
+	r.recentQ.live = func(at core.Time, id core.PacketID) bool { return r.recent[id] == at }
+	return r
 }
 
 // Stats returns a copy of the counters.
@@ -129,6 +151,8 @@ func (r *Recoverer) Stats() RecovererStats { return r.stats }
 // Batches returns the number of cached batches (for tests/metrics).
 func (r *Recoverer) Batches() int { return len(r.batches) }
 
+// codec returns (building if needed) the RS codec for (k, m), or nil when
+// no such code exists — the shape came off the wire, so it can be forged.
 func (r *Recoverer) codec(k, m int) *rs.Codec {
 	key := [2]int{k, m}
 	if c, ok := r.codecs[key]; ok {
@@ -136,7 +160,7 @@ func (r *Recoverer) codec(k, m int) *rs.Codec {
 	}
 	c, err := rs.NewCodec(k, m)
 	if err != nil {
-		panic("coding: " + err.Error())
+		return nil
 	}
 	r.codecs[key] = c
 	return c
@@ -146,11 +170,14 @@ func (r *Recoverer) codec(k, m int) *rs.Codec {
 // the new batch, recovery starts immediately ("delay in arrival of coded
 // packets at DC2" is one of the paper's tail causes — parking hides it).
 func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, shard []byte) []core.Emit {
+	if meta.Index >= meta.R || len(meta.Sources) != int(meta.K) {
+		return nil // names a shard or a position its own batch does not have
+	}
 	b := r.batches[meta.Batch]
 	if b == nil {
 		b = &batchState{
 			meta:     *meta,
-			parity:   make(map[int][]byte),
+			parity:   make([][]byte, meta.R),
 			shardLen: len(shard),
 		}
 		b.meta.Sources = append([]wire.SourceRef(nil), meta.Sources...)
@@ -159,10 +186,16 @@ func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, s
 			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
 			r.byPacket[id] = append(r.byPacket[id], meta.Batch)
 		}
+	} else if int(meta.Index) >= len(b.parity) {
+		return nil // disagrees with the batch's first shard about R
 	}
-	b.expires = now + r.cfg.BatchTTL
-	if _, dup := b.parity[int(meta.Index)]; !dup {
-		b.parity[int(meta.Index)] = append([]byte(nil), shard...)
+	if expires := now + r.cfg.BatchTTL; b.expires != expires {
+		b.expires = expires
+		r.batchQ.push(expires, b, len(r.batches))
+	}
+	if b.parity[meta.Index] == nil {
+		b.parity[meta.Index] = append([]byte{}, shard...)
+		b.held++
 		r.stats.CodedStored++
 	}
 	// Wake any parked NACKs this batch can serve. Hard-evidence NACKs
@@ -184,7 +217,7 @@ func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, s
 				}
 				continue
 			}
-			delete(r.pending, id)
+			r.unpark(p)
 			r.stats.PendingMatched++
 			emits = append(emits, r.recover(now, id, p.requester, 0)...)
 		}
@@ -229,12 +262,20 @@ func (r *Recoverer) recover(now core.Time, id core.PacketID, from core.NodeID, f
 	// before undertaking the recovery" (§3.4) — so recoveries that a
 	// direct arrival has since made moot are never pushed.
 	if _, parked := r.pending[id]; !parked {
-		r.pending[id] = &pendingNACK{
+		p := &pendingNACK{
 			id: id, requester: from, expires: now + r.cfg.PendingTTL,
 			wantVerify: r.cfg.VerifyFirst && flags&wire.FlagWantVerify != 0,
 		}
+		r.pending[id] = p
+		r.pendingQ.push(p.expires, p, len(r.pending))
 	}
 	return nil
+}
+
+// unpark takes a parked NACK out of the waiting set.
+func (r *Recoverer) unpark(p *pendingNACK) {
+	delete(r.pending, p.id)
+	p.expires = 0
 }
 
 // coveringBatches finds the freshest in-stream and cross-stream batches
@@ -242,7 +283,7 @@ func (r *Recoverer) recover(now core.Time, id core.PacketID, from core.NodeID, f
 func (r *Recoverer) coveringBatches(id core.PacketID) (in, cross *batchState) {
 	for _, bid := range r.byPacket[id] {
 		b := r.batches[bid]
-		if b == nil || len(b.parity) == 0 {
+		if b == nil || b.held == 0 {
 			continue
 		}
 		if b.meta.Kind == wire.InStream {
@@ -255,10 +296,14 @@ func (r *Recoverer) coveringBatches(id core.PacketID) (in, cross *batchState) {
 }
 
 // sendParity forwards a batch's parity shards to the receiver for local
-// decode (in-stream recovery: latency y + 2δ, no helpers involved).
+// decode (in-stream recovery: latency y + 2δ, no helpers involved), in
+// shard-index order.
 func (r *Recoverer) sendParity(now core.Time, b *batchState, to core.NodeID) []core.Emit {
-	emits := make([]core.Emit, 0, len(b.parity))
+	emits := make([]core.Emit, 0, b.held)
 	for idx, shard := range b.parity {
+		if shard == nil {
+			continue
+		}
 		meta := b.meta
 		meta.Index = uint8(idx)
 		meta.ShardLen = uint16(len(shard))
@@ -276,7 +321,7 @@ func (r *Recoverer) sendParity(now core.Time, b *batchState, to core.NodeID) []c
 // receiver in the batch for its data packet.
 func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, from core.NodeID) []core.Emit {
 	key := recoveryKey{batch: b.meta.Batch, want: id}
-	if rec := r.recoveries[key]; rec != nil && !rec.done {
+	if r.recoveries[key] != nil {
 		return nil // already in flight
 	}
 	rec := &recoveryState{
@@ -286,6 +331,7 @@ func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, fr
 		deadline:  now + r.cfg.RecoveryDeadline,
 	}
 	r.recoveries[key] = rec
+	r.recoveryQ.push(rec.deadline, rec, len(r.recoveries))
 	r.stats.CoopStarted++
 	var emits []core.Emit
 	for _, src := range b.meta.Sources {
@@ -317,7 +363,7 @@ func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, fr
 func (r *Recoverer) OnCoopResp(now core.Time, hdr *wire.Header, ref *wire.CoopRef, payload []byte) []core.Emit {
 	key := recoveryKey{batch: ref.Batch, want: ref.Want}
 	rec := r.recoveries[key]
-	if rec == nil || rec.done {
+	if rec == nil {
 		return nil
 	}
 	b := r.batches[ref.Batch]
@@ -354,23 +400,22 @@ func (b *batchState) sourcePos(id core.PacketID) int {
 // data+parity ≥ k.
 func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
 	b := r.batches[rec.key.batch]
-	if b == nil || rec.done {
+	if b == nil {
 		return nil
 	}
 	k := int(b.meta.K)
-	if len(rec.data)+len(b.parity) < k {
+	if len(rec.data)+b.held < k {
 		return nil
 	}
-	shards := make([][]byte, k+int(b.meta.R))
+	codec := r.codec(k, len(b.parity))
+	if codec == nil {
+		return nil
+	}
+	shards := make([][]byte, k+len(b.parity))
 	for pos, d := range rec.data {
 		shards[pos] = d
 	}
-	for idx, p := range b.parity {
-		if k+idx < len(shards) {
-			shards[k+idx] = p
-		}
-	}
-	codec := r.codec(k, int(b.meta.R))
+	copy(shards[k:], b.parity)
 	if err := codec.Reconstruct(shards); err != nil {
 		return nil // not enough yet (or inconsistent sizes); wait for more
 	}
@@ -382,8 +427,12 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
 	if err != nil {
 		return nil
 	}
-	rec.done = true
-	r.recent[rec.key.want] = now + r.cfg.RecoveryDeadline
+	rec.deadline = 0
+	delete(r.recoveries, rec.key)
+	if until := now + r.cfg.RecoveryDeadline; r.recent[rec.key.want] != until {
+		r.recent[rec.key.want] = until
+		r.recentQ.push(until, rec.key.want, len(r.recent))
+	}
 	r.stats.CoopRecovered++
 	if len(rec.data) < rec.helpers {
 		r.stats.StragglersSaved++
@@ -401,7 +450,9 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
 func (r *Recoverer) OnVerifyResp(now core.Time, hdr *wire.Header) []core.Emit {
 	id := hdr.ID()
 	p, ok := r.pending[id]
-	delete(r.pending, id)
+	if ok {
+		r.unpark(p)
+	}
 	if hdr.Flags&wire.FlagStillWanted == 0 {
 		delete(r.attempts, id)
 		return nil
@@ -413,64 +464,53 @@ func (r *Recoverer) OnVerifyResp(now core.Time, hdr *wire.Header) []core.Emit {
 	return r.recover(now, id, p.requester, 0)
 }
 
-// NextDeadline reports the earliest engine timeout.
+// NextDeadline reports the earliest engine timeout: the sooner of the
+// oldest batch's expiry, the oldest recovery's deadline and the oldest
+// parked NACK's.
 func (r *Recoverer) NextDeadline() (core.Time, bool) {
-	var min core.Time
-	found := false
-	consider := func(d core.Time) {
-		if !found || d < min {
-			min, found = d, true
-		}
+	min, found := r.batchQ.next()
+	if d, ok := r.recoveryQ.next(); ok && (!found || d < min) {
+		min, found = d, true
 	}
-	for _, b := range r.batches {
-		consider(b.expires)
-	}
-	for _, rec := range r.recoveries {
-		if !rec.done {
-			consider(rec.deadline)
-		}
-	}
-	for _, p := range r.pending {
-		consider(p.expires)
+	if d, ok := r.pendingQ.next(); ok && (!found || d < min) {
+		min, found = d, true
 	}
 	return min, found
 }
 
 // OnTimer expires batches, fails silent recoveries past deadline, and
-// drops stale parked NACKs.
+// drops stale parked NACKs. It emits nothing.
 func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
-	for bid, b := range r.batches {
-		if b.expires <= now {
-			for _, src := range b.meta.Sources {
-				id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
-				r.byPacket[id] = removeBatch(r.byPacket[id], bid)
-				if len(r.byPacket[id]) == 0 {
-					delete(r.byPacket, id)
-					delete(r.attempts, id)
-				}
+	for b, ok := r.batchQ.popDue(now); ok; b, ok = r.batchQ.popDue(now) {
+		bid := b.meta.Batch
+		for _, src := range b.meta.Sources {
+			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
+			r.byPacket[id] = removeBatch(r.byPacket[id], bid)
+			if len(r.byPacket[id]) == 0 {
+				delete(r.byPacket, id)
+				delete(r.attempts, id)
 			}
-			delete(r.batches, bid)
+		}
+		delete(r.batches, bid)
+		b.expires = 0
+	}
+	for rec, ok := r.recoveryQ.popDue(now); ok; rec, ok = r.recoveryQ.popDue(now) {
+		r.stats.CoopFailed++
+		delete(r.recoveries, rec.key)
+		rec.deadline = 0
+	}
+	for p, ok := r.pendingQ.popDue(now); ok; p, ok = r.pendingQ.popDue(now) {
+		r.unpark(p)
+		r.stats.PendingExpired++
+		r.stats.Unrecoverable++
+		// The escalation count of a packet no batch covers has nothing
+		// else to clear it.
+		if len(r.byPacket[p.id]) == 0 {
+			delete(r.attempts, p.id)
 		}
 	}
-	for key, rec := range r.recoveries {
-		if rec.done || rec.deadline <= now {
-			if !rec.done {
-				r.stats.CoopFailed++
-			}
-			delete(r.recoveries, key)
-		}
-	}
-	for id, p := range r.pending {
-		if p.expires <= now {
-			delete(r.pending, id)
-			r.stats.PendingExpired++
-			r.stats.Unrecoverable++
-		}
-	}
-	for id, until := range r.recent {
-		if until <= now {
-			delete(r.recent, id)
-		}
+	for id, ok := r.recentQ.popDue(now); ok; id, ok = r.recentQ.popDue(now) {
+		delete(r.recent, id)
 	}
 	return nil
 }

@@ -1,0 +1,363 @@
+package coding
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"jqos/internal/core"
+	"jqos/internal/rs"
+	"jqos/internal/wire"
+)
+
+// scanNextDeadline is the reference model for Recoverer.NextDeadline: the
+// full scan of live state the expiry queues replaced.
+func scanNextDeadline(r *Recoverer) (core.Time, bool) {
+	var min core.Time
+	found := false
+	consider := func(d core.Time) {
+		if !found || d < min {
+			min, found = d, true
+		}
+	}
+	for _, b := range r.batches {
+		consider(b.expires)
+	}
+	for _, rec := range r.recoveries {
+		consider(rec.deadline)
+	}
+	for _, p := range r.pending {
+		consider(p.expires)
+	}
+	return min, found
+}
+
+// scanOnTimer is the reference model for Recoverer.OnTimer: range every
+// map, drop what is due. It never touches the expiry queues.
+func scanOnTimer(r *Recoverer, now core.Time) {
+	for bid, b := range r.batches {
+		if b.expires <= now {
+			for _, src := range b.meta.Sources {
+				id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
+				r.byPacket[id] = removeBatch(r.byPacket[id], bid)
+				if len(r.byPacket[id]) == 0 {
+					delete(r.byPacket, id)
+					delete(r.attempts, id)
+				}
+			}
+			delete(r.batches, bid)
+		}
+	}
+	for key, rec := range r.recoveries {
+		if rec.deadline <= now {
+			r.stats.CoopFailed++
+			delete(r.recoveries, key)
+		}
+	}
+	for id, p := range r.pending {
+		if p.expires <= now {
+			delete(r.pending, id)
+			r.stats.PendingExpired++
+			r.stats.Unrecoverable++
+			if len(r.byPacket[id]) == 0 {
+				delete(r.attempts, id)
+			}
+		}
+	}
+	for id, until := range r.recent {
+		if until <= now {
+			delete(r.recent, id)
+		}
+	}
+}
+
+// recovererProgram drives a Recoverer and the scan model side by side
+// through the operations a byte string spells out, on a non-decreasing
+// clock, and fails on the first difference. It is both the differential
+// test's and the fuzzer's body.
+//
+// The world is small so that operations collide: batches 0–31 over
+// packets of flows 1–4 (flow 5 is never covered), parity computed for
+// real so cooperative recoveries decode. Each op is an opcode byte and
+// its operand bytes; a program that runs out of bytes stops.
+type recovererProgram struct {
+	t        testing.TB
+	sub, ref *Recoverer
+	now      core.Time
+	prog     []byte
+	steps    int
+	// peak is the most items each of the subject's four maps ever held,
+	// the bound its queues are checked against.
+	peak [4]int
+}
+
+func (p *recovererProgram) next() (byte, bool) {
+	if len(p.prog) == 0 {
+		return 0, false
+	}
+	b := p.prog[0]
+	p.prog = p.prog[1:]
+	return b, true
+}
+
+func progPayload(id core.PacketID) []byte {
+	return []byte(fmt.Sprintf("flow %d seq %d %s", id.Flow, id.Seq, "padpadpad"[:id.Seq%9]))
+}
+
+// progBatch is batch b's shape and sources, a pure function of b.
+func progBatch(b byte) wire.Coded {
+	meta := wire.Coded{Batch: uint64(b), K: 1 + b%4, R: 1 + (b/4)%3, Kind: wire.CrossStream}
+	if b < 16 {
+		meta.Kind = wire.InStream
+	}
+	for i := 0; i < int(meta.K); i++ {
+		src := wire.SourceRef{Flow: core.FlowID(1 + i), Seq: core.Seq(1 + b%16)}
+		if meta.Kind == wire.InStream {
+			src = wire.SourceRef{Flow: core.FlowID(1 + b%4), Seq: core.Seq(int(b/4%4)*4 + i + 1)}
+		}
+		src.Receiver = core.NodeID(100) + core.NodeID(src.Flow)
+		meta.Sources = append(meta.Sources, src)
+	}
+	return meta
+}
+
+// progParity encodes batch b's real parity shards.
+func progParity(meta *wire.Coded) [][]byte {
+	payloads := make([][]byte, len(meta.Sources))
+	for i, src := range meta.Sources {
+		payloads[i] = progPayload(core.PacketID{Flow: src.Flow, Seq: src.Seq})
+	}
+	shards, shardLen, err := rs.PackBatch(payloads)
+	if err != nil {
+		panic(err)
+	}
+	codec, err := rs.NewCodec(int(meta.K), int(meta.R))
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < int(meta.R); i++ {
+		shards = append(shards, make([]byte, shardLen))
+	}
+	if err := codec.Encode(shards); err != nil {
+		panic(err)
+	}
+	return shards[meta.K:]
+}
+
+// oldestRecovery picks the in-flight recovery with the earliest deadline
+// (ties by key), so programs can aim helper responses at live state.
+func oldestRecovery(r *Recoverer) (key recoveryKey, ok bool) {
+	var at core.Time
+	for k, rec := range r.recoveries {
+		older := rec.deadline < at || rec.deadline == at &&
+			(k.batch < key.batch || k.batch == key.batch && k.want.Seq < key.want.Seq)
+		if !ok || older {
+			key, at, ok = k, rec.deadline, true
+		}
+	}
+	return key, ok
+}
+
+func progID(a, b byte) core.PacketID {
+	return core.PacketID{Flow: core.FlowID(1 + a%5), Seq: core.Seq(1 + b%17)}
+}
+
+// step runs one operation on both engines; false means the program ended.
+func (p *recovererProgram) step() bool {
+	op, ok := p.next()
+	if !ok {
+		return false
+	}
+	arg := func() byte { b, _ := p.next(); return b }
+	var got, want []core.Emit
+	switch op % 8 {
+	case 0: // the clock moves, by up to 63 ms or up to 630 ms
+		d := core.Time(arg()%64) * time.Millisecond
+		if op&8 != 0 {
+			d *= 10
+		}
+		p.now += d
+	case 1, 2: // parity arrives: a new batch, a refresh, a duplicate index
+		meta := progBatch(arg() % 32)
+		parity := progParity(&meta)
+		meta.Index = arg() % 4 // may name a shard past R
+		shard := []byte{1, 2, 3}
+		if int(meta.Index) < len(parity) {
+			shard = parity[meta.Index]
+		}
+		meta.ShardLen = uint16(len(shard))
+		switch hostile := arg(); {
+		case hostile >= 250: // a shape no codec has
+			meta.R = 255
+		case hostile >= 245: // more sources than K
+			meta.Sources = append(meta.Sources, wire.SourceRef{Flow: 9, Seq: 9, Receiver: 109})
+		case hostile >= 240: // fewer
+			meta.K++
+		}
+		hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+		got = p.sub.OnCoded(p.now, &hdr, &meta, shard)
+		want = p.ref.OnCoded(p.now, &hdr, &meta, shard)
+	case 3, 4: // a receiver reports a loss: covered, uncovered, speculative
+		id := progID(arg(), arg())
+		if op%8 == 4 { // a packet of some batch, live or not
+			src := progBatch(byte(id.Flow) * byte(id.Seq) % 32).Sources[0]
+			id = core.PacketID{Flow: src.Flow, Seq: src.Seq}
+		}
+		var flags uint16
+		if op&8 != 0 {
+			flags = wire.FlagWantVerify
+		}
+		from := core.NodeID(100) + core.NodeID(id.Flow)
+		got = p.sub.OnNACK(p.now, from, id, flags)
+		want = p.ref.OnNACK(p.now, from, id, flags)
+	case 5: // a helper answers (or someone pretends to)
+		meta := progBatch(arg() % 32)
+		helper := meta.Sources[int(arg())%len(meta.Sources)]
+		wanted := meta.Sources[int(arg())%len(meta.Sources)]
+		ref := wire.CoopRef{Batch: meta.Batch, Want: core.PacketID{Flow: wanted.Flow, Seq: wanted.Seq}}
+		if op&8 != 0 { // … to the oldest recovery in flight, when there is one
+			if rec, ok := oldestRecovery(p.ref); ok {
+				meta = progBatch(byte(rec.batch))
+				helper = meta.Sources[int(arg())%len(meta.Sources)]
+				ref = wire.CoopRef{Batch: rec.batch, Want: rec.want}
+			}
+		}
+		hdr := wire.Header{
+			Type: wire.TypeCoopResp, Service: core.ServiceCoding,
+			Flow: helper.Flow, Seq: helper.Seq, TS: p.now, Src: helper.Receiver, Dst: dc2,
+		}
+		payload := progPayload(hdr.ID())
+		got = p.sub.OnCoopResp(p.now, &hdr, &ref, payload)
+		want = p.ref.OnCoopResp(p.now, &hdr, &ref, payload)
+	case 6: // a verify probe is answered
+		id := progID(arg(), arg())
+		hdr := wire.Header{Type: wire.TypeVerifyResp, Service: core.ServiceCoding, Flow: id.Flow, Seq: id.Seq}
+		if op&8 != 0 {
+			hdr.Flags = wire.FlagStillWanted
+		}
+		got = p.sub.OnVerifyResp(p.now, &hdr)
+		want = p.ref.OnVerifyResp(p.now, &hdr)
+	case 7: // the host's timer fires at the reported deadline
+		if d, ok := p.sub.NextDeadline(); ok && d > p.now {
+			p.now = d
+		}
+		got = p.sub.OnTimer(p.now)
+		scanOnTimer(p.ref, p.now)
+	}
+	p.steps++
+	p.compare(op, got, want)
+	return true
+}
+
+func (p *recovererProgram) compare(op byte, got, want []core.Emit) {
+	t, sub, ref := p.t, p.sub, p.ref
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d op %d at %v: emits differ\n got %v\nwant %v", p.steps, op, p.now, got, want)
+	}
+	wantD, wantOK := scanNextDeadline(ref)
+	if d, ok := scanNextDeadline(sub); d != wantD || ok != wantOK {
+		t.Fatalf("step %d op %d at %v: subject's state says deadline %v %v, model's %v %v", p.steps, op, p.now, d, ok, wantD, wantOK)
+	}
+	if d, ok := sub.NextDeadline(); d != wantD || ok != wantOK {
+		t.Fatalf("step %d op %d at %v: NextDeadline = %v %v, scan says %v %v", p.steps, op, p.now, d, ok, wantD, wantOK)
+	}
+	if sub.Stats() != ref.Stats() {
+		t.Fatalf("step %d op %d at %v: stats\n got %+v\nwant %+v", p.steps, op, p.now, sub.Stats(), ref.Stats())
+	}
+	sizes := func(r *Recoverer) [6]int {
+		return [6]int{r.Batches(), len(r.recoveries), len(r.pending), len(r.recent), len(r.byPacket), len(r.attempts)}
+	}
+	if sizes(sub) != sizes(ref) {
+		t.Fatalf("step %d op %d at %v: batches/recoveries/pending/recent/byPacket/attempts = %v, model %v", p.steps, op, p.now, sizes(sub), sizes(ref))
+	}
+	// No unbounded growth: stale entries never outnumber what a queue's
+	// map has held by more than two to one.
+	queued := [4]int{sub.batchQ.n, sub.recoveryQ.n, sub.pendingQ.n, sub.recentQ.n}
+	live := sizes(sub)
+	for i := range queued {
+		p.peak[i] = max(p.peak[i], live[i])
+		if queued[i] > 2*p.peak[i]+compactSlack+1 {
+			t.Fatalf("step %d op %d at %v: queue %d holds %d entries for at most %d items", p.steps, op, p.now, i, queued[i], p.peak[i])
+		}
+	}
+}
+
+// finish lets every lifetime run out and requires that nothing is left.
+func (p *recovererProgram) finish() {
+	p.t.Helper()
+	p.now += time.Hour
+	p.sub.OnTimer(p.now)
+	scanOnTimer(p.ref, p.now)
+	p.compare(255, nil, nil)
+	r := p.sub
+	left := []int{
+		len(r.batches), len(r.byPacket), len(r.recoveries), len(r.pending), len(r.attempts), len(r.recent),
+		r.batchQ.n, r.recoveryQ.n, r.pendingQ.n, r.recentQ.n,
+	}
+	for _, n := range left {
+		if n != 0 {
+			p.t.Fatalf("after every TTL ran out, state remains: %v (%v)", left, r)
+		}
+	}
+}
+
+func runRecovererProgram(t testing.TB, prog []byte) *recovererProgram {
+	p := &recovererProgram{
+		t:    t,
+		sub:  NewRecoverer(dc2, DefaultRecovererConfig()),
+		ref:  NewRecoverer(dc2, DefaultRecovererConfig()),
+		prog: prog,
+	}
+	for p.step() {
+	}
+	p.finish()
+	return p
+}
+
+// TestRecovererMatchesScan is the differential oracle for the expiry
+// queues: seeded random programs, the scan model checked after every step.
+func TestRecovererMatchesScan(t *testing.T) {
+	steps := 0
+	var did RecovererStats
+	for seed := int64(1); steps < 20000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := make([]byte, 2000)
+		rng.Read(prog)
+		p := runRecovererProgram(t, prog)
+		steps += p.steps
+		st := p.sub.Stats()
+		did.CodedStored += st.CodedStored
+		did.InStreamServed += st.InStreamServed
+		did.CoopRecovered += st.CoopRecovered
+		did.CoopFailed += st.CoopFailed
+		did.StragglersSaved += st.StragglersSaved
+		did.Verifies += st.Verifies
+		did.PendingMatched += st.PendingMatched
+		did.PendingExpired += st.PendingExpired
+	}
+	// Every path the queues index must have run, or agreement means little.
+	if did.CodedStored == 0 || did.InStreamServed == 0 || did.CoopRecovered == 0 || did.CoopFailed == 0 ||
+		did.Verifies == 0 || did.PendingMatched == 0 || did.PendingExpired == 0 {
+		t.Errorf("random programs left a path unexercised: %+v", did)
+	}
+	t.Logf("%d steps: %+v", steps, did)
+}
+
+// FuzzRecoverer runs arbitrary operation sequences: no panic, no state
+// outliving its TTL, queues bounded by live state, and the same answers as
+// the scan model throughout.
+func FuzzRecoverer(f *testing.F) {
+	// A batch, its loss reported twice (in-stream, then cooperative),
+	// helpers answering, timers run.
+	f.Add([]byte{1, 6, 0, 0, 1, 6, 1, 0, 3, 0, 6, 3, 0, 6, 5, 6, 1, 0, 5, 6, 2, 0, 7, 7, 7})
+	// A speculative NACK parked, parity arriving, the probe answered.
+	f.Add([]byte{11, 2, 2, 1, 2, 0, 0, 14, 2, 2, 7, 8, 250, 7})
+	// One batch refreshed over and over on a moving clock.
+	f.Add([]byte{1, 5, 0, 0, 0, 9, 1, 5, 0, 0, 0, 9, 1, 5, 0, 0, 0, 9, 1, 5, 0, 0, 0, 9, 1, 5, 1, 0, 7})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		runRecovererProgram(t, prog)
+	})
+}

@@ -523,3 +523,125 @@ func TestNextDeadlineTracksState(t *testing.T) {
 		t.Errorf("recovery deadline = %v", dl)
 	}
 }
+
+func TestAttemptsDropWithExpiredNACK(t *testing.T) {
+	// NACKs for packets no batch ever covers (parity lost, NACK after
+	// BatchTTL, or forged on the socket path) park and expire; their
+	// escalation counts must go with them.
+	rec := NewRecoverer(dc2, DefaultRecovererConfig())
+	for i := 1; i <= 1000; i++ {
+		rec.OnNACK(0, 101, core.PacketID{Flow: 7, Seq: core.Seq(i)}, 0)
+	}
+	if len(rec.pending) != 1000 || len(rec.attempts) != 1000 {
+		t.Fatalf("parked %d NACKs, %d attempts", len(rec.pending), len(rec.attempts))
+	}
+	rec.OnTimer(10 * time.Second)
+	if len(rec.pending) != 0 || len(rec.attempts) != 0 {
+		t.Errorf("after expiry: pending=%d attempts=%d, want 0 0", len(rec.pending), len(rec.attempts))
+	}
+
+	// A covered packet keeps its count until its batch expires.
+	h := newHarness(t, crossOnlyConfig())
+	for f := 1; f <= 4; f++ {
+		h.send(0, core.FlowID(f), 1, core.NodeID(100+f))
+	}
+	id := core.PacketID{Flow: 1, Seq: 1}
+	h.rec.OnNACK(time.Millisecond, 101, id, 0)
+	h.rec.OnTimer(time.Second)
+	if h.rec.attempts[id] != 1 {
+		t.Errorf("covered packet's attempts = %d before its batch expired", h.rec.attempts[id])
+	}
+	h.rec.OnTimer(3 * time.Second)
+	if len(h.rec.attempts) != 0 {
+		t.Errorf("attempts outlived the batch: %v", h.rec.attempts)
+	}
+}
+
+func TestSendParityInIndexOrder(t *testing.T) {
+	// With InParity ≥ 2 the shards of an in-stream batch are forwarded in
+	// shard-index order whatever order they arrived in, run after run.
+	cfg := testConfig()
+	cfg.InParity = 3
+	for run := 0; run < 200; run++ {
+		h := newHarness(t, cfg)
+		var coded []core.Emit
+		for seq := 1; seq <= cfg.InBlock; seq++ {
+			p := payloadFor(1, seq)
+			coded = append(coded, h.enc.OnData(0, dc2, 101, 1, core.Seq(seq), p)...)
+		}
+		var inStream []core.Emit
+		for _, em := range coded {
+			if codedMeta(t, em).Kind == wire.InStream {
+				inStream = append(inStream, em)
+			}
+		}
+		if len(inStream) != 3 {
+			t.Fatalf("in-stream parity emits = %d", len(inStream))
+		}
+		for _, i := range []int{2, 0, 1} { // arrival order is not index order
+			h.deliverCoded(0, inStream[i])
+		}
+		emits := h.rec.OnNACK(time.Millisecond, 101, core.PacketID{Flow: 1, Seq: 2}, 0)
+		if len(emits) != 3 {
+			t.Fatalf("run %d: forwarded %d shards", run, len(emits))
+		}
+		for i, em := range emits {
+			if got := codedMeta(t, em).Index; int(got) != i {
+				t.Fatalf("run %d: shard %d left in position %d", run, got, i)
+			}
+		}
+	}
+}
+
+func codedMeta(t *testing.T, em core.Emit) wire.Coded {
+	t.Helper()
+	var hdr wire.Header
+	body, err := wire.SplitMessage(&hdr, em.Msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta wire.Coded
+	if _, err := meta.Unmarshal(body); err != nil {
+		t.Fatal(err)
+	}
+	return meta
+}
+
+func TestOnCodedRejectsMalformed(t *testing.T) {
+	srcs := []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: 101}, {Flow: 2, Seq: 1, Receiver: 102}}
+	hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+	shard := make([]byte, 16)
+	for _, tc := range []struct {
+		name string
+		meta wire.Coded
+	}{
+		{"index past R", wire.Coded{Batch: 1, Kind: wire.CrossStream, K: 2, R: 2, Index: 2, Sources: srcs}},
+		{"more sources than K", wire.Coded{Batch: 1, Kind: wire.CrossStream, K: 1, R: 1, Sources: srcs}},
+		{"fewer sources than K", wire.Coded{Batch: 1, Kind: wire.CrossStream, K: 3, R: 1, Sources: srcs}},
+	} {
+		rec := NewRecoverer(dc2, DefaultRecovererConfig())
+		rec.OnCoded(0, &hdr, &tc.meta, shard)
+		if rec.Batches() != 0 || rec.Stats().CodedStored != 0 {
+			t.Errorf("%s: stored (%d batches)", tc.name, rec.Batches())
+		}
+	}
+
+	// A later shard cannot widen the batch its first shard described.
+	rec := NewRecoverer(dc2, DefaultRecovererConfig())
+	rec.OnCoded(0, &hdr, &wire.Coded{Batch: 1, Kind: wire.CrossStream, K: 2, R: 1, Sources: srcs}, shard)
+	rec.OnCoded(0, &hdr, &wire.Coded{Batch: 1, Kind: wire.CrossStream, K: 2, R: 3, Index: 2, Sources: srcs}, shard)
+	if st := rec.Stats(); st.CodedStored != 1 {
+		t.Errorf("stored %d shards of an R=1 batch", st.CodedStored)
+	}
+
+	// A shape no Reed-Solomon code has (K+R > 256) must not reach the
+	// codec constructor's panic when a recovery tries to decode.
+	rec = NewRecoverer(dc2, DefaultRecovererConfig())
+	for idx := uint8(0); idx < 2; idx++ {
+		rec.OnCoded(0, &hdr, &wire.Coded{Batch: 1, Kind: wire.CrossStream, K: 2, R: 255, Index: idx, Sources: srcs}, shard)
+	}
+	emits := rec.OnNACK(0, 101, core.PacketID{Flow: 1, Seq: 1}, 0)
+	if n := countType(t, emits, wire.TypeRecovered); n != 0 {
+		t.Errorf("decoded %d packets with an impossible code", n)
+	}
+}

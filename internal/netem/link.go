@@ -110,6 +110,6 @@ func (l *Link) Send(size int, deliver func(arrived core.Time)) bool {
 	arrive := depart + l.delay.Delay(now, l.rng)
 	l.stats.Delivered++
 	l.stats.Bytes += uint64(size)
-	l.sim.At(arrive, func() { deliver(arrive) })
+	l.sim.schedule(event{at: arrive, arrive: deliver})
 	return true
 }

@@ -3,6 +3,7 @@ package netem
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -471,6 +472,52 @@ func TestConnectBidirectional(t *testing.T) {
 	}
 	if net.LinkBetween(1, 2) == net.LinkBetween(2, 1) {
 		t.Error("directions share a link")
+	}
+}
+
+// TestEventHeapMatchesSort is the differential oracle for the typed heap:
+// 10⁵ random pushes interleaved with pops must leave in exactly the order
+// sorting by (at, seq) gives, and a drained heap must hold no closure.
+func TestEventHeapMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h eventHeap
+	var pushed, popped []event
+	var seq uint64
+	var floor core.Time // pops so far reached this time; later pushes stay at or after it, as in the simulator
+	pop := func() {
+		e := h.pop()
+		floor = e.at
+		e.fn = nil
+		popped = append(popped, e)
+	}
+	for len(pushed) < 100000 {
+		if len(h) > 0 && rng.Intn(3) == 0 {
+			pop()
+			continue
+		}
+		seq++
+		// A narrow time range, so ties are common and seq decides.
+		e := event{at: floor + core.Time(rng.Intn(50)), seq: seq, fn: func() {}}
+		h.push(e)
+		e.fn = nil
+		pushed = append(pushed, e)
+	}
+	for !h.empty() {
+		if next := h.nextTime(); next != h[0].at {
+			t.Fatalf("nextTime = %v, head at %v", next, h[0].at)
+		}
+		pop()
+	}
+	sort.Slice(pushed, func(i, j int) bool { return pushed[i].before(&pushed[j]) })
+	for i := range pushed {
+		if popped[i].at != pushed[i].at || popped[i].seq != pushed[i].seq {
+			t.Fatalf("pop %d = (%v, %d), sorted order has (%v, %d)", i, popped[i].at, popped[i].seq, pushed[i].at, pushed[i].seq)
+		}
+	}
+	for i, e := range h[:cap(h)] {
+		if e.fn != nil || e.arrive != nil {
+			t.Fatalf("drained heap still references a closure in slot %d", i)
+		}
 	}
 }
 

@@ -5,10 +5,17 @@
 //
 // Everything is seeded and single-goroutine, so experiment output is
 // bit-stable across runs and machines.
+//
+// The pending set is a typed 4-ary heap of events by value ordered by
+// (time, scheduling sequence number); scheduling and running an event
+// allocate nothing, a link delivery included. Every Timer arm is one
+// event with a fresh sequence number, on purpose: skipping an unchanged
+// re-arm would keep the older number and move the firing ahead of
+// same-instant arrivals, changing tie order and with it every seeded
+// output.
 package netem
 
 import (
-	"container/heap"
 	"math/rand"
 
 	"jqos/internal/core"
@@ -16,28 +23,78 @@ import (
 
 // event is one scheduled callback. seq breaks ties so that events scheduled
 // earlier run earlier at equal timestamps (FIFO within a timestamp), which
-// keeps runs deterministic.
+// keeps runs deterministic. Exactly one of fn and arrive is set: arrive is
+// handed the event's own time, so a link delivery needs no closure to
+// remember when it lands.
 type event struct {
-	at  core.Time
-	seq uint64
-	fn  func()
+	at     core.Time
+	seq    uint64
+	fn     func()
+	arrive func(core.Time)
 }
 
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a 4-ary min-heap of events held by value: no interface
+// boxing, so push and pop allocate nothing once the backing array has
+// grown, and half the levels of a binary heap at the depths a busy run
+// reaches. (at, seq) is a total order — seq is unique — so the pop
+// sequence does not depend on the heap's shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	*h = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)         { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any           { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event         { return h[0] }
-func (h *eventHeap) pop() event         { return heap.Pop(h).(event) }
-func (h *eventHeap) push(e event)       { heap.Push(h, e) }
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q[n] = event{} // the vacated slot must not keep a closure alive
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if q[c].before(&q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(&e) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	q[i] = e
+	return top
+}
+
 func (h eventHeap) empty() bool         { return len(h) == 0 }
 func (h eventHeap) nextTime() core.Time { return h[0].at }
 
@@ -69,15 +126,16 @@ func (s *Simulator) Fork() *rand.Rand { return rand.New(rand.NewSource(s.rng.Int
 
 // At schedules fn at absolute virtual time t. Scheduling in the past (t <
 // Now) panics: it is always a logic error in an event-driven system.
-func (s *Simulator) At(t core.Time, fn func()) { s.schedule(t, fn) }
+func (s *Simulator) At(t core.Time, fn func()) { s.schedule(event{at: t, fn: fn}) }
 
-// schedule pushes one event and returns its sequence number.
-func (s *Simulator) schedule(t core.Time, fn func()) uint64 {
-	if t < s.now {
+// schedule numbers and pushes one event and returns its sequence number.
+func (s *Simulator) schedule(e event) uint64 {
+	if e.at < s.now {
 		panic("netem: scheduling event in the past")
 	}
 	s.seq++
-	s.events.push(event{at: t, seq: s.seq, fn: fn})
+	e.seq = s.seq
+	s.events.push(e)
 	return s.seq
 }
 
@@ -114,7 +172,11 @@ func (s *Simulator) step() {
 	s.now = e.at
 	s.cur = e.seq
 	s.steps++
-	e.fn()
+	if e.fn != nil {
+		e.fn()
+	} else {
+		e.arrive(e.at)
+	}
 }
 
 // Pending reports the number of scheduled events, useful in tests to assert

@@ -30,7 +30,7 @@ func (t *Timer) Reset(at core.Time) {
 	if at < t.sim.now {
 		at = t.sim.now
 	}
-	t.seq = t.sim.schedule(at, t.fire)
+	t.seq = t.sim.schedule(event{at: at, fn: t.fire})
 }
 
 // Arm arms the timer to fire after d unless it is already armed — the

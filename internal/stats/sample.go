@@ -11,9 +11,15 @@ import (
 
 // Sample accumulates float64 observations and answers order-statistics
 // queries. The zero value is ready to use.
+//
+// Observations are stored sorted up to the last order-statistics read and
+// in arrival order after it. A read sorts only what arrived since and
+// merges it in, so a Sample read every few observations — a flow's latency
+// history, consulted on each adaptation tick and snapshot — pays for the
+// new values, not for its whole history.
 type Sample struct {
 	data   []float64
-	sorted bool
+	sorted int // data[:sorted] is in ascending order
 }
 
 // NewSample returns a Sample pre-sized for n observations.
@@ -29,7 +35,6 @@ func (s *Sample) Add(v float64) {
 		panic("stats: NaN observation")
 	}
 	s.data = append(s.data, v)
-	s.sorted = false
 }
 
 // AddAll records a batch of observations.
@@ -54,9 +59,36 @@ func (s *Sample) Values() []float64 {
 }
 
 func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.data)
-		s.sorted = true
+	old := s.sorted
+	if old == len(s.data) {
+		return
+	}
+	s.sorted = len(s.data)
+	fresh := s.data[old:]
+	if old <= len(fresh) {
+		sort.Float64s(s.data) // mostly new: merging would save nothing
+		return
+	}
+	sort.Float64s(fresh)
+	// The new values step aside while the merge overwrites their slots:
+	// into the slice's spare capacity when append left enough, so a steady
+	// add/read cycle allocates nothing and the Sample retains nothing.
+	aside := s.data[len(s.data):cap(s.data)]
+	if len(aside) < len(fresh) {
+		aside = make([]float64, len(fresh))
+	}
+	aside = aside[:copy(aside, fresh)]
+	// Merge from the back, so the sorted prefix is moved up in place and
+	// only as far down as the smallest new value reaches.
+	i, k := old-1, len(s.data)-1
+	for j := len(aside) - 1; j >= 0; k-- {
+		if i >= 0 && s.data[i] > aside[j] {
+			s.data[k] = s.data[i]
+			i--
+		} else {
+			s.data[k] = aside[j]
+			j--
+		}
 	}
 }
 

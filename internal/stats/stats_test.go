@@ -297,3 +297,103 @@ func TestSummaryAgainstKnownDistribution(t *testing.T) {
 		t.Errorf("Stddev = %v, want ~0.2887", sd)
 	}
 }
+
+// TestSampleMatchesFullSort is the differential oracle for the incremental
+// sort: over random interleavings of Add and reads, every answer — and the
+// storage order Sum and Mean add up in — is bit-equal to sorting the whole
+// history on each read.
+func TestSampleMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// model is what Sample stored before this change: sorted by the last
+	// read, arrivals appended after.
+	var s Sample
+	var model []float64
+	sortModel := func() { sort.Float64s(model) }
+	same := func(step int, what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: %s = %v (%#x), full sort gives %v (%#x)", step, what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	sum := func() float64 {
+		var t float64
+		for _, v := range model {
+			t += v
+		}
+		return t
+	}
+	reads := 0
+	for step := 0; step < 30000; step++ {
+		if step%6000 == 0 { // five histories, so the model's sorts stay short
+			s, model = Sample{}, nil
+		}
+		if step%6000 == 2999 { // once in each, more new values than old
+			for i := len(model) + 10; i > 0; i-- {
+				v := rng.NormFloat64()
+				s.Add(v)
+				model = append(model, v)
+			}
+		}
+		switch r := rng.Intn(40); {
+		case r < 30:
+			v := math.Round(rng.ExpFloat64()*50) / 4 // quarter-steps: duplicates are common
+			// Never -0: ±0 compare equal, so no sort fixes their order.
+			if rng.Intn(10) == 0 && v != 0 {
+				v = -v
+			}
+			s.Add(v)
+			model = append(model, v)
+			continue
+		case len(model) == 0:
+			continue
+		case r < 32:
+			q := rng.Float64()
+			got := s.Quantile(q)
+			sortModel()
+			pos := q * float64(len(model)-1)
+			lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+			want := model[lo]
+			if lo != hi {
+				frac := pos - float64(lo)
+				want = model[lo]*(1-frac) + model[hi]*frac
+			}
+			same(step, "Quantile", got, want)
+		case r < 34:
+			got := s.Values()
+			sortModel()
+			if len(got) != len(model) {
+				t.Fatalf("step %d: %d values, want %d", step, len(got), len(model))
+			}
+			for i := range got {
+				same(step, "Values()[i]", got[i], model[i])
+			}
+		case r < 35:
+			got := s.Min()
+			sortModel()
+			same(step, "Min", got, model[0])
+		case r < 36:
+			got := s.Max()
+			sortModel()
+			same(step, "Max", got, model[len(model)-1])
+		case r < 38:
+			// Mean does not sort: it adds up whatever order the last
+			// read left, so the storage order must match too.
+			same(step, "Mean", s.Mean(), sum()/float64(len(model)))
+			same(step, "Sum", s.Sum(), sum())
+			continue
+		default:
+			x := model[rng.Intn(len(model))]
+			got := s.FractionBelow(x)
+			sortModel()
+			n := sort.SearchFloat64s(model, math.Nextafter(x, math.Inf(1)))
+			same(step, "FractionBelow", got, float64(n)/float64(len(model)))
+		}
+		reads++
+		if s.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", step, s.Len(), len(model))
+		}
+	}
+	if reads < 2000 {
+		t.Errorf("only %d sorting reads", reads)
+	}
+}

@@ -352,6 +352,18 @@
 // rounds that traffic neither clears nor spends). A new periodic loop
 // is a Ticker; never re-arm from After by hand.
 //
+// None of this rescans live state per packet. The pending events sit in
+// a typed 4-ary heap by value, so scheduling and running one allocates
+// nothing; each Timer arm is still one event with a fresh sequence
+// number (skipping an unchanged re-arm would move the firing ahead of
+// same-instant arrivals and change every seeded output). The deadline a
+// DC asks its engines for after every message is a comparison of cached
+// heads: the recoverer's batch, recovery and parked-NACK lifetimes are
+// each "now + a constant", so each is a FIFO queue in expiry order with
+// stale entries dropped lazily, and the encoder caches its earliest
+// open-queue deadline. Both rely on the clock they are fed never
+// stepping back, which the simulator and the socket runtime guarantee.
+//
 // # Tuning constants
 //
 // Config describes a deployment; how its mechanisms are tuned is fixed in
