@@ -6,8 +6,10 @@
 package coding
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"jqos/internal/core"
@@ -92,6 +94,7 @@ type EncoderStats struct {
 	CrossCoded   uint64
 	InCoded      uint64
 	Evicted      uint64 // single-flow queue clears (Algorithm 1 line 18)
+	Oversize     uint64 // payloads too long to code, left to their direct path
 	TimerFlushes uint64
 	DataBytes    uint64
 	CodedBytes   uint64
@@ -105,7 +108,9 @@ func (s EncoderStats) Overhead() float64 {
 	return float64(s.CodedBytes) / float64(s.DataBytes)
 }
 
-// srcPkt is one enqueued data packet copy.
+// srcPkt is one enqueued data packet. payload is the encoder's own copy,
+// never written after OnData made it: the in-stream and the cross-stream
+// queue both hold the same slice.
 type srcPkt struct {
 	ref     wire.SourceRef
 	payload []byte
@@ -161,6 +166,12 @@ type crossKey struct {
 // NextDeadline is a field read and OnTimer returns at once when nothing is
 // due; the queues are rescanned only after the one holding that deadline
 // closes.
+//
+// The byte path touches a payload once to keep it (OnData's copy, shared by
+// both queues) and once per pair of parity rows to code it: when a batch
+// closes, each coded message is allocated once at its final size and the
+// codec writes the parity straight into its tail from the unpadded
+// payloads (rs.Codec.EncodePacked).
 type Encoder struct {
 	cfg  EncoderConfig
 	self core.NodeID
@@ -175,7 +186,13 @@ type Encoder struct {
 	cross     map[crossKey]*crossSet
 	crossKeys []crossKey
 	rrIdx     map[core.FlowID]int
-	codecs    map[[2]int]*rs.Codec
+	codecs    *rs.Cache
+
+	// Per-batch scratch, reused across encodeBatch calls: nothing keeps
+	// these past the marshal and the encode.
+	payloads [][]byte
+	sources  []wire.SourceRef
+	parity   [][]byte
 
 	// earliest is the soonest deadline among open queues, 0 when none is
 	// open. A queue opening can only lower it; when a queue that may hold
@@ -193,11 +210,13 @@ func NewEncoder(self core.NodeID, cfg EncoderConfig) (*Encoder, error) {
 		return nil, err
 	}
 	return &Encoder{
-		cfg:    cfg,
-		self:   self,
-		cross:  make(map[crossKey]*crossSet),
-		rrIdx:  make(map[core.FlowID]int),
-		codecs: make(map[[2]int]*rs.Codec),
+		cfg:   cfg,
+		self:  self,
+		cross: make(map[crossKey]*crossSet),
+		rrIdx: make(map[core.FlowID]int),
+		// Every shape this configuration can close a batch at: 1..K
+		// sources cross-stream, 1..InBlock in-stream. Never evicts.
+		codecs: rs.NewCache(cfg.K + cfg.InBlock),
 	}, nil
 }
 
@@ -239,26 +258,16 @@ func (e *Encoder) TrackedFlows() int {
 	return n
 }
 
-// codec returns (building if needed) the RS codec for (k, m).
-func (e *Encoder) codec(k, m int) *rs.Codec {
-	key := [2]int{k, m}
-	if c, ok := e.codecs[key]; ok {
-		return c
-	}
-	c, err := rs.NewCodec(k, m)
-	if err != nil {
-		panic("coding: " + err.Error()) // bounded by config validation
-	}
-	e.codecs[key] = c
-	return c
-}
-
 // OnData processes one data packet copy arriving from a sender: Algorithm 1.
 // dc2 is the egress DC serving the flow's receiver (the spatial constraint:
 // only flows sharing dc2 are coded together); receiver is the flow's
 // endpoint, recorded in parity metadata for cooperative recovery.
-// The payload is copied; the caller keeps ownership. Equivalent to
-// OnDataPolicy with the default (fastest-path) policy discriminator.
+// The payload is copied, once, and both queues share the copy; the caller
+// keeps ownership of its buffer and may reuse it at once. A payload whose
+// packed size does not fit the coded header's 16-bit ShardLen (more than
+// 65 533 bytes) is not coded at all: it is counted in EncoderStats.Oversize
+// and travels on its direct path alone. Equivalent to OnDataPolicy with the
+// default (fastest-path) policy discriminator.
 func (e *Encoder) OnData(now core.Time, dc2, receiver core.NodeID, flow core.FlowID, seq core.Seq, payload []byte) []core.Emit {
 	return e.OnDataPolicy(now, dc2, receiver, flow, seq, 0, payload)
 }
@@ -268,9 +277,16 @@ func (e *Encoder) OnData(now core.Time, dc2, receiver core.NodeID, flow core.Flo
 // cross-stream batches (see crossKey). In-stream blocks are single-flow,
 // so policy never splits them.
 func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow core.FlowID, seq core.Seq, policy uint32, payload []byte) []core.Emit {
+	if rs.PackedSize(len(payload)) > math.MaxUint16 {
+		e.stats.Oversize++
+		return nil
+	}
 	e.stats.DataPackets++
 	e.stats.DataBytes += uint64(len(payload))
-	ref := wire.SourceRef{Flow: flow, Seq: seq, Receiver: receiver}
+	pkt := srcPkt{
+		ref:     wire.SourceRef{Flow: flow, Seq: seq, Receiver: receiver},
+		payload: bytes.Clone(payload),
+	}
 	var emits []core.Emit
 
 	// (1) In-stream coding (Algorithm 1 lines 1–5).
@@ -285,9 +301,9 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 			e.opened(q.deadline)
 		}
 		q.dc2 = dc2
-		q.pkts = append(q.pkts, srcPkt{ref: ref, payload: append([]byte(nil), payload...)})
+		q.pkts = append(q.pkts, pkt)
 		if len(q.pkts) >= e.cfg.InBlock {
-			emits = append(emits, e.flushIn(now, q)...)
+			emits = e.flushIn(emits, now, q)
 		}
 	}
 
@@ -314,7 +330,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 			// Every queue holds this flow (lines 13–19): flush the
 			// initial queue if it has cross-flow value, else discard.
 			if len(q.pkts) > 1 {
-				emits = append(emits, e.flushCross(now, dc2, q)...)
+				emits = e.flushCross(emits, now, dc2, q)
 			} else {
 				e.closed(q.deadline)
 				q.reset()
@@ -329,9 +345,9 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 		e.opened(q.deadline)
 	}
 	q.flows[flow] = true
-	q.pkts = append(q.pkts, srcPkt{ref: ref, payload: append([]byte(nil), payload...)})
+	q.pkts = append(q.pkts, pkt)
 	if len(q.pkts) >= e.cfg.K {
-		emits = append(emits, e.flushCross(now, dc2, q)...)
+		emits = e.flushCross(emits, now, dc2, q)
 	}
 	return emits
 }
@@ -352,12 +368,12 @@ func (e *Encoder) insertCrossKey(k crossKey) {
 	e.crossKeys[i] = k
 }
 
-// flushIn encodes an in-stream block and resets the queue.
-func (e *Encoder) flushIn(now core.Time, q *inQueue) []core.Emit {
+// flushIn encodes an in-stream block onto emits and resets the queue.
+func (e *Encoder) flushIn(emits []core.Emit, now core.Time, q *inQueue) []core.Emit {
 	if len(q.pkts) == 0 {
-		return nil
+		return emits
 	}
-	emits := e.encodeBatch(now, q.dc2, q.pkts, wire.InStream, e.cfg.InParity)
+	emits = e.encodeBatch(emits, now, q.dc2, q.pkts, wire.InStream, e.cfg.InParity)
 	e.stats.InBatches++
 	e.stats.InCoded += uint64(e.cfg.InParity)
 	e.closed(q.deadline)
@@ -366,12 +382,12 @@ func (e *Encoder) flushIn(now core.Time, q *inQueue) []core.Emit {
 	return emits
 }
 
-// flushCross encodes a cross-stream batch and resets the queue.
-func (e *Encoder) flushCross(now core.Time, dc2 core.NodeID, q *crossQueue) []core.Emit {
+// flushCross encodes a cross-stream batch onto emits and resets the queue.
+func (e *Encoder) flushCross(emits []core.Emit, now core.Time, dc2 core.NodeID, q *crossQueue) []core.Emit {
 	if len(q.pkts) == 0 {
-		return nil
+		return emits
 	}
-	emits := e.encodeBatch(now, dc2, q.pkts, wire.CrossStream, e.cfg.CrossParity)
+	emits = e.encodeBatch(emits, now, dc2, q.pkts, wire.CrossStream, e.cfg.CrossParity)
 	e.stats.CrossBatches++
 	e.stats.CrossCoded += uint64(e.cfg.CrossParity)
 	e.closed(q.deadline)
@@ -379,51 +395,52 @@ func (e *Encoder) flushCross(now core.Time, dc2 core.NodeID, q *crossQueue) []co
 	return emits
 }
 
-// encodeBatch produces parity Emits for a batch of data packets.
-func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kind wire.CodedKind, parity int) []core.Emit {
+// encodeBatch appends the parity Emits for a batch of data packets. Each
+// coded message is allocated once, header and metadata marshalled into its
+// head, and its tail handed to the codec as the parity destination.
+func (e *Encoder) encodeBatch(emits []core.Emit, now core.Time, dc2 core.NodeID, pkts []srcPkt, kind wire.CodedKind, parity int) []core.Emit {
 	k := len(pkts)
-	payloads := make([][]byte, k)
-	sources := make([]wire.SourceRef, k)
-	for i, p := range pkts {
-		payloads[i] = p.payload
-		sources[i] = p.ref
+	codec := e.codecs.Get(k, parity)
+	if codec == nil {
+		panic(fmt.Sprintf("coding: no code for %d+%d shards", k, parity)) // bounded by config validation
 	}
-	shards, shardLen, err := rs.PackBatch(payloads)
-	if err != nil {
-		panic("coding: " + err.Error()) // batch is non-empty by construction
+	e.payloads, e.sources, e.parity = e.payloads[:0], e.sources[:0], e.parity[:0]
+	longest := 0
+	for _, p := range pkts {
+		e.payloads = append(e.payloads, p.payload)
+		e.sources = append(e.sources, p.ref)
+		longest = max(longest, len(p.payload))
 	}
-	codec := e.codec(k, parity)
-	all := append(shards, make([][]byte, parity)...)
-	for i := 0; i < parity; i++ {
-		all[k+i] = make([]byte, shardLen)
-	}
-	if err := codec.Encode(all); err != nil {
-		panic("coding: " + err.Error())
-	}
+	shardLen := rs.PackedSize(longest) // ≤ MaxUint16: OnData turned longer payloads away
 	e.batchSeq++
-	batch := e.batchSeq
-	emits := make([]core.Emit, 0, parity)
+	meta := wire.Coded{
+		Batch:    e.batchSeq,
+		Kind:     kind,
+		K:        uint8(k),
+		R:        uint8(parity),
+		ShardLen: uint16(shardLen),
+		Sources:  e.sources,
+	}
+	hdr := wire.Header{
+		Type:    wire.TypeCoded,
+		Service: core.ServiceCoding,
+		TS:      now,
+		Src:     e.self,
+		Dst:     dc2,
+	}
+	head := wire.HeaderLen + meta.MarshaledLen()
+	emits = slices.Grow(emits, parity)
 	for i := 0; i < parity; i++ {
-		meta := wire.Coded{
-			Batch:    batch,
-			Kind:     kind,
-			K:        uint8(k),
-			R:        uint8(parity),
-			Index:    uint8(i),
-			ShardLen: uint16(shardLen),
-			Sources:  sources,
-		}
-		hdr := wire.Header{
-			Type:    wire.TypeCoded,
-			Service: core.ServiceCoding,
-			TS:      now,
-			Src:     e.self,
-			Dst:     dc2,
-		}
-		payload := meta.AppendMarshal(nil, all[k+i])
-		msg := wire.AppendMessage(nil, &hdr, payload)
+		meta.Index = uint8(i)
+		msg := make([]byte, wire.HeaderLen, head+shardLen)
+		hdr.Marshal(msg)
+		msg = meta.AppendMarshal(msg, nil)[:head+shardLen]
+		e.parity = append(e.parity, msg[head:])
 		e.stats.CodedBytes += uint64(len(msg))
 		emits = append(emits, core.Emit{To: dc2, Msg: msg})
+	}
+	if err := codec.EncodePacked(e.payloads, e.parity); err != nil {
+		panic("coding: " + err.Error()) // shapes and sizes are ours by construction
 	}
 	return emits
 }
@@ -474,7 +491,7 @@ func (e *Encoder) OnTimer(now core.Time) []core.Emit {
 	var emits []core.Emit
 	for _, q := range e.inQs {
 		if len(q.pkts) > 0 && q.deadline <= now {
-			emits = append(emits, e.flushIn(now, q)...)
+			emits = e.flushIn(emits, now, q)
 			e.stats.TimerFlushes++
 		}
 	}
@@ -482,7 +499,7 @@ func (e *Encoder) OnTimer(now core.Time) []core.Emit {
 		set := e.cross[k]
 		for _, q := range set.qs {
 			if len(q.pkts) > 0 && q.deadline <= now {
-				emits = append(emits, e.flushCross(now, set.dc2, q)...)
+				emits = e.flushCross(emits, now, set.dc2, q)
 				e.stats.TimerFlushes++
 			}
 		}
@@ -494,12 +511,12 @@ func (e *Encoder) OnTimer(now core.Time) []core.Emit {
 func (e *Encoder) Flush(now core.Time) []core.Emit {
 	var emits []core.Emit
 	for _, q := range e.inQs {
-		emits = append(emits, e.flushIn(now, q)...)
+		emits = e.flushIn(emits, now, q)
 	}
 	for _, k := range e.crossKeys {
 		set := e.cross[k]
 		for _, q := range set.qs {
-			emits = append(emits, e.flushCross(now, set.dc2, q)...)
+			emits = e.flushCross(emits, now, set.dc2, q)
 		}
 	}
 	return emits

@@ -437,44 +437,118 @@ func TestOverheadStat(t *testing.T) {
 	}
 }
 
+// TestPayloadCopied: OnData copies the payload (the caller may reuse its
+// buffer at once — the isolated bench driver does), and the one copy serves
+// both queues: mutating the caller's buffer afterwards changes neither the
+// cross-stream nor the in-stream parity.
 func TestPayloadCopied(t *testing.T) {
 	cfg := testConfig()
-	cfg.InBlock = 0
 	e := mustEncoder(t, cfg)
-	buf := []byte("mutable payload")
+	sent := map[core.PacketID][]byte{}
 	var emits []core.Emit
-	emits = append(emits, e.OnData(0, dc2, 100, 1, 1, buf)...)
+	send := func(flow, seq int, payload []byte) {
+		sent[core.PacketID{Flow: core.FlowID(flow), Seq: core.Seq(seq)}] = bytes.Clone(payload)
+		emits = append(emits, e.OnData(0, dc2, 100, core.FlowID(flow), core.Seq(seq), payload)...)
+	}
+	buf := []byte("mutable payload")
+	send(1, 1, buf)
 	buf[0] = 'X'
+	// Flows 2..K close the cross-stream batch holding flow 1's packet;
+	// two more packets of flow 1 close its in-stream block.
+	for f := 2; f <= cfg.K; f++ {
+		send(f, 1, payloadFor(f, 1))
+	}
+	for seq := 2; seq <= cfg.InBlock; seq++ {
+		send(1, seq, payloadFor(1, seq))
+	}
+	want := core.PacketID{Flow: 1, Seq: 1}
+	seen := map[wire.CodedKind]bool{}
+	for _, em := range emits {
+		_, meta, shard := decodeEmit(t, em)
+		k := int(meta.K)
+		shards := make([][]byte, k+int(meta.R))
+		pos := -1
+		for i, src := range meta.Sources {
+			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
+			if id == want {
+				pos = i
+				continue
+			}
+			shards[i] = make([]byte, int(meta.ShardLen))
+			if _, err := rs.Pack(sent[id], shards[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pos < 0 {
+			continue
+		}
+		// Reconstruct flow 1's first packet from this parity shard and
+		// the batch's other sources.
+		shards[k+int(meta.Index)] = shard
+		codec, _ := rs.NewCodec(k, int(meta.R))
+		if err := codec.Reconstruct(shards); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := rs.Unpack(shards[pos])
+		if string(got) != "mutable payload" {
+			t.Errorf("%v parity %d saw the caller's later write: %q", meta.Kind, meta.Index, got)
+		}
+		seen[meta.Kind] = true
+	}
+	if !seen[wire.CrossStream] || !seen[wire.InStream] {
+		t.Fatalf("flow 1's packet was checked in %v, want both queues", seen)
+	}
+}
+
+// TestOversizePayloadNotCoded: the coded header carries the shard length in
+// 16 bits, so a payload whose packed size does not fit (> 65 533 B) cannot
+// be protected. It must be turned away whole — counted, not queued — and
+// never wrap ShardLen (65 534 and 65 535 B did, silently: an undecodable
+// 0- or 1-byte shard) or panic the DC (65 536 B did, inside Run).
+func TestOversizePayloadNotCoded(t *testing.T) {
+	cfg := testConfig()
+	e := mustEncoder(t, cfg)
+	var emits []core.Emit
+	for i, n := range []int{65534, 65535, 65536, 70000} {
+		emits = append(emits, e.OnData(0, dc2, 100, core.FlowID(i+1), 1, make([]byte, n))...)
+	}
+	emits = append(emits, e.Flush(0)...)
+	if st := e.Stats(); len(emits) != 0 || st.Oversize != 4 || st.DataPackets != 0 || st.DataBytes != 0 {
+		t.Fatalf("oversize payloads produced %d emits, stats %+v", len(emits), st)
+	}
+	if _, open := e.NextDeadline(); open {
+		t.Error("an oversize payload opened a queue")
+	}
+
+	// The largest payload that does fit is coded at full length, beside
+	// ordinary packets, and decodes.
+	big := make([]byte, 65533)
+	rand.New(rand.NewSource(1)).Read(big)
+	emits = e.OnData(0, dc2, 100, 1, 1, big)
 	for f := 2; f <= cfg.K; f++ {
 		emits = append(emits, e.OnData(0, dc2, 100, core.FlowID(f), 1, payloadFor(f, 1))...)
 	}
-	// The batch fills at the K-th flow; reconstruct flow 1's packet from
-	// parity and the others.
-	emits = append(emits, e.Flush(0)...)
-	if len(emits) == 0 {
-		t.Fatal("no emits")
+	if len(emits) != cfg.CrossParity {
+		t.Fatalf("emits = %d, want %d", len(emits), cfg.CrossParity)
 	}
 	_, meta, shard := decodeEmit(t, emits[0])
-	k := int(meta.K)
-	shards := make([][]byte, k+int(meta.R))
-	for i, src := range meta.Sources {
-		if src.Flow == 1 {
-			continue
-		}
-		b := make([]byte, int(meta.ShardLen))
-		if _, err := rs.Pack(payloadFor(int(src.Flow), 1), b); err != nil {
+	if meta.ShardLen != 65535 || len(shard) != 65535 {
+		t.Fatalf("ShardLen = %d with a %d-byte shard, want 65535", meta.ShardLen, len(shard))
+	}
+	shards := make([][]byte, cfg.K+cfg.CrossParity)
+	for i, src := range meta.Sources[1:] {
+		shards[i+1] = make([]byte, 65535)
+		if _, err := rs.Pack(payloadFor(int(src.Flow), 1), shards[i+1]); err != nil {
 			t.Fatal(err)
 		}
-		shards[i] = b
 	}
-	shards[k+int(meta.Index)] = shard
-	codec, _ := rs.NewCodec(k, int(meta.R))
-	if err := codec.Reconstruct(shards); err != nil {
+	shards[cfg.K] = shard
+	codec, _ := rs.NewCodec(cfg.K, cfg.CrossParity)
+	if err := codec.ReconstructData(shards); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := rs.Unpack(shards[0])
-	if string(got) != "mutable payload" {
-		t.Errorf("encoder aliased caller buffer: %q", got)
+	if got, _ := rs.Unpack(shards[0]); !bytes.Equal(got, big) {
+		t.Error("the largest codable payload did not survive the round trip")
 	}
 }
 

@@ -132,6 +132,7 @@ func (p *Pipeline) Stats() EncoderStats {
 		t.CrossCoded += s.CrossCoded
 		t.InCoded += s.InCoded
 		t.Evicted += s.Evicted
+		t.Oversize += s.Oversize
 		t.TimerFlushes += s.TimerFlushes
 		t.DataBytes += s.DataBytes
 		t.CodedBytes += s.CodedBytes

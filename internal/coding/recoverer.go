@@ -110,7 +110,7 @@ type Recoverer struct {
 	// raced the recovered packet do not trigger duplicate cooperative
 	// rounds (and duplicate DC2 egress).
 	recent map[core.PacketID]core.Time
-	codecs map[[2]int]*rs.Codec
+	codecs *rs.Cache
 	stats  RecovererStats
 
 	// One expiry index per map above; an entry is live while its item
@@ -136,7 +136,7 @@ func NewRecoverer(self core.NodeID, cfg RecovererConfig) *Recoverer {
 		pending:    make(map[core.PacketID]*pendingNACK),
 		attempts:   make(map[core.PacketID]int),
 		recent:     make(map[core.PacketID]core.Time),
-		codecs:     make(map[[2]int]*rs.Codec),
+		codecs:     rs.NewCache(rs.DecoderShapes),
 	}
 	r.batchQ.live = func(at core.Time, b *batchState) bool { return b.expires == at }
 	r.recoveryQ.live = func(at core.Time, rec *recoveryState) bool { return rec.deadline == at }
@@ -150,21 +150,6 @@ func (r *Recoverer) Stats() RecovererStats { return r.stats }
 
 // Batches returns the number of cached batches (for tests/metrics).
 func (r *Recoverer) Batches() int { return len(r.batches) }
-
-// codec returns (building if needed) the RS codec for (k, m), or nil when
-// no such code exists — the shape came off the wire, so it can be forged.
-func (r *Recoverer) codec(k, m int) *rs.Codec {
-	key := [2]int{k, m}
-	if c, ok := r.codecs[key]; ok {
-		return c
-	}
-	c, err := rs.NewCodec(k, m)
-	if err != nil {
-		return nil
-	}
-	r.codecs[key] = c
-	return c
-}
 
 // OnCoded ingests a parity packet from DC1. If a parked NACK is covered by
 // the new batch, recovery starts immediately ("delay in arrival of coded
@@ -407,16 +392,16 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
 	if len(rec.data)+b.held < k {
 		return nil
 	}
-	codec := r.codec(k, len(b.parity))
+	codec := r.codecs.Get(k, len(b.parity))
 	if codec == nil {
-		return nil
+		return nil // the shape came off the wire: no such code, a forgery
 	}
 	shards := make([][]byte, k+len(b.parity))
 	for pos, d := range rec.data {
 		shards[pos] = d
 	}
 	copy(shards[k:], b.parity)
-	if err := codec.Reconstruct(shards); err != nil {
+	if err := codec.ReconstructData(shards); err != nil {
 		return nil // not enough yet (or inconsistent sizes); wait for more
 	}
 	wantPos := b.sourcePos(rec.key.want)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/rs"
 	"jqos/internal/wire"
 )
 
@@ -643,5 +644,41 @@ func TestOnCodedRejectsMalformed(t *testing.T) {
 	emits := rec.OnNACK(0, 101, core.PacketID{Flow: 1, Seq: 1}, 0)
 	if n := countType(t, emits, wire.TypeRecovered); n != 0 {
 		t.Errorf("decoded %d packets with an impossible code", n)
+	}
+}
+
+// TestForgedShapesLeaveCodecCacheBounded: the (K, R) a recovery decodes with
+// comes off the wire, and every legal pair costs a matrix build and up to
+// 16 kB to keep. A flood of distinct forged shapes must leave the
+// recoverer's codec cache at its bound, and an honest batch must still
+// decode afterwards.
+func TestForgedShapesLeaveCodecCacheBounded(t *testing.T) {
+	rec := NewRecoverer(dc2, DefaultRecovererConfig())
+	hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+	shard := make([]byte, 16)
+	for r := 1; r <= 200; r++ {
+		id := core.PacketID{Flow: 1, Seq: core.Seq(r)}
+		srcs := []wire.SourceRef{{Flow: id.Flow, Seq: id.Seq, Receiver: 101}}
+		rec.OnCoded(0, &hdr, &wire.Coded{Batch: 1000 + uint64(r), Kind: wire.CrossStream, K: 1, R: uint8(r), ShardLen: 16, Sources: srcs}, shard)
+		if n := countType(t, rec.OnNACK(0, 101, id, 0), wire.TypeRecovered); n != 1 {
+			t.Fatalf("forged (1, %d) batch: %d recoveries, want 1 (the flood must reach the codec)", r, n)
+		}
+		if n := rec.codecs.Len(); n > rs.DecoderShapes {
+			t.Fatalf("after %d forged shapes the recoverer caches %d codecs, bound %d", r, n, rs.DecoderShapes)
+		}
+	}
+	if n := rec.codecs.Len(); n != rs.DecoderShapes {
+		t.Errorf("cache holds %d codecs after the flood, want its bound %d", n, rs.DecoderShapes)
+	}
+
+	h := newHarness(t, crossOnlyConfig())
+	h.rec = rec
+	for f := 1; f <= 4; f++ {
+		h.send(0, core.FlowID(10+f), 1, core.NodeID(110+f))
+	}
+	lost := core.PacketID{Flow: 11, Seq: 1}
+	emits := h.respondCoop(0, rec.OnNACK(0, 111, lost, 0))
+	if got := findRecovered(t, emits)[lost]; !bytes.Equal(got, h.payloads[lost]) {
+		t.Errorf("honest batch after the flood recovered %q, want %q", got, h.payloads[lost])
 	}
 }

@@ -186,16 +186,19 @@ type Receiver struct {
 	cfg   Config
 	flows map[core.FlowID]*flowState
 	inDec map[uint64]*inDecode
-	stats Stats
+	// codecs serves in-stream decodes; the shapes come off the wire.
+	codecs *rs.Cache
+	stats  Stats
 }
 
 // New builds a receiver engine.
 func New(cfg Config) *Receiver {
 	cfg.fillDefaults()
 	return &Receiver{
-		cfg:   cfg,
-		flows: make(map[core.FlowID]*flowState),
-		inDec: make(map[uint64]*inDecode),
+		cfg:    cfg,
+		flows:  make(map[core.FlowID]*flowState),
+		inDec:  make(map[uint64]*inDecode),
+		codecs: rs.NewCache(rs.DecoderShapes),
 	}
 }
 
@@ -476,11 +479,11 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 	if len(wanted) == 0 || present < k {
 		return res // nothing to do, or not decodable yet
 	}
-	codec, err := rs.NewCodec(k, int(dec.meta.R))
-	if err != nil {
+	codec := r.codecs.Get(k, int(dec.meta.R))
+	if codec == nil {
 		return res
 	}
-	if err := codec.Reconstruct(shards); err != nil {
+	if err := codec.ReconstructData(shards); err != nil {
 		return res
 	}
 	for _, i := range wanted {

@@ -449,6 +449,29 @@ func TestOnCodedRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestForgedShapesLeaveCodecCacheBounded: an in-stream decode takes its
+// (K, R) off the wire. A flood of distinct forged shapes, each decodable
+// (K=1, the one parity shard present), must leave the receiver's codec
+// cache at its bound rather than growing by a matrix per shape.
+func TestForgedShapesLeaveCodecCacheBounded(t *testing.T) {
+	r := testReceiver()
+	h := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dcNode, Dst: self}
+	shard := make([]byte, 8)
+	for m := 1; m <= 200; m++ {
+		meta := wire.Coded{Batch: uint64(m), Kind: wire.InStream, K: 1, R: uint8(m), ShardLen: 8,
+			Sources: []wire.SourceRef{{Flow: 1, Seq: core.Seq(m), Receiver: self}}}
+		if res := r.OnCoded(0, &h, &meta, shard); len(res.Deliveries) != 1 {
+			t.Fatalf("forged (1, %d) block: %d deliveries, want 1 (the flood must reach the codec)", m, len(res.Deliveries))
+		}
+		if n := r.codecs.Len(); n > rs.DecoderShapes {
+			t.Fatalf("after %d forged shapes the receiver caches %d codecs, bound %d", m, n, rs.DecoderShapes)
+		}
+	}
+	if n := r.codecs.Len(); n != rs.DecoderShapes {
+		t.Errorf("cache holds %d codecs after the flood, want its bound %d", n, rs.DecoderShapes)
+	}
+}
+
 func TestCrossStreamCodedIgnoredLocally(t *testing.T) {
 	r := testReceiver()
 	meta := wire.Coded{Batch: 9, Kind: wire.CrossStream, K: 2, R: 1,

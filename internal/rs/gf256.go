@@ -3,12 +3,21 @@
 // produces n-k parity shards for k data shards; any k of the n shards
 // reconstruct the originals. CR-WAN uses it for both in-stream FEC and
 // cross-stream coded packets (§4).
+//
+// The layers, bottom up: the field tables (this file); the multiply-
+// accumulate kernel every encode and decode runs on, a source word at a
+// time into up to two rows (kernel.go); the Codec — Encode over equal
+// shards, EncodePacked over a batch of variable-size packets read where
+// they lie, Reconstruct and the decoders' ReconstructData (rs.go); the
+// shard layout for variable-size packets (pack.go); and Cache, the bounded
+// per-engine memo of codecs by shape (cache.go). The byte-at-a-time loop
+// the kernel replaced lives on in the tests as its reference.
 package rs
 
 // GF(2⁸) arithmetic with the primitive polynomial x⁸+x⁴+x³+x²+1 (0x11D),
 // the same field used by most storage erasure coders. Multiplication uses
-// log/exp tables; a per-coefficient 256-entry row table accelerates the
-// inner encode loops (mulSlice) without unsafe tricks.
+// log/exp tables folded into one 64 KiB product table; encode and decode
+// both run on the word-wise multiply-accumulate kernel in kernel.go.
 
 const fieldSize = 256
 
@@ -16,7 +25,8 @@ var (
 	expTable [2 * fieldSize]byte // exp[i] = α^i, doubled to skip a mod
 	logTable [fieldSize]int
 	// mulTable[a][b] = a·b. 64 KiB; built once at init. Keeping the full
-	// table makes matrix inversion and slice kernels branch-free.
+	// table makes matrix inversion and the kernel branch-free: row a is
+	// the 256-entry lookup for "multiply by a".
 	mulTable [fieldSize][fieldSize]byte
 )
 
@@ -65,46 +75,4 @@ func gfInv(a byte) byte { return gfDiv(1, a) }
 // gfExp returns α^n for n ≥ 0.
 func gfExp(n int) byte {
 	return expTable[n%(fieldSize-1)]
-}
-
-// mulSlice computes dst[i] ^= c·src[i] for all i (the fused
-// multiply-accumulate at the heart of both encode and decode). dst and src
-// must be the same length. c == 0 is a no-op; c == 1 is a pure XOR.
-func mulSlice(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("rs: mulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		for i, s := range src {
-			dst[i] ^= s
-		}
-	default:
-		row := &mulTable[c]
-		for i, s := range src {
-			dst[i] ^= row[s]
-		}
-	}
-}
-
-// setMulSlice computes dst[i] = c·src[i] (overwrite form).
-func setMulSlice(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("rs: setMulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		row := &mulTable[c]
-		for i, s := range src {
-			dst[i] = row[s]
-		}
-	}
 }

@@ -51,7 +51,7 @@ func (m matrix) mul(other matrix) matrix {
 			if a == 0 {
 				continue
 			}
-			mulSlice(a, other.row(k), orow)
+			mulAdd(&mulTable[a], other.row(k), orow)
 		}
 	}
 	return out
@@ -111,7 +111,7 @@ func (m matrix) invert() (matrix, error) {
 				continue
 			}
 			if f := work.at(r, col); f != 0 {
-				mulSlice(f, work.row(col), work.row(r))
+				mulAdd(&mulTable[f], work.row(col), work.row(r))
 			}
 		}
 	}

@@ -15,6 +15,9 @@ import (
 // sized to the longest packet in the batch. Unpack recovers exact payloads,
 // so a reconstructed shard round-trips to the original packet bytes.
 
+// MaxPayload is the longest payload the 2-byte length prefix can describe.
+const MaxPayload = 0xFFFF
+
 // PackedSize returns the shard size needed for a payload of length n.
 func PackedSize(n int) int { return n + 2 }
 
@@ -25,7 +28,7 @@ func Pack(payload, shard []byte) ([]byte, error) {
 	if len(shard) < need {
 		return nil, fmt.Errorf("rs: shard %d too small for payload %d", len(shard), len(payload))
 	}
-	if len(payload) > 0xFFFF {
+	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("rs: payload %d exceeds 64 KiB pack limit", len(payload))
 	}
 	binary.BigEndian.PutUint16(shard, uint16(len(payload)))
@@ -50,8 +53,9 @@ func Unpack(shard []byte) ([]byte, error) {
 }
 
 // PackBatch packs payloads into equal-size shards sized to the longest
-// payload, returning the shards and the shard size. Used by the cross-stream
-// encoder when a batch closes.
+// payload, returning the shards and the shard size. It defines the batch
+// layout; the encoder computes the same parity without materialising the
+// shards (Codec.EncodePacked), and the tests hold the two together.
 func PackBatch(payloads [][]byte) ([][]byte, int, error) {
 	if len(payloads) == 0 {
 		return nil, 0, fmt.Errorf("rs: empty batch")

@@ -11,9 +11,9 @@ import (
 // use; CR-WAN's parallel encoder pipeline shares one Codec per (k, m).
 type Codec struct {
 	k, m int
-	// parity holds the bottom m rows of the systematic generator matrix;
-	// row i gives the coefficients of parity shard i over the data shards.
-	parity matrix
+	// rows holds the bottom m rows of the systematic generator matrix:
+	// rows[i][d] is the coefficient of data shard d in parity shard i.
+	rows [][]byte
 }
 
 // Errors returned by the codec.
@@ -33,8 +33,12 @@ func NewCodec(k, m int) (*Codec, error) {
 	}
 	c := &Codec{k: k, m: m}
 	if m > 0 {
-		sys := buildSystematic(k+m, k)
-		c.parity = sys.subMatrix(k, k+m, 0, k)
+		// Copied out, so the identity block above them is not kept alive.
+		parity := buildSystematic(k+m, k).subMatrix(k, k+m, 0, k)
+		c.rows = make([][]byte, m)
+		for i := range c.rows {
+			c.rows[i] = parity.row(i)
+		}
 	}
 	return c, nil
 }
@@ -50,31 +54,24 @@ func (c *Codec) TotalShards() int { return c.k + c.m }
 
 // Encode fills parity shards from data shards. shards must hold k+m slices
 // of identical length; the first k are inputs, the last m are outputs and
-// are overwritten in place (caller allocates, enabling buffer reuse in the
-// encoder hot path).
+// are overwritten in place: the caller allocates them (enabling buffer
+// reuse in the encoder hot path) and need not zero them.
 func (c *Codec) Encode(shards [][]byte) error {
 	if len(shards) != c.k+c.m {
 		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), c.k+c.m)
 	}
-	size, err := checkShardSizes(shards, nil)
-	if err != nil {
+	if _, err := checkShardSizes(shards, nil); err != nil {
 		return err
 	}
-	_ = size
-	for p := 0; p < c.m; p++ {
-		out := shards[c.k+p]
-		row := c.parity.row(p)
-		setMulSlice(row[0], shards[0], out)
-		for d := 1; d < c.k; d++ {
-			mulSlice(row[d], shards[d], out)
-		}
+	for _, out := range shards[c.k:] {
+		clear(out)
 	}
+	accumulate(c.rows, shards[:c.k], shards[c.k:], 0)
 	return nil
 }
 
-// EncodeParity computes a single parity shard (index p in [0,m)) into dst.
-// CR-WAN uses this to generate the r cross-stream coded packets of a batch
-// one at a time as they are sent.
+// EncodeParity computes a single parity shard (index p in [0,m)) into dst,
+// overwriting it.
 func (c *Codec) EncodeParity(p int, data [][]byte, dst []byte) error {
 	if p < 0 || p >= c.m {
 		return fmt.Errorf("%w: %d of %d", ErrTooManyParity, p, c.m)
@@ -85,11 +82,46 @@ func (c *Codec) EncodeParity(p int, data [][]byte, dst []byte) error {
 	if _, err := checkShardSizes(data, dst); err != nil {
 		return err
 	}
-	row := c.parity.row(p)
-	setMulSlice(row[0], data[0], dst)
-	for d := 1; d < c.k; d++ {
-		mulSlice(row[d], data[d], dst)
+	clear(dst)
+	accumulate(c.rows[p:p+1], data, [][]byte{dst}, 0)
+	return nil
+}
+
+// EncodePacked computes the parity of a batch of variable-size payloads
+// without packing them: parity receives, byte for byte, what Encode
+// produces from PackBatch(payloads) at the parity's shard size. The k
+// payloads are read where they lie — each payload byte once per pair of
+// parity rows, the 2-byte length prefix folded in arithmetically, and a
+// payload shorter than the shard adding nothing past its end, which is
+// what its zero padding would have added. parity must hold m slices of one
+// length ≥ PackedSize of the longest payload; they are overwritten. This
+// is the cross-stream and in-stream encoder's entry point (§4.1).
+func (c *Codec) EncodePacked(payloads, parity [][]byte) error {
+	if len(payloads) != c.k || len(parity) != c.m {
+		return fmt.Errorf("%w: got %d payloads and %d parity, want %d and %d", ErrShardSize, len(payloads), len(parity), c.k, c.m)
 	}
+	if c.m == 0 {
+		return nil
+	}
+	size, err := checkShardSizes(parity, nil)
+	if err != nil {
+		return err
+	}
+	for _, p := range payloads {
+		if len(p) > MaxPayload || PackedSize(len(p)) > size {
+			return fmt.Errorf("%w: payload %d does not pack into %d bytes", ErrShardSize, len(p), size)
+		}
+	}
+	for r, out := range parity {
+		clear(out)
+		var hi, lo byte
+		for j, p := range payloads {
+			hi ^= gfMul(c.rows[r][j], byte(len(p)>>8))
+			lo ^= gfMul(c.rows[r][j], byte(len(p)))
+		}
+		out[0], out[1] = hi, lo
+	}
+	accumulate(c.rows, payloads, parity, 2)
 	return nil
 }
 
@@ -97,6 +129,24 @@ func (c *Codec) EncodeParity(p int, data [][]byte, dst []byte) error {
 // shards are nil and are allocated and filled on success. At least k shards
 // must be present. Present shards are never modified.
 func (c *Codec) Reconstruct(shards [][]byte) error {
+	if err := c.ReconstructData(shards); err != nil {
+		return err
+	}
+	// With all data shards in hand, re-encode any missing parity.
+	data, parity := shards[:c.k], shards[c.k:]
+	for i := range parity {
+		if parity[i] == nil {
+			parity[i] = make([]byte, len(data[0]))
+			accumulate(c.rows[i:i+1], data, parity[i:i+1], 0)
+		}
+	}
+	return nil
+}
+
+// ReconstructData is Reconstruct for a decoder: it fills in the missing
+// data shards and leaves missing parity shards nil, saving the pass over
+// all k sources (and the allocation) each of those would cost.
+func (c *Codec) ReconstructData(shards [][]byte) error {
 	if len(shards) != c.k+c.m {
 		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), c.k+c.m)
 	}
@@ -116,25 +166,9 @@ func (c *Codec) Reconstruct(shards [][]byte) error {
 	if present < c.k {
 		return fmt.Errorf("%w: %d present, need %d", ErrTooFewShards, present, c.k)
 	}
-	missingData := false
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			missingData = true
-			break
-		}
-	}
-	if missingData {
-		if err := c.reconstructData(shards, size); err != nil {
-			return err
-		}
-	}
-	// With all data shards in hand, re-encode any missing parity.
-	for p := 0; p < c.m; p++ {
-		if shards[c.k+p] == nil {
-			shards[c.k+p] = make([]byte, size)
-			if err := c.EncodeParity(p, shards[:c.k], shards[c.k+p]); err != nil {
-				return err
-			}
+	for _, s := range shards[:c.k] {
+		if s == nil {
+			return c.reconstructData(shards, size)
 		}
 	}
 	return nil
@@ -155,7 +189,7 @@ func (c *Codec) reconstructData(shards [][]byte, size int) error {
 		if i < c.k {
 			sub.set(got, i, 1) // systematic row: identity
 		} else {
-			copy(sub.row(got), c.parity.row(i-c.k))
+			copy(sub.row(got), c.rows[i-c.k])
 		}
 		input[got] = shards[i]
 		got++
@@ -164,18 +198,18 @@ func (c *Codec) reconstructData(shards [][]byte, size int) error {
 	if err != nil {
 		return ErrSingularDecode
 	}
+	// Missing shard d is row d of the inverse applied to the inputs. The
+	// usual one or two losses fit the stack arrays; more spill to the heap.
+	var rowBuf, outBuf [4][]byte
+	rows, outs := rowBuf[:0], outBuf[:0]
 	for d := 0; d < c.k; d++ {
-		if shards[d] != nil {
-			continue
+		if shards[d] == nil {
+			shards[d] = make([]byte, size)
+			rows = append(rows, inv.row(d))
+			outs = append(outs, shards[d])
 		}
-		out := make([]byte, size)
-		row := inv.row(d)
-		setMulSlice(row[0], input[0], out)
-		for j := 1; j < c.k; j++ {
-			mulSlice(row[j], input[j], out)
-		}
-		shards[d] = out
 	}
+	accumulate(rows, input, outs, 0)
 	return nil
 }
 

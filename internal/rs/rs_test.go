@@ -77,18 +77,33 @@ func TestMulSliceKernels(t *testing.T) {
 	if !bytes.Equal(dst, []byte{8, 11, 10, 246}) {
 		t.Errorf("mulSlice(1) = %v", dst)
 	}
-	setMulSlice(0, src, dst)
-	if !bytes.Equal(dst, []byte{0, 0, 0, 0}) {
-		t.Error("setMulSlice(0) should zero dst")
-	}
-	setMulSlice(1, src, dst)
-	if !bytes.Equal(dst, src) {
-		t.Error("setMulSlice(1) should copy")
-	}
-	setMulSlice(2, src, dst)
-	for i := range src {
-		if dst[i] != gfMul(2, src[i]) {
-			t.Errorf("setMulSlice(2)[%d] = %d", i, dst[i])
+	// The word-wise kernel against the byte-at-a-time reference: every
+	// coefficient, lengths around the 8-byte word and the 16-byte loop
+	// stride, one and two rows, a destination longer than the source left
+	// alone past the source's end.
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1402} {
+		src := make([]byte, n)
+		rng.Read(src)
+		for c := 0; c < 256; c++ {
+			c0, c1 := byte(c), byte(255-c)
+			init0, init1 := make([]byte, n+3), make([]byte, n+3)
+			rng.Read(init0)
+			rng.Read(init1)
+			want0, want1 := bytes.Clone(init0), bytes.Clone(init1)
+			mulSlice(c0, src, want0[:n])
+			mulSlice(c1, src, want1[:n])
+
+			got := bytes.Clone(init0)
+			mulAdd(&mulTable[c0], src, got)
+			if !bytes.Equal(got, want0) {
+				t.Fatalf("mulAdd(c=%d, n=%d) differs from the reference", c0, n)
+			}
+			got0, got1 := bytes.Clone(init0), bytes.Clone(init1)
+			mulAdd2(&mulTable[c0], &mulTable[c1], src, got0, got1)
+			if !bytes.Equal(got0, want0) || !bytes.Equal(got1, want1) {
+				t.Fatalf("mulAdd2(c=%d,%d, n=%d) differs from the reference", c0, c1, n)
+			}
 		}
 	}
 }
@@ -453,6 +468,11 @@ func BenchmarkEncodeK10R2_512B(b *testing.B) {
 
 func BenchmarkEncodeK20R2_512B(b *testing.B) {
 	benchmarkEncode(b, 20, 2, 512)
+}
+
+// The coding_mtu shape: the deployment's K=6/R=2 batch at PackedSize(1400).
+func BenchmarkEncodeK6R2_1402B(b *testing.B) {
+	benchmarkEncode(b, 6, 2, 1402)
 }
 
 func benchmarkEncode(b *testing.B, k, m, size int) {

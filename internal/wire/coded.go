@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"jqos/internal/core"
 )
@@ -55,9 +56,11 @@ const codedFixedLen = 8 + 1 + 1 + 1 + 1 + 2 + 2 // batch,kind,k,r,index,shardlen
 // MarshaledLen returns the encoded size of the metadata (not the shard).
 func (c *Coded) MarshaledLen() int { return codedFixedLen + len(c.Sources)*sourceRefLen }
 
-// AppendMarshal appends the coded metadata followed by shard to dst.
+// AppendMarshal appends the coded metadata followed by shard to dst,
+// growing dst at most once.
 func (c *Coded) AppendMarshal(dst, shard []byte) []byte {
 	off := len(dst)
+	dst = slices.Grow(dst, c.MarshaledLen()+len(shard))
 	dst = append(dst, make([]byte, c.MarshaledLen())...)
 	b := dst[off:]
 	binary.BigEndian.PutUint64(b[0:], c.Batch)
@@ -140,9 +143,10 @@ type CoopRef struct {
 const coopRefLen = 8 + 8 + 8
 
 // AppendMarshal appends the reference (and for responses, the helper's data
-// payload) to dst.
+// payload) to dst, growing dst at most once.
 func (c *CoopRef) AppendMarshal(dst, payload []byte) []byte {
 	off := len(dst)
+	dst = slices.Grow(dst, coopRefLen+len(payload))
 	dst = append(dst, make([]byte, coopRefLen)...)
 	b := dst[off:]
 	binary.BigEndian.PutUint64(b[0:], c.Batch)

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"jqos/internal/core"
 )
@@ -228,9 +229,11 @@ func (h *Header) Unmarshal(buf []byte) (int, error) {
 }
 
 // AppendMessage marshals header+payload onto dst and returns the extended
-// slice. This is the single send-side entry point used by both runtimes.
+// slice, growing dst at most once. This is the single send-side entry point
+// used by both runtimes.
 func AppendMessage(dst []byte, h *Header, payload []byte) []byte {
 	off := len(dst)
+	dst = slices.Grow(dst, HeaderLen+len(payload))
 	dst = append(dst, make([]byte, HeaderLen)...)
 	h.Marshal(dst[off:])
 	return append(dst, payload...)

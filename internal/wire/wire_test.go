@@ -256,6 +256,36 @@ func TestMessageNesting(t *testing.T) {
 	}
 }
 
+// TestAppendGrowsOnce: each Append* sizes a nil dst for header and body
+// together instead of allocating the header and regrowing for the body, and
+// appends in place when dst already has the room.
+func TestAppendGrowsOnce(t *testing.T) {
+	h := sampleHeader()
+	c := Coded{Batch: 5, K: 2, R: 1, ShardLen: 700, Sources: []SourceRef{{1, 1, 9}, {2, 1, 9}}}
+	ref := CoopRef{Batch: 5, Want: core.PacketID{Flow: 1, Seq: 2}}
+	body := make([]byte, 700)
+	roomy := make([]byte, 0, 1024)
+	var sink []byte
+	// Under the race detector append(dst, make(...)...) materialises its
+	// temporary, so allocation counts say nothing about the code.
+	if testing.AllocsPerRun(10, func() { sink = append(roomy, make([]byte, len(body))...) }) != 0 {
+		t.Skip("this build allocates for append(dst, make(...)...)")
+	}
+	for name, f := range map[string]func(dst []byte){
+		"AppendMessage":         func(dst []byte) { sink = AppendMessage(dst, &h, body) },
+		"Coded.AppendMarshal":   func(dst []byte) { sink = c.AppendMarshal(dst, body) },
+		"CoopRef.AppendMarshal": func(dst []byte) { sink = ref.AppendMarshal(dst, body) },
+	} {
+		if n := testing.AllocsPerRun(100, func() { f(nil) }); n != 1 {
+			t.Errorf("%s from a nil dst: %v allocations, want 1", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { f(roomy) }); n != 0 {
+			t.Errorf("%s into a dst with room: %v allocations, want 0", name, n)
+		}
+	}
+	_ = sink
+}
+
 func BenchmarkHeaderMarshal(b *testing.B) {
 	h := sampleHeader()
 	buf := make([]byte, HeaderLen)

@@ -132,6 +132,37 @@ func TestCodingServiceRecoversRandomLoss(t *testing.T) {
 	}
 }
 
+// TestOversizePayloadOnCodingFlow: Flow.Send has no size limit, and a
+// payload the coded header's 16-bit shard length cannot describe used to
+// lose its protection silently (65 534 B) or panic DC1 inside Run
+// (65 536 B). Such packets travel their direct path unprotected; the flow's
+// ordinary packets around them are still coded.
+func TestOversizePayloadOnCodingFlow(t *testing.T) {
+	w := newWorld(t, 3, nil)
+	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 400*time.Millisecond, jqos.ServiceCoding))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{100, 65534, 65535, 65536, 100000, 100, 100, 100, 100, 100}
+	for i, n := range sizes {
+		n := n
+		w.d.Sim().At(time.Duration(i)*5*time.Millisecond, func() { f.Send(make([]byte, n)) })
+	}
+	w.d.Run(5 * time.Second)
+	if m := f.Metrics(); m.Delivered != uint64(len(sizes)) {
+		t.Fatalf("delivered = %d of %d", m.Delivered, len(sizes))
+	}
+	for i, del := range w.deliveries {
+		if len(del.Packet.Payload) != sizes[i] {
+			t.Errorf("delivery %d carries %d bytes, want %d", i, len(del.Packet.Payload), sizes[i])
+		}
+	}
+	enc := w.d.DC(w.dc1).Encoder().Stats()
+	if enc.Oversize != 4 || enc.DataPackets != 6 || enc.InCoded+enc.CrossCoded == 0 {
+		t.Errorf("encoder stats: %+v", enc)
+	}
+}
+
 func TestCodingServiceRecoversOutage(t *testing.T) {
 	// Cross-stream coding needs concurrent streams (Algorithm 1 discards
 	// single-stream batches), so — exactly like the paper's Skype case
