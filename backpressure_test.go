@@ -33,16 +33,21 @@ func backpressureConfig(capacity int64, withFeedback bool) jqos.Config {
 
 // congWatcher records congestion signals and egress drops.
 type congWatcher struct {
-	jqos.FlowEvents
 	signals []jqos.CongestionSignal
 	drops   int
 }
 
-func (w *congWatcher) OnCongestionSignal(_ *jqos.Flow, sig jqos.CongestionSignal) {
-	w.signals = append(w.signals, sig)
+func (w *congWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
+	switch e.Kind {
+	case telemetry.KindCongestionSignal:
+		w.signals = append(w.signals, jqos.CongestionSignal{
+			LinkA: e.LinkA, LinkB: e.LinkB, Class: e.Class,
+			State: jqos.CongestionState(e.Reason), QueuedBytes: e.V1,
+		})
+	case telemetry.KindEgressDrop:
+		w.drops++
+	}
 }
-
-func (w *congWatcher) OnEgressDrop(_ *jqos.Flow, _ jqos.Service, _ int) { w.drops++ }
 
 // buildBackpressure wires the acceptance scenario: one saturated link,
 // two greedy Rate-contracted forwarding flows, one interactive
@@ -193,7 +198,7 @@ func TestFeedbackSignalsCrossTheWire(t *testing.T) {
 		Src: gs, Dst: gd, Budget: 500 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
 		Rate: 600_000, Burst: 16 << 10,
-		Observer: watch,
+		OnEvent: watch.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +278,7 @@ func TestFeedbackSubscriptionFollowsReroute(t *testing.T) {
 	f, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 500 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
-		Observer: watch,
+		OnEvent: watch.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -419,14 +424,15 @@ func TestSchedulerAwareAdmission(t *testing.T) {
 	f.Close()
 }
 
-// rerouteRecorder records OnReroute transitions.
+// rerouteRecorder records the path after each reroute event.
 type rerouteRecorder struct {
-	jqos.FlowEvents
 	paths [][]jqos.NodeID
 }
 
-func (r *rerouteRecorder) OnReroute(_ *jqos.Flow, _, next []jqos.NodeID) {
-	r.paths = append(r.paths, next)
+func (r *rerouteRecorder) onEvent(f *jqos.Flow, e telemetry.Event) {
+	if e.Kind == telemetry.KindReroute {
+		r.paths = append(r.paths, f.Path())
+	}
 }
 
 // TestRepinOnHealReturnsPreferredPath: a pinned flow that failed over
@@ -445,7 +451,7 @@ func TestRepinOnHealReturnsPreferredPath(t *testing.T) {
 			Service: jqos.ServiceForwarding, ServiceFixed: true,
 			Path:        jqos.PathPolicy{Kind: jqos.PathPinned, Alternate: 0},
 			RepinOnHeal: repin,
-			Observer:    rec,
+			OnEvent:     rec.onEvent,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -506,15 +512,16 @@ func TestRepinOnHealValidation(t *testing.T) {
 
 // costWatcher records cost-violation events.
 type costWatcher struct {
-	jqos.FlowEvents
 	violations int
 	svc        jqos.Service
 	price      float64
 }
 
-func (w *costWatcher) OnCostViolation(_ *jqos.Flow, svc jqos.Service, costPerGB float64) {
-	w.violations++
-	w.svc, w.price = svc, costPerGB
+func (w *costWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
+	if e.Kind == telemetry.KindCostViolation {
+		w.violations++
+		w.svc, w.price = e.Class, float64(e.V1)/1e6
+	}
 }
 
 // TestCostViolationForcesDowngrade: a flow that settled on caching
@@ -542,7 +549,7 @@ func TestCostViolationForcesDowngrade(t *testing.T) {
 	f, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 70 * time.Millisecond,
 		CostCeilingPerGB: ceiling,
-		Observer:         watch,
+		OnEvent:          watch.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -588,7 +595,7 @@ func TestCostViolationForcesDowngrade(t *testing.T) {
 		Src: src2, Dst: dst2, Budget: 70 * time.Millisecond,
 		Service: jqos.ServiceCaching, ServiceFixed: true,
 		CostCeilingPerGB: ceiling,
-		Observer:         watchFixed,
+		OnEvent:          watchFixed.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -609,14 +616,17 @@ func TestCostViolationForcesDowngrade(t *testing.T) {
 
 // shapeWatcher counts admission and egress events for the interplay test.
 type shapeWatcher struct {
-	jqos.FlowEvents
 	admDrops    int
 	egressDrops int
 }
 
-func (w *shapeWatcher) OnAdmissionDrop(_ *jqos.Flow, _ jqos.Seq, _ int) { w.admDrops++ }
-func (w *shapeWatcher) OnEgressDrop(_ *jqos.Flow, _ jqos.Service, _ int) {
-	w.egressDrops++
+func (w *shapeWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
+	switch e.Kind {
+	case telemetry.KindAdmissionDrop:
+		w.admDrops++
+	case telemetry.KindEgressDrop:
+		w.egressDrops++
+	}
 }
 
 // TestAdmissionShapeSchedulerInterplay: a shaped flow whose CONFORMANT
@@ -646,7 +656,7 @@ func TestAdmissionShapeSchedulerInterplay(t *testing.T) {
 		Src: ss, Dst: sd, Budget: 2 * time.Second,
 		Service: jqos.ServiceCaching, ServiceFixed: true,
 		Rate: 40_000, Burst: 4096, AdmissionShape: true,
-		Observer: shapedWatch,
+		OnEvent: shapedWatch.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -657,7 +667,7 @@ func TestAdmissionShapeSchedulerInterplay(t *testing.T) {
 	bulk, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: bs, Dst: bd, Budget: 2 * time.Second,
 		Service: jqos.ServiceCaching, ServiceFixed: true,
-		Observer: bulkWatch,
+		OnEvent: bulkWatch.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func main() {
 			return to == target && hdr.Type == wire.TypeData && hdr.Seq%n == 0
 		}
 	}
-	host := transport.NewHostEnd(ep, core.NodeID(*dc), svc, 100*time.Millisecond)
+	host := transport.NewHostEnd(ep, core.NodeID(*dc), 100*time.Millisecond)
 	host.Start()
 	defer host.Close()
 

@@ -94,3 +94,40 @@ func TestConfigSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowSpecSurface is the same ratchet for per-flow intent: FlowSpec's
+// fields, one line each, so the next per-flow knob is a reviewed line here.
+func TestFlowSpecSurface(t *testing.T) {
+	want := []string{
+		"AdmissionShape",
+		"AllowInternet",
+		"Budget",
+		"Burst",
+		"CostCeilingPerGB",
+		"Dst",
+		"Duplication",
+		"Group",
+		"Members",
+		"OnEvent",
+		"Path",
+		"PathSwitch",
+		"Rate",
+		"RepinOnHeal",
+		"Service",
+		"ServiceCeiling",
+		"ServiceFixed",
+		"ServiceFloor",
+		"Src",
+		"Tenant",
+		"TraceSampling",
+	}
+	typ := reflect.TypeOf(jqos.FlowSpec{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("jqos.FlowSpec has fields\n  %v\nthe golden list has\n  %v", got, want)
+	}
+}

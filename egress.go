@@ -8,22 +8,11 @@ import (
 	"jqos/internal/wire"
 )
 
-// QueueState classifies one egress class queue's depth against the
-// configured watermarks (re-exported from internal/sched; surfaced in
-// SchedulerStats and as the congestion-feedback signal vocabulary).
-type QueueState = sched.QueueState
-
 // SchedulerConfig configures per-class weighted fair queueing at DC
 // egress: a deficit-round-robin scheduler with one queue per service
 // class, instantiated per inter-DC link direction (re-exported from
 // internal/sched; see Config.Scheduler).
 type SchedulerConfig = sched.Config
-
-// SchedulerStats is one egress scheduler's counter snapshot: per-class
-// enqueued/dequeued/dropped bytes and packets, live queue depth, and
-// deficit rounds (re-exported from internal/sched; see
-// Snapshot().Queue).
-type SchedulerStats = sched.Stats
 
 // egressQueue is one directed inter-DC link's egress scheduler plus its
 // pump: the DRR holds the backlog, and the pump drains it into the
@@ -68,7 +57,7 @@ func newEgressQueue(n *DCNode, to core.NodeID) *egressQueue {
 // scheduledSend routes one data-plane message of class cls into the
 // egress scheduler toward hop. On a byte-cap rejection the message is
 // dropped from the tail, accounted per class, and surfaced to the owning
-// flow (FlowMetrics.EgressDropped, Observer.OnEgressDrop).
+// flow (FlowMetrics.EgressDropped, an egress-drop event).
 func (n *DCNode) scheduledSend(hop core.NodeID, cls core.Service, msg []byte) {
 	q := n.egress[hop]
 	if q == nil {
@@ -147,11 +136,5 @@ func (d *Deployment) noteEgressDrop(flow core.FlowID, cls core.Service, size int
 		return
 	}
 	f.metrics.EgressDropped++
-	d.trace(telemetry.Event{
-		Kind: telemetry.KindEgressDrop, Flow: flow,
-		Class: cls, V1: int64(size),
-	})
-	if f.spec.Observer != nil {
-		f.spec.Observer.OnEgressDrop(f, cls, size)
-	}
+	f.emit(telemetry.Event{Kind: telemetry.KindEgressDrop, Class: cls, V1: int64(size)})
 }

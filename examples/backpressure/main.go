@@ -24,18 +24,21 @@ import (
 	"jqos"
 	"jqos/internal/core"
 	"jqos/internal/dataset"
+	"jqos/internal/telemetry"
 )
 
 // signalWatcher counts congestion signals heard by a flow.
 type signalWatcher struct {
-	jqos.FlowEvents
 	signals int
 	hot     int
 }
 
-func (w *signalWatcher) OnCongestionSignal(_ *jqos.Flow, sig jqos.CongestionSignal) {
+func (w *signalWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
+	if e.Kind != telemetry.KindCongestionSignal {
+		return
+	}
 	w.signals++
-	if sig.State == jqos.CongestionHot {
+	if e.Reason == uint8(jqos.CongestionHot) {
 		w.hot++
 	}
 }
@@ -75,7 +78,7 @@ func main() {
 				Src: gs, Dst: gd, Budget: 500 * time.Millisecond,
 				Service: jqos.ServiceForwarding, ServiceFixed: true,
 				Rate: 600_000, Burst: 16 << 10, // within the class share and queue cap
-				Observer: watch,
+				OnEvent: watch.onEvent,
 			})
 			check(err)
 			greedy = append(greedy, gf)

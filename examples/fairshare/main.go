@@ -6,7 +6,7 @@
 // the LINK is simply oversubscribed). Config.Scheduler's deficit-round-
 // robin queues let the interactive class preempt bulk inside the link:
 // its budget holds, and the bulk excess is dropped from the tail of its
-// own class queue, surfaced to the flows via OnEgressDrop.
+// own class queue, surfaced to the flows as egress-drop events.
 //
 //	go run ./examples/fairshare
 package main
@@ -19,18 +19,20 @@ import (
 	"jqos"
 	"jqos/internal/core"
 	"jqos/internal/dataset"
+	"jqos/internal/telemetry"
 )
 
 // dropWatcher counts egress tail-drops the scheduler surfaces.
 type dropWatcher struct {
-	jqos.FlowEvents
 	drops int
 	bytes int
 }
 
-func (w *dropWatcher) OnEgressDrop(_ *jqos.Flow, _ jqos.Service, size int) {
-	w.drops++
-	w.bytes += size
+func (w *dropWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
+	if e.Kind == telemetry.KindEgressDrop {
+		w.drops++
+		w.bytes += int(e.V1)
+	}
 }
 
 func main() {
@@ -59,7 +61,7 @@ func main() {
 			bf, err := d.RegisterFlow(jqos.FlowSpec{
 				Src: bs, Dst: bd, Budget: 500 * time.Millisecond,
 				Service: jqos.ServiceCaching, ServiceFixed: true,
-				Observer: drops,
+				OnEvent: drops.onEvent,
 			})
 			check(err)
 			bulks = append(bulks, bf)

@@ -64,7 +64,7 @@ func main() {
 
 	var mu sync.Mutex
 	direct, recovered := 0, 0
-	rend := transport.NewHostEnd(mk(rcvr), dc2, core.ServiceCoding, 60*time.Millisecond)
+	rend := transport.NewHostEnd(mk(rcvr), dc2, 60*time.Millisecond)
 	rend.OnDeliver = func(del core.Delivery) {
 		mu.Lock()
 		if del.Recovered {
@@ -80,12 +80,12 @@ func main() {
 	rend.Start()
 
 	for _, h := range helpers {
-		he := transport.NewHostEnd(mk(h), dc2, core.ServiceCoding, 60*time.Millisecond)
+		he := transport.NewHostEnd(mk(h), dc2, 60*time.Millisecond)
 		defer he.Close()
 		he.Start()
 	}
 
-	send := transport.NewHostEnd(mk(sender), dc1, core.ServiceCoding, 60*time.Millisecond)
+	send := transport.NewHostEnd(mk(sender), dc1, 60*time.Millisecond)
 	// Drop every 4th direct data packet to the receiver — the "Internet
 	// path" of this demo; copies to DC1 are unaffected.
 	send.SetDropSend(func(to core.NodeID, hdr *wire.Header) bool {

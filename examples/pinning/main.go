@@ -8,7 +8,7 @@
 // traffic, so spending the extra 15 ms to halve its egress bill is the
 // judicious trade. When the cheap link dies mid-run, the controller
 // notifies the pinned flow, which re-resolves onto the survivor — the
-// FlowObserver prints the lifecycle as it happens.
+// flows' event subscriber prints the lifecycle as it happens.
 //
 //	go run ./examples/pinning
 package main
@@ -21,22 +21,27 @@ import (
 	"jqos/internal/core"
 	"jqos/internal/dataset"
 	"jqos/internal/netem"
+	"jqos/internal/telemetry"
 )
 
-// printer logs flow lifecycle events as they happen.
+// printer logs flow lifecycle events as they happen. A reroute event
+// names only the new path's ends, so it remembers each flow's last path
+// to print the whole change.
 type printer struct {
-	jqos.FlowEvents
-	dep *jqos.Deployment
+	last map[jqos.FlowID][]jqos.NodeID
 }
 
-func (p *printer) OnReroute(f *jqos.Flow, old, next []jqos.NodeID) {
-	fmt.Printf("[%6.2fs] flow %d rerouted: %v → %v\n",
-		p.dep.Now().Seconds(), f.ID(), old, next)
-}
-
-func (p *printer) OnServiceChange(f *jqos.Flow, ch jqos.ServiceChange) {
-	fmt.Printf("[%6.2fs] flow %d service %v → %v (%v)\n",
-		ch.At.Seconds(), f.ID(), ch.From, ch.To, ch.Reason)
+func (p *printer) onEvent(f *jqos.Flow, e telemetry.Event) {
+	switch e.Kind {
+	case telemetry.KindReroute:
+		next := f.Path()
+		fmt.Printf("[%6.2fs] flow %d rerouted: %v → %v\n",
+			e.At.Seconds(), f.ID(), p.last[f.ID()], next)
+		p.last[f.ID()] = next
+	case telemetry.KindServiceChange:
+		fmt.Printf("[%6.2fs] flow %d service %v → %v (%v)\n",
+			e.At.Seconds(), f.ID(), jqos.Service(e.V1), e.Class, jqos.ServiceChangeReason(e.Reason))
+	}
 }
 
 func main() {
@@ -51,7 +56,7 @@ func main() {
 	dep.ConnectDCs(dc2, dc3, 15*time.Millisecond)
 	dep.ConnectDCs(dc1, dc3, 45*time.Millisecond) // fewer hops, more latency
 
-	ev := &printer{dep: dep}
+	ev := &printer{last: make(map[jqos.FlowID][]jqos.NodeID)}
 
 	// Flow 1 — latency-critical forwarding on the FASTEST path (default
 	// policy): every packet crosses dc2, paying two inter-DC egresses.
@@ -61,7 +66,7 @@ func main() {
 		Src: fsrc, Dst: fdst,
 		Budget:  100 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
-		Observer: ev,
+		OnEvent: ev.onEvent,
 	})
 	if err != nil {
 		panic(err)
@@ -79,13 +84,14 @@ func main() {
 		Src: csrc, Dst: cdst,
 		Budget:  300 * time.Millisecond,
 		Service: jqos.ServiceCoding, ServiceFixed: true,
-		Path:     jqos.PathPolicy{Kind: jqos.PathCheapest},
-		Observer: ev,
+		Path:    jqos.PathPolicy{Kind: jqos.PathCheapest},
+		OnEvent: ev.onEvent,
 	})
 	if err != nil {
 		panic(err)
 	}
 
+	ev.last[fast.ID()], ev.last[cheap.ID()] = fast.Path(), cheap.Path()
 	fmt.Printf("forwarding flow %d path (fastest):  %v\n", fast.ID(), fast.Path())
 	fmt.Printf("coding flow %d path (cheapest):     %v\n\n", cheap.ID(), cheap.Path())
 

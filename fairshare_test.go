@@ -7,6 +7,7 @@ import (
 	"jqos"
 	"jqos/internal/core"
 	"jqos/internal/dataset"
+	"jqos/internal/telemetry"
 )
 
 // buildSharedLink wires the scheduler test topology: two DCs, one link,
@@ -182,18 +183,19 @@ func TestWFQProtectsInteractiveBudget(t *testing.T) {
 	}
 }
 
-// egressWatcher records OnEgressDrop events.
+// egressWatcher records egress-drop events.
 type egressWatcher struct {
-	jqos.FlowEvents
 	drops int
 	bytes int
 	class jqos.Service
 }
 
-func (w *egressWatcher) OnEgressDrop(_ *jqos.Flow, class jqos.Service, size int) {
-	w.drops++
-	w.bytes += size
-	w.class = class
+func (w *egressWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
+	if e.Kind == telemetry.KindEgressDrop {
+		w.drops++
+		w.bytes += int(e.V1)
+		w.class = e.Class
+	}
 }
 
 // TestEgressDropSurfacedToObserver: scheduler tail-drops reach the
@@ -209,7 +211,7 @@ func TestEgressDropSurfacedToObserver(t *testing.T) {
 	// option through the builder): close the old flow first.
 	spec := w.bulks[0].Spec()
 	w.bulks[0].Close()
-	spec.Observer = watch
+	spec.OnEvent = watch.onEvent
 	bf, err := w.d.RegisterFlow(spec)
 	if err != nil {
 		t.Fatal(err)

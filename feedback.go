@@ -405,25 +405,23 @@ func (f *Flow) updateFeedbackSub() {
 
 // onCongestionSignal is a flow's reaction to backpressure: contracted
 // flows cut/freeze their pacer (AIMD), unpaced adaptive flows consider
-// a preemptive service move, and the observer hears everything.
+// a preemptive service move — after the signal itself is emitted, so a
+// subscriber sees cause, then effect.
 func (f *Flow) onCongestionSignal(sig CongestionSignal) {
 	if f.closed {
 		return
 	}
-	f.d.trace(telemetry.Event{
-		Kind: telemetry.KindCongestionSignal, Flow: f.id,
+	f.emit(telemetry.Event{
+		Kind:  telemetry.KindCongestionSignal,
 		LinkA: sig.LinkA, LinkB: sig.LinkB,
 		Class: sig.Class, Reason: uint8(sig.State), V1: sig.QueuedBytes,
 	})
-	if f.spec.Observer != nil {
-		f.spec.Observer.OnCongestionSignal(f, sig)
-	}
 	if f.pacer != nil {
 		if f.pacer.OnSignal(f.d.sim.Now(), sig.State) {
 			f.d.fb.stats.RateCuts++
-			f.d.trace(telemetry.Event{
-				Kind: telemetry.KindPacerCut, Flow: f.id,
-				V1: f.pacer.Rate(), V2: f.pacer.Contract(),
+			f.emit(telemetry.Event{
+				Kind: telemetry.KindPacerCut,
+				V1:   f.pacer.Rate(), V2: f.pacer.Contract(),
 			})
 			f.d.tel.notePacer(f.pacer.Rate(), f.pacer.Contract())
 		}
@@ -451,9 +449,9 @@ func (f *Flow) pacerTickRun() {
 	}
 	if f.pacer.Tick(f.d.sim.Now()) {
 		f.d.fb.stats.RateRecoveries++
-		f.d.trace(telemetry.Event{
-			Kind: telemetry.KindPacerRecover, Flow: f.id,
-			V1: f.pacer.Rate(), V2: f.pacer.Contract(),
+		f.emit(telemetry.Event{
+			Kind: telemetry.KindPacerRecover,
+			V1:   f.pacer.Rate(), V2: f.pacer.Contract(),
 		})
 		f.d.tel.notePacer(f.pacer.Rate(), f.pacer.Contract())
 	}

@@ -84,7 +84,7 @@ type Flow struct {
 
 	// Declarative intent (normalized at registration) — the single
 	// source of truth for budget, floor/ceiling, fixedness, path policy,
-	// duplication, and the observer. No mirrored copies: accessors and
+	// duplication, and the event subscriber. No mirrored copies: accessors and
 	// the adaptation loop read through it.
 	spec FlowSpec
 
@@ -169,8 +169,8 @@ func (f *Flow) Closed() bool { return f.closed }
 // frees its recovery state, the adaptation ticker stops, and further
 // Sends are no-ops. Metrics and Changes stay readable, but the
 // deployment no longer lists the flow and late in-flight packets are no
-// longer tracked (receivers recreate transient state for them and the
-// observer hears nothing). Close is idempotent — the prerequisite for
+// longer tracked (receivers recreate transient state for them and no
+// event is emitted). Close is idempotent — the prerequisite for
 // workloads of millions of short-lived flows.
 func (f *Flow) Close() {
 	if f.closed {
@@ -187,7 +187,7 @@ func (f *Flow) Close() {
 	// without an O(#hosts) sweep per teardown.
 	for _, id := range d.recvHosts[f.id] {
 		if h, ok := d.hosts[id]; ok {
-			h.dropReceiver(f.id)
+			h.core.Drop(f.id)
 		}
 	}
 	delete(d.recvHosts, f.id)
@@ -219,9 +219,6 @@ func (f *Flow) Close() {
 
 // Service returns the currently selected service.
 func (f *Flow) Service() core.Service { return f.service }
-
-// Budget returns the registered latency budget.
-func (f *Flow) Budget() time.Duration { return f.spec.Budget }
 
 // Spec returns the normalized registration intent (defensively copied —
 // mutating the result does not affect the flow).
@@ -264,12 +261,6 @@ func (f *Flow) Upgrades() []core.Service {
 // Changes lists every adaptation transition (upgrades and downgrades)
 // with virtual timestamps and reasons.
 func (f *Flow) Changes() []ServiceChange { return append([]ServiceChange(nil), f.changes...) }
-
-// SetDuplicationPolicy installs selective duplication.
-func (f *Flow) SetDuplicationPolicy(p DuplicationPolicy) { f.spec.Duplication = p }
-
-// NextSeq previews the sequence number Send will use next.
-func (f *Flow) NextSeq() core.Seq { return f.seq + 1 }
 
 // Send transmits one application packet: a copy on the direct Internet
 // path to each destination, plus (by service and duplication policy) a
@@ -496,22 +487,16 @@ func (f *Flow) notePaced(n int) {
 // flow's AdmissionDropped does NOT move; the tenant counts the drop
 // itself inside Admit and the trace carries the flow for attribution.
 func (f *Flow) noteTenantQuotaDrop(n int) {
-	f.d.trace(telemetry.Event{
+	f.emit(telemetry.Event{
 		Kind: telemetry.KindTenantQuotaDrop, Tenant: f.tenant.ID(),
-		Flow: f.id, Class: f.service, V1: int64(n),
+		Class: f.service, V1: int64(n),
 	})
 }
 
 // noteAdmissionDrop accounts one contract-refused cloud copy.
 func (f *Flow) noteAdmissionDrop(n int) {
 	f.metrics.AdmissionDropped++
-	f.d.trace(telemetry.Event{
-		Kind: telemetry.KindAdmissionDrop, Flow: f.id,
-		Class: f.service, V1: int64(n),
-	})
-	if f.spec.Observer != nil {
-		f.spec.Observer.OnAdmissionDrop(f, f.seq, n)
-	}
+	f.emit(telemetry.Event{Kind: telemetry.KindAdmissionDrop, Class: f.service, V1: int64(n)})
 }
 
 // recordDelivery updates metrics from the receiving endpoint.
@@ -535,14 +520,10 @@ func (f *Flow) recordDelivery(del core.Delivery) {
 	if time.Duration(lat) <= f.spec.Budget {
 		m.OnTime++
 	}
-	if f.spec.Observer != nil && f.spec.DeliverySample > 0 &&
-		m.Delivered%f.spec.DeliverySample == 0 {
-		f.spec.Observer.OnDelivery(f, del)
-	}
 }
 
-// setService moves the flow to svc, retunes the receivers, and notifies
-// the observer.
+// setService moves the flow to svc, retunes the receivers, and emits the
+// change once the flow is consistent again.
 func (f *Flow) setService(next core.Service, reason ServiceChangeReason) {
 	old := f.service
 	if next == old {
@@ -551,10 +532,6 @@ func (f *Flow) setService(next core.Service, reason ServiceChangeReason) {
 	f.service = next
 	ch := ServiceChange{At: f.d.sim.Now(), From: old, To: next, Reason: reason}
 	f.changes = append(f.changes, ch)
-	f.d.trace(telemetry.Event{
-		Kind: telemetry.KindServiceChange, Flow: f.id,
-		Class: next, Reason: uint8(reason), V1: int64(old),
-	})
 	// Reset the loss-estimate window: epochs under different services
 	// have different direct-copy behavior (path-switched forwarding
 	// sends none at all), and a window straddling the change would read
@@ -574,9 +551,10 @@ func (f *Flow) setService(next core.Service, reason ServiceChangeReason) {
 	// against.
 	f.updateFeedbackSub()
 	f.resizeContract()
-	if f.spec.Observer != nil {
-		f.spec.Observer.OnServiceChange(f, ch)
-	}
+	f.emit(telemetry.Event{
+		Kind:  telemetry.KindServiceChange,
+		Class: next, Reason: uint8(reason), V1: int64(old),
+	})
 }
 
 // resizeContract re-validates the admission contract against the
@@ -680,7 +658,7 @@ func (f *Flow) nextCostlierTier() (core.Service, bool) {
 // the spec's service ceiling AND its cost ceiling — a budget violation
 // never buys a service the caller declared too expensive (tiers priced
 // past the ceiling are skipped; with none left the flow stays put, and
-// the OnBudgetViolation event already told the observer why).
+// the budget-violation event already said why).
 func (f *Flow) upgrade() {
 	if f.spec.ServiceFixed {
 		return
@@ -837,18 +815,15 @@ func (f *Flow) adaptTick() {
 	// Cost-ceiling re-check of the CURRENT service: a flow that settled
 	// on a tier while its observed loss was low must not keep riding it
 	// after rising loss pushes that tier's price past the ceiling
-	// (caching's pull-response egress scales with loss). The observer
-	// hears the violation either way; only non-fixed flows can actually
+	// (caching's pull-response egress scales with loss). The violation
+	// is emitted either way; only non-fixed flows can actually
 	// move, and the forced move outranks this tick's normal adaptation
 	// (the window statistics describe the service just left).
 	if f.spec.CostCeilingPerGB > 0 && !f.withinCostCeiling(f.service) {
-		f.d.trace(telemetry.Event{
-			Kind: telemetry.KindCostViolation, Flow: f.id,
+		f.emit(telemetry.Event{
+			Kind:  telemetry.KindCostViolation,
 			Class: f.service, V1: int64(f.costPerGB(f.service) * 1e6),
 		})
-		if f.spec.Observer != nil {
-			f.spec.Observer.OnCostViolation(f, f.service, f.costPerGB(f.service))
-		}
 		if !f.spec.ServiceFixed && f.forceCheaper() {
 			f.dgStreak = 0
 			m.winDelivered, m.winOnTime = m.Delivered, m.OnTime
@@ -879,13 +854,10 @@ func (f *Flow) adaptTick() {
 		// Telemetry fires even for fixed flows — pinning a service is
 		// exactly when budget-compliance monitoring matters; only the
 		// service change itself is disabled (upgrade no-ops on fixed).
-		f.d.trace(telemetry.Event{
-			Kind: telemetry.KindBudgetViolation, Flow: f.id,
-			V1: int64(frac * 1e6), V2: int64(delivered),
+		f.emit(telemetry.Event{
+			Kind: telemetry.KindBudgetViolation,
+			V1:   int64(frac * 1e6), V2: int64(delivered),
 		})
-		if f.spec.Observer != nil {
-			f.spec.Observer.OnBudgetViolation(f, frac, delivered)
-		}
 		f.upgrade()
 		return
 	}

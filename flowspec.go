@@ -108,79 +108,6 @@ type ServiceChange struct {
 	Reason   ServiceChangeReason
 }
 
-// FlowObserver receives a flow's lifecycle events, replacing polling of
-// Metrics(). Callbacks run synchronously inside the simulator (or
-// transport) event that caused them — keep them short and do not call
-// back into the deployment from them.
-type FlowObserver interface {
-	// OnServiceChange fires when the adaptation loop moves the flow to
-	// a different service (either direction).
-	OnServiceChange(f *Flow, change ServiceChange)
-	// OnReroute fires when the flow's overlay path changes: a pinned
-	// path died and was re-resolved, or (for PathFastest flows) the
-	// controller moved the primary path. Either slice may be nil when
-	// no path existed on that side.
-	OnReroute(f *Flow, old, next []NodeID)
-	// OnBudgetViolation fires when a delivery window misses the on-time
-	// target, just before the resulting upgrade attempt.
-	OnBudgetViolation(f *Flow, onTime float64, delivered uint64)
-	// OnDelivery fires for sampled deliveries (every
-	// FlowSpec.DeliverySample-th; never when DeliverySample is 0).
-	OnDelivery(f *Flow, del Delivery)
-	// OnAdmissionDrop fires when the flow's token-bucket contract
-	// (FlowSpec.Rate) drops a packet's cloud copy — the packet exceeded
-	// the contract and, with AdmissionShape, could not be delayed into
-	// conformance either. The direct Internet copy, if any, was still
-	// sent: admission polices cloud resources only.
-	OnAdmissionDrop(f *Flow, seq Seq, size int)
-	// OnEgressDrop fires when a DC egress scheduler's byte cap drops one
-	// of the flow's packets from the tail of its class queue
-	// (Config.Scheduler) — the class's share of the link could not absorb
-	// the backlog. class is the service class of the dropped copy, size
-	// its wire size. Direct Internet copies never pass the scheduler and
-	// are never dropped by it.
-	OnEgressDrop(f *Flow, class Service, size int)
-	// OnCongestionSignal fires when the feedback plane delivers a
-	// watermark transition for a (link, class) the flow traverses
-	// (Config.Feedback) — before the flow's own reaction (pacer cut or
-	// preemptive service move), so the observer sees cause then effect.
-	OnCongestionSignal(f *Flow, sig CongestionSignal)
-	// OnCostViolation fires when the flow's CURRENT service, priced at
-	// its observed loss rate, exceeds the spec's cost ceiling —
-	// just before the forced downgrade attempt (which fixed-service
-	// flows skip; the telemetry still fires). costPerGB is the
-	// offending price.
-	OnCostViolation(f *Flow, svc Service, costPerGB float64)
-}
-
-// FlowEvents is a no-op FlowObserver for embedding, so observers
-// implement only the events they care about.
-type FlowEvents struct{}
-
-// OnServiceChange implements FlowObserver.
-func (FlowEvents) OnServiceChange(*Flow, ServiceChange) {}
-
-// OnReroute implements FlowObserver.
-func (FlowEvents) OnReroute(*Flow, []NodeID, []NodeID) {}
-
-// OnBudgetViolation implements FlowObserver.
-func (FlowEvents) OnBudgetViolation(*Flow, float64, uint64) {}
-
-// OnDelivery implements FlowObserver.
-func (FlowEvents) OnDelivery(*Flow, Delivery) {}
-
-// OnAdmissionDrop implements FlowObserver.
-func (FlowEvents) OnAdmissionDrop(*Flow, Seq, int) {}
-
-// OnEgressDrop implements FlowObserver.
-func (FlowEvents) OnEgressDrop(*Flow, Service, int) {}
-
-// OnCongestionSignal implements FlowObserver.
-func (FlowEvents) OnCongestionSignal(*Flow, CongestionSignal) {}
-
-// OnCostViolation implements FlowObserver.
-func (FlowEvents) OnCostViolation(*Flow, Service, float64) {}
-
 // FlowSpec is the declarative registration intent of one application
 // stream: where it goes, what latency it needs, what it may cost, which
 // services and overlay paths are acceptable, and who hears about its
@@ -213,7 +140,7 @@ type FlowSpec struct {
 
 	// Service pins the flow to one service when ServiceFixed is set:
 	// selection is bypassed and the adaptation loop never changes the
-	// service (the Observer still receives OnBudgetViolation telemetry).
+	// service (budget-violation events are still emitted).
 	Service      Service
 	ServiceFixed bool
 
@@ -253,8 +180,8 @@ type FlowSpec struct {
 	// Rate, when positive, is the flow's admission contract: its cloud
 	// copies are policed at the ingress by a token bucket refilling at
 	// Rate bytes/second with Burst bytes of depth. Packets exceeding the
-	// contract lose their cloud copy (dropped, with
-	// Observer.OnAdmissionDrop and FlowMetrics.AdmissionDropped) or —
+	// contract lose their cloud copy (dropped, with an admission-drop
+	// event and FlowMetrics.AdmissionDropped) or —
 	// with AdmissionShape — are delayed into conformance. The direct
 	// Internet copy is never policed: admission governs cloud resources
 	// only, so one greedy flow cannot starve the overlay (§2's judicious
@@ -283,11 +210,17 @@ type FlowSpec struct {
 	// duplication, §6.4). Nil duplicates everything.
 	Duplication DuplicationPolicy
 
-	// Observer receives lifecycle events; nil disables them.
-	Observer FlowObserver
-	// DeliverySample invokes Observer.OnDelivery every N-th delivery
-	// (0 disables delivery sampling).
-	DeliverySample uint64
+	// OnEvent, when set, hears every control-loop event about this flow
+	// — service changes, reroutes, budget and cost violations, admission
+	// and egress drops, congestion signals, pacer cuts and recoveries —
+	// exactly as the trace ring records it (Seq and At filled; see
+	// telemetry.Event for what each Kind carries), replacing polling of
+	// Metrics(). A cause precedes its effect: the congestion signal is
+	// heard before the pacer cut or service move it triggers. It runs
+	// synchronously inside the simulator event that caused it — keep it
+	// short. Deliveries are not events: Host.SetDeliveryHandler hears
+	// those.
+	OnEvent func(*Flow, telemetry.Event)
 
 	// TraceSampling enables hop-level latency attribution for this
 	// flow: the fraction of cloud copies (in (0, 1]) stamped with the
@@ -529,8 +462,8 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	// default-RTT zombie that Close could never free.
 	for _, dst := range dsts {
 		if h, ok := d.hosts[dst]; ok {
-			h.dropReceiver(f.id)
-			h.ensureReceiver(f.id, d.receiverRTT(spec.Src, dst), svc)
+			h.core.Drop(f.id)
+			h.core.Ensure(f.id, d.receiverRTT(spec.Src, dst), svc)
 		}
 	}
 
@@ -709,9 +642,8 @@ func (f *Flow) resolvePathWith(chosen *routing.Path) {
 	}
 	switch f.spec.Path.Kind {
 	case PathFastest:
-		// Watch unconditionally so Path() tracks the live primary even
-		// without an observer (onFlowPath only fires the callback when
-		// one listens); the watch's own SPF seeds the initial path.
+		// Watch unconditionally so Path() tracks the live primary; the
+		// watch's own SPF seeds the initial path.
 		f.activePath = append([]core.NodeID(nil), d.ctrl.WatchFlow(f.id, dcA, dcB)...)
 	case PathCheapest, PathPinned:
 		if chosen == nil {
@@ -757,7 +689,7 @@ func cheapestPath(alts []routing.Path) *routing.Path {
 // that died re-resolve against the surviving alternates; watched flows
 // record their new primary — except pinned-policy flows parked on a
 // fallback watch (no path existed), which re-apply their policy now that
-// one might. Observers hear all of it as OnReroute.
+// one might. Subscribers hear all of it as reroute events.
 func (d *Deployment) onFlowPath(flow core.FlowID, old, next []core.NodeID, broken bool) {
 	f, ok := d.flows[flow]
 	if !ok {
@@ -777,11 +709,6 @@ func (d *Deployment) onFlowPath(flow core.FlowID, old, next []core.NodeID, broke
 	f.resizeContract()
 	f.noteRepinState()
 	f.traceReroute(old)
-	if f.spec.Observer != nil {
-		// Copies: observers must not be able to mutate the flow's live
-		// path state through the callback arguments.
-		f.spec.Observer.OnReroute(f, append([]NodeID(nil), old...), f.Path())
-	}
 }
 
 // traceReroute records one path change in the control-loop trace:
@@ -789,14 +716,14 @@ func (d *Deployment) onFlowPath(flow core.FlowID, old, next []core.NodeID, broke
 // old/new path lengths.
 func (f *Flow) traceReroute(old []core.NodeID) {
 	e := telemetry.Event{
-		Kind: telemetry.KindReroute, Flow: f.id,
-		V1: int64(len(old)), V2: int64(len(f.activePath)),
+		Kind: telemetry.KindReroute,
+		V1:   int64(len(old)), V2: int64(len(f.activePath)),
 	}
 	if len(f.activePath) >= 2 {
 		e.LinkA = f.activePath[0]
 		e.LinkB = f.activePath[len(f.activePath)-1]
 	}
-	f.d.trace(e)
+	f.emit(e)
 }
 
 // noteRepinState keeps the deployment's repin watch honest after any
@@ -830,7 +757,7 @@ func (d *Deployment) onRecompute() {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		f := d.repinWatch[id]
-		// An OnReroute callback fired earlier in this loop may have
+		// A reroute subscriber called earlier in this loop may have
 		// closed another watched flow (Close deletes its entry) — the
 		// snapshot of ids can outlive the map's contents.
 		if f == nil || f.closed {
@@ -847,9 +774,6 @@ func (d *Deployment) onRecompute() {
 		f.noteRepinState()
 		if !slices.Equal(old, f.activePath) {
 			f.traceReroute(old)
-			if f.spec.Observer != nil {
-				f.spec.Observer.OnReroute(f, old, f.Path())
-			}
 		}
 	}
 }

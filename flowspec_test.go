@@ -10,25 +10,34 @@ import (
 	"jqos/internal/netem"
 	"jqos/internal/overlay"
 	"jqos/internal/routing"
+	"jqos/internal/telemetry"
 )
 
-// recorder is a FlowObserver that logs every event.
+// recorder logs a flow's events. A reroute event names only the new
+// path's ends, so the recorder keeps the path it last saw (seeded by the
+// test after registration) to log {old, next} pairs.
 type recorder struct {
-	jqos.FlowEvents // absorb events added after this test was written
-	changes         []jqos.ServiceChange
-	reroutes        [][2][]jqos.NodeID
-	violations      int
-	deliveries      int
+	changes    []jqos.ServiceChange
+	reroutes   [][2][]jqos.NodeID
+	last       []jqos.NodeID
+	violations int
 }
 
-func (r *recorder) OnServiceChange(_ *jqos.Flow, ch jqos.ServiceChange) {
-	r.changes = append(r.changes, ch)
+func (r *recorder) onEvent(f *jqos.Flow, e telemetry.Event) {
+	switch e.Kind {
+	case telemetry.KindServiceChange:
+		r.changes = append(r.changes, jqos.ServiceChange{
+			At: e.At, From: jqos.Service(e.V1), To: e.Class,
+			Reason: jqos.ServiceChangeReason(e.Reason),
+		})
+	case telemetry.KindReroute:
+		next := f.Path()
+		r.reroutes = append(r.reroutes, [2][]jqos.NodeID{r.last, next})
+		r.last = next
+	case telemetry.KindBudgetViolation:
+		r.violations++
+	}
 }
-func (r *recorder) OnReroute(_ *jqos.Flow, old, next []jqos.NodeID) {
-	r.reroutes = append(r.reroutes, [2][]jqos.NodeID{old, next})
-}
-func (r *recorder) OnBudgetViolation(*jqos.Flow, float64, uint64) { r.violations++ }
-func (r *recorder) OnDelivery(*jqos.Flow, jqos.Delivery)          { r.deliveries++ }
 
 // TestFlowSpecValidation covers the new error paths.
 func TestFlowSpecValidation(t *testing.T) {
@@ -89,7 +98,7 @@ func TestBidirectionalAdaptation(t *testing.T) {
 		Src: src, Dst: dst,
 		Budget:       100 * time.Millisecond,
 		ServiceFloor: jqos.ServiceCoding,
-		Observer:     rec,
+		OnEvent:      rec.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +127,7 @@ func TestBidirectionalAdaptation(t *testing.T) {
 			f.Upgrades(), f.Metrics().OnTime, f.Metrics().Delivered)
 	}
 	if rec.violations == 0 {
-		t.Error("no OnBudgetViolation events")
+		t.Error("no budget-violation events")
 	}
 	downs := 0
 	for _, ch := range rec.changes {
@@ -285,12 +294,13 @@ func TestPinnedPathForwardingAndFailover(t *testing.T) {
 		Src: src, Dst: dst,
 		Budget:  300 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
-		Path:     jqos.PathPolicy{Kind: jqos.PathPinned, Alternate: 1},
-		Observer: rec,
+		Path:    jqos.PathPolicy{Kind: jqos.PathPinned, Alternate: 1},
+		OnEvent: rec.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.last = f.Path()
 	// The pin resolved to the backup path dc1→dc3→dc4.
 	wantPin := []jqos.NodeID{dcs[0], dcs[2], dcs[3]}
 	if got := f.Path(); len(got) != 3 || got[1] != dcs[2] {
@@ -410,12 +420,13 @@ func TestPinnedPolicySurvivesTotalOutage(t *testing.T) {
 	f, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 300 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
-		Path:     jqos.PathPolicy{Kind: jqos.PathPinned},
-		Observer: rec,
+		Path:    jqos.PathPolicy{Kind: jqos.PathPinned},
+		OnEvent: rec.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.last = f.Path()
 	if p := f.Path(); len(p) != 2 {
 		t.Fatalf("initial pin = %v", p)
 	}
@@ -639,36 +650,5 @@ func TestPartialOverlayTimerFlushedParity(t *testing.T) {
 	if m.Delivered != 8 || m.Recovered == 0 {
 		t.Errorf("delivered %d/8, recovered %d — loss not repaired from timer-flushed parity",
 			m.Delivered, m.Recovered)
-	}
-}
-
-// TestObserverDeliverySampling: OnDelivery fires every N-th delivery.
-func TestObserverDeliverySampling(t *testing.T) {
-	d := jqos.NewDeployment(27)
-	dc1 := d.AddDC("a", dataset.RegionUSEast)
-	dc2 := d.AddDC("b", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
-	src := d.AddHost(dc1, 5*time.Millisecond)
-	dst := d.AddHost(dc2, 8*time.Millisecond)
-	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), nil)
-	rec := &recorder{}
-	f, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst, Budget: 300 * time.Millisecond,
-		Service: jqos.ServiceCaching, ServiceFixed: true,
-		Observer: rec, DeliverySample: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		at := time.Duration(i) * 5 * time.Millisecond
-		d.Sim().At(at, func() { f.Send([]byte("s")) })
-	}
-	d.Run(5 * time.Second)
-	if f.Metrics().Delivered != 100 {
-		t.Fatalf("delivered %d", f.Metrics().Delivered)
-	}
-	if rec.deliveries != 10 {
-		t.Errorf("OnDelivery fired %d times, want 10", rec.deliveries)
 	}
 }

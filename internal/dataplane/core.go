@@ -1,13 +1,23 @@
-// Package dataplane is the data plane of one J-QoS data center as a single
-// sans-IO core: the forwarding, caching and CR-WAN coding services (§3)
-// dispatched per message, with every egress decision — pinned paths,
-// epoch-tagged make-before-break drain, multicast fan-out, partial-overlay
-// loopback, table-then-nearest-DC hop resolution — made in one place.
+// Package dataplane is the J-QoS data plane as two sans-IO cores.
 //
-// The core owns no clock, socket or topology. Its host passes the time in
-// and answers four questions through Env; the emulator's DCNode and the
-// UDP transport.Relay are the two hosts, so the code that runs on real
-// sockets is the code the emulator tests.
+// Core is one data center: the forwarding, caching and CR-WAN coding
+// services (§3) dispatched per message, with every egress decision —
+// pinned paths, epoch-tagged make-before-break drain, multicast fan-out,
+// partial-overlay loopback, table-then-nearest-DC hop resolution — made in
+// one place.
+//
+// HostCore is the receiving side of one endpoint: a recovery engine per
+// inbound flow, the one dispatch of arriving messages over them, the
+// refusal to rebuild a closed flow's state, and the cap on state for flow
+// IDs nobody registered.
+//
+// Neither core owns a clock, a socket or a topology. Its runtime passes
+// the time in and answers a few questions through Env / HostEnv. There
+// are four runtimes: the emulator's DCNode and Host, and the UDP
+// transport.Relay and transport.HostEnd — so the code that runs on real
+// sockets is the code the emulator tests, and a root-level differential
+// test (TestEmulatorMatchesLoopbackUDP) holds the two worlds to the same
+// deliveries and engine counters.
 package dataplane
 
 import (

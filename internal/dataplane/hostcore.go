@@ -1,0 +1,313 @@
+package dataplane
+
+import (
+	"cmp"
+	"slices"
+
+	"jqos/internal/core"
+	"jqos/internal/recovery"
+	"jqos/internal/wire"
+)
+
+// FlowState is what a host's runtime knows of a flow ID.
+type FlowState uint8
+
+const (
+	// FlowUnknown: an ID the runtime never allocated — an external or
+	// mid-join flow, or a forged one. It gets a receiver lazily, held
+	// under the unsolicited cap.
+	FlowUnknown FlowState = iota
+	// FlowLive: a registered flow. Its receiver is outside the cap and
+	// stays until the runtime calls Drop.
+	FlowLive
+	// FlowClosed: an allocated ID the runtime no longer tracks. It gets
+	// no state: a late in-flight packet must not resurrect the receiver
+	// its teardown just freed, or churning short-lived flows would leak
+	// one receiver per flow.
+	FlowClosed
+)
+
+// HostEnv is what a HostCore needs from the runtime hosting it.
+type HostEnv interface {
+	// Flow classifies id and names the RTT that seeds its receiver's
+	// loss-detection timers (≤ 0: the receiver's own default).
+	Flow(id core.FlowID) (FlowState, core.Time)
+	// Holding reports that the core now holds a live flow's receiver —
+	// one no cap will ever evict, so the runtime must Drop it when the
+	// flow ends.
+	Holding(id core.FlowID)
+	// Send puts msg on the wire toward to.
+	Send(to core.NodeID, msg []byte)
+	// Deliver surfaces one packet to the application.
+	Deliver(del core.Delivery)
+}
+
+// MaxUnsolicited bounds per-host receiver state for flow IDs the runtime
+// never allocated. Generous enough for every legitimate lazy-creation
+// pattern (a burst of external flows joining at once), small enough that
+// forged-ID floods stay O(1) per host.
+const MaxUnsolicited = 32
+
+// HostCore is the receiving side of one endpoint: a recovery engine per
+// inbound flow handling everything that arrives — data, recovered packets,
+// parity for local decode, cooperative-recovery requests and verification
+// probes. Not safe for concurrent use; the host serializes its calls.
+type HostCore struct {
+	self, dc core.NodeID
+	env      HostEnv
+
+	receivers map[core.FlowID]*recovery.Receiver
+	// byFlow lists the same receivers in ascending flow-ID order: OnTimer
+	// walks it, so flows whose timers expire in the same instant emit
+	// (and draw link jitter and loss) in a fixed order instead of Go's
+	// per-range map order.
+	byFlow []flowReceiver
+	// unsol lists the receivers of FlowUnknown IDs in least-recently-used
+	// order: creating one past MaxUnsolicited evicts the front. Without
+	// the cap a sender forging fresh IDs would grow the receiver map
+	// without bound — these entries have no Drop to free them. Live flows
+	// never enter the list, and an unsolicited ID that a later
+	// registration adopts leaves it, so mid-join laziness is untouched.
+	unsol []core.FlowID
+
+	drop uint64
+	// retired sums the counters of receivers no longer held, so Stats
+	// never steps back when one is evicted or dropped.
+	retired recovery.Stats
+}
+
+type flowReceiver struct {
+	flow core.FlowID
+	r    *recovery.Receiver
+}
+
+// NewHost builds the core of endpoint self, whose nearby DC is dc, on env.
+func NewHost(self, dc core.NodeID, env HostEnv) *HostCore {
+	return &HostCore{
+		self:      self,
+		dc:        dc,
+		env:       env,
+		receivers: make(map[core.FlowID]*recovery.Receiver),
+	}
+}
+
+// Receiver returns the recovery engine for a flow (nil if none yet).
+func (c *HostCore) Receiver(flow core.FlowID) *recovery.Receiver { return c.receivers[flow] }
+
+// Receivers is how many per-flow engines the core holds; Unsolicited how
+// many of those belong to FlowUnknown IDs — at most MaxUnsolicited.
+func (c *HostCore) Receivers() int   { return len(c.byFlow) }
+func (c *HostCore) Unsolicited() int { return len(c.unsol) }
+
+// Dropped counts messages the core gave up on: bodies it could not parse
+// and types no receiver handles.
+func (c *HostCore) Dropped() uint64 { return c.drop }
+
+// Stats sums the counters of every receiver the core holds or has held.
+func (c *HostCore) Stats() recovery.Stats {
+	sum := c.retired
+	for _, e := range c.byFlow {
+		sum.Add(e.r.Stats())
+	}
+	return sum
+}
+
+// Ensure returns flow's recovery engine, creating it on first contact
+// with the given RTT seed (≤ 0: whatever env.Flow names) and service.
+// Closed flows get nil; callers drop the packet.
+func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *recovery.Receiver {
+	if r, ok := c.receivers[flow]; ok {
+		c.refreshUnsolicited(flow)
+		return r
+	}
+	state, seed := c.env.Flow(flow)
+	switch state {
+	case FlowClosed:
+		return nil
+	case FlowLive:
+		c.env.Holding(flow)
+	default:
+		if len(c.unsol) >= MaxUnsolicited {
+			c.remove(c.unsol[0])
+			c.unsol = slices.Delete(c.unsol, 0, 1)
+		}
+		c.unsol = append(c.unsol, flow)
+	}
+	if rtt <= 0 {
+		rtt = seed
+	}
+	if rtt <= 0 {
+		rtt = 100e6
+	}
+	cfg := recovery.DefaultConfig(c.self, c.dc, rtt)
+	cfg.Service = svc
+	r := recovery.New(cfg)
+	c.receivers[flow] = r
+	c.byFlow = slices.Insert(c.byFlow, c.flowIndex(flow), flowReceiver{flow, r})
+	return r
+}
+
+// flowIndex is flow's position in byFlow, or where it would be inserted.
+func (c *HostCore) flowIndex(flow core.FlowID) int {
+	i, _ := slices.BinarySearchFunc(c.byFlow, flow, func(e flowReceiver, id core.FlowID) int {
+		return cmp.Compare(e.flow, id)
+	})
+	return i
+}
+
+// remove deletes flow's engine from the map and the ordered list.
+func (c *HostCore) remove(flow core.FlowID) {
+	r, ok := c.receivers[flow]
+	if !ok {
+		return
+	}
+	c.retired.Add(r.Stats())
+	delete(c.receivers, flow)
+	i := c.flowIndex(flow)
+	c.byFlow = slices.Delete(c.byFlow, i, i+1)
+}
+
+// Drop frees a flow's recovery engine. A previously-unsolicited ID leaves
+// the LRU list too — a registration adopting a mid-join receiver must not
+// leave a stale entry whose later eviction would delete the legitimate
+// flow's fresh state.
+func (c *HostCore) Drop(flow core.FlowID) {
+	c.remove(flow)
+	if i := slices.Index(c.unsol, flow); i >= 0 {
+		c.unsol = slices.Delete(c.unsol, i, i+1)
+	}
+}
+
+// refreshUnsolicited keeps the LRU honest on a receiver-map hit. A
+// still-unsolicited entry moves to the LRU back (recently used). An entry
+// whose ID a registration has since allocated is PROMOTED out of the list
+// entirely and reported as held — the flow is live now, so its receiver
+// must be evict-proof and must be freed by the flow's teardown like any
+// other (the registration itself only reset receivers on its OWN
+// destinations; a host that met the ID pre-allocation and serves it
+// mid-join is exactly this path). A no-op for ordinary flows: the list is
+// empty unless forged/external IDs exist, so the scan costs nothing in the
+// common case and at most MaxUnsolicited comparisons otherwise.
+func (c *HostCore) refreshUnsolicited(flow core.FlowID) {
+	i := slices.Index(c.unsol, flow)
+	if i < 0 {
+		return
+	}
+	c.unsol = slices.Delete(c.unsol, i, i+1)
+	if state, _ := c.env.Flow(flow); state == FlowLive {
+		c.env.Holding(flow)
+	} else {
+		c.unsol = append(c.unsol, flow)
+	}
+}
+
+// Handle dispatches one parsed message to the receiver of the flow it
+// names, then sends what the receiver emits and delivers what it
+// surfaces. It reports false when no receiver ran — an undecodable body,
+// an unknown type, a closed flow — so no deadline can have moved.
+func (c *HostCore) Handle(now core.Time, hdr *wire.Header, body []byte) bool {
+	var res recovery.Result
+	switch hdr.Type {
+	case wire.TypeData:
+		// The receiver asks for the service the packet was sent under;
+		// an Internet-only packet has none, so its losses go to coding.
+		svc := hdr.Service
+		if svc == core.ServiceInternet {
+			svc = core.ServiceCoding
+		}
+		r := c.Ensure(hdr.Flow, 0, svc)
+		if r == nil {
+			return false // late packet of a closed flow
+		}
+		res = r.OnData(now, hdr, body)
+	case wire.TypeRecovered, wire.TypePullResp:
+		r := c.Ensure(hdr.Flow, 0, hdr.Service)
+		if r == nil {
+			return false
+		}
+		res = r.OnRecovered(now, hdr, body)
+	case wire.TypeCoded:
+		var meta wire.Coded
+		shard, err := meta.Unmarshal(body)
+		if err != nil || len(meta.Sources) == 0 {
+			c.drop++
+			return false
+		}
+		r := c.Ensure(meta.Sources[0].Flow, 0, core.ServiceCoding)
+		if r == nil {
+			return false
+		}
+		res = r.OnCoded(now, hdr, &meta, shard)
+	case wire.TypeCoopReq:
+		var ref wire.CoopRef
+		if _, err := ref.Unmarshal(body); err != nil {
+			c.drop++
+			return false
+		}
+		if r, ok := c.receivers[hdr.Flow]; ok {
+			res = r.OnCoopReq(now, hdr, &ref)
+		}
+	case wire.TypeVerify:
+		if r, ok := c.receivers[hdr.Flow]; ok {
+			res = r.OnVerify(now, hdr)
+		}
+	default:
+		c.drop++
+		return false
+	}
+	c.process(res)
+	return true
+}
+
+// Pull asks the nearby DC's cache for every packet of flow after seq — the
+// mobility rendezvous drain (Figure 3e). Responses arrive as ordinary
+// recovered deliveries. It reports false, sending nothing, for a closed
+// flow: nobody is left to process the responses.
+func (c *HostCore) Pull(now core.Time, flow core.FlowID, after core.Seq) bool {
+	if c.Ensure(flow, 0, core.ServiceCaching) == nil {
+		return false
+	}
+	hdr := wire.Header{
+		Type:    wire.TypePull,
+		Service: core.ServiceCaching,
+		Flags:   wire.FlagDrain,
+		Flow:    flow,
+		Seq:     after,
+		TS:      now,
+		Src:     c.self,
+		Dst:     c.dc,
+	}
+	c.env.Send(c.dc, wire.AppendMessage(nil, &hdr, nil))
+	return true
+}
+
+// process sends one receiver's emits, then surfaces its deliveries.
+func (c *HostCore) process(res recovery.Result) {
+	for _, em := range res.Emits {
+		c.env.Send(em.To, em.Msg)
+	}
+	for _, del := range res.Deliveries {
+		c.env.Deliver(del)
+	}
+}
+
+// NextDeadline is the earliest deadline any held receiver has pending.
+func (c *HostCore) NextDeadline() (core.Time, bool) {
+	var min core.Time
+	found := false
+	for _, e := range c.byFlow {
+		if dl, ok := e.r.NextDeadline(); ok && (!found || dl < min) {
+			min, found = dl, true
+		}
+	}
+	return min, found
+}
+
+// OnTimer runs every receiver's timers in ascending flow order. By index:
+// a delivery may close a flow and shrink the list mid-walk; a receiver
+// skipped that way is still due, and NextDeadline says so.
+func (c *HostCore) OnTimer(now core.Time) {
+	for i := 0; i < len(c.byFlow); i++ {
+		c.process(c.byFlow[i].r.OnTimer(now))
+	}
+}

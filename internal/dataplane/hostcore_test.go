@@ -1,0 +1,360 @@
+package dataplane
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+	"time"
+
+	"jqos/internal/core"
+	"jqos/internal/wire"
+)
+
+// The host test world: endpoint 201 behind DC 2. Flow IDs below allocated
+// that the test has not marked live are closed; the rest were never
+// allocated.
+const (
+	hostSelf core.NodeID = 201
+	hostDC   core.NodeID = 2
+)
+
+// fakeHostEnv is the one test implementation of HostEnv: a flow table the
+// test edits, recording everything the core sends, delivers and reports
+// holding. The hooks let a test react from inside a callback the way an
+// application would.
+type fakeHostEnv struct {
+	live      map[core.FlowID]core.Time // live flow → RTT seed
+	allocated core.FlowID
+	held      []core.FlowID
+	sent      []core.Emit
+	delivered []core.Delivery
+	onSend    func(core.Emit)
+}
+
+func (e *fakeHostEnv) Flow(id core.FlowID) (FlowState, core.Time) {
+	switch rtt, live := e.live[id]; {
+	case live:
+		return FlowLive, rtt
+	case id < e.allocated:
+		return FlowClosed, 0
+	}
+	return FlowUnknown, 0
+}
+func (e *fakeHostEnv) Holding(id core.FlowID) { e.held = append(e.held, id) }
+func (e *fakeHostEnv) Send(to core.NodeID, msg []byte) {
+	em := core.Emit{To: to, Msg: msg}
+	e.sent = append(e.sent, em)
+	if e.onSend != nil {
+		e.onSend(em)
+	}
+}
+func (e *fakeHostEnv) Deliver(del core.Delivery) { e.delivered = append(e.delivered, del) }
+
+func newHostWorld() (*HostCore, *fakeHostEnv) {
+	env := &fakeHostEnv{live: map[core.FlowID]core.Time{}}
+	return NewHost(hostSelf, hostDC, env), env
+}
+
+// hostHandle feeds raw through the same split both hosts do.
+func hostHandle(t testing.TB, c *HostCore, now core.Time, raw []byte) bool {
+	t.Helper()
+	var hdr wire.Header
+	body, err := wire.SplitMessage(&hdr, raw)
+	if err != nil {
+		t.Fatalf("test message does not parse: %v", err)
+	}
+	return c.Handle(now, &hdr, body)
+}
+
+func recovered(flow core.FlowID, seq core.Seq) []byte {
+	return message(wire.TypeRecovered, core.ServiceCoding, flow, seq, hostDC, hostSelf, 0, []byte("x"))
+}
+
+func data(flow core.FlowID, seq core.Seq) []byte {
+	return message(wire.TypeData, core.ServiceCoding, flow, seq, 100, hostSelf, 0, []byte("x"))
+}
+
+// sentFlows lists the flow each sent message names, in order.
+func sentFlows(t *testing.T, emits []core.Emit) []core.FlowID {
+	t.Helper()
+	var out []core.FlowID
+	for _, em := range emits {
+		var hdr wire.Header
+		if _, err := wire.SplitMessage(&hdr, em.Msg); err != nil {
+			t.Fatalf("sent an unparseable message: %v", err)
+		}
+		out = append(out, hdr.Flow)
+	}
+	return out
+}
+
+func TestHostCoreUnsolicitedBounded(t *testing.T) {
+	// Never-allocated IDs create receivers lazily (the mid-join contract),
+	// but the LRU cap bounds them: a forged-ID flood has no teardown path.
+	c, env := newHostWorld()
+	for i := 0; i < 200; i++ {
+		hostHandle(t, c, core.Time(i)*time.Millisecond, recovered(core.FlowID(10_000+i), 1))
+	}
+	if got := c.Unsolicited(); got != MaxUnsolicited {
+		t.Errorf("unsolicited receivers = %d after 200 forged flows, want %d", got, MaxUnsolicited)
+	}
+	if got := c.Receivers(); got != MaxUnsolicited {
+		t.Errorf("receivers = %d, want %d", got, MaxUnsolicited)
+	}
+	// The cap bounds state, not the lazy delivery contract.
+	if len(env.delivered) != 200 {
+		t.Errorf("forged flood delivered %d of 200", len(env.delivered))
+	}
+	if len(env.held) != 0 {
+		t.Errorf("unsolicited flows reported as held: %v", env.held)
+	}
+	// Evicted receivers' counters are retired, not lost.
+	if got := c.Stats().Recovered; got != 200 {
+		t.Errorf("Stats().Recovered = %d across evictions, want 200", got)
+	}
+}
+
+func TestHostCoreUnsolicitedLRUKeepsActive(t *testing.T) {
+	// A repeatedly-used unsolicited receiver survives a flood of one-shot
+	// forged IDs, so it keeps its dedup history (no replays).
+	c, env := newHostWorld()
+	const active core.FlowID = 5_000
+	hostHandle(t, c, 0, recovered(active, 1))
+	for i := 0; i < 100; i++ {
+		hostHandle(t, c, 0, recovered(core.FlowID(20_000+i), 1))
+		hostHandle(t, c, 0, recovered(active, core.Seq(2+i)))
+	}
+	before := len(env.delivered)
+	hostHandle(t, c, 0, recovered(active, 1))
+	if len(env.delivered) != before {
+		t.Error("replay on the LRU-kept receiver delivered: it was evicted")
+	}
+}
+
+func TestHostCoreUnsolicitedPromotedWhenFlowGoesLive(t *testing.T) {
+	// An ID met before its allocation leaves the LRU on first contact
+	// after it: otherwise a forged flood could evict live state, and the
+	// runtime would never be told to Drop it.
+	c, env := newHostWorld()
+	hostHandle(t, c, 0, recovered(1, 1))
+	if c.Unsolicited() != 1 || len(env.held) != 0 {
+		t.Fatalf("pre-allocation receiver: unsolicited %d, held %v", c.Unsolicited(), env.held)
+	}
+	env.live[1], env.allocated = 0, 2
+	hostHandle(t, c, 0, recovered(1, 2))
+	if c.Unsolicited() != 0 {
+		t.Errorf("live flow still listed unsolicited (%d): evictable mid-stream", c.Unsolicited())
+	}
+	if len(env.held) != 1 || env.held[0] != 1 {
+		t.Errorf("promotion reported holding %v, want [1]", env.held)
+	}
+	// Promoted means evict-proof: a full LRU's worth of forged IDs later,
+	// the flow still deduplicates.
+	for i := 0; i < 2*MaxUnsolicited; i++ {
+		hostHandle(t, c, 0, recovered(core.FlowID(30_000+i), 1))
+	}
+	before := len(env.delivered)
+	hostHandle(t, c, 0, recovered(1, 2))
+	if len(env.delivered) != before {
+		t.Error("promoted receiver was evicted by the flood")
+	}
+	c.Drop(1)
+	if c.Receiver(1) != nil {
+		t.Error("Drop left the promoted receiver behind")
+	}
+}
+
+func TestHostCoreClosedFlowNotResurrected(t *testing.T) {
+	c, env := newHostWorld()
+	env.live[3], env.allocated = 50*time.Millisecond, 4
+	if r := c.Ensure(3, 0, core.ServiceCoding); r == nil || r.Config().RTT != 50*time.Millisecond {
+		t.Fatalf("live flow's receiver = %v, want one seeded with the env's RTT", r)
+	}
+	delete(env.live, 3) // closed: allocated, no longer live
+	c.Drop(3)
+	for _, raw := range [][]byte{
+		data(3, 1), recovered(3, 2),
+		message(wire.TypeCoded, core.ServiceCoding, 0, 0, hostDC, hostSelf, 0, codedBody(3)),
+	} {
+		if hostHandle(t, c, 0, raw) {
+			t.Error("Handle reported a receiver ran for a closed flow")
+		}
+	}
+	if c.Receivers() != 0 || len(env.delivered) != 0 {
+		t.Errorf("late packets of a closed flow left %d receivers, %d deliveries", c.Receivers(), len(env.delivered))
+	}
+	if c.Pull(0, 3, 0) || len(env.sent) != 0 {
+		t.Error("Pull for a closed flow sent a request nobody can answer")
+	}
+	if c.Dropped() != 0 {
+		t.Errorf("closed-flow refusals counted as undecodable: Dropped = %d", c.Dropped())
+	}
+}
+
+func TestHostCoreForgedRecoveryDeliversOnce(t *testing.T) {
+	c, env := newHostWorld()
+	hostHandle(t, c, 0, recovered(999, 5))
+	hostHandle(t, c, 0, recovered(999, 5))
+	if len(env.delivered) != 1 {
+		t.Errorf("forged recovery delivered %d times", len(env.delivered))
+	}
+}
+
+func TestHostCoreUndecodableCounted(t *testing.T) {
+	c, env := newHostWorld()
+	noSources := wire.Coded{Batch: 1, K: 2, R: 1, ShardLen: 4}
+	for _, raw := range [][]byte{
+		message(wire.TypeCoded, core.ServiceCoding, 0, 0, hostDC, hostSelf, 0, []byte{1, 2, 3}),
+		message(wire.TypeCoded, core.ServiceCoding, 0, 0, hostDC, hostSelf, 0, noSources.AppendMarshal(nil, []byte("shrd"))),
+		message(wire.TypeCoopReq, core.ServiceCoding, 7, 1, hostDC, hostSelf, 0, []byte{1}),
+		message(wire.TypeNACK, core.ServiceCoding, 7, 1, hostDC, hostSelf, 0, nil),
+	} {
+		if hostHandle(t, c, 0, raw) {
+			t.Error("Handle reported a receiver ran for a message none can take")
+		}
+	}
+	if c.Dropped() != 4 || c.Receivers() != 0 || len(env.sent) != 0 {
+		t.Errorf("Dropped = %d, receivers %d, sent %d; want 4, 0, 0", c.Dropped(), c.Receivers(), len(env.sent))
+	}
+}
+
+// threeDue builds receivers for flows 7, 3 and 5 — in that order — each
+// one packet in, so all three idle timers fall due at the same instant,
+// which it returns.
+func threeDue(t *testing.T) (*HostCore, *fakeHostEnv, core.Time) {
+	t.Helper()
+	c, env := newHostWorld()
+	for _, flow := range []core.FlowID{7, 3, 5} {
+		hostHandle(t, c, 0, data(flow, 1))
+	}
+	due, ok := c.NextDeadline()
+	if !ok {
+		t.Fatal("no deadline after first packets")
+	}
+	return c, env, due
+}
+
+func TestHostCoreSameInstantTimersAscendingFlowOrder(t *testing.T) {
+	c, env, due := threeDue(t)
+	c.OnTimer(due)
+	got := sentFlows(t, env.sent)
+	if want := []core.FlowID{3, 5, 7}; !slices.Equal(got, want) {
+		t.Errorf("same-instant NACKs named flows %v, want %v", got, want)
+	}
+	if dl, ok := c.NextDeadline(); ok && dl <= due {
+		t.Errorf("NextDeadline = %v after OnTimer(%v)", dl, due)
+	}
+}
+
+func TestHostCoreFlowDroppedMidOnTimer(t *testing.T) {
+	// A callback out of OnTimer may end a flow and shrink the list under
+	// the walk. (Receivers' timers surface only sends today, so Send
+	// stands in for the delivery callback.) Nothing may panic, and a
+	// receiver the shift skipped is still due.
+	c, env, due := threeDue(t)
+	env.onSend = func(core.Emit) {
+		env.onSend = nil
+		c.Drop(3)
+	}
+	c.OnTimer(due)
+	if got := sentFlows(t, env.sent); !slices.Equal(got, []core.FlowID{3, 7}) {
+		t.Fatalf("walk across the drop sent for flows %v, want [3 7]", got)
+	}
+	if dl, ok := c.NextDeadline(); !ok || dl != due {
+		t.Fatalf("NextDeadline = %v, %v; want the skipped receiver still due at %v", dl, ok, due)
+	}
+	c.OnTimer(due)
+	if got := sentFlows(t, env.sent); !slices.Equal(got, []core.FlowID{3, 7, 5}) {
+		t.Errorf("second firing sent for flows %v, want flow 5 last", got)
+	}
+}
+
+// hostStep encodes one fuzz record: advance the clock by adv milliseconds,
+// then receive datagram msg.
+func hostStep(adv byte, msg []byte) []byte {
+	return append([]byte{adv, byte(len(msg) >> 8), byte(len(msg))}, msg...)
+}
+
+// FuzzHostCoreHandle runs a sequence of datagrams and clock advances
+// through a core whose runtime knows flows 1 and 2 as live and 3 and 4 as
+// closed, firing OnTimer at every deadline that comes due in between: no
+// input may panic, state stays bounded by live flows plus the unsolicited
+// cap, closed flows get none, everything sent is a well-formed message,
+// and a deadline never stays at or behind the time it was serviced at (a
+// host re-arming on NextDeadline would spin).
+func FuzzHostCoreHandle(f *testing.F) {
+	inStream := wire.Coded{Batch: 9, Kind: wire.InStream, K: 2, R: 1, ShardLen: 8,
+		Sources: []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: hostSelf}, {Flow: 1, Seq: 2, Receiver: hostSelf}}}
+	noSources := wire.Coded{Batch: 1, K: 2, R: 1, ShardLen: 4}
+	coded := func(body []byte) []byte {
+		return message(wire.TypeCoded, core.ServiceCoding, 0, 0, hostDC, hostSelf, 0, body)
+	}
+	var flood []byte
+	for i := 0; i < 3*MaxUnsolicited; i++ {
+		flood = append(flood, hostStep(1, data(core.FlowID(1000+i), 1))...)
+	}
+	for _, seed := range [][]byte{
+		bytes.Join([][]byte{
+			hostStep(0, data(1, 1)),
+			hostStep(5, data(1, 4)), // gap: NACKs 2 and 3
+			hostStep(1, coded(inStream.AppendMarshal(nil, make([]byte, 8)))),
+			hostStep(10, recovered(1, 3)),
+			hostStep(0, message(wire.TypePullResp, core.ServiceCaching, 2, 2, hostDC, hostSelf, 0, []byte("x"))),
+			hostStep(1, message(wire.TypeCoopReq, core.ServiceCoding, 1, 1, hostDC, hostSelf, 0, coopBody())),
+			hostStep(1, message(wire.TypeVerify, core.ServiceCoding, 1, 9, hostDC, hostSelf, 0, nil)),
+			hostStep(255, data(1, 5)), // after the idle timer
+		}, nil),
+		flood,
+		hostStep(0, coded(noSources.AppendMarshal(nil, []byte("shrd")))),
+		bytes.Join([][]byte{hostStep(0, data(3, 1)), hostStep(0, recovered(4, 1)), hostStep(0, coded(codedBody(3)))}, nil),
+		hostStep(0, []byte("not a J-QoS datagram")),
+		{},
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		c, env := newHostWorld()
+		env.live[1], env.live[2], env.allocated = 0, 40*time.Millisecond, 5
+		var now core.Time
+		check := func(what string, at core.Time) {
+			for _, em := range env.sent {
+				var out wire.Header
+				if _, err := wire.SplitMessage(&out, em.Msg); err != nil {
+					t.Fatalf("%s: sent an unparseable message to %v: %v", what, em.To, err)
+				}
+			}
+			env.sent = env.sent[:0]
+			if c.Unsolicited() > MaxUnsolicited || c.Receivers() > len(env.live)+MaxUnsolicited {
+				t.Fatalf("%s: %d receivers (%d unsolicited) for %d live flows", what, c.Receivers(), c.Unsolicited(), len(env.live))
+			}
+			if c.Receiver(3) != nil || c.Receiver(4) != nil {
+				t.Fatalf("%s: a closed flow holds a receiver", what)
+			}
+			if dl, ok := c.NextDeadline(); ok && dl <= at {
+				t.Fatalf("%s at %v: NextDeadline = %v, not after it", what, at, dl)
+			}
+		}
+		for len(in) >= 3 {
+			now += core.Time(in[0]) * time.Millisecond
+			n := min(int(in[1])<<8|int(in[2]), len(in)-3)
+			msg := in[3 : 3+n]
+			in = in[3+n:]
+			for {
+				dl, ok := c.NextDeadline()
+				if !ok || dl > now {
+					break
+				}
+				c.OnTimer(dl)
+				check("OnTimer", dl)
+			}
+			var hdr wire.Header
+			body, err := wire.SplitMessage(&hdr, msg)
+			if err != nil {
+				continue // the host counts these; the core never sees them
+			}
+			c.Handle(now, &hdr, body)
+			check(hdr.Type.String(), now)
+		}
+	})
+}

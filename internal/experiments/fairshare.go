@@ -27,7 +27,7 @@ func init() {
 // interactive packet and the budget dies. With Config.Scheduler's DRR
 // the interactive class preempts bulk inside the link: its queue stays
 // empty, its budget holds, and the bulk classes absorb the loss as
-// tail-drops surfaced via FlowObserver.OnEgressDrop.
+// tail-drops surfaced as egress-drop events.
 func runFairshare(o Options) (Result, error) {
 	span := 6 * time.Second
 	if o.Quick {

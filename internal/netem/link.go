@@ -78,10 +78,6 @@ func (l *Link) SetDelay(m DelayModel) {
 	l.delay = m
 }
 
-// Delay returns the link's current propagation delay model — used to seed
-// latency estimates from explicitly constructed links.
-func (l *Link) Delay() DelayModel { return l.delay }
-
 // Send offers a packet of size bytes to the link. If the packet survives
 // loss and queueing, deliver runs at its arrival time. Send reports whether
 // the packet was accepted (false = dropped); the result is for accounting

@@ -23,7 +23,7 @@ func fuzzMsg(typ wire.MsgType, flow core.FlowID, seq core.Seq, src core.NodeID, 
 }
 
 // FuzzReceiver runs a sequence of datagrams and clock advances through the
-// dispatch transport.HostEnd.handle uses, firing OnTimer at every deadline
+// dispatch dataplane.HostCore.Handle uses, firing OnTimer at every deadline
 // that comes due in between: no input may panic, everything emitted is a
 // well-formed message to the configured DC or to whoever asked, and a
 // deadline never stays at or behind the time it was serviced at (a host

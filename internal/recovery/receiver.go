@@ -130,6 +130,26 @@ func (s Stats) NACKsSent() uint64 {
 	return s.GapNACKs + s.TimerNACKs + s.IdleNACKs + s.PumpNACKs + s.RetryNACKs
 }
 
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.DataReceived += o.DataReceived
+	s.DirectArrivals += o.DirectArrivals
+	s.Duplicates += o.Duplicates
+	s.LossesSeen += o.LossesSeen
+	s.GapNACKs += o.GapNACKs
+	s.TimerNACKs += o.TimerNACKs
+	s.IdleNACKs += o.IdleNACKs
+	s.PumpNACKs += o.PumpNACKs
+	s.RetryNACKs += o.RetryNACKs
+	s.Recovered += o.Recovered
+	s.InStreamLocal += o.InStreamLocal
+	s.LateArrivals += o.LateArrivals
+	s.GaveUp += o.GaveUp
+	s.CoopResponses += o.CoopResponses
+	s.VerifyReplies += o.VerifyReplies
+	s.Dropped += o.Dropped
+}
+
 // Result is the outcome of one event: messages to transmit and packets to
 // hand to the application.
 type Result struct {

@@ -162,8 +162,7 @@ type Controller struct {
 	unreachBySrc map[core.NodeID]int
 	affBuf       []int32
 	utilBuf      [][2]core.NodeID
-	treeBuf      []*srcTree
-	works        []*spfWork
+	work         spfWork
 
 	// Table-epoch state: epoch is the current table version; epochBumped
 	// marks whether the in-progress update already opened a new epoch

@@ -1,17 +1,12 @@
 package routing
 
-import (
-	"runtime"
-	"sync"
-
-	"jqos/internal/core"
-)
+import "jqos/internal/core"
 
 // This file is the delta engine behind the controller's table updates:
 // per-source shortest-path trees cached in index space, an affected-source
 // cut that limits a link event's recompute to the sources whose routing
-// can actually change, and a sharded parallel Dijkstra for the sources
-// that do. The map-based shortestFrom in spf.go remains the engine for
+// can actually change, and a heap-reusing Dijkstra for the sources that
+// do. The map-based shortestFrom in spf.go remains the engine for
 // Yen's k-alternates, where banned-edge filtering dominates; table
 // (re)computation runs exclusively through the index-space core below.
 
@@ -45,8 +40,7 @@ type adjEdge struct {
 }
 
 // refreshWeights snapshots every edge's current cost/latency/state. It
-// runs once per recompute event, before any tree computation — the
-// parallel shards then share an immutable view.
+// runs once per recompute event, before any tree computation.
 func (c *Controller) refreshWeights() {
 	for i := range c.adj {
 		row := c.adj[i]
@@ -60,9 +54,9 @@ func (c *Controller) refreshWeights() {
 	}
 }
 
-// spfWork is one worker's reusable Dijkstra state: the binary-heap
-// frontier and the settled marks. Each parallel shard owns exactly one,
-// so recomputes allocate nothing in steady state.
+// spfWork is the controller's reusable Dijkstra state: the binary-heap
+// frontier and the settled marks, kept across recomputes so they allocate
+// nothing in steady state.
 type spfWork struct {
 	frontier []heapItem
 	done     []bool
@@ -333,55 +327,15 @@ func (c *Controller) affectedSources(links [][2]core.NodeID) []int32 {
 	return buf
 }
 
-// Sharding thresholds for computeTrees: below parMinSources affected
-// sources the fan-out costs more than it saves; past maxSPFWorkers the
-// shards are too small to matter on the graphs an overlay has.
-const (
-	parMinSources = 16
-	maxSPFWorkers = 8
-)
-
 // computeTrees runs the per-source Dijkstras for the given source
-// indices, sharding across workers when the set is large enough to pay
-// for the fan-out. Shards use a deterministic stride assignment and each
-// source's tree is written by exactly one goroutine, so results are
-// byte-identical to the serial path regardless of scheduling.
+// indices, one after another on the controller's one reusable heap: the
+// graphs an overlay has (a handful of DCs) are too small for a fan-out to
+// pay for itself.
 func (c *Controller) computeTrees(idxs []int32) {
 	c.refreshWeights()
-	trees := c.treeBuf[:0]
 	for _, i := range idxs {
-		trees = append(trees, c.tree(c.nodeList[i]))
+		c.spfInto(c.tree(c.nodeList[i]), i, &c.work)
 	}
-	c.treeBuf = trees
-	nw := min(runtime.GOMAXPROCS(0), maxSPFWorkers, len(idxs))
-	if len(idxs) < parMinSources || nw < 2 {
-		w := c.work(0)
-		for k, i := range idxs {
-			c.spfInto(trees[k], i, w)
-		}
-		return
-	}
-	c.work(nw - 1) // grow the per-worker state here; the shards only read the list
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			w := c.work(wi)
-			for k := wi; k < len(idxs); k += nw {
-				c.spfInto(trees[k], idxs[k], w)
-			}
-		}(wi)
-	}
-	wg.Wait()
-}
-
-// work returns worker wi's reusable Dijkstra state.
-func (c *Controller) work(wi int) *spfWork {
-	for len(c.works) <= wi {
-		c.works = append(c.works, &spfWork{})
-	}
-	return c.works[wi]
 }
 
 // refreshSource folds source s's freshly computed tree into the routed

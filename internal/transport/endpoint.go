@@ -11,7 +11,9 @@
 // is that core's Env — a hop is linked when the address book names it,
 // host bindings say which DC serves a host — plus the socket, a mutex
 // around the single-threaded core, and a wall-clock timer on its
-// deadlines; HostEnd does the same for the receiver engine.
+// deadlines. HostEnd does the same for the dataplane.HostCore the
+// emulated Host runs: per-flow receivers taking their service from the
+// packet header, bounded state for flow IDs nobody registered.
 package transport
 
 import (

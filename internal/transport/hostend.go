@@ -5,18 +5,25 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/dataplane"
 	"jqos/internal/recovery"
 	"jqos/internal/wire"
 )
 
 // HostEnd is an application endpoint on a real socket: it sends flows
 // (duplicating copies toward DC1 per the selected service) and runs the
-// receiver recovery engine for inbound flows.
+// dataplane.HostCore the emulated Host runs for inbound ones. mu
+// serializes the receive loop and the timer goroutine around the core;
+// what the core sends and delivers meanwhile is queued, and flushed once
+// mu is released.
 type HostEnd struct {
 	ep  *Endpoint
 	dc  core.NodeID
+	rtt core.Time
 	mu  sync.Mutex
-	rcv *recovery.Receiver
+	hc  *dataplane.HostCore
+	out []core.Emit
+	dlv []core.Delivery
 
 	// OnDeliver receives every surfaced packet (may be called from the
 	// receive or timer goroutine).
@@ -25,14 +32,33 @@ type HostEnd struct {
 	pump *pump
 }
 
-// NewHostEnd builds an endpoint host whose nearby DC is dc.
-func NewHostEnd(ep *Endpoint, dc core.NodeID, service core.Service, rtt time.Duration) *HostEnd {
-	cfg := recovery.DefaultConfig(ep.Self, dc, core.Time(rtt))
-	cfg.Service = service
-	h := &HostEnd{ep: ep, dc: dc, rcv: recovery.New(cfg), pump: newPump()}
+// NewHostEnd builds an endpoint host whose nearby DC is dc. rtt, the
+// direct-path estimate, seeds every inbound flow's loss-detection timers;
+// the service its NACKs request is the one each flow's packets carry.
+func NewHostEnd(ep *Endpoint, dc core.NodeID, rtt time.Duration) *HostEnd {
+	h := &HostEnd{ep: ep, dc: dc, rtt: core.Time(rtt), pump: newPump()}
+	h.hc = dataplane.NewHost(ep.Self, dc, (*hostEndEnv)(h))
 	ep.Handler = h.handle
 	return h
 }
+
+// hostEndEnv is HostEnd as its receiving core's environment. The core
+// calls it with h.mu held.
+type hostEndEnv HostEnd
+
+// Flow: a socket endpoint registers no flows, so every inbound ID is held
+// under the core's unsolicited cap.
+func (e *hostEndEnv) Flow(core.FlowID) (dataplane.FlowState, core.Time) {
+	return dataplane.FlowUnknown, e.rtt
+}
+
+func (e *hostEndEnv) Holding(core.FlowID) {}
+
+func (e *hostEndEnv) Send(to core.NodeID, msg []byte) {
+	e.out = append(e.out, core.Emit{To: to, Msg: msg})
+}
+
+func (e *hostEndEnv) Deliver(del core.Delivery) { e.dlv = append(e.dlv, del) }
 
 // Start launches the socket loop and the timer pump.
 func (h *HostEnd) Start() {
@@ -46,11 +72,20 @@ func (h *HostEnd) Close() error {
 	return h.ep.Close()
 }
 
-// ReceiverStats snapshots the recovery engine counters.
+// ReceiverStats sums the recovery counters of every inbound flow, those
+// whose receiver has since been evicted included.
 func (h *HostEnd) ReceiverStats() recovery.Stats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.rcv.Stats()
+	return h.hc.Stats()
+}
+
+// Dropped counts datagrams no receiver could take: undecodable bodies and
+// unknown types.
+func (h *HostEnd) Dropped() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.hc.Dropped()
 }
 
 // SetDropSend installs a send-side loss filter on the underlying socket —
@@ -83,57 +118,36 @@ func (h *HostEnd) SendData(flow core.FlowID, seq core.Seq, dst core.NodeID, serv
 
 // PullFlow drains the DC cache for a flow (mobility rendezvous).
 func (h *HostEnd) PullFlow(flow core.FlowID, after core.Seq) {
-	hdr := wire.Header{
-		Type: wire.TypePull, Service: core.ServiceCaching, Flags: wire.FlagDrain,
-		Flow: flow, Seq: after, TS: h.ep.Now(), Src: h.ep.Self, Dst: h.dc,
-	}
-	_ = h.ep.Send(h.dc, wire.AppendMessage(nil, &hdr, nil))
+	h.mu.Lock()
+	h.hc.Pull(h.ep.Now(), flow, after)
+	h.finish()
 }
 
 func (h *HostEnd) onTimer() {
 	h.mu.Lock()
-	res := h.rcv.OnTimer(h.ep.Now())
-	h.rearmLocked()
-	h.mu.Unlock()
-	h.dispatch(res)
-}
-
-func (h *HostEnd) rearmLocked() {
-	dl, ok := h.rcv.NextDeadline()
-	h.pump.arm(h.ep.Now(), dl, ok)
-}
-
-func (h *HostEnd) dispatch(res recovery.Result) {
-	h.ep.Transmit(res.Emits)
-	if h.OnDeliver != nil {
-		for _, del := range res.Deliveries {
-			h.OnDeliver(del)
-		}
-	}
+	h.hc.OnTimer(h.ep.Now())
+	h.finish()
 }
 
 func (h *HostEnd) handle(now core.Time, hdr *wire.Header, body, _ []byte) {
 	h.mu.Lock()
-	var res recovery.Result
-	switch hdr.Type {
-	case wire.TypeData:
-		res = h.rcv.OnData(now, hdr, body)
-	case wire.TypeRecovered, wire.TypePullResp:
-		res = h.rcv.OnRecovered(now, hdr, body)
-	case wire.TypeCoded:
-		var meta wire.Coded
-		if shard, err := meta.Unmarshal(body); err == nil {
-			res = h.rcv.OnCoded(now, hdr, &meta, shard)
-		}
-	case wire.TypeCoopReq:
-		var ref wire.CoopRef
-		if _, err := ref.Unmarshal(body); err == nil {
-			res = h.rcv.OnCoopReq(now, hdr, &ref)
-		}
-	case wire.TypeVerify:
-		res = h.rcv.OnVerify(now, hdr)
-	}
-	h.rearmLocked()
+	h.hc.Handle(now, hdr, body)
+	h.finish()
+}
+
+// finish ends one turn of the core, entered with mu held: the timer moves
+// to the earliest receiver deadline, then — with mu released — the queued
+// sends go to the socket and the queued deliveries to the application.
+func (h *HostEnd) finish() {
+	next, ok := h.hc.NextDeadline()
+	h.pump.arm(h.ep.Now(), next, ok)
+	out, dlv := h.out, h.dlv
+	h.out, h.dlv = nil, nil
 	h.mu.Unlock()
-	h.dispatch(res)
+	h.ep.Transmit(out)
+	if h.OnDeliver != nil {
+		for _, del := range dlv {
+			h.OnDeliver(del)
+		}
+	}
 }

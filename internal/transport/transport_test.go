@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/dataplane"
 	"jqos/internal/wire"
 )
 
@@ -183,7 +184,7 @@ func liveRecovery(t *testing.T, viaTransit bool) {
 	var mu sync.Mutex
 	gotSeq := map[core.Seq]bool{}
 	recovered := 0
-	rend := NewHostEnd(mk(rcvr), dc2, core.ServiceCoding, 60*time.Millisecond)
+	rend := NewHostEnd(mk(rcvr), dc2, 60*time.Millisecond)
 	rend.OnDeliver = func(del core.Delivery) {
 		mu.Lock()
 		gotSeq[del.Packet.ID.Seq] = true
@@ -198,7 +199,7 @@ func liveRecovery(t *testing.T, viaTransit bool) {
 	// Helpers: each runs its own flow so batches mix 4 flows.
 	var hends []*HostEnd
 	for _, h := range helpers {
-		he := NewHostEnd(mk(h), dc2, core.ServiceCoding, 60*time.Millisecond)
+		he := NewHostEnd(mk(h), dc2, 60*time.Millisecond)
 		defer he.Close()
 		he.Start()
 		hends = append(hends, he)
@@ -207,7 +208,7 @@ func liveRecovery(t *testing.T, viaTransit bool) {
 	// Sender: drop every 5th direct datagram to the receiver (loss is
 	// injected at the sender socket — the wire itself is loopback).
 	var sent atomic.Int64
-	send := NewHostEnd(mk(sender), dc1, core.ServiceCoding, 60*time.Millisecond)
+	send := NewHostEnd(mk(sender), dc1, 60*time.Millisecond)
 	send.SetDropSend(func(to core.NodeID, hdr *wire.Header) bool {
 		return to == rcvr && hdr.Type == wire.TypeData && hdr.Seq%5 == 0
 	})
@@ -263,5 +264,61 @@ func liveRecovery(t *testing.T, viaTransit bool) {
 		if rx, tx, _, _ := ep3.Stats(); rx == 0 || tx != rx {
 			t.Errorf("transit relay received %d datagrams and sent on %d", rx, tx)
 		}
+	}
+}
+
+// TestForgedFlowFloodBounded: datagrams naming flow IDs nobody registered
+// are cheap to forge on a real socket. The host must hold at most the
+// core's unsolicited cap of receivers however many arrive, spend per
+// datagram what that cap costs (not what the flood has cost so far), and
+// keep serving a legitimate flow interleaved with the flood.
+func TestForgedFlowFloodBounded(t *testing.T) {
+	ep, err := NewEndpoint(201, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	h := NewHostEnd(ep, 2, 60*time.Millisecond)
+	var legit []core.Seq
+	h.OnDeliver = func(del core.Delivery) {
+		if del.Packet.ID.Flow == 7 {
+			legit = append(legit, del.Packet.ID.Seq)
+		}
+	}
+	// The socket is never started: handle is driven directly, so the
+	// clock below is the flood's cost alone.
+	feed := func(typ wire.MsgType, flow core.FlowID, seq core.Seq, body []byte) {
+		hdr := wire.Header{Type: typ, Service: core.ServiceCoding, Flow: flow, Seq: seq, Src: 101, Dst: 201}
+		h.handle(ep.Now(), &hdr, body, nil)
+	}
+	const forged, every = 20_000, 25 // a legitimate packet per 25 forged: inside the LRU's reach
+	start := time.Now()
+	for i := 0; i < forged; i++ {
+		feed(wire.TypeData, core.FlowID(1_000+i), 1, []byte("forged"))
+		if i%every == 0 {
+			feed(wire.TypeData, 7, core.Seq(1+i/every), []byte("legit"))
+		}
+	}
+	if took := time.Since(start); took > 4*time.Second {
+		t.Errorf("flood of %d forged flows took %v: per-datagram cost grows with flows seen", forged, took)
+	}
+	if got := h.hc.Receivers(); got > dataplane.MaxUnsolicited {
+		t.Errorf("host holds %d receivers after the flood, want ≤ %d", got, dataplane.MaxUnsolicited)
+	}
+	if len(legit) != forged/every {
+		t.Fatalf("legitimate flow delivered %d of %d packets amid the flood", len(legit), forged/every)
+	}
+	// Its receiver was never evicted: it still knows what it delivered.
+	feed(wire.TypeData, 7, legit[len(legit)-1], []byte("legit"))
+	if len(legit) != forged/every {
+		t.Error("replay delivered: the legitimate flow's receiver was evicted and rebuilt")
+	}
+	if st := h.ReceiverStats(); st.DataReceived != forged+forged/every+1 || st.Duplicates != 1 {
+		t.Errorf("ReceiverStats lost evicted receivers' counts: %+v", st)
+	}
+	feed(wire.TypeCoded, 0, 0, []byte{1, 2, 3})
+	feed(wire.TypeNACK, 7, 1, nil)
+	if got := h.Dropped(); got != 2 {
+		t.Errorf("Dropped = %d after an undecodable body and an unknown type, want 2", got)
 	}
 }

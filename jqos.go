@@ -11,7 +11,7 @@
 //
 // Applications register a FlowSpec — destination, latency budget, and
 // optional policy (cost ceiling, service floor/ceiling, overlay path
-// preference, lifecycle observer); the framework picks the cheapest
+// preference, event subscriber); the framework picks the cheapest
 // service whose predicted delivery latency fits (§3.5), upgrades the
 // service when observed deliveries violate the budget, and steps back
 // down (with hysteresis) after sustained over-delivery.
@@ -43,10 +43,9 @@
 // graph requires. The controller recomputes INCREMENTALLY: a link event
 // names the links that changed, an affected-source cut keeps every
 // source whose shortest-path tree cannot have moved (no changed link on
-// or cheaper than its tree), and only the rest re-run Dijkstra —
-// sharded across workers when the affected set is large — falling back
-// to a full recompute on topology edits (a differential test holds the
-// two to identical tables). Snapshot().Routing counts the split
+// or cheaper than its tree), and only the rest re-run Dijkstra, falling
+// back to a full recompute on topology edits (a differential test holds
+// the two to identical tables). Snapshot().Routing counts the split
 // (IncrementalRecomputes, SourcesRecomputed).
 //
 // Table pushes are make-before-break. Each recompute opens a new table
@@ -88,11 +87,12 @@
 // (ServiceFloor/ServiceCeiling), cap egress spend (CostCeilingPerGB),
 // choose the overlay path among the controller's k-alternates
 // (PathPolicy: fastest, cheapest, or pinned to the k-th alternate —
-// enforced per flow in the DC forwarders), and attach a FlowObserver
-// whose OnServiceChange / OnReroute / OnBudgetViolation / OnDelivery
-// callbacks replace polling Metrics(). Flows with a pinned path are
-// re-resolved automatically when the routing controller observes the
-// path die.
+// enforced per flow in the DC forwarders), and subscribe to the flow's
+// control-loop events (FlowSpec.OnEvent: service changes, reroutes,
+// budget violations, drops and congestion signals as the trace ring
+// records them) instead of polling Metrics(). Flows with a pinned path
+// are re-resolved automatically when the routing controller observes
+// the path die.
 //
 // # Load-aware traffic engineering
 //
@@ -109,7 +109,7 @@
 // reroutes. On the admission side, FlowSpec.Rate declares a per-flow
 // token-bucket contract enforced at the ingress: excess cloud copies are
 // dropped
-// (Observer.OnAdmissionDrop) or, with FlowSpec.AdmissionShape, delayed
+// (an admission-drop event) or, with FlowSpec.AdmissionShape, delayed
 // into conformance, so one greedy flow cannot congest the overlay for
 // everyone else. Flows are torn down with Flow.Close, which releases
 // their routing pins and receiver state.
@@ -140,7 +140,7 @@
 // probes bypass it. The scheduler is work-conserving (an idle class's
 // share flows to backlogged ones), per-class queues are byte-capped
 // with drop-from-tail accounting (surfaced per flow as
-// FlowMetrics.EgressDropped and Observer.OnEgressDrop), and the load
+// FlowMetrics.EgressDropped and an egress-drop event), and the load
 // meters feed on DEQUEUE, so Link(a, b).Load reports what actually left
 // the DC rather than what piled up. Snapshot().Queue(a, b) exposes
 // per-class enqueued/dequeued/dropped counters, live queue depth, and
@@ -173,9 +173,9 @@
 // move service PREEMPTIVELY — down to a cheaper tier that still fits
 // the budget when one exists, else up past the backlog — instead of
 // waiting for a budget-violation window (ServiceChange reason
-// "congestion", cooldown-bounded). Observers hear every delivered
-// signal as OnCongestionSignal; Snapshot().Feedback counts the plane's
-// activity.
+// "congestion", cooldown-bounded). FlowSpec.OnEvent hears every
+// delivered signal before the reaction it triggers; Snapshot().Feedback
+// counts the plane's activity.
 //
 // The scheduler also makes admission scheduler-aware — with or
 // without feedback enabled, whenever Config.Scheduler is on:
@@ -199,14 +199,14 @@
 // per-flow delivery metrics with latency quantiles, routing and feedback
 // counters, aggregate totals, and the deployment's metric registry
 // (counters, gauges, and fixed-bucket histograms for delivery latency
-// vs. budget, pacer rate, and queue depth; register your own through
-// Deployment.MetricsRegistry). Deployment.TraceEvents drains a bounded,
-// allocation-free ring of structured control-loop events — service
-// changes, reroutes, congestion signals, pacer cuts and recoveries,
-// admission and egress drops, cost and budget violations — recorded at
-// the same choke points that invoke FlowObserver (whose interface is
-// unchanged), stamped with SIMULATED time so two same-seed runs produce
-// byte-identical traces.
+// vs. budget, pacer rate, and queue depth). Deployment.TraceEvents
+// drains a bounded, allocation-free ring of structured control-loop
+// events — service changes, reroutes, congestion signals, pacer cuts and
+// recoveries, admission and egress drops, cost and budget violations —
+// stamped with SIMULATED time so two same-seed runs produce byte-identical
+// traces. Each flow-scoped event is emitted at one site (Flow.emit), which
+// records it and hands the recorded event to FlowSpec.OnEvent: the ring
+// and a subscriber can never disagree.
 //
 // Aggregates tell you THAT a budget was blown; hop-level attribution
 // tells you WHERE. Setting FlowSpec.TraceSampling to a fraction in
@@ -735,8 +735,6 @@ func dcPairKey(a, b core.NodeID) [2]core.NodeID {
 type HostOption func(*hostParams)
 
 type hostParams struct {
-	jitter     time.Duration
-	accessLoss float64
 	lossModel  netem.LossModel
 	delayModel netem.DelayModel
 }
@@ -748,20 +746,10 @@ func WithAccessDelay(m netem.DelayModel) HostOption {
 	return func(h *hostParams) { h.delayModel = m }
 }
 
-// WithAccessJitter adds jitter to the host↔DC link.
-func WithAccessJitter(j time.Duration) HostOption {
-	return func(p *hostParams) { p.jitter = j }
-}
-
-// WithAccessLoss sets a random loss rate on the host→DC uplink (the paper
-// found ~98% of access losses on source→DC1 segments).
-func WithAccessLoss(p float64) HostOption {
-	return func(h *hostParams) { h.accessLoss = p }
-}
-
 // WithAccessLossModel installs an explicit loss process on the host→DC
-// uplink — e.g. a netem.SharedFate shared with the direct path to model a
-// common first mile.
+// uplink (the paper found ~98% of access losses on source→DC1 segments) —
+// e.g. a netem.SharedFate shared with the direct path to model a common
+// first mile.
 func WithAccessLossModel(m netem.LossModel) HostOption {
 	return func(h *hostParams) { h.lossModel = m }
 }
@@ -781,16 +769,11 @@ func (d *Deployment) AddHost(dc core.NodeID, delta time.Duration, opts ...HostOp
 		if p.delayModel != nil {
 			return p.delayModel
 		}
-		if p.jitter > 0 {
-			return netem.UniformJitter{Base: delta, Jitter: p.jitter}
-		}
 		return netem.FixedDelay(delta)
 	}
 	up := netem.NewLink(d.sim, mkDelay(), nil)
 	if p.lossModel != nil {
 		up.SetLoss(p.lossModel)
-	} else if p.accessLoss > 0 {
-		up.SetLoss(netem.Bernoulli{P: p.accessLoss})
 	}
 	d.net.Connect(id, dc, up)
 	d.net.Connect(dc, id, netem.NewLink(d.sim, mkDelay(), nil))
@@ -811,9 +794,9 @@ func (d *Deployment) Host(id core.NodeID) *Host {
 
 // SetDirectPath installs the best-effort Internet path between two hosts
 // (both directions share the delay model family but have independent state;
-// loss applies to the forward direction only unless SetDirectPathAsym is
-// used). It also seeds the topology's direct-latency estimate with the
-// model's base delay at registration time.
+// loss applies to the forward direction only). It also seeds the
+// topology's direct-latency estimate with the model's base delay at
+// registration time.
 func (d *Deployment) SetDirectPath(src, dst core.NodeID, delay netem.DelayModel, loss netem.LossModel) {
 	d.net.Connect(src, dst, netem.NewLink(d.sim, delay, loss))
 	// Reverse path: same delay family, lossless (NACK/control traffic in
@@ -821,16 +804,6 @@ func (d *Deployment) SetDirectPath(src, dst core.NodeID, delay netem.DelayModel,
 	// so the reverse direct path is rarely exercised).
 	d.net.Connect(dst, src, netem.NewLink(d.sim, delay, nil))
 	d.seedDirectEstimate(src, dst, delay)
-}
-
-// SetDirectPathAsym installs each direction explicitly. Like
-// SetDirectPath it seeds the topology's direct-latency estimate, sampling
-// the forward link's delay model (the direction service selection
-// predicts).
-func (d *Deployment) SetDirectPathAsym(src, dst core.NodeID, fwd, rev *netem.Link) {
-	d.net.Connect(src, dst, fwd)
-	d.net.Connect(dst, src, rev)
-	d.seedDirectEstimate(src, dst, fwd.Delay())
 }
 
 // seedDirectEstimate samples the delay model to estimate y for service

@@ -39,10 +39,6 @@ func (d *Deployment) Link(a, b core.NodeID) LinkHandle {
 	return LinkHandle{d: d, a: a, b: b}
 }
 
-// Nodes returns the handle's endpoints in the order the handle was built
-// (directional operations act a→b).
-func (l LinkHandle) Nodes() (a, b core.NodeID) { return l.a, l.b }
-
 // Set reshapes both directions of the link to the given one-way latency
 // and random loss rate. The monitor observes the change through its
 // probes and adjusts routing (degrade, recover, or cost refresh).

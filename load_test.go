@@ -8,6 +8,7 @@ import (
 	"jqos/internal/core"
 	"jqos/internal/dataset"
 	"jqos/internal/netem"
+	"jqos/internal/telemetry"
 )
 
 // buildSquare wires the 4-DC square used by the congestion tests: two
@@ -133,16 +134,17 @@ func TestCongestionShiftsNewPaths(t *testing.T) {
 	}
 }
 
-// admissionWatcher counts contract drops via the observer surface.
+// admissionWatcher counts contract drops via the flow's event stream.
 type admissionWatcher struct {
-	jqos.FlowEvents
 	drops int
 	bytes int
 }
 
-func (w *admissionWatcher) OnAdmissionDrop(_ *jqos.Flow, _ jqos.Seq, size int) {
-	w.drops++
-	w.bytes += size
+func (w *admissionWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
+	if e.Kind == telemetry.KindAdmissionDrop {
+		w.drops++
+		w.bytes += int(e.V1)
+	}
 }
 
 func buildTwoDC(t *testing.T, seed int64) (*jqos.Deployment, jqos.NodeID, jqos.NodeID) {
@@ -169,7 +171,7 @@ func TestAdmissionPolicesCloudCopies(t *testing.T) {
 	f, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 300 * time.Millisecond,
 		Rate: 100_000, Burst: 2000, // 100 kB/s, two-packet burst
-		Observer: w,
+		OnEvent: w.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -147,11 +147,24 @@ func newTelemetryPlane(d *Deployment, cfg TelemetryConfig) *telemetryPlane {
 }
 
 // trace records one control-loop event, stamped with SIMULATED time (the
-// determinism contract: same seed, byte-identical trace). Allocation-free
-// (Event is a value; the ring preallocates).
-func (d *Deployment) trace(e telemetry.Event) {
+// determinism contract: same seed, byte-identical trace), and returns it
+// as recorded. Allocation-free (Event is a value; the ring preallocates).
+// Events about one flow go through Flow.emit instead.
+func (d *Deployment) trace(e telemetry.Event) telemetry.Event {
 	e.At = d.sim.Now()
-	d.tel.ring.Record(e)
+	e.Seq = d.tel.ring.Record(e)
+	return e
+}
+
+// emit is the one place a flow-scoped event happens: it is stamped with
+// the flow, recorded in the trace ring, and handed — as recorded, Seq and
+// At filled — to the flow's FlowSpec.OnEvent subscriber.
+func (f *Flow) emit(e telemetry.Event) {
+	e.Flow = f.id
+	e = f.d.trace(e)
+	if f.spec.OnEvent != nil {
+		f.spec.OnEvent(f, e)
+	}
 }
 
 // noteDelivery feeds the delivery histograms (latency, latency/budget).
@@ -524,11 +537,6 @@ func (d *Deployment) TraceEvents() []telemetry.Event {
 func (d *Deployment) TraceSince(seq uint64, max int) []telemetry.Event {
 	return d.tel.ring.Since(nil, seq, max)
 }
-
-// MetricsRegistry exposes the deployment's metric registry so
-// applications can register their own counters, gauges, and histograms;
-// they ride the same Snapshot and exposition surface as the runtime's.
-func (d *Deployment) MetricsRegistry() *telemetry.Registry { return d.tel.reg }
 
 // build assembles and publishes a snapshot. Simulator goroutine only.
 func (p *telemetryPlane) build() *telemetry.Snapshot {
