@@ -6,11 +6,7 @@
 // repair from the cached copy (Figure 3d).
 package cache
 
-import (
-	"container/list"
-
-	"jqos/internal/core"
-)
+import "jqos/internal/core"
 
 // Stats counts cache effectiveness for experiments.
 type Stats struct {
@@ -22,12 +18,18 @@ type Stats struct {
 	BytesHeld uint64
 }
 
+// entry is one cached packet, linked into the store's expiry FIFO — or, once
+// out of the cache, into the spare list (by next alone), payload buffer kept.
 type entry struct {
-	id      core.PacketID
-	payload []byte
-	expires core.Time
-	elem    *list.Element // position in the expiry FIFO
+	id         core.PacketID
+	payload    []byte
+	expires    core.Time
+	prev, next *entry
 }
+
+// maxSpare bounds the spare list: enough for the puts landing in one instant
+// to reuse what that instant's expiry freed; an idle cache holds no more.
+const maxSpare = 64
 
 // seqRing is one flow's cached seqs in insertion order. TTL expiry and
 // byte-cap eviction both take the store's oldest entry, which is its
@@ -82,10 +84,14 @@ type Store struct {
 	// DrainFlow for the mobility rendezvous use case. A flow's ring is
 	// dropped when its last packet leaves, so idle flows cost nothing.
 	flows map[core.FlowID]*seqRing
-	// fifo orders entries by expiry (constant TTL ⇒ insertion order).
-	fifo  list.List
-	bytes uint64
-	stats Stats
+	// fifo is the sentinel of a circular list ordering entries by expiry
+	// (constant TTL ⇒ insertion order): fifo.next is the oldest.
+	fifo entry
+	// spare lists up to maxSpare expired or evicted entries for Put to reuse.
+	spare  *entry
+	spares int
+	bytes  uint64
+	stats  Stats
 }
 
 // NewStore creates a cache holding packets for ttl, bounded to maxBytes of
@@ -94,12 +100,20 @@ func NewStore(ttl core.Time, maxBytes uint64) *Store {
 	if ttl <= 0 {
 		panic("cache: TTL must be positive")
 	}
-	return &Store{
+	s := &Store{
 		ttl:      ttl,
 		maxBytes: maxBytes,
 		items:    make(map[core.PacketID]*entry),
 		flows:    make(map[core.FlowID]*seqRing),
 	}
+	s.fifo.prev, s.fifo.next = &s.fifo, &s.fifo
+	return s
+}
+
+// pushBack makes e the newest entry of the expiry FIFO.
+func (s *Store) pushBack(e *entry) {
+	e.prev, e.next = s.fifo.prev, &s.fifo
+	e.prev.next, s.fifo.prev = e, e
 }
 
 // TTL returns the configured packet lifetime.
@@ -128,10 +142,22 @@ func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 		s.bytes += uint64(len(payload))
 		e.payload = append(e.payload[:0], payload...)
 		e.expires = now + s.ttl
-		s.fifo.MoveToBack(e.elem)
+		e.prev.next, e.next.prev = e.next, e.prev
+		s.pushBack(e)
 	} else {
-		e := &entry{id: id, payload: append([]byte(nil), payload...), expires: now + s.ttl}
-		e.elem = s.fifo.PushBack(e)
+		e := s.spare
+		if e == nil {
+			e = &entry{}
+		} else {
+			s.spare, s.spares = e.next, s.spares-1
+		}
+		// A spare's buffer is reused unless the payload would rattle in it:
+		// small packets in MTU-sized buffers trade the allocation for heap.
+		if cap(e.payload) > 2*len(payload) {
+			e.payload = nil
+		}
+		e.id, e.payload, e.expires = id, append(e.payload[:0], payload...), now+s.ttl
+		s.pushBack(e)
 		s.items[id] = e
 		seqs := s.flows[id.Flow]
 		if seqs == nil {
@@ -143,15 +169,16 @@ func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 	}
 	s.stats.Puts++
 	if s.maxBytes > 0 {
-		for s.bytes > s.maxBytes && s.fifo.Len() > 0 {
-			s.evictOldest()
+		for s.bytes > s.maxBytes && len(s.items) > 0 {
+			s.remove(s.fifo.next)
+			s.stats.Evicted++
 		}
 	}
 }
 
 // Get returns the cached payload for id, if present and unexpired. The
-// returned slice is owned by the cache; callers must copy if they retain it
-// beyond their call frame.
+// returned slice is owned by the cache — a later Put may reuse its bytes —
+// so callers must copy if they retain it beyond their call frame.
 func (s *Store) Get(now core.Time, id core.PacketID) ([]byte, bool) {
 	s.expire(now)
 	e, ok := s.items[id]
@@ -184,24 +211,15 @@ func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []cor
 
 // expire drops entries whose TTL passed.
 func (s *Store) expire(now core.Time) {
-	for s.fifo.Len() > 0 {
-		e := s.fifo.Front().Value.(*entry)
-		if e.expires > now {
-			return
-		}
+	for e := s.fifo.next; e != &s.fifo && e.expires <= now; e = s.fifo.next {
 		s.remove(e)
 		s.stats.Expired++
 	}
 }
 
-func (s *Store) evictOldest() {
-	e := s.fifo.Front().Value.(*entry)
-	s.remove(e)
-	s.stats.Evicted++
-}
-
+// remove takes e out of the cache and, while there is room, spares it.
 func (s *Store) remove(e *entry) {
-	s.fifo.Remove(e.elem)
+	e.prev.next, e.next.prev = e.next, e.prev
 	delete(s.items, e.id)
 	s.bytes -= uint64(len(e.payload))
 	// Drop the seq from the flow index now, so DrainFlow stays linear in
@@ -210,5 +228,10 @@ func (s *Store) remove(e *entry) {
 	seqs.remove(e.id.Seq)
 	if seqs.n == 0 {
 		delete(s.flows, e.id.Flow)
+	}
+	e.prev, e.next = nil, nil
+	if s.spares < maxSpare {
+		e.next, s.spare = s.spare, e
+		s.spares++
 	}
 }

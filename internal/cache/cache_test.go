@@ -308,12 +308,82 @@ func TestStoreMatchesModel(t *testing.T) {
 			t.Fatalf("step %d at %v: len %d bytes %d expired %d evicted %d, model %d %d %d %d",
 				step, now, s.Len(), s.Bytes(), st.Expired, st.Evicted, len(m.fifo), m.bytes(), m.expired, m.evicted)
 		}
+		if n := spareEntries(t, s); n > maxSpare {
+			t.Fatalf("step %d: %d spare entries, cap %d", step, n, maxSpare)
+		}
 		if len(s.flows) != countNonEmpty(m.flows) {
 			t.Fatalf("step %d: %d flow indexes for %d flows with cached packets", step, len(s.flows), countNonEmpty(m.flows))
 		}
 	}
 	if m.expired == 0 || m.evicted == 0 {
 		t.Errorf("expired %d evicted %d: a removal path went unexercised", m.expired, m.evicted)
+	}
+}
+
+// spareEntries walks the spare list: every entry on it is out of the cache.
+func spareEntries(t *testing.T, s *Store) int {
+	t.Helper()
+	n := 0
+	for e := s.spare; e != nil; e = e.next {
+		if e.prev != nil || s.items[e.id] == e {
+			t.Fatalf("spare entry %v is still linked into the cache", e.id)
+		}
+		n++
+	}
+	if n != s.spares {
+		t.Fatalf("spare list holds %d entries, counter says %d", n, s.spares)
+	}
+	return n
+}
+
+// TestPutSteadyStateAllocatesNothing: at a steady depth with equal-size
+// payloads every Put of a new packet reuses the entry, and the payload
+// buffer, of the one its expiry check just dropped.
+func TestPutSteadyStateAllocatesNothing(t *testing.T) {
+	const depth = 500
+	s := NewStore(depth*time.Microsecond, 0)
+	payload := make([]byte, 512)
+	var seq uint64
+	put := func() {
+		seq++
+		payload[0] = byte(seq)
+		s.Put(core.Time(seq)*time.Microsecond, id(1+seq%4, seq), payload)
+	}
+	for i := 0; i < 2*depth; i++ {
+		put()
+	}
+	if n := testing.AllocsPerRun(1000, put); n != 0 {
+		t.Errorf("Put at steady depth allocates %v times, want 0", n)
+	}
+	if s.Len() != depth {
+		t.Errorf("Len = %d, want the steady depth %d", s.Len(), depth)
+	}
+	// Reused buffers hold what was last put under each id.
+	for back := uint64(0); back < depth; back++ {
+		got, ok := s.Get(core.Time(seq)*time.Microsecond, id(1+(seq-back)%4, seq-back))
+		if !ok || len(got) != len(payload) || got[0] != byte(seq-back) {
+			t.Fatalf("packet %d back: ok=%v first byte %d", back, ok, got[0])
+		}
+	}
+}
+
+// TestIdleCacheShrinks: a cache whose packets have all expired holds no
+// more than the spare constant, and a small packet does not keep an
+// MTU-sized spare buffer alive.
+func TestIdleCacheShrinks(t *testing.T) {
+	s := NewStore(time.Second, 0)
+	for seq := uint64(1); seq <= 10*maxSpare; seq++ {
+		s.Put(0, id(1, seq), make([]byte, 1400))
+	}
+	s.Put(time.Hour, id(2, 1), []byte("tiny"))
+	if s.Len() != 1 || s.Bytes() != 4 || len(s.flows) != 1 {
+		t.Fatalf("after the idle hour: Len %d Bytes %d flows %d", s.Len(), s.Bytes(), len(s.flows))
+	}
+	if n := spareEntries(t, s); n > maxSpare {
+		t.Errorf("an idle cache holds %d spare entries, cap %d", n, maxSpare)
+	}
+	if e := s.items[id(2, 1)]; cap(e.payload) > 8 {
+		t.Errorf("a 4-byte packet sits in a %d-byte buffer", cap(e.payload))
 	}
 }
 

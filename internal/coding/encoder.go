@@ -160,7 +160,9 @@ type crossKey struct {
 // Encoder is the DC1-side CR-WAN engine. It is a sans-IO state machine:
 // feed it data packets and timer ticks, collect wire-encoded Emits bound
 // for DC2. Not safe for concurrent use — the parallel pipeline (Figure 10)
-// shards flows across independent Encoders instead of locking one.
+// shards flows across independent Encoders instead of locking one. The
+// Emits a call returns are the encoder's own buffer, valid until the next
+// call into it; each message is a fresh allocation its recipient owns.
 //
 // The earliest open-queue deadline is kept cached (see earliest), so
 // NextDeadline is a field read and OnTimer returns at once when nothing is
@@ -193,6 +195,7 @@ type Encoder struct {
 	payloads [][]byte
 	sources  []wire.SourceRef
 	parity   [][]byte
+	emits    []core.Emit // the coded messages of the call in progress
 
 	// earliest is the soonest deadline among open queues, 0 when none is
 	// open. A queue opening can only lower it; when a queue that may hold
@@ -277,6 +280,7 @@ func (e *Encoder) OnData(now core.Time, dc2, receiver core.NodeID, flow core.Flo
 // cross-stream batches (see crossKey). In-stream blocks are single-flow,
 // so policy never splits them.
 func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow core.FlowID, seq core.Seq, policy uint32, payload []byte) []core.Emit {
+	e.emits = core.RecycleEmits(e.emits)
 	if rs.PackedSize(len(payload)) > math.MaxUint16 {
 		e.stats.Oversize++
 		return nil
@@ -287,7 +291,6 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 		ref:     wire.SourceRef{Flow: flow, Seq: seq, Receiver: receiver},
 		payload: bytes.Clone(payload),
 	}
-	var emits []core.Emit
 
 	// (1) In-stream coding (Algorithm 1 lines 1–5).
 	if e.cfg.InBlock > 0 {
@@ -303,7 +306,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 		q.dc2 = dc2
 		q.pkts = append(q.pkts, pkt)
 		if len(q.pkts) >= e.cfg.InBlock {
-			emits = e.flushIn(emits, now, q)
+			e.flushIn(now, q)
 		}
 	}
 
@@ -330,7 +333,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 			// Every queue holds this flow (lines 13–19): flush the
 			// initial queue if it has cross-flow value, else discard.
 			if len(q.pkts) > 1 {
-				emits = e.flushCross(emits, now, dc2, q)
+				e.flushCross(now, dc2, q)
 			} else {
 				e.closed(q.deadline)
 				q.reset()
@@ -347,9 +350,9 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 	q.flows[flow] = true
 	q.pkts = append(q.pkts, pkt)
 	if len(q.pkts) >= e.cfg.K {
-		emits = e.flushCross(emits, now, dc2, q)
+		e.flushCross(now, dc2, q)
 	}
-	return emits
+	return e.emits
 }
 
 // insertCrossKey keeps crossKeys sorted ascending by (dc2, policy) as
@@ -368,37 +371,35 @@ func (e *Encoder) insertCrossKey(k crossKey) {
 	e.crossKeys[i] = k
 }
 
-// flushIn encodes an in-stream block onto emits and resets the queue.
-func (e *Encoder) flushIn(emits []core.Emit, now core.Time, q *inQueue) []core.Emit {
+// flushIn encodes an in-stream block onto e.emits and resets the queue.
+func (e *Encoder) flushIn(now core.Time, q *inQueue) {
 	if len(q.pkts) == 0 {
-		return emits
+		return
 	}
-	emits = e.encodeBatch(emits, now, q.dc2, q.pkts, wire.InStream, e.cfg.InParity)
+	e.encodeBatch(now, q.dc2, q.pkts, wire.InStream, e.cfg.InParity)
 	e.stats.InBatches++
 	e.stats.InCoded += uint64(e.cfg.InParity)
 	e.closed(q.deadline)
 	q.pkts = q.pkts[:0]
 	q.deadline = 0
-	return emits
 }
 
-// flushCross encodes a cross-stream batch onto emits and resets the queue.
-func (e *Encoder) flushCross(emits []core.Emit, now core.Time, dc2 core.NodeID, q *crossQueue) []core.Emit {
+// flushCross encodes a cross-stream batch onto e.emits and resets the queue.
+func (e *Encoder) flushCross(now core.Time, dc2 core.NodeID, q *crossQueue) {
 	if len(q.pkts) == 0 {
-		return emits
+		return
 	}
-	emits = e.encodeBatch(emits, now, dc2, q.pkts, wire.CrossStream, e.cfg.CrossParity)
+	e.encodeBatch(now, dc2, q.pkts, wire.CrossStream, e.cfg.CrossParity)
 	e.stats.CrossBatches++
 	e.stats.CrossCoded += uint64(e.cfg.CrossParity)
 	e.closed(q.deadline)
 	q.reset()
-	return emits
 }
 
-// encodeBatch appends the parity Emits for a batch of data packets. Each
-// coded message is allocated once, header and metadata marshalled into its
-// head, and its tail handed to the codec as the parity destination.
-func (e *Encoder) encodeBatch(emits []core.Emit, now core.Time, dc2 core.NodeID, pkts []srcPkt, kind wire.CodedKind, parity int) []core.Emit {
+// encodeBatch appends the parity Emits for a batch of data packets to
+// e.emits. Each coded message is allocated once, header and metadata
+// marshalled into its head, its tail handed to the codec to write parity in.
+func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kind wire.CodedKind, parity int) {
 	k := len(pkts)
 	codec := e.codecs.Get(k, parity)
 	if codec == nil {
@@ -429,7 +430,6 @@ func (e *Encoder) encodeBatch(emits []core.Emit, now core.Time, dc2 core.NodeID,
 		Dst:     dc2,
 	}
 	head := wire.HeaderLen + meta.MarshaledLen()
-	emits = slices.Grow(emits, parity)
 	for i := 0; i < parity; i++ {
 		meta.Index = uint8(i)
 		msg := make([]byte, wire.HeaderLen, head+shardLen)
@@ -437,12 +437,11 @@ func (e *Encoder) encodeBatch(emits []core.Emit, now core.Time, dc2 core.NodeID,
 		msg = meta.AppendMarshal(msg, nil)[:head+shardLen]
 		e.parity = append(e.parity, msg[head:])
 		e.stats.CodedBytes += uint64(len(msg))
-		emits = append(emits, core.Emit{To: dc2, Msg: msg})
+		e.emits = append(e.emits, core.Emit{To: dc2, Msg: msg})
 	}
 	if err := codec.EncodePacked(e.payloads, e.parity); err != nil {
 		panic("coding: " + err.Error()) // shapes and sizes are ours by construction
 	}
-	return emits
 }
 
 // opened notes that a queue just opened with deadline d.
@@ -485,13 +484,13 @@ func (e *Encoder) NextDeadline() (core.Time, bool) {
 // queue timer, DC1 encodes all packets in the queue and sends them"), in
 // ascending flow order and then crossKeys order.
 func (e *Encoder) OnTimer(now core.Time) []core.Emit {
+	e.emits = core.RecycleEmits(e.emits)
 	if d, ok := e.NextDeadline(); !ok || d > now {
 		return nil
 	}
-	var emits []core.Emit
 	for _, q := range e.inQs {
 		if len(q.pkts) > 0 && q.deadline <= now {
-			emits = e.flushIn(emits, now, q)
+			e.flushIn(now, q)
 			e.stats.TimerFlushes++
 		}
 	}
@@ -499,25 +498,25 @@ func (e *Encoder) OnTimer(now core.Time) []core.Emit {
 		set := e.cross[k]
 		for _, q := range set.qs {
 			if len(q.pkts) > 0 && q.deadline <= now {
-				emits = e.flushCross(emits, now, set.dc2, q)
+				e.flushCross(now, set.dc2, q)
 				e.stats.TimerFlushes++
 			}
 		}
 	}
-	return emits
+	return e.emits
 }
 
 // Flush force-encodes everything still queued (end of experiment).
 func (e *Encoder) Flush(now core.Time) []core.Emit {
-	var emits []core.Emit
+	e.emits = core.RecycleEmits(e.emits)
 	for _, q := range e.inQs {
-		emits = e.flushIn(emits, now, q)
+		e.flushIn(now, q)
 	}
 	for _, k := range e.crossKeys {
 		set := e.cross[k]
 		for _, q := range set.qs {
-			emits = e.flushCross(emits, now, set.dc2, q)
+			e.flushCross(now, set.dc2, q)
 		}
 	}
-	return emits
+	return e.emits
 }

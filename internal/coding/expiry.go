@@ -2,90 +2,95 @@ package coding
 
 import "jqos/internal/core"
 
+// lazyQueue is a FIFO ring whose entries go stale in place: the owner
+// changes the item an entry names, and the queue's live func notices when
+// the entry surfaces. Stale entries are dropped when they reach the head,
+// and a push that finds more entries than its caller's bound compacts the
+// ring instead of growing it, so its length stays within that bound however
+// many entries a hostile peer makes stale.
+type lazyQueue[E any] struct {
+	buf     []E // len is zero or a power of two
+	head, n int
+	// live reports whether the entry still speaks for its item.
+	live func(E) bool
+}
+
+// compactSlack keeps small queues from compacting on every push.
+const compactSlack = 16
+
+func (q *lazyQueue[E]) at(i int) *E { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// push queues e, first dropping every stale entry (order kept) if the queue
+// holds more than most.
+func (q *lazyQueue[E]) push(e E, most int) {
+	var zero E
+	if q.n > most {
+		kept := 0
+		for i := 0; i < q.n; i++ {
+			if e := *q.at(i); q.live(e) {
+				*q.at(kept) = e
+				kept++
+			}
+		}
+		for i := kept; i < q.n; i++ {
+			*q.at(i) = zero // release the items
+		}
+		q.n = kept
+	}
+	if q.n == len(q.buf) {
+		buf := make([]E, max(2*len(q.buf), 8))
+		for i := 0; i < q.n; i++ {
+			buf[i] = *q.at(i)
+		}
+		q.buf, q.head = buf, 0
+	}
+	*q.at(q.n) = e
+	q.n++
+}
+
+func (q *lazyQueue[E]) pop() {
+	var zero E
+	*q.at(0) = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+// trim drops the stale entries in front of the first live one.
+func (q *lazyQueue[E]) trim() {
+	for q.n > 0 && !q.live(*q.at(0)) {
+		q.pop()
+	}
+}
+
 // expiry says item's lifetime ends at at — unless the item was refreshed or
-// removed after the entry was queued, which the queue's live func detects
-// when the entry surfaces.
+// removed after the entry was queued, which the queue's live func detects.
 type expiry[T any] struct {
 	at   core.Time
 	item T
 }
 
 // expiryQueue indexes lifetimes that are all "now + one constant". Fed a
-// non-decreasing clock, entries arrive in expiry order, so a FIFO ring is a
+// non-decreasing clock, entries arrive in expiry order, so a lazyQueue is a
 // priority queue: the earliest deadline is the head and nothing is ever
-// sifted. Invalidation is lazy — a refresh queues a second entry and the
-// first goes stale in place; stale entries are dropped when they reach the
-// head, and when they outnumber the live ones two to one the ring is
-// compacted instead of grown, so its length stays within 2·live + a
-// constant however many refreshes a hostile peer sends.
-//
+// sifted. A refresh queues a second entry and the first goes stale in place.
 // A clock that steps back breaks the order, not the bookkeeping: an entry
-// queued behind a later one waits until that one is due, and nothing is
-// lost or leaked.
-type expiryQueue[T any] struct {
-	buf     []expiry[T] // len is zero or a power of two
-	head, n int
-	// live reports whether the entry still speaks for its item.
-	live func(at core.Time, item T) bool
-}
-
-// compactSlack keeps small queues from compacting on every push.
-const compactSlack = 16
-
-func (q *expiryQueue[T]) at(i int) *expiry[T] { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+// queued behind a later one waits until that one is due; nothing is lost.
+type expiryQueue[T any] struct{ lazyQueue[expiry[T]] }
 
 // push queues item to expire at at. items is how many items the owner
-// holds, each with at most one live entry here.
+// holds, each with at most one live entry here: the queue stays within twice
+// that, plus a constant.
 func (q *expiryQueue[T]) push(at core.Time, item T, items int) {
-	if q.n > 2*items+compactSlack {
-		q.compact()
-	}
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	*q.at(q.n) = expiry[T]{at, item}
-	q.n++
-}
-
-func (q *expiryQueue[T]) grow() {
-	buf := make([]expiry[T], max(2*len(q.buf), 8))
-	for i := 0; i < q.n; i++ {
-		buf[i] = *q.at(i)
-	}
-	q.buf, q.head = buf, 0
-}
-
-// compact drops every stale entry, keeping order.
-func (q *expiryQueue[T]) compact() {
-	kept := 0
-	for i := 0; i < q.n; i++ {
-		if e := *q.at(i); q.live(e.at, e.item) {
-			*q.at(kept) = e
-			kept++
-		}
-	}
-	for i := kept; i < q.n; i++ {
-		*q.at(i) = expiry[T]{} // release the items
-	}
-	q.n = kept
-}
-
-func (q *expiryQueue[T]) pop() {
-	*q.at(0) = expiry[T]{}
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
+	q.lazyQueue.push(expiry[T]{at, item}, 2*items+compactSlack)
 }
 
 // next reports the earliest live expiry, dropping stale entries in front
 // of it.
 func (q *expiryQueue[T]) next() (core.Time, bool) {
-	for q.n > 0 {
-		if e := q.at(0); q.live(e.at, e.item) {
-			return e.at, true
-		}
-		q.pop()
+	if q.trim(); q.n == 0 {
+		return 0, false
 	}
-	return 0, false
+	return q.at(0).at, true
 }
 
 // popDue removes and returns the earliest live item if its time has come.

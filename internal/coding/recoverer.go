@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"slices"
 
 	"jqos/internal/core"
 	"jqos/internal/rs"
@@ -61,7 +62,31 @@ type batchState struct {
 	held     int // non-nil parity shards
 	shardLen int
 	expires  core.Time // 0 once the batch is dropped
+
+	// A batch is one allocation: parity and meta.Sources are slices of
+	// these arrays at the shapes a deployment codes with (K ≤ 6, R ≤ 2); a
+	// larger batch — the wire allows 255 of each — gets slices of its own.
+	parityBuf  [2][]byte
+	sourcesBuf [6]wire.SourceRef
 }
+
+// srcRef says batch b names packet seq of the flow whose index holds it.
+type srcRef struct {
+	seq core.Seq
+	b   *batchState
+}
+
+// flowIndex lists what the cached batches name of one flow, in arrival
+// order: written for every source of every batch, read only for a NACKed
+// packet, so a write is one ring slot and a read is a scan. A ref goes stale
+// when its batch is dropped (and pins no shard: the parity is released
+// then); it leaves from the head, or by compaction once a quarter are stale.
+type flowIndex struct {
+	lazyQueue[srcRef]
+	batches int // refs whose batch is still cached
+}
+
+func srcLive(e srcRef) bool { return e.b.expires != 0 }
 
 type recoveryKey struct {
 	batch uint64
@@ -86,7 +111,8 @@ type pendingNACK struct {
 }
 
 // Recoverer is the DC2-side CR-WAN engine: caches parity, answers NACKs,
-// and runs cooperative recovery. Sans-IO like the Encoder.
+// and runs cooperative recovery. Sans-IO like the Encoder, and like it
+// returns Emits in its own buffer, valid until the next call into it.
 //
 // Every lifetime it keeps is "now + a configured constant" (BatchTTL,
 // RecoveryDeadline, PendingTTL), so each kind of state is indexed by an
@@ -98,8 +124,10 @@ type Recoverer struct {
 	cfg  RecovererConfig
 	self core.NodeID
 
-	batches    map[uint64]*batchState
-	byPacket   map[core.PacketID][]uint64
+	batches map[uint64]*batchState
+	// sources finds the batches covering a packet: one index per flow some
+	// cached batch names, dropped with its last ref.
+	sources    map[core.FlowID]*flowIndex
 	recoveries map[recoveryKey]*recoveryState
 	pending    map[core.PacketID]*pendingNACK
 	// attempts tracks per-packet recovery escalation: first NACK gets the
@@ -120,6 +148,8 @@ type Recoverer struct {
 	recoveryQ expiryQueue[*recoveryState]
 	pendingQ  expiryQueue[*pendingNACK]
 	recentQ   expiryQueue[core.PacketID]
+
+	emits []core.Emit // the messages of the call in progress
 }
 
 // NewRecoverer builds the DC2 engine.
@@ -131,17 +161,17 @@ func NewRecoverer(self core.NodeID, cfg RecovererConfig) *Recoverer {
 		cfg:        cfg,
 		self:       self,
 		batches:    make(map[uint64]*batchState),
-		byPacket:   make(map[core.PacketID][]uint64),
+		sources:    make(map[core.FlowID]*flowIndex),
 		recoveries: make(map[recoveryKey]*recoveryState),
 		pending:    make(map[core.PacketID]*pendingNACK),
 		attempts:   make(map[core.PacketID]int),
 		recent:     make(map[core.PacketID]core.Time),
 		codecs:     rs.NewCache(rs.DecoderShapes),
 	}
-	r.batchQ.live = func(at core.Time, b *batchState) bool { return b.expires == at }
-	r.recoveryQ.live = func(at core.Time, rec *recoveryState) bool { return rec.deadline == at }
-	r.pendingQ.live = func(at core.Time, p *pendingNACK) bool { return p.expires == at }
-	r.recentQ.live = func(at core.Time, id core.PacketID) bool { return r.recent[id] == at }
+	r.batchQ.live = func(e expiry[*batchState]) bool { return e.item.expires == e.at }
+	r.recoveryQ.live = func(e expiry[*recoveryState]) bool { return e.item.deadline == e.at }
+	r.pendingQ.live = func(e expiry[*pendingNACK]) bool { return e.item.expires == e.at }
+	r.recentQ.live = func(e expiry[core.PacketID]) bool { return r.recent[e.item] == e.at }
 	return r
 }
 
@@ -155,21 +185,24 @@ func (r *Recoverer) Batches() int { return len(r.batches) }
 // the new batch, recovery starts immediately ("delay in arrival of coded
 // packets at DC2" is one of the paper's tail causes — parking hides it).
 func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, shard []byte) []core.Emit {
+	r.emits = core.RecycleEmits(r.emits)
 	if meta.Index >= meta.R || len(meta.Sources) != int(meta.K) {
 		return nil // names a shard or a position its own batch does not have
 	}
 	b := r.batches[meta.Batch]
 	if b == nil {
-		b = &batchState{
-			meta:     *meta,
-			parity:   make([][]byte, meta.R),
-			shardLen: len(shard),
-		}
-		b.meta.Sources = append([]wire.SourceRef(nil), meta.Sources...)
+		b = &batchState{meta: *meta, shardLen: len(shard)}
+		b.meta.Sources = append(b.sourcesBuf[:0], meta.Sources...)
+		b.parity = slices.Grow(b.parityBuf[:0], int(meta.R))[:meta.R]
 		r.batches[meta.Batch] = b
 		for _, src := range b.meta.Sources {
-			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
-			r.byPacket[id] = append(r.byPacket[id], meta.Batch)
+			x := r.sources[src.Flow]
+			if x == nil {
+				x = &flowIndex{lazyQueue: lazyQueue[srcRef]{live: srcLive}}
+				r.sources[src.Flow] = x
+			}
+			x.batches++
+			x.push(srcRef{src.Seq, b}, x.batches+x.batches/4+compactSlack)
 		}
 	} else if int(meta.Index) >= len(b.parity) {
 		return nil // disagrees with the batch's first shard about R
@@ -186,7 +219,6 @@ func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, s
 	// Wake any parked NACKs this batch can serve. Hard-evidence NACKs
 	// recover immediately; speculative ones are verified first (the
 	// direct packet may have arrived in the meantime).
-	var emits []core.Emit
 	for _, src := range b.meta.Sources {
 		id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
 		if p, ok := r.pending[id]; ok {
@@ -198,55 +230,54 @@ func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, s
 						Type: wire.TypeVerify, Service: core.ServiceCoding,
 						Flow: id.Flow, Seq: id.Seq, TS: now, Src: r.self, Dst: p.requester,
 					}
-					emits = append(emits, core.Emit{To: p.requester, Msg: wire.AppendMessage(nil, &hdr, nil)})
+					r.emits = append(r.emits, core.Emit{To: p.requester, Msg: wire.AppendMessage(nil, &hdr, nil)})
 				}
 				continue
 			}
 			r.unpark(p)
 			r.stats.PendingMatched++
-			emits = append(emits, r.recover(now, id, p.requester, 0)...)
+			r.recover(now, id, p.requester, 0)
 		}
 	}
-	return emits
+	return r.emits
 }
 
 // OnNACK handles a receiver's loss report (§4.4 step 1). from is the
 // requesting receiver.
 func (r *Recoverer) OnNACK(now core.Time, from core.NodeID, id core.PacketID, flags uint16) []core.Emit {
+	r.emits = core.RecycleEmits(r.emits)
 	r.stats.NACKs++
-	return r.recover(now, id, from, flags)
+	r.recover(now, id, from, flags)
+	return r.emits
 }
 
-// recover picks the recovery type for one missing packet.
-func (r *Recoverer) recover(now core.Time, id core.PacketID, from core.NodeID, flags uint16) []core.Emit {
+// recover picks the recovery type for one missing packet and appends what
+// it sends to r.emits.
+func (r *Recoverer) recover(now core.Time, id core.PacketID, from core.NodeID, flags uint16) {
 	if until, ok := r.recent[id]; ok && until > now {
-		return nil // just recovered; the repaired packet is in flight
+		return // just recovered; the repaired packet is in flight
 	}
 	attempt := r.attempts[id]
 	r.attempts[id] = attempt + 1
 
 	inB, crossB := r.coveringBatches(id)
-	// First line of defense: in-stream parity, decodable locally by the
-	// receiver (it holds the sibling data packets). Escalate past it on
-	// a repeat NACK.
-	if inB != nil && attempt == 0 {
+	_, parked := r.pending[id]
+	switch {
+	case inB != nil && (attempt == 0 || crossB == nil):
+		// First line of defense: in-stream parity, decodable locally by
+		// the receiver (it holds the sibling data packets). A repeat NACK
+		// escalates past it, unless nothing but in-stream protection is
+		// left to resend.
 		r.stats.InStreamServed++
-		return r.sendParity(now, inB, from)
-	}
-	if crossB != nil {
-		return r.startCoop(now, crossB, id, from)
-	}
-	if inB != nil {
-		// Nothing but in-stream protection left; resend it.
-		r.stats.InStreamServed++
-		return r.sendParity(now, inB, from)
-	}
-	// No covering batch (yet). Park the NACK. Speculative NACKs (the
-	// receiver flagged uncertainty) will be verified with the receiver
-	// when their parity arrives — "DC2 first checks with the receiver
-	// before undertaking the recovery" (§3.4) — so recoveries that a
-	// direct arrival has since made moot are never pushed.
-	if _, parked := r.pending[id]; !parked {
+		r.sendParity(now, inB, from)
+	case crossB != nil:
+		r.startCoop(now, crossB, id, from)
+	case !parked:
+		// No covering batch (yet). Park the NACK. Speculative NACKs (the
+		// receiver flagged uncertainty) will be verified with the receiver
+		// when their parity arrives — "DC2 first checks with the receiver
+		// before undertaking the recovery" (§3.4) — so recoveries that a
+		// direct arrival has since made moot are never pushed.
 		p := &pendingNACK{
 			id: id, requester: from, expires: now + r.cfg.PendingTTL,
 			wantVerify: r.cfg.VerifyFirst && flags&wire.FlagWantVerify != 0,
@@ -254,7 +285,6 @@ func (r *Recoverer) recover(now core.Time, id core.PacketID, from core.NodeID, f
 		r.pending[id] = p
 		r.pendingQ.push(p.expires, p, len(r.pending))
 	}
-	return nil
 }
 
 // unpark takes a parked NACK out of the waiting set.
@@ -264,27 +294,38 @@ func (r *Recoverer) unpark(p *pendingNACK) {
 }
 
 // coveringBatches finds the freshest in-stream and cross-stream batches
-// that include id and still hold parity.
+// still cached that include id.
 func (r *Recoverer) coveringBatches(id core.PacketID) (in, cross *batchState) {
-	for _, bid := range r.byPacket[id] {
-		b := r.batches[bid]
-		if b == nil || b.held == 0 {
-			continue
-		}
-		if b.meta.Kind == wire.InStream {
-			in = b
-		} else {
-			cross = b
+	x := r.sources[id.Flow]
+	if x == nil {
+		return nil, nil
+	}
+	for i := 0; i < x.n; i++ {
+		switch e := x.at(i); {
+		case e.seq != id.Seq || !srcLive(*e):
+		case e.b.meta.Kind == wire.InStream:
+			in = e.b
+		default:
+			cross = e.b
 		}
 	}
 	return in, cross
 }
 
+// forgetUncovered drops id's escalation count once no cached batch names
+// it: nothing else would clear it.
+func (r *Recoverer) forgetUncovered(id core.PacketID) {
+	if _, counted := r.attempts[id]; counted {
+		if in, cross := r.coveringBatches(id); in == nil && cross == nil {
+			delete(r.attempts, id)
+		}
+	}
+}
+
 // sendParity forwards a batch's parity shards to the receiver for local
 // decode (in-stream recovery: latency y + 2δ, no helpers involved), in
 // shard-index order.
-func (r *Recoverer) sendParity(now core.Time, b *batchState, to core.NodeID) []core.Emit {
-	emits := make([]core.Emit, 0, b.held)
+func (r *Recoverer) sendParity(now core.Time, b *batchState, to core.NodeID) {
 	for idx, shard := range b.parity {
 		if shard == nil {
 			continue
@@ -297,17 +338,16 @@ func (r *Recoverer) sendParity(now core.Time, b *batchState, to core.NodeID) []c
 			TS: now, Src: r.self, Dst: to,
 		}
 		payload := meta.AppendMarshal(nil, shard)
-		emits = append(emits, core.Emit{To: to, Msg: wire.AppendMessage(nil, &hdr, payload)})
+		r.emits = append(r.emits, core.Emit{To: to, Msg: wire.AppendMessage(nil, &hdr, payload)})
 	}
-	return emits
 }
 
 // startCoop launches cooperative recovery (§4.4 step 2): ask every helper
 // receiver in the batch for its data packet.
-func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, from core.NodeID) []core.Emit {
+func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, from core.NodeID) {
 	key := recoveryKey{batch: b.meta.Batch, want: id}
 	if r.recoveries[key] != nil {
-		return nil // already in flight
+		return // already in flight
 	}
 	rec := &recoveryState{
 		key:       key,
@@ -318,7 +358,6 @@ func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, fr
 	r.recoveries[key] = rec
 	r.recoveryQ.push(rec.deadline, rec, len(r.recoveries))
 	r.stats.CoopStarted++
-	var emits []core.Emit
 	for _, src := range b.meta.Sources {
 		sid := core.PacketID{Flow: src.Flow, Seq: src.Seq}
 		if sid == id {
@@ -333,19 +372,19 @@ func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, fr
 			Flow: src.Flow, Seq: src.Seq, TS: now, Src: r.self, Dst: src.Receiver,
 		}
 		msg := wire.AppendMessage(nil, &hdr, ref.AppendMarshal(nil, nil))
-		emits = append(emits, core.Emit{To: src.Receiver, Msg: msg})
+		r.emits = append(r.emits, core.Emit{To: src.Receiver, Msg: msg})
 		rec.helpers++
 		r.stats.CoopReqsSent++
 	}
 	// Degenerate batch (k=1 or no helpers): try to decode from parity
 	// alone — with systematic RS this only works when parity count ≥ k.
-	emits = append(emits, r.tryDecode(now, rec)...)
-	return emits
+	r.tryDecode(now, rec)
 }
 
 // OnCoopResp ingests a helper's data packet (§4.4 step 3) and decodes when
 // enough shards are present.
 func (r *Recoverer) OnCoopResp(now core.Time, hdr *wire.Header, ref *wire.CoopRef, payload []byte) []core.Emit {
+	r.emits = core.RecycleEmits(r.emits)
 	key := recoveryKey{batch: ref.Batch, want: ref.Want}
 	rec := r.recoveries[key]
 	if rec == nil {
@@ -368,7 +407,8 @@ func (r *Recoverer) OnCoopResp(now core.Time, hdr *wire.Header, ref *wire.CoopRe
 	}
 	rec.data[pos] = shard
 	r.stats.CoopRespsUsed++
-	return r.tryDecode(now, rec)
+	r.tryDecode(now, rec)
+	return r.emits
 }
 
 // sourcePos returns the batch position of a packet, or -1.
@@ -381,20 +421,20 @@ func (b *batchState) sourcePos(id core.PacketID) int {
 	return -1
 }
 
-// tryDecode reconstructs and delivers the wanted packet once
-// data+parity ≥ k.
-func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
+// tryDecode reconstructs the wanted packet once data+parity ≥ k and
+// appends it to r.emits.
+func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) {
 	b := r.batches[rec.key.batch]
 	if b == nil {
-		return nil
+		return
 	}
 	k := int(b.meta.K)
 	if len(rec.data)+b.held < k {
-		return nil
+		return
 	}
 	codec := r.codecs.Get(k, len(b.parity))
 	if codec == nil {
-		return nil // the shape came off the wire: no such code, a forgery
+		return // the shape came off the wire: no such code, a forgery
 	}
 	shards := make([][]byte, k+len(b.parity))
 	for pos, d := range rec.data {
@@ -402,15 +442,15 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
 	}
 	copy(shards[k:], b.parity)
 	if err := codec.ReconstructData(shards); err != nil {
-		return nil // not enough yet (or inconsistent sizes); wait for more
+		return // not enough yet (or inconsistent sizes); wait for more
 	}
 	wantPos := b.sourcePos(rec.key.want)
 	if wantPos < 0 {
-		return nil
+		return
 	}
 	payload, err := rs.Unpack(shards[wantPos])
 	if err != nil {
-		return nil
+		return
 	}
 	rec.deadline = 0
 	delete(r.recoveries, rec.key)
@@ -427,12 +467,13 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
 		Flow: rec.key.want.Flow, Seq: rec.key.want.Seq,
 		TS: now, Src: r.self, Dst: rec.requester,
 	}
-	return []core.Emit{{To: rec.requester, Msg: wire.AppendMessage(nil, &hdr, payload)}}
+	r.emits = append(r.emits, core.Emit{To: rec.requester, Msg: wire.AppendMessage(nil, &hdr, payload)})
 }
 
 // OnVerifyResp resolves a verify probe: a still-wanted packet proceeds to
 // recovery; otherwise the parked NACK was spurious and is dropped.
 func (r *Recoverer) OnVerifyResp(now core.Time, hdr *wire.Header) []core.Emit {
+	r.emits = core.RecycleEmits(r.emits)
 	id := hdr.ID()
 	p, ok := r.pending[id]
 	if ok {
@@ -446,7 +487,8 @@ func (r *Recoverer) OnVerifyResp(now core.Time, hdr *wire.Header) []core.Emit {
 		return nil
 	}
 	r.stats.PendingMatched++
-	return r.recover(now, id, p.requester, 0)
+	r.recover(now, id, p.requester, 0)
+	return r.emits
 }
 
 // NextDeadline reports the earliest engine timeout: the sooner of the
@@ -467,17 +509,7 @@ func (r *Recoverer) NextDeadline() (core.Time, bool) {
 // drops stale parked NACKs. It emits nothing.
 func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
 	for b, ok := r.batchQ.popDue(now); ok; b, ok = r.batchQ.popDue(now) {
-		bid := b.meta.Batch
-		for _, src := range b.meta.Sources {
-			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
-			r.byPacket[id] = removeBatch(r.byPacket[id], bid)
-			if len(r.byPacket[id]) == 0 {
-				delete(r.byPacket, id)
-				delete(r.attempts, id)
-			}
-		}
-		delete(r.batches, bid)
-		b.expires = 0
+		r.dropBatch(b)
 	}
 	for rec, ok := r.recoveryQ.popDue(now); ok; rec, ok = r.recoveryQ.popDue(now) {
 		r.stats.CoopFailed++
@@ -488,11 +520,7 @@ func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
 		r.unpark(p)
 		r.stats.PendingExpired++
 		r.stats.Unrecoverable++
-		// The escalation count of a packet no batch covers has nothing
-		// else to clear it.
-		if len(r.byPacket[p.id]) == 0 {
-			delete(r.attempts, p.id)
-		}
+		r.forgetUncovered(p.id)
 	}
 	for id, ok := r.recentQ.popDue(now); ok; id, ok = r.recentQ.popDue(now) {
 		delete(r.recent, id)
@@ -500,13 +528,21 @@ func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
 	return nil
 }
 
-func removeBatch(s []uint64, bid uint64) []uint64 {
-	for i, v := range s {
-		if v == bid {
-			return append(s[:i], s[i+1:]...)
+// dropBatch drops b: shards released, its refs in the flow indexes stale.
+func (r *Recoverer) dropBatch(b *batchState) {
+	delete(r.batches, b.meta.Batch)
+	b.expires = 0
+	clear(b.parity)
+	for _, src := range b.meta.Sources {
+		// nil: an earlier source of the same flow emptied the index.
+		if x := r.sources[src.Flow]; x != nil {
+			x.batches--
+			if x.trim(); x.n == 0 {
+				delete(r.sources, src.Flow)
+			}
 		}
+		r.forgetUncovered(core.PacketID{Flow: src.Flow, Seq: src.Seq})
 	}
-	return s
 }
 
 // String implements fmt.Stringer for debugging.

@@ -34,20 +34,135 @@ func scanNextDeadline(r *Recoverer) (core.Time, bool) {
 	return min, found
 }
 
+// packetIndex is the reference model for Recoverer.sources: the map from a
+// packet to the ids of the cached batches naming it, in arrival order, that
+// the per-flow rings replaced. It mirrors the batches of the Recoverer the
+// scan model runs on.
+type packetIndex struct {
+	byPacket map[core.PacketID][]uint64
+	known    map[uint64]bool
+}
+
+func newPacketIndex() *packetIndex {
+	return &packetIndex{byPacket: map[core.PacketID][]uint64{}, known: map[uint64]bool{}}
+}
+
+// learn records the batch an OnCoded call may have just created.
+func (m *packetIndex) learn(r *Recoverer, bid uint64) {
+	b := r.batches[bid]
+	if b == nil || m.known[bid] {
+		return
+	}
+	m.known[bid] = true
+	for _, src := range b.meta.Sources {
+		id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
+		m.byPacket[id] = append(m.byPacket[id], bid)
+	}
+}
+
+// forget removes an expiring batch and returns the packets it was the last
+// to name.
+func (m *packetIndex) forget(b *batchState) (uncovered []core.PacketID) {
+	delete(m.known, b.meta.Batch)
+	for _, src := range b.meta.Sources {
+		id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
+		m.byPacket[id] = removeBatch(m.byPacket[id], b.meta.Batch)
+		if len(m.byPacket[id]) == 0 {
+			delete(m.byPacket, id)
+			uncovered = append(uncovered, id)
+		}
+	}
+	return uncovered
+}
+
+func removeBatch(s []uint64, bid uint64) []uint64 {
+	for i, v := range s {
+		if v == bid {
+			return append(s[:i], s[i+1:]...)
+		}
+	}
+	return s
+}
+
+// covering is the map version of Recoverer.coveringBatches: the freshest
+// in-stream and cross-stream batch naming id, 0 for none.
+func (m *packetIndex) covering(r *Recoverer, id core.PacketID) (in, cross uint64) {
+	for _, bid := range m.byPacket[id] {
+		b := r.batches[bid]
+		if b == nil || b.held == 0 {
+			continue
+		}
+		if b.meta.Kind == wire.InStream {
+			in = bid
+		} else {
+			cross = bid
+		}
+	}
+	return in, cross
+}
+
+// checkIndex holds r's per-flow rings to the model after any operation:
+// the same covering batches for every packet of ids, every ring counting
+// exactly the refs the model has for its flow (so an idle flow has no ring),
+// and none longer than its compaction bound at the most it ever counted.
+// peak carries that most.
+func (m *packetIndex) checkIndex(t testing.TB, r *Recoverer, ids []core.PacketID, peak map[core.FlowID]int) {
+	t.Helper()
+	for _, id := range ids {
+		var in, cross uint64
+		b, c := r.coveringBatches(id)
+		if b != nil {
+			in = b.meta.Batch
+		}
+		if c != nil {
+			cross = c.meta.Batch
+		}
+		if wantIn, wantCross := m.covering(r, id); in != wantIn || cross != wantCross {
+			t.Fatalf("packet %v: covered by in-stream %d / cross-stream %d, map model says %d / %d", id, in, cross, wantIn, wantCross)
+		}
+	}
+	named := map[core.FlowID]int{}
+	for id, bids := range m.byPacket {
+		named[id.Flow] += len(bids)
+	}
+	if len(r.sources) != len(named) {
+		t.Fatalf("%d flow indexes for %d flows with a cached batch", len(r.sources), len(named))
+	}
+	for flow, x := range r.sources {
+		if x.batches != named[flow] {
+			t.Fatalf("flow %d: index counts %d live refs, model %d", flow, x.batches, named[flow])
+		}
+		peak[flow] = max(peak[flow], x.batches)
+		if x.n > peak[flow]+peak[flow]/4+compactSlack+1 {
+			t.Fatalf("flow %d: index holds %d refs for at most %d live ones", flow, x.n, peak[flow])
+		}
+	}
+}
+
 // scanOnTimer is the reference model for Recoverer.OnTimer: range every
-// map, drop what is due. It never touches the expiry queues.
-func scanOnTimer(r *Recoverer, now core.Time) {
-	for bid, b := range r.batches {
-		if b.expires <= now {
-			for _, src := range b.meta.Sources {
-				id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
-				r.byPacket[id] = removeBatch(r.byPacket[id], bid)
-				if len(r.byPacket[id]) == 0 {
-					delete(r.byPacket, id)
-					delete(r.attempts, id)
-				}
+// map, drop what is due. It never touches the expiry queues. A due batch
+// leaves r's flow indexes the way it does in OnTimer, and the map model m
+// (which mirrors r) says which escalation counts that had to clear: those
+// of the packets the batch was the last to name, and no other.
+func scanOnTimer(t testing.TB, r *Recoverer, m *packetIndex, now core.Time) {
+	t.Helper()
+	for _, b := range r.batches {
+		if b.expires > now {
+			continue
+		}
+		counted := map[core.PacketID]bool{}
+		for _, src := range b.meta.Sources {
+			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
+			_, counted[id] = r.attempts[id]
+		}
+		for _, id := range m.forget(b) {
+			counted[id] = false
+		}
+		r.dropBatch(b)
+		for id, want := range counted {
+			if _, got := r.attempts[id]; got != want {
+				t.Fatalf("batch %d dropped at %v: packet %v keeps its escalation count: %v, map model says %v", b.meta.Batch, now, id, got, want)
 			}
-			delete(r.batches, bid)
 		}
 	}
 	for key, rec := range r.recoveries {
@@ -61,7 +176,7 @@ func scanOnTimer(r *Recoverer, now core.Time) {
 			delete(r.pending, id)
 			r.stats.PendingExpired++
 			r.stats.Unrecoverable++
-			if len(r.byPacket[id]) == 0 {
+			if len(m.byPacket[id]) == 0 {
 				delete(r.attempts, id)
 			}
 		}
@@ -89,9 +204,24 @@ type recovererProgram struct {
 	prog     []byte
 	steps    int
 	// peak is the most items each of the subject's four maps ever held,
-	// the bound its queues are checked against.
-	peak [4]int
+	// the bound its queues are checked against; flowPeak the same for its
+	// per-flow source indexes.
+	peak     [4]int
+	flowPeak map[core.FlowID]int
+	// idx is the map model of the source index, mirroring ref's batches.
+	idx *packetIndex
 }
+
+// progIDs is every packet a program can name, and one it cannot.
+var progIDs = func() []core.PacketID {
+	ids := []core.PacketID{{Flow: 9, Seq: 9}}
+	for f := core.FlowID(1); f <= 5; f++ {
+		for q := core.Seq(1); q <= 17; q++ {
+			ids = append(ids, core.PacketID{Flow: f, Seq: q})
+		}
+	}
+	return ids
+}()
 
 func (p *recovererProgram) next() (byte, bool) {
 	if len(p.prog) == 0 {
@@ -199,6 +329,7 @@ func (p *recovererProgram) step() bool {
 		hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
 		got = p.sub.OnCoded(p.now, &hdr, &meta, shard)
 		want = p.ref.OnCoded(p.now, &hdr, &meta, shard)
+		p.idx.learn(p.ref, meta.Batch)
 	case 3, 4: // a receiver reports a loss: covered, uncovered, speculative
 		id := progID(arg(), arg())
 		if op%8 == 4 { // a packet of some batch, live or not
@@ -244,7 +375,7 @@ func (p *recovererProgram) step() bool {
 			p.now = d
 		}
 		got = p.sub.OnTimer(p.now)
-		scanOnTimer(p.ref, p.now)
+		scanOnTimer(p.t, p.ref, p.idx, p.now)
 	}
 	p.steps++
 	p.compare(op, got, want)
@@ -267,12 +398,13 @@ func (p *recovererProgram) compare(op byte, got, want []core.Emit) {
 	if sub.Stats() != ref.Stats() {
 		t.Fatalf("step %d op %d at %v: stats\n got %+v\nwant %+v", p.steps, op, p.now, sub.Stats(), ref.Stats())
 	}
-	sizes := func(r *Recoverer) [6]int {
-		return [6]int{r.Batches(), len(r.recoveries), len(r.pending), len(r.recent), len(r.byPacket), len(r.attempts)}
+	sizes := func(r *Recoverer) [5]int {
+		return [5]int{r.Batches(), len(r.recoveries), len(r.pending), len(r.recent), len(r.attempts)}
 	}
 	if sizes(sub) != sizes(ref) {
-		t.Fatalf("step %d op %d at %v: batches/recoveries/pending/recent/byPacket/attempts = %v, model %v", p.steps, op, p.now, sizes(sub), sizes(ref))
+		t.Fatalf("step %d op %d at %v: batches/recoveries/pending/recent/attempts = %v, model %v", p.steps, op, p.now, sizes(sub), sizes(ref))
 	}
+	p.idx.checkIndex(t, sub, progIDs, p.flowPeak)
 	// No unbounded growth: stale entries never outnumber what a queue's
 	// map has held by more than two to one.
 	queued := [4]int{sub.batchQ.n, sub.recoveryQ.n, sub.pendingQ.n, sub.recentQ.n}
@@ -290,11 +422,11 @@ func (p *recovererProgram) finish() {
 	p.t.Helper()
 	p.now += time.Hour
 	p.sub.OnTimer(p.now)
-	scanOnTimer(p.ref, p.now)
+	scanOnTimer(p.t, p.ref, p.idx, p.now)
 	p.compare(255, nil, nil)
 	r := p.sub
 	left := []int{
-		len(r.batches), len(r.byPacket), len(r.recoveries), len(r.pending), len(r.attempts), len(r.recent),
+		len(r.batches), len(r.sources), len(r.recoveries), len(r.pending), len(r.attempts), len(r.recent),
 		r.batchQ.n, r.recoveryQ.n, r.pendingQ.n, r.recentQ.n,
 	}
 	for _, n := range left {
@@ -310,6 +442,9 @@ func runRecovererProgram(t testing.TB, prog []byte) *recovererProgram {
 		sub:  NewRecoverer(dc2, DefaultRecovererConfig()),
 		ref:  NewRecoverer(dc2, DefaultRecovererConfig()),
 		prog: prog,
+		idx:  newPacketIndex(),
+
+		flowPeak: map[core.FlowID]int{},
 	}
 	for p.step() {
 	}
@@ -360,4 +495,114 @@ func FuzzRecoverer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		runRecovererProgram(t, prog)
 	})
+}
+
+// TestRecovererIndexHostileShapes drives the source index with what the
+// program's small world cannot spell: one forged batch naming packets at
+// opposite ends of the sequence space, a thousand batches all naming one
+// packet, and a batch naming the same packet twice — each held to the map
+// model while cached, and gone without residue once its TTL runs out.
+func TestRecovererIndexHostileShapes(t *testing.T) {
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	idx := newPacketIndex()
+	hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+	store := func(now core.Time, meta wire.Coded) {
+		t.Helper()
+		meta.K, meta.R, meta.ShardLen = uint8(len(meta.Sources)), 1, 3
+		r.OnCoded(now, &hdr, &meta, []byte{1, 2, 3})
+		idx.learn(r, meta.Batch)
+	}
+	one := core.PacketID{Flow: 1, Seq: 1}
+	far := core.PacketID{Flow: 1, Seq: 1 << 62}
+	twice := core.PacketID{Flow: 2, Seq: 5}
+	ids := []core.PacketID{one, far, twice, {Flow: 1, Seq: 2}, {Flow: 3, Seq: 1}}
+
+	store(0, wire.Coded{Batch: 1, Kind: wire.InStream, Sources: []wire.SourceRef{
+		{Flow: 1, Seq: one.Seq, Receiver: 101}, {Flow: 1, Seq: far.Seq, Receiver: 101}}})
+	store(0, wire.Coded{Batch: 2, Sources: []wire.SourceRef{
+		{Flow: 2, Seq: twice.Seq, Receiver: 102}, {Flow: 2, Seq: twice.Seq, Receiver: 102}}})
+	store(0, wire.Coded{Batch: 3, Kind: wire.InStream, Sources: []wire.SourceRef{
+		{Flow: 1, Seq: one.Seq, Receiver: 101}, {Flow: 1, Seq: 2, Receiver: 101}}})
+	for i := 0; i < 1000; i++ {
+		store(core.Time(i)*time.Millisecond, wire.Coded{Batch: uint64(10 + i), Sources: []wire.SourceRef{
+			{Flow: 1, Seq: one.Seq, Receiver: 101}, {Flow: 3, Seq: core.Seq(i), Receiver: 103}}})
+	}
+	peak := map[core.FlowID]int{}
+	idx.checkIndex(t, r, ids, peak)
+	if in, cross := r.coveringBatches(one); in == nil || in.meta.Batch != 3 || cross == nil || cross.meta.Batch != 1009 {
+		t.Fatalf("the packet 1 002 batches name is covered by %v / %v, want the freshest of each kind, 3 and 1009", in, cross)
+	}
+	if in, _ := r.coveringBatches(far); in == nil || in.meta.Batch != 1 {
+		t.Fatal("the far-apart seq of the forged batch is not indexed")
+	}
+
+	// NACKs count escalation for every packet; expiry must clear each count
+	// when — and only when — the last batch naming the packet goes.
+	now := 999 * time.Millisecond
+	for _, id := range ids[:3] {
+		r.OnNACK(now, 200, id, 0)
+	}
+	ttl := DefaultRecovererConfig().BatchTTL
+	for _, step := range []struct {
+		at      core.Time
+		batches int
+		counted []core.PacketID
+	}{
+		{ttl, 999, []core.PacketID{one}}, // batches 1, 2, 3 and 10 are due
+		{ttl + 500*time.Millisecond, 499, []core.PacketID{one}},
+		{ttl + 999*time.Millisecond, 0, nil},
+	} {
+		for _, b := range r.batches {
+			if b.expires <= step.at {
+				idx.forget(b)
+			}
+		}
+		r.OnTimer(step.at)
+		idx.checkIndex(t, r, ids, peak)
+		if r.Batches() != step.batches || len(r.attempts) != len(step.counted) {
+			t.Fatalf("at %v: %d batches, escalation counts %v; want %d and %v", step.at, r.Batches(), r.attempts, step.batches, step.counted)
+		}
+		for _, id := range step.counted {
+			if _, ok := r.attempts[id]; !ok {
+				t.Fatalf("at %v: %v lost its escalation count while batches still name it", step.at, id)
+			}
+		}
+	}
+	if left := []int{len(r.sources), len(r.batches), len(r.attempts), len(r.pending)}; !reflect.DeepEqual(left, []int{0, 0, 0, 0}) {
+		t.Fatalf("after every TTL ran out: sources/batches/attempts/pending = %v", left)
+	}
+}
+
+// TestRecovererIndexStuckHead: a peer that keeps refreshing one old batch
+// keeps that batch's ref live at the head of its flow's ring, so the refs of
+// every later batch go stale behind it instead of leaving. Compaction must
+// hold the ring — and with it the dropped batches the stale refs still
+// reference — to its bound, however long that goes on.
+func TestRecovererIndexStuckHead(t *testing.T) {
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	idx := newPacketIndex()
+	peak := map[core.FlowID]int{}
+	hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+	store := func(now core.Time, batch uint64, seq core.Seq) {
+		meta := wire.Coded{Batch: batch, K: 1, R: 1, ShardLen: 3, Sources: []wire.SourceRef{{Flow: 4, Seq: seq, Receiver: 104}}}
+		r.OnCoded(now, &hdr, &meta, []byte{1, 2, 3})
+		idx.learn(r, batch)
+	}
+	ids := []core.PacketID{{Flow: 4, Seq: 1}, {Flow: 4, Seq: 2}, {Flow: 4, Seq: 5000}}
+	for i := 1; i <= 5000; i++ {
+		now := core.Time(i) * 10 * time.Millisecond
+		store(now, 1, 1) // the refresh: same batch, a new lease
+		store(now, uint64(1+i), core.Seq(1+i))
+		idx.checkIndex(t, r, ids, peak)
+		for _, b := range r.batches {
+			if b.expires <= now {
+				idx.forget(b)
+			}
+		}
+		r.OnTimer(now)
+		idx.checkIndex(t, r, ids, peak)
+	}
+	if x := r.sources[4]; x.batches != 201 || r.Batches() != 201 {
+		t.Fatalf("after 50 s: %d live refs, %d batches; want the refreshed one and 2 s worth, 201", x.batches, r.Batches())
+	}
 }

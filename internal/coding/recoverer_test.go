@@ -2,6 +2,7 @@ package coding
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +76,8 @@ func (h *harness) respondCoop(now core.Time, emits []core.Emit, silent ...core.N
 		mute[s] = true
 	}
 	var out []core.Emit
-	for _, em := range emits {
+	// emits is the recoverer's buffer, and the answers below call into it.
+	for _, em := range slices.Clone(emits) {
 		var hdr wire.Header
 		body, err := wire.SplitMessage(&hdr, em.Msg)
 		if err != nil {
@@ -463,8 +465,9 @@ func TestConcurrentRecoveriesSameBatch(t *testing.T) {
 	}
 	w1 := core.PacketID{Flow: 1, Seq: 1}
 	w2 := core.PacketID{Flow: 2, Seq: 1}
-	reqs1 := h.rec.OnNACK(time.Millisecond, 101, w1, 0)
-	reqs2 := h.rec.OnNACK(time.Millisecond, 102, w2, 0)
+	// Kept across later calls, so copied out of the recoverer's buffer.
+	reqs1 := slices.Clone(h.rec.OnNACK(time.Millisecond, 101, w1, 0))
+	reqs2 := slices.Clone(h.rec.OnNACK(time.Millisecond, 102, w2, 0))
 	// A repeat NACK for an in-flight recovery must not duplicate requests.
 	if emits := h.rec.OnNACK(time.Millisecond, 101, w1, 0); countType(t, emits, wire.TypeCoopReq) != 0 {
 		t.Error("duplicate recovery started while in flight")

@@ -166,6 +166,17 @@ type Emit struct {
 	Msg []byte
 }
 
+// RecycleEmits empties the buffer a core returned its last Emits in, for
+// the core's next call: entries zeroed (the messages are their recipients'
+// now), and a buffer one burst grew past 64 entries let go, not kept.
+func RecycleEmits(buf []Emit) []Emit {
+	clear(buf)
+	if cap(buf) > 64 {
+		return nil
+	}
+	return buf[:0]
+}
+
 // Delivery is one application packet surfaced to the receiving endpoint,
 // with provenance for the experiment accounting.
 type Delivery struct {

@@ -11,6 +11,13 @@
 // refusal to rebuild a closed flow's state, and the cap on state for flow
 // IDs nobody registered.
 //
+// What an engine hands back — the encoder's, recoverer's and forwarder's
+// []core.Emit, a receiver's recovery.Result — is that engine's own buffer,
+// valid until the next call into the same engine. The cores send or deliver
+// every element before calling the engine again, so an Env / HostEnv must
+// not call Handle or OnTimer from Send or Deliver. The messages and packets
+// the elements name are per-message allocations their recipients own.
+//
 // Neither core owns a clock, a socket or a topology. Its runtime passes
 // the time in and answers a few questions through Env / HostEnv. There
 // are four runtimes: the emulator's DCNode and Host, and the UDP
@@ -56,6 +63,7 @@ type Core struct {
 	self core.NodeID
 	env  Env
 	drop uint64
+	meta wire.Coded // scratch for parsing coded messages; the recoverer copies what it keeps
 }
 
 // New builds the core of DC self on env. The cache is bounded by cacheTTL
@@ -312,13 +320,12 @@ func (c *Core) onCoded(now core.Time, hdr *wire.Header, body, raw []byte) {
 		c.send(hdr.Dst, raw, path{lookup: true, pin: ok, flow: flow, flags: hdr.Flags})
 		return
 	}
-	var meta wire.Coded
-	shard, err := meta.Unmarshal(body)
+	shard, err := c.meta.Unmarshal(body)
 	if err != nil {
 		c.drop++
 		return
 	}
-	c.emit(c.Recoverer.OnCoded(now, hdr, &meta, shard))
+	c.emit(c.Recoverer.OnCoded(now, hdr, &c.meta, shard))
 }
 
 // onPull serves explicit cache pulls, including FlagDrain for the mobility

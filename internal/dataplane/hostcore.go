@@ -70,6 +70,7 @@ type HostCore struct {
 	// registration adopts leaves it, so mid-join laziness is untouched.
 	unsol []core.FlowID
 
+	meta wire.Coded // scratch for parsing coded messages; receivers copy what they keep
 	drop uint64
 	// retired sums the counters of receivers no longer held, so Stats
 	// never steps back when one is evicted or dropped.
@@ -227,17 +228,16 @@ func (c *HostCore) Handle(now core.Time, hdr *wire.Header, body []byte) bool {
 		}
 		res = r.OnRecovered(now, hdr, body)
 	case wire.TypeCoded:
-		var meta wire.Coded
-		shard, err := meta.Unmarshal(body)
-		if err != nil || len(meta.Sources) == 0 {
+		shard, err := c.meta.Unmarshal(body)
+		if err != nil || len(c.meta.Sources) == 0 {
 			c.drop++
 			return false
 		}
-		r := c.Ensure(meta.Sources[0].Flow, 0, core.ServiceCoding)
+		r := c.Ensure(c.meta.Sources[0].Flow, 0, core.ServiceCoding)
 		if r == nil {
 			return false
 		}
-		res = r.OnCoded(now, hdr, &meta, shard)
+		res = r.OnCoded(now, hdr, &c.meta, shard)
 	case wire.TypeCoopReq:
 		var ref wire.CoopRef
 		if _, err := ref.Unmarshal(body); err != nil {
@@ -281,7 +281,9 @@ func (c *HostCore) Pull(now core.Time, flow core.FlowID, after core.Seq) bool {
 	return true
 }
 
-// process sends one receiver's emits, then surfaces its deliveries.
+// process sends one receiver's emits, then surfaces its deliveries. res is
+// that receiver's buffers, valid until the next call into it: from env.Send
+// or env.Deliver a runtime may Drop the flow or Pull, not Handle or OnTimer.
 func (c *HostCore) process(res recovery.Result) {
 	for _, em := range res.Emits {
 		c.env.Send(em.To, em.Msg)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/rs"
 	"jqos/internal/wire"
 )
 
@@ -29,6 +30,7 @@ type fakeHostEnv struct {
 	sent      []core.Emit
 	delivered []core.Delivery
 	onSend    func(core.Emit)
+	onDeliver func(core.Delivery)
 }
 
 func (e *fakeHostEnv) Flow(id core.FlowID) (FlowState, core.Time) {
@@ -48,7 +50,12 @@ func (e *fakeHostEnv) Send(to core.NodeID, msg []byte) {
 		e.onSend(em)
 	}
 }
-func (e *fakeHostEnv) Deliver(del core.Delivery) { e.delivered = append(e.delivered, del) }
+func (e *fakeHostEnv) Deliver(del core.Delivery) {
+	e.delivered = append(e.delivered, del)
+	if e.onDeliver != nil {
+		e.onDeliver(del)
+	}
+}
 
 func newHostWorld() (*HostCore, *fakeHostEnv) {
 	env := &fakeHostEnv{live: map[core.FlowID]core.Time{}}
@@ -266,6 +273,69 @@ func TestHostCoreFlowDroppedMidOnTimer(t *testing.T) {
 	c.OnTimer(due)
 	if got := sentFlows(t, env.sent); !slices.Equal(got, []core.FlowID{3, 7, 5}) {
 		t.Errorf("second firing sent for flows %v, want flow 5 last", got)
+	}
+}
+
+// TestHostCoreResultOutlivesReentry: one parity shard completes an
+// in-stream block and surfaces two packets in one Result, which lives in the
+// receiver's buffers. The application's handler for the first may close the
+// flow (freeing that receiver) or pull (entering the core again); the second
+// packet must still arrive, intact, either way.
+func TestHostCoreResultOutlivesReentry(t *testing.T) {
+	payloads := [][]byte{[]byte("first"), []byte("second, longer"), []byte("third")}
+	shards, shardLen, err := rs.PackBatch(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := rs.NewCodec(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards = append(shards, make([]byte, shardLen), make([]byte, shardLen))
+	if err := codec.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	const flow = 1
+	meta := wire.Coded{Batch: 9, Kind: wire.InStream, K: 3, R: 2, ShardLen: uint16(shardLen)}
+	for seq := core.Seq(1); seq <= 3; seq++ {
+		meta.Sources = append(meta.Sources, wire.SourceRef{Flow: flow, Seq: seq, Receiver: hostSelf})
+	}
+	parity := func(i uint8) []byte {
+		meta.Index = i
+		return message(wire.TypeCoded, core.ServiceCoding, 0, 0, hostDC, hostSelf, 0, meta.AppendMarshal(nil, shards[3+i]))
+	}
+	for name, react := range map[string]func(c *HostCore, env *fakeHostEnv){
+		"close": func(c *HostCore, env *fakeHostEnv) {
+			delete(env.live, flow)
+			c.Drop(flow)
+		},
+		"pull": func(c *HostCore, env *fakeHostEnv) { c.Pull(2*time.Millisecond, flow, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, env := newHostWorld()
+			env.live[flow], env.allocated = 100*time.Millisecond, 10
+			hostHandle(t, c, 0, message(wire.TypeData, core.ServiceCoding, flow, 1, 100, hostSelf, 0, payloads[0]))
+			hostHandle(t, c, time.Millisecond, parity(0))
+			if len(env.delivered) != 1 {
+				t.Fatalf("delivered %d packets before the block was decodable", len(env.delivered))
+			}
+			env.onDeliver = func(core.Delivery) {
+				env.onDeliver = nil
+				react(c, env)
+			}
+			hostHandle(t, c, 2*time.Millisecond, parity(1))
+			if len(env.delivered) != 3 {
+				t.Fatalf("delivered %d packets, want the whole block of 3", len(env.delivered))
+			}
+			for i, del := range env.delivered {
+				if del.Packet.ID.Seq != core.Seq(i+1) || !bytes.Equal(del.Packet.Payload, payloads[i]) || del.Recovered != (i > 0) {
+					t.Errorf("delivery %d: seq %d %q recovered=%v", i, del.Packet.ID.Seq, del.Packet.Payload, del.Recovered)
+				}
+			}
+			if want := map[string]int{"close": 0, "pull": 1}[name]; c.Receivers() != want {
+				t.Errorf("%d receivers held afterwards, want %d", c.Receivers(), want)
+			}
+		})
 	}
 }
 

@@ -46,7 +46,9 @@ type flowKey struct {
 	dst  core.NodeID
 }
 
-// Forwarder is the forwarding state of one DC node.
+// Forwarder is the forwarding state of one DC node. The slices Forward,
+// ForwardTagged and NextHops return are the forwarder's own buffers (or a
+// group's member list), valid until the next call into it.
 type Forwarder struct {
 	self core.NodeID
 	// routes maps a destination to the next hop toward it. Destinations
@@ -72,6 +74,9 @@ type Forwarder struct {
 	prevRoutes map[core.NodeID]core.NodeID
 
 	stats Stats
+
+	hop [1]core.NodeID // NextHops' unicast answer
+	out []core.Emit    // Forward's answer
 }
 
 // New creates a forwarder for the DC with identity self.
@@ -188,7 +193,8 @@ func (f *Forwarder) ForwardTagged(tag uint8, dst core.NodeID, msg []byte) []core
 	}
 	f.stats.Unicast++
 	f.stats.Copies++
-	return []core.Emit{{To: hop, Msg: msg}}
+	f.out = append(core.RecycleEmits(f.out), core.Emit{To: hop, Msg: msg})
+	return f.out
 }
 
 // Route returns the installed next hop for dst, if any. Transmit paths use
@@ -243,10 +249,11 @@ func (f *Forwarder) NextHops(dst core.NodeID) []core.NodeID {
 	if members, ok := f.groups[dst]; ok {
 		return members
 	}
+	f.hop[0] = dst
 	if via, ok := f.routes[dst]; ok {
-		return []core.NodeID{via}
+		f.hop[0] = via
 	}
-	return []core.NodeID{dst}
+	return f.hop[:]
 }
 
 // Forward produces the Emits that relay one message toward dst. The
@@ -254,14 +261,14 @@ func (f *Forwarder) NextHops(dst core.NodeID) []core.NodeID {
 // Self-loops are dropped defensively: a route pointing back at this DC
 // would otherwise ping-pong forever.
 func (f *Forwarder) Forward(dst core.NodeID, msg []byte) []core.Emit {
-	hops := f.NextHops(dst)
-	out := make([]core.Emit, 0, len(hops))
-	for _, h := range hops {
+	out := core.RecycleEmits(f.out)
+	for _, h := range f.NextHops(dst) {
 		if h == f.self {
 			continue
 		}
 		out = append(out, core.Emit{To: h, Msg: msg})
 	}
+	f.out = out
 	switch {
 	case len(out) == 0:
 		f.stats.NoRoute++

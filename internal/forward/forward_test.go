@@ -151,3 +151,34 @@ func TestFlowRoutes(t *testing.T) {
 		t.Error("deleted pin still resolves")
 	}
 }
+
+// TestForwardAllocatesNothing pins the steady state of the three answers —
+// tabled unicast, direct unicast, multicast fan-out, and an old-epoch
+// resolve — which all come back in the forwarder's own buffers.
+func TestForwardAllocatesNothing(t *testing.T) {
+	f := New(1)
+	f.SetRoute(9, 2)
+	f.SetGroup(100, 30, 10, 20)
+	f.BeginEpoch(1)
+	f.SetRoute(9, 3)
+	msg := []byte("m")
+	var to [4]core.NodeID
+	n := testing.AllocsPerRun(100, func() {
+		to[0] = f.Forward(9, msg)[0].To
+		to[1] = f.Forward(8, msg)[0].To
+		to[2] = f.Forward(100, msg)[2].To
+		to[3] = f.ForwardTagged(0, 9, msg)[0].To
+	})
+	if n != 0 {
+		t.Errorf("Forward allocates %v times per four calls, want 0", n)
+	}
+	if to != [4]core.NodeID{3, 8, 30, 2} {
+		t.Errorf("next hops = %v", to)
+	}
+	// The answer is the forwarder's buffer: the next call overwrites it.
+	first := f.Forward(9, msg)
+	f.Forward(8, msg)
+	if first[0].To != 8 {
+		t.Errorf("Forward returned a buffer of its own: %v", first)
+	}
+}

@@ -84,11 +84,21 @@ func (l *Link) SetDelay(m DelayModel) {
 // only — callers must not branch protocol behaviour on it, since a real
 // sender cannot observe drops.
 func (l *Link) Send(size int, deliver func(arrived core.Time)) bool {
+	arrive, ok := l.admit(size)
+	if ok {
+		l.sim.schedule(event{at: arrive, arrive: deliver})
+	}
+	return ok
+}
+
+// admit runs a packet of size bytes through the loss process, the queue and
+// the delay model: when it arrives, or ok false for a drop.
+func (l *Link) admit(size int) (arrive core.Time, ok bool) {
 	now := l.sim.Now()
 	l.stats.Sent++
 	if l.loss.Lose(now, l.rng) {
 		l.stats.Lost++
-		return false
+		return 0, false
 	}
 	depart := now
 	if l.Rate > 0 {
@@ -97,15 +107,14 @@ func (l *Link) Send(size int, deliver func(arrived core.Time)) bool {
 		}
 		if l.MaxQueue > 0 && depart-now > l.MaxQueue {
 			l.stats.TailDrop++
-			return false
+			return 0, false
 		}
 		tx := core.Time(float64(size) / float64(l.Rate) * 1e9)
 		depart += tx
 		l.busyUntil = depart
 	}
-	arrive := depart + l.delay.Delay(now, l.rng)
+	arrive = depart + l.delay.Delay(now, l.rng)
 	l.stats.Delivered++
 	l.stats.Bytes += uint64(size)
-	l.sim.schedule(event{at: arrive, arrive: deliver})
-	return true
+	return arrive, true
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -425,6 +426,65 @@ func TestNetworkDelivery(t *testing.T) {
 	}
 }
 
+// TestNetworkSendAllocatesNothing pins the steady state of a datagram's
+// trip: Send takes a delivery record off the free list, the event calls the
+// record's own pre-bound run, and running it puts the record back — no
+// closure per delivery.
+func TestNetworkSendAllocatesNothing(t *testing.T) {
+	sim := NewSimulator(15)
+	net := NewNetwork(sim)
+	var got int
+	net.AddNode(2, func(from, to core.NodeID, data []byte) { got += len(data) })
+	net.Connect(1, 2, NewLink(sim, UniformJitter{Base: time.Millisecond, Jitter: time.Millisecond}, nil))
+	msg := []byte("datagram")
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			net.Send(1, 2, msg)
+		}
+		sim.Run()
+	}
+	burst() // grows the event heap and the free list to eight in flight
+	if n := testing.AllocsPerRun(100, burst); n != 0 {
+		t.Errorf("Network.Send and its delivery allocate %v times per burst of 8, want 0", n)
+	}
+	if want := 102 * 8 * len(msg); got != want { // the warm-up burst, AllocsPerRun's own, and its 100
+		t.Errorf("handler saw %d bytes, want %d", got, want)
+	}
+	held := 0
+	for d := net.free; d != nil; d = d.next {
+		if d.data != nil {
+			t.Error("a free delivery record still references its datagram")
+		}
+		held++
+	}
+	if held != 8 {
+		t.Errorf("free list holds %d records after bursts of 8 in flight", held)
+	}
+}
+
+// TestNetworkDeliveryReentrant: the handler may send from inside a delivery
+// (every DC does), and may replace the handler its own delivery is running
+// under; the handler is looked up at arrival time, and the record in hand
+// is reusable by the nested send.
+func TestNetworkDeliveryReentrant(t *testing.T) {
+	sim := NewSimulator(15)
+	net := NewNetwork(sim)
+	net.ConnectBidirectional(1, 2, func() *Link { return NewLink(sim, FixedDelay(time.Millisecond), nil) })
+	var trail []string
+	net.AddNode(1, func(from, to core.NodeID, data []byte) { trail = append(trail, "1:"+string(data)) })
+	net.AddNode(2, func(from, to core.NodeID, data []byte) {
+		trail = append(trail, "2:"+string(data))
+		net.Send(2, 1, append([]byte("re:"), data...))
+		net.AddNode(2, func(from, to core.NodeID, data []byte) { trail = append(trail, "2':"+string(data)) })
+	})
+	net.Send(1, 2, []byte("a"))
+	net.Send(1, 2, []byte("b"))
+	sim.Run()
+	if got := strings.Join(trail, " "); got != "2:a 2':b 1:re:a" {
+		t.Errorf("deliveries ran as %q", got)
+	}
+}
+
 func TestNetworkUnknownRoutePanics(t *testing.T) {
 	sim := NewSimulator(16)
 	net := NewNetwork(sim)
@@ -528,6 +588,29 @@ func BenchmarkSimulatorEventLoop(b *testing.B) {
 		sim.After(time.Microsecond, func() {})
 		sim.RunFor(2 * time.Microsecond)
 	}
+}
+
+// BenchmarkNetworkSend is a datagram through Network.Send to its handler,
+// the path every emulated message takes (gated at 0 allocs/op).
+func BenchmarkNetworkSend(b *testing.B) {
+	sim := NewSimulator(1)
+	net := NewNetwork(sim)
+	net.AddNode(2, func(from, to core.NodeID, data []byte) {})
+	net.Connect(1, 2, NewLink(sim, UniformJitter{Base: time.Millisecond, Jitter: time.Millisecond}, Bernoulli{P: 0.01}))
+	msg := make([]byte, 512)
+	for i := 0; i < 1024; i++ {
+		net.Send(1, 2, msg)
+	}
+	sim.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Send(1, 2, msg)
+		if i%1024 == 1023 {
+			sim.RunFor(10 * time.Millisecond)
+		}
+	}
+	sim.Run()
 }
 
 func BenchmarkLinkSend(b *testing.B) {

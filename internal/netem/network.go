@@ -7,7 +7,8 @@ import (
 )
 
 // Handler consumes datagrams addressed to a node. data is owned by the
-// receiver once delivered (the network never retains or reuses it).
+// receiver once delivered: the network drops its only reference (the
+// delivery record's) before the handler runs, and never reuses the bytes.
 type Handler func(from, to core.NodeID, data []byte)
 
 // linkKey identifies a directed edge.
@@ -22,6 +23,7 @@ type Network struct {
 	sim   *Simulator
 	links map[linkKey]*Link
 	nodes map[core.NodeID]Handler
+	free  *delivery // the delivery records not in flight
 	// Tap, if set, observes every accepted datagram at send time — used
 	// by experiments for bandwidth accounting and by tests for tracing.
 	Tap func(from, to core.NodeID, size int)
@@ -76,15 +78,44 @@ func (n *Network) Send(from, to core.NodeID, data []byte) bool {
 	if l == nil {
 		panic(fmt.Sprintf("netem: no link %v -> %v", from, to))
 	}
-	ok := l.Send(len(data), func(core.Time) {
-		if h := n.nodes[to]; h != nil {
-			h(from, to, data)
-		}
-	})
-	if ok && n.Tap != nil {
+	arrive, ok := l.admit(len(data))
+	if !ok {
+		return false
+	}
+	d := n.free
+	if d == nil {
+		d = &delivery{net: n}
+		d.fire = d.run
+	}
+	n.free, d.from, d.to, d.data = d.next, from, to, data
+	l.sim.schedule(event{at: arrive, fn: d.fire})
+	if n.Tap != nil {
 		n.Tap(from, to, len(data))
 	}
-	return ok
+	return true
+}
+
+// delivery is one datagram in flight, what Send schedules in place of a
+// closure. Records cycle through their network's free list, which grows to
+// the most datagrams ever in flight at once: a steady send allocates nothing.
+type delivery struct {
+	net      *Network
+	from, to core.NodeID
+	data     []byte
+	next     *delivery // free-list link
+	fire     func()    // run, bound once: what the event calls
+}
+
+// run hands the datagram to the handler registered for its destination at
+// arrival. The record is freed first, data cleared: the handler owns the
+// bytes alone, and its own sends may reuse the record.
+func (d *delivery) run() {
+	n, from, to, data := d.net, d.from, d.to, d.data
+	d.data = nil
+	d.next, n.free = n.free, d
+	if h := n.nodes[to]; h != nil {
+		h(from, to, data)
+	}
 }
 
 // HasRoute reports whether a directed link exists.

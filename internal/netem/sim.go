@@ -8,7 +8,9 @@
 //
 // The pending set is a typed 4-ary heap of events by value ordered by
 // (time, scheduling sequence number); scheduling and running an event
-// allocate nothing, a link delivery included. Every Timer arm is one
+// allocate nothing. Neither does a link delivery: Link.Send's caller brings
+// its own func(core.Time), and Network.Send schedules a delivery record
+// from the network's free list (see delivery). Every Timer arm is one
 // event with a fresh sequence number, on purpose: skipping an unchanged
 // re-arm would keep the older number and move the firing ahead of
 // same-instant arrivals, changing tie order and with it every seeded
@@ -26,6 +28,8 @@ import (
 // keeps runs deterministic. Exactly one of fn and arrive is set: arrive is
 // handed the event's own time, so a link delivery needs no closure to
 // remember when it lands.
+// It stays four words: a fifth field would take the struct out of registers
+// on every heap move (measured: 11 → 29 ns per schedule-and-run).
 type event struct {
 	at     core.Time
 	seq    uint64

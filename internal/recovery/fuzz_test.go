@@ -64,6 +64,13 @@ func FuzzReceiver(f *testing.F) {
 			if dl, ok := r.NextDeadline(); ok && dl <= at {
 				t.Fatalf("%s at %v: NextDeadline = %v, not after it", what, at, dl)
 			}
+			// Nothing outlives its TTL: a half-decoded in-stream batch is
+			// held for 2·RTT past its last shard and no longer.
+			for batch, dec := range r.inDec {
+				if what == "OnTimer" && dec.expires <= at || dec.expires > at+2*r.cfg.RTT {
+					t.Fatalf("%s at %v: in-stream batch %d held until %v", what, at, batch, dec.expires)
+				}
+			}
 		}
 		for len(data) >= 3 {
 			now += core.Time(data[0]) * time.Millisecond
@@ -113,6 +120,22 @@ func FuzzReceiver(f *testing.F) {
 					t.Fatalf("%v: delivery %+v is not addressed to this receiver", hdr.Type, d)
 				}
 			}
+		}
+		// Left alone, the receiver runs out of deadlines — every loss given
+		// up on, every partial decode dropped — in a bounded number of
+		// firings, and holds nothing timed afterwards.
+		for fired := 0; ; fired++ {
+			dl, ok := r.NextDeadline()
+			if !ok {
+				break
+			}
+			if fired > 4*maxGap {
+				t.Fatalf("still a deadline (%v) after %d firings", dl, fired)
+			}
+			check("OnTimer", dl, r.OnTimer(dl), 0)
+		}
+		if len(r.inDec) != 0 || r.OutstandingLosses() != 0 {
+			t.Fatalf("with no deadline left: %d in-stream batches, %d losses still held", len(r.inDec), r.OutstandingLosses())
 		}
 	})
 }

@@ -8,6 +8,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 
 	"jqos/internal/core"
 	"jqos/internal/rs"
@@ -151,15 +152,11 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Result is the outcome of one event: messages to transmit and packets to
-// hand to the application.
+// hand to the application. Both slices are the Receiver's own buffers, valid
+// until the next call into it; what they name belongs to whoever takes it.
 type Result struct {
 	Emits      []core.Emit
 	Deliveries []core.Delivery
-}
-
-func (r *Result) merge(o Result) {
-	r.Emits = append(r.Emits, o.Emits...)
-	r.Deliveries = append(r.Deliveries, o.Deliveries...)
 }
 
 type markovState uint8
@@ -188,10 +185,12 @@ type flowState struct {
 	lastDirect  core.Time // last arrival on the direct path
 	pumpHigh    core.Seq  // highest seq the pump has NACKed
 	missing     map[core.Seq]*missState
-	delivered   map[core.Seq]bool
-	recent      map[core.Seq][]byte
-	order       []core.Seq // recent-window eviction order
-	src         core.NodeID
+	// recent holds the delivered packets still in the window; order is a
+	// ring of their seqs, oldest at orderHead once it has filled.
+	recent    map[core.Seq][]byte
+	order     []core.Seq
+	orderHead int
+	src       core.NodeID
 }
 
 // inDecode accumulates in-stream parity for local decoding.
@@ -202,6 +201,7 @@ type inDecode struct {
 }
 
 // Receiver is the endpoint reliability engine. Not safe for concurrent use.
+// A Result it returns is valid until the next call into the same Receiver.
 type Receiver struct {
 	cfg   Config
 	flows map[core.FlowID]*flowState
@@ -209,6 +209,15 @@ type Receiver struct {
 	// codecs serves in-stream decodes; the shapes come off the wire.
 	codecs *rs.Cache
 	stats  Stats
+	res    Result     // the result under construction
+	due    []core.Seq // OnTimer's scratch: the seqs to re-NACK, sorted
+}
+
+// begin empties the result buffers for the next event.
+func (r *Receiver) begin() {
+	r.res.Emits = core.RecycleEmits(r.res.Emits)
+	clear(r.res.Deliveries) // the packets are the application's now
+	r.res.Deliveries = r.res.Deliveries[:0]
 }
 
 // New builds a receiver engine.
@@ -236,10 +245,10 @@ func (r *Receiver) flow(id core.FlowID) *flowState {
 	fs := r.flows[id]
 	if fs == nil {
 		fs = &flowState{
-			id:        id,
-			missing:   make(map[core.Seq]*missState),
-			delivered: make(map[core.Seq]bool),
-			recent:    make(map[core.Seq][]byte),
+			id:      id,
+			missing: make(map[core.Seq]*missState),
+			recent:  make(map[core.Seq][]byte),
+			order:   make([]core.Seq, 0, r.cfg.RecentWindow),
 		}
 		r.flows[id] = fs
 	}
@@ -248,7 +257,7 @@ func (r *Receiver) flow(id core.FlowID) *flowState {
 
 // OnData processes a data packet from the direct path.
 func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Result {
-	var res Result
+	r.begin()
 	fs := r.flow(hdr.Flow)
 	fs.src = hdr.Src
 	r.stats.DataReceived++
@@ -263,14 +272,15 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 		r.stats.DirectArrivals++
 	}
 	seq := hdr.Seq
+	_, dup := fs.recent[seq] // delivered, and still in the window
 	switch {
 	case !fs.started:
 		// Join at the first observed packet; earlier history is not
 		// ours to recover.
 		fs.started = true
 		fs.next = seq + 1
-		res.merge(r.accept(now, fs, hdr, payload, false, via, 0))
-	case fs.delivered[seq]:
+		r.accept(now, fs, hdr, payload, false, via, 0)
+	case dup:
 		r.stats.Duplicates++
 	case seq < fs.next:
 		// Late arrival: a tracked loss, a given-up loss, or a packet
@@ -279,13 +289,13 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 		// anything undelivered is surfaced.
 		r.stats.LateArrivals++
 		r.resolve(fs, seq)
-		res.merge(r.accept(now, fs, hdr, payload, false, via, 0))
+		r.accept(now, fs, hdr, payload, false, via, 0)
 	case seq == fs.next:
 		fs.next = seq + 1
-		res.merge(r.accept(now, fs, hdr, payload, false, via, 0))
+		r.accept(now, fs, hdr, payload, false, via, 0)
 	default: // gap: [next, seq) missing
-		r.noteGap(now, fs, seq, &res)
-		res.merge(r.accept(now, fs, hdr, payload, false, via, 0))
+		r.noteGap(now, fs, seq)
+		r.accept(now, fs, hdr, payload, false, via, 0)
 	}
 
 	// Markov model (§3.4): the small timer applies only to packets
@@ -303,20 +313,21 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 	fs.everArrived = true
 	fs.lastArrival = now
 	fs.idleFired = false
-	return res
+	return r.res
 }
 
-// accept delivers a packet and records it in the recent window.
-func (r *Receiver) accept(now core.Time, fs *flowState, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) Result {
-	fs.delivered[hdr.Seq] = true
+// accept delivers a packet and records it in the recent window, evicting
+// the oldest once that is full.
+func (r *Receiver) accept(now core.Time, fs *flowState, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
 	cp := append([]byte(nil), payload...)
 	fs.recent[hdr.Seq] = cp
-	fs.order = append(fs.order, hdr.Seq)
-	for len(fs.order) > r.cfg.RecentWindow {
-		old := fs.order[0]
-		fs.order = fs.order[1:]
+	if len(fs.order) < cap(fs.order) {
+		fs.order = append(fs.order, hdr.Seq)
+	} else {
+		old := fs.order[fs.orderHead]
+		fs.order[fs.orderHead] = hdr.Seq
+		fs.orderHead = (fs.orderHead + 1) % len(fs.order)
 		delete(fs.recent, old)
-		delete(fs.delivered, old)
 	}
 	pkt := &core.Packet{
 		ID:      core.PacketID{Flow: hdr.Flow, Seq: hdr.Seq},
@@ -325,9 +336,9 @@ func (r *Receiver) accept(now core.Time, fs *flowState, hdr *wire.Header, payloa
 		Sent:    hdr.TS,
 		Payload: cp,
 	}
-	return Result{Deliveries: []core.Delivery{{
+	r.res.Deliveries = append(r.res.Deliveries, core.Delivery{
 		Packet: pkt, At: now, Recovered: recovered, Via: via, RecoveryDelay: recDelay,
-	}}}
+	})
 }
 
 // maxGap bounds how many losses one arrival can declare. A wider sequence
@@ -338,20 +349,20 @@ const maxGap = 4096
 
 // noteGap NACKs the missing range [fs.next, seq) and moves the expectation
 // past seq; past maxGap it rejoins at seq like a first packet.
-func (r *Receiver) noteGap(now core.Time, fs *flowState, seq core.Seq, res *Result) {
+func (r *Receiver) noteGap(now core.Time, fs *flowState, seq core.Seq) {
 	if seq-fs.next <= maxGap {
 		for s := fs.next; s < seq; s++ {
-			res.Emits = append(res.Emits, r.noteMissing(now, fs, s, false)...)
+			r.noteMissing(now, fs, s, false)
 			r.stats.GapNACKs++
 		}
 	}
 	fs.next = seq + 1
 }
 
-// noteMissing registers a loss and emits its first NACK.
-func (r *Receiver) noteMissing(now core.Time, fs *flowState, seq core.Seq, wantVerify bool) []core.Emit {
+// noteMissing registers a loss and emits its first NACK; false: already tracked.
+func (r *Receiver) noteMissing(now core.Time, fs *flowState, seq core.Seq, wantVerify bool) bool {
 	if _, ok := fs.missing[seq]; ok {
-		return nil
+		return false
 	}
 	r.stats.LossesSeen++
 	ms := &missState{firstMiss: now, nacks: 1, hasNACK: true}
@@ -359,10 +370,11 @@ func (r *Receiver) noteMissing(now core.Time, fs *flowState, seq core.Seq, wantV
 		ms.nextNACK = now + r.cfg.NACKRetry
 	}
 	fs.missing[seq] = ms
-	return []core.Emit{r.nack(now, fs.id, seq, wantVerify)}
+	r.nack(now, fs.id, seq, wantVerify)
+	return true
 }
 
-func (r *Receiver) nack(now core.Time, flow core.FlowID, seq core.Seq, wantVerify bool) core.Emit {
+func (r *Receiver) nack(now core.Time, flow core.FlowID, seq core.Seq, wantVerify bool) {
 	hdr := wire.Header{
 		Type:    wire.TypeNACK,
 		Service: r.cfg.Service,
@@ -375,7 +387,7 @@ func (r *Receiver) nack(now core.Time, flow core.FlowID, seq core.Seq, wantVerif
 	if wantVerify {
 		hdr.Flags |= wire.FlagWantVerify
 	}
-	return core.Emit{To: r.cfg.DC, Msg: wire.AppendMessage(nil, &hdr, nil)}
+	r.res.Emits = append(r.res.Emits, core.Emit{To: r.cfg.DC, Msg: wire.AppendMessage(nil, &hdr, nil)})
 }
 
 // resolve clears a tracked loss.
@@ -386,16 +398,17 @@ func (r *Receiver) resolve(fs *flowState, seq core.Seq) {
 // OnRecovered processes a repaired packet from the DC (TypeRecovered from
 // coding, TypePullResp from caching).
 func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) Result {
+	r.begin()
 	fs := r.flow(hdr.Flow)
-	if fs.delivered[hdr.Seq] {
+	if _, dup := fs.recent[hdr.Seq]; dup {
 		r.stats.Duplicates++
-		return Result{}
+		return r.res
 	}
 	if _, miss := fs.missing[hdr.Seq]; !miss && fs.started && hdr.Seq < fs.next {
 		// Recovery for something we never tracked (already gave up or
 		// spurious); deliver anyway if unseen.
 		r.stats.Duplicates++
-		return Result{}
+		return r.res
 	}
 	var recDelay core.Time
 	tracked := false
@@ -407,20 +420,19 @@ func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) 
 	}
 	r.resolve(fs, hdr.Seq)
 	r.stats.Recovered++
-	var res Result
 	if !fs.started {
 		fs.started = true
 		fs.next = hdr.Seq + 1
 	} else if hdr.Seq >= fs.next {
 		// A recovered packet beyond the expectation proves everything
 		// in between existed: NACK the gap.
-		r.noteGap(now, fs, hdr.Seq, &res)
+		r.noteGap(now, fs, hdr.Seq)
 	}
 	via := hdr.Service
 	if via == 0 {
 		via = r.cfg.Service
 	}
-	res.merge(r.accept(now, fs, hdr, payload, true, via, recDelay))
+	r.accept(now, fs, hdr, payload, true, via, recDelay)
 	// Sustained-recovery pump: recoveries flowing while the direct path
 	// has been silent since this loss was detected indicate an outage —
 	// keep speculative NACKs outstanding so the next losses are already
@@ -432,33 +444,31 @@ func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) 
 			start = fs.pumpHigh + 1
 		}
 		for s := start; s <= high; s++ {
-			emits := r.noteMissing(now, fs, s, false)
-			if len(emits) > 0 {
+			if r.noteMissing(now, fs, s, false) {
 				r.stats.PumpNACKs++
-				res.Emits = append(res.Emits, emits...)
 			}
 		}
 		if high > fs.pumpHigh {
 			fs.pumpHigh = high
 		}
 	}
-	return res
+	return r.res
 }
 
 // OnCoded performs local in-stream decoding: combine the parity shard with
 // the flow's recent packets to reconstruct whatever is missing (§4.2 —
 // "packet YA can recover from the loss of A3").
 func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, shard []byte) Result {
-	var res Result
+	r.begin()
 	if meta.Kind != wire.InStream || len(meta.Sources) == 0 {
-		return res
+		return r.res
 	}
 	// The shard table below is sized K+R from the wire and indexed by
 	// source position: the encoder always emits K == len(Sources), and
 	// anything else is a forged or corrupted datagram.
 	if len(meta.Sources) != int(meta.K) || meta.R < 1 || meta.Index >= meta.R {
 		r.stats.Dropped++
-		return res
+		return r.res
 	}
 	dec := r.inDec[meta.Batch]
 	if dec == nil {
@@ -497,14 +507,14 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 		}
 	}
 	if len(wanted) == 0 || present < k {
-		return res // nothing to do, or not decodable yet
+		return r.res // nothing to do, or not decodable yet
 	}
 	codec := r.codecs.Get(k, int(dec.meta.R))
 	if codec == nil {
-		return res
+		return r.res
 	}
 	if err := codec.ReconstructData(shards); err != nil {
-		return res
+		return r.res
 	}
 	for _, i := range wanted {
 		payload, err := rs.Unpack(shards[i])
@@ -512,7 +522,7 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 			continue
 		}
 		src := dec.meta.Sources[i]
-		if fs.delivered[src.Seq] {
+		if _, dup := fs.recent[src.Seq]; dup {
 			continue
 		}
 		var recDelay core.Time
@@ -526,23 +536,24 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 			fs.next = src.Seq + 1
 		}
 		ph := wire.Header{Flow: src.Flow, Seq: src.Seq, TS: hdr.TS, Src: fs.src, Dst: r.cfg.Self}
-		res.merge(r.accept(now, fs, &ph, payload, true, core.ServiceCoding, recDelay))
+		r.accept(now, fs, &ph, payload, true, core.ServiceCoding, recDelay)
 	}
 	delete(r.inDec, meta.Batch)
-	return res
+	return r.res
 }
 
 // OnCoopReq answers a cooperative-recovery request (§4.4 step 2→3): if the
 // requested packet is in the recent window, return it to the DC. Ingress to
 // the DC is free, so helpers answer unconditionally.
 func (r *Receiver) OnCoopReq(now core.Time, hdr *wire.Header, ref *wire.CoopRef) Result {
+	r.begin()
 	fs := r.flows[hdr.Flow]
 	if fs == nil {
-		return Result{}
+		return r.res
 	}
 	payload, ok := fs.recent[hdr.Seq]
 	if !ok {
-		return Result{} // we lost it too; DC treats us as a straggler
+		return r.res // we lost it too; DC treats us as a straggler
 	}
 	r.stats.CoopResponses++
 	respHdr := wire.Header{
@@ -555,12 +566,14 @@ func (r *Receiver) OnCoopReq(now core.Time, hdr *wire.Header, ref *wire.CoopRef)
 		Dst:     hdr.Src,
 	}
 	msg := wire.AppendMessage(nil, &respHdr, ref.AppendMarshal(nil, payload))
-	return Result{Emits: []core.Emit{{To: hdr.Src, Msg: msg}}}
+	r.res.Emits = append(r.res.Emits, core.Emit{To: hdr.Src, Msg: msg})
+	return r.res
 }
 
 // OnVerify answers DC2's spurious-recovery probe: still wanted only if the
 // packet remains missing.
 func (r *Receiver) OnVerify(now core.Time, hdr *wire.Header) Result {
+	r.begin()
 	r.stats.VerifyReplies++
 	fs := r.flows[hdr.Flow]
 	still := false
@@ -579,7 +592,8 @@ func (r *Receiver) OnVerify(now core.Time, hdr *wire.Header) Result {
 	if still {
 		respHdr.Flags |= wire.FlagStillWanted
 	}
-	return Result{Emits: []core.Emit{{To: hdr.Src, Msg: wire.AppendMessage(nil, &respHdr, nil)}}}
+	r.res.Emits = append(r.res.Emits, core.Emit{To: hdr.Src, Msg: wire.AppendMessage(nil, &respHdr, nil)})
+	return r.res
 }
 
 // NextDeadline reports the earliest timer the runtime should schedule.
@@ -611,7 +625,7 @@ func (r *Receiver) NextDeadline() (core.Time, bool) {
 
 // OnTimer advances the Markov model and retry/give-up bookkeeping.
 func (r *Receiver) OnTimer(now core.Time) Result {
-	var res Result
+	r.begin()
 	for _, fs := range r.flows {
 		if fs.deadline != 0 && fs.deadline <= now {
 			switch fs.state {
@@ -619,12 +633,9 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 				// Small timeout expired mid-burst: the next expected
 				// packet is overdue → NACK and fall back to the long
 				// timer (§3.4).
-				if fs.started {
-					if emits := r.noteMissing(now, fs, fs.next, true); len(emits) > 0 {
-						r.stats.TimerNACKs++
-						res.Emits = append(res.Emits, emits...)
-						fs.next++
-					}
+				if fs.started && r.noteMissing(now, fs, fs.next, true) {
+					r.stats.TimerNACKs++
+					fs.next++
 				}
 				if r.cfg.SingleTimer {
 					fs.deadline = now + r.cfg.SmallTimeout
@@ -637,9 +648,8 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 				// period, then disarm until traffic resumes.
 				if fs.started && !fs.idleFired {
 					fs.idleFired = true
-					if emits := r.noteMissing(now, fs, fs.next, true); len(emits) > 0 {
+					if r.noteMissing(now, fs, fs.next, true) {
 						r.stats.IdleNACKs++
-						res.Emits = append(res.Emits, emits...)
 						fs.next++
 					}
 					fs.deadline = now + r.cfg.RTT
@@ -648,19 +658,24 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 				}
 			}
 		}
-		// NACK retries and give-ups.
+		// Give-ups, and NACK retries in ascending seq order: the map's
+		// order must not decide which retry draws which link jitter.
+		r.due = r.due[:0]
 		for seq, ms := range fs.missing {
 			if now-ms.firstMiss >= r.cfg.GiveUpAfter {
 				delete(fs.missing, seq)
 				r.stats.GaveUp++
-				continue
+			} else if r.cfg.NACKRetry > 0 && ms.hasNACK && ms.nacks < r.cfg.MaxNACKs && ms.nextNACK <= now {
+				r.due = append(r.due, seq)
 			}
-			if r.cfg.NACKRetry > 0 && ms.hasNACK && ms.nacks < r.cfg.MaxNACKs && ms.nextNACK <= now {
-				ms.nacks++
-				ms.nextNACK = now + r.cfg.NACKRetry
-				r.stats.RetryNACKs++
-				res.Emits = append(res.Emits, r.nack(now, fs.id, seq, false))
-			}
+		}
+		slices.Sort(r.due)
+		for _, seq := range r.due {
+			ms := fs.missing[seq]
+			ms.nacks++
+			ms.nextNACK = now + r.cfg.NACKRetry
+			r.stats.RetryNACKs++
+			r.nack(now, fs.id, seq, false)
 		}
 	}
 	for batch, dec := range r.inDec {
@@ -668,7 +683,7 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 			delete(r.inDec, batch)
 		}
 	}
-	return res
+	return r.res
 }
 
 // OutstandingLosses reports currently tracked missing packets (tests and

@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -552,14 +554,94 @@ func TestRecentWindowEviction(t *testing.T) {
 		feed(r, core.Time(seq)*time.Millisecond, 1, seq)
 	}
 	fs := r.flows[1]
-	if len(fs.recent) != 4 || len(fs.delivered) != 4 {
-		t.Errorf("window sizes: recent=%d delivered=%d", len(fs.recent), len(fs.delivered))
+	if len(fs.recent) != 4 || len(fs.order) != 4 {
+		t.Errorf("window sizes: recent=%d order=%d", len(fs.recent), len(fs.order))
 	}
 	if _, ok := fs.recent[10]; !ok {
 		t.Error("newest packet evicted")
 	}
 	if _, ok := fs.recent[1]; ok {
 		t.Error("oldest packet retained")
+	}
+}
+
+// TestRecentWindowMatchesSliceModel holds the ring of seqs to the slice it
+// replaced (append, then cut the front while over the window): under
+// scrambled, duplicated and late arrivals the two keep the same packets.
+func TestRecentWindowMatchesSliceModel(t *testing.T) {
+	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
+	cfg.RecentWindow = 7
+	r := New(cfg)
+	var order []core.Seq
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		seq := uint64(1 + i/2 + rng.Intn(12)) // mostly forward, often back
+		res := feed(r, core.Time(i)*time.Millisecond, 1, seq)
+		for _, d := range res.Deliveries {
+			order = append(order, d.Packet.ID.Seq)
+			for len(order) > cfg.RecentWindow {
+				order = order[1:]
+			}
+		}
+		fs := r.flows[1]
+		if len(fs.recent) != len(order) {
+			t.Fatalf("step %d: window holds %d packets, model %d", i, len(fs.recent), len(order))
+		}
+		for _, q := range order {
+			if _, ok := fs.recent[q]; !ok {
+				t.Fatalf("step %d: seq %d left the window, model keeps %v", i, q, order)
+			}
+		}
+	}
+	if st := r.Stats(); st.Duplicates == 0 || st.LateArrivals == 0 {
+		t.Errorf("the script exercised no duplicate or late arrival: %+v", st)
+	}
+}
+
+// TestInOrderOnDataAllocatesTwice pins the steady state of the direct path:
+// the recent-window copy of the payload and the Packet handed to the
+// application outlive the call; the Result does not.
+func TestInOrderOnDataAllocatesTwice(t *testing.T) {
+	r := testReceiver()
+	payload := make([]byte, 512)
+	seq := uint64(0)
+	next := func() {
+		seq++
+		h := dataHdr(1, seq, core.Time(seq)*time.Millisecond)
+		if res := r.OnData(h.TS, &h, payload); len(res.Deliveries) != 1 || len(res.Emits) != 0 {
+			t.Fatalf("seq %d: %d deliveries, %d emits", seq, len(res.Deliveries), len(res.Emits))
+		}
+	}
+	for i := 0; i < 300; i++ { // past the recent window, so every accept evicts
+		next()
+	}
+	if n := testing.AllocsPerRun(500, next); n != 2 {
+		t.Errorf("in-order OnData allocates %v times, want 2 (window copy + Packet)", n)
+	}
+}
+
+// TestRetryNACKsAscending: retries that come due in the same instant leave
+// in seq order, not in the order a map walk happens to find them.
+func TestRetryNACKsAscending(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		r := testReceiver()
+		feed(r, 0, 1, 1)
+		feed(r, time.Millisecond, 1, 40) // 2..39 missing, all NACKed at 1 ms
+		res := r.OnTimer(time.Millisecond + r.Config().NACKRetry)
+		var seqs []core.Seq
+		for _, em := range res.Emits {
+			var h wire.Header
+			if _, err := wire.SplitMessage(&h, em.Msg); err != nil {
+				t.Fatal(err)
+			}
+			// The burst timer's own NACK (seq 41, speculative) comes due too.
+			if h.Type == wire.TypeNACK && h.Flags&wire.FlagWantVerify == 0 {
+				seqs = append(seqs, h.Seq)
+			}
+		}
+		if len(seqs) != 38 || !slices.IsSorted(seqs) {
+			t.Fatalf("round %d: retry NACKs for %v", round, seqs)
+		}
 	}
 }
 

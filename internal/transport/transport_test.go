@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,6 +265,40 @@ func liveRecovery(t *testing.T, viaTransit bool) {
 		if rx, tx, _, _ := ep3.Stats(); rx == 0 || tx != rx {
 			t.Errorf("transit relay received %d datagrams and sent on %d", rx, tx)
 		}
+	}
+}
+
+// TestHostEndDeliveryHandlerReentry: OnDeliver runs with the host's lock
+// released and on copies of what the core surfaced, so the application may
+// pull, or a datagram may arrive on the other goroutine, from inside a
+// delivery. (Under the lock this test deadlocks.)
+func TestHostEndDeliveryHandlerReentry(t *testing.T) {
+	ep, err := NewEndpoint(201, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	h := NewHostEnd(ep, 2, 60*time.Millisecond)
+	feed := func(typ wire.MsgType, seq core.Seq) {
+		hdr := wire.Header{Type: typ, Service: core.ServiceCaching, Flow: 7, Seq: seq, Src: 2, Dst: 201}
+		h.handle(ep.Now(), &hdr, []byte("cached"), nil)
+	}
+	var got []core.Seq
+	h.OnDeliver = func(del core.Delivery) {
+		got = append(got, del.Packet.ID.Seq)
+		if len(got) == 1 {
+			h.PullFlow(7, del.Packet.ID.Seq)
+			feed(wire.TypePullResp, 3) // beyond the expectation: NACKs seq 2, delivers 3
+			feed(wire.TypePullResp, 1) // a duplicate of the delivery in progress
+		}
+	}
+	feed(wire.TypeData, 1)
+	feed(wire.TypePullResp, 2)
+	if !slices.Equal(got, []core.Seq{1, 3, 2}) {
+		t.Errorf("delivered %v, want [1 3 2]", got)
+	}
+	if st := h.ReceiverStats(); st.Duplicates != 1 || st.GapNACKs != 1 || st.Recovered != 2 {
+		t.Errorf("receiver stats after re-entry: %+v", st)
 	}
 }
 

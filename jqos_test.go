@@ -516,6 +516,67 @@ func TestMobilityRendezvous(t *testing.T) {
 	}
 }
 
+// TestDeliveryHandlerReentry: what a delivery handler may do from inside a
+// delivery. A mobility drain is thirty cache answers in flight at once;
+// the handler closes the flow on the tenth (the rest arrive for a closed
+// flow and must be refused, not resurrect its receiver), or pulls again on
+// the first (the second drain's answers are duplicates of the first's).
+func TestDeliveryHandlerReentry(t *testing.T) {
+	for name, c := range map[string]struct {
+		react func(d *jqos.Deployment, dst jqos.NodeID, f *jqos.Flow, seq jqos.Seq)
+		want  int
+	}{
+		"close": {func(d *jqos.Deployment, dst jqos.NodeID, f *jqos.Flow, seq jqos.Seq) {
+			if seq == 10 {
+				f.Close()
+			}
+		}, 10},
+		"pull": {func(d *jqos.Deployment, dst jqos.NodeID, f *jqos.Flow, seq jqos.Seq) {
+			if seq == 1 {
+				d.Host(dst).PullFlow(f.ID(), 0)
+			}
+		}, 30},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := jqos.DefaultConfig()
+			cfg.CacheTTL = time.Hour
+			d := jqos.NewDeploymentWithConfig(13, cfg)
+			dc1 := d.AddDC("us-east", dataset.RegionUSEast)
+			dc2 := d.AddDC("eu-west", dataset.RegionEU)
+			d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
+			src := d.AddHost(dc1, 5*time.Millisecond)
+			dst := d.AddHost(dc2, 8*time.Millisecond)
+			d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), netem.Bernoulli{P: 1})
+			f, err := d.RegisterFlow(fixedSpec(src, dst, time.Hour, jqos.ServiceCaching))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []jqos.Seq
+			d.Host(dst).SetDeliveryHandler(func(del core.Delivery) {
+				got = append(got, del.Packet.ID.Seq)
+				c.react(d, dst, f, del.Packet.ID.Seq)
+			})
+			for i := 0; i < 30; i++ {
+				d.Sim().At(time.Duration(i)*10*time.Millisecond, func() { f.Send([]byte("news")) })
+			}
+			d.Run(2 * time.Second)
+			d.Host(dst).PullFlow(f.ID(), 0)
+			d.Run(2 * time.Second)
+			if len(got) != c.want {
+				t.Fatalf("delivered %v, want seqs 1..%d once each", got, c.want)
+			}
+			for i, seq := range got {
+				if seq != jqos.Seq(i+1) {
+					t.Fatalf("delivery order: got[%d] = %d", i, seq)
+				}
+			}
+			if name == "close" && d.Host(dst).ReceiverCount() != 0 {
+				t.Errorf("closed flow left %d receivers on its destination", d.Host(dst).ReceiverCount())
+			}
+		})
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, uint64, float64) {
 		w := newWorld(t, 99, netem.Bernoulli{P: 0.05})
