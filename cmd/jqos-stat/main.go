@@ -28,9 +28,9 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/dataset"
 	"jqos/internal/netem"
 	"jqos/internal/telemetry"
+	"jqos/internal/worlds"
 )
 
 func main() {
@@ -153,12 +153,7 @@ func runDemo(listen string) {
 	if listen == "" {
 		fatal("jqos-stat: -demo requires -listen")
 	}
-	cfg := jqos.DefaultConfig()
-	cfg.LinkCapacity = 1_000_000
-	cfg.Scheduler = jqos.SchedulerConfig{
-		Weights:    map[jqos.Service]int{jqos.ServiceForwarding: 8, jqos.ServiceCaching: 1},
-		QueueBytes: 64 << 10,
-	}
+	cfg := worlds.ContendedConfig()
 	cfg.Feedback.Enabled = true
 	// Exercise the full observability surface: the continuous SLO engine
 	// and (below, per flow) hop-level latency attribution.
@@ -167,17 +162,12 @@ func runDemo(listen string) {
 		FastWindow: 500 * time.Millisecond,
 		SlowWindow: 2 * time.Second,
 	}
-	dep := jqos.NewDeploymentWithConfig(7, cfg)
-	dc1 := dep.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := dep.AddDC("eu-west", dataset.RegionEU)
-	dep.ConnectDCs(dc1, dc2, 40*time.Millisecond)
-	src := dep.AddHost(dc1, 5*time.Millisecond)
-	dst := dep.AddHost(dc2, 8*time.Millisecond)
+	dep, dc1, dc2 := worlds.Paper(7, cfg)
+	src, dst := worlds.HostPair(dep, dc1, dc2)
 	dep.SetDirectPath(src, dst,
 		netem.UniformJitter{Base: 50 * time.Millisecond, Jitter: 2 * time.Millisecond},
 		netem.Bernoulli{P: 0.02})
-	bulkSrc := dep.AddHost(dc1, 5*time.Millisecond)
-	bulkDst := dep.AddHost(dc2, 8*time.Millisecond)
+	bulkSrc, bulkDst := worlds.HostPair(dep, dc1, dc2)
 	dep.SetDirectPath(bulkSrc, bulkDst,
 		netem.UniformJitter{Base: 50 * time.Millisecond, Jitter: 2 * time.Millisecond}, nil)
 

@@ -22,9 +22,8 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/telemetry"
+	"jqos/internal/worlds"
 )
 
 // signalWatcher counts congestion signals heard by a flow.
@@ -44,81 +43,37 @@ func (w *signalWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
 }
 
 func main() {
-	const (
-		capacity = 1_000_000
-		budget   = 80 * time.Millisecond
-	)
+	const budget = 80 * time.Millisecond
 	run := func(withFeedback bool) {
-		cfg := jqos.DefaultConfig()
+		cfg := worlds.ContendedConfig()
 		cfg.UpgradeInterval = 0
-		cfg.LinkCapacity = capacity
-		cfg.Scheduler = jqos.SchedulerConfig{
-			Weights: map[jqos.Service]int{
-				jqos.ServiceForwarding: 8,
-				jqos.ServiceCaching:    1,
-			},
-			QueueBytes:    64 << 10,
-			LowWatermark:  0.125, // Hot at 32 kB, cool at 8 kB
-			HighWatermark: 0.5,
-		}
+		cfg.Scheduler.LowWatermark = 0.125 // Hot at 32 kB, cool at 8 kB
+		cfg.Scheduler.HighWatermark = 0.5
 		cfg.Feedback.Enabled = withFeedback
-		d := jqos.NewDeploymentWithConfig(11, cfg)
-		dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-		dc2 := d.AddDC("eu-west", dataset.RegionEU)
-		d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-		d.Network().LinkBetween(dc1, dc2).Rate = capacity
-		d.Network().LinkBetween(dc2, dc1).Rate = capacity
-
-		watch := &signalWatcher{}
-		var greedy []*jqos.Flow
-		for i := 0; i < 2; i++ {
-			gs := d.AddHost(dc1, 5*time.Millisecond)
-			gd := d.AddHost(dc2, 8*time.Millisecond)
-			gf, err := d.RegisterFlow(jqos.FlowSpec{
-				Src: gs, Dst: gd, Budget: 500 * time.Millisecond,
-				Service: jqos.ServiceForwarding, ServiceFixed: true,
-				Rate: 600_000, Burst: 16 << 10, // within the class share and queue cap
-				OnEvent: watch.onEvent,
-			})
-			check(err)
-			greedy = append(greedy, gf)
-		}
-		is := d.AddHost(dc1, 5*time.Millisecond)
-		id := d.AddHost(dc2, 8*time.Millisecond)
-		inter, err := d.RegisterFlow(jqos.FlowSpec{
-			Src: is, Dst: id, Budget: budget,
-			Service: jqos.ServiceForwarding, ServiceFixed: true,
-		})
-		check(err)
-		var worst time.Duration
-		d.Host(id).SetDeliveryHandler(func(del core.Delivery) {
-			if lat := del.At - del.Packet.Sent; lat > worst {
-				worst = lat
-			}
-		})
 
 		// 4 s of load: greedy 2×~1 MB/s offered (contracted to 600 kB/s
-		// each), interactive 40 kB/s.
-		for i := 0; i < 4000; i++ {
-			at := time.Duration(i) * time.Millisecond
-			d.Sim().At(at, func() {
-				greedy[0].Send(make([]byte, 1000))
-				greedy[1].Send(make([]byte, 1000))
-			})
-			if i%5 == 0 {
-				d.Sim().At(at, func() { inter.Send(make([]byte, 200)) })
-			}
+		// each, within the class share and queue cap), interactive 40 kB/s.
+		watch := &signalWatcher{}
+		w, err := worlds.NewContended(11, cfg, jqos.FlowSpec{
+			Service: jqos.ServiceForwarding,
+			Rate:    600_000, Burst: 16 << 10,
+			OnEvent: watch.onEvent,
+		}, budget, 4*time.Second)
+		if err != nil {
+			panic(err)
 		}
-		d.Run(15 * time.Second)
+		w.D.Run(15 * time.Second)
 
 		// One unified exit report — the snapshot rolls up what the old
 		// per-subsystem printf blocks (FlowMetrics, SchedStats,
-		// FeedbackStats) polled one call at a time.
+		// FeedbackStats) polled one call at a time — shifted under the
+		// run's heading.
 		fmt.Printf("  interactive worst latency %.1f ms (budget %v); flows heard %d signals (%d hot)\n",
-			float64(worst)/float64(time.Millisecond), budget, watch.signals, watch.hot)
-		fmt.Print(indent(d.Snapshot().Summary()))
-		inter.Close()
-		for _, gf := range greedy {
+			float64(w.Latency.Worst)/float64(time.Millisecond), budget, watch.signals, watch.hot)
+		summary := strings.TrimRight(w.D.Snapshot().Summary(), "\n")
+		fmt.Println("  " + strings.ReplaceAll(summary, "\n", "\n  "))
+		w.Inter.Close()
+		for _, gf := range w.Bulks {
 			gf.Close()
 		}
 	}
@@ -128,15 +83,4 @@ func main() {
 	fmt.Println()
 	fmt.Println("feedback ON (watermarks → AIMD pacing):")
 	run(true)
-}
-
-func check(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-// indent shifts the snapshot summary under the run's heading.
-func indent(s string) string {
-	return "  " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n  ") + "\n"
 }

@@ -14,8 +14,7 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
+	"jqos/internal/worlds"
 )
 
 func main() {
@@ -23,49 +22,33 @@ func main() {
 	cfg.UpgradeInterval = 0
 	cfg.LinkCapacity = 1_000_000 // 1 MB/s accounting capacity per inter-DC link
 
-	d := jqos.NewDeploymentWithConfig(7, cfg)
-
 	// A square overlay: two equal 40 ms branches between dc1 and dc4.
-	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := d.AddDC("us-west", dataset.RegionUSWest)
-	dc3 := d.AddDC("eu-west", dataset.RegionEU)
-	dc4 := d.AddDC("ap-south", dataset.RegionAsia)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-	d.ConnectDCs(dc2, dc4, 20*time.Millisecond)
-	d.ConnectDCs(dc1, dc3, 20*time.Millisecond)
-	d.ConnectDCs(dc3, dc4, 20*time.Millisecond)
+	d, dcs := worlds.Diamond(7, cfg, 20*time.Millisecond, 20*time.Millisecond)
+	dc1, dc2, dc3, dc4 := dcs[0], dcs[1], dcs[2], dcs[3]
 
-	// Bulk flow 1: pinned to the primary branch (via dc2), no admission
-	// contract — it will saturate the branch.
-	b1s := d.AddHost(dc1, 5*time.Millisecond)
-	b1d := d.AddHost(dc4, 8*time.Millisecond)
-	bulk1, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: b1s, Dst: b1d, Budget: 500 * time.Millisecond,
-		Service: jqos.ServiceForwarding, ServiceFixed: true,
-		Path: jqos.PathPolicy{Kind: jqos.PathPinned, Alternate: 0},
-	})
-	check(err)
-
-	// Bulk flow 2: same branch, but with a 200 kB/s token-bucket
-	// contract. Its excess is dropped at the ingress — judicious use of
-	// the overlay enforced per flow.
-	b2s := d.AddHost(dc1, 5*time.Millisecond)
-	b2d := d.AddHost(dc4, 8*time.Millisecond)
-	bulk2, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: b2s, Dst: b2d, Budget: 500 * time.Millisecond,
-		Service: jqos.ServiceForwarding, ServiceFixed: true,
-		Path: jqos.PathPolicy{Kind: jqos.PathPinned, Alternate: 0},
-		Rate: 200_000, Burst: 10_000,
-	})
-	check(err)
-
-	// Both bulk flows stream 1000-byte payloads at 1 ms spacing for 5 s:
-	// ~1 MB/s offered each (bulk2 shaved to its 200 kB/s contract).
-	for i := 0; i < 5000; i++ {
-		at := time.Duration(i) * time.Millisecond
-		d.Sim().At(at, func() { bulk1.Send(make([]byte, 1000)) })
-		d.Sim().At(at, func() { bulk2.Send(make([]byte, 1000)) })
+	// Both bulk flows are pinned to the primary branch (via dc2) and
+	// stream 1000-byte payloads at 1 ms spacing for 5 s, ~1 MB/s offered
+	// each.
+	mkBulk := func(rate, burst int64) *jqos.Flow {
+		src, dst := worlds.HostPair(d, dc1, dc4)
+		f, err := d.RegisterFlow(jqos.FlowSpec{
+			Src: src, Dst: dst, Budget: 500 * time.Millisecond,
+			Service: jqos.ServiceForwarding, ServiceFixed: true,
+			Path: jqos.PathPolicy{Kind: jqos.PathPinned, Alternate: 0},
+			Rate: rate, Burst: burst,
+		})
+		if err != nil {
+			panic(err)
+		}
+		return f
 	}
+	// Bulk flow 1 has no admission contract — it will saturate the branch.
+	// Bulk flow 2 has a 200 kB/s token-bucket contract: its excess is
+	// dropped at the ingress — judicious use of the overlay enforced per
+	// flow.
+	bulk1, bulk2 := mkBulk(0, 0), mkBulk(200_000, 10_000)
+	worlds.CBR(d, bulk1, 1000, time.Millisecond, 0, 5*time.Second)
+	worlds.CBR(d, bulk2, 1000, time.Millisecond, 0, 5*time.Second)
 
 	// Let the bulk load build and the telemetry react.
 	d.Run(2500 * time.Millisecond)
@@ -87,30 +70,23 @@ func main() {
 	// Now an interactive flow with a tight budget registers: selection
 	// and routing see the inflated weight and place it on the idle
 	// branch.
-	is := d.AddHost(dc1, 5*time.Millisecond)
-	id := d.AddHost(dc4, 8*time.Millisecond)
+	is, id := worlds.HostPair(d, dc1, dc4)
 	inter, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: is, Dst: id, Budget: 100 * time.Millisecond,
 	})
-	check(err)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\ninteractive flow: service %v, path %v (dc3 is the idle branch)\n",
 		inter.Service(), inter.Path())
 
-	var worst time.Duration
-	d.Host(id).SetDeliveryHandler(func(del core.Delivery) {
-		if lat := del.At - del.Packet.Sent; lat > worst {
-			worst = lat
-		}
-	})
-	for i := 0; i < 400; i++ {
-		at := 2500*time.Millisecond + time.Duration(i)*5*time.Millisecond
-		d.Sim().At(at, func() { inter.Send([]byte("interactive")) })
-	}
+	rec := worlds.Record(d, id, 0, 0) // worst latency only
+	worlds.CBR(d, inter, 11, 5*time.Millisecond, 2500*time.Millisecond, 4500*time.Millisecond)
 	d.Run(10 * time.Second)
 
 	m := inter.Metrics()
 	fmt.Printf("interactive delivered %d/%d on time, worst latency %.1f ms (budget 100 ms)\n",
-		m.OnTime, m.Sent, float64(worst)/float64(time.Millisecond))
+		m.OnTime, m.Sent, float64(rec.Worst)/float64(time.Millisecond))
 	fmt.Printf("\ntotals: bulk1 sent %d, bulk2 sent %d (%d cloud copies dropped by contract)\n",
 		bulk1.Metrics().Sent, bulk2.Metrics().Sent, bulk2.Metrics().AdmissionDropped)
 
@@ -119,10 +95,4 @@ func main() {
 	inter.Close()
 	bulk1.Close()
 	bulk2.Close()
-}
-
-func check(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

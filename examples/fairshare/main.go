@@ -17,9 +17,8 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/telemetry"
+	"jqos/internal/worlds"
 )
 
 // dropWatcher counts egress tail-drops the scheduler surfaces.
@@ -36,97 +35,46 @@ func (w *dropWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
 }
 
 func main() {
-	const capacity = 1_000_000 // 1 MB/s shared link
-	run := func(weights map[jqos.Service]int) (onTime, sent uint64, worst time.Duration, drops *dropWatcher) {
-		cfg := jqos.DefaultConfig()
+	run := func(scheduled bool) (onTime, sent uint64, worst time.Duration, drops *dropWatcher) {
+		// One 1 MB/s link; the emulated link serializes at the accounting
+		// capacity, so the FIFO run queues for real.
+		cfg := worlds.ContendedConfig()
 		cfg.UpgradeInterval = 0
-		cfg.LinkCapacity = capacity
-		if weights != nil {
-			cfg.Scheduler = jqos.SchedulerConfig{Weights: weights, QueueBytes: 64 << 10}
+		if !scheduled {
+			cfg.Scheduler = jqos.SchedulerConfig{}
 		}
-		d := jqos.NewDeploymentWithConfig(11, cfg)
-		dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-		dc2 := d.AddDC("eu-west", dataset.RegionEU)
-		d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-		// The emulated link serializes at the accounting capacity, so the
-		// FIFO run queues for real.
-		d.Network().LinkBetween(dc1, dc2).Rate = capacity
-		d.Network().LinkBetween(dc2, dc1).Rate = capacity
-
-		drops = &dropWatcher{}
-		var bulks []*jqos.Flow
-		for i := 0; i < 2; i++ {
-			bs := d.AddHost(dc1, 5*time.Millisecond)
-			bd := d.AddHost(dc2, 8*time.Millisecond)
-			bf, err := d.RegisterFlow(jqos.FlowSpec{
-				Src: bs, Dst: bd, Budget: 500 * time.Millisecond,
-				Service: jqos.ServiceCaching, ServiceFixed: true,
-				OnEvent: drops.onEvent,
-			})
-			check(err)
-			bulks = append(bulks, bf)
-		}
-		is := d.AddHost(dc1, 5*time.Millisecond)
-		id := d.AddHost(dc2, 8*time.Millisecond)
-		inter, err := d.RegisterFlow(jqos.FlowSpec{
-			Src: is, Dst: id, Budget: 100 * time.Millisecond,
-			Service: jqos.ServiceForwarding, ServiceFixed: true,
-		})
-		check(err)
-		d.Host(id).SetDeliveryHandler(func(del core.Delivery) {
-			if lat := del.At - del.Packet.Sent; lat > worst {
-				worst = lat
-			}
-		})
-
 		// 4 s of load: bulk 2×1 MB/s, interactive 40 kB/s.
-		for i := 0; i < 4000; i++ {
-			at := time.Duration(i) * time.Millisecond
-			d.Sim().At(at, func() {
-				bulks[0].Send(make([]byte, 1000))
-				bulks[1].Send(make([]byte, 1000))
-			})
-			if i%5 == 0 {
-				d.Sim().At(at, func() { inter.Send(make([]byte, 200)) })
-			}
+		drops = &dropWatcher{}
+		w, err := worlds.NewContended(11, cfg, jqos.FlowSpec{
+			Service: jqos.ServiceCaching, OnEvent: drops.onEvent,
+		}, 100*time.Millisecond, 4*time.Second)
+		if err != nil {
+			panic(err)
 		}
-		d.Run(15 * time.Second) // generous drain for the FIFO backlog
+		w.D.Run(15 * time.Second) // generous drain for the FIFO backlog
 
 		// One unified exit report — the snapshot rolls up what the old
-		// SchedStats printf block polled per subsystem.
-		fmt.Print(indent(d.Snapshot().Summary()))
-		m := inter.Metrics()
-		onTime, sent = m.OnTime, m.Sent
-		inter.Close()
-		for _, bf := range bulks {
+		// SchedStats printf block polled per subsystem — shifted under the
+		// run's heading.
+		summary := strings.TrimRight(w.D.Snapshot().Summary(), "\n")
+		fmt.Println("  " + strings.ReplaceAll(summary, "\n", "\n  "))
+		m := w.Inter.Metrics()
+		w.Inter.Close()
+		for _, bf := range w.Bulks {
 			bf.Close()
 		}
-		return onTime, sent, worst, drops
+		return m.OnTime, m.Sent, w.Latency.Worst, drops
 	}
 
 	fmt.Println("scheduler OFF (legacy FIFO):")
-	onTime, sent, worst, _ := run(nil)
+	onTime, sent, worst, _ := run(false)
 	fmt.Printf("  interactive: %d/%d on time, worst latency %.1f ms (budget 100 ms)\n\n",
 		onTime, sent, float64(worst)/float64(time.Millisecond))
 
 	fmt.Println("scheduler ON (DRR, forwarding:caching = 8:1):")
-	onTime, sent, worst, drops := run(map[jqos.Service]int{
-		jqos.ServiceForwarding: 8,
-		jqos.ServiceCaching:    1,
-	})
+	onTime, sent, worst, drops := run(true)
 	fmt.Printf("  interactive: %d/%d on time, worst latency %.1f ms (budget 100 ms)\n",
 		onTime, sent, float64(worst)/float64(time.Millisecond))
 	fmt.Printf("  bulk flows heard OnEgressDrop %d times (%d kB dropped from the tail)\n",
 		drops.drops, drops.bytes/1000)
-}
-
-func check(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-// indent shifts the snapshot summary under the run's heading.
-func indent(s string) string {
-	return "  " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n  ") + "\n"
 }

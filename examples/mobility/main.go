@@ -11,19 +11,15 @@ import (
 
 	"jqos"
 	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/netem"
+	"jqos/internal/worlds"
 )
 
 func main() {
 	cfg := jqos.DefaultConfig()
 	cfg.CacheTTL = time.Hour // rendezvous needs longer-term storage
-	dep := jqos.NewDeploymentWithConfig(13, cfg)
-	dc1 := dep.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := dep.AddDC("eu-west", dataset.RegionEU)
-	dep.ConnectDCs(dc1, dc2, 40*time.Millisecond)
-	src := dep.AddHost(dc1, 5*time.Millisecond)
-	dst := dep.AddHost(dc2, 8*time.Millisecond)
+	dep, dc1, dc2 := worlds.Paper(13, cfg)
+	src, dst := worlds.HostPair(dep, dc1, dc2)
 
 	// The receiver is offline: its direct path drops everything.
 	dep.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), netem.Bernoulli{P: 1})

@@ -12,15 +12,12 @@ import (
 
 	"jqos"
 	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/netem"
+	"jqos/internal/worlds"
 )
 
 func main() {
-	dep := jqos.NewDeployment(11)
-	dc1 := dep.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := dep.AddDC("eu-west", dataset.RegionEU)
-	dep.ConnectDCs(dc1, dc2, 40*time.Millisecond)
+	dep, dc1, dc2 := worlds.Paper(11, jqos.DefaultConfig())
 	src := dep.AddHost(dc1, 5*time.Millisecond)
 
 	// Three members near DC2; member 0 sits behind a lossy last mile.
@@ -57,11 +54,8 @@ func main() {
 		panic(err)
 	}
 
-	const packets = 500
-	for k := 0; k < packets; k++ {
-		at := time.Duration(k) * 10 * time.Millisecond
-		dep.Sim().At(at, func() { flow.Send([]byte("multicast frame payload")) })
-	}
+	const packets = 500 // 23-byte frames, one every 10 ms
+	worlds.CBR(dep, flow, 23, 10*time.Millisecond, 0, packets*10*time.Millisecond)
 	dep.Run(30 * time.Second)
 
 	fmt.Printf("hybrid multicast: %d packets to %d members\n\n", packets, len(members))

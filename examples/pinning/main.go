@@ -22,6 +22,7 @@ import (
 	"jqos/internal/dataset"
 	"jqos/internal/netem"
 	"jqos/internal/telemetry"
+	"jqos/internal/worlds"
 )
 
 // printer logs flow lifecycle events as they happen. A reroute event
@@ -60,8 +61,7 @@ func main() {
 
 	// Flow 1 — latency-critical forwarding on the FASTEST path (default
 	// policy): every packet crosses dc2, paying two inter-DC egresses.
-	fsrc := dep.AddHost(dc1, 5*time.Millisecond)
-	fdst := dep.AddHost(dc3, 8*time.Millisecond)
+	fsrc, fdst := worlds.HostPair(dep, dc1, dc3)
 	fast, err := dep.RegisterFlow(jqos.FlowSpec{
 		Src: fsrc, Dst: fdst,
 		Budget:  100 * time.Millisecond,
@@ -75,8 +75,7 @@ func main() {
 	// Flow 2 — coding with parity pinned to the CHEAPEST path: the
 	// direct Internet path carries the stream; only the small parity
 	// stream crosses the cloud, over the single-egress link.
-	csrc := dep.AddHost(dc1, 5*time.Millisecond)
-	cdst := dep.AddHost(dc3, 8*time.Millisecond)
+	csrc, cdst := worlds.HostPair(dep, dc1, dc3)
 	dep.SetDirectPath(csrc, cdst,
 		netem.NormalJitter{Base: 60 * time.Millisecond, Sigma: 2 * time.Millisecond, Floor: 50 * time.Millisecond},
 		&netem.GilbertElliott{PGoodToBad: 0.004, PBadToGood: 0.4, LossBad: 1})
@@ -95,14 +94,9 @@ func main() {
 	fmt.Printf("forwarding flow %d path (fastest):  %v\n", fast.ID(), fast.Path())
 	fmt.Printf("coding flow %d path (cheapest):     %v\n\n", cheap.ID(), cheap.Path())
 
-	const packets = 1500
-	for k := 0; k < packets; k++ {
-		at := time.Duration(k) * 5 * time.Millisecond
-		dep.Sim().At(at, func() {
-			fast.Send(make([]byte, 300))
-			cheap.Send(make([]byte, 300))
-		})
-	}
+	// 1500 packets each, 300 B every 5 ms.
+	worlds.CBR(dep, fast, 300, 5*time.Millisecond, 0, 7500*time.Millisecond)
+	worlds.CBR(dep, cheap, 300, 5*time.Millisecond, 0, 7500*time.Millisecond)
 	// Mid-run, the cheap single link fails; the monitor detects it and
 	// the controller tells the pinned flow to re-resolve (onto the
 	// two-hop path, now both fastest and cheapest). It heals later and

@@ -1,6 +1,8 @@
 // Quickstart: build a two-DC emulated deployment, register a flow with a
 // latency budget, stream packets over a lossy transatlantic path, and watch
-// J-QoS pick the cheapest service and repair the losses.
+// J-QoS pick the cheapest service and repair the losses. This is the world
+// internal/worlds builds for every other example (worlds.Paper plus helper
+// flows), written out by hand on purpose: it is the tutorial of the raw API.
 //
 //	go run ./examples/quickstart
 package main

@@ -13,30 +13,20 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
+	"jqos/internal/worlds"
 )
 
 func main() {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
-	dep := jqos.NewDeploymentWithConfig(7, cfg)
 
 	// Diamond overlay: primary dc1→dc2→dc4 (30 ms), backup dc1→dc3→dc4
 	// (50 ms). dc1 and dc4 have NO direct link — the seed's full-mesh
 	// assumption would have refused this deployment outright.
-	dc1 := dep.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := dep.AddDC("us-west", dataset.RegionUSWest)
-	dc3 := dep.AddDC("eu-west", dataset.RegionEU)
-	dc4 := dep.AddDC("ap-south", dataset.RegionAsia)
-	dep.ConnectDCs(dc1, dc2, 15*time.Millisecond)
-	dep.ConnectDCs(dc2, dc4, 15*time.Millisecond)
-	dep.ConnectDCs(dc1, dc3, 25*time.Millisecond)
-	dep.ConnectDCs(dc3, dc4, 25*time.Millisecond)
-
-	src := dep.AddHost(dc1, 5*time.Millisecond)
-	dst := dep.AddHost(dc4, 8*time.Millisecond)
+	dep, dcs := worlds.Diamond(7, cfg, 15*time.Millisecond, 25*time.Millisecond)
+	dc1, dc2, dc4 := dcs[0], dcs[1], dcs[3]
+	src, dst := worlds.HostPair(dep, dc1, dc4)
 
 	for i, p := range dep.Routing().Paths(dc1, dc4, 2) {
 		kind := "primary "
@@ -56,31 +46,12 @@ func main() {
 	}
 	fmt.Printf("selected service: %v\n\n", flow.Service())
 
-	// Bucket delivery latency per 250 ms of send time so the reroute is
-	// visible as a latency step.
-	const bucket = 250 * time.Millisecond
-	type cell struct {
-		n   int
-		sum time.Duration
-	}
-	buckets := map[int]*cell{}
-	dep.Host(dst).SetDeliveryHandler(func(del core.Delivery) {
-		b := int(del.Packet.Sent / bucket)
-		c := buckets[b]
-		if c == nil {
-			c = &cell{}
-			buckets[b] = c
-		}
-		c.n++
-		c.sum += del.At - del.Packet.Sent
-	})
-
-	// 6 s of CBR traffic; the dc2—dc4 link dies at 2 s and heals at 4 s.
-	const n, spacing = 1200, 5 * time.Millisecond
-	for i := 0; i < n; i++ {
-		at := time.Duration(i) * spacing
-		dep.Sim().At(at, func() { flow.Send([]byte("reroute demo payload")) })
-	}
+	// 6 s of CBR traffic, with delivery latency bucketed per 250 ms of
+	// send time so the reroute is visible as a latency step; the dc2—dc4
+	// link dies at 2 s and heals at 4 s.
+	const span, bucket, spacing = 6 * time.Second, 250 * time.Millisecond, 5 * time.Millisecond
+	rec := worlds.Record(dep, dst, span, bucket)
+	worlds.CBR(dep, flow, 20, spacing, 0, span)
 	dep.Sim().At(2*time.Second, func() {
 		fmt.Println("t=2.000s  dc2—dc4 link fails (blackhole)")
 		dep.Link(dc2, dc4).Disconnect()
@@ -92,20 +63,19 @@ func main() {
 	dep.Run(15 * time.Second)
 
 	fmt.Println("\nmean delivery latency by send time:")
-	for b := 0; b*int(bucket) < int(time.Duration(n)*spacing); b++ {
-		c := buckets[b]
+	for b, n := range rec.Counts {
 		from := time.Duration(b) * bucket
-		if c == nil || c.n == 0 {
+		if n == 0 {
 			fmt.Printf("  %5.2fs  (all lost — failure detection window)\n", from.Seconds())
 			continue
 		}
-		mean := c.sum / time.Duration(c.n)
+		mean := rec.Sums[b] / time.Duration(n)
 		bar := ""
 		for i := time.Duration(0); i < mean; i += 4 * time.Millisecond {
 			bar += "#"
 		}
 		fmt.Printf("  %5.2fs  %6.1fms  %-18s (%d/%d delivered)\n",
-			from.Seconds(), float64(mean)/float64(time.Millisecond), bar, c.n, int(bucket/spacing))
+			from.Seconds(), float64(mean)/float64(time.Millisecond), bar, n, int(bucket/spacing))
 	}
 
 	m := flow.Metrics()

@@ -17,47 +17,36 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/dataset"
+	"jqos/internal/worlds"
 )
 
 func main() {
-	const capacity = 1_000_000
-	cfg := jqos.DefaultConfig()
+	cfg := worlds.ContendedConfig()
 	cfg.UpgradeInterval = 0
-	cfg.LinkCapacity = capacity
-	cfg.Scheduler = jqos.SchedulerConfig{
-		Weights: map[jqos.Service]int{
-			jqos.ServiceForwarding: 8,
-			jqos.ServiceCaching:    1,
-		},
-		QueueBytes:    64 << 10,
-		PerFlowQueues: true, // nested DRR: flows are fair INSIDE the class
-	}
-	d := jqos.NewDeploymentWithConfig(21, cfg)
-	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := d.AddDC("eu-west", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-	d.Network().LinkBetween(dc1, dc2).Rate = capacity
-	d.Network().LinkBetween(dc2, dc1).Rate = capacity
+	cfg.Scheduler.PerFlowQueues = true // nested DRR: flows are fair INSIDE the class
+	d, dc1, dc2 := worlds.Bottleneck(21, cfg)
 
 	// Contracts first, flows after: a FlowSpec.Tenant must already be
 	// registered. Both tenants buy the same 300 kB/s aggregate quota.
-	check(d.RegisterTenant(jqos.TenantContract{
-		ID: 1, Name: "acme", Rate: 300_000, Burst: 16 << 10,
-	}))
-	check(d.RegisterTenant(jqos.TenantContract{
-		ID: 2, Name: "umbrella", Rate: 300_000, Burst: 16 << 10,
-	}))
+	for _, c := range []jqos.TenantContract{
+		{ID: 1, Name: "acme", Rate: 300_000, Burst: 16 << 10},
+		{ID: 2, Name: "umbrella", Rate: 300_000, Burst: 16 << 10},
+	} {
+		if err := d.RegisterTenant(c); err != nil {
+			panic(err)
+		}
+	}
 
 	mkFlow := func(tid jqos.TenantID, budget time.Duration) *jqos.Flow {
-		src := d.AddHost(dc1, 5*time.Millisecond)
-		dst := d.AddHost(dc2, 8*time.Millisecond)
+		src, dst := worlds.HostPair(d, dc1, dc2)
 		f, err := d.RegisterFlow(jqos.FlowSpec{
 			Src: src, Dst: dst, Budget: budget,
 			Service: jqos.ServiceForwarding, ServiceFixed: true,
 			Tenant: tid,
 		})
-		check2(f, err)
+		if err != nil {
+			panic(err)
+		}
 		return f
 	}
 
@@ -80,10 +69,8 @@ func main() {
 			swarm[i%len(swarm)].Send(make([]byte, 600))
 			fat.Send(make([]byte, 600))
 		})
-		if i%5 == 0 {
-			d.Sim().At(at, func() { interactive.Send(make([]byte, 200)) })
-		}
 	}
+	worlds.CBR(d, interactive, 200, 5*time.Millisecond, 0, span)
 	d.Run(span + 5*time.Second)
 
 	s := d.Snapshot()
@@ -104,11 +91,3 @@ func main() {
 	fmt.Printf("sub-queue isolation: acme's interactive flow %d/%d on time while its own swarm saturated the class\n",
 		im.OnTime, im.Sent)
 }
-
-func check(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-func check2(_ *jqos.Flow, err error) { check(err) }

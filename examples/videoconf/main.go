@@ -12,9 +12,9 @@ import (
 
 	"jqos"
 	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/netem"
 	"jqos/internal/video"
+	"jqos/internal/worlds"
 )
 
 func runCall(service jqos.Service, outage bool) (good float64, psnrP10 float64) {
@@ -23,12 +23,8 @@ func runCall(service jqos.Service, outage bool) (good float64, psnrP10 float64) 
 	cfg.Encoder.K = 4
 	cfg.Encoder.CrossParity = 1
 	cfg.UpgradeInterval = 0
-	dep := jqos.NewDeploymentWithConfig(7, cfg)
-	dc1 := dep.AddDC("dc1", dataset.RegionUSEast)
-	dc2 := dep.AddDC("dc2", dataset.RegionEU)
-	dep.ConnectDCs(dc1, dc2, 40*time.Millisecond)
-	src := dep.AddHost(dc1, 5*time.Millisecond)
-	dst := dep.AddHost(dc2, 8*time.Millisecond)
+	dep, dc1, dc2 := worlds.Paper(7, cfg)
+	src, dst := worlds.HostPair(dep, dc1, dc2)
 
 	var loss netem.LossModel
 	if outage {
@@ -55,8 +51,7 @@ func runCall(service jqos.Service, outage bool) (good float64, psnrP10 float64) 
 	// ~200 Kb/s UDP flows coded with the Skype stream, r = 1/4).
 	if service == jqos.ServiceCoding {
 		for b := 0; b < 3; b++ {
-			bs := dep.AddHost(dc1, 5*time.Millisecond)
-			bd := dep.AddHost(dc2, 8*time.Millisecond)
+			bs, bd := worlds.HostPair(dep, dc1, dc2)
 			dep.SetDirectPath(bs, bd, netem.FixedDelay(50*time.Millisecond), nil)
 			bg, err := dep.RegisterFlow(jqos.FlowSpec{
 				Src: bs, Dst: bd, Budget: time.Hour,
@@ -65,10 +60,7 @@ func runCall(service jqos.Service, outage bool) (good float64, psnrP10 float64) 
 			if err != nil {
 				panic(err)
 			}
-			for k := 0; k < 7500; k++ {
-				at := time.Duration(k) * 12 * time.Millisecond
-				dep.Sim().At(at, func() { bg.Send(make([]byte, 300)) })
-			}
+			worlds.CBR(dep, bg, 300, 12*time.Millisecond, 0, 90*time.Second)
 		}
 	}
 

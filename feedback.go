@@ -124,7 +124,7 @@ type feedbackPlane struct {
 
 	// hot tracks the (link, class) queues currently past the high
 	// watermark, for the level-triggered refresh loop (see armRefresh).
-	hot          map[hotKey]struct{}
+	hot          map[feedback.LinkClass]struct{}
 	refreshTimer *netem.Timer
 
 	// Scratch buffers reused across flushes. Signal MESSAGES are not
@@ -138,18 +138,12 @@ type feedbackPlane struct {
 	stats FeedbackStats
 }
 
-// hotKey names one directed link's class queue in the hot set.
-type hotKey struct {
-	from, to core.NodeID
-	class    core.Service
-}
-
 func newFeedbackPlane(d *Deployment) *feedbackPlane {
 	p := &feedbackPlane{
 		d:   d,
 		bc:  feedback.NewBroadcaster(),
 		reg: feedback.NewRegistry(),
-		hot: make(map[hotKey]struct{}),
+		hot: make(map[feedback.LinkClass]struct{}),
 	}
 	p.flushTimer = d.sim.NewTimer(p.flush)
 	p.batchFn = p.fanOut
@@ -163,7 +157,7 @@ func newFeedbackPlane(d *Deployment) *feedbackPlane {
 // not per-packet) flush-timer event.
 func (p *feedbackPlane) note(from, to core.NodeID, class core.Service, st sched.QueueState, depth int64) {
 	p.bc.Note(from, to, class, st, depth)
-	k := hotKey{from, to, class}
+	k := feedback.LinkClass{From: from, To: to, Class: class}
 	if st == sched.QueueHot {
 		p.hot[k] = struct{}{}
 		p.armRefresh()
@@ -195,19 +189,19 @@ func (p *feedbackPlane) refresh() {
 	if len(p.hot) == 0 {
 		return
 	}
-	keys := make([]hotKey, 0, len(p.hot))
+	keys := make([]feedback.LinkClass, 0, len(p.hot))
 	for k := range p.hot {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
-		if a.from != b.from {
-			return a.from < b.from
+		if a.From != b.From {
+			return a.From < b.From
 		}
-		if a.to != b.to {
-			return a.to < b.to
+		if a.To != b.To {
+			return a.To < b.To
 		}
-		return a.class < b.class
+		return a.Class < b.Class
 	})
 	for _, k := range keys {
 		depth, stillHot := p.liveDepth(k)
@@ -216,7 +210,7 @@ func (p *feedbackPlane) refresh() {
 			continue
 		}
 		p.stats.HotRefreshes++
-		t := feedback.Transition{From: k.from, To: k.to, Class: k.class, State: feedback.Hot, Depth: depth}
+		t := feedback.Transition{From: k.From, To: k.To, Class: k.Class, State: feedback.Hot, Depth: depth}
 		p.fanOutOne(&t)
 	}
 	p.armRefresh()
@@ -224,16 +218,16 @@ func (p *feedbackPlane) refresh() {
 
 // liveDepth reads a hot-set entry's current queue state straight from
 // the scheduler, reporting whether it is still Hot.
-func (p *feedbackPlane) liveDepth(k hotKey) (int64, bool) {
-	dc, ok := p.d.dcs[k.from]
+func (p *feedbackPlane) liveDepth(k feedback.LinkClass) (int64, bool) {
+	dc, ok := p.d.dcs[k.From]
 	if !ok {
 		return 0, false
 	}
-	q := dc.egress[k.to]
-	if q == nil || q.drr.State(k.class) != sched.QueueHot {
+	q := dc.egress[k.To]
+	if q == nil || q.drr.State(k.Class) != sched.QueueHot {
 		return 0, false
 	}
-	return q.drr.Stats().PerClass[k.class].QueuedBytes, true
+	return q.drr.Stats().PerClass[k.Class].QueuedBytes, true
 }
 
 // fanOut delivers one flushed batch of transitions.
@@ -336,11 +330,10 @@ func (p *feedbackPlane) deliver(ingress core.NodeID, sig CongestionSignal) {
 		}
 	}
 	now := p.d.sim.Now()
-	key := tenant.LinkClass{From: sig.LinkA, To: sig.LinkB, Class: core.Service(sig.Class)}
-	hot := sig.State == CongestionHot
+	key := feedback.LinkClass{From: sig.LinkA, To: sig.LinkB, Class: core.Service(sig.Class)}
 	for _, t := range p.tenantScratch {
 		pc := t.Pacer()
-		if pc.OnSignal(now, key, hot) {
+		if pc.OnSignal(now, key, sig.State) {
 			p.stats.TenantCuts++
 			p.d.trace(telemetry.Event{
 				Kind: telemetry.KindTenantPacerCut, Tenant: t.ID(),
@@ -397,7 +390,7 @@ func (f *Flow) updateFeedbackSub() {
 	// been the aggregate pacer's only ear on that bottleneck.
 	if changed && f.tenant != nil {
 		if pc := f.tenant.Pacer(); pc != nil {
-			pc.UnfreezeAll()
+			pc.Unfreeze()
 			f.d.armTenantPacerTick()
 		}
 	}
@@ -417,7 +410,8 @@ func (f *Flow) onCongestionSignal(sig CongestionSignal) {
 		Class: sig.Class, Reason: uint8(sig.State), V1: sig.QueuedBytes,
 	})
 	if f.pacer != nil {
-		if f.pacer.OnSignal(f.d.sim.Now(), sig.State) {
+		// The zero key on every signal: one AIMD state for the whole path.
+		if f.pacer.OnSignal(f.d.sim.Now(), feedback.LinkClass{}, sig.State) {
 			f.d.fb.stats.RateCuts++
 			f.emit(telemetry.Event{
 				Kind: telemetry.KindPacerCut,

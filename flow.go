@@ -207,7 +207,7 @@ func (f *Flow) Close() {
 		// bottleneck whose cooling signal would have let the aggregate
 		// pacer recover — unfreeze and let the recovery loop decide.
 		if pc := f.tenant.Pacer(); pc != nil {
-			pc.UnfreezeAll()
+			pc.Unfreeze()
 			d.armTenantPacerTick()
 		}
 	}

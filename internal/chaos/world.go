@@ -8,6 +8,7 @@ import (
 	"jqos/internal/core"
 	"jqos/internal/dataset"
 	"jqos/internal/netem"
+	"jqos/internal/worlds"
 )
 
 // World is the canonical chaos deployment: a 4-DC overlay with alternate
@@ -38,10 +39,6 @@ type World struct {
 	horizonScheduled time.Duration
 }
 
-const (
-	worldCapacity = 1_000_000 // 1 MB/s accounting + serialization per link
-)
-
 // worldSLO is the canonical world's SLO configuration. The runner's
 // during-fault invariant derives its settle time from these windows, so
 // they live here, next to the deployment they configure.
@@ -58,20 +55,14 @@ var worldSLO = jqos.SLOConfig{
 // BuildWorld constructs the canonical world from one seed. Same seed →
 // identical deployment (the simulator drives every random process).
 func BuildWorld(seed int64) (*World, error) {
-	cfg := jqos.DefaultConfig()
-	cfg.LinkCapacity = worldCapacity
-	cfg.Scheduler = jqos.SchedulerConfig{
-		Weights: map[jqos.Service]int{
-			jqos.ServiceForwarding: 8,
-			jqos.ServiceCaching:    1,
-		},
-		QueueBytes: 32 << 10,
-		// A shallow watermark band keeps Hot/cool transitions frequent —
-		// more pacer cuts and recoveries per run for the invariants to
-		// bite on.
-		LowWatermark:  0.125,
-		HighWatermark: 0.5,
-	}
+	// 1 MB/s accounting + serialization per link, 8:1 class weights.
+	cfg := worlds.ContendedConfig()
+	cfg.Scheduler.QueueBytes = 32 << 10
+	// A shallow watermark band keeps Hot/cool transitions frequent —
+	// more pacer cuts and recoveries per run for the invariants to
+	// bite on.
+	cfg.Scheduler.LowWatermark = 0.125
+	cfg.Scheduler.HighWatermark = 0.5
 	cfg.Feedback.Enabled = true
 	// Faster adaptation than the production default so an 8-second
 	// fault window sees service moves, not just their absence.
@@ -92,9 +83,7 @@ func BuildWorld(seed int64) (*World, error) {
 	w.DCs = []core.NodeID{a, b, c, e}
 
 	connect := func(x, y core.NodeID, lat time.Duration) {
-		d.ConnectDCs(x, y, lat)
-		d.Network().LinkBetween(x, y).Rate = worldCapacity
-		d.Network().LinkBetween(y, x).Rate = worldCapacity
+		worlds.ConnectPaced(d, x, y, lat, cfg.LinkCapacity)
 		w.Links = append(w.Links, [2]core.NodeID{x, y})
 	}
 	// a→c has a fast 2-hop route (a-b-c, 60 ms) and a slow direct
@@ -107,8 +96,7 @@ func BuildWorld(seed int64) (*World, error) {
 	connect(a, e, 90*time.Millisecond)
 
 	addPair := func(atSrc, atDst core.NodeID, direct time.Duration) (core.NodeID, core.NodeID) {
-		src := d.AddHost(atSrc, 5*time.Millisecond)
-		dst := d.AddHost(atDst, 8*time.Millisecond)
+		src, dst := worlds.HostPair(d, atSrc, atDst)
 		d.SetDirectPath(src, dst,
 			netem.UniformJitter{Base: direct, Jitter: 2 * time.Millisecond},
 			netem.NewGilbertElliott(0.01, 3))
@@ -207,11 +195,7 @@ func (w *World) ScheduleTraffic(horizon time.Duration) {
 		panic(fmt.Sprintf("chaos: traffic already scheduled to %v", w.horizonScheduled))
 	}
 	w.horizonScheduled = horizon
-	cbr := func(f *jqos.Flow, size int, every time.Duration) {
-		for at := time.Duration(0); at < horizon; at += every {
-			w.D.Sim().At(at, func() { f.Send(make([]byte, size)) })
-		}
-	}
+	cbr := func(f *jqos.Flow, size int, every time.Duration) { worlds.CBR(w.D, f, size, every, 0, horizon) }
 	cbr(w.Flows[0], 400, 4*time.Millisecond)  // interactive
 	cbr(w.Flows[1], 1500, 2*time.Millisecond) // greedy #1
 	cbr(w.Flows[2], 1500, 2*time.Millisecond) // greedy #2

@@ -4,10 +4,9 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/stats"
 	"jqos/internal/telemetry"
+	"jqos/internal/worlds"
 )
 
 func init() {
@@ -38,10 +37,8 @@ func runBackpressure(o Options) (Result, error) {
 		span = 3 * time.Second
 	}
 	const (
-		capacity = 1_000_000 // 1 MB/s shared inter-DC link
-		budget   = 80 * time.Millisecond
-		bucket   = 200 * time.Millisecond
-		rate     = 600_000 // per-greedy-flow admission contract
+		budget = 80 * time.Millisecond
+		rate   = 600_000 // per-greedy-flow admission contract
 	)
 
 	type outcome struct {
@@ -57,113 +54,51 @@ func runBackpressure(o Options) (Result, error) {
 
 	run := func(name string, withFeedback bool) (outcome, error) {
 		var out outcome
-		cfg := jqos.DefaultConfig()
+		cfg := worlds.ContendedConfig() // one 1 MB/s shared inter-DC link
 		cfg.UpgradeInterval = 0
-		cfg.LinkCapacity = capacity
-		cfg.Scheduler = jqos.SchedulerConfig{
-			Weights: map[jqos.Service]int{
-				jqos.ServiceForwarding: 8,
-				jqos.ServiceCaching:    1,
-			},
-			QueueBytes: 64 << 10,
-			// A low watermark band keeps the paced queue shallow: Hot
-			// fires at 32 kB (~36 ms of link time), well before the cap.
-			LowWatermark:  0.125,
-			HighWatermark: 0.5,
-		}
+		// A low watermark band keeps the paced queue shallow: Hot
+		// fires at 32 kB (~36 ms of link time), well before the cap.
+		cfg.Scheduler.LowWatermark = 0.125
+		cfg.Scheduler.HighWatermark = 0.5
 		cfg.Feedback.Enabled = withFeedback
-		d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-		dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-		dc2 := d.AddDC("eu-west", dataset.RegionEU)
-		d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-		d.Network().LinkBetween(dc1, dc2).Rate = capacity
-		d.Network().LinkBetween(dc2, dc1).Rate = capacity
 
 		// Two greedy forwarding-class flows with Rate contracts. Each
 		// contract fits the class's weighted share (8/10 of 1 MB/s =
 		// 800 kB/s), so scheduler-aware admission accepts both — but
-		// their sum oversubscribes the class.
-		var greedy []*jqos.Flow
-		for i := 0; i < 2; i++ {
-			gs := d.AddHost(dc1, 5*time.Millisecond)
-			gd := d.AddHost(dc2, 8*time.Millisecond)
-			gf, err := d.RegisterFlow(jqos.FlowSpec{
-				Src: gs, Dst: gd, Budget: 500 * time.Millisecond,
-				Service: jqos.ServiceForwarding, ServiceFixed: true,
-				// Burst stays under the class queue cap (64 kB), or
-				// scheduler-aware admission would reject the contract.
-				Rate: rate, Burst: 16 << 10,
-			})
-			if err != nil {
-				return out, err
-			}
-			greedy = append(greedy, gf)
-		}
-		is := d.AddHost(dc1, 5*time.Millisecond)
-		id := d.AddHost(dc2, 8*time.Millisecond)
-		inter, err := d.RegisterFlow(jqos.FlowSpec{
-			Src: is, Dst: id, Budget: budget,
-			Service: jqos.ServiceForwarding, ServiceFixed: true,
-		})
+		// their sum oversubscribes the class. Burst stays under the
+		// class queue cap (64 kB), or scheduler-aware admission would
+		// reject the contract.
+		w, err := worlds.NewContended(o.Seed, cfg, jqos.FlowSpec{
+			Service: jqos.ServiceForwarding,
+			Rate:    rate, Burst: 16 << 10,
+		}, budget, span)
 		if err != nil {
 			return out, err
 		}
+		w.D.Run(2*span + 5*time.Second)
 
-		nBuckets := int(span / bucket)
-		sums := make([]time.Duration, nBuckets)
-		counts := make([]int, nBuckets)
-		d.Host(id).SetDeliveryHandler(func(del core.Delivery) {
-			lat := del.At - del.Packet.Sent
-			if lat > out.worst {
-				out.worst = lat
-			}
-			if b := int(del.Packet.Sent / bucket); b >= 0 && b < nBuckets {
-				sums[b] += lat
-				counts[b]++
-			}
-		})
-
-		for i := 0; i < int(span/time.Millisecond); i++ {
-			at := time.Duration(i) * time.Millisecond
-			d.Sim().At(at, func() {
-				greedy[0].Send(make([]byte, 1000))
-				greedy[1].Send(make([]byte, 1000))
-			})
-			if i%5 == 0 {
-				d.Sim().At(at, func() { inter.Send(make([]byte, 200)) })
-			}
-		}
-		d.Run(2*span + 5*time.Second)
-
-		m := inter.Metrics()
+		m := w.Inter.Metrics()
 		out.sent, out.onTime = m.Sent, m.OnTime
-		snap := d.Snapshot()
-		if st, ok := snap.Queue(dc1, dc2); ok {
+		snap := w.D.Snapshot()
+		if st, ok := snap.Queue(w.DC1, w.DC2); ok {
 			out.classDrops = st.PerClass[jqos.ServiceForwarding].DroppedPackets
 		}
-		for _, gf := range greedy {
+		for _, gf := range w.Bulks {
 			gm := gf.Metrics()
 			out.admDrops += gm.AdmissionDropped
 			out.pacedKB += gm.PacedBytes / 1000
 		}
 		out.fb = snap.Feedback
-		out.latency = stats.Series{Name: name}
-		for b := 0; b < nBuckets; b++ {
-			if counts[b] > 0 {
-				mean := sums[b] / time.Duration(counts[b])
-				out.latency.Append((time.Duration(b) * bucket).Seconds(),
-					float64(mean)/float64(time.Millisecond))
-			}
-		}
+		out.worst, out.latency = w.Latency.Worst, w.Latency.Series(name)
 		// The feedback run is the experiment's featured configuration:
 		// persist its final snapshot (open flows included) before teardown.
 		if withFeedback {
-			if err := o.saveSnapshot("backpressure", d); err != nil {
+			if err := o.saveSnapshot("backpressure", w.D); err != nil {
 				return out, err
 			}
 		}
-		inter.Close()
-		for _, gf := range greedy {
+		w.Inter.Close()
+		for _, gf := range w.Bulks {
 			gf.Close()
 		}
 		return out, nil

@@ -4,9 +4,8 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/stats"
+	"jqos/internal/worlds"
 )
 
 func init() {
@@ -29,15 +28,8 @@ func runCongestion(o Options) (Result, error) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.LinkCapacity = 1_000_000 // 1 MB/s accounting capacity per link
-	d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := d.AddDC("us-west", dataset.RegionUSWest)
-	dc3 := d.AddDC("eu-west", dataset.RegionEU)
-	dc4 := d.AddDC("ap-south", dataset.RegionAsia)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-	d.ConnectDCs(dc2, dc4, 20*time.Millisecond)
-	d.ConnectDCs(dc1, dc3, 20*time.Millisecond)
-	d.ConnectDCs(dc3, dc4, 20*time.Millisecond)
+	d, dcs := worlds.Diamond(o.Seed, cfg, 20*time.Millisecond, 20*time.Millisecond)
+	dc1, dc2, dc3, dc4 := dcs[0], dcs[1], dcs[2], dcs[3]
 
 	span := 6 * time.Second
 	if o.Quick {
@@ -49,8 +41,7 @@ func runCongestion(o Options) (Result, error) {
 	// after the shared tables move away. The second carries a 200 kB/s
 	// admission contract — its excess never leaves the ingress.
 	mkBulk := func(rate int64) (*jqos.Flow, error) {
-		bs := d.AddHost(dc1, 5*time.Millisecond)
-		bd := d.AddHost(dc4, 8*time.Millisecond)
+		bs, bd := worlds.HostPair(d, dc1, dc4)
 		return d.RegisterFlow(jqos.FlowSpec{
 			Src: bs, Dst: bd, Budget: 500 * time.Millisecond,
 			Service: jqos.ServiceForwarding, ServiceFixed: true,
@@ -66,11 +57,8 @@ func runCongestion(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for i := 0; i < int(span/time.Millisecond); i++ {
-		at := time.Duration(i) * time.Millisecond
-		d.Sim().At(at, func() { bulk1.Send(make([]byte, 1000)) })
-		d.Sim().At(at, func() { bulk2.Send(make([]byte, 1000)) })
-	}
+	worlds.CBR(d, bulk1, 1000, time.Millisecond, 0, span)
+	worlds.CBR(d, bulk2, 1000, time.Millisecond, 0, span)
 
 	// Sample the hot link's utilization and weight inflation over time.
 	util := stats.Series{Name: "dc1–dc2 utilization (%)"}
@@ -93,19 +81,8 @@ func runCongestion(o Options) (Result, error) {
 	var regPath []jqos.NodeID
 	var regCongest, regUtil float64
 	var regStats int
-	is := d.AddHost(dc1, 5*time.Millisecond)
-	id := d.AddHost(dc4, 8*time.Millisecond)
-	const bucket = 200 * time.Millisecond
-	nBuckets := int(span / bucket)
-	sums := make([]time.Duration, nBuckets)
-	counts := make([]int, nBuckets)
-	d.Host(id).SetDeliveryHandler(func(del core.Delivery) {
-		b := int(del.Packet.Sent / bucket)
-		if b >= 0 && b < nBuckets {
-			sums[b] += del.At - del.Packet.Sent
-			counts[b]++
-		}
-	})
+	is, id := worlds.HostPair(d, dc1, dc4)
+	rec := worlds.Record(d, id, span, 200*time.Millisecond)
 	d.Sim().At(interAt, func() {
 		f, ferr := d.RegisterFlow(jqos.FlowSpec{
 			Src: is, Dst: id, Budget: 100 * time.Millisecond,
@@ -119,23 +96,14 @@ func runCongestion(o Options) (Result, error) {
 		hot := d.Routing().Graph().Link(dc1, dc2)
 		regCongest, regUtil = hot.Congest, hot.Util
 		regStats = int(d.Snapshot().Routing.CongestionReroutes)
-		for i := 0; int(interAt)+i*int(5*time.Millisecond) < int(span); i++ {
-			at := interAt + time.Duration(i)*5*time.Millisecond
-			d.Sim().At(at, func() { f.Send(make([]byte, 200)) })
-		}
+		worlds.CBR(d, f, 200, 5*time.Millisecond, interAt, span)
 	})
 	d.Run(span + 5*time.Second)
 	if err != nil {
 		return Result{}, err
 	}
 
-	latency := stats.Series{Name: "interactive mean latency (ms)"}
-	for b := 0; b < nBuckets; b++ {
-		if counts[b] > 0 {
-			mean := sums[b] / time.Duration(counts[b])
-			latency.Append((time.Duration(b) * bucket).Seconds(), float64(mean)/float64(time.Millisecond))
-		}
-	}
+	latency := rec.Series("interactive mean latency (ms)")
 
 	fig := stats.Figure{
 		ID:     "congestion",

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment is a named, seeded function returning
 // one or more figures (CDF/CCDF series plus headline notes); the
-// cmd/jqos-figures binary renders them as CSV and ASCII plots, and
-// EXPERIMENTS.md records paper-reported vs measured values.
+// cmd/jqos-figures binary renders them as CSV and ASCII plots. Same seed →
+// identical output for every experiment but "10", which measures encoder
+// throughput on the wall clock (testdata/golden holds the rest).
 package experiments
 
 import (
@@ -14,7 +15,8 @@ import (
 
 // Options controls an experiment run.
 type Options struct {
-	// Seed drives every random process; same seed → identical output.
+	// Seed drives every random process; same seed → identical output
+	// (fig 10 excepted: it times real encodes).
 	Seed int64
 	// Quick shrinks workloads for CI/tests (fewer paths, shorter calls,
 	// fewer requests). Figures keep their shape but with more noise.

@@ -4,10 +4,9 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/stats"
 	"jqos/internal/telemetry"
+	"jqos/internal/worlds"
 )
 
 func init() {
@@ -33,11 +32,7 @@ func runFairshare(o Options) (Result, error) {
 	if o.Quick {
 		span = 3 * time.Second
 	}
-	const (
-		capacity = 1_000_000 // 1 MB/s shared inter-DC link
-		budget   = 100 * time.Millisecond
-		bucket   = 200 * time.Millisecond
-	)
+	const budget = 100 * time.Millisecond
 
 	type outcome struct {
 		latency  stats.Series
@@ -50,122 +45,59 @@ func runFairshare(o Options) (Result, error) {
 		linkUtil float64
 	}
 
-	run := func(name string, weights map[jqos.Service]int) (outcome, error) {
+	run := func(name string, scheduled bool) (outcome, error) {
 		var out outcome
-		cfg := jqos.DefaultConfig()
+		// One 1 MB/s shared inter-DC link. The emulated link serializes at
+		// the same rate the accounting capacity declares, so the legacy
+		// FIFO run queues for real.
+		cfg := worlds.ContendedConfig()
 		cfg.UpgradeInterval = 0
-		cfg.LinkCapacity = capacity
-		if weights != nil {
-			cfg.Scheduler = jqos.SchedulerConfig{
-				Weights:    weights,
-				QueueBytes: 64 << 10, // ~64 ms of link time per class queue
-			}
+		if !scheduled {
+			cfg.Scheduler = jqos.SchedulerConfig{}
 		}
-		d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-		dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-		dc2 := d.AddDC("eu-west", dataset.RegionEU)
-		d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-		// The emulated link serializes at the same rate the accounting
-		// capacity declares, so the legacy FIFO run queues for real.
-		d.Network().LinkBetween(dc1, dc2).Rate = capacity
-		d.Network().LinkBetween(dc2, dc1).Rate = capacity
-
 		// Two bulk senders, caching class, no direct Internet path: all
-		// their bytes cross dc1→dc2. Together they offer ~2 MB/s.
-		var bulks []*jqos.Flow
-		for i := 0; i < 2; i++ {
-			bs := d.AddHost(dc1, 5*time.Millisecond)
-			bd := d.AddHost(dc2, 8*time.Millisecond)
-			bf, err := d.RegisterFlow(jqos.FlowSpec{
-				Src: bs, Dst: bd, Budget: 500 * time.Millisecond,
-				Service: jqos.ServiceCaching, ServiceFixed: true,
-			})
-			if err != nil {
-				return out, err
-			}
-			bulks = append(bulks, bf)
-		}
-		// Interactive flow, forwarding class, overlay-only delivery.
-		is := d.AddHost(dc1, 5*time.Millisecond)
-		id := d.AddHost(dc2, 8*time.Millisecond)
-		inter, err := d.RegisterFlow(jqos.FlowSpec{
-			Src: is, Dst: id, Budget: budget,
-			Service: jqos.ServiceForwarding, ServiceFixed: true,
-		})
+		// their bytes cross dc1→dc2. Together they offer ~2 MB/s. The
+		// interactive flow is forwarding class, overlay-only delivery.
+		w, err := worlds.NewContended(o.Seed, cfg, jqos.FlowSpec{Service: jqos.ServiceCaching}, budget, span)
 		if err != nil {
 			return out, err
 		}
-
-		nBuckets := int(span / bucket)
-		sums := make([]time.Duration, nBuckets)
-		counts := make([]int, nBuckets)
-		d.Host(id).SetDeliveryHandler(func(del core.Delivery) {
-			lat := del.At - del.Packet.Sent
-			if lat > out.worst {
-				out.worst = lat
-			}
-			if b := int(del.Packet.Sent / bucket); b >= 0 && b < nBuckets {
-				sums[b] += lat
-				counts[b]++
-			}
-		})
-
-		for i := 0; i < int(span/time.Millisecond); i++ {
-			at := time.Duration(i) * time.Millisecond
-			d.Sim().At(at, func() {
-				bulks[0].Send(make([]byte, 1000))
-				bulks[1].Send(make([]byte, 1000))
-			})
-			if i%5 == 0 {
-				d.Sim().At(at, func() { inter.Send(make([]byte, 200)) })
-			}
-		}
 		// Sample the shared link's utilization mid-run (dequeue-side
 		// metering: never above capacity even at 2× offered load).
-		d.Sim().At(span/2, func() {
-			if ll, ok := d.Snapshot().Link(dc1, dc2); ok {
+		w.D.Sim().At(span/2, func() {
+			if ll, ok := w.D.Snapshot().Link(w.DC1, w.DC2); ok {
 				out.linkUtil = ll.Utilization
 			}
 		})
 		// Generous drain: the FIFO run's link backlog is span-sized.
-		d.Run(2*span + 5*time.Second)
+		w.D.Run(2*span + 5*time.Second)
 
-		m := inter.Metrics()
+		m := w.Inter.Metrics()
 		out.sent, out.onTime = m.Sent, m.OnTime
-		for _, bf := range bulks {
+		for _, bf := range w.Bulks {
 			out.dropped += bf.Metrics().EgressDropped
 		}
-		out.sched, out.schedOK = d.Snapshot().Queue(dc1, dc2)
-		out.latency = stats.Series{Name: name}
-		for b := 0; b < nBuckets; b++ {
-			if counts[b] > 0 {
-				mean := sums[b] / time.Duration(counts[b])
-				out.latency.Append((time.Duration(b) * bucket).Seconds(),
-					float64(mean)/float64(time.Millisecond))
-			}
-		}
+		out.sched, out.schedOK = w.D.Snapshot().Queue(w.DC1, w.DC2)
+		out.worst, out.latency = w.Latency.Worst, w.Latency.Series(name)
 		// The scheduled run is the experiment's featured configuration:
 		// persist its final snapshot (open flows included) before teardown.
-		if weights != nil {
-			if err := o.saveSnapshot("fairshare", d); err != nil {
+		if scheduled {
+			if err := o.saveSnapshot("fairshare", w.D); err != nil {
 				return out, err
 			}
 		}
-		inter.Close()
-		for _, bf := range bulks {
+		w.Inter.Close()
+		for _, bf := range w.Bulks {
 			bf.Close()
 		}
 		return out, nil
 	}
 
-	fifo, err := run("interactive latency, legacy FIFO (ms)", nil)
+	fifo, err := run("interactive latency, legacy FIFO (ms)", false)
 	if err != nil {
 		return Result{}, err
 	}
-	wfq, err := run("interactive latency, DRR 8:1 (ms)", map[jqos.Service]int{
-		jqos.ServiceForwarding: 8,
-		jqos.ServiceCaching:    1,
-	})
+	wfq, err := run("interactive latency, DRR 8:1 (ms)", true)
 	if err != nil {
 		return Result{}, err
 	}

@@ -6,10 +6,10 @@ import (
 
 	"jqos"
 	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/netem"
 	"jqos/internal/stats"
 	"jqos/internal/video"
+	"jqos/internal/worlds"
 )
 
 func init() {
@@ -72,10 +72,7 @@ func runVideoScenarioInner(seed int64, sc videoScenario, quick bool, t interface
 	cfg.Encoder.CrossQueues = 6
 	cfg.Encoder.CrossTimeout = 80 * time.Millisecond
 	cfg.UpgradeInterval = 0
-	d := jqos.NewDeploymentWithConfig(seed, cfg)
-	dc1 := d.AddDC("dc1", dataset.RegionUSEast)
-	dc2 := d.AddDC("dc2", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
+	d, dc1, dc2 := worlds.Paper(seed, cfg)
 
 	src := d.AddHost(dc1, 5*time.Millisecond)
 	deltaR := 8 * time.Millisecond
@@ -114,8 +111,7 @@ func runVideoScenarioInner(seed int64, sc videoScenario, quick bool, t interface
 	// stream batches fill (paper's methodology).
 	if sc.service == core.ServiceCoding {
 		for b := 0; b < 3; b++ {
-			bs := d.AddHost(dc1, 5*time.Millisecond)
-			bd := d.AddHost(dc2, 8*time.Millisecond)
+			bs, bd := worlds.HostPair(d, dc1, dc2)
 			d.SetDirectPath(bs, bd, netem.FixedDelay(50*time.Millisecond), nil)
 			bg, err := d.RegisterFlow(jqos.FlowSpec{
 				Src: bs, Dst: bd, Budget: time.Hour,
@@ -127,11 +123,8 @@ func runVideoScenarioInner(seed int64, sc videoScenario, quick bool, t interface
 			// Background rate ≈ the video stream's packet rate, so each
 			// cross-stream batch carries one video packet and three
 			// background packets (k = 4, Skype share = 1/4).
-			n := int(callDur / (16 * time.Millisecond))
-			for k := 0; k < n; k++ {
-				at := time.Duration(b)*3*time.Millisecond + time.Duration(k)*16*time.Millisecond
-				d.Sim().At(at, func() { bg.Send(make([]byte, 300)) })
-			}
+			phase := time.Duration(b) * 3 * time.Millisecond
+			worlds.CBR(d, bg, 300, 16*time.Millisecond, phase, phase+callDur)
 		}
 	}
 

@@ -6,11 +6,11 @@ import (
 
 	"jqos"
 	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/mobile"
 	"jqos/internal/netem"
 	"jqos/internal/overlay"
 	"jqos/internal/stats"
+	"jqos/internal/worlds"
 )
 
 func init() {
@@ -55,10 +55,7 @@ func runK20(o Options) (Result, error) {
 	cfg.Encoder.CrossQueues = 2
 	cfg.Encoder.CrossTimeout = 150 * time.Millisecond // let k=20 batches fill
 	cfg.UpgradeInterval = 0
-	d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-	dc1 := d.AddDC("dc1", dataset.RegionUSEast)
-	dc2 := d.AddDC("dc2", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
+	d, dc1, dc2 := worlds.Paper(o.Seed, cfg)
 
 	packets := 2000
 	if o.Quick {
@@ -72,8 +69,7 @@ func runK20(o Options) (Result, error) {
 	for i := 0; i < 20; i++ {
 		st := &state{direct: make([]bool, packets+1), recovered: make([]bool, packets+1)}
 		states[i] = st
-		src := d.AddHost(dc1, 5*time.Millisecond)
-		dst := d.AddHost(dc2, 8*time.Millisecond)
+		src, dst := worlds.HostPair(d, dc1, dc2)
 		d.SetDirectPath(src, dst,
 			netem.NormalJitter{Base: 50 * time.Millisecond, Sigma: time.Millisecond, Floor: 40 * time.Millisecond},
 			netem.NewGoogleBurst())
@@ -95,10 +91,8 @@ func runK20(o Options) (Result, error) {
 				st.direct[seq] = true
 			}
 		})
-		for k := 0; k < packets; k++ {
-			at := time.Duration(i)*2*time.Millisecond + time.Duration(k)*40*time.Millisecond
-			d.Sim().At(at, func() { f.Send(make([]byte, 512)) })
-		}
+		phase := time.Duration(i) * 2 * time.Millisecond
+		worlds.CBR(d, f, 512, 40*time.Millisecond, phase, phase+time.Duration(packets)*40*time.Millisecond)
 	}
 	d.Run(time.Duration(packets)*40*time.Millisecond + 20*time.Second)
 

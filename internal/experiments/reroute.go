@@ -4,9 +4,8 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/stats"
+	"jqos/internal/worlds"
 )
 
 func init() {
@@ -27,17 +26,9 @@ func runReroute(o Options) (Result, error) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
 	cfg.Monitor.ProbeInterval = 100 * time.Millisecond
-	d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := d.AddDC("us-west", dataset.RegionUSWest)
-	dc3 := d.AddDC("eu-west", dataset.RegionEU)
-	dc4 := d.AddDC("ap-south", dataset.RegionAsia)
-	d.ConnectDCs(dc1, dc2, 15*time.Millisecond)
-	d.ConnectDCs(dc2, dc4, 15*time.Millisecond)
-	d.ConnectDCs(dc1, dc3, 25*time.Millisecond)
-	d.ConnectDCs(dc3, dc4, 25*time.Millisecond)
-	src := d.AddHost(dc1, 5*time.Millisecond)
-	dst := d.AddHost(dc4, 8*time.Millisecond)
+	d, dcs := worlds.Diamond(o.Seed, cfg, 15*time.Millisecond, 25*time.Millisecond)
+	dc1, dc2, dc4 := dcs[0], dcs[1], dcs[3]
+	src, dst := worlds.HostPair(d, dc1, dc4)
 
 	span := 6 * time.Second
 	spacing := 5 * time.Millisecond
@@ -56,36 +47,18 @@ func runReroute(o Options) (Result, error) {
 	}
 
 	const bucket = 200 * time.Millisecond
-	nBuckets := int(span / bucket)
-	sums := make([]time.Duration, nBuckets)
-	counts := make([]int, nBuckets)
-	d.Host(dst).SetDeliveryHandler(func(del core.Delivery) {
-		b := int(del.Packet.Sent / bucket)
-		if b >= 0 && b < nBuckets {
-			sums[b] += del.At - del.Packet.Sent
-			counts[b]++
-		}
-	})
-	n := int(span / spacing)
-	for i := 0; i < n; i++ {
-		at := time.Duration(i) * spacing
-		d.Sim().At(at, func() { flow.Send(make([]byte, 200)) })
-	}
+	rec := worlds.Record(d, dst, span, bucket)
+	worlds.CBR(d, flow, 200, spacing, 0, span)
 	d.Sim().At(failAt, func() { d.Link(dc2, dc4).Disconnect() })
 	d.Sim().At(healAt, func() { d.Link(dc2, dc4).Set(15*time.Millisecond, 0) })
 	d.Run(span + 5*time.Second)
 
-	latency := stats.Series{Name: "mean delivery latency (ms)"}
+	latency := rec.Series("mean delivery latency (ms)")
 	delivered := stats.Series{Name: "delivered (%)"}
 	perBucket := int(bucket / spacing)
-	for b := 0; b < nBuckets; b++ {
-		x := (time.Duration(b) * bucket).Seconds()
-		if counts[b] > 0 {
-			mean := sums[b] / time.Duration(counts[b])
-			latency.Append(x, float64(mean)/float64(time.Millisecond))
-		}
+	for b, n := range rec.Counts {
 		// Percent, so the outage dip shares an axis with the ms series.
-		delivered.Append(x, 100*float64(counts[b])/float64(perBucket))
+		delivered.Append((time.Duration(b) * bucket).Seconds(), 100*float64(n)/float64(perBucket))
 	}
 
 	fig := stats.Figure{

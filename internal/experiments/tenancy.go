@@ -5,10 +5,9 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
-	"jqos/internal/dataset"
 	"jqos/internal/stats"
 	"jqos/internal/telemetry"
+	"jqos/internal/worlds"
 )
 
 func init() {
@@ -68,10 +67,7 @@ func runQuotaParity(o Options, fig *stats.Figure) error {
 
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
-	d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := d.AddDC("eu-west", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
+	d, dc1, dc2 := worlds.Bottleneck(o.Seed, cfg) // no capacity: the quota is all that binds
 
 	contract := func(id jqos.TenantID, name string) error {
 		return d.RegisterTenant(jqos.TenantContract{
@@ -90,10 +86,8 @@ func runQuotaParity(o Options, fig *stats.Figure) error {
 	// not the endpoint count, is what's under test.
 	var pairs [][2]jqos.NodeID
 	for i := 0; i < 4; i++ {
-		pairs = append(pairs, [2]jqos.NodeID{
-			d.AddHost(dc1, 5*time.Millisecond),
-			d.AddHost(dc2, 8*time.Millisecond),
-		})
+		src, dst := worlds.HostPair(d, dc1, dc2)
+		pairs = append(pairs, [2]jqos.NodeID{src, dst})
 	}
 	mkFlow := func(tid jqos.TenantID, pair [2]jqos.NodeID) (*jqos.Flow, error) {
 		return d.RegisterFlow(jqos.FlowSpec{
@@ -130,9 +124,7 @@ func runQuotaParity(o Options, fig *stats.Figure) error {
 			d.Sim().At(at, func() { f.Send(make([]byte, pktBytes)) })
 		}
 	}
-	for i := 0; i < int(span/time.Millisecond); i++ {
-		d.Sim().At(time.Duration(i)*time.Millisecond, func() { solo.Send(make([]byte, 600)) })
-	}
+	worlds.CBR(d, solo, 600, time.Millisecond, 0, span)
 	d.Run(span + 5*time.Second)
 
 	s := d.Snapshot()
@@ -165,27 +157,12 @@ func runSingleCut(o Options, fig *stats.Figure) error {
 	if o.Quick {
 		span = 2 * time.Second
 	}
-	const capacity = 1_000_000
-
-	cfg := jqos.DefaultConfig()
+	cfg := worlds.ContendedConfig()
 	cfg.UpgradeInterval = 0
-	cfg.LinkCapacity = capacity
-	cfg.Scheduler = jqos.SchedulerConfig{
-		Weights: map[jqos.Service]int{
-			jqos.ServiceForwarding: 8,
-			jqos.ServiceCaching:    1,
-		},
-		QueueBytes:    64 << 10,
-		LowWatermark:  0.125,
-		HighWatermark: 0.5,
-	}
+	cfg.Scheduler.LowWatermark = 0.125
+	cfg.Scheduler.HighWatermark = 0.5
 	cfg.Feedback.Enabled = true
-	d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := d.AddDC("eu-west", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-	d.Network().LinkBetween(dc1, dc2).Rate = capacity
-	d.Network().LinkBetween(dc2, dc1).Rate = capacity
+	d, dc1, dc2 := worlds.Bottleneck(o.Seed, cfg)
 
 	// The aggregate quota (1.3 MB/s) admits everything the members'
 	// individually-honorable 600 kB/s contracts pass — until the Hot
@@ -197,8 +174,7 @@ func runSingleCut(o Options, fig *stats.Figure) error {
 	}
 	var flows []*jqos.Flow
 	for i := 0; i < 2; i++ {
-		gs := d.AddHost(dc1, 5*time.Millisecond)
-		gd := d.AddHost(dc2, 8*time.Millisecond)
+		gs, gd := worlds.HostPair(d, dc1, dc2)
 		f, err := d.RegisterFlow(jqos.FlowSpec{
 			Src: gs, Dst: gd, Budget: 500 * time.Millisecond,
 			Service: jqos.ServiceForwarding, ServiceFixed: true,
@@ -210,12 +186,8 @@ func runSingleCut(o Options, fig *stats.Figure) error {
 		}
 		flows = append(flows, f)
 	}
-	for i := 0; i < int(span/time.Millisecond); i++ {
-		at := time.Duration(i) * time.Millisecond
-		d.Sim().At(at, func() {
-			flows[0].Send(make([]byte, 1000))
-			flows[1].Send(make([]byte, 1000))
-		})
+	for _, f := range flows {
+		worlds.CBR(d, f, 1000, time.Millisecond, 0, span)
 	}
 	d.Run(span + 8*time.Second)
 
@@ -257,11 +229,7 @@ func runSubqueueIsolation(o Options, fig *stats.Figure) error {
 	if o.Quick {
 		span = 2 * time.Second
 	}
-	const (
-		capacity = 1_000_000
-		budget   = 80 * time.Millisecond
-		bucket   = 200 * time.Millisecond
-	)
+	const budget = 80 * time.Millisecond
 
 	type outcome struct {
 		latency stats.Series
@@ -273,31 +241,17 @@ func runSubqueueIsolation(o Options, fig *stats.Figure) error {
 	}
 	run := func(name string, perFlow bool) (outcome, error) {
 		var out outcome
-		cfg := jqos.DefaultConfig()
+		cfg := worlds.ContendedConfig()
 		cfg.UpgradeInterval = 0
-		cfg.LinkCapacity = capacity
-		cfg.Scheduler = jqos.SchedulerConfig{
-			Weights: map[jqos.Service]int{
-				jqos.ServiceForwarding: 8,
-				jqos.ServiceCaching:    1,
-			},
-			QueueBytes:    64 << 10,
-			PerFlowQueues: perFlow,
-		}
-		d := jqos.NewDeploymentWithConfig(o.Seed, cfg)
-		dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-		dc2 := d.AddDC("eu-west", dataset.RegionEU)
-		d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-		d.Network().LinkBetween(dc1, dc2).Rate = capacity
-		d.Network().LinkBetween(dc2, dc1).Rate = capacity
+		cfg.Scheduler.PerFlowQueues = perFlow
+		d, dc1, dc2 := worlds.Bottleneck(o.Seed, cfg)
 
 		// One tenant, unmetered: the contention here is INSIDE the
 		// tenant's own class share, where only the scheduler can help.
 		if err := d.RegisterTenant(jqos.TenantContract{ID: 1, Name: "acme"}); err != nil {
 			return out, err
 		}
-		bs := d.AddHost(dc1, 5*time.Millisecond)
-		bd := d.AddHost(dc2, 8*time.Millisecond)
+		bs, bd := worlds.HostPair(d, dc1, dc2)
 		bulk, err := d.RegisterFlow(jqos.FlowSpec{
 			Src: bs, Dst: bd, Budget: 2 * time.Second,
 			Service: jqos.ServiceForwarding, ServiceFixed: true,
@@ -306,8 +260,7 @@ func runSubqueueIsolation(o Options, fig *stats.Figure) error {
 		if err != nil {
 			return out, err
 		}
-		is := d.AddHost(dc1, 5*time.Millisecond)
-		id := d.AddHost(dc2, 8*time.Millisecond)
+		is, id := worlds.HostPair(d, dc1, dc2)
 		inter, err := d.RegisterFlow(jqos.FlowSpec{
 			Src: is, Dst: id, Budget: budget,
 			Service: jqos.ServiceForwarding, ServiceFixed: true,
@@ -317,26 +270,9 @@ func runSubqueueIsolation(o Options, fig *stats.Figure) error {
 			return out, err
 		}
 
-		nBuckets := int(span / bucket)
-		sums := make([]time.Duration, nBuckets)
-		counts := make([]int, nBuckets)
-		d.Host(id).SetDeliveryHandler(func(del core.Delivery) {
-			lat := del.At - del.Packet.Sent
-			if lat > out.worst {
-				out.worst = lat
-			}
-			if b := int(del.Packet.Sent / bucket); b >= 0 && b < nBuckets {
-				sums[b] += lat
-				counts[b]++
-			}
-		})
-		for i := 0; i < int(span/time.Millisecond); i++ {
-			at := time.Duration(i) * time.Millisecond
-			d.Sim().At(at, func() { bulk.Send(make([]byte, 1100)) })
-			if i%5 == 0 {
-				d.Sim().At(at, func() { inter.Send(make([]byte, 200)) })
-			}
-		}
+		rec := worlds.Record(d, id, span, 200*time.Millisecond)
+		worlds.CBR(d, bulk, 1100, time.Millisecond, 0, span)
+		worlds.CBR(d, inter, 200, 5*time.Millisecond, 0, span)
 		d.Run(span + 8*time.Second)
 
 		m := inter.Metrics()
@@ -348,14 +284,7 @@ func runSubqueueIsolation(o Options, fig *stats.Figure) error {
 		if len(s.Tenants) == 1 {
 			out.tenant = s.Tenants[0]
 		}
-		out.latency = stats.Series{Name: name}
-		for b := 0; b < nBuckets; b++ {
-			if counts[b] > 0 {
-				mean := sums[b] / time.Duration(counts[b])
-				out.latency.Append((time.Duration(b) * bucket).Seconds(),
-					float64(mean)/float64(time.Millisecond))
-			}
-		}
+		out.worst, out.latency = rec.Worst, rec.Series(name)
 		if perFlow {
 			if err := o.saveSnapshot("tenancy", d); err != nil {
 				return out, err

@@ -64,9 +64,9 @@ func BenchmarkPacerAdmit(b *testing.B) {
 		bucket.Admit(now, 1000)
 		switch i & 1023 {
 		case 0:
-			p.OnSignal(now, Hot)
+			p.OnSignal(now, LinkClass{}, Hot)
 		case 512:
-			p.OnSignal(now, Clear)
+			p.OnSignal(now, LinkClass{}, Clear)
 		case 513, 600, 700:
 			p.Tick(now)
 		}

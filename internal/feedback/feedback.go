@@ -16,9 +16,10 @@
 //   - Registry maps each directed (inter-DC link, class) to the flows —
 //     and their ingress DCs — currently routed across it, maintained on
 //     register/pin/reroute/close;
-//   - Pacer applies AIMD rate control to a flow's admission token
-//     bucket: multiplicative cut toward a floor on Hot, additive
-//     recovery once the queue cools.
+//   - Pacer applies AIMD rate control to an admission token bucket (a
+//     flow's contract or a tenant's shared quota), one state per
+//     congested link-class: multiplicative cut toward a floor on Hot,
+//     additive recovery once the queue cools.
 package feedback
 
 import (
@@ -49,10 +50,12 @@ type Transition struct {
 	Depth    int64
 }
 
-// linkClass keys one directed link's class queue.
-type linkClass struct {
-	from, to core.NodeID
-	class    core.Service
+// LinkClass keys one directed inter-DC link's class queue — the unit a
+// congestion signal names, a flow subscribes to, and a Pacer keeps AIMD
+// state per.
+type LinkClass struct {
+	From, To core.NodeID
+	Class    core.Service
 }
 
 // Broadcaster batches watermark transitions between flushes. Note runs
@@ -63,7 +66,7 @@ type linkClass struct {
 // pending slice and index are reused across flushes.
 type Broadcaster struct {
 	pending []Transition
-	index   map[linkClass]int
+	index   map[LinkClass]int
 
 	noted   uint64
 	flushes uint64
@@ -71,14 +74,14 @@ type Broadcaster struct {
 
 // NewBroadcaster returns an empty broadcaster.
 func NewBroadcaster() *Broadcaster {
-	return &Broadcaster{index: make(map[linkClass]int)}
+	return &Broadcaster{index: make(map[LinkClass]int)}
 }
 
 // Note records one transition for the next flush, coalescing repeated
 // flips of the same (link, class) within the batch.
 func (b *Broadcaster) Note(from, to core.NodeID, class core.Service, st State, depth int64) {
 	b.noted++
-	k := linkClass{from, to, class}
+	k := LinkClass{from, to, class}
 	if i, ok := b.index[k]; ok {
 		b.pending[i].State = st
 		b.pending[i].Depth = depth
@@ -115,12 +118,12 @@ func (b *Broadcaster) Flushes() uint64 { return b.flushes }
 // updates a flow's subscription whenever its path or service class
 // changes and removes it on close.
 type Registry struct {
-	subs  map[linkClass]map[core.FlowID]core.NodeID // flow → ingress DC
+	subs  map[LinkClass]map[core.FlowID]core.NodeID // flow → ingress DC
 	flows map[core.FlowID]flowSub                   // reverse index for update/remove
 	// keyFree / mapFree recycle key slices and emptied fan-out maps so
 	// subscription churn (every flow open, close, and reroute) settles at
 	// zero allocations per update.
-	keyFree [][]linkClass
+	keyFree [][]LinkClass
 	mapFree []map[core.FlowID]core.NodeID
 }
 
@@ -128,13 +131,13 @@ type Registry struct {
 // directed link-class keys its path covers.
 type flowSub struct {
 	ingress core.NodeID
-	keys    []linkClass
+	keys    []LinkClass
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		subs:  make(map[linkClass]map[core.FlowID]core.NodeID),
+		subs:  make(map[LinkClass]map[core.FlowID]core.NodeID),
 		flows: make(map[core.FlowID]flowSub),
 	}
 }
@@ -152,7 +155,7 @@ func (r *Registry) Update(flow core.FlowID, ingress core.NodeID, class core.Serv
 	}
 	keys := r.getKeys()
 	for i := 0; i+1 < len(path); i++ {
-		keys = append(keys, linkClass{path[i], path[i+1], class})
+		keys = append(keys, LinkClass{path[i], path[i+1], class})
 	}
 	if prev, ok := r.flows[flow]; ok && prev.ingress == ingress && slices.Equal(prev.keys, keys) {
 		r.keyFree = append(r.keyFree, keys)
@@ -194,7 +197,7 @@ func (r *Registry) Remove(flow core.FlowID) bool {
 // getKeys pops a recycled key slice (empty, capacity retained) or
 // returns nil for append to grow — the amortized cost of a new path
 // length, paid once.
-func (r *Registry) getKeys() []linkClass {
+func (r *Registry) getKeys() []LinkClass {
 	if n := len(r.keyFree); n > 0 {
 		keys := r.keyFree[n-1]
 		r.keyFree = r.keyFree[:n-1]
@@ -221,7 +224,7 @@ func (r *Registry) Subscribed() int { return len(r.flows) }
 // directed link from→to for class, in ascending order (deterministic
 // fan-out). Pass buf[:0] to reuse a scratch slice.
 func (r *Registry) Ingresses(buf []core.NodeID, from, to core.NodeID, class core.Service) []core.NodeID {
-	m := r.subs[linkClass{from, to, class}]
+	m := r.subs[LinkClass{from, to, class}]
 	if len(m) == 0 {
 		return buf
 	}
@@ -246,7 +249,7 @@ func (r *Registry) Ingresses(buf []core.NodeID, from, to core.NodeID, class core
 // directed link from→to and class, in ascending flow order
 // (deterministic delivery). Pass buf[:0] to reuse a scratch slice.
 func (r *Registry) FlowsAt(buf []core.FlowID, ingress, from, to core.NodeID, class core.Service) []core.FlowID {
-	m := r.subs[linkClass{from, to, class}]
+	m := r.subs[LinkClass{from, to, class}]
 	if len(m) == 0 {
 		return buf
 	}

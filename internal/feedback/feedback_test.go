@@ -110,16 +110,16 @@ func TestPacerAIMD(t *testing.T) {
 		t.Fatalf("fresh pacer: rate=%d throttled=%v", p.Rate(), p.Throttled())
 	}
 	// Warm/Clear without a prior cut: no change.
-	if p.OnSignal(now, Warm) || p.Tick(now) {
+	if p.OnSignal(now, LinkClass{}, Warm) || p.Tick(now) {
 		t.Fatal("uncut pacer moved")
 	}
 
 	// Hot: halve. Repeated Hots keep halving down to the floor.
-	if !p.OnSignal(now, Hot) || p.Rate() != rate/2 {
+	if !p.OnSignal(now, LinkClass{}, Hot) || p.Rate() != rate/2 {
 		t.Fatalf("after one cut rate=%d, want %d", p.Rate(), rate/2)
 	}
 	for i := 0; i < 10; i++ {
-		p.OnSignal(now, Hot)
+		p.OnSignal(now, LinkClass{}, Hot)
 	}
 	if p.Rate() != rate/8 {
 		t.Fatalf("floor = %d, want %d", p.Rate(), rate/8)
@@ -137,7 +137,7 @@ func TestPacerAIMD(t *testing.T) {
 		t.Fatal("recovered while hot")
 	}
 	// ...and resumes additively after a cooler signal.
-	p.OnSignal(now, Warm)
+	p.OnSignal(now, LinkClass{}, Warm)
 	if !p.Tick(now) || p.Rate() != rate/8+rate/10 {
 		t.Fatalf("after one recovery rate=%d", p.Rate())
 	}
@@ -164,7 +164,7 @@ func TestPacerUnfreeze(t *testing.T) {
 	b := load.NewBucket(rate, 10_000)
 	p := NewPacer(b, PacerConfig{})
 	now := core.Time(0)
-	p.OnSignal(now, Hot)
+	p.OnSignal(now, LinkClass{}, Hot)
 	if p.Tick(now) {
 		t.Fatal("recovered while frozen hot")
 	}
@@ -176,7 +176,7 @@ func TestPacerUnfreeze(t *testing.T) {
 		t.Fatalf("one recovery step reached the contract: %d", p.Rate())
 	}
 	// A Hot signal from the new path re-freezes and re-cuts as usual.
-	if !p.OnSignal(now, Hot) || p.Tick(now) {
+	if !p.OnSignal(now, LinkClass{}, Hot) || p.Tick(now) {
 		t.Fatal("re-freeze after Unfreeze broken")
 	}
 }
@@ -205,7 +205,7 @@ func TestPacerGovernsAdmission(t *testing.T) {
 		t.Fatalf("full-rate second admitted %d packets, want ~100", got)
 	}
 	// ...and the halved pacing rate admits ~50.
-	p.OnSignal(now, Hot)
+	p.OnSignal(now, LinkClass{}, Hot)
 	if got := admitSecond(); got < 45 || got > 55 {
 		t.Fatalf("paced second admitted %d packets, want ~50", got)
 	}
@@ -229,7 +229,7 @@ func TestPacerSetContract(t *testing.T) {
 		t.Fatal("rate at the new contract reads as throttled")
 	}
 	// Cuts and recovery now work in the new range.
-	p.OnSignal(now, Hot)
+	p.OnSignal(now, LinkClass{}, Hot)
 	if p.Rate() != 50_000 {
 		t.Fatalf("cut after resize = %d, want 50000", p.Rate())
 	}

@@ -36,13 +36,6 @@ import (
 	"jqos/internal/load"
 )
 
-// LinkClass keys one directed inter-DC link's class queue — the
-// bottleneck unit the aggregate pacer keeps AIMD state per.
-type LinkClass struct {
-	From, To core.NodeID
-	Class    core.Service
-}
-
 // Contract is one tenant's resource envelope.
 type Contract struct {
 	// ID is the operator-assigned tenant identity. 0 is reserved as
@@ -70,8 +63,8 @@ type Contract struct {
 // per-tenant telemetry slice and the chaos accounting invariant read.
 type Tenant struct {
 	contract Contract
-	bucket   *load.Bucket // nil when Contract.Rate == 0
-	pacer    *Pacer       // nil when bucket is nil
+	bucket   *load.Bucket    // nil when Contract.Rate == 0
+	pacer    *feedback.Pacer // nil when bucket is nil
 
 	flows int // live member flows (registry leak invariant)
 
@@ -119,7 +112,7 @@ func (t *Tenant) QuotaRate() int64 { return t.contract.Rate }
 
 // Pacer returns the tenant's aggregate pacer (nil for unmetered
 // tenants — no bucket, nothing to pace).
-func (t *Tenant) Pacer() *Pacer { return t.pacer }
+func (t *Tenant) Pacer() *feedback.Pacer { return t.pacer }
 
 // AddFlow notes a member flow registration.
 func (t *Tenant) AddFlow() { t.flows++ }
@@ -174,7 +167,7 @@ func (r *Registry) Register(c Contract, pcfg feedback.PacerConfig) (*Tenant, err
 	t := &Tenant{contract: c}
 	if c.Rate > 0 {
 		t.bucket = load.NewBucket(c.Rate, c.Burst)
-		t.pacer = NewPacer(t.bucket, pcfg)
+		t.pacer = feedback.NewPacer(t.bucket, pcfg)
 	}
 	r.tenants[c.ID] = t
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= c.ID })
@@ -199,204 +192,3 @@ func (r *Registry) Each(fn func(*Tenant)) {
 		fn(r.tenants[id])
 	}
 }
-
-// aimd is the pacer's per-bottleneck state: the rate this link-class
-// alone would allow, cut multiplicatively while Hot and recovered
-// additively once cool. A state that recovers back to the contract is
-// dropped — steady state carries no memory of healed congestion.
-type aimd struct {
-	key  LinkClass
-	rate int64
-	hot  bool
-}
-
-// Pacer applies AIMD rate control to the tenant's shared quota bucket,
-// with ONE state per congested (link, class) bottleneck. The applied
-// rate is the MINIMUM across live states (a tenant crossing two hot
-// links paces to the tighter one), and the contract rate is the
-// ceiling. Unlike N per-flow pacers over one bucket — which would fight
-// (one flow's additive recovery raising the rate another flow's Hot
-// freeze is holding down) — the per-bottleneck states compose: each
-// link's congestion owns exactly one rate, and the bucket follows the
-// tightest.
-type Pacer struct {
-	bucket  *load.Bucket
-	base    int64 // contract (ceiling)
-	floor   int64
-	step    int64
-	backoff float64
-	cur     int64 // applied rate = min over states, capped at base
-
-	// states in signal-arrival order — deterministic under the
-	// simulator, linear-scanned (a tenant's working set of congested
-	// bottlenecks is small).
-	states []aimd
-
-	cuts       uint64
-	recoveries uint64
-}
-
-// NewPacer wraps the tenant's quota bucket. The bucket's current rate
-// is the contract (the AIMD ceiling); cfg's zero fields take the
-// feedback plane's defaults.
-func NewPacer(bucket *load.Bucket, cfg feedback.PacerConfig) *Pacer {
-	floor := cfg.Floor
-	if floor <= 0 || floor > 1 {
-		floor = feedback.DefaultPacerFloor
-	}
-	backoff := cfg.Backoff
-	if backoff <= 0 || backoff >= 1 {
-		backoff = feedback.DefaultPacerBackoff
-	}
-	recover := cfg.Recover
-	if recover <= 0 || recover > 1 {
-		recover = feedback.DefaultPacerRecover
-	}
-	base := bucket.Rate()
-	p := &Pacer{
-		bucket:  bucket,
-		base:    base,
-		backoff: backoff,
-		cur:     base,
-	}
-	p.floor = int64(float64(base) * floor)
-	if p.floor < 1 {
-		p.floor = 1
-	}
-	p.step = int64(float64(base) * recover)
-	if p.step < 1 {
-		p.step = 1
-	}
-	return p
-}
-
-func (p *Pacer) find(key LinkClass) int {
-	for i := range p.states {
-		if p.states[i].key == key {
-			return i
-		}
-	}
-	return -1
-}
-
-// OnSignal applies one congestion signal for the bottleneck key,
-// returning whether the applied rate was cut. hot=true cuts that
-// bottleneck's state multiplicatively toward the floor (creating it at
-// the contract rate on first sight) and freezes its recovery; a cooler
-// signal unfreezes it. The hosting runtime calls this ONCE per tenant
-// per delivered signal, however many member flows subscribe to the
-// bottleneck — that is the whole point.
-func (p *Pacer) OnSignal(now core.Time, key LinkClass, hot bool) bool {
-	i := p.find(key)
-	if !hot {
-		if i >= 0 {
-			p.states[i].hot = false
-		}
-		return false
-	}
-	if i < 0 {
-		p.states = append(p.states, aimd{key: key, rate: p.base})
-		i = len(p.states) - 1
-	}
-	st := &p.states[i]
-	st.hot = true
-	next := int64(float64(st.rate) * p.backoff)
-	if next < p.floor {
-		next = p.floor
-	}
-	if next == st.rate {
-		return false
-	}
-	st.rate = next
-	p.cuts++
-	before := p.cur
-	p.apply(now)
-	return p.cur < before
-}
-
-// Tick is one additive-recovery step across every unfrozen state; a
-// state reaching the contract is dropped. Returns whether anything
-// recovered (the caller keeps ticking while Throttled reports true).
-func (p *Pacer) Tick(now core.Time) bool {
-	changed := false
-	w := 0
-	for i := range p.states {
-		st := p.states[i]
-		if !st.hot && st.rate < p.base {
-			st.rate += p.step
-			changed = true
-			if st.rate >= p.base {
-				continue // fully recovered: forget the bottleneck
-			}
-		}
-		p.states[w] = st
-		w++
-	}
-	p.states = p.states[:w]
-	if !changed {
-		return false
-	}
-	p.recoveries++
-	p.apply(now)
-	return true
-}
-
-// apply recomputes the applied rate (min across states, ceiling base)
-// and pushes it to the bucket when it moved.
-func (p *Pacer) apply(now core.Time) {
-	cur := p.base
-	for i := range p.states {
-		if p.states[i].rate < cur {
-			cur = p.states[i].rate
-		}
-	}
-	if cur != p.cur {
-		p.cur = cur
-		p.bucket.SetRate(now, cur)
-	}
-}
-
-// UnfreezeAll clears every state's hot-freeze without touching rates.
-// The hosting runtime calls it when a member flow's (path, class)
-// subscription changes or a member closes: a frozen state may describe
-// a queue whose cooling transition will never be delivered to this
-// tenant again, and recovery must not wedge. A still-congested queue
-// re-freezes (and re-cuts) on its next Hot refresh.
-func (p *Pacer) UnfreezeAll() {
-	for i := range p.states {
-		p.states[i].hot = false
-	}
-}
-
-// Rate returns the applied pacing rate in bytes/second.
-func (p *Pacer) Rate() int64 { return p.cur }
-
-// Contract returns the quota contract (the AIMD ceiling).
-func (p *Pacer) Contract() int64 { return p.base }
-
-// Throttled reports whether any bottleneck currently holds the tenant
-// below its contract.
-func (p *Pacer) Throttled() bool { return len(p.states) > 0 }
-
-// HotLinks returns how many tracked bottlenecks are currently frozen
-// Hot.
-func (p *Pacer) HotLinks() int {
-	n := 0
-	for i := range p.states {
-		if p.states[i].hot {
-			n++
-		}
-	}
-	return n
-}
-
-// Tracking returns how many bottleneck states are live (hot or
-// recovering).
-func (p *Pacer) Tracking() int { return len(p.states) }
-
-// Cuts returns the lifetime count of multiplicative cuts.
-func (p *Pacer) Cuts() uint64 { return p.cuts }
-
-// Recoveries returns the lifetime count of additive recovery ticks that
-// moved a rate.
-func (p *Pacer) Recoveries() uint64 { return p.recoveries }

@@ -95,10 +95,10 @@ func TestPacerMinAcrossBottlenecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tn.Pacer()
-	k1 := LinkClass{From: 1, To: 2, Class: core.ServiceForwarding}
-	k2 := LinkClass{From: 2, To: 3, Class: core.ServiceForwarding}
+	k1 := feedback.LinkClass{From: 1, To: 2, Class: core.ServiceForwarding}
+	k2 := feedback.LinkClass{From: 2, To: 3, Class: core.ServiceForwarding}
 
-	if !p.OnSignal(0, k1, true) {
+	if !p.OnSignal(0, k1, feedback.Hot) {
 		t.Fatal("first Hot on k1 must cut")
 	}
 	if p.Rate() != 50_000 {
@@ -106,14 +106,14 @@ func TestPacerMinAcrossBottlenecks(t *testing.T) {
 	}
 	// A second bottleneck going Hot cuts from ITS own base — the applied
 	// rate is already below it, so the bucket does not move yet.
-	if p.OnSignal(0, k2, true) {
+	if p.OnSignal(0, k2, feedback.Hot) {
 		t.Fatal("k2's first cut (to 50k) must not lower the applied rate below k1's")
 	}
 	if p.Rate() != 50_000 || p.Tracking() != 2 {
 		t.Fatalf("rate %d tracking %d, want 50000/2", p.Rate(), p.Tracking())
 	}
 	// k1 cools and recovers past k2; the min must hold at k2's rate.
-	p.OnSignal(0, k1, false)
+	p.OnSignal(0, k1, feedback.Clear)
 	for i := 0; i < 20 && p.Tracking() == 2; i++ {
 		p.Tick(0)
 	}
@@ -125,7 +125,7 @@ func TestPacerMinAcrossBottlenecks(t *testing.T) {
 	}
 	// k2 cools too; full recovery must clear all state and restore the
 	// contract.
-	p.OnSignal(0, k2, false)
+	p.OnSignal(0, k2, feedback.Clear)
 	for i := 0; i < 20 && p.Throttled(); i++ {
 		p.Tick(0)
 	}
@@ -144,8 +144,8 @@ func TestPacerHotFreezeAndUnfreeze(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tn.Pacer()
-	k := LinkClass{From: 1, To: 2, Class: core.ServiceCaching}
-	p.OnSignal(0, k, true)
+	k := feedback.LinkClass{From: 1, To: 2, Class: core.ServiceCaching}
+	p.OnSignal(0, k, feedback.Hot)
 	got := p.Rate()
 	if p.Tick(0) {
 		t.Fatal("frozen state must not recover")
@@ -156,11 +156,11 @@ func TestPacerHotFreezeAndUnfreeze(t *testing.T) {
 	if p.HotLinks() != 1 {
 		t.Fatalf("hot links %d, want 1", p.HotLinks())
 	}
-	// UnfreezeAll lets recovery proceed even though no cool signal ever
+	// Unfreeze lets recovery proceed even though no cool signal ever
 	// arrived (the subscription-change path).
-	p.UnfreezeAll()
+	p.Unfreeze()
 	if p.HotLinks() != 0 {
-		t.Fatal("UnfreezeAll left a hot state")
+		t.Fatal("Unfreeze left a hot state")
 	}
 	if !p.Tick(0) {
 		t.Fatal("unfrozen state must recover")
@@ -174,9 +174,9 @@ func TestPacerFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tn.Pacer()
-	k := LinkClass{From: 1, To: 2, Class: core.ServiceForwarding}
+	k := feedback.LinkClass{From: 1, To: 2, Class: core.ServiceForwarding}
 	for i := 0; i < 10; i++ {
-		p.OnSignal(0, k, true)
+		p.OnSignal(0, k, feedback.Hot)
 	}
 	if p.Rate() != 250 {
 		t.Fatalf("rate %d, want the 250 floor", p.Rate())

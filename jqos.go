@@ -146,7 +146,8 @@
 // per-class enqueued/dequeued/dropped counters, live queue depth, and
 // deficit rounds per directed link. Nil Weights (the default) disables
 // scheduling: egress is a FIFO pass-through. See examples/fairshare and
-// experiment "fairshare".
+// experiment "fairshare", both built by worlds.NewContended (internal/worlds:
+// one 1 MB/s link, two bulk flows offering twice that, one interactive flow).
 //
 // # Congestion feedback
 //
@@ -186,9 +187,10 @@
 // is rejected, or shaped down to the honorable envelope when the spec
 // sets AdmissionShape; service moves and reroutes re-size it against
 // the new class share. See examples/backpressure and experiment
-// "backpressure": an interactive budget held at ≥95% with the class's
-// egress drops cut to zero, where the scheduler alone tail-drops
-// steadily.
+// "backpressure" (the same worlds.NewContended link, its bulk flows now
+// contracted and in the interactive flow's class): an interactive budget
+// held at ≥95% with the class's egress drops cut to zero, where the
+// scheduler alone tail-drops steadily.
 //
 // # Observability
 //
@@ -323,7 +325,7 @@
 //	dep.Run(10 * time.Second)
 //	ts, _ := dep.TenantStats(1) // quota drops, est. spend, pacer state
 //
-// See examples/tenancy and experiment "tenancy".
+// See examples/tenancy and experiment "tenancy", on worlds.Bottleneck.
 //
 // # Time
 //
