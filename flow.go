@@ -271,8 +271,9 @@ func (f *Flow) Send(payload []byte) core.Seq {
 
 // SendFlagged is Send with explicit header flags (e.g. FlagEndOfBurst).
 // The message is encoded once; per-destination copies only rewrite the
-// destination (and, for the cloud copy, the flags) in place. Sending on
-// a closed flow is a no-op returning 0.
+// destination (and, for the cloud copy, the flags). Every copy is a region
+// of one allocation, each region its recipient's alone. Sending on a
+// closed flow is a no-op returning 0.
 func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 	if f.closed {
 		return 0
@@ -296,25 +297,47 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 	f.metrics.Sent++
 	f.metrics.SentBytes += uint64(len(payload)) + wire.HeaderLen
 
-	// Direct path copies. The first destination encodes the message and
-	// keeps the buffer; later recipients each get a clone with Dst
-	// patched. Reading `encoded` after handing it to the emulator is
-	// safe because delivery is deferred and receive paths never mutate
-	// a delivered buffer in place (DC fan-out clones before RewriteDst);
-	// if that convention ever changes, clone before the first send too.
+	// One backing array holds every copy: a region per direct destination,
+	// plus the cloud copy's unless the service is Internet. A region is
+	// capacity-limited to one message, so no append reaches a sibling, and
+	// one left unused (no route, or Duplication declines) costs bytes, not
+	// an allocation.
+	direct := !(f.service == core.ServiceForwarding && f.spec.PathSwitch)
+	copies := 0
+	if direct {
+		copies = len(f.dsts)
+	}
+	if f.service != core.ServiceInternet {
+		copies++
+	}
+	n := wire.HeaderLen + len(payload)
+	var buf []byte
+	region := func() []byte {
+		if buf == nil {
+			buf = make([]byte, copies*n)
+		}
+		r := buf[:0:n]
+		buf = buf[n:]
+		return r
+	}
+
+	// Direct path copies. The first destination encodes the message; later
+	// recipients each get a copy of it with Dst patched. Reading `encoded`
+	// after sending it is safe because delivery is deferred: no recipient,
+	// the application included, holds it before this call returns.
 	var encoded []byte
-	if !(f.service == core.ServiceForwarding && f.spec.PathSwitch) {
+	if direct {
 		for _, dst := range f.dsts {
 			if !f.d.net.HasRoute(f.src, dst) {
 				continue
 			}
 			if encoded == nil {
 				hdr.Dst = dst
-				encoded = wire.AppendMessage(nil, &hdr, payload)
+				encoded = wire.AppendMessage(region(), &hdr, payload)
 				f.d.net.Send(f.src, dst, encoded)
 				continue
 			}
-			msg := append([]byte(nil), encoded...)
+			msg := append(region(), encoded...)
 			wire.RewriteDst(msg, dst)
 			f.d.net.Send(f.src, dst, msg)
 		}
@@ -343,13 +366,13 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 				}
 				var msg []byte
 				if encoded != nil {
-					msg = append([]byte(nil), encoded...)
+					msg = append(region(), encoded...)
 					wire.RewriteDst(msg, f.cloud)
 					wire.RewriteFlags(msg, cflags)
 				} else {
 					hdr.Dst = f.cloud
 					hdr.Flags = cflags
-					msg = wire.AppendMessage(nil, &hdr, payload)
+					msg = wire.AppendMessage(region(), &hdr, payload)
 				}
 				if traced {
 					f.d.tel.spanBegin(core.PacketID{Flow: f.id, Seq: f.seq}, now)

@@ -6,7 +6,6 @@
 package coding
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -108,13 +107,25 @@ func (s EncoderStats) Overhead() float64 {
 	return float64(s.CodedBytes) / float64(s.DataBytes)
 }
 
-// srcPkt is one enqueued data packet. payload is the encoder's own copy,
-// never written after OnData made it: the in-stream and the cross-stream
-// queue both hold the same slice.
+// srcPkt is one enqueued data packet. Its payload is the encoder's own
+// copy, never written while queued: the in-stream and the cross-stream
+// queue share it.
 type srcPkt struct {
-	ref     wire.SourceRef
-	payload []byte
+	ref  wire.SourceRef
+	kept *kept
 }
+
+// kept is the encoder's copy of one queued payload. refs counts the queues
+// holding it; when the last of them flushes, evicts or is forgotten, the
+// buffer goes to the spare list for a later packet to be copied into.
+type kept struct {
+	payload []byte
+	refs    int
+}
+
+// maxSpare bounds the encoder's spare list: enough for the packets after a
+// batch closes to reuse what it freed; an idle encoder holds no more.
+const maxSpare = 64
 
 type inQueue struct {
 	flow     core.FlowID
@@ -173,7 +184,9 @@ type crossKey struct {
 // both queues) and once per pair of parity rows to code it: when a batch
 // closes, each coded message is allocated once at its final size and the
 // codec writes the parity straight into its tail from the unpadded
-// payloads (rs.Codec.EncodePacked).
+// payloads (rs.Codec.EncodePacked). The copy lands in storage the encoder
+// recycles: a payload no queue holds any more goes to a bounded spare list
+// (see kept), so an OnData that closes no batch allocates nothing.
 type Encoder struct {
 	cfg  EncoderConfig
 	self core.NodeID
@@ -196,6 +209,8 @@ type Encoder struct {
 	sources  []wire.SourceRef
 	parity   [][]byte
 	emits    []core.Emit // the coded messages of the call in progress
+
+	spare []*kept // payload copies no queue holds, at most maxSpare
 
 	// earliest is the soonest deadline among open queues, 0 when none is
 	// open. A queue opening can only lower it; when a queue that may hold
@@ -238,6 +253,7 @@ func (e *Encoder) ForgetFlow(flow core.FlowID) {
 	if i, ok := e.inIndex(flow); ok {
 		if q := e.inQs[i]; len(q.pkts) > 0 {
 			e.closed(q.deadline)
+			e.release(q.pkts)
 		}
 		e.inQs = slices.Delete(e.inQs, i, i+1)
 	}
@@ -265,8 +281,8 @@ func (e *Encoder) TrackedFlows() int {
 // dc2 is the egress DC serving the flow's receiver (the spatial constraint:
 // only flows sharing dc2 are coded together); receiver is the flow's
 // endpoint, recorded in parity metadata for cooperative recovery.
-// The payload is copied, once, and both queues share the copy; the caller
-// keeps ownership of its buffer and may reuse it at once. A payload whose
+// The payload is copied, once, into recycled storage both queues share; the
+// caller keeps ownership of its buffer and may reuse it at once. A payload whose
 // packed size does not fit the coded header's 16-bit ShardLen (more than
 // 65 533 bytes) is not coded at all: it is counted in EncoderStats.Oversize
 // and travels on its direct path alone. Equivalent to OnDataPolicy with the
@@ -288,8 +304,8 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 	e.stats.DataPackets++
 	e.stats.DataBytes += uint64(len(payload))
 	pkt := srcPkt{
-		ref:     wire.SourceRef{Flow: flow, Seq: seq, Receiver: receiver},
-		payload: bytes.Clone(payload),
+		ref:  wire.SourceRef{Flow: flow, Seq: seq, Receiver: receiver},
+		kept: e.keep(payload),
 	}
 
 	// (1) In-stream coding (Algorithm 1 lines 1–5).
@@ -336,6 +352,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 				e.flushCross(now, dc2, q)
 			} else {
 				e.closed(q.deadline)
+				e.release(q.pkts)
 				q.reset()
 				e.stats.Evicted++
 			}
@@ -380,6 +397,7 @@ func (e *Encoder) flushIn(now core.Time, q *inQueue) {
 	e.stats.InBatches++
 	e.stats.InCoded += uint64(e.cfg.InParity)
 	e.closed(q.deadline)
+	e.release(q.pkts)
 	q.pkts = q.pkts[:0]
 	q.deadline = 0
 }
@@ -393,7 +411,35 @@ func (e *Encoder) flushCross(now core.Time, dc2 core.NodeID, q *crossQueue) {
 	e.stats.CrossBatches++
 	e.stats.CrossCoded += uint64(e.cfg.CrossParity)
 	e.closed(q.deadline)
+	e.release(q.pkts)
 	q.reset()
+}
+
+// keep copies payload into a spare buffer (a fresh one when none is left),
+// held once by each queue the packet joins: both with in-stream coding on.
+func (e *Encoder) keep(payload []byte) *kept {
+	var k *kept
+	if n := len(e.spare); n > 0 {
+		k, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		k = new(kept)
+	}
+	k.payload = append(k.payload[:0], payload...)
+	k.refs = 1
+	if e.cfg.InBlock > 0 {
+		k.refs = 2
+	}
+	return k
+}
+
+// release drops one queue's hold on each of pkts' payloads; a payload no
+// queue holds any more is spared while there is room.
+func (e *Encoder) release(pkts []srcPkt) {
+	for _, p := range pkts {
+		if p.kept.refs--; p.kept.refs == 0 && len(e.spare) < maxSpare {
+			e.spare = append(e.spare, p.kept)
+		}
+	}
 }
 
 // encodeBatch appends the parity Emits for a batch of data packets to
@@ -408,9 +454,9 @@ func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kin
 	e.payloads, e.sources, e.parity = e.payloads[:0], e.sources[:0], e.parity[:0]
 	longest := 0
 	for _, p := range pkts {
-		e.payloads = append(e.payloads, p.payload)
+		e.payloads = append(e.payloads, p.kept.payload)
 		e.sources = append(e.sources, p.ref)
-		longest = max(longest, len(p.payload))
+		longest = max(longest, len(p.kept.payload))
 	}
 	shardLen := rs.PackedSize(longest) // ≤ MaxUint16: OnData turned longer payloads away
 	e.batchSeq++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -497,6 +498,53 @@ func TestPayloadCopied(t *testing.T) {
 	}
 	if !seen[wire.CrossStream] || !seen[wire.InStream] {
 		t.Fatalf("flow 1's packet was checked in %v, want both queues", seen)
+	}
+}
+
+// TestOnDataSteadyStateAllocs pins the encoder's steady state: the payload
+// copy lands in a buffer a flushed batch gave back, so an OnData that closes
+// no batch allocates nothing, and one that closes batches allocates exactly
+// the parity messages it returns.
+func TestOnDataSteadyStateAllocs(t *testing.T) {
+	// Under the race detector append(dst, make(...)...), which marshalling
+	// a coded message's metadata uses, materialises its temporary.
+	roomy, n := make([]byte, 0, 64), 40
+	if testing.AllocsPerRun(10, func() { roomy = append(roomy[:0], make([]byte, n)...) }) != 0 {
+		t.Skip("this build allocates for append(dst, make(...)...)")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := testConfig()
+	e := mustEncoder(t, cfg)
+	payload := make([]byte, 200)
+	var seqs [7]core.Seq
+	i, emitted := 0, 0
+	next := func() {
+		flow := 1 + i%6
+		i++
+		seqs[flow]++
+		emitted = len(e.OnData(0, dc2, 100, core.FlowID(flow), seqs[flow], payload))
+	}
+	for j := 0; j < 1000; j++ { // every batch shape and scratch buffer grown
+		next()
+	}
+	var ms runtime.MemStats
+	quiet, closing := 0, 0
+	for j := 0; j < 1000; j++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		next()
+		runtime.ReadMemStats(&ms)
+		if n := ms.Mallocs - before; n != uint64(emitted) {
+			t.Fatalf("call %d: OnData allocates %d times returning %d parity messages", j, n, emitted)
+		}
+		if emitted == 0 {
+			quiet++
+		} else {
+			closing++
+		}
+	}
+	if quiet == 0 || closing == 0 {
+		t.Fatalf("%d quiet calls, %d closing: the script exercises one kind only", quiet, closing)
 	}
 }
 

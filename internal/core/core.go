@@ -128,33 +128,18 @@ type ClockFunc func() Time
 func (f ClockFunc) Now() Time { return f() }
 
 // Packet is the unit of application data inside the framework: one
-// transport segment intercepted below TCP/UDP (§5). Payload is owned by the
-// packet once handed to the framework.
+// transport segment intercepted below TCP/UDP (§5). A delivered Payload is
+// the arriving datagram's own bytes and belongs to the application: the
+// framework keeps no reference to it. It may share a backing array with the
+// packet's sibling copies (the sender allocates every copy of a send at
+// once), so an application that keeps many payloads past its delivery
+// handler should copy them rather than pin those arrays.
 type Packet struct {
 	ID      PacketID
 	Src     NodeID
 	Dst     NodeID
 	Sent    Time // when the sender released it
 	Payload []byte
-}
-
-// Size returns the wire size used for cost and bandwidth accounting:
-// payload plus the J-QoS header overhead.
-func (p *Packet) Size() int { return len(p.Payload) + HeaderOverhead }
-
-// HeaderOverhead is the accounting size of the J-QoS encapsulation header.
-// It mirrors wire.HeaderLen but is duplicated here as a plain constant so
-// core does not depend on the wire package. A build-time assertion in the
-// wire package keeps the two in sync.
-const HeaderOverhead = 40
-
-// Clone returns a deep copy of the packet (payload included). Protocol
-// cores that must retain packets beyond the call that delivered them clone
-// first, so callers keep ownership of their buffers (NoCopy-by-default).
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Payload = append([]byte(nil), p.Payload...)
-	return &q
 }
 
 // Emit is a wire-encoded message a protocol core wants transmitted. Cores
@@ -178,9 +163,10 @@ func RecycleEmits(buf []Emit) []Emit {
 }
 
 // Delivery is one application packet surfaced to the receiving endpoint,
-// with provenance for the experiment accounting.
+// with provenance for the experiment accounting. Its Packet's payload is
+// the application's from then on (see Packet).
 type Delivery struct {
-	Packet    *Packet
+	Packet    Packet
 	At        Time
 	Recovered bool    // true if a J-QoS service repaired it
 	Via       Service // which service produced it (ServiceInternet = direct)

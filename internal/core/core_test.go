@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestServiceStrings(t *testing.T) {
 	want := map[Service]string{
@@ -67,27 +64,6 @@ func TestPacketIDRoundTrip(t *testing.T) {
 	}
 	if NodeID(3).String() != "node3" {
 		t.Errorf("NodeID string = %q", NodeID(3).String())
-	}
-}
-
-func TestPacketSizeAndClone(t *testing.T) {
-	p := &Packet{
-		ID:      PacketID{Flow: 1, Seq: 2},
-		Src:     1,
-		Dst:     2,
-		Sent:    5 * time.Millisecond,
-		Payload: []byte("abc"),
-	}
-	if p.Size() != 3+HeaderOverhead {
-		t.Errorf("Size = %d", p.Size())
-	}
-	q := p.Clone()
-	q.Payload[0] = 'z'
-	if p.Payload[0] != 'a' {
-		t.Error("Clone shares payload storage")
-	}
-	if q.ID != p.ID || q.Sent != p.Sent {
-		t.Error("Clone dropped fields")
 	}
 }
 

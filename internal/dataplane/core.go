@@ -15,8 +15,14 @@
 // []core.Emit, a receiver's recovery.Result — is that engine's own buffer,
 // valid until the next call into the same engine. The cores send or deliver
 // every element before calling the engine again, so an Env / HostEnv must
-// not call Handle or OnTimer from Send or Deliver. The messages and packets
-// the elements name are per-message allocations their recipients own.
+// not call Handle or OnTimer from Send or Deliver.
+//
+// A message is a per-packet region its recipient uses alone: a DC fans a
+// group packet out as one copy per member, a host's receiver hands a
+// delivered payload to the application as it arrived and keeps a copy of
+// its own, and the engines copy what they keep into storage they recycle.
+// Regions may share a backing array (a sender allocates every copy of one
+// send at once), so a holder that keeps many of them long should copy.
 //
 // Neither core owns a clock, a socket or a topology. Its runtime passes
 // the time in and answers a few questions through Env / HostEnv. There

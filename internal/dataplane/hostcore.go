@@ -204,8 +204,10 @@ func (c *HostCore) refreshUnsolicited(flow core.FlowID) {
 
 // Handle dispatches one parsed message to the receiver of the flow it
 // names, then sends what the receiver emits and delivers what it
-// surfaces. It reports false when no receiver ran — an undecodable body,
-// an unknown type, a closed flow — so no deadline can have moved.
+// surfaces. Ownership of body passes to the receiver: a data or recovered
+// payload is delivered to the application as is, so the caller must not
+// reuse the bytes. It reports false when no receiver ran — an undecodable
+// body, an unknown type, a closed flow — so no deadline can have moved.
 func (c *HostCore) Handle(now core.Time, hdr *wire.Header, body []byte) bool {
 	var res recovery.Result
 	switch hdr.Type {

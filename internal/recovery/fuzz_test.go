@@ -116,7 +116,7 @@ func FuzzReceiver(f *testing.F) {
 			}
 			check(hdr.Type.String(), now, res, hdr.Src)
 			for _, d := range res.Deliveries {
-				if d.Packet == nil || d.Packet.Dst != self {
+				if d.Packet.Dst != self {
 					t.Fatalf("%v: delivery %+v is not addressed to this receiver", hdr.Type, d)
 				}
 			}

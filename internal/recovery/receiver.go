@@ -185,8 +185,10 @@ type flowState struct {
 	lastDirect  core.Time // last arrival on the direct path
 	pumpHigh    core.Seq  // highest seq the pump has NACKed
 	missing     map[core.Seq]*missState
-	// recent holds the delivered packets still in the window; order is a
-	// ring of their seqs, oldest at orderHead once it has filled.
+	// recent holds the receiver's own copies of the delivered packets still
+	// in the window; order is a ring of their seqs, oldest at orderHead once
+	// it has filled. A packet is copied into the buffer of the one it
+	// evicts, so a full window allocates nothing.
 	recent    map[core.Seq][]byte
 	order     []core.Seq
 	orderHead int
@@ -255,7 +257,10 @@ func (r *Receiver) flow(id core.FlowID) *flowState {
 	return fs
 }
 
-// OnData processes a data packet from the direct path.
+// OnData processes a data packet from the direct path. Ownership of payload
+// passes to the receiver: a delivery hands it to the application as is, and
+// the window keeps a copy of its own, so the caller must not touch the bytes
+// again.
 func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Result {
 	r.begin()
 	fs := r.flow(hdr.Flow)
@@ -316,28 +321,30 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 	return r.res
 }
 
-// accept delivers a packet and records it in the recent window, evicting
-// the oldest once that is full.
+// accept delivers a packet — payload itself, which the receiver owns — and
+// copies it into the recent window, into the buffer of the oldest entry
+// once the window is full.
 func (r *Receiver) accept(now core.Time, fs *flowState, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
-	cp := append([]byte(nil), payload...)
-	fs.recent[hdr.Seq] = cp
+	var buf []byte
 	if len(fs.order) < cap(fs.order) {
 		fs.order = append(fs.order, hdr.Seq)
 	} else {
 		old := fs.order[fs.orderHead]
+		buf = fs.recent[old]
+		delete(fs.recent, old)
 		fs.order[fs.orderHead] = hdr.Seq
 		fs.orderHead = (fs.orderHead + 1) % len(fs.order)
-		delete(fs.recent, old)
 	}
-	pkt := &core.Packet{
-		ID:      core.PacketID{Flow: hdr.Flow, Seq: hdr.Seq},
-		Src:     fs.src,
-		Dst:     r.cfg.Self,
-		Sent:    hdr.TS,
-		Payload: cp,
-	}
+	fs.recent[hdr.Seq] = append(buf[:0], payload...)
 	r.res.Deliveries = append(r.res.Deliveries, core.Delivery{
-		Packet: pkt, At: now, Recovered: recovered, Via: via, RecoveryDelay: recDelay,
+		Packet: core.Packet{
+			ID:      core.PacketID{Flow: hdr.Flow, Seq: hdr.Seq},
+			Src:     fs.src,
+			Dst:     r.cfg.Self,
+			Sent:    hdr.TS,
+			Payload: payload,
+		},
+		At: now, Recovered: recovered, Via: via, RecoveryDelay: recDelay,
 	})
 }
 
@@ -396,7 +403,8 @@ func (r *Receiver) resolve(fs *flowState, seq core.Seq) {
 }
 
 // OnRecovered processes a repaired packet from the DC (TypeRecovered from
-// coding, TypePullResp from caching).
+// coding, TypePullResp from caching). Ownership of payload passes to the
+// receiver, as for OnData.
 func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) Result {
 	r.begin()
 	fs := r.flow(hdr.Flow)

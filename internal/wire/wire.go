@@ -26,10 +26,6 @@ const Version = 1
 // HeaderLen is the fixed size of the common header.
 const HeaderLen = 40
 
-// Compile-time check that the accounting constant in core matches the real
-// header size.
-var _ [0]struct{} = [HeaderLen - core.HeaderOverhead]struct{}{}
-
 // MsgType enumerates J-QoS message kinds.
 type MsgType uint8
 

@@ -213,7 +213,7 @@ func TestRecorderMatchesNaiveModel(t *testing.T) {
 				continue
 			}
 			lat := time.Duration(rng.Intn(200_000)) * time.Microsecond
-			rec.observe(core.Delivery{Packet: &core.Packet{Sent: sent}, At: sent + lat})
+			rec.observe(core.Delivery{Packet: core.Packet{Sent: sent}, At: sent + lat})
 			worst = max(worst, lat)
 			if sent >= 0 {
 				model.sent, model.lat = append(model.sent, sent), append(model.lat, lat)
@@ -249,8 +249,8 @@ func TestRecorderWorstOnly(t *testing.T) {
 	d, dc1, dc2 := Paper(1, jqos.DefaultConfig())
 	_, host := HostPair(d, dc1, dc2)
 	rec := Record(d, host, 0, 0)
-	rec.observe(core.Delivery{Packet: &core.Packet{Sent: 10 * ms}, At: 52 * ms})
-	rec.observe(core.Delivery{Packet: &core.Packet{Sent: 20 * ms}, At: 31 * ms})
+	rec.observe(core.Delivery{Packet: core.Packet{Sent: 10 * ms}, At: 52 * ms})
+	rec.observe(core.Delivery{Packet: core.Packet{Sent: 20 * ms}, At: 31 * ms})
 	if rec.Worst != 42*ms || len(rec.Counts) != 0 || len(rec.Series("x").Points) != 0 {
 		t.Fatalf("worst %v counts %v", rec.Worst, rec.Counts)
 	}
@@ -295,7 +295,7 @@ func TestRecorderSeriesMatchesRerouteLoop(t *testing.T) {
 		case sent >= 1900*ms && sent < 2700*ms:
 			lat += 20 * ms
 		}
-		deliveries = append(deliveries, core.Delivery{Packet: &core.Packet{Sent: sent}, At: sent + lat})
+		deliveries = append(deliveries, core.Delivery{Packet: core.Packet{Sent: sent}, At: sent + lat})
 	}
 	d, dc1, dc2 := Paper(1, jqos.DefaultConfig())
 	_, host := HostPair(d, dc1, dc2)
