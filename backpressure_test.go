@@ -1,7 +1,9 @@
 package jqos_test
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -319,8 +321,8 @@ func TestFeedbackSubscriptionFollowsReroute(t *testing.T) {
 
 // TestSchedulerAwareAdmission: RegisterFlow sizes Rate/Burst contracts
 // against the class's weighted share of the path's bottleneck capacity
-// and the class queue cap — rejecting unhonorable contracts, or shaping
-// them down when the spec opted into shaping.
+// and the class queue cap, rejecting unhonorable contracts with the
+// envelope they broke.
 func TestSchedulerAwareAdmission(t *testing.T) {
 	build := func(capacity int64) (*jqos.Deployment, jqos.NodeID, jqos.NodeID) {
 		d := jqos.NewDeploymentWithConfig(74, backpressureConfig(capacity, false))
@@ -340,59 +342,40 @@ func TestSchedulerAwareAdmission(t *testing.T) {
 	src := d.AddHost(dc1, 5*time.Millisecond)
 	dst := d.AddHost(dc2, 8*time.Millisecond)
 
-	// An over-share contract without shaping is rejected.
-	if _, err := d.RegisterFlow(jqos.FlowSpec{
+	// reject registers spec and requires an error naming want — the
+	// envelope the contract broke.
+	reject := func(what string, spec jqos.FlowSpec, want string) {
+		t.Helper()
+		_, err := d.RegisterFlow(spec)
+		if err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", what, err, want)
+		}
+	}
+	// An over-share contract is rejected.
+	reject("over-share forwarding contract", jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 500 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
 		Rate: 900_000, Burst: 16 << 10,
-	}); err == nil {
-		t.Fatal("over-share forwarding contract accepted")
-	}
+	}, fmt.Sprintf("weighted share (%d B/s)", fwdShare))
 	// The caching class's share is far smaller — the same Rate that a
 	// forwarding contract may hold is rejected for caching.
-	if _, err := d.RegisterFlow(jqos.FlowSpec{
+	reject("over-share caching contract", jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 500 * time.Millisecond,
 		Service: jqos.ServiceCaching, ServiceFixed: true,
 		Rate: 200_000, Burst: 16 << 10,
-	}); err == nil {
-		t.Fatal("over-share caching contract accepted")
-	}
-	// With AdmissionShape the contract is shaped down to the share.
-	f, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst, Budget: 500 * time.Millisecond,
-		Service: jqos.ServiceForwarding, ServiceFixed: true,
-		Rate: 900_000, Burst: 16 << 10, AdmissionShape: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Spec().Rate; got != fwdShare {
-		t.Errorf("shaped Rate = %d, want the class share %d", got, fwdShare)
-	}
-	f.Close()
-	// A burst larger than the class queue cap is rejected (it would
-	// tail-drop even when conformant) or shaped to the cap.
-	if _, err := d.RegisterFlow(jqos.FlowSpec{
+	}, fmt.Sprintf("weighted share (%d B/s)", cchShare))
+	// A burst larger than the class queue cap is rejected: it would
+	// tail-drop even when conformant.
+	reject("over-cap burst", jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 500 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
 		Rate: 100_000, Burst: 100_000,
-	}); err == nil {
-		t.Fatal("over-cap burst accepted")
-	}
-	f, err = d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst, Budget: 500 * time.Millisecond,
-		Service: jqos.ServiceCaching, ServiceFixed: true,
-		Rate: 200_000, Burst: 100_000, AdmissionShape: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp := f.Spec(); sp.Rate != cchShare || sp.Burst != 64<<10 {
-		t.Errorf("shaped contract = %d/%d, want %d/%d", sp.Rate, sp.Burst, cchShare, int64(64<<10))
-	}
-	f.Close()
+	}, fmt.Sprintf("egress queue cap (%d B)", 64<<10))
 	// A within-envelope contract registers unchanged.
-	f, err = d.RegisterFlow(jqos.FlowSpec{
+	f, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 500 * time.Millisecond,
 		Service: jqos.ServiceForwarding, ServiceFixed: true,
 		Rate: 500_000, Burst: 16 << 10,
@@ -612,125 +595,6 @@ func TestCostViolationForcesDowngrade(t *testing.T) {
 	if ff.Service() != jqos.ServiceCaching {
 		t.Errorf("fixed flow moved to %v", ff.Service())
 	}
-}
-
-// shapeWatcher counts admission and egress events for the interplay test.
-type shapeWatcher struct {
-	admDrops    int
-	egressDrops int
-}
-
-func (w *shapeWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
-	switch e.Kind {
-	case telemetry.KindAdmissionDrop:
-		w.admDrops++
-	case telemetry.KindEgressDrop:
-		w.egressDrops++
-	}
-}
-
-// TestAdmissionShapeSchedulerInterplay: a shaped flow whose CONFORMANT
-// output still overflows its class queue must come out of the run with
-// clean ingress accounting (shaped, never admission-dropped) and
-// consistent egress-drop accounting (metrics == observer events ==
-// scheduler counters), with the class conserved packet for packet.
-func TestAdmissionShapeSchedulerInterplay(t *testing.T) {
-	const capacity = 500_000
-	cfg := backpressureConfig(capacity, false)
-	cfg.Scheduler.QueueBytes = 16 << 10 // tight cap: drops come fast
-	d := jqos.NewDeploymentWithConfig(77, cfg)
-	dc1 := d.AddDC("a", dataset.RegionUSEast)
-	dc2 := d.AddDC("b", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-	d.Network().LinkBetween(dc1, dc2).Rate = capacity
-	d.Network().LinkBetween(dc2, dc1).Rate = capacity
-
-	shapedWatch := &shapeWatcher{}
-	ss := d.AddHost(dc1, 5*time.Millisecond)
-	sd := d.AddHost(dc2, 8*time.Millisecond)
-	// Caching share is 1/10 of 500 kB/s = 50 kB/s (the idle Internet
-	// queue is excluded from the denominator); the contract sits under
-	// it and the burst under the queue cap, so registration accepts it
-	// unchanged — the flow is honorable, just unlucky in its neighbors.
-	shaped, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: ss, Dst: sd, Budget: 2 * time.Second,
-		Service: jqos.ServiceCaching, ServiceFixed: true,
-		Rate: 40_000, Burst: 4096, AdmissionShape: true,
-		OnEvent: shapedWatch.onEvent,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bulkWatch := &shapeWatcher{}
-	bs := d.AddHost(dc1, 5*time.Millisecond)
-	bd := d.AddHost(dc2, 8*time.Millisecond)
-	bulk, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: bs, Dst: bd, Budget: 2 * time.Second,
-		Service: jqos.ServiceCaching, ServiceFixed: true,
-		OnEvent: bulkWatch.onEvent,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 2 s of load: the uncontracted bulk flow offers ~640 kB/s against
-	// the 500 kB/s link, keeping the caching queue at its cap; the
-	// shaped flow offers 8-packet bursts every 250 ms (~33 kB/s mean —
-	// conformant after shaping, yet arriving into a full queue).
-	for i := 0; i < 2000; i++ {
-		at := time.Duration(i) * time.Millisecond
-		d.Sim().At(at, func() { bulk.Send(make([]byte, 600)) })
-		if i%250 == 0 {
-			d.Sim().At(at, func() {
-				for j := 0; j < 8; j++ {
-					shaped.Send(make([]byte, 1000))
-				}
-			})
-		}
-	}
-	d.Run(20 * time.Second)
-
-	sm, bm := shaped.Metrics(), bulk.Metrics()
-	// Ingress: shaping absorbed every burst — nothing was admission-
-	// dropped, and the shaper did real work.
-	if sm.AdmissionDropped != 0 {
-		t.Errorf("shaped flow admission-dropped %d packets (horizon too tight?)", sm.AdmissionDropped)
-	}
-	if sm.AdmissionShaped == 0 {
-		t.Error("no packets shaped — bursts fit the bucket, test premise broken")
-	}
-	if shapedWatch.admDrops != 0 {
-		t.Errorf("observer heard %d admission drops", shapedWatch.admDrops)
-	}
-	// Egress: the conformant output still hit the overflowing class
-	// queue; both flows' drops are surfaced consistently.
-	if sm.EgressDropped == 0 {
-		t.Fatal("shaped flow saw no egress drops — class queue never overflowed")
-	}
-	if uint64(shapedWatch.egressDrops) != sm.EgressDropped {
-		t.Errorf("shaped observer heard %d egress drops, metrics %d", shapedWatch.egressDrops, sm.EgressDropped)
-	}
-	if bm.EgressDropped == 0 || uint64(bulkWatch.egressDrops) != bm.EgressDropped {
-		t.Errorf("bulk egress drops inconsistent: observer %d, metrics %d", bulkWatch.egressDrops, bm.EgressDropped)
-	}
-	st, ok := d.Snapshot().Queue(dc1, dc2)
-	if !ok {
-		t.Fatal("no sched stats")
-	}
-	cch := st.PerClass[jqos.ServiceCaching]
-	// Every class drop is attributed to exactly one of the two flows.
-	if cch.DroppedPackets != sm.EgressDropped+bm.EgressDropped {
-		t.Errorf("class dropped %d, flows account %d+%d", cch.DroppedPackets, sm.EgressDropped, bm.EgressDropped)
-	}
-	// Conservation after drain: everything enqueued was dequeued.
-	if st.QueuedPackets != 0 || st.QueuedBytes != 0 {
-		t.Fatalf("backlog %d pkts/%d bytes after drain", st.QueuedPackets, st.QueuedBytes)
-	}
-	if cch.EnqueuedPackets != cch.DequeuedPackets {
-		t.Errorf("caching enqueued %d != dequeued %d after drain", cch.EnqueuedPackets, cch.DequeuedPackets)
-	}
-	shaped.Close()
-	bulk.Close()
 }
 
 // TestContractResizedOnServiceChange: scheduler-aware admission is not

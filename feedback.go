@@ -477,8 +477,8 @@ func (f *Flow) congestionAdapt() {
 }
 
 // congestionShift performs the move: first a downgrade under the normal
-// rules (floor, cost ceiling, Internet viability, predicted delay
-// within budget), then an upgrade under the same tier walk the
+// rules (cost ceiling, Internet viability, predicted delay within
+// budget), then an upgrade under the same tier walk the
 // budget-violation path uses. Reports whether the service changed.
 func (f *Flow) congestionShift() bool {
 	if f.downgrade(ReasonCongestion) {

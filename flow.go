@@ -23,13 +23,8 @@ type FlowMetrics struct {
 	Recovered uint64
 	OnTime    uint64
 	// AdmissionDropped counts cloud copies the flow's token-bucket
-	// contract refused; AdmissionShaped counts copies it decided to
-	// delay into conformance instead (FlowSpec.AdmissionShape) —
-	// counted at the shaping decision, so a copy still in the shaper
-	// when the flow closes is counted here though it never hits the
-	// wire. Both stay zero for flows without a Rate contract.
+	// contract refused. Zero for flows without a Rate contract.
 	AdmissionDropped uint64
-	AdmissionShaped  uint64
 	// EgressDropped counts copies a DC egress scheduler's class-queue
 	// byte cap dropped from the tail (Config.Scheduler) — contention
 	// losses inside the overlay, as opposed to AdmissionDropped's
@@ -69,10 +64,6 @@ func (m *FlowMetrics) LossRate() float64 {
 	return 1 - float64(m.Delivered)/float64(m.Sent)
 }
 
-// DuplicationPolicy decides which packets get a cloud copy. Returning
-// false keeps the packet Internet-only (selective duplication, §6.4).
-type DuplicationPolicy func(seq core.Seq, payload []byte) bool
-
 // Flow is one registered application stream.
 type Flow struct {
 	id      core.FlowID
@@ -83,8 +74,8 @@ type Flow struct {
 	service core.Service
 
 	// Declarative intent (normalized at registration) — the single
-	// source of truth for budget, floor/ceiling, fixedness, path policy,
-	// duplication, and the event subscriber. No mirrored copies: accessors and
+	// source of truth for budget, fixedness, path policy and the event
+	// subscriber. No mirrored copies: accessors and
 	// the adaptation loop read through it.
 	spec FlowSpec
 
@@ -300,8 +291,7 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 	// One backing array holds every copy: a region per direct destination,
 	// plus the cloud copy's unless the service is Internet. A region is
 	// capacity-limited to one message, so no append reaches a sibling, and
-	// one left unused (no route, or Duplication declines) costs bytes, not
-	// an allocation.
+	// one left unused (no route) costs bytes, not an allocation.
 	direct := !(f.service == core.ServiceForwarding && f.spec.PathSwitch)
 	copies := 0
 	if direct {
@@ -345,40 +335,38 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 
 	// Cloud copy toward DC1, policed by the admission contract.
 	if f.service != core.ServiceInternet {
-		if f.spec.Duplication == nil || f.spec.Duplication(f.seq, payload) {
-			if dc1, ok := f.d.topo.NearestDC(f.src); ok {
-				// Cloud copies are stamped with the ingress DC's current
-				// table epoch: transit DCs resolve the packet against that
-				// table version for as long as it stays live, so a reroute
-				// mid-flight never re-resolves (and reorders) traffic that
-				// entered the overlay under the old tables.
-				cflags := flags | wire.FlagDup
-				if dc, okDC := f.d.dcs[dc1]; okDC {
-					cflags |= wire.EpochFlags(dc.dp.Forwarder.Epoch())
-				}
-				// Deterministic trace sampling: every Nth cloud copy is
-				// stamped FlagTraced so the choke points downstream
-				// record spans for it. The trace opens here — ingress
-				// waits (quota, admission, pacing) are budget spend too.
-				traced := f.traceEvery > 0 && uint64(f.seq)%f.traceEvery == 0
-				if traced {
-					cflags |= wire.FlagTraced
-				}
-				var msg []byte
-				if encoded != nil {
-					msg = append(region(), encoded...)
-					wire.RewriteDst(msg, f.cloud)
-					wire.RewriteFlags(msg, cflags)
-				} else {
-					hdr.Dst = f.cloud
-					hdr.Flags = cflags
-					msg = wire.AppendMessage(region(), &hdr, payload)
-				}
-				if traced {
-					f.d.tel.spanBegin(core.PacketID{Flow: f.id, Seq: f.seq}, now)
-				}
-				f.sendCloud(now, dc1, msg, traced)
+		if dc1, ok := f.d.topo.NearestDC(f.src); ok {
+			// Cloud copies are stamped with the ingress DC's current
+			// table epoch: transit DCs resolve the packet against that
+			// table version for as long as it stays live, so a reroute
+			// mid-flight never re-resolves (and reorders) traffic that
+			// entered the overlay under the old tables.
+			cflags := flags | wire.FlagDup
+			if dc, okDC := f.d.dcs[dc1]; okDC {
+				cflags |= wire.EpochFlags(dc.dp.Forwarder.Epoch())
 			}
+			// Deterministic trace sampling: every Nth cloud copy is
+			// stamped FlagTraced so the choke points downstream
+			// record spans for it. The trace opens here, before the
+			// ingress contracts, so a copy they drop is counted.
+			traced := f.traceEvery > 0 && uint64(f.seq)%f.traceEvery == 0
+			if traced {
+				cflags |= wire.FlagTraced
+			}
+			var msg []byte
+			if encoded != nil {
+				msg = append(region(), encoded...)
+				wire.RewriteDst(msg, f.cloud)
+				wire.RewriteFlags(msg, cflags)
+			} else {
+				hdr.Dst = f.cloud
+				hdr.Flags = cflags
+				msg = wire.AppendMessage(region(), &hdr, payload)
+			}
+			if traced {
+				f.d.tel.spanBegin(core.PacketID{Flow: f.id, Seq: f.seq}, now)
+			}
+			f.sendCloud(now, dc1, msg, traced)
 		}
 	}
 	return f.seq
@@ -386,10 +374,8 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 
 // sendCloud puts one packet's cloud copy on the uplink, subject first
 // to the tenant's aggregate quota and then to the flow's own admission
-// contract: no contract sends immediately, a policing contract drops
-// the excess, a shaping contract delays it into conformance (bounded by
-// the budget — a copy later than that cannot help and drops like
-// policed excess). A multicast flow is charged at wire size × member
+// contract: no contract sends immediately, a contract polices — the
+// excess is dropped. A multicast flow is charged at wire size × member
 // count against both contracts: one uplink copy fans out to every
 // member, and a contract that priced it as one copy would let a
 // thousand-member group consume a thousand times its quota.
@@ -412,14 +398,7 @@ func (f *Flow) sendCloud(now core.Time, dc1 core.NodeID, msg []byte, traced bool
 		f.noteTenantQuotaDrop(n)
 		return
 	}
-	if f.bucket == nil {
-		if traced {
-			f.d.tel.spanTxID(pid, now)
-		}
-		f.d.net.Send(f.src, dc1, msg)
-		return
-	}
-	if !f.spec.AdmissionShape {
+	if f.bucket != nil {
 		if !f.bucket.Admit(now, n) {
 			if traced {
 				f.d.tel.spanDrop(pid)
@@ -427,82 +406,16 @@ func (f *Flow) sendCloud(now core.Time, dc1 core.NodeID, msg []byte, traced bool
 			f.noteAdmissionDrop(n)
 			return
 		}
-		f.notePaced(n)
-		if traced {
-			f.d.tel.spanTxID(pid, now)
-		}
-		f.d.net.Send(f.src, dc1, msg)
-		return
-	}
-	// The shaping horizon is the budget MINUS the cloud path's predicted
-	// delay: a copy held longer than that arrives past the budget, so
-	// admitting it would spend contract tokens and billable egress on a
-	// delivery that cannot help.
-	limit := f.spec.Budget
-	if limit <= 0 {
-		limit = 100 * time.Millisecond // fixed-service flows may have no budget
-	}
-	if d, ok := f.predictDelay(f.service); ok {
-		limit -= d
-		if limit < 0 {
-			limit = 0 // only already-conformant copies pass
+		// Admitted while congestion feedback holds the flow below its
+		// contract rate.
+		if f.pacer != nil && f.pacer.Throttled() {
+			f.metrics.PacedBytes += uint64(n)
 		}
 	}
-	wait, ok := f.bucket.ReserveWithin(now, n, limit)
-	switch {
-	case !ok:
-		if traced {
-			f.d.tel.spanDrop(pid)
-		}
-		f.noteAdmissionDrop(n)
-	case wait == 0:
-		f.notePaced(n)
-		if traced {
-			f.d.tel.spanTxID(pid, now)
-		}
-		f.d.net.Send(f.src, dc1, msg)
-	default:
-		f.metrics.AdmissionShaped++
-		// The paced-bytes decision is made now (the cut is active at
-		// admission time) but only counts if the copy actually leaves —
-		// Close can cancel the deferred send, and PacedBytes promises
-		// bytes that CROSSED the ingress.
-		paced := f.pacer != nil && f.pacer.Throttled()
-		// The shaper hold is budget spend: charged to SpanPacer when a
-		// congestion cut is holding the rate down (the wait exists
-		// because of backpressure), to SpanAdmission otherwise (plain
-		// contract conformance).
-		if traced {
-			comp := telemetry.SpanAdmission
-			if paced {
-				comp = telemetry.SpanPacer
-			}
-			f.d.tel.spanWait(pid, comp, wait)
-		}
-		f.d.sim.After(wait, func() {
-			if f.closed {
-				if traced {
-					f.d.tel.spanDrop(pid)
-				}
-				return
-			}
-			if paced {
-				f.metrics.PacedBytes += uint64(n)
-			}
-			if traced {
-				f.d.tel.spanTxID(pid, f.d.sim.Now())
-			}
-			f.d.net.Send(f.src, dc1, msg)
-		})
+	if traced {
+		f.d.tel.spanTxID(pid, now)
 	}
-}
-
-// notePaced accounts one cloud copy admitted while congestion feedback
-// held the flow below its contract rate.
-func (f *Flow) notePaced(n int) {
-	if f.pacer != nil && f.pacer.Throttled() {
-		f.metrics.PacedBytes += uint64(n)
-	}
+	f.d.net.Send(f.src, dc1, msg)
 }
 
 // noteTenantQuotaDrop accounts one cloud copy refused by the tenant's
@@ -659,13 +572,12 @@ func (f *Flow) predictDelay(svc core.Service) (core.Time, bool) {
 }
 
 // nextCostlierTier walks up from the current service to the nearest
-// higher tier the spec's service ceiling AND cost ceiling allow, ok
-// false when none exists. The budget-violation upgrade and the
-// congestion-driven shift share this walk, so their tier selection can
-// never diverge.
+// higher tier the spec's cost ceiling allows, ok false when none
+// exists. The budget-violation upgrade and the congestion-driven shift
+// share this walk, so their tier selection can never diverge.
 func (f *Flow) nextCostlierTier() (core.Service, bool) {
 	next := f.service
-	for next < f.spec.ServiceCeiling && next < core.ServiceForwarding {
+	for next < core.ServiceForwarding {
 		next++
 		if f.withinCostCeiling(next) {
 			break
@@ -678,10 +590,10 @@ func (f *Flow) nextCostlierTier() (core.Service, bool) {
 }
 
 // upgrade moves the flow to the next more expensive service that honors
-// the spec's service ceiling AND its cost ceiling — a budget violation
-// never buys a service the caller declared too expensive (tiers priced
-// past the ceiling are skipped; with none left the flow stays put, and
-// the budget-violation event already said why).
+// the spec's cost ceiling — a budget violation never buys a service the
+// caller declared too expensive (tiers priced past the ceiling are
+// skipped; with none left the flow stays put, and the budget-violation
+// event already said why).
 func (f *Flow) upgrade() {
 	if f.spec.ServiceFixed {
 		return
@@ -721,9 +633,9 @@ func (f *Flow) flapWindow() time.Duration {
 	return 2 * downgradeAfter * f.d.cfg.UpgradeInterval
 }
 
-// downgrade steps the flow to the nearest cheaper tier that the floor,
-// the Internet policy, and the cost ceiling allow AND whose predicted
-// delay fits the budget. Tiers failing either check are skipped, not
+// downgrade steps the flow to the nearest cheaper tier that the Internet
+// policy and the cost ceiling allow AND whose predicted delay fits the
+// budget. Tiers failing either check are skipped, not
 // stopped at — neither price nor latency is monotonic in tier order
 // (coding can out-price caching at high α, and can predict slower than
 // plain Internet), so a failing intermediate tier must not wall off a
@@ -734,7 +646,7 @@ func (f *Flow) downgrade(reason ServiceChangeReason) bool {
 	if f.spec.ServiceFixed {
 		return false
 	}
-	for next := f.service; next > f.spec.ServiceFloor; {
+	for next := f.service; next > core.ServiceInternet; {
 		next--
 		if next == core.ServiceInternet && (!f.spec.AllowInternet || !f.d.internetViable(f.src, f.dsts)) {
 			// Dropping the cloud copy would cut off any destination
@@ -765,7 +677,7 @@ func (f *Flow) downgrade(reason ServiceChangeReason) bool {
 // setting it) and the upgrade path will never re-buy a tier the
 // ceiling forbids. Returns whether a move happened.
 func (f *Flow) forceCheaper() bool {
-	for next := f.service; next > f.spec.ServiceFloor; {
+	for next := f.service; next > core.ServiceInternet; {
 		next--
 		if next == core.ServiceInternet && (!f.spec.AllowInternet || !f.d.internetViable(f.src, f.dsts)) {
 			return false

@@ -144,12 +144,6 @@ type FlowSpec struct {
 	Service      Service
 	ServiceFixed bool
 
-	// ServiceFloor / ServiceCeiling bound both initial selection and the
-	// adaptation loop: the flow never runs below the floor or above the
-	// ceiling. Zero ceiling means no ceiling (ServiceForwarding).
-	ServiceFloor   Service
-	ServiceCeiling Service
-
 	// AllowInternet lets selection (and downgrades) use plain
 	// best-effort Internet when it fits the budget; by default J-QoS
 	// always provides a recovery service.
@@ -181,11 +175,10 @@ type FlowSpec struct {
 	// copies are policed at the ingress by a token bucket refilling at
 	// Rate bytes/second with Burst bytes of depth. Packets exceeding the
 	// contract lose their cloud copy (dropped, with an admission-drop
-	// event and FlowMetrics.AdmissionDropped) or —
-	// with AdmissionShape — are delayed into conformance. The direct
-	// Internet copy is never policed: admission governs cloud resources
-	// only, so one greedy flow cannot starve the overlay (§2's judicious
-	// use). Zero disables admission — the exact pre-contract behavior.
+	// event and FlowMetrics.AdmissionDropped). The direct Internet copy
+	// is never policed: admission governs cloud resources only, so one
+	// greedy flow cannot starve the overlay (§2's judicious use). Zero
+	// disables admission — the exact pre-contract behavior.
 	//
 	// A multicast flow's single cloud copy fans out to every member at
 	// the egress DC, so admission charges it at wire size × member
@@ -199,16 +192,6 @@ type FlowSpec struct {
 	// (payload + 40-byte header): a packet larger than the depth can
 	// never conform and loses its cloud copy every time.
 	Burst int64
-	// AdmissionShape delays non-conformant cloud copies until the bucket
-	// refills instead of dropping them (counted in
-	// FlowMetrics.AdmissionShaped). The delay is bounded by the flow's
-	// budget — a cloud copy that would leave later than the budget
-	// cannot help and drops as if policed.
-	AdmissionShape bool
-
-	// Duplication selects which packets get a cloud copy (selective
-	// duplication, §6.4). Nil duplicates everything.
-	Duplication DuplicationPolicy
 
 	// OnEvent, when set, hears every control-loop event about this flow
 	// — service changes, reroutes, budget and cost violations, admission
@@ -233,10 +216,10 @@ type FlowSpec struct {
 }
 
 // RegisterFlow creates a flow from declarative intent: it validates the
-// spec, picks the cheapest service satisfying budget, floor/ceiling, and
-// cost ceiling (§3.5, cost-extended), resolves the path policy against
-// the routing controller's k-alternates, seeds the receivers, and starts
-// the bidirectional adaptation loop.
+// spec, picks the cheapest service satisfying budget and cost ceiling
+// (§3.5, cost-extended), resolves the path policy against the routing
+// controller's k-alternates, seeds the receivers, and starts the
+// bidirectional adaptation loop.
 func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	if _, ok := d.hosts[spec.Src]; !ok {
 		return nil, fmt.Errorf("jqos: source %v is not a host", spec.Src)
@@ -266,13 +249,6 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	if spec.Budget <= 0 && !spec.ServiceFixed {
 		return nil, fmt.Errorf("jqos: flow needs a positive latency budget, got %v", spec.Budget)
 	}
-	floor, ceiling := spec.ServiceFloor, spec.ServiceCeiling
-	if ceiling == 0 {
-		ceiling = core.ServiceForwarding
-	}
-	if floor > ceiling {
-		return nil, fmt.Errorf("jqos: service floor %v above ceiling %v", floor, ceiling)
-	}
 	// Admission contract: normalize the burst default here so Spec()
 	// reflects the effective contract.
 	if spec.Rate < 0 {
@@ -281,8 +257,8 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	if spec.Burst < 0 {
 		return nil, fmt.Errorf("jqos: negative admission Burst %d", spec.Burst)
 	}
-	if spec.Rate == 0 && (spec.Burst != 0 || spec.AdmissionShape) {
-		return nil, fmt.Errorf("jqos: Burst/AdmissionShape need a positive admission Rate contract")
+	if spec.Rate == 0 && spec.Burst != 0 {
+		return nil, fmt.Errorf("jqos: Burst needs a positive admission Rate contract")
 	}
 	if spec.TraceSampling < 0 || spec.TraceSampling > 1 {
 		return nil, fmt.Errorf("jqos: TraceSampling %v outside [0, 1]", spec.TraceSampling)
@@ -342,7 +318,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	}
 	svc := spec.Service
 	if svc != core.ServiceInternet && !spec.ServiceFixed {
-		return nil, fmt.Errorf("jqos: Service %v set without ServiceFixed — pin it with ServiceFixed, or bias selection with ServiceFloor", svc)
+		return nil, fmt.Errorf("jqos: Service %v set without ServiceFixed — pin it with ServiceFixed", svc)
 	}
 	if spec.ServiceFixed {
 		// Guard the zero-value trap: Service's zero value IS
@@ -352,15 +328,11 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		if svc == core.ServiceInternet && !spec.AllowInternet {
 			return nil, fmt.Errorf("jqos: ServiceFixed with ServiceInternet needs AllowInternet (set Service explicitly to pin a recovery service)")
 		}
-		if svc < spec.ServiceFloor || (spec.ServiceCeiling != 0 && svc > spec.ServiceCeiling) {
-			return nil, fmt.Errorf("jqos: fixed service %v outside floor/ceiling [%v, %v]", svc, spec.ServiceFloor, spec.ServiceCeiling)
-		}
 		if spec.CostCeilingPerGB > 0 {
 			if per := d.costPerGB(svc); per > spec.CostCeilingPerGB {
 				return nil, fmt.Errorf("jqos: fixed service %v costs $%.4f/GB, above the spec's $%.4f/GB ceiling", svc, per, spec.CostCeilingPerGB)
 			}
 		}
-		floor, ceiling = svc, svc
 	} else {
 		// Select against the first destination (multicast members are
 		// assumed latency-similar, as in the paper's hybrid multicast).
@@ -369,8 +341,6 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		s, _, ok := d.topo.SelectServiceWith(spec.Src, dsts[0], overlay.ServicePolicy{
 			Budget:           spec.Budget,
 			RequireRecovery:  !spec.AllowInternet || !d.internetViable(spec.Src, dsts),
-			Floor:            floor,
-			Ceiling:          ceiling,
 			CostCeilingPerGB: spec.CostCeilingPerGB,
 			Alpha:            d.cfg.Encoder.Alpha(),
 			PathLatency:      policyPathLat,
@@ -384,40 +354,23 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	// Scheduler-aware admission: under contention a class is guaranteed
 	// only its weighted share of each link, so a Rate contract above the
 	// class's share of the path's bottleneck capacity can never be
-	// honored — reject it outright, or (with AdmissionShape, which
-	// already declared "delay me into conformance") shape the contract
-	// down to the honorable envelope. Burst is bounded by the class
-	// queue's byte cap the same way: a conformant burst larger than the
-	// queue would tail-drop at the egress no matter what the ingress
-	// admitted.
+	// honored and is rejected. Burst is bounded by the class queue's byte
+	// cap the same way: a conformant burst larger than the queue would
+	// tail-drop at the egress no matter what the ingress admitted.
 	if bucket != nil && d.cfg.Scheduler.Enabled() {
 		if share, queueCap, ok := d.admissionEnvelope(svc, spec.Src, multicast, cloud, policyPath); ok {
-			reshaped := false
 			if spec.Rate > share {
-				if !spec.AdmissionShape {
-					return nil, fmt.Errorf("jqos: admission Rate %d B/s exceeds the %v class's weighted share (%d B/s) of the path's bottleneck link — unhonorable under contention; lower Rate, raise the class weight or link capacity, or set AdmissionShape to accept the share",
-						spec.Rate, svc, share)
-				}
-				spec.Rate = share
-				reshaped = true
+				return nil, fmt.Errorf("jqos: admission Rate %d B/s exceeds the %v class's weighted share (%d B/s) of the path's bottleneck link — unhonorable under contention; lower Rate, or raise the class weight or link capacity",
+					spec.Rate, svc, share)
 			}
 			if queueCap > 0 && spec.Burst > queueCap {
-				if !spec.AdmissionShape {
-					return nil, fmt.Errorf("jqos: admission Burst %d B exceeds the %v class's egress queue cap (%d B) — a conformant burst that large tail-drops anyway; lower Burst, raise Scheduler.QueueBytes, or set AdmissionShape to accept the cap",
-						spec.Burst, svc, queueCap)
-				}
-				spec.Burst = queueCap
-				reshaped = true
-			}
-			if reshaped {
-				bucket = load.NewBucket(spec.Rate, spec.Burst)
-				spec.Burst = bucket.Burst()
+				return nil, fmt.Errorf("jqos: admission Burst %d B exceeds the %v class's egress queue cap (%d B) — a conformant burst that large tail-drops anyway; lower Burst, or raise Scheduler.QueueBytes",
+					spec.Burst, svc, queueCap)
 			}
 		}
 	}
 	// Store the spec normalized so Spec() reflects the effective policy:
-	// defaulted ceiling, collapsed fixed range, owned member slice.
-	spec.ServiceFloor, spec.ServiceCeiling = floor, ceiling
+	// defaulted burst, owned member slice.
 	if multicast {
 		spec.Members = dsts
 	}

@@ -56,15 +56,10 @@ func TestFlowSpecValidation(t *testing.T) {
 		{"dst and members both set", jqos.FlowSpec{Src: src, Dst: dst, Group: 50,
 			Members: []jqos.NodeID{dst}, Budget: time.Second}},
 		{"no budget", jqos.FlowSpec{Src: src, Dst: dst}},
-		{"floor above ceiling", jqos.FlowSpec{Src: src, Dst: dst, Budget: time.Second,
-			ServiceFloor: jqos.ServiceForwarding, ServiceCeiling: jqos.ServiceCoding}},
 		// Service's zero value is ServiceInternet: a bare ServiceFixed
 		// must not silently strip cloud recovery.
 		{"fixed zero-value service", jqos.FlowSpec{Src: src, Dst: dst, Budget: time.Second,
 			ServiceFixed: true}},
-		{"fixed service outside ceiling", jqos.FlowSpec{Src: src, Dst: dst, Budget: time.Second,
-			Service: jqos.ServiceForwarding, ServiceFixed: true,
-			ServiceCeiling: jqos.ServiceCaching}},
 		// Service without ServiceFixed would be silently ignored by
 		// selection — reject the ambiguity instead.
 		{"service without fixed", jqos.FlowSpec{Src: src, Dst: dst, Budget: time.Second,
@@ -80,7 +75,7 @@ func TestFlowSpecValidation(t *testing.T) {
 // TestBidirectionalAdaptation is the downgrade acceptance scenario: a
 // flow upgrades while the direct path is congested, then — after the
 // path recovers and the flow sustains over-delivery — steps back down,
-// never crossing its service floor, with hysteresis backing off after a
+// never below coding (Internet is not allowed), with hysteresis backing off after a
 // premature downgrade gets reversed.
 func TestBidirectionalAdaptation(t *testing.T) {
 	cfg := jqos.DefaultConfig()
@@ -96,9 +91,8 @@ func TestBidirectionalAdaptation(t *testing.T) {
 	rec := &recorder{}
 	f, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst,
-		Budget:       100 * time.Millisecond,
-		ServiceFloor: jqos.ServiceCoding,
-		OnEvent:      rec.onEvent,
+		Budget:  100 * time.Millisecond,
+		OnEvent: rec.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +126,7 @@ func TestBidirectionalAdaptation(t *testing.T) {
 	downs := 0
 	for _, ch := range rec.changes {
 		if ch.To > jqos.ServiceForwarding || ch.To < jqos.ServiceCoding {
-			t.Errorf("service left [floor, ceiling]: %+v", ch)
+			t.Errorf("service left [coding, forwarding]: %+v", ch)
 		}
 		if ch.Reason == jqos.ReasonOverDelivery {
 			downs++
@@ -145,9 +139,9 @@ func TestBidirectionalAdaptation(t *testing.T) {
 		t.Fatalf("downgrades = %d, want ≥2 (changes: %+v)", downs, rec.changes)
 	}
 	// Over-delivering on the repaired 60 ms path, the flow must end at
-	// its floor — the cheapest service whose prediction fits.
+	// coding — the cheapest recovery service whose prediction fits.
 	if f.Service() != jqos.ServiceCoding {
-		t.Errorf("final service = %v, want coding (floor); changes: %+v",
+		t.Errorf("final service = %v, want coding; changes: %+v",
 			f.Service(), rec.changes)
 	}
 	if len(f.Changes()) != len(rec.changes) {
@@ -192,46 +186,6 @@ func TestAdaptationResumesAfterIdle(t *testing.T) {
 	if len(f.Upgrades()) == 0 {
 		t.Fatalf("adaptation never resumed after idle: service=%v onTime=%d/%d",
 			f.Service(), f.Metrics().OnTime, f.Metrics().Delivered)
-	}
-}
-
-// TestServiceCeilingCapsUpgrades: with a ceiling below forwarding, a
-// persistently violating flow parks at the ceiling instead of climbing
-// past it.
-func TestServiceCeilingCapsUpgrades(t *testing.T) {
-	cfg := jqos.DefaultConfig()
-	cfg.UpgradeInterval = 500 * time.Millisecond
-	d := jqos.NewDeploymentWithConfig(21, cfg)
-	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
-	dc2 := d.AddDC("eu-west", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 30*time.Millisecond)
-	src := d.AddHost(dc1, 3*time.Millisecond)
-	dst := d.AddHost(dc2, 4*time.Millisecond)
-	d.SetDirectPath(src, dst, netem.FixedDelay(60*time.Millisecond), nil)
-	f, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst,
-		Budget:         100 * time.Millisecond,
-		ServiceCeiling: jqos.ServiceCaching,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		at := time.Duration(i) * 10 * time.Millisecond
-		d.Sim().At(at, func() { f.Send([]byte("tick")) })
-	}
-	d.Sim().At(time.Second, func() {
-		d.Network().Connect(src, dst,
-			netem.NewLink(d.Sim(), netem.FixedDelay(150*time.Millisecond), nil))
-	})
-	d.Run(15 * time.Second)
-	if f.Service() != jqos.ServiceCaching {
-		t.Errorf("final service = %v, want caching (the ceiling)", f.Service())
-	}
-	for _, ch := range f.Changes() {
-		if ch.To > jqos.ServiceCaching {
-			t.Errorf("upgrade crossed the ceiling: %+v", ch)
-		}
 	}
 }
 

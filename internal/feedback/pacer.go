@@ -58,8 +58,7 @@ func (c PacerConfig) withDefaults() PacerConfig {
 // state for its whole path; a tenant's runtime passes the signal's own key,
 // ONCE per tenant per delivered signal, however many member flows heard it.
 // The pacer owns only the bucket's RATE; its burst depth and token balance
-// are untouched, so pacing composes with both policing and shaping
-// admission.
+// are untouched, so pacing composes with policing admission.
 type Pacer struct {
 	bucket *load.Bucket
 	cfg    PacerConfig // resolved (withDefaults applied)

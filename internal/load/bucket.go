@@ -3,9 +3,9 @@ package load
 import "jqos/internal/core"
 
 // Bucket is a token bucket policing one flow's admission contract: it
-// refills at rate bytes/second up to burst bytes of depth. Admit and
-// ReserveWithin are allocation-free; callers drive it with the hosting
-// runtime's virtual clock.
+// refills at rate bytes/second up to burst bytes of depth. Admit is
+// allocation-free; callers drive it with the hosting runtime's virtual
+// clock.
 type Bucket struct {
 	rate   float64 // bytes per second
 	burst  float64
@@ -17,9 +17,8 @@ type Bucket struct {
 // zero admits nothing and should be expressed by not policing at all);
 // burst <= 0 defaults to a quarter second of rate, floored at one
 // 1500-byte MTU. Note the classic token-bucket property: a packet larger
-// than the burst depth can NEVER conform — Admit refuses it forever and
-// ReserveWithin's wait never fits — so callers must size burst to at
-// least their largest packet.
+// than the burst depth can NEVER conform — Admit refuses it forever — so
+// callers must size burst to at least their largest packet.
 func NewBucket(rate, burst int64) *Bucket {
 	if rate <= 0 {
 		panic("load: token bucket needs a positive rate")
@@ -79,28 +78,4 @@ func (b *Bucket) Admit(now core.Time, n int) bool {
 	}
 	b.tokens -= float64(n)
 	return true
-}
-
-// ReserveWithin admits n tokens even when the bucket is empty, letting the
-// balance go negative, and returns how long a shaper must hold the packet
-// until it conforms. When conformance is further away than max, nothing is
-// consumed and ok is false — the packet is too late to be worth shaping
-// and should be dropped like a policed excess. A packet larger than the
-// burst depth never conforms (same contract as Admit), whatever the wait.
-func (b *Bucket) ReserveWithin(now core.Time, n int, max core.Time) (wait core.Time, ok bool) {
-	if float64(n) > b.burst {
-		return 0, false
-	}
-	b.refill(now)
-	need := float64(n) - b.tokens
-	if need <= 0 {
-		b.tokens -= float64(n)
-		return 0, true
-	}
-	wait = core.Time(need / b.rate * 1e9)
-	if wait > max {
-		return 0, false
-	}
-	b.tokens -= float64(n)
-	return wait, true
 }

@@ -124,31 +124,6 @@ func TestBucketDefaults(t *testing.T) {
 	NewBucket(0, 0)
 }
 
-func TestBucketReserveWithin(t *testing.T) {
-	b := NewBucket(10_000, 2000)
-	if wait, ok := b.ReserveWithin(0, 2000, ms(500)); !ok || wait != 0 {
-		t.Fatalf("conformant reserve = %v %v", wait, ok)
-	}
-	// The bucket is empty; 1000 bytes conform 100 ms out.
-	wait, ok := b.ReserveWithin(0, 1000, ms(500))
-	if !ok || wait != ms(100) {
-		t.Fatalf("shaped reserve = %v %v, want 100ms", wait, ok)
-	}
-	// Debt accumulates: the next 1000 bytes are 200 ms out, and a cap
-	// below that refuses without consuming.
-	if _, ok := b.ReserveWithin(0, 1000, ms(150)); ok {
-		t.Fatal("reserve beyond cap admitted")
-	}
-	if wait, ok := b.ReserveWithin(0, 1000, ms(500)); !ok || wait != ms(200) {
-		t.Fatalf("post-refusal reserve = %v %v, want 200ms (refusal must not consume)", wait, ok)
-	}
-	// Over-burst packets never conform, in shaping mode just like in
-	// policing mode — however generous the cap.
-	if _, ok := b.ReserveWithin(ms(10_000), 2001, ms(60_000)); ok {
-		t.Fatal("over-burst packet admitted by shaper")
-	}
-}
-
 func TestRegistryUtilization(t *testing.T) {
 	r := NewRegistry(time.Second)
 	a, b := core.NodeID(1), core.NodeID(2)

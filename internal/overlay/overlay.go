@@ -258,30 +258,20 @@ func (t *Topology) SelectService(src, dst core.NodeID, budget core.Time, require
 }
 
 // ServicePolicy constrains SelectServiceWith beyond the plain latency
-// budget: a service floor and ceiling, and an egress-dollar ceiling under
-// a cost model — the declarative knobs a FlowSpec exposes.
+// budget: an egress-dollar ceiling under the default cost model and the
+// latency of a pinned path — the declarative knobs a FlowSpec exposes.
 type ServicePolicy struct {
 	// Budget is the delivery-latency budget a service's prediction must
 	// fit.
 	Budget core.Time
 	// RequireRecovery skips plain best-effort Internet even when it fits.
 	RequireRecovery bool
-	// Floor is the cheapest service selection may return.
-	Floor core.Service
-	// Ceiling is the most expensive service selection may return; the
-	// zero value means no ceiling (ServiceForwarding).
-	Ceiling core.Service
 	// CostCeilingPerGB bounds the service's egress cost per GB of
-	// application data (EgressPerAppGB under Cost). Zero = unbounded.
+	// application data (DefaultCostModel's EgressPerAppGB at zero loss).
+	// Zero = unbounded.
 	CostCeilingPerGB float64
-	// Cost is the price model for the ceiling check (zero value: the
-	// package default).
-	Cost CostModel
 	// Alpha is the coding overhead ratio used in the cost estimate.
 	Alpha float64
-	// LossRate is the expected direct-path loss used in the caching cost
-	// estimate (pull responses are billed egress).
-	LossRate float64
 	// PathLatency, when positive, replaces the oracle's inter-DC latency
 	// in delay predictions — flows pinned to an alternate path select
 	// against the latency of the path they will actually ride.
@@ -289,26 +279,15 @@ type ServicePolicy struct {
 }
 
 // SelectServiceWith returns the cheapest service satisfying the policy:
-// within [Floor, Ceiling], under the cost ceiling, and with a predicted
-// delivery latency that fits the budget.
+// under the cost ceiling, and with a predicted delivery latency that fits
+// the budget.
 func (t *Topology) SelectServiceWith(src, dst core.NodeID, p ServicePolicy) (core.Service, core.Time, bool) {
-	ceiling := p.Ceiling
-	if ceiling == 0 {
-		ceiling = core.ServiceForwarding
-	}
-	cost := p.Cost
-	if cost == (CostModel{}) {
-		cost = DefaultCostModel
-	}
 	for _, svc := range core.Services {
 		if svc == core.ServiceInternet && p.RequireRecovery {
 			continue
 		}
-		if svc < p.Floor || svc > ceiling {
-			continue
-		}
 		if p.CostCeilingPerGB > 0 &&
-			cost.EgressPerAppGB(svc, p.Alpha, p.LossRate) > p.CostCeilingPerGB {
+			DefaultCostModel.EgressPerAppGB(svc, p.Alpha, 0) > p.CostCeilingPerGB {
 			continue
 		}
 		d, ok := t.predictDelay(svc, src, dst, p.PathLatency, p.PathLatency > 0)

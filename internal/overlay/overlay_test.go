@@ -276,7 +276,7 @@ func TestCostOrderingMatchesServiceOrder(t *testing.T) {
 	}
 }
 
-func TestSelectServiceWithFloorCeiling(t *testing.T) {
+func TestSelectServiceRequireRecovery(t *testing.T) {
 	top := buildTestTopology()
 	top.MedianDelta = 8 * time.Millisecond
 	// Delays: internet 50, coding 86, caching 70, forwarding 55.
@@ -285,28 +285,14 @@ func TestSelectServiceWithFloorCeiling(t *testing.T) {
 		name string
 		pol  ServicePolicy
 		want core.Service
-		ok   bool
 	}{
-		{"unconstrained", ServicePolicy{Budget: budget, RequireRecovery: true},
-			core.ServiceCoding, true},
-		{"floor lifts past coding",
-			ServicePolicy{Budget: budget, Floor: core.ServiceCaching},
-			core.ServiceCaching, true},
-		{"ceiling caps at caching",
-			ServicePolicy{Budget: 60 * time.Millisecond, RequireRecovery: true,
-				Ceiling: core.ServiceCaching},
-			0, false},
-		{"floor above ceiling finds nothing",
-			ServicePolicy{Budget: budget, Floor: core.ServiceForwarding,
-				Ceiling: core.ServiceCaching},
-			0, false},
-		{"internet allowed under no floor",
-			ServicePolicy{Budget: budget}, core.ServiceInternet, true},
+		{"recovery required", ServicePolicy{Budget: budget, RequireRecovery: true}, core.ServiceCoding},
+		{"internet allowed", ServicePolicy{Budget: budget}, core.ServiceInternet},
 	}
 	for _, c := range cases {
 		svc, _, ok := top.SelectServiceWith(10, 20, c.pol)
-		if ok != c.ok || (ok && svc != c.want) {
-			t.Errorf("%s: got %v ok=%v, want %v ok=%v", c.name, svc, ok, c.want, c.ok)
+		if !ok || svc != c.want {
+			t.Errorf("%s: got %v ok=%v, want %v", c.name, svc, ok, c.want)
 		}
 	}
 }

@@ -484,15 +484,6 @@ func (c *Controller) PinnedCount() int { return len(c.pins) }
 // watches (WatchFlow subscriptions not yet cancelled).
 func (c *Controller) WatchedCount() int { return len(c.watches) }
 
-// IsWatched reports whether the flow holds a live WatchFlow
-// subscription. A flow must never be pinned and watched at once — the
-// resolver installs exactly one of the two — and the chaos harness's
-// flap invariant asserts it.
-func (c *Controller) IsWatched(flow core.FlowID) bool {
-	_, ok := c.watches[flow]
-	return ok
-}
-
 // pathDead reports whether any link of a pinned path is missing or down.
 func (c *Controller) pathDead(path []core.NodeID) bool {
 	for i := 0; i+1 < len(path); i++ {

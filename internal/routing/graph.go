@@ -214,6 +214,3 @@ func (g *Graph) Link(a, b core.NodeID) *Link { return g.links[linkKey(a, b)] }
 // Neighbors returns a's adjacent vertices in ascending ID order (shared
 // slice; callers must not mutate).
 func (g *Graph) Neighbors(a core.NodeID) []core.NodeID { return g.nbrs[a] }
-
-// LinkCount returns the number of edges.
-func (g *Graph) LinkCount() int { return len(g.links) }

@@ -44,10 +44,6 @@ func (s *Sample) AddAll(vs ...float64) {
 	}
 }
 
-// AddDurationSeconds records a time observation in seconds. Most figures in
-// the paper plot milliseconds; callers scale as needed.
-func (s *Sample) AddDurationSeconds(sec float64) { s.Add(sec) }
-
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.data) }
 

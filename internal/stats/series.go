@@ -22,11 +22,6 @@ type Series struct {
 // Append adds a point.
 func (s *Series) Append(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 
-// SortByX orders points by X ascending (stable on ties).
-func (s *Series) SortByX() {
-	sort.SliceStable(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
-}
-
 // YAt linearly interpolates the series at x. Points must be sorted by X.
 // X values outside the series range clamp to the boundary Y values.
 func (s *Series) YAt(x float64) float64 {

@@ -236,50 +236,6 @@ func TestFigureASCIILogX(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamp low
-	h.Add(99) // clamp high
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-	if h.Clamped() != 2 {
-		t.Errorf("Clamped = %d, want 2", h.Clamped())
-	}
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("clamped counts wrong: %v", h.Counts)
-	}
-	cdf := h.CDF("h")
-	if got := cdf.Points[len(cdf.Points)-1].Y; got != 1 {
-		t.Errorf("histogram CDF final y = %v", got)
-	}
-	if h.BucketMid(0) != 0.5 {
-		t.Errorf("BucketMid(0) = %v", h.BucketMid(0))
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Error("histogram String has no bars")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad histogram construction did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSummaryAgainstKnownDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var s Sample

@@ -160,7 +160,6 @@ type FlowSnapshot struct {
 	Recovered        uint64 `json:"recovered"`
 	OnTime           uint64 `json:"on_time"`
 	AdmissionDropped uint64 `json:"admission_dropped"`
-	AdmissionShaped  uint64 `json:"admission_shaped"`
 	EgressDropped    uint64 `json:"egress_dropped"`
 	PacedBytes       uint64 `json:"paced_bytes"`
 	// ByService counts deliveries by the service that produced them.
@@ -318,7 +317,6 @@ type Totals struct {
 	Recovered        uint64 `json:"recovered"`
 	OnTime           uint64 `json:"on_time"`
 	AdmissionDropped uint64 `json:"admission_dropped"`
-	AdmissionShaped  uint64 `json:"admission_shaped"`
 	EgressDropped    uint64 `json:"egress_dropped"`
 	PacedBytes       uint64 `json:"paced_bytes"`
 	// LinkBytes sums lifetime bytes across every tracked link direction,
@@ -402,8 +400,8 @@ func (s *Snapshot) Summary() string {
 	}
 	for _, f := range s.Flows {
 		fmt.Fprintf(&b, "  flow %d (%s): %d sent, %s, p95 %.1f ms", f.ID, f.ServiceName, f.Sent, onTimeText(f.Sent, f.Delivered, f.OnTime), f.LatencyMsP95)
-		if f.AdmissionDropped > 0 || f.AdmissionShaped > 0 {
-			fmt.Fprintf(&b, ", adm-drop %d / shaped %d", f.AdmissionDropped, f.AdmissionShaped)
+		if f.AdmissionDropped > 0 {
+			fmt.Fprintf(&b, ", adm-drop %d", f.AdmissionDropped)
 		}
 		if f.EgressDropped > 0 {
 			fmt.Fprintf(&b, ", egress-drop %d", f.EgressDropped)

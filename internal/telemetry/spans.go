@@ -16,18 +16,10 @@ import (
 type SpanComponent uint8
 
 const (
-	// SpanAdmission is time spent waiting for the ingress admission
-	// contract (token-bucket shaping into conformance) while the flow's
-	// pacer was NOT cut — the contract's own smoothing.
-	SpanAdmission SpanComponent = iota
-	// SpanPacer is the same ingress wait measured while congestion
-	// feedback held the flow below its contract — budget spent on an
-	// active backpressure cut rather than the contract itself.
-	SpanPacer
 	// SpanQueue is DRR egress queue wait, enqueue→dequeue, summed over
 	// every scheduled hop (the per-(link, class) breakdown is kept
 	// alongside in HopRecord.Queues).
-	SpanQueue
+	SpanQueue SpanComponent = iota
 	// SpanPropagation is wire time: the sum over hops of departure→
 	// arrival, including the final DC→host leg.
 	SpanPropagation
@@ -45,10 +37,6 @@ const (
 // String implements fmt.Stringer.
 func (c SpanComponent) String() string {
 	switch c {
-	case SpanAdmission:
-		return "admission"
-	case SpanPacer:
-		return "pacer"
 	case SpanQueue:
 		return "queue"
 	case SpanPropagation:
@@ -332,13 +320,6 @@ func (c *SpanCollector) lookup(id core.PacketID) *pendingSpan {
 		return nil
 	}
 	return &c.slots[si]
-}
-
-// NoteWait charges a measured wait to one component.
-func (c *SpanCollector) NoteWait(id core.PacketID, comp SpanComponent, d time.Duration) {
-	if p := c.lookup(id); p != nil && d > 0 {
-		p.comp[comp] += d
-	}
 }
 
 // NoteTx marks a wire departure (host uplink or DC egress).

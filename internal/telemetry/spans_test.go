@@ -22,8 +22,6 @@ func TestSpanLifecycle(t *testing.T) {
 	id := pid(1, 1)
 
 	c.Begin(id, 10*time.Millisecond)
-	c.NoteWait(id, SpanAdmission, 2*time.Millisecond)
-	c.NoteWait(id, SpanPacer, 3*time.Millisecond)
 	// Host → DC leg.
 	c.NoteTx(id, 15*time.Millisecond)
 	c.NoteRx(id, 20*time.Millisecond) // 5ms propagation
@@ -31,7 +29,9 @@ func TestSpanLifecycle(t *testing.T) {
 	c.NoteQueue(id, 1, 2, 3, 4*time.Millisecond)
 	c.NoteTx(id, 24*time.Millisecond)
 	c.NoteRx(id, 30*time.Millisecond) // 6ms propagation
-	// Final DC → host leg stays open: Finish turns it into the tail.
+	// Egress DC queue, then the final DC → host leg stays open: Finish
+	// turns it into the tail.
+	c.NoteQueue(id, 2, 5, 3, 5*time.Millisecond)
 	c.NoteTx(id, 31*time.Millisecond)
 
 	rec, ok := c.Finish(id, 40*time.Millisecond, 1*time.Millisecond, 25*time.Millisecond, 3)
@@ -41,14 +41,8 @@ func TestSpanLifecycle(t *testing.T) {
 	if rec.Total != 30*time.Millisecond {
 		t.Fatalf("total = %v, want 30ms", rec.Total)
 	}
-	if got := rec.Comp[SpanAdmission]; got != 2*time.Millisecond {
-		t.Fatalf("admission = %v", got)
-	}
-	if got := rec.Comp[SpanPacer]; got != 3*time.Millisecond {
-		t.Fatalf("pacer = %v", got)
-	}
-	if got := rec.Comp[SpanQueue]; got != 4*time.Millisecond {
-		t.Fatalf("queue = %v", got)
+	if got := rec.Comp[SpanQueue]; got != 9*time.Millisecond {
+		t.Fatalf("queue = %v, want 9ms", got)
 	}
 	// 5 + 6 measured, plus the 9ms open tail minus 1ms recovery = 8ms.
 	if got := rec.Comp[SpanPropagation]; got != 19*time.Millisecond {
@@ -56,6 +50,10 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	if got := rec.Comp[SpanRecovery]; got != 1*time.Millisecond {
 		t.Fatalf("recovery = %v", got)
+	}
+	// 30ms total − 9 queue − 19 propagation − 1 recovery.
+	if got := rec.Comp[SpanRelay]; got != 1*time.Millisecond {
+		t.Fatalf("relay = %v, want 1ms", got)
 	}
 	var sum time.Duration
 	for _, d := range rec.Comp {
@@ -67,7 +65,8 @@ func TestSpanLifecycle(t *testing.T) {
 	if !rec.Late() || rec.Excess() != 5*time.Millisecond {
 		t.Fatalf("late = %v excess = %v (budget 25ms, total 30ms)", rec.Late(), rec.Excess())
 	}
-	if rec.NQueues != 1 || rec.Queues[0] != (QueueSpan{From: 1, To: 2, Class: 3, Wait: 4 * time.Millisecond}) {
+	if rec.NQueues != 2 || rec.Queues[0] != (QueueSpan{From: 1, To: 2, Class: 3, Wait: 4 * time.Millisecond}) ||
+		rec.Queues[1] != (QueueSpan{From: 2, To: 5, Class: 3, Wait: 5 * time.Millisecond}) {
 		t.Fatalf("queues = %+v", rec.Queues[:rec.NQueues])
 	}
 	if c.Pending() != 0 || c.Finished() != 1 {
@@ -264,7 +263,6 @@ func BenchmarkHopRecord(b *testing.B) {
 		id.Seq = core.Seq(i)
 		at := time.Duration(i) * 10 * time.Microsecond
 		c.Begin(id, at)
-		c.NoteWait(id, SpanAdmission, 100*time.Microsecond)
 		c.NoteTx(id, at+200*time.Microsecond)
 		c.NoteRx(id, at+400*time.Microsecond)
 		c.NoteQueue(id, 1, 2, 3, 50*time.Microsecond)

@@ -110,7 +110,7 @@ func (t MsgType) String() string {
 // Header flag bits.
 const (
 	// FlagDup marks a duplicated copy sent on the cloud path while the
-	// original used the Internet path (selective duplication, §6.4).
+	// original used the Internet path (§6.4).
 	FlagDup uint16 = 1 << iota
 	// FlagWantVerify on a NACK asks DC2 to verify before recovering.
 	FlagWantVerify
@@ -124,8 +124,8 @@ const (
 	// rendezvous pull (Figure 3e).
 	FlagDrain
 	// FlagTraced marks a cloud copy selected for hop-level latency
-	// attribution: every choke point it traverses (admission, pacer,
-	// egress queue, wire, relay) records a span keyed by (Flow, Seq)
+	// attribution: every choke point it traverses (egress queue, wire,
+	// relay, recovery) records a span keyed by (Flow, Seq)
 	// into the telemetry plane's span collector. The bit rides the wire
 	// so transit DCs know to record spans without any per-flow lookup;
 	// untraced packets pay only this flag test. Set deterministically by

@@ -10,11 +10,11 @@
 //     over the cloud and repair losses via cooperative recovery (cost α·c).
 //
 // Applications register a FlowSpec — destination, latency budget, and
-// optional policy (cost ceiling, service floor/ceiling, overlay path
-// preference, event subscriber); the framework picks the cheapest
-// service whose predicted delivery latency fits (§3.5), upgrades the
-// service when observed deliveries violate the budget, and steps back
-// down (with hysteresis) after sustained over-delivery.
+// optional policy (cost ceiling, overlay path preference, event
+// subscriber); the framework picks the cheapest service whose predicted
+// delivery latency fits (§3.5), upgrades the service when observed
+// deliveries violate the budget, and steps back down (with hysteresis)
+// after sustained over-delivery.
 //
 // The package wires the protocol engines (internal/coding,
 // internal/recovery, internal/cache, internal/forward) onto a deterministic
@@ -83,8 +83,7 @@
 // # Flow API
 //
 // Deployment.RegisterFlow takes a FlowSpec. Beyond the classic
-// destination+budget pair it can bound the service range
-// (ServiceFloor/ServiceCeiling), cap egress spend (CostCeilingPerGB),
+// destination+budget pair it can cap egress spend (CostCeilingPerGB),
 // choose the overlay path among the controller's k-alternates
 // (PathPolicy: fastest, cheapest, or pinned to the k-th alternate —
 // enforced per flow in the DC forwarders), and subscribe to the flow's
@@ -108,10 +107,8 @@
 // flapping — and Snapshot().Routing counts the resulting congestion
 // reroutes. On the admission side, FlowSpec.Rate declares a per-flow
 // token-bucket contract enforced at the ingress: excess cloud copies are
-// dropped
-// (an admission-drop event) or, with FlowSpec.AdmissionShape, delayed
-// into conformance, so one greedy flow cannot congest the overlay for
-// everyone else. Flows are torn down with Flow.Close, which releases
+// dropped (an admission-drop event), so one greedy flow cannot congest
+// the overlay for everyone else. Flows are torn down with Flow.Close, which releases
 // their routing pins and receiver state.
 //
 // # Egress scheduling
@@ -184,9 +181,8 @@
 // SHARE of the path's bottleneck capacity (weights from
 // Config.Scheduler, capacities from the link registry) rather than the
 // whole link — a contract that could never be honored under contention
-// is rejected, or shaped down to the honorable envelope when the spec
-// sets AdmissionShape; service moves and reroutes re-size it against
-// the new class share. See examples/backpressure and experiment
+// is rejected; service moves and reroutes re-size it against the new
+// class share. See examples/backpressure and experiment
 // "backpressure" (the same worlds.NewContended link, its bulk flows now
 // contracted and in the interactive flow's class): an interactive budget
 // held at ≥95% with the class's egress drops cut to zero, where the
@@ -332,8 +328,7 @@
 // Everything runs on the emulator's virtual clock, and everything that
 // waits does so through one of three forms (internal/netem). A one-shot
 // event (Simulator.At / After) is for work that happens once and is
-// never cancelled: a shaped send leaving the ingress, a probe's
-// timeout, a table epoch retiring. A netem.Timer is a re-armable
+// never cancelled: a probe's timeout, a table epoch retiring. A netem.Timer is a re-armable
 // deadline allocated once with its callback: DC and host nodes Reset it
 // to their engines' earliest deadline after every handled message (a
 // superseded firing drains as a no-op), and the batch-flush, hot-queue

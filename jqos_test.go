@@ -338,30 +338,6 @@ func TestForwardingPathSwitch(t *testing.T) {
 	}
 }
 
-func TestSelectiveDuplication(t *testing.T) {
-	// Duplicate only every 10th packet; cloud egress must shrink
-	// accordingly.
-	wFull := newWorld(t, 9, nil)
-	fFull, _ := wFull.d.RegisterFlow(fixedSpec(wFull.src, wFull.dst, 400*time.Millisecond, jqos.ServiceForwarding))
-	sendCBR(wFull, fFull, 200, 5*time.Millisecond, 0)
-	wFull.d.Run(5 * time.Second)
-
-	wSel := newWorld(t, 9, nil)
-	fSel, _ := wSel.d.RegisterFlow(jqos.FlowSpec{Src: wSel.src, Dst: wSel.dst, Budget: 400 * time.Millisecond,
-		Service: jqos.ServiceForwarding, ServiceFixed: true, Duplication: func(seq jqos.Seq, _ []byte) bool { return seq%10 == 0 }})
-	sendCBR(wSel, fSel, 200, 5*time.Millisecond, 0)
-	wSel.d.Run(5 * time.Second)
-
-	full := wFull.d.TotalEgressBytes()
-	sel := wSel.d.TotalEgressBytes()
-	if sel == 0 || full == 0 {
-		t.Fatalf("egress accounting broken: full=%d sel=%d", full, sel)
-	}
-	if ratio := float64(sel) / float64(full); ratio > 0.2 {
-		t.Errorf("selective egress ratio = %v, want ≤0.2", ratio)
-	}
-}
-
 func TestServiceUpgradeOnBudgetViolation(t *testing.T) {
 	// Direct path is slower than the budget; coding can't fix latency,
 	// so the upgrade loop must walk the flow up to forwarding, which

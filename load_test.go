@@ -182,44 +182,11 @@ func TestAdmissionPolicesCloudCopies(t *testing.T) {
 	}
 	d.Run(5 * time.Second)
 	m := f.Metrics()
-	if m.AdmissionDropped != 98 || m.AdmissionShaped != 0 {
-		t.Fatalf("dropped %d shaped %d, want 98/0", m.AdmissionDropped, m.AdmissionShaped)
+	if m.AdmissionDropped != 98 {
+		t.Fatalf("dropped %d, want 98", m.AdmissionDropped)
 	}
 	if w.drops != 98 || w.bytes != 98*1000 {
 		t.Fatalf("observer saw %d drops / %d bytes", w.drops, w.bytes)
-	}
-	if m.Delivered != 100 {
-		t.Fatalf("direct path delivered %d of 100", m.Delivered)
-	}
-}
-
-// TestAdmissionShapesWithinBudget: with AdmissionShape the same burst is
-// smoothed into conformance up to the budget horizon; only packets whose
-// shaped departure would exceed the budget drop.
-func TestAdmissionShapesWithinBudget(t *testing.T) {
-	d, src, dst := buildTwoDC(t, 72)
-	f, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst, Budget: 300 * time.Millisecond,
-		Rate: 100_000, Burst: 2000, AdmissionShape: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		f.Send(make([]byte, 1000-40))
-	}
-	d.Run(5 * time.Second)
-	m := f.Metrics()
-	// 2 conform instantly; each further 1000-byte copy conforms 10 ms
-	// later than the last. The shaping horizon is the 300 ms budget
-	// minus the cloud path's predicted delay (~110 ms here) — a copy
-	// held past that would arrive over budget and is dropped instead —
-	// so roughly twenty fit.
-	if m.AdmissionShaped < 15 || m.AdmissionShaped > 25 {
-		t.Fatalf("shaped %d, want ~20", m.AdmissionShaped)
-	}
-	if m.AdmissionDropped != 98-m.AdmissionShaped {
-		t.Fatalf("dropped %d with %d shaped", m.AdmissionDropped, m.AdmissionShaped)
 	}
 	if m.Delivered != 100 {
 		t.Fatalf("direct path delivered %d of 100", m.Delivered)
@@ -242,11 +209,6 @@ func TestAdmissionSpecValidation(t *testing.T) {
 		Src: src, Dst: dst, Budget: time.Second, Rate: 100_000, Burst: -1,
 	}); err == nil {
 		t.Fatal("negative Burst accepted")
-	}
-	if _, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst, Budget: time.Second, AdmissionShape: true,
-	}); err == nil {
-		t.Fatal("AdmissionShape without Rate accepted")
 	}
 	// Burst defaults are normalized into the spec.
 	f, err := d.RegisterFlow(jqos.FlowSpec{

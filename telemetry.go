@@ -379,12 +379,6 @@ func (p *telemetryPlane) spanBegin(id core.PacketID, at core.Time) {
 	p.spans.Begin(id, time.Duration(at))
 }
 
-// spanWait charges an ingress-side wait (admission shaping or pacer
-// backpressure) to a pending trace.
-func (p *telemetryPlane) spanWait(id core.PacketID, comp telemetry.SpanComponent, d core.Time) {
-	p.spans.NoteWait(id, comp, time.Duration(d))
-}
-
 // spanDrop abandons a pending trace whose packet died before the wire.
 func (p *telemetryPlane) spanDrop(id core.PacketID) { p.spans.Drop(id) }
 
@@ -621,7 +615,6 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 		t.Recovered += fs.Recovered
 		t.OnTime += fs.OnTime
 		t.AdmissionDropped += fs.AdmissionDropped
-		t.AdmissionShaped += fs.AdmissionShaped
 		t.EgressDropped += fs.EgressDropped
 		t.PacedBytes += fs.PacedBytes
 	}
@@ -723,7 +716,6 @@ func flowSnap(f *Flow) telemetry.FlowSnapshot {
 		Recovered:        m.Recovered,
 		OnTime:           m.OnTime,
 		AdmissionDropped: m.AdmissionDropped,
-		AdmissionShaped:  m.AdmissionShaped,
 		EgressDropped:    m.EgressDropped,
 		PacedBytes:       m.PacedBytes,
 		AdmissionRate:    f.AdmissionRate(),
