@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -152,53 +151,23 @@ func TestFlowSpecFieldsHaveCallers(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			name := ""
-			for _, imp := range file.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "jqos" {
-					name = "jqos"
-					if imp.Name != nil {
-						name = imp.Name.Name
-					}
-				}
-			}
-			if name == "" {
-				return nil
-			}
-			isSpec := func(x ast.Expr) bool {
-				sel, ok := x.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "FlowSpec" {
-					return false
-				}
-				id, ok := sel.X.(*ast.Ident)
-				return ok && id.Name == name
-			}
-			keys := func(lit *ast.CompositeLit) {
-				for _, el := range lit.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							set[id.Name] = true
-						}
-					}
-				}
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				lit, ok := n.(*ast.CompositeLit)
 				if !ok {
 					return true
 				}
-				switch typ := lit.Type.(type) {
-				case *ast.ArrayType:
-					// []jqos.FlowSpec{{...}}: the elements elide their type.
-					if isSpec(typ.Elt) {
-						for _, el := range lit.Elts {
-							if inner, ok := el.(*ast.CompositeLit); ok && inner.Type == nil {
-								keys(inner)
-							}
+				sel, ok := lit.Type.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "FlowSpec" {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "jqos" {
+					return true
+				}
+				for _, el := range lit.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = true
 						}
-					}
-				default:
-					if isSpec(typ) {
-						keys(lit)
 					}
 				}
 				return true
