@@ -173,7 +173,8 @@ type crossKey struct {
 // for DC2. Not safe for concurrent use — the parallel pipeline (Figure 10)
 // shards flows across independent Encoders instead of locking one. The
 // Emits a call returns are the encoder's own buffer, valid until the next
-// call into it; each message is a fresh allocation its recipient owns.
+// call into it; each message is a region its recipient owns alone, though a
+// batch's messages share one array.
 //
 // The earliest open-queue deadline is kept cached (see earliest), so
 // NextDeadline is a field read and OnTimer returns at once when nothing is
@@ -182,8 +183,8 @@ type crossKey struct {
 //
 // The byte path touches a payload once to keep it (OnData's copy, shared by
 // both queues) and once per pair of parity rows to code it: when a batch
-// closes, each coded message is allocated once at its final size and the
-// codec writes the parity straight into its tail from the unpadded
+// closes, its coded messages are allocated together at their final sizes and
+// the codec writes the parity straight into their tails from the unpadded
 // payloads (rs.Codec.EncodePacked). The copy lands in storage the encoder
 // recycles: a payload no queue holds any more goes to a bounded spare list
 // (see kept), so an OnData that closes no batch allocates nothing.
@@ -443,8 +444,9 @@ func (e *Encoder) release(pkts []srcPkt) {
 }
 
 // encodeBatch appends the parity Emits for a batch of data packets to
-// e.emits. Each coded message is allocated once, header and metadata
-// marshalled into its head, its tail handed to the codec to write parity in.
+// e.emits. The batch's coded messages are capacity-limited regions of one
+// array, each with header and metadata marshalled into its head and its tail
+// handed to the codec to write parity in.
 func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kind wire.CodedKind, parity int) {
 	k := len(pkts)
 	codec := e.codecs.Get(k, parity)
@@ -476,11 +478,13 @@ func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kin
 		Dst:     dc2,
 	}
 	head := wire.HeaderLen + meta.MarshaledLen()
+	n := head + shardLen
+	buf := make([]byte, parity*n)
 	for i := 0; i < parity; i++ {
 		meta.Index = uint8(i)
-		msg := make([]byte, wire.HeaderLen, head+shardLen)
+		msg := buf[i*n : i*n+wire.HeaderLen : (i+1)*n]
 		hdr.Marshal(msg)
-		msg = meta.AppendMarshal(msg, nil)[:head+shardLen]
+		msg = meta.AppendMarshal(msg, nil)[:n]
 		e.parity = append(e.parity, msg[head:])
 		e.stats.CodedBytes += uint64(len(msg))
 		e.emits = append(e.emits, core.Emit{To: dc2, Msg: msg})

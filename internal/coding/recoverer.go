@@ -57,36 +57,53 @@ type RecovererStats struct {
 type batchState struct {
 	meta wire.Coded // Sources/K/R/Kind (Index varies per shard)
 	// parity holds the batch's R shards by shard index (nil = not
-	// received), so they are forwarded and decoded in index order.
+	// received), so they are forwarded and decoded in index order. A
+	// received shard is a copy into a buffer that is never nil (see
+	// Recoverer.shardBuf): presence is the slot's, never a length, and an
+	// empty shard is held all the same.
 	parity   [][]byte
 	held     int // non-nil parity shards
 	shardLen int
 	expires  core.Time // 0 once the batch is dropped
+	// gen counts the drops of this state: a batchRef taken under another
+	// gen names a batch that is gone, whatever the state holds now.
+	gen uint64
 
-	// A batch is one allocation: parity and meta.Sources are slices of
-	// these arrays at the shapes a deployment codes with (K ≤ 6, R ≤ 2); a
-	// larger batch — the wire allows 255 of each — gets slices of its own.
+	// A dropped batch's state is recycled (see Recoverer.spare) with the
+	// capacity of its slices. A fresh state's parity and meta.Sources are
+	// slices of these arrays, sized for the shapes a deployment codes with
+	// (K ≤ 6, R ≤ 2); a larger batch — the wire allows 255 of each — grows
+	// slices of its own.
 	parityBuf  [2][]byte
 	sourcesBuf [6]wire.SourceRef
 }
 
-// srcRef says batch b names packet seq of the flow whose index holds it.
+// batchRef names one cached batch: its state, and the state's gen when the
+// ref was taken. Once the batch is dropped the ref is stale for good, even
+// after the state is recycled for another batch.
+type batchRef struct {
+	b   *batchState
+	gen uint64
+}
+
+func (r batchRef) live() bool { return r.b.gen == r.gen }
+
+// srcRef says the batch it names holds packet seq of the flow whose index
+// holds the ref.
 type srcRef struct {
 	seq core.Seq
-	b   *batchState
+	batchRef
 }
 
 // flowIndex lists what the cached batches name of one flow, in arrival
 // order: written for every source of every batch, read only for a NACKed
 // packet, so a write is one ring slot and a read is a scan. A ref goes stale
-// when its batch is dropped (and pins no shard: the parity is released
-// then); it leaves from the head, or by compaction once a quarter are stale.
+// when its batch is dropped; it leaves from the head, or by compaction once
+// a quarter are stale.
 type flowIndex struct {
 	lazyQueue[srcRef]
 	batches int // refs whose batch is still cached
 }
-
-func srcLive(e srcRef) bool { return e.b.expires != 0 }
 
 type recoveryKey struct {
 	batch uint64
@@ -120,6 +137,16 @@ type pendingNACK struct {
 // only what is due, whatever the number of live batches. The now passed to
 // the On* methods must never decrease (both hosts feed a monotonic clock);
 // see expiryQueue for what a step back costs.
+//
+// What it keeps it recycles: a dropped batch's state (its source list and
+// shard slots) and its shard buffers go to spare lists of at most maxSpare
+// each, and the next batch and its shards are copied into them, so a batch
+// allocates only while a list is empty or a shard outgrows its buffer. The
+// buffers are spared apart from the states because batches differ in R: a
+// state kept with its buffers would pin one unused beside every in-stream
+// batch cached in a cross-stream batch's state. Every ref to a batch
+// carries its state's gen, so a recycled state never answers for the batch
+// it held before.
 type Recoverer struct {
 	cfg  RecovererConfig
 	self core.NodeID
@@ -144,10 +171,16 @@ type Recoverer struct {
 	// One expiry index per map above; an entry is live while its item
 	// still carries the entry's time (a refresh moves it, removal zeroes
 	// it).
-	batchQ    expiryQueue[*batchState]
+	batchQ    expiryQueue[batchRef]
 	recoveryQ expiryQueue[*recoveryState]
 	pendingQ  expiryQueue[*pendingNACK]
 	recentQ   expiryQueue[core.PacketID]
+
+	// spare and spareShards hold dropped batches' states and shard buffers
+	// for later batches, at most maxSpare each: enough for the batches
+	// arriving as older ones expire; an idle recoverer holds no more.
+	spare       []*batchState
+	spareShards [][]byte
 
 	emits []core.Emit // the messages of the call in progress
 }
@@ -168,7 +201,7 @@ func NewRecoverer(self core.NodeID, cfg RecovererConfig) *Recoverer {
 		recent:     make(map[core.PacketID]core.Time),
 		codecs:     rs.NewCache(rs.DecoderShapes),
 	}
-	r.batchQ.live = func(e expiry[*batchState]) bool { return e.item.expires == e.at }
+	r.batchQ.live = func(e expiry[batchRef]) bool { return e.item.live() && e.item.b.expires == e.at }
 	r.recoveryQ.live = func(e expiry[*recoveryState]) bool { return e.item.deadline == e.at }
 	r.pendingQ.live = func(e expiry[*pendingNACK]) bool { return e.item.expires == e.at }
 	r.recentQ.live = func(e expiry[core.PacketID]) bool { return r.recent[e.item] == e.at }
@@ -191,28 +224,26 @@ func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, s
 	}
 	b := r.batches[meta.Batch]
 	if b == nil {
-		b = &batchState{meta: *meta, shardLen: len(shard)}
-		b.meta.Sources = append(b.sourcesBuf[:0], meta.Sources...)
-		b.parity = slices.Grow(b.parityBuf[:0], int(meta.R))[:meta.R]
+		b = r.newBatch(meta, len(shard))
 		r.batches[meta.Batch] = b
 		for _, src := range b.meta.Sources {
 			x := r.sources[src.Flow]
 			if x == nil {
-				x = &flowIndex{lazyQueue: lazyQueue[srcRef]{live: srcLive}}
+				x = &flowIndex{lazyQueue: lazyQueue[srcRef]{live: srcRef.live}}
 				r.sources[src.Flow] = x
 			}
 			x.batches++
-			x.push(srcRef{src.Seq, b}, x.batches+x.batches/4+compactSlack)
+			x.push(srcRef{src.Seq, batchRef{b, b.gen}}, x.batches+x.batches/4+compactSlack)
 		}
 	} else if int(meta.Index) >= len(b.parity) {
 		return nil // disagrees with the batch's first shard about R
 	}
 	if expires := now + r.cfg.BatchTTL; b.expires != expires {
 		b.expires = expires
-		r.batchQ.push(expires, b, len(r.batches))
+		r.batchQ.push(expires, batchRef{b, b.gen}, len(r.batches))
 	}
 	if b.parity[meta.Index] == nil {
-		b.parity[meta.Index] = append([]byte{}, shard...)
+		b.parity[meta.Index] = append(r.shardBuf(len(shard)), shard...)
 		b.held++
 		r.stats.CodedStored++
 	}
@@ -240,6 +271,36 @@ func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, s
 		}
 	}
 	return r.emits
+}
+
+// newBatch shapes a state for meta's batch, holding no shard yet: a spare
+// one when there is one, else a fresh one.
+func (r *Recoverer) newBatch(meta *wire.Coded, shardLen int) *batchState {
+	var b *batchState
+	if n := len(r.spare); n > 0 {
+		b, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		b = new(batchState)
+		b.meta.Sources, b.parity = b.sourcesBuf[:0], b.parityBuf[:0]
+	}
+	sources := b.meta.Sources
+	b.meta = *meta
+	b.meta.Sources = append(sources[:0], meta.Sources...)
+	b.parity = slices.Grow(b.parity[:0], int(meta.R))[:meta.R] // all nil: dropBatch cleared them
+	b.held, b.shardLen = 0, shardLen
+	return b
+}
+
+// shardBuf returns an empty buffer for an n-byte shard: a spare one when
+// there is one, else a fresh one. It is never nil, so a held empty shard is
+// never taken for a missing one.
+func (r *Recoverer) shardBuf(n int) []byte {
+	if k := len(r.spareShards); k > 0 {
+		buf := r.spareShards[k-1]
+		r.spareShards = r.spareShards[:k-1]
+		return buf[:0]
+	}
+	return make([]byte, 0, n)
 }
 
 // OnNACK handles a receiver's loss report (§4.4 step 1). from is the
@@ -302,7 +363,7 @@ func (r *Recoverer) coveringBatches(id core.PacketID) (in, cross *batchState) {
 	}
 	for i := 0; i < x.n; i++ {
 		switch e := x.at(i); {
-		case e.seq != id.Seq || !srcLive(*e):
+		case e.seq != id.Seq || !e.live():
 		case e.b.meta.Kind == wire.InStream:
 			in = e.b
 		default:
@@ -337,8 +398,9 @@ func (r *Recoverer) sendParity(now core.Time, b *batchState, to core.NodeID) {
 			Type: wire.TypeCoded, Service: core.ServiceCoding,
 			TS: now, Src: r.self, Dst: to,
 		}
-		payload := meta.AppendMarshal(nil, shard)
-		r.emits = append(r.emits, core.Emit{To: to, Msg: wire.AppendMessage(nil, &hdr, payload)})
+		msg := make([]byte, 0, wire.HeaderLen+meta.MarshaledLen()+len(shard))
+		msg = meta.AppendMarshal(wire.AppendMessage(msg, &hdr, nil), shard)
+		r.emits = append(r.emits, core.Emit{To: to, Msg: msg})
 	}
 }
 
@@ -371,7 +433,8 @@ func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, fr
 			Type: wire.TypeCoopReq, Service: core.ServiceCoding,
 			Flow: src.Flow, Seq: src.Seq, TS: now, Src: r.self, Dst: src.Receiver,
 		}
-		msg := wire.AppendMessage(nil, &hdr, ref.AppendMarshal(nil, nil))
+		msg := make([]byte, 0, wire.HeaderLen+ref.MarshaledLen())
+		msg = ref.AppendMarshal(wire.AppendMessage(msg, &hdr, nil), nil)
 		r.emits = append(r.emits, core.Emit{To: src.Receiver, Msg: msg})
 		rec.helpers++
 		r.stats.CoopReqsSent++
@@ -508,8 +571,8 @@ func (r *Recoverer) NextDeadline() (core.Time, bool) {
 // OnTimer expires batches, fails silent recoveries past deadline, and
 // drops stale parked NACKs. It emits nothing.
 func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
-	for b, ok := r.batchQ.popDue(now); ok; b, ok = r.batchQ.popDue(now) {
-		r.dropBatch(b)
+	for ref, ok := r.batchQ.popDue(now); ok; ref, ok = r.batchQ.popDue(now) {
+		r.dropBatch(ref.b)
 	}
 	for rec, ok := r.recoveryQ.popDue(now); ok; rec, ok = r.recoveryQ.popDue(now) {
 		r.stats.CoopFailed++
@@ -528,11 +591,22 @@ func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
 	return nil
 }
 
-// dropBatch drops b: shards released, its refs in the flow indexes stale.
+// dropBatch drops b: its refs go stale, and its state and shard buffers are
+// spared for later batches while there is room. The state lets go of its
+// shards either way, so a stale ref pins none.
 func (r *Recoverer) dropBatch(b *batchState) {
 	delete(r.batches, b.meta.Batch)
 	b.expires = 0
+	b.gen++
+	for _, shard := range b.parity {
+		if shard != nil && len(r.spareShards) < maxSpare {
+			r.spareShards = append(r.spareShards, shard)
+		}
+	}
 	clear(b.parity)
+	if len(r.spare) < maxSpare {
+		r.spare = append(r.spare, b)
+	}
 	for _, src := range b.meta.Sources {
 		// nil: an earlier source of the same flow emptied the index.
 		if x := r.sources[src.Flow]; x != nil {

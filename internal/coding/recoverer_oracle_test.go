@@ -37,41 +37,43 @@ func scanNextDeadline(r *Recoverer) (core.Time, bool) {
 // packetIndex is the reference model for Recoverer.sources: the map from a
 // packet to the ids of the cached batches naming it, in arrival order, that
 // the per-flow rings replaced. It mirrors the batches of the Recoverer the
-// scan model runs on.
+// scan model runs on, by batch number alone: a dropped batch's state is
+// recycled, so the model keeps its own copy of what each batch names.
 type packetIndex struct {
 	byPacket map[core.PacketID][]uint64
-	known    map[uint64]bool
+	known    map[uint64][]core.PacketID
 }
 
 func newPacketIndex() *packetIndex {
-	return &packetIndex{byPacket: map[core.PacketID][]uint64{}, known: map[uint64]bool{}}
+	return &packetIndex{byPacket: map[core.PacketID][]uint64{}, known: map[uint64][]core.PacketID{}}
 }
 
 // learn records the batch an OnCoded call may have just created.
 func (m *packetIndex) learn(r *Recoverer, bid uint64) {
 	b := r.batches[bid]
-	if b == nil || m.known[bid] {
+	if _, ok := m.known[bid]; b == nil || ok {
 		return
 	}
-	m.known[bid] = true
+	ids := []core.PacketID{}
 	for _, src := range b.meta.Sources {
 		id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
 		m.byPacket[id] = append(m.byPacket[id], bid)
+		ids = append(ids, id)
 	}
+	m.known[bid] = ids
 }
 
 // forget removes an expiring batch and returns the packets it was the last
 // to name.
-func (m *packetIndex) forget(b *batchState) (uncovered []core.PacketID) {
-	delete(m.known, b.meta.Batch)
-	for _, src := range b.meta.Sources {
-		id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
-		m.byPacket[id] = removeBatch(m.byPacket[id], b.meta.Batch)
+func (m *packetIndex) forget(bid uint64) (uncovered []core.PacketID) {
+	for _, id := range m.known[bid] {
+		m.byPacket[id] = removeBatch(m.byPacket[id], bid)
 		if len(m.byPacket[id]) == 0 {
 			delete(m.byPacket, id)
 			uncovered = append(uncovered, id)
 		}
 	}
+	delete(m.known, bid)
 	return uncovered
 }
 
@@ -155,7 +157,7 @@ func scanOnTimer(t testing.TB, r *Recoverer, m *packetIndex, now core.Time) {
 			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
 			_, counted[id] = r.attempts[id]
 		}
-		for _, id := range m.forget(b) {
+		for _, id := range m.forget(b.meta.Batch) {
 			counted[id] = false
 		}
 		r.dropBatch(b)
@@ -210,6 +212,8 @@ type recovererProgram struct {
 	flowPeak map[core.FlowID]int
 	// idx is the map model of the source index, mirroring ref's batches.
 	idx *packetIndex
+	// reused counts the batches the subject cached in a dropped one's state.
+	reused int
 }
 
 // progIDs is every packet a program can name, and one it cannot.
@@ -327,7 +331,11 @@ func (p *recovererProgram) step() bool {
 			meta.K++
 		}
 		hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+		spares := len(p.sub.spare)
 		got = p.sub.OnCoded(p.now, &hdr, &meta, shard)
+		if len(p.sub.spare) < spares {
+			p.reused++
+		}
 		want = p.ref.OnCoded(p.now, &hdr, &meta, shard)
 		p.idx.learn(p.ref, meta.Batch)
 	case 3, 4: // a receiver reports a loss: covered, uncovered, speculative
@@ -455,7 +463,7 @@ func runRecovererProgram(t testing.TB, prog []byte) *recovererProgram {
 // TestRecovererMatchesScan is the differential oracle for the expiry
 // queues: seeded random programs, the scan model checked after every step.
 func TestRecovererMatchesScan(t *testing.T) {
-	steps := 0
+	steps, reused := 0, 0
 	var did RecovererStats
 	for seed := int64(1); steps < 20000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -463,6 +471,7 @@ func TestRecovererMatchesScan(t *testing.T) {
 		rng.Read(prog)
 		p := runRecovererProgram(t, prog)
 		steps += p.steps
+		reused += p.reused
 		st := p.sub.Stats()
 		did.CodedStored += st.CodedStored
 		did.InStreamServed += st.InStreamServed
@@ -475,10 +484,10 @@ func TestRecovererMatchesScan(t *testing.T) {
 	}
 	// Every path the queues index must have run, or agreement means little.
 	if did.CodedStored == 0 || did.InStreamServed == 0 || did.CoopRecovered == 0 || did.CoopFailed == 0 ||
-		did.Verifies == 0 || did.PendingMatched == 0 || did.PendingExpired == 0 {
-		t.Errorf("random programs left a path unexercised: %+v", did)
+		did.Verifies == 0 || did.PendingMatched == 0 || did.PendingExpired == 0 || reused == 0 {
+		t.Errorf("random programs left a path unexercised: %d batches in recycled states, %+v", reused, did)
 	}
-	t.Logf("%d steps: %+v", steps, did)
+	t.Logf("%d steps, %d batches in recycled states: %+v", steps, reused, did)
 }
 
 // FuzzRecoverer runs arbitrary operation sequences: no panic, no state
@@ -554,7 +563,7 @@ func TestRecovererIndexHostileShapes(t *testing.T) {
 	} {
 		for _, b := range r.batches {
 			if b.expires <= step.at {
-				idx.forget(b)
+				idx.forget(b.meta.Batch)
 			}
 		}
 		r.OnTimer(step.at)
@@ -596,7 +605,7 @@ func TestRecovererIndexStuckHead(t *testing.T) {
 		idx.checkIndex(t, r, ids, peak)
 		for _, b := range r.batches {
 			if b.expires <= now {
-				idx.forget(b)
+				idx.forget(b.meta.Batch)
 			}
 		}
 		r.OnTimer(now)

@@ -685,3 +685,185 @@ func TestForgedShapesLeaveCodecCacheBounded(t *testing.T) {
 		t.Errorf("honest batch after the flood recovered %q, want %q", got, h.payloads[lost])
 	}
 }
+
+// cache hands r every shard of a batch, each shard the bytes of shard.
+func cache(r *Recoverer, now core.Time, meta wire.Coded, shard []byte) {
+	hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+	meta.K, meta.ShardLen = uint8(len(meta.Sources)), uint16(len(shard))
+	for meta.Index = 0; meta.Index < meta.R; meta.Index++ {
+		r.OnCoded(now, &hdr, &meta, shard)
+	}
+}
+
+// TestOnCodedSteadyStateAllocatesNothing: a batch arriving as an older one
+// expires is copied into the expired one's state and shard buffers, so once
+// BatchTTL's worth is cached an OnCoded+OnTimer cycle allocates nothing.
+func TestOnCodedSteadyStateAllocatesNothing(t *testing.T) {
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	hdr := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dc1, Dst: dc2}
+	srcs := []wire.SourceRef{{Flow: 1, Receiver: 101}, {Flow: 2, Receiver: 102}}
+	meta := wire.Coded{Kind: wire.CrossStream, K: 2, R: 2, ShardLen: 64, Sources: srcs}
+	shard := make([]byte, 64)
+	cycle := func() {
+		meta.Batch++
+		now := core.Time(meta.Batch) * time.Millisecond
+		for i := range srcs {
+			srcs[i].Seq = core.Seq(meta.Batch)
+		}
+		for meta.Index = 0; meta.Index < meta.R; meta.Index++ {
+			r.OnCoded(now, &hdr, &meta, shard)
+		}
+		r.OnTimer(now)
+	}
+	ttl := int(DefaultRecovererConfig().BatchTTL / core.Time(time.Millisecond))
+	for meta.Batch < uint64(2*ttl) {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(999, cycle); n != 0 {
+		t.Errorf("a batch arriving as another expires allocates %v times, want 0", n)
+	}
+	if st := r.Stats(); r.Batches() != ttl || st.CodedStored != 2*meta.Batch {
+		t.Errorf("%d batches cached, %d shards stored; want %d and %d", r.Batches(), st.CodedStored, ttl, 2*meta.Batch)
+	}
+}
+
+// TestRecoveryMessagesAllocateOnce: a message DC2 builds is one allocation,
+// sized before header and body are written into it — each in-stream parity
+// message a NACK is answered with, and each cooperative request.
+func TestRecoveryMessagesAllocateOnce(t *testing.T) {
+	skipIfAppendMakeAllocates(t)
+	// A NACK for a packet only an in-stream batch covers is answered with
+	// the batch's parity, however often it is repeated.
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	cache(r, 0, wire.Coded{Batch: 1, Kind: wire.InStream, R: 2, Sources: []wire.SourceRef{
+		{Flow: 1, Seq: 1, Receiver: 101}, {Flow: 1, Seq: 2, Receiver: 101}}}, make([]byte, 64))
+	nack := func() {
+		if n := countType(t, r.OnNACK(time.Millisecond, 101, core.PacketID{Flow: 1, Seq: 1}, 0), wire.TypeCoded); n != 2 {
+			t.Fatalf("the NACK was answered with %d parity messages, want 2", n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, nack); n != 2 {
+		t.Errorf("a NACK answered with 2 in-stream parity messages allocates %v times, want 2", n)
+	}
+
+	// A cooperative round costs its recovery state, plus one message per
+	// helper it asks: a batch of four packets whose other three receivers
+	// are helpers against one whose every packet is the requester's.
+	round := func(helpers ...core.NodeID) (float64, uint64) {
+		r := NewRecoverer(dc2, DefaultRecovererConfig())
+		srcs := []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: 101}}
+		for i, h := range helpers {
+			srcs = append(srcs, wire.SourceRef{Flow: core.FlowID(2 + i), Seq: 1, Receiver: h})
+		}
+		cache(r, 0, wire.Coded{Batch: 1, Kind: wire.CrossStream, R: 1, Sources: srcs}, make([]byte, 64))
+		deadline := DefaultRecovererConfig().RecoveryDeadline
+		var now core.Time
+		n := testing.AllocsPerRun(5, func() {
+			r.OnNACK(now, 101, core.PacketID{Flow: 1, Seq: 1}, 0)
+			now += deadline
+			r.OnTimer(now) // the round fails: too few shards
+		})
+		return n, r.Stats().CoopReqsSent
+	}
+	none, sentNone := round(101, 101, 101)
+	three, sent := round(102, 103, 104)
+	if sentNone != 0 || sent != 3*6 {
+		t.Fatalf("rounds sent %d and %d requests, want 0 and 18", sentNone, sent)
+	}
+	if three-none != 3 {
+		t.Errorf("asking 3 helpers allocates %v times more than asking none, want 3 (one per request)", three-none)
+	}
+}
+
+// TestStaleRefNeverServesRecycledBatch: batch X names packet (1, 1) and
+// expires while an older, refreshed batch of flow 1 keeps X's ref in the
+// flow's index. X's state is recycled for batch Y, which names (1, 2). A
+// NACK for (1, 1) must find nothing — parked, then unrecoverable — and never
+// be answered with Y's parity.
+func TestStaleRefNeverServesRecycledBatch(t *testing.T) {
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	ttl := DefaultRecovererConfig().BatchTTL
+	batch := func(now core.Time, id uint64, seq core.Seq) {
+		cache(r, now, wire.Coded{Batch: id, Kind: wire.InStream, R: 1,
+			Sources: []wire.SourceRef{{Flow: 1, Seq: seq, Receiver: 101}}}, []byte{byte(id), 0, 0})
+	}
+	batch(0, 7, 100)                  // the head of flow 1's index
+	batch(time.Millisecond, 1, 1)     // X
+	batch(ttl/2, 7, 100)              // refreshed: outlives X
+	r.OnTimer(ttl + time.Millisecond) // X expires, its ref stays behind the head
+	x := r.spare[len(r.spare)-1]
+	batch(ttl+2*time.Millisecond, 2, 2) // Y, in X's state
+	if r.batches[2] != x {
+		t.Fatal("Y was not cached in X's recycled state")
+	}
+	if idx := r.sources[1]; idx.n != 3 || idx.batches != 2 {
+		t.Fatalf("flow 1's index holds %d refs, %d live; want X's stale one among 3", idx.n, idx.batches)
+	}
+
+	now := ttl + 3*time.Millisecond
+	if emits := r.OnNACK(now, 101, core.PacketID{Flow: 1, Seq: 1}, 0); len(emits) != 0 {
+		t.Fatalf("a NACK for X's packet was answered with %d messages (batch %d)", len(emits), codedMeta(t, emits[0]).Batch)
+	}
+	if _, parked := r.pending[core.PacketID{Flow: 1, Seq: 1}]; !parked || r.Stats().InStreamServed != 0 {
+		t.Fatalf("the NACK for X's packet: parked %v, stats %+v", parked, r.Stats())
+	}
+	emits := r.OnNACK(now, 101, core.PacketID{Flow: 1, Seq: 2}, 0)
+	if len(emits) != 1 || codedMeta(t, emits[0]).Batch != 2 {
+		t.Fatalf("a NACK for Y's packet was answered with %d messages, want Y's one shard", len(emits))
+	}
+	r.OnTimer(now + DefaultRecovererConfig().PendingTTL)
+	if st := r.Stats(); st.Unrecoverable != 1 || st.InStreamServed != 1 {
+		t.Errorf("stats %+v: want X's packet unrecoverable and Y's served", st)
+	}
+}
+
+// TestEmptyShardIsHeld: presence is never read off a length. A zero-length
+// shard is held — a repeat is not stored again, a NACK forwards it — in
+// fresh buffers, in recycled ones that held bytes and in recycled empty ones.
+func TestEmptyShardIsHeld(t *testing.T) {
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	ttl := DefaultRecovererConfig().BatchTTL
+	check := func(now core.Time, id uint64, seq core.Seq) {
+		t.Helper()
+		meta := wire.Coded{Batch: id, Kind: wire.InStream, R: 2, Sources: []wire.SourceRef{{Flow: 1, Seq: seq, Receiver: 101}}}
+		stored := r.Stats().CodedStored
+		cache(r, now, meta, nil)
+		cache(r, now, meta, nil) // each shard again
+		if n := r.Stats().CodedStored - stored; n != 2 {
+			t.Fatalf("batch %d: stored %d empty shards, want its 2", id, n)
+		}
+		emits := r.OnNACK(now, 101, core.PacketID{Flow: 1, Seq: seq}, 0)
+		if len(emits) != 2 {
+			t.Fatalf("batch %d: a NACK forwarded %d empty shards, want 2", id, len(emits))
+		}
+		for _, em := range emits {
+			if meta := codedMeta(t, em); meta.ShardLen != 0 {
+				t.Fatalf("batch %d: forwarded a %d-byte shard", id, meta.ShardLen)
+			}
+		}
+	}
+	check(0, 1, 1) // fresh
+	cache(r, 0, wire.Coded{Batch: 2, Kind: wire.InStream, R: 2, Sources: []wire.SourceRef{{Flow: 1, Seq: 2, Receiver: 101}}}, []byte{1, 2, 3})
+	r.OnTimer(ttl)
+	if len(r.spare) != 2 || len(r.spareShards) != 4 {
+		t.Fatalf("%d spare states, %d spare shards after both batches expired, want 2 and 4", len(r.spare), len(r.spareShards))
+	}
+	check(ttl, 3, 3) // batch 2's state and its 3-byte buffers
+	check(ttl, 4, 4) // batch 1's
+}
+
+// TestIdleRecovererKeepsFewSpares: a thousand batches expiring with none
+// arriving leave maxSpare states and maxSpare shard buffers for later
+// batches; the rest are let go.
+func TestIdleRecovererKeepsFewSpares(t *testing.T) {
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	for i := 1; i <= 1000; i++ {
+		cache(r, 0, wire.Coded{Batch: uint64(i), Kind: wire.CrossStream, R: 2, Sources: []wire.SourceRef{
+			{Flow: 1, Seq: core.Seq(i), Receiver: 101}, {Flow: 2, Seq: core.Seq(i), Receiver: 102}}}, make([]byte, 64))
+	}
+	r.OnTimer(DefaultRecovererConfig().BatchTTL)
+	if r.Batches() != 0 || len(r.sources) != 0 || len(r.spare) != maxSpare || len(r.spareShards) != maxSpare {
+		t.Errorf("after every batch expired: %d batches, %d flow indexes, %d spare states, %d spare shards; want 0, 0, %d and %d",
+			r.Batches(), len(r.sources), len(r.spare), len(r.spareShards), maxSpare, maxSpare)
+	}
+}

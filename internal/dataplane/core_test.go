@@ -450,47 +450,62 @@ func FuzzCoreHandle(f *testing.F) {
 // TestHandleSteadyStateAllocs pins what one message costs the core once its
 // buffers have grown: forwarding a data message allocates nothing (the
 // forwarder answers in its own buffer, the datagram leaves as it came), and
-// a parity shard for a batch the recoverer already holds allocates the
-// stored shard alone — the metadata is parsed into the core's scratch.
+// neither does a parity shard once batches come and go — the metadata is
+// parsed into the core's scratch, and a new batch is copied into the state
+// and shard buffers of one that expired.
 func TestHandleSteadyStateAllocs(t *testing.T) {
 	c, env := newWorld(t)
 	c.Forwarder.SetRoute(hostC, dcC)
-	run := func(raw []byte, prep func(i int)) float64 {
-		var hdr wire.Header
-		body, err := wire.SplitMessage(&hdr, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		return testing.AllocsPerRun(100, func() {
-			if prep != nil {
-				prep(i)
-			}
-			i++
-			env.sent = env.sent[:0]
-			c.Handle(0, &hdr, body, raw)
-		})
-	}
 	data := message(wire.TypeData, core.ServiceForwarding, 7, 1, local, hostC, 0, []byte("payload"))
-	if n := run(data, nil); n != 0 {
+	var dataHdr wire.Header
+	dataBody, err := wire.SplitMessage(&dataHdr, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		env.sent = env.sent[:0]
+		c.Handle(0, &dataHdr, dataBody, data)
+	}); n != 0 {
 		t.Errorf("forwarding a data message allocates %v times, want 0", n)
 	}
 	if len(env.sent) != 1 || env.sent[0].To != dcC {
 		t.Fatalf("data message went to %v", env.sent)
 	}
 
-	// One batch, R shards wide; every run delivers the shard of a slot not
-	// yet filled.
-	const r = 120
-	meta := wire.Coded{Batch: 1, K: 2, R: r, ShardLen: 4,
-		Sources: []wire.SourceRef{{Flow: 7, Seq: 1, Receiver: hostB}, {Flow: 8, Seq: 1, Receiver: hostB}}}
-	coded := message(wire.TypeCoded, core.ServiceCoding, 0, 0, dcB, self, 0, meta.AppendMarshal(nil, []byte("shrd")))
-	handle(t, c, coded) // index 0 creates the batch
-	index := wire.HeaderLen + 11
-	if n := run(coded, func(i int) { coded[index] = byte(1 + i) }); n != 1 {
-		t.Errorf("a shard for a held batch allocates %v times, want 1 (the stored shard)", n)
+	// A batch a millisecond, both of its shards, and the timer run at each
+	// arrival: once BatchTTL's worth is cached, every new batch takes the
+	// place of the one that just expired.
+	const batches, warm = 4000, 3000
+	coded := make([][]byte, 0, 2*batches)
+	for b := uint64(1); b <= batches; b++ {
+		for idx := uint8(0); idx < 2; idx++ {
+			meta := wire.Coded{Batch: b, K: 2, R: 2, Index: idx, ShardLen: 4,
+				Sources: []wire.SourceRef{{Flow: 7, Seq: core.Seq(b), Receiver: hostB}, {Flow: 8, Seq: core.Seq(b), Receiver: hostB}}}
+			coded = append(coded, message(wire.TypeCoded, core.ServiceCoding, 0, 0, dcB, self, 0, meta.AppendMarshal(nil, []byte("shrd"))))
+		}
 	}
-	if st := c.Recoverer.Stats(); st.CodedStored != 102 || c.Recoverer.Batches() != 1 {
-		t.Errorf("stored %d shards in %d batches, want 102 in 1", st.CodedStored, c.Recoverer.Batches())
+	var hdr wire.Header
+	next := 0
+	cycle := func() {
+		now := core.Time(next/2+1) * time.Millisecond
+		for shard := 0; shard < 2; shard++ {
+			body, err := wire.SplitMessage(&hdr, coded[next])
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Handle(now, &hdr, body, coded[next])
+			next++
+		}
+		c.OnTimer(now)
+	}
+	for next < 2*warm {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(batches-warm-1, cycle); n != 0 {
+		t.Errorf("a batch arriving as another expires allocates %v times, want 0", n)
+	}
+	ttl := coding.DefaultRecovererConfig().BatchTTL / core.Time(time.Millisecond)
+	if st := c.Recoverer.Stats(); next != len(coded) || st.CodedStored != 2*batches || c.Recoverer.Batches() != int(ttl) {
+		t.Errorf("stored %d shards, %d batches cached; want %d and %d", st.CodedStored, c.Recoverer.Batches(), 2*batches, ttl)
 	}
 }

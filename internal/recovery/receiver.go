@@ -573,7 +573,8 @@ func (r *Receiver) OnCoopReq(now core.Time, hdr *wire.Header, ref *wire.CoopRef)
 		Src:     r.cfg.Self,
 		Dst:     hdr.Src,
 	}
-	msg := wire.AppendMessage(nil, &respHdr, ref.AppendMarshal(nil, payload))
+	msg := make([]byte, 0, wire.HeaderLen+ref.MarshaledLen()+len(payload))
+	msg = ref.AppendMarshal(wire.AppendMessage(msg, &respHdr, nil), payload)
 	r.res.Emits = append(r.res.Emits, core.Emit{To: hdr.Src, Msg: msg})
 	return r.res
 }

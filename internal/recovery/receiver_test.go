@@ -519,6 +519,29 @@ func TestCoopReqAnswered(t *testing.T) {
 	}
 }
 
+// TestCoopRespAllocatesOnce: a helper's answer is one allocation, sized for
+// header, reference and payload before any of them is written.
+func TestCoopRespAllocatesOnce(t *testing.T) {
+	// Under the race detector append(dst, make(...)...), which marshalling
+	// uses, materialises its temporary.
+	roomy, n := make([]byte, 0, 64), 40
+	if testing.AllocsPerRun(10, func() { roomy = append(roomy[:0], make([]byte, n)...) }) != 0 {
+		t.Skip("this build allocates for append(dst, make(...)...)")
+	}
+	r := testReceiver()
+	feed(r, 0, 1, 7)
+	ref := wire.CoopRef{Batch: 3, Want: core.PacketID{Flow: 9, Seq: 1}}
+	h := wire.Header{Type: wire.TypeCoopReq, Flow: 1, Seq: 7, Src: dcNode, Dst: self}
+	answer := func() {
+		if res := r.OnCoopReq(time.Millisecond, &h, &ref); len(res.Emits) != 1 {
+			t.Fatalf("%d coop responses, want 1", len(res.Emits))
+		}
+	}
+	if n := testing.AllocsPerRun(100, answer); n != 1 {
+		t.Errorf("a coop response allocates %v times, want 1", n)
+	}
+}
+
 func TestCoopReqForUnknownPacketIgnored(t *testing.T) {
 	r := testReceiver()
 	ref := wire.CoopRef{Batch: 3}

@@ -142,6 +142,9 @@ type CoopRef struct {
 
 const coopRefLen = 8 + 8 + 8
 
+// MarshaledLen returns the encoded size of the reference (not the payload).
+func (c *CoopRef) MarshaledLen() int { return coopRefLen }
+
 // AppendMarshal appends the reference (and for responses, the helper's data
 // payload) to dst, growing dst at most once.
 func (c *CoopRef) AppendMarshal(dst, payload []byte) []byte {
