@@ -56,15 +56,14 @@ type HostCore struct {
 	self, dc core.NodeID
 	env      HostEnv
 
-	receivers map[core.FlowID]*recovery.Receiver
-	// byFlow lists the same receivers in ascending flow-ID order: OnTimer
-	// walks it, so flows whose timers expire in the same instant emit
-	// (and draw link jitter and loss) in a fixed order instead of Go's
-	// per-range map order.
+	// byFlow holds the receivers in ascending flow-ID order: lookups
+	// binary-search it (find), and OnTimer walks it, so flows whose timers
+	// expire in the same instant emit (and draw link jitter and loss) in a
+	// fixed order.
 	byFlow []flowReceiver
 	// unsol lists the receivers of FlowUnknown IDs in least-recently-used
 	// order: creating one past MaxUnsolicited evicts the front. Without
-	// the cap a sender forging fresh IDs would grow the receiver map
+	// the cap a sender forging fresh IDs would grow the receiver list
 	// without bound — these entries have no Drop to free them. Live flows
 	// never enter the list, and an unsolicited ID that a later
 	// registration adopts leaves it, so mid-join laziness is untouched.
@@ -84,16 +83,16 @@ type flowReceiver struct {
 
 // NewHost builds the core of endpoint self, whose nearby DC is dc, on env.
 func NewHost(self, dc core.NodeID, env HostEnv) *HostCore {
-	return &HostCore{
-		self:      self,
-		dc:        dc,
-		env:       env,
-		receivers: make(map[core.FlowID]*recovery.Receiver),
-	}
+	return &HostCore{self: self, dc: dc, env: env}
 }
 
 // Receiver returns the recovery engine for a flow (nil if none yet).
-func (c *HostCore) Receiver(flow core.FlowID) *recovery.Receiver { return c.receivers[flow] }
+func (c *HostCore) Receiver(flow core.FlowID) *recovery.Receiver {
+	if i, ok := c.find(flow); ok {
+		return c.byFlow[i].r
+	}
+	return nil
+}
 
 // Receivers is how many per-flow engines the core holds; Unsolicited how
 // many of those belong to FlowUnknown IDs — at most MaxUnsolicited.
@@ -117,9 +116,9 @@ func (c *HostCore) Stats() recovery.Stats {
 // with the given RTT seed (≤ 0: whatever env.Flow names) and service.
 // Closed flows get nil; callers drop the packet.
 func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *recovery.Receiver {
-	if r, ok := c.receivers[flow]; ok {
+	if i, ok := c.find(flow); ok {
 		c.refreshUnsolicited(flow)
-		return r
+		return c.byFlow[i].r
 	}
 	state, seed := c.env.Flow(flow)
 	switch state {
@@ -143,29 +142,25 @@ func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *re
 	cfg := recovery.DefaultConfig(c.self, c.dc, rtt)
 	cfg.Service = svc
 	r := recovery.New(cfg)
-	c.receivers[flow] = r
-	c.byFlow = slices.Insert(c.byFlow, c.flowIndex(flow), flowReceiver{flow, r})
+	// Found after any eviction above, which may have shifted the index.
+	i, _ := c.find(flow)
+	c.byFlow = slices.Insert(c.byFlow, i, flowReceiver{flow, r})
 	return r
 }
 
-// flowIndex is flow's position in byFlow, or where it would be inserted.
-func (c *HostCore) flowIndex(flow core.FlowID) int {
-	i, _ := slices.BinarySearchFunc(c.byFlow, flow, func(e flowReceiver, id core.FlowID) int {
+// find is flow's position in byFlow, or where it would be inserted.
+func (c *HostCore) find(flow core.FlowID) (int, bool) {
+	return slices.BinarySearchFunc(c.byFlow, flow, func(e flowReceiver, id core.FlowID) int {
 		return cmp.Compare(e.flow, id)
 	})
-	return i
 }
 
-// remove deletes flow's engine from the map and the ordered list.
+// remove retires flow's engine.
 func (c *HostCore) remove(flow core.FlowID) {
-	r, ok := c.receivers[flow]
-	if !ok {
-		return
+	if i, ok := c.find(flow); ok {
+		c.retired.Add(c.byFlow[i].r.Stats())
+		c.byFlow = slices.Delete(c.byFlow, i, i+1)
 	}
-	c.retired.Add(r.Stats())
-	delete(c.receivers, flow)
-	i := c.flowIndex(flow)
-	c.byFlow = slices.Delete(c.byFlow, i, i+1)
 }
 
 // Drop frees a flow's recovery engine. A previously-unsolicited ID leaves
@@ -179,7 +174,7 @@ func (c *HostCore) Drop(flow core.FlowID) {
 	}
 }
 
-// refreshUnsolicited keeps the LRU honest on a receiver-map hit. A
+// refreshUnsolicited keeps the LRU honest on a receiver lookup hit. A
 // still-unsolicited entry moves to the LRU back (recently used). An entry
 // whose ID a registration has since allocated is PROMOTED out of the list
 // entirely and reported as held — the flow is live now, so its receiver
@@ -246,11 +241,11 @@ func (c *HostCore) Handle(now core.Time, hdr *wire.Header, body []byte) bool {
 			c.drop++
 			return false
 		}
-		if r, ok := c.receivers[hdr.Flow]; ok {
+		if r := c.Receiver(hdr.Flow); r != nil {
 			res = r.OnCoopReq(now, hdr, &ref)
 		}
 	case wire.TypeVerify:
-		if r, ok := c.receivers[hdr.Flow]; ok {
+		if r := c.Receiver(hdr.Flow); r != nil {
 			res = r.OnVerify(now, hdr)
 		}
 	default:

@@ -46,15 +46,15 @@ type Config struct {
 	// across bursts too (the ablation behind the paper's "5× fewer
 	// NACKs" claim).
 	SingleTimer bool
-	// PumpWindow sizes the sustained-recovery pump: when recoveries
-	// arrive while the direct path is silent (an outage), the receiver
-	// keeps up to this many speculative NACKs outstanding ahead of the
-	// last recovered packet, letting recovery proceed at the parity
-	// arrival rate ("repeatedly applying this cooperative recovery
-	// process … recovers an indefinite series of losses", §4.4).
-	// 0 = default (16); negative disables the pump.
-	PumpWindow int
 }
+
+// pumpWindow sizes the sustained-recovery pump: when recoveries arrive
+// while the direct path is silent (an outage), the receiver keeps this
+// many speculative NACKs outstanding ahead of the last recovered packet,
+// letting recovery proceed at the parity arrival rate ("repeatedly
+// applying this cooperative recovery process … recovers an indefinite
+// series of losses", §4.4).
+const pumpWindow = 16
 
 // SmallTimeout is the in-burst loss-detection timer of a deployment's
 // receivers: the paper's 25 ms small timeout (§6.2.1).
@@ -93,9 +93,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.NACKRetry < 0 {
 		c.NACKRetry = 0
-	}
-	if c.PumpWindow == 0 {
-		c.PumpWindow = 16
 	}
 }
 
@@ -445,8 +442,8 @@ func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) 
 	// has been silent since this loss was detected indicate an outage —
 	// keep speculative NACKs outstanding so the next losses are already
 	// in recovery when their parity reaches the DC.
-	if r.cfg.PumpWindow > 0 && tracked && fs.lastDirect < detectedAt {
-		high := hdr.Seq + core.Seq(r.cfg.PumpWindow)
+	if tracked && fs.lastDirect < detectedAt {
+		high := hdr.Seq + pumpWindow
 		start := fs.next
 		if fs.pumpHigh+1 > start {
 			start = fs.pumpHigh + 1

@@ -356,6 +356,57 @@ func TestOnRecoveredDelivers(t *testing.T) {
 	}
 }
 
+// TestPumpNACKsAheadDuringOutage: a recovery of a loss detected while the
+// direct path was already silent marks an outage. The pump then NACKs the
+// pumpWindow sequence numbers past the recovered one, and each further
+// recovery tops the window up.
+func TestPumpNACKsAheadDuringOutage(t *testing.T) {
+	r := testReceiver()
+	for seq := uint64(1); seq <= 3; seq++ {
+		feed(r, time.Duration(seq)*5*time.Millisecond, 1, seq)
+	}
+	// The direct path goes silent: the next timer NACKs seq 4.
+	at, ok := r.NextDeadline()
+	if !ok {
+		t.Fatal("no timer armed")
+	}
+	if res := r.OnTimer(at); len(res.Emits) != 1 || r.OutstandingLosses() != 1 {
+		t.Fatalf("timer sent %d messages, %d losses tracked; want 1 NACK for seq 4", len(res.Emits), r.OutstandingLosses())
+	}
+	recoverSeq := func(seq uint64) []core.Seq {
+		at += 5 * time.Millisecond
+		h := wire.Header{Type: wire.TypeRecovered, Service: core.ServiceCoding,
+			Flow: 1, Seq: core.Seq(seq), Src: dcNode, Dst: self}
+		var nacked []core.Seq
+		for _, em := range r.OnRecovered(at, &h, pay(seq)).Emits {
+			var nh wire.Header
+			if _, err := wire.SplitMessage(&nh, em.Msg); err != nil || nh.Type != wire.TypeNACK {
+				t.Fatalf("recovery emitted %v (%v), want NACKs only", nh.Type, err)
+			}
+			nacked = append(nacked, nh.Seq)
+		}
+		return nacked
+	}
+	// Recovering 4 NACKs (4, 4+pumpWindow]: everything after it.
+	var want []core.Seq
+	for s := core.Seq(5); s <= 4+pumpWindow; s++ {
+		want = append(want, s)
+	}
+	if got := recoverSeq(4); !slices.Equal(got, want) {
+		t.Fatalf("recovering 4 NACKed %v, want %v", got, want)
+	}
+	if got := r.Stats().PumpNACKs; got != pumpWindow {
+		t.Fatalf("PumpNACKs = %d, want %d", got, pumpWindow)
+	}
+	// Recovering 5, itself a pump NACK, moves the window one on.
+	if got := recoverSeq(5); !slices.Equal(got, []core.Seq{5 + pumpWindow}) {
+		t.Fatalf("recovering 5 NACKed %v, want [%d]", got, 5+pumpWindow)
+	}
+	if got := r.Stats().PumpNACKs; got != pumpWindow+1 {
+		t.Fatalf("PumpNACKs = %d, want %d", got, pumpWindow+1)
+	}
+}
+
 func TestInStreamLocalDecode(t *testing.T) {
 	r := testReceiver()
 	// Build a 3-packet block with 1 parity, lose seq 2.

@@ -56,7 +56,8 @@ func BenchmarkReroute(b *testing.B) {
 }
 
 // BenchmarkKShortestPaths measures alternate-path computation (k=3) on
-// the sparse graph.
+// the sparse graph: Yen's spur searches on the controller's Dijkstra. It
+// allocates only what it returns, the []Path and one node array.
 func BenchmarkKShortestPaths(b *testing.B) {
 	c := benchController()
 	b.ReportAllocs()
@@ -107,11 +108,11 @@ func BenchmarkPinChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalRecompute measures a scoped recompute: one link's
-// utilization swings past the hysteresis (inflate, then back to
-// baseline), so only the sources whose trees actually cross that link
-// re-run Dijkstra — the delta path BenchmarkRouteCompute's full
-// all-pairs pass is the ceiling for.
+// BenchmarkIncrementalRecompute measures the recompute a utilization
+// swing triggers: one link's utilization crosses the hysteresis (inflate,
+// then back to baseline), and each crossing runs the full all-pairs
+// Recompute plus push reconciliation. The name predates the full
+// recompute; it is kept so the gated baseline keeps its history.
 func BenchmarkIncrementalRecompute(b *testing.B) {
 	c := benchController()
 	ps := c.Paths(1, 26, 1)
@@ -124,10 +125,6 @@ func BenchmarkIncrementalRecompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.SetLinkUtilization(la, lb, 0.95)
 		c.SetLinkUtilization(la, lb, 0)
-	}
-	b.StopTimer()
-	if c.Stats().IncrementalRecomputes == 0 {
-		b.Fatal("bench never took the incremental path")
 	}
 }
 

@@ -73,12 +73,11 @@ func (c *Controller) applyLinkUtilization(a, b core.NodeID, util float64) bool {
 	return true
 }
 
-// congestionRecompute recomputes after accepted utilization changes —
-// incrementally, scoped to the reweighted links — and counts a congestion
-// reroute when routes actually moved.
-func (c *Controller) congestionRecompute(links ...[2]core.NodeID) {
+// congestionRecompute recomputes after accepted utilization changes and
+// counts a congestion reroute when routes actually moved.
+func (c *Controller) congestionRecompute() {
 	pre := c.stats.Reroutes
-	c.recomputeLinks(links...)
+	c.Recompute()
 	if c.stats.Reroutes > pre {
 		c.stats.CongestionReroutes++
 	}
@@ -91,7 +90,7 @@ func (c *Controller) SetLinkUtilization(a, b core.NodeID, util float64) {
 		return
 	}
 	c.stats.UtilizationUpdates++
-	c.congestionRecompute([2]core.NodeID{a, b})
+	c.congestionRecompute()
 }
 
 // UtilizationReport is one link's utilization reading in a batch.
@@ -107,15 +106,14 @@ type UtilizationReport struct {
 // SPF + push cycles (and count phantom intermediate reroutes) where one
 // suffices.
 func (c *Controller) SetLinkUtilizations(reports []UtilizationReport) {
-	changed := c.utilBuf[:0]
+	changed := false
 	for _, r := range reports {
 		if c.applyLinkUtilization(r.A, r.B, r.Util) {
 			c.stats.UtilizationUpdates++
-			changed = append(changed, linkKey(r.A, r.B))
+			changed = true
 		}
 	}
-	c.utilBuf = changed
-	if len(changed) > 0 {
-		c.congestionRecompute(changed...)
+	if changed {
+		c.congestionRecompute()
 	}
 }

@@ -225,10 +225,11 @@ func TestZeroLatencyLinkNoPrevCycle(t *testing.T) {
 	c.SetLink(5, 1, 10*time.Millisecond)
 	c.SetLink(5, 2, 10*time.Millisecond)
 	c.SetLink(1, 2, 0)
-	p, ok := c.Graph().ShortestPath(5, 2)
-	if !ok || len(p.Nodes) < 2 || p.Nodes[0] != 5 || p.Nodes[len(p.Nodes)-1] != 2 {
-		t.Fatalf("path 5→2 = %+v %v", p, ok)
+	ps := c.Paths(5, 2, 1)
+	if len(ps) != 1 || len(ps[0].Nodes) < 2 || ps[0].Nodes[0] != 5 || ps[0].Nodes[len(ps[0].Nodes)-1] != 2 {
+		t.Fatalf("path 5→2 = %+v", ps)
 	}
+	p := ps[0]
 	if p.Cost != 10*time.Millisecond {
 		t.Fatalf("path cost = %v, want 10ms", p.Cost)
 	}

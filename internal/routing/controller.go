@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sort"
 
 	"jqos/internal/core"
@@ -36,16 +37,9 @@ type EpochSink interface {
 
 // Stats counts control-plane activity.
 type Stats struct {
-	// Recomputes is the number of table computation events (full or
-	// incremental).
+	// Recomputes is the number of table computation events, each one
+	// Dijkstra per source.
 	Recomputes uint64
-	// IncrementalRecomputes counts the subset of Recomputes served by the
-	// delta engine (affected sources only).
-	IncrementalRecomputes uint64
-	// SourcesRecomputed totals the per-source Dijkstra runs performed by
-	// incremental recomputes; SourcesRecomputed/IncrementalRecomputes is
-	// the mean cut size.
-	SourcesRecomputed uint64
 	// EpochAdvances counts table epochs opened (recomputes that modified
 	// at least one pushed entry); EpochRetires counts old epochs drained
 	// and retired by the hosting runtime.
@@ -95,7 +89,7 @@ type dcTables struct {
 // destinations alike) to the registered RouteSinks.
 type Controller struct {
 	g   *Graph
-	k   int // alternate paths kept per pair (KShortestPaths default)
+	k   int // alternate paths kept per pair (Paths default)
 	dcs map[core.NodeID]*dcTables
 	// homes maps host (or multicast-group) IDs to their home DC; hosts
 	// are routed toward their home DC's next hop.
@@ -145,24 +139,17 @@ type Controller struct {
 	// calls RetireEpoch.
 	OnEpochAdvance func(epoch uint64)
 
-	// Index-space delta engine state (incremental.go). nodeList/idxOf/adj
-	// mirror the graph in index space and rebuild only on structural
-	// changes (topoGen vs Graph.gen); trees caches one shortest-path tree
-	// per source; unreachBySrc keeps Stats.Unreachable exact under
-	// per-source refreshes. incremental is false only in the differential
-	// test's oracle controller, which it forces onto Recompute for every
-	// link event.
-	incremental  bool
-	nodeList     []core.NodeID
-	listBuf      []core.NodeID // previous nodeList, for install-row remaps
-	idxOf        map[core.NodeID]int32
-	adj          [][]adjEdge
-	topoGen      uint64
-	trees        map[core.NodeID]*srcTree
-	unreachBySrc map[core.NodeID]int
-	affBuf       []int32
-	utilBuf      [][2]core.NodeID
-	work         spfWork
+	// Route engine state (spf.go). nodeList/idxOf/adj mirror the graph in
+	// index space and rebuild only on structural changes (topoGen vs
+	// Graph.gen); work is the one Dijkstra's scratch tree and yen the
+	// candidate store of Paths.
+	nodeList []core.NodeID
+	listBuf  []core.NodeID // previous nodeList, for table remaps
+	idxOf    map[core.NodeID]int32
+	adj      [][]adjEdge
+	topoGen  uint64
+	work     spfWork
+	yen      yenWork
 
 	// Table-epoch state: epoch is the current table version; epochBumped
 	// marks whether the in-progress update already opened a new epoch
@@ -210,18 +197,15 @@ func NewController(k int) *Controller {
 		k = 1
 	}
 	return &Controller{
-		g:            NewGraph(),
-		k:            k,
-		dcs:          make(map[core.NodeID]*dcTables),
-		homes:        make(map[core.NodeID]core.NodeID),
-		hostSlot:     make(map[core.NodeID]int32),
-		pins:         make(map[core.FlowID]*flowPin),
-		watches:      make(map[core.FlowID]*flowWatch),
-		incremental:  true,
-		trees:        make(map[core.NodeID]*srcTree),
-		unreachBySrc: make(map[core.NodeID]int),
-		idxOf:        make(map[core.NodeID]int32),
-		primBuf:      make(map[[2]core.NodeID][]core.NodeID),
+		g:        NewGraph(),
+		k:        k,
+		dcs:      make(map[core.NodeID]*dcTables),
+		homes:    make(map[core.NodeID]core.NodeID),
+		hostSlot: make(map[core.NodeID]int32),
+		pins:     make(map[core.FlowID]*flowPin),
+		watches:  make(map[core.FlowID]*flowWatch),
+		idxOf:    make(map[core.NodeID]int32),
+		primBuf:  make(map[[2]core.NodeID][]core.NodeID),
 	}
 }
 
@@ -267,14 +251,7 @@ func (c *Controller) AttachHost(host, home core.NodeID) {
 		c.hostHomeIdx[slot] = -1
 	}
 	for _, dc := range c.g.Nodes() {
-		dt := c.dcs[dc]
-		if dt == nil {
-			continue
-		}
-		for len(dt.instHost) < len(c.hostID) {
-			dt.instHost = append(dt.instHost, 0)
-		}
-		c.pushHost(dt, slot, host, c.desiredVia(dc, host))
+		c.push(c.dcs[dc], true, slot, host, c.desiredVia(dc, host))
 	}
 }
 
@@ -293,8 +270,8 @@ func (c *Controller) RemoveLink(a, b core.NodeID) {
 
 // SetLinkHealth applies a monitor verdict: the link's state and (for
 // degraded or refreshed links) its estimated one-way cost (0 keeps the
-// configured base). A change triggers incremental recomputation and a
-// route re-push.
+// configured base). A change recomputes the tables and re-pushes what
+// moved.
 func (c *Controller) SetLinkHealth(a, b core.NodeID, state LinkState, est core.Time) {
 	l := c.g.Link(a, b)
 	if l == nil || (l.State == state && l.Est == est) {
@@ -310,7 +287,7 @@ func (c *Controller) SetLinkHealth(a, b core.NodeID, state LinkState, est core.T
 	}
 	l.State = state
 	l.Est = est
-	c.recomputeLinks([2]core.NodeID{a, b})
+	c.Recompute()
 }
 
 // NextHop returns the installed next hop at dc toward dst (a DC, host, or
@@ -349,15 +326,6 @@ func (c *Controller) PathLatency(a, b core.NodeID) (core.Time, bool) {
 		return 0, false
 	}
 	return d, true
-}
-
-// Paths returns up to k alternate paths a→b (k ≤ 0 uses the controller's
-// configured alternate count).
-func (c *Controller) Paths(a, b core.NodeID, k int) []Path {
-	if k <= 0 {
-		k = c.k
-	}
-	return c.g.KShortestPaths(a, b, k)
 }
 
 // Home returns the home DC a host or group was attached to.
@@ -552,10 +520,10 @@ func (c *Controller) notifyFlowPaths() {
 		pair := [2]core.NodeID{w.a, w.b}
 		cur, seen := c.primBuf[pair]
 		if !seen {
-			cur = c.primaryFromTables(w.a, w.b)
+			cur = c.appendPrimary(nil, w.a, w.b)
 			c.primBuf[pair] = cur
 		}
-		if !sameNodes(cur, w.last) {
+		if !slices.Equal(cur, w.last) {
 			old := w.last
 			w.last = append([]core.NodeID(nil), cur...)
 			notes = append(notes, pathNote{flow, old, cur, false})
@@ -570,19 +538,10 @@ func (c *Controller) notifyFlowPaths() {
 	c.notifying = false
 }
 
-// primaryFromTables reconstructs the primary a→b path by walking the
-// next-hop tables Recompute just rebuilt — O(hops), no extra SPF. Nil
-// when no route exists (or the tables are inconsistent mid-walk).
-func (c *Controller) primaryFromTables(a, b core.NodeID) []core.NodeID {
-	p := c.appendPrimary(nil, a, b)
-	if len(p) == 0 {
-		return nil
-	}
-	return p
-}
-
-// appendPrimary is primaryFromTables into a caller-owned buffer; the
-// result is buf[:0] when no route exists.
+// appendPrimary reconstructs the primary a→b path into buf by walking
+// the next-hop tables Recompute built — O(hops), no extra SPF. The result
+// is buf[:0] when no route exists (or the tables are inconsistent
+// mid-walk).
 func (c *Controller) appendPrimary(buf []core.NodeID, a, b core.NodeID) []core.NodeID {
 	buf = buf[:0]
 	if a == b || c.nhM == nil {
@@ -618,25 +577,63 @@ func sortedFlowIDsInto[V any](buf []core.FlowID, m map[core.FlowID]V) []core.Flo
 
 // Recompute rebuilds the all-pairs tables from current link health and
 // pushes the deltas to every sink. Unchanged entries are not re-pushed.
-// Link-scoped events go through recomputeLinks (incremental.go) instead,
-// which recomputes only the affected sources; this full form remains the
-// entry point for structural changes and the legacy fallback.
+// Every table change — link edits, health verdicts, utilization
+// reweights — runs it: one Dijkstra per source into the one scratch
+// tree, so the tables are a function of the graph's state alone, never of
+// the events that led there.
 func (c *Controller) Recompute() {
 	c.stats.Recomputes++
 	c.ensureTopo()
+	c.refreshWeights()
 	c.beginUpdate()
-	aff := c.affBuf[:0]
+	changed, unreach := 0, 0
 	for i := range c.nodeList {
-		aff = append(aff, int32(i))
+		c.work.begin(len(c.nodeList))
+		c.spf(int32(i), -1)
+		ch, u := c.refreshSource(int32(i))
+		changed += ch
+		unreach += u
 	}
-	c.affBuf = aff
-	c.computeTrees(aff)
-	changed := 0
-	for _, i := range aff {
-		s := c.nodeList[i]
-		changed += c.refreshSource(s, c.trees[s], i)
-	}
+	c.stats.Unreachable = unreach
 	c.endUpdate(changed)
+}
+
+// refreshSource folds the scratch tree of source sIdx into the routed
+// distM/nhM rows and reconciles its pushed entries (DC destinations
+// first, then hosts — both in ascending ID order). It returns the number
+// of installed next hops that moved and of destinations left unreachable.
+func (c *Controller) refreshSource(sIdx int32) (changed, unreach int) {
+	w := &c.work
+	dt := c.dcs[c.nodeList[sIdx]]
+	n := len(c.nodeList)
+	base := int(sIdx) * n
+	for j := int32(0); j < int32(n); j++ {
+		if j == sIdx {
+			continue
+		}
+		var via core.NodeID
+		c.distM[base+int(j)] = infCost
+		if w.dist[j] != infCost {
+			c.distM[base+int(j)] = w.lat[j]
+			via = c.nodeList[w.firstHop(j)]
+		} else {
+			unreach++
+		}
+		c.nhM[base+int(j)] = via
+		changed += c.push(dt, false, j, c.nodeList[j], via)
+	}
+	for _, slot := range c.hostIter {
+		home := c.hostHomeIdx[slot]
+		var via core.NodeID
+		if home >= 0 && home != sIdx {
+			via = c.nhM[base+int(home)]
+		}
+		if via == 0 && home != sIdx {
+			unreach++
+		}
+		changed += c.push(dt, true, slot, c.hostID[slot], via)
+	}
+	return changed, unreach
 }
 
 // beginUpdate opens a table-update session: the first modifying push of
@@ -725,69 +722,39 @@ func (c *Controller) nhLookup(a, b core.NodeID) core.NodeID {
 	return c.nhM[int(ai)*len(c.nodeList)+int(bi)]
 }
 
-// pushDC reconciles the (dc, destination-DC) entry at dstIdx against
-// dt's installed row, returning 1 when an existing next hop moved to a
-// different valid hop. Modifying pushes inside a recompute session
-// advance the table epoch first (epochWrite), so the sink snapshots the
-// old version before the write lands.
-func (c *Controller) pushDC(dt *dcTables, dstIdx int32, dst, via core.NodeID) int {
+// push reconciles one installed entry of dt — the next hop toward dst at
+// destination-DC index i, or at host slot i when host is set — with via
+// (0 = no entry), returning 1 when an existing next hop moved to a
+// different valid hop. Rows grow on demand: a sink registered after the
+// last index rebuild starts with empty ones. Modifying pushes inside a
+// recompute session advance the table epoch first (epochWrite), so the
+// sink snapshots the old version before the write lands.
+func (c *Controller) push(dt *dcTables, host bool, i int32, dst, via core.NodeID) int {
 	if dt == nil || dt.sink == nil {
 		return 0
 	}
-	for int(dstIdx) >= len(dt.instDC) {
-		// Sink registered after the last topology rebuild: its row starts
-		// empty and grows here (the index assignment is current).
-		dt.instDC = append(dt.instDC, 0)
+	row := &dt.instDC
+	if host {
+		row = &dt.instHost
 	}
-	old := dt.instDC[dstIdx]
-	if via == 0 {
-		if old != 0 {
-			c.epochWrite(dt)
-			dt.sink.DeleteRoute(dst)
-			dt.instDC[dstIdx] = 0
-			c.stats.Pushes++
-		}
-		return 0
+	for int(i) >= len(*row) {
+		*row = append(*row, 0)
 	}
+	old := (*row)[i]
 	if old == via {
 		return 0
 	}
 	c.epochWrite(dt)
-	dt.sink.SetRoute(dst, via)
-	dt.instDC[dstIdx] = via
-	c.stats.Pushes++
-	if old != 0 {
-		c.stats.RouteChanges++
-		return 1
-	}
-	return 0
-}
-
-// pushHost is pushDC for a host-slot entry.
-func (c *Controller) pushHost(dt *dcTables, slot int32, host, via core.NodeID) int {
-	if dt == nil || dt.sink == nil {
-		return 0
-	}
-	old := dt.instHost[slot]
 	if via == 0 {
-		if old != 0 {
-			c.epochWrite(dt)
-			dt.sink.DeleteRoute(host)
-			dt.instHost[slot] = 0
-			c.stats.Pushes++
-		}
-		return 0
+		dt.sink.DeleteRoute(dst)
+	} else {
+		dt.sink.SetRoute(dst, via)
 	}
-	if old == via {
-		return 0
-	}
-	c.epochWrite(dt)
-	dt.sink.SetRoute(host, via)
-	dt.instHost[slot] = via
+	(*row)[i] = via
 	c.stats.Pushes++
-	if old != 0 {
-		c.stats.RouteChanges++
-		return 1
+	if old == 0 || via == 0 {
+		return 0
 	}
-	return 0
+	c.stats.RouteChanges++
+	return 1
 }

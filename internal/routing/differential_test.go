@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -28,13 +30,29 @@ func newDiffWorld(n int, hosts map[core.NodeID]core.NodeID) *diffWorld {
 	return w
 }
 
-// TestIncrementalMatchesFullRecompute is the delta engine's oracle: random
-// graphs driven through random link events on two controllers — one
-// normal, one forced onto the full all-pairs Recompute for every event —
-// must agree on every routed table and every pushed route after each
-// event. The affected-source cut is the only thing that differs between
-// the two, so one source too few in it shows up here as a stale row.
-func TestIncrementalMatchesFullRecompute(t *testing.T) {
+// sortedLinks lists g's links in key order.
+func sortedLinks(g *Graph) []*Link {
+	var ls []*Link
+	for _, l := range g.links {
+		ls = append(ls, l)
+	}
+	slices.SortFunc(ls, func(a, b *Link) int {
+		if a.A != b.A {
+			return cmp.Compare(a.A, b.A)
+		}
+		return cmp.Compare(a.B, b.B)
+	})
+	return ls
+}
+
+// TestTablesIndependentOfHistory: random graphs driven through random link
+// events must, after every event, route exactly as a controller built
+// fresh from the same links in their current state — the same routed
+// tables, the same unreachable count and the same pushed routes. Latencies
+// lie on a 5 ms grid, so equal-cost paths are common: a table that kept a
+// tie from an earlier event instead of the lower-ID predecessor shows up
+// here as a difference.
+func TestTablesIndependentOfHistory(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(9)
@@ -42,45 +60,41 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 		for h := core.NodeID(100); h < core.NodeID(100+n+rng.Intn(n)); h++ {
 			hosts[h] = core.NodeID(1 + rng.Intn(n))
 		}
-		inc, full := newDiffWorld(n, hosts), newDiffWorld(n, hosts)
-		full.c.incremental = false
-
+		live := newDiffWorld(n, hosts)
 		var links [][2]core.NodeID
 		step := 0
-		both := func(what string, f func(c *Controller)) {
+		apply := func(what string, f func(c *Controller)) {
 			t.Helper()
-			f(inc.c)
-			f(full.c)
+			f(live.c)
 			step++
-			if !reflect.DeepEqual(inc.c.nhM, full.c.nhM) {
-				t.Fatalf("seed %d step %d (%s): next-hop tables differ\nincremental %v\nfull        %v", seed, step, what, inc.c.nhM, full.c.nhM)
+			fresh := newDiffWorld(n, hosts)
+			for _, l := range sortedLinks(live.c.g) {
+				fresh.c.SetLink(l.A, l.B, l.Base)
+				*fresh.c.g.Link(l.A, l.B) = *l
 			}
-			if !reflect.DeepEqual(inc.c.distM, full.c.distM) {
-				t.Fatalf("seed %d step %d (%s): routed latencies differ\nincremental %v\nfull        %v", seed, step, what, inc.c.distM, full.c.distM)
+			fresh.c.Recompute()
+			if !reflect.DeepEqual(live.c.nhM, fresh.c.nhM) {
+				t.Fatalf("seed %d step %d (%s): next-hop tables differ\nlive  %v\nfresh %v", seed, step, what, live.c.nhM, fresh.c.nhM)
 			}
-			if a, b := inc.c.Stats().Unreachable, full.c.Stats().Unreachable; a != b {
-				t.Fatalf("seed %d step %d (%s): Unreachable %d (incremental) vs %d (full)", seed, step, what, a, b)
+			if !reflect.DeepEqual(live.c.distM, fresh.c.distM) {
+				t.Fatalf("seed %d step %d (%s): routed latencies differ\nlive  %v\nfresh %v", seed, step, what, live.c.distM, fresh.c.distM)
 			}
-			for id, s := range inc.sinks {
-				if !reflect.DeepEqual(s.routes, full.sinks[id].routes) {
-					t.Fatalf("seed %d step %d (%s): DC %v pushed routes differ\nincremental %v\nfull        %v", seed, step, what, id, s.routes, full.sinks[id].routes)
+			if a, b := live.c.Stats().Unreachable, fresh.c.Stats().Unreachable; a != b {
+				t.Fatalf("seed %d step %d (%s): Unreachable %d (live) vs %d (fresh)", seed, step, what, a, b)
+			}
+			for id, s := range live.sinks {
+				if !reflect.DeepEqual(s.routes, fresh.sinks[id].routes) {
+					t.Fatalf("seed %d step %d (%s): DC %v pushed routes differ\nlive  %v\nfresh %v", seed, step, what, id, s.routes, fresh.sinks[id].routes)
 				}
 			}
 		}
-		// Latencies carry a random sub-millisecond part so equal-cost
-		// ties — where any shortest path is a right answer — do not occur.
-		lat := func() core.Time {
-			return time.Duration(5+rng.Intn(60))*time.Millisecond + time.Duration(rng.Intn(1_000_000))
-		}
+		lat := func() core.Time { return time.Duration(5*(1+rng.Intn(12))) * time.Millisecond }
 		setLink := func(a, b core.NodeID) {
 			x := lat()
-			both("SetLink", func(c *Controller) { c.SetLink(a, b, x) })
-			for _, lk := range links {
-				if lk == linkKey(a, b) {
-					return
-				}
+			apply("SetLink", func(c *Controller) { c.SetLink(a, b, x) })
+			if !slices.Contains(links, linkKey(a, b)) {
+				links = append(links, linkKey(a, b))
 			}
-			links = append(links, linkKey(a, b))
 		}
 		// A random spanning tree, then a few chords.
 		for b := core.NodeID(2); b <= core.NodeID(n); b++ {
@@ -100,20 +114,15 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 					setLink(a, b)
 				}
 			case r == 1 && len(links) > 1:
-				both("RemoveLink", func(c *Controller) { c.RemoveLink(lk[0], lk[1]) })
-				for j := range links {
-					if links[j] == lk {
-						links = append(links[:j], links[j+1:]...)
-						break
-					}
-				}
+				apply("RemoveLink", func(c *Controller) { c.RemoveLink(lk[0], lk[1]) })
+				links = slices.DeleteFunc(links, func(l [2]core.NodeID) bool { return l == lk })
 			case r < 11:
 				state := LinkState(rng.Intn(3))
 				var est core.Time
 				if state != LinkDown && rng.Intn(2) == 0 {
 					est = lat()
 				}
-				both("SetLinkHealth", func(c *Controller) { c.SetLinkHealth(lk[0], lk[1], state, est) })
+				apply("SetLinkHealth", func(c *Controller) { c.SetLinkHealth(lk[0], lk[1], state, est) })
 			default:
 				var reports []UtilizationReport
 				for _, l := range links {
@@ -121,14 +130,38 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 						reports = append(reports, UtilizationReport{A: l[0], B: l[1], Util: rng.Float64()})
 					}
 				}
-				both("SetLinkUtilizations", func(c *Controller) { c.SetLinkUtilizations(reports) })
+				apply("SetLinkUtilizations", func(c *Controller) { c.SetLinkUtilizations(reports) })
 			}
 		}
-		if inc.c.Stats().IncrementalRecomputes == 0 {
-			t.Fatalf("seed %d: the incremental path never ran", seed)
+	}
+}
+
+// TestIndexRebuildKeepsTables: Paths after AddDC rebuilds the index space
+// before any recompute; the routed tables must survive the remap.
+func TestIndexRebuildKeepsTables(t *testing.T) {
+	c := NewController(2)
+	for _, id := range []core.NodeID{10, 20, 30} {
+		c.AddDC(id, newFakeSink())
+	}
+	c.SetLink(10, 20, 10*time.Millisecond)
+	c.SetLink(20, 30, 10*time.Millisecond)
+	c.AttachHost(100, 30)
+	c.AddDC(5, newFakeSink()) // sorts first: every index shifts
+	if ps := c.Paths(10, 30, 1); len(ps) != 1 {
+		t.Fatalf("Paths(10, 30) = %v", ps)
+	}
+	if d, ok := c.PathLatency(10, 30); !ok || d != 20*time.Millisecond {
+		t.Fatalf("PathLatency(10, 30) = %v %v after the rebuild, want 20ms", d, ok)
+	}
+	for _, dst := range []core.NodeID{30, 100} {
+		if via, ok := c.NextHop(10, dst); !ok || via != 20 {
+			t.Fatalf("NextHop(10, %v) = %v %v after the rebuild, want 20", dst, via, ok)
 		}
-		if full.c.Stats().IncrementalRecomputes != 0 {
-			t.Fatalf("seed %d: the oracle took the incremental path", seed)
-		}
+	}
+	if p := c.WatchFlow(1, 10, 30); !slices.Equal(p, []core.NodeID{10, 20, 30}) {
+		t.Fatalf("primary 10→30 = %v after the rebuild", p)
+	}
+	if _, ok := c.PathLatency(5, 10); ok {
+		t.Fatal("the new DC is routed before any recompute")
 	}
 }

@@ -7,8 +7,11 @@
 // The package has three layers:
 //
 //   - Graph: the weighted inter-DC link graph with per-link health state.
-//   - Controller: table computation (deterministic Dijkstra, Yen's
-//     k-shortest paths) and incremental route pushes to RouteSinks.
+//   - Controller: one route engine, a deterministic index-space Dijkstra
+//     (spf.go). Every graph change recomputes every source's tree and
+//     pushes the entries that moved to RouteSinks, so the tables are a
+//     function of the graph's state alone; Yen's k-shortest paths run
+//     their spur searches on the same Dijkstra.
 //   - Monitor: per-link probe bookkeeping (RTT/loss estimators, fail /
 //     degrade / recover state machine) that feeds the controller.
 //

@@ -1,11 +1,17 @@
 package routing
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 
 	"jqos/internal/core"
 )
+
+// This file is the controller's one route engine: an index-space
+// Dijkstra over a snapshot of the graph (positions in
+// Controller.nodeList), run into one reused scratch tree. Recompute runs
+// it once per source; Paths runs Yen's spur searches on it, with banned
+// nodes and edges as generation-stamped marks.
 
 // Path is one loop-free route through the DC graph, endpoints included.
 type Path struct {
@@ -13,261 +19,422 @@ type Path struct {
 	Cost  core.Time
 }
 
-// pqItem is one entry of the Dijkstra frontier. Ties on dist break on node
-// ID, so equal-cost multipath resolves identically on every run and
-// machine — the deterministic tie-breaking the route tables rely on.
-type pqItem struct {
-	node core.NodeID
-	dist core.Time
-}
-
-type pq []pqItem
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	return q[i].node < q[j].node
-}
-func (q pq) Swap(i, j int)   { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)     { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any       { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-func (q *pq) push(it pqItem) { heap.Push(q, it) }
-func (q *pq) pop() pqItem    { return heap.Pop(q).(pqItem) }
-
 const infCost = core.Time(math.MaxInt64)
 
-// spfResult is one single-source shortest-path tree. dist is the weight
-// the tree minimized (congestion-inflated); lat is the honest latency
-// accumulated along the chosen edges — what predictions report.
-type spfResult struct {
-	dist map[core.NodeID]core.Time
-	lat  map[core.NodeID]core.Time
-	prev map[core.NodeID]core.NodeID
+// adjEdge is one directed adjacency entry of the index-space graph: the
+// neighbor's index, the shared undirected Link, and a snapshot of its
+// weight/latency/health (refreshWeights) so the Dijkstra inner loop reads
+// flat fields instead of re-deriving congestion-inflated costs per
+// relaxation. Only structural changes rebuild the adjacency.
+type adjEdge struct {
+	to   int32
+	up   bool
+	w    core.Time // selection weight (Link.Cost)
+	lat  core.Time // honest latency (Link.Latency)
+	link *Link
 }
 
-// shortestFrom runs Dijkstra from src over up-links, skipping banned edges
-// and vertices (nil = none). Tie-breaking is deterministic: the frontier
-// orders equal distances by node ID, and an equal-cost relaxation keeps
-// the lower-ID predecessor. Edges are relaxed on weight (Link.Cost, which
-// congestion inflates) while the true latency of the selected tree is
-// carried alongside — a route steered off a hot link must not inherit the
-// hot link's phantom delay in latency predictions.
-func (g *Graph) shortestFrom(src core.NodeID, bannedEdge map[[2]core.NodeID]bool, bannedNode map[core.NodeID]bool) spfResult {
-	res := spfResult{
-		dist: make(map[core.NodeID]core.Time, len(g.order)),
-		lat:  make(map[core.NodeID]core.Time, len(g.order)),
-		prev: make(map[core.NodeID]core.NodeID, len(g.order)),
+// refreshWeights snapshots every edge's current cost/latency/state. It
+// runs before each recompute and each Paths call.
+func (c *Controller) refreshWeights() {
+	for i := range c.adj {
+		row := c.adj[i]
+		for j := range row {
+			e := &row[j]
+			e.w, e.up = e.link.Cost()
+			if e.up {
+				e.lat, _ = e.link.Latency()
+			}
+		}
 	}
-	if !g.nodes[src] || bannedNode[src] {
-		return res
+}
+
+// spfWork is the controller's reusable Dijkstra state: the binary-heap
+// frontier and one shortest-path tree, kept across searches so they
+// allocate nothing in steady state. dist is the weight the tree minimized
+// (congestion-inflated; infCost = unreachable), lat the honest latency
+// accumulated along the chosen edges, prev the tree parent (-1 = none),
+// and first a lazily filled first-hop memo (-2 = unknown, -1 =
+// unreachable/self). A node is settled when done[i] == gen, banned when
+// banNode[i] == gen, and the edge from the source to i is banned when
+// banEdge[i] == gen: opening a generation (begin) lifts every mark at once.
+type spfWork struct {
+	frontier []heapItem
+	src      int32
+	dist     []core.Time
+	lat      []core.Time
+	prev     []int32
+	first    []int32
+	done     []uint32
+	banNode  []uint32
+	banEdge  []uint32
+	gen      uint32
+}
+
+// heapItem is one frontier entry. Ties on dist break on index, which —
+// because nodeList is sorted ascending — is the node-ID tie-break.
+type heapItem struct {
+	dist core.Time
+	idx  int32
+}
+
+func heapLess(a, b heapItem) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	res.dist[src] = 0
-	res.lat[src] = 0
-	frontier := make(pq, 0, len(g.order))
-	frontier.push(pqItem{node: src, dist: 0})
-	done := make(map[core.NodeID]bool, len(g.order))
-	for len(frontier) > 0 {
-		it := frontier.pop()
-		if done[it.node] {
+	return a.idx < b.idx
+}
+
+func (w *spfWork) push(it heapItem) {
+	w.frontier = append(w.frontier, it)
+	i := len(w.frontier) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !heapLess(w.frontier[i], w.frontier[p]) {
+			break
+		}
+		w.frontier[i], w.frontier[p] = w.frontier[p], w.frontier[i]
+		i = p
+	}
+}
+
+func (w *spfWork) pop() heapItem {
+	h := w.frontier
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	w.frontier = h[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && heapLess(h[l], h[small]) {
+			small = l
+		}
+		if r < n && heapLess(h[r], h[small]) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	return top
+}
+
+// begin sizes the scratch tree to n nodes and opens a new generation of
+// marks for the next search.
+func (w *spfWork) begin(n int) {
+	if cap(w.dist) < n {
+		w.dist = make([]core.Time, n)
+		w.lat = make([]core.Time, n)
+		w.prev = make([]int32, n)
+		w.first = make([]int32, n)
+		w.done = make([]uint32, n)
+		w.banNode = make([]uint32, n)
+		w.banEdge = make([]uint32, n)
+	}
+	w.dist, w.lat, w.prev, w.first = w.dist[:n], w.lat[:n], w.prev[:n], w.first[:n]
+	w.done, w.banNode, w.banEdge = w.done[:n], w.banNode[:n], w.banEdge[:n]
+	w.gen++
+	if w.gen == 0 {
+		clear(w.done)
+		clear(w.banNode)
+		clear(w.banEdge)
+		w.gen = 1
+	}
+}
+
+// spf runs one deterministic Dijkstra from src into the scratch tree,
+// skipping the nodes and source edges banned in the current generation,
+// and stops once stop (-1 = none) is settled: its path is final then.
+// Edges relax on weight (Link.Cost, which congestion inflates) while the
+// honest latency of the selected tree is carried alongside — a route
+// steered off a hot link must not inherit its phantom delay in latency
+// predictions. The frontier pops equal distances by index, and an
+// equal-cost relaxation keeps the lower-index predecessor. Settled nodes
+// are never relaxed again: on a zero-weight link the tie-break could
+// otherwise rewrite two of them into each other's predecessor, a prev
+// cycle that hangs path reconstruction.
+func (c *Controller) spf(src, stop int32) {
+	w := &c.work
+	for i := range w.dist {
+		w.dist[i] = infCost
+		w.lat[i] = 0
+		w.prev[i] = -1
+		w.first[i] = -2
+	}
+	w.src = src
+	w.dist[src] = 0
+	w.first[src] = -1
+	w.frontier = append(w.frontier[:0], heapItem{dist: 0, idx: src})
+	for len(w.frontier) > 0 {
+		it := w.pop()
+		if w.done[it.idx] == w.gen {
 			continue
 		}
-		done[it.node] = true
-		for _, nb := range g.Neighbors(it.node) {
-			// Finalized nodes must not be relaxed again: with positive
-			// weights they can never improve, and on a zero-weight link
-			// the equal-cost tie-break below could otherwise rewrite two
-			// settled nodes into each other's predecessor — a prev-cycle
-			// that hangs path reconstruction.
-			if done[nb] || bannedNode[nb] || bannedEdge[linkKey(it.node, nb)] {
+		w.done[it.idx] = w.gen
+		if it.idx == stop {
+			return
+		}
+		for _, e := range c.adj[it.idx] {
+			if !e.up || w.done[e.to] == w.gen || w.banNode[e.to] == w.gen ||
+				(it.idx == src && w.banEdge[e.to] == w.gen) {
 				continue
 			}
-			l := g.Link(it.node, nb)
-			w, up := l.Cost()
-			if !up {
-				continue
-			}
-			lt, _ := l.Latency() // up implies ok
-			nd := it.dist + w
-			old, seen := res.dist[nb]
+			nd := it.dist + e.w
 			switch {
-			case !seen || nd < old:
-				res.dist[nb] = nd
-				res.lat[nb] = res.lat[it.node] + lt
-				res.prev[nb] = it.node
-				frontier.push(pqItem{node: nb, dist: nd})
-			case nd == old && it.node < res.prev[nb]:
-				res.prev[nb] = it.node
-				res.lat[nb] = res.lat[it.node] + lt
+			case nd < w.dist[e.to]:
+				w.dist[e.to] = nd
+				w.lat[e.to] = w.lat[it.idx] + e.lat
+				w.prev[e.to] = it.idx
+				w.push(heapItem{dist: nd, idx: e.to})
+			case nd == w.dist[e.to] && it.idx < w.prev[e.to]:
+				w.prev[e.to] = it.idx
+				w.lat[e.to] = w.lat[it.idx] + e.lat
 			}
 		}
 	}
+}
+
+// firstHop resolves the first hop from the tree's source toward dstIdx,
+// memoized with path compression (-1 = unreachable or self).
+func (w *spfWork) firstHop(dstIdx int32) int32 {
+	f := w.first[dstIdx]
+	if f != -2 {
+		return f
+	}
+	p := w.prev[dstIdx]
+	var res int32
+	switch {
+	case p == -1:
+		res = -1
+	case p == w.src:
+		res = dstIdx
+	default:
+		res = w.firstHop(p)
+	}
+	w.first[dstIdx] = res
 	return res
 }
 
-// pathTo reconstructs src→dst from a shortest-path tree (nil if dst is
-// unreachable).
-func (r spfResult) pathTo(src, dst core.NodeID) []core.NodeID {
-	if _, ok := r.dist[dst]; !ok {
-		return nil
+// ensureTopo refreshes the index-space view after structural graph
+// changes: nodeList/idxOf and the adjacency always, and — when nodes
+// joined — the routed distM/nhM tables, each DC's installed rows and the
+// host home caches, all remapped onto the new index assignment (nodes
+// are never removed, so every previous ID keeps a slot and an unchanged
+// count means an unchanged assignment). Pure weight/health changes leave
+// the structure generation alone, so the common case is a cheap
+// generation compare.
+func (c *Controller) ensureTopo() {
+	if c.adj != nil && c.topoGen == c.g.gen {
+		return
 	}
-	var rev []core.NodeID
-	for at := dst; ; {
-		rev = append(rev, at)
-		if at == src {
-			break
+	c.topoGen = c.g.gen
+	prev := append(c.listBuf[:0], c.nodeList...)
+	c.listBuf = prev
+	c.nodeList = append(c.nodeList[:0], c.g.order...)
+	n := len(c.nodeList)
+	if len(prev) != n {
+		clear(c.idxOf)
+		for i, id := range c.nodeList {
+			c.idxOf[id] = int32(i)
 		}
-		at = r.prev[at]
+		c.remapTables(prev)
 	}
-	out := make([]core.NodeID, len(rev))
-	for i, n := range rev {
-		out[len(rev)-1-i] = n
+	if cap(c.adj) < n {
+		c.adj = make([][]adjEdge, n)
 	}
-	return out
+	c.adj = c.adj[:n]
+	for i, id := range c.nodeList {
+		row := c.adj[i][:0]
+		for _, nb := range c.g.nbrs[id] {
+			row = append(row, adjEdge{to: c.idxOf[nb], link: c.g.links[linkKey(id, nb)]})
+		}
+		c.adj[i] = row
+	}
 }
 
-// nextHopFrom extracts the first hop of src→dst (0, false if unreachable
-// or dst == src).
-func (r spfResult) nextHopFrom(src, dst core.NodeID) (core.NodeID, bool) {
-	if dst == src {
-		return 0, false
+// remapTables moves every index-keyed table from the assignment prev to
+// the current one; slots of new nodes start unrouted.
+func (c *Controller) remapTables(prev []core.NodeID) {
+	n, on := len(c.nodeList), len(prev)
+	dist, nh := make([]core.Time, n*n), make([]core.NodeID, n*n)
+	for i := range dist {
+		dist[i] = infCost
 	}
-	if _, ok := r.dist[dst]; !ok {
-		return 0, false
+	for oi, a := range prev {
+		ai := int(c.idxOf[a])
+		for oj, b := range prev {
+			bi := int(c.idxOf[b])
+			dist[ai*n+bi] = c.distM[oi*on+oj]
+			nh[ai*n+bi] = c.nhM[oi*on+oj]
+		}
 	}
-	at := dst
-	for r.prev[at] != src {
-		at = r.prev[at]
-	}
-	return at, true
-}
-
-// ShortestPath returns the (deterministic) least-latency path src→dst over
-// up-links, or ok=false when none exists.
-func (g *Graph) ShortestPath(src, dst core.NodeID) (Path, bool) {
-	res := g.shortestFrom(src, nil, nil)
-	nodes := res.pathTo(src, dst)
-	if nodes == nil {
-		return Path{}, false
-	}
-	return Path{Nodes: nodes, Cost: res.dist[dst]}, true
-}
-
-// KShortestPaths returns up to k loop-free paths src→dst in ascending cost
-// order (Yen's algorithm over the health-filtered graph). The first path
-// is the primary route; the rest are the alternates a failure would fall
-// back to. Equal-cost candidates order by path length then lexicographic
-// node IDs, keeping the result deterministic.
-func (g *Graph) KShortestPaths(src, dst core.NodeID, k int) []Path {
-	if k <= 0 {
-		return nil
-	}
-	first, ok := g.ShortestPath(src, dst)
-	if !ok {
-		return nil
-	}
-	paths := []Path{first}
-	var candidates []Path
-	for len(paths) < k {
-		prev := paths[len(paths)-1].Nodes
-		// Spur from every node of the previously found path.
-		for i := 0; i < len(prev)-1; i++ {
-			spur := prev[i]
-			rootNodes := prev[:i+1]
-			rootCost := g.pathCost(rootNodes)
-			bannedEdge := make(map[[2]core.NodeID]bool)
-			for _, p := range paths {
-				if len(p.Nodes) > i && samePrefix(p.Nodes, rootNodes) {
-					bannedEdge[linkKey(p.Nodes[i], p.Nodes[i+1])] = true
-				}
-			}
-			bannedNode := make(map[core.NodeID]bool)
-			for _, n := range rootNodes[:len(rootNodes)-1] {
-				bannedNode[n] = true
-			}
-			res := g.shortestFrom(spur, bannedEdge, bannedNode)
-			spurNodes := res.pathTo(spur, dst)
-			if spurNodes == nil {
-				continue
-			}
-			total := append(append([]core.NodeID(nil), rootNodes[:len(rootNodes)-1]...), spurNodes...)
-			cand := Path{Nodes: total, Cost: rootCost + res.dist[dst]}
-			if !containsPath(paths, cand) && !containsPath(candidates, cand) {
-				candidates = append(candidates, cand)
+	c.distM, c.nhM = dist, nh
+	for _, dt := range c.dcs {
+		row := make([]core.NodeID, n)
+		for oi, id := range prev {
+			if oi < len(dt.instDC) {
+				row[c.idxOf[id]] = dt.instDC[oi]
 			}
 		}
-		if len(candidates) == 0 {
-			break
-		}
-		best := 0
-		for i := 1; i < len(candidates); i++ {
-			if pathLess(candidates[i], candidates[best]) {
-				best = i
-			}
-		}
-		paths = append(paths, candidates[best])
-		candidates = append(candidates[:best], candidates[best+1:]...)
+		dt.instDC = row
 	}
-	return paths
+	for slot, h := range c.hostID {
+		if hi, ok := c.idxOf[c.homes[h]]; ok {
+			c.hostHomeIdx[slot] = hi
+		} else {
+			c.hostHomeIdx[slot] = -1
+		}
+	}
 }
 
-// pathCost sums link costs along nodes (assumes all links up).
-func (g *Graph) pathCost(nodes []core.NodeID) core.Time {
-	var c core.Time
-	for i := 0; i+1 < len(nodes); i++ {
-		if w, up := g.Link(nodes[i], nodes[i+1]).Cost(); up {
-			c += w
-		}
-	}
-	return c
+// yenWork is Paths' controller-owned candidate store: every path a call
+// considers is a span of pool (node indices), so a call allocates only
+// what it returns.
+type yenWork struct {
+	pool  []int32
+	acc   []span // paths found, in order
+	cands []span // candidates not yet taken
 }
 
-func samePrefix(p, prefix []core.NodeID) bool {
-	if len(p) < len(prefix) {
-		return false
-	}
-	for i, n := range prefix {
-		if p[i] != n {
-			return false
-		}
-	}
-	return true
+type span struct {
+	off, n int32
+	cost   core.Time
 }
 
-func containsPath(ps []Path, q Path) bool {
-	for _, p := range ps {
-		if sameNodes(p.Nodes, q.Nodes) {
+func (y *yenWork) nodes(s span) []int32 { return y.pool[s.off : s.off+s.n] }
+
+// has reports whether any of ss holds exactly the nodes of s.
+func (y *yenWork) has(ss []span, s span) bool {
+	for _, o := range ss {
+		if slices.Equal(y.nodes(o), y.nodes(s)) {
 			return true
 		}
 	}
 	return false
 }
 
-func sameNodes(a, b []core.NodeID) bool {
-	if len(a) != len(b) {
-		return false
+// less orders candidate paths: cost, then hop count, then node IDs
+// (index order is ID order).
+func (y *yenWork) less(a, b span) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	if a.n != b.n {
+		return a.n < b.n
 	}
-	return true
+	return slices.Compare(y.nodes(a), y.nodes(b)) < 0
 }
 
-// pathLess orders candidate paths: cost, then hop count, then node IDs.
-func pathLess(a, b Path) bool {
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
+// appendPath appends root (the nodes before the spur) and the scratch
+// tree's path from its source to dst to the pool, returning its span.
+func (y *yenWork) appendPath(w *spfWork, root []int32, dst int32, cost core.Time) span {
+	hops := 0
+	for at := dst; at != w.src; at = w.prev[at] {
+		hops++
 	}
-	if len(a.Nodes) != len(b.Nodes) {
-		return len(a.Nodes) < len(b.Nodes)
+	s := span{off: int32(len(y.pool)), n: int32(len(root) + hops + 1), cost: cost}
+	y.pool = append(y.pool, root...)
+	y.pool = slices.Grow(y.pool, hops+1)[:int(s.off+s.n)]
+	at := dst
+	for i := s.n - 1; i >= int32(len(root)); i-- {
+		y.pool[s.off+i] = at
+		at = w.prev[at]
 	}
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
-			return a.Nodes[i] < b.Nodes[i]
+	return s
+}
+
+// edgeW is the snapshot weight of the up edge a→b (0 if none).
+func (c *Controller) edgeW(a, b int32) core.Time {
+	for _, e := range c.adj[a] {
+		if e.to == b && e.up {
+			return e.w
 		}
 	}
-	return false
+	return 0
+}
+
+// Paths returns up to k loop-free paths a→b in ascending cost order
+// (Yen's algorithm over the health-filtered graph; k ≤ 0 uses the
+// controller's configured alternate count). The first path is the
+// primary route; the rest are the alternates a failure would fall back
+// to. Equal-cost candidates order by hop count then node IDs, keeping
+// the result deterministic. The paths' nodes share one array.
+func (c *Controller) Paths(a, b core.NodeID, k int) []Path {
+	if k <= 0 {
+		k = c.k
+	}
+	c.ensureTopo()
+	ai, ok1 := c.idxOf[a]
+	bi, ok2 := c.idxOf[b]
+	if !ok1 || !ok2 {
+		return nil
+	}
+	c.refreshWeights()
+	w, y, n := &c.work, &c.yen, len(c.nodeList)
+	w.begin(n)
+	c.spf(ai, bi)
+	if w.dist[bi] == infCost {
+		return nil
+	}
+	y.pool, y.cands = y.pool[:0], y.cands[:0]
+	y.acc = append(y.acc[:0], y.appendPath(w, nil, bi, w.dist[bi]))
+	for len(y.acc) < k {
+		last := y.acc[len(y.acc)-1]
+		var rootCost core.Time
+		// Spur from every node of the previously found path.
+		for i := int32(0); i < last.n-1; i++ {
+			prevNodes := y.nodes(last)
+			if i > 0 {
+				rootCost += c.edgeW(prevNodes[i-1], prevNodes[i])
+			}
+			w.begin(n)
+			for _, p := range y.acc {
+				if p.n > i+1 && slices.Equal(y.nodes(p)[:i+1], prevNodes[:i+1]) {
+					w.banEdge[y.pool[p.off+i+1]] = w.gen
+				}
+			}
+			for _, x := range prevNodes[:i] {
+				w.banNode[x] = w.gen
+			}
+			c.spf(prevNodes[i], bi)
+			if w.dist[bi] == infCost {
+				continue
+			}
+			cand := y.appendPath(w, prevNodes[:i], bi, rootCost+w.dist[bi])
+			if y.has(y.acc, cand) || y.has(y.cands, cand) {
+				y.pool = y.pool[:cand.off]
+				continue
+			}
+			y.cands = append(y.cands, cand)
+		}
+		if len(y.cands) == 0 {
+			break
+		}
+		best := 0
+		for i := 1; i < len(y.cands); i++ {
+			if y.less(y.cands[i], y.cands[best]) {
+				best = i
+			}
+		}
+		y.acc = append(y.acc, y.cands[best])
+		y.cands = append(y.cands[:best], y.cands[best+1:]...)
+	}
+	total := 0
+	for _, s := range y.acc {
+		total += int(s.n)
+	}
+	out, ids := make([]Path, len(y.acc)), make([]core.NodeID, total)
+	for i, s := range y.acc {
+		p := ids[:s.n:s.n]
+		ids = ids[s.n:]
+		for j, x := range y.nodes(s) {
+			p[j] = c.nodeList[x]
+		}
+		out[i] = Path{Nodes: p, Cost: s.cost}
+	}
+	return out
 }

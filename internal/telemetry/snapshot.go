@@ -264,12 +264,11 @@ func (t TenantSnapshot) OnTimeFraction() float64 {
 // RoutingSnapshot mirrors the routing controller's counters.
 type RoutingSnapshot struct {
 	Recomputes uint64 `json:"recomputes"`
-	// IncrementalRecomputes counts recomputes served by the delta engine
-	// (affected sources only); SourcesRecomputed sums the per-source
-	// Dijkstra runs those performed — together they expose how much work
-	// incremental SPF saved over full recomputation.
+	// IncrementalRecomputes always reads 0: every recompute runs one
+	// Dijkstra per source, and no delta engine serves a part of them. The
+	// field stays because the benchmark's routing.incremental_frac reads
+	// it.
 	IncrementalRecomputes uint64 `json:"incremental_recomputes"`
-	SourcesRecomputed     uint64 `json:"sources_recomputed"`
 	Pushes                uint64 `json:"pushes"`
 	RouteChanges          uint64 `json:"route_changes"`
 	Reroutes              uint64 `json:"reroutes"`

@@ -40,13 +40,11 @@
 // link graph, computes all-pairs shortest paths (deterministic Dijkstra,
 // plus Yen k-alternate paths), and pushes next-hop tables to every DC's
 // forwarder, so forwarded traffic crosses as many overlay hops as the
-// graph requires. The controller recomputes INCREMENTALLY: a link event
-// names the links that changed, an affected-source cut keeps every
-// source whose shortest-path tree cannot have moved (no changed link on
-// or cheaper than its tree), and only the rest re-run Dijkstra, falling
-// back to a full recompute on topology edits (a differential test holds
-// the two to identical tables). Snapshot().Routing counts the split
-// (IncrementalRecomputes, SourcesRecomputed).
+// graph requires. Every link event — edit, health verdict, utilization
+// reweight — recomputes every source's tree on one index-space Dijkstra,
+// so the tables depend on the graph's state alone, never on the order of
+// the events that led there (a differential test holds them to a
+// controller built fresh from the same links).
 //
 // Table pushes are make-before-break. Each recompute opens a new table
 // EPOCH at every forwarder it touches; cloud copies are stamped at the

@@ -96,10 +96,12 @@ func TestSustainedRecoveryPumpPacing(t *testing.T) {
 	}
 }
 
-// TestPumpDisabledStallsDuringOutage is the ablation: without the pump the
-// receiver cannot sustain in-outage recovery (it recovers only what gap
-// NACKs find after the outage ends, far too late for a latency budget).
-func TestPumpDisabledStallsDuringOutage(t *testing.T) {
+// TestSingleStreamStallsDuringOutage is the concurrency ablation beside
+// TestSustainedRecoveryPumpPacing: the same outage with no background
+// flows. The pump runs here too; what is missing is other streams for
+// cross-stream recovery to combine with, and in-outage recoveries
+// collapse (the paper's point: coding needs concurrency).
+func TestSingleStreamStallsDuringOutage(t *testing.T) {
 	outageAt := 2 * time.Second
 	outageDur := 2 * time.Second
 	cfg := jqos.DefaultConfig()
@@ -117,21 +119,13 @@ func TestPumpDisabledStallsDuringOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Disable the pump on the pre-created receiver by recreating it via
-	// a fresh deployment config is not possible post-registration; use
-	// the config knob instead: PumpWindow < 0 disables. The deployment
-	// exposes it through the receiver's config only at creation, so this
-	// test drives the internal engine directly through a tiny world.
-	_ = f
 	inside := 0
 	d.Host(dst).SetDeliveryHandler(func(del core.Delivery) {
 		if del.Recovered && del.At > outageAt && del.At < outageAt+outageDur {
 			inside++
 		}
 	})
-	// No background flows: cross-stream batches degenerate to k=1 —
-	// combined with no pump-sustaining parity the in-outage recovery
-	// rate collapses. (The paper's point: coding needs concurrency.)
+	// No background flows: cross-stream batches degenerate to k=1.
 	for k := 0; k < 1200; k++ {
 		at := time.Duration(k) * 5 * time.Millisecond
 		d.Sim().At(at, func() { f.Send(make([]byte, 300)) })

@@ -621,20 +621,18 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 
 	rt := d.ctrl.Stats()
 	s.Routing = telemetry.RoutingSnapshot{
-		Recomputes:            rt.Recomputes,
-		IncrementalRecomputes: rt.IncrementalRecomputes,
-		SourcesRecomputed:     rt.SourcesRecomputed,
-		Pushes:                rt.Pushes,
-		RouteChanges:          rt.RouteChanges,
-		Reroutes:              rt.Reroutes,
-		LinkFailures:          rt.LinkFailures,
-		LinkRecoveries:        rt.LinkRecoveries,
-		LinkDegrades:          rt.LinkDegrades,
-		UtilizationUpdates:    rt.UtilizationUpdates,
-		CongestionReroutes:    rt.CongestionReroutes,
-		Unreachable:           rt.Unreachable,
-		EpochAdvances:         rt.EpochAdvances,
-		EpochRetires:          rt.EpochRetires,
+		Recomputes:         rt.Recomputes,
+		Pushes:             rt.Pushes,
+		RouteChanges:       rt.RouteChanges,
+		Reroutes:           rt.Reroutes,
+		LinkFailures:       rt.LinkFailures,
+		LinkRecoveries:     rt.LinkRecoveries,
+		LinkDegrades:       rt.LinkDegrades,
+		UtilizationUpdates: rt.UtilizationUpdates,
+		CongestionReroutes: rt.CongestionReroutes,
+		Unreachable:        rt.Unreachable,
+		EpochAdvances:      rt.EpochAdvances,
+		EpochRetires:       rt.EpochRetires,
 	}
 
 	fb := d.feedbackStats()
