@@ -148,7 +148,8 @@ func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *re
 	return r
 }
 
-// find is flow's position in byFlow, or where it would be inserted.
+// find is flow's position in byFlow and whether it is there; when it is
+// not, the position is where it would be inserted.
 func (c *HostCore) find(flow core.FlowID) (int, bool) {
 	return slices.BinarySearchFunc(c.byFlow, flow, func(e flowReceiver, id core.FlowID) int {
 		return cmp.Compare(e.flow, id)

@@ -11,10 +11,10 @@ import (
 	"jqos/internal/core"
 )
 
-// This file is the reference model of Controller.Paths: the map-based
-// Dijkstra over container/heap and Yen's algorithm on top of it, the
-// engine Paths replaced. TestPathsMatchReference holds the two to the
-// same paths, in the same order, at the same costs.
+// This file is the reference model of Controller.Paths: a map-based
+// Dijkstra over container/heap and Yen's algorithm on top of it.
+// TestPathsMatchReference holds the two to the same paths, in the same
+// order, at the same costs.
 
 type pqItem struct {
 	node core.NodeID
