@@ -493,115 +493,74 @@ func TestRepinOnHealValidation(t *testing.T) {
 	}
 }
 
-// costWatcher records cost-violation events.
-type costWatcher struct {
-	violations int
-	svc        jqos.Service
-	price      float64
-}
-
-func (w *costWatcher) onEvent(_ *jqos.Flow, e telemetry.Event) {
-	if e.Kind == telemetry.KindCostViolation {
-		w.violations++
-		w.svc, w.price = e.Class, float64(e.V1)/1e6
-	}
-}
-
-// TestCostViolationForcesDowngrade: a flow that settled on caching
-// while loss was low is forced off it when rising observed loss prices
-// caching's pull-response egress past the spec's ceiling — the
-// adaptation loop re-checks the CURRENT service each tick, not just
-// transitions.
-func TestCostViolationForcesDowngrade(t *testing.T) {
-	const ceiling = 0.10 // $/GB: caching ≈0.087 at zero loss, ≈0.104 at 20% observed
-	d := jqos.NewDeployment(76)
+// costCapped registers a one-member tenant whose contract caps spend at
+// ceiling and, on a 40 %-loss direct path, its member flow: selection
+// lands on caching (≈66 ms predicted against a 70 ms budget; coding's
+// ≈79 ms does not fit), priced at zero loss when registered. The flow
+// sends 1 000 B every 10 ms for 15 s once the caller runs the simulator.
+func costCapped(t *testing.T, d *jqos.Deployment, ceiling float64, spec jqos.FlowSpec) *jqos.Flow {
+	t.Helper()
 	dc1 := d.AddDC("a", dataset.RegionUSEast)
 	dc2 := d.AddDC("b", dataset.RegionEU)
 	d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
 	src := d.AddHost(dc1, 5*time.Millisecond)
 	dst := d.AddHost(dc2, 8*time.Millisecond)
-	// 40% direct-path loss: the observed-loss estimate climbs after
-	// registration (which priced at loss 0) and prices caching at
-	// ≈0.122 $/GB — past the ceiling.
 	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), netem.Bernoulli{P: 0.4})
-
-	watch := &costWatcher{}
-	// Budget 70 ms: caching predicts ≈66 ms (fits), coding ≈79 ms
-	// (doesn't), so selection lands on caching; the ceiling admits it at
-	// the zero-loss registration price.
-	f, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst, Budget: 70 * time.Millisecond,
-		CostCeilingPerGB: ceiling,
-		OnEvent:          watch.onEvent,
-	})
+	if err := d.RegisterTenant(jqos.TenantContract{ID: 1, Name: "capped", CostCeilingPerGB: ceiling}); err != nil {
+		t.Fatal(err)
+	}
+	spec.Src, spec.Dst, spec.Budget, spec.Tenant = src, dst, 70*time.Millisecond, 1
+	f, err := d.RegisterFlow(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Service() != jqos.ServiceCaching {
 		t.Fatalf("selection picked %v, want caching (the test's premise)", f.Service())
 	}
-
 	for i := 0; i < 1500; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
 		d.Sim().At(at, func() { f.Send(make([]byte, 1000)) })
 	}
+	return f
+}
+
+// TestCostViolationForcesDowngrade: a member that settled on caching
+// while loss was low is forced off it once rising observed loss prices
+// caching's pull-response egress (≈0.122 $/GB at 40 % loss) past its
+// tenant's 0.10 $/GB ceiling — the tenant cost loop re-prices the
+// CURRENT service each tick, not just at registration.
+func TestCostViolationForcesDowngrade(t *testing.T) {
+	d := jqos.NewDeployment(76)
+	f := costCapped(t, d, 0.10, jqos.FlowSpec{})
 	d.Run(60 * time.Second)
 
-	if watch.violations == 0 {
-		t.Fatal("no cost violation surfaced despite 40% loss on a capped caching flow")
+	var violations int
+	for _, e := range d.TraceEvents() {
+		if e.Kind == telemetry.KindTenantCostViolation && e.Flow == f.ID() {
+			violations++
+		}
 	}
-	if watch.svc != jqos.ServiceCaching || watch.price <= ceiling {
-		t.Errorf("violation reported %v at $%.4f/GB, want caching above $%.2f", watch.svc, watch.price, ceiling)
+	if violations == 0 {
+		t.Error("no tenant-cost-violation event for a member priced past its tenant's ceiling")
 	}
-	if f.Service() != jqos.ServiceCoding {
-		t.Errorf("flow still on %v, want forced down to coding (loss-independent ≈$0.093/GB)", f.Service())
+	if ts, _ := d.TenantStats(1); ts.CostViolations == 0 {
+		t.Errorf("TenantStats.CostViolations = 0 after %d violation events", violations)
 	}
 	var forced bool
 	for _, ch := range f.Changes() {
 		if ch.Reason == jqos.ReasonCostViolation && ch.From == jqos.ServiceCaching && ch.To == jqos.ServiceCoding {
 			forced = true
 		}
-		if ch.To == jqos.ServiceForwarding {
-			t.Errorf("upgrade bought forwarding past the ceiling: %+v", ch)
-		}
 	}
 	if !forced {
-		t.Errorf("no cost-violation transition recorded: %+v", f.Changes())
-	}
-
-	// A fixed-service flow cannot move, but the telemetry still fires.
-	watchFixed := &costWatcher{}
-	src2 := d.AddHost(dc1, 5*time.Millisecond)
-	dst2 := d.AddHost(dc2, 8*time.Millisecond)
-	d.SetDirectPath(src2, dst2, netem.FixedDelay(50*time.Millisecond), netem.Bernoulli{P: 0.4})
-	ff, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src2, Dst: dst2, Budget: 70 * time.Millisecond,
-		Service: jqos.ServiceCaching, ServiceFixed: true,
-		CostCeilingPerGB: ceiling,
-		OnEvent:          watchFixed.onEvent,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := d.Now()
-	for i := 0; i < 1500; i++ {
-		at := base + time.Duration(i)*10*time.Millisecond
-		d.Sim().At(at, func() { ff.Send(make([]byte, 1000)) })
-	}
-	d.Run(60 * time.Second)
-	if watchFixed.violations == 0 {
-		t.Error("fixed flow's cost violation not surfaced")
-	}
-	if ff.Service() != jqos.ServiceCaching {
-		t.Errorf("fixed flow moved to %v", ff.Service())
+		t.Errorf("no caching → coding cost-violation transition recorded: %+v", f.Changes())
 	}
 }
 
 // TestContractResizedOnServiceChange: scheduler-aware admission is not
-// a registration-only check — when the adaptation loop moves a
-// contracted flow to a class with a smaller guaranteed share, the
-// bucket's refill rate clamps down to the new envelope (and Spec()
-// keeps the registration intent).
+// a registration-only check — when a contracted flow moves to a class
+// with a smaller guaranteed share, the bucket's refill rate clamps down
+// to the new envelope (and Spec() keeps the registration intent).
 func TestContractResizedOnServiceChange(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.LinkCapacity = 1_000_000
@@ -611,37 +570,13 @@ func TestContractResizedOnServiceChange(t *testing.T) {
 		Weights: map[jqos.Service]int{jqos.ServiceCaching: 8},
 	}
 	d := jqos.NewDeploymentWithConfig(78, cfg)
-	dc1 := d.AddDC("a", dataset.RegionUSEast)
-	dc2 := d.AddDC("b", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
-	src := d.AddHost(dc1, 5*time.Millisecond)
-	dst := d.AddHost(dc2, 8*time.Millisecond)
-	// 40% direct loss drives the observed-loss estimate up, pricing
-	// caching past the ceiling — the forced downgrade to coding is the
-	// service change under test.
-	d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), netem.Bernoulli{P: 0.4})
-
-	f, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst, Budget: 70 * time.Millisecond,
-		CostCeilingPerGB: 0.10,
-		Rate:             300_000, Burst: 16 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Service() != jqos.ServiceCaching {
-		t.Fatalf("selection picked %v, want caching", f.Service())
-	}
+	// The tenant's ceiling forcing caching down to coding is the service
+	// change under test.
+	f := costCapped(t, d, 0.10, jqos.FlowSpec{Rate: 300_000, Burst: 16 << 10})
 	if got := f.AdmissionRate(); got != 300_000 {
 		t.Fatalf("registration admission rate = %d, want the contract", got)
 	}
-
-	for i := 0; i < 1500; i++ {
-		at := time.Duration(i) * 10 * time.Millisecond
-		d.Sim().At(at, func() { f.Send(make([]byte, 1000)) })
-	}
 	d.Run(60 * time.Second)
-
 	if f.Service() != jqos.ServiceCoding {
 		t.Fatalf("flow on %v, want forced onto coding", f.Service())
 	}

@@ -108,7 +108,6 @@ func TestFlowSpecSurface(t *testing.T) {
 		"AllowInternet",
 		"Budget",
 		"Burst",
-		"CostCeilingPerGB",
 		"Dst",
 		"Group",
 		"Members",
@@ -180,19 +179,8 @@ func TestFlowSpecFieldsHaveCallers(t *testing.T) {
 	}
 	typ := reflect.TypeOf(jqos.FlowSpec{})
 	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i).Name; !set[f] && !awaitingAudit[f] {
+		if f := typ.Field(i).Name; !set[f] {
 			t.Errorf("FlowSpec.%s is set by no jqos.FlowSpec literal outside tests — delete it, or give it a caller", f)
 		}
 	}
-	for f := range awaitingAudit {
-		if _, ok := typ.FieldByName(f); !ok || set[f] {
-			t.Errorf("FlowSpec.%s is gone or has a caller now — drop it from awaitingAudit", f)
-		}
-	}
 }
-
-// awaitingAudit names the FlowSpec fields with no caller whose removal is
-// its own change, so the ratchet holds for every other field meanwhile.
-// CostCeilingPerGB: the non-test ceilings all go on TenantContract; the
-// per-flow one drives the cost-violation adaptation path only tests run.
-var awaitingAudit = map[string]bool{"CostCeilingPerGB": true}

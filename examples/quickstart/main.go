@@ -55,8 +55,8 @@ func main() {
 
 	// Register with a 300 ms delivery budget: selection picks the
 	// cheapest service that fits (coding, at these latencies). FlowSpec
-	// could additionally bound cost (CostCeilingPerGB), pin an overlay
-	// path, or subscribe to its events.
+	// could additionally join a cost-capped tenant, pin an overlay path,
+	// or subscribe to its events.
 	flow, err := dep.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 300 * time.Millisecond,
 	})

@@ -48,11 +48,6 @@ const (
 	// pacers (one AIMD increase per tick while the queue stays cool) and
 	// the cadence a standing Hot queue is re-announced at.
 	pacerRecoverInterval = 250 * time.Millisecond
-	// congestionCooldown bounds congestion-driven service moves of
-	// UNPACED flows: after a preemptive downgrade/upgrade the flow
-	// ignores further Hot signals for this long, so one oscillating queue
-	// cannot flap a flow's service.
-	congestionCooldown = 2 * time.Second
 )
 
 // CongestionSignal is one ECN-style backpressure notification delivered
@@ -459,35 +454,12 @@ func (f *Flow) pacerTickRun() {
 // budget-violation window would force it. The judicious direction is
 // DOWN — a cheaper tier that still predicts within budget rides an
 // emptier queue and spends less — and only when no such tier exists
-// does the flow step UP past the backlog. Cooldown-bounded so an
-// oscillating queue cannot flap the service.
+// does the flow step UP past the backlog (overlay.Adapter.Congested,
+// cooldown-bounded so an oscillating queue cannot flap the service).
 func (f *Flow) congestionAdapt() {
-	if f.spec.ServiceFixed || f.d.cfg.UpgradeInterval <= 0 {
-		return
+	dec := f.adapter.Congested(f.adaptInput())
+	if dec.Next != f.service {
+		f.setService(dec.Next, dec.Reason)
+		f.d.fb.stats.PreemptiveMoves++
 	}
-	now := f.d.sim.Now()
-	if f.lastCongMove != 0 && now-f.lastCongMove < congestionCooldown {
-		return
-	}
-	if !f.congestionShift() {
-		return
-	}
-	f.lastCongMove = now
-	f.d.fb.stats.PreemptiveMoves++
-}
-
-// congestionShift performs the move: first a downgrade under the normal
-// rules (cost ceiling, Internet viability, predicted delay within
-// budget), then an upgrade under the same tier walk the
-// budget-violation path uses. Reports whether the service changed.
-func (f *Flow) congestionShift() bool {
-	if f.downgrade(ReasonCongestion) {
-		return true
-	}
-	next, ok := f.nextCostlierTier()
-	if !ok {
-		return false
-	}
-	f.setService(next, ReasonCongestion)
-	return true
 }

@@ -42,10 +42,6 @@ type FlowMetrics struct {
 	Latency *stats.Sample
 	// DirectLatency samples only unrecovered (direct-path) deliveries.
 	DirectLatency *stats.Sample
-
-	// adaptation-window snapshots
-	winDelivered uint64
-	winOnTime    uint64
 }
 
 func newFlowMetrics() *FlowMetrics {
@@ -99,10 +95,6 @@ type Flow struct {
 	// aggregate pacer congestion signals cut once per tenant.
 	tenant *tenant.Tenant
 
-	// lastCongMove timestamps the last congestion-driven service change
-	// of an unpaced flow (preemptive-adaptation cooldown).
-	lastCongMove time.Duration
-
 	// preferredPath remembers the path a RepinOnHeal policy chose at
 	// registration, so a failed-over flow can return once it heals.
 	preferredPath []core.NodeID
@@ -132,16 +124,9 @@ type Flow struct {
 	metrics *FlowMetrics
 	changes []ServiceChange
 
-	// Downgrade hysteresis: dgStreak counts consecutive over-delivering
-	// windows; dgNeed is how many are required (doubles after a
-	// downgrade that had to be reversed, so flapping pairs back off,
-	// and decays once a downgrade sticks). lastDown/downAt tie a
-	// reversal to the downgrade it reverses — an upgrade long after an
-	// unrelated downgrade is not a flap.
-	dgStreak int
-	dgNeed   int
-	lastDown bool
-	downAt   time.Duration
+	// adapter decides every service move; Flow feeds it and applies
+	// its decisions.
+	adapter overlay.Adapter
 
 	// adapt re-evaluates the service against the budget every
 	// Config.UpgradeInterval while the flow sends (nil when adaptation
@@ -233,7 +218,7 @@ func (f *Flow) Metrics() *FlowMetrics { return f.metrics }
 // the windowed fraction of packets the direct path failed to deliver,
 // whether a recovery service repaired them or an overlay-forwarded copy
 // delivered them anyway. This — not the residual LossRate, which
-// working recovery drives to zero — is what cost-ceiling checks price
+// working recovery drives to zero — is what the tenant cost loop prices
 // caching's pull-response egress with.
 func (f *Flow) ObservedLoss() float64 { return f.lossEst }
 
@@ -543,20 +528,9 @@ func (f *Flow) AdmissionRate() int64 {
 // registration used (no observations existed then). The settled estimate
 // (see lossMark/lossEst) is used rather than raw LossRate, which counts
 // in-flight packets as lost and would inflate the price with phantom
-// loss right after a burst. Registration-time checks share the formula
-// through Deployment.costPerGB at loss 0.
+// loss right after a burst.
 func (f *Flow) costPerGB(svc core.Service) float64 {
 	return overlay.DefaultCostModel.EgressPerAppGB(svc, f.d.cfg.Encoder.Alpha(), f.lossEst)
-}
-
-// withinCostCeiling reports whether a service's egress price — at the
-// flow's observed loss rate — respects the spec's cost ceiling (always
-// true without one).
-func (f *Flow) withinCostCeiling(svc core.Service) bool {
-	if f.spec.CostCeilingPerGB <= 0 {
-		return true
-	}
-	return f.costPerGB(svc) <= f.spec.CostCeilingPerGB
 }
 
 // predictDelay prices a service on the path the flow actually rides:
@@ -569,48 +543,6 @@ func (f *Flow) predictDelay(svc core.Service) (core.Time, bool) {
 		}
 	}
 	return f.d.topo.PredictDelay(svc, f.src, f.dsts[0])
-}
-
-// nextCostlierTier walks up from the current service to the nearest
-// higher tier the spec's cost ceiling allows, ok false when none
-// exists. The budget-violation upgrade and the congestion-driven shift
-// share this walk, so their tier selection can never diverge.
-func (f *Flow) nextCostlierTier() (core.Service, bool) {
-	next := f.service
-	for next < core.ServiceForwarding {
-		next++
-		if f.withinCostCeiling(next) {
-			break
-		}
-	}
-	if next == f.service || !f.withinCostCeiling(next) {
-		return f.service, false
-	}
-	return next, true
-}
-
-// upgrade moves the flow to the next more expensive service that honors
-// the spec's cost ceiling — a budget violation never buys a service the
-// caller declared too expensive (tiers priced past the ceiling are
-// skipped; with none left the flow stays put, and the budget-violation
-// event already said why).
-func (f *Flow) upgrade() {
-	if f.spec.ServiceFixed {
-		return
-	}
-	next, ok := f.nextCostlierTier()
-	if !ok {
-		return
-	}
-	f.setService(next, ReasonBudgetViolation)
-	if f.lastDown {
-		// A downgrade that had to be reversed was premature: double the
-		// over-delivery streak required before trying again.
-		if f.dgNeed < 8*downgradeAfter {
-			f.dgNeed *= 2
-		}
-		f.lastDown = false
-	}
 }
 
 // directArrivals totals the receivers' direct-path arrival counters
@@ -627,91 +559,10 @@ func (f *Flow) directArrivals() uint64 {
 	return n
 }
 
-// flapWindow bounds how long after a downgrade an upgrade still counts
-// as reversing it.
-func (f *Flow) flapWindow() time.Duration {
-	return 2 * downgradeAfter * f.d.cfg.UpgradeInterval
-}
-
-// downgrade steps the flow to the nearest cheaper tier that the Internet
-// policy and the cost ceiling allow AND whose predicted delay fits the
-// budget. Tiers failing either check are skipped, not
-// stopped at — neither price nor latency is monotonic in tier order
-// (coding can out-price caching at high α, and can predict slower than
-// plain Internet), so a failing intermediate tier must not wall off a
-// viable cheaper one. reason records why (over-delivery from the
-// adaptation loop, congestion from preemptive feedback). Returns
-// whether a downgrade happened.
-func (f *Flow) downgrade(reason ServiceChangeReason) bool {
-	if f.spec.ServiceFixed {
-		return false
-	}
-	for next := f.service; next > core.ServiceInternet; {
-		next--
-		if next == core.ServiceInternet && (!f.spec.AllowInternet || !f.d.internetViable(f.src, f.dsts)) {
-			// Dropping the cloud copy would cut off any destination
-			// without a direct route — the prediction below only speaks
-			// for dsts[0].
-			return false
-		}
-		if !f.withinCostCeiling(next) {
-			continue
-		}
-		// Don't step down into a predicted violation — over-delivery on
-		// the current service says nothing about the cheaper one.
-		if d, ok := f.predictDelay(next); !ok || d > f.spec.Budget {
-			continue
-		}
-		f.setService(next, reason)
-		f.lastDown = true
-		f.downAt = f.d.sim.Now()
-		return true
-	}
-	return false
-}
-
-// forceCheaper is the cost-violation move: the CURRENT service, priced
-// at the observed loss, broke the spec's ceiling, so step down to the
-// nearest cheaper compliant tier — even past a predicted budget miss,
-// because the ceiling is the harder constraint (the caller said so by
-// setting it) and the upgrade path will never re-buy a tier the
-// ceiling forbids. Returns whether a move happened.
-func (f *Flow) forceCheaper() bool {
-	for next := f.service; next > core.ServiceInternet; {
-		next--
-		if next == core.ServiceInternet && (!f.spec.AllowInternet || !f.d.internetViable(f.src, f.dsts)) {
-			return false
-		}
-		if !f.withinCostCeiling(next) {
-			continue
-		}
-		f.setService(next, ReasonCostViolation)
-		return true
-	}
-	return false
-}
-
-// Adaptation thresholds (§3.5's stats-driven loop), judged once per
-// Config.UpgradeInterval window.
-const (
-	// upgradeOnTime is the fraction of a window's deliveries that must
-	// meet the budget; below it the flow upgrades to the next service.
-	upgradeOnTime = 0.95
-	// downgradeOnTime is the on-time fraction a window must reach to
-	// count toward the downgrade streak.
-	downgradeOnTime = 0.99
-	// downgradeAfter is how many consecutive over-delivering windows a
-	// flow must sustain before stepping down to a cheaper service. The
-	// requirement doubles (up to 8×) for a flow whose downgrade had to be
-	// reversed, so flapping backs off.
-	downgradeAfter = 3
-)
-
-// adaptTick evaluates recent delivery quality against the budget: windows
-// that miss the on-time target upgrade the flow (§3.5's stats-driven
-// loop); windows that sustain over-delivery for the hysteresis streak
-// step it back down toward the cheapest fitting service. It also
-// refreshes the topology's direct-latency estimate from observations.
+// adaptTick is one adaptation window (§3.5's stats-driven loop): it
+// settles the loss estimate, refreshes the topology's direct-latency
+// estimate from observations, and applies the adapter's verdict on the
+// window.
 func (f *Flow) adaptTick() {
 	m := f.metrics
 	// Settle the loss estimate from direct-path ARRIVALS at the
@@ -747,64 +598,28 @@ func (f *Flow) adaptTick() {
 		med := m.DirectLatency.Median()
 		f.d.topo.SetDirect(f.src, f.dsts[0], time.Duration(med*float64(time.Millisecond)))
 	}
-	// Cost-ceiling re-check of the CURRENT service: a flow that settled
-	// on a tier while its observed loss was low must not keep riding it
-	// after rising loss pushes that tier's price past the ceiling
-	// (caching's pull-response egress scales with loss). The violation
-	// is emitted either way; only non-fixed flows can actually
-	// move, and the forced move outranks this tick's normal adaptation
-	// (the window statistics describe the service just left).
-	if f.spec.CostCeilingPerGB > 0 && !f.withinCostCeiling(f.service) {
-		f.emit(telemetry.Event{
-			Kind:  telemetry.KindCostViolation,
-			Class: f.service, V1: int64(f.costPerGB(f.service) * 1e6),
-		})
-		if !f.spec.ServiceFixed && f.forceCheaper() {
-			f.dgStreak = 0
-			m.winDelivered, m.winOnTime = m.Delivered, m.OnTime
-			return
-		}
-	}
-	// A downgrade that outlived the flap window stuck: clear the flap
-	// state (a much later upgrade is new congestion, not a reversal) and
-	// decay the backed-off streak requirement toward its base.
-	if f.lastDown && f.d.sim.Now()-f.downAt > f.flapWindow() {
-		f.lastDown = false
-		if f.dgNeed > downgradeAfter {
-			f.dgNeed /= 2
-			if f.dgNeed < downgradeAfter {
-				f.dgNeed = downgradeAfter
-			}
-		}
-	}
-	delivered := m.Delivered - m.winDelivered
-	onTime := m.OnTime - m.winOnTime
-	m.winDelivered, m.winOnTime = m.Delivered, m.OnTime
-	if delivered < 20 {
-		return // not enough signal this window
-	}
-	frac := float64(onTime) / float64(delivered)
-	if frac < upgradeOnTime {
-		f.dgStreak = 0
-		// Telemetry fires even for fixed flows — pinning a service is
-		// exactly when budget-compliance monitoring matters; only the
-		// service change itself is disabled (upgrade no-ops on fixed).
+	dec := f.adapter.Tick(f.adaptInput())
+	if dec.Missed {
+		// Emitted for fixed flows too — pinning a service is exactly when
+		// budget-compliance monitoring matters — and before the upgrade
+		// it causes.
 		f.emit(telemetry.Event{
 			Kind: telemetry.KindBudgetViolation,
-			V1:   int64(frac * 1e6), V2: int64(delivered),
+			V1:   int64(dec.OnTimeFrac * 1e6), V2: int64(dec.Delivered),
 		})
-		f.upgrade()
-		return
 	}
-	if f.spec.ServiceFixed {
-		return
-	}
-	if frac >= downgradeOnTime {
-		f.dgStreak++
-	} else {
-		f.dgStreak = 0
-	}
-	if f.dgStreak >= f.dgNeed && f.downgrade(ReasonOverDelivery) {
-		f.dgStreak = 0
+	f.setService(dec.Next, dec.Reason)
+}
+
+// adaptInput gathers what the adapter reads: the delivery counts, the
+// service and intent, and predictions on the path the flow rides. Plain
+// Internet must reach every destination — the prediction speaks for
+// dsts[0] only.
+func (f *Flow) adaptInput() overlay.AdaptInput {
+	return overlay.AdaptInput{
+		Delivered: f.metrics.Delivered, OnTime: f.metrics.OnTime,
+		Service: f.service, Fixed: f.spec.ServiceFixed, Budget: f.spec.Budget,
+		Internet: f.spec.AllowInternet && f.d.internetViable(f.src, f.dsts),
+		Now:      f.d.sim.Now(), Predict: f.predictDelay,
 	}
 }

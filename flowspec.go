@@ -65,41 +65,17 @@ type PathPolicy struct {
 	Alternate int
 }
 
-// ServiceChangeReason says why the adaptation loop moved a flow.
-type ServiceChangeReason uint8
+// ServiceChangeReason says why a flow's service moved (re-exported from
+// internal/overlay, whose Adapter makes every move).
+type ServiceChangeReason = overlay.ServiceChangeReason
 
+// Service-change reasons, re-exported.
 const (
-	// ReasonBudgetViolation: the recent delivery window fell below the
-	// configured on-time fraction; the flow upgraded.
-	ReasonBudgetViolation ServiceChangeReason = iota + 1
-	// ReasonOverDelivery: the flow sustained over-delivery for the
-	// hysteresis streak and stepped down to a cheaper service.
-	ReasonOverDelivery
-	// ReasonCongestion: a Hot backpressure signal on the flow's (link,
-	// class) triggered a preemptive move off the building queue, before
-	// any delivery window could miss (Config.Feedback).
-	ReasonCongestion
-	// ReasonCostViolation: the current service, priced at the flow's
-	// observed loss rate, exceeded the spec's cost ceiling; the flow was
-	// force-moved to a cheaper compliant tier.
-	ReasonCostViolation
+	ReasonBudgetViolation = overlay.ReasonBudgetViolation
+	ReasonOverDelivery    = overlay.ReasonOverDelivery
+	ReasonCongestion      = overlay.ReasonCongestion
+	ReasonCostViolation   = overlay.ReasonCostViolation
 )
-
-// String implements fmt.Stringer.
-func (r ServiceChangeReason) String() string {
-	switch r {
-	case ReasonBudgetViolation:
-		return "budget-violation"
-	case ReasonOverDelivery:
-		return "over-delivery"
-	case ReasonCongestion:
-		return "congestion"
-	case ReasonCostViolation:
-		return "cost-violation"
-	default:
-		return fmt.Sprintf("reason(%d)", uint8(r))
-	}
-}
 
 // ServiceChange records one adaptation transition of a flow.
 type ServiceChange struct {
@@ -109,8 +85,8 @@ type ServiceChange struct {
 }
 
 // FlowSpec is the declarative registration intent of one application
-// stream: where it goes, what latency it needs, what it may cost, which
-// services and overlay paths are acceptable, and who hears about its
+// stream: where it goes, what latency it needs, which services and
+// overlay paths are acceptable, and who hears about its
 // lifecycle. The zero values mean "no constraint" everywhere except Src,
 // Dst/Members, and Budget, which are required.
 type FlowSpec struct {
@@ -148,11 +124,6 @@ type FlowSpec struct {
 	// best-effort Internet when it fits the budget; by default J-QoS
 	// always provides a recovery service.
 	AllowInternet bool
-
-	// CostCeilingPerGB bounds the selected service's egress cost per GB
-	// of application data under overlay.DefaultCostModel (see
-	// overlay.CostModel.EgressPerAppGB). Zero = unbounded.
-	CostCeilingPerGB float64
 
 	// Path chooses the overlay route among the controller's k-alternate
 	// paths (per-flow pinning). The zero value follows the shared
@@ -194,7 +165,7 @@ type FlowSpec struct {
 	Burst int64
 
 	// OnEvent, when set, hears every control-loop event about this flow
-	// — service changes, reroutes, budget and cost violations, admission
+	// — service changes, reroutes, budget violations, admission
 	// and egress drops, congestion signals, pacer cuts and recoveries —
 	// exactly as the trace ring records it (Seq and At filled; see
 	// telemetry.Event for what each Kind carries), replacing polling of
@@ -216,8 +187,8 @@ type FlowSpec struct {
 }
 
 // RegisterFlow creates a flow from declarative intent: it validates the
-// spec, picks the cheapest service satisfying budget and cost ceiling
-// (§3.5, cost-extended), resolves the path policy against the routing
+// spec, picks the cheapest service satisfying the budget (§3.5),
+// resolves the path policy against the routing
 // controller's k-alternates, seeds the receivers, and starts the
 // bidirectional adaptation loop.
 func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
@@ -328,22 +299,15 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		if svc == core.ServiceInternet && !spec.AllowInternet {
 			return nil, fmt.Errorf("jqos: ServiceFixed with ServiceInternet needs AllowInternet (set Service explicitly to pin a recovery service)")
 		}
-		if spec.CostCeilingPerGB > 0 {
-			if per := d.costPerGB(svc); per > spec.CostCeilingPerGB {
-				return nil, fmt.Errorf("jqos: fixed service %v costs $%.4f/GB, above the spec's $%.4f/GB ceiling", svc, per, spec.CostCeilingPerGB)
-			}
-		}
 	} else {
 		// Select against the first destination (multicast members are
 		// assumed latency-similar, as in the paper's hybrid multicast).
 		// Internet eligibility uses the same every-member guard as the
 		// downgrade loop; predictions use the policy path's latency.
 		s, _, ok := d.topo.SelectServiceWith(spec.Src, dsts[0], overlay.ServicePolicy{
-			Budget:           spec.Budget,
-			RequireRecovery:  !spec.AllowInternet || !d.internetViable(spec.Src, dsts),
-			CostCeilingPerGB: spec.CostCeilingPerGB,
-			Alpha:            d.cfg.Encoder.Alpha(),
-			PathLatency:      policyPathLat,
+			Budget:          spec.Budget,
+			RequireRecovery: !spec.AllowInternet || !d.internetViable(spec.Src, dsts),
+			PathLatency:     policyPathLat,
 		})
 		if !ok {
 			return nil, fmt.Errorf("jqos: no service can meet budget %v for %v→%v under the spec's constraints",
@@ -385,7 +349,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		bucket:     bucket,
 		tenant:     tn,
 		metrics:    newFlowMetrics(),
-		dgNeed:     downgradeAfter,
+		adapter:    overlay.NewAdapter(d.cfg.UpgradeInterval),
 		traceEvery: traceEvery,
 	}
 	if d.fb != nil && bucket != nil {
@@ -495,13 +459,6 @@ func (d *Deployment) classShareOnNodes(svc core.Service, nodes []core.NodeID) (i
 		bottleneck = 1 // keep a clamped contract constructible
 	}
 	return bottleneck, true
-}
-
-// costPerGB returns the egress $/GB of a service under the deployment's
-// coding overhead — the single basis every cost-ceiling check shares
-// (registration validation and the adaptation loop must not diverge).
-func (d *Deployment) costPerGB(svc core.Service) float64 {
-	return overlay.DefaultCostModel.EgressPerAppGB(svc, d.cfg.Encoder.Alpha(), 0)
 }
 
 // internetViable reports whether plain best-effort Internet can reach

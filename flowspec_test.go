@@ -8,7 +8,6 @@ import (
 	"jqos/internal/core"
 	"jqos/internal/dataset"
 	"jqos/internal/netem"
-	"jqos/internal/overlay"
 	"jqos/internal/routing"
 	"jqos/internal/telemetry"
 )
@@ -189,47 +188,41 @@ func TestAdaptationResumesAfterIdle(t *testing.T) {
 	}
 }
 
-// TestCostCeilingCapsUpgrades: a budget violation never buys a service
-// priced past the spec's cost ceiling — with forwarding (2e/GB) above
-// the ceiling, a persistently violating flow parks at caching.
-func TestCostCeilingCapsUpgrades(t *testing.T) {
+// TestLowRateFlowAdapts: a flow delivering fewer than 20 packets per
+// adaptation window still upgrades — a short window carries into the
+// next rather than being thrown away. 10 pkt/s against a 500 ms window
+// is 5 deliveries per tick. The flow selects plain Internet on a 30 ms
+// direct path that slows to 150 ms after registration, so every delivery
+// misses the 100 ms budget.
+func TestLowRateFlowAdapts(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 500 * time.Millisecond
-	d := jqos.NewDeploymentWithConfig(28, cfg)
+	d := jqos.NewDeploymentWithConfig(39, cfg)
 	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
 	dc2 := d.AddDC("eu-west", dataset.RegionEU)
-	d.ConnectDCs(dc1, dc2, 30*time.Millisecond)
-	src := d.AddHost(dc1, 3*time.Millisecond)
-	dst := d.AddHost(dc2, 4*time.Millisecond)
-	d.SetDirectPath(src, dst, netem.FixedDelay(60*time.Millisecond), nil)
-	// Default α ≈ 0.53: coding ≈ 1.07e, caching = 1e, forwarding = 2e
-	// per GB. A ceiling at 1.5e admits coding and caching, not
-	// forwarding.
-	e := overlay.DefaultCostModel.EgressPerGB
+	d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
+	src := d.AddHost(dc1, 5*time.Millisecond)
+	dst := d.AddHost(dc2, 8*time.Millisecond)
+	d.SetDirectPath(src, dst, netem.FixedDelay(30*time.Millisecond), nil)
 	f, err := d.RegisterFlow(jqos.FlowSpec{
-		Src: src, Dst: dst,
-		Budget:           100 * time.Millisecond,
-		CostCeilingPerGB: 1.5 * e,
+		Src: src, Dst: dst, Budget: 100 * time.Millisecond, AllowInternet: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		at := time.Duration(i) * 10 * time.Millisecond
-		d.Sim().At(at, func() { f.Send([]byte("tick")) })
+	if f.Service() != jqos.ServiceInternet {
+		t.Fatalf("selection picked %v, want Internet (the test's premise)", f.Service())
 	}
-	d.Sim().At(time.Second, func() {
-		d.Network().Connect(src, dst,
-			netem.NewLink(d.Sim(), netem.FixedDelay(150*time.Millisecond), nil))
-	})
-	d.Run(15 * time.Second)
-	if f.Service() != jqos.ServiceCaching {
-		t.Errorf("final service = %v, want caching (forwarding priced out)", f.Service())
+	d.Network().Connect(src, dst, netem.NewLink(d.Sim(), netem.FixedDelay(150*time.Millisecond), nil))
+	for i := 0; i < 300; i++ {
+		d.Sim().At(time.Duration(i)*100*time.Millisecond, func() { f.Send([]byte("tick")) })
 	}
-	for _, ch := range f.Changes() {
-		if ch.To == jqos.ServiceForwarding {
-			t.Errorf("upgrade crossed the cost ceiling: %+v", ch)
-		}
+	d.Run(30 * time.Second)
+	if len(f.Upgrades()) == 0 {
+		t.Fatalf("no upgrade in 30 s of late deliveries at 5 per window: %+v", f.Changes())
+	}
+	if ch := f.Changes()[0]; ch.Reason != jqos.ReasonBudgetViolation || ch.To != jqos.ServiceCoding {
+		t.Errorf("first change %+v, want a budget-violation upgrade to coding", ch)
 	}
 }
 

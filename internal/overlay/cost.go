@@ -48,8 +48,8 @@ func (m CostModel) BandwidthCostPerHour(svc core.Service, gbPerHour, alpha, loss
 
 // EgressPerAppGB returns the $/GB egress cost of shipping one GB of
 // application data through a service — BandwidthCostPerHour at unit
-// volume. Flow policies use it as the per-flow cost knob: a FlowSpec cost
-// ceiling bounds this number.
+// volume. The tenant cost loop prices each member flow with it, at the
+// flow's observed loss, against the tenant contract's ceiling.
 func (m CostModel) EgressPerAppGB(svc core.Service, alpha, lossRate float64) float64 {
 	return m.BandwidthCostPerHour(svc, 1, alpha, lossRate)
 }

@@ -258,36 +258,24 @@ func (t *Topology) SelectService(src, dst core.NodeID, budget core.Time, require
 }
 
 // ServicePolicy constrains SelectServiceWith beyond the plain latency
-// budget: an egress-dollar ceiling under the default cost model and the
-// latency of a pinned path — the declarative knobs a FlowSpec exposes.
+// budget: Internet eligibility and the latency of a pinned path.
 type ServicePolicy struct {
 	// Budget is the delivery-latency budget a service's prediction must
 	// fit.
 	Budget core.Time
 	// RequireRecovery skips plain best-effort Internet even when it fits.
 	RequireRecovery bool
-	// CostCeilingPerGB bounds the service's egress cost per GB of
-	// application data (DefaultCostModel's EgressPerAppGB at zero loss).
-	// Zero = unbounded.
-	CostCeilingPerGB float64
-	// Alpha is the coding overhead ratio used in the cost estimate.
-	Alpha float64
 	// PathLatency, when positive, replaces the oracle's inter-DC latency
 	// in delay predictions — flows pinned to an alternate path select
 	// against the latency of the path they will actually ride.
 	PathLatency core.Time
 }
 
-// SelectServiceWith returns the cheapest service satisfying the policy:
-// under the cost ceiling, and with a predicted delivery latency that fits
-// the budget.
+// SelectServiceWith returns the cheapest service the policy allows whose
+// predicted delivery latency fits the budget.
 func (t *Topology) SelectServiceWith(src, dst core.NodeID, p ServicePolicy) (core.Service, core.Time, bool) {
 	for _, svc := range core.Services {
 		if svc == core.ServiceInternet && p.RequireRecovery {
-			continue
-		}
-		if p.CostCeilingPerGB > 0 &&
-			DefaultCostModel.EgressPerAppGB(svc, p.Alpha, 0) > p.CostCeilingPerGB {
 			continue
 		}
 		d, ok := t.predictDelay(svc, src, dst, p.PathLatency, p.PathLatency > 0)

@@ -296,39 +296,3 @@ func TestSelectServiceRequireRecovery(t *testing.T) {
 		}
 	}
 }
-
-func TestSelectServiceWithCostCeiling(t *testing.T) {
-	top := buildTestTopology()
-	top.MedianDelta = 8 * time.Millisecond
-	m := DefaultCostModel
-	alpha := 0.5
-	// Per-GB prices: coding 2α·e, caching (1+loss)·e, forwarding 2e.
-	codingGB := m.EgressPerAppGB(core.ServiceCoding, alpha, 0)
-	fwdGB := m.EgressPerAppGB(core.ServiceForwarding, alpha, 0)
-	if codingGB >= fwdGB {
-		t.Fatalf("cost ordering broken: coding %v ≥ forwarding %v", codingGB, fwdGB)
-	}
-	// A 60 ms budget needs forwarding (55 ms), but a cost ceiling below
-	// forwarding's price forbids it.
-	pol := ServicePolicy{
-		Budget: 60 * time.Millisecond, RequireRecovery: true,
-		Alpha: alpha, CostCeilingPerGB: fwdGB * 0.9,
-	}
-	if svc, _, ok := top.SelectServiceWith(10, 20, pol); ok {
-		t.Errorf("cost-capped selection returned %v", svc)
-	}
-	// Raising the ceiling admits forwarding again.
-	pol.CostCeilingPerGB = fwdGB * 1.1
-	if svc, _, ok := top.SelectServiceWith(10, 20, pol); !ok || svc != core.ServiceForwarding {
-		t.Errorf("got %v ok=%v, want forwarding", svc, ok)
-	}
-	// A generous budget under a tight cost ceiling picks the cheapest
-	// fitting service instead.
-	pol = ServicePolicy{
-		Budget: 200 * time.Millisecond, RequireRecovery: true,
-		Alpha: alpha, CostCeilingPerGB: codingGB * 1.1,
-	}
-	if svc, _, ok := top.SelectServiceWith(10, 20, pol); !ok || svc != core.ServiceCoding {
-		t.Errorf("got %v ok=%v, want coding", svc, ok)
-	}
-}

@@ -166,7 +166,7 @@ type FlowSnapshot struct {
 	ByService [NumClasses]uint64 `json:"by_service"`
 	// CostPerGB is the flow's live egress price under the default cost
 	// model — its CURRENT service priced at its observed loss, the same
-	// figure the cost-ceiling loops check. EstCostUSD prices the flow's
+	// figure the tenant cost loop checks. EstCostUSD prices the flow's
 	// lifetime application volume at it (SentBytes / 1e9 × CostPerGB) —
 	// what the tenant cost budget is enforced against.
 	CostPerGB  float64 `json:"cost_per_gb,omitempty"`

@@ -38,10 +38,6 @@ const (
 	// KindEgressDrop: a DC egress scheduler tail-dropped a copy. Class
 	// is the dropped copy's class, V1 its wire size in bytes.
 	KindEgressDrop
-	// KindCostViolation: the flow's current service, priced at observed
-	// loss, broke the spec's cost ceiling. Class is that service, V1 the
-	// offending price in micro-dollars per GB.
-	KindCostViolation
 	// KindBudgetViolation: a delivery window missed the on-time target.
 	// V1 is the window's on-time fraction in parts-per-million, V2 the
 	// window's delivered count.
@@ -99,8 +95,6 @@ func (k Kind) String() string {
 		return "admission-drop"
 	case KindEgressDrop:
 		return "egress-drop"
-	case KindCostViolation:
-		return "cost-violation"
 	case KindBudgetViolation:
 		return "budget-violation"
 	case KindTenantQuotaDrop:
@@ -158,8 +152,6 @@ func (e Event) Describe() string {
 		return fmt.Sprintf("%-12v flow %d admission-drop class %v %dB", at, e.Flow, e.Class, e.V1)
 	case KindEgressDrop:
 		return fmt.Sprintf("%-12v flow %d egress-drop class %v %dB", at, e.Flow, e.Class, e.V1)
-	case KindCostViolation:
-		return fmt.Sprintf("%-12v flow %d cost-violation class %v $%.4f/GB", at, e.Flow, e.Class, float64(e.V1)/1e6)
 	case KindBudgetViolation:
 		return fmt.Sprintf("%-12v flow %d budget-violation on-time %.1f%% over %d delivered", at, e.Flow, float64(e.V1)/1e4, e.V2)
 	case KindTenantQuotaDrop:

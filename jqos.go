@@ -10,8 +10,8 @@
 //     over the cloud and repair losses via cooperative recovery (cost α·c).
 //
 // Applications register a FlowSpec — destination, latency budget, and
-// optional policy (cost ceiling, overlay path preference, event
-// subscriber); the framework picks the cheapest service whose predicted
+// optional policy (tenant, overlay path preference, event subscriber);
+// the framework picks the cheapest service whose predicted
 // delivery latency fits (§3.5), upgrades the service when observed
 // deliveries violate the budget, and steps back down (with hysteresis)
 // after sustained over-delivery.
@@ -81,8 +81,8 @@
 // # Flow API
 //
 // Deployment.RegisterFlow takes a FlowSpec. Beyond the classic
-// destination+budget pair it can cap egress spend (CostCeilingPerGB),
-// choose the overlay path among the controller's k-alternates
+// destination+budget pair it can join a tenant whose contract caps
+// egress spend (TenantContract.CostCeilingPerGB), choose the overlay path among the controller's k-alternates
 // (PathPolicy: fastest, cheapest, or pinned to the k-th alternate —
 // enforced per flow in the DC forwarders), and subscribe to the flow's
 // control-loop events (FlowSpec.OnEvent: service changes, reroutes,
@@ -368,18 +368,19 @@
 // at most 3 NACKs per loss, RTT/4 apart. DC recoverer
 // (coding.DefaultRecovererConfig, §4.4, §6.1): parity kept 2 s, helper
 // deadline 250 ms, late-parity wait 500 ms, spurious-recovery check on;
-// the cache is bounded by CacheTTL alone. Adaptation (flow.go, §3.5):
-// upgradeOnTime 0.95, downgradeOnTime 0.99, downgradeAfter 3 windows.
-// Routing (jqos.go): kAltPaths 2, routeDrain 200 ms. Link health
-// (internal/routing/monitor.go): probeTimeout 200 ms, fastProbeInterval
-// and fastProbeTimeout 25 ms, failAfter 3, recoverAfter 3, degradeLoss
-// 0.25, clearLoss 0.10, lossWindow 16, ewmaAlpha 0.3, refreshFraction
-// 0.25. Load (loadreport.go, internal/routing/congestion.go): loadWindow
+// the cache is bounded by CacheTTL alone. Adaptation
+// (internal/overlay/adapt.go, §3.5): upgradeOnTime 0.95, downgradeOnTime
+// 0.99, downgradeAfter 3 windows of at least windowMin 20 deliveries,
+// congestionCooldown 2 s. Routing (jqos.go): kAltPaths 2, routeDrain
+// 200 ms. Link health (internal/routing/monitor.go): probeTimeout 200 ms,
+// fastProbeInterval and fastProbeTimeout 25 ms, failAfter 3,
+// recoverAfter 3, degradeLoss 0.25, clearLoss 0.10, lossWindow 16,
+// ewmaAlpha 0.3, refreshFraction 0.25. Load (loadreport.go, internal/routing/congestion.go): loadWindow
 // 1 s, loadReportInterval 500 ms, congestKnee 0.6, congestMaxUtil 0.95,
 // congestHysteresis 0.25. Scheduler (internal/sched): quantum 1500 B.
 // Feedback (feedback.go, internal/feedback): signalInterval 10 ms,
-// pacerRecoverInterval 250 ms, congestionCooldown 2 s; pacers halve per
-// Hot signal down to 1/8 of the contract and regain 1/10 per step.
+// pacerRecoverInterval 250 ms; pacers halve per Hot signal down to 1/8
+// of the contract and regain 1/10 per step.
 // Telemetry (telemetry.go): traceCapacity 4096 events.
 //
 // # Quick start

@@ -76,12 +76,12 @@ func (d *Deployment) TenantFlowCount(id TenantID) int {
 
 // tenantCostRun is one budget evaluation: for every tenant with a cost
 // ceiling, price the membership's lifetime application volume at each
-// flow's live per-GB price (the same figure the per-flow cost loop
-// checks) and compare the volume-weighted aggregate against the
+// flow's live per-GB price (Flow.costPerGB, at its observed loss) and
+// compare the volume-weighted aggregate against the
 // ceiling. A violation forces the tenant's most EXPENSIVE adaptive
 // member down a tier — the move that buys the most $/GB relief — and
-// counts on the tenant (one forced move per tick per tenant, mirroring
-// the per-flow loop's one-move-per-tick pacing). Every tenanted send
+// counts on the tenant (one forced move per tick per tenant, the
+// adaptation loop's one-move-per-tick pacing). Every tenanted send
 // wakes the loop, so it runs exactly while tenanted traffic flows.
 func (d *Deployment) tenantCostRun() {
 	d.tenants.Each(func(t *tenant.Tenant) {
@@ -120,7 +120,8 @@ func (d *Deployment) tenantCostRun() {
 			V1: int64(agg * 1e6), V2: int64(ceiling * 1e6),
 		})
 		t.NoteCostViolation()
-		victim.forceCheaper()
+		dec := victim.adapter.Cheaper(victim.adaptInput())
+		victim.setService(dec.Next, dec.Reason)
 	})
 }
 
