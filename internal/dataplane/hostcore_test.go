@@ -225,6 +225,88 @@ func TestHostCoreUndecodableCounted(t *testing.T) {
 	}
 }
 
+// sentNACKs lists the (flow, seq) each sent NACK names, in order, and
+// fails on anything sent that is not a NACK.
+func sentNACKs(t *testing.T, emits []core.Emit) []core.PacketID {
+	t.Helper()
+	var out []core.PacketID
+	for _, em := range emits {
+		var hdr wire.Header
+		if _, err := wire.SplitMessage(&hdr, em.Msg); err != nil || hdr.Type != wire.TypeNACK {
+			t.Fatalf("sent %v (%v), want NACKs only", hdr.Type, err)
+		}
+		out = append(out, core.PacketID{Flow: hdr.Flow, Seq: hdr.Seq})
+	}
+	return out
+}
+
+// TestHostCoreFlowsIndependent: every flow has a receiver of its own, so a
+// gap in flow 1 NACKs flow 1's missing packet only, and flow 2's next
+// in-order packet sends nothing.
+func TestHostCoreFlowsIndependent(t *testing.T) {
+	c, env := newHostWorld()
+	hostHandle(t, c, 0, data(1, 1))
+	hostHandle(t, c, 0, data(2, 1))
+	hostHandle(t, c, time.Millisecond, data(1, 3))
+	if got := sentNACKs(t, env.sent); !slices.Equal(got, []core.PacketID{{Flow: 1, Seq: 2}}) {
+		t.Fatalf("flow 1's gap sent NACKs for %v, want [1/2]", got)
+	}
+	env.sent = env.sent[:0]
+	hostHandle(t, c, time.Millisecond, data(2, 2))
+	if len(env.sent) != 0 || c.Receiver(2).OutstandingLosses() != 0 {
+		t.Errorf("flow 2's in-order packet sent %d messages and left %d losses", len(env.sent), c.Receiver(2).OutstandingLosses())
+	}
+	if len(env.delivered) != 4 {
+		t.Errorf("delivered %d packets, want all 4", len(env.delivered))
+	}
+}
+
+// TestHostCoreMixedFlowBatchDropped: the encoder's in-stream batches are one
+// flow's. A forged one listing flow 1's seq 1 and then flow 2's seq 5, with
+// parity over both, reaches flow 1's receiver (the core routes parity by its
+// first source). Decoded against flow 1's window, it would deliver flow 2's
+// packet a second time and move flow 1's expectation past seq 5, so flow
+// 1's real loss of seq 2 would never be NACKed. It is dropped instead.
+func TestHostCoreMixedFlowBatchDropped(t *testing.T) {
+	c, env := newHostWorld()
+	env.live[1], env.live[2], env.allocated = 0, 0, 3
+	hostHandle(t, c, 0, data(1, 1))
+	for seq := core.Seq(1); seq <= 5; seq++ {
+		hostHandle(t, c, 0, data(2, seq))
+	}
+	shards, shardLen, err := rs.PackBatch([][]byte{[]byte("x"), []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := rs.NewCodec(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards = append(shards, make([]byte, shardLen))
+	if err := codec.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	forged := wire.Coded{Batch: 9, Kind: wire.InStream, K: 2, R: 1, ShardLen: uint16(shardLen),
+		Sources: []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: hostSelf}, {Flow: 2, Seq: 5, Receiver: hostSelf}}}
+	env.delivered = env.delivered[:0]
+	hostHandle(t, c, time.Millisecond, message(wire.TypeCoded, core.ServiceCoding, 0, 0, hostDC, hostSelf, 0, forged.AppendMarshal(nil, shards[2])))
+	for _, del := range env.delivered {
+		t.Errorf("the forged batch delivered %v (recovered=%v) through flow 1's receiver", del.Packet.ID, del.Recovered)
+	}
+	r := c.Receiver(1)
+	if got := r.Stats().Dropped; got != 1 {
+		t.Errorf("flow 1's receiver counted %d dropped batches, want 1", got)
+	}
+	// Flow 1 still expects seq 2: seq 3 opens a gap, not a late arrival.
+	hostHandle(t, c, 2*time.Millisecond, data(1, 3))
+	if got := sentNACKs(t, env.sent); !slices.Equal(got, []core.PacketID{{Flow: 1, Seq: 2}}) {
+		t.Errorf("flow 1's seq 3 sent NACKs for %v, want [1/2]", got)
+	}
+	if r.OutstandingLosses() != 1 || r.Stats().LateArrivals != 0 {
+		t.Errorf("flow 1: %d losses outstanding, %d late arrivals; want 1, 0", r.OutstandingLosses(), r.Stats().LateArrivals)
+	}
+}
+
 // threeDue builds receivers for flows 7, 3 and 5 — in that order — each
 // one packet in, so all three idle timers fall due at the same instant,
 // which it returns.

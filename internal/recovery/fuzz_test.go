@@ -25,9 +25,17 @@ func fuzzMsg(typ wire.MsgType, flow core.FlowID, seq core.Seq, src core.NodeID, 
 // FuzzReceiver runs a sequence of datagrams and clock advances through the
 // dispatch dataplane.HostCore.Handle uses, firing OnTimer at every deadline
 // that comes due in between: no input may panic, everything emitted is a
-// well-formed message to the configured DC or to whoever asked, and a
-// deadline never stays at or behind the time it was serviced at (a host
-// re-arming on NextDeadline would spin).
+// well-formed message to the configured DC or to whoever asked, every
+// delivery names the receiver's flow, and a deadline never stays at or
+// behind the time it was serviced at (a host re-arming on NextDeadline
+// would spin).
+//
+// Like HostCore, it hands the receiver one flow: the one the first message
+// names, in the field HostCore routes by (a parity message's first source,
+// any other message's header). Headers are rewritten to that flow, and a
+// parity message whose first source names another is not this receiver's;
+// the rest of a batch's sources stay as written, so a batch mixing flows
+// reaches the receiver.
 func FuzzReceiver(f *testing.F) {
 	inStream := wire.Coded{Batch: 9, Kind: wire.InStream, K: 2, R: 1, ShardLen: 8,
 		Sources: []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: self}, {Flow: 1, Seq: 2, Receiver: self}}}
@@ -48,6 +56,16 @@ func FuzzReceiver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := testReceiver()
 		var now core.Time
+		var flow core.FlowID
+		routed := false
+		// routes reports whether HostCore would hand a message naming f to
+		// this receiver; the first message to ask fixes the flow.
+		routes := func(f core.FlowID) bool {
+			if !routed {
+				flow, routed = f, true
+			}
+			return f == flow
+		}
 		// check validates one event's output; asker is who a reply may go
 		// to besides the DC (0 for timer firings).
 		check := func(what string, at core.Time, res Result, asker core.NodeID) {
@@ -95,6 +113,10 @@ func FuzzReceiver(f *testing.F) {
 			if err != nil {
 				continue
 			}
+			if hdr.Type != wire.TypeCoded {
+				routes(hdr.Flow)
+				hdr.Flow = flow
+			}
 			var res Result
 			switch hdr.Type {
 			case wire.TypeData:
@@ -103,7 +125,7 @@ func FuzzReceiver(f *testing.F) {
 				res = r.OnRecovered(now, &hdr, body)
 			case wire.TypeCoded:
 				var meta wire.Coded
-				if shard, err := meta.Unmarshal(body); err == nil {
+				if shard, err := meta.Unmarshal(body); err == nil && len(meta.Sources) > 0 && routes(meta.Sources[0].Flow) {
 					res = r.OnCoded(now, &hdr, &meta, shard)
 				}
 			case wire.TypeCoopReq:
@@ -118,6 +140,9 @@ func FuzzReceiver(f *testing.F) {
 			for _, d := range res.Deliveries {
 				if d.Packet.Dst != self {
 					t.Fatalf("%v: delivery %+v is not addressed to this receiver", hdr.Type, d)
+				}
+				if d.Packet.ID.Flow != flow {
+					t.Fatalf("%v: delivery of %v into a receiver of flow %v", hdr.Type, d.Packet.ID, flow)
 				}
 			}
 		}

@@ -7,7 +7,6 @@
 package recovery
 
 import (
-	"fmt"
 	"slices"
 
 	"jqos/internal/core"
@@ -39,8 +38,8 @@ type Config struct {
 	// slower than one RTT as a loss; we keep trying a little longer and
 	// let the experiment apply the one-RTT rule). Default 4×RTT.
 	GiveUpAfter core.Time
-	// RecentWindow is how many delivered packets per flow are retained
-	// for cooperative responses and in-stream decoding.
+	// RecentWindow is how many of the flow's delivered packets are
+	// retained for cooperative responses and in-stream decoding.
 	RecentWindow int
 	// SingleTimer disables the two-state model: the small timeout runs
 	// across bursts too (the ablation behind the paper's "5× fewer
@@ -170,8 +169,21 @@ type missState struct {
 	hasNACK   bool // at least one NACK actually sent
 }
 
-type flowState struct {
-	id          core.FlowID
+// inDecode accumulates in-stream parity for local decoding.
+type inDecode struct {
+	meta    wire.Coded
+	parity  map[int][]byte
+	expires core.Time
+}
+
+// Receiver is the reliability engine of one inbound flow. Not safe for
+// concurrent use. A Result it returns is valid until the next call into the
+// same Receiver.
+type Receiver struct {
+	cfg Config
+	// flow is the flow this receiver serves, taken from the first data or
+	// recovered packet: the one that sets started.
+	flow        core.FlowID
 	started     bool
 	next        core.Seq
 	state       markovState
@@ -181,6 +193,7 @@ type flowState struct {
 	lastArrival core.Time
 	lastDirect  core.Time // last arrival on the direct path
 	pumpHigh    core.Seq  // highest seq the pump has NACKed
+	src         core.NodeID
 	missing     map[core.Seq]*missState
 	// recent holds the receiver's own copies of the delivered packets still
 	// in the window; order is a ring of their seqs, oldest at orderHead once
@@ -189,22 +202,7 @@ type flowState struct {
 	recent    map[core.Seq][]byte
 	order     []core.Seq
 	orderHead int
-	src       core.NodeID
-}
-
-// inDecode accumulates in-stream parity for local decoding.
-type inDecode struct {
-	meta    wire.Coded
-	parity  map[int][]byte
-	expires core.Time
-}
-
-// Receiver is the endpoint reliability engine. Not safe for concurrent use.
-// A Result it returns is valid until the next call into the same Receiver.
-type Receiver struct {
-	cfg   Config
-	flows map[core.FlowID]*flowState
-	inDec map[uint64]*inDecode
+	inDec     map[uint64]*inDecode
 	// codecs serves in-stream decodes; the shapes come off the wire.
 	codecs *rs.Cache
 	stats  Stats
@@ -223,10 +221,12 @@ func (r *Receiver) begin() {
 func New(cfg Config) *Receiver {
 	cfg.fillDefaults()
 	return &Receiver{
-		cfg:    cfg,
-		flows:  make(map[core.FlowID]*flowState),
-		inDec:  make(map[uint64]*inDecode),
-		codecs: rs.NewCache(rs.DecoderShapes),
+		cfg:     cfg,
+		missing: make(map[core.Seq]*missState),
+		recent:  make(map[core.Seq][]byte),
+		order:   make([]core.Seq, 0, cfg.RecentWindow),
+		inDec:   make(map[uint64]*inDecode),
+		codecs:  rs.NewCache(rs.DecoderShapes),
 	}
 }
 
@@ -240,30 +240,15 @@ func (r *Receiver) Config() Config { return r.cfg }
 // framework upgrades a flow to a more expensive service (§3.5).
 func (r *Receiver) SetService(s core.Service) { r.cfg.Service = s }
 
-func (r *Receiver) flow(id core.FlowID) *flowState {
-	fs := r.flows[id]
-	if fs == nil {
-		fs = &flowState{
-			id:      id,
-			missing: make(map[core.Seq]*missState),
-			recent:  make(map[core.Seq][]byte),
-			order:   make([]core.Seq, 0, r.cfg.RecentWindow),
-		}
-		r.flows[id] = fs
-	}
-	return fs
-}
-
 // OnData processes a data packet from the direct path. Ownership of payload
 // passes to the receiver: a delivery hands it to the application as is, and
 // the window keeps a copy of its own, so the caller must not touch the bytes
 // again.
 func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Result {
 	r.begin()
-	fs := r.flow(hdr.Flow)
-	fs.src = hdr.Src
+	r.src = hdr.Src
 	r.stats.DataReceived++
-	fs.lastDirect = now
+	r.lastDirect = now
 
 	// Attribute overlay-duplicated copies to their service so multipath
 	// and path-switched forwarding show up in delivery accounting.
@@ -274,69 +259,69 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 		r.stats.DirectArrivals++
 	}
 	seq := hdr.Seq
-	_, dup := fs.recent[seq] // delivered, and still in the window
+	_, dup := r.recent[seq] // delivered, and still in the window
 	switch {
-	case !fs.started:
+	case !r.started:
 		// Join at the first observed packet; earlier history is not
 		// ours to recover.
-		fs.started = true
-		fs.next = seq + 1
-		r.accept(now, fs, hdr, payload, false, via, 0)
+		r.started, r.flow = true, hdr.Flow
+		r.next = seq + 1
+		r.accept(now, hdr, payload, false, via, 0)
 	case dup:
 		r.stats.Duplicates++
-	case seq < fs.next:
+	case seq < r.next:
 		// Late arrival: a tracked loss, a given-up loss, or a packet
 		// the idle timer speculatively NACKed before it was even sent
 		// (session boundary). The duplicate case was handled above, so
 		// anything undelivered is surfaced.
 		r.stats.LateArrivals++
-		r.resolve(fs, seq)
-		r.accept(now, fs, hdr, payload, false, via, 0)
-	case seq == fs.next:
-		fs.next = seq + 1
-		r.accept(now, fs, hdr, payload, false, via, 0)
+		delete(r.missing, seq)
+		r.accept(now, hdr, payload, false, via, 0)
+	case seq == r.next:
+		r.next = seq + 1
+		r.accept(now, hdr, payload, false, via, 0)
 	default: // gap: [next, seq) missing
-		r.noteGap(now, fs, seq)
-		r.accept(now, fs, hdr, payload, false, via, 0)
+		r.noteGap(now, seq)
+		r.accept(now, hdr, payload, false, via, 0)
 	}
 
 	// Markov model (§3.4): the small timer applies only to packets
 	// "arriving within a burst (sub-RTT scale)" — enter burst state when
 	// the observed inter-arrival is short, otherwise arm the long timer.
 	// SingleTimer mode (the ablation) always uses the small timer.
-	delta := now - fs.lastArrival
-	if r.cfg.SingleTimer || (fs.everArrived && delta <= r.cfg.SmallTimeout) {
-		fs.state = stateBurst
-		fs.deadline = now + r.cfg.SmallTimeout
+	delta := now - r.lastArrival
+	if r.cfg.SingleTimer || (r.everArrived && delta <= r.cfg.SmallTimeout) {
+		r.state = stateBurst
+		r.deadline = now + r.cfg.SmallTimeout
 	} else {
-		fs.state = stateIdle
-		fs.deadline = now + r.cfg.RTT
+		r.state = stateIdle
+		r.deadline = now + r.cfg.RTT
 	}
-	fs.everArrived = true
-	fs.lastArrival = now
-	fs.idleFired = false
+	r.everArrived = true
+	r.lastArrival = now
+	r.idleFired = false
 	return r.res
 }
 
 // accept delivers a packet — payload itself, which the receiver owns — and
 // copies it into the recent window, into the buffer of the oldest entry
 // once the window is full.
-func (r *Receiver) accept(now core.Time, fs *flowState, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
+func (r *Receiver) accept(now core.Time, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
 	var buf []byte
-	if len(fs.order) < cap(fs.order) {
-		fs.order = append(fs.order, hdr.Seq)
+	if len(r.order) < cap(r.order) {
+		r.order = append(r.order, hdr.Seq)
 	} else {
-		old := fs.order[fs.orderHead]
-		buf = fs.recent[old]
-		delete(fs.recent, old)
-		fs.order[fs.orderHead] = hdr.Seq
-		fs.orderHead = (fs.orderHead + 1) % len(fs.order)
+		old := r.order[r.orderHead]
+		buf = r.recent[old]
+		delete(r.recent, old)
+		r.order[r.orderHead] = hdr.Seq
+		r.orderHead = (r.orderHead + 1) % len(r.order)
 	}
-	fs.recent[hdr.Seq] = append(buf[:0], payload...)
+	r.recent[hdr.Seq] = append(buf[:0], payload...)
 	r.res.Deliveries = append(r.res.Deliveries, core.Delivery{
 		Packet: core.Packet{
 			ID:      core.PacketID{Flow: hdr.Flow, Seq: hdr.Seq},
-			Src:     fs.src,
+			Src:     r.src,
 			Dst:     r.cfg.Self,
 			Sent:    hdr.TS,
 			Payload: payload,
@@ -351,21 +336,21 @@ func (r *Receiver) accept(now core.Time, fs *flowState, hdr *wire.Header, payloa
 // number in between would let one datagram cost unbounded work and state.
 const maxGap = 4096
 
-// noteGap NACKs the missing range [fs.next, seq) and moves the expectation
+// noteGap NACKs the missing range [r.next, seq) and moves the expectation
 // past seq; past maxGap it rejoins at seq like a first packet.
-func (r *Receiver) noteGap(now core.Time, fs *flowState, seq core.Seq) {
-	if seq-fs.next <= maxGap {
-		for s := fs.next; s < seq; s++ {
-			r.noteMissing(now, fs, s, false)
+func (r *Receiver) noteGap(now core.Time, seq core.Seq) {
+	if seq-r.next <= maxGap {
+		for s := r.next; s < seq; s++ {
+			r.noteMissing(now, s, false)
 			r.stats.GapNACKs++
 		}
 	}
-	fs.next = seq + 1
+	r.next = seq + 1
 }
 
 // noteMissing registers a loss and emits its first NACK; false: already tracked.
-func (r *Receiver) noteMissing(now core.Time, fs *flowState, seq core.Seq, wantVerify bool) bool {
-	if _, ok := fs.missing[seq]; ok {
+func (r *Receiver) noteMissing(now core.Time, seq core.Seq, wantVerify bool) bool {
+	if _, ok := r.missing[seq]; ok {
 		return false
 	}
 	r.stats.LossesSeen++
@@ -373,16 +358,18 @@ func (r *Receiver) noteMissing(now core.Time, fs *flowState, seq core.Seq, wantV
 	if r.cfg.NACKRetry > 0 {
 		ms.nextNACK = now + r.cfg.NACKRetry
 	}
-	fs.missing[seq] = ms
-	r.nack(now, fs.id, seq, wantVerify)
+	r.missing[seq] = ms
+	r.nack(now, seq, wantVerify)
 	return true
 }
 
-func (r *Receiver) nack(now core.Time, flow core.FlowID, seq core.Seq, wantVerify bool) {
+// nack asks the DC for seq; the flow is known, since every loss is noted
+// after the receiver has started.
+func (r *Receiver) nack(now core.Time, seq core.Seq, wantVerify bool) {
 	hdr := wire.Header{
 		Type:    wire.TypeNACK,
 		Service: r.cfg.Service,
-		Flow:    flow,
+		Flow:    r.flow,
 		Seq:     seq,
 		TS:      now,
 		Src:     r.cfg.Self,
@@ -394,67 +381,59 @@ func (r *Receiver) nack(now core.Time, flow core.FlowID, seq core.Seq, wantVerif
 	r.res.Emits = append(r.res.Emits, core.Emit{To: r.cfg.DC, Msg: wire.AppendMessage(nil, &hdr, nil)})
 }
 
-// resolve clears a tracked loss.
-func (r *Receiver) resolve(fs *flowState, seq core.Seq) {
-	delete(fs.missing, seq)
-}
-
 // OnRecovered processes a repaired packet from the DC (TypeRecovered from
 // coding, TypePullResp from caching). Ownership of payload passes to the
 // receiver, as for OnData.
 func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) Result {
 	r.begin()
-	fs := r.flow(hdr.Flow)
-	if _, dup := fs.recent[hdr.Seq]; dup {
+	if _, dup := r.recent[hdr.Seq]; dup {
 		r.stats.Duplicates++
 		return r.res
 	}
-	if _, miss := fs.missing[hdr.Seq]; !miss && fs.started && hdr.Seq < fs.next {
+	ms, tracked := r.missing[hdr.Seq]
+	if !tracked && r.started && hdr.Seq < r.next {
 		// Recovery for something we never tracked (already gave up or
 		// spurious); deliver anyway if unseen.
 		r.stats.Duplicates++
 		return r.res
 	}
-	var recDelay core.Time
-	tracked := false
-	var detectedAt core.Time
-	if ms, ok := fs.missing[hdr.Seq]; ok {
+	var recDelay, detectedAt core.Time
+	if tracked {
 		recDelay = now - ms.firstMiss
 		detectedAt = ms.firstMiss
-		tracked = true
 	}
-	r.resolve(fs, hdr.Seq)
+	delete(r.missing, hdr.Seq)
 	r.stats.Recovered++
-	if !fs.started {
-		fs.started = true
-		fs.next = hdr.Seq + 1
-	} else if hdr.Seq >= fs.next {
+	if !r.started {
+		r.started, r.flow = true, hdr.Flow
+		r.next = hdr.Seq + 1
+	} else if hdr.Seq >= r.next {
 		// A recovered packet beyond the expectation proves everything
 		// in between existed: NACK the gap.
-		r.noteGap(now, fs, hdr.Seq)
+		r.noteGap(now, hdr.Seq)
 	}
 	via := hdr.Service
 	if via == 0 {
 		via = r.cfg.Service
 	}
-	r.accept(now, fs, hdr, payload, true, via, recDelay)
+	r.accept(now, hdr, payload, true, via, recDelay)
 	// Sustained-recovery pump: recoveries flowing while the direct path
 	// has been silent since this loss was detected indicate an outage —
 	// keep speculative NACKs outstanding so the next losses are already
 	// in recovery when their parity reaches the DC.
-	if tracked && fs.lastDirect < detectedAt {
+	if tracked && r.lastDirect < detectedAt {
 		high := hdr.Seq + pumpWindow
-		start := fs.next
-		if fs.pumpHigh+1 > start {
-			start = fs.pumpHigh + 1
+		start := r.next
+		if r.pumpHigh+1 > start {
+			start = r.pumpHigh + 1
 		}
 		for s := start; s <= high; s++ {
-			if r.noteMissing(now, fs, s, false) {
+			if r.noteMissing(now, s, false) {
 				r.stats.PumpNACKs++
 			}
 		}
-		if high > fs.pumpHigh {
-			fs.pumpHigh = high
+		if high > r.pumpHigh {
+			r.pumpHigh = high
 		}
 	}
 	return r.res
@@ -470,8 +449,16 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 	}
 	// The shard table below is sized K+R from the wire and indexed by
 	// source position: the encoder always emits K == len(Sources), and
-	// anything else is a forged or corrupted datagram.
-	if len(meta.Sources) != int(meta.K) || meta.R < 1 || meta.Index >= meta.R {
+	// anything else is a forged or corrupted datagram. Its in-stream
+	// batches are one flow's, too — this receiver's once it has started:
+	// a batch naming another would decode against this flow's window and
+	// deliver into that one.
+	flow := meta.Sources[0].Flow
+	if r.started {
+		flow = r.flow
+	}
+	if len(meta.Sources) != int(meta.K) || meta.R < 1 || meta.Index >= meta.R ||
+		slices.ContainsFunc(meta.Sources, func(s wire.SourceRef) bool { return s.Flow != flow }) {
 		r.stats.Dropped++
 		return r.res
 	}
@@ -486,15 +473,13 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 		dec.parity[int(meta.Index)] = append([]byte(nil), shard...)
 	}
 
-	flow := dec.meta.Sources[0].Flow
-	fs := r.flow(flow)
 	k := int(dec.meta.K)
 	shardLen := len(shard)
 	shards := make([][]byte, k+int(dec.meta.R))
 	present := 0
 	var wanted []int
 	for i, src := range dec.meta.Sources {
-		if p, ok := fs.recent[src.Seq]; ok {
+		if p, ok := r.recent[src.Seq]; ok {
 			buf := make([]byte, shardLen)
 			if _, err := rs.Pack(p, buf); err != nil {
 				continue
@@ -526,22 +511,22 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 		if err != nil {
 			continue
 		}
-		src := dec.meta.Sources[i]
-		if _, dup := fs.recent[src.Seq]; dup {
+		seq := dec.meta.Sources[i].Seq
+		if _, dup := r.recent[seq]; dup {
 			continue
 		}
 		var recDelay core.Time
-		if ms, ok := fs.missing[src.Seq]; ok {
+		if ms, ok := r.missing[seq]; ok {
 			recDelay = now - ms.firstMiss
 		}
-		r.resolve(fs, src.Seq)
+		delete(r.missing, seq)
 		r.stats.Recovered++
 		r.stats.InStreamLocal++
-		if fs.started && src.Seq >= fs.next {
-			fs.next = src.Seq + 1
+		if r.started && seq >= r.next {
+			r.next = seq + 1
 		}
-		ph := wire.Header{Flow: src.Flow, Seq: src.Seq, TS: hdr.TS, Src: fs.src, Dst: r.cfg.Self}
-		r.accept(now, fs, &ph, payload, true, core.ServiceCoding, recDelay)
+		ph := wire.Header{Flow: flow, Seq: seq, TS: hdr.TS, Src: r.src, Dst: r.cfg.Self}
+		r.accept(now, &ph, payload, true, core.ServiceCoding, recDelay)
 	}
 	delete(r.inDec, meta.Batch)
 	return r.res
@@ -552,11 +537,7 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 // the DC is free, so helpers answer unconditionally.
 func (r *Receiver) OnCoopReq(now core.Time, hdr *wire.Header, ref *wire.CoopRef) Result {
 	r.begin()
-	fs := r.flows[hdr.Flow]
-	if fs == nil {
-		return r.res
-	}
-	payload, ok := fs.recent[hdr.Seq]
+	payload, ok := r.recent[hdr.Seq]
 	if !ok {
 		return r.res // we lost it too; DC treats us as a straggler
 	}
@@ -581,11 +562,6 @@ func (r *Receiver) OnCoopReq(now core.Time, hdr *wire.Header, ref *wire.CoopRef)
 func (r *Receiver) OnVerify(now core.Time, hdr *wire.Header) Result {
 	r.begin()
 	r.stats.VerifyReplies++
-	fs := r.flows[hdr.Flow]
-	still := false
-	if fs != nil {
-		_, still = fs.missing[hdr.Seq]
-	}
 	respHdr := wire.Header{
 		Type:    wire.TypeVerifyResp,
 		Service: r.cfg.Service,
@@ -595,7 +571,7 @@ func (r *Receiver) OnVerify(now core.Time, hdr *wire.Header) Result {
 		Src:     r.cfg.Self,
 		Dst:     hdr.Src,
 	}
-	if still {
+	if _, still := r.missing[hdr.Seq]; still {
 		respHdr.Flags |= wire.FlagStillWanted
 	}
 	r.res.Emits = append(r.res.Emits, core.Emit{To: hdr.Src, Msg: wire.AppendMessage(nil, &respHdr, nil)})
@@ -614,13 +590,11 @@ func (r *Receiver) NextDeadline() (core.Time, bool) {
 			min, found = d, true
 		}
 	}
-	for _, fs := range r.flows {
-		consider(fs.deadline)
-		for _, ms := range fs.missing {
-			consider(ms.firstMiss + r.cfg.GiveUpAfter)
-			if r.cfg.NACKRetry > 0 && ms.nacks < r.cfg.MaxNACKs {
-				consider(ms.nextNACK)
-			}
+	consider(r.deadline)
+	for _, ms := range r.missing {
+		consider(ms.firstMiss + r.cfg.GiveUpAfter)
+		if r.cfg.NACKRetry > 0 && ms.nacks < r.cfg.MaxNACKs {
+			consider(ms.nextNACK)
 		}
 	}
 	for _, dec := range r.inDec {
@@ -632,57 +606,55 @@ func (r *Receiver) NextDeadline() (core.Time, bool) {
 // OnTimer advances the Markov model and retry/give-up bookkeeping.
 func (r *Receiver) OnTimer(now core.Time) Result {
 	r.begin()
-	for _, fs := range r.flows {
-		if fs.deadline != 0 && fs.deadline <= now {
-			switch fs.state {
-			case stateBurst:
-				// Small timeout expired mid-burst: the next expected
-				// packet is overdue → NACK and fall back to the long
-				// timer (§3.4).
-				if fs.started && r.noteMissing(now, fs, fs.next, true) {
-					r.stats.TimerNACKs++
-					fs.next++
+	if r.deadline != 0 && r.deadline <= now {
+		switch r.state {
+		case stateBurst:
+			// Small timeout expired mid-burst: the next expected
+			// packet is overdue → NACK and fall back to the long
+			// timer (§3.4).
+			if r.started && r.noteMissing(now, r.next, true) {
+				r.stats.TimerNACKs++
+				r.next++
+			}
+			if r.cfg.SingleTimer {
+				r.deadline = now + r.cfg.SmallTimeout
+			} else {
+				r.state = stateIdle
+				r.deadline = now + r.cfg.RTT
+			}
+		case stateIdle:
+			// Long timeout: one speculative NACK per silence
+			// period, then disarm until traffic resumes.
+			if r.started && !r.idleFired {
+				r.idleFired = true
+				if r.noteMissing(now, r.next, true) {
+					r.stats.IdleNACKs++
+					r.next++
 				}
-				if r.cfg.SingleTimer {
-					fs.deadline = now + r.cfg.SmallTimeout
-				} else {
-					fs.state = stateIdle
-					fs.deadline = now + r.cfg.RTT
-				}
-			case stateIdle:
-				// Long timeout: one speculative NACK per silence
-				// period, then disarm until traffic resumes.
-				if fs.started && !fs.idleFired {
-					fs.idleFired = true
-					if r.noteMissing(now, fs, fs.next, true) {
-						r.stats.IdleNACKs++
-						fs.next++
-					}
-					fs.deadline = now + r.cfg.RTT
-				} else {
-					fs.deadline = 0
-				}
+				r.deadline = now + r.cfg.RTT
+			} else {
+				r.deadline = 0
 			}
 		}
-		// Give-ups, and NACK retries in ascending seq order: the map's
-		// order must not decide which retry draws which link jitter.
-		r.due = r.due[:0]
-		for seq, ms := range fs.missing {
-			if now-ms.firstMiss >= r.cfg.GiveUpAfter {
-				delete(fs.missing, seq)
-				r.stats.GaveUp++
-			} else if r.cfg.NACKRetry > 0 && ms.hasNACK && ms.nacks < r.cfg.MaxNACKs && ms.nextNACK <= now {
-				r.due = append(r.due, seq)
-			}
+	}
+	// Give-ups, and NACK retries in ascending seq order: the map's
+	// order must not decide which retry draws which link jitter.
+	r.due = r.due[:0]
+	for seq, ms := range r.missing {
+		if now-ms.firstMiss >= r.cfg.GiveUpAfter {
+			delete(r.missing, seq)
+			r.stats.GaveUp++
+		} else if r.cfg.NACKRetry > 0 && ms.hasNACK && ms.nacks < r.cfg.MaxNACKs && ms.nextNACK <= now {
+			r.due = append(r.due, seq)
 		}
-		slices.Sort(r.due)
-		for _, seq := range r.due {
-			ms := fs.missing[seq]
-			ms.nacks++
-			ms.nextNACK = now + r.cfg.NACKRetry
-			r.stats.RetryNACKs++
-			r.nack(now, fs.id, seq, false)
-		}
+	}
+	slices.Sort(r.due)
+	for _, seq := range r.due {
+		ms := r.missing[seq]
+		ms.nacks++
+		ms.nextNACK = now + r.cfg.NACKRetry
+		r.stats.RetryNACKs++
+		r.nack(now, seq, false)
 	}
 	for batch, dec := range r.inDec {
 		if dec.expires <= now {
@@ -694,16 +666,4 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 
 // OutstandingLosses reports currently tracked missing packets (tests and
 // metrics).
-func (r *Receiver) OutstandingLosses() int {
-	n := 0
-	for _, fs := range r.flows {
-		n += len(fs.missing)
-	}
-	return n
-}
-
-// String implements fmt.Stringer.
-func (r *Receiver) String() string {
-	return fmt.Sprintf("receiver(%v→dc%v: %d flows, %d missing)",
-		r.cfg.Self, r.cfg.DC, len(r.flows), r.OutstandingLosses())
-}
+func (r *Receiver) OutstandingLosses() int { return len(r.missing) }
