@@ -142,11 +142,11 @@ func (f *Flow) Closed() bool { return f.closed }
 
 // Close tears the flow down: the routing controller unpins/unwatches it
 // (per-flow forwarder entries are removed), every receiving endpoint
-// frees its recovery state, the adaptation ticker stops, and further
-// Sends are no-ops. Metrics and Changes stay readable, but the
-// deployment no longer lists the flow and late in-flight packets are no
-// longer tracked (receivers recreate transient state for them and no
-// event is emitted). Close is idempotent — the prerequisite for
+// returns its recovery state to the host for reuse, the adaptation ticker
+// stops, and further Sends are no-ops. Metrics and Changes stay readable,
+// but the deployment no longer lists the flow and late in-flight packets
+// are no longer tracked (receivers recreate transient state for them and
+// no event is emitted). Close is idempotent — the prerequisite for
 // workloads of millions of short-lived flows.
 func (f *Flow) Close() {
 	if f.closed {

@@ -44,7 +44,9 @@ func (h *Host) DC() core.NodeID { return h.dc }
 // surfaces to the application (direct or recovered).
 func (h *Host) SetDeliveryHandler(fn func(core.Delivery)) { h.onDeliver = fn }
 
-// Receiver returns the recovery engine for a flow (nil if none yet).
+// Receiver returns the recovery engine for a flow (nil if none yet). It is
+// valid only while the flow is live: once the flow closes, the host may hand
+// the same engine to another flow, so look it up again rather than keep it.
 func (h *Host) Receiver(flow core.FlowID) *recovery.Receiver { return h.core.Receiver(flow) }
 
 // ReceiverCount returns how many per-flow recovery engines the host

@@ -48,10 +48,21 @@ type HostEnv interface {
 // forged-ID floods stay O(1) per host.
 const MaxUnsolicited = 32
 
+// maxSpareReceivers bounds HostCore's spare list. A runtime closing a flow
+// usually registers the next one soon after, so a few spares are all the
+// reuse a churning host sees; an idle host pins no more.
+const maxSpareReceivers = 4
+
 // HostCore is the receiving side of one endpoint: a recovery engine per
 // inbound flow handling everything that arrives — data, recovered packets,
 // parity for local decode, cooperative-recovery requests and verification
 // probes. Not safe for concurrent use; the host serializes its calls.
+//
+// A receiver the core lets go — its flow dropped, or evicted under the
+// unsolicited cap — goes to a spare list of at most maxSpareReceivers, and
+// the next flow's receiver is one of those, Reset, before a new one is
+// built: a stream of short flows reuses one window's buffers, maps and
+// codec cache instead of allocating them flow by flow.
 type HostCore struct {
 	self, dc core.NodeID
 	env      HostEnv
@@ -74,6 +85,8 @@ type HostCore struct {
 	// retired sums the counters of receivers no longer held, so Stats
 	// never steps back when one is evicted or dropped.
 	retired recovery.Stats
+	// spare lists receivers no flow holds, for Ensure to reuse.
+	spare []*recovery.Receiver
 }
 
 type flowReceiver struct {
@@ -86,7 +99,10 @@ func NewHost(self, dc core.NodeID, env HostEnv) *HostCore {
 	return &HostCore{self: self, dc: dc, env: env}
 }
 
-// Receiver returns the recovery engine for a flow (nil if none yet).
+// Receiver returns the recovery engine for a flow (nil if none yet). It is
+// the flow's only while the core holds it: after Drop or an eviction the
+// same engine may serve another flow, so a caller looks it up again rather
+// than keep it.
 func (c *HostCore) Receiver(flow core.FlowID) *recovery.Receiver {
 	if i, ok := c.find(flow); ok {
 		return c.byFlow[i].r
@@ -141,7 +157,15 @@ func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *re
 	}
 	cfg := recovery.DefaultConfig(c.self, c.dc, rtt)
 	cfg.Service = svc
-	r := recovery.New(cfg)
+	var r *recovery.Receiver
+	if n := len(c.spare); n > 0 {
+		r = c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+		r.Reset(cfg)
+	} else {
+		r = recovery.New(cfg)
+	}
 	// Found after any eviction above, which may have shifted the index.
 	i, _ := c.find(flow)
 	c.byFlow = slices.Insert(c.byFlow, i, flowReceiver{flow, r})
@@ -156,18 +180,24 @@ func (c *HostCore) find(flow core.FlowID) (int, bool) {
 	})
 }
 
-// remove retires flow's engine.
+// remove retires flow's engine: its counters go to retired, the engine to
+// the spare list while there is room. Its last Result may still be walked
+// (process): Reset leaves that alone.
 func (c *HostCore) remove(flow core.FlowID) {
 	if i, ok := c.find(flow); ok {
-		c.retired.Add(c.byFlow[i].r.Stats())
+		r := c.byFlow[i].r
+		c.retired.Add(r.Stats())
 		c.byFlow = slices.Delete(c.byFlow, i, i+1)
+		if len(c.spare) < maxSpareReceivers {
+			c.spare = append(c.spare, r)
+		}
 	}
 }
 
-// Drop frees a flow's recovery engine. A previously-unsolicited ID leaves
-// the LRU list too — a registration adopting a mid-join receiver must not
-// leave a stale entry whose later eviction would delete the legitimate
-// flow's fresh state.
+// Drop releases a flow's recovery engine for reuse. A previously-unsolicited
+// ID leaves the LRU list too — a registration adopting a mid-join receiver
+// must not leave a stale entry whose later eviction would delete the
+// legitimate flow's fresh state.
 func (c *HostCore) Drop(flow core.FlowID) {
 	c.remove(flow)
 	if i := slices.Index(c.unsol, flow); i >= 0 {

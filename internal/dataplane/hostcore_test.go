@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/recovery"
 	"jqos/internal/rs"
 	"jqos/internal/wire"
 )
@@ -101,6 +102,9 @@ func TestHostCoreUnsolicitedBounded(t *testing.T) {
 	c, env := newHostWorld()
 	for i := 0; i < 200; i++ {
 		hostHandle(t, c, core.Time(i)*time.Millisecond, recovered(core.FlowID(10_000+i), 1))
+		if len(c.spare) > maxSpareReceivers {
+			t.Fatalf("%d spare receivers after %d forged flows, cap %d", len(c.spare), i+1, maxSpareReceivers)
+		}
 	}
 	if got := c.Unsolicited(); got != MaxUnsolicited {
 		t.Errorf("unsolicited receivers = %d after 200 forged flows, want %d", got, MaxUnsolicited)
@@ -118,6 +122,73 @@ func TestHostCoreUnsolicitedBounded(t *testing.T) {
 	// Evicted receivers' counters are retired, not lost.
 	if got := c.Stats().Recovered; got != 200 {
 		t.Errorf("Stats().Recovered = %d across evictions, want 200", got)
+	}
+	// Letting every receiver go at once keeps no more than the cap.
+	for i := 200 - MaxUnsolicited; i < 200; i++ {
+		c.Drop(core.FlowID(10_000 + i))
+	}
+	if c.Receivers() != 0 || len(c.spare) != maxSpareReceivers {
+		t.Errorf("after dropping every flow: %d receivers, %d spare; want 0, %d", c.Receivers(), len(c.spare), maxSpareReceivers)
+	}
+}
+
+// TestHostCoreReusesClosedFlowsReceiver: a flow registered after another
+// closed gets the closed flow's receiver, Reset — nothing of the old flow
+// shows through it — and Stats, which retired the old flow's counters at
+// the drop, never steps back.
+func TestHostCoreReusesClosedFlowsReceiver(t *testing.T) {
+	c, env := newHostWorld()
+	env.live[1], env.allocated = 50*time.Millisecond, 2
+	var last uint64
+	stats := func(when string) {
+		t.Helper()
+		st := c.Stats()
+		if n := st.DataReceived + st.Recovered + st.GapNACKs; n < last {
+			t.Fatalf("%s: Stats stepped back, %d counted events after %d", when, n, last)
+		} else {
+			last = n
+		}
+	}
+	for seq := core.Seq(1); seq <= 20; seq += 1 + seq%3 { // gaps NACK
+		hostHandle(t, c, core.Time(seq)*time.Millisecond, data(1, seq))
+		stats("flow 1")
+	}
+	hostHandle(t, c, 25*time.Millisecond, recovered(1, 2))
+	stats("flow 1's recovery")
+	old := c.Receiver(1)
+	before := c.Stats()
+
+	delete(env.live, 1)
+	env.live[2], env.allocated = 80*time.Millisecond, 3
+	c.Drop(1)
+	stats("drop")
+	if c.Stats() != before {
+		t.Errorf("Stats after the drop = %+v, want %+v", c.Stats(), before)
+	}
+	r := c.Ensure(2, 0, core.ServiceCaching)
+	stats("reuse")
+	if r != old {
+		t.Fatal("the next flow got a new receiver, not the closed flow's")
+	}
+	if cfg := r.Config(); cfg.RTT != 80*time.Millisecond || cfg.Service != core.ServiceCaching {
+		t.Errorf("reused receiver runs RTT %v, service %v; want 80ms, caching", cfg.RTT, cfg.Service)
+	}
+	if r.Stats() != (recovery.Stats{}) || r.OutstandingLosses() != 0 {
+		t.Errorf("reused receiver starts with %+v and %d losses", r.Stats(), r.OutstandingLosses())
+	}
+	if _, ok := r.NextDeadline(); ok {
+		t.Error("reused receiver starts with a deadline")
+	}
+	// Flow 2 starts at seq 1 too: the old flow's window must not make it a
+	// duplicate, nor its expectation a late arrival.
+	env.delivered, env.sent = env.delivered[:0], env.sent[:0]
+	hostHandle(t, c, 30*time.Millisecond, data(2, 1))
+	stats("flow 2")
+	if len(env.delivered) != 1 || len(env.sent) != 0 || r.Stats().Duplicates+r.Stats().LateArrivals != 0 {
+		t.Errorf("flow 2's first packet: %d delivered, %d sent, stats %+v", len(env.delivered), len(env.sent), r.Stats())
+	}
+	if got, want := c.Stats().DataReceived, before.DataReceived+1; got != want {
+		t.Errorf("DataReceived = %d, want %d", got, want)
 	}
 }
 
@@ -392,6 +463,18 @@ func TestHostCoreResultOutlivesReentry(t *testing.T) {
 			c.Drop(flow)
 		},
 		"pull": func(c *HostCore, env *fakeHostEnv) { c.Pull(2*time.Millisecond, flow, 0) },
+		// The pull's new flow takes the receiver the close just let go,
+		// whose Result the core is still walking.
+		"close, then pull another flow": func(c *HostCore, env *fakeHostEnv) {
+			old := c.Receiver(flow)
+			delete(env.live, flow)
+			c.Drop(flow)
+			env.live[2] = 100 * time.Millisecond
+			c.Pull(2*time.Millisecond, 2, 0)
+			if c.Receiver(2) != old {
+				t.Error("the pulled flow did not reuse the closed flow's receiver")
+			}
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			c, env := newHostWorld()
@@ -414,7 +497,7 @@ func TestHostCoreResultOutlivesReentry(t *testing.T) {
 					t.Errorf("delivery %d: seq %d %q recovered=%v", i, del.Packet.ID.Seq, del.Packet.Payload, del.Recovered)
 				}
 			}
-			if want := map[string]int{"close": 0, "pull": 1}[name]; c.Receivers() != want {
+			if want := map[string]int{"close": 0, "pull": 1, "close, then pull another flow": 1}[name]; c.Receivers() != want {
 				t.Errorf("%d receivers held afterwards, want %d", c.Receivers(), want)
 			}
 		})
@@ -431,9 +514,12 @@ func hostStep(adv byte, msg []byte) []byte {
 // through a core whose runtime knows flows 1 and 2 as live and 3 and 4 as
 // closed, firing OnTimer at every deadline that comes due in between: no
 // input may panic, state stays bounded by live flows plus the unsolicited
-// cap, closed flows get none, everything sent is a well-formed message,
-// and a deadline never stays at or behind the time it was serviced at (a
-// host re-arming on NextDeadline would spin).
+// cap (and the spare list by its own), closed flows get none, everything
+// sent is a well-formed message, and a deadline never stays at or behind
+// the time it was serviced at (a host re-arming on NextDeadline would
+// spin). A record with an empty datagram is the runtime closing its oldest
+// live flow and registering the next ID, 5 onwards, whose receiver is the
+// closed flow's, reused.
 func FuzzHostCoreHandle(f *testing.F) {
 	inStream := wire.Coded{Batch: 9, Kind: wire.InStream, K: 2, R: 1, ShardLen: 8,
 		Sources: []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: hostSelf}, {Flow: 1, Seq: 2, Receiver: hostSelf}}}
@@ -461,6 +547,17 @@ func FuzzHostCoreHandle(f *testing.F) {
 		bytes.Join([][]byte{hostStep(0, data(3, 1)), hostStep(0, recovered(4, 1)), hostStep(0, coded(codedBody(3)))}, nil),
 		hostStep(0, []byte("not a J-QoS datagram")),
 		{},
+		bytes.Join([][]byte{
+			hostStep(0, data(1, 1)),
+			hostStep(5, data(1, 3)),
+			hostStep(1, nil), // 1 closes, 5 opens on its receiver
+			hostStep(1, data(5, 1)),
+			hostStep(5, data(5, 4)),
+			hostStep(10, recovered(5, 2)),
+			hostStep(0, data(1, 4)), // late, for a closed flow
+			hostStep(1, nil),        // 2 closes, 6 opens
+			hostStep(255, data(6, 9)),
+		}, nil),
 	} {
 		f.Add(seed)
 	}
@@ -468,6 +565,7 @@ func FuzzHostCoreHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		c, env := newHostWorld()
 		env.live[1], env.live[2], env.allocated = 0, 40*time.Millisecond, 5
+		liveIDs, closed := []core.FlowID{1, 2}, []core.FlowID{3, 4}
 		var now core.Time
 		check := func(what string, at core.Time) {
 			for _, em := range env.sent {
@@ -477,18 +575,21 @@ func FuzzHostCoreHandle(f *testing.F) {
 				}
 			}
 			env.sent = env.sent[:0]
-			if c.Unsolicited() > MaxUnsolicited || c.Receivers() > len(env.live)+MaxUnsolicited {
-				t.Fatalf("%s: %d receivers (%d unsolicited) for %d live flows", what, c.Receivers(), c.Unsolicited(), len(env.live))
+			if c.Unsolicited() > MaxUnsolicited || c.Receivers() > len(env.live)+MaxUnsolicited || len(c.spare) > maxSpareReceivers {
+				t.Fatalf("%s: %d receivers (%d unsolicited, %d spare) for %d live flows", what, c.Receivers(), c.Unsolicited(), len(c.spare), len(env.live))
 			}
-			if c.Receiver(3) != nil || c.Receiver(4) != nil {
-				t.Fatalf("%s: a closed flow holds a receiver", what)
+			for _, id := range closed {
+				if c.Receiver(id) != nil {
+					t.Fatalf("%s: closed flow %d holds a receiver", what, id)
+				}
 			}
 			if dl, ok := c.NextDeadline(); ok && dl <= at {
 				t.Fatalf("%s at %v: NextDeadline = %v, not after it", what, at, dl)
 			}
 		}
 		for len(in) >= 3 {
-			now += core.Time(in[0]) * time.Millisecond
+			adv := in[0]
+			now += core.Time(adv) * time.Millisecond
 			n := min(int(in[1])<<8|int(in[2]), len(in)-3)
 			msg := in[3 : 3+n]
 			in = in[3+n:]
@@ -500,6 +601,16 @@ func FuzzHostCoreHandle(f *testing.F) {
 				c.OnTimer(dl)
 				check("OnTimer", dl)
 			}
+			if n == 0 {
+				oldest, opened := liveIDs[0], env.allocated
+				delete(env.live, oldest)
+				c.Drop(oldest)
+				liveIDs, closed = append(liveIDs[1:], opened), append(closed, oldest)
+				env.live[opened], env.allocated = core.Time(adv%64)*time.Millisecond, opened+1
+				c.Ensure(opened, 0, core.ServiceCoding)
+				check("reopen", now)
+				continue
+			}
 			var hdr wire.Header
 			body, err := wire.SplitMessage(&hdr, msg)
 			if err != nil {
@@ -509,4 +620,33 @@ func FuzzHostCoreHandle(f *testing.F) {
 			check(hdr.Type.String(), now)
 		}
 	})
+}
+
+// churnEnv is a runtime that knows every flow as live and discards what the
+// core sends and delivers: BenchmarkHostCoreFlowChurn measures the core.
+type churnEnv struct{}
+
+func (churnEnv) Flow(core.FlowID) (FlowState, core.Time) { return FlowLive, 100 * time.Millisecond }
+func (churnEnv) Holding(core.FlowID)                     {}
+func (churnEnv) Send(core.NodeID, []byte)                {}
+func (churnEnv) Deliver(core.Delivery)                   {}
+
+// BenchmarkHostCoreFlowChurn is one short flow's life at its receiving
+// host: registration, 100 in-order 200 B packets, close. Each flow after
+// the first runs on the receiver the one before let go.
+func BenchmarkHostCoreFlowChurn(b *testing.B) {
+	c := NewHost(hostSelf, hostDC, churnEnv{})
+	payload := make([]byte, 200)
+	var now core.Time
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		flow := core.FlowID(i + 1)
+		c.Ensure(flow, 0, core.ServiceCoding)
+		for seq := core.Seq(1); seq <= 100; seq++ {
+			hdr := wire.Header{Type: wire.TypeData, Service: core.ServiceCoding, Flow: flow, Seq: seq, TS: now, Src: 100, Dst: hostSelf}
+			c.Handle(now, &hdr, payload)
+			now += time.Millisecond
+		}
+		c.Drop(flow)
+	}
 }

@@ -166,7 +166,6 @@ type missState struct {
 	firstMiss core.Time
 	nacks     int
 	nextNACK  core.Time
-	hasNACK   bool // at least one NACK actually sent
 }
 
 // inDecode accumulates in-stream parity for local decoding.
@@ -194,14 +193,16 @@ type Receiver struct {
 	lastDirect  core.Time // last arrival on the direct path
 	pumpHigh    core.Seq  // highest seq the pump has NACKed
 	src         core.NodeID
-	missing     map[core.Seq]*missState
+	missing     map[core.Seq]missState
 	// recent holds the receiver's own copies of the delivered packets still
 	// in the window; order is a ring of their seqs, oldest at orderHead once
 	// it has filled. A packet is copied into the buffer of the one it
-	// evicts, so a full window allocates nothing.
+	// evicts, so a full window allocates nothing; while it fills, into a
+	// buffer from spare, the window buffers Reset kept from the flow before.
 	recent    map[core.Seq][]byte
 	order     []core.Seq
 	orderHead int
+	spare     [][]byte
 	inDec     map[uint64]*inDecode
 	// codecs serves in-stream decodes; the shapes come off the wire.
 	codecs *rs.Cache
@@ -217,16 +218,55 @@ func (r *Receiver) begin() {
 	r.res.Deliveries = r.res.Deliveries[:0]
 }
 
+// maxSpare bounds the window buffers Reset keeps for the next flow: about
+// half a default window, so a short flow's window fills without allocating
+// while a receiver waiting to be reused pins no more than that.
+const maxSpare = 64
+
 // New builds a receiver engine.
 func New(cfg Config) *Receiver {
-	cfg.fillDefaults()
-	return &Receiver{
-		cfg:     cfg,
-		missing: make(map[core.Seq]*missState),
+	r := &Receiver{
+		missing: make(map[core.Seq]missState),
 		recent:  make(map[core.Seq][]byte),
-		order:   make([]core.Seq, 0, cfg.RecentWindow),
 		inDec:   make(map[uint64]*inDecode),
 		codecs:  rs.NewCache(rs.DecoderShapes),
+	}
+	r.Reset(cfg)
+	return r
+}
+
+// Reset prepares the receiver for a new flow under cfg: afterwards it
+// behaves exactly as New(cfg) would (TestResetMatchesNew). It keeps what
+// costs allocations to build — the maps (emptied), the window ring, the
+// codec cache, the result and scratch buffers, and up to maxSpare window
+// buffers for the next flow's window to fill. The last Result stays as it
+// is: a runtime may still be walking it, and only the next event empties
+// it.
+func (r *Receiver) Reset(cfg Config) {
+	cfg.fillDefaults()
+	for _, seq := range r.order {
+		if len(r.spare) == maxSpare {
+			break
+		}
+		r.spare = append(r.spare, r.recent[seq])
+	}
+	clear(r.missing)
+	clear(r.recent)
+	clear(r.inDec)
+	order := r.order[:0]
+	if cap(order) != cfg.RecentWindow {
+		order = make([]core.Seq, 0, cfg.RecentWindow)
+	}
+	*r = Receiver{
+		cfg:     cfg,
+		missing: r.missing,
+		recent:  r.recent,
+		order:   order,
+		spare:   r.spare,
+		inDec:   r.inDec,
+		codecs:  r.codecs,
+		res:     r.res,
+		due:     r.due,
 	}
 }
 
@@ -304,12 +344,17 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 }
 
 // accept delivers a packet — payload itself, which the receiver owns — and
-// copies it into the recent window, into the buffer of the oldest entry
-// once the window is full.
+// copies it into the recent window: into a spare buffer while the window
+// fills, into the buffer of the oldest entry once it is full.
 func (r *Receiver) accept(now core.Time, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
 	var buf []byte
 	if len(r.order) < cap(r.order) {
 		r.order = append(r.order, hdr.Seq)
+		if n := len(r.spare); n > 0 {
+			buf = r.spare[n-1]
+			r.spare[n-1] = nil
+			r.spare = r.spare[:n-1]
+		}
 	} else {
 		old := r.order[r.orderHead]
 		buf = r.recent[old]
@@ -354,7 +399,7 @@ func (r *Receiver) noteMissing(now core.Time, seq core.Seq, wantVerify bool) boo
 		return false
 	}
 	r.stats.LossesSeen++
-	ms := &missState{firstMiss: now, nacks: 1, hasNACK: true}
+	ms := missState{firstMiss: now, nacks: 1}
 	if r.cfg.NACKRetry > 0 {
 		ms.nextNACK = now + r.cfg.NACKRetry
 	}
@@ -644,7 +689,7 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 		if now-ms.firstMiss >= r.cfg.GiveUpAfter {
 			delete(r.missing, seq)
 			r.stats.GaveUp++
-		} else if r.cfg.NACKRetry > 0 && ms.hasNACK && ms.nacks < r.cfg.MaxNACKs && ms.nextNACK <= now {
+		} else if r.cfg.NACKRetry > 0 && ms.nacks < r.cfg.MaxNACKs && ms.nextNACK <= now {
 			r.due = append(r.due, seq)
 		}
 	}
@@ -653,6 +698,7 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 		ms := r.missing[seq]
 		ms.nacks++
 		ms.nextNACK = now + r.cfg.NACKRetry
+		r.missing[seq] = ms
 		r.stats.RetryNACKs++
 		r.nack(now, seq, false)
 	}

@@ -709,7 +709,9 @@ func TestInOrderOnDataAllocatesNothing(t *testing.T) {
 // the first in-order packet, which joins the stream. The flow's state is the
 // receiver's own fields, so this measures 10 on go1.24; a per-flow table in
 // front of that state costs three more (the table, its entry, the state
-// struct). The bound leaves one for other toolchains' maps.
+// struct). The bound leaves one for other toolchains' maps. A receiver
+// reused for the next flow costs nothing: Reset keeps the maps, the window
+// ring and a spare window buffer for the first packet to fill.
 func TestNewReceiverAllocates(t *testing.T) {
 	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
 	payload := make([]byte, 64)
@@ -721,6 +723,19 @@ func TestNewReceiverAllocates(t *testing.T) {
 	})
 	if n > 11 {
 		t.Errorf("New and the first packet allocate %v times, want at most 11", n)
+	}
+
+	r := New(cfg)
+	r.OnData(0, &h, payload) // the flow before: its window buffer stays spare
+	next := dataHdr(2, 1, 0)
+	n = testing.AllocsPerRun(100, func() {
+		r.Reset(cfg)
+		if res := r.OnData(0, &next, payload); len(res.Deliveries) != 1 {
+			t.Fatalf("first packet after Reset: %d deliveries, want 1", len(res.Deliveries))
+		}
+	})
+	if n != 0 {
+		t.Errorf("Reset and the first packet allocate %v times, want 0", n)
 	}
 }
 
