@@ -14,12 +14,18 @@ import (
 // and both CR-WAN roles — is the sans-IO dataplane.Core the UDP relay also
 // runs; what lives here is what only the emulator has: the probe and
 // congestion control channel, the trace-span hooks, and an egress that
-// passes through the per-link scheduler and feeds the load registry.
+// passes through the per-link scheduler, feeds the load registry and bills
+// cloud egress.
 type DCNode struct {
 	d    *Deployment
 	id   core.NodeID
 	dp   *dataplane.Core
 	drop uint64 // undecodable datagrams and undeliverable control messages
+
+	// billed is the DC's cloud egress (§6.6): the bytes of every datagram
+	// its data plane put on a link that the link accepted. Control traffic
+	// (sendControl) never passes here, so it is never billed.
+	billed uint64
 
 	// timer fires at the core's earliest deadline; every handled message
 	// re-arms it (armTimer).
@@ -87,15 +93,15 @@ func (e *dcEnv) PathPolicy(flow core.FlowID) uint32 {
 // through the per-link egress scheduler when Config.Scheduler enables it
 // — data, coded parity, and cloud copies alike — so service classes
 // share the link by weight instead of arrival order. DC→host egress
-// ships unscheduled, unclassifiable (non-J-QoS) bytes ship unscheduled
-// and unaccounted so nothing silently vanishes, and control probes bypass
-// this path entirely (sendControl), so the scheduler and the telemetry
-// behind it see data-plane bytes only.
+// ships unscheduled; unclassifiable (non-J-QoS) bytes ship unscheduled and
+// outside the load telemetry, but billed, so nothing silently vanishes.
+// Control probes bypass this path entirely (sendControl), so the scheduler
+// and the telemetry behind it see data-plane bytes only.
 func (e *dcEnv) Send(hop core.NodeID, msg []byte) {
 	n := (*DCNode)(e)
 	cls, ok := wire.PeekService(msg)
 	if !ok {
-		n.d.net.Send(n.id, hop, msg)
+		n.send(hop, msg)
 		return
 	}
 	if n.d.cfg.Scheduler.Enabled() {
@@ -108,20 +114,27 @@ func (e *dcEnv) Send(hop core.NodeID, msg []byte) {
 }
 
 // putOnWire puts one message of class cls on the wire toward hop and feeds
-// the egress telemetry: the forwarder's per-class counters and the
-// per-link rate meters utilization-aware routing consumes (inter-DC hops
-// only; the registry ignores DC→host egress). Scheduled sends reach here
-// on dequeue, not enqueue, so Link(a, b).Load reflects what actually left
-// the DC rather than what piled up behind the scheduler.
+// the per-link rate meters utilization-aware routing consumes (inter-DC
+// hops only; the registry ignores DC→host egress). The meters take the
+// offered bytes, accepted or lost. Scheduled sends reach here on dequeue,
+// not enqueue, so Link(a, b).Load reflects what actually left the DC
+// rather than what piled up behind the scheduler.
 func (n *DCNode) putOnWire(hop core.NodeID, cls core.Service, msg []byte) {
 	now := n.d.sim.Now()
 	// Wire departure for a traced packet: opens the propagation leg the
 	// next DC's arrival (or the delivery itself, for the final hop)
 	// closes.
 	n.d.tel.spanTx(msg, now)
-	n.d.net.Send(n.id, hop, msg)
-	n.dp.Forwarder.NoteEgress(cls, len(msg))
+	n.send(hop, msg)
 	n.d.loadReg.Record(now, n.id, hop, cls, len(msg))
+}
+
+// send is the data plane's one exit onto the wire, and where cloud egress
+// is billed: the bytes count once the link accepts them.
+func (n *DCNode) send(hop core.NodeID, msg []byte) {
+	if n.d.net.Send(n.id, hop, msg) {
+		n.billed += uint64(len(msg))
+	}
 }
 
 // handle is the DC's network receive entry point: control messages are

@@ -20,10 +20,6 @@ type RecovererConfig struct {
 	// PendingTTL is how long an unmatched NACK waits for its parity to
 	// arrive (the Δ wait of §6.1) before being dropped.
 	PendingTTL core.Time
-	// VerifyFirst enables the spurious-recovery check: a NACK arriving
-	// before its parity triggers a TypeVerify probe to the receiver
-	// instead of immediately parking (§3.4).
-	VerifyFirst bool
 }
 
 // DefaultRecovererConfig returns deployment defaults.
@@ -32,7 +28,6 @@ func DefaultRecovererConfig() RecovererConfig {
 		BatchTTL:         2e9,   // 2s: covers paper's 1–3s outages plus pull latency
 		RecoveryDeadline: 250e6, // 250ms helper budget
 		PendingTTL:       500e6,
-		VerifyFirst:      true,
 	}
 }
 
@@ -341,7 +336,7 @@ func (r *Recoverer) recover(now core.Time, id core.PacketID, from core.NodeID, f
 		// direct arrival has since made moot are never pushed.
 		p := &pendingNACK{
 			id: id, requester: from, expires: now + r.cfg.PendingTTL,
-			wantVerify: r.cfg.VerifyFirst && flags&wire.FlagWantVerify != 0,
+			wantVerify: flags&wire.FlagWantVerify != 0,
 		}
 		r.pending[id] = p
 		r.pendingQ.push(p.expires, p, len(r.pending))

@@ -38,16 +38,7 @@ type videoOutcome struct {
 	goodFrames   float64
 }
 
-// runVideoScenarioDebug is runVideoScenario with component logging.
-func runVideoScenarioDebug(seed int64, sc videoScenario, quick bool, t interface{ Logf(string, ...any) }) videoOutcome {
-	return runVideoScenarioInner(seed, sc, quick, t)
-}
-
 func runVideoScenario(seed int64, sc videoScenario, quick bool) videoOutcome {
-	return runVideoScenarioInner(seed, sc, quick, nil)
-}
-
-func runVideoScenarioInner(seed int64, sc videoScenario, quick bool, t interface{ Logf(string, ...any) }) videoOutcome {
 	vcfg := video.DefaultConfig()
 	callDur := 5 * time.Minute
 	outageAt := 2 * time.Minute
@@ -175,12 +166,6 @@ func runVideoScenarioInner(seed int64, sc videoScenario, quick bool, t interface
 		if enc := d.DC(dc1).Encoder().Stats(); enc.DataPackets > 0 {
 			share = float64(flow.Metrics().Sent) / float64(enc.DataPackets)
 		}
-	}
-	if t != nil {
-		enc := d.DC(dc1).Encoder().Stats()
-		t.Logf("%s: inter=%d/%dB toRcvr=%d/%dB share=%.3f videoSent=%d encData=%d batches=%d parity=%d evicted=%d timerFlush=%d",
-			sc.name, interPkts, interBytes, toRcvrPkts, toRcvrBytes, share,
-			flow.Metrics().Sent, enc.DataPackets, enc.CrossBatches, enc.CrossCoded, enc.Evicted, enc.TimerFlushes)
 	}
 	return videoOutcome{
 		psnr:         scorer.PSNRs(rand.New(rand.NewSource(seed ^ 0x99))),

@@ -12,10 +12,6 @@ import (
 	"jqos/internal/core"
 )
 
-// NumClasses is the number of service classes in the per-class egress
-// accounting (one per J-QoS service, indexed by core.Service).
-const NumClasses = core.NumServices
-
 // Stats counts forwarding activity.
 type Stats struct {
 	Unicast   uint64 // packets forwarded to a single next hop
@@ -30,12 +26,6 @@ type Stats struct {
 	// that would have been re-resolved (and possibly reordered or
 	// blackholed) by an in-place table swap.
 	OldEpochResolves uint64
-	// ClassBytes / ClassPackets account every packet leaving this DC per
-	// service class — the per-DC face of the load-telemetry layer (the
-	// per-link breakdown lives in internal/load). The hosting runtime
-	// reports sends via NoteEgress at the moment bytes hit the wire.
-	ClassBytes   [NumClasses]uint64
-	ClassPackets [NumClasses]uint64
 }
 
 // flowKey names one per-flow pinned entry: the flow plus the destination
@@ -279,17 +269,6 @@ func (f *Forwarder) Forward(dst core.NodeID, msg []byte) []core.Emit {
 	}
 	f.stats.Copies += uint64(len(out))
 	return out
-}
-
-// NoteEgress accounts one packet of n bytes leaving this DC in the given
-// service class. Unknown classes go unaccounted rather than polluting a
-// real bucket — the same policy wire.PeekService applies upstream.
-func (f *Forwarder) NoteEgress(class core.Service, n int) {
-	if int(class) >= NumClasses {
-		return
-	}
-	f.stats.ClassBytes[class] += uint64(n)
-	f.stats.ClassPackets[class]++
 }
 
 // NotePinned counts one copy sent over a per-flow pinned hop. The hosting

@@ -24,8 +24,9 @@ type Network struct {
 	links map[linkKey]*Link
 	nodes map[core.NodeID]Handler
 	free  *delivery // the delivery records not in flight
-	// Tap, if set, observes every accepted datagram at send time — used
-	// by experiments for bandwidth accounting and by tests for tracing.
+	// Tap, if set, observes every accepted datagram at send time: a hook
+	// for experiments and tests. It is one slot that the next assignment
+	// replaces, so no count that must keep running may depend on it.
 	Tap func(from, to core.NodeID, size int)
 }
 

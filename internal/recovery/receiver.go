@@ -41,10 +41,6 @@ type Config struct {
 	// RecentWindow is how many of the flow's delivered packets are
 	// retained for cooperative responses and in-stream decoding.
 	RecentWindow int
-	// SingleTimer disables the two-state model: the small timeout runs
-	// across bursts too (the ablation behind the paper's "5× fewer
-	// NACKs" claim).
-	SingleTimer bool
 }
 
 // pumpWindow sizes the sustained-recovery pump: when recoveries arrive
@@ -328,9 +324,8 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 	// Markov model (§3.4): the small timer applies only to packets
 	// "arriving within a burst (sub-RTT scale)" — enter burst state when
 	// the observed inter-arrival is short, otherwise arm the long timer.
-	// SingleTimer mode (the ablation) always uses the small timer.
 	delta := now - r.lastArrival
-	if r.cfg.SingleTimer || (r.everArrived && delta <= r.cfg.SmallTimeout) {
+	if r.everArrived && delta <= r.cfg.SmallTimeout {
 		r.state = stateBurst
 		r.deadline = now + r.cfg.SmallTimeout
 	} else {
@@ -661,12 +656,8 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 				r.stats.TimerNACKs++
 				r.next++
 			}
-			if r.cfg.SingleTimer {
-				r.deadline = now + r.cfg.SmallTimeout
-			} else {
-				r.state = stateIdle
-				r.deadline = now + r.cfg.RTT
-			}
+			r.state = stateIdle
+			r.deadline = now + r.cfg.RTT
 		case stateIdle:
 			// Long timeout: one speculative NACK per silence
 			// period, then disarm until traffic resumes.

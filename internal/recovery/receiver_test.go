@@ -223,62 +223,42 @@ func TestIdleTimeoutFiresOnceThenDisarms(t *testing.T) {
 	}
 }
 
-func TestSingleTimerModeKeepsFiring(t *testing.T) {
-	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
-	cfg.SingleTimer = true
+func TestTwoStateVsSingleTimerNACKReduction(t *testing.T) {
+	// Bursty sender: 10 bursts of 5 packets at 5ms spacing, 2s gaps.
+	cfg := DefaultConfig(self, dcNode, 200*time.Millisecond)
 	cfg.NACKRetry = 0
 	cfg.GiveUpAfter = time.Hour
 	r := New(cfg)
-	feed(r, 0, 1, 1)
-	fired := 0
+	// The baseline is a receiver without the idle state (§3.4): its small
+	// timer NACKs once per SmallTimeout of silence, across bursts too.
+	var single uint64
+	last := core.Time(0)
+	silence := func(until core.Time) {
+		single += uint64((until - last) / cfg.SmallTimeout)
+	}
 	now := core.Time(0)
-	for i := 0; i < 10; i++ {
-		dl, ok := r.NextDeadline()
-		if !ok {
-			break
+	seq := uint64(1)
+	for burst := 0; burst < 10; burst++ {
+		for p := 0; p < 5; p++ {
+			silence(now)
+			feed(r, now, 1, seq)
+			last = now
+			seq++
+			now += 5 * time.Millisecond
 		}
-		now = dl
-		res := r.OnTimer(now)
-		fired += len(res.Emits)
-	}
-	// Single-timer mode keeps NACKing every small timeout — the NACK
-	// storm the two-state model avoids (§6.4: 5× fewer NACKs).
-	if fired < 5 {
-		t.Errorf("single-timer fired only %d NACKs", fired)
-	}
-}
-
-func TestTwoStateVsSingleTimerNACKReduction(t *testing.T) {
-	// Bursty sender: 10 bursts of 5 packets at 5ms spacing, 2s gaps.
-	run := func(single bool) uint64 {
-		cfg := DefaultConfig(self, dcNode, 200*time.Millisecond)
-		cfg.SingleTimer = single
-		cfg.NACKRetry = 0
-		cfg.GiveUpAfter = time.Hour
-		r := New(cfg)
-		now := core.Time(0)
-		seq := uint64(1)
-		for burst := 0; burst < 10; burst++ {
-			for p := 0; p < 5; p++ {
-				feed(r, now, 1, seq)
-				seq++
-				now += 5 * time.Millisecond
+		// Silence between bursts: drive timers to quiescence.
+		end := now + 2*time.Second
+		for {
+			dl, ok := r.NextDeadline()
+			if !ok || dl > end {
+				break
 			}
-			// Silence between bursts: drive timers to quiescence.
-			end := now + 2*time.Second
-			for {
-				dl, ok := r.NextDeadline()
-				if !ok || dl > end {
-					break
-				}
-				r.OnTimer(dl)
-			}
-			now = end
+			r.OnTimer(dl)
 		}
-		return r.Stats().NACKsSent()
+		now = end
 	}
-	two := run(false)
-	single := run(true)
+	silence(now)
+	two := r.Stats().NACKsSent()
 	if two == 0 || single == 0 {
 		t.Fatalf("no NACKs at all: two=%d single=%d", two, single)
 	}

@@ -239,13 +239,12 @@ func perFlow(r *Receiver) Receiver {
 }
 
 // randConfig draws a receiver configuration: RTT, service, window size and
-// timer mode all vary.
+// NACK retries all vary.
 func randConfig(rng *rand.Rand) Config {
 	rtt := []core.Time{30, 100, 250}[rng.Intn(3)] * time.Millisecond
 	cfg := DefaultConfig(self, dcNode, rtt)
 	cfg.Service = []core.Service{core.ServiceCoding, core.ServiceCaching, core.ServiceForwarding}[rng.Intn(3)]
 	cfg.RecentWindow = []int{4, 16, 128}[rng.Intn(3)]
-	cfg.SingleTimer = rng.Intn(4) == 0
 	if rng.Intn(4) == 0 {
 		cfg.NACKRetry = 0
 	}

@@ -31,7 +31,8 @@
 // linked, which DC serves this host, what is this flow's path-policy key,
 // send these bytes. DCNode is the emulator backend: it adds the probe and
 // congestion control channel, trace spans, and an egress through the
-// per-link scheduler and load registry. transport.Relay is the socket
+// per-link scheduler and load registry, where cloud egress is billed
+// (EgressBytes). transport.Relay is the socket
 // backend: it adds a UDP endpoint, a mutex and a wall-clock timer.
 //
 // # Routing control plane
@@ -586,10 +587,6 @@ type Deployment struct {
 	probers  []*prober
 	activity uint64
 
-	// Accounting: bytes that crossed cloud egress links, for cost
-	// reporting (§6.6). Keyed by the sending DC.
-	egressBytes map[core.NodeID]uint64
-
 	// linkShape remembers each inter-DC link's configured one-way
 	// latency so Link(a, b).Reconnect can restore a disconnected link without
 	// the caller re-specifying it.
@@ -605,21 +602,20 @@ func NewDeployment(seed int64) *Deployment {
 func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 	sim := netem.NewSimulator(seed)
 	d := &Deployment{
-		cfg:         cfg,
-		sim:         sim,
-		net:         netem.NewNetwork(sim),
-		topo:        overlay.NewTopology(),
-		ctrl:        routing.NewController(kAltPaths),
-		nextNode:    1,
-		nextFlow:    1,
-		dcs:         make(map[core.NodeID]*DCNode),
-		hosts:       make(map[core.NodeID]*Host),
-		flows:       make(map[core.FlowID]*Flow),
-		recvHosts:   make(map[core.FlowID][]core.NodeID),
-		egressBytes: make(map[core.NodeID]uint64),
-		linkShape:   make(map[[2]core.NodeID]time.Duration),
-		repinWatch:  make(map[core.FlowID]*Flow),
-		tenants:     tenant.NewRegistry(),
+		cfg:        cfg,
+		sim:        sim,
+		net:        netem.NewNetwork(sim),
+		topo:       overlay.NewTopology(),
+		ctrl:       routing.NewController(kAltPaths),
+		nextNode:   1,
+		nextFlow:   1,
+		dcs:        make(map[core.NodeID]*DCNode),
+		hosts:      make(map[core.NodeID]*Host),
+		flows:      make(map[core.FlowID]*Flow),
+		recvHosts:  make(map[core.FlowID][]core.NodeID),
+		linkShape:  make(map[[2]core.NodeID]time.Duration),
+		repinWatch: make(map[core.FlowID]*Flow),
+		tenants:    tenant.NewRegistry(),
 	}
 	d.tenantPacer = sim.NewTimer(d.tenantPacerRun)
 	d.loadReg = load.NewRegistry(loadWindow)
@@ -631,11 +627,6 @@ func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 	d.ctrl.OnEpochAdvance = d.onEpochAdvance
 	if cfg.Feedback.Enabled && cfg.Scheduler.Enabled() {
 		d.fb = newFeedbackPlane(d)
-	}
-	d.net.Tap = func(from, to core.NodeID, size int) {
-		if _, isDC := d.dcs[from]; isDC {
-			d.egressBytes[from] += uint64(size)
-		}
 	}
 	return d
 }
@@ -825,14 +816,21 @@ func (d *Deployment) AddGroup(dc core.NodeID, group core.NodeID, members ...core
 	d.ctrl.AttachHost(group, dc)
 }
 
-// EgressBytes reports cloud egress volume per DC (cost accounting).
-func (d *Deployment) EgressBytes(dc core.NodeID) uint64 { return d.egressBytes[dc] }
+// EgressBytes reports cloud egress volume per DC (cost accounting, §6.6):
+// the data-plane bytes the DC put on a link that the link accepted.
+// Control traffic (probes, acks, congestion signals) is not billed.
+func (d *Deployment) EgressBytes(dc core.NodeID) uint64 {
+	if n, ok := d.dcs[dc]; ok {
+		return n.billed
+	}
+	return 0
+}
 
 // TotalEgressBytes sums egress across all DCs.
 func (d *Deployment) TotalEgressBytes() uint64 {
 	var t uint64
-	for _, b := range d.egressBytes {
-		t += b
+	for _, n := range d.dcs {
+		t += n.billed
 	}
 	return t
 }

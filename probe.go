@@ -158,18 +158,13 @@ func (d *Deployment) noteActivity() {
 	d.tel.wake()
 }
 
-// sendControl transmits a control-plane message (probe or ack). Control
-// traffic rides the same emulated links as data but is not billable cloud
-// egress, so its bytes are backed out of the egress accounting the
-// network tap just added.
+// sendControl transmits a control-plane message (probe, ack or congestion
+// signal). Control traffic rides the same emulated links as data but is
+// not billable cloud egress: it leaves by the network directly, never
+// through the DC's billed exit (DCNode.send).
 func (d *Deployment) sendControl(from, to core.NodeID, msg []byte) {
-	if !d.net.HasRoute(from, to) {
-		return
-	}
-	if d.net.Send(from, to, msg) {
-		if _, isDC := d.dcs[from]; isDC {
-			d.egressBytes[from] -= uint64(len(msg))
-		}
+	if d.net.HasRoute(from, to) {
+		d.net.Send(from, to, msg)
 	}
 }
 
