@@ -90,8 +90,7 @@ func main() {
 	fmt.Printf("\ntotals: bulk1 sent %d, bulk2 sent %d (%d cloud copies dropped by contract)\n",
 		bulk1.Metrics().Sent, bulk2.Metrics().Sent, bulk2.Metrics().AdmissionDropped)
 
-	// Short-lived flows are closed, freeing pins, watches, and receiver
-	// state.
+	// Short-lived flows are closed, freeing pins and receiver state.
 	inter.Close()
 	bulk1.Close()
 	bulk2.Close()

@@ -45,13 +45,12 @@ func buildTriangle(t *testing.T, seed int64) (*jqos.Deployment, [3]jqos.NodeID, 
 }
 
 // TestRapidFlapLeavesNoResidue is the regression guard for the
-// pin/watch/repin state machine under link flapping: cycles faster than
-// the probe hysteresis (which must be absorbed without any route
-// change) followed by slow cycles (which must fail over and repin on
-// heal). At every cycle boundary the flow holds exactly one pin and no
-// controller watch — never both, never neither, never a double pin —
-// and after the last heal it is back on the preferred link with no
-// RepinOnHeal parking entry left behind.
+// pin/repin state machine under link flapping: cycles faster than the
+// probe hysteresis (which must be absorbed without any route change)
+// followed by slow cycles (which must fail over and repin on heal). At
+// every cycle boundary the flow holds exactly one pin — never none,
+// never a double pin — and after the last heal it is back on the
+// preferred link; once it closes, no pin is left.
 func TestRapidFlapLeavesNoResidue(t *testing.T) {
 	d, dcs, f := buildTriangle(t, 60)
 	dc1, dc3 := dcs[0], dcs[2]
@@ -67,9 +66,6 @@ func TestRapidFlapLeavesNoResidue(t *testing.T) {
 		ctrl := d.Routing()
 		if n := ctrl.PinnedCount(); n != 1 {
 			t.Fatalf("%s: %d pins, want exactly 1", cycle, n)
-		}
-		if n := ctrl.WatchedCount(); n != 0 {
-			t.Fatalf("%s: %d controller watches alongside a live pin", cycle, n)
 		}
 	}
 
@@ -103,19 +99,14 @@ func TestRapidFlapLeavesNoResidue(t *testing.T) {
 	if p := f.Path(); len(p) != 2 || p[0] != dc1 || p[1] != dc3 {
 		t.Errorf("after final heal, path = %v, want repinned to direct dc1→dc3", p)
 	}
-	if n := d.RepinWatchCount(); n != 0 {
-		t.Errorf("%d repin-on-heal entries still parked after repin", n)
-	}
 	if m := f.Metrics(); m.Delivered == 0 {
 		t.Error("no traffic delivered across the flap sequence")
 	}
 
 	f.Close()
 	d.RunUntilQuiet()
-	ctrl := d.Routing()
-	if ctrl.PinnedCount() != 0 || ctrl.WatchedCount() != 0 || d.RepinWatchCount() != 0 {
-		t.Errorf("residue after Close: %d pins, %d watches, %d repin entries",
-			ctrl.PinnedCount(), ctrl.WatchedCount(), d.RepinWatchCount())
+	if n := d.Routing().PinnedCount(); n != 0 {
+		t.Errorf("residue after Close: %d pins", n)
 	}
 }
 

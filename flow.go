@@ -76,10 +76,17 @@ type Flow struct {
 	spec FlowSpec
 
 	// activePath is the resolved overlay DC path (endpoints included):
-	// the pinned path for PathCheapest/PathPinned flows, the watched
-	// current primary for PathFastest. Nil when the flow's DCs coincide
-	// or no path exists.
+	// the pinned path for PathCheapest/PathPinned flows, the current
+	// primary for PathFastest. Nil when the flow's DCs coincide or no
+	// path exists.
 	activePath []core.NodeID
+
+	// follow is the DC pair whose primary path the flow follows
+	// (PathFastest, or a pinned policy parked with no path; zero when
+	// pinned), and primary the last primary seen between them — the
+	// post-recompute pass (onRecompute) moves the flow when it changes.
+	follow  [2]core.NodeID
+	primary []core.NodeID
 
 	// bucket polices the spec's admission contract (nil without one);
 	// pacer throttles its refill rate under congestion feedback (nil
@@ -140,8 +147,8 @@ func (f *Flow) ID() core.FlowID { return f.id }
 // Closed reports whether the flow was torn down.
 func (f *Flow) Closed() bool { return f.closed }
 
-// Close tears the flow down: the routing controller unpins/unwatches it
-// (per-flow forwarder entries are removed), every receiving endpoint
+// Close tears the flow down: the routing controller unpins it (per-flow
+// forwarder entries are removed), every receiving endpoint
 // returns its recovery state to the host for reuse, the adaptation ticker
 // stops, and further Sends are no-ops. Metrics and Changes stay readable,
 // but the deployment no longer lists the flow and late in-flight packets
@@ -156,7 +163,6 @@ func (f *Flow) Close() {
 	f.adapt.Stop()
 	d := f.d
 	d.ctrl.UnpinFlow(f.id)
-	d.ctrl.UnwatchFlow(f.id)
 	// Free exactly the hosts that ever built receiver state for this
 	// flow (the deployment indexes them at creation): destinations,
 	// mid-join multicast members, and mobility hand-off targets alike —
@@ -187,10 +193,9 @@ func (f *Flow) Close() {
 			d.armTenantPacerTick()
 		}
 	}
-	delete(d.repinWatch, f.id)
 	delete(d.flows, f.id)
 	d.tel.forgetFlow(f)
-	f.activePath = nil
+	f.activePath, f.primary = nil, nil
 }
 
 // Service returns the currently selected service.

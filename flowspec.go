@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"jqos/internal/core"
@@ -535,10 +534,10 @@ func (f *Flow) cloudHome() (core.NodeID, bool) {
 }
 
 // resolvePath applies the spec's path policy against the controller's
-// current alternates: PathFastest records and watches the primary;
-// PathCheapest / PathPinned choose an alternate and pin the flow to it.
-// Called at registration and whenever the controller reports the pinned
-// path dead.
+// current alternates: PathFastest follows the primary; PathCheapest /
+// PathPinned choose an alternate and pin the flow to it, or follow the
+// primary while no path exists. Called at registration and by the
+// post-recompute pass (onRecompute).
 func (f *Flow) resolvePath() { f.resolvePathWith(nil) }
 
 // resolvePathWith is resolvePath with an optional pre-computed policy
@@ -552,32 +551,37 @@ func (f *Flow) resolvePathWith(chosen *routing.Path) {
 	}
 	switch f.spec.Path.Kind {
 	case PathFastest:
-		// Watch unconditionally so Path() tracks the live primary; the
-		// watch's own SPF seeds the initial path.
-		f.activePath = append([]core.NodeID(nil), d.ctrl.WatchFlow(f.id, dcA, dcB)...)
+		f.followPrimary(dcA, dcB)
+		f.activePath = f.primary
 	case PathCheapest, PathPinned:
 		if chosen == nil {
 			chosen = d.choosePolicyPath(f.spec.Path, dcA, dcB)
 		}
 		if chosen == nil {
-			// No path at all: unpin, and watch the pair so a future
-			// recompute that brings a path back re-applies the policy
-			// (onFlowPath re-enters resolvePath for pinned policies).
+			// No path at all: unpin, and follow the pair's primary so a
+			// recompute that brings a path back re-applies the policy.
 			d.ctrl.UnpinFlow(f.id)
-			d.ctrl.WatchFlow(f.id, dcA, dcB)
+			f.followPrimary(dcA, dcB)
 			f.activePath = nil
 			return
 		}
 		// An unchanged choice is a no-op: repin retries and routing churn
 		// must not unpin/re-push the same entries every recompute.
-		if cur, ok := d.ctrl.PinnedPath(f.id); ok && slices.Equal(cur, chosen.Nodes) {
-			f.activePath = append(f.activePath[:0], chosen.Nodes...)
+		if f.follow == [2]core.NodeID{} && slices.Equal(f.activePath, chosen.Nodes) {
 			return
 		}
-		d.ctrl.UnwatchFlow(f.id)
+		f.follow = [2]core.NodeID{}
 		d.ctrl.PinFlow(f.id, f.cloud, *chosen)
 		f.activePath = append([]core.NodeID(nil), chosen.Nodes...)
 	}
+}
+
+// followPrimary makes the flow follow the primary a→b path, seeded from
+// the same table walk (Controller.Primary) the post-recompute pass
+// compares against, so the first recompute is no spurious reroute.
+func (f *Flow) followPrimary(a, b core.NodeID) {
+	f.follow = [2]core.NodeID{a, b}
+	f.primary = append([]core.NodeID(nil), f.d.ctrl.Primary(a, b)...)
 }
 
 // cheapestPath picks the alternate with the fewest inter-DC hops (each
@@ -595,32 +599,6 @@ func cheapestPath(alts []routing.Path) *routing.Path {
 	return &alts[best]
 }
 
-// onFlowPath is the routing controller's notification hook: pinned paths
-// that died re-resolve against the surviving alternates; watched flows
-// record their new primary — except pinned-policy flows parked on a
-// fallback watch (no path existed), which re-apply their policy now that
-// one might. Subscribers hear all of it as reroute events.
-func (d *Deployment) onFlowPath(flow core.FlowID, old, next []core.NodeID, broken bool) {
-	f, ok := d.flows[flow]
-	if !ok {
-		return
-	}
-	switch {
-	case broken, f.spec.Path.Kind != PathFastest:
-		f.resolvePath()
-	default:
-		f.activePath = append([]core.NodeID(nil), next...)
-	}
-	// The feedback registry keys on the links the flow traverses —
-	// repair the subscription with the path, re-size the admission
-	// contract against the new bottleneck, and note whether a
-	// RepinOnHeal flow is now parked off its preferred route.
-	f.updateFeedbackSub()
-	f.resizeContract()
-	f.noteRepinState()
-	f.traceReroute(old)
-}
-
 // traceReroute records one path change in the control-loop trace:
 // the new path's endpoint DCs (zero when no path remains) and the
 // old/new path lengths.
@@ -636,52 +614,73 @@ func (f *Flow) traceReroute(old []core.NodeID) {
 	f.emit(e)
 }
 
-// noteRepinState keeps the deployment's repin watch honest after any
-// path (re)resolution: a RepinOnHeal flow parked off its preferred path
-// is watched until it returns there.
-func (f *Flow) noteRepinState() {
-	if !f.spec.RepinOnHeal || len(f.preferredPath) == 0 || f.closed {
-		return
-	}
-	if slices.Equal(f.activePath, f.preferredPath) {
-		delete(f.d.repinWatch, f.id)
-	} else {
-		f.d.repinWatch[f.id] = f
-	}
+// pathNote is one flow the post-recompute pass moves: old is the path
+// it held before (the dead pin, or the previous primary).
+type pathNote struct {
+	f   *Flow
+	old []core.NodeID
 }
 
-// onRecompute is the routing controller's post-recompute hook: every
-// RepinOnHeal flow parked off its preferred path checks whether that
-// path's links all came back, and if so re-applies its policy against
-// the fresh alternates — returning to the cheaper route it registered
-// on instead of riding the survivor forever. Deterministic order, and
-// safe to pin from here (pinning pushes entries without recomputing).
+// onRecompute is the routing controller's post-recompute hook, the one
+// place a flow's path follows the fresh tables. Over the open flows in
+// ascending ID order it (1) re-resolves each pinned flow whose pin died,
+// (2) moves each flow following the primary (PathFastest, or a pinned
+// policy parked with no path) whose primary changed — Path() takes the
+// new primary, a parked policy re-resolves — and (3) re-resolves each
+// RepinOnHeal flow off its preferred path once all that path's links
+// are up. Phases 1 and 2 collect their flows before any moves, so a
+// subscriber that closes or registers flows cannot change which flows
+// this recompute moves. A move re-keys the feedback subscription (it
+// keys on the path's links), re-sizes the admission contract and emits
+// a reroute event.
 func (d *Deployment) onRecompute() {
-	if len(d.repinWatch) == 0 {
-		return
-	}
-	ids := make([]core.FlowID, 0, len(d.repinWatch))
-	for id := range d.repinWatch {
+	ids := d.passIDs[:0]
+	for id := range d.flows {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		f := d.repinWatch[id]
-		// A reroute subscriber called earlier in this loop may have
-		// closed another watched flow (Close deletes its entry) — the
-		// snapshot of ids can outlive the map's contents.
-		if f == nil || f.closed {
-			delete(d.repinWatch, id)
+	slices.Sort(ids)
+	notes := d.passNotes[:0]
+	for _, id := range ids { // 1: dead pins (a pinned flow has a path and follows no primary)
+		f := d.flows[id]
+		if _, alive := d.ctrl.PathCost(f.activePath); !alive && len(f.activePath) >= 2 && f.follow == [2]core.NodeID{} {
+			notes = append(notes, pathNote{f, f.activePath})
+		}
+	}
+	for _, id := range ids { // 2: primaries that moved
+		f := d.flows[id]
+		if cur := d.ctrl.Primary(f.follow[0], f.follow[1]); f.follow != [2]core.NodeID{} && !slices.Equal(cur, f.primary) {
+			notes = append(notes, pathNote{f, f.primary})
+			f.primary = append([]core.NodeID(nil), cur...)
+		}
+	}
+	for _, n := range notes {
+		f := n.f
+		switch {
+		case f.closed: // a subscriber earlier in this loop closed it
+			continue
+		case f.spec.Path.Kind == PathFastest:
+			f.activePath = f.primary
+		default:
+			f.resolvePath()
+		}
+		f.updateFeedbackSub()
+		f.resizeContract()
+		f.traceReroute(n.old)
+	}
+	clear(notes)
+	d.passIDs, d.passNotes = ids, notes[:0]
+	for _, id := range ids { // 3: preferred paths that healed
+		f := d.flows[id]
+		if f == nil || len(f.preferredPath) == 0 || slices.Equal(f.activePath, f.preferredPath) {
 			continue
 		}
 		if _, ok := d.ctrl.PathCost(f.preferredPath); !ok {
 			continue // a preferred link is still missing or down
 		}
-		old := f.Path()
+		old := f.activePath
 		f.resolvePath()
 		f.updateFeedbackSub()
 		f.resizeContract()
-		f.noteRepinState()
 		if !slices.Equal(old, f.activePath) {
 			f.traceReroute(old)
 		}

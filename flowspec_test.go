@@ -228,8 +228,8 @@ func TestLowRateFlowAdapts(t *testing.T) {
 
 // TestPinnedPathForwardingAndFailover is the pinning acceptance scenario:
 // a flow pinned to the k-th alternate demonstrably forwards over it
-// (forwarder hop counters), and when the pinned path dies the controller
-// notifies the flow, which re-resolves onto the survivor.
+// (forwarder hop counters), and when the pinned path dies the
+// post-recompute pass re-resolves it onto the survivor.
 func TestPinnedPathForwardingAndFailover(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
@@ -303,8 +303,8 @@ func TestPinnedPathForwardingAndFailover(t *testing.T) {
 		t.Errorf("dc1 forwarder never pinned: %+v", st1)
 	}
 
-	// The pinned path died: the controller notified the flow, which
-	// re-resolved onto the surviving alternate.
+	// The pinned path died: the flow re-resolved onto the surviving
+	// alternate.
 	if h, ok := d.Link(dcs[0], dcs[2]).Health(); !ok || h.State != routing.LinkDown {
 		t.Fatalf("link health = %+v %v, want down", h, ok)
 	}

@@ -194,10 +194,9 @@ func CheckAccounting(s *telemetry.Snapshot) []Violation {
 
 // CheckTeardown asserts that closing every flow left nothing behind: no
 // open flows, no receiver engines on any host, no feedback
-// subscriptions, no routing pins or watches, and no RepinOnHeal parking
-// entries. Run it after Flow.Close on every flow plus a final drain (a
-// packet still in flight at close time may legitimately touch host
-// state).
+// subscriptions and no routing pins. Run it after Flow.Close on every
+// flow plus a final drain (a packet still in flight at close time may
+// legitimately touch host state).
 func CheckTeardown(d *jqos.Deployment) []Violation {
 	var out []Violation
 	if n := len(d.Flows()); n != 0 {
@@ -215,12 +214,6 @@ func CheckTeardown(d *jqos.Deployment) []Violation {
 	}
 	if n := d.Routing().PinnedCount(); n != 0 {
 		out = violate(out, "no-leaked-state", "%d routing pins after teardown", n)
-	}
-	if n := d.Routing().WatchedCount(); n != 0 {
-		out = violate(out, "no-leaked-state", "%d routing watches after teardown", n)
-	}
-	if n := d.RepinWatchCount(); n != 0 {
-		out = violate(out, "no-leaked-state", "%d repin-on-heal entries after teardown", n)
 	}
 	for _, id := range d.Tenants() {
 		if n := d.TenantFlowCount(id); n != 0 {

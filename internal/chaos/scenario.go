@@ -5,7 +5,7 @@
 // and checks the system invariants that make five interlocking control
 // loops trustworthy (invariants.go): routing reconverges after every
 // heal, no pacer stays cut once its queues cool, the accounting
-// balances, and Flow.Close leaves no receiver/registry/pin/watch state
+// balances, and Flow.Close leaves no receiver/registry/pin state
 // behind. cmd/jqos-chaos soaks N seeded runs and reports per-run
 // verdicts; the experiments registry exposes the same soak as "chaos".
 package chaos

@@ -110,7 +110,7 @@ func (f *Forwarder) saveOld(dst core.NodeID) {
 	f.prevRoutes[dst] = f.routes[dst] // zero value = no prior entry
 }
 
-// BeginEpoch opens table version epoch (routing.EpochSink). From here
+// BeginEpoch opens table version epoch (routing.RouteSink). From here
 // until RetireEpoch, writes snapshot their previous values so old-epoch
 // lookups still resolve. An un-retired older overlay is force-dropped:
 // the drain window ended the moment its successor epoch opened.

@@ -78,6 +78,8 @@ func (s *nullFlowSink) SetRoute(dst, via core.NodeID)                       {}
 func (s *nullFlowSink) DeleteRoute(dst core.NodeID)                         {}
 func (s *nullFlowSink) SetFlowRoute(flow core.FlowID, dst, via core.NodeID) { s.sets++ }
 func (s *nullFlowSink) DeleteFlowRoute(flow core.FlowID, dst core.NodeID)   { s.dels++ }
+func (s *nullFlowSink) BeginEpoch(epoch uint64)                             {}
+func (s *nullFlowSink) RetireEpoch(epoch uint64)                            {}
 
 // BenchmarkPinChurn measures one pin + unpin cycle along a 7-hop path —
 // the flow open/close hot path. Must stay at 0 allocs/op: the pin

@@ -1,36 +1,21 @@
 package routing
 
-import (
-	"slices"
-	"sort"
+import "jqos/internal/core"
 
-	"jqos/internal/core"
-)
-
-// RouteSink receives next-hop pushes for one DC. forward.Forwarder
-// satisfies it; tests use map-backed fakes.
+// RouteSink receives one DC's route pushes: next hops from the shared
+// tables, per-flow pinned entries for flows with an explicit path
+// policy, and table-epoch announcements. BeginEpoch comes just before the
+// first write of a new epoch and RetireEpoch once the old epoch's routes
+// may go; between the two the sink answers lookups for both epochs, which
+// is what makes reroutes make-before-break: in-flight packets tagged with
+// the old epoch keep resolving the old next hops while new traffic rides
+// the new table. forward.Forwarder is the production sink; tests use
+// map-backed fakes.
 type RouteSink interface {
 	SetRoute(dst, via core.NodeID)
 	DeleteRoute(dst core.NodeID)
-}
-
-// FlowRouteSink is the optional per-flow extension of RouteSink: sinks
-// that implement it (forward.Forwarder does) receive pinned next-hop
-// entries for flows with an explicit path policy. Sinks without it simply
-// never see pins — pinned flows there fall back to the shared tables.
-type FlowRouteSink interface {
 	SetFlowRoute(flow core.FlowID, dst, via core.NodeID)
 	DeleteFlowRoute(flow core.FlowID, dst core.NodeID)
-}
-
-// EpochSink is the optional table-versioning extension of RouteSink:
-// sinks that implement it (forward.Forwarder does) are told when a new
-// table epoch begins — just before the first route write of that epoch —
-// and when an old epoch's routes may be retired. Between the two calls
-// the sink answers lookups for both epochs, which is what makes reroutes
-// make-before-break: in-flight packets tagged with the old epoch keep
-// resolving the old next hops while new traffic rides the new table.
-type EpochSink interface {
 	BeginEpoch(epoch uint64)
 	RetireEpoch(epoch uint64)
 }
@@ -70,15 +55,12 @@ type Stats struct {
 	Unreachable int
 }
 
-// dcTables is one registered DC's push state: its sink (with the
-// optional per-flow and epoch extensions pre-asserted, so the hot path
-// never type-switches) and the installed next hops in index space —
-// instDC by destination-DC index, instHost by host slot, 0 = no entry.
+// dcTables is one registered DC's push state: its sink and the installed
+// next hops in index space — instDC by destination-DC index, instHost by
+// host slot, 0 = no entry.
 type dcTables struct {
 	sink      RouteSink
-	fsink     FlowRouteSink // nil when the sink has no per-flow extension
-	esink     EpochSink     // nil when the sink is not epoch-aware
-	sinkEpoch uint64        // last epoch announced to esink
+	sinkEpoch uint64 // last epoch announced to sink
 	instDC    []core.NodeID
 	instHost  []core.NodeID
 }
@@ -113,23 +95,14 @@ type Controller struct {
 	distM []core.Time
 	nhM   []core.NodeID
 
-	// pins holds per-flow pinned paths; watches tracks flows that follow
-	// the shared tables but asked to hear about primary-path moves.
-	pins    map[core.FlowID]*flowPin
-	watches map[core.FlowID]*flowWatch
+	// pins holds per-flow pinned paths: the only per-flow state the
+	// controller keeps, because it pushes it into the sinks.
+	pins map[core.FlowID]*flowPin
 
-	// OnFlowPath, when set, is invoked after each recompute for every
-	// pinned flow whose path died (next == nil, broken == true) and every
-	// watched flow whose primary path moved (broken == false). Handlers
-	// may re-pin or unpin from inside the callback.
-	OnFlowPath func(flow core.FlowID, old, next []core.NodeID, broken bool)
-
-	// OnRecompute, when set, fires at the end of every Recompute, after
-	// the per-flow OnFlowPath notifications. Hosting runtimes use it for
-	// policies that watch GRAPH state rather than one flow's path — e.g.
-	// returning a failed-over flow to its preferred path once that
-	// path's links are all up again (FlowSpec.RepinOnHeal). Handlers may
-	// pin/unpin/watch but must not mutate links (no recursive
+	// OnRecompute, when set, fires at the end of every Recompute. The
+	// hosting runtime re-derives its flows' paths from here: it reads
+	// PathCost, Primary and Paths against the fresh tables and pins or
+	// unpins what moved. Handlers must not mutate links (no recursive
 	// recompute).
 	OnRecompute func()
 
@@ -158,17 +131,10 @@ type Controller struct {
 	epochBumped bool
 	inUpdate    bool
 
-	// Freelists and notification buffers: pin/watch churn and recompute
-	// notification sweeps run allocation-free in steady state. notifying
-	// suppresses recycling while OnFlowPath handlers run — notes alias
-	// pin/watch path slices, so a handler unpinning (then re-pinning)
-	// must not hand a later note's backing array to a new owner.
-	pinFree   []*flowPin
-	watchFree []*flowWatch
-	notifying bool
-	noteBuf   []pathNote
-	idBuf     []core.FlowID
-	primBuf   map[[2]core.NodeID][]core.NodeID
+	// pinFree recycles pins, so flow churn pins allocation-free in
+	// steady state.
+	pinFree []*flowPin
+	walkBuf []core.NodeID // Primary's result, reused
 
 	stats Stats
 }
@@ -184,12 +150,6 @@ type pinEntry struct {
 	dc, dst core.NodeID
 }
 
-// flowWatch tracks the primary path of an unpinned flow between its DCs.
-type flowWatch struct {
-	a, b core.NodeID
-	last []core.NodeID
-}
-
 // NewController creates an empty control plane keeping k alternate paths
 // per DC pair (k < 1 is treated as 1).
 func NewController(k int) *Controller {
@@ -203,9 +163,7 @@ func NewController(k int) *Controller {
 		homes:    make(map[core.NodeID]core.NodeID),
 		hostSlot: make(map[core.NodeID]int32),
 		pins:     make(map[core.FlowID]*flowPin),
-		watches:  make(map[core.FlowID]*flowWatch),
 		idxOf:    make(map[core.NodeID]int32),
-		primBuf:  make(map[[2]core.NodeID][]core.NodeID),
 	}
 }
 
@@ -225,8 +183,6 @@ func (c *Controller) AddDC(id core.NodeID, sink RouteSink) {
 		c.dcs[id] = dt
 	}
 	dt.sink = sink
-	dt.fsink, _ = sink.(FlowRouteSink)
-	dt.esink, _ = sink.(EpochSink)
 }
 
 // AttachHost binds a host (or multicast-group) destination to its home DC
@@ -358,15 +314,15 @@ func (c *Controller) PinFlow(flow core.FlowID, dst core.NodeID, path Path) {
 	egress := path.Nodes[len(path.Nodes)-1]
 	for i := 0; i+1 < len(path.Nodes); i++ {
 		dt := c.dcs[path.Nodes[i]]
-		if dt == nil || dt.fsink == nil {
+		if dt == nil {
 			continue
 		}
 		via := path.Nodes[i+1]
-		dt.fsink.SetFlowRoute(flow, dst, via)
+		dt.sink.SetFlowRoute(flow, dst, via)
 		pin.entries = append(pin.entries, pinEntry{path.Nodes[i], dst})
 		c.stats.Pushes++
 		if egress != dst {
-			dt.fsink.SetFlowRoute(flow, egress, via)
+			dt.sink.SetFlowRoute(flow, egress, via)
 			pin.entries = append(pin.entries, pinEntry{path.Nodes[i], egress})
 			c.stats.Pushes++
 		}
@@ -381,21 +337,15 @@ func (c *Controller) UnpinFlow(flow core.FlowID) {
 		return
 	}
 	for _, e := range pin.entries {
-		if dt := c.dcs[e.dc]; dt != nil && dt.fsink != nil {
-			dt.fsink.DeleteFlowRoute(flow, e.dst)
-			c.stats.Pushes++
-		}
+		c.dcs[e.dc].sink.DeleteFlowRoute(flow, e.dst)
+		c.stats.Pushes++
 	}
 	delete(c.pins, flow)
-	// Recycle — except while notifications run, where pending notes may
-	// still alias this pin's path slice.
-	if !c.notifying {
-		c.pinFree = append(c.pinFree, pin)
-	}
+	c.pinFree = append(c.pinFree, pin)
 }
 
 // PinnedPath returns a flow's pinned DC path, if any (copied — callers
-// must not be able to corrupt the controller's path-death detection).
+// must not be able to corrupt the pin the controller will remove).
 func (c *Controller) PinnedPath(flow core.FlowID) ([]core.NodeID, bool) {
 	pin, ok := c.pins[flow]
 	if !ok {
@@ -404,64 +354,9 @@ func (c *Controller) PinnedPath(flow core.FlowID) ([]core.NodeID, bool) {
 	return append([]core.NodeID(nil), pin.path...), true
 }
 
-// WatchFlow subscribes an unpinned flow to primary-path changes between
-// its two DCs: after any recompute that moves the shortest a→b path,
-// OnFlowPath fires with the old and new paths. Returns the current
-// primary (nil when none exists) so callers seed their own path state
-// without a second SPF.
-func (c *Controller) WatchFlow(flow core.FlowID, a, b core.NodeID) []core.NodeID {
-	// Seed from the same table walk the change detector uses — a
-	// source-rooted SPF can disagree with the installed hop-by-hop route
-	// on equal-cost topologies, which would mislabel the first recompute
-	// as a reroute.
-	var w *flowWatch
-	if n := len(c.watchFree); n > 0 {
-		w = c.watchFree[n-1]
-		c.watchFree = c.watchFree[:n-1]
-	} else {
-		w = &flowWatch{}
-	}
-	w.a, w.b = a, b
-	w.last = c.appendPrimary(w.last[:0], a, b)
-	c.watches[flow] = w
-	// Copy: a caller mutating the result must not corrupt the watch's
-	// change detection.
-	return append([]core.NodeID(nil), w.last...)
-}
-
-// UnwatchFlow cancels a WatchFlow subscription.
-func (c *Controller) UnwatchFlow(flow core.FlowID) {
-	w, ok := c.watches[flow]
-	if !ok {
-		return
-	}
-	delete(c.watches, flow)
-	// Recycle — except while notifications run, where pending notes may
-	// still alias this watch's last-path slice.
-	if !c.notifying {
-		c.watchFree = append(c.watchFree, w)
-	}
-}
-
-// PinnedCount reports how many flows currently hold pinned paths.
-// Together with WatchedCount it is the chaos harness's leak check:
-// after every flow closes, both must read zero.
+// PinnedCount reports how many flows currently hold pinned paths — the
+// chaos harness's leak check: after every flow closes, it must read zero.
 func (c *Controller) PinnedCount() int { return len(c.pins) }
-
-// WatchedCount reports how many flows currently hold primary-path
-// watches (WatchFlow subscriptions not yet cancelled).
-func (c *Controller) WatchedCount() int { return len(c.watches) }
-
-// pathDead reports whether any link of a pinned path is missing or down.
-func (c *Controller) pathDead(path []core.NodeID) bool {
-	for i := 0; i+1 < len(path); i++ {
-		l := c.g.Link(path[i], path[i+1])
-		if l == nil || l.State == LinkDown {
-			return true
-		}
-	}
-	return false
-}
 
 // PathCost returns the current one-way latency along an explicit DC path
 // (endpoints included), or ok=false when any link is missing or down.
@@ -488,62 +383,14 @@ func (c *Controller) PathCost(path []core.NodeID) (core.Time, bool) {
 	return sum, true
 }
 
-// pathNote is one pending OnFlowPath notification.
-type pathNote struct {
-	flow      core.FlowID
-	old, next []core.NodeID
-	broken    bool
-}
-
-// notifyFlowPaths runs after a recompute: it collects every pinned flow
-// whose path died and every watched flow whose primary moved, then fires
-// OnFlowPath for each (outside the iteration, so handlers may re-pin).
-// Buffers are controller-owned and reused; an idle sweep (no notes)
-// allocates nothing.
-func (c *Controller) notifyFlowPaths() {
-	if c.OnFlowPath == nil {
-		return
-	}
-	notes := c.noteBuf[:0]
-	ids := sortedFlowIDsInto(c.idBuf[:0], c.pins)
-	for _, flow := range ids {
-		if pin := c.pins[flow]; c.pathDead(pin.path) {
-			notes = append(notes, pathNote{flow, pin.path, nil, true})
-		}
-	}
-	// Many flows often watch the same DC pair; walk the freshly built
-	// next-hop tables (O(hops) per pair) instead of re-running SPF.
-	ids = sortedFlowIDsInto(ids[:0], c.watches)
-	clear(c.primBuf)
-	for _, flow := range ids {
-		w := c.watches[flow]
-		pair := [2]core.NodeID{w.a, w.b}
-		cur, seen := c.primBuf[pair]
-		if !seen {
-			cur = c.appendPrimary(nil, w.a, w.b)
-			c.primBuf[pair] = cur
-		}
-		if !slices.Equal(cur, w.last) {
-			old := w.last
-			w.last = append([]core.NodeID(nil), cur...)
-			notes = append(notes, pathNote{flow, old, cur, false})
-		}
-	}
-	c.idBuf = ids
-	c.noteBuf = notes
-	c.notifying = true
-	for _, n := range notes {
-		c.OnFlowPath(n.flow, n.old, n.next, n.broken)
-	}
-	c.notifying = false
-}
-
-// appendPrimary reconstructs the primary a→b path into buf by walking
-// the next-hop tables Recompute built — O(hops), no extra SPF. The result
-// is buf[:0] when no route exists (or the tables are inconsistent
-// mid-walk).
-func (c *Controller) appendPrimary(buf []core.NodeID, a, b core.NodeID) []core.NodeID {
-	buf = buf[:0]
+// Primary returns the primary a→b path, endpoints included, by walking
+// the next-hop tables Recompute built — O(hops), no extra SPF, and so it
+// agrees with the installed hop-by-hop route even on equal-cost
+// topologies where a source-rooted SPF could pick another tie. The result
+// is empty when no route exists (or the tables are inconsistent
+// mid-walk); it is the controller's buffer, valid until the next call.
+func (c *Controller) Primary(a, b core.NodeID) []core.NodeID {
+	buf := c.walkBuf[:0]
 	if a == b || c.nhM == nil {
 		return buf
 	}
@@ -562,16 +409,7 @@ func (c *Controller) appendPrimary(buf []core.NodeID, a, b core.NodeID) []core.N
 		buf = append(buf, via)
 		at = c.idxOf[via]
 	}
-	return buf
-}
-
-// sortedFlowIDsInto appends map keys to buf in ascending order, for
-// deterministic notification sweeps without per-recompute allocation.
-func sortedFlowIDsInto[V any](buf []core.FlowID, m map[core.FlowID]V) []core.FlowID {
-	for id := range m {
-		buf = append(buf, id)
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	c.walkBuf = buf
 	return buf
 }
 
@@ -644,8 +482,8 @@ func (c *Controller) beginUpdate() {
 	c.epochBumped = false
 }
 
-// endUpdate closes the session: reroute accounting, flow-path
-// notifications, the OnRecompute hook, and — when routes actually moved —
+// endUpdate closes the session: reroute accounting, the OnRecompute hook,
+// and — when routes actually moved —
 // the epoch-advance hook that triggers the hosting runtime's
 // drain-then-retire of the previous table version.
 func (c *Controller) endUpdate(changed int) {
@@ -653,7 +491,6 @@ func (c *Controller) endUpdate(changed int) {
 	if changed > 0 {
 		c.stats.Reroutes++
 	}
-	c.notifyFlowPaths()
 	if c.OnRecompute != nil {
 		c.OnRecompute()
 	}
@@ -674,8 +511,8 @@ func (c *Controller) epochWrite(dt *dcTables) {
 		c.epochBumped = true
 		c.stats.EpochAdvances++
 	}
-	if dt.esink != nil && dt.sinkEpoch != c.epoch {
-		dt.esink.BeginEpoch(c.epoch)
+	if dt.sinkEpoch != c.epoch {
+		dt.sink.BeginEpoch(c.epoch)
 		dt.sinkEpoch = c.epoch
 	}
 }
@@ -693,8 +530,8 @@ func (c *Controller) CurrentEpoch() uint64 { return c.epoch }
 // no-ops at the sinks.
 func (c *Controller) RetireEpoch(epoch uint64) {
 	for _, dc := range c.g.Nodes() {
-		if dt := c.dcs[dc]; dt != nil && dt.esink != nil {
-			dt.esink.RetireEpoch(epoch)
+		if dt := c.dcs[dc]; dt != nil {
+			dt.sink.RetireEpoch(epoch)
 		}
 	}
 	c.stats.EpochRetires++
@@ -730,7 +567,7 @@ func (c *Controller) nhLookup(a, b core.NodeID) core.NodeID {
 // recompute session advance the table epoch first (epochWrite), so the
 // sink snapshots the old version before the write lands.
 func (c *Controller) push(dt *dcTables, host bool, i int32, dst, via core.NodeID) int {
-	if dt == nil || dt.sink == nil {
+	if dt == nil {
 		return 0
 	}
 	row := &dt.instDC

@@ -158,7 +158,7 @@ func TestIndexRebuildKeepsTables(t *testing.T) {
 			t.Fatalf("NextHop(10, %v) = %v %v after the rebuild, want 20", dst, via, ok)
 		}
 	}
-	if p := c.WatchFlow(1, 10, 30); !slices.Equal(p, []core.NodeID{10, 20, 30}) {
+	if p := c.Primary(10, 30); !slices.Equal(p, []core.NodeID{10, 20, 30}) {
 		t.Fatalf("primary 10→30 = %v after the rebuild", p)
 	}
 	if _, ok := c.PathLatency(5, 10); ok {

@@ -90,73 +90,3 @@ func TestPinFlowInstallsAndRemovesEntries(t *testing.T) {
 		t.Error("PinnedPath after UnpinFlow")
 	}
 }
-
-func TestBrokenPinNotifies(t *testing.T) {
-	c, _ := buildFlowDiamond()
-	alts := c.Paths(1, 4, 2)
-	c.PinFlow(7, 100, alts[1]) // 1→3→4
-
-	type event struct {
-		flow   core.FlowID
-		old    []core.NodeID
-		broken bool
-	}
-	var events []event
-	c.OnFlowPath = func(flow core.FlowID, old, next []core.NodeID, broken bool) {
-		events = append(events, event{flow, old, broken})
-		// Handlers may re-pin from inside the callback.
-		if broken {
-			if ps := c.Paths(1, 4, 2); len(ps) > 0 {
-				c.PinFlow(flow, 100, ps[0])
-			}
-		}
-	}
-	// Killing the unused primary link does not break the pin.
-	c.SetLinkHealth(1, 2, LinkDown, 0)
-	if len(events) != 0 {
-		t.Fatalf("unrelated failure notified: %+v", events)
-	}
-	c.SetLinkHealth(1, 2, LinkUp, 0)
-	// Killing a pinned link does.
-	c.SetLinkHealth(3, 4, LinkDown, 0)
-	if len(events) != 1 || !events[0].broken || events[0].flow != 7 {
-		t.Fatalf("broken-pin events = %+v", events)
-	}
-	if !reflect.DeepEqual(events[0].old, []core.NodeID{1, 3, 4}) {
-		t.Errorf("old path = %v", events[0].old)
-	}
-	// The handler re-pinned onto the surviving primary.
-	if got, ok := c.PinnedPath(7); !ok || !reflect.DeepEqual(got, []core.NodeID{1, 2, 4}) {
-		t.Errorf("re-pinned path = %v %v", got, ok)
-	}
-}
-
-func TestWatchFlowNotifiesPrimaryMoves(t *testing.T) {
-	c, _ := buildFlowDiamond()
-	c.WatchFlow(9, 1, 4)
-	var moves [][2][]core.NodeID
-	c.OnFlowPath = func(flow core.FlowID, old, next []core.NodeID, broken bool) {
-		if broken {
-			t.Fatalf("watch reported broken")
-		}
-		moves = append(moves, [2][]core.NodeID{old, next})
-	}
-	c.SetLinkHealth(2, 4, LinkDown, 0)
-	if len(moves) != 1 {
-		t.Fatalf("moves = %d, want 1", len(moves))
-	}
-	if !reflect.DeepEqual(moves[0][0], []core.NodeID{1, 2, 4}) ||
-		!reflect.DeepEqual(moves[0][1], []core.NodeID{1, 3, 4}) {
-		t.Errorf("move = %v → %v", moves[0][0], moves[0][1])
-	}
-	// A recompute that does not move the primary stays silent.
-	c.SetLinkHealth(1, 3, LinkDegraded, 25*time.Millisecond)
-	if len(moves) != 1 {
-		t.Fatalf("silent recompute notified: %d", len(moves))
-	}
-	c.UnwatchFlow(9)
-	c.SetLinkHealth(2, 4, LinkUp, 0)
-	if len(moves) != 1 {
-		t.Error("unwatched flow still notified")
-	}
-}

@@ -17,8 +17,12 @@ type fakeSink struct {
 
 func newFakeSink() *fakeSink { return &fakeSink{routes: make(map[core.NodeID]core.NodeID)} }
 
-func (s *fakeSink) SetRoute(dst, via core.NodeID) { s.routes[dst] = via }
-func (s *fakeSink) DeleteRoute(dst core.NodeID)   { delete(s.routes, dst) }
+func (s *fakeSink) SetRoute(dst, via core.NodeID)                       { s.routes[dst] = via }
+func (s *fakeSink) DeleteRoute(dst core.NodeID)                         { delete(s.routes, dst) }
+func (s *fakeSink) SetFlowRoute(flow core.FlowID, dst, via core.NodeID) {}
+func (s *fakeSink) DeleteFlowRoute(flow core.FlowID, dst core.NodeID)   {}
+func (s *fakeSink) BeginEpoch(epoch uint64)                             {}
+func (s *fakeSink) RetireEpoch(epoch uint64)                            {}
 
 // buildLine wires 1—2—3—4 with 10 ms links and returns the controller and
 // sinks.

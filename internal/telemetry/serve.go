@@ -37,7 +37,8 @@ type Server struct {
 //	/snapshot  the same snapshot as indented JSON
 //	/slo       the snapshot's SLO section (states, burn rates) as JSON
 //	/trace     the buffered control-loop trace as JSON
-//	           (?since=SEQ to tail, ?max=N to bound)
+//	           (?since=SEQ to tail, ?max=N to bound, 0 = all; a value
+//	           that is not a non-negative integer answers 400)
 //	/debug/pprof/...  the standard net/http/pprof handlers
 //
 // The server reads only published state, so it is safe to run while the
@@ -47,6 +48,13 @@ func Serve(addr string, src Source) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	srv := &http.Server{Handler: newMux(src), ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = srv.Serve(ln) }()
+	return &Server{ln: ln, srv: srv}, nil
+}
+
+// newMux routes Serve's endpoints to src.
+func newMux(src Source) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		s := src.LatestSnapshot()
@@ -84,11 +92,18 @@ func Serve(addr string, src Source) (*Server, error) {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		var since uint64
 		var max int
+		var err error
 		if v := r.URL.Query().Get("since"); v != "" {
-			since, _ = strconv.ParseUint(v, 10, 64)
+			if since, err = strconv.ParseUint(v, 10, 64); err != nil {
+				http.Error(w, `{"error":"since must be a non-negative integer"}`, http.StatusBadRequest)
+				return
+			}
 		}
 		if v := r.URL.Query().Get("max"); v != "" {
-			max, _ = strconv.Atoi(v)
+			if max, err = strconv.Atoi(v); err != nil || max < 0 {
+				http.Error(w, `{"error":"max must be a non-negative integer"}`, http.StatusBadRequest)
+				return
+			}
 		}
 		events := src.TraceSince(since, max)
 		if events == nil {
@@ -104,10 +119,7 @@ func Serve(addr string, src Source) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &Server{ln: ln, srv: srv}, nil
+	return mux
 }
 
 // Addr returns the bound listen address (resolves ":0" picks).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -126,6 +127,39 @@ func TestRingRecordAndSince(t *testing.T) {
 	}
 	if capped := r.Since(nil, 0, 2); len(capped) != 2 {
 		t.Fatalf("max=2 returned %d events", len(capped))
+	}
+}
+
+// TestRingSinceBoundsAppendedEvents: max bounds the events one call
+// appends, whatever dst already holds.
+func TestRingSinceBoundsAppendedEvents(t *testing.T) {
+	r := NewRing(8)
+	for i := 0; i < 5; i++ {
+		r.Record(Event{Kind: KindReroute, V1: int64(i)})
+	}
+	for _, tc := range []struct {
+		name      string
+		dst       int
+		seq       uint64
+		max, want int
+	}{
+		{"empty dst", 0, 0, 3, 3},
+		{"dst shorter than max", 2, 0, 3, 3},
+		{"dst as long as max", 3, 0, 3, 3},
+		{"dst longer than max", 7, 1, 2, 2},
+		{"max beyond what is new", 4, 3, 5, 2},
+		{"max 0 means all", 6, 0, 0, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst := make([]Event, tc.dst)
+			got := r.Since(dst, tc.seq, tc.max)
+			if n := len(got) - tc.dst; n != tc.want {
+				t.Fatalf("Since appended %d events, want %d", n, tc.want)
+			}
+			if tc.want > 0 && got[tc.dst].Seq != tc.seq+1 {
+				t.Fatalf("first appended seq = %d, want %d", got[tc.dst].Seq, tc.seq+1)
+			}
+		})
 	}
 }
 
@@ -481,5 +515,36 @@ func TestServeTracePagination(t *testing.T) {
 	next := fetch(fmt.Sprintf("?since=%d&max=2", page[1].Seq))
 	if len(next) != 1 || next[0].Seq != 7 {
 		t.Fatalf("second page = %+v", next)
+	}
+}
+
+// TestServeTraceRejectsMalformedQuery: a since or max that is not a
+// non-negative integer answers 400 instead of falling back to the whole
+// ring.
+func TestServeTraceRejectsMalformedQuery(t *testing.T) {
+	ring := NewRing(4)
+	for i := 0; i < 3; i++ {
+		ring.Record(Event{Kind: KindReroute, V1: int64(i)})
+	}
+	mux := newMux(&fakeSource{snap: testSnapshot(), ring: ring})
+	for _, tc := range []struct {
+		query string
+		code  int
+	}{
+		{"", http.StatusOK},
+		{"?since=1&max=1", http.StatusOK},
+		{"?max=0", http.StatusOK},
+		{"?since=abc", http.StatusBadRequest},
+		{"?since=-1", http.StatusBadRequest},
+		{"?since=1.5", http.StatusBadRequest},
+		{"?max=-5", http.StatusBadRequest},
+		{"?max=ten", http.StatusBadRequest},
+		{"?since=1&max=x", http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/trace"+tc.query, nil))
+		if rec.Code != tc.code {
+			t.Errorf("GET /trace%s = %d, want %d (body %q)", tc.query, rec.Code, tc.code, rec.Body.String())
+		}
 	}
 }

@@ -231,17 +231,19 @@ func (r *Ring) Events(dst []Event) []Event {
 }
 
 // Since appends the buffered events with Seq > seq (oldest first, up to
-// max; max ≤ 0 means all) to dst and returns the extended slice.
+// max of them; max ≤ 0 means all) to dst and returns the extended slice.
+// max bounds only what this call appends, not what dst already holds.
 func (r *Ring) Since(dst []Event, seq uint64, max int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	base := len(dst)
 	for i := 0; i < r.n; i++ {
 		e := r.buf[(r.start+i)%len(r.buf)]
 		if e.Seq <= seq {
 			continue
 		}
 		dst = append(dst, e)
-		if max > 0 && len(dst) >= max {
+		if max > 0 && len(dst)-base >= max {
 			break
 		}
 	}

@@ -88,9 +88,10 @@
 // enforced per flow in the DC forwarders), and subscribe to the flow's
 // control-loop events (FlowSpec.OnEvent: service changes, reroutes,
 // budget violations, drops and congestion signals as the trace ring
-// records them) instead of polling Metrics(). Flows with a pinned path
-// are re-resolved automatically when the routing controller observes
-// the path die.
+// records them) instead of polling Metrics(). After every routing
+// recompute one pass re-derives the flows' paths: dead pins re-resolve,
+// PathFastest follows the new primary, RepinOnHeal returns to a healed
+// preferred path, each move one reroute event.
 //
 // # Load-aware traffic engineering
 //
@@ -275,11 +276,10 @@
 // stranded pacers (every cut recovered once its queues left Hot), the
 // accounting balances (per-class egress bytes sum to direction totals;
 // trace ByKind counts match the flow/feedback counters), and — after
-// Flow.Close — no leaked receiver, registry, pin, watch, or repin
-// state. chaos.Fuzz derives a randomized scenario from a seed (same
-// seed → byte-identical Timeline), and cmd/jqos-chaos soaks N seeded
-// runs, printing per-run verdicts and writing failing seeds' timelines
-// and final snapshots:
+// Flow.Close — no leaked receiver, registry, or pin state. chaos.Fuzz
+// derives a randomized scenario from a seed (same seed → byte-identical
+// Timeline), and cmd/jqos-chaos soaks N seeded runs, printing per-run
+// verdicts and writing failing seeds' timelines and final snapshots:
 //
 //	jqos-chaos -runs 100 -seed 1          # CI smoke
 //	jqos-chaos -runs 1 -seed 1337 -v      # reproduce a failed seed
@@ -565,9 +565,10 @@ type Deployment struct {
 	tenantCost  *netem.Ticker
 	tenantPacer *netem.Timer
 
-	// repinWatch holds RepinOnHeal flows parked off their preferred
-	// path; every recompute checks whether the preferred path healed.
-	repinWatch map[core.FlowID]*Flow
+	// passIDs and passNotes are the post-recompute pass's buffers
+	// (onRecompute), reused so an idle pass allocates nothing.
+	passIDs   []core.FlowID
+	passNotes []pathNote
 
 	nextNode core.NodeID
 	nextFlow core.FlowID
@@ -602,27 +603,25 @@ func NewDeployment(seed int64) *Deployment {
 func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 	sim := netem.NewSimulator(seed)
 	d := &Deployment{
-		cfg:        cfg,
-		sim:        sim,
-		net:        netem.NewNetwork(sim),
-		topo:       overlay.NewTopology(),
-		ctrl:       routing.NewController(kAltPaths),
-		nextNode:   1,
-		nextFlow:   1,
-		dcs:        make(map[core.NodeID]*DCNode),
-		hosts:      make(map[core.NodeID]*Host),
-		flows:      make(map[core.FlowID]*Flow),
-		recvHosts:  make(map[core.FlowID][]core.NodeID),
-		linkShape:  make(map[[2]core.NodeID]time.Duration),
-		repinWatch: make(map[core.FlowID]*Flow),
-		tenants:    tenant.NewRegistry(),
+		cfg:       cfg,
+		sim:       sim,
+		net:       netem.NewNetwork(sim),
+		topo:      overlay.NewTopology(),
+		ctrl:      routing.NewController(kAltPaths),
+		nextNode:  1,
+		nextFlow:  1,
+		dcs:       make(map[core.NodeID]*DCNode),
+		hosts:     make(map[core.NodeID]*Host),
+		flows:     make(map[core.FlowID]*Flow),
+		recvHosts: make(map[core.FlowID][]core.NodeID),
+		linkShape: make(map[[2]core.NodeID]time.Duration),
+		tenants:   tenant.NewRegistry(),
 	}
 	d.tenantPacer = sim.NewTimer(d.tenantPacerRun)
 	d.loadReg = load.NewRegistry(loadWindow)
 	d.tel = newTelemetryPlane(d, cfg.Telemetry)
 	d.mon = routing.NewMonitor(d.ctrl, cfg.Monitor.ProbeInterval)
 	d.topo.Oracle = d.ctrl
-	d.ctrl.OnFlowPath = d.onFlowPath
 	d.ctrl.OnRecompute = d.onRecompute
 	d.ctrl.OnEpochAdvance = d.onEpochAdvance
 	if cfg.Feedback.Enabled && cfg.Scheduler.Enabled() {
@@ -864,12 +863,6 @@ func (d *Deployment) HostIDs() []core.NodeID {
 	}
 	return out
 }
-
-// RepinWatchCount reports how many RepinOnHeal flows are currently
-// parked off their preferred path waiting for it to heal. It must drain
-// to zero once every preferred path is healthy again (and immediately
-// when such a flow closes) — the chaos harness's leak invariant.
-func (d *Deployment) RepinWatchCount() int { return len(d.repinWatch) }
 
 // NudgeFaultDetection grants every link prober a full detection burst
 // and wakes the load reporter, exactly as the built-in fault injectors
