@@ -58,7 +58,6 @@ func TestConfigSurface(t *testing.T) {
 			"Scheduler.PerFlowQueues",
 			"Scheduler.QueueBytes",
 			"Scheduler.Weights",
-			"Telemetry.PublishInterval",
 			"Telemetry.SLO.AtRiskBurn",
 			"Telemetry.SLO.ClearHold",
 			"Telemetry.SLO.FastWindow",

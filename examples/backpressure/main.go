@@ -64,10 +64,8 @@ func main() {
 		}
 		w.D.Run(15 * time.Second)
 
-		// One unified exit report — the snapshot rolls up what the old
-		// per-subsystem printf blocks (FlowMetrics, SchedStats,
-		// FeedbackStats) polled one call at a time — shifted under the
-		// run's heading.
+		// One exit report: the snapshot's summary of flows, egress
+		// queues and the feedback plane, shifted under the run's heading.
 		fmt.Printf("  interactive worst latency %.1f ms (budget %v); flows heard %d signals (%d hot)\n",
 			float64(w.Latency.Worst)/float64(time.Millisecond), budget, watch.signals, watch.hot)
 		summary := strings.TrimRight(w.D.Snapshot().Summary(), "\n")

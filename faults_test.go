@@ -81,6 +81,28 @@ func TestForgedRecoveryForUnknownFlow(t *testing.T) {
 	}
 }
 
+func TestForgedServiceNotCounted(t *testing.T) {
+	// A forged header naming no service still delivers, but counts under
+	// no service in ByService (and must not index past it).
+	w := newWorld(t, 52, nil)
+	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, time.Second, jqos.ServiceCoding))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := wire.Header{Type: wire.TypeRecovered, Service: 200,
+		Flow: f.ID(), Seq: 5, Src: w.dc2, Dst: w.dst}
+	w.d.Network().Send(w.dc2, w.dst, wire.AppendMessage(nil, &hdr, []byte("forged")))
+	w.d.Run(time.Second)
+	m := f.Metrics()
+	var byService uint64
+	for _, n := range m.ByService {
+		byService += n
+	}
+	if m.Delivered != 1 || byService != 0 {
+		t.Errorf("delivered %d, ByService sum %d; want 1 and 0", m.Delivered, byService)
+	}
+}
+
 func TestRecoveryTrafficRelayedAcrossDCs(t *testing.T) {
 	// A cooperative helper attached to a *different* DC than the
 	// recovering DC2: its CoopResp must relay dc1→dc2 through the

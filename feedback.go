@@ -64,45 +64,6 @@ type CongestionSignal struct {
 	QueuedBytes int64
 }
 
-// FeedbackStats aggregates the congestion-feedback plane's activity
-// across the deployment (see Snapshot().Feedback).
-type FeedbackStats struct {
-	// Transitions counts watermark flips noted at the egress schedulers;
-	// Batches counts the signal-plane flushes that carried them.
-	Transitions uint64
-	Batches     uint64
-	// SignalsSent counts TypeCongestion control messages emitted toward
-	// remote ingress DCs; SignalsLocal counts transitions delivered at
-	// the detecting DC itself (no wire crossing); SignalsDropped counts
-	// signals with no route to their ingress.
-	SignalsSent    uint64
-	SignalsLocal   uint64
-	SignalsDropped uint64
-	// FlowSignals counts per-flow notifications delivered (one signal
-	// fans out to every subscribed flow at the ingress).
-	FlowSignals uint64
-	// HotRefreshes counts level-triggered re-signals: watermark
-	// transitions are edges, so a queue that STAYS Hot is re-announced
-	// every pacerRecoverInterval until it drains — without this, a
-	// single cut that still oversubscribes the class would be the last
-	// signal the senders ever hear.
-	HotRefreshes uint64
-	// RateCuts / RateRecoveries count pacer AIMD actions across flows.
-	RateCuts       uint64
-	RateRecoveries uint64
-	// TenantCuts / TenantRecoveries count aggregate tenant-pacer AIMD
-	// actions — one cut per delivered signal per TENANT, however many
-	// member flows heard it, so sibling flows back off as one sender.
-	TenantCuts       uint64
-	TenantRecoveries uint64
-	// PreemptiveMoves counts congestion-driven service changes of
-	// unpaced flows (ServiceChange reason ReasonCongestion).
-	PreemptiveMoves uint64
-	// SubscribedFlows is the current size of the (link, class) → flows
-	// registry.
-	SubscribedFlows int
-}
-
 // feedbackPlane is the deployment's congestion-feedback glue: it owns
 // the transition broadcaster and the subscription registry, arms the
 // batch-flush timer, and moves TypeCongestion control messages from
@@ -130,7 +91,9 @@ type feedbackPlane struct {
 	flowScratch   []core.FlowID
 	tenantScratch []*tenant.Tenant
 
-	stats FeedbackStats
+	// stats holds the plane's own counters; the snapshot builder fills
+	// in Enabled and the counts the broadcaster and registry keep.
+	stats telemetry.FeedbackSnapshot
 }
 
 func newFeedbackPlane(d *Deployment) *feedbackPlane {
@@ -341,19 +304,6 @@ func (p *feedbackPlane) deliver(ingress core.NodeID, sig CongestionSignal) {
 			p.d.armTenantPacerTick()
 		}
 	}
-}
-
-// feedbackStats assembles the live feedback counters (the snapshot
-// builder's source; zero everywhere when feedback is disabled).
-func (d *Deployment) feedbackStats() FeedbackStats {
-	if d.fb == nil {
-		return FeedbackStats{}
-	}
-	st := d.fb.stats
-	st.Transitions = d.fb.bc.Noted()
-	st.Batches = d.fb.bc.Flushes()
-	st.SubscribedFlows = d.fb.reg.Subscribed()
-	return st
 }
 
 // updateFeedbackSub (re)subscribes the flow's (path, class) in the

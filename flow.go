@@ -37,7 +37,7 @@ type FlowMetrics struct {
 	// feedback off.
 	PacedBytes uint64
 	// ByService counts deliveries by the service that produced them.
-	ByService map[core.Service]uint64
+	ByService [core.NumServices]uint64
 	// Latency samples end-to-end delivery latency in milliseconds.
 	Latency *stats.Sample
 	// DirectLatency samples only unrecovered (direct-path) deliveries.
@@ -46,7 +46,6 @@ type FlowMetrics struct {
 
 func newFlowMetrics() *FlowMetrics {
 	return &FlowMetrics{
-		ByService:     make(map[core.Service]uint64),
 		Latency:       &stats.Sample{},
 		DirectLatency: &stats.Sample{},
 	}
@@ -354,7 +353,7 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 				msg = wire.AppendMessage(region(), &hdr, payload)
 			}
 			if traced {
-				f.d.tel.spanBegin(core.PacketID{Flow: f.id, Seq: f.seq}, now)
+				f.d.tel.spans.Begin(core.PacketID{Flow: f.id, Seq: f.seq}, time.Duration(now))
 			}
 			f.sendCloud(now, dc1, msg, traced)
 		}
@@ -383,7 +382,7 @@ func (f *Flow) sendCloud(now core.Time, dc1 core.NodeID, msg []byte, traced bool
 	}
 	if f.tenant != nil && !f.tenant.Admit(now, n) {
 		if traced {
-			f.d.tel.spanDrop(pid)
+			f.d.tel.spans.Drop(pid)
 		}
 		f.noteTenantQuotaDrop(n)
 		return
@@ -391,7 +390,7 @@ func (f *Flow) sendCloud(now core.Time, dc1 core.NodeID, msg []byte, traced bool
 	if f.bucket != nil {
 		if !f.bucket.Admit(now, n) {
 			if traced {
-				f.d.tel.spanDrop(pid)
+				f.d.tel.spans.Drop(pid)
 			}
 			f.noteAdmissionDrop(n)
 			return
@@ -403,7 +402,7 @@ func (f *Flow) sendCloud(now core.Time, dc1 core.NodeID, msg []byte, traced bool
 		}
 	}
 	if traced {
-		f.d.tel.spanTxID(pid, now)
+		f.d.tel.spans.NoteTx(pid, time.Duration(now))
 	}
 	f.d.net.Send(f.src, dc1, msg)
 }
@@ -432,7 +431,9 @@ func (f *Flow) recordDelivery(del core.Delivery) {
 	if del.Recovered {
 		m.Recovered++
 	}
-	m.ByService[del.Via]++
+	if int(del.Via) < len(m.ByService) { // a forged header may name no service
+		m.ByService[del.Via]++
+	}
 	lat := del.At - del.Packet.Sent
 	if lat < 0 {
 		lat = 0

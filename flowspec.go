@@ -363,9 +363,6 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	}
 	d.nextFlow++
 	d.flows[f.id] = f
-	if traceEvery > 0 {
-		d.tel.tracedFlows++
-	}
 	if tn != nil {
 		tn.AddFlow()
 	}

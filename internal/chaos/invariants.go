@@ -175,12 +175,12 @@ func CheckAccounting(s *telemetry.Snapshot) []Violation {
 		{telemetry.KindEgressDrop, egressDropped, "flow EgressDropped sum"},
 		{telemetry.KindAdmissionDrop, admissionDropped, "flow AdmissionDropped sum"},
 		{telemetry.KindServiceChange, serviceChanges, "flow ServiceChanges sum"},
-		{telemetry.KindCongestionSignal, fb.FlowSignals, "FeedbackStats.FlowSignals"},
-		{telemetry.KindPacerCut, fb.RateCuts, "FeedbackStats.RateCuts"},
-		{telemetry.KindPacerRecover, fb.RateRecoveries, "FeedbackStats.RateRecoveries"},
+		{telemetry.KindCongestionSignal, fb.FlowSignals, "Feedback.FlowSignals"},
+		{telemetry.KindPacerCut, fb.RateCuts, "Feedback.RateCuts"},
+		{telemetry.KindPacerRecover, fb.RateRecoveries, "Feedback.RateRecoveries"},
 		{telemetry.KindTenantQuotaDrop, quotaDropped, "tenant QuotaDropped sum"},
-		{telemetry.KindTenantPacerCut, fb.TenantCuts, "FeedbackStats.TenantCuts"},
-		{telemetry.KindTenantPacerRecover, fb.TenantRecoveries, "FeedbackStats.TenantRecoveries"},
+		{telemetry.KindTenantPacerCut, fb.TenantCuts, "Feedback.TenantCuts"},
+		{telemetry.KindTenantPacerRecover, fb.TenantRecoveries, "Feedback.TenantRecoveries"},
 		{telemetry.KindTenantCostViolation, costViolations, "tenant CostViolations sum"},
 		{telemetry.KindSLODegrade, s.SLO.Degrades, "SLOSnapshot.Degrades"},
 		{telemetry.KindSLORecover, s.SLO.Recovers, "SLOSnapshot.Recovers"},

@@ -21,8 +21,7 @@ type DC struct {
 // PathOracle resolves DC-to-DC latency through a routing control plane:
 // the routed (possibly multi-hop) one-way latency between two DCs, with
 // ok=false when no path currently exists. routing.Controller implements
-// it; a Topology without an oracle falls back to its static inter-DC map
-// (direct links only).
+// it.
 type PathOracle interface {
 	PathLatency(a, b core.NodeID) (core.Time, bool)
 }
@@ -33,29 +32,21 @@ type PathOracle interface {
 type Topology struct {
 	dcs     map[core.NodeID]DC
 	order   []core.NodeID // insertion order for deterministic iteration
-	interDC map[[2]core.NodeID]core.Time
 	nearest map[core.NodeID]core.NodeID
 	delta   map[core.NodeID]core.Time
 	direct  map[[2]core.NodeID]core.Time
-	// Oracle, when set, answers InterDC with routed path latency — so
-	// sparse (non-mesh) overlays predict delays and select services for
-	// DC pairs with no direct link, and predictions track link health.
-	Oracle PathOracle
-	// DefaultDirect seeds the direct-path estimate for pairs that have
-	// not communicated yet (§3.5: "initially assumed to be average
-	// values"). Zero means unknown.
-	DefaultDirect core.Time
-	// MedianDelta is the typical helper distance used in the coding
-	// delay prediction (cooperative recovery contacts other receivers
-	// via their own δ). If zero it is derived from registered hosts.
-	MedianDelta core.Time
+	// oracle answers InterDC with routed path latency — so sparse
+	// (non-mesh) overlays predict delays and select services for DC
+	// pairs with no direct link, and predictions track link health.
+	oracle PathOracle
 }
 
-// NewTopology returns an empty topology.
-func NewTopology() *Topology {
+// NewTopology returns an empty topology whose inter-DC latencies come
+// from oracle.
+func NewTopology(oracle PathOracle) *Topology {
 	return &Topology{
+		oracle:  oracle,
 		dcs:     make(map[core.NodeID]DC),
-		interDC: make(map[[2]core.NodeID]core.Time),
 		nearest: make(map[core.NodeID]core.NodeID),
 		delta:   make(map[core.NodeID]core.Time),
 		direct:  make(map[[2]core.NodeID]core.Time),
@@ -85,37 +76,15 @@ func (t *Topology) IsDC(id core.NodeID) bool {
 	return ok
 }
 
-// SetInterDC records the one-way latency between two DCs (both directions).
-func (t *Topology) SetInterDC(a, b core.NodeID, x core.Time) {
-	t.interDC[[2]core.NodeID{a, b}] = x
-	t.interDC[[2]core.NodeID{b, a}] = x
-}
-
-// InterDC returns the one-way DC-to-DC latency, or (0, false) if unknown.
-// Latency between a DC and itself is zero (partial overlays use one DC).
-// With an Oracle installed the answer is the routed path latency (multi-hop
-// when no direct link exists, rerouted when links fail); the static map is
-// the fallback for oracle-less topologies.
+// InterDC returns the routed one-way DC-to-DC latency (multi-hop when no
+// direct link exists, rerouted when links fail), or (0, false) when no
+// path exists. Latency between a DC and itself is zero (partial overlays
+// use one DC).
 func (t *Topology) InterDC(a, b core.NodeID) (core.Time, bool) {
 	if a == b {
 		return 0, true
 	}
-	if t.Oracle != nil {
-		if x, ok := t.Oracle.PathLatency(a, b); ok {
-			return x, true
-		}
-		// PathLatency(n, n) is (0, true) exactly when the oracle routes
-		// n. If it routes both DCs yet found no path, the overlay is
-		// genuinely partitioned — don't fall back to a stale static
-		// entry and pretend the pair is reachable.
-		_, aKnown := t.Oracle.PathLatency(a, a)
-		_, bKnown := t.Oracle.PathLatency(b, b)
-		if aKnown && bKnown {
-			return 0, false
-		}
-	}
-	x, ok := t.interDC[[2]core.NodeID{a, b}]
-	return x, ok
+	return t.oracle.PathLatency(a, b)
 }
 
 // AttachHost binds a host to its nearest DC with one-way latency delta.
@@ -155,16 +124,15 @@ func (t *Topology) SetDirect(src, dst core.NodeID, y core.Time) {
 	t.direct[[2]core.NodeID{src, dst}] = y
 }
 
-// Direct returns the current direct-path estimate for a host pair, falling
-// back to DefaultDirect.
+// Direct returns the current direct-path estimate for a host pair, zero
+// (unknown) for a pair with no estimate yet.
 func (t *Topology) Direct(src, dst core.NodeID) core.Time {
-	if y, ok := t.direct[[2]core.NodeID{src, dst}]; ok {
-		return y
-	}
-	return t.DefaultDirect
+	return t.direct[[2]core.NodeID{src, dst}]
 }
 
-// medianHostDelta computes the median δ across attached hosts.
+// medianHostDelta computes the median δ across attached hosts: the
+// typical helper distance of the coding delay prediction (cooperative
+// recovery contacts other receivers via their own δ).
 func (t *Topology) medianHostDelta() core.Time {
 	if len(t.delta) == 0 {
 		return 0
@@ -233,11 +201,7 @@ func (t *Topology) predictDelay(svc core.Service, src, dst core.NodeID, xOverrid
 		}
 		d := y + 2*dR + delta
 		if svc == core.ServiceCoding {
-			med := t.MedianDelta
-			if med == 0 {
-				med = t.medianHostDelta()
-			}
-			d += 2 * med
+			d += 2 * t.medianHostDelta()
 		}
 		return d, true
 	default:

@@ -9,16 +9,30 @@ import (
 	"jqos/internal/dataset"
 )
 
+// staticOracle answers PathLatency from a fixed table of routed
+// one-way latencies, the same in both directions.
+type staticOracle map[[2]core.NodeID]core.Time
+
+func (o staticOracle) PathLatency(a, b core.NodeID) (core.Time, bool) {
+	if x, ok := o[[2]core.NodeID{a, b}]; ok {
+		return x, true
+	}
+	x, ok := o[[2]core.NodeID{b, a}]
+	return x, ok
+}
+
 // buildTestTopology makes a 2-DC full overlay:
 //
 //	host 10 —5ms— DC1(1) —40ms— DC2(2) —10ms— host 20, direct 10→20 = 50ms.
+//
+// Host 30 (δ 8ms, at DC1) makes the median host δ 8ms.
 func buildTestTopology() *Topology {
-	t := NewTopology()
+	t := NewTopology(staticOracle{{1, 2}: 40 * time.Millisecond})
 	t.AddDC(DC{ID: 1, Name: "us-east-1", Region: dataset.RegionUSEast})
 	t.AddDC(DC{ID: 2, Name: "eu-west-1", Region: dataset.RegionEU})
-	t.SetInterDC(1, 2, 40*time.Millisecond)
 	t.AttachHost(10, 1, 5*time.Millisecond)
 	t.AttachHost(20, 2, 10*time.Millisecond)
+	t.AttachHost(30, 1, 8*time.Millisecond)
 	t.SetDirect(10, 20, 50*time.Millisecond)
 	return t
 }
@@ -52,13 +66,13 @@ func TestTopologyAccessors(t *testing.T) {
 	if _, ok := top.InterDC(1, 99); ok {
 		t.Error("unknown DC pair resolved")
 	}
-	if hosts := top.Hosts(); len(hosts) != 2 || hosts[0] != 10 || hosts[1] != 20 {
+	if hosts := top.Hosts(); len(hosts) != 3 || hosts[0] != 10 || hosts[2] != 30 {
 		t.Errorf("Hosts = %v", hosts)
 	}
 }
 
 func TestAttachHostUnknownDCPanics(t *testing.T) {
-	top := NewTopology()
+	top := NewTopology(staticOracle{})
 	defer func() {
 		if recover() == nil {
 			t.Error("attach to unknown DC did not panic")
@@ -69,18 +83,16 @@ func TestAttachHostUnknownDCPanics(t *testing.T) {
 
 func TestDirectFallback(t *testing.T) {
 	top := buildTestTopology()
-	top.DefaultDirect = 77 * time.Millisecond
 	if y := top.Direct(10, 20); y != 50*time.Millisecond {
 		t.Errorf("known pair = %v", y)
 	}
-	if y := top.Direct(20, 10); y != 77*time.Millisecond {
-		t.Errorf("unknown pair = %v, want default", y)
+	if y := top.Direct(20, 10); y != 0 {
+		t.Errorf("unknown pair = %v, want 0 (unknown)", y)
 	}
 }
 
 func TestPredictDelayFormulas(t *testing.T) {
 	top := buildTestTopology()
-	top.MedianDelta = 8 * time.Millisecond
 	// internet: y = 50.
 	if d, ok := top.PredictDelay(core.ServiceInternet, 10, 20); !ok || d != 50*time.Millisecond {
 		t.Errorf("internet = %v %v", d, ok)
@@ -111,7 +123,8 @@ func TestPredictDelayWaitDelta(t *testing.T) {
 
 func TestPredictDelayMedianDerived(t *testing.T) {
 	top := buildTestTopology()
-	// MedianDelta unset → derived from host deltas {5,10} → 10ms.
+	// A fourth host moves the median of host deltas {5,8,10,12} to 10ms.
+	top.AttachHost(40, 2, 12*time.Millisecond)
 	d, ok := top.PredictDelay(core.ServiceCoding, 10, 20)
 	if !ok || d != (70+20)*time.Millisecond {
 		t.Errorf("coding with derived median = %v %v", d, ok)
@@ -129,7 +142,7 @@ func TestPredictDelayMissingInputs(t *testing.T) {
 	if _, ok := top.PredictDelay(core.ServiceCaching, 20, 10); ok {
 		t.Error("caching with no y estimate should be unknown")
 	}
-	top2 := NewTopology()
+	top2 := NewTopology(staticOracle{})
 	top2.AddDC(DC{ID: 1})
 	top2.AddDC(DC{ID: 2})
 	top2.AttachHost(10, 1, time.Millisecond)
@@ -140,64 +153,40 @@ func TestPredictDelayMissingInputs(t *testing.T) {
 	}
 }
 
-// fakeOracle answers PathLatency from a fixed table; nodes list which IDs
-// it claims to route.
-type fakeOracle struct {
-	nodes map[core.NodeID]bool
-	paths map[[2]core.NodeID]core.Time
-}
-
-func (o *fakeOracle) PathLatency(a, b core.NodeID) (core.Time, bool) {
-	if a == b {
-		return 0, o.nodes[a]
-	}
-	x, ok := o.paths[[2]core.NodeID{a, b}]
-	return x, ok
-}
-
 func TestInterDCDelegatesToOracle(t *testing.T) {
-	top := buildTestTopology()
-	top.AddDC(DC{ID: 3, Name: "ap-south"})
-	// No SetInterDC(1,3): without an oracle the pair is unknown.
-	if _, ok := top.InterDC(1, 3); ok {
-		t.Fatal("oracle-less sparse pair resolved")
+	oracle := staticOracle{
+		{1, 3}: 90 * time.Millisecond, // routed multi-hop
+		{1, 2}: 35 * time.Millisecond,
 	}
-	oracle := &fakeOracle{
-		nodes: map[core.NodeID]bool{1: true, 2: true, 3: true},
-		paths: map[[2]core.NodeID]core.Time{
-			{1, 3}: 90 * time.Millisecond, // routed multi-hop
-			{1, 2}: 35 * time.Millisecond, // faster than the 40ms static entry
-		},
+	top := NewTopology(oracle)
+	for _, id := range []core.NodeID{1, 2, 3} {
+		top.AddDC(DC{ID: id})
 	}
-	top.Oracle = oracle
-	// Routed latency answers sparse pairs and overrides static entries.
-	if x, ok := top.InterDC(1, 3); !ok || x != 90*time.Millisecond {
-		t.Errorf("InterDC(1,3) = %v %v, want routed 90ms", x, ok)
+	// Routed latency answers sparse pairs, in both directions.
+	if x, ok := top.InterDC(3, 1); !ok || x != 90*time.Millisecond {
+		t.Errorf("InterDC(3,1) = %v %v, want routed 90ms", x, ok)
 	}
-	if x, ok := top.InterDC(1, 2); !ok || x != 35*time.Millisecond {
-		t.Errorf("InterDC(1,2) = %v %v, want routed 35ms", x, ok)
+	if x, ok := top.InterDC(2, 2); !ok || x != 0 {
+		t.Errorf("InterDC self = %v %v", x, ok)
 	}
-	// Both DCs routed but no path → partitioned, NOT the static fallback.
-	delete(oracle.paths, [2]core.NodeID{1, 2})
-	if _, ok := top.InterDC(1, 2); ok {
-		t.Error("partitioned pair fell back to the static entry")
-	}
-	// A pair the oracle does not route falls back to the static map.
-	delete(oracle.nodes, 2)
-	if x, ok := top.InterDC(1, 2); !ok || x != 40*time.Millisecond {
-		t.Errorf("fallback InterDC(1,2) = %v %v, want static 40ms", x, ok)
+	// No routed path → partitioned.
+	if _, ok := top.InterDC(2, 3); ok {
+		t.Error("partitioned pair resolved")
 	}
 	// PredictDelay follows: forwarding over the routed path.
+	top.AttachHost(10, 1, 5*time.Millisecond)
 	top.AttachHost(30, 3, 7*time.Millisecond)
-	top.Oracle = oracle
 	if d, ok := top.PredictDelay(core.ServiceForwarding, 10, 30); !ok || d != (5+90+7)*time.Millisecond {
 		t.Errorf("forwarding via oracle = %v %v, want 102ms", d, ok)
+	}
+	delete(oracle, [2]core.NodeID{1, 3})
+	if _, ok := top.PredictDelay(core.ServiceForwarding, 10, 30); ok {
+		t.Error("forwarding predicted across a partition")
 	}
 }
 
 func TestSelectServicePicksCheapest(t *testing.T) {
 	top := buildTestTopology()
-	top.MedianDelta = 8 * time.Millisecond
 	// Delays: internet 50, coding 86, caching 70, forwarding 55.
 	cases := []struct {
 		budget  core.Time
@@ -278,7 +267,6 @@ func TestCostOrderingMatchesServiceOrder(t *testing.T) {
 
 func TestSelectServiceRequireRecovery(t *testing.T) {
 	top := buildTestTopology()
-	top.MedianDelta = 8 * time.Millisecond
 	// Delays: internet 50, coding 86, caching 70, forwarding 55.
 	budget := 200 * time.Millisecond
 	cases := []struct {

@@ -1,8 +1,8 @@
-// Package telemetry is the deployment-wide observability layer: an
-// allocation-free metrics registry (counters, gauges, fixed-bucket
-// histograms), a bounded control-loop event trace, one coherent
-// JSON-serializable Snapshot aggregating every stat surface, and an HTTP
-// exposition server (Prometheus text format, JSON snapshot, pprof).
+// Package telemetry is the deployment-wide observability layer:
+// allocation-free metrics (counters, fixed-bucket histograms), a bounded
+// control-loop event trace, one coherent JSON-serializable Snapshot
+// aggregating every stat surface, and an HTTP exposition server
+// (Prometheus text format, JSON snapshot, pprof).
 //
 // The package is deliberately engine-agnostic: the hosting runtime
 // (package jqos) builds Snapshots from its own stat surfaces and records
@@ -14,8 +14,6 @@ package telemetry
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -31,19 +29,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can move both ways. Set/Add are lock-free and
-// allocation-free; Load is safe concurrently with writers.
-type Gauge struct{ v atomic.Int64 }
-
-// Set overwrites the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the value by delta (negative deltas allowed).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket histogram: bounds are the ascending bucket
 // upper limits, with an implicit +Inf overflow bucket at the end. Observe
@@ -153,94 +138,8 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// CounterSnapshot / GaugeSnapshot are named point-in-time values.
+// CounterSnapshot is one counter's named point-in-time value.
 type CounterSnapshot struct {
 	Name  string `json:"name"`
 	Value uint64 `json:"value"`
-}
-
-// GaugeSnapshot is one gauge's point-in-time value.
-type GaugeSnapshot struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
-// Registry is a named metric registry. Get-or-create accessors hand out
-// stable pointers — callers fetch their metric once at setup and write to
-// it lock-free thereafter; the registry lock guards only creation and
-// collection. Applications can register their own metrics alongside the
-// runtime's (Deployment.MetricsRegistry) and they ride the same snapshot
-// and exposition surface.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given unit
-// and bounds on first use (later calls ignore both and return the
-// existing instance).
-func (r *Registry) Histogram(name, unit string, bounds ...float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(name, unit, bounds...)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Collect snapshots every registered metric, each family sorted by name
-// for deterministic output.
-func (r *Registry) Collect() (counters []CounterSnapshot, gauges []GaugeSnapshot, hists []HistogramSnapshot) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		counters = append(counters, CounterSnapshot{Name: name, Value: c.Load()})
-	}
-	for name, g := range r.gauges {
-		gauges = append(gauges, GaugeSnapshot{Name: name, Value: g.Load()})
-	}
-	for _, h := range r.hists {
-		hists = append(hists, h.Snapshot())
-	}
-	sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
-	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
-	return counters, gauges, hists
 }

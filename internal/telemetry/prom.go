@@ -210,14 +210,10 @@ func WriteMetrics(w io.Writer, s *Snapshot) error {
 	counter("jqos_trace_overwritten_total", "Trace events overwritten before being read.")
 	fmt.Fprintf(bw, "jqos_trace_overwritten_total %d\n", s.Trace.Dropped)
 
-	// Registered application metrics.
+	// Standing counters.
 	for _, c := range s.Counters {
 		counter(c.Name, "Registered counter.")
 		fmt.Fprintf(bw, "%s %d\n", c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		gauge(g.Name, "Registered gauge.")
-		fmt.Fprintf(bw, "%s %d\n", g.Name, g.Value)
 	}
 
 	// Histograms, Prometheus-style: cumulative buckets + _sum + _count.

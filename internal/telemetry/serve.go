@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -73,10 +74,7 @@ func newMux(src Source) *http.ServeMux {
 			http.Error(w, `{"error":"no snapshot published yet"}`, http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s)
+		writeJSON(w, s)
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
 		s := src.LatestSnapshot()
@@ -84,10 +82,7 @@ func newMux(src Source) *http.ServeMux {
 			http.Error(w, `{"error":"no snapshot published yet"}`, http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.SLO)
+		writeJSON(w, s.SLO)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		var since uint64
@@ -109,10 +104,7 @@ func newMux(src Source) *http.ServeMux {
 		if events == nil {
 			events = []Event{}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(events)
+		writeJSON(w, events)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -120,6 +112,22 @@ func newMux(src Source) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// writeJSON answers v as indented JSON. It encodes into a buffer first, so
+// a value that cannot be encoded answers 500 instead of a 200 with a
+// truncated body.
+func writeJSON(w http.ResponseWriter, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		msg, _ := json.Marshal(err.Error())
+		http.Error(w, `{"error":`+string(msg)+`}`, http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes())
 }
 
 // Addr returns the bound listen address (resolves ":0" picks).

@@ -39,10 +39,9 @@ type Snapshot struct {
 	Feedback FeedbackSnapshot `json:"feedback"`
 	// Totals are deployment-wide rollups across flows and links.
 	Totals Totals `json:"totals"`
-	// Counters / Gauges / Histograms are the metric registry's contents,
-	// sorted by name.
+	// Counters / Histograms are the runtime's standing metrics, each
+	// family sorted by name.
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
-	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 	// SLO is the continuous SLO engine's view: per-flow, per-class, and
 	// per-tenant burn rates and states. Enabled is false when no
@@ -285,24 +284,39 @@ type RoutingSnapshot struct {
 	EpochRetires  uint64 `json:"epoch_retires"`
 }
 
-// FeedbackSnapshot mirrors the congestion-feedback plane's counters.
+// FeedbackSnapshot is the congestion-feedback plane's activity; all zero
+// when feedback is off.
 type FeedbackSnapshot struct {
-	Enabled        bool   `json:"enabled"`
-	Transitions    uint64 `json:"transitions"`
-	Batches        uint64 `json:"batches"`
+	Enabled bool `json:"enabled"`
+	// Transitions counts watermark flips noted at the egress schedulers;
+	// Batches counts the signal-plane flushes that carried them.
+	Transitions uint64 `json:"transitions"`
+	Batches     uint64 `json:"batches"`
+	// SignalsSent counts congestion messages sent toward remote ingress
+	// DCs, SignalsLocal transitions delivered at the detecting DC itself,
+	// SignalsDropped signals with no route to their ingress.
 	SignalsSent    uint64 `json:"signals_sent"`
 	SignalsLocal   uint64 `json:"signals_local"`
 	SignalsDropped uint64 `json:"signals_dropped"`
-	FlowSignals    uint64 `json:"flow_signals"`
-	HotRefreshes   uint64 `json:"hot_refreshes"`
+	// FlowSignals counts per-flow notifications (one signal fans out to
+	// every subscribed flow at the ingress).
+	FlowSignals uint64 `json:"flow_signals"`
+	// HotRefreshes counts re-announcements of queues that stay Hot:
+	// transitions are edges, so a standing backlog is re-signalled.
+	HotRefreshes uint64 `json:"hot_refreshes"`
+	// RateCuts / RateRecoveries count flow-pacer AIMD actions.
 	RateCuts       uint64 `json:"rate_cuts"`
 	RateRecoveries uint64 `json:"rate_recoveries"`
 	// Aggregate tenant-pacer actions: one cut per delivered signal per
 	// tenant, not per member flow.
 	TenantCuts       uint64 `json:"tenant_cuts,omitempty"`
 	TenantRecoveries uint64 `json:"tenant_recoveries,omitempty"`
-	PreemptiveMoves  uint64 `json:"preemptive_moves"`
-	SubscribedFlows  int    `json:"subscribed_flows"`
+	// PreemptiveMoves counts congestion-driven service changes of
+	// unpaced flows.
+	PreemptiveMoves uint64 `json:"preemptive_moves"`
+	// SubscribedFlows is the current size of the (link, class) → flows
+	// subscription registry.
+	SubscribedFlows int `json:"subscribed_flows"`
 }
 
 // Totals are deployment-wide rollups.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,18 +13,12 @@ import (
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(4)
 	if got := c.Load(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
-	}
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
 	}
 }
 
@@ -72,35 +67,6 @@ func TestHistogramPanics(t *testing.T) {
 			}()
 			fn()
 		})
-	}
-}
-
-func TestRegistryCollect(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b_total").Add(2)
-	r.Counter("a_total").Inc()
-	if r.Counter("a_total") != r.Counter("a_total") {
-		t.Fatal("counter pointer not stable")
-	}
-	r.Gauge("depth").Set(9)
-	h := r.Histogram("lat", "ms", 10, 20)
-	h.Observe(5)
-	if r.Histogram("lat", "ms", 99) != h {
-		t.Fatal("histogram not deduplicated by name")
-	}
-
-	counters, gauges, hists := r.Collect()
-	if len(counters) != 2 || counters[0].Name != "a_total" || counters[1].Name != "b_total" {
-		t.Fatalf("counters not name-sorted: %+v", counters)
-	}
-	if counters[0].Value != 1 || counters[1].Value != 2 {
-		t.Fatalf("counter values wrong: %+v", counters)
-	}
-	if len(gauges) != 1 || gauges[0].Value != 9 {
-		t.Fatalf("gauges wrong: %+v", gauges)
-	}
-	if len(hists) != 1 || hists[0].Count != 1 {
-		t.Fatalf("hists wrong: %+v", hists)
 	}
 }
 
@@ -223,13 +189,9 @@ func TestEventDescribeCoversAllKinds(t *testing.T) {
 
 // testSnapshot builds a small but fully populated snapshot.
 func testSnapshot() *Snapshot {
-	reg := NewRegistry()
-	reg.Counter("app_ticks_total").Add(7)
-	reg.Gauge("app_depth").Set(-2)
-	h := reg.Histogram("app_lat_ms", "ms", 10, 20)
+	h := NewHistogram("app_lat_ms", "ms", 10, 20)
 	h.Observe(5)
 	h.Observe(50)
-	counters, gauges, hists := reg.Collect()
 
 	s := &Snapshot{
 		At: 3 * time.Second,
@@ -242,9 +204,8 @@ func testSnapshot() *Snapshot {
 			ID: 1, Service: 3, ServiceName: "forwarding", Sent: 10, Delivered: 8, OnTime: 8,
 		}},
 		Totals:     Totals{Flows: 1, Sent: 10, Delivered: 8, OnTime: 8, EgressBytes: 1000},
-		Counters:   counters,
-		Gauges:     gauges,
-		Histograms: hists,
+		Counters:   []CounterSnapshot{{Name: "app_ticks_total", Value: 7}},
+		Histograms: []HistogramSnapshot{h.Snapshot()},
 	}
 	s.Queues[0].PerClass[3] = ClassQueueSnapshot{EnqueuedPackets: 5, DequeuedPackets: 4, DroppedPackets: 1}
 	s.Trace.Recorded = 4
@@ -515,6 +476,25 @@ func TestServeTracePagination(t *testing.T) {
 	next := fetch(fmt.Sprintf("?since=%d&max=2", page[1].Seq))
 	if len(next) != 1 || next[0].Seq != 7 {
 		t.Fatalf("second page = %+v", next)
+	}
+}
+
+// TestServeUnencodableSnapshot: a snapshot JSON cannot encode (a NaN burn
+// rate) answers 500 on /snapshot and /slo, not a 200 with a truncated
+// body.
+func TestServeUnencodableSnapshot(t *testing.T) {
+	snap := testSnapshot()
+	snap.SLO.Flows[0].BurnFast = math.NaN()
+	mux := newMux(&fakeSource{snap: snap, ring: NewRing(1)})
+	for _, path := range []string{"/snapshot", "/slo"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("GET %s = %d, want 500 (body %q)", path, rec.Code, rec.Body.String())
+		}
+		if body := rec.Body.String(); !strings.Contains(body, "NaN") || !json.Valid([]byte(body)) {
+			t.Errorf("GET %s body %q: want a JSON error naming the NaN", path, body)
+		}
 	}
 }
 

@@ -195,9 +195,9 @@
 // Deployment.Snapshot builds a single coherent, JSON-serializable view —
 // per-link load with per-class rollups, per-queue scheduler counters,
 // per-flow delivery metrics with latency quantiles, routing and feedback
-// counters, aggregate totals, and the deployment's metric registry
-// (counters, gauges, and fixed-bucket histograms for delivery latency
-// vs. budget, pacer rate, and queue depth). Deployment.TraceEvents
+// counters, aggregate totals, and the deployment's standing metrics (a
+// snapshot counter and fixed-bucket histograms for delivery latency vs.
+// budget, pacer rate, and queue depth). Deployment.TraceEvents
 // drains a bounded, allocation-free ring of structured control-loop
 // events — service changes, reroutes, congestion signals, pacer cuts and
 // recoveries, admission and egress drops, cost and budget violations —
@@ -247,7 +247,7 @@
 // net/http/pprof; cmd/jqos-stat pretty-prints either from a live
 // endpoint or a saved snapshot file:
 //
-//	snap := dep.Snapshot() // publish once (or set Telemetry.PublishInterval)
+//	snap := dep.Snapshot() // build and publish one snapshot
 //	fmt.Println(snap.Summary())
 //	srv, _ := telemetry.Serve("127.0.0.1:0", dep)
 //	defer srv.Close()
@@ -334,11 +334,11 @@
 // refresh, pacer-recovery and egress-pump sites Arm it — "make sure a
 // run is coming" — and re-arm from the callback while there is work
 // left. A netem.Ticker is a periodic loop that parks: flow adaptation,
-// the tenant cost check, the load reporter, the snapshot publisher and
-// the SLO sweeper each re-arm one interval after every round until two
-// consecutive rounds see no application send and the loop has nothing
-// left to settle (utilization still draining, an SLO tracker still
-// elevated), then stop scheduling. That is why RunUntilQuiet returns: an
+// the tenant cost check, the load reporter and the SLO sweeper each
+// re-arm one interval after every round until two consecutive rounds
+// see no application send and the loop has nothing left to settle
+// (utilization still draining, an SLO tracker still elevated), then
+// stop scheduling. That is why RunUntilQuiet returns: an
 // idle deployment drains to an empty event heap. Flow.Send wakes every
 // parked loop through one activity counter; the Link handle's fault
 // injectors and NudgeFaultDetection wake the probers and the load
@@ -500,9 +500,9 @@ type Config struct {
 	// contracts against class shares. Requires Scheduler (the signal
 	// source); ignored without it.
 	Feedback FeedbackConfig
-	// Telemetry configures the periodic snapshot publisher and the SLO
-	// engine. The zero value means both off — Deployment.Snapshot still
-	// builds on demand, and the control-loop trace is always on.
+	// Telemetry configures the SLO engine. The zero value means it is
+	// off; Deployment.Snapshot builds and publishes on demand, and the
+	// control-loop trace is always on.
 	Telemetry TelemetryConfig
 }
 
@@ -548,9 +548,9 @@ type Deployment struct {
 	// off or scheduling is disabled — no queues, no signal).
 	fb *feedbackPlane
 
-	// tel is the telemetry plane: metric registry, control-loop trace
+	// tel is the telemetry plane: standing metrics, control-loop trace
 	// ring, and the published-snapshot slot (see telemetry.go). Always
-	// non-nil; the publisher and SLO engine run per Config.Telemetry.
+	// non-nil; the SLO engine runs per Config.Telemetry.
 	tel *telemetryPlane
 
 	// tenants is the multi-tenant control plane: per-customer contracts
@@ -587,11 +587,6 @@ type Deployment struct {
 	// sends; probers park when it stops moving so the simulator can drain.
 	probers  []*prober
 	activity uint64
-
-	// linkShape remembers each inter-DC link's configured one-way
-	// latency so Link(a, b).Reconnect can restore a disconnected link without
-	// the caller re-specifying it.
-	linkShape map[[2]core.NodeID]time.Duration
 }
 
 // NewDeployment creates an empty deployment with default config.
@@ -602,26 +597,25 @@ func NewDeployment(seed int64) *Deployment {
 // NewDeploymentWithConfig creates an empty deployment.
 func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 	sim := netem.NewSimulator(seed)
+	ctrl := routing.NewController(kAltPaths)
 	d := &Deployment{
 		cfg:       cfg,
 		sim:       sim,
 		net:       netem.NewNetwork(sim),
-		topo:      overlay.NewTopology(),
-		ctrl:      routing.NewController(kAltPaths),
+		topo:      overlay.NewTopology(ctrl),
+		ctrl:      ctrl,
 		nextNode:  1,
 		nextFlow:  1,
 		dcs:       make(map[core.NodeID]*DCNode),
 		hosts:     make(map[core.NodeID]*Host),
 		flows:     make(map[core.FlowID]*Flow),
 		recvHosts: make(map[core.FlowID][]core.NodeID),
-		linkShape: make(map[[2]core.NodeID]time.Duration),
 		tenants:   tenant.NewRegistry(),
 	}
 	d.tenantPacer = sim.NewTimer(d.tenantPacerRun)
 	d.loadReg = load.NewRegistry(loadWindow)
 	d.tel = newTelemetryPlane(d, cfg.Telemetry)
 	d.mon = routing.NewMonitor(d.ctrl, cfg.Monitor.ProbeInterval)
-	d.topo.Oracle = d.ctrl
 	d.ctrl.OnRecompute = d.onRecompute
 	d.ctrl.OnEpochAdvance = d.onEpochAdvance
 	if cfg.Feedback.Enabled && cfg.Scheduler.Enabled() {
@@ -694,11 +688,9 @@ func (d *Deployment) DC(id core.NodeID) *DCNode {
 // The link joins the routing control plane's graph and, when probing is
 // enabled, its health monitor; next-hop tables recompute immediately.
 func (d *Deployment) ConnectDCs(a, b core.NodeID, x time.Duration) {
-	d.topo.SetInterDC(a, b, x)
 	d.net.ConnectBidirectional(a, b, func() *netem.Link {
 		return netem.NewLink(d.sim, netem.UniformJitter{Base: x, Jitter: x / 50}, nil)
 	})
-	d.linkShape[dcPairKey(a, b)] = x
 	d.ctrl.SetLink(a, b, x)
 	// First contact only: re-connecting an existing pair reshapes its
 	// latency but must not reset a SetCapacity override (or the meters)
@@ -708,13 +700,6 @@ func (d *Deployment) ConnectDCs(a, b core.NodeID, x time.Duration) {
 	}
 	d.startProber(a, b, x)
 	d.startLoadReporter()
-}
-
-func dcPairKey(a, b core.NodeID) [2]core.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]core.NodeID{a, b}
 }
 
 // HostOption customizes AddHost.

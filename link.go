@@ -100,11 +100,11 @@ func (l LinkHandle) DisconnectOneWay() {
 }
 
 // Reconnect restores a disconnected (or reshaped) link to the shape
-// ConnectDCs originally gave it — the latency the deployment recorded,
+// ConnectDCs originally gave it — the routing graph's configured latency,
 // lossless. Panics when the pair was never connected (a deployment
 // wiring bug, like DC on a host ID).
 func (l LinkHandle) Reconnect() {
-	x, ok := l.d.linkShape[dcPairKey(l.a, l.b)]
+	x, ok := l.Shape()
 	if !ok {
 		panic(fmt.Sprintf("jqos: Link(%v, %v).Reconnect: DCs were never connected", l.a, l.b))
 	}
@@ -114,18 +114,21 @@ func (l LinkHandle) Reconnect() {
 // ReconnectOneWay restores only the a→b direction to the connected shape
 // (recorded latency, lossless). Panics when the pair was never connected.
 func (l LinkHandle) ReconnectOneWay() {
-	x, ok := l.d.linkShape[dcPairKey(l.a, l.b)]
+	x, ok := l.Shape()
 	if !ok {
 		panic(fmt.Sprintf("jqos: Link(%v, %v).ReconnectOneWay: DCs were never connected", l.a, l.b))
 	}
 	l.SetOneWay(x, 0)
 }
 
-// Shape returns the one-way latency ConnectDCs recorded for the pair —
-// the shape Reconnect restores. ok is false for pairs never connected.
+// Shape returns the one-way latency ConnectDCs gave the pair — the
+// routing graph's configured Base, the shape Reconnect restores. ok is
+// false for pairs never connected.
 func (l LinkHandle) Shape() (time.Duration, bool) {
-	x, ok := l.d.linkShape[dcPairKey(l.a, l.b)]
-	return x, ok
+	if link := l.d.ctrl.Graph().Link(l.a, l.b); link != nil {
+		return link.Base, true
+	}
+	return 0, false
 }
 
 // Health returns the monitor's view of the link.

@@ -150,12 +150,12 @@ func (d *Deployment) wakeProbers() {
 }
 
 // noteActivity records an application send and keeps the probers, the
-// load reporter, and the telemetry publisher running.
+// load reporter, and the SLO sweeper running.
 func (d *Deployment) noteActivity() {
 	d.activity++
 	d.wakeProbers()
 	d.wakeLoadReporter()
-	d.tel.wake()
+	d.tel.sloSweeper.Wake()
 }
 
 // sendControl transmits a control-plane message (probe, ack or congestion

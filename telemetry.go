@@ -1,6 +1,8 @@
 package jqos
 
 import (
+	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -22,21 +24,16 @@ type SLOConfig = telemetry.SLOConfig
 const traceCapacity = 4096
 
 // TelemetryConfig configures the deployment's observability plane (see
-// the package docs' Observability section).
+// the package docs' Observability section). Snapshots are built and
+// published by Deployment.Snapshot, on demand.
 type TelemetryConfig struct {
-	// PublishInterval, when positive, builds and publishes a fresh
-	// snapshot every interval of SIMULATED time while the deployment is
-	// active (the publisher parks when traffic stops, like the probers,
-	// so an idle event heap still drains). Zero disables periodic
-	// publishing — Snapshot() still builds and publishes on demand,
-	// which is what tests and experiments use; a live telemetry.Serve
-	// endpoint wants the periodic feed.
-	PublishInterval time.Duration
 	// SLO configures the continuous SLO engine: rolling multi-window
 	// on-time-fraction tracking per budgeted flow, per service class,
 	// and per tenant, with Met/AtRisk/Violated states, hysteresis, and
 	// trace events on every transition. Zero Objective disables it; the
-	// evaluation ticker parks with traffic like the publisher.
+	// evaluation ticker parks when traffic stops, like the probers. An
+	// Objective of 1 or more leaves no error budget to burn and panics
+	// in NewDeploymentWithConfig.
 	SLO telemetry.SLOConfig
 }
 
@@ -50,16 +47,14 @@ var (
 	queueDepthBounds  = []float64{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 )
 
-// telemetryPlane is the deployment's observability glue: the metric
-// registry (with the runtime's four standing histograms), the
-// control-loop trace ring, the last published snapshot, and the parking
-// periodic publisher. Snapshot BUILDING walks simulator-owned state and
-// runs on the simulator goroutine only; the published *telemetry.Snapshot
-// is immutable and read from anywhere (telemetry.Serve), and the ring
-// carries its own lock.
+// telemetryPlane is the deployment's observability glue: the runtime's
+// four standing histograms and its snapshot counter, the control-loop
+// trace ring, and the last published snapshot. Snapshot BUILDING walks
+// simulator-owned state and runs on the simulator goroutine only; the
+// published *telemetry.Snapshot is immutable and read from anywhere
+// (telemetry.Serve), and the ring carries its own lock.
 type telemetryPlane struct {
 	d    *Deployment
-	reg  *telemetry.Registry
 	ring *telemetry.Ring
 
 	latest atomic.Pointer[telemetry.Snapshot]
@@ -68,17 +63,11 @@ type telemetryPlane struct {
 	budgetRatio *telemetry.Histogram
 	pacerFrac   *telemetry.Histogram
 	queueDepth  *telemetry.Histogram
-	snapshots   *telemetry.Counter
-
-	// publisher builds a snapshot every Telemetry.PublishInterval while
-	// traffic flows (nil when periodic publishing is off).
-	publisher *netem.Ticker
+	snapshots   telemetry.Counter
 
 	// Hop-level latency attribution (spans.go in internal/telemetry).
-	// The collector is sim-goroutine-only; tracedFlows counts open flows
-	// with TraceSampling set so snapshots can report Enabled.
-	spans       *telemetry.SpanCollector
-	tracedFlows int
+	// The collector is sim-goroutine-only.
+	spans *telemetry.SpanCollector
 
 	// Continuous SLO engine. slo carries defaults when Enabled; trackers
 	// are created lazily on the first delivery (flow/class/tenant) and
@@ -112,22 +101,19 @@ type sloFlowWatch struct {
 
 func newTelemetryPlane(d *Deployment, cfg TelemetryConfig) *telemetryPlane {
 	p := &telemetryPlane{
-		d:    d,
-		reg:  telemetry.NewRegistry(),
-		ring: telemetry.NewRing(traceCapacity),
+		d:           d,
+		ring:        telemetry.NewRing(traceCapacity),
+		latencyMs:   telemetry.NewHistogram("jqos_delivery_latency_ms", "ms", latencyBoundsMs...),
+		budgetRatio: telemetry.NewHistogram("jqos_delivery_budget_ratio", "ratio", budgetRatioBounds...),
+		pacerFrac:   telemetry.NewHistogram("jqos_pacer_rate_fraction", "ratio", pacerFracBounds...),
+		queueDepth:  telemetry.NewHistogram("jqos_egress_queue_depth_bytes", "bytes", queueDepthBounds...),
+		spans:       telemetry.NewSpanCollector(),
 	}
-	p.latencyMs = p.reg.Histogram("jqos_delivery_latency_ms", "ms", latencyBoundsMs...)
-	p.budgetRatio = p.reg.Histogram("jqos_delivery_budget_ratio", "ratio", budgetRatioBounds...)
-	p.pacerFrac = p.reg.Histogram("jqos_pacer_rate_fraction", "ratio", pacerFracBounds...)
-	p.queueDepth = p.reg.Histogram("jqos_egress_queue_depth_bytes", "bytes", queueDepthBounds...)
-	p.snapshots = p.reg.Counter("jqos_snapshots_built_total")
-	if cfg.PublishInterval > 0 {
-		p.publisher = d.sim.NewTicker(cfg.PublishInterval, &d.activity, func() bool {
-			p.build()
-			return false
-		})
+	// Burn rates divide by the error budget, 1 − Objective: none left
+	// makes every burn NaN or +Inf, and the snapshot unencodable.
+	if o := cfg.SLO.Objective; o >= 1 || math.IsNaN(o) {
+		panic(fmt.Sprintf("jqos: Telemetry.SLO.Objective %v leaves no error budget (want 0 for off, or below 1)", o))
 	}
-	p.spans = telemetry.NewSpanCollector()
 	if cfg.SLO.Enabled() {
 		p.slo = cfg.SLO.WithDefaults()
 		p.sloFlows = make(map[core.FlowID]*sloFlowWatch)
@@ -186,14 +172,6 @@ func (p *telemetryPlane) notePacer(rate, contract int64) {
 // transition (the edge is exactly when depth is interesting).
 func (p *telemetryPlane) noteQueueDepth(depth int64) {
 	p.queueDepth.Observe(float64(depth))
-}
-
-// wake keeps the SLO sweeper and the periodic publisher running; called
-// per application send via noteActivity, so both run exactly while
-// traffic flows.
-func (p *telemetryPlane) wake() {
-	p.sloSweeper.Wake()
-	p.publisher.Wake()
 }
 
 // sloElevated reports whether any tracker still sits above Met. The
@@ -374,28 +352,20 @@ func (p *telemetryPlane) sloEval(tr *telemetry.SLOTracker, now time.Duration, su
 	p.d.trace(subj)
 }
 
-// spanBegin opens a hop trace for a sampled cloud copy.
-func (p *telemetryPlane) spanBegin(id core.PacketID, at core.Time) {
-	p.spans.Begin(id, time.Duration(at))
-}
-
-// spanDrop abandons a pending trace whose packet died before the wire.
-func (p *telemetryPlane) spanDrop(id core.PacketID) { p.spans.Drop(id) }
-
-// spanTxID marks a wire departure for a known-traced packet (ingress
-// host, where the sender knows it just sampled).
-func (p *telemetryPlane) spanTxID(id core.PacketID, at core.Time) {
-	p.spans.NoteTx(id, time.Duration(at))
+// tracedID identifies a message's packet when its hop trace is pending.
+// The integer Pending guard keeps the untraced fast path to one
+// comparison before the header peek.
+func (p *telemetryPlane) tracedID(msg []byte) (core.PacketID, bool) {
+	if p.spans.Pending() == 0 {
+		return core.PacketID{}, false
+	}
+	return wire.PeekTrace(msg)
 }
 
 // spanTx marks a wire departure, identifying the packet from its encoded
-// header; the integer Pending guard keeps the untraced fast path to one
-// comparison before the header peek.
+// header.
 func (p *telemetryPlane) spanTx(msg []byte, at core.Time) {
-	if p.spans.Pending() == 0 {
-		return
-	}
-	if id, ok := wire.PeekTrace(msg); ok {
+	if id, ok := p.tracedID(msg); ok {
 		p.spans.NoteTx(id, time.Duration(at))
 	}
 }
@@ -403,20 +373,14 @@ func (p *telemetryPlane) spanTx(msg []byte, at core.Time) {
 // spanRx marks a DC arrival, identifying a traced packet from its encoded
 // header like spanTx.
 func (p *telemetryPlane) spanRx(msg []byte, at core.Time) {
-	if p.spans.Pending() == 0 {
-		return
-	}
-	if id, ok := wire.PeekTrace(msg); ok {
+	if id, ok := p.tracedID(msg); ok {
 		p.spans.NoteRx(id, time.Duration(at))
 	}
 }
 
 // spanQueue charges one DRR queue wait at (from, to, class).
 func (p *telemetryPlane) spanQueue(msg []byte, from, to core.NodeID, class core.Service, wait core.Time) {
-	if p.spans.Pending() == 0 {
-		return
-	}
-	if id, ok := wire.PeekTrace(msg); ok {
+	if id, ok := p.tracedID(msg); ok {
 		p.spans.NoteQueue(id, from, to, class, time.Duration(wait))
 	}
 }
@@ -424,10 +388,7 @@ func (p *telemetryPlane) spanQueue(msg []byte, from, to core.NodeID, class core.
 // spanDropMsg abandons a pending trace identified from its encoded
 // message (egress tail drop).
 func (p *telemetryPlane) spanDropMsg(msg []byte) {
-	if p.spans.Pending() == 0 {
-		return
-	}
-	if id, ok := wire.PeekTrace(msg); ok {
+	if id, ok := p.tracedID(msg); ok {
 		p.spans.Drop(id)
 	}
 }
@@ -437,9 +398,6 @@ func (p *telemetryPlane) spanDropMsg(msg []byte) {
 // SLO watch. Class and tenant trackers persist — they aggregate across
 // flow churn by design.
 func (p *telemetryPlane) forgetFlow(f *Flow) {
-	if f.traceEvery > 0 {
-		p.tracedFlows--
-	}
 	p.spans.ForgetFlow(f.id)
 	if p.sloFlows != nil {
 		delete(p.sloFlows, f.id)
@@ -503,7 +461,7 @@ func sloEntry(tr *telemetry.SLOTracker, now time.Duration) telemetry.SLOEntry {
 // Snapshot builds, publishes, and returns one coherent view of the whole
 // deployment: per-link load (with per-class rollups), per-queue scheduler
 // state, per-flow delivery metrics, routing and feedback counters,
-// aggregate totals, the metric registry, and trace occupancy — one call
+// aggregate totals, the standing metrics, and trace occupancy — one call
 // instead of one poll per subsystem. The timestamp is SIMULATED time.
 //
 // Snapshot must run on the simulator goroutine (it walks live engine
@@ -513,9 +471,9 @@ func (d *Deployment) Snapshot() *telemetry.Snapshot {
 	return d.tel.build()
 }
 
-// LatestSnapshot returns the most recently published snapshot (explicit
-// Snapshot call or periodic publisher), nil when none exists yet. Safe
-// from any goroutine — this is telemetry.Serve's read path.
+// LatestSnapshot returns the snapshot the last Snapshot call published,
+// nil when none exists yet. Safe from any goroutine — this is
+// telemetry.Serve's read path.
 func (d *Deployment) LatestSnapshot() *telemetry.Snapshot {
 	return d.tel.latest.Load()
 }
@@ -599,12 +557,15 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 		}
 	}
 
-	// Flows, ascending ID.
+	// Flows, ascending ID. Attribution is enabled while an open flow
+	// samples hop traces.
+	traced := false
 	for id := core.FlowID(1); id < d.nextFlow; id++ {
 		f, ok := d.flows[id]
 		if !ok {
 			continue
 		}
+		traced = traced || f.traceEvery > 0
 		fs := flowSnap(f)
 		s.Flows = append(s.Flows, fs)
 		t := &s.Totals
@@ -635,22 +596,12 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 		EpochRetires:       rt.EpochRetires,
 	}
 
-	fb := d.feedbackStats()
-	s.Feedback = telemetry.FeedbackSnapshot{
-		Enabled:          d.fb != nil,
-		Transitions:      fb.Transitions,
-		Batches:          fb.Batches,
-		SignalsSent:      fb.SignalsSent,
-		SignalsLocal:     fb.SignalsLocal,
-		SignalsDropped:   fb.SignalsDropped,
-		FlowSignals:      fb.FlowSignals,
-		HotRefreshes:     fb.HotRefreshes,
-		RateCuts:         fb.RateCuts,
-		RateRecoveries:   fb.RateRecoveries,
-		TenantCuts:       fb.TenantCuts,
-		TenantRecoveries: fb.TenantRecoveries,
-		PreemptiveMoves:  fb.PreemptiveMoves,
-		SubscribedFlows:  fb.SubscribedFlows,
+	if fb := d.fb; fb != nil {
+		s.Feedback = fb.stats
+		s.Feedback.Enabled = true
+		s.Feedback.Transitions = fb.bc.Noted()
+		s.Feedback.Batches = fb.bc.Flushes()
+		s.Feedback.SubscribedFlows = fb.reg.Subscribed()
 	}
 
 	// Per-tenant slice: each rollup recomputed from the SAME member rows
@@ -672,10 +623,17 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 	p.sloSweep(time.Duration(now))
 	s.SLO = p.sloSnapshot(time.Duration(now))
 	s.Attribution = p.spans.Snapshot()
-	s.Attribution.Enabled = p.tracedFlows > 0
+	s.Attribution.Enabled = traced
 
+	// The standing metrics, each family in ascending name order.
 	p.snapshots.Inc()
-	s.Counters, s.Gauges, s.Histograms = p.reg.Collect()
+	s.Counters = []telemetry.CounterSnapshot{{Name: "jqos_snapshots_built_total", Value: p.snapshots.Load()}}
+	s.Histograms = []telemetry.HistogramSnapshot{
+		p.budgetRatio.Snapshot(),
+		p.latencyMs.Snapshot(),
+		p.queueDepth.Snapshot(),
+		p.pacerFrac.Snapshot(),
+	}
 	s.Trace = p.ring.Stats()
 
 	p.latest.Store(s)
@@ -720,14 +678,10 @@ func flowSnap(f *Flow) telemetry.FlowSnapshot {
 		Throttled:        f.pacer != nil && f.pacer.Throttled(),
 		ServiceChanges:   len(f.changes),
 		Tenant:           f.spec.Tenant,
+		ByService:        m.ByService,
 	}
 	fs.CostPerGB = f.costPerGB(f.service)
 	fs.EstCostUSD = float64(m.SentBytes) / 1e9 * fs.CostPerGB
-	for svc, n := range m.ByService {
-		if int(svc) < telemetry.NumClasses {
-			fs.ByService[svc] = n
-		}
-	}
 	if m.Latency.Len() > 0 {
 		fs.LatencyMsMean = m.Latency.Mean()
 		fs.LatencyMsP50 = m.Latency.Quantile(0.5)

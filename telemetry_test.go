@@ -3,6 +3,8 @@ package jqos_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -93,13 +95,13 @@ func checkRollupInvariants(t *testing.T, withFeedback bool) {
 		t.Errorf("trace admission-drops %d != flow metric sum %d", got, admissionDropped)
 	}
 	if got := bk[telemetry.KindCongestionSignal]; got != fb.FlowSignals {
-		t.Errorf("trace congestion-signals %d != FeedbackStats.FlowSignals %d", got, fb.FlowSignals)
+		t.Errorf("trace congestion-signals %d != Feedback.FlowSignals %d", got, fb.FlowSignals)
 	}
 	if got := bk[telemetry.KindPacerCut]; got != fb.RateCuts {
-		t.Errorf("trace pacer-cuts %d != FeedbackStats.RateCuts %d", got, fb.RateCuts)
+		t.Errorf("trace pacer-cuts %d != Feedback.RateCuts %d", got, fb.RateCuts)
 	}
 	if got := bk[telemetry.KindPacerRecover]; got != fb.RateRecoveries {
-		t.Errorf("trace pacer-recovers %d != FeedbackStats.RateRecoveries %d", got, fb.RateRecoveries)
+		t.Errorf("trace pacer-recovers %d != Feedback.RateRecoveries %d", got, fb.RateRecoveries)
 	}
 	// The scenario actually fires the interesting kinds: pacing with
 	// feedback on, scheduler tail-drops without it.
@@ -179,38 +181,6 @@ func TestSnapshotConcurrentWithTraffic(t *testing.T) {
 	}
 }
 
-// TestPeriodicPublisher checks that a PublishInterval feeds
-// LatestSnapshot without an explicit Snapshot call, and that the
-// publisher parks (the run drains) once traffic stops.
-func TestPeriodicPublisher(t *testing.T) {
-	cfg := backpressureConfig(1_000_000, true)
-	cfg.Telemetry.PublishInterval = 100 * time.Millisecond
-	d := jqos.NewDeploymentWithConfig(71, cfg)
-	dc1 := d.AddDC("a", 0)
-	dc2 := d.AddDC("b", 1)
-	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
-	src := d.AddHost(dc1, 5*time.Millisecond)
-	dst := d.AddHost(dc2, 8*time.Millisecond)
-	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		at := time.Duration(i) * 10 * time.Millisecond
-		d.Sim().At(at, func() { f.Send(make([]byte, 500)) })
-	}
-	// RunUntilQuiet returning proves the publisher parked instead of
-	// rescheduling forever.
-	d.RunUntilQuiet()
-	s := d.LatestSnapshot()
-	if s == nil {
-		t.Fatal("publisher never published")
-	}
-	if s.Totals.Sent == 0 {
-		t.Fatalf("published snapshot saw no traffic: %+v", s.Totals)
-	}
-}
-
 // TestTraceDeterminism runs the same seed twice and requires the full
 // trace — simulated timestamps included — to be byte-identical (all
 // timestamps come from the event simulator, never the wall clock).
@@ -229,4 +199,77 @@ func TestTraceDeterminism(t *testing.T) {
 	if !bytes.Equal(marshal(71), marshal(71)) {
 		t.Fatal("same-seed traces differ")
 	}
+}
+
+// TestSLOObjectiveWithoutBudgetPanics: an objective of 1 (or NaN) leaves
+// no error budget, so every burn rate would be NaN or +Inf and the
+// snapshot unencodable; the constructor refuses it.
+func TestSLOObjectiveWithoutBudgetPanics(t *testing.T) {
+	for _, obj := range []float64{1, 1.5, math.NaN()} {
+		cfg := jqos.DefaultConfig()
+		cfg.Telemetry.SLO = jqos.SLOConfig{Objective: obj}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Objective %v: NewDeploymentWithConfig did not panic", obj)
+				}
+			}()
+			jqos.NewDeploymentWithConfig(1, cfg)
+		}()
+	}
+}
+
+// TestSnapshotMetricsAscending: the standing counters and histograms are
+// listed in ascending name order, the order the exposition depends on.
+func TestSnapshotMetricsAscending(t *testing.T) {
+	_, s := runTelemetryScenario(t, 71, true)
+	var counters, hists []string
+	for _, c := range s.Counters {
+		counters = append(counters, c.Name)
+	}
+	for _, h := range s.Histograms {
+		hists = append(hists, h.Name)
+	}
+	if want := []string{"jqos_snapshots_built_total"}; !slices.Equal(counters, want) {
+		t.Errorf("counters %v, want %v", counters, want)
+	}
+	want := []string{
+		"jqos_delivery_budget_ratio",
+		"jqos_delivery_latency_ms",
+		"jqos_egress_queue_depth_bytes",
+		"jqos_pacer_rate_fraction",
+	}
+	if !slices.Equal(hists, want) {
+		t.Errorf("histograms %v, want %v", hists, want)
+	}
+}
+
+// TestAttributionEnabledFollowsTracedFlows: the snapshot's attribution
+// surface is enabled exactly while an open flow samples hop traces.
+func TestAttributionEnabledFollowsTracedFlows(t *testing.T) {
+	d := jqos.NewDeployment(5)
+	dc1 := d.AddDC("a", 0)
+	dc2 := d.AddDC("b", 1)
+	d.ConnectDCs(dc1, dc2, 20*time.Millisecond)
+	src := d.AddHost(dc1, 5*time.Millisecond)
+	dst := d.AddHost(dc2, 8*time.Millisecond)
+	plain, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Snapshot().Attribution.Enabled {
+		t.Error("attribution enabled with no traced flow")
+	}
+	traced, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 300 * time.Millisecond, TraceSampling: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Snapshot().Attribution.Enabled {
+		t.Error("attribution disabled with a traced flow open")
+	}
+	traced.Close()
+	if d.Snapshot().Attribution.Enabled {
+		t.Error("attribution still enabled after the traced flow closed")
+	}
+	plain.Close()
 }

@@ -188,7 +188,6 @@ func TestTenantRegistrationValidation(t *testing.T) {
 func TestTenantChurnRaceClean(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
-	cfg.Telemetry.PublishInterval = 10 * time.Millisecond
 	d := jqos.NewDeploymentWithConfig(83, cfg)
 	dc1 := d.AddDC("a", dataset.RegionUSEast)
 	dc2 := d.AddDC("b", dataset.RegionEU)
@@ -233,6 +232,12 @@ func TestTenantChurnRaceClean(t *testing.T) {
 			}
 			d.Sim().At(at+30*time.Millisecond, f.Close)
 		})
+	}
+
+	// Sim-goroutine publisher: a fresh snapshot every 10 ms for the
+	// reader below to race against.
+	for at := time.Duration(0); at < 2*time.Second; at += 10 * time.Millisecond {
+		d.Sim().At(at, func() { d.Snapshot() })
 	}
 
 	// Concurrent reader: LatestSnapshot is an atomic pointer handoff and

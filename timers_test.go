@@ -36,7 +36,6 @@ func TestParkingLoopsQuiesce(t *testing.T) {
 		{name: "tenant cost", enable: func(c *jqos.Config) { c.UpgradeInterval = period }, tenant: true},
 		{name: "load reporter", enable: func(c *jqos.Config) { c.LinkCapacity = 1_000_000 }},
 		{name: "link prober", enable: func(c *jqos.Config) { c.Monitor.ProbeInterval = period }},
-		{name: "snapshot publisher", enable: func(c *jqos.Config) { c.Telemetry.PublishInterval = period }},
 		{name: "slo sweeper", enable: func(c *jqos.Config) {
 			c.Telemetry.SLO = jqos.SLOConfig{Objective: 0.99, FastWindow: 4 * period}
 		}},
