@@ -38,16 +38,19 @@ type FlowMetrics struct {
 	PacedBytes uint64
 	// ByService counts deliveries by the service that produced them.
 	ByService [core.NumServices]uint64
-	// Latency samples end-to-end delivery latency in milliseconds.
-	Latency *stats.Sample
-	// DirectLatency samples only unrecovered (direct-path) deliveries.
-	DirectLatency *stats.Sample
+	// Latency is the end-to-end delivery latency in milliseconds, in a
+	// bounded histogram: its quantiles are within a relative 2⁻¹² of the
+	// exact order statistics; Len, Min, Max and Mean are exact.
+	Latency *stats.Histogram
+	// DirectLatency is the same for unrecovered (direct-path) deliveries
+	// only.
+	DirectLatency *stats.Histogram
 }
 
 func newFlowMetrics() *FlowMetrics {
 	return &FlowMetrics{
-		Latency:       &stats.Sample{},
-		DirectLatency: &stats.Sample{},
+		Latency:       &stats.Histogram{},
+		DirectLatency: &stats.Histogram{},
 	}
 }
 

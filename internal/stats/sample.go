@@ -12,11 +12,12 @@ import (
 // Sample accumulates float64 observations and answers order-statistics
 // queries. The zero value is ready to use.
 //
-// Observations are stored sorted up to the last order-statistics read and
-// in arrival order after it. A read sorts only what arrived since and
-// merges it in, so a Sample read every few observations — a flow's latency
-// history, consulted on each adaptation tick and snapshot — pays for the
-// new values, not for its whole history.
+// A Sample keeps every observation, for the exact CDFs figures draw; a
+// history that must stay bounded uses Histogram. Observations are
+// stored sorted up to the last order-statistics read and in arrival
+// order after it. A read sorts only what arrived since and merges it in,
+// so a Sample read every few observations pays for the new values, not
+// for its whole history.
 type Sample struct {
 	data   []float64
 	sorted int // data[:sorted] is in ascending order
@@ -35,13 +36,6 @@ func (s *Sample) Add(v float64) {
 		panic("stats: NaN observation")
 	}
 	s.data = append(s.data, v)
-}
-
-// AddAll records a batch of observations.
-func (s *Sample) AddAll(vs ...float64) {
-	for _, v := range vs {
-		s.Add(v)
-	}
 }
 
 // Len returns the number of observations.
@@ -123,22 +117,6 @@ func (s *Sample) Mean() float64 {
 	return s.Sum() / float64(len(s.data))
 }
 
-// Stddev returns the population standard deviation, or 0 for fewer than two
-// observations.
-func (s *Sample) Stddev() float64 {
-	n := len(s.data)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.data {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
 // between order statistics (type-7 estimator, the same one used by R and
 // NumPy's default). It panics on an empty sample or q outside [0, 1].
@@ -206,37 +184,4 @@ func (s *Sample) CCDF(name string) Series {
 		cdf.Points[i].Y = 1 - cdf.Points[i].Y
 	}
 	return cdf
-}
-
-// Summary is a compact five-number-plus description of a sample.
-type Summary struct {
-	N                int
-	Min, P25, Median float64
-	P75, P90, P95    float64
-	P99, Max, Mean   float64
-}
-
-// Summarize computes a Summary. An empty sample yields the zero Summary.
-func (s *Sample) Summarize() Summary {
-	if s.Len() == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      s.Len(),
-		Min:    s.Min(),
-		P25:    s.Quantile(0.25),
-		Median: s.Median(),
-		P75:    s.Quantile(0.75),
-		P90:    s.Quantile(0.90),
-		P95:    s.Quantile(0.95),
-		P99:    s.Quantile(0.99),
-		Max:    s.Max(),
-		Mean:   s.Mean(),
-	}
-}
-
-// String implements fmt.Stringer.
-func (sm Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3g p50=%.3g p90=%.3g p95=%.3g p99=%.3g max=%.3g mean=%.3g",
-		sm.N, sm.Min, sm.Median, sm.P90, sm.P95, sm.P99, sm.Max, sm.Mean)
 }

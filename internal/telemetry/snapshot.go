@@ -179,7 +179,9 @@ type FlowSnapshot struct {
 	ServiceChanges int `json:"service_changes"`
 
 	// Delivery-latency summary in milliseconds (zero when nothing
-	// delivered yet).
+	// delivered yet), read off the flow's latency histogram: the mean is
+	// exact, the quantiles are within a relative 2⁻¹² of the exact order
+	// statistics.
 	LatencyMsMean float64 `json:"latency_ms_mean"`
 	LatencyMsP50  float64 `json:"latency_ms_p50"`
 	LatencyMsP95  float64 `json:"latency_ms_p95"`

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"jqos"
+	"jqos/internal/dataset"
+	"jqos/internal/netem"
 	"jqos/internal/telemetry"
 )
 
@@ -272,4 +274,49 @@ func TestAttributionEnabledFollowsTracedFlows(t *testing.T) {
 		t.Error("attribution still enabled after the traced flow closed")
 	}
 	plain.Close()
+}
+
+// TestSnapshotHasNoObserverEffect runs one seeded world twice, once
+// with a snapshot every 7 ms, and requires the final flow rows to be
+// byte-identical: building a snapshot must leave no trace in what the
+// flows later report (no in-place sort, no reordered sum).
+func TestSnapshotHasNoObserverEffect(t *testing.T) {
+	run := func(observe bool) []byte {
+		d := jqos.NewDeployment(3)
+		dc1 := d.AddDC("us-east", dataset.RegionUSEast)
+		dc2 := d.AddDC("eu-west", dataset.RegionEU)
+		d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
+		var flows []*jqos.Flow
+		for i := 0; i < 4; i++ {
+			src := d.AddHost(dc1, 5*time.Millisecond)
+			dst := d.AddHost(dc2, 8*time.Millisecond)
+			d.SetDirectPath(src, dst, netem.UniformJitter{Base: 50 * time.Millisecond, Jitter: 3 * time.Millisecond}, netem.Bernoulli{P: 0.02})
+			f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 300 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows = append(flows, f)
+		}
+		payload := make([]byte, 200)
+		const sends = 4000
+		for i := 0; i < sends; i++ {
+			f := flows[i%len(flows)]
+			d.Sim().At(time.Duration(i)*time.Millisecond, func() { f.Send(payload) })
+		}
+		if observe {
+			for at := 7 * time.Millisecond; at < sends*time.Millisecond; at += 7 * time.Millisecond {
+				d.Sim().At(at, func() { d.Snapshot() })
+			}
+		}
+		d.Run(10 * time.Second)
+		data, err := json.Marshal(d.Snapshot().Flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	quiet, observed := run(false), run(true)
+	if !bytes.Equal(quiet, observed) {
+		t.Fatalf("snapshots every 7 ms changed the final flow rows:\nunobserved %s\nobserved   %s", quiet, observed)
+	}
 }
