@@ -559,6 +559,13 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 
 	// Flows, ascending ID. Attribution is enabled while an open flow
 	// samples hop traces.
+	n := 0
+	for id := core.FlowID(1); id < d.nextFlow; id++ {
+		if f, ok := d.flows[id]; ok {
+			n += f.snapNodes()
+		}
+	}
+	nodes := make([]core.NodeID, n)
 	traced := false
 	for id := core.FlowID(1); id < d.nextFlow; id++ {
 		f, ok := d.flows[id]
@@ -566,7 +573,7 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 			continue
 		}
 		traced = traced || f.traceEvery > 0
-		fs := flowSnap(f)
+		fs := flowSnap(f, &nodes)
 		s.Flows = append(s.Flows, fs)
 		t := &s.Totals
 		t.Flows++
@@ -656,16 +663,19 @@ func dirSnap(dl load.DirLoad) telemetry.DirSnapshot {
 	return out
 }
 
-func flowSnap(f *Flow) telemetry.FlowSnapshot {
+// flowSnap builds one flow's snapshot row. Its Dsts and Path are cut
+// from the front of *nodes, which the caller sizes to the snapNodes of
+// every flow it snapshots: one allocation per snapshot, not two per flow.
+func flowSnap(f *Flow, nodes *[]core.NodeID) telemetry.FlowSnapshot {
 	m := f.metrics
 	fs := telemetry.FlowSnapshot{
 		ID:               f.id,
 		Src:              f.src,
-		Dsts:             append([]core.NodeID(nil), f.dsts...),
+		Dsts:             cutNodes(nodes, f.dsts),
 		Service:          f.service,
 		ServiceName:      f.service.String(),
 		Budget:           f.spec.Budget,
-		Path:             append([]core.NodeID(nil), f.activePath...),
+		Path:             cutNodes(nodes, f.activePath),
 		Sent:             m.Sent,
 		SentBytes:        m.SentBytes,
 		Delivered:        m.Delivered,
@@ -688,4 +698,21 @@ func flowSnap(f *Flow) telemetry.FlowSnapshot {
 		fs.LatencyMsP95 = m.Latency.Quantile(0.95)
 	}
 	return fs
+}
+
+// snapNodes is how many node IDs flowSnap cuts for f.
+func (f *Flow) snapNodes() int { return len(f.dsts) + len(f.activePath) }
+
+// cutNodes copies src to the front of *buf and advances *buf past the
+// copy. The copy's capacity ends at its length, so appending to one
+// row's list never writes into the next. An empty src stays nil, which
+// the JSON encodes as null.
+func cutNodes(buf *[]core.NodeID, src []core.NodeID) []core.NodeID {
+	if len(src) == 0 {
+		return nil
+	}
+	n := copy(*buf, src)
+	out := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return out
 }

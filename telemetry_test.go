@@ -320,3 +320,31 @@ func TestSnapshotHasNoObserverEffect(t *testing.T) {
 		t.Fatalf("snapshots every 7 ms changed the final flow rows:\nunobserved %s\nobserved   %s", quiet, observed)
 	}
 }
+
+// TestSnapshotNodeLists: a snapshot cuts every flow's Dsts and Path from
+// one array. An empty list stays nil, as when each list was its own
+// copy, and appending to one row's list never writes into the next.
+func TestSnapshotNodeLists(t *testing.T) {
+	d := jqos.NewDeployment(1)
+	dc1 := d.AddDC("us-east", dataset.RegionUSEast)
+	dc2 := d.AddDC("eu-west", dataset.RegionEU)
+	d.ConnectDCs(dc1, dc2, 40*time.Millisecond)
+	src := d.AddHost(dc1, 5*time.Millisecond)
+	for _, dst := range []jqos.NodeID{d.AddHost(dc2, 8*time.Millisecond), d.AddHost(dc1, 6*time.Millisecond)} {
+		d.SetDirectPath(src, dst, netem.FixedDelay(50*time.Millisecond), nil)
+		if _, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 300 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := d.Snapshot()
+	far, near := s.Flows[0], s.Flows[1]
+	if len(far.Dsts) != 1 || len(far.Path) != 2 || len(near.Dsts) != 1 || near.Path != nil {
+		t.Fatalf("cross-DC flow dsts %v path %v; same-DC flow dsts %v path %v", far.Dsts, far.Path, near.Dsts, near.Path)
+	}
+	path, dsts := slices.Clone(far.Path), slices.Clone(near.Dsts)
+	_ = append(far.Dsts, 0)
+	_ = append(far.Path, 0)
+	if !slices.Equal(far.Path, path) || !slices.Equal(near.Dsts, dsts) {
+		t.Errorf("appending to one row's list moved the next: path %v (was %v), dsts %v (was %v)", far.Path, path, near.Dsts, dsts)
+	}
+}

@@ -47,10 +47,17 @@ func (d *Deployment) TenantStats(id TenantID) (telemetry.TenantSnapshot, bool) {
 	if !ok {
 		return telemetry.TenantSnapshot{}, false
 	}
+	n := 0
+	for fid := core.FlowID(1); fid < d.nextFlow; fid++ {
+		if f, ok := d.flows[fid]; ok && f.spec.Tenant == id {
+			n += f.snapNodes()
+		}
+	}
+	nodes := make([]core.NodeID, n)
 	var members []telemetry.FlowSnapshot
 	for fid := core.FlowID(1); fid < d.nextFlow; fid++ {
 		if f, ok := d.flows[fid]; ok && f.spec.Tenant == id {
-			members = append(members, flowSnap(f))
+			members = append(members, flowSnap(f, &nodes))
 		}
 	}
 	return tenantSnap(t, members), true
