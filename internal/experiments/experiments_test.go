@@ -3,11 +3,48 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"jqos/internal/stats"
 	"jqos/internal/tcpsim"
 )
+
+// yAt linearly interpolates a series sorted by X at x, clamping outside
+// its range to the boundary Y values.
+func yAt(s stats.Series, x float64) float64 {
+	pts := s.Points
+	if len(pts) == 0 {
+		return 0
+	}
+	if x <= pts[0].X {
+		return pts[0].Y
+	}
+	if x >= pts[len(pts)-1].X {
+		return pts[len(pts)-1].Y
+	}
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].X >= x })
+	a, b := pts[i-1], pts[i]
+	if b.X == a.X {
+		return b.Y
+	}
+	return a.Y + (x-a.X)/(b.X-a.X)*(b.Y-a.Y)
+}
+
+// xAtY returns the smallest x at which a CDF series reaches y, or its
+// last x if it never does.
+func xAtY(s stats.Series, y float64) float64 {
+	for _, p := range s.Points {
+		if p.Y >= y {
+			return p.X
+		}
+	}
+	if len(s.Points) == 0 {
+		return 0
+	}
+	return s.Points[len(s.Points)-1].X
+}
 
 func tcpsimNoRecovery() tcpsim.Recovery { return tcpsim.NoRecovery{} }
 func tcpsimCRWAN() tcpsim.Recovery      { return tcpsim.DefaultCRWAN() }
@@ -92,15 +129,15 @@ func TestFig7aShape(t *testing.T) {
 	coding := fig.Series[series["Coding"]]
 	internet := fig.Series[series["Internet"]]
 	// Paper headline: 95% of paths ≤150 ms for cache and coding.
-	if x := cache.XAtY(0.95); x > 160 {
+	if x := xAtY(cache, 0.95); x > 160 {
 		t.Errorf("cache p95 = %.0f ms", x)
 	}
-	if x := coding.XAtY(0.95); x > 175 {
+	if x := xAtY(coding, 0.95); x > 175 {
 		t.Errorf("coding p95 = %.0f ms", x)
 	}
 	// Internet has a heavier tail than forwarding.
 	fwd := fig.Series[series["Fwd"]]
-	if internet.XAtY(0.99) <= fwd.XAtY(0.99) {
+	if xAtY(internet, 0.99) <= xAtY(fwd, 0.99) {
 		t.Error("internet tail not heavier than forwarding")
 	}
 }
@@ -113,10 +150,10 @@ func TestFig7bShape(t *testing.T) {
 	fig := res.Figures[0]
 	caching, coding := fig.Series[0], fig.Series[1]
 	// Caching recovers strictly faster than coding; both mostly ≤0.5 RTT.
-	if caching.YAt(0.25) <= coding.YAt(0.25) {
+	if yAt(caching, 0.25) <= yAt(coding, 0.25) {
 		t.Error("caching not faster than coding at 0.25 RTT")
 	}
-	if y := caching.YAt(0.5); y < 0.85 {
+	if y := yAt(caching, 0.5); y < 0.85 {
 		t.Errorf("caching within 0.5 RTT = %.2f", y)
 	}
 }
@@ -150,7 +187,7 @@ func TestFig9aOrdering(t *testing.T) {
 	// CR-WAN ride it out.
 	bad := map[string]float64{}
 	for _, s := range fig.Series {
-		bad[s.Name] = s.YAt(30)
+		bad[s.Name] = yAt(s, 30)
 	}
 	if bad["Internet"] < 0.08 {
 		t.Errorf("Internet bad-frame mass %.2f — outage invisible", bad["Internet"])

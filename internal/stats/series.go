@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -21,43 +20,6 @@ type Series struct {
 
 // Append adds a point.
 func (s *Series) Append(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// YAt linearly interpolates the series at x. Points must be sorted by X.
-// X values outside the series range clamp to the boundary Y values.
-func (s *Series) YAt(x float64) float64 {
-	pts := s.Points
-	if len(pts) == 0 {
-		return 0
-	}
-	if x <= pts[0].X {
-		return pts[0].Y
-	}
-	if x >= pts[len(pts)-1].X {
-		return pts[len(pts)-1].Y
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].X >= x })
-	a, b := pts[i-1], pts[i]
-	if b.X == a.X {
-		return b.Y
-	}
-	frac := (x - a.X) / (b.X - a.X)
-	return a.Y + frac*(b.Y-a.Y)
-}
-
-// XAtY returns the smallest x at which the series reaches y (useful for
-// reading "95% of paths are below …" off a CDF). Points must be sorted and
-// Y monotonically non-decreasing. Returns the final X if y is never reached.
-func (s *Series) XAtY(y float64) float64 {
-	for _, p := range s.Points {
-		if p.Y >= y {
-			return p.X
-		}
-	}
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].X
-}
 
 // Figure is a titled collection of series with axis labels — one paper
 // figure. It renders to CSV (for external plotting) and ASCII (for the

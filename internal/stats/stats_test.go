@@ -10,9 +10,16 @@ import (
 	"testing/quick"
 )
 
+// addAll records each of vs in s.
+func addAll(s *Sample, vs ...float64) {
+	for _, v := range vs {
+		s.Add(v)
+	}
+}
+
 func TestSampleBasics(t *testing.T) {
 	s := NewSample(4)
-	s.AddAll(3, 1, 2, 4)
+	addAll(s, 3, 1, 2, 4)
 	if got := s.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
 	}
@@ -32,14 +39,11 @@ func TestSampleBasics(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Stddev() != 0 {
+	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 {
 		t.Error("empty sample should report zeros")
 	}
 	if got := s.FractionBelow(10); got != 0 {
 		t.Errorf("FractionBelow on empty = %v, want 0", got)
-	}
-	if sm := s.Summarize(); sm.N != 0 {
-		t.Errorf("Summarize on empty: %+v", sm)
 	}
 	if cdf := s.CDF("e"); len(cdf.Points) != 0 {
 		t.Errorf("CDF on empty has %d points", len(cdf.Points))
@@ -58,7 +62,7 @@ func TestSampleRejectsNaN(t *testing.T) {
 
 func TestQuantileInterpolation(t *testing.T) {
 	var s Sample
-	s.AddAll(0, 10)
+	addAll(&s, 0, 10)
 	cases := []struct{ q, want float64 }{
 		{0, 0}, {0.25, 2.5}, {0.5, 5}, {0.75, 7.5}, {1, 10},
 	}
@@ -120,7 +124,7 @@ func TestQuantileOrderedProperty(t *testing.T) {
 
 func TestFractionBelow(t *testing.T) {
 	var s Sample
-	s.AddAll(1, 2, 2, 3)
+	addAll(&s, 1, 2, 2, 3)
 	cases := []struct{ x, want float64 }{
 		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {9, 1},
 	}
@@ -133,7 +137,7 @@ func TestFractionBelow(t *testing.T) {
 
 func TestCDFDistinctAndMonotone(t *testing.T) {
 	var s Sample
-	s.AddAll(5, 1, 5, 2, 2, 9)
+	addAll(&s, 5, 1, 5, 2, 2, 9)
 	cdf := s.CDF("x")
 	if len(cdf.Points) != 4 { // distinct values: 1 2 5 9
 		t.Fatalf("CDF has %d points, want 4", len(cdf.Points))
@@ -153,40 +157,13 @@ func TestCDFDistinctAndMonotone(t *testing.T) {
 
 func TestCCDF(t *testing.T) {
 	var s Sample
-	s.AddAll(1, 2, 3, 4)
+	addAll(&s, 1, 2, 3, 4)
 	ccdf := s.CCDF("x")
 	if got := ccdf.Points[len(ccdf.Points)-1].Y; got != 0 {
 		t.Errorf("final CCDF y = %v, want 0", got)
 	}
 	if got := ccdf.Points[0].Y; got != 0.75 {
 		t.Errorf("first CCDF y = %v, want 0.75", got)
-	}
-}
-
-func TestSeriesYAt(t *testing.T) {
-	s := Series{Points: []Point{{0, 0}, {10, 1}}}
-	if got := s.YAt(5); got != 0.5 {
-		t.Errorf("YAt(5) = %v, want 0.5", got)
-	}
-	if got := s.YAt(-1); got != 0 {
-		t.Errorf("YAt(-1) = %v, want 0 (clamp)", got)
-	}
-	if got := s.YAt(99); got != 1 {
-		t.Errorf("YAt(99) = %v, want 1 (clamp)", got)
-	}
-	var empty Series
-	if got := empty.YAt(1); got != 0 {
-		t.Errorf("empty YAt = %v, want 0", got)
-	}
-}
-
-func TestSeriesXAtY(t *testing.T) {
-	s := Series{Points: []Point{{1, 0.2}, {2, 0.6}, {3, 1.0}}}
-	if got := s.XAtY(0.5); got != 2 {
-		t.Errorf("XAtY(0.5) = %v, want 2", got)
-	}
-	if got := s.XAtY(2); got != 3 {
-		t.Errorf("XAtY(2) = %v, want last x", got)
 	}
 }
 
@@ -242,15 +219,8 @@ func TestSummaryAgainstKnownDistribution(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		s.Add(rng.Float64())
 	}
-	sm := s.Summarize()
-	if math.Abs(sm.Median-0.5) > 0.01 || math.Abs(sm.P95-0.95) > 0.01 || math.Abs(sm.Mean-0.5) > 0.01 {
-		t.Errorf("uniform sample summary off: %v", sm)
-	}
-	if !strings.Contains(sm.String(), "n=100000") {
-		t.Errorf("summary string: %s", sm)
-	}
-	if sd := s.Stddev(); math.Abs(sd-math.Sqrt(1.0/12)) > 0.01 {
-		t.Errorf("Stddev = %v, want ~0.2887", sd)
+	if med, p95, mean := s.Median(), s.Quantile(0.95), s.Mean(); math.Abs(med-0.5) > 0.01 || math.Abs(p95-0.95) > 0.01 || math.Abs(mean-0.5) > 0.01 {
+		t.Errorf("uniform sample: median %v, p95 %v, mean %v", med, p95, mean)
 	}
 }
 

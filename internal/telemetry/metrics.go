@@ -113,31 +113,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
-// attributing each bucket's mass to its upper bound (the conservative
-// Prometheus-style read). The overflow bucket reports the highest finite
-// bound. Returns 0 for an empty histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return s.Bounds[len(s.Bounds)-1]
-		}
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // CounterSnapshot is one counter's named point-in-time value.
 type CounterSnapshot struct {
 	Name  string `json:"name"`
