@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"jqos"
+	"jqos/internal/coding"
+	"jqos/internal/core"
 	"jqos/internal/dataset"
 	"jqos/internal/experiments"
 	"jqos/internal/netem"
@@ -59,16 +61,29 @@ func BenchmarkFig10EncoderScaling(b *testing.B) {
 	}
 }
 
+// benchPipeline pushes b.N packets through a coding.Pipeline of the given
+// worker count, with Figure 10's encoder settings, and reports the
+// sustained rate in Kpps.
 func benchPipeline(b *testing.B, workers int) {
-	// Reuse the coding pipeline through the public deployment surface is
-	// not possible (DC1 pipelines are an offline-scaling tool), so this
-	// calls the experiment's underlying machinery via the figure run.
-	// Measuring Submit throughput directly:
+	cfg := coding.DefaultEncoderConfig()
+	cfg.K = 6
+	cfg.InBlock = 5 // one coded packet per five data packets (§6.6)
+	p, err := coding.NewPipeline(1, cfg, workers, 4096, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	payload := make([]byte, 512)
+	flows := workers * 8 // plenty of flows per worker to fill batches
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
-	kpps := experiments.MeasurePipeline(workers, b.N, payload)
-	b.ReportMetric(kpps, "Kpps")
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		flow := core.FlowID(i%flows + 1)
+		p.Submit(core.Time(i)*time.Microsecond, 2, 100, flow, core.Seq(i/flows+1), payload)
+	}
+	p.Close()
+	b.ReportMetric(float64(b.N)/time.Since(start).Seconds()/1000, "Kpps")
 }
 
 // BenchmarkCostModel prices a deployment per iteration (§6.6 table).
@@ -177,13 +192,13 @@ func BenchmarkSnapshot(b *testing.B) {
 
 // BenchmarkServiceSelection measures the §3.5 selection path.
 func BenchmarkServiceSelection(b *testing.B) {
-	d, _ := buildBenchWorld(b, 3)
+	d, flows := buildBenchWorld(b, 3)
 	topo := d.Topology()
-	hosts := topo.Hosts()
+	spec := flows[0].Spec()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, ok := topo.SelectService(hosts[0], hosts[1], 300*time.Millisecond, true)
+		_, _, ok := topo.SelectService(spec.Src, spec.Dst, 300*time.Millisecond, true)
 		if !ok {
 			b.Fatal("selection failed")
 		}

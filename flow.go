@@ -252,7 +252,7 @@ func (f *Flow) Send(payload []byte) core.Seq {
 	return f.SendFlagged(payload, 0)
 }
 
-// SendFlagged is Send with explicit header flags (e.g. FlagEndOfBurst).
+// SendFlagged is Send with explicit header flags (the wire.Flag* bits).
 // The message is encoded once; per-destination copies only rewrite the
 // destination (and, for the cloud copy, the flags). Every copy is a region
 // of one allocation, each region its recipient's alone. Sending on a

@@ -19,6 +19,25 @@ import (
 // TestFastestFlowFollowsPrimary: a PathFastest flow's Path() moves with
 // the primary path, one reroute event per move, and a recompute that
 // leaves the primary alone moves nothing.
+// pinnedPath follows the per-flow entries the DCs' forwarders hold for flow
+// toward dst, starting at ingress: the DC path the flow's packets take. It
+// is nil when ingress holds no entry.
+func pinnedPath(d *jqos.Deployment, flow jqos.FlowID, ingress, dst jqos.NodeID) []jqos.NodeID {
+	var path []jqos.NodeID
+	for at := ingress; len(path) < 16; {
+		via, ok := d.DC(at).Forwarder().FlowRoute(flow, dst)
+		if !ok {
+			break
+		}
+		if path == nil {
+			path = []jqos.NodeID{at}
+		}
+		path = append(path, via)
+		at = via
+	}
+	return path
+}
+
 func TestFastestFlowFollowsPrimary(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0
@@ -91,8 +110,8 @@ func TestDeadPinReresolves(t *testing.T) {
 	viaDC2 := []jqos.NodeID{dcs[0], dcs[1], dcs[3]}
 	viaDC3 := []jqos.NodeID{dcs[0], dcs[2], dcs[3]}
 	ctrl := d.Routing()
-	if p, ok := ctrl.PinnedPath(f.ID()); !ok || !slices.Equal(p, viaDC3) {
-		t.Fatalf("pin = %v %v, want %v", p, ok, viaDC3)
+	if p := pinnedPath(d, f.ID(), dcs[0], dst); !slices.Equal(p, viaDC3) {
+		t.Fatalf("pin = %v, want %v", p, viaDC3)
 	}
 
 	// The primary dies: the pin rides on untouched.
@@ -107,8 +126,8 @@ func TestDeadPinReresolves(t *testing.T) {
 	if len(rec.reroutes) != 1 || !slices.Equal(rec.reroutes[0][0], viaDC3) || !slices.Equal(rec.reroutes[0][1], viaDC2) {
 		t.Fatalf("reroutes = %v, want one %v → %v", rec.reroutes, viaDC3, viaDC2)
 	}
-	if p, ok := ctrl.PinnedPath(f.ID()); !ok || !slices.Equal(p, viaDC2) {
-		t.Errorf("pin after failover = %v %v, want %v", p, ok, viaDC2)
+	if p := pinnedPath(d, f.ID(), dcs[0], dst); !slices.Equal(p, viaDC2) {
+		t.Errorf("pin after failover = %v, want %v", p, viaDC2)
 	}
 	if n := ctrl.PinnedCount(); n != 1 {
 		t.Errorf("%d pins after failover, want 1", n)
@@ -144,8 +163,8 @@ func TestParkedPinnedFlowPinsWhenPathAppears(t *testing.T) {
 
 	d.ConnectDCs(dc1, dc2, 30*time.Millisecond)
 	want := []jqos.NodeID{dc1, dc2}
-	if p, ok := ctrl.PinnedPath(f.ID()); !ok || !slices.Equal(p, want) {
-		t.Fatalf("pin after connect = %v %v, want %v", p, ok, want)
+	if p := pinnedPath(d, f.ID(), dc1, dst); !slices.Equal(p, want) {
+		t.Fatalf("pin after connect = %v, want %v", p, want)
 	}
 	if !slices.Equal(f.Path(), want) || len(rec.reroutes) != 1 {
 		t.Errorf("path %v after %d reroutes, want %v after one", f.Path(), len(rec.reroutes), want)

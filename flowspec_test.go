@@ -501,7 +501,7 @@ func TestReconnect(t *testing.T) {
 	if h, _ := d.Link(dcs[1], dcs[3]).Health(); h.State != routing.LinkUp {
 		t.Errorf("link state = %v after Reconnect", h.State)
 	}
-	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[1] {
+	if via, ok := d.DC(dcs[0]).Forwarder().Route(dcs[3]); !ok || via != dcs[1] {
 		t.Errorf("dc1→dc4 via %v after reconnect, want dc2", via)
 	}
 	// Final packets ride the restored 30 ms primary again (~43 ms e2e) —
@@ -522,6 +522,25 @@ func TestReconnect(t *testing.T) {
 // TestReceiverRTTSeededFromOverlay: with no direct path installed, the
 // receiver's RTT estimate comes from the routed overlay latency instead
 // of degenerating to the static default.
+// seededRTT sends one packet on f and reads the long timer the receiver at
+// dst arms on its first arrival: that deadline less the arrival time is the
+// RTT the receiver was seeded with.
+func seededRTT(t *testing.T, d *jqos.Deployment, f *jqos.Flow, dst jqos.NodeID) time.Duration {
+	t.Helper()
+	rtt := time.Duration(-1)
+	d.Host(dst).SetDeliveryHandler(func(del core.Delivery) {
+		if deadline, ok := d.Host(dst).Receiver(f.ID()).NextDeadline(); ok && rtt < 0 {
+			rtt = deadline - del.At
+		}
+	})
+	f.Send([]byte("x"))
+	d.Run(time.Second)
+	if rtt < 0 {
+		t.Fatal("the packet never arrived")
+	}
+	return rtt
+}
+
 func TestReceiverRTTSeededFromOverlay(t *testing.T) {
 	d := jqos.NewDeployment(25)
 	dc1 := d.AddDC("a", dataset.RegionUSEast)
@@ -535,12 +554,8 @@ func TestReceiverRTTSeededFromOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := d.Host(dst).Receiver(f.ID())
-	if r == nil {
-		t.Fatal("no receiver")
-	}
 	// Overlay one-way = 5+120+8 = 133 ms → RTT 266 ms.
-	if got := r.Config().RTT; got != 266*time.Millisecond {
+	if got := seededRTT(t, d, f, dst); got != 266*time.Millisecond {
 		t.Errorf("receiver RTT = %v, want 266ms (2× overlay path)", got)
 	}
 
@@ -556,7 +571,7 @@ func TestReceiverRTTSeededFromOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d2.Host(r2).Receiver(f2.ID()).Config().RTT; got != 50*time.Millisecond {
+	if got := seededRTT(t, d2, f2, r2); got != 50*time.Millisecond {
 		t.Errorf("floored RTT = %v, want 50ms (2× the 25 ms small timeout)", got)
 	}
 }

@@ -122,9 +122,6 @@ func (s *Store) TTL() core.Time { return s.ttl }
 // Len returns the number of cached packets.
 func (s *Store) Len() int { return len(s.items) }
 
-// Bytes returns the cached payload volume.
-func (s *Store) Bytes() uint64 { return s.bytes }
-
 // Stats returns a copy of the counters.
 func (s *Store) Stats() Stats {
 	st := s.stats

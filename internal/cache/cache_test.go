@@ -21,8 +21,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, []byte("alpha")) {
 		t.Fatalf("Get = %q, %v", got, ok)
 	}
-	if s.Len() != 1 || s.Bytes() != 5 {
-		t.Errorf("Len=%d Bytes=%d", s.Len(), s.Bytes())
+	if s.Len() != 1 || s.Stats().BytesHeld != 5 {
+		t.Errorf("Len=%d Bytes=%d", s.Len(), s.Stats().BytesHeld)
 	}
 	st := s.Stats()
 	if st.Puts != 1 || st.Hits != 1 || st.Misses != 0 || st.BytesHeld != 5 {
@@ -70,8 +70,8 @@ func TestPutRefreshesTTLAndPayload(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d after re-put", s.Len())
 	}
-	if s.Bytes() != uint64(len("new-payload")) {
-		t.Errorf("Bytes = %d", s.Bytes())
+	if s.Stats().BytesHeld != uint64(len("new-payload")) {
+		t.Errorf("Bytes = %d", s.Stats().BytesHeld)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestByteBoundEviction(t *testing.T) {
 	if _, ok := s.Get(0, id(1, 3)); !ok {
 		t.Error("newest entry evicted")
 	}
-	if s.Bytes() > 10 {
-		t.Errorf("Bytes = %d over bound", s.Bytes())
+	if s.Stats().BytesHeld > 10 {
+		t.Errorf("Bytes = %d over bound", s.Stats().BytesHeld)
 	}
 	if s.Stats().Evicted != 1 {
 		t.Errorf("evicted = %d", s.Stats().Evicted)
@@ -304,9 +304,9 @@ func TestStoreMatchesModel(t *testing.T) {
 			}
 		}
 		st := s.Stats()
-		if s.Len() != len(m.fifo) || int(s.Bytes()) != m.bytes() || st.Expired != m.expired || st.Evicted != m.evicted {
+		if s.Len() != len(m.fifo) || int(s.Stats().BytesHeld) != m.bytes() || st.Expired != m.expired || st.Evicted != m.evicted {
 			t.Fatalf("step %d at %v: len %d bytes %d expired %d evicted %d, model %d %d %d %d",
-				step, now, s.Len(), s.Bytes(), st.Expired, st.Evicted, len(m.fifo), m.bytes(), m.expired, m.evicted)
+				step, now, s.Len(), s.Stats().BytesHeld, st.Expired, st.Evicted, len(m.fifo), m.bytes(), m.expired, m.evicted)
 		}
 		if n := spareEntries(t, s); n > maxSpare {
 			t.Fatalf("step %d: %d spare entries, cap %d", step, n, maxSpare)
@@ -376,8 +376,8 @@ func TestIdleCacheShrinks(t *testing.T) {
 		s.Put(0, id(1, seq), make([]byte, 1400))
 	}
 	s.Put(time.Hour, id(2, 1), []byte("tiny"))
-	if s.Len() != 1 || s.Bytes() != 4 || len(s.flows) != 1 {
-		t.Fatalf("after the idle hour: Len %d Bytes %d flows %d", s.Len(), s.Bytes(), len(s.flows))
+	if s.Len() != 1 || s.Stats().BytesHeld != 4 || len(s.flows) != 1 {
+		t.Fatalf("after the idle hour: Len %d Bytes %d flows %d", s.Len(), s.Stats().BytesHeld, len(s.flows))
 	}
 	if n := spareEntries(t, s); n > maxSpare {
 		t.Errorf("an idle cache holds %d spare entries, cap %d", n, maxSpare)

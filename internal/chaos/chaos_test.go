@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +54,60 @@ func TestRunDeterminism(t *testing.T) {
 		a.FlowSignals != b.FlowSignals || a.RateCuts != b.RateCuts ||
 		a.TenantCuts != b.TenantCuts || a.QuotaDrops != b.QuotaDrops {
 		t.Errorf("same-seed verdicts differ: %+v vs %+v", a, b)
+	}
+}
+
+// TestSoakHasNoObserverEffect runs seeds 1–10 twice, once with a
+// Snapshot every 7 ms up to the horizon, and requires the same Verdict and
+// the same final Snapshot, byte for byte. The one difference allowed is
+// the snapshot counter, which must count exactly the extra snapshots:
+// building a snapshot must not advance a window, flush a buffer or draw
+// from a random stream that a run's outcome depends on.
+func TestSoakHasNoObserverEffect(t *testing.T) {
+	const every = 7 * time.Millisecond
+	horizon := Profile{}.withDefaults().Horizon
+	run := func(seed int64, observe bool) (verdict, snap []byte, built uint64) {
+		t.Helper()
+		w, err := BuildWorld(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observe {
+			for at := every; at < horizon; at += every {
+				w.D.Sim().At(at, func() { w.D.Snapshot() })
+			}
+		}
+		v, err := RunScenario(w, Fuzz(seed, Profile{}, w.DCs, w.Links), horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := w.D.Snapshot()
+		for i := range s.Counters {
+			if s.Counters[i].Name == "jqos_snapshots_built_total" {
+				built, s.Counters[i].Value = s.Counters[i].Value, 0
+			}
+		}
+		if verdict, err = json.Marshal(v); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = json.Marshal(s); err != nil {
+			t.Fatal(err)
+		}
+		return verdict, snap, built
+	}
+	extra := uint64((horizon - 1) / every)
+	for seed := int64(1); seed <= 10; seed++ {
+		qv, qSnap, qb := run(seed, false)
+		ov, oSnap, ob := run(seed, true)
+		if !bytes.Equal(qv, ov) {
+			t.Errorf("seed %d: snapshots every %v changed the verdict:\nunobserved %s\nobserved   %s", seed, every, qv, ov)
+		}
+		if !bytes.Equal(qSnap, oSnap) {
+			t.Errorf("seed %d: snapshots every %v changed the final snapshot", seed, every)
+		}
+		if ob-qb != extra {
+			t.Errorf("seed %d: %d snapshots built beyond the unobserved run, want the %d scheduled", seed, ob-qb, extra)
+		}
 	}
 }
 

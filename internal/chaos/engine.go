@@ -47,9 +47,6 @@ func Bind(d *jqos.Deployment, sc Scenario) (*Engine, error) {
 	return e, nil
 }
 
-// Scenario returns the bound (sorted) scenario.
-func (e *Engine) Scenario() Scenario { return e.sc }
-
 // dirLink resolves the directed emulated link a→b.
 func (e *Engine) dirLink(a, b core.NodeID) (*netem.Link, error) {
 	l := e.d.Network().LinkBetween(a, b)

@@ -138,7 +138,6 @@ type crossQueue struct {
 	pkts     []srcPkt
 	flows    map[core.FlowID]bool
 	deadline core.Time
-	opened   core.Time
 }
 
 func (q *crossQueue) reset() {
@@ -239,9 +238,6 @@ func NewEncoder(self core.NodeID, cfg EncoderConfig) (*Encoder, error) {
 	}, nil
 }
 
-// Config returns the encoder's configuration.
-func (e *Encoder) Config() EncoderConfig { return e.cfg }
-
 // Stats returns a copy of the counters.
 func (e *Encoder) Stats() EncoderStats { return e.stats }
 
@@ -266,16 +262,6 @@ func (e *Encoder) inIndex(flow core.FlowID) (int, bool) {
 	return slices.BinarySearchFunc(e.inQs, flow, func(q *inQueue, id core.FlowID) int {
 		return cmp.Compare(q.flow, id)
 	})
-}
-
-// TrackedFlows returns how many flows hold per-flow encoder state
-// (diagnostics; flow teardown must drive it back down).
-func (e *Encoder) TrackedFlows() int {
-	n := len(e.inQs)
-	if m := len(e.rrIdx); m > n {
-		n = m
-	}
-	return n
 }
 
 // OnData processes one data packet copy arriving from a sender: Algorithm 1.
@@ -362,7 +348,6 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 	}
 	if len(q.pkts) == 0 {
 		q.deadline = now + e.cfg.CrossTimeout
-		q.opened = now
 		e.opened(q.deadline)
 	}
 	q.flows[flow] = true

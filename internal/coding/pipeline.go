@@ -2,7 +2,6 @@ package coding
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"jqos/internal/core"
 )
@@ -16,8 +15,6 @@ import (
 // encoding threads").
 type Pipeline struct {
 	workers []*worker
-	emitted atomic.Uint64
-	dropped atomic.Uint64
 	wg      sync.WaitGroup
 }
 
@@ -65,46 +62,23 @@ func (p *Pipeline) run(w *worker) {
 	defer p.wg.Done()
 	for in := range w.in {
 		emits := w.enc.OnData(in.now, in.dc2, in.receiver, in.flow, in.seq, in.payload)
-		if len(emits) > 0 {
-			p.emitted.Add(uint64(len(emits)))
-			if w.sink != nil {
-				w.sink(emits)
-			}
-		}
-	}
-	// Drain any open batches on shutdown.
-	emits := w.enc.Flush(0)
-	if len(emits) > 0 {
-		p.emitted.Add(uint64(len(emits)))
-		if w.sink != nil {
+		if len(emits) > 0 && w.sink != nil {
 			w.sink(emits)
 		}
 	}
+	// Drain any open batches on shutdown.
+	if emits := w.enc.Flush(0); len(emits) > 0 && w.sink != nil {
+		w.sink(emits)
+	}
 }
-
-// Workers returns the worker count.
-func (p *Pipeline) Workers() int { return len(p.workers) }
 
 // Submit hands one data packet to the pipeline. Flows are pinned to
 // workers by flow ID, so per-flow ordering is preserved. Submit blocks when
 // the worker's queue is full (back-pressure, matching the rate-limited
-// senders of §6.6); use TrySubmit for drop-on-overload behaviour.
+// senders of §6.6).
 func (p *Pipeline) Submit(now core.Time, dc2, receiver core.NodeID, flow core.FlowID, seq core.Seq, payload []byte) {
 	w := p.workers[uint64(flow)%uint64(len(p.workers))]
 	w.in <- pktIn{now: now, dc2: dc2, receiver: receiver, flow: flow, seq: seq, payload: payload}
-}
-
-// TrySubmit is Submit without blocking; it reports false (and counts a
-// drop) when the worker is saturated.
-func (p *Pipeline) TrySubmit(now core.Time, dc2, receiver core.NodeID, flow core.FlowID, seq core.Seq, payload []byte) bool {
-	w := p.workers[uint64(flow)%uint64(len(p.workers))]
-	select {
-	case w.in <- pktIn{now: now, dc2: dc2, receiver: receiver, flow: flow, seq: seq, payload: payload}:
-		return true
-	default:
-		p.dropped.Add(1)
-		return false
-	}
 }
 
 // Close stops the workers and waits for them to drain.
@@ -113,29 +87,4 @@ func (p *Pipeline) Close() {
 		close(w.in)
 	}
 	p.wg.Wait()
-}
-
-// Emitted returns the total parity messages produced.
-func (p *Pipeline) Emitted() uint64 { return p.emitted.Load() }
-
-// Dropped returns packets rejected by TrySubmit.
-func (p *Pipeline) Dropped() uint64 { return p.dropped.Load() }
-
-// Stats sums the worker encoder stats.
-func (p *Pipeline) Stats() EncoderStats {
-	var t EncoderStats
-	for _, w := range p.workers {
-		s := w.enc.Stats()
-		t.DataPackets += s.DataPackets
-		t.CrossBatches += s.CrossBatches
-		t.InBatches += s.InBatches
-		t.CrossCoded += s.CrossCoded
-		t.InCoded += s.InCoded
-		t.Evicted += s.Evicted
-		t.Oversize += s.Oversize
-		t.TimerFlushes += s.TimerFlushes
-		t.DataBytes += s.DataBytes
-		t.CodedBytes += s.CodedBytes
-	}
-	return t
 }

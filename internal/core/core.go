@@ -92,40 +92,10 @@ var Services = []Service{ServiceInternet, ServiceCoding, ServiceCaching, Service
 // per-service-class accounting array sizes (index by Service).
 const NumServices = int(ServiceForwarding) + 1
 
-// CostFactor returns the relative inter-DC egress cost of a service as a
-// multiple of c, the cost of shipping one copy of the stream over one cloud
-// egress (Figure 2). alpha is the coding overhead ratio (r+s).
-func (s Service) CostFactor(alpha float64) float64 {
-	switch s {
-	case ServiceInternet:
-		return 0
-	case ServiceCoding:
-		return alpha
-	case ServiceCaching:
-		return 1
-	case ServiceForwarding:
-		return 2
-	default:
-		return 0
-	}
-}
-
 // Time is virtual time: the duration since the start of an experiment.
 // Both the discrete-event emulator and the real-socket runtime express
 // timestamps in this form, so protocol cores never touch the wall clock.
 type Time = time.Duration
-
-// Clock supplies the current virtual time to protocol cores that need to
-// make their own timing decisions.
-type Clock interface {
-	Now() Time
-}
-
-// ClockFunc adapts a function to the Clock interface.
-type ClockFunc func() Time
-
-// Now implements Clock.
-func (f ClockFunc) Now() Time { return f() }
 
 // Packet is the unit of application data inside the framework: one
 // transport segment intercepted below TCP/UDP (§5). A delivered Payload is

@@ -170,9 +170,6 @@ func TestHostCoreReusesClosedFlowsReceiver(t *testing.T) {
 	if r != old {
 		t.Fatal("the next flow got a new receiver, not the closed flow's")
 	}
-	if cfg := r.Config(); cfg.RTT != 80*time.Millisecond || cfg.Service != core.ServiceCaching {
-		t.Errorf("reused receiver runs RTT %v, service %v; want 80ms, caching", cfg.RTT, cfg.Service)
-	}
 	if r.Stats() != (recovery.Stats{}) || r.OutstandingLosses() != 0 {
 		t.Errorf("reused receiver starts with %+v and %d losses", r.Stats(), r.OutstandingLosses())
 	}
@@ -189,6 +186,19 @@ func TestHostCoreReusesClosedFlowsReceiver(t *testing.T) {
 	}
 	if got, want := c.Stats().DataReceived, before.DataReceived+1; got != want {
 		t.Errorf("DataReceived = %d, want %d", got, want)
+	}
+	// It runs flow 2's config: the long timer is flow 2's RTT, and a gap
+	// asks for flow 2's service.
+	if at, ok := r.NextDeadline(); !ok || at != 30*time.Millisecond+80*time.Millisecond {
+		t.Errorf("after its first packet flow 2's deadline is %v (%v), want 110ms", at, ok)
+	}
+	hostHandle(t, c, 31*time.Millisecond, data(2, 3))
+	var nack wire.Header
+	if len(env.sent) != 1 {
+		t.Fatalf("flow 2's gap sent %d messages, want one NACK", len(env.sent))
+	}
+	if _, err := wire.SplitMessage(&nack, env.sent[0].Msg); err != nil || nack.Type != wire.TypeNACK || nack.Service != core.ServiceCaching {
+		t.Errorf("flow 2's gap sent %+v (%v), want a caching NACK", nack, err)
 	}
 }
 
@@ -245,9 +255,15 @@ func TestHostCoreUnsolicitedPromotedWhenFlowGoesLive(t *testing.T) {
 func TestHostCoreClosedFlowNotResurrected(t *testing.T) {
 	c, env := newHostWorld()
 	env.live[3], env.allocated = 50*time.Millisecond, 4
-	if r := c.Ensure(3, 0, core.ServiceCoding); r == nil || r.Config().RTT != 50*time.Millisecond {
-		t.Fatalf("live flow's receiver = %v, want one seeded with the env's RTT", r)
+	r := c.Ensure(3, 0, core.ServiceCoding)
+	if r == nil {
+		t.Fatal("live flow has no receiver")
 	}
+	hostHandle(t, c, 0, data(3, 1))
+	if at, ok := r.NextDeadline(); !ok || at != 50*time.Millisecond {
+		t.Fatalf("live flow's receiver waits until %v (%v), want the env's 50ms RTT", at, ok)
+	}
+	env.delivered = env.delivered[:0]
 	delete(env.live, 3) // closed: allocated, no longer live
 	c.Drop(3)
 	for _, raw := range [][]byte{

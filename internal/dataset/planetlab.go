@@ -33,14 +33,6 @@ type LossProfile struct {
 // HasOutages reports whether the profile schedules outages at all.
 func (lp LossProfile) HasOutages() bool { return lp.OutagesPerHour > 0 }
 
-// ExpectedLossRate estimates the stationary packet-loss fraction of the
-// profile (ignoring outages, which dominate episode counts but are rare in
-// packet terms at typical rates). Used by tests to verify calibration.
-func (lp LossProfile) ExpectedLossRate() float64 {
-	// Each burst start contributes BurstMean lost packets.
-	return lp.PRandom + lp.PBurstStart*lp.BurstMean
-}
-
 // PLPath is one PlanetLab-like wide-area path in the CR-WAN deployment
 // (§6.2): endpoint regions, segment latencies, and the path's loss profile.
 type PLPath struct {

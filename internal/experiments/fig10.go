@@ -41,12 +41,6 @@ func measurePipeline(workers int, packets int, payload []byte) float64 {
 	return float64(packets) / elapsed.Seconds() / 1000
 }
 
-// MeasurePipeline exposes the Figure-10 throughput probe to the root
-// benchmark harness (bench_test.go's BenchmarkFig10EncoderScaling).
-func MeasurePipeline(workers, packets int, payload []byte) float64 {
-	return measurePipeline(workers, packets, payload)
-}
-
 func runFig10(o Options) (Result, error) {
 	packets := 400000
 	maxWorkers := 8

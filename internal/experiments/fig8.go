@@ -27,7 +27,6 @@ type pathOutcome struct {
 	sent          int
 	directLost    int       // packets that never arrived on the direct path
 	recoveredInT  int       // recovered with recovery delay ≤ 1×RTT
-	recoveredAll  int       // recovered at any delay
 	recoveryRatio []float64 // recovery delay / RTT, per recovered packet
 	episodes      []int     // direct-path loss episode lengths (packets)
 	unrecovered   []int     // 0-based seq indices of losses never repaired in time
@@ -217,7 +216,6 @@ func runFig8Group(seed int64, prm fig8Params, group []dataset.PLPath) []*pathOut
 			po.directLost++
 			run++
 			if st.recovered[seq] >= 0 {
-				po.recoveredAll++
 				if st.recovered[seq] <= rtt {
 					po.recoveredInT++
 				} else {

@@ -28,7 +28,7 @@ func BenchmarkFeedbackSignal(b *testing.B) {
 	// and the coalescing index to steady-state size.
 	cycle := func() {
 		for i := 0; i < 9; i++ { // 9 kB > high watermark (7.5 kB): Hot
-			s.Enqueue(core.ServiceForwarding, 1, payload)
+			s.EnqueueStamped(core.ServiceForwarding, 1, payload, 0)
 		}
 		for { // full drain: Clear
 			if _, ok := s.Dequeue(); !ok {

@@ -91,9 +91,6 @@ func (b *Broadcaster) Note(from, to core.NodeID, class core.Service, st State, d
 	b.pending = append(b.pending, Transition{From: from, To: to, Class: class, State: st, Depth: depth})
 }
 
-// Pending returns how many coalesced transitions await the next flush.
-func (b *Broadcaster) Pending() int { return len(b.pending) }
-
 // Flush hands the batch to fn and resets it. The slice is reused by
 // later Notes — fn must not retain it. A no-op when nothing is pending.
 func (b *Broadcaster) Flush(fn func([]Transition)) {

@@ -14,13 +14,10 @@ func TestBroadcasterCoalesces(t *testing.T) {
 	b.Note(1, 2, core.ServiceCaching, Warm, 300)
 	// Same link-class flips again before the flush: latest state wins.
 	b.Note(1, 2, core.ServiceForwarding, Warm, 200)
-	if b.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2 (coalesced)", b.Pending())
-	}
 	var got []Transition
 	b.Flush(func(batch []Transition) { got = append(got, batch...) })
 	if len(got) != 2 {
-		t.Fatalf("flushed %d transitions", len(got))
+		t.Fatalf("flushed %d transitions, want 2 (coalesced)", len(got))
 	}
 	if got[0].State != Warm || got[0].Depth != 200 {
 		t.Fatalf("coalesced transition = %+v, want latest state warm/200", got[0])
@@ -28,18 +25,18 @@ func TestBroadcasterCoalesces(t *testing.T) {
 	if got[1].Class != core.ServiceCaching || got[1].State != Warm {
 		t.Fatalf("second transition = %+v", got[1])
 	}
-	if b.Pending() != 0 {
-		t.Fatal("flush did not reset")
-	}
-	// An empty flush is a no-op and does not count.
+	// The flush reset the batch: a second one is empty, a no-op that does
+	// not count.
 	b.Flush(func([]Transition) { t.Fatal("empty flush invoked fn") })
 	if b.Noted() != 3 || b.Flushes() != 1 {
 		t.Fatalf("counters noted=%d flushes=%d", b.Noted(), b.Flushes())
 	}
 	// The batch state is reusable after a flush.
 	b.Note(2, 1, core.ServiceForwarding, Clear, 0)
-	if b.Pending() != 1 {
-		t.Fatalf("pending after reuse = %d", b.Pending())
+	got = got[:0]
+	b.Flush(func(batch []Transition) { got = append(got, batch...) })
+	if len(got) != 1 || got[0].From != 2 {
+		t.Fatalf("flushed %+v after reuse, want the one new transition", got)
 	}
 }
 

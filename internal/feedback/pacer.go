@@ -240,10 +240,6 @@ func (p *Pacer) HotLinks() int {
 	return n
 }
 
-// Tracking returns how many bottleneck states are live (hot or
-// recovering).
-func (p *Pacer) Tracking() int { return len(p.states) }
-
 // Cuts returns the lifetime count of multiplicative cuts.
 func (p *Pacer) Cuts() uint64 { return p.cuts }
 

@@ -103,9 +103,9 @@ func (p *lumpedPacer) Throttled() bool { return p.cur < p.base }
 // constant key and the one-state model through the same random sequences
 // of Hot/Warm/Clear signals, Ticks, SetContracts and Unfreezes, and
 // requires the same return value from every call and the same rate,
-// Throttled, cuts, recoveries and bucket rate after every step. Contracts
-// go down to 1 B/s and floors up to 1.0, where floor == contract and a Hot
-// signal freezes without cutting.
+// Throttled, cuts, recoveries, bucket rate and bucket conformance after
+// every step. Contracts go down to 1 B/s and floors up to 1.0, where
+// floor == contract and a Hot signal freezes without cutting.
 func TestPacerMatchesLumpedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	contracts := []int64{1, 2, 7, 1000, 600_000, 1 << 30}
@@ -142,14 +142,14 @@ func TestPacerMatchesLumpedModel(t *testing.T) {
 				subject.Rate() != model.cur || subject.Contract() != model.base ||
 				subject.Throttled() != model.Throttled() ||
 				subject.Cuts() != model.cuts || subject.Recoveries() != model.recoveries ||
-				sb.Rate() != mb.Rate() || sb.Tokens(now) != mb.Tokens(now) {
+				sb.Rate() != mb.Rate() || sb.Admit(now, 1) != mb.Admit(now, 1) {
 				t.Fatalf("trial %d step %d (op %d): returned %v want %v; rate %d/%d contract %d/%d throttled %v/%v cuts %d/%d recoveries %d/%d bucket %d/%d",
 					trial, step, op, got, want, subject.Rate(), model.cur, subject.Contract(), model.base,
 					subject.Throttled(), model.Throttled(), subject.Cuts(), model.cuts,
 					subject.Recoveries(), model.recoveries, sb.Rate(), mb.Rate())
 			}
-			if subject.Tracking() > 1 {
-				t.Fatalf("trial %d step %d: %d states under one key", trial, step, subject.Tracking())
+			if len(subject.states) > 1 {
+				t.Fatalf("trial %d step %d: %d states under one key", trial, step, len(subject.states))
 			}
 		}
 	}

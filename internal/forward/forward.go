@@ -79,9 +79,6 @@ func New(self core.NodeID) *Forwarder {
 	}
 }
 
-// Self returns the forwarder's node identity.
-func (f *Forwarder) Self() core.NodeID { return f.self }
-
 // Stats returns a copy of the counters.
 func (f *Forwarder) Stats() Stats { return f.stats }
 

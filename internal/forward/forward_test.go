@@ -9,9 +9,6 @@ import (
 
 func TestUnicastDefaultsToDirect(t *testing.T) {
 	f := New(1)
-	if f.Self() != 1 {
-		t.Error("Self")
-	}
 	emits := f.Forward(9, []byte("m"))
 	if len(emits) != 1 || emits[0].To != 9 {
 		t.Fatalf("emits = %+v", emits)

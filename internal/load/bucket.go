@@ -51,12 +51,6 @@ func (b *Bucket) SetRate(now core.Time, rate int64) {
 // Burst returns the bucket depth in bytes.
 func (b *Bucket) Burst() int64 { return int64(b.burst) }
 
-// Tokens returns the tokens available at now (diagnostics).
-func (b *Bucket) Tokens(now core.Time) float64 {
-	b.refill(now)
-	return b.tokens
-}
-
 func (b *Bucket) refill(now core.Time) {
 	if now <= b.last {
 		return

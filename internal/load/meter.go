@@ -28,7 +28,7 @@ const meterSlots = 8
 // ewmaAlpha weights the newest completed slot in the smoothed rate.
 const ewmaAlpha = 0.25
 
-// Meter is a sliding-window byte/packet rate estimator: a fixed ring of
+// Meter is a sliding-window byte-rate estimator: a fixed ring of
 // time slots plus an EWMA folded once per completed slot. Add and the
 // readers are allocation-free; a Meter is a plain value and can be
 // embedded in per-link tables.
@@ -36,7 +36,6 @@ type Meter struct {
 	slotW core.Time
 	slot  int64 // absolute index (now / slotW) of the accumulating slot
 	bytes [meterSlots]uint64
-	pkts  [meterSlots]uint64
 	ewma  float64 // bytes/sec, smoothed across completed slots
 	total uint64  // lifetime bytes
 	count uint64  // lifetime packets
@@ -72,9 +71,7 @@ func (m *Meter) advance(now core.Time) {
 		i := int(m.slot % meterSlots)
 		m.ewma = ewmaAlpha*float64(m.bytes[i])/sw + (1-ewmaAlpha)*m.ewma
 		m.ewma *= math.Pow(1-ewmaAlpha, float64(steps-1))
-		for k := range m.bytes {
-			m.bytes[k], m.pkts[k] = 0, 0
-		}
+		m.bytes = [meterSlots]uint64{}
 		m.slot = target
 		return
 	}
@@ -83,7 +80,7 @@ func (m *Meter) advance(now core.Time) {
 		m.ewma = ewmaAlpha*float64(m.bytes[i])/sw + (1-ewmaAlpha)*m.ewma
 		m.slot++
 		j := int(m.slot % meterSlots)
-		m.bytes[j], m.pkts[j] = 0, 0
+		m.bytes[j] = 0
 	}
 }
 
@@ -93,7 +90,6 @@ func (m *Meter) Add(now core.Time, n int) {
 	m.advance(now)
 	i := int(m.slot % meterSlots)
 	m.bytes[i] += uint64(n)
-	m.pkts[i]++
 	m.total += uint64(n)
 	m.count++
 }

@@ -31,14 +31,6 @@ func (u Uplink) FitsDuplication(streamMbps float64) bool {
 	return 2*streamMbps <= u.Mbps
 }
 
-// Headroom returns the uplink share consumed by a duplicated stream.
-func (u Uplink) Headroom(streamMbps float64) float64 {
-	if u.Mbps == 0 {
-		return 0
-	}
-	return 2 * streamMbps / u.Mbps
-}
-
 // Energy models battery drain for a video call. The paper measured ~20 mAh
 // per 20-minute call with or without duplication — radio power is dominated
 // by being active, not by the marginal bytes.

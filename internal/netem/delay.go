@@ -3,7 +3,6 @@ package netem
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"jqos/internal/core"
 )
@@ -81,34 +80,4 @@ func (h HeavyTailJitter) Delay(_ core.Time, r *rand.Rand) core.Time {
 		d = float64(h.Base) / 2
 	}
 	return core.Time(d)
-}
-
-// Empirical replays delays drawn uniformly from a sample set (e.g. a
-// dataset-generated latency distribution).
-type Empirical struct {
-	Samples []core.Time
-}
-
-// NewEmpirical copies and sorts samples.
-func NewEmpirical(samples []core.Time) *Empirical {
-	s := append([]core.Time(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return &Empirical{Samples: s}
-}
-
-// Delay implements DelayModel.
-func (e *Empirical) Delay(_ core.Time, r *rand.Rand) core.Time {
-	if len(e.Samples) == 0 {
-		return 0
-	}
-	return e.Samples[r.Intn(len(e.Samples))]
-}
-
-// Quantile returns the q-quantile of the sample set (nearest rank).
-func (e *Empirical) Quantile(q float64) core.Time {
-	if len(e.Samples) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(e.Samples)-1))
-	return e.Samples[idx]
 }

@@ -6,23 +6,6 @@ import (
 	"jqos/internal/core"
 )
 
-// LinkStats counts what a link did to traffic, for experiment accounting.
-type LinkStats struct {
-	Sent      uint64 // packets offered to the link
-	Delivered uint64 // packets that arrived
-	Lost      uint64 // packets dropped by the loss process
-	TailDrop  uint64 // packets dropped by queue overflow
-	Bytes     uint64 // bytes delivered
-}
-
-// LossRate returns the fraction of offered packets that did not arrive.
-func (s LinkStats) LossRate() float64 {
-	if s.Sent == 0 {
-		return 0
-	}
-	return float64(s.Sent-s.Delivered) / float64(s.Sent)
-}
-
 // Link is a unidirectional emulated path: FIFO serialization at Rate
 // bytes/sec (0 = infinite), a bounded queue, a propagation DelayModel, and
 // a LossModel. Loss is evaluated at enqueue time (ingress drop), which is
@@ -41,7 +24,6 @@ type Link struct {
 	MaxQueue core.Time
 
 	busyUntil core.Time
-	stats     LinkStats
 }
 
 // NewLink builds a link on sim with the given models. A nil delay means
@@ -55,9 +37,6 @@ func NewLink(sim *Simulator, delay DelayModel, loss LossModel) *Link {
 	}
 	return &Link{sim: sim, rng: sim.Fork(), delay: delay, loss: loss}
 }
-
-// Stats returns a copy of the link counters.
-func (l *Link) Stats() LinkStats { return l.stats }
 
 // SetLoss swaps the loss process (used by tests and scenario scripts to
 // inject outages mid-run).
@@ -95,9 +74,7 @@ func (l *Link) Send(size int, deliver func(arrived core.Time)) bool {
 // the delay model: when it arrives, or ok false for a drop.
 func (l *Link) admit(size int) (arrive core.Time, ok bool) {
 	now := l.sim.Now()
-	l.stats.Sent++
 	if l.loss.Lose(now, l.rng) {
-		l.stats.Lost++
 		return 0, false
 	}
 	depart := now
@@ -106,7 +83,6 @@ func (l *Link) admit(size int) (arrive core.Time, ok bool) {
 			depart = l.busyUntil
 		}
 		if l.MaxQueue > 0 && depart-now > l.MaxQueue {
-			l.stats.TailDrop++
 			return 0, false
 		}
 		tx := core.Time(float64(size) / float64(l.Rate) * 1e9)
@@ -114,7 +90,5 @@ func (l *Link) admit(size int) (arrive core.Time, ok bool) {
 		l.busyUntil = depart
 	}
 	arrive = depart + l.delay.Delay(now, l.rng)
-	l.stats.Delivered++
-	l.stats.Bytes += uint64(size)
 	return arrive, true
 }

@@ -288,40 +288,17 @@ func TestHeavyTailJitter(t *testing.T) {
 	}
 }
 
-func TestEmpiricalDelay(t *testing.T) {
-	samples := []core.Time{3 * time.Millisecond, 1 * time.Millisecond, 2 * time.Millisecond}
-	e := NewEmpirical(samples)
-	if e.Quantile(0) != time.Millisecond || e.Quantile(1) != 3*time.Millisecond {
-		t.Errorf("quantiles: %v %v", e.Quantile(0), e.Quantile(1))
-	}
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		d := e.Delay(0, r)
-		if d < time.Millisecond || d > 3*time.Millisecond {
-			t.Fatalf("empirical delay out of set: %v", d)
-		}
-	}
-	var empty Empirical
-	if empty.Delay(0, r) != 0 || empty.Quantile(0.5) != 0 {
-		t.Error("empty empirical should return 0")
-	}
-}
-
 func TestLinkDeliveryAndStats(t *testing.T) {
 	sim := NewSimulator(10)
 	link := NewLink(sim, FixedDelay(10*time.Millisecond), nil)
-	var arrived core.Time
-	ok := link.Send(500, func(at core.Time) { arrived = at })
+	var arrivals []core.Time
+	ok := link.Send(500, func(at core.Time) { arrivals = append(arrivals, at) })
 	if !ok {
 		t.Fatal("send rejected")
 	}
 	sim.Run()
-	if arrived != 10*time.Millisecond {
-		t.Errorf("arrived at %v", arrived)
-	}
-	st := link.Stats()
-	if st.Sent != 1 || st.Delivered != 1 || st.Bytes != 500 || st.LossRate() != 0 {
-		t.Errorf("stats: %+v", st)
+	if len(arrivals) != 1 || arrivals[0] != 10*time.Millisecond {
+		t.Errorf("arrivals %v, want one at 10ms", arrivals)
 	}
 }
 
@@ -332,13 +309,6 @@ func TestLinkLossAccounting(t *testing.T) {
 		t.Error("send accepted")
 	}
 	sim.Run()
-	st := link.Stats()
-	if st.Lost != 1 || st.Delivered != 0 || st.LossRate() != 1 {
-		t.Errorf("stats: %+v", st)
-	}
-	if (LinkStats{}).LossRate() != 0 {
-		t.Error("zero stats loss rate")
-	}
 }
 
 func TestLinkSerializationAndQueue(t *testing.T) {
@@ -363,19 +333,16 @@ func TestLinkTailDrop(t *testing.T) {
 	link := NewLink(sim, nil, nil)
 	link.Rate = 1000
 	link.MaxQueue = 15 * time.Millisecond
-	accepted := 0
+	accepted, arrived := 0, 0
 	for i := 0; i < 5; i++ { // each packet takes 10ms to serialize
-		if link.Send(10, func(core.Time) {}) {
+		if link.Send(10, func(core.Time) { arrived++ }) {
 			accepted++
 		}
 	}
 	sim.Run()
 	// First departs at 10ms (wait 0), second waits 10, third would wait 20 > 15.
-	if accepted != 2 {
-		t.Errorf("accepted = %d, want 2", accepted)
-	}
-	if link.Stats().TailDrop != 3 {
-		t.Errorf("tail drops = %d", link.Stats().TailDrop)
+	if accepted != 2 || arrived != 2 {
+		t.Errorf("accepted %d, arrived %d; want 2 and 2 (3 tail drops)", accepted, arrived)
 	}
 }
 
@@ -395,10 +362,7 @@ func TestLinkSetLoss(t *testing.T) {
 
 func TestNetworkDelivery(t *testing.T) {
 	sim := NewSimulator(15)
-	net := NewNetwork(sim)
-	if net.Sim() != sim {
-		t.Error("Sim() mismatch")
-	}
+	net := NewNetwork()
 	var got []byte
 	var gotFrom core.NodeID
 	net.AddNode(1, nil)
@@ -432,7 +396,7 @@ func TestNetworkDelivery(t *testing.T) {
 // closure per delivery.
 func TestNetworkSendAllocatesNothing(t *testing.T) {
 	sim := NewSimulator(15)
-	net := NewNetwork(sim)
+	net := NewNetwork()
 	var got int
 	net.AddNode(2, func(from, to core.NodeID, data []byte) { got += len(data) })
 	net.Connect(1, 2, NewLink(sim, UniformJitter{Base: time.Millisecond, Jitter: time.Millisecond}, nil))
@@ -468,7 +432,7 @@ func TestNetworkSendAllocatesNothing(t *testing.T) {
 // is reusable by the nested send.
 func TestNetworkDeliveryReentrant(t *testing.T) {
 	sim := NewSimulator(15)
-	net := NewNetwork(sim)
+	net := NewNetwork()
 	net.ConnectBidirectional(1, 2, func() *Link { return NewLink(sim, FixedDelay(time.Millisecond), nil) })
 	var trail []string
 	net.AddNode(1, func(from, to core.NodeID, data []byte) { trail = append(trail, "1:"+string(data)) })
@@ -486,8 +450,7 @@ func TestNetworkDeliveryReentrant(t *testing.T) {
 }
 
 func TestNetworkUnknownRoutePanics(t *testing.T) {
-	sim := NewSimulator(16)
-	net := NewNetwork(sim)
+	net := NewNetwork()
 	defer func() {
 		if recover() == nil {
 			t.Error("send on missing link did not panic")
@@ -497,7 +460,7 @@ func TestNetworkUnknownRoutePanics(t *testing.T) {
 }
 
 func TestNetworkNilLinkPanics(t *testing.T) {
-	net := NewNetwork(NewSimulator(17))
+	net := NewNetwork()
 	defer func() {
 		if recover() == nil {
 			t.Error("Connect(nil) did not panic")
@@ -508,7 +471,7 @@ func TestNetworkNilLinkPanics(t *testing.T) {
 
 func TestNetworkDeliveryToUnregisteredNode(t *testing.T) {
 	sim := NewSimulator(18)
-	net := NewNetwork(sim)
+	net := NewNetwork()
 	net.Connect(1, 9, NewLink(sim, nil, nil))
 	if !net.Send(1, 9, []byte("into the void")) {
 		t.Error("send to unregistered node rejected")
@@ -518,7 +481,7 @@ func TestNetworkDeliveryToUnregisteredNode(t *testing.T) {
 
 func TestConnectBidirectional(t *testing.T) {
 	sim := NewSimulator(19)
-	net := NewNetwork(sim)
+	net := NewNetwork()
 	calls := 0
 	net.ConnectBidirectional(1, 2, func() *Link {
 		calls++
@@ -594,7 +557,7 @@ func BenchmarkSimulatorEventLoop(b *testing.B) {
 // the path every emulated message takes (gated at 0 allocs/op).
 func BenchmarkNetworkSend(b *testing.B) {
 	sim := NewSimulator(1)
-	net := NewNetwork(sim)
+	net := NewNetwork()
 	net.AddNode(2, func(from, to core.NodeID, data []byte) {})
 	net.Connect(1, 2, NewLink(sim, UniformJitter{Base: time.Millisecond, Jitter: time.Millisecond}, Bernoulli{P: 0.01}))
 	msg := make([]byte, 512)

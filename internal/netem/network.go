@@ -20,7 +20,6 @@ type linkKey struct {
 // an emulated J-QoS deployment runs. It is not safe for concurrent use; the
 // simulator is single-goroutine by design.
 type Network struct {
-	sim   *Simulator
 	links map[linkKey]*Link
 	nodes map[core.NodeID]Handler
 	free  *delivery // the delivery records not in flight
@@ -30,17 +29,13 @@ type Network struct {
 	Tap func(from, to core.NodeID, size int)
 }
 
-// NewNetwork creates an empty network on sim.
-func NewNetwork(sim *Simulator) *Network {
+// NewNetwork creates an empty network.
+func NewNetwork() *Network {
 	return &Network{
-		sim:   sim,
 		links: make(map[linkKey]*Link),
 		nodes: make(map[core.NodeID]Handler),
 	}
 }
-
-// Sim returns the simulator driving this network.
-func (n *Network) Sim() *Simulator { return n.sim }
 
 // AddNode registers a handler for a node ID. Re-registering replaces the
 // handler (endpoints are built in stages during wiring).

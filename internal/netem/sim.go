@@ -120,10 +120,6 @@ func NewSimulator(seed int64) *Simulator {
 // Now implements core.Clock.
 func (s *Simulator) Now() core.Time { return s.now }
 
-// Rand returns the simulator's RNG. All stochastic models in a run draw
-// from it (or from RNGs forked via Fork), keeping runs reproducible.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
 // Fork returns a new RNG seeded from the simulator's RNG, for components
 // that want their own stream without coupling to global draw order.
 func (s *Simulator) Fork() *rand.Rand { return rand.New(rand.NewSource(s.rng.Int63())) }

@@ -3,22 +3,18 @@ package overlay
 import "jqos/internal/core"
 
 // CostModel captures the cloud pricing structure J-QoS exploits (§4.4,
-// §6.6): egress (outgoing) bandwidth is charged per GB, ingress is free,
-// and compute is billed per thread-hour.
+// §6.6): egress (outgoing) bandwidth is charged per GB and ingress is
+// free.
 type CostModel struct {
 	// EgressPerGB is the $/GB price of DC egress bandwidth.
 	EgressPerGB float64
-	// ComputePerThreadHour is the $/hour price of one encoding thread.
-	ComputePerThreadHour float64
 }
 
 // DefaultCostModel mirrors the paper's back-of-the-envelope numbers
 // (§6.6): a 2-node forwarding overlay moving ~101 GB/hour costs a minimum
-// of $17.60/hour in bandwidth, giving ≈$0.087/GB, with general-purpose
-// compute at $0.13/thread-hour.
+// of $17.60/hour in bandwidth, giving ≈$0.087/GB.
 var DefaultCostModel = CostModel{
-	EgressPerGB:          17.60 / (2 * 101.25),
-	ComputePerThreadHour: 0.13,
+	EgressPerGB: 17.60 / (2 * 101.25),
 }
 
 // BandwidthCostPerHour returns the hourly egress bill for a service
@@ -52,15 +48,6 @@ func (m CostModel) BandwidthCostPerHour(svc core.Service, gbPerHour, alpha, loss
 // flow's observed loss, against the tenant contract's ceiling.
 func (m CostModel) EgressPerAppGB(svc core.Service, alpha, lossRate float64) float64 {
 	return m.BandwidthCostPerHour(svc, 1, alpha, lossRate)
-}
-
-// TotalCostPerHour adds compute for the given number of encoding threads.
-func (m CostModel) TotalCostPerHour(svc core.Service, gbPerHour, alpha, lossRate float64, threads int) float64 {
-	c := m.BandwidthCostPerHour(svc, gbPerHour, alpha, lossRate)
-	if svc != core.ServiceInternet {
-		c += float64(threads) * m.ComputePerThreadHour
-	}
-	return c
 }
 
 // SkypeGBPerUserHour is the paper's per-user data volume for an HD call

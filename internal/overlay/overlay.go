@@ -61,15 +61,6 @@ func (t *Topology) AddDC(dc DC) {
 	t.dcs[dc.ID] = dc
 }
 
-// DCs returns all data centers in registration order.
-func (t *Topology) DCs() []DC {
-	out := make([]DC, 0, len(t.order))
-	for _, id := range t.order {
-		out = append(out, t.dcs[id])
-	}
-	return out
-}
-
 // IsDC reports whether id names a registered data center.
 func (t *Topology) IsDC(id core.NodeID) bool {
 	_, ok := t.dcs[id]
@@ -106,16 +97,6 @@ func (t *Topology) NearestDC(host core.NodeID) (core.NodeID, bool) {
 func (t *Topology) Delta(host core.NodeID) (core.Time, bool) {
 	d, ok := t.delta[host]
 	return d, ok
-}
-
-// Hosts returns the IDs of all attached hosts (sorted, deterministic).
-func (t *Topology) Hosts() []core.NodeID {
-	out := make([]core.NodeID, 0, len(t.nearest))
-	for h := range t.nearest {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // SetDirect records a measured/estimated one-way direct-path latency

@@ -269,9 +269,6 @@ func (r *Receiver) Reset(cfg Config) {
 // Stats returns a copy of the counters.
 func (r *Receiver) Stats() Stats { return r.stats }
 
-// Config returns the receiver's configuration.
-func (r *Receiver) Config() Config { return r.cfg }
-
 // SetService changes the service stamped on future NACKs — used when the
 // framework upgrades a flow to a more expensive service (§3.5).
 func (r *Receiver) SetService(s core.Service) { r.cfg.Service = s }

@@ -676,7 +676,7 @@ func TestInOrderOnDataAllocatesNothing(t *testing.T) {
 		}
 	}
 	next() // the flow's state and the result buffer
-	window := r.Config().RecentWindow
+	window := r.cfg.RecentWindow
 	if n := testing.AllocsPerRun(window-2, next); n != 1 {
 		t.Errorf("in-order OnData allocates %v times while the window fills, want 1 (its buffer)", n)
 	}
@@ -726,7 +726,7 @@ func TestRetryNACKsAscending(t *testing.T) {
 		r := testReceiver()
 		feed(r, 0, 1, 1)
 		feed(r, time.Millisecond, 1, 40) // 2..39 missing, all NACKed at 1 ms
-		res := r.OnTimer(time.Millisecond + r.Config().NACKRetry)
+		res := r.OnTimer(time.Millisecond + r.cfg.NACKRetry)
 		var seqs []core.Seq
 		for _, em := range res.Emits {
 			var h wire.Header
@@ -756,7 +756,7 @@ func TestDeliveryCarriesTimestamps(t *testing.T) {
 
 func TestDefaultsFilled(t *testing.T) {
 	r := New(Config{Self: self, DC: dcNode})
-	cfg := r.Config()
+	cfg := r.cfg
 	if cfg.SmallTimeout != 25*time.Millisecond || cfg.RTT <= 0 || cfg.MaxNACKs <= 0 ||
 		cfg.GiveUpAfter <= 0 || cfg.RecentWindow <= 0 {
 		t.Errorf("defaults not filled: %+v", cfg)

@@ -332,7 +332,7 @@ func TestResetKeepsBoundedBuffers(t *testing.T) {
 	for seq := uint64(1); seq <= 128; seq++ {
 		feed(r, core.Time(seq)*time.Millisecond, 1, seq)
 	}
-	r.Reset(r.Config())
+	r.Reset(r.cfg)
 	if len(r.spare) != maxSpare {
 		t.Fatalf("Reset of a full window kept %d buffers, want %d", len(r.spare), maxSpare)
 	}
@@ -342,7 +342,7 @@ func TestResetKeepsBoundedBuffers(t *testing.T) {
 	if len(r.spare) != maxSpare-10 {
 		t.Errorf("10 packets into the next flow %d buffers are spare, want %d", len(r.spare), maxSpare-10)
 	}
-	r.Reset(r.Config())
+	r.Reset(r.cfg)
 	if len(r.spare) != maxSpare {
 		t.Errorf("a second Reset left %d spare buffers, want %d", len(r.spare), maxSpare)
 	}

@@ -122,11 +122,13 @@ func BenchmarkIncrementalRecompute(b *testing.B) {
 		b.Fatal("no path to exercise")
 	}
 	la, lb := ps[0].Nodes[0], ps[0].Nodes[1]
+	hot := []UtilizationReport{{la, lb, 0.95}}
+	cool := []UtilizationReport{{la, lb, 0}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.SetLinkUtilization(la, lb, 0.95)
-		c.SetLinkUtilization(la, lb, 0)
+		c.SetLinkUtilizations(hot)
+		c.SetLinkUtilizations(cool)
 	}
 }
 

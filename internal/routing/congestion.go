@@ -83,16 +83,6 @@ func (c *Controller) congestionRecompute() {
 	}
 }
 
-// SetLinkUtilization applies one utilization report; an accepted change
-// (past the hysteresis) triggers a recompute + re-push.
-func (c *Controller) SetLinkUtilization(a, b core.NodeID, util float64) {
-	if !c.applyLinkUtilization(a, b, util) {
-		return
-	}
-	c.stats.UtilizationUpdates++
-	c.congestionRecompute()
-}
-
 // UtilizationReport is one link's utilization reading in a batch.
 type UtilizationReport struct {
 	A, B core.NodeID

@@ -64,7 +64,7 @@ func TestUtilizationInflatesWeightAndShiftsRoutes(t *testing.T) {
 
 	// Saturate 1—2: its weight inflates 8× and both the installed route
 	// and the path oracle move to the idle branch.
-	c.SetLinkUtilization(1, 2, 1)
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 1}})
 	l := c.Graph().Link(1, 2)
 	if l.Util != 1 || l.Congest <= 1 {
 		t.Fatalf("link telemetry not applied: util=%v congest=%v", l.Util, l.Congest)
@@ -84,7 +84,7 @@ func TestUtilizationInflatesWeightAndShiftsRoutes(t *testing.T) {
 	}
 
 	// Cooling back below the knee restores the tie-broken primary.
-	c.SetLinkUtilization(1, 2, 0)
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 0}})
 	if via := sinks[1].routes[4]; via != 2 {
 		t.Fatalf("cooled 1→4 via %v, want 2", via)
 	}
@@ -99,7 +99,7 @@ func TestUtilizationHysteresisAbsorbsBreathing(t *testing.T) {
 
 	// Reports below the knee derive multiplier 1 — never a recompute.
 	for _, u := range []float64{0.1, 0.3, 0.55, 0.6} {
-		c.SetLinkUtilization(1, 2, u)
+		c.SetLinkUtilizations([]UtilizationReport{{1, 2, u}})
 	}
 	st := c.Stats()
 	if st.Recomputes != pre.Recomputes || st.UtilizationUpdates != 0 {
@@ -111,19 +111,19 @@ func TestUtilizationHysteresisAbsorbsBreathing(t *testing.T) {
 	}
 
 	// A hot report reweights once...
-	c.SetLinkUtilization(1, 2, 0.9)
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 0.9}})
 	st = c.Stats()
 	if st.UtilizationUpdates != 1 {
 		t.Fatalf("hot report not applied: %+v", st)
 	}
 	// ...and breathing around the same level is absorbed: 0.9 → mult 4,
 	// 0.88 → mult ~3.33 (dev ~17% < 25% hysteresis).
-	c.SetLinkUtilization(1, 2, 0.88)
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 0.88}})
 	if got := c.Stats(); got.UtilizationUpdates != 1 || got.Recomputes != st.Recomputes {
 		t.Fatalf("hysteresis failed to absorb breathing: %+v", got)
 	}
 	// A real swing (back below the knee) is applied.
-	c.SetLinkUtilization(1, 2, 0.2)
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 0.2}})
 	if got := c.Stats(); got.UtilizationUpdates != 2 {
 		t.Fatalf("cooling swing absorbed: %+v", got)
 	}
@@ -156,7 +156,7 @@ func TestCongestionWeightsDoNotPoisonLatency(t *testing.T) {
 	c.SetLinkUtilizations([]UtilizationReport{
 		{1, 2, 1}, {2, 4, 1}, {1, 3, 0}, {3, 4, 0},
 	})
-	if via, ok := c.NextHop(1, 4); !ok || via != 3 {
+	if via, ok := c.nextHop(1, 4); !ok || via != 3 {
 		t.Fatalf("1→4 via %v, want idle branch", via)
 	}
 	if d, ok := c.PathLatency(1, 4); !ok || d != 40*time.Millisecond {
@@ -199,12 +199,12 @@ func TestBatchedUtilizationSingleRecompute(t *testing.T) {
 // an idle link stays penalized forever.
 func TestSmallInflationDecaysToBaseline(t *testing.T) {
 	c, _ := buildSquare()
-	c.SetLinkUtilization(1, 2, 0.7) // multiplier 1.333: accepted
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 0.7}}) // multiplier 1.333: accepted
 	l := c.Graph().Link(1, 2)
 	if l.Congest <= 1 {
 		t.Fatalf("small inflation not applied: %v", l.Congest)
 	}
-	c.SetLinkUtilization(1, 2, 0)
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 0}})
 	if l.Congest != 1 {
 		t.Fatalf("idle link still inflated ×%v", l.Congest)
 	}
@@ -238,7 +238,7 @@ func TestZeroLatencyLinkNoPrevCycle(t *testing.T) {
 func TestUtilizationUnknownLinkIgnored(t *testing.T) {
 	c, _ := buildSquare()
 	pre := c.Stats()
-	c.SetLinkUtilization(1, 4, 1) // no such link
+	c.SetLinkUtilizations([]UtilizationReport{{1, 4, 1}}) // no such link
 	if got := c.Stats(); got.Recomputes != pre.Recomputes {
 		t.Fatalf("unknown link recomputed: %+v", got)
 	}
@@ -249,7 +249,7 @@ func TestUtilizationUnknownLinkIgnored(t *testing.T) {
 func TestCongestionComposesWithHealth(t *testing.T) {
 	c, _ := buildSquare()
 	c.SetLinkHealth(1, 2, LinkUp, 30*time.Millisecond) // monitor re-priced
-	c.SetLinkUtilization(1, 2, 1)
+	c.SetLinkUtilizations([]UtilizationReport{{1, 2, 1}})
 	if w, up := c.Graph().Link(1, 2).Cost(); !up || !aboutDur(w, 240*time.Millisecond) {
 		t.Fatalf("cost = %v %v, want ~8×30ms", w, up)
 	}

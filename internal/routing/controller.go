@@ -141,7 +141,6 @@ type Controller struct {
 
 // flowPin is one flow's pinned path and the sink entries installed for it.
 type flowPin struct {
-	dst     core.NodeID   // the flow's cloud destination (host or group)
 	path    []core.NodeID // DC path, endpoints included
 	entries []pinEntry    // what was pushed, for clean removal
 }
@@ -218,12 +217,6 @@ func (c *Controller) SetLink(a, b core.NodeID, base core.Time) {
 	c.Recompute()
 }
 
-// RemoveLink deletes the link a↔b and recomputes tables.
-func (c *Controller) RemoveLink(a, b core.NodeID) {
-	c.g.RemoveLink(a, b)
-	c.Recompute()
-}
-
 // SetLinkHealth applies a monitor verdict: the link's state and (for
 // degraded or refreshed links) its estimated one-way cost (0 keeps the
 // configured base). A change recomputes the tables and re-pushes what
@@ -244,22 +237,6 @@ func (c *Controller) SetLinkHealth(a, b core.NodeID, state LinkState, est core.T
 	l.State = state
 	l.Est = est
 	c.Recompute()
-}
-
-// NextHop returns the installed next hop at dc toward dst (a DC, host, or
-// group destination).
-func (c *Controller) NextHop(dc, dst core.NodeID) (core.NodeID, bool) {
-	dt := c.dcs[dc]
-	if dt == nil {
-		return 0, false
-	}
-	var via core.NodeID
-	if di, ok := c.idxOf[dst]; ok && int(di) < len(dt.instDC) {
-		via = dt.instDC[di]
-	} else if slot, ok := c.hostSlot[dst]; ok && int(slot) < len(dt.instHost) {
-		via = dt.instHost[slot]
-	}
-	return via, via != 0
 }
 
 // PathLatency returns the routed one-way latency between two DCs, or
@@ -308,7 +285,6 @@ func (c *Controller) PinFlow(flow core.FlowID, dst core.NodeID, path Path) {
 	} else {
 		pin = &flowPin{}
 	}
-	pin.dst = dst
 	pin.path = append(pin.path[:0], path.Nodes...)
 	pin.entries = pin.entries[:0]
 	egress := path.Nodes[len(path.Nodes)-1]
@@ -342,16 +318,6 @@ func (c *Controller) UnpinFlow(flow core.FlowID) {
 	}
 	delete(c.pins, flow)
 	c.pinFree = append(c.pinFree, pin)
-}
-
-// PinnedPath returns a flow's pinned DC path, if any (copied — callers
-// must not be able to corrupt the pin the controller will remove).
-func (c *Controller) PinnedPath(flow core.FlowID) ([]core.NodeID, bool) {
-	pin, ok := c.pins[flow]
-	if !ok {
-		return nil, false
-	}
-	return append([]core.NodeID(nil), pin.path...), true
 }
 
 // PinnedCount reports how many flows currently hold pinned paths — the
@@ -516,11 +482,6 @@ func (c *Controller) epochWrite(dt *dcTables) {
 		dt.sinkEpoch = c.epoch
 	}
 }
-
-// CurrentEpoch returns the current table version. Packets entering the
-// overlay are tagged with it so forwarders can keep resolving their
-// routes against that version mid-flight across a reroute.
-func (c *Controller) CurrentEpoch() uint64 { return c.epoch }
 
 // RetireEpoch drops every sink's previous-epoch routes. The hosting
 // runtime calls it (per OnEpochAdvance) once in-flight traffic tagged

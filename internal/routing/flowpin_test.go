@@ -54,8 +54,8 @@ func TestPinFlowInstallsAndRemovesEntries(t *testing.T) {
 	}
 	// Pin flow 7 to the backup path 1→3→4 toward host 100.
 	c.PinFlow(7, 100, alts[1])
-	if got, ok := c.PinnedPath(7); !ok || !reflect.DeepEqual(got, []core.NodeID{1, 3, 4}) {
-		t.Fatalf("PinnedPath = %v %v", got, ok)
+	if pin := c.pins[7]; pin == nil || !reflect.DeepEqual(pin.path, []core.NodeID{1, 3, 4}) {
+		t.Fatalf("pin = %+v", pin)
 	}
 	// DC1 and DC3 carry entries for the host AND the egress DC; DC2 has
 	// none; the egress DC itself has none.
@@ -86,7 +86,7 @@ func TestPinFlowInstallsAndRemovesEntries(t *testing.T) {
 	if len(sinks[1].flows)+len(sinks[2].flows) != 0 {
 		t.Error("entries survived UnpinFlow")
 	}
-	if _, ok := c.PinnedPath(7); ok {
-		t.Error("PinnedPath after UnpinFlow")
+	if _, ok := c.pins[7]; ok {
+		t.Error("pin left after UnpinFlow")
 	}
 }

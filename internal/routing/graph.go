@@ -191,26 +191,6 @@ func (g *Graph) addNeighbor(a, b core.NodeID) {
 	g.nbrs[a] = insortID(g.nbrs[a], b)
 }
 
-// RemoveLink deletes the edge a↔b (no-op if absent).
-func (g *Graph) RemoveLink(a, b core.NodeID) {
-	k := linkKey(a, b)
-	if _, ok := g.links[k]; !ok {
-		return
-	}
-	delete(g.links, k)
-	g.dropNeighbor(a, b)
-	g.dropNeighbor(b, a)
-	g.gen++
-}
-
-func (g *Graph) dropNeighbor(a, b core.NodeID) {
-	ns := g.nbrs[a]
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= b })
-	if i < len(ns) && ns[i] == b {
-		g.nbrs[a] = append(ns[:i], ns[i+1:]...)
-	}
-}
-
 // Link returns the edge a↔b, or nil.
 func (g *Graph) Link(a, b core.NodeID) *Link { return g.links[linkKey(a, b)] }
 

@@ -40,13 +40,29 @@ func buildLine() (*Controller, map[core.NodeID]*fakeSink) {
 	return c, sinks
 }
 
+// nextHop reads the next hop installed at dc toward dst (a DC, host, or
+// group destination): what the controller last pushed to dc's sink.
+func (c *Controller) nextHop(dc, dst core.NodeID) (core.NodeID, bool) {
+	dt := c.dcs[dc]
+	if dt == nil {
+		return 0, false
+	}
+	var via core.NodeID
+	if di, ok := c.idxOf[dst]; ok && int(di) < len(dt.instDC) {
+		via = dt.instDC[di]
+	} else if slot, ok := c.hostSlot[dst]; ok && int(slot) < len(dt.instHost) {
+		via = dt.instHost[slot]
+	}
+	return via, via != 0
+}
+
 func TestLinePathsAndNextHops(t *testing.T) {
 	c, sinks := buildLine()
 	// 1→4 must go via 2, then 3.
-	if via, ok := c.NextHop(1, 4); !ok || via != 2 {
+	if via, ok := c.nextHop(1, 4); !ok || via != 2 {
 		t.Errorf("NextHop(1,4) = %v %v, want 2", via, ok)
 	}
-	if via, ok := c.NextHop(2, 4); !ok || via != 3 {
+	if via, ok := c.nextHop(2, 4); !ok || via != 3 {
 		t.Errorf("NextHop(2,4) = %v %v, want 3", via, ok)
 	}
 	if lat, ok := c.PathLatency(1, 4); !ok || lat != 30*time.Millisecond {
@@ -134,7 +150,7 @@ func TestDegradedLinkCostShiftsPath(t *testing.T) {
 	c.SetLink(1, 3, 25*time.Millisecond)
 	c.SetLink(3, 4, 25*time.Millisecond)
 	c.SetLinkHealth(1, 2, LinkDegraded, 60*time.Millisecond)
-	if via, _ := c.NextHop(1, 4); via != 3 {
+	if via, _ := c.nextHop(1, 4); via != 3 {
 		t.Errorf("degraded path still primary: via %v", via)
 	}
 	if c.Stats().LinkDegrades != 1 {
@@ -218,7 +234,7 @@ func TestRoutingTablesDeterministic(t *testing.T) {
 		out := make(map[string]core.NodeID)
 		for _, dc := range c.Graph().Nodes() {
 			for _, dst := range c.Graph().Nodes() {
-				if via, ok := c.NextHop(dc, dst); ok {
+				if via, ok := c.nextHop(dc, dst); ok {
 					out[fmt.Sprintf("%v->%v", dc, dst)] = via
 				}
 			}
@@ -284,7 +300,7 @@ func TestMonitorFailAndRecover(t *testing.T) {
 		t.Errorf("controller failures = %d", c.Stats().LinkFailures)
 	}
 	// 1→3 traffic must avoid the dead link now.
-	if via, ok := c.NextHop(1, 3); !ok || via != 3 {
+	if via, ok := c.nextHop(1, 3); !ok || via != 3 {
 		t.Errorf("NextHop(1,3) after failure = %v %v", via, ok)
 	}
 	answer(recoverAfter, 20*time.Millisecond)
@@ -318,7 +334,7 @@ func TestMonitorRTTDriftRepricesLink(t *testing.T) {
 	}
 	// 1→3 used to ride 1—2—3 (20 ms); at ~50 ms routed it must now use
 	// the direct 40 ms link.
-	if via, ok := c.NextHop(1, 3); !ok || via != 3 {
+	if via, ok := c.nextHop(1, 3); !ok || via != 3 {
 		t.Errorf("NextHop(1,3) after drift = %v %v, want direct", via, ok)
 	}
 	// Adaptive timeout follows the estimate.
@@ -331,7 +347,7 @@ func TestMonitorRTTDriftRepricesLink(t *testing.T) {
 		now += 20 * time.Millisecond
 		m.ProbeAcked(1, 2, seq, now)
 	}
-	if via, ok := c.NextHop(1, 3); !ok || via != 2 {
+	if via, ok := c.nextHop(1, 3); !ok || via != 2 {
 		t.Errorf("NextHop(1,3) after recovery = %v %v, want via 2", via, ok)
 	}
 }

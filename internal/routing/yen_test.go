@@ -203,7 +203,7 @@ func TestPathsMatchReference(t *testing.T) {
 			case 1:
 				c.SetLinkHealth(l.A, l.B, LinkDegraded, time.Duration(5*(1+rng.Intn(6)))*time.Millisecond)
 			case 2:
-				c.SetLinkUtilization(l.A, l.B, 1)
+				c.SetLinkUtilizations([]UtilizationReport{{l.A, l.B, 1}})
 			}
 		}
 		for a := core.NodeID(1); a <= core.NodeID(n+1); a++ {

@@ -51,9 +51,6 @@ func init() {
 	}
 }
 
-// gfAdd returns a+b in GF(2⁸) (carry-less: XOR).
-func gfAdd(a, b byte) byte { return a ^ b }
-
 // gfMul returns a·b in GF(2⁸).
 func gfMul(a, b byte) byte { return mulTable[a][b] }
 

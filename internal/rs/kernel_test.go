@@ -142,7 +142,7 @@ func TestEncodePackedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEncodeMatchesReference holds Encode and EncodeParity to the
+// TestEncodeMatchesReference holds Encode and encodeParity to the
 // byte-at-a-time encode at shard sizes that are not a multiple of 8, with
 // every parity count from one odd row to two pairs and a row.
 func TestEncodeMatchesReference(t *testing.T) {
@@ -165,11 +165,9 @@ func TestEncodeMatchesReference(t *testing.T) {
 					t.Fatalf("Encode(k=%d m=%d size=%d) parity %d differs from the reference", k, m, size, p)
 				}
 				dst := dirty(rng, 1, size)[0]
-				if err := c.EncodeParity(p, data, dst); err != nil {
-					t.Fatal(err)
-				}
+				encodeParity(c, p, data, dst)
 				if !bytes.Equal(dst, want[p]) {
-					t.Fatalf("EncodeParity(k=%d m=%d size=%d, %d) differs from the reference", k, m, size, p)
+					t.Fatalf("encodeParity(k=%d m=%d size=%d, %d) differs from the reference", k, m, size, p)
 				}
 			}
 		}
@@ -329,7 +327,7 @@ func TestCacheBounded(t *testing.T) {
 		t.Errorf("cache holds %d shapes after the flood, want its bound %d", c.Len(), bound)
 	}
 	again := c.Get(6, 2)
-	if again == nil || again.DataShards() != 6 || again.ParityShards() != 2 {
+	if again == nil || again.k != 6 || again.m != 2 {
 		t.Error("an evicted shape is not rebuilt")
 	}
 	if NewCache(0).Get(3, 1) == nil {

@@ -16,15 +16,6 @@ func (m matrix) at(r, c int) byte     { return m.data[r*m.cols+c] }
 func (m matrix) set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 func (m matrix) row(r int) []byte     { return m.data[r*m.cols : (r+1)*m.cols] }
 
-// identity returns the n×n identity matrix.
-func identity(n int) matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.set(i, i, 1)
-	}
-	return m
-}
-
 // vandermonde builds the rows×cols matrix with entry (r,c) = α^(r·c).
 // Any cols×cols submatrix of a Vandermonde matrix with distinct generators
 // is invertible, which is what makes RS decoding possible from any k shards.

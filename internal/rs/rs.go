@@ -21,7 +21,6 @@ var (
 	ErrInvalidParams  = errors.New("rs: shard counts out of range")
 	ErrTooFewShards   = errors.New("rs: not enough shards to reconstruct")
 	ErrShardSize      = errors.New("rs: inconsistent shard sizes")
-	ErrTooManyParity  = errors.New("rs: parity index out of range")
 	ErrSingularDecode = errors.New("rs: decode matrix singular")
 )
 
@@ -43,15 +42,6 @@ func NewCodec(k, m int) (*Codec, error) {
 	return c, nil
 }
 
-// DataShards returns k.
-func (c *Codec) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Codec) ParityShards() int { return c.m }
-
-// TotalShards returns k+m.
-func (c *Codec) TotalShards() int { return c.k + c.m }
-
 // Encode fills parity shards from data shards. shards must hold k+m slices
 // of identical length; the first k are inputs, the last m are outputs and
 // are overwritten in place: the caller allocates them (enabling buffer
@@ -67,23 +57,6 @@ func (c *Codec) Encode(shards [][]byte) error {
 		clear(out)
 	}
 	accumulate(c.rows, shards[:c.k], shards[c.k:], 0)
-	return nil
-}
-
-// EncodeParity computes a single parity shard (index p in [0,m)) into dst,
-// overwriting it.
-func (c *Codec) EncodeParity(p int, data [][]byte, dst []byte) error {
-	if p < 0 || p >= c.m {
-		return fmt.Errorf("%w: %d of %d", ErrTooManyParity, p, c.m)
-	}
-	if len(data) != c.k {
-		return fmt.Errorf("%w: got %d data shards, want %d", ErrShardSize, len(data), c.k)
-	}
-	if _, err := checkShardSizes(data, dst); err != nil {
-		return err
-	}
-	clear(dst)
-	accumulate(c.rows[p:p+1], data, [][]byte{dst}, 0)
 	return nil
 }
 

@@ -22,7 +22,7 @@ func BenchmarkSchedEnqueueDequeue(b *testing.B) {
 	classes := [2]core.Service{core.ServiceForwarding, core.ServiceCaching}
 	// Warm-up: grow both rings past any size the loop reaches.
 	for i := 0; i < 64; i++ {
-		s.Enqueue(classes[i%2], core.FlowID(i), payload)
+		s.EnqueueStamped(classes[i%2], core.FlowID(i), payload, 0)
 	}
 	for {
 		if _, ok := s.Dequeue(); !ok {
@@ -33,7 +33,7 @@ func BenchmarkSchedEnqueueDequeue(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Enqueue(classes[i%2], core.FlowID(i), payload) {
+		if !s.EnqueueStamped(classes[i%2], core.FlowID(i), payload, 0) {
 			b.Fatal("enqueue rejected")
 		}
 		if _, ok := s.Dequeue(); !ok {
@@ -58,7 +58,7 @@ func BenchmarkSchedBacklogged(b *testing.B) {
 	})
 	payload := make([]byte, 1200)
 	for i := 0; i < 512; i++ {
-		s.Enqueue(core.Service(1+i%3), core.FlowID(i), payload)
+		s.EnqueueStamped(core.Service(1+i%3), core.FlowID(i), payload, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -67,7 +67,7 @@ func BenchmarkSchedBacklogged(b *testing.B) {
 		if !ok {
 			b.Fatal("ran dry")
 		}
-		if !s.Enqueue(it.Class, it.Flow, it.Msg) {
+		if !s.EnqueueStamped(it.Class, it.Flow, it.Msg, 0) {
 			b.Fatal("refill rejected")
 		}
 	}

@@ -8,11 +8,11 @@
 // protection — the missing half of the guarantee when contending classes
 // share a single egress.
 //
-// The scheduler is sans-IO, like the protocol engines: Enqueue accepts
+// The scheduler is sans-IO, like the protocol engines: EnqueueStamped accepts
 // marshaled messages, Dequeue hands back the next message the discipline
 // releases, and the hosting runtime (the emulator's egress pump, or a real
 // socket writer) moves the bytes and paces dequeues at the link rate. The
-// steady-state Enqueue/Dequeue path performs no allocation — every
+// steady-state enqueue/dequeue path performs no allocation — every
 // inter-DC packet pays it (see BenchmarkSchedEnqueueDequeue).
 package sched
 
@@ -173,7 +173,7 @@ func (c Config) EffectiveQueueBytes() int64 {
 // attribute drops (flow; 0 when the packet carries no single flow).
 // Stamp is the caller's enqueue timestamp (EnqueueStamped), carried
 // through to Dequeue so the runtime can attribute queue wait without a
-// side table; plain Enqueue leaves it zero.
+// side table.
 type Item struct {
 	Class core.Service
 	Flow  core.FlowID
@@ -314,14 +314,14 @@ type DRR struct {
 
 	// OnStateChange, when set, fires on every watermark transition of a
 	// class queue with the new state and the depth that caused it. It is
-	// called from inside Enqueue/Dequeue on the egress hot path: keep it
+	// called from inside EnqueueStamped/Dequeue on the egress hot path: keep it
 	// allocation-free and do not call back into the scheduler.
 	OnStateChange func(class core.Service, st QueueState, depth int64)
 
 	// OnVictimDrop, when set, fires for every packet dropped from the
 	// longest sub-queue's tail to make room for another flow's arrival
 	// (Config.PerFlowQueues only) — the hosting runtime attributes the
-	// drop to the VICTIM flow, which is not the flow Enqueue was called
+	// drop to the VICTIM flow, which is not the flow EnqueueStamped was called
 	// for. Same hot-path rules as OnStateChange.
 	OnVictimDrop func(class core.Service, flow core.FlowID, size int64)
 
@@ -449,7 +449,7 @@ func (s *DRR) State(class core.Service) QueueState {
 	return s.state[class]
 }
 
-// Enqueue offers one marshaled message to its class queue. It reports
+// EnqueueStamped offers one marshaled message to its class queue. It reports
 // whether the message was accepted; false means the class queue's byte
 // cap rejected it (drop-from-tail — the arrival drops, queued packets
 // keep their place) and the caller should surface the drop to the
@@ -464,13 +464,10 @@ func (s *DRR) State(class core.Service) QueueState {
 // OnVictimDrop); the arrival itself is only rejected when its own flow
 // holds the longest backlog — the greedy flow pays for its own
 // pressure, never a polite sibling.
-func (s *DRR) Enqueue(class core.Service, flow core.FlowID, msg []byte) bool {
-	return s.EnqueueStamped(class, flow, msg, 0)
-}
-
-// EnqueueStamped is Enqueue carrying the caller's clock reading through
-// to the dequeued Item (Item.Stamp) — the hop-attribution layer computes
-// queue wait as dequeue time minus it.
+//
+// stamp is the caller's clock reading, carried through to the dequeued
+// Item (Item.Stamp): the hop-attribution layer computes queue wait as
+// dequeue time minus it.
 func (s *DRR) EnqueueStamped(class core.Service, flow core.FlowID, msg []byte, stamp core.Time) bool {
 	if int(class) >= NumClasses {
 		return false
@@ -683,9 +680,6 @@ func (s *DRR) dequeuePerFlow() (Item, bool) {
 
 // Len returns the total queued packet count.
 func (s *DRR) Len() int { return s.stats.QueuedPackets }
-
-// Bytes returns the total queued byte count.
-func (s *DRR) Bytes() int64 { return s.stats.QueuedBytes }
 
 // Stats returns a snapshot of the counters.
 func (s *DRR) Stats() Stats { return s.stats }

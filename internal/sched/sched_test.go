@@ -25,15 +25,15 @@ func TestDequeueEmpty(t *testing.T) {
 	if _, ok := s.Dequeue(); ok {
 		t.Fatal("dequeue from empty scheduler returned a packet")
 	}
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatalf("empty scheduler reports len=%d bytes=%d", s.Len(), s.Bytes())
+	if s.Len() != 0 || s.Stats().QueuedBytes != 0 {
+		t.Fatalf("empty scheduler reports len=%d bytes=%d", s.Len(), s.Stats().QueuedBytes)
 	}
 }
 
 func TestFIFOWithinClass(t *testing.T) {
 	s := New(Config{Weights: map[core.Service]int{}})
 	for i := 1; i <= 5; i++ {
-		if !s.Enqueue(core.ServiceForwarding, core.FlowID(i), msg(100)) {
+		if !s.EnqueueStamped(core.ServiceForwarding, core.FlowID(i), msg(100), 0) {
 			t.Fatalf("enqueue %d rejected", i)
 		}
 	}
@@ -57,8 +57,8 @@ func TestWeightedShares(t *testing.T) {
 	})
 	const n = 1000
 	for i := 0; i < n; i++ {
-		s.Enqueue(core.ServiceForwarding, 1, msg(1000))
-		s.Enqueue(core.ServiceCaching, 2, msg(1000))
+		s.EnqueueStamped(core.ServiceForwarding, 1, msg(1000), 0)
+		s.EnqueueStamped(core.ServiceCaching, 2, msg(1000), 0)
 	}
 	// Dequeue only half the backlog so both classes stay backlogged —
 	// shares are only defined under contention.
@@ -86,7 +86,7 @@ func TestWeightedShares(t *testing.T) {
 func TestWorkConserving(t *testing.T) {
 	s := New(Config{Weights: map[core.Service]int{core.ServiceForwarding: 100}})
 	for i := 0; i < 50; i++ {
-		s.Enqueue(core.ServiceCaching, 1, msg(500))
+		s.EnqueueStamped(core.ServiceCaching, 1, msg(500), 0)
 	}
 	got := drain(s)
 	if len(got) != 50 {
@@ -103,8 +103,8 @@ func TestWorkConserving(t *testing.T) {
 // quantum×weight grant must still dequeue after enough rounds.
 func TestOversizedPacketAccumulatesDeficit(t *testing.T) {
 	s := New(Config{Weights: map[core.Service]int{core.ServiceCoding: 1}})
-	s.Enqueue(core.ServiceCoding, 7, msg(10*quantum-50)) // needs 10 grants
-	s.Enqueue(core.ServiceForwarding, 8, msg(50))
+	s.EnqueueStamped(core.ServiceCoding, 7, msg(10*quantum-50), 0) // needs 10 grants
+	s.EnqueueStamped(core.ServiceForwarding, 8, msg(50), 0)
 	got := drain(s)
 	if len(got) != 2 {
 		t.Fatalf("drained %d of 2", len(got))
@@ -121,7 +121,7 @@ func TestByteCapDropsFromTail(t *testing.T) {
 		QueueBytes: 2500,
 	})
 	for i := 0; i < 5; i++ {
-		s.Enqueue(core.ServiceCaching, 3, msg(1000))
+		s.EnqueueStamped(core.ServiceCaching, 3, msg(1000), 0)
 	}
 	st := s.Stats()
 	c := st.PerClass[core.ServiceCaching]
@@ -132,12 +132,12 @@ func TestByteCapDropsFromTail(t *testing.T) {
 		t.Errorf("dropped bytes = %d, want 3000", c.DroppedBytes)
 	}
 	// The cap is per class: another class still accepts.
-	if !s.Enqueue(core.ServiceForwarding, 4, msg(1000)) {
+	if !s.EnqueueStamped(core.ServiceForwarding, 4, msg(1000), 0) {
 		t.Error("sibling class rejected under another class's cap")
 	}
 	// Draining frees cap space.
 	s.Dequeue()
-	if !s.Enqueue(core.ServiceCaching, 3, msg(1000)) {
+	if !s.EnqueueStamped(core.ServiceCaching, 3, msg(1000), 0) {
 		t.Error("enqueue rejected after drain freed cap space")
 	}
 }
@@ -147,12 +147,12 @@ func TestByteCapDropsFromTail(t *testing.T) {
 // an idle queue instead of blackholing forever.
 func TestOversizedPacketAdmittedWhenEmpty(t *testing.T) {
 	s := New(Config{Weights: map[core.Service]int{}, QueueBytes: 1000})
-	if !s.Enqueue(core.ServiceForwarding, 1, msg(5000)) {
+	if !s.EnqueueStamped(core.ServiceForwarding, 1, msg(5000), 0) {
 		t.Fatal("oversized packet rejected by an empty queue")
 	}
 	// With the oversized packet in place, the backlog is over cap: the
 	// next arrival drops.
-	if s.Enqueue(core.ServiceForwarding, 1, msg(100)) {
+	if s.EnqueueStamped(core.ServiceForwarding, 1, msg(100), 0) {
 		t.Fatal("arrival admitted over an above-cap backlog")
 	}
 	it, ok := s.Dequeue()
@@ -160,14 +160,14 @@ func TestOversizedPacketAdmittedWhenEmpty(t *testing.T) {
 		t.Fatalf("oversized packet not released: ok=%v len=%d", ok, len(it.Msg))
 	}
 	// Drained: the queue admits again.
-	if !s.Enqueue(core.ServiceForwarding, 1, msg(100)) {
+	if !s.EnqueueStamped(core.ServiceForwarding, 1, msg(100), 0) {
 		t.Fatal("queue wedged after oversized packet drained")
 	}
 }
 
 func TestUnknownClassRejected(t *testing.T) {
 	s := New(Config{Weights: map[core.Service]int{}})
-	if s.Enqueue(core.Service(250), 1, msg(10)) {
+	if s.EnqueueStamped(core.Service(250), 1, msg(10), 0) {
 		t.Fatal("unknown class accepted")
 	}
 	if s.Len() != 0 {
@@ -177,11 +177,11 @@ func TestUnknownClassRejected(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	s := New(Config{Weights: map[core.Service]int{}})
-	s.Enqueue(core.ServiceForwarding, 1, msg(100))
-	s.Enqueue(core.ServiceForwarding, 1, msg(200))
-	s.Enqueue(core.ServiceCaching, 2, msg(300))
-	if s.Len() != 3 || s.Bytes() != 600 {
-		t.Fatalf("queued len=%d bytes=%d, want 3/600", s.Len(), s.Bytes())
+	s.EnqueueStamped(core.ServiceForwarding, 1, msg(100), 0)
+	s.EnqueueStamped(core.ServiceForwarding, 1, msg(200), 0)
+	s.EnqueueStamped(core.ServiceCaching, 2, msg(300), 0)
+	if s.Len() != 3 || s.Stats().QueuedBytes != 600 {
+		t.Fatalf("queued len=%d bytes=%d, want 3/600", s.Len(), s.Stats().QueuedBytes)
 	}
 	s.Dequeue()
 	st := s.Stats()
@@ -214,7 +214,7 @@ func TestRingGrowthPreservesOrder(t *testing.T) {
 	want := core.FlowID(1)
 	for step := 0; step < 200; step++ {
 		for i := 0; i < 3; i++ {
-			s.Enqueue(core.ServiceCoding, next, msg(10))
+			s.EnqueueStamped(core.ServiceCoding, next, msg(10), 0)
 			next++
 		}
 		it, ok := s.Dequeue()
@@ -267,8 +267,8 @@ func TestWatermarkHysteresis(t *testing.T) {
 		flips = append(flips, flip{st, depth})
 	}
 	enq := func(n int) {
-		if !s.Enqueue(core.ServiceCaching, 1, msg(n)) {
-			t.Fatalf("enqueue %d rejected at depth %d", n, s.Bytes())
+		if !s.EnqueueStamped(core.ServiceCaching, 1, msg(n), 0) {
+			t.Fatalf("enqueue %d rejected at depth %d", n, s.Stats().QueuedBytes)
 		}
 	}
 	deq := func() {
@@ -324,7 +324,7 @@ func TestWatermarkHysteresis(t *testing.T) {
 func TestWatermarkCoolsThroughWarm(t *testing.T) {
 	s := New(Config{Weights: map[core.Service]int{}, QueueBytes: 1000})
 	for i := 0; i < 8; i++ {
-		s.Enqueue(core.ServiceCoding, 1, msg(100)) // 800 → Hot
+		s.EnqueueStamped(core.ServiceCoding, 1, msg(100), 0) // 800 → Hot
 	}
 	if s.State(core.ServiceCoding) != QueueHot {
 		t.Fatalf("state = %v, want hot", s.State(core.ServiceCoding))

@@ -15,12 +15,12 @@ func TestPerFlowSubqueueFairness(t *testing.T) {
 	bulk, inter := core.FlowID(1), core.FlowID(2)
 	// Bulk floods first; interactive arrives behind the whole backlog.
 	for i := 0; i < 10; i++ {
-		if !s.Enqueue(core.ServiceForwarding, bulk, make([]byte, 1000)) {
+		if !s.EnqueueStamped(core.ServiceForwarding, bulk, make([]byte, 1000), 0) {
 			t.Fatal("bulk enqueue rejected")
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if !s.Enqueue(core.ServiceForwarding, inter, make([]byte, 200)) {
+		if !s.EnqueueStamped(core.ServiceForwarding, inter, make([]byte, 200), 0) {
 			t.Fatal("interactive enqueue rejected")
 		}
 	}
@@ -42,8 +42,8 @@ func TestPerFlowSubqueueFairness(t *testing.T) {
 	if interServed[1] > 4 {
 		t.Fatalf("interactive packets served at positions %v — starved behind bulk", interServed)
 	}
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatalf("residue after drain: %d pkts %d bytes", s.Len(), s.Bytes())
+	if s.Len() != 0 || s.Stats().QueuedBytes != 0 {
+		t.Fatalf("residue after drain: %d pkts %d bytes", s.Len(), s.Stats().QueuedBytes)
 	}
 	if fqs := s.Stats().PerClass[core.ServiceForwarding].FlowQueues; fqs != 0 {
 		t.Fatalf("drained class still holds %d sub-queues", fqs)
@@ -64,13 +64,13 @@ func TestPerFlowVictimDrop(t *testing.T) {
 		victimBytes += size
 	}
 	for i := 0; i < 5; i++ {
-		if !s.Enqueue(core.ServiceForwarding, bulk, make([]byte, 1000)) {
+		if !s.EnqueueStamped(core.ServiceForwarding, bulk, make([]byte, 1000), 0) {
 			t.Fatal("bulk fill rejected")
 		}
 	}
 	// The class sits at its cap. The interactive arrival must be
 	// admitted by dropping the BULK tail, not rejected.
-	if !s.Enqueue(core.ServiceForwarding, inter, make([]byte, 400)) {
+	if !s.EnqueueStamped(core.ServiceForwarding, inter, make([]byte, 400), 0) {
 		t.Fatal("interactive arrival rejected at cap — victim eviction did not run")
 	}
 	if len(victims) != 1 || victims[0] != bulk || victimBytes != 1000 {
@@ -86,7 +86,7 @@ func TestPerFlowVictimDrop(t *testing.T) {
 
 	// The bulk flow's OWN next arrival is the longest queue's — it is
 	// rejected outright, no sibling pays.
-	if s.Enqueue(core.ServiceForwarding, bulk, make([]byte, 1000)) {
+	if s.EnqueueStamped(core.ServiceForwarding, bulk, make([]byte, 1000), 0) {
 		t.Fatal("bulk arrival admitted past cap with bulk itself the longest")
 	}
 	if len(victims) != 1 {
@@ -104,9 +104,9 @@ func TestPerFlowVictimDropKeepsOrder(t *testing.T) {
 	// Three distinguishable bulk packets; the victim drop must take the
 	// TAIL (len 3), leaving 1 and 2 to deliver in order.
 	for _, n := range []int{1, 2, 3} {
-		s.Enqueue(core.ServiceForwarding, bulk, make([]byte, 1000)[:1000-n])
+		s.EnqueueStamped(core.ServiceForwarding, bulk, make([]byte, 1000)[:1000-n], 0)
 	}
-	if !s.Enqueue(core.ServiceForwarding, inter, make([]byte, 900)) {
+	if !s.EnqueueStamped(core.ServiceForwarding, inter, make([]byte, 900), 0) {
 		t.Fatal("interactive rejected")
 	}
 	var bulkSizes []int
@@ -137,8 +137,8 @@ func TestPerFlowClassWeightsStillHold(t *testing.T) {
 		PerFlowQueues: true,
 	})
 	for i := 0; i < 300; i++ {
-		s.Enqueue(core.ServiceForwarding, core.FlowID(1+i%3), make([]byte, 1000))
-		s.Enqueue(core.ServiceCaching, core.FlowID(10+i%2), make([]byte, 1000))
+		s.EnqueueStamped(core.ServiceForwarding, core.FlowID(1+i%3), make([]byte, 1000), 0)
+		s.EnqueueStamped(core.ServiceCaching, core.FlowID(10+i%2), make([]byte, 1000), 0)
 	}
 	var fwd, cache int
 	for i := 0; i < 200; i++ {
@@ -167,7 +167,7 @@ func TestPerFlowSubqueueRecycling(t *testing.T) {
 	// only the backlogged ones.
 	for round := 0; round < 5; round++ {
 		for f := core.FlowID(1); f <= 8; f++ {
-			s.Enqueue(core.ServiceForwarding, f, make([]byte, 100))
+			s.EnqueueStamped(core.ServiceForwarding, f, make([]byte, 100), 0)
 		}
 		if fqs := s.Stats().PerClass[core.ServiceForwarding].FlowQueues; fqs != 8 {
 			t.Fatalf("round %d: %d sub-queues, want 8", round, fqs)
@@ -200,7 +200,7 @@ func BenchmarkSubqueueEnqueueDequeue(b *testing.B) {
 	// Warm-up: grow rings, free lists, and map buckets past anything the
 	// loop reaches.
 	for i := 0; i < 64; i++ {
-		s.Enqueue(classes[i%2], core.FlowID(1+i%4), payload)
+		s.EnqueueStamped(classes[i%2], core.FlowID(1+i%4), payload, 0)
 	}
 	for {
 		if _, ok := s.Dequeue(); !ok {
@@ -211,7 +211,7 @@ func BenchmarkSubqueueEnqueueDequeue(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Enqueue(classes[i%2], core.FlowID(1+i%4), payload) {
+		if !s.EnqueueStamped(classes[i%2], core.FlowID(1+i%4), payload, 0) {
 			b.Fatal("enqueue rejected")
 		}
 		if _, ok := s.Dequeue(); !ok {

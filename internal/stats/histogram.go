@@ -92,12 +92,6 @@ func (h *Histogram) Add(v float64) {
 // Len returns the number of observations.
 func (h *Histogram) Len() int { return h.n }
 
-// Min returns the smallest observation, or 0 for an empty histogram.
-func (h *Histogram) Min() float64 { return h.min }
-
-// Max returns the largest observation, or 0 for an empty histogram.
-func (h *Histogram) Max() float64 { return h.max }
-
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {

@@ -82,15 +82,6 @@ func (s *Sample) sort() {
 	}
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.data) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.data[0]
-}
-
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
 	if len(s.data) == 0 {
@@ -98,23 +89,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.sort()
 	return s.data[len(s.data)-1]
-}
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 {
-	var t float64
-	for _, v := range s.data {
-		t += v
-	}
-	return t
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.data) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.data))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation

@@ -23,23 +23,17 @@ func TestSampleBasics(t *testing.T) {
 	if got := s.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
 	}
-	if got := s.Min(); got != 1 {
-		t.Errorf("Min = %v, want 1", got)
+	if got := s.Quantile(0); got != 1 {
+		t.Errorf("Quantile(0) = %v, want 1", got)
 	}
 	if got := s.Max(); got != 4 {
 		t.Errorf("Max = %v, want 4", got)
-	}
-	if got := s.Mean(); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := s.Sum(); got != 10 {
-		t.Errorf("Sum = %v, want 10", got)
 	}
 }
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 {
+	if s.Max() != 0 {
 		t.Error("empty sample should report zeros")
 	}
 	if got := s.FractionBelow(10); got != 0 {
@@ -115,7 +109,7 @@ func TestQuantileOrderedProperty(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		a, b := s.Quantile(q1), s.Quantile(q2)
-		return a <= b && a >= s.Min() && b <= s.Max()
+		return a <= b && a >= s.Quantile(0) && b <= s.Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -219,15 +213,15 @@ func TestSummaryAgainstKnownDistribution(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		s.Add(rng.Float64())
 	}
-	if med, p95, mean := s.Median(), s.Quantile(0.95), s.Mean(); math.Abs(med-0.5) > 0.01 || math.Abs(p95-0.95) > 0.01 || math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("uniform sample: median %v, p95 %v, mean %v", med, p95, mean)
+	if med, p95 := s.Median(), s.Quantile(0.95); math.Abs(med-0.5) > 0.01 || math.Abs(p95-0.95) > 0.01 {
+		t.Errorf("uniform sample: median %v, p95 %v", med, p95)
 	}
 }
 
 // TestSampleMatchesFullSort is the differential oracle for the incremental
 // sort: over random interleavings of Add and reads, every answer — and the
-// storage order Sum and Mean add up in — is bit-equal to sorting the whole
-// history on each read.
+// storage order itself — is bit-equal to sorting the whole history on each
+// read.
 func TestSampleMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// model is what Sample stored before this change: sorted by the last
@@ -240,13 +234,6 @@ func TestSampleMatchesFullSort(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("step %d: %s = %v (%#x), full sort gives %v (%#x)", step, what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-	}
-	sum := func() float64 {
-		var t float64
-		for _, v := range model {
-			t += v
-		}
-		return t
 	}
 	reads := 0
 	for step := 0; step < 30000; step++ {
@@ -294,18 +281,18 @@ func TestSampleMatchesFullSort(t *testing.T) {
 				same(step, "Values()[i]", got[i], model[i])
 			}
 		case r < 35:
-			got := s.Min()
+			got := s.Quantile(0)
 			sortModel()
-			same(step, "Min", got, model[0])
+			same(step, "Quantile(0)", got, model[0])
 		case r < 36:
 			got := s.Max()
 			sortModel()
 			same(step, "Max", got, model[len(model)-1])
 		case r < 38:
-			// Mean does not sort: it adds up whatever order the last
-			// read left, so the storage order must match too.
-			same(step, "Mean", s.Mean(), sum()/float64(len(model)))
-			same(step, "Sum", s.Sum(), sum())
+			// No read: the storage order the last read left must match.
+			for i := range model {
+				same(step, "data[i]", s.data[i], model[i])
+			}
 			continue
 		default:
 			x := model[rng.Intn(len(model))]

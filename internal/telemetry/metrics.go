@@ -17,15 +17,12 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. Add/Inc are lock-free and
+// Counter is a monotonically increasing metric. Inc is lock-free and
 // allocation-free; Load is safe concurrently with writers.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
@@ -62,9 +59,6 @@ func NewHistogram(name, unit string, bounds ...float64) *Histogram {
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
 }
-
-// Name returns the histogram's metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one value. Allocation-free: a linear scan over the
 // (small, fixed) bound set plus three atomic ops.

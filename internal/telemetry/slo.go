@@ -330,36 +330,3 @@ func (s *SLOSnapshot) Flow(id core.FlowID) (SLOEntry, bool) {
 	}
 	return SLOEntry{}, false
 }
-
-// Class returns the entry for one service class's tracker.
-func (s *SLOSnapshot) Class(class core.Service) (SLOEntry, bool) {
-	for i := range s.Classes {
-		if s.Classes[i].Class == class {
-			return s.Classes[i], true
-		}
-	}
-	return SLOEntry{}, false
-}
-
-// Tenant returns the entry for one tenant's tracker.
-func (s *SLOSnapshot) Tenant(id core.TenantID) (SLOEntry, bool) {
-	for i := range s.Tenants {
-		if s.Tenants[i].Tenant == id {
-			return s.Tenants[i], true
-		}
-	}
-	return SLOEntry{}, false
-}
-
-// Worst returns the worst state across every tracker in the snapshot.
-func (s *SLOSnapshot) Worst() SLOState {
-	worst := SLOMet
-	for _, list := range [][]SLOEntry{s.Flows, s.Classes, s.Tenants} {
-		for i := range list {
-			if list[i].State > worst {
-				worst = list[i].State
-			}
-		}
-	}
-	return worst
-}

@@ -187,19 +187,6 @@ type FlowSnapshot struct {
 	LatencyMsP95  float64 `json:"latency_ms_p95"`
 }
 
-// OnTimeFraction returns OnTime/Delivered. With nothing delivered it
-// returns 0 when packets were sent (a blackholed flow is NOT meeting
-// its budget) and 1 only when nothing was sent either (vacuous truth).
-func (f FlowSnapshot) OnTimeFraction() float64 {
-	if f.Delivered == 0 {
-		if f.Sent > 0 {
-			return 0
-		}
-		return 1
-	}
-	return float64(f.OnTime) / float64(f.Delivered)
-}
-
 // TenantSnapshot is one tenant's contract state and the rollup of its
 // member flows. The per-flow sums (Sent … PacedBytes, EstCostUSD) are
 // computed by summing the tenant's member rows from

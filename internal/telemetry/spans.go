@@ -112,10 +112,6 @@ var spendBounds = [...]time.Duration{
 // NumSpendBuckets is the spend-histogram bucket count (bounds + overflow).
 const NumSpendBuckets = len(spendBounds) + 1
 
-// SpendBucketBounds returns the histogram's upper bounds (the final
-// overflow bucket has none).
-func SpendBucketBounds() []time.Duration { return append([]time.Duration(nil), spendBounds[:]...) }
-
 func spendBucket(d time.Duration) int {
 	for i, b := range spendBounds {
 		if d <= b {
@@ -173,19 +169,6 @@ func (p *SpendProfile) Share(c SpanComponent) float64 {
 		return 0
 	}
 	return float64(p.Ns[c]) / float64(sum)
-}
-
-// LateShare returns component c's fraction of the spend over LATE
-// deliveries only.
-func (p *SpendProfile) LateShare(c SpanComponent) float64 {
-	var sum int64
-	for i := 0; i < NumSpanComponents; i++ {
-		sum += p.LateNs[i]
-	}
-	if sum <= 0 {
-		return 0
-	}
-	return float64(p.LateNs[c]) / float64(sum)
 }
 
 // QueueKey names one directed egress class queue.
@@ -263,12 +246,6 @@ func NewSpanCollector() *SpanCollector { return &SpanCollector{} }
 // Pending returns the number of in-flight traced packets — the hot
 // paths' "anything to do?" guard.
 func (c *SpanCollector) Pending() int { return c.live }
-
-// Traced / Finished / Dropped / Evicted return lifetime counters.
-func (c *SpanCollector) Traced() uint64   { return c.traced }
-func (c *SpanCollector) Finished() uint64 { return c.finished }
-func (c *SpanCollector) Dropped() uint64  { return c.dropped }
-func (c *SpanCollector) Evicted() uint64  { return c.evicted }
 
 // Begin opens a trace for packet id sent at the given simulated time.
 func (c *SpanCollector) Begin(id core.PacketID, at time.Duration) {
@@ -463,10 +440,6 @@ func (c *SpanCollector) NoteLate(rec HopRecord) {
 	c.resvHead = (c.resvHead + 1) % lateReservoirCap
 }
 
-// LateSeen returns the lifetime count of budget-violating deliveries
-// offered to the reservoir.
-func (c *SpanCollector) LateSeen() uint64 { return c.lateSeen }
-
 // Reservoir appends the buffered late-delivery records, oldest first.
 func (c *SpanCollector) Reservoir(dst []HopRecord) []HopRecord {
 	for i := 0; i < c.resvLen; i++ {
@@ -524,18 +497,6 @@ func (a *AttributionSnapshot) Flow(id core.FlowID) (FlowSpendSnapshot, bool) {
 		}
 	}
 	return FlowSpendSnapshot{}, false
-}
-
-// Queue returns the queue-wait aggregate for one (from, to, class); ok
-// false when no sampled delivery waited there.
-func (a *AttributionSnapshot) Queue(from, to core.NodeID, class core.Service) (QueueSpendSnapshot, bool) {
-	k := QueueKey{From: from, To: to, Class: class}
-	for i := range a.Queues {
-		if a.Queues[i].Key == k {
-			return a.Queues[i], true
-		}
-	}
-	return QueueSpendSnapshot{}, false
 }
 
 // Snapshot assembles the collector's current state into an immutable

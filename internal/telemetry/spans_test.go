@@ -69,12 +69,11 @@ func TestSpanLifecycle(t *testing.T) {
 		rec.Queues[1] != (QueueSpan{From: 2, To: 5, Class: 3, Wait: 5 * time.Millisecond}) {
 		t.Fatalf("queues = %+v", rec.Queues[:rec.NQueues])
 	}
-	if c.Pending() != 0 || c.Finished() != 1 {
-		t.Fatalf("pending %d finished %d", c.Pending(), c.Finished())
-	}
-
-	// The finish fed the aggregates.
+	// The finish fed the counters and the aggregates.
 	snap := c.Snapshot()
+	if snap.Pending != 0 || snap.Finished != 1 {
+		t.Fatalf("pending %d finished %d", snap.Pending, snap.Finished)
+	}
 	fp, ok := snap.Flow(1)
 	if !ok || fp.Profile.Samples != 1 || fp.Profile.Late != 1 {
 		t.Fatalf("flow profile = %+v, %v", fp, ok)
@@ -82,9 +81,9 @@ func TestSpanLifecycle(t *testing.T) {
 	if fp.Profile.LateExcessNs != int64(5*time.Millisecond) {
 		t.Fatalf("late excess = %d", fp.Profile.LateExcessNs)
 	}
-	qs, ok := snap.Queue(1, 2, 3)
-	if !ok || qs.Spend.Samples != 1 || qs.Spend.WaitNs != int64(4*time.Millisecond) {
-		t.Fatalf("queue spend = %+v, %v", qs, ok)
+	if len(snap.Queues) != 2 || snap.Queues[0].Key != (QueueKey{From: 1, To: 2, Class: 3}) ||
+		snap.Queues[0].Spend.Samples != 1 || snap.Queues[0].Spend.WaitNs != int64(4*time.Millisecond) {
+		t.Fatalf("queue spend = %+v", snap.Queues)
 	}
 	// A second finish of the same id is a no-op.
 	if _, ok := c.Finish(id, 50*time.Millisecond, 0, 0, 3); ok {
@@ -96,12 +95,12 @@ func TestSpanDropAbandonsTrace(t *testing.T) {
 	c := NewSpanCollector()
 	c.Begin(pid(1, 1), 0)
 	c.Drop(pid(1, 1))
-	if c.Pending() != 0 || c.Dropped() != 1 {
-		t.Fatalf("pending %d dropped %d", c.Pending(), c.Dropped())
+	if snap := c.Snapshot(); snap.Pending != 0 || snap.Dropped != 1 {
+		t.Fatalf("pending %d dropped %d", snap.Pending, snap.Dropped)
 	}
 	c.Drop(pid(1, 1)) // unknown id: no-op
-	if c.Dropped() != 1 {
-		t.Fatalf("double drop counted: %d", c.Dropped())
+	if n := c.Snapshot().Dropped; n != 1 {
+		t.Fatalf("double drop counted: %d", n)
 	}
 	if _, ok := c.Finish(pid(1, 1), time.Second, 0, 0, 3); ok {
 		t.Fatal("finished a dropped trace")
@@ -116,8 +115,8 @@ func TestSpanEvictionUnderPressure(t *testing.T) {
 	if c.Pending() != spanTableCap {
 		t.Fatalf("pending = %d, want %d", c.Pending(), spanTableCap)
 	}
-	if c.Evicted() != 3 {
-		t.Fatalf("evicted = %d, want 3", c.Evicted())
+	if n := c.Snapshot().Evicted; n != 3 {
+		t.Fatalf("evicted = %d, want 3", n)
 	}
 	// The oldest three were evicted; the fourth is still live.
 	if _, ok := c.Finish(pid(1, 2), time.Second, 0, 0, 3); ok {
@@ -157,8 +156,8 @@ func TestSpanReservoirWraps(t *testing.T) {
 	for i := 0; i < lateReservoirCap+5; i++ {
 		c.NoteLate(HopRecord{Flow: 1, Seq: core.Seq(i)})
 	}
-	if c.LateSeen() != lateReservoirCap+5 {
-		t.Fatalf("late seen = %d", c.LateSeen())
+	if n := c.Snapshot().LateDeliveries; n != lateReservoirCap+5 {
+		t.Fatalf("late deliveries = %d", n)
 	}
 	recs := c.Reservoir(nil)
 	if len(recs) != lateReservoirCap {
@@ -243,8 +242,8 @@ func TestSpendProfileShares(t *testing.T) {
 	if got := p.Share(SpanQueue); got != 0.8 {
 		t.Fatalf("queue share = %v", got)
 	}
-	if got := p.LateShare(SpanQueue); got != 0.8 {
-		t.Fatalf("late queue share = %v", got)
+	if p.LateNs[SpanQueue] != int64(8*time.Millisecond) || p.LateNs[SpanPropagation] != int64(2*time.Millisecond) {
+		t.Fatalf("late spend = %v", p.LateNs)
 	}
 	if got := (&SpendProfile{}).Share(SpanQueue); got != 0 {
 		t.Fatalf("empty share = %v", got)

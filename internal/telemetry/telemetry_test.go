@@ -15,8 +15,9 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if got := c.Load(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -130,9 +131,6 @@ func TestRingOverwrite(t *testing.T) {
 	}
 	if st.ByKind[KindEgressDrop] != 5 {
 		t.Fatalf("ByKind = %v", st.ByKind)
-	}
-	if got := r.CountOf(KindEgressDrop); got != 5 {
-		t.Fatalf("CountOf = %d, want 5", got)
 	}
 	// The oldest two events were overwritten; V1 2..4 remain in order.
 	ev := r.Events(nil)

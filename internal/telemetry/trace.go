@@ -262,13 +262,3 @@ func (r *Ring) Stats() TraceStats {
 		ByKind:   r.byKind,
 	}
 }
-
-// CountOf returns the lifetime count of one event kind.
-func (r *Ring) CountOf(k Kind) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(k) >= NumKinds {
-		return 0
-	}
-	return r.byKind[k]
-}

@@ -109,16 +109,19 @@ func TestPacerMinAcrossBottlenecks(t *testing.T) {
 	if p.OnSignal(0, k2, feedback.Hot) {
 		t.Fatal("k2's first cut (to 50k) must not lower the applied rate below k1's")
 	}
-	if p.Rate() != 50_000 || p.Tracking() != 2 {
-		t.Fatalf("rate %d tracking %d, want 50000/2", p.Rate(), p.Tracking())
+	if p.Rate() != 50_000 {
+		t.Fatalf("rate %d, want 50000", p.Rate())
 	}
-	// k1 cools and recovers past k2; the min must hold at k2's rate.
+	// k1 cools and recovers past k2; the min must hold at k2's rate. Each
+	// Tick raises k1 until it is forgotten; with k2 still hot, a Tick then
+	// has nothing left to move.
 	p.OnSignal(0, k1, feedback.Clear)
-	for i := 0; i < 20 && p.Tracking() == 2; i++ {
-		p.Tick(0)
+	ticks := 0
+	for ticks < 20 && p.Tick(0) {
+		ticks++
 	}
-	if p.Tracking() != 1 {
-		t.Fatalf("k1 did not recover out; tracking %d", p.Tracking())
+	if ticks == 0 || ticks == 20 {
+		t.Fatalf("k1 recovered out after %d ticks", ticks)
 	}
 	if p.Rate() != 50_000 {
 		t.Fatalf("applied rate %d, want k2's 50000", p.Rate())

@@ -19,7 +19,6 @@ package transport
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,18 +69,6 @@ func (b *AddrBook) Learn(id core.NodeID, addr *net.UDPAddr) {
 	}
 }
 
-// Nodes lists known node IDs (sorted, for diagnostics).
-func (b *AddrBook) Nodes() []core.NodeID {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]core.NodeID, 0, len(b.addrs))
-	for id := range b.addrs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ParseAddrBook parses "1=127.0.0.1:9001,2=127.0.0.1:9002" into a book.
 func ParseAddrBook(spec string) (*AddrBook, error) {
 	b := NewAddrBook()
@@ -129,10 +116,6 @@ type Endpoint struct {
 	mu     sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
-
-	stats struct {
-		rx, tx, rxErr, noRoute uint64
-	}
 }
 
 // NewEndpoint binds a UDP socket on listen ("host:port" or ":0").
@@ -190,15 +173,9 @@ func (e *Endpoint) receiveLoop() {
 		raw := append([]byte(nil), buf[:n]...)
 		body, err := wire.SplitMessage(&hdr, raw)
 		if err != nil {
-			e.mu.Lock()
-			e.stats.rxErr++
-			e.mu.Unlock()
 			continue
 		}
 		e.Book.Learn(hdr.Src, from)
-		e.mu.Lock()
-		e.stats.rx++
-		e.mu.Unlock()
 		if e.Handler != nil {
 			e.Handler(e.Now(), &hdr, body, raw)
 		}
@@ -215,17 +192,9 @@ func (e *Endpoint) Send(to core.NodeID, msg []byte) error {
 	}
 	addr := e.Book.Lookup(to)
 	if addr == nil {
-		e.mu.Lock()
-		e.stats.noRoute++
-		e.mu.Unlock()
 		return fmt.Errorf("transport: no address for %v", to)
 	}
 	_, err := e.conn.WriteToUDP(msg, addr)
-	if err == nil {
-		e.mu.Lock()
-		e.stats.tx++
-		e.mu.Unlock()
-	}
 	return err
 }
 
@@ -235,13 +204,6 @@ func (e *Endpoint) Transmit(emits []core.Emit) {
 	for _, em := range emits {
 		_ = e.Send(em.To, em.Msg)
 	}
-}
-
-// Stats returns (received, transmitted, decode errors, unroutable).
-func (e *Endpoint) Stats() (rx, tx, rxErr, noRoute uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats.rx, e.stats.tx, e.stats.rxErr, e.stats.noRoute
 }
 
 // pump is the wall-clock half of a sans-IO engine: one timer parked on the

@@ -116,13 +116,6 @@ func (h *HostEnd) SendData(flow core.FlowID, seq core.Seq, dst core.NodeID, serv
 	}
 }
 
-// PullFlow drains the DC cache for a flow (mobility rendezvous).
-func (h *HostEnd) PullFlow(flow core.FlowID, after core.Seq) {
-	h.mu.Lock()
-	h.hc.Pull(h.ep.Now(), flow, after)
-	h.finish()
-}
-
 func (h *HostEnd) onTimer() {
 	h.mu.Lock()
 	h.hc.OnTimer(h.ep.Now())

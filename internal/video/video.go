@@ -53,12 +53,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// BitrateMbps returns the stream's nominal bitrate.
-func (c Config) BitrateMbps() float64 {
-	avg := float64(c.MinPackets+c.MaxPackets) / 2
-	return avg * float64(c.PacketSize) * 8 * float64(c.FPS) / 1e6
-}
-
 // Frame is one generated video frame.
 type Frame struct {
 	ID      int

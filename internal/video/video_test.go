@@ -40,8 +40,13 @@ func TestGenerateFramesZeroFPSPanics(t *testing.T) {
 func TestBitrate(t *testing.T) {
 	cfg := DefaultConfig()
 	// 3.5 avg pkts × 1200 B × 8 × 15 fps = 0.504 Mb/s.
-	if b := cfg.BitrateMbps(); b < 0.4 || b > 0.7 {
-		t.Errorf("bitrate = %v", b)
+	const secs = 60
+	pkts := 0
+	for _, f := range cfg.GenerateFrames(rand.New(rand.NewSource(1)), secs*time.Second) {
+		pkts += f.Packets
+	}
+	if b := float64(pkts*cfg.PacketSize*8) / secs / 1e6; b < 0.4 || b > 0.7 {
+		t.Errorf("generated bitrate = %v Mb/s", b)
 	}
 }
 

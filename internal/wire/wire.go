@@ -116,9 +116,8 @@ const (
 	FlagWantVerify
 	// FlagStillWanted on a VerifyResp confirms the recovery should run.
 	FlagStillWanted
-	// FlagEndOfBurst marks the last packet of an application burst, a
-	// hint the receiver's Markov timer uses to switch states early.
-	FlagEndOfBurst
+	// Bit 3 is unassigned; skipping it keeps the later flags' wire values.
+	_
 	// FlagDrain on a TypePull asks the caching service for every cached
 	// packet of the flow with sequence greater than Seq — the mobility
 	// rendezvous pull (Figure 3e).

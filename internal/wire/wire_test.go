@@ -13,7 +13,7 @@ import (
 func sampleHeader() Header {
 	return Header{
 		Type:    TypeData,
-		Flags:   FlagDup | FlagEndOfBurst,
+		Flags:   FlagDup | FlagDrain,
 		Service: core.ServiceCoding,
 		Flow:    0xDEADBEEF01,
 		Seq:     42,

@@ -601,7 +601,7 @@ func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 	d := &Deployment{
 		cfg:       cfg,
 		sim:       sim,
-		net:       netem.NewNetwork(sim),
+		net:       netem.NewNetwork(),
 		topo:      overlay.NewTopology(ctrl),
 		ctrl:      ctrl,
 		nextNode:  1,

@@ -88,7 +88,7 @@ func TestCongestionShiftsNewPaths(t *testing.T) {
 	if l := d.Routing().Graph().Link(dcs[0], dcs[1]); l.Util < 0.9 || l.Congest <= 1 {
 		t.Fatalf("link weight not inflated: util=%v congest=%v", l.Util, l.Congest)
 	}
-	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[2] {
+	if via, ok := d.DC(dcs[0]).Forwarder().Route(dcs[3]); !ok || via != dcs[2] {
 		t.Fatalf("dc1→dc4 via %v, want dc3 (idle branch)", via)
 	}
 	// The path oracle prices dc1→dc4 at the idle branch's honest 40 ms,
@@ -243,7 +243,7 @@ func TestFlowClose(t *testing.T) {
 	}
 	d.Run(time.Second)
 
-	if _, ok := d.Routing().PinnedPath(f.ID()); !ok {
+	if d.Routing().PinnedCount() != 1 {
 		t.Fatal("flow not pinned before close")
 	}
 	if d.Host(dst).Receiver(f.ID()) == nil {
@@ -255,7 +255,7 @@ func TestFlowClose(t *testing.T) {
 	if !f.Closed() {
 		t.Fatal("Closed() false after Close")
 	}
-	if _, ok := d.Routing().PinnedPath(f.ID()); ok {
+	if d.Routing().PinnedCount() != 0 {
 		t.Fatal("pin survived close")
 	}
 	for _, dc := range dcs {
@@ -434,7 +434,9 @@ func TestLoadReporterOutlastsQueueDrain(t *testing.T) {
 
 // TestFlowCloseFreesEncoderState: a coding-service flow leaves per-flow
 // queues in the DC1 encoder; Close must release them, or churn through
-// short-lived flows grows every encoder without bound.
+// short-lived flows grows every encoder without bound. A released
+// in-stream queue discards its partial block, so the block's timer never
+// codes it.
 func TestFlowCloseFreesEncoderState(t *testing.T) {
 	d, src, dst := buildTwoDC(t, 75)
 	dc1 := d.Host(src).DC()
@@ -447,17 +449,21 @@ func TestFlowCloseFreesEncoderState(t *testing.T) {
 	if f.Service() != jqos.ServiceCoding {
 		t.Fatalf("selected %v, want coding", f.Service())
 	}
-	for i := 0; i < 20; i++ {
+	// Four full in-stream blocks of five, then two packets that wait for
+	// the block timer.
+	for i := 0; i < 22; i++ {
 		at := time.Duration(i) * 5 * time.Millisecond
 		d.Sim().At(at, func() { f.Send([]byte("coded")) })
 	}
-	d.Run(time.Second)
-	if n := d.DC(dc1).Encoder().TrackedFlows(); n == 0 {
-		t.Fatal("coding flow left no encoder state — test is vacuous")
+	d.Run(120 * time.Millisecond)
+	enc := d.DC(dc1).Encoder()
+	before := enc.Stats().InBatches
+	if before == 0 {
+		t.Fatal("coding flow coded no in-stream block — test is vacuous")
 	}
 	f.Close()
-	if n := d.DC(dc1).Encoder().TrackedFlows(); n != 0 {
-		t.Fatalf("%d per-flow encoder entries survived close", n)
-	}
 	d.RunUntilQuiet()
+	if after := enc.Stats().InBatches; after != before {
+		t.Fatalf("the closed flow's partial block was coded after close (%d → %d in-stream batches)", before, after)
+	}
 }

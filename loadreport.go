@@ -18,7 +18,7 @@ const (
 // loadReporter periodically converts the load registry's measured link
 // utilization into the routing controller's congestion weights: every
 // loadReportInterval it walks the tracked inter-DC links (in
-// deterministic order) and calls SetLinkUtilization, whose hysteresis
+// deterministic order) and calls SetLinkUtilizations, whose hysteresis
 // decides whether anything recomputes.
 //
 // The reporter is a parking ticker, so an idle event heap drains;

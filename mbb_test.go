@@ -6,6 +6,7 @@ import (
 
 	"jqos"
 	"jqos/internal/core"
+	"jqos/internal/routing"
 )
 
 // runHealthyReroute drives the make-before-break scenario on the
@@ -47,16 +48,16 @@ func runHealthyReroute(t *testing.T, inPlace bool) (delivered int, inOrder bool,
 	// prices it at ~8× latency, which moves both dc1's and dc2's tables
 	// in one recompute — while the physical link keeps delivering.
 	d.Sim().At(time.Second, func() {
-		d.Routing().SetLinkUtilization(dcs[1], dcs[3], 0.95)
+		d.Routing().SetLinkUtilizations([]routing.UtilizationReport{{A: dcs[1], B: dcs[3], Util: 0.95}})
 		if inPlace {
-			d.Routing().RetireEpoch(d.Routing().CurrentEpoch())
+			d.Routing().RetireEpoch(d.DC(dcs[0]).Forwarder().Epoch())
 		}
 	})
 	d.Run(10 * time.Second)
 
 	// The reroute must actually have happened, and must have caught
 	// packets in flight (otherwise the run proves nothing).
-	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[2] {
+	if via, ok := d.DC(dcs[0]).Forwarder().Route(dcs[3]); !ok || via != dcs[2] {
 		t.Fatalf("dc1→dc4 via %v %v, want dc3 (inflated primary)", via, ok)
 	}
 	st := d.Snapshot().Routing

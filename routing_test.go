@@ -130,7 +130,7 @@ func TestRerouteAcrossLinkFailure(t *testing.T) {
 	if st.LinkFailures == 0 || st.Reroutes == 0 || st.RouteChanges == 0 {
 		t.Fatalf("no reroute recorded: %+v", st)
 	}
-	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[2] {
+	if via, ok := d.DC(dcs[0]).Forwarder().Route(dcs[3]); !ok || via != dcs[2] {
 		t.Errorf("dc1→dc4 via %v, want dc3", via)
 	}
 
@@ -212,7 +212,7 @@ func TestRerouteRecovery(t *testing.T) {
 	if h, _ := d.Link(dcs[1], dcs[3]).Health(); h.State != routing.LinkUp {
 		t.Errorf("link state = %v after repair", h.State)
 	}
-	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[1] {
+	if via, ok := d.DC(dcs[0]).Forwarder().Route(dcs[3]); !ok || via != dcs[1] {
 		t.Errorf("dc1→dc4 via %v after recovery, want dc2", via)
 	}
 	// Final packets ride the restored 30 ms primary again (~43 ms e2e).
@@ -247,7 +247,7 @@ func TestDegradedLinkQualityShiftsRoutes(t *testing.T) {
 	if st.LinkDegrades == 0 && st.RouteChanges == 0 {
 		t.Fatalf("degradation never moved routes: %+v", st)
 	}
-	if via, ok := d.Routing().NextHop(dcs[0], dcs[3]); !ok || via != dcs[2] {
+	if via, ok := d.DC(dcs[0]).Forwarder().Route(dcs[3]); !ok || via != dcs[2] {
 		t.Errorf("dc1→dc4 via %v, want dc3 (degraded primary)", via)
 	}
 	// Routed latency tracks the detour.
