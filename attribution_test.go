@@ -61,12 +61,6 @@ func buildBottleneck(t *testing.T, seed int64) (d *jqos.Deployment, dc1, dc2 jqo
 	return d, dc1, dc2, greedy, probe
 }
 
-// TestAttributionPinsBottleneckQueue is the attribution acceptance
-// test: with one known induced bottleneck (the saturated dc1→dc2
-// forwarding DRR queue), the probe flow's budget spend profile must
-// attribute ≥ 80% of its late deliveries' excess latency to the
-// queue-wait component, and the per-(link, class) aggregate must point
-// at exactly that queue.
 // queueSpend finds the queue-wait aggregate of one directed class queue.
 func queueSpend(a *telemetry.AttributionSnapshot, from, to jqos.NodeID, class jqos.Service) (telemetry.QueueSpendSnapshot, bool) {
 	for _, q := range a.Queues {
@@ -77,6 +71,12 @@ func queueSpend(a *telemetry.AttributionSnapshot, from, to jqos.NodeID, class jq
 	return telemetry.QueueSpendSnapshot{}, false
 }
 
+// TestAttributionPinsBottleneckQueue is the attribution acceptance
+// test: with one known induced bottleneck (the saturated dc1→dc2
+// forwarding DRR queue), the probe flow's budget spend profile must
+// attribute ≥ 80% of its late deliveries' excess latency to the
+// queue-wait component, and the per-(link, class) aggregate must point
+// at exactly that queue.
 func TestAttributionPinsBottleneckQueue(t *testing.T) {
 	d, dc1, dc2, greedy, probe := buildBottleneck(t, 21)
 	span := 2 * time.Second

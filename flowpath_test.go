@@ -16,9 +16,6 @@ import (
 // straight through the controller's health verdicts, so no probe timing
 // is involved: each SetLinkHealth is one recompute and one pass.
 
-// TestFastestFlowFollowsPrimary: a PathFastest flow's Path() moves with
-// the primary path, one reroute event per move, and a recompute that
-// leaves the primary alone moves nothing.
 // pinnedPath follows the per-flow entries the DCs' forwarders hold for flow
 // toward dst, starting at ingress: the DC path the flow's packets take. It
 // is nil when ingress holds no entry.
@@ -38,6 +35,9 @@ func pinnedPath(d *jqos.Deployment, flow jqos.FlowID, ingress, dst jqos.NodeID) 
 	return path
 }
 
+// TestFastestFlowFollowsPrimary: a PathFastest flow's Path() moves with
+// the primary path, one reroute event per move, and a recompute that
+// leaves the primary alone moves nothing.
 func TestFastestFlowFollowsPrimary(t *testing.T) {
 	cfg := jqos.DefaultConfig()
 	cfg.UpgradeInterval = 0

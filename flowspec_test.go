@@ -519,9 +519,6 @@ func TestReconnect(t *testing.T) {
 	d.Link(dcs[0], dcs[3]).Reconnect()
 }
 
-// TestReceiverRTTSeededFromOverlay: with no direct path installed, the
-// receiver's RTT estimate comes from the routed overlay latency instead
-// of degenerating to the static default.
 // seededRTT sends one packet on f and reads the long timer the receiver at
 // dst arms on its first arrival: that deadline less the arrival time is the
 // RTT the receiver was seeded with.
@@ -541,6 +538,9 @@ func seededRTT(t *testing.T, d *jqos.Deployment, f *jqos.Flow, dst jqos.NodeID) 
 	return rtt
 }
 
+// TestReceiverRTTSeededFromOverlay: with no direct path installed, the
+// receiver's RTT estimate comes from the routed overlay latency instead
+// of degenerating to the static default.
 func TestReceiverRTTSeededFromOverlay(t *testing.T) {
 	d := jqos.NewDeployment(25)
 	dc1 := d.AddDC("a", dataset.RegionUSEast)
