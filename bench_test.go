@@ -9,13 +9,10 @@
 package jqos_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"jqos"
-	"jqos/internal/coding"
-	"jqos/internal/core"
 	"jqos/internal/dataset"
 	"jqos/internal/experiments"
 	"jqos/internal/netem"
@@ -49,42 +46,6 @@ func BenchmarkFig9aVideo(b *testing.B)         { benchExperiment(b, "9a") }
 func BenchmarkFig9bTCP(b *testing.B)           { benchExperiment(b, "9b") }
 func BenchmarkK20Overhead(b *testing.B)        { benchExperiment(b, "k20") }
 func BenchmarkMobileFeasibility(b *testing.B)  { benchExperiment(b, "mobile") }
-
-// BenchmarkFig10EncoderScaling is the real-throughput figure: it exists as
-// an experiment too, but here each worker count is its own sub-benchmark
-// so `-bench Fig10` prints the scaling series directly.
-func BenchmarkFig10EncoderScaling(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("threads-%d", workers), func(b *testing.B) {
-			benchPipeline(b, workers)
-		})
-	}
-}
-
-// benchPipeline pushes b.N packets through a coding.Pipeline of the given
-// worker count, with Figure 10's encoder settings, and reports the
-// sustained rate in Kpps.
-func benchPipeline(b *testing.B, workers int) {
-	cfg := coding.DefaultEncoderConfig()
-	cfg.K = 6
-	cfg.InBlock = 5 // one coded packet per five data packets (§6.6)
-	p, err := coding.NewPipeline(1, cfg, workers, 4096, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 512)
-	flows := workers * 8 // plenty of flows per worker to fill batches
-	b.ReportAllocs()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		flow := core.FlowID(i%flows + 1)
-		p.Submit(core.Time(i)*time.Microsecond, 2, 100, flow, core.Seq(i/flows+1), payload)
-	}
-	p.Close()
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds()/1000, "Kpps")
-}
 
 // BenchmarkCostModel prices a deployment per iteration (§6.6 table).
 func BenchmarkCostModel(b *testing.B) {

@@ -636,7 +636,9 @@ func scanEncoderDeadline(e *Encoder) (core.Time, bool) {
 
 // TestCachedDeadlineMatchesScan is the differential oracle for the
 // encoder's cached deadline: random data, timers at and between deadlines,
-// flushes and flow teardown, the scan checked after every step.
+// flushes and flow teardown, the scan checked after every step. Teardown
+// must also drop the flow's in-stream queue and cross-queue cursor, or
+// churn through short-lived flows grows the encoder without bound.
 func TestCachedDeadlineMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := testConfig()
@@ -673,7 +675,14 @@ func TestCachedDeadlineMatchesScan(t *testing.T) {
 			}
 			check(step, "OnTimer")
 		case r < 97:
-			e.ForgetFlow(core.FlowID(1 + rng.Intn(12)))
+			flow := core.FlowID(1 + rng.Intn(12))
+			e.ForgetFlow(flow)
+			if _, ok := e.inIndex(flow); ok {
+				t.Fatalf("step %d: in-stream queue of flow %d survived ForgetFlow", step, flow)
+			}
+			if _, ok := e.rrIdx[flow]; ok {
+				t.Fatalf("step %d: cross-queue cursor of flow %d survived ForgetFlow", step, flow)
+			}
 			check(step, "ForgetFlow")
 		default:
 			e.Flush(now)

