@@ -109,9 +109,16 @@ type recoveryKey struct {
 type recoveryState struct {
 	key       recoveryKey
 	requester core.NodeID
-	data      map[int][]byte // batch position -> packed data shard
-	deadline  core.Time      // 0 once the recovery is finished
-	helpers   int            // requests sent
+	// data holds the helpers' packets by batch position, each packed into
+	// a shard buffer from the spare list (nil = no answer yet); got counts
+	// them. They return to the list when the round ends.
+	data     [][]byte
+	got      int
+	deadline core.Time // 0 once the recovery is finished
+	helpers  int       // requests sent
+	// dataBuf is data's array for a batch of the deployment's shapes
+	// (K ≤ 6); a larger one grows a slice of its own.
+	dataBuf [6][]byte
 }
 
 type pendingNACK struct {
@@ -177,7 +184,8 @@ type Recoverer struct {
 	spare       []*batchState
 	spareShards [][]byte
 
-	emits []core.Emit // the messages of the call in progress
+	emits  []core.Emit // the messages of the call in progress
+	shards [][]byte    // tryDecode's shard table
 }
 
 // NewRecoverer builds the DC2 engine.
@@ -298,6 +306,13 @@ func (r *Recoverer) shardBuf(n int) []byte {
 	return make([]byte, 0, n)
 }
 
+// spareShard keeps buf for a later shard while the spare list has room.
+func (r *Recoverer) spareShard(buf []byte) {
+	if len(r.spareShards) < maxSpare {
+		r.spareShards = append(r.spareShards, buf)
+	}
+}
+
 // OnNACK handles a receiver's loss report (§4.4 step 1). from is the
 // requesting receiver.
 func (r *Recoverer) OnNACK(now core.Time, from core.NodeID, id core.PacketID, flags uint16) []core.Emit {
@@ -409,9 +424,9 @@ func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, fr
 	rec := &recoveryState{
 		key:       key,
 		requester: from,
-		data:      make(map[int][]byte),
 		deadline:  now + r.cfg.RecoveryDeadline,
 	}
+	rec.data = slices.Grow(rec.dataBuf[:0], len(b.meta.Sources))[:len(b.meta.Sources)]
 	r.recoveries[key] = rec
 	r.recoveryQ.push(rec.deadline, rec, len(r.recoveries))
 	r.stats.CoopStarted++
@@ -453,17 +468,19 @@ func (r *Recoverer) OnCoopResp(now core.Time, hdr *wire.Header, ref *wire.CoopRe
 		return nil
 	}
 	pos := b.sourcePos(hdr.ID())
-	if pos < 0 {
+	if pos < 0 || pos >= len(rec.data) {
 		return nil // response names a packet outside the batch
 	}
-	if _, dup := rec.data[pos]; dup {
+	if rec.data[pos] != nil {
 		return nil
 	}
-	shard := make([]byte, b.shardLen)
+	shard := slices.Grow(r.shardBuf(b.shardLen), b.shardLen)[:b.shardLen]
 	if _, err := rs.Pack(payload, shard); err != nil {
+		r.spareShard(shard)
 		return nil // oversized/corrupt response; straggler handling covers it
 	}
 	rec.data[pos] = shard
+	rec.got++
 	r.stats.CoopRespsUsed++
 	r.tryDecode(now, rec)
 	return r.emits
@@ -487,20 +504,18 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) {
 		return
 	}
 	k := int(b.meta.K)
-	if len(rec.data)+b.held < k {
+	if rec.got+b.held < k {
 		return
 	}
-	codec := r.codecs.Get(k, len(b.parity))
-	if codec == nil {
-		return // the shape came off the wire: no such code, a forgery
-	}
-	shards := make([][]byte, k+len(b.parity))
-	for pos, d := range rec.data {
-		shards[pos] = d
-	}
+	shards := slices.Grow(r.shards[:0], k+len(b.parity))[:k+len(b.parity)]
+	r.shards = shards
+	defer clear(shards) // all nil between calls: it pins no shard
+	copy(shards[:k], rec.data)
 	copy(shards[k:], b.parity)
-	if err := codec.ReconstructData(shards); err != nil {
-		return // not enough yet (or inconsistent sizes); wait for more
+	// The shape came off the wire: no such code is a forgery. Too few
+	// shards or inconsistent sizes: wait for more.
+	if err := r.codecs.ReconstructData(k, len(b.parity), shards); err != nil {
+		return
 	}
 	wantPos := b.sourcePos(rec.key.want)
 	if wantPos < 0 {
@@ -510,14 +525,12 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) {
 	if err != nil {
 		return
 	}
-	rec.deadline = 0
-	delete(r.recoveries, rec.key)
 	if until := now + r.cfg.RecoveryDeadline; r.recent[rec.key.want] != until {
 		r.recent[rec.key.want] = until
 		r.recentQ.push(until, rec.key.want, len(r.recent))
 	}
 	r.stats.CoopRecovered++
-	if len(rec.data) < rec.helpers {
+	if rec.got < rec.helpers {
 		r.stats.StragglersSaved++
 	}
 	hdr := wire.Header{
@@ -526,6 +539,20 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) {
 		TS: now, Src: r.self, Dst: rec.requester,
 	}
 	r.emits = append(r.emits, core.Emit{To: rec.requester, Msg: wire.AppendMessage(nil, &hdr, payload)})
+	r.endRound(rec) // payload is copied out: a helper's shard may hold it
+}
+
+// endRound finishes a cooperative round, recovered or failed: the
+// helpers' shard buffers go back to the spare list.
+func (r *Recoverer) endRound(rec *recoveryState) {
+	delete(r.recoveries, rec.key)
+	rec.deadline = 0
+	for _, d := range rec.data {
+		if d != nil {
+			r.spareShard(d)
+		}
+	}
+	clear(rec.data)
 }
 
 // OnVerifyResp resolves a verify probe: a still-wanted packet proceeds to
@@ -571,8 +598,7 @@ func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
 	}
 	for rec, ok := r.recoveryQ.popDue(now); ok; rec, ok = r.recoveryQ.popDue(now) {
 		r.stats.CoopFailed++
-		delete(r.recoveries, rec.key)
-		rec.deadline = 0
+		r.endRound(rec)
 	}
 	for p, ok := r.pendingQ.popDue(now); ok; p, ok = r.pendingQ.popDue(now) {
 		r.unpark(p)
@@ -594,8 +620,8 @@ func (r *Recoverer) dropBatch(b *batchState) {
 	b.expires = 0
 	b.gen++
 	for _, shard := range b.parity {
-		if shard != nil && len(r.spareShards) < maxSpare {
-			r.spareShards = append(r.spareShards, shard)
+		if shard != nil {
+			r.spareShard(shard)
 		}
 	}
 	clear(b.parity)

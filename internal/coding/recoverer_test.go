@@ -775,6 +775,56 @@ func TestRecoveryMessagesAllocateOnce(t *testing.T) {
 	}
 }
 
+// TestWarmCoopRespAllocatesNothing: a helper's packet is packed into a
+// shard buffer from the spare list, and a round that ends — here at its
+// deadline — gives its helpers' shards back. So once a round has ended, an
+// answer that does not yet complete the next round allocates nothing.
+func TestWarmCoopRespAllocatesNothing(t *testing.T) {
+	r := NewRecoverer(dc2, DefaultRecovererConfig())
+	payload := make([]byte, 40)
+	var batch uint64
+	helper := 0
+	startRound := func(now core.Time) {
+		batch++
+		srcs := []wire.SourceRef{{Flow: 1, Seq: core.Seq(batch), Receiver: 101}}
+		for i := 1; i <= 5; i++ {
+			srcs = append(srcs, wire.SourceRef{Flow: core.FlowID(1 + i), Seq: core.Seq(batch), Receiver: core.NodeID(101 + i)})
+		}
+		cache(r, now, wire.Coded{Batch: batch, Kind: wire.CrossStream, R: 1, Sources: srcs}, make([]byte, 64))
+		if n := countType(t, r.OnNACK(now, 101, core.PacketID{Flow: 1, Seq: core.Seq(batch)}, 0), wire.TypeCoopReq); n != 5 {
+			t.Fatalf("batch %d: the NACK sent %d coop requests, want 5", batch, n)
+		}
+		helper = 0
+	}
+	// Four of the five helpers answer: with the one parity shard that is
+	// one shard short of decoding.
+	answer := func() {
+		helper++
+		hdr := wire.Header{Type: wire.TypeCoopResp, Service: core.ServiceCoding,
+			Flow: core.FlowID(1 + helper), Seq: core.Seq(batch), Src: core.NodeID(101 + helper), Dst: dc2}
+		ref := wire.CoopRef{Batch: batch, Want: core.PacketID{Flow: 1, Seq: core.Seq(batch)}}
+		if emits := r.OnCoopResp(0, &hdr, &ref, payload); len(emits) != 0 {
+			t.Fatalf("answer %d completed the round", helper)
+		}
+	}
+	startRound(0)
+	for i := 0; i < 4; i++ {
+		answer()
+	}
+	deadline := DefaultRecovererConfig().RecoveryDeadline
+	r.OnTimer(deadline)
+	if st := r.Stats(); st.CoopFailed != 1 || len(r.spareShards) != 4 {
+		t.Fatalf("after the first round's deadline: %d rounds failed, %d spare shards; want 1 and 4", st.CoopFailed, len(r.spareShards))
+	}
+	startRound(deadline)
+	if n := testing.AllocsPerRun(3, answer); n != 0 {
+		t.Errorf("an answer in a warm round allocates %v times, want 0", n)
+	}
+	if st := r.Stats(); st.CoopRespsUsed != 8 || len(r.spareShards) != 0 {
+		t.Errorf("%d answers used, %d shards spare; want 8 and 0", st.CoopRespsUsed, len(r.spareShards))
+	}
+}
+
 // TestStaleRefNeverServesRecycledBatch: batch X names packet (1, 1) and
 // expires while an older, refreshed batch of flow 1 keeps X's ref in the
 // flow's index. X's state is recycled for batch Y, which names (1, 2). A

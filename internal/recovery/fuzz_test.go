@@ -17,9 +17,37 @@ func step(adv byte, msg []byte) []byte {
 
 func steps(recs ...[]byte) []byte { return bytes.Join(recs, nil) }
 
-func fuzzMsg(typ wire.MsgType, flow core.FlowID, seq core.Seq, src core.NodeID, body []byte) []byte {
-	hdr := wire.Header{Type: typ, Service: core.ServiceCoding, Flow: flow, Seq: seq, Src: src, Dst: self}
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func fuzzMsg(typ wire.MsgType, svc core.Service, flow core.FlowID, seq core.Seq, src core.NodeID, body []byte) []byte {
+	hdr := wire.Header{Type: typ, Service: svc, Flow: flow, Seq: seq, Src: src, Dst: self}
 	return wire.AppendMessage(nil, &hdr, body)
+}
+
+// windowModel is what the recent window should hold: the last RecentWindow
+// packets delivered, oldest first, each with its payload if it was kept —
+// if it arrived stamped ServiceCoding or was decoded in-stream.
+type windowModel struct {
+	size  int
+	order []core.Seq
+	kept  map[core.Seq][]byte // nil: in the window without bytes
+}
+
+func (m *windowModel) deliver(seq core.Seq, payload []byte, held bool) {
+	if len(m.order) == m.size {
+		delete(m.kept, m.order[0])
+		m.order = m.order[1:]
+	}
+	m.order = append(m.order, seq)
+	m.kept[seq] = nil
+	if held {
+		m.kept[seq] = append([]byte{}, payload...)
+	}
 }
 
 // FuzzReceiver runs a sequence of datagrams and clock advances through the
@@ -28,7 +56,9 @@ func fuzzMsg(typ wire.MsgType, flow core.FlowID, seq core.Seq, src core.NodeID, 
 // well-formed message to the configured DC or to whoever asked, every
 // delivery names the receiver's flow, and a deadline never stays at or
 // behind the time it was serviced at (a host re-arming on NextDeadline
-// would spin).
+// would spin). Each datagram carries the service it was stamped with, and
+// a cooperative request is answered exactly when windowModel holds the
+// packet's bytes, with those bytes.
 //
 // Like HostCore, it hands the receiver one flow: the one the first message
 // names, in the field HostCore routes by (a parity message's first source,
@@ -40,21 +70,33 @@ func FuzzReceiver(f *testing.F) {
 	inStream := wire.Coded{Batch: 9, Kind: wire.InStream, K: 2, R: 1, ShardLen: 8,
 		Sources: []wire.SourceRef{{Flow: 1, Seq: 1, Receiver: self}, {Flow: 1, Seq: 2, Receiver: self}}}
 	coopRef := wire.CoopRef{Batch: 4, Want: core.PacketID{Flow: 2, Seq: 7}}
+	coding, caching := core.ServiceCoding, core.ServiceCaching
 	f.Add(steps(
-		step(0, fuzzMsg(wire.TypeData, 1, 1, sender, pay(1))),
-		step(5, fuzzMsg(wire.TypeData, 1, 4, sender, pay(4))), // gap: NACKs 2 and 3
-		step(1, fuzzMsg(wire.TypeCoded, 0, 0, dcNode, inStream.AppendMarshal(nil, make([]byte, 8)))),
-		step(10, fuzzMsg(wire.TypeRecovered, 1, 3, dcNode, pay(3))),
-		step(0, fuzzMsg(wire.TypePullResp, 1, 2, dcNode, pay(2))),
-		step(1, fuzzMsg(wire.TypeCoopReq, 1, 1, dcNode, coopRef.AppendMarshal(nil, nil))),
-		step(1, fuzzMsg(wire.TypeVerify, 1, 9, dcNode, nil)),
-		step(255, fuzzMsg(wire.TypeData, 1, 5, sender, pay(5))), // after the idle timer
+		step(0, fuzzMsg(wire.TypeData, coding, 1, 1, sender, pay(1))),
+		step(5, fuzzMsg(wire.TypeData, coding, 1, 4, sender, pay(4))), // gap: NACKs 2 and 3
+		step(1, fuzzMsg(wire.TypeCoded, coding, 0, 0, dcNode, inStream.AppendMarshal(nil, make([]byte, 8)))),
+		step(10, fuzzMsg(wire.TypeRecovered, coding, 1, 3, dcNode, pay(3))),
+		step(0, fuzzMsg(wire.TypePullResp, caching, 1, 2, dcNode, pay(2))),
+		step(1, fuzzMsg(wire.TypeCoopReq, coding, 1, 1, dcNode, coopRef.AppendMarshal(nil, nil))),
+		step(1, fuzzMsg(wire.TypeVerify, coding, 1, 9, dcNode, nil)),
+		step(255, fuzzMsg(wire.TypeData, coding, 1, 5, sender, pay(5))), // after the idle timer
+	))
+	// A flow of every other service: its packets keep no bytes to answer.
+	f.Add(steps(
+		step(0, fuzzMsg(wire.TypeData, caching, 1, 1, sender, pay(1))),
+		step(1, fuzzMsg(wire.TypeData, core.ServiceForwarding, 1, 2, sender, pay(2))),
+		step(1, fuzzMsg(wire.TypeData, core.ServiceInternet, 1, 3, sender, nil)),
+		step(1, fuzzMsg(wire.TypeData, coding, 1, 4, sender, nil)),
+		step(1, fuzzMsg(wire.TypeCoopReq, coding, 1, 1, dcNode, coopRef.AppendMarshal(nil, nil))),
+		step(0, fuzzMsg(wire.TypeCoopReq, coding, 1, 3, dcNode, coopRef.AppendMarshal(nil, nil))),
+		step(0, fuzzMsg(wire.TypeCoopReq, coding, 1, 4, dcNode, coopRef.AppendMarshal(nil, nil))),
 	))
 	f.Add(step(0, []byte("not a J-QoS datagram")))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := testReceiver()
+		model := windowModel{size: r.cfg.RecentWindow, kept: map[core.Seq][]byte{}}
 		var now core.Time
 		var flow core.FlowID
 		routed := false
@@ -132,6 +174,19 @@ func FuzzReceiver(f *testing.F) {
 				var ref wire.CoopRef
 				if _, err := ref.Unmarshal(body); err == nil {
 					res = r.OnCoopReq(now, &hdr, &ref)
+					want, held := model.kept[hdr.Seq]
+					held = held && want != nil
+					if len(res.Emits) != b2i(held) {
+						t.Fatalf("coop request for %v answered %d times; the window holds its bytes: %v", hdr.Seq, len(res.Emits), held)
+					}
+					if held {
+						var out wire.Header
+						respBody, _ := wire.SplitMessage(&out, res.Emits[0].Msg)
+						var got wire.CoopRef
+						if payload, err := got.Unmarshal(respBody); err != nil || !bytes.Equal(payload, want) {
+							t.Fatalf("coop response for %v: %x (%v), want %x", hdr.Seq, payload, err, want)
+						}
+					}
 				}
 			case wire.TypeVerify:
 				res = r.OnVerify(now, &hdr)
@@ -144,6 +199,8 @@ func FuzzReceiver(f *testing.F) {
 				if d.Packet.ID.Flow != flow {
 					t.Fatalf("%v: delivery of %v into a receiver of flow %v", hdr.Type, d.Packet.ID, flow)
 				}
+				held := hdr.Type == wire.TypeCoded || hdr.Service == core.ServiceCoding
+				model.deliver(d.Packet.ID.Seq, d.Packet.Payload, held)
 			}
 		}
 		// Left alone, the receiver runs out of deadlines — every loss given

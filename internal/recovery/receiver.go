@@ -164,11 +164,26 @@ type missState struct {
 	nextNACK  core.Time
 }
 
-// inDecode accumulates in-stream parity for local decoding.
+// inDecode accumulates in-stream parity for local decoding. A finished
+// one is recycled (Receiver.spareDec) with the capacity of its slices.
 type inDecode struct {
-	meta    wire.Coded
-	parity  map[int][]byte
+	meta wire.Coded
+	// parity holds the batch's R shards by shard index (nil = not
+	// received); a received shard is a copy into a buffer that is never
+	// nil (Receiver.parityBuf), so an empty shard is held all the same.
+	parity  [][]byte
 	expires core.Time
+}
+
+// slot is one delivered packet in the recent window. Only coding recovers
+// a packet from other packets' bytes, so only a packet a DC can ask back —
+// one that arrived stamped ServiceCoding, or was decoded in-stream — keeps a
+// copy of its payload (held). Any other keeps its slot, for duplicate
+// detection and eviction order, and no bytes. The buffer stays with the
+// slot either way, for the next coding packet to take it over to copy into.
+type slot struct {
+	buf  []byte
+	held bool // buf is the packet's payload, however short
 }
 
 // Receiver is the reliability engine of one inbound flow. Not safe for
@@ -190,21 +205,33 @@ type Receiver struct {
 	pumpHigh    core.Seq  // highest seq the pump has NACKed
 	src         core.NodeID
 	missing     map[core.Seq]missState
-	// recent holds the receiver's own copies of the delivered packets still
-	// in the window; order is a ring of their seqs, oldest at orderHead once
-	// it has filled. A packet is copied into the buffer of the one it
-	// evicts, so a full window allocates nothing; while it fills, into a
-	// buffer from spare, the window buffers Reset kept from the flow before.
-	recent    map[core.Seq][]byte
+	// recent holds the slots of the delivered packets still in the window;
+	// order is a ring of their seqs, oldest at orderHead once it has
+	// filled. A coding packet is copied into the buffer of the slot it
+	// evicts, so a full window allocates nothing; if that slot has none,
+	// into a buffer from spare, the window buffers Reset kept from the flow
+	// before.
+	recent    map[core.Seq]slot
 	order     []core.Seq
 	orderHead int
 	spare     [][]byte
 	inDec     map[uint64]*inDecode
-	// codecs serves in-stream decodes; the shapes come off the wire.
+	// codecs serves in-stream decodes, in working memory of its own; the
+	// shapes come off the wire.
 	codecs *rs.Cache
 	stats  Stats
 	res    Result     // the result under construction
 	due    []core.Seq // OnTimer's scratch: the seqs to re-NACK, sorted
+
+	// OnCoded's scratch, kept across Reset: the shard table, the window's
+	// sources packed into shards, the positions to decode, and the states
+	// and parity buffers of finished decodes for the next batches, at most
+	// maxSpareDec of each.
+	shards      [][]byte
+	packed      []byte
+	wanted      []int
+	spareDec    []*inDecode
+	spareParity [][]byte
 }
 
 // begin empties the result buffers for the next event.
@@ -219,11 +246,21 @@ func (r *Receiver) begin() {
 // while a receiver waiting to be reused pins no more than that.
 const maxSpare = 64
 
+// maxSpareDec bounds the finished in-stream decode states, and apart from
+// them their parity buffers, kept for the next batches: a receiver decodes
+// the few batches its NACKs were answered with at a time.
+const maxSpareDec = 4
+
+// maxPacked bounds the packed-source scratch a receiver keeps between
+// decodes: a default in-stream batch of MTU packets needs a ninth of it. A
+// batch of larger shards is packed into an array that is not kept.
+const maxPacked = 64 << 10
+
 // New builds a receiver engine.
 func New(cfg Config) *Receiver {
 	r := &Receiver{
 		missing: make(map[core.Seq]missState),
-		recent:  make(map[core.Seq][]byte),
+		recent:  make(map[core.Seq]slot),
 		inDec:   make(map[uint64]*inDecode),
 		codecs:  rs.NewCache(rs.DecoderShapes),
 	}
@@ -234,35 +271,44 @@ func New(cfg Config) *Receiver {
 // Reset prepares the receiver for a new flow under cfg: afterwards it
 // behaves exactly as New(cfg) would (TestResetMatchesNew). It keeps what
 // costs allocations to build — the maps (emptied), the window ring, the
-// codec cache, the result and scratch buffers, and up to maxSpare window
-// buffers for the next flow's window to fill. The last Result stays as it
-// is: a runtime may still be walking it, and only the next event empties
-// it.
+// codec cache, the result and scratch buffers, up to maxSpare window
+// buffers for the next flow's window to fill, and its pending decodes'
+// states for the next flow's. The last Result stays as it is: a runtime
+// may still be walking it, and only the next event empties it.
 func (r *Receiver) Reset(cfg Config) {
 	cfg.fillDefaults()
 	for _, seq := range r.order {
 		if len(r.spare) == maxSpare {
 			break
 		}
-		r.spare = append(r.spare, r.recent[seq])
+		if buf := r.recent[seq].buf; buf != nil {
+			r.spare = append(r.spare, buf)
+		}
+	}
+	for batch, dec := range r.inDec {
+		r.dropDecode(batch, dec)
 	}
 	clear(r.missing)
 	clear(r.recent)
-	clear(r.inDec)
 	order := r.order[:0]
 	if cap(order) != cfg.RecentWindow {
 		order = make([]core.Seq, 0, cfg.RecentWindow)
 	}
 	*r = Receiver{
-		cfg:     cfg,
-		missing: r.missing,
-		recent:  r.recent,
-		order:   order,
-		spare:   r.spare,
-		inDec:   r.inDec,
-		codecs:  r.codecs,
-		res:     r.res,
-		due:     r.due,
+		cfg:         cfg,
+		missing:     r.missing,
+		recent:      r.recent,
+		order:       order,
+		spare:       r.spare,
+		inDec:       r.inDec,
+		codecs:      r.codecs,
+		res:         r.res,
+		due:         r.due,
+		shards:      r.shards,
+		packed:      r.packed,
+		wanted:      r.wanted,
+		spareDec:    r.spareDec,
+		spareParity: r.spareParity,
 	}
 }
 
@@ -275,8 +321,8 @@ func (r *Receiver) SetService(s core.Service) { r.cfg.Service = s }
 
 // OnData processes a data packet from the direct path. Ownership of payload
 // passes to the receiver: a delivery hands it to the application as is, and
-// the window keeps a copy of its own, so the caller must not touch the bytes
-// again.
+// the window keeps a copy of a coding packet's, so the caller must not touch
+// the bytes again.
 func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Result {
 	r.begin()
 	r.src = hdr.Src
@@ -336,25 +382,29 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 }
 
 // accept delivers a packet — payload itself, which the receiver owns — and
-// copies it into the recent window: into a spare buffer while the window
-// fills, into the buffer of the oldest entry once it is full.
+// gives it a slot in the recent window: a new one while the window fills,
+// the oldest one's once it is full. A packet stamped ServiceCoding is
+// copied into the slot's buffer, or into a spare one if the slot has none.
 func (r *Receiver) accept(now core.Time, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
-	var buf []byte
+	var s slot
 	if len(r.order) < cap(r.order) {
 		r.order = append(r.order, hdr.Seq)
-		if n := len(r.spare); n > 0 {
-			buf = r.spare[n-1]
-			r.spare[n-1] = nil
-			r.spare = r.spare[:n-1]
-		}
 	} else {
 		old := r.order[r.orderHead]
-		buf = r.recent[old]
+		s = r.recent[old]
 		delete(r.recent, old)
 		r.order[r.orderHead] = hdr.Seq
 		r.orderHead = (r.orderHead + 1) % len(r.order)
 	}
-	r.recent[hdr.Seq] = append(buf[:0], payload...)
+	if s.held = hdr.Service == core.ServiceCoding; s.held {
+		if n := len(r.spare); s.buf == nil && n > 0 {
+			s.buf = r.spare[n-1]
+			r.spare[n-1] = nil
+			r.spare = r.spare[:n-1]
+		}
+		s.buf = append(s.buf[:0], payload...)
+	}
+	r.recent[hdr.Seq] = s
 	r.res.Deliveries = append(r.res.Deliveries, core.Delivery{
 		Packet: core.Packet{
 			ID:      core.PacketID{Flow: hdr.Flow, Seq: hdr.Seq},
@@ -501,49 +551,61 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 	}
 	dec := r.inDec[meta.Batch]
 	if dec == nil {
-		dec = &inDecode{meta: *meta, parity: make(map[int][]byte)}
-		dec.meta.Sources = append([]wire.SourceRef(nil), meta.Sources...)
+		dec = r.newDecode(meta)
 		r.inDec[meta.Batch] = dec
 	}
 	dec.expires = now + 2*r.cfg.RTT
-	if _, dup := dec.parity[int(meta.Index)]; !dup {
-		dec.parity[int(meta.Index)] = append([]byte(nil), shard...)
+	if i := int(meta.Index); i < len(dec.parity) && dec.parity[i] == nil {
+		dec.parity[i] = append(r.parityBuf(len(shard)), shard...)
 	}
 
+	// The shard table: the window's copies of the batch's packets, packed
+	// into regions of one scratch array, and the parity of the shard size
+	// this message has. A source without a slot is wanted; one whose slot
+	// holds no bytes is neither wanted nor present.
 	k := int(dec.meta.K)
 	shardLen := len(shard)
-	shards := make([][]byte, k+int(dec.meta.R))
+	shards := slices.Grow(r.shards[:0], k+len(dec.parity))[:k+len(dec.parity)]
+	r.shards = shards
+	defer clear(shards) // all nil between calls: it pins no shard
+	packed := r.packed[:0]
+	r.wanted = r.wanted[:0]
 	present := 0
-	var wanted []int
 	for i, src := range dec.meta.Sources {
-		if p, ok := r.recent[src.Seq]; ok {
-			buf := make([]byte, shardLen)
-			if _, err := rs.Pack(p, buf); err != nil {
-				continue
-			}
-			shards[i] = buf
-			present++
-		} else {
-			wanted = append(wanted, i)
+		s, ok := r.recent[src.Seq]
+		if !ok {
+			r.wanted = append(r.wanted, i)
+			continue
 		}
+		if !s.held {
+			continue
+		}
+		off := len(packed)
+		packed = slices.Grow(packed, shardLen)[:off+shardLen]
+		buf := packed[off : off+shardLen : off+shardLen]
+		if _, err := rs.Pack(s.buf, buf); err != nil {
+			packed = packed[:off]
+			continue
+		}
+		shards[i] = buf
+		present++
+	}
+	if cap(packed) <= maxPacked {
+		r.packed = packed // a forged batch's larger array is not kept
 	}
 	for idx, p := range dec.parity {
-		if k+idx < len(shards) && len(p) == shardLen {
+		if p != nil && len(p) == shardLen {
 			shards[k+idx] = p
 			present++
 		}
 	}
-	if len(wanted) == 0 || present < k {
+	if len(r.wanted) == 0 || present < k {
 		return r.res // nothing to do, or not decodable yet
 	}
-	codec := r.codecs.Get(k, int(dec.meta.R))
-	if codec == nil {
+	if err := r.codecs.ReconstructData(k, len(dec.parity), shards); err != nil {
 		return r.res
 	}
-	if err := codec.ReconstructData(shards); err != nil {
-		return r.res
-	}
-	for _, i := range wanted {
+	for _, i := range r.wanted {
 		payload, err := rs.Unpack(shards[i])
 		if err != nil {
 			continue
@@ -562,22 +624,66 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 		if r.started && seq >= r.next {
 			r.next = seq + 1
 		}
-		ph := wire.Header{Flow: flow, Seq: seq, TS: hdr.TS, Src: r.src, Dst: r.cfg.Self}
+		ph := wire.Header{Service: core.ServiceCoding, Flow: flow, Seq: seq, TS: hdr.TS, Src: r.src, Dst: r.cfg.Self}
 		r.accept(now, &ph, payload, true, core.ServiceCoding, recDelay)
 	}
-	delete(r.inDec, meta.Batch)
+	r.dropDecode(meta.Batch, dec)
 	return r.res
 }
 
+// newDecode shapes a state for meta's batch, holding no parity yet: a
+// spare one when there is one, else a fresh one.
+func (r *Receiver) newDecode(meta *wire.Coded) *inDecode {
+	var dec *inDecode
+	if n := len(r.spareDec); n > 0 {
+		dec, r.spareDec = r.spareDec[n-1], r.spareDec[:n-1]
+	} else {
+		dec = new(inDecode)
+	}
+	sources := dec.meta.Sources
+	dec.meta = *meta
+	dec.meta.Sources = append(sources[:0], meta.Sources...)
+	dec.parity = slices.Grow(dec.parity[:0], int(meta.R))[:meta.R] // all nil: dropDecode cleared them
+	return dec
+}
+
+// parityBuf returns an empty buffer for an n-byte parity shard: a spare one
+// when there is one, else a fresh one. It is never nil, so a held empty
+// shard is never taken for a missing one.
+func (r *Receiver) parityBuf(n int) []byte {
+	if k := len(r.spareParity); k > 0 {
+		buf := r.spareParity[k-1]
+		r.spareParity = r.spareParity[:k-1]
+		return buf[:0]
+	}
+	return make([]byte, 0, n)
+}
+
+// dropDecode forgets batch's decode; its state and parity buffers are
+// spared for later batches while there is room.
+func (r *Receiver) dropDecode(batch uint64, dec *inDecode) {
+	delete(r.inDec, batch)
+	for _, p := range dec.parity {
+		if p != nil && len(r.spareParity) < maxSpareDec {
+			r.spareParity = append(r.spareParity, p)
+		}
+	}
+	clear(dec.parity)
+	if len(r.spareDec) < maxSpareDec {
+		r.spareDec = append(r.spareDec, dec)
+	}
+}
+
 // OnCoopReq answers a cooperative-recovery request (§4.4 step 2→3): if the
-// requested packet is in the recent window, return it to the DC. Ingress to
-// the DC is free, so helpers answer unconditionally.
+// requested packet's bytes are in the recent window, return them to the DC.
+// Ingress to the DC is free, so helpers answer unconditionally.
 func (r *Receiver) OnCoopReq(now core.Time, hdr *wire.Header, ref *wire.CoopRef) Result {
 	r.begin()
-	payload, ok := r.recent[hdr.Seq]
-	if !ok {
-		return r.res // we lost it too; DC treats us as a straggler
+	s := r.recent[hdr.Seq]
+	if !s.held {
+		return r.res // we lost it too, or never kept it; DC treats us as a straggler
 	}
+	payload := s.buf
 	r.stats.CoopResponses++
 	respHdr := wire.Header{
 		Type:    wire.TypeCoopResp,
@@ -692,7 +798,7 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 	}
 	for batch, dec := range r.inDec {
 		if dec.expires <= now {
-			delete(r.inDec, batch)
+			r.dropDecode(batch, dec)
 		}
 	}
 	return r.res

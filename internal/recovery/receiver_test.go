@@ -23,9 +23,11 @@ func testReceiver() *Receiver {
 	return New(cfg)
 }
 
+// dataHdr is the header of a direct data copy of a coding flow, the service
+// DefaultConfig's receivers serve: its payload is kept in the window.
 func dataHdr(flow, seq uint64, ts core.Time) wire.Header {
 	return wire.Header{
-		Type: wire.TypeData, Flow: core.FlowID(flow), Seq: core.Seq(seq),
+		Type: wire.TypeData, Service: core.ServiceCoding, Flow: core.FlowID(flow), Seq: core.Seq(seq),
 		TS: ts, Src: sender, Dst: self,
 	}
 }
@@ -682,6 +684,162 @@ func TestInOrderOnDataAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(500, next); n != 0 {
 		t.Errorf("in-order OnData allocates %v times on a full window, want 0", n)
+	}
+}
+
+// TestWarmInStreamDecodeAllocatesThePayload: once a receiver has decoded
+// a few in-stream batches, decoding the next one's single loss allocates
+// only the reconstructed shard, whose payload the delivery hands to the
+// application. The shard table, the packed sources, the decode state and
+// its parity copy, and the codec's matrices are scratch the receiver
+// reuses.
+func TestWarmInStreamDecodeAllocatesThePayload(t *testing.T) {
+	const k = 5
+	payloads := make([][]byte, k) // every batch carries these
+	for i := range payloads {
+		payloads[i] = bytes.Repeat([]byte{byte(1 + i)}, 200+i)
+	}
+	shards, shardLen, err := rs.PackBatch(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, _ := rs.NewCodec(k, 1)
+	shards = append(shards, make([]byte, shardLen))
+	if err := codec.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+
+	r := testReceiver()
+	h := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dcNode, Dst: self}
+	meta := wire.Coded{Kind: wire.InStream, K: k, R: 1, ShardLen: uint16(shardLen), Sources: make([]wire.SourceRef, k)}
+	seq := uint64(0)
+	batch := func() {
+		meta.Batch++
+		for i := range meta.Sources {
+			seq++
+			meta.Sources[i] = wire.SourceRef{Flow: 1, Seq: core.Seq(seq), Receiver: self}
+			if i < k-1 { // the last one is lost: no gap shows it, so no NACK leaves
+				dh := dataHdr(1, seq, core.Time(seq)*time.Millisecond)
+				r.OnData(dh.TS, &dh, payloads[i])
+			}
+		}
+		res := r.OnCoded(core.Time(seq)*time.Millisecond, &h, &meta, shards[k])
+		if len(res.Deliveries) != 1 || !bytes.Equal(res.Deliveries[0].Packet.Payload, payloads[k-1]) {
+			t.Fatalf("batch %d: %d deliveries, want the lost packet", meta.Batch, len(res.Deliveries))
+		}
+	}
+	for meta.Batch < 40 { // the window fills, and the scratch is sized
+		batch()
+	}
+	if n := testing.AllocsPerRun(100, batch); n != 1 {
+		t.Errorf("a warm in-stream decode of one loss allocates %v times, want 1 (the reconstructed shard)", n)
+	}
+	if st := r.Stats(); st.InStreamLocal != meta.Batch || len(r.inDec) != 0 {
+		t.Errorf("%d in-stream decodes, %d pending; want %d and 0", st.InStreamLocal, len(r.inDec), meta.Batch)
+	}
+}
+
+// TestNonCodingWindowAllocatesNothing: a packet of a caching or forwarding
+// flow keeps its window slot and no bytes — no DC asks a receiver back for
+// it — so even while the window fills, in-order OnData allocates nothing.
+func TestNonCodingWindowAllocatesNothing(t *testing.T) {
+	for _, svc := range []core.Service{core.ServiceCaching, core.ServiceForwarding} {
+		r := testReceiver()
+		payload := make([]byte, 512)
+		seq := uint64(0)
+		next := func() {
+			seq++
+			h := dataHdr(1, seq, core.Time(seq)*time.Millisecond)
+			h.Service = svc
+			if res := r.OnData(h.TS, &h, payload); len(res.Deliveries) != 1 || len(res.Emits) != 0 {
+				t.Fatalf("%v seq %d: %d deliveries, %d emits", svc, seq, len(res.Deliveries), len(res.Emits))
+			}
+		}
+		next() // the flow's state and the result buffer
+		if n := testing.AllocsPerRun(r.cfg.RecentWindow-2, next); n != 0 {
+			t.Errorf("%v: in-order OnData allocates %v times while the window fills, want 0", svc, n)
+		}
+		if len(r.order) != r.cfg.RecentWindow {
+			t.Fatalf("%v: the window holds %d packets, want it full (%d)", svc, len(r.order), r.cfg.RecentWindow)
+		}
+		if n := testing.AllocsPerRun(500, next); n != 0 {
+			t.Errorf("%v: in-order OnData allocates %v times on a full window, want 0", svc, n)
+		}
+	}
+}
+
+// TestNonCodingPacketKeepsNoBytes: a packet not stamped ServiceCoding —
+// a data copy of another service, or a cache's pull response — keeps its
+// window slot, so another copy of it is a duplicate, but no bytes, so a
+// cooperative request for it answers nothing. A coding data copy and a
+// coding recovery beside it are answered.
+func TestNonCodingPacketKeepsNoBytes(t *testing.T) {
+	for _, svc := range []core.Service{core.ServiceInternet, core.ServiceCaching, core.ServiceForwarding} {
+		r := testReceiver()
+		h := dataHdr(1, 1, 0)
+		h.Service = svc
+		r.OnData(0, &h, pay(1))
+		feed(r, time.Millisecond, 1, 4) // coding; 2 and 3 missing
+		pull := wire.Header{Type: wire.TypePullResp, Service: core.ServiceCaching, Flow: 1, Seq: 2, Src: dcNode, Dst: self}
+		if res := r.OnRecovered(2*time.Millisecond, &pull, pay(2)); len(res.Deliveries) != 1 {
+			t.Fatalf("%v: the pull response delivered %d packets, want 1", svc, len(res.Deliveries))
+		}
+		rec := wire.Header{Type: wire.TypeRecovered, Service: core.ServiceCoding, Flow: 1, Seq: 3, Src: dcNode, Dst: self}
+		if res := r.OnRecovered(2*time.Millisecond, &rec, pay(3)); len(res.Deliveries) != 1 {
+			t.Fatalf("%v: the coding recovery delivered %d packets, want 1", svc, len(res.Deliveries))
+		}
+
+		// Copies of the unkept packets are still duplicates.
+		if res := r.OnData(3*time.Millisecond, &h, pay(1)); len(res.Deliveries) != 0 {
+			t.Errorf("%v: a second copy of seq 1 was delivered again", svc)
+		}
+		if res := r.OnRecovered(3*time.Millisecond, &pull, pay(2)); len(res.Deliveries) != 0 {
+			t.Errorf("%v: a second pull response for seq 2 was delivered again", svc)
+		}
+		if got := r.Stats().Duplicates; got != 2 {
+			t.Errorf("%v: %d duplicates, want 2", svc, got)
+		}
+
+		ref := wire.CoopRef{Batch: 3, Want: core.PacketID{Flow: 9, Seq: 1}}
+		for seq, answered := range map[core.Seq]bool{1: false, 2: false, 3: true, 4: true} {
+			req := wire.Header{Type: wire.TypeCoopReq, Flow: 1, Seq: seq, Src: dcNode, Dst: self}
+			res := r.OnCoopReq(4*time.Millisecond, &req, &ref)
+			if (len(res.Emits) == 1) != answered || len(res.Emits) > 1 {
+				t.Errorf("%v: a coop request for seq %d was answered %d times, want answered %v", svc, seq, len(res.Emits), answered)
+			}
+		}
+	}
+}
+
+// TestEmptyCodingPayloadIsHeld: what a slot holds is its flag, never the
+// length of its bytes. A zero-length coding packet is answered with its
+// zero bytes, in a slot with no buffer yet and in one whose buffer held
+// another packet's bytes.
+func TestEmptyCodingPayloadIsHeld(t *testing.T) {
+	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
+	cfg.RecentWindow = 2
+	r := New(cfg)
+	for seq := uint64(1); seq <= 3; seq++ {
+		h := dataHdr(1, seq, core.Time(seq)*time.Millisecond)
+		payload := []byte{}
+		if seq == 1 {
+			payload = pay(1) // its buffer goes to seq 3, which evicts it
+		}
+		r.OnData(h.TS, &h, payload)
+	}
+	ref := wire.CoopRef{Batch: 3, Want: core.PacketID{Flow: 9, Seq: 1}}
+	for _, seq := range []core.Seq{2, 3} {
+		req := wire.Header{Type: wire.TypeCoopReq, Flow: 1, Seq: seq, Src: dcNode, Dst: self}
+		res := r.OnCoopReq(4*time.Millisecond, &req, &ref)
+		if len(res.Emits) != 1 {
+			t.Fatalf("a coop request for empty seq %d was answered %d times, want 1", seq, len(res.Emits))
+		}
+		var rh wire.Header
+		body, _ := wire.SplitMessage(&rh, res.Emits[0].Msg)
+		var got wire.CoopRef
+		if payload, err := got.Unmarshal(body); err != nil || len(payload) != 0 || got != ref {
+			t.Errorf("seq %d: coop response %+v %q %v, want an empty payload", seq, got, payload, err)
+		}
 	}
 }
 

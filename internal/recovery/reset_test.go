@@ -235,6 +235,7 @@ func perFlow(r *Receiver) Receiver {
 	c := *r
 	c.missing, c.recent, c.inDec, c.codecs = nil, nil, nil, nil
 	c.order, c.spare, c.res, c.due = nil, nil, Result{}, nil
+	c.shards, c.packed, c.wanted, c.spareDec, c.spareParity = nil, nil, nil, nil, nil
 	return c
 }
 

@@ -5,13 +5,16 @@ package rs
 // It holds at most a fixed number of shapes and evicts the oldest: on the
 // decoders the shape comes off the wire (32 640 legal pairs, each up to
 // 16 kB of matrix), so a flood of forged shapes must not grow it. Not safe
-// for concurrent use; each engine owns one.
+// for concurrent use; each engine owns one, and with it the working memory
+// of the engine's decodes (ReconstructData).
 type Cache struct {
 	max    int
 	codecs map[[2]int]*Codec
 	// order is a ring of the cached shapes, oldest at next once full.
 	order [][2]int
 	next  int
+	// scratch is reshaped for each decode; at k = 255 it is 256 kB.
+	scratch decodeScratch
 }
 
 // DecoderShapes bounds the cache of an engine that decodes what the wire
@@ -47,6 +50,18 @@ func (c *Cache) Get(k, m int) *Codec {
 	}
 	c.codecs[key] = codec
 	return codec
+}
+
+// ReconstructData is Codec.ReconstructData on the (k, m) codec, working in
+// the cache's scratch: once it has decoded a batch of k sources, another
+// allocates only the data shards it fills in. A shape with no code is
+// ErrInvalidParams.
+func (c *Cache) ReconstructData(k, m int, shards [][]byte) error {
+	codec := c.Get(k, m)
+	if codec == nil {
+		return ErrInvalidParams
+	}
+	return codec.reconstructData(shards, &c.scratch)
 }
 
 // Len returns how many shapes are cached.

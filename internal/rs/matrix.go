@@ -12,6 +12,18 @@ func newMatrix(rows, cols int) matrix {
 	return matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
+// reshape makes m a zero rows×cols matrix, in its own storage when that is
+// large enough.
+func (m *matrix) reshape(rows, cols int) {
+	if n := rows * cols; cap(m.data) < n {
+		m.data = make([]byte, n)
+	} else {
+		m.data = m.data[:n]
+		clear(m.data)
+	}
+	m.rows, m.cols = rows, cols
+}
+
 func (m matrix) at(r, c int) byte     { return m.data[r*m.cols+c] }
 func (m matrix) set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 func (m matrix) row(r int) []byte     { return m.data[r*m.cols : (r+1)*m.cols] }
@@ -57,15 +69,17 @@ func (m matrix) subMatrix(r0, r1, c0, c1 int) matrix {
 	return out
 }
 
-// invert returns the inverse of a square matrix via Gauss-Jordan
-// elimination with partial pivoting, or an error if the matrix is singular.
-func (m matrix) invert() (matrix, error) {
+// invert writes the inverse of a square matrix into out via Gauss-Jordan
+// elimination with partial pivoting, or returns an error if the matrix is
+// singular. work and out are reshaped for it, so a decoder passes the same
+// two on every call and a one-time inversion passes fresh ones.
+func (m matrix) invert(work, out *matrix) error {
 	if m.rows != m.cols {
-		return matrix{}, fmt.Errorf("rs: cannot invert %dx%d matrix", m.rows, m.cols)
+		return fmt.Errorf("rs: cannot invert %dx%d matrix", m.rows, m.cols)
 	}
 	n := m.rows
 	// work = [m | I]
-	work := newMatrix(n, 2*n)
+	work.reshape(n, 2*n)
 	for r := 0; r < n; r++ {
 		copy(work.row(r)[:n], m.row(r))
 		work.set(r, n+r, 1)
@@ -80,7 +94,7 @@ func (m matrix) invert() (matrix, error) {
 			}
 		}
 		if pivot == -1 {
-			return matrix{}, fmt.Errorf("rs: singular matrix")
+			return fmt.Errorf("rs: singular matrix")
 		}
 		if pivot != col {
 			pr, cr := work.row(pivot), work.row(col)
@@ -106,11 +120,11 @@ func (m matrix) invert() (matrix, error) {
 			}
 		}
 	}
-	out := newMatrix(n, n)
+	out.reshape(n, n)
 	for r := 0; r < n; r++ {
 		copy(out.row(r), work.row(r)[n:])
 	}
-	return out, nil
+	return nil
 }
 
 // buildSystematic converts a Vandermonde matrix into systematic form: the
@@ -118,9 +132,8 @@ func (m matrix) invert() (matrix, error) {
 // unchanged and only parity rows require arithmetic.
 func buildSystematic(n, k int) matrix {
 	v := vandermonde(n, k)
-	top := v.subMatrix(0, k, 0, k)
-	topInv, err := top.invert()
-	if err != nil {
+	var work, topInv matrix
+	if err := v.subMatrix(0, k, 0, k).invert(&work, &topInv); err != nil {
 		// Vandermonde top blocks are always invertible; reaching this
 		// indicates field-table corruption, not a runtime condition.
 		panic("rs: vandermonde top block not invertible: " + err.Error())

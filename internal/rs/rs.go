@@ -118,57 +118,71 @@ func (c *Codec) Reconstruct(shards [][]byte) error {
 
 // ReconstructData is Reconstruct for a decoder: it fills in the missing
 // data shards and leaves missing parity shards nil, saving the pass over
-// all k sources (and the allocation) each of those would cost.
+// all k sources (and the allocation) each of those would cost. Its working
+// matrices are its own, one set per call; an engine that decodes one batch
+// at a time reuses one set through Cache.ReconstructData.
 func (c *Codec) ReconstructData(shards [][]byte) error {
+	return c.reconstructData(shards, new(decodeScratch))
+}
+
+// decodeScratch is the working memory of one reconstruction: the k×k
+// matrix of the generator rows of the shards used, the Gauss-Jordan work
+// and inverse matrices, and the table of the shards used.
+type decodeScratch struct {
+	sub, work, inv matrix
+	input          [][]byte
+}
+
+// reconstructData is ReconstructData working in s.
+func (c *Codec) reconstructData(shards [][]byte, s *decodeScratch) error {
 	if len(shards) != c.k+c.m {
 		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), c.k+c.m)
 	}
 	present := 0
 	size := -1
-	for _, s := range shards {
-		if s == nil {
+	for _, sh := range shards {
+		if sh == nil {
 			continue
 		}
 		present++
 		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return fmt.Errorf("%w: %d vs %d", ErrShardSize, len(s), size)
+			size = len(sh)
+		} else if len(sh) != size {
+			return fmt.Errorf("%w: %d vs %d", ErrShardSize, len(sh), size)
 		}
 	}
 	if present < c.k {
 		return fmt.Errorf("%w: %d present, need %d", ErrTooFewShards, present, c.k)
 	}
-	for _, s := range shards[:c.k] {
-		if s == nil {
-			return c.reconstructData(shards, size)
+	for _, sh := range shards[:c.k] {
+		if sh == nil {
+			return c.solveData(shards, size, s)
 		}
 	}
 	return nil
 }
 
-// reconstructData solves for the missing data shards using the first k
+// solveData solves for the missing data shards using the first k
 // available shards.
-func (c *Codec) reconstructData(shards [][]byte, size int) error {
+func (c *Codec) solveData(shards [][]byte, size int, s *decodeScratch) error {
 	// Build the k×k matrix whose rows are the generator rows of k
 	// available shards, plus the corresponding shard data.
-	sub := newMatrix(c.k, c.k)
-	input := make([][]byte, c.k)
-	got := 0
-	for i := 0; i < c.k+c.m && got < c.k; i++ {
+	s.sub.reshape(c.k, c.k)
+	input := s.input[:0]
+	for i := 0; i < c.k+c.m && len(input) < c.k; i++ {
 		if shards[i] == nil {
 			continue
 		}
 		if i < c.k {
-			sub.set(got, i, 1) // systematic row: identity
+			s.sub.set(len(input), i, 1) // systematic row: identity
 		} else {
-			copy(sub.row(got), c.rows[i-c.k])
+			copy(s.sub.row(len(input)), c.rows[i-c.k])
 		}
-		input[got] = shards[i]
-		got++
+		input = append(input, shards[i])
 	}
-	inv, err := sub.invert()
-	if err != nil {
+	s.input = input
+	defer clear(input) // the scratch pins no caller's shard
+	if err := s.sub.invert(&s.work, &s.inv); err != nil {
 		return ErrSingularDecode
 	}
 	// Missing shard d is row d of the inverse applied to the inputs. The
@@ -178,7 +192,7 @@ func (c *Codec) reconstructData(shards [][]byte, size int) error {
 	for d := 0; d < c.k; d++ {
 		if shards[d] == nil {
 			shards[d] = make([]byte, size)
-			rows = append(rows, inv.row(d))
+			rows = append(rows, s.inv.row(d))
 			outs = append(outs, shards[d])
 		}
 	}

@@ -3,6 +3,7 @@ package rs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,8 +132,8 @@ func TestMulSliceLengthMismatchPanics(t *testing.T) {
 
 func TestMatrixInvertIdentity(t *testing.T) {
 	id := identity(5)
-	inv, err := id.invert()
-	if err != nil {
+	var work, inv matrix
+	if err := id.invert(&work, &inv); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inv.data, id.data) {
@@ -145,8 +146,8 @@ func TestMatrixInvertRoundTrip(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(8)
 		m := vandermonde(n, n)
-		inv, err := m.invert()
-		if err != nil {
+		var work, inv matrix
+		if err := m.invert(&work, &inv); err != nil {
 			t.Fatalf("vandermonde %dx%d singular: %v", n, n, err)
 		}
 		prod := m.mul(inv)
@@ -157,12 +158,13 @@ func TestMatrixInvertRoundTrip(t *testing.T) {
 }
 
 func TestMatrixSingular(t *testing.T) {
+	var work, inv matrix
 	m := newMatrix(2, 2) // all zeros
-	if _, err := m.invert(); err == nil {
+	if err := m.invert(&work, &inv); err == nil {
 		t.Fatal("zero matrix inverted")
 	}
 	nm := newMatrix(2, 3)
-	if _, err := nm.invert(); err == nil {
+	if err := nm.invert(&work, &inv); err == nil {
 		t.Fatal("non-square matrix inverted")
 	}
 }
@@ -371,6 +373,93 @@ func TestReconstructQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCacheReconstructMatchesCodec: decoding in a cache's scratch gives
+// what a codec's own fresh matrices give, shard for shard and error for
+// error, as the shapes it decodes grow, shrink and recur — scratch a larger
+// shape left behind never leaks into a smaller one.
+func TestCacheReconstructMatchesCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cache := NewCache(DecoderShapes)
+	for trial := 0; trial < 500; trial++ {
+		k, m := 1+rng.Intn(12), rng.Intn(5)
+		shards, c := makeShards(t, rng, k, m, 1+rng.Intn(64))
+		for e := rng.Intn(m + 2); e > 0; e-- { // sometimes one too many
+			shards[rng.Intn(k+m)] = nil
+		}
+		if rng.Intn(20) == 0 && len(shards) > 1 && shards[0] != nil && shards[1] != nil {
+			shards[1] = shards[1][1:] // sizes disagree
+		}
+		mine := append([][]byte(nil), shards...)
+		want := append([][]byte(nil), shards...)
+		errMine, errWant := cache.ReconstructData(k, m, mine), c.ReconstructData(want)
+		if (errMine == nil) != (errWant == nil) || errMine != nil && errMine.Error() != errWant.Error() {
+			t.Fatalf("trial %d (%d, %d): cache err %v, codec err %v", trial, k, m, errMine, errWant)
+		}
+		for i := range want {
+			if !bytes.Equal(mine[i], want[i]) || (mine[i] == nil) != (want[i] == nil) {
+				t.Fatalf("trial %d (%d, %d): shard %d is %x, want %x", trial, k, m, i, mine[i], want[i])
+			}
+		}
+	}
+	if err := cache.ReconstructData(200, 100, make([][]byte, 300)); !errors.Is(err, ErrInvalidParams) {
+		t.Errorf("a shape with no code: err %v, want ErrInvalidParams", err)
+	}
+}
+
+// TestCacheReconstructAllocatesTheShard: once a cache has decoded a batch
+// of its shape, a decode allocates only the data shard it fills in.
+func TestCacheReconstructAllocatesTheShard(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	shards, _ := makeShards(t, rng, 6, 2, 512)
+	cache := NewCache(DecoderShapes)
+	work := make([][]byte, len(shards))
+	decode := func() {
+		copy(work, shards)
+		work[2] = nil
+		if err := cache.ReconstructData(6, 2, work); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, decode); n != 1 {
+		t.Errorf("a warm decode of one loss allocates %v times, want 1 (the shard)", n)
+	}
+	if !bytes.Equal(work[2], shards[2]) {
+		t.Error("the warm decode got the shard wrong")
+	}
+}
+
+// TestCodecReconstructConcurrent: a Codec is safe for concurrent use — two
+// goroutines decode on one, each with different losses, and both get their
+// shards right. Under -race, working memory shared between them fails it.
+func TestCodecReconstructConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	shards, c := makeShards(t, rng, 6, 3, 128)
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func(g int) {
+			for i := 0; i < 200; i++ {
+				work := append([][]byte(nil), shards...)
+				lost := (g + i) % 6
+				work[lost], work[(lost+1+g)%6] = nil, nil
+				if err := c.ReconstructData(work); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(work[lost], shards[lost]) {
+					errs <- fmt.Errorf("goroutine %d, decode %d: shard %d wrong", g, i, lost)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
