@@ -13,7 +13,7 @@ type Cache struct {
 	// order is a ring of the cached shapes, oldest at next once full.
 	order [][2]int
 	next  int
-	// scratch is reshaped for each decode; at k = 255 it is 256 kB.
+	// scratch is reshaped for each decode; at k = 255 it is about 260 kB.
 	scratch decodeScratch
 }
 
@@ -61,7 +61,7 @@ func (c *Cache) ReconstructData(k, m int, shards [][]byte) error {
 	if codec == nil {
 		return ErrInvalidParams
 	}
-	return codec.reconstructData(shards, &c.scratch)
+	return codec.reconstruct(shards, &c.scratch)
 }
 
 // Len returns how many shapes are cached.

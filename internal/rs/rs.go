@@ -3,6 +3,7 @@ package rs
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Codec is a systematic Reed-Solomon erasure codec with k data shards and
@@ -122,7 +123,7 @@ func (c *Codec) Reconstruct(shards [][]byte) error {
 // matrices are its own, one set per call; an engine that decodes one batch
 // at a time reuses one set through Cache.ReconstructData.
 func (c *Codec) ReconstructData(shards [][]byte) error {
-	return c.reconstructData(shards, new(decodeScratch))
+	return c.reconstruct(shards, new(decodeScratch))
 }
 
 // decodeScratch is the working memory of one reconstruction: the k×k
@@ -133,56 +134,59 @@ type decodeScratch struct {
 	input          [][]byte
 }
 
-// reconstructData is ReconstructData working in s.
-func (c *Codec) reconstructData(shards [][]byte, s *decodeScratch) error {
+// reconstruct is ReconstructData working in scratch.
+func (c *Codec) reconstruct(shards [][]byte, scratch *decodeScratch) error {
 	if len(shards) != c.k+c.m {
 		return fmt.Errorf("%w: got %d shards, want %d", ErrShardSize, len(shards), c.k+c.m)
 	}
 	present := 0
 	size := -1
-	for _, sh := range shards {
-		if sh == nil {
+	for _, s := range shards {
+		if s == nil {
 			continue
 		}
 		present++
 		if size == -1 {
-			size = len(sh)
-		} else if len(sh) != size {
-			return fmt.Errorf("%w: %d vs %d", ErrShardSize, len(sh), size)
+			size = len(s)
+		} else if len(s) != size {
+			return fmt.Errorf("%w: %d vs %d", ErrShardSize, len(s), size)
 		}
 	}
 	if present < c.k {
 		return fmt.Errorf("%w: %d present, need %d", ErrTooFewShards, present, c.k)
 	}
-	for _, sh := range shards[:c.k] {
-		if sh == nil {
-			return c.solveData(shards, size, s)
+	for _, s := range shards[:c.k] {
+		if s == nil {
+			return c.reconstructData(shards, size, scratch)
 		}
 	}
 	return nil
 }
 
-// solveData solves for the missing data shards using the first k
+// reconstructData solves for the missing data shards using the first k
 // available shards.
-func (c *Codec) solveData(shards [][]byte, size int, s *decodeScratch) error {
+func (c *Codec) reconstructData(shards [][]byte, size int, s *decodeScratch) error {
 	// Build the k×k matrix whose rows are the generator rows of k
 	// available shards, plus the corresponding shard data.
 	s.sub.reshape(c.k, c.k)
-	input := s.input[:0]
-	for i := 0; i < c.k+c.m && len(input) < c.k; i++ {
+	sub := s.sub
+	input := slices.Grow(s.input[:0], c.k)[:c.k]
+	s.input = input
+	defer clear(input) // the scratch pins no caller's shard
+	got := 0
+	for i := 0; i < c.k+c.m && got < c.k; i++ {
 		if shards[i] == nil {
 			continue
 		}
 		if i < c.k {
-			s.sub.set(len(input), i, 1) // systematic row: identity
+			sub.set(got, i, 1) // systematic row: identity
 		} else {
-			copy(s.sub.row(len(input)), c.rows[i-c.k])
+			copy(sub.row(got), c.rows[i-c.k])
 		}
-		input = append(input, shards[i])
+		input[got] = shards[i]
+		got++
 	}
-	s.input = input
-	defer clear(input) // the scratch pins no caller's shard
-	if err := s.sub.invert(&s.work, &s.inv); err != nil {
+	if err := sub.invert(&s.work, &s.inv); err != nil {
 		return ErrSingularDecode
 	}
 	// Missing shard d is row d of the inverse applied to the inputs. The
