@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,12 +15,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from this tree's output")
 
-// goldenExamples are the deterministic examples: every one but livewire,
-// which runs on real sockets and wall-clock time.
-var goldenExamples = []string{
-	"backpressure", "congestion", "fairshare", "mobility", "multicast", "pinning",
-	"quickstart", "reroute", "tenancy", "videoconf", "webtransfer",
-}
+// nondeterministicExample runs on real sockets and wall-clock time, so it
+// has no golden; every other directory under examples/ has one.
+const nondeterministicExample = "livewire"
 
 var (
 	// jqos-figures prints each experiment's wall time on a line of its own.
@@ -42,9 +40,19 @@ func TestGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs every example and CLI")
 	}
+	dirs, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var examples []string
+	for _, dir := range dirs {
+		if dir.IsDir() && dir.Name() != nondeterministicExample {
+			examples = append(examples, dir.Name())
+		}
+	}
 	bin := t.TempDir()
 	pkgs := []string{"./cmd/jqos-figures", "./cmd/jqos-chaos"}
-	for _, ex := range goldenExamples {
+	for _, ex := range examples {
 		pkgs = append(pkgs, "./examples/"+ex)
 	}
 	if out, err := exec.Command("go", append([]string{"build", "-o", bin + "/"}, pkgs...)...).CombinedOutput(); err != nil {
@@ -63,10 +71,24 @@ func TestGolden(t *testing.T) {
 		return out
 	}
 
-	for _, ex := range goldenExamples {
+	for _, ex := range examples {
 		t.Run("examples/"+ex, func(t *testing.T) {
 			checkGolden(t, filepath.Join("examples", ex+".txt"), run(t, ex))
 		})
+	}
+	// A golden whose example is gone would otherwise pass unnoticed.
+	goldens, _ := filepath.Glob(filepath.Join("testdata", "golden", "examples", "*"))
+	for _, path := range goldens {
+		if name := strings.TrimSuffix(filepath.Base(path), ".txt"); slices.Contains(examples, name) {
+			continue
+		}
+		if *updateGolden {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		t.Errorf("%s has no example under examples/", path)
 	}
 
 	t.Run("figures", func(t *testing.T) {

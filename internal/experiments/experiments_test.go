@@ -6,7 +6,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"jqos/internal/core"
 	"jqos/internal/stats"
 	"jqos/internal/tcpsim"
 )
@@ -200,6 +202,12 @@ func TestFig9aOrdering(t *testing.T) {
 	if bad["CR-WAN"] > bad["Internet"]*0.7 {
 		t.Errorf("CR-WAN bad-frame mass %.2f vs Internet %.2f", bad["CR-WAN"], bad["Internet"])
 	}
+	// The reference: without the outage, the Internet path alone renders
+	// every frame, so the bad frames above are the outage's.
+	clean := runVideoScenario(2, videoScenario{name: "clean", service: core.ServiceInternet}, true)
+	if clean.goodFrames != 1 {
+		t.Errorf("clean Internet path good frames %.3f, want 1", clean.goodFrames)
+	}
 }
 
 func TestFig9bTailReduction(t *testing.T) {
@@ -208,6 +216,20 @@ func TestFig9bTailReduction(t *testing.T) {
 	if crwan.Quantile(0.995) >= internet.Quantile(0.995) {
 		t.Errorf("no tail reduction: internet p99.5 %.2fs vs crwan %.2fs",
 			internet.Quantile(0.995), crwan.Quantile(0.995))
+	}
+	// The ablation: duplicating SYN-ACKs alone cuts some of the tail,
+	// duplicating every segment cuts more.
+	dup := func(kinds ...tcpsim.SegmentKind) tcpsim.Recovery {
+		d := tcpsim.SelectiveDup{Kinds: map[tcpsim.SegmentKind]bool{}, Extra: 6 * time.Millisecond}
+		for _, k := range kinds {
+			d.Kinds[k] = true
+		}
+		return d
+	}
+	synack := runTCPBatch(5, 400, dup(tcpsim.KindSYNACK))
+	full := runTCPBatch(5, 400, dup(tcpsim.KindSYN, tcpsim.KindSYNACK, tcpsim.KindRequest, tcpsim.KindData, tcpsim.KindACK))
+	if i, s, f := internet.Quantile(0.995), synack.Quantile(0.995), full.Quantile(0.995); !(i > s && s > f) {
+		t.Errorf("p99.5: internet %.2fs, SYN-ACK-only %.2fs, full duplication %.2fs — want strictly falling", i, s, f)
 	}
 }
 

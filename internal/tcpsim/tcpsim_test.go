@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -179,6 +180,51 @@ func TestGiveUpHorizon(t *testing.T) {
 	}
 	if r.FCT != 3*time.Second {
 		t.Errorf("give-up FCT = %v", r.FCT)
+	}
+}
+
+// dataLog drops every segment sent from `from` on and records when each
+// was sent.
+type dataLog struct {
+	from core.Time
+	sent []core.Time
+}
+
+func (l *dataLog) Lose(now core.Time, _ *rand.Rand) bool {
+	if now < l.from {
+		return false
+	}
+	l.sent = append(l.sent, now)
+	return true
+}
+
+// TestRTOBackoffCapped blackholes the data direction once the handshake is
+// done, so the server's retransmission timer doubles until MaxRTO caps it:
+// after the first window, each RTO resends one segment, and no gap between
+// resends may exceed MaxRTO.
+func TestRTOBackoffCapped(t *testing.T) {
+	cfg := DefaultConfig()
+	log := &dataLog{from: 2 * cfg.OneWay} // after the SYN-ACK, before the first window
+	r := runOne(t, 1, func(c *Config) {
+		c.DataLoss = log
+		c.GiveUp = 2 * time.Minute
+	})
+	if r.Completed {
+		t.Fatal("completed through a dead data path")
+	}
+	resends := log.sent[cfg.InitCwnd-1:] // the window's last segment, then one per RTO
+	capped := 0
+	for i := 1; i < len(resends); i++ {
+		gap := resends[i] - resends[i-1]
+		if gap > cfg.MaxRTO {
+			t.Fatalf("resend %d came %v after the last, past MaxRTO %v", i, gap, cfg.MaxRTO)
+		}
+		if gap == cfg.MaxRTO {
+			capped++
+		}
+	}
+	if capped < 3 {
+		t.Errorf("backoff reached MaxRTO %d times in %d resends, want ≥3", capped, len(resends)-1)
 	}
 }
 

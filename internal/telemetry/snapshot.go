@@ -236,19 +236,6 @@ type TenantSnapshot struct {
 	CostViolations   uint64  `json:"cost_violations"`
 }
 
-// OnTimeFraction returns OnTime/Delivered. With nothing delivered it
-// returns 0 when member flows sent packets (a tenant whose traffic all
-// vanished is NOT meeting budgets) and 1 only when nothing was sent.
-func (t TenantSnapshot) OnTimeFraction() float64 {
-	if t.Delivered == 0 {
-		if t.Sent > 0 {
-			return 0
-		}
-		return 1
-	}
-	return float64(t.OnTime) / float64(t.Delivered)
-}
-
 // RoutingSnapshot mirrors the routing controller's counters.
 type RoutingSnapshot struct {
 	Recomputes uint64 `json:"recomputes"`

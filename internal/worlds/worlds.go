@@ -1,24 +1,23 @@
 // Package worlds builds the deployments the examples, the experiments, the
 // chaos runner and jqos-stat -demo run on, so that each world is written
 // once. The paper evaluates everything on one testbed and varies the
-// workload (§6); the scenarios here do the same with three shapes. A twin
-// example/experiment pair calls the same builder and differs in seed, span
-// and what it prints.
+// workload (§6); the scenarios here do the same with three shapes. A
+// scenario has one program: the experiment of its ID, run with
+// `jqos-figures -fig <id> -quick`.
 //
 //   - Bottleneck: us-east —20 ms— eu-west, serialized at Config.LinkCapacity.
 //     NewContended puts two bulk flows and one interactive flow on it and
-//     loads them. Callers: examples/{fairshare,backpressure} and
-//     experiments/{fairshare,backpressure}.go through NewContended;
-//     examples/tenancy and experiments/tenancy.go (three worlds) directly,
-//     since a tenant is registered between the topology and its flows.
+//     loads them. Callers: experiments/{fairshare,backpressure}.go through
+//     NewContended; experiments/tenancy.go (three worlds) directly, since a
+//     tenant is registered between the topology and its flows.
 //   - Paper: us-east —40 ms— eu-west, the testbed of §6.1. Callers:
-//     examples/{videoconf,mobility,multicast}, experiments/{fig9a,misc}.go,
+//     examples/{mobility,multicast}, experiments/{fig9a,misc}.go,
 //     cmd/jqos-stat -demo. examples/quickstart builds the same world by hand,
 //     as the tutorial of the raw API.
 //   - Diamond: us-east —near— us-west —near— ap-south beside us-east —far—
 //     eu-west —far— ap-south, no link between the ends. Callers:
-//     examples/reroute and experiments/reroute.go (15 ms / 25 ms),
-//     examples/congestion and experiments/congestion.go (20 ms / 20 ms).
+//     experiments/reroute.go (15 ms / 25 ms) and experiments/congestion.go
+//     (20 ms / 20 ms).
 //
 // A shape with one caller stays with that caller (examples/pinning's
 // triangle, experiments/fig8.go's dataset-driven pair, chaos's five-link

@@ -142,8 +142,8 @@
 // the DC rather than what piled up. Snapshot().Queue(a, b) exposes
 // per-class enqueued/dequeued/dropped counters, live queue depth, and
 // deficit rounds per directed link. Nil Weights (the default) disables
-// scheduling: egress is a FIFO pass-through. See examples/fairshare and
-// experiment "fairshare", both built by worlds.NewContended (internal/worlds:
+// scheduling: egress is a FIFO pass-through. Run `jqos-figures -fig
+// fairshare -quick` to see it on worlds.NewContended (internal/worlds:
 // one 1 MB/s link, two bulk flows offering twice that, one interactive flow).
 //
 // # Congestion feedback
@@ -182,11 +182,11 @@
 // Config.Scheduler, capacities from the link registry) rather than the
 // whole link — a contract that could never be honored under contention
 // is rejected; service moves and reroutes re-size it against the new
-// class share. See examples/backpressure and experiment
-// "backpressure" (the same worlds.NewContended link, its bulk flows now
-// contracted and in the interactive flow's class): an interactive budget
-// held at ≥95% with the class's egress drops cut to zero, where the
-// scheduler alone tail-drops steadily.
+// class share. Run `jqos-figures -fig backpressure -quick` (the same
+// worlds.NewContended link, its bulk flows now contracted and in the
+// interactive flow's class): an interactive budget held at ≥95% with the
+// class's egress drops cut to zero, where the scheduler alone tail-drops
+// steadily.
 //
 // # Observability
 //
@@ -320,7 +320,7 @@
 //	dep.Run(10 * time.Second)
 //	ts, _ := dep.TenantStats(1) // quota drops, est. spend, pacer state
 //
-// See examples/tenancy and experiment "tenancy", on worlds.Bottleneck.
+// Run `jqos-figures -fig tenancy -quick` to see it on worlds.Bottleneck.
 //
 // # Time
 //
@@ -825,7 +825,7 @@ func (d *Deployment) CloudCost() float64 {
 	return float64(d.TotalEgressBytes()) / 1e9 * overlay.DefaultCostModel.EgressPerGB
 }
 
-// Flows returns all registered flows (ordered by ID).
+// Flows returns every open flow, ascending ID.
 func (d *Deployment) Flows() []*Flow {
 	out := make([]*Flow, 0, len(d.flows))
 	for id := core.FlowID(1); id < d.nextFlow; id++ {

@@ -123,6 +123,10 @@ func TestTenantQuotaIsolation(t *testing.T) {
 		t.Errorf("interactive on-time %d/%d, want 100%% while the neighbor saturates its quota",
 			m.OnTime, m.Sent)
 	}
+	if ss.Delivered != m.Delivered || ss.OnTime != m.OnTime {
+		t.Errorf("solo tenant rollup %d delivered / %d on time, its one flow %d / %d",
+			ss.Delivered, ss.OnTime, m.Delivered, m.OnTime)
+	}
 	// The snapshot's tenant slice carries the same rollups.
 	s := d.Snapshot()
 	if len(s.Tenants) != 2 {
@@ -253,7 +257,7 @@ func TestTenantChurnRaceClean(t *testing.T) {
 			if s := d.LatestSnapshot(); s != nil {
 				snaps++
 				for _, ts := range s.Tenants {
-					_ = ts.OnTimeFraction()
+					_ = ts.OnTime
 				}
 			}
 			if evs := d.TraceEvents(); len(evs) > 0 {
