@@ -40,7 +40,7 @@ func runCost(o Options) (Result, error) {
 	fig.AddSeries(codingSeries)
 	fwd150, cod150 := m.DeploymentCost(150, 1.0/16)
 	fig.AddNote("paper: forwarding $17.60/h vs coding $1.10/h for 150 calls (16x)")
-	fig.AddNote("measured: forwarding $%.2f/h vs coding $%.2f/h (%.0fx)", fwd150, cod150, fwd150/cod150)
+	fig.AddNote("cost model at r = 1/16: forwarding $%.2f/h vs coding $%.2f/h (%.0fx)", fwd150, cod150, fwd150/cod150)
 	return Result{Figures: []stats.Figure{fig}}, nil
 }
 
