@@ -1,9 +1,9 @@
 // Package worlds builds the deployments the examples, the experiments, the
 // chaos runner and jqos-stat -demo run on, so that each world is written
 // once. The paper evaluates everything on one testbed and varies the
-// workload (§6); the scenarios here do the same with three shapes. A
-// scenario has one program: the experiment of its ID, run with
-// `jqos-figures -fig <id> -quick`.
+// workload (§6); the scenarios here do the same with three shapes. Each
+// scenario has one program: its experiment (`jqos-figures -fig <id>
+// -quick`), or an example where no experiment runs it.
 //
 //   - Bottleneck: us-east —20 ms— eu-west, serialized at Config.LinkCapacity.
 //     NewContended puts two bulk flows and one interactive flow on it and
