@@ -6,7 +6,10 @@
 // repair from the cached copy (Figure 3d).
 package cache
 
-import "jqos/internal/core"
+import (
+	"jqos/internal/core"
+	"jqos/internal/ring"
+)
 
 // Stats counts cache effectiveness for experiments.
 type Stats struct {
@@ -31,42 +34,17 @@ type entry struct {
 // to reuse what that instant's expiry freed; an idle cache holds no more.
 const maxSpare = 64
 
-// seqRing is one flow's cached seqs in insertion order. TTL expiry and
-// byte-cap eviction both take the store's oldest entry, which is its
-// flow's oldest too unless a re-Put moved it back in the expiry order — so
-// the front leaves in O(1) and the buffer is reused as the flow keeps
-// sending; only that re-Put case searches and closes a gap.
-type seqRing struct {
-	buf     []core.Seq // len is zero or a power of two
-	head, n int
-}
+// seqIndex is one flow's cached seqs in insertion order. TTL expiry and
+// byte-cap eviction both take the store's oldest entry, which is its flow's
+// oldest too unless a re-Put moved it back in the expiry order — so the
+// front leaves in O(1) and the ring is reused as the flow keeps sending;
+// only that re-Put case searches and closes a gap.
+type seqIndex struct{ ring.Ring[core.Seq] }
 
-func (r *seqRing) at(i int) *core.Seq { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-func (r *seqRing) push(q core.Seq) {
-	if r.n == len(r.buf) {
-		buf := make([]core.Seq, max(2*len(r.buf), 8))
-		for i := 0; i < r.n; i++ {
-			buf[i] = *r.at(i)
-		}
-		r.buf, r.head = buf, 0
-	}
-	*r.at(r.n) = q
-	r.n++
-}
-
-func (r *seqRing) remove(q core.Seq) {
-	if r.n > 0 && *r.at(0) == q {
-		r.head = (r.head + 1) & (len(r.buf) - 1)
-		r.n--
-		return
-	}
-	for i := 1; i < r.n; i++ {
-		if *r.at(i) == q {
-			for ; i+1 < r.n; i++ {
-				*r.at(i) = *r.at(i + 1)
-			}
-			r.n--
+func (x *seqIndex) remove(q core.Seq) {
+	for i := 0; i < x.Len(); i++ {
+		if *x.At(i) == q {
+			x.Delete(i)
 			return
 		}
 	}
@@ -83,7 +61,7 @@ type Store struct {
 	// flows indexes cached seqs per flow in insertion order, supporting
 	// DrainFlow for the mobility rendezvous use case. A flow's ring is
 	// dropped when its last packet leaves, so idle flows cost nothing.
-	flows map[core.FlowID]*seqRing
+	flows map[core.FlowID]*seqIndex
 	// fifo is the sentinel of a circular list ordering entries by expiry
 	// (constant TTL ⇒ insertion order): fifo.next is the oldest.
 	fifo entry
@@ -104,7 +82,7 @@ func NewStore(ttl core.Time, maxBytes uint64) *Store {
 		ttl:      ttl,
 		maxBytes: maxBytes,
 		items:    make(map[core.PacketID]*entry),
-		flows:    make(map[core.FlowID]*seqRing),
+		flows:    make(map[core.FlowID]*seqIndex),
 	}
 	s.fifo.prev, s.fifo.next = &s.fifo, &s.fifo
 	return s
@@ -158,10 +136,10 @@ func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 		s.items[id] = e
 		seqs := s.flows[id.Flow]
 		if seqs == nil {
-			seqs = &seqRing{}
+			seqs = &seqIndex{}
 			s.flows[id.Flow] = seqs
 		}
-		seqs.push(id.Seq)
+		seqs.Push(id.Seq)
 		s.bytes += uint64(len(payload))
 	}
 	s.stats.Puts++
@@ -198,8 +176,8 @@ func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []cor
 		return nil
 	}
 	var out []core.PacketID
-	for i := 0; i < seqs.n; i++ {
-		if seq := *seqs.at(i); seq > after {
+	for i := 0; i < seqs.Len(); i++ {
+		if seq := *seqs.At(i); seq > after {
 			out = append(out, core.PacketID{Flow: flow, Seq: seq})
 		}
 	}
@@ -223,7 +201,7 @@ func (s *Store) remove(e *entry) {
 	// live entries.
 	seqs := s.flows[e.id.Flow]
 	seqs.remove(e.id.Seq)
-	if seqs.n == 0 {
+	if seqs.Len() == 0 {
 		delete(s.flows, e.id.Flow)
 	}
 	e.prev, e.next = nil, nil

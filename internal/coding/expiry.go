@@ -1,16 +1,18 @@
 package coding
 
-import "jqos/internal/core"
+import (
+	"jqos/internal/core"
+	"jqos/internal/ring"
+)
 
-// lazyQueue is a FIFO ring whose entries go stale in place: the owner
-// changes the item an entry names, and the queue's live func notices when
-// the entry surfaces. Stale entries are dropped when they reach the head,
-// and a push that finds more entries than its caller's bound compacts the
-// ring instead of growing it, so its length stays within that bound however
-// many entries a hostile peer makes stale.
+// lazyQueue is a FIFO, on a ring.Ring, whose entries go stale in place: the
+// owner changes the item an entry names, and the queue's live func notices
+// when the entry surfaces. Stale entries are dropped when they reach the
+// head, and a push that finds more entries than its caller's bound compacts
+// the ring instead of growing it, so its length stays within that bound
+// however many entries a hostile peer makes stale.
 type lazyQueue[E any] struct {
-	buf     []E // len is zero or a power of two
-	head, n int
+	ring.Ring[E]
 	// live reports whether the entry still speaks for its item.
 	live func(E) bool
 }
@@ -18,47 +20,26 @@ type lazyQueue[E any] struct {
 // compactSlack keeps small queues from compacting on every push.
 const compactSlack = 16
 
-func (q *lazyQueue[E]) at(i int) *E { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
 // push queues e, first dropping every stale entry (order kept) if the queue
 // holds more than most.
 func (q *lazyQueue[E]) push(e E, most int) {
-	var zero E
-	if q.n > most {
+	if q.Len() > most {
 		kept := 0
-		for i := 0; i < q.n; i++ {
-			if e := *q.at(i); q.live(e) {
-				*q.at(kept) = e
+		for i := 0; i < q.Len(); i++ {
+			if e := *q.At(i); q.live(e) {
+				*q.At(kept) = e
 				kept++
 			}
 		}
-		for i := kept; i < q.n; i++ {
-			*q.at(i) = zero // release the items
-		}
-		q.n = kept
+		q.Truncate(kept)
 	}
-	if q.n == len(q.buf) {
-		buf := make([]E, max(2*len(q.buf), 8))
-		for i := 0; i < q.n; i++ {
-			buf[i] = *q.at(i)
-		}
-		q.buf, q.head = buf, 0
-	}
-	*q.at(q.n) = e
-	q.n++
-}
-
-func (q *lazyQueue[E]) pop() {
-	var zero E
-	*q.at(0) = zero
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
+	q.Push(e)
 }
 
 // trim drops the stale entries in front of the first live one.
 func (q *lazyQueue[E]) trim() {
-	for q.n > 0 && !q.live(*q.at(0)) {
-		q.pop()
+	for q.Len() > 0 && !q.live(*q.At(0)) {
+		q.PopFront()
 	}
 }
 
@@ -87,10 +68,10 @@ func (q *expiryQueue[T]) push(at core.Time, item T, items int) {
 // next reports the earliest live expiry, dropping stale entries in front
 // of it.
 func (q *expiryQueue[T]) next() (core.Time, bool) {
-	if q.trim(); q.n == 0 {
+	if q.trim(); q.Len() == 0 {
 		return 0, false
 	}
-	return q.at(0).at, true
+	return q.At(0).at, true
 }
 
 // popDue removes and returns the earliest live item if its time has come.
@@ -98,7 +79,5 @@ func (q *expiryQueue[T]) popDue(now core.Time) (item T, ok bool) {
 	if at, found := q.next(); !found || at > now {
 		return item, false
 	}
-	item = q.at(0).item
-	q.pop()
-	return item, true
+	return q.PopFront().item, true
 }

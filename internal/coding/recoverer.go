@@ -371,8 +371,8 @@ func (r *Recoverer) coveringBatches(id core.PacketID) (in, cross *batchState) {
 	if x == nil {
 		return nil, nil
 	}
-	for i := 0; i < x.n; i++ {
-		switch e := x.at(i); {
+	for i := 0; i < x.Len(); i++ {
+		switch e := x.At(i); {
 		case e.seq != id.Seq || !e.live():
 		case e.b.meta.Kind == wire.InStream:
 			in = e.b
@@ -632,7 +632,7 @@ func (r *Recoverer) dropBatch(b *batchState) {
 		// nil: an earlier source of the same flow emptied the index.
 		if x := r.sources[src.Flow]; x != nil {
 			x.batches--
-			if x.trim(); x.n == 0 {
+			if x.trim(); x.Len() == 0 {
 				delete(r.sources, src.Flow)
 			}
 		}

@@ -135,8 +135,8 @@ func (m *packetIndex) checkIndex(t testing.TB, r *Recoverer, ids []core.PacketID
 			t.Fatalf("flow %d: index counts %d live refs, model %d", flow, x.batches, named[flow])
 		}
 		peak[flow] = max(peak[flow], x.batches)
-		if x.n > peak[flow]+peak[flow]/4+compactSlack+1 {
-			t.Fatalf("flow %d: index holds %d refs for at most %d live ones", flow, x.n, peak[flow])
+		if x.Len() > peak[flow]+peak[flow]/4+compactSlack+1 {
+			t.Fatalf("flow %d: index holds %d refs for at most %d live ones", flow, x.Len(), peak[flow])
 		}
 	}
 }
@@ -415,7 +415,7 @@ func (p *recovererProgram) compare(op byte, got, want []core.Emit) {
 	p.idx.checkIndex(t, sub, progIDs, p.flowPeak)
 	// No unbounded growth: stale entries never outnumber what a queue's
 	// map has held by more than two to one.
-	queued := [4]int{sub.batchQ.n, sub.recoveryQ.n, sub.pendingQ.n, sub.recentQ.n}
+	queued := [4]int{sub.batchQ.Len(), sub.recoveryQ.Len(), sub.pendingQ.Len(), sub.recentQ.Len()}
 	live := sizes(sub)
 	for i := range queued {
 		p.peak[i] = max(p.peak[i], live[i])
@@ -435,7 +435,7 @@ func (p *recovererProgram) finish() {
 	r := p.sub
 	left := []int{
 		len(r.batches), len(r.sources), len(r.recoveries), len(r.pending), len(r.attempts), len(r.recent),
-		r.batchQ.n, r.recoveryQ.n, r.pendingQ.n, r.recentQ.n,
+		r.batchQ.Len(), r.recoveryQ.Len(), r.pendingQ.Len(), r.recentQ.Len(),
 	}
 	for _, n := range left {
 		if n != 0 {

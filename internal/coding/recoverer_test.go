@@ -846,8 +846,8 @@ func TestStaleRefNeverServesRecycledBatch(t *testing.T) {
 	if r.batches[2] != x {
 		t.Fatal("Y was not cached in X's recycled state")
 	}
-	if idx := r.sources[1]; idx.n != 3 || idx.batches != 2 {
-		t.Fatalf("flow 1's index holds %d refs, %d live; want X's stale one among 3", idx.n, idx.batches)
+	if idx := r.sources[1]; idx.Len() != 3 || idx.batches != 2 {
+		t.Fatalf("flow 1's index holds %d refs, %d live; want X's stale one among 3", idx.Len(), idx.batches)
 	}
 
 	now := ttl + 3*time.Millisecond

@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"jqos/internal/core"
+	"jqos/internal/ring"
 	"jqos/internal/rs"
 	"jqos/internal/wire"
 )
@@ -206,16 +207,14 @@ type Receiver struct {
 	src         core.NodeID
 	missing     map[core.Seq]missState
 	// recent holds the slots of the delivered packets still in the window;
-	// order is a ring of their seqs, oldest at orderHead once it has
-	// filled. A coding packet is copied into the buffer of the slot it
-	// evicts, so a full window allocates nothing; if that slot has none,
-	// into a buffer from spare, the window buffers Reset kept from the flow
-	// before.
-	recent    map[core.Seq]slot
-	order     []core.Seq
-	orderHead int
-	spare     [][]byte
-	inDec     map[uint64]*inDecode
+	// order is a ring of their seqs, oldest first. A coding packet is
+	// copied into the buffer of the slot it evicts, so a full window
+	// allocates nothing; if that slot has none, into a buffer from spare,
+	// the window buffers Reset kept from the flow before.
+	recent map[core.Seq]slot
+	order  ring.Ring[core.Seq]
+	spare  [][]byte
+	inDec  map[uint64]*inDecode
 	// codecs serves in-stream decodes, in working memory of its own; the
 	// shapes come off the wire.
 	codecs *rs.Cache
@@ -277,11 +276,8 @@ func New(cfg Config) *Receiver {
 // may still be walking it, and only the next event empties it.
 func (r *Receiver) Reset(cfg Config) {
 	cfg.fillDefaults()
-	for _, seq := range r.order {
-		if len(r.spare) == maxSpare {
-			break
-		}
-		if buf := r.recent[seq].buf; buf != nil {
+	for i := 0; i < r.order.Len() && len(r.spare) < maxSpare; i++ {
+		if buf := r.recent[*r.order.At(i)].buf; buf != nil {
 			r.spare = append(r.spare, buf)
 		}
 	}
@@ -290,9 +286,13 @@ func (r *Receiver) Reset(cfg Config) {
 	}
 	clear(r.missing)
 	clear(r.recent)
-	order := r.order[:0]
-	if cap(order) != cfg.RecentWindow {
-		order = make([]core.Seq, 0, cfg.RecentWindow)
+	// A window of another size gets a ring of its own: a larger one kept
+	// would pin memory the new window never fills.
+	order := r.order
+	order.Truncate(0)
+	if r.cfg.RecentWindow != cfg.RecentWindow {
+		order = ring.Ring[core.Seq]{}
+		order.Reserve(cfg.RecentWindow)
 	}
 	*r = Receiver{
 		cfg:         cfg,
@@ -387,15 +387,12 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 // copied into the slot's buffer, or into a spare one if the slot has none.
 func (r *Receiver) accept(now core.Time, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
 	var s slot
-	if len(r.order) < cap(r.order) {
-		r.order = append(r.order, hdr.Seq)
-	} else {
-		old := r.order[r.orderHead]
+	if r.order.Len() == r.cfg.RecentWindow {
+		old := r.order.PopFront()
 		s = r.recent[old]
 		delete(r.recent, old)
-		r.order[r.orderHead] = hdr.Seq
-		r.orderHead = (r.orderHead + 1) % len(r.order)
 	}
+	r.order.Push(hdr.Seq)
 	if s.held = hdr.Service == core.ServiceCoding; s.held {
 		if n := len(r.spare); s.buf == nil && n > 0 {
 			s.buf = r.spare[n-1]

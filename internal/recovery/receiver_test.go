@@ -619,8 +619,8 @@ func TestRecentWindowEviction(t *testing.T) {
 	for seq := uint64(1); seq <= 10; seq++ {
 		feed(r, core.Time(seq)*time.Millisecond, 1, seq)
 	}
-	if len(r.recent) != 4 || len(r.order) != 4 {
-		t.Errorf("window sizes: recent=%d order=%d", len(r.recent), len(r.order))
+	if len(r.recent) != 4 || r.order.Len() != 4 {
+		t.Errorf("window sizes: recent=%d order=%d", len(r.recent), r.order.Len())
 	}
 	if _, ok := r.recent[10]; !ok {
 		t.Error("newest packet evicted")
@@ -759,8 +759,8 @@ func TestNonCodingWindowAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(r.cfg.RecentWindow-2, next); n != 0 {
 			t.Errorf("%v: in-order OnData allocates %v times while the window fills, want 0", svc, n)
 		}
-		if len(r.order) != r.cfg.RecentWindow {
-			t.Fatalf("%v: the window holds %d packets, want it full (%d)", svc, len(r.order), r.cfg.RecentWindow)
+		if r.order.Len() != r.cfg.RecentWindow {
+			t.Fatalf("%v: the window holds %d packets, want it full (%d)", svc, r.order.Len(), r.cfg.RecentWindow)
 		}
 		if n := testing.AllocsPerRun(500, next); n != 0 {
 			t.Errorf("%v: in-order OnData allocates %v times on a full window, want 0", svc, n)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/ring"
 	"jqos/internal/rs"
 	"jqos/internal/wire"
 )
@@ -234,10 +235,14 @@ func sameResult(a, b Result) error {
 func perFlow(r *Receiver) Receiver {
 	c := *r
 	c.missing, c.recent, c.inDec, c.codecs = nil, nil, nil, nil
-	c.order, c.spare, c.res, c.due = nil, nil, Result{}, nil
+	c.order, c.spare, c.res, c.due = ring.Ring[core.Seq]{}, nil, Result{}, nil
 	c.shards, c.packed, c.wanted, c.spareDec, c.spareParity = nil, nil, nil, nil, nil
 	return c
 }
+
+// windowSlots is the size of the array under r's window ring: a Reset to a
+// smaller window must not keep the larger one.
+func windowSlots(r *Receiver) int { return reflect.ValueOf(r.order).FieldByName("buf").Len() }
 
 // randConfig draws a receiver configuration: RTT, service, window size and
 // NACK retries all vary.
@@ -286,11 +291,11 @@ func TestResetMatchesNew(t *testing.T) {
 		if got, want := perFlow(reused.r), perFlow(fresh.r); !reflect.DeepEqual(got, want) {
 			t.Fatalf("program %d: after Reset the flow's state is\n%+v\nwant New's\n%+v", prog, got, want)
 		}
-		if n := len(reused.r.missing) + len(reused.r.recent) + len(reused.r.inDec) + len(reused.r.order); n != 0 {
+		if n := len(reused.r.missing) + len(reused.r.recent) + len(reused.r.inDec) + reused.r.order.Len(); n != 0 {
 			t.Fatalf("program %d: Reset left %d losses, packets or batches behind", prog, n)
 		}
-		if cap(reused.r.order) != cfg.RecentWindow {
-			t.Fatalf("program %d: window of %d after Reset, want %d", prog, cap(reused.r.order), cfg.RecentWindow)
+		if got, want := windowSlots(reused.r), windowSlots(fresh.r); got != want {
+			t.Fatalf("program %d: window ring of %d slots after Reset, a new receiver's has %d", prog, got, want)
 		}
 
 		for i, o := range genProgram(rng, 7, 300) {

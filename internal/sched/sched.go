@@ -16,7 +16,10 @@
 // inter-DC packet pays it (see BenchmarkSchedEnqueueDequeue).
 package sched
 
-import "jqos/internal/core"
+import (
+	"jqos/internal/core"
+	"jqos/internal/ring"
+)
 
 // NumClasses is the number of scheduled service classes — one queue per
 // J-QoS service, indexed by core.Service.
@@ -101,20 +104,20 @@ type Config struct {
 	// low < high.
 	LowWatermark  float64
 	HighWatermark float64
-	// PerFlowQueues nests a second deficit round-robin INSIDE each class
-	// queue, one sub-queue per flow, so sibling flows of the same class
-	// share the class's bytes fairly — one bulk flow cannot starve its
-	// tenant-mates out of their common class. Each flow's sub-queue gets
-	// one quantum of credit per flow-level round (flows are equal within
-	// a class; the class weights arbitrate BETWEEN classes as before),
-	// and on class byte-cap overflow the LONGEST sub-queue loses its
-	// tail instead of the arrival being rejected (see DRR.OnVictimDrop),
-	// so a polite flow's packet is never the one dropped for a greedy
-	// sibling's backlog. Sub-queue state exists only while a flow has
-	// packets queued — a drained sub-queue is recycled immediately, and
-	// the steady-state path stays allocation-free
-	// (BenchmarkSubqueueEnqueueDequeue). Off (the default) keeps the
-	// single FIFO per class, byte-for-byte the previous discipline.
+	// PerFlowQueues keys the sub-queues of each class's nested deficit
+	// round-robin by flow, so sibling flows of the same class share the
+	// class's bytes fairly — one bulk flow cannot starve its tenant-mates
+	// out of their common class. Each flow's sub-queue gets one quantum of
+	// credit per flow-level round (flows are equal within a class; the
+	// class weights arbitrate BETWEEN classes), and on class byte-cap
+	// overflow the LONGEST sub-queue loses its tail instead of the arrival
+	// being rejected (see DRR.OnVictimDrop), so a polite flow's packet is
+	// never the one dropped for a greedy sibling's backlog. Sub-queue state
+	// exists only while a flow has packets queued — a drained sub-queue is
+	// recycled immediately, and the steady-state path stays
+	// allocation-free (BenchmarkSubqueueEnqueueDequeue). Off (the default),
+	// a class's arrivals all join one sub-queue: the class drains in
+	// arrival order, and an arrival past the byte cap is the one dropped.
 	PerFlowQueues bool
 }
 
@@ -197,9 +200,9 @@ type ClassStats struct {
 	State        QueueState
 	StateChanges uint64
 	// FlowQueues is the live per-flow sub-queue count (0 unless
-	// Config.PerFlowQueues); VictimDrops counts packets dropped from the
-	// longest sub-queue's tail to admit another flow's arrival (a subset
-	// of DroppedPackets).
+	// Config.PerFlowQueues: a class's one sub-queue is no flow's own);
+	// VictimDrops counts packets dropped from the longest sub-queue's tail
+	// to admit another flow's arrival (a subset of DroppedPackets).
 	FlowQueues  int
 	VictimDrops uint64
 }
@@ -215,59 +218,13 @@ type Stats struct {
 	QueuedPackets int
 }
 
-// ring is a growable FIFO of Items. Growth doubles the backing slice
-// (amortized; the steady state allocates nothing), and popped slots are
-// zeroed so dequeued messages do not linger reachable.
-type ring struct {
-	items []Item
-	head  int
-	n     int
-}
-
-func (r *ring) push(it Item) {
-	if r.n == len(r.items) {
-		size := 2 * len(r.items)
-		if size < 8 {
-			size = 8
-		}
-		grown := make([]Item, size)
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.items[(r.head+i)%len(r.items)]
-		}
-		r.items, r.head = grown, 0
-	}
-	r.items[(r.head+r.n)%len(r.items)] = it
-	r.n++
-}
-
-func (r *ring) pop() Item {
-	it := r.items[r.head]
-	r.items[r.head] = Item{} // release the message reference
-	r.head = (r.head + 1) % len(r.items)
-	r.n--
-	return it
-}
-
-func (r *ring) peekSize() int { return len(r.items[r.head].Msg) }
-
-// popTail removes the most recent arrival — the victim-drop direction:
-// a sub-queue past its fair share loses the packet that has waited
-// least, preserving in-order delivery of what already queued.
-func (r *ring) popTail() Item {
-	i := (r.head + r.n - 1) % len(r.items)
-	it := r.items[i]
-	r.items[i] = Item{}
-	r.n--
-	return it
-}
-
-// flowQ is one flow's sub-queue inside a class: its own FIFO plus the
-// flow-level DRR bookkeeping. Instances are recycled through a per-class
-// free list the moment they drain, so churning flows reuse rings (and
-// their grown backing arrays) instead of allocating.
+// flowQ is one sub-queue inside a class: its own FIFO plus the flow-level
+// DRR bookkeeping. Instances are recycled through a per-class free list the
+// moment they drain, so churning flows reuse rings (and their grown backing
+// arrays) instead of allocating.
 type flowQ struct {
-	flow     core.FlowID
-	q        ring
+	flow     core.FlowID // the sub-queue's key (see DRR.perFlow)
+	q        ring.Ring[Item]
 	bytes    int64
 	deficit  int64
 	credited bool
@@ -325,11 +282,11 @@ type DRR struct {
 	// for. Same hot-path rules as OnStateChange.
 	OnVictimDrop func(class core.Service, flow core.FlowID, size int64)
 
-	// perFlow switches each class from one FIFO to flow sub-queues.
+	// perFlow keys each class's sub-queues by flow; without it a class's
+	// arrivals all join one sub-queue, under key 0.
 	perFlow bool
 	flows   [NumClasses]classFlows
 
-	q       [NumClasses]ring
 	deficit [NumClasses]int64
 	// credited marks classes already granted their deficit for the
 	// current visit; it resets when the round-robin moves on, so a class
@@ -344,12 +301,9 @@ type DRR struct {
 // New builds a scheduler from cfg (see Config for defaulting rules).
 // Callers should only construct one when cfg.Enabled().
 func New(cfg Config) *DRR {
-	s := &DRR{cap: DefaultQueueBytes}
-	if cfg.PerFlowQueues {
-		s.perFlow = true
-		for i := range s.flows {
-			s.flows[i].idx = make(map[core.FlowID]*flowQ)
-		}
+	s := &DRR{cap: DefaultQueueBytes, perFlow: cfg.PerFlowQueues}
+	for i := range s.flows {
+		s.flows[i].idx = make(map[core.FlowID]*flowQ)
 	}
 	switch {
 	case cfg.QueueBytes > 0:
@@ -474,34 +428,31 @@ func (s *DRR) EnqueueStamped(class core.Service, flow core.FlowID, msg []byte, s
 	}
 	c := &s.stats.PerClass[class]
 	size := int64(len(msg))
-	if s.cap >= 0 && c.QueuedPackets > 0 && c.QueuedBytes+size > s.cap {
-		if !s.perFlow || !s.evictFor(class, flow, size) {
-			c.DroppedBytes += uint64(size)
-			c.DroppedPackets++
-			return false
-		}
-	}
+	var key core.FlowID
 	if s.perFlow {
-		cf := &s.flows[class]
-		fq, ok := cf.idx[flow]
-		if !ok {
-			if n := len(cf.free); n > 0 {
-				fq = cf.free[n-1]
-				cf.free[n-1] = nil
-				cf.free = cf.free[:n-1]
-			} else {
-				fq = &flowQ{}
-			}
-			fq.flow = flow
-			cf.idx[flow] = fq
-			cf.active = append(cf.active, fq)
-			c.FlowQueues = len(cf.active)
-		}
-		fq.q.push(Item{Class: class, Flow: flow, Msg: msg, Stamp: stamp})
-		fq.bytes += size
-	} else {
-		s.q[class].push(Item{Class: class, Flow: flow, Msg: msg, Stamp: stamp})
+		key = flow
 	}
+	if s.cap >= 0 && c.QueuedPackets > 0 && c.QueuedBytes+size > s.cap && !s.evictFor(class, key, size) {
+		c.DroppedBytes += uint64(size)
+		c.DroppedPackets++
+		return false
+	}
+	cf := &s.flows[class]
+	fq, ok := cf.idx[key]
+	if !ok {
+		if n := len(cf.free); n > 0 {
+			fq = cf.free[n-1]
+			cf.free[n-1] = nil
+			cf.free = cf.free[:n-1]
+		} else {
+			fq = &flowQ{}
+		}
+		fq.flow = key
+		cf.idx[key] = fq
+		cf.active = append(cf.active, fq)
+	}
+	fq.q.Push(Item{Class: class, Flow: flow, Msg: msg, Stamp: stamp})
+	fq.bytes += size
 	c.EnqueuedBytes += uint64(size)
 	c.EnqueuedPackets++
 	c.QueuedBytes += size
@@ -512,13 +463,14 @@ func (s *DRR) EnqueueStamped(class core.Service, flow core.FlowID, msg []byte, s
 	return true
 }
 
-// evictFor reclaims room for a size-byte arrival of flow by dropping
-// packets from the tail of the longest sub-queue in the class. It
+// evictFor reclaims room for a size-byte arrival for sub-queue key by
+// dropping packets from the tail of the longest sub-queue in the class. It
 // returns false — nothing more reclaimed, caller rejects the arrival —
-// as soon as the ARRIVING flow itself holds the longest backlog: the
-// fair victim is then the arrival. Victim selection is deterministic
-// (first-longest in round-robin order).
-func (s *DRR) evictFor(class core.Service, flow core.FlowID, size int64) bool {
+// as soon as the ARRIVING sub-queue itself holds the longest backlog: the
+// fair victim is then the arrival. That is always so for a class's one
+// sub-queue without Config.PerFlowQueues, where the byte cap alone rules.
+// Victim selection is deterministic (first-longest in round-robin order).
+func (s *DRR) evictFor(class core.Service, key core.FlowID, size int64) bool {
 	c := &s.stats.PerClass[class]
 	cf := &s.flows[class]
 	for c.QueuedBytes+size > s.cap {
@@ -528,11 +480,13 @@ func (s *DRR) evictFor(class core.Service, flow core.FlowID, size int64) bool {
 				vi = i
 			}
 		}
-		if vi < 0 || cf.active[vi].flow == flow {
+		if vi < 0 || cf.active[vi].flow == key {
 			return false
 		}
 		fq := cf.active[vi]
-		it := fq.q.popTail()
+		// The most recent arrival goes: the packet that has waited least,
+		// so what already queued still leaves in order.
+		it := fq.q.PopBack()
 		vsize := int64(len(it.Msg))
 		fq.bytes -= vsize
 		c.DroppedBytes += uint64(vsize)
@@ -542,9 +496,8 @@ func (s *DRR) evictFor(class core.Service, flow core.FlowID, size int64) bool {
 		c.QueuedPackets--
 		s.stats.QueuedBytes -= vsize
 		s.stats.QueuedPackets--
-		if fq.q.n == 0 {
+		if fq.q.Len() == 0 {
 			cf.remove(vi)
-			c.FlowQueues = len(cf.active)
 		}
 		if s.OnVictimDrop != nil {
 			s.OnVictimDrop(class, it.Flow, vsize)
@@ -556,67 +509,22 @@ func (s *DRR) evictFor(class core.Service, flow core.FlowID, size int64) bool {
 // Dequeue releases the next message under the DRR discipline: the
 // round-robin grants each backlogged class quantum×weight bytes of
 // deficit per visit and drains packets while the head fits the credit.
+// The class's head packet is chosen by a nested flow-level DRR — each
+// sub-queue earns one quantum per flow-round, so sibling flows split the
+// class's bytes evenly however unevenly they arrive (Config.PerFlowQueues;
+// otherwise the class has one sub-queue and drains in arrival order).
 // Work-conserving — it returns a message whenever any queue is
 // backlogged — and ok=false only when every queue is empty.
 func (s *DRR) Dequeue() (Item, bool) {
 	if s.stats.QueuedPackets == 0 {
 		return Item{}, false
 	}
-	if s.perFlow {
-		return s.dequeuePerFlow()
-	}
-	for {
-		q := &s.q[s.cur]
-		if q.n == 0 {
-			// An emptied class forfeits unused credit — deficit must not
-			// accumulate while idle, or a long-quiet class would burst
-			// far past its share on return.
-			s.deficit[s.cur] = 0
-			s.credited[s.cur] = false
-			s.cur = (s.cur + 1) % NumClasses
-			continue
-		}
-		if !s.credited[s.cur] {
-			s.deficit[s.cur] += quantum * s.weights[s.cur]
-			s.credited[s.cur] = true
-			s.stats.Rounds++
-		}
-		if size := int64(q.peekSize()); size <= s.deficit[s.cur] {
-			s.deficit[s.cur] -= size
-			it := q.pop()
-			c := &s.stats.PerClass[s.cur]
-			c.DequeuedBytes += uint64(size)
-			c.DequeuedPackets++
-			c.QueuedBytes -= size
-			c.QueuedPackets--
-			s.stats.QueuedBytes -= size
-			s.stats.QueuedPackets--
-			if q.n == 0 {
-				s.deficit[s.cur] = 0
-				s.credited[s.cur] = false
-				s.cur = (s.cur + 1) % NumClasses
-			}
-			s.noteDepth(it.Class)
-			return it, true
-		}
-		// Head larger than the accumulated credit: move on; the next
-		// visit grants more (credited resets so the grant repeats).
-		s.credited[s.cur] = false
-		s.cur = (s.cur + 1) % NumClasses
-	}
-}
-
-// dequeuePerFlow is Dequeue under Config.PerFlowQueues: the class-level
-// round-robin is unchanged (quantum×weight credit per visit), but the
-// class's head packet is chosen by a nested flow-level DRR — each
-// sub-queue earns one quantum per flow-round, so sibling flows split
-// the class's bytes evenly however unevenly they arrive.
-func (s *DRR) dequeuePerFlow() (Item, bool) {
 	for {
 		c := &s.stats.PerClass[s.cur]
 		if c.QueuedPackets == 0 {
-			// An emptied class forfeits unused credit, as in the
-			// single-FIFO discipline.
+			// An emptied class forfeits unused credit — deficit must not
+			// accumulate while idle, or a long-quiet class would burst
+			// far past its share on return.
 			s.deficit[s.cur] = 0
 			s.credited[s.cur] = false
 			s.cur = (s.cur + 1) % NumClasses
@@ -640,7 +548,7 @@ func (s *DRR) dequeuePerFlow() (Item, bool) {
 				fq.deficit += quantum
 				fq.credited = true
 			}
-			size = int64(fq.q.peekSize())
+			size = int64(len(fq.q.At(0).Msg))
 			if size <= fq.deficit {
 				break
 			}
@@ -648,15 +556,16 @@ func (s *DRR) dequeuePerFlow() (Item, bool) {
 			cf.rr = (cf.rr + 1) % len(cf.active)
 		}
 		if size > s.deficit[s.cur] {
-			// The fair head exceeds the class's credit: move on, the
-			// next class-round grants more.
+			// Head larger than the class's accumulated credit: move on;
+			// the next visit grants more (credited resets so the grant
+			// repeats).
 			s.credited[s.cur] = false
 			s.cur = (s.cur + 1) % NumClasses
 			continue
 		}
 		s.deficit[s.cur] -= size
 		fq.deficit -= size
-		it := fq.q.pop()
+		it := fq.q.PopFront()
 		fq.bytes -= size
 		c.DequeuedBytes += uint64(size)
 		c.DequeuedPackets++
@@ -664,9 +573,8 @@ func (s *DRR) dequeuePerFlow() (Item, bool) {
 		c.QueuedPackets--
 		s.stats.QueuedBytes -= size
 		s.stats.QueuedPackets--
-		if fq.q.n == 0 {
+		if fq.q.Len() == 0 {
 			cf.remove(cf.rr)
-			c.FlowQueues = len(cf.active)
 		}
 		if c.QueuedPackets == 0 {
 			s.deficit[s.cur] = 0
@@ -682,4 +590,12 @@ func (s *DRR) dequeuePerFlow() (Item, bool) {
 func (s *DRR) Len() int { return s.stats.QueuedPackets }
 
 // Stats returns a snapshot of the counters.
-func (s *DRR) Stats() Stats { return s.stats }
+func (s *DRR) Stats() Stats {
+	st := s.stats
+	if s.perFlow {
+		for i := range st.PerClass {
+			st.PerClass[i].FlowQueues = len(s.flows[i].active)
+		}
+	}
+	return st
+}

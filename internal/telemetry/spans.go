@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/ring"
 )
 
 // SpanComponent names one slice of a traced packet's latency budget. The
@@ -218,9 +219,7 @@ type SpanCollector struct {
 	idx   map[core.PacketID]int32
 	// FIFO eviction ring over live ids (lazily cleaned: entries whose id
 	// already finished are skipped on pop).
-	order []core.PacketID
-	head  int
-	olen  int
+	order ring.Ring[core.PacketID]
 	live  int
 
 	traced   uint64
@@ -232,10 +231,8 @@ type SpanCollector struct {
 	queues map[QueueKey]*QueueSpend
 
 	// Always-on reservoir of the most recent budget-violating
-	// deliveries, sampled or not (value writes — 0 allocs).
-	resv     [lateReservoirCap]HopRecord
-	resvHead int
-	resvLen  int
+	// deliveries, sampled or not.
+	resv     ring.Ring[HopRecord]
 	lateSeen uint64
 }
 
@@ -256,7 +253,7 @@ func (c *SpanCollector) Begin(id core.PacketID, at time.Duration) {
 			c.free = append(c.free, int32(i))
 		}
 		c.idx = make(map[core.PacketID]int32, spanTableCap)
-		c.order = make([]core.PacketID, spanTableCap)
+		c.order.Reserve(spanTableCap)
 	}
 	if old, ok := c.idx[id]; ok {
 		// Re-begun identity (sender reuse): restart the trace in place.
@@ -266,10 +263,8 @@ func (c *SpanCollector) Begin(id core.PacketID, at time.Duration) {
 	}
 	// Make room: pop stale ring heads, evicting the oldest live trace
 	// when the ring is genuinely full.
-	for c.olen == len(c.order) {
-		victim := c.order[c.head]
-		c.head = (c.head + 1) % len(c.order)
-		c.olen--
+	for c.order.Len() == spanTableCap {
+		victim := c.order.PopFront()
 		if si, ok := c.idx[victim]; ok && c.slots[si].id == victim {
 			c.remove(victim, si)
 			c.evicted++
@@ -279,8 +274,7 @@ func (c *SpanCollector) Begin(id core.PacketID, at time.Duration) {
 	c.free = c.free[:len(c.free)-1]
 	c.slots[si] = pendingSpan{id: id, sentAt: at}
 	c.idx[id] = si
-	c.order[(c.head+c.olen)%len(c.order)] = id
-	c.olen++
+	c.order.Push(id)
 	c.live++
 	c.traced++
 }
@@ -428,22 +422,20 @@ func (c *SpanCollector) aggregate(h *HopRecord) {
 }
 
 // NoteLate records one budget-violating delivery into the always-on
-// reservoir (rec may be sampled or not). Value write — 0 allocs.
+// reservoir (rec may be sampled or not), overwriting the oldest once it
+// holds lateReservoirCap. Allocation-free once the reservoir has filled.
 func (c *SpanCollector) NoteLate(rec HopRecord) {
 	c.lateSeen++
-	if c.resvLen < lateReservoirCap {
-		c.resv[(c.resvHead+c.resvLen)%lateReservoirCap] = rec
-		c.resvLen++
-		return
+	if c.resv.Len() == lateReservoirCap {
+		c.resv.PopFront()
 	}
-	c.resv[c.resvHead] = rec
-	c.resvHead = (c.resvHead + 1) % lateReservoirCap
+	c.resv.Push(rec)
 }
 
 // Reservoir appends the buffered late-delivery records, oldest first.
 func (c *SpanCollector) Reservoir(dst []HopRecord) []HopRecord {
-	for i := 0; i < c.resvLen; i++ {
-		dst = append(dst, c.resv[(c.resvHead+i)%lateReservoirCap])
+	for i := 0; i < c.resv.Len(); i++ {
+		dst = append(dst, *c.resv.At(i))
 	}
 	return dst
 }
@@ -536,8 +528,8 @@ func (c *SpanCollector) Snapshot() AttributionSnapshot {
 			return ki.Class < kj.Class
 		})
 	}
-	if c.resvLen > 0 {
-		a.Reservoir = c.Reservoir(make([]HopRecord, 0, c.resvLen))
+	if c.resv.Len() > 0 {
+		a.Reservoir = c.Reservoir(make([]HopRecord, 0, c.resv.Len()))
 	}
 	return a
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/ring"
 )
 
 // Kind classifies one control-loop trace event.
@@ -188,20 +189,18 @@ type TraceStats struct {
 // uncontended lock, 0 allocs/op). Events get a monotonically increasing
 // Seq at record time, so readers can tail with Since across overwrites.
 type Ring struct {
-	mu     sync.Mutex
-	buf    []Event
-	start  int // index of the oldest buffered event
-	n      int // buffered count
-	seq    uint64
-	byKind [NumKinds]uint64
+	mu       sync.Mutex
+	buf      ring.Ring[Event]
+	capacity int
+	seq      uint64
+	byKind   [NumKinds]uint64
 }
 
 // NewRing creates a ring holding up to capacity events (minimum 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, capacity)}
+	r := &Ring{capacity: max(capacity, 1)}
+	r.buf.Reserve(r.capacity)
+	return r
 }
 
 // Record appends one event, overwriting the oldest when full, and
@@ -213,13 +212,10 @@ func (r *Ring) Record(e Event) uint64 {
 	if int(e.Kind) < NumKinds {
 		r.byKind[e.Kind]++
 	}
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
-		r.n++
-	} else {
-		r.buf[r.start] = e
-		r.start = (r.start + 1) % len(r.buf)
+	if r.buf.Len() == r.capacity {
+		r.buf.PopFront()
 	}
+	r.buf.Push(e)
 	r.mu.Unlock()
 	return e.Seq
 }
@@ -237,8 +233,8 @@ func (r *Ring) Since(dst []Event, seq uint64, max int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	base := len(dst)
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.start+i)%len(r.buf)]
+	for i := 0; i < r.buf.Len(); i++ {
+		e := *r.buf.At(i)
 		if e.Seq <= seq {
 			continue
 		}
@@ -256,9 +252,9 @@ func (r *Ring) Stats() TraceStats {
 	defer r.mu.Unlock()
 	return TraceStats{
 		Recorded: r.seq,
-		Dropped:  r.seq - uint64(r.n),
-		Buffered: r.n,
-		Capacity: len(r.buf),
+		Dropped:  r.seq - uint64(r.buf.Len()),
+		Buffered: r.buf.Len(),
+		Capacity: r.capacity,
 		ByKind:   r.byKind,
 	}
 }
