@@ -7,6 +7,9 @@
 package cache
 
 import (
+	"cmp"
+	"slices"
+
 	"jqos/internal/core"
 	"jqos/internal/ring"
 )
@@ -166,9 +169,10 @@ func (s *Store) Get(now core.Time, id core.PacketID) ([]byte, bool) {
 }
 
 // DrainFlow returns the cached packets of a flow with sequence > after, in
-// sequence order — the mobility pull: a receiver coming online retrieves
-// everything it missed (Figure 3e). Entries remain cached (multiple
-// receivers may drain the same flow in a multicast).
+// sequence order (a jittered access link may have delivered them in another)
+// — the mobility pull: a receiver coming online retrieves everything it
+// missed (Figure 3e). Entries remain cached (multiple receivers may drain the
+// same flow in a multicast).
 func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []core.PacketID {
 	s.expire(now)
 	seqs := s.flows[flow]
@@ -181,6 +185,7 @@ func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []cor
 			out = append(out, core.PacketID{Flow: flow, Seq: seq})
 		}
 	}
+	slices.SortFunc(out, func(a, b core.PacketID) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -139,6 +140,19 @@ func TestDrainFlow(t *testing.T) {
 	}
 }
 
+// TestDrainFlowInSeqOrder: a jittered access link reorders a flow's
+// packets on the way to the DC, and a drain still returns them by seq.
+func TestDrainFlowInSeqOrder(t *testing.T) {
+	s := NewStore(time.Hour, 0)
+	for _, seq := range []uint64{3, 1, 2} {
+		s.Put(0, id(7, seq), []byte{byte(seq)})
+	}
+	got := s.DrainFlow(0, 7, 0)
+	if want := []core.PacketID{id(7, 1), id(7, 2), id(7, 3)}; !slices.Equal(got, want) {
+		t.Fatalf("drain = %v, want %v", got, want)
+	}
+}
+
 func TestDrainFlowSkipsExpired(t *testing.T) {
 	s := NewStore(100*time.Millisecond, 0)
 	s.Put(0, id(7, 1), []byte("a"))
@@ -249,13 +263,14 @@ func (m *modelStore) drain(now core.Time, flow core.FlowID, after core.Seq) []co
 			out = append(out, core.PacketID{Flow: flow, Seq: q})
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
 // TestStoreMatchesModel is the differential oracle for the per-flow index:
-// random Put, re-Put (which reorders expiry but not the flow's index),
-// byte-cap eviction and TTL expiry, with DrainFlow and Get compared after
-// every step.
+// random Put, new seqs sometimes overtaking the one before them, re-Put
+// (which reorders expiry but not the flow's index), byte-cap eviction and
+// TTL expiry, with DrainFlow and Get compared after every step.
 func TestStoreMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const ttl = 40 * time.Millisecond
@@ -264,14 +279,25 @@ func TestStoreMatchesModel(t *testing.T) {
 	m := &modelStore{ttl: ttl, maxBytes: maxBytes, flows: map[core.FlowID][]core.Seq{}}
 	var now core.Time
 	next := map[core.FlowID]core.Seq{}
+	held := map[core.FlowID]core.Seq{} // a new seq overtaken by the one after it
 	for step := 0; step < 20000; step++ {
 		flow := core.FlowID(1 + rng.Intn(4))
 		switch r := rng.Intn(10); {
-		case r < 5: // a new packet
-			next[flow]++
+		case r < 5: // a new packet, sometimes ahead of the one before it
+			seq := held[flow]
+			if seq != 0 {
+				held[flow] = 0
+			} else {
+				next[flow]++
+				if rng.Intn(4) == 0 {
+					held[flow] = next[flow]
+					next[flow]++
+				}
+				seq = next[flow]
+			}
 			p := make([]byte, 20+rng.Intn(100))
 			rng.Read(p)
-			pid := core.PacketID{Flow: flow, Seq: next[flow]}
+			pid := core.PacketID{Flow: flow, Seq: seq}
 			s.Put(now, pid, p)
 			m.put(now, pid, p)
 		case r < 7 && next[flow] > 0: // a recent one again
