@@ -36,9 +36,9 @@ type flowKey struct {
 	dst  core.NodeID
 }
 
-// Forwarder is the forwarding state of one DC node. The slices Forward,
-// ForwardTagged and NextHops return are the forwarder's own buffers (or a
-// group's member list), valid until the next call into it.
+// Forwarder is the forwarding state of one DC node. The emits Forward and
+// ForwardTagged return are the forwarder's own buffer, valid until the next
+// call into it.
 type Forwarder struct {
 	self core.NodeID
 	// routes maps a destination to the next hop toward it. Destinations
@@ -65,8 +65,7 @@ type Forwarder struct {
 
 	stats Stats
 
-	hop [1]core.NodeID // NextHops' unicast answer
-	out []core.Emit    // Forward's answer
+	out []core.Emit // ForwardTagged's answer
 }
 
 // New creates a forwarder for the DC with identity self.
@@ -138,50 +137,63 @@ func (f *Forwarder) Epoch() uint64 { return f.epoch }
 // EpochTag returns the current table version's 2-bit wire tag.
 func (f *Forwarder) EpochTag() uint8 { return uint8(f.epoch & 3) }
 
-// routePrev resolves dst against the previous table version: the saved
-// old value for entries the current epoch changed, the (shared) current
-// table for everything else.
-func (f *Forwarder) routePrev(dst core.NodeID) (core.NodeID, bool) {
-	if old, saved := f.prevRoutes[dst]; saved {
-		if old == 0 {
-			return 0, false
+// RouteTagged resolves dst against the table version carried by a
+// packet's 2-bit epoch tag: the current table when the tag matches (or no
+// older version is live), the previous version otherwise — the saved old
+// value for entries the current epoch changed, the (shared) current table
+// for everything else.
+func (f *Forwarder) RouteTagged(tag uint8, dst core.NodeID) (core.NodeID, bool) {
+	if f.prevLive && tag != f.EpochTag() {
+		if old, saved := f.prevRoutes[dst]; saved {
+			return old, old != 0
 		}
-		return old, true
 	}
 	return f.Route(dst)
 }
 
-// RouteTagged resolves dst against the table version carried by a
-// packet's 2-bit epoch tag: the current table when the tag matches (or
-// no older version is live), the previous version otherwise.
-func (f *Forwarder) RouteTagged(tag uint8, dst core.NodeID) (core.NodeID, bool) {
-	if !f.prevLive || tag == f.EpochTag() {
-		return f.Route(dst)
+// ForwardTagged produces the Emits that relay one message toward dst under
+// the table version named by the packet's epoch tag. A multicast
+// destination fans out to the current group membership (groups are member
+// sets, not hops — there is nothing to drain); a unicast one goes to its
+// tagged next hop, or to dst itself when that table has no entry. The
+// message bytes are shared across copies (links never mutate payloads).
+// Self-loops are dropped defensively: a route pointing back at this DC
+// would otherwise ping-pong forever.
+func (f *Forwarder) ForwardTagged(tag uint8, dst core.NodeID, msg []byte) []core.Emit {
+	out := core.RecycleEmits(f.out)
+	if members, ok := f.groups[dst]; ok {
+		for _, m := range members {
+			if m != f.self {
+				out = append(out, core.Emit{To: m, Msg: msg})
+			}
+		}
+		if len(out) > 0 {
+			f.stats.Multicast++
+		}
+	} else {
+		if f.prevLive && tag != f.EpochTag() {
+			f.stats.OldEpochResolves++
+		}
+		hop, ok := f.RouteTagged(tag, dst)
+		if !ok {
+			hop = dst
+		}
+		if hop != f.self {
+			out = append(out, core.Emit{To: hop, Msg: msg})
+			f.stats.Unicast++
+		}
 	}
-	return f.routePrev(dst)
+	f.out = out
+	if len(out) == 0 {
+		f.stats.NoRoute++
+	}
+	f.stats.Copies += uint64(len(out))
+	return out
 }
 
-// ForwardTagged is Forward resolved against the table version named by a
-// packet's epoch tag. Multicast fan-out always uses the current group
-// membership (groups are member sets, not hops — there is nothing to
-// drain), so only unicast resolution consults the overlay.
-func (f *Forwarder) ForwardTagged(tag uint8, dst core.NodeID, msg []byte) []core.Emit {
-	if !f.prevLive || tag == f.EpochTag() || f.IsGroup(dst) {
-		return f.Forward(dst, msg)
-	}
-	f.stats.OldEpochResolves++
-	hop, ok := f.routePrev(dst)
-	if !ok {
-		hop = dst // no entry in the old table = direct delivery, as in NextHops
-	}
-	if hop == f.self {
-		f.stats.NoRoute++
-		return nil
-	}
-	f.stats.Unicast++
-	f.stats.Copies++
-	f.out = append(core.RecycleEmits(f.out), core.Emit{To: hop, Msg: msg})
-	return f.out
+// Forward is ForwardTagged under the current table version.
+func (f *Forwarder) Forward(dst core.NodeID, msg []byte) []core.Emit {
+	return f.ForwardTagged(f.EpochTag(), dst, msg)
 }
 
 // Route returns the installed next hop for dst, if any. Transmit paths use
@@ -227,45 +239,6 @@ func (f *Forwarder) Group(group core.NodeID) []core.NodeID { return f.groups[gro
 func (f *Forwarder) IsGroup(dst core.NodeID) bool {
 	_, ok := f.groups[dst]
 	return ok
-}
-
-// NextHops resolves a destination into the set of nodes this DC should
-// copy the packet to: the group members for a multicast destination, or the
-// single next hop (defaulting to the destination itself) for unicast.
-func (f *Forwarder) NextHops(dst core.NodeID) []core.NodeID {
-	if members, ok := f.groups[dst]; ok {
-		return members
-	}
-	f.hop[0] = dst
-	if via, ok := f.routes[dst]; ok {
-		f.hop[0] = via
-	}
-	return f.hop[:]
-}
-
-// Forward produces the Emits that relay one message toward dst. The
-// message bytes are shared across copies (links never mutate payloads).
-// Self-loops are dropped defensively: a route pointing back at this DC
-// would otherwise ping-pong forever.
-func (f *Forwarder) Forward(dst core.NodeID, msg []byte) []core.Emit {
-	out := core.RecycleEmits(f.out)
-	for _, h := range f.NextHops(dst) {
-		if h == f.self {
-			continue
-		}
-		out = append(out, core.Emit{To: h, Msg: msg})
-	}
-	f.out = out
-	switch {
-	case len(out) == 0:
-		f.stats.NoRoute++
-	case f.IsGroup(dst):
-		f.stats.Multicast++
-	default:
-		f.stats.Unicast++
-	}
-	f.stats.Copies += uint64(len(out))
-	return out
 }
 
 // NotePinned counts one copy sent over a per-flow pinned hop. The hosting

@@ -81,18 +81,20 @@ func TestGroupWithSelfMember(t *testing.T) {
 	}
 }
 
+// TestNextHops: a group resolves to its members, a routed destination to
+// its next hop, and an unrouted one to itself.
 func TestNextHops(t *testing.T) {
 	f := New(1)
 	f.SetGroup(100, 5, 6)
 	f.SetRoute(7, 2)
-	if h := f.NextHops(100); len(h) != 2 {
-		t.Errorf("group hops: %v", h)
+	if e := f.Forward(100, nil); len(e) != 2 || e[0].To != 5 || e[1].To != 6 {
+		t.Errorf("group hops: %+v", e)
 	}
-	if h := f.NextHops(7); len(h) != 1 || h[0] != 2 {
-		t.Errorf("routed hops: %v", h)
+	if e := f.Forward(7, nil); len(e) != 1 || e[0].To != 2 {
+		t.Errorf("routed hops: %+v", e)
 	}
-	if h := f.NextHops(42); len(h) != 1 || h[0] != 42 {
-		t.Errorf("default hops: %v", h)
+	if e := f.Forward(42, nil); len(e) != 1 || e[0].To != 42 {
+		t.Errorf("default hops: %+v", e)
 	}
 }
 

@@ -4,13 +4,14 @@ import "jqos/internal/core"
 
 // RouteSink receives one DC's route pushes: next hops from the shared
 // tables, per-flow pinned entries for flows with an explicit path
-// policy, and table-epoch announcements. BeginEpoch comes just before the
-// first write of a new epoch and RetireEpoch once the old epoch's routes
-// may go; between the two the sink answers lookups for both epochs, which
-// is what makes reroutes make-before-break: in-flight packets tagged with
-// the old epoch keep resolving the old next hops while new traffic rides
-// the new table. forward.Forwarder is the production sink; tests use
-// map-backed fakes.
+// policy, and table-epoch announcements. Every sink hears BeginEpoch
+// before any write of the new epoch lands anywhere, so all DCs hold the
+// same table version and a packet's tag names the same version at every
+// hop; RetireEpoch comes once the old epoch's routes may go. Between the
+// two the sink answers lookups for both epochs, which is what makes
+// reroutes make-before-break: in-flight packets tagged with the old epoch
+// keep resolving the old next hops while new traffic rides the new table.
+// forward.Forwarder is the production sink; tests use map-backed fakes.
 type RouteSink interface {
 	SetRoute(dst, via core.NodeID)
 	DeleteRoute(dst core.NodeID)
@@ -59,10 +60,9 @@ type Stats struct {
 // next hops in index space — instDC by destination-DC index, instHost by
 // host slot, 0 = no entry.
 type dcTables struct {
-	sink      RouteSink
-	sinkEpoch uint64 // last epoch announced to sink
-	instDC    []core.NodeID
-	instHost  []core.NodeID
+	sink     RouteSink
+	instDC   []core.NodeID
+	instHost []core.NodeID
 }
 
 // Controller is the centralized routing control plane: it owns the link
@@ -124,9 +124,9 @@ type Controller struct {
 	work     spfWork
 	yen      yenWork
 
-	// Table-epoch state: epoch is the current table version; epochBumped
-	// marks whether the in-progress update already opened a new epoch
-	// (per-sink announcement is tracked in dcTables.sinkEpoch).
+	// Table-epoch state: epoch is the current table version, which every
+	// sink holds; epochBumped marks whether the in-progress update already
+	// opened (and announced) a new epoch.
 	epoch       uint64
 	epochBumped bool
 	inUpdate    bool
@@ -465,21 +465,21 @@ func (c *Controller) endUpdate(changed int) {
 	}
 }
 
-// epochWrite runs before a modifying table push: it opens the session's
-// new epoch on first use and announces it to the written sink, which
-// snapshots its pre-write state for old-epoch lookups (make-before-break).
-func (c *Controller) epochWrite(dt *dcTables) {
-	if !c.inUpdate {
+// epochWrite runs before a modifying table push: on the session's first
+// one it opens the new epoch and announces it to every sink, in graph
+// order, so each snapshots its pre-write state for old-epoch lookups
+// (make-before-break) and no DC is left on an older version.
+func (c *Controller) epochWrite() {
+	if !c.inUpdate || c.epochBumped {
 		return
 	}
-	if !c.epochBumped {
-		c.epoch++
-		c.epochBumped = true
-		c.stats.EpochAdvances++
-	}
-	if dt.sinkEpoch != c.epoch {
-		dt.sink.BeginEpoch(c.epoch)
-		dt.sinkEpoch = c.epoch
+	c.epoch++
+	c.epochBumped = true
+	c.stats.EpochAdvances++
+	for _, dc := range c.g.Nodes() {
+		if dt := c.dcs[dc]; dt != nil {
+			dt.sink.BeginEpoch(c.epoch)
+		}
 	}
 }
 
@@ -542,7 +542,7 @@ func (c *Controller) push(dt *dcTables, host bool, i int32, dst, via core.NodeID
 	if old == via {
 		return 0
 	}
-	c.epochWrite(dt)
+	c.epochWrite()
 	if via == 0 {
 		dt.sink.DeleteRoute(dst)
 	} else {

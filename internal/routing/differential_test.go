@@ -51,7 +51,10 @@ func sortedLinks(g *Graph) []*Link {
 // tables, the same unreachable count and the same pushed routes. Latencies
 // lie on a 5 ms grid, so equal-cost paths are common: a table that kept a
 // tie from an earlier event instead of the lower-ID predecessor shows up
-// here as a difference.
+// here as a difference. Every live sink must also hold the controller's
+// table epoch after every event, so that a packet's tag names the same
+// table version at every DC — a recompute that writes only some DCs must
+// still announce its epoch to the rest.
 func TestTablesIndependentOfHistory(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -85,6 +88,9 @@ func TestTablesIndependentOfHistory(t *testing.T) {
 			for id, s := range live.sinks {
 				if !reflect.DeepEqual(s.routes, fresh.sinks[id].routes) {
 					t.Fatalf("seed %d step %d (%s): DC %v pushed routes differ\nlive  %v\nfresh %v", seed, step, what, id, s.routes, fresh.sinks[id].routes)
+				}
+				if s.epoch != live.c.epoch {
+					t.Fatalf("seed %d step %d (%s): DC %v holds epoch %d, controller %d", seed, step, what, id, s.epoch, live.c.epoch)
 				}
 			}
 		}

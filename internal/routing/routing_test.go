@@ -10,9 +10,11 @@ import (
 	"jqos/internal/core"
 )
 
-// fakeSink records pushed routes for one DC.
+// fakeSink records pushed routes, and the last epoch announced, for one
+// DC.
 type fakeSink struct {
 	routes map[core.NodeID]core.NodeID
+	epoch  uint64
 }
 
 func newFakeSink() *fakeSink { return &fakeSink{routes: make(map[core.NodeID]core.NodeID)} }
@@ -21,7 +23,7 @@ func (s *fakeSink) SetRoute(dst, via core.NodeID)                       { s.rout
 func (s *fakeSink) DeleteRoute(dst core.NodeID)                         { delete(s.routes, dst) }
 func (s *fakeSink) SetFlowRoute(flow core.FlowID, dst, via core.NodeID) {}
 func (s *fakeSink) DeleteFlowRoute(flow core.FlowID, dst core.NodeID)   {}
-func (s *fakeSink) BeginEpoch(epoch uint64)                             {}
+func (s *fakeSink) BeginEpoch(epoch uint64)                             { s.epoch = epoch }
 func (s *fakeSink) RetireEpoch(epoch uint64)                            {}
 
 // buildLine wires 1—2—3—4 with 10 ms links and returns the controller and

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -13,7 +14,11 @@ import (
 // the body decoders (Coded, CoopRef, Congestion, PeekCodedFlow) on the
 // input and on the body behind a header that decodes. No input may panic;
 // whatever decodes must come back the same through encode and decode; and
-// each Peek* must agree with the full decode wherever both succeed.
+// each Peek* must agree with the full decode wherever both succeed. The
+// in-place rewriters run on a copy: RewriteDst and RewriteFlags change
+// only their field of a header that decodes, an epoch written through
+// RewriteFlags reads back as its 2-bit tag, and an input too short for a
+// header is refused with ErrShort and left as it was.
 func FuzzWire(f *testing.F) {
 	coded := Coded{Batch: 7, Kind: InStream, K: 2, R: 1, ShardLen: 4,
 		Sources: []SourceRef{{Flow: 3, Seq: 1, Receiver: 9}, {Flow: 3, Seq: 2, Receiver: 9}}}
@@ -62,6 +67,19 @@ func FuzzWire(f *testing.F) {
 			if ok != (h.Flags&FlagEpochValid != 0) || ok && EpochFlags(uint64(tag)) != h.Flags&(FlagEpochValid|epochMask) {
 				t.Fatalf("EpochTag(%#x) = %d %v", h.Flags, tag, ok)
 			}
+			checkRewrites(t, msg, h)
+		}
+		if len(msg) < HeaderLen {
+			cp := slices.Clone(msg)
+			if err := RewriteDst(cp, 1); !errors.Is(err, ErrShort) {
+				t.Fatalf("RewriteDst on %d bytes: %v", len(msg), err)
+			}
+			if err := RewriteFlags(cp, FlagTraced); !errors.Is(err, ErrShort) {
+				t.Fatalf("RewriteFlags on %d bytes: %v", len(msg), err)
+			}
+			if !bytes.Equal(cp, msg) {
+				t.Fatalf("a refused rewrite changed the input: %x became %x", msg, cp)
+			}
 		}
 		for _, b := range [][]byte{msg, body} {
 			checkCoded(t, b)
@@ -69,6 +87,37 @@ func FuzzWire(f *testing.F) {
 			checkCongestion(t, b)
 		}
 	})
+}
+
+// checkRewrites rewrites Dst, then Flags with an epoch taken from the
+// header's Seq, on a copy of msg, whose header h decodes; after each the
+// copy must decode to h with only that field changed and the bytes behind
+// the header untouched.
+func checkRewrites(t *testing.T, msg []byte, h Header) {
+	cp := slices.Clone(msg)
+	check := func(what string, want Header) Header {
+		t.Helper()
+		var got Header
+		if _, err := SplitMessage(&got, cp); err != nil || got != want || !bytes.Equal(cp[HeaderLen:], msg[HeaderLen:]) {
+			t.Fatalf("%s: header %+v decodes as %+v (%v), body kept %v", what, want, got, err, bytes.Equal(cp[HeaderLen:], msg[HeaderLen:]))
+		}
+		return got
+	}
+	want := h
+	want.Dst = ^h.Dst
+	if err := RewriteDst(cp, want.Dst); err != nil {
+		t.Fatalf("RewriteDst: %v", err)
+	}
+	check("RewriteDst", want)
+	e := uint64(h.Seq)
+	want.Flags = h.Flags&^(FlagEpochValid|epochMask) | EpochFlags(e)
+	if err := RewriteFlags(cp, want.Flags); err != nil {
+		t.Fatalf("RewriteFlags: %v", err)
+	}
+	got := check("RewriteFlags", want)
+	if tag, ok := EpochTag(got.Flags); !ok || uint64(tag) != e&3 {
+		t.Fatalf("epoch %d reads back as tag %d %v", e, tag, ok)
+	}
 }
 
 func checkCoded(t *testing.T, b []byte) {
