@@ -129,7 +129,8 @@ func (c *HostCore) Stats() recovery.Stats {
 }
 
 // Ensure returns flow's recovery engine, creating it on first contact
-// with the given RTT seed (≤ 0: whatever env.Flow names) and service.
+// with the given RTT seed (≤ 0: whatever env.Flow names, and if that is
+// ≤ 0 too, recovery.Config's default) and service.
 // Closed flows get nil; callers drop the packet.
 func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *recovery.Receiver {
 	if i, ok := c.find(flow); ok {
@@ -151,9 +152,6 @@ func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *re
 	}
 	if rtt <= 0 {
 		rtt = seed
-	}
-	if rtt <= 0 {
-		rtt = 100e6
 	}
 	cfg := recovery.DefaultConfig(c.self, c.dc, rtt)
 	cfg.Service = svc

@@ -22,7 +22,7 @@ func fuzzMsg(typ wire.MsgType, svc core.Service, flow core.FlowID, seq core.Seq,
 	return wire.AppendMessage(nil, &hdr, body)
 }
 
-// windowModel is what the recent window should hold: the last RecentWindow
+// windowModel is what the recent window should hold: the last recentWindow
 // packets delivered, oldest first, each with its payload if it was kept —
 // if it arrived stamped ServiceCoding or was decoded in-stream.
 type windowModel struct {
@@ -51,7 +51,7 @@ func (m *windowModel) deliver(seq core.Seq, payload []byte, held bool) {
 // behind the time it was serviced at (a host re-arming on NextDeadline
 // would spin). Each datagram carries the service it was stamped with, and
 // a cooperative request is answered exactly when windowModel holds the
-// packet's bytes, with those bytes.
+// packet's bytes, with those bytes. No packet in the window is missing.
 //
 // Like HostCore, it hands the receiver one flow: the one the first message
 // names, in the field HostCore routes by (a parity message's first source,
@@ -89,7 +89,7 @@ func FuzzReceiver(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := testReceiver()
-		model := windowModel{size: r.cfg.RecentWindow, kept: map[core.Seq][]byte{}}
+		model := windowModel{size: recentWindow, kept: map[core.Seq][]byte{}}
 		var now core.Time
 		var flow core.FlowID
 		routed := false
@@ -116,6 +116,13 @@ func FuzzReceiver(f *testing.F) {
 			}
 			if dl, ok := r.NextDeadline(); ok && dl <= at {
 				t.Fatalf("%s at %v: NextDeadline = %v, not after it", what, at, dl)
+			}
+			// A delivered packet is never missing: an arrival, whichever
+			// path brought it, takes its seq out of the loss table.
+			for seq := range r.recent {
+				if _, ok := r.missing[seq]; ok {
+					t.Fatalf("%s at %v: seq %d is delivered and still missing", what, at, seq)
+				}
 			}
 			// Nothing outlives its TTL: a half-decoded in-stream batch is
 			// held for 2·RTT past its last shard and no longer.

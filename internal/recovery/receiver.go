@@ -15,7 +15,10 @@ import (
 	"jqos/internal/wire"
 )
 
-// Config tunes one receiving endpoint.
+// Config describes one receiving endpoint: who it is, whom it NACKs, what
+// recovery it asks for and the round trip its timers scale with. How the
+// receiver is tuned is fixed in the constants below, the values every
+// runtime has always run with.
 type Config struct {
 	// Self is this receiver's node ID; DC is its nearby data center
 	// (DC2), the target of NACKs and pulls.
@@ -24,24 +27,10 @@ type Config struct {
 	// Service selects what recovery the NACKs request; it is stamped
 	// into emitted headers (caching and coding share this layer).
 	Service core.Service
-	// SmallTimeout is the in-burst loss-detection timer (paper: 25 ms).
-	SmallTimeout core.Time
-	// RTT is the direct-path round trip; the long (cross-burst) timer
-	// and the give-up horizon derive from it.
+	// RTT is the direct-path round trip; the long (cross-burst) timer,
+	// the NACK retry interval and the give-up horizon derive from it.
+	// Zero or less: 100 ms.
 	RTT core.Time
-	// NACKRetry is the re-NACK interval for an outstanding loss
-	// (a repeat NACK escalates DC2 from in-stream to cooperative
-	// recovery). Zero disables retries.
-	NACKRetry core.Time
-	// MaxNACKs bounds NACKs per missing packet.
-	MaxNACKs int
-	// GiveUpAfter abandons a missing packet (the paper counts recovery
-	// slower than one RTT as a loss; we keep trying a little longer and
-	// let the experiment apply the one-RTT rule). Default 4×RTT.
-	GiveUpAfter core.Time
-	// RecentWindow is how many of the flow's delivered packets are
-	// retained for cooperative responses and in-stream decoding.
-	RecentWindow int
 }
 
 // pumpWindow sizes the sustained-recovery pump: when recoveries arrive
@@ -56,39 +45,29 @@ const pumpWindow = 16
 // receivers: the paper's 25 ms small timeout (§6.2.1).
 const SmallTimeout core.Time = 25e6
 
+// A loss is NACKed again every RTT/retryPerRTT — a repeat NACK escalates
+// DC2 from in-stream to cooperative recovery — up to maxNACKs NACKs in all,
+// and given up giveUpRTTs round trips after it was detected: the paper
+// counts recovery slower than one RTT as a loss, the receiver keeps trying
+// a little longer and lets the experiment apply the one-RTT rule.
+const (
+	retryPerRTT = 4
+	maxNACKs    = 3
+	giveUpRTTs  = 4
+)
+
+// recentWindow is how many of the flow's delivered packets are retained
+// for duplicate detection, cooperative responses and in-stream decoding.
+const recentWindow = 128
+
 // DefaultConfig returns deployment defaults for a path with the given RTT.
 func DefaultConfig(self, dc core.NodeID, rtt core.Time) Config {
-	return Config{
-		Self:         self,
-		DC:           dc,
-		Service:      core.ServiceCoding,
-		SmallTimeout: SmallTimeout,
-		RTT:          rtt,
-		NACKRetry:    rtt / 4,
-		MaxNACKs:     3,
-		GiveUpAfter:  4 * rtt,
-		RecentWindow: 128,
-	}
+	return Config{Self: self, DC: dc, Service: core.ServiceCoding, RTT: rtt}
 }
 
 func (c *Config) fillDefaults() {
-	if c.SmallTimeout <= 0 {
-		c.SmallTimeout = SmallTimeout
-	}
 	if c.RTT <= 0 {
 		c.RTT = 100e6
-	}
-	if c.MaxNACKs <= 0 {
-		c.MaxNACKs = 3
-	}
-	if c.GiveUpAfter <= 0 {
-		c.GiveUpAfter = 4 * c.RTT
-	}
-	if c.RecentWindow <= 0 {
-		c.RecentWindow = 128
-	}
-	if c.NACKRetry < 0 {
-		c.NACKRetry = 0
 	}
 }
 
@@ -240,8 +219,8 @@ func (r *Receiver) begin() {
 	r.res.Deliveries = r.res.Deliveries[:0]
 }
 
-// maxSpare bounds the window buffers Reset keeps for the next flow: about
-// half a default window, so a short flow's window fills without allocating
+// maxSpare bounds the window buffers Reset keeps for the next flow:
+// half the window, so a short flow's window fills without allocating
 // while a receiver waiting to be reused pins no more than that.
 const maxSpare = 64
 
@@ -263,6 +242,7 @@ func New(cfg Config) *Receiver {
 		inDec:   make(map[uint64]*inDecode),
 		codecs:  rs.NewCache(rs.DecoderShapes),
 	}
+	r.order.Reserve(recentWindow)
 	r.Reset(cfg)
 	return r
 }
@@ -286,19 +266,12 @@ func (r *Receiver) Reset(cfg Config) {
 	}
 	clear(r.missing)
 	clear(r.recent)
-	// A window of another size gets a ring of its own: a larger one kept
-	// would pin memory the new window never fills.
-	order := r.order
-	order.Truncate(0)
-	if r.cfg.RecentWindow != cfg.RecentWindow {
-		order = ring.Ring[core.Seq]{}
-		order.Reserve(cfg.RecentWindow)
-	}
+	r.order.Truncate(0)
 	*r = Receiver{
 		cfg:         cfg,
 		missing:     r.missing,
 		recent:      r.recent,
-		order:       order,
+		order:       r.order,
 		spare:       r.spare,
 		inDec:       r.inDec,
 		codecs:      r.codecs,
@@ -337,30 +310,15 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 	} else {
 		r.stats.DirectArrivals++
 	}
-	seq := hdr.Seq
-	_, dup := r.recent[seq] // delivered, and still in the window
-	switch {
-	case !r.started:
-		// Join at the first observed packet; earlier history is not
-		// ours to recover.
-		r.started, r.flow = true, hdr.Flow
-		r.next = seq + 1
-		r.accept(now, hdr, payload, false, via, 0)
-	case dup:
+	if _, dup := r.recent[hdr.Seq]; dup { // delivered, and still in the window
 		r.stats.Duplicates++
-	case seq < r.next:
-		// Late arrival: a tracked loss, a given-up loss, or a packet
-		// the idle timer speculatively NACKed before it was even sent
-		// (session boundary). The duplicate case was handled above, so
-		// anything undelivered is surfaced.
-		r.stats.LateArrivals++
-		delete(r.missing, seq)
-		r.accept(now, hdr, payload, false, via, 0)
-	case seq == r.next:
-		r.next = seq + 1
-		r.accept(now, hdr, payload, false, via, 0)
-	default: // gap: [next, seq) missing
-		r.noteGap(now, seq)
+	} else {
+		// Behind the expectation is a late arrival: a tracked loss, a
+		// given-up loss, or a packet the idle timer speculatively NACKed
+		// before it was even sent (session boundary).
+		if r.started && hdr.Seq < r.next {
+			r.stats.LateArrivals++
+		}
 		r.accept(now, hdr, payload, false, via, 0)
 	}
 
@@ -368,9 +326,9 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 	// "arriving within a burst (sub-RTT scale)" — enter burst state when
 	// the observed inter-arrival is short, otherwise arm the long timer.
 	delta := now - r.lastArrival
-	if r.everArrived && delta <= r.cfg.SmallTimeout {
+	if r.everArrived && delta <= SmallTimeout {
 		r.state = stateBurst
-		r.deadline = now + r.cfg.SmallTimeout
+		r.deadline = now + SmallTimeout
 	} else {
 		r.state = stateIdle
 		r.deadline = now + r.cfg.RTT
@@ -382,12 +340,27 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 }
 
 // accept delivers a packet — payload itself, which the receiver owns — and
-// gives it a slot in the recent window: a new one while the window fills,
-// the oldest one's once it is full. A packet stamped ServiceCoding is
-// copied into the slot's buffer, or into a spare one if the slot has none.
+// is the one place an arrival changes loss state, whichever path brought
+// it: the packet is no longer missing, the first one joins the flow
+// (earlier history is not ours to recover), and one at or past the
+// expectation, which proves the packets before it were sent, NACKs the gap
+// and moves the expectation past it. So every delivered seq is behind
+// r.next and none is missing.
+//
+// The packet gets a slot in the recent window: a new one while the window
+// fills, the oldest one's once it is full. A packet stamped ServiceCoding
+// is copied into the slot's buffer, or into a spare one if the slot has
+// none.
 func (r *Receiver) accept(now core.Time, hdr *wire.Header, payload []byte, recovered bool, via core.Service, recDelay core.Time) {
+	delete(r.missing, hdr.Seq)
+	if !r.started {
+		r.started, r.flow = true, hdr.Flow
+		r.next = hdr.Seq + 1
+	} else if hdr.Seq >= r.next {
+		r.noteGap(now, hdr.Seq)
+	}
 	var s slot
-	if r.order.Len() == r.cfg.RecentWindow {
+	if r.order.Len() == recentWindow {
 		old := r.order.PopFront()
 		s = r.recent[old]
 		delete(r.recent, old)
@@ -432,17 +405,18 @@ func (r *Receiver) noteGap(now core.Time, seq core.Seq) {
 	r.next = seq + 1
 }
 
-// noteMissing registers a loss and emits its first NACK; false: already tracked.
+// noteMissing registers a loss and emits its first NACK; false: already
+// tracked, or delivered. Only a forged seq that wraps r.next past 2^64 puts
+// a delivered one at or past the expectation.
 func (r *Receiver) noteMissing(now core.Time, seq core.Seq, wantVerify bool) bool {
 	if _, ok := r.missing[seq]; ok {
 		return false
 	}
-	r.stats.LossesSeen++
-	ms := missState{firstMiss: now, nacks: 1}
-	if r.cfg.NACKRetry > 0 {
-		ms.nextNACK = now + r.cfg.NACKRetry
+	if _, ok := r.recent[seq]; ok {
+		return false
 	}
-	r.missing[seq] = ms
+	r.stats.LossesSeen++
+	r.missing[seq] = missState{firstMiss: now, nacks: 1, nextNACK: now + r.cfg.RTT/retryPerRTT}
 	r.nack(now, seq, wantVerify)
 	return true
 }
@@ -481,21 +455,11 @@ func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) 
 		r.stats.Duplicates++
 		return r.res
 	}
-	var recDelay, detectedAt core.Time
+	var recDelay core.Time
 	if tracked {
 		recDelay = now - ms.firstMiss
-		detectedAt = ms.firstMiss
 	}
-	delete(r.missing, hdr.Seq)
 	r.stats.Recovered++
-	if !r.started {
-		r.started, r.flow = true, hdr.Flow
-		r.next = hdr.Seq + 1
-	} else if hdr.Seq >= r.next {
-		// A recovered packet beyond the expectation proves everything
-		// in between existed: NACK the gap.
-		r.noteGap(now, hdr.Seq)
-	}
 	via := hdr.Service
 	if via == 0 {
 		via = r.cfg.Service
@@ -505,7 +469,7 @@ func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) 
 	// has been silent since this loss was detected indicate an outage —
 	// keep speculative NACKs outstanding so the next losses are already
 	// in recovery when their parity reaches the DC.
-	if tracked && r.lastDirect < detectedAt {
+	if tracked && r.lastDirect < ms.firstMiss {
 		high := hdr.Seq + pumpWindow
 		start := r.next
 		if r.pumpHigh+1 > start {
@@ -615,12 +579,8 @@ func (r *Receiver) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, sh
 		if ms, ok := r.missing[seq]; ok {
 			recDelay = now - ms.firstMiss
 		}
-		delete(r.missing, seq)
 		r.stats.Recovered++
 		r.stats.InStreamLocal++
-		if r.started && seq >= r.next {
-			r.next = seq + 1
-		}
 		ph := wire.Header{Service: core.ServiceCoding, Flow: flow, Seq: seq, TS: hdr.TS, Src: r.src, Dst: r.cfg.Self}
 		r.accept(now, &ph, payload, true, core.ServiceCoding, recDelay)
 	}
@@ -732,8 +692,8 @@ func (r *Receiver) NextDeadline() (core.Time, bool) {
 	}
 	consider(r.deadline)
 	for _, ms := range r.missing {
-		consider(ms.firstMiss + r.cfg.GiveUpAfter)
-		if r.cfg.NACKRetry > 0 && ms.nacks < r.cfg.MaxNACKs {
+		consider(ms.firstMiss + giveUpRTTs*r.cfg.RTT)
+		if ms.nacks < maxNACKs {
 			consider(ms.nextNACK)
 		}
 	}
@@ -777,10 +737,10 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 	// order must not decide which retry draws which link jitter.
 	r.due = r.due[:0]
 	for seq, ms := range r.missing {
-		if now-ms.firstMiss >= r.cfg.GiveUpAfter {
+		if now-ms.firstMiss >= giveUpRTTs*r.cfg.RTT {
 			delete(r.missing, seq)
 			r.stats.GaveUp++
-		} else if r.cfg.NACKRetry > 0 && ms.nacks < r.cfg.MaxNACKs && ms.nextNACK <= now {
+		} else if ms.nacks < maxNACKs && ms.nextNACK <= now {
 			r.due = append(r.due, seq)
 		}
 	}
@@ -788,7 +748,7 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 	for _, seq := range r.due {
 		ms := r.missing[seq]
 		ms.nacks++
-		ms.nextNACK = now + r.cfg.NACKRetry
+		ms.nextNACK = now + r.cfg.RTT/retryPerRTT
 		r.missing[seq] = ms
 		r.stats.RetryNACKs++
 		r.nack(now, seq, false)

@@ -199,20 +199,18 @@ func TestSmallTimeoutNACKsAndGoesIdle(t *testing.T) {
 }
 
 func TestIdleTimeoutFiresOnceThenDisarms(t *testing.T) {
-	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
-	cfg.NACKRetry = 0 // isolate the state machine
-	cfg.GiveUpAfter = time.Hour
-	r := New(cfg)
+	r := testReceiver()
 	feed(r, 0, 1, 1)
-	r.OnTimer(25 * time.Millisecond) // burst → NACK seq2, idle
-	res := r.OnTimer(time.Second)    // idle fires: NACK seq3
+	r.OnTimer(25 * time.Millisecond) // a lone packet armed the long timer: nothing yet
+	res := r.OnTimer(time.Second)    // idle fires: NACK seq 2
 	if n := len(res.Emits); n != 1 {
 		t.Fatalf("idle emits = %d", n)
 	}
 	if r.Stats().IdleNACKs != 1 {
 		t.Errorf("stats: %+v", r.Stats())
 	}
-	// After the single idle NACK the flow timer disarms.
+	// After the single idle NACK the flow timer disarms; seq 2 is given up
+	// on before any retry of it is due.
 	r.OnTimer(2 * time.Second)
 	res = r.OnTimer(3 * time.Second)
 	if len(res.Emits) != 0 {
@@ -227,16 +225,13 @@ func TestIdleTimeoutFiresOnceThenDisarms(t *testing.T) {
 
 func TestTwoStateVsSingleTimerNACKReduction(t *testing.T) {
 	// Bursty sender: 10 bursts of 5 packets at 5ms spacing, 2s gaps.
-	cfg := DefaultConfig(self, dcNode, 200*time.Millisecond)
-	cfg.NACKRetry = 0
-	cfg.GiveUpAfter = time.Hour
-	r := New(cfg)
+	r := New(DefaultConfig(self, dcNode, 200*time.Millisecond))
 	// The baseline is a receiver without the idle state (§3.4): its small
 	// timer NACKs once per SmallTimeout of silence, across bursts too.
 	var single uint64
 	last := core.Time(0)
 	silence := func(until core.Time) {
-		single += uint64((until - last) / cfg.SmallTimeout)
+		single += uint64((until - last) / SmallTimeout)
 	}
 	now := core.Time(0)
 	seq := uint64(1)
@@ -260,7 +255,8 @@ func TestTwoStateVsSingleTimerNACKReduction(t *testing.T) {
 		now = end
 	}
 	silence(now)
-	two := r.Stats().NACKsSent()
+	// Retries of the timers' NACKs are left out: the baseline counts none.
+	two := r.Stats().NACKsSent() - r.Stats().RetryNACKs
 	if two == 0 || single == 0 {
 		t.Fatalf("no NACKs at all: two=%d single=%d", two, single)
 	}
@@ -271,46 +267,60 @@ func TestTwoStateVsSingleTimerNACKReduction(t *testing.T) {
 	}
 }
 
-func TestNACKRetryEscalation(t *testing.T) {
-	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
-	cfg.NACKRetry = 20 * time.Millisecond
-	cfg.MaxNACKs = 3
-	cfg.GiveUpAfter = time.Hour
-	cfg.SmallTimeout = 10 * time.Second // keep the burst timer out of the way
-	r := New(cfg)
-	feed(r, 0, 1, 1)
-	feed(r, time.Millisecond, 1, 3) // seq 2 missing, first NACK sent
-	res := r.OnTimer(21 * time.Millisecond)
-	if got := len(res.Emits); got < 1 {
-		t.Fatalf("no retry NACK: %d", got)
-	}
-	r.OnTimer(41 * time.Millisecond)
-	// MaxNACKs=3 reached; no further retries.
-	res = r.OnTimer(61 * time.Millisecond)
-	for _, typ := range emitTypes(t, res.Emits) {
-		if typ == wire.TypeNACK {
-			t.Error("retry beyond MaxNACKs")
+// nackTimes drives r through every deadline up to until and returns when
+// each NACK for seq left.
+func nackTimes(t *testing.T, r *Receiver, seq core.Seq, until core.Time) []core.Time {
+	t.Helper()
+	var at []core.Time
+	for {
+		dl, ok := r.NextDeadline()
+		if !ok || dl > until {
+			return at
 		}
-	}
-	if r.Stats().RetryNACKs != 2 {
-		t.Errorf("retries = %d", r.Stats().RetryNACKs)
+		for _, em := range r.OnTimer(dl).Emits {
+			var h wire.Header
+			if _, err := wire.SplitMessage(&h, em.Msg); err != nil {
+				t.Fatal(err)
+			}
+			if h.Type == wire.TypeNACK && h.Seq == seq {
+				at = append(at, dl)
+			}
+		}
 	}
 }
 
-func TestGiveUpAfterHorizon(t *testing.T) {
-	cfg := DefaultConfig(self, dcNode, 50*time.Millisecond)
-	cfg.GiveUpAfter = 100 * time.Millisecond
-	cfg.NACKRetry = 0
-	cfg.SmallTimeout = 10 * time.Second // keep the burst timer out of the way
-	r := New(cfg)
+// TestNACKRetryEscalation: an outstanding loss is NACKed again RTT/4 after
+// each NACK, maxNACKs times in all, and then waits for its give-up.
+func TestNACKRetryEscalation(t *testing.T) {
+	r := testReceiver() // RTT 100 ms
 	feed(r, 0, 1, 1)
-	feed(r, time.Millisecond, 1, 3)
-	r.OnTimer(200 * time.Millisecond)
-	if r.OutstandingLosses() != 0 {
-		t.Error("loss not abandoned")
+	feed(r, time.Millisecond, 1, 3) // seq 2 missing, first NACK sent
+	retries := nackTimes(t, r, 2, 300*time.Millisecond)
+	if want := []core.Time{26 * time.Millisecond, 51 * time.Millisecond}; !slices.Equal(retries, want) {
+		t.Fatalf("seq 2 retried at %v, want %v: RTT/4 apart, %d NACKs in all", retries, want, maxNACKs)
 	}
-	if r.Stats().GaveUp != 1 {
-		t.Errorf("stats: %+v", r.Stats())
+	if _, still := r.missing[2]; !still {
+		t.Error("seq 2 given up on before 4×RTT")
+	}
+}
+
+// TestGiveUpAfterHorizon: a loss is abandoned 4×RTT after it was detected,
+// and not before.
+func TestGiveUpAfterHorizon(t *testing.T) {
+	r := New(DefaultConfig(self, dcNode, 50*time.Millisecond))
+	feed(r, 0, 1, 1)
+	feed(r, time.Millisecond, 1, 3) // seq 2 missing at 1 ms
+	r.OnTimer(200 * time.Millisecond)
+	if _, still := r.missing[2]; !still {
+		t.Fatal("seq 2 abandoned before 4×RTT")
+	}
+	gaveUp := r.Stats().GaveUp
+	r.OnTimer(201 * time.Millisecond)
+	if _, still := r.missing[2]; still {
+		t.Error("seq 2 not abandoned at 4×RTT")
+	}
+	if got := r.Stats().GaveUp - gaveUp; got != 1 {
+		t.Errorf("%d give-ups at 4×RTT, want 1: %+v", got, r.Stats())
 	}
 }
 
@@ -385,6 +395,133 @@ func TestPumpNACKsAheadDuringOutage(t *testing.T) {
 	}
 	if got := r.Stats().PumpNACKs; got != pumpWindow+1 {
 		t.Fatalf("PumpNACKs = %d, want %d", got, pumpWindow+1)
+	}
+}
+
+// inStreamParity is the one parity shard of an in-stream batch over flow
+// 1's seqs, each carrying pay(seq).
+func inStreamParity(t *testing.T, seqs ...uint64) (wire.Coded, []byte) {
+	t.Helper()
+	meta := wire.Coded{Batch: 9, Kind: wire.InStream, K: uint8(len(seqs)), R: 1}
+	payloads := make([][]byte, len(seqs))
+	for i, seq := range seqs {
+		payloads[i] = pay(seq)
+		meta.Sources = append(meta.Sources, wire.SourceRef{Flow: 1, Seq: core.Seq(seq), Receiver: self})
+	}
+	shards, shardLen, err := rs.PackBatch(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, _ := rs.NewCodec(len(seqs), 1)
+	shards = append(shards, make([]byte, shardLen))
+	if err := codec.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	meta.ShardLen = uint16(shardLen)
+	return meta, shards[len(seqs)]
+}
+
+// TestInStreamDecodePastExpectationNACKsGap: a packet decoded in-stream
+// past the expectation proves the packets before it were sent, as a data
+// or recovered packet there does: the gap is NACKed.
+func TestInStreamDecodePastExpectationNACKsGap(t *testing.T) {
+	r := testReceiver()
+	feed(r, 0, 1, 1)
+	feed(r, time.Millisecond, 1, 2)
+	meta, shard := inStreamParity(t, 2, 5)
+	h := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dcNode, Dst: self}
+	res := r.OnCoded(2*time.Millisecond, &h, &meta, shard)
+	if len(res.Deliveries) != 1 || res.Deliveries[0].Packet.ID.Seq != 5 {
+		t.Fatalf("the parity delivered %+v, want seq 5", res.Deliveries)
+	}
+	var nacked []core.Seq
+	for _, em := range res.Emits {
+		var nh wire.Header
+		if _, err := wire.SplitMessage(&nh, em.Msg); err != nil || nh.Type != wire.TypeNACK {
+			t.Fatalf("the decode emitted %v (%v), want NACKs only", nh.Type, err)
+		}
+		nacked = append(nacked, nh.Seq)
+	}
+	if !slices.Equal(nacked, []core.Seq{3, 4}) || r.Stats().GapNACKs != 2 || r.OutstandingLosses() != 2 {
+		t.Errorf("NACKed %v, %+v, %d outstanding; want 3 and 4 NACKed as a gap", nacked, r.Stats(), r.OutstandingLosses())
+	}
+}
+
+// TestArrivalLeavesMissing: every delivery takes its seq out of the loss
+// table, whichever path brings it. During an outage the pump NACKs seqs
+// ahead of the expectation; one of them that then arrives in order, past a
+// gap or decoded in-stream is no longer missing, is not NACKed again when
+// the pump's retries come due RTT/4 later, and is not given up on.
+func TestArrivalLeavesMissing(t *testing.T) {
+	cases := []struct {
+		name   string
+		arrive func(r *Receiver) []core.Seq // delivers pumped seqs at 160–170 ms
+	}{
+		{"data in order and past a gap", func(r *Receiver) []core.Seq {
+			feed(r, 160*time.Millisecond, 1, 3)
+			feed(r, 170*time.Millisecond, 1, 5)
+			return []core.Seq{3, 5}
+		}},
+		{"in-stream decode", func(r *Receiver) []core.Seq {
+			// Parity over 2 and 5 decodes 5 from the recovered 2.
+			h := wire.Header{Type: wire.TypeCoded, Service: core.ServiceCoding, Src: dcNode, Dst: self}
+			meta, shard := inStreamParity(t, 2, 5)
+			if res := r.OnCoded(160*time.Millisecond, &h, &meta, shard); len(res.Deliveries) != 1 {
+				t.Fatalf("the parity decoded %d packets, want seq 5", len(res.Deliveries))
+			}
+			return []core.Seq{5}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := testReceiver() // RTT 100 ms
+			feed(r, 0, 1, 1)
+			// The direct path falls silent: the idle timer NACKs seq 2.
+			if r.OnTimer(100 * time.Millisecond); r.Stats().IdleNACKs != 1 {
+				t.Fatalf("no idle NACK: %+v", r.Stats())
+			}
+			// Its recovery marks an outage: the pump NACKs 3..2+pumpWindow.
+			rec := wire.Header{Type: wire.TypeRecovered, Service: core.ServiceCoding, Flow: 1, Seq: 2, Src: dcNode, Dst: self}
+			r.OnRecovered(150*time.Millisecond, &rec, pay(2))
+			if got := r.Stats().PumpNACKs; got != pumpWindow {
+				t.Fatalf("the pump NACKed %d seqs, want %d", got, pumpWindow)
+			}
+
+			delivered := c.arrive(r)
+			for _, seq := range delivered {
+				if _, still := r.missing[seq]; still {
+					t.Errorf("seq %d was delivered and is still missing", seq)
+				}
+			}
+			retried := 0
+			for _, em := range r.OnTimer(175 * time.Millisecond).Emits {
+				var h wire.Header
+				if _, err := wire.SplitMessage(&h, em.Msg); err != nil {
+					t.Fatal(err)
+				}
+				if h.Type != wire.TypeNACK {
+					continue
+				}
+				retried++
+				if slices.Contains(delivered, h.Seq) {
+					t.Errorf("seq %d NACKed again after it was delivered", h.Seq)
+				}
+			}
+			if want := pumpWindow - len(delivered); retried != want {
+				t.Errorf("%d retries at 175 ms, want %d: one per pumped seq still missing", retried, want)
+			}
+			for {
+				dl, ok := r.NextDeadline()
+				if !ok || dl > 2*time.Second {
+					break
+				}
+				r.OnTimer(dl)
+			}
+			if got, want := r.Stats().GaveUp, uint64(pumpWindow-len(delivered)); got != want || r.OutstandingLosses() != 0 {
+				t.Errorf("gave up on %d seqs, %d still missing; want %d given up: only the pumped seqs that never arrived",
+					got, r.OutstandingLosses(), want)
+			}
+		})
 	}
 }
 
@@ -612,21 +749,27 @@ func TestVerifyResponses(t *testing.T) {
 	}
 }
 
+// TestRecentWindowEviction: the window keeps the last recentWindow packets
+// delivered and evicts the oldest first.
 func TestRecentWindowEviction(t *testing.T) {
-	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
-	cfg.RecentWindow = 4
-	r := New(cfg)
-	for seq := uint64(1); seq <= 10; seq++ {
+	r := testReceiver()
+	const last = recentWindow + 6
+	for seq := uint64(1); seq <= last; seq++ {
 		feed(r, core.Time(seq)*time.Millisecond, 1, seq)
 	}
-	if len(r.recent) != 4 || r.order.Len() != 4 {
-		t.Errorf("window sizes: recent=%d order=%d", len(r.recent), r.order.Len())
+	if len(r.recent) != recentWindow || r.order.Len() != recentWindow {
+		t.Errorf("window sizes: recent=%d order=%d, want %d", len(r.recent), r.order.Len(), recentWindow)
 	}
-	if _, ok := r.recent[10]; !ok {
+	if _, ok := r.recent[last]; !ok {
 		t.Error("newest packet evicted")
 	}
-	if _, ok := r.recent[1]; ok {
-		t.Error("oldest packet retained")
+	if _, ok := r.recent[last-recentWindow+1]; !ok {
+		t.Error("oldest packet of the window evicted")
+	}
+	for seq := core.Seq(1); seq <= last-recentWindow; seq++ {
+		if _, ok := r.recent[seq]; ok {
+			t.Errorf("seq %d retained past the window", seq)
+		}
 	}
 }
 
@@ -634,9 +777,7 @@ func TestRecentWindowEviction(t *testing.T) {
 // replaced (append, then cut the front while over the window): under
 // scrambled, duplicated and late arrivals the two keep the same packets.
 func TestRecentWindowMatchesSliceModel(t *testing.T) {
-	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
-	cfg.RecentWindow = 7
-	r := New(cfg)
+	r := testReceiver()
 	var order []core.Seq
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
@@ -644,7 +785,7 @@ func TestRecentWindowMatchesSliceModel(t *testing.T) {
 		res := feed(r, core.Time(i)*time.Millisecond, 1, seq)
 		for _, d := range res.Deliveries {
 			order = append(order, d.Packet.ID.Seq)
-			for len(order) > cfg.RecentWindow {
+			for len(order) > recentWindow {
 				order = order[1:]
 			}
 		}
@@ -678,8 +819,7 @@ func TestInOrderOnDataAllocatesNothing(t *testing.T) {
 		}
 	}
 	next() // the flow's state and the result buffer
-	window := r.cfg.RecentWindow
-	if n := testing.AllocsPerRun(window-2, next); n != 1 {
+	if n := testing.AllocsPerRun(recentWindow-2, next); n != 1 {
 		t.Errorf("in-order OnData allocates %v times while the window fills, want 1 (its buffer)", n)
 	}
 	if n := testing.AllocsPerRun(500, next); n != 0 {
@@ -756,11 +896,11 @@ func TestNonCodingWindowAllocatesNothing(t *testing.T) {
 			}
 		}
 		next() // the flow's state and the result buffer
-		if n := testing.AllocsPerRun(r.cfg.RecentWindow-2, next); n != 0 {
+		if n := testing.AllocsPerRun(recentWindow-2, next); n != 0 {
 			t.Errorf("%v: in-order OnData allocates %v times while the window fills, want 0", svc, n)
 		}
-		if r.order.Len() != r.cfg.RecentWindow {
-			t.Fatalf("%v: the window holds %d packets, want it full (%d)", svc, r.order.Len(), r.cfg.RecentWindow)
+		if r.order.Len() != recentWindow {
+			t.Fatalf("%v: the window holds %d packets, want it full (%d)", svc, r.order.Len(), recentWindow)
 		}
 		if n := testing.AllocsPerRun(500, next); n != 0 {
 			t.Errorf("%v: in-order OnData allocates %v times on a full window, want 0", svc, n)
@@ -816,19 +956,18 @@ func TestNonCodingPacketKeepsNoBytes(t *testing.T) {
 // zero bytes, in a slot with no buffer yet and in one whose buffer held
 // another packet's bytes.
 func TestEmptyCodingPayloadIsHeld(t *testing.T) {
-	cfg := DefaultConfig(self, dcNode, 100*time.Millisecond)
-	cfg.RecentWindow = 2
-	r := New(cfg)
-	for seq := uint64(1); seq <= 3; seq++ {
+	r := testReceiver()
+	const last = recentWindow + 1
+	for seq := uint64(1); seq <= last; seq++ {
 		h := dataHdr(1, seq, core.Time(seq)*time.Millisecond)
 		payload := []byte{}
 		if seq == 1 {
-			payload = pay(1) // its buffer goes to seq 3, which evicts it
+			payload = pay(1) // its buffer goes to the last seq, which evicts it
 		}
 		r.OnData(h.TS, &h, payload)
 	}
 	ref := wire.CoopRef{Batch: 3, Want: core.PacketID{Flow: 9, Seq: 1}}
-	for _, seq := range []core.Seq{2, 3} {
+	for _, seq := range []core.Seq{2, last} {
 		req := wire.Header{Type: wire.TypeCoopReq, Flow: 1, Seq: seq, Src: dcNode, Dst: self}
 		res := r.OnCoopReq(4*time.Millisecond, &req, &ref)
 		if len(res.Emits) != 1 {
@@ -884,7 +1023,7 @@ func TestRetryNACKsAscending(t *testing.T) {
 		r := testReceiver()
 		feed(r, 0, 1, 1)
 		feed(r, time.Millisecond, 1, 40) // 2..39 missing, all NACKed at 1 ms
-		res := r.OnTimer(time.Millisecond + r.cfg.NACKRetry)
+		res := r.OnTimer(time.Millisecond + r.cfg.RTT/retryPerRTT)
 		var seqs []core.Seq
 		for _, em := range res.Emits {
 			var h wire.Header
@@ -914,9 +1053,7 @@ func TestDeliveryCarriesTimestamps(t *testing.T) {
 
 func TestDefaultsFilled(t *testing.T) {
 	r := New(Config{Self: self, DC: dcNode})
-	cfg := r.cfg
-	if cfg.SmallTimeout != 25*time.Millisecond || cfg.RTT <= 0 || cfg.MaxNACKs <= 0 ||
-		cfg.GiveUpAfter <= 0 || cfg.RecentWindow <= 0 {
+	if cfg := r.cfg; cfg.RTT != 100*time.Millisecond {
 		t.Errorf("defaults not filled: %+v", cfg)
 	}
 }

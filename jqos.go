@@ -365,8 +365,9 @@
 // Config describes a deployment; how its mechanisms are tuned is fixed in
 // unexported constants beside the code that reads them, each equal to the
 // value every example, experiment and benchmark world has always run.
-// Receivers (recovery.DefaultConfig, §3.4, §6.2.1): SmallTimeout 25 ms,
-// at most 3 NACKs per loss, RTT/4 apart. DC recoverer
+// Receivers (internal/recovery, §3.4, §6.2.1): SmallTimeout 25 ms, up to
+// 3 NACKs per loss RTT/4 apart, give-up at 4×RTT, a window of 128
+// packets. DC recoverer
 // (coding.DefaultRecovererConfig, §4.4, §6.1): parity kept 2 s, helper
 // deadline 250 ms, late-parity wait 500 ms, spurious-recovery check on;
 // the cache is bounded by CacheTTL alone. Adaptation
