@@ -74,7 +74,7 @@ type dcEnv DCNode
 
 func (e *dcEnv) Linked(hop core.NodeID) bool { return e.d.net.HasRoute(e.id, hop) }
 
-func (e *dcEnv) NearestDC(host core.NodeID) (core.NodeID, bool) { return e.d.topo.NearestDC(host) }
+func (e *dcEnv) NearestDC(host core.NodeID) (core.NodeID, bool) { return e.d.ctrl.Home(host) }
 
 // PathPolicy folds a flow's declared PathPolicy into the opaque
 // discriminator the encoder batches by: 0 for the default fastest-path
@@ -176,12 +176,19 @@ func (n *DCNode) handle(from, to core.NodeID, data []byte) {
 // destination DC over the control channel: scheduler-bypassing and
 // non-billable, like the probe traffic it shares the channel with.
 func (n *DCNode) relayControl(hdr *wire.Header, raw []byte) {
-	via, ok := n.dp.Forwarder.Route(hdr.Dst)
-	if !ok || via == n.id || !n.d.net.HasRoute(n.id, via) {
+	via, ok := n.controlHop(hdr.Dst)
+	if !ok {
 		n.drop++
 		return
 	}
 	n.d.sendControl(n.id, via, raw)
+}
+
+// controlHop is the control channel's hop toward DC dst: the forwarder's
+// current next hop, when it is another DC this one has a link to.
+func (n *DCNode) controlHop(dst core.NodeID) (core.NodeID, bool) {
+	via, ok := n.dp.Forwarder.Route(dst)
+	return via, ok && via != n.id && n.d.net.HasRoute(n.id, via)
 }
 
 // armTimer (re)schedules the DC's engine timer at the earliest deadline

@@ -222,8 +222,8 @@ func (p *feedbackPlane) sendSignal(ingress core.NodeID, t *feedback.Transition) 
 		p.stats.SignalsDropped++
 		return
 	}
-	via, ok := dc.dp.Forwarder.Route(ingress)
-	if !ok || via == t.From || !p.d.net.HasRoute(t.From, via) {
+	via, ok := dc.controlHop(ingress)
+	if !ok {
 		p.stats.SignalsDropped++
 		return
 	}

@@ -269,7 +269,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	var policyPath *routing.Path
 	var policyPathLat core.Time
 	if spec.Path.Kind != PathFastest {
-		home, homeOK := d.cloudHomeOf(multicast, cloud)
+		home, homeOK := d.ctrl.Home(cloud)
 		if !homeOK {
 			return nil, fmt.Errorf("jqos: path policy %v needs a resolvable cloud destination for %v (AddGroup before RegisterFlow)", spec.Path.Kind, cloud)
 		}
@@ -321,7 +321,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	// cap the same way: a conformant burst larger than the queue would
 	// tail-drop at the egress no matter what the ingress admitted.
 	if bucket != nil && d.cfg.Scheduler.Enabled() {
-		if share, queueCap, ok := d.admissionEnvelope(svc, spec.Src, multicast, cloud, policyPath); ok {
+		if share, queueCap, ok := d.admissionEnvelope(svc, spec.Src, cloud, policyPath); ok {
 			if spec.Rate > share {
 				return nil, fmt.Errorf("jqos: admission Rate %d B/s exceeds the %v class's weighted share (%d B/s) of the path's bottleneck link — unhonorable under contention; lower Rate, or raise the class weight or link capacity",
 					spec.Rate, svc, share)
@@ -402,12 +402,12 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 // sized against the path the flow will actually ride. ok is false when
 // nothing constrains the path — same-DC flows, no route, or no
 // capacitated hop.
-func (d *Deployment) admissionEnvelope(svc core.Service, src core.NodeID, multicast bool, cloud core.NodeID, policyPath *routing.Path) (share, queueCap int64, ok bool) {
+func (d *Deployment) admissionEnvelope(svc core.Service, src, cloud core.NodeID, policyPath *routing.Path) (share, queueCap int64, ok bool) {
 	if svc == core.ServiceInternet {
 		return 0, 0, false // no cloud copies: nothing to size
 	}
 	dcA, okA := d.topo.NearestDC(src)
-	home, okB := d.cloudHomeOf(multicast, cloud)
+	home, okB := d.ctrl.Home(cloud)
 	if !okA || !okB || dcA == home {
 		return 0, 0, false
 	}
@@ -516,20 +516,6 @@ func (d *Deployment) receiverRTT(src, dst core.NodeID) time.Duration {
 	return rtt
 }
 
-// cloudHomeOf resolves the DC a flow's cloud copies egress from: the
-// multicast group's home, or the receiver's nearest DC. Registration
-// pricing and runtime re-resolution share this rule.
-func (d *Deployment) cloudHomeOf(multicast bool, cloud core.NodeID) (core.NodeID, bool) {
-	if multicast {
-		return d.ctrl.Home(cloud)
-	}
-	return d.topo.NearestDC(cloud)
-}
-
-func (f *Flow) cloudHome() (core.NodeID, bool) {
-	return f.d.cloudHomeOf(len(f.spec.Members) > 0, f.cloud)
-}
-
 // resolvePath applies the spec's path policy against the controller's
 // current alternates: PathFastest follows the primary; PathCheapest /
 // PathPinned choose an alternate and pin the flow to it, or follow the
@@ -542,7 +528,7 @@ func (f *Flow) resolvePath() { f.resolvePathWith(nil) }
 func (f *Flow) resolvePathWith(chosen *routing.Path) {
 	d := f.d
 	dcA, okA := d.topo.NearestDC(f.src)
-	dcB, okB := f.cloudHome()
+	dcB, okB := d.ctrl.Home(f.cloud)
 	if !okA || !okB || dcA == dcB {
 		return
 	}

@@ -21,10 +21,11 @@ type walkDst struct {
 
 // walker follows a packet's next hops through the DCs' forwarding state,
 // resolved as Core.send resolves them: the flow's pinned next hop first,
-// then the tagged table's hop toward the destination, re-resolved toward
-// that hop. It is the forwarding-loop checker: with every DC on one table
-// version, no (DC, destination, live tag) may revisit a DC, and under the
-// current tag none may dead-end short of the home DC while a path exists.
+// then — the tables naming DCs only — the tagged table's hop toward the
+// host's home DC. It is the forwarding-loop checker: with every DC on one
+// table version, no (DC, destination, live tag) may revisit a DC, and
+// under the current tag none may dead-end short of the home DC while a
+// path exists.
 type walker struct {
 	fw   map[core.NodeID]*forward.Forwarder
 	dcs  []core.NodeID
@@ -76,20 +77,15 @@ func (w walker) walk(from core.NodeID, d walkDst, tag uint8) error {
 }
 
 // next is the DC a packet for d leaves at toward; ok is false where the
-// tables name no hop.
+// tables name no hop. A host has no table entry of its own, so it
+// resolves through d.home exactly as Core.send does: the tagged hop
+// toward the home DC.
 func (w walker) next(at core.NodeID, d walkDst, tag uint8) (core.NodeID, bool) {
 	f := w.fw[at]
 	if via, ok := f.FlowRoute(d.flow, d.host); d.flow != 0 && ok {
 		return via, true
 	}
-	hop, ok := f.RouteTagged(tag, d.host)
-	if !ok {
-		return 0, false
-	}
-	if via, ok := f.RouteTagged(tag, hop); ok && via != at {
-		return via, true
-	}
-	return hop, true
+	return f.RouteTagged(tag, d.home)
 }
 
 // toggleWorld is a bare controller over real forwarders, one host per DC

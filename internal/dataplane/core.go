@@ -3,8 +3,8 @@
 // Core is one data center: the forwarding, caching and CR-WAN coding
 // services (§3) dispatched per message, with every egress decision —
 // pinned paths, epoch-tagged make-before-break drain, multicast fan-out,
-// partial-overlay loopback, table-then-nearest-DC hop resolution — made in
-// one place.
+// partial-overlay loopback, a host reached through its home DC's route —
+// made in one place.
 //
 // HostCore is the receiving side of one endpoint: a recovery engine per
 // inbound flow, the one dispatch of arriving messages over them, the
@@ -45,7 +45,7 @@ import (
 type Env interface {
 	// Linked reports whether hop can be sent to directly.
 	Linked(hop core.NodeID) bool
-	// NearestDC names the DC serving host.
+	// NearestDC names the home DC of a host or multicast group.
 	NearestDC(host core.NodeID) (core.NodeID, bool)
 	// PathPolicy is the opaque key the encoder batches flow's parity
 	// under (0 = default fastest path, also for unknown flows).
@@ -180,13 +180,14 @@ type path struct {
 //  1. The flow's pinned next hop, sent on directly — a table lookup must
 //     not re-resolve it, or the shared route to that DC would defeat the
 //     pin.
-//  2. The pushed next-hop table. It outranks a direct link: on a healthy
-//     mesh both agree (the next hop to an adjacent DC IS that DC), but
-//     after a failure the controller has moved the route off the dead
-//     link while the link still exists — so the table, not link presence,
-//     decides.
-//  3. A direct link to the recipient.
-//  4. Last resort: the recipient's nearest DC.
+//  2. The pushed next-hop table under the packet's epoch tag. It names
+//     DCs only: a host or group homed elsewhere takes the tagged hop
+//     toward its home DC, or the home itself when the table has no
+//     usable one. The table outranks a direct link: on a healthy mesh
+//     both agree, but after a failure the controller has moved the route
+//     off the dead link while the link still exists — so the table, not
+//     link presence, decides.
+//  3. A direct link to the recipient: delivery at its home DC.
 //
 // A message none of these place is counted in Dropped.
 func (c *Core) send(to core.NodeID, msg []byte, p path) {
@@ -208,15 +209,20 @@ func (c *Core) send(to core.NodeID, msg []byte, p path) {
 	}
 	for _, em := range recipients {
 		via, ok := c.Forwarder.RouteTagged(tag, em.To)
+		if !ok {
+			if home, known := c.env.NearestDC(em.To); known && home != c.self {
+				if via, ok = c.Forwarder.RouteTagged(tag, home); !ok || !c.usable(via) {
+					via, ok = home, true
+				}
+			}
+		}
 		switch {
 		case ok && c.usable(via):
 		case c.env.Linked(em.To):
 			via = em.To
 		default:
-			if via, ok = c.env.NearestDC(em.To); !ok || !c.usable(via) {
-				c.drop++
-				continue
-			}
+			c.drop++
+			continue
 		}
 		c.env.Send(via, em.Msg)
 	}

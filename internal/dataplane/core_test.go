@@ -7,6 +7,8 @@ import (
 
 	"jqos/internal/coding"
 	"jqos/internal/core"
+	"jqos/internal/forward"
+	"jqos/internal/routing"
 	"jqos/internal/wire"
 )
 
@@ -270,6 +272,44 @@ func TestCoreHandle(t *testing.T) {
 				tc.check(t, c)
 			}
 		})
+	}
+}
+
+// TestHostAttachedMidDrainRoutesThroughHome: a host attached while an
+// older table epoch drains is reached, under that epoch's tag, through
+// the tagged route to its home DC. The world is the line 1—2—3—4 with a
+// spur 1—5, seen from DC 1, on a real controller and real forwarders.
+// Taking the spur down opens a new epoch that leaves 1→4 alone; host 100
+// then attaches at DC 4. A packet for it still tagged with the old epoch
+// must leave toward DC 2, not be dropped for want of a host entry.
+func TestHostAttachedMidDrainRoutesThroughHome(t *testing.T) {
+	env := &fakeEnv{
+		links:   map[core.NodeID]bool{2: true, 5: true},
+		nearest: map[core.NodeID]core.NodeID{100: 4},
+	}
+	c, err := New(self, env, coding.DefaultEncoderConfig(), core.Time(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := routing.NewController(2)
+	ctrl.AddDC(self, c.Forwarder)
+	for dc := core.NodeID(2); dc <= 5; dc++ {
+		ctrl.AddDC(dc, forward.New(dc))
+	}
+	for _, l := range [][2]core.NodeID{{1, 2}, {2, 3}, {3, 4}, {1, 5}} {
+		ctrl.SetLink(l[0], l[1], 10*time.Millisecond)
+	}
+	e := c.Forwarder.Epoch()
+	ctrl.SetLinkHealth(1, 5, routing.LinkDown, 0)
+	if c.Forwarder.Epoch() == e {
+		t.Fatal("taking the spur down opened no epoch")
+	}
+	ctrl.AttachHost(100, 4)
+
+	raw := message(wire.TypeData, core.ServiceForwarding, 7, 1, 50, 100, wire.EpochFlags(e), []byte("payload"))
+	handle(t, c, raw)
+	if len(env.sent) != 1 || env.sent[0].To != 2 {
+		t.Fatalf("sent %v, dropped %d; want one send to DC 2", hops(env.sent), c.Dropped())
 	}
 }
 

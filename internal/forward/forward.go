@@ -41,9 +41,9 @@ type flowKey struct {
 // call into it.
 type Forwarder struct {
 	self core.NodeID
-	// routes maps a destination to the next hop toward it. Destinations
-	// without an entry are delivered directly (the overlay is small and
-	// every DC can reach every endpoint it serves).
+	// routes maps a destination DC to the next hop toward it. Tables name
+	// DCs only: a host or group has no entry, and the hosting core reaches
+	// it through the route to its home DC (dataplane.Core.send).
 	routes map[core.NodeID]core.NodeID
 	// flowRoutes maps (flow, destination) to a pinned next hop that
 	// outranks the shared table — the routing controller pushes these for

@@ -2,8 +2,9 @@ package routing
 
 import "jqos/internal/core"
 
-// RouteSink receives one DC's route pushes: next hops from the shared
-// tables, per-flow pinned entries for flows with an explicit path
+// RouteSink receives one DC's route pushes: next hops toward the other
+// DCs (a host or group is reached through its home DC's route, so no push
+// names one), per-flow pinned entries for flows with an explicit path
 // policy, and table-epoch announcements. Every sink hears BeginEpoch
 // before any write of the new epoch lands anywhere, so all DCs hold the
 // same table version and a packet's tag names the same version at every
@@ -51,41 +52,29 @@ type Stats struct {
 	// moved at least one installed route — traffic actually spread away
 	// from (or back onto) a hot link.
 	CongestionReroutes uint64
-	// Unreachable is the number of (DC, destination) pairs with no path
-	// after the last recompute.
+	// Unreachable is the number of ordered DC pairs with no path after
+	// the last recompute.
 	Unreachable int
 }
 
 // dcTables is one registered DC's push state: its sink and the installed
-// next hops in index space — instDC by destination-DC index, instHost by
-// host slot, 0 = no entry.
+// next hops by destination-DC index, 0 = no entry.
 type dcTables struct {
-	sink     RouteSink
-	instDC   []core.NodeID
-	instHost []core.NodeID
+	sink   RouteSink
+	instDC []core.NodeID
 }
 
 // Controller is the centralized routing control plane: it owns the link
 // graph, recomputes all-pairs shortest paths when the graph or link health
-// changes, and pushes per-DC next-hop tables (for DC and host/group
-// destinations alike) to the registered RouteSinks.
+// changes, and pushes per-DC next-hop tables toward the other DCs to the
+// registered RouteSinks. Hosts and multicast groups only record their
+// home DC: the data plane reaches one through the route to its home.
 type Controller struct {
 	g   *Graph
 	k   int // alternate paths kept per pair (Paths default)
 	dcs map[core.NodeID]*dcTables
-	// homes maps host (or multicast-group) IDs to their home DC; hosts
-	// are routed toward their home DC's next hop.
-	homes     map[core.NodeID]core.NodeID
-	hostOrder []core.NodeID // sorted host IDs for deterministic pushes
-	// Host slots: each attached host gets a permanent slot (append
-	// order), so per-DC install rows and home caches never shift when
-	// later hosts sort lower. hostIter lists slots in ascending host-ID
-	// order — the deterministic push order; hostHomeIdx caches each
-	// slot's home-DC index (-1 = home not in graph).
-	hostSlot    map[core.NodeID]int32
-	hostID      []core.NodeID
-	hostHomeIdx []int32
-	hostIter    []int32
+	// homes maps host (or multicast-group) IDs to their home DC.
+	homes map[core.NodeID]core.NodeID
 
 	// distM/nhM are the routed tables in index space (row = source DC,
 	// column = destination DC; distM infCost / nhM 0 = no path). distM
@@ -156,13 +145,12 @@ func NewController(k int) *Controller {
 		k = 1
 	}
 	return &Controller{
-		g:        NewGraph(),
-		k:        k,
-		dcs:      make(map[core.NodeID]*dcTables),
-		homes:    make(map[core.NodeID]core.NodeID),
-		hostSlot: make(map[core.NodeID]int32),
-		pins:     make(map[core.FlowID]*flowPin),
-		idxOf:    make(map[core.NodeID]int32),
+		g:     NewGraph(),
+		k:     k,
+		dcs:   make(map[core.NodeID]*dcTables),
+		homes: make(map[core.NodeID]core.NodeID),
+		pins:  make(map[core.FlowID]*flowPin),
+		idxOf: make(map[core.NodeID]int32),
 	}
 }
 
@@ -184,30 +172,10 @@ func (c *Controller) AddDC(id core.NodeID, sink RouteSink) {
 	dt.sink = sink
 }
 
-// AttachHost binds a host (or multicast-group) destination to its home DC
-// and pushes its routes to every DC immediately.
+// AttachHost binds a host (or multicast-group) destination to its home
+// DC. Nothing is pushed: every DC reaches it through its route to home.
 func (c *Controller) AttachHost(host, home core.NodeID) {
-	slot, known := c.hostSlot[host]
-	if !known {
-		slot = int32(len(c.hostID))
-		c.hostSlot[host] = slot
-		c.hostID = append(c.hostID, host)
-		c.hostHomeIdx = append(c.hostHomeIdx, -1)
-		c.hostOrder = insortID(c.hostOrder, host)
-		c.hostIter = c.hostIter[:0]
-		for _, h := range c.hostOrder {
-			c.hostIter = append(c.hostIter, c.hostSlot[h])
-		}
-	}
 	c.homes[host] = home
-	if hi, ok := c.idxOf[home]; ok {
-		c.hostHomeIdx[slot] = hi
-	} else {
-		c.hostHomeIdx[slot] = -1
-	}
-	for _, dc := range c.g.Nodes() {
-		c.push(c.dcs[dc], true, slot, host, c.desiredVia(dc, host))
-	}
 }
 
 // SetLink installs or re-bases the inter-DC link a↔b (one-way latency)
@@ -403,9 +371,9 @@ func (c *Controller) Recompute() {
 }
 
 // refreshSource folds the scratch tree of source sIdx into the routed
-// distM/nhM rows and reconciles its pushed entries (DC destinations
-// first, then hosts — both in ascending ID order). It returns the number
-// of installed next hops that moved and of destinations left unreachable.
+// distM/nhM rows and reconciles its pushed entries in ascending DC-ID
+// order. It returns the number of installed next hops that moved and of
+// DCs left unreachable.
 func (c *Controller) refreshSource(sIdx int32) (changed, unreach int) {
 	w := &c.work
 	dt := c.dcs[c.nodeList[sIdx]]
@@ -424,18 +392,7 @@ func (c *Controller) refreshSource(sIdx int32) (changed, unreach int) {
 			unreach++
 		}
 		c.nhM[base+int(j)] = via
-		changed += c.push(dt, false, j, c.nodeList[j], via)
-	}
-	for _, slot := range c.hostIter {
-		home := c.hostHomeIdx[slot]
-		var via core.NodeID
-		if home >= 0 && home != sIdx {
-			via = c.nhM[base+int(home)]
-		}
-		if via == 0 && home != sIdx {
-			unreach++
-		}
-		changed += c.push(dt, true, slot, c.hostID[slot], via)
+		changed += c.push(dt, j, c.nodeList[j], via)
 	}
 	return changed, unreach
 }
@@ -498,47 +455,21 @@ func (c *Controller) RetireEpoch(epoch uint64) {
 	c.stats.EpochRetires++
 }
 
-// desiredVia resolves a host destination to its next hop at dc: none when
-// dc is the host's home (direct delivery), otherwise the hop toward the
-// home DC. Returns 0 for "no entry".
-func (c *Controller) desiredVia(dc, host core.NodeID) core.NodeID {
-	home, ok := c.homes[host]
-	if !ok || home == dc {
-		return 0
-	}
-	return c.nhLookup(dc, home)
-}
-
-// nhLookup reads the routed next hop a→b from the index-space table
-// (0 = no route, or tables not yet computed).
-func (c *Controller) nhLookup(a, b core.NodeID) core.NodeID {
-	ai, ok1 := c.idxOf[a]
-	bi, ok2 := c.idxOf[b]
-	if !ok1 || !ok2 || c.nhM == nil {
-		return 0
-	}
-	return c.nhM[int(ai)*len(c.nodeList)+int(bi)]
-}
-
-// push reconciles one installed entry of dt — the next hop toward dst at
-// destination-DC index i, or at host slot i when host is set — with via
-// (0 = no entry), returning 1 when an existing next hop moved to a
-// different valid hop. Rows grow on demand: a sink registered after the
-// last index rebuild starts with empty ones. Modifying pushes inside a
-// recompute session advance the table epoch first (epochWrite), so the
-// sink snapshots the old version before the write lands.
-func (c *Controller) push(dt *dcTables, host bool, i int32, dst, via core.NodeID) int {
+// push reconciles one installed entry of dt — the next hop toward the DC
+// dst at destination index i — with via (0 = no entry), returning 1 when
+// an existing next hop moved to a different valid hop. The row grows on
+// demand: a sink registered after the last index rebuild starts with an
+// empty one. Modifying pushes inside a recompute session advance the
+// table epoch first (epochWrite), so the sink snapshots the old version
+// before the write lands.
+func (c *Controller) push(dt *dcTables, i int32, dst, via core.NodeID) int {
 	if dt == nil {
 		return 0
 	}
-	row := &dt.instDC
-	if host {
-		row = &dt.instHost
+	for int(i) >= len(dt.instDC) {
+		dt.instDC = append(dt.instDC, 0)
 	}
-	for int(i) >= len(*row) {
-		*row = append(*row, 0)
-	}
-	old := (*row)[i]
+	old := dt.instDC[i]
 	if old == via {
 		return 0
 	}
@@ -548,7 +479,7 @@ func (c *Controller) push(dt *dcTables, host bool, i int32, dst, via core.NodeID
 	} else {
 		dt.sink.SetRoute(dst, via)
 	}
-	(*row)[i] = via
+	dt.instDC[i] = via
 	c.stats.Pushes++
 	if old == 0 || via == 0 {
 		return 0

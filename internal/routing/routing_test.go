@@ -42,18 +42,20 @@ func buildLine() (*Controller, map[core.NodeID]*fakeSink) {
 	return c, sinks
 }
 
-// nextHop reads the next hop installed at dc toward dst (a DC, host, or
-// group destination): what the controller last pushed to dc's sink.
+// nextHop reads the next hop installed at dc toward dst: what the
+// controller last pushed to dc's sink for a DC, and for a host or group
+// the entry for its home DC (none at the home itself).
 func (c *Controller) nextHop(dc, dst core.NodeID) (core.NodeID, bool) {
 	dt := c.dcs[dc]
 	if dt == nil {
 		return 0, false
 	}
+	if home, ok := c.homes[dst]; ok {
+		dst = home
+	}
 	var via core.NodeID
 	if di, ok := c.idxOf[dst]; ok && int(di) < len(dt.instDC) {
 		via = dt.instDC[di]
-	} else if slot, ok := c.hostSlot[dst]; ok && int(slot) < len(dt.instHost) {
-		via = dt.instHost[slot]
 	}
 	return via, via != 0
 }
@@ -82,17 +84,23 @@ func TestLinePathsAndNextHops(t *testing.T) {
 	}
 }
 
-func TestHostRoutesPushed(t *testing.T) {
+func TestHostsRouteThroughHome(t *testing.T) {
 	c, sinks := buildLine()
 	c.AttachHost(100, 4) // host near DC 4
-	// Every DC routes host 100 toward DC 4's next hop; DC 4 delivers
-	// directly (no entry).
-	if sinks[1].routes[100] != 2 || sinks[2].routes[100] != 3 || sinks[3].routes[100] != 4 {
-		t.Errorf("host routes wrong: %v %v %v",
-			sinks[1].routes[100], sinks[2].routes[100], sinks[3].routes[100])
+	c.SetLinkHealth(3, 4, LinkDown, 0)
+	c.SetLinkHealth(3, 4, LinkUp, 0)
+	// No sink holds an entry for the host, across attach and recomputes:
+	// every DC reaches it through its route to DC 4.
+	for dc, s := range sinks {
+		if via, ok := s.routes[100]; ok {
+			t.Errorf("DC %v holds a host entry via %v", dc, via)
+		}
 	}
-	if _, ok := sinks[4].routes[100]; ok {
-		t.Error("home DC got a route entry for its own host")
+	if home, ok := c.Home(100); !ok || home != 4 {
+		t.Errorf("Home(100) = %v %v, want 4", home, ok)
+	}
+	if via, ok := c.nextHop(1, 100); !ok || via != 2 {
+		t.Errorf("DC 1 reaches host 100 via %v %v, want 2", via, ok)
 	}
 }
 
@@ -110,13 +118,13 @@ func TestLinkDownReroutesAndCounts(t *testing.T) {
 	c.SetLink(1, 3, 20*time.Millisecond)
 	c.SetLink(3, 4, 20*time.Millisecond)
 	c.AttachHost(100, 4)
-	if sinks[1].routes[4] != 2 || sinks[1].routes[100] != 2 {
+	if sinks[1].routes[4] != 2 {
 		t.Fatalf("primary path not via 2: %v", sinks[1].routes)
 	}
 	pre := c.Stats()
 
 	c.SetLinkHealth(2, 4, LinkDown, 0)
-	if sinks[1].routes[4] != 3 || sinks[1].routes[100] != 3 {
+	if sinks[1].routes[4] != 3 {
 		t.Errorf("after failure, 1's routes = %v, want via 3", sinks[1].routes)
 	}
 	if lat, ok := c.PathLatency(1, 4); !ok || lat != 40*time.Millisecond {

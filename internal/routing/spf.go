@@ -221,8 +221,8 @@ func (w *spfWork) firstHop(dstIdx int32) int32 {
 
 // ensureTopo refreshes the index-space view after structural graph
 // changes: nodeList/idxOf and the adjacency always, and — when nodes
-// joined — the routed distM/nhM tables, each DC's installed rows and the
-// host home caches, all remapped onto the new index assignment (nodes
+// joined — the routed distM/nhM tables and each DC's installed row, all
+// remapped onto the new index assignment (nodes
 // are never removed, so every previous ID keeps a slot and an unchanged
 // count means an unchanged assignment). Pure weight/health changes leave
 // the structure generation alone, so the common case is a cheap
@@ -281,13 +281,6 @@ func (c *Controller) remapTables(prev []core.NodeID) {
 			}
 		}
 		dt.instDC = row
-	}
-	for slot, h := range c.hostID {
-		if hi, ok := c.idxOf[c.homes[h]]; ok {
-			c.hostHomeIdx[slot] = hi
-		} else {
-			c.hostHomeIdx[slot] = -1
-		}
 	}
 }
 

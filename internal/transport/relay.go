@@ -15,8 +15,9 @@ import (
 	"jqos/internal/wire"
 )
 
-// HostBinding tells a relay which DC serves an endpoint (the spatial
-// grouping input for coding and the egress decision for caching).
+// HostBinding tells a relay which DC serves an endpoint: the DC the core
+// reaches it through, the spatial grouping input for coding and the
+// egress decision for caching.
 type HostBinding struct {
 	Host core.NodeID
 	DC   core.NodeID
@@ -84,9 +85,6 @@ func NewRelay(ep *Endpoint, cfg RelayConfig, bindings []HostBinding) (*Relay, er
 	r.dp = dp
 	for _, b := range bindings {
 		r.nearest[b.Host] = b.DC
-		if b.DC != ep.Self {
-			dp.Forwarder.SetRoute(b.Host, b.DC)
-		}
 	}
 	ep.Handler = r.handle
 	return r, nil

@@ -26,30 +26,33 @@
 //
 // What a DC does with a message is one sans-IO core, dataplane.Core:
 // service dispatch, and the one function that picks the hop a message
-// leaves on (pinned path, epoch-tagged table, direct link, nearest DC).
-// It asks its runtime four things through dataplane.Env — is this hop
-// linked, which DC serves this host, what is this flow's path-policy key,
-// send these bytes. DCNode is the emulator backend: it adds the probe and
-// congestion control channel, trace spans, and an egress through the
-// per-link scheduler and load registry, where cloud egress is billed
-// (EgressBytes). transport.Relay is the socket
-// backend: it adds a UDP endpoint, a mutex and a wall-clock timer.
+// leaves on (pinned path, epoch-tagged table, direct link). Tables name
+// DCs only: a host or group is reached through the tagged route to its
+// home DC, which delivers over its direct link. The core asks its runtime
+// four things through dataplane.Env — is this hop linked, which DC is this
+// host's home, what is this flow's path-policy key, send these bytes.
+// DCNode is the emulator backend: it adds the probe and congestion control
+// channel, trace spans, and an egress through the per-link scheduler and
+// load registry, where cloud egress is billed (EgressBytes).
+// transport.Relay is the socket backend: it adds a UDP endpoint, a mutex
+// and a wall-clock timer.
 //
 // # Routing control plane
 //
 // Overlays need not be full meshes: internal/routing holds the inter-DC
 // link graph, computes all-pairs shortest paths (deterministic Dijkstra,
-// plus Yen k-alternate paths), and pushes next-hop tables to every DC's
-// forwarder, so forwarded traffic crosses as many overlay hops as the
-// graph requires. Every link event — edit, health verdict, utilization
-// reweight — recomputes every source's tree on one index-space Dijkstra,
-// so the tables depend on the graph's state alone, never on the order of
-// the events that led there (a differential test holds them to a
-// controller built fresh from the same links).
+// plus Yen k-alternate paths), and pushes DC→DC next-hop tables to every
+// DC's forwarder, so forwarded traffic crosses as many overlay hops as the
+// graph requires; a host or group only records its home DC (AttachHost).
+// Every link event — edit, health verdict, utilization reweight —
+// recomputes every source's tree on one index-space Dijkstra, so the
+// tables depend on the graph's state alone, never on the order of the
+// events that led there (a differential test holds them to a controller
+// built fresh from the same links).
 //
-// Table pushes are make-before-break. Each recompute opens a new table
-// EPOCH at every forwarder it touches; cloud copies are stamped at the
-// ingress DC with the epoch they entered under (a 2-bit wire tag), and
+// Table pushes are make-before-break. Each recompute that moves a route
+// opens a new table EPOCH at every forwarder; cloud copies are stamped at
+// the ingress DC with the epoch they entered under (a 2-bit wire tag), and
 // transit DCs resolve old-epoch packets — hop re-resolution included —
 // against the retiring table for a 200 ms drain window before the
 // overlay is dropped. A reroute therefore never re-resolves traffic
@@ -727,6 +730,8 @@ func WithAccessLossModel(m netem.LossModel) HostOption {
 }
 
 // AddHost creates an endpoint attached to dc with one-way latency delta.
+// dc is the host's home: every other DC reaches the host through its
+// route to dc (multi-hop on sparse graphs).
 func (d *Deployment) AddHost(dc core.NodeID, delta time.Duration, opts ...HostOption) core.NodeID {
 	var p hostParams
 	for _, o := range opts {
@@ -749,8 +754,6 @@ func (d *Deployment) AddHost(dc core.NodeID, delta time.Duration, opts ...HostOp
 	}
 	d.net.Connect(id, dc, up)
 	d.net.Connect(dc, id, netem.NewLink(d.sim, mkDelay(), nil))
-	// The control plane routes the host at every DC: toward the next hop
-	// on the shortest path to its home DC (multi-hop on sparse graphs).
 	d.ctrl.AttachHost(id, dc)
 	return id
 }
@@ -794,8 +797,9 @@ func (d *Deployment) seedDirectEstimate(src, dst core.NodeID, delay netem.DelayM
 }
 
 // AddGroup installs a multicast group on a DC's forwarder. The group
-// address is attached to the control plane like a host, so every other DC
-// routes it toward its home DC automatically.
+// address is attached to the control plane like a host, with dc as its
+// home: every other DC reaches the group through its route to dc, where
+// the forwarder fans it out.
 func (d *Deployment) AddGroup(dc core.NodeID, group core.NodeID, members ...core.NodeID) {
 	d.DC(dc).dp.Forwarder.SetGroup(group, members...)
 	d.ctrl.AttachHost(group, dc)
