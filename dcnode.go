@@ -82,8 +82,8 @@ func (e *dcEnv) NearestDC(host core.NodeID) (core.NodeID, bool) { return e.d.ctr
 // and default-policy batching is always safe), else kind and alternate
 // packed so distinct policies never share a cross-stream batch.
 func (e *dcEnv) PathPolicy(flow core.FlowID) uint32 {
-	f, ok := e.d.flows[flow]
-	if !ok || f.spec.Path.Kind == PathFastest {
+	f := e.d.flow(flow)
+	if f == nil || f.spec.Path.Kind == PathFastest {
 		return 0
 	}
 	return uint32(f.spec.Path.Kind)<<16 | uint32(uint16(f.spec.Path.Alternate))

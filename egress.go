@@ -131,8 +131,8 @@ func (q *egressQueue) pump() {
 // Unattributable packets (forged or flowless) have nobody to tell; the
 // per-link scheduler counters still count them.
 func (d *Deployment) noteEgressDrop(flow core.FlowID, cls core.Service, size int) {
-	f, ok := d.flows[flow]
-	if !ok {
+	f := d.flow(flow)
+	if f == nil {
 		return
 	}
 	f.metrics.EgressDropped++

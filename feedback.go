@@ -268,8 +268,8 @@ func (p *feedbackPlane) deliver(ingress core.NodeID, sig CongestionSignal) {
 	p.flowScratch = p.reg.FlowsAt(p.flowScratch[:0], ingress, sig.LinkA, sig.LinkB, core.Service(sig.Class))
 	p.tenantScratch = p.tenantScratch[:0]
 	for _, id := range p.flowScratch {
-		f, ok := p.d.flows[id]
-		if !ok {
+		f := p.d.flow(id)
+		if f == nil {
 			continue
 		}
 		p.stats.FlowSignals++

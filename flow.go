@@ -1,6 +1,7 @@
 package jqos
 
 import (
+	"slices"
 	"time"
 
 	"jqos/internal/core"
@@ -124,6 +125,14 @@ type Flow struct {
 	// ticker stops, and the deployment no longer tracks it.
 	closed bool
 
+	// recvHosts lists the hosts that built receiver state for the flow
+	// (destinations, mid-join multicast members, mobility hand-off
+	// targets), so Close frees exactly its footprint instead of sweeping
+	// every host. slo is its SLO watch (nil until the first budgeted
+	// delivery or sweep). Close releases both.
+	recvHosts []core.NodeID
+	slo       *sloFlowWatch
+
 	// traceEvery selects every Nth cloud copy for hop-level latency
 	// attribution (0 = no sampling), derived from FlowSpec.TraceSampling
 	// at registration. Deterministic — same seed, same sampled packets.
@@ -153,10 +162,12 @@ func (f *Flow) Closed() bool { return f.closed }
 // forwarder entries are removed), every receiving endpoint
 // returns its recovery state to the host for reuse, the adaptation ticker
 // stops, and further Sends are no-ops. Metrics and Changes stay readable,
-// but the deployment no longer lists the flow and late in-flight packets
-// are no longer tracked (receivers recreate transient state for them and
-// no event is emitted). Close is idempotent — the prerequisite for
-// workloads of millions of short-lived flows.
+// but the flow leaves the deployment's open list (Flows, Snapshot,
+// TenantStats and every control loop stop visiting it) and late in-flight
+// packets are no longer tracked (receivers recreate transient state for
+// them and no event is emitted). Nothing per-flow outlives Close in the
+// deployment. Close is idempotent — the prerequisite for workloads of
+// millions of short-lived flows.
 func (f *Flow) Close() {
 	if f.closed {
 		return
@@ -165,20 +176,17 @@ func (f *Flow) Close() {
 	f.adapt.Stop()
 	d := f.d
 	d.ctrl.UnpinFlow(f.id)
-	// Free exactly the hosts that ever built receiver state for this
-	// flow (the deployment indexes them at creation): destinations,
-	// mid-join multicast members, and mobility hand-off targets alike —
-	// without an O(#hosts) sweep per teardown.
-	for _, id := range d.recvHosts[f.id] {
+	for _, id := range f.recvHosts {
 		if h, ok := d.hosts[id]; ok {
 			h.core.Drop(f.id)
 		}
 	}
-	delete(d.recvHosts, f.id)
+	f.recvHosts = nil
 	// DC1-side encoder state (in-stream queue, cross-queue cursor) must
 	// go too, or flow churn grows every encoder map without bound. Any
 	// DC may have played DC1 for this flow over its lifetime, and DCs
-	// are few — sweep them all.
+	// are few — sweep them all. Map order cannot matter: ForgetFlow
+	// emits nothing.
 	for _, dc := range d.dcs {
 		dc.dp.Encoder.ForgetFlow(f.id)
 	}
@@ -195,9 +203,9 @@ func (f *Flow) Close() {
 			d.armTenantPacerTick()
 		}
 	}
-	delete(d.flows, f.id)
+	d.open = slices.DeleteFunc(d.open, func(o *Flow) bool { return o == f })
 	d.tel.forgetFlow(f)
-	f.activePath, f.primary = nil, nil
+	f.activePath, f.primary, f.slo = nil, nil, nil
 }
 
 // Service returns the currently selected service.

@@ -362,7 +362,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		})
 	}
 	d.nextFlow++
-	d.flows[f.id] = f
+	d.open = append(d.open, f)
 	if tn != nil {
 		tn.AddFlow()
 	}
@@ -611,26 +611,20 @@ type pathNote struct {
 // policy parked with no path) whose primary changed — Path() takes the
 // new primary, a parked policy re-resolves — and (3) re-resolves each
 // RepinOnHeal flow off its preferred path once all that path's links
-// are up. Phases 1 and 2 collect their flows before any moves, so a
-// subscriber that closes or registers flows cannot change which flows
-// this recompute moves. A move re-keys the feedback subscription (it
-// keys on the path's links), re-sizes the admission contract and emits
-// a reroute event.
+// are up. The pass walks a copy of the open list taken at its start, and
+// phases 1 and 2 collect their flows before any moves, so a subscriber
+// that closes or registers flows cannot change which flows this
+// recompute visits; a flow it closes is skipped. A move re-keys the
+// feedback subscription (it keys on the path's links), re-sizes the
+// admission contract and emits a reroute event.
 func (d *Deployment) onRecompute() {
-	ids := d.passIDs[:0]
-	for id := range d.flows {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	notes := d.passNotes[:0]
-	for _, id := range ids { // 1: dead pins (a pinned flow has a path and follows no primary)
-		f := d.flows[id]
+	pass, notes := append(d.pass[:0], d.open...), d.passNotes[:0]
+	for _, f := range pass { // 1: dead pins (a pinned flow has a path and follows no primary)
 		if _, alive := d.ctrl.PathCost(f.activePath); !alive && len(f.activePath) >= 2 && f.follow == [2]core.NodeID{} {
 			notes = append(notes, pathNote{f, f.activePath})
 		}
 	}
-	for _, id := range ids { // 2: primaries that moved
-		f := d.flows[id]
+	for _, f := range pass { // 2: primaries that moved
 		if cur := d.ctrl.Primary(f.follow[0], f.follow[1]); f.follow != [2]core.NodeID{} && !slices.Equal(cur, f.primary) {
 			notes = append(notes, pathNote{f, f.primary})
 			f.primary = append([]core.NodeID(nil), cur...)
@@ -650,11 +644,8 @@ func (d *Deployment) onRecompute() {
 		f.resizeContract()
 		f.traceReroute(n.old)
 	}
-	clear(notes)
-	d.passIDs, d.passNotes = ids, notes[:0]
-	for _, id := range ids { // 3: preferred paths that healed
-		f := d.flows[id]
-		if f == nil || len(f.preferredPath) == 0 || slices.Equal(f.activePath, f.preferredPath) {
+	for _, f := range pass { // 3: preferred paths that healed
+		if f.closed || len(f.preferredPath) == 0 || slices.Equal(f.activePath, f.preferredPath) {
 			continue
 		}
 		if _, ok := d.ctrl.PathCost(f.preferredPath); !ok {
@@ -668,4 +659,7 @@ func (d *Deployment) onRecompute() {
 			f.traceReroute(old)
 		}
 	}
+	clear(pass) // the buffers must not keep closed flows reachable
+	clear(notes)
+	d.pass, d.passNotes = pass[:0], notes[:0]
 }

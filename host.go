@@ -63,13 +63,13 @@ func (h *Host) Dropped() uint64 { return h.drop + h.core.Dropped() }
 // hostEnv is Host as its receiving core's environment.
 type hostEnv Host
 
-// Flow: live while the deployment lists the flow, closed once an allocated
-// ID is no longer listed. A live flow's receiver is seeded with twice the
-// direct-path latency from its source, when one is installed.
+// Flow: live while the deployment's open list holds the flow, closed
+// once an allocated ID (below nextFlow) has left it, unknown otherwise.
+// A live flow's receiver is seeded with twice the direct-path latency
+// from its source, when one is installed.
 func (e *hostEnv) Flow(id core.FlowID) (dataplane.FlowState, core.Time) {
-	f, live := e.d.flows[id]
-	switch {
-	case live:
+	switch f := e.d.flow(id); {
+	case f != nil:
 		return dataplane.FlowLive, 2 * e.d.topo.Direct(f.src, e.id)
 	case id < e.d.nextFlow:
 		return dataplane.FlowClosed, 0
@@ -77,12 +77,14 @@ func (e *hostEnv) Flow(id core.FlowID) (dataplane.FlowState, core.Time) {
 	return dataplane.FlowUnknown, 0
 }
 
-// Holding indexes the host for the flow's teardown: Flow.Close frees
-// exactly the hosts that ever built a receiver for it. Never-allocated IDs
-// are not indexed — they have no Close to free the entry, and a forged
-// Flow field must not grow a deployment-wide map.
+// Holding records the host on the open flow's recvHosts, so Flow.Close
+// frees exactly the hosts that ever built a receiver for it. The core
+// calls it only for live flows; closed and never-allocated IDs have no
+// Close to free an entry, so they get none.
 func (e *hostEnv) Holding(id core.FlowID) {
-	e.d.recvHosts[id] = append(e.d.recvHosts[id], e.id)
+	if f := e.d.flow(id); f != nil {
+		f.recvHosts = append(f.recvHosts, e.id)
+	}
 }
 
 // Send relays through the host's DC when it has no direct link to the
@@ -99,7 +101,7 @@ func (e *hostEnv) Send(to core.NodeID, msg []byte) {
 }
 
 func (e *hostEnv) Deliver(del core.Delivery) {
-	if f, ok := e.d.flows[del.Packet.ID.Flow]; ok {
+	if f := e.d.flow(del.Packet.ID.Flow); f != nil {
 		f.recordDelivery(del)
 	}
 	if e.onDeliver != nil {

@@ -5,7 +5,7 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"jqos/internal/core"
 	"jqos/internal/dataset"
@@ -34,7 +34,10 @@ type Topology struct {
 	order   []core.NodeID // insertion order for deterministic iteration
 	nearest map[core.NodeID]core.NodeID
 	delta   map[core.NodeID]core.Time
-	direct  map[[2]core.NodeID]core.Time
+	// deltas holds every attached host's δ in ascending order, so the
+	// coding prediction's median is its middle element, not a sort.
+	deltas []core.Time
+	direct map[[2]core.NodeID]core.Time
 	// oracle answers InterDC with routed path latency — so sparse
 	// (non-mesh) overlays predict delays and select services for DC
 	// pairs with no direct link, and predictions track link health.
@@ -84,7 +87,13 @@ func (t *Topology) AttachHost(host, dc core.NodeID, delta core.Time) {
 		panic(fmt.Sprintf("overlay: attaching %v to unknown DC %v", host, dc))
 	}
 	t.nearest[host] = dc
+	if old, ok := t.delta[host]; ok {
+		i, _ := slices.BinarySearch(t.deltas, old)
+		t.deltas = slices.Delete(t.deltas, i, i+1)
+	}
 	t.delta[host] = delta
+	i, _ := slices.BinarySearch(t.deltas, delta)
+	t.deltas = slices.Insert(t.deltas, i, delta)
 }
 
 // NearestDC returns the DC serving a host, or (0, false) for unknown hosts.
@@ -111,19 +120,14 @@ func (t *Topology) Direct(src, dst core.NodeID) core.Time {
 	return t.direct[[2]core.NodeID{src, dst}]
 }
 
-// medianHostDelta computes the median δ across attached hosts: the
-// typical helper distance of the coding delay prediction (cooperative
-// recovery contacts other receivers via their own δ).
+// medianHostDelta is the median δ across attached hosts: the typical
+// helper distance of the coding delay prediction (cooperative recovery
+// contacts other receivers via their own δ).
 func (t *Topology) medianHostDelta() core.Time {
-	if len(t.delta) == 0 {
+	if len(t.deltas) == 0 {
 		return 0
 	}
-	ds := make([]core.Time, 0, len(t.delta))
-	for _, d := range t.delta {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2]
+	return t.deltas[len(t.deltas)/2]
 }
 
 // PredictDelay estimates the end-to-end packet delivery latency of a

@@ -2,6 +2,8 @@ package overlay
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -128,6 +130,27 @@ func TestPredictDelayMedianDerived(t *testing.T) {
 	d, ok := top.PredictDelay(core.ServiceCoding, 10, 20)
 	if !ok || d != (70+20)*time.Millisecond {
 		t.Errorf("coding with derived median = %v %v", d, ok)
+	}
+}
+
+// TestMedianHostDeltaMatchesSort holds the kept ascending δ list to a
+// sort of every attached host's current δ, across re-attaches that move
+// a host's δ and ties between hosts.
+func TestMedianHostDeltaMatchesSort(t *testing.T) {
+	top := NewTopology(staticOracle{})
+	top.AddDC(DC{ID: 1})
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 500; step++ {
+		host := core.NodeID(10 + rng.Intn(20))
+		top.AttachHost(host, 1, time.Duration(rng.Intn(8))*time.Millisecond)
+		ds := make([]core.Time, 0, len(top.delta))
+		for _, d := range top.delta {
+			ds = append(ds, d)
+		}
+		slices.Sort(ds)
+		if got, want := top.medianHostDelta(), ds[len(ds)/2]; got != want || len(top.deltas) != len(ds) {
+			t.Fatalf("step %d: median %v over %d δs, want %v over %d", step, got, len(top.deltas), want, len(ds))
+		}
 	}
 }
 

@@ -425,7 +425,9 @@
 package jqos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"jqos/internal/coding"
@@ -569,23 +571,23 @@ type Deployment struct {
 	tenantCost  *netem.Ticker
 	tenantPacer *netem.Timer
 
-	// passIDs and passNotes are the post-recompute pass's buffers
+	// pass and passNotes are the post-recompute pass's buffers
 	// (onRecompute), reused so an idle pass allocates nothing.
-	passIDs   []core.FlowID
+	pass      []*Flow
 	passNotes []pathNote
 
+	// nextNode and nextFlow are the next IDs to allocate; a flow ID below
+	// nextFlow that open does not hold names a closed flow.
 	nextNode core.NodeID
 	nextFlow core.FlowID
 
 	dcs   map[core.NodeID]*DCNode
 	hosts map[core.NodeID]*Host
-	flows map[core.FlowID]*Flow
 
-	// recvHosts indexes which hosts hold receiver state per flow, so
-	// Flow.Close frees exactly the flow's footprint (destinations,
-	// mid-join multicast members, mobility hand-off targets) instead of
-	// sweeping every host in the deployment.
-	recvHosts map[core.FlowID][]core.NodeID
+	// open holds the open flows in ascending ID order, which is
+	// registration order: RegisterFlow appends, Flow.Close removes, every
+	// walk over flows ranges it and flow binary-searches it.
+	open []*Flow
 
 	// Link-health probing (see probe.go). activity counts application
 	// sends; probers park when it stops moving so the simulator can drain.
@@ -603,18 +605,16 @@ func NewDeploymentWithConfig(seed int64, cfg Config) *Deployment {
 	sim := netem.NewSimulator(seed)
 	ctrl := routing.NewController(kAltPaths)
 	d := &Deployment{
-		cfg:       cfg,
-		sim:       sim,
-		net:       netem.NewNetwork(),
-		topo:      overlay.NewTopology(ctrl),
-		ctrl:      ctrl,
-		nextNode:  1,
-		nextFlow:  1,
-		dcs:       make(map[core.NodeID]*DCNode),
-		hosts:     make(map[core.NodeID]*Host),
-		flows:     make(map[core.FlowID]*Flow),
-		recvHosts: make(map[core.FlowID][]core.NodeID),
-		tenants:   tenant.NewRegistry(),
+		cfg:      cfg,
+		sim:      sim,
+		net:      netem.NewNetwork(),
+		topo:     overlay.NewTopology(ctrl),
+		ctrl:     ctrl,
+		nextNode: 1,
+		nextFlow: 1,
+		dcs:      make(map[core.NodeID]*DCNode),
+		hosts:    make(map[core.NodeID]*Host),
+		tenants:  tenant.NewRegistry(),
 	}
 	d.tenantPacer = sim.NewTimer(d.tenantPacerRun)
 	d.loadReg = load.NewRegistry(loadWindow)
@@ -818,7 +818,7 @@ func (d *Deployment) EgressBytes(dc core.NodeID) uint64 {
 // TotalEgressBytes sums egress across all DCs.
 func (d *Deployment) TotalEgressBytes() uint64 {
 	var t uint64
-	for _, n := range d.dcs {
+	for _, n := range d.dcs { // map order cannot matter: an integer sum
 		t += n.billed
 	}
 	return t
@@ -830,15 +830,20 @@ func (d *Deployment) CloudCost() float64 {
 	return float64(d.TotalEgressBytes()) / 1e9 * overlay.DefaultCostModel.EgressPerGB
 }
 
-// Flows returns every open flow, ascending ID.
+// Flows returns every open flow, ascending ID. The slice is the
+// caller's own: closing flows while ranging over it is safe.
 func (d *Deployment) Flows() []*Flow {
-	out := make([]*Flow, 0, len(d.flows))
-	for id := core.FlowID(1); id < d.nextFlow; id++ {
-		if f, ok := d.flows[id]; ok {
-			out = append(out, f)
-		}
+	return append(make([]*Flow, 0, len(d.open)), d.open...)
+}
+
+// flow returns the open flow with the given ID, or nil when the ID is
+// closed or was never allocated.
+func (d *Deployment) flow(id core.FlowID) *Flow {
+	i, ok := slices.BinarySearchFunc(d.open, id, func(f *Flow, id core.FlowID) int { return cmp.Compare(f.id, id) })
+	if !ok {
+		return nil
 	}
-	return out
+	return d.open[i]
 }
 
 // HostIDs returns every host endpoint's node ID in ascending order —

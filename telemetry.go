@@ -76,7 +76,6 @@ type telemetryPlane struct {
 	// event is recorded, so chaos accounting can reconcile them against
 	// the ring's per-kind counts.
 	slo         telemetry.SLOConfig
-	sloFlows    map[core.FlowID]*sloFlowWatch
 	sloClasses  [telemetry.NumClasses]*telemetry.SLOTracker
 	sloTenants  map[core.TenantID]*telemetry.SLOTracker
 	sloDegrades uint64
@@ -116,7 +115,6 @@ func newTelemetryPlane(d *Deployment, cfg TelemetryConfig) *telemetryPlane {
 	}
 	if cfg.SLO.Enabled() {
 		p.slo = cfg.SLO.WithDefaults()
-		p.sloFlows = make(map[core.FlowID]*sloFlowWatch)
 		p.sloTenants = make(map[core.TenantID]*telemetry.SLOTracker)
 		interval := p.slo.FastWindow / 4
 		if interval < time.Millisecond {
@@ -182,8 +180,8 @@ func (p *telemetryPlane) noteQueueDepth(depth int64) {
 // observations the windows drain, every tracker steps down, and the
 // ticker parks.
 func (p *telemetryPlane) sloElevated() bool {
-	for _, w := range p.sloFlows {
-		if w.tr.State() != telemetry.SLOMet {
+	for _, f := range p.d.open {
+		if f.slo != nil && f.slo.tr.State() != telemetry.SLOMet {
 			return true
 		}
 	}
@@ -244,19 +242,18 @@ func (p *telemetryPlane) observeDelivery(f *Flow, del core.Delivery, lat core.Ti
 	}
 }
 
-// sloWatch returns (creating on first use) the flow's SLO watch.
+// sloWatch returns the open flow's SLO watch, f.slo, creating it on
+// first use; Flow.Close releases it.
 func (p *telemetryPlane) sloWatch(f *Flow) *sloFlowWatch {
-	w := p.sloFlows[f.id]
-	if w == nil {
-		w = &sloFlowWatch{
+	if f.slo == nil {
+		f.slo = &sloFlowWatch{
 			tr:             telemetry.NewSLOTracker(p.slo),
 			lastSent:       f.metrics.Sent,
 			lastDelivered:  f.metrics.Delivered,
 			lastDeliveryAt: time.Duration(p.d.sim.Now()),
 		}
-		p.sloFlows[f.id] = w
 	}
-	return w
+	return f.slo
 }
 
 // sloClassTracker returns (creating on first use) the per-service-class
@@ -288,9 +285,8 @@ func (p *telemetryPlane) sloSweep(now time.Duration) {
 		return
 	}
 	d := p.d
-	for id := core.FlowID(1); id < d.nextFlow; id++ {
-		f, ok := d.flows[id]
-		if !ok || f.spec.Budget <= 0 {
+	for _, f := range d.open {
+		if f.spec.Budget <= 0 {
 			continue
 		}
 		w := p.sloWatch(f)
@@ -315,7 +311,7 @@ func (p *telemetryPlane) sloSweep(now time.Duration) {
 				w.lastSent = m.Sent
 			}
 		}
-		p.sloEval(w.tr, now, telemetry.Event{Flow: id})
+		p.sloEval(w.tr, now, telemetry.Event{Flow: f.id})
 	}
 	for c := 0; c < telemetry.NumClasses; c++ {
 		if tr := p.sloClasses[c]; tr != nil {
@@ -393,16 +389,11 @@ func (p *telemetryPlane) spanDropMsg(msg []byte) {
 	}
 }
 
-// forgetFlow releases a closing flow's observability state: its spend
-// profile (the (link, class) queue aggregates outlive flows) and its
-// SLO watch. Class and tenant trackers persist — they aggregate across
-// flow churn by design.
-func (p *telemetryPlane) forgetFlow(f *Flow) {
-	p.spans.ForgetFlow(f.id)
-	if p.sloFlows != nil {
-		delete(p.sloFlows, f.id)
-	}
-}
+// forgetFlow releases a closing flow's spend profile (the (link, class)
+// queue aggregates outlive flows). Its SLO watch lives on the Flow and
+// goes with Close; class and tenant trackers persist — they aggregate
+// across flow churn by design.
+func (p *telemetryPlane) forgetFlow(f *Flow) { p.spans.ForgetFlow(f.id) }
 
 // sloSnapshot assembles the SLO section of a snapshot, deterministically
 // ordered like the sweep.
@@ -419,13 +410,12 @@ func (p *telemetryPlane) sloSnapshot(now time.Duration) telemetry.SLOSnapshot {
 	s.FastWin = p.slo.FastWindow
 	s.SlowWin = p.slo.SlowWindow
 	d := p.d
-	for id := core.FlowID(1); id < d.nextFlow; id++ {
-		w, ok := p.sloFlows[id]
-		if !ok {
+	for _, f := range d.open {
+		if f.slo == nil {
 			continue
 		}
-		e := sloEntry(w.tr, now)
-		e.Flow = id
+		e := sloEntry(f.slo.tr, now)
+		e.Flow = f.id
 		s.Flows = append(s.Flows, e)
 	}
 	for c := 0; c < telemetry.NumClasses; c++ {
@@ -560,18 +550,12 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 	// Flows, ascending ID. Attribution is enabled while an open flow
 	// samples hop traces.
 	n := 0
-	for id := core.FlowID(1); id < d.nextFlow; id++ {
-		if f, ok := d.flows[id]; ok {
-			n += f.snapNodes()
-		}
+	for _, f := range d.open {
+		n += f.snapNodes()
 	}
 	nodes := make([]core.NodeID, n)
 	traced := false
-	for id := core.FlowID(1); id < d.nextFlow; id++ {
-		f, ok := d.flows[id]
-		if !ok {
-			continue
-		}
+	for _, f := range d.open {
 		traced = traced || f.traceEvery > 0
 		fs := flowSnap(f, &nodes)
 		s.Flows = append(s.Flows, fs)

@@ -48,15 +48,15 @@ func (d *Deployment) TenantStats(id TenantID) (telemetry.TenantSnapshot, bool) {
 		return telemetry.TenantSnapshot{}, false
 	}
 	n := 0
-	for fid := core.FlowID(1); fid < d.nextFlow; fid++ {
-		if f, ok := d.flows[fid]; ok && f.spec.Tenant == id {
+	for _, f := range d.open {
+		if f.spec.Tenant == id {
 			n += f.snapNodes()
 		}
 	}
 	nodes := make([]core.NodeID, n)
 	var members []telemetry.FlowSnapshot
-	for fid := core.FlowID(1); fid < d.nextFlow; fid++ {
-		if f, ok := d.flows[fid]; ok && f.spec.Tenant == id {
+	for _, f := range d.open {
+		if f.spec.Tenant == id {
 			members = append(members, flowSnap(f, &nodes))
 		}
 	}
@@ -100,9 +100,8 @@ func (d *Deployment) tenantCostRun() {
 		var bytes uint64
 		var victim *Flow
 		var victimPrice float64
-		for id := core.FlowID(1); id < d.nextFlow; id++ {
-			f, ok := d.flows[id]
-			if !ok || f.tenant != t {
+		for _, f := range d.open {
+			if f.tenant != t {
 				continue
 			}
 			price := f.costPerGB(f.service)
