@@ -4,53 +4,93 @@
 // (loss recovery), disconnected receivers drain their flow's backlog
 // (mobility/DTN rendezvous, Figure 3e), and hybrid multicast receivers
 // repair from the cached copy (Figure 3d).
+//
+// A cached packet is a slot held by value in its flow's window, a ring of
+// slots indexed by seq − the window's base seq, gaps left empty. One
+// put-order ring of (window, seq) refs drives TTL expiry and byte-cap
+// eviction. So the store keeps no map of packets and no heap object per
+// packet, and a steady Put reuses a payload buffer that expiry freed.
 package cache
 
 import (
-	"cmp"
-	"slices"
-
 	"jqos/internal/core"
 	"jqos/internal/ring"
 )
 
 // Stats counts cache effectiveness for experiments.
 type Stats struct {
-	Puts      uint64
-	Hits      uint64
-	Misses    uint64
-	Expired   uint64
-	Evicted   uint64
+	Puts    uint64
+	Hits    uint64
+	Misses  uint64
+	Expired uint64
+	Evicted uint64
+	// Refused counts the Puts not cached because their flow's window
+	// would have spanned more than maxSpan seqs.
+	Refused   uint64
 	BytesHeld uint64
 }
 
-// entry is one cached packet, linked into the store's expiry FIFO — or, once
-// out of the cache, into the spare list (by next alone), payload buffer kept.
-type entry struct {
-	id         core.PacketID
-	payload    []byte
-	expires    core.Time
-	prev, next *entry
-}
-
-// maxSpare bounds the spare list: enough for the puts landing in one instant
-// to reuse what that instant's expiry freed; an idle cache holds no more.
+// maxSpare bounds the spare buffer list: enough for the puts landing in one
+// instant to reuse what that instant's expiry freed; an idle cache holds no
+// more.
 const maxSpare = 64
 
-// seqIndex is one flow's cached seqs in insertion order. TTL expiry and
-// byte-cap eviction both take the store's oldest entry, which is its flow's
-// oldest too unless a re-Put moved it back in the expiry order — so the
-// front leaves in O(1) and the ring is reused as the flow keeps sending;
-// only that re-Put case searches and closes a gap.
-type seqIndex struct{ ring.Ring[core.Seq] }
+// maxSpan bounds a flow's window, in seqs: 1<<16 holds 32 k pkt/s of one
+// flow for a 2 s TTL. The socket relay takes seqs from untrusted datagrams,
+// so a window sized by the distance to a forged seq would be a window of
+// any size.
+const maxSpan = 1 << 16
 
-func (x *seqIndex) remove(q core.Seq) {
-	for i := 0; i < x.Len(); i++ {
-		if *x.At(i) == q {
-			x.Delete(i)
-			return
-		}
+// slot is one cached packet. A nil payload is a gap: a held payload is
+// never nil, even when empty.
+type slot struct {
+	payload []byte
+	expires core.Time
+}
+
+// window is one flow's cached packets, slot i holding seq base+i. Its first
+// and last slots are held, so it spans the flow's lowest to highest cached
+// seq, and the store drops it when its last packet leaves.
+type window struct {
+	flow  core.FlowID
+	base  core.Seq
+	slots ring.Ring[slot]
+}
+
+// at returns seq's slot if it holds a packet, else nil.
+func (w *window) at(seq core.Seq) *slot {
+	// Unsigned, a seq below base is as far out as one past the end.
+	if i := seq - w.base; i < core.Seq(w.slots.Len()) && w.slots.At(int(i)).payload != nil {
+		return w.slots.At(int(i))
 	}
+	return nil
+}
+
+// cover widens the window to seq and returns seq's slot, or nil if the
+// window would then span more than maxSpan seqs.
+func (w *window) cover(seq core.Seq) *slot {
+	if seq < w.base {
+		if w.base-seq > maxSpan-core.Seq(w.slots.Len()) {
+			return nil
+		}
+		for ; w.base > seq; w.base-- {
+			w.slots.PushFront(slot{})
+		}
+		return w.slots.At(0)
+	}
+	if seq-w.base >= maxSpan {
+		return nil
+	}
+	for core.Seq(w.slots.Len()) <= seq-w.base {
+		w.slots.Push(slot{})
+	}
+	return w.slots.At(int(seq - w.base))
+}
+
+// ref names a cached packet in the store's put order.
+type ref struct {
+	w   *window
+	seq core.Seq
 }
 
 // Store is the DC-side packet cache. The zero value is not usable; call
@@ -60,19 +100,15 @@ type Store struct {
 	ttl      core.Time
 	maxBytes uint64
 
-	items map[core.PacketID]*entry
-	// flows indexes cached seqs per flow in insertion order, supporting
-	// DrainFlow for the mobility rendezvous use case. A flow's ring is
-	// dropped when its last packet leaves, so idle flows cost nothing.
-	flows map[core.FlowID]*seqIndex
-	// fifo is the sentinel of a circular list ordering entries by expiry
-	// (constant TTL ⇒ insertion order): fifo.next is the oldest.
-	fifo entry
-	// spare lists up to maxSpare expired or evicted entries for Put to reuse.
-	spare  *entry
-	spares int
-	bytes  uint64
-	stats  Stats
+	// flows holds the window of every flow with a cached packet.
+	flows map[core.FlowID]*window
+	// order refs every cached packet, oldest Put first: expiry order, as
+	// the TTL is constant and the clock never steps back.
+	order ring.Ring[ref]
+	// spare holds up to maxSpare payload buffers of packets that left.
+	spare [][]byte
+	bytes uint64
+	stats Stats
 }
 
 // NewStore creates a cache holding packets for ttl, bounded to maxBytes of
@@ -81,27 +117,19 @@ func NewStore(ttl core.Time, maxBytes uint64) *Store {
 	if ttl <= 0 {
 		panic("cache: TTL must be positive")
 	}
-	s := &Store{
+	return &Store{
 		ttl:      ttl,
 		maxBytes: maxBytes,
-		items:    make(map[core.PacketID]*entry),
-		flows:    make(map[core.FlowID]*seqIndex),
+		flows:    make(map[core.FlowID]*window),
+		spare:    make([][]byte, 0, maxSpare),
 	}
-	s.fifo.prev, s.fifo.next = &s.fifo, &s.fifo
-	return s
-}
-
-// pushBack makes e the newest entry of the expiry FIFO.
-func (s *Store) pushBack(e *entry) {
-	e.prev, e.next = s.fifo.prev, &s.fifo
-	e.prev.next, s.fifo.prev = e, e
 }
 
 // TTL returns the configured packet lifetime.
 func (s *Store) TTL() core.Time { return s.ttl }
 
 // Len returns the number of cached packets.
-func (s *Store) Len() int { return len(s.items) }
+func (s *Store) Len() int { return s.order.Len() }
 
 // Stats returns a copy of the counters.
 func (s *Store) Stats() Stats {
@@ -112,46 +140,56 @@ func (s *Store) Stats() Stats {
 
 // Put caches a packet payload under id. The payload is copied. Re-putting
 // an existing id refreshes the payload and its TTL (the paper's senders
-// never reuse seqs, but retransmissions can race with duplication).
+// never reuse seqs, but retransmissions can race with duplication). A Put
+// that would stretch its flow's window over more than maxSpan seqs is
+// refused and counted in Stats.Refused: the flow's cached packets stay
+// until they expire.
 func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 	s.expire(now)
-	if e, ok := s.items[id]; ok {
-		s.bytes -= uint64(len(e.payload))
-		s.bytes += uint64(len(payload))
-		e.payload = append(e.payload[:0], payload...)
-		e.expires = now + s.ttl
-		e.prev.next, e.next.prev = e.next, e.prev
-		s.pushBack(e)
-	} else {
-		e := s.spare
-		if e == nil {
-			e = &entry{}
-		} else {
-			s.spare, s.spares = e.next, s.spares-1
-		}
-		// A spare's buffer is reused unless the payload would rattle in it:
-		// small packets in MTU-sized buffers trade the allocation for heap.
-		if cap(e.payload) > 2*len(payload) {
-			e.payload = nil
-		}
-		e.id, e.payload, e.expires = id, append(e.payload[:0], payload...), now+s.ttl
-		s.pushBack(e)
-		s.items[id] = e
-		seqs := s.flows[id.Flow]
-		if seqs == nil {
-			seqs = &seqIndex{}
-			s.flows[id.Flow] = seqs
-		}
-		seqs.Push(id.Seq)
-		s.bytes += uint64(len(payload))
-	}
 	s.stats.Puts++
-	if s.maxBytes > 0 {
-		for s.bytes > s.maxBytes && len(s.items) > 0 {
-			s.remove(s.fifo.next)
-			s.stats.Evicted++
+	w := s.flows[id.Flow]
+	if w == nil {
+		w = &window{flow: id.Flow, base: id.Seq}
+		s.flows[id.Flow] = w
+	}
+	sl := w.at(id.Seq)
+	if sl != nil {
+		s.bytes -= uint64(len(sl.payload))
+		sl.payload = append(sl.payload[:0], payload...)
+		// A re-Put is of a recent packet: its ref is found from the back.
+		i := s.order.Len() - 1
+		for *s.order.At(i) != (ref{w, id.Seq}) {
+			i--
+		}
+		s.order.Delete(i)
+	} else {
+		if sl = w.cover(id.Seq); sl == nil {
+			s.stats.Refused++
+			return
+		}
+		sl.payload = append(s.buffer(len(payload)), payload...)
+	}
+	sl.expires = now + s.ttl
+	s.order.Push(ref{w, id.Seq})
+	s.bytes += uint64(len(payload))
+	for s.maxBytes > 0 && s.bytes > s.maxBytes {
+		s.dropOldest()
+		s.stats.Evicted++
+	}
+}
+
+// buffer returns an empty buffer for an n-byte payload: the newest spare,
+// unless the payload would rattle in it — small packets in MTU-sized
+// buffers trade the allocation for heap.
+func (s *Store) buffer(n int) []byte {
+	if k := len(s.spare) - 1; k >= 0 {
+		b := s.spare[k]
+		s.spare[k], s.spare = nil, s.spare[:k]
+		if cap(b) <= 2*n {
+			return b[:0]
 		}
 	}
+	return []byte{}
 }
 
 // Get returns the cached payload for id, if present and unexpired. The
@@ -159,13 +197,14 @@ func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 // so callers must copy if they retain it beyond their call frame.
 func (s *Store) Get(now core.Time, id core.PacketID) ([]byte, bool) {
 	s.expire(now)
-	e, ok := s.items[id]
-	if !ok {
-		s.stats.Misses++
-		return nil, false
+	if w := s.flows[id.Flow]; w != nil {
+		if sl := w.at(id.Seq); sl != nil {
+			s.stats.Hits++
+			return sl.payload, true
+		}
 	}
-	s.stats.Hits++
-	return e.payload, true
+	s.stats.Misses++
+	return nil, false
 }
 
 // DrainFlow returns the cached packets of a flow with sequence > after, in
@@ -175,43 +214,52 @@ func (s *Store) Get(now core.Time, id core.PacketID) ([]byte, bool) {
 // same flow in a multicast).
 func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []core.PacketID {
 	s.expire(now)
-	seqs := s.flows[flow]
-	if seqs == nil {
+	w := s.flows[flow]
+	if w == nil {
 		return nil
 	}
 	var out []core.PacketID
-	for i := 0; i < seqs.Len(); i++ {
-		if seq := *seqs.At(i); seq > after {
-			out = append(out, core.PacketID{Flow: flow, Seq: seq})
+	first := core.Seq(0) // the first slot past after
+	if after >= w.base {
+		first = min(after-w.base, core.Seq(w.slots.Len())) + 1
+	}
+	for i := first; i < core.Seq(w.slots.Len()); i++ {
+		if w.slots.At(int(i)).payload != nil {
+			out = append(out, core.PacketID{Flow: flow, Seq: w.base + i})
 		}
 	}
-	slices.SortFunc(out, func(a, b core.PacketID) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
-// expire drops entries whose TTL passed.
+// expire drops the packets whose TTL passed.
 func (s *Store) expire(now core.Time) {
-	for e := s.fifo.next; e != &s.fifo && e.expires <= now; e = s.fifo.next {
-		s.remove(e)
+	for s.order.Len() > 0 {
+		if r := s.order.At(0); r.w.at(r.seq).expires > now {
+			return
+		}
+		s.dropOldest()
 		s.stats.Expired++
 	}
 }
 
-// remove takes e out of the cache and, while there is room, spares it.
-func (s *Store) remove(e *entry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	delete(s.items, e.id)
-	s.bytes -= uint64(len(e.payload))
-	// Drop the seq from the flow index now, so DrainFlow stays linear in
-	// live entries.
-	seqs := s.flows[e.id.Flow]
-	seqs.remove(e.id.Seq)
-	if seqs.Len() == 0 {
-		delete(s.flows, e.id.Flow)
+// dropOldest takes the oldest packet out of the cache, spares its buffer
+// while there is room, and trims its window to the window's held slots.
+func (s *Store) dropOldest() {
+	r := s.order.PopFront()
+	w, sl := r.w, r.w.at(r.seq)
+	s.bytes -= uint64(len(sl.payload))
+	if len(s.spare) < maxSpare {
+		s.spare = append(s.spare, sl.payload)
 	}
-	e.prev, e.next = nil, nil
-	if s.spares < maxSpare {
-		e.next, s.spare = s.spare, e
-		s.spares++
+	*sl = slot{}
+	for w.slots.Len() > 0 && w.slots.At(0).payload == nil {
+		w.slots.PopFront()
+		w.base++
+	}
+	for w.slots.Len() > 0 && w.slots.At(w.slots.Len()-1).payload == nil {
+		w.slots.PopBack()
+	}
+	if w.slots.Len() == 0 {
+		delete(s.flows, w.flow)
 	}
 }

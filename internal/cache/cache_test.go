@@ -2,11 +2,15 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"jqos/internal/core"
 )
@@ -163,12 +167,20 @@ func TestDrainFlowSkipsExpired(t *testing.T) {
 	}
 }
 
+// TestFlowIndexCompaction: a flow's window goes with its last packet, and
+// the flow's next packet opens a new one at its own seq, however far from
+// the old window.
 func TestFlowIndexCompaction(t *testing.T) {
 	s := NewStore(50*time.Millisecond, 0)
 	s.Put(0, id(7, 1), []byte("a"))
+	s.Put(0, id(7, 900), []byte("b"))
 	s.Get(time.Second, id(7, 1)) // force expiry
 	if len(s.flows) != 0 {
-		t.Errorf("flow index leaked: %v", s.flows)
+		t.Errorf("flow window leaked: %v", s.flows)
+	}
+	s.Put(time.Second, id(7, 1<<40), []byte("c"))
+	if w := s.flows[7]; w == nil || w.base != 1<<40 || w.slots.Len() != 1 {
+		t.Errorf("the flow's next packet found a stale window: %+v", w)
 	}
 }
 
@@ -187,15 +199,13 @@ func TestTTLAccessor(t *testing.T) {
 	}
 }
 
-// modelStore is the reference model for Store: plain slices, linear
-// everywhere, written from the documented behaviour.
+// modelStore is the reference model for Store: one slice in put order,
+// linear everywhere, written from the documented behaviour.
 type modelStore struct {
 	ttl      core.Time
 	maxBytes int
-	fifo     []modelEntry               // expiry order
-	flows    map[core.FlowID][]core.Seq // insertion order
-	expired  uint64
-	evicted  uint64
+	fifo     []modelEntry // expiry order
+	stats    Stats        // BytesHeld unused
 }
 
 type modelEntry struct {
@@ -221,102 +231,176 @@ func (m *modelStore) bytes() int {
 	return n
 }
 
-func (m *modelStore) dropFront() {
-	id := m.fifo[0].id
-	m.fifo = m.fifo[1:]
-	seqs := m.flows[id.Flow]
-	for i, q := range seqs {
-		if q == id.Seq {
-			m.flows[id.Flow] = append(seqs[:i:i], seqs[i+1:]...)
-			break
+// span returns the lowest and highest cached seq of flow; ok is false if
+// it has none.
+func (m *modelStore) span(flow core.FlowID) (lo, hi core.Seq, ok bool) {
+	for _, e := range m.fifo {
+		if e.id.Flow == flow {
+			if !ok {
+				lo, hi, ok = e.id.Seq, e.id.Seq, true
+			}
+			lo, hi = min(lo, e.id.Seq), max(hi, e.id.Seq)
 		}
 	}
+	return lo, hi, ok
 }
 
 func (m *modelStore) expire(now core.Time) {
 	for len(m.fifo) > 0 && m.fifo[0].expires <= now {
-		m.dropFront()
-		m.expired++
+		m.fifo = m.fifo[1:]
+		m.stats.Expired++
 	}
 }
 
 func (m *modelStore) put(now core.Time, id core.PacketID, payload []byte) {
 	m.expire(now)
-	e := modelEntry{id, append([]byte(nil), payload...), now + m.ttl}
+	m.stats.Puts++
 	if i := m.find(id); i >= 0 {
-		m.fifo = append(m.fifo[:i:i], m.fifo[i+1:]...)
-	} else {
-		m.flows[id.Flow] = append(m.flows[id.Flow], id.Seq)
+		m.fifo = slices.Delete(m.fifo, i, i+1)
+	} else if lo, hi, ok := m.span(id.Flow); ok && max(hi, id.Seq)-min(lo, id.Seq) >= maxSpan {
+		m.stats.Refused++
+		return
 	}
-	m.fifo = append(m.fifo, e)
-	for m.maxBytes > 0 && m.bytes() > m.maxBytes && len(m.fifo) > 0 {
-		m.dropFront()
-		m.evicted++
+	m.fifo = append(m.fifo, modelEntry{id, slices.Clone(payload), now + m.ttl})
+	for m.maxBytes > 0 && m.bytes() > m.maxBytes {
+		m.fifo = m.fifo[1:]
+		m.stats.Evicted++
 	}
+}
+
+func (m *modelStore) get(now core.Time, id core.PacketID) ([]byte, bool) {
+	m.expire(now)
+	if i := m.find(id); i >= 0 {
+		m.stats.Hits++
+		return m.fifo[i].payload, true
+	}
+	m.stats.Misses++
+	return nil, false
 }
 
 func (m *modelStore) drain(now core.Time, flow core.FlowID, after core.Seq) []core.PacketID {
 	m.expire(now)
 	var out []core.PacketID
-	for _, q := range m.flows[flow] {
-		if q > after {
-			out = append(out, core.PacketID{Flow: flow, Seq: q})
+	for _, e := range m.fifo {
+		if e.id.Flow == flow && e.id.Seq > after {
+			out = append(out, e.id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// TestStoreMatchesModel is the differential oracle for the per-flow index:
-// random Put, new seqs sometimes overtaking the one before them, re-Put
-// (which reorders expiry but not the flow's index), byte-cap eviction and
-// TTL expiry, with DrainFlow and Get compared after every step.
+// checkStore holds s to m: the same packets with the same payloads, the same
+// counters, a window for each flow with a cached packet and none other, each
+// spanning exactly its flow's lowest to highest cached seq, and at most
+// maxSpare spare buffers, none of them a cached packet's.
+func checkStore(t *testing.T, s *Store, m *modelStore, format string, args ...any) {
+	t.Helper()
+	where := func() string { return fmt.Sprintf(format, args...) }
+	want := m.stats
+	want.BytesHeld = uint64(m.bytes())
+	if st := s.Stats(); st != want || s.Len() != len(m.fifo) {
+		t.Fatalf("%s: Len %d, %+v; model %d, %+v", where(), s.Len(), st, len(m.fifo), want)
+	}
+	held := map[*byte]bool{}
+	windows := map[core.FlowID]bool{}
+	for _, e := range m.fifo {
+		w := s.flows[e.id.Flow]
+		if w == nil {
+			t.Fatalf("%s: no window for the cached %v", where(), e.id)
+		}
+		sl := w.at(e.id.Seq)
+		if sl == nil || !bytes.Equal(sl.payload, e.payload) {
+			t.Fatalf("%s: %v holds %v, model %x", where(), e.id, sl, e.payload)
+		}
+		if cap(sl.payload) > 0 {
+			held[&sl.payload[:1][0]] = true
+		}
+		if !windows[e.id.Flow] {
+			windows[e.id.Flow] = true
+			lo, hi, _ := m.span(e.id.Flow)
+			if w.base != lo || w.base+core.Seq(w.slots.Len()-1) != hi {
+				t.Fatalf("%s: flow %d's window spans %d+%d, model seqs %d..%d", where(), e.id.Flow, w.base, w.slots.Len(), lo, hi)
+			}
+		}
+	}
+	if len(s.flows) != len(windows) {
+		t.Fatalf("%s: %d flow windows for %d flows with cached packets", where(), len(s.flows), len(windows))
+	}
+	if len(s.spare) > maxSpare {
+		t.Fatalf("%s: %d spare buffers, cap %d", where(), len(s.spare), maxSpare)
+	}
+	for _, b := range s.spare {
+		if cap(b) > 0 && held[&b[:1][0]] {
+			t.Fatalf("%s: a spare buffer is still a cached packet's", where())
+		}
+	}
+}
+
+// TestStoreMatchesModel is the differential oracle for the per-flow
+// windows: random Put across 64 flows, each starting at its own seq, new
+// seqs sometimes overtaking the one before them or leaving a gap of
+// hundreds, late seqs below the flow's lowest cached one, re-Put (which
+// reorders expiry but not the flow's window), byte-cap eviction and TTL
+// expiry, with DrainFlow, Get and the whole store compared after every
+// step.
 func TestStoreMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const ttl = 40 * time.Millisecond
 	const maxBytes = 3000
 	s := NewStore(ttl, maxBytes)
-	m := &modelStore{ttl: ttl, maxBytes: maxBytes, flows: map[core.FlowID][]core.Seq{}}
+	m := &modelStore{ttl: ttl, maxBytes: maxBytes}
 	var now core.Time
 	next := map[core.FlowID]core.Seq{}
 	held := map[core.FlowID]core.Seq{} // a new seq overtaken by the one after it
+	put := func(pid core.PacketID) {
+		p := make([]byte, 20+rng.Intn(100))
+		rng.Read(p)
+		s.Put(now, pid, p)
+		m.put(now, pid, p)
+	}
 	for step := 0; step < 20000; step++ {
-		flow := core.FlowID(1 + rng.Intn(4))
-		switch r := rng.Intn(10); {
+		flow := core.FlowID(1 + rng.Intn(4)) // four busy flows among 64
+		if rng.Intn(4) == 0 {
+			flow = core.FlowID(1 + rng.Intn(64))
+		}
+		switch r := rng.Intn(12); {
 		case r < 5: // a new packet, sometimes ahead of the one before it
 			seq := held[flow]
 			if seq != 0 {
 				held[flow] = 0
 			} else {
+				if next[flow] == 0 {
+					next[flow] = core.Seq(rng.Intn(1000))
+				}
 				next[flow]++
+				if rng.Intn(20) == 0 {
+					next[flow] += core.Seq(100 + rng.Intn(400))
+				}
 				if rng.Intn(4) == 0 {
 					held[flow] = next[flow]
 					next[flow]++
 				}
 				seq = next[flow]
 			}
-			p := make([]byte, 20+rng.Intn(100))
-			rng.Read(p)
-			pid := core.PacketID{Flow: flow, Seq: seq}
-			s.Put(now, pid, p)
-			m.put(now, pid, p)
+			put(core.PacketID{Flow: flow, Seq: seq})
 		case r < 7 && next[flow] > 0: // a recent one again
-			pid := core.PacketID{Flow: flow, Seq: next[flow] - core.Seq(rng.Intn(int(min(next[flow], 30))))}
-			p := make([]byte, 20+rng.Intn(100))
-			rng.Read(p)
-			s.Put(now, pid, p)
-			m.put(now, pid, p)
-		case r < 9:
+			put(core.PacketID{Flow: flow, Seq: next[flow] - core.Seq(rng.Intn(int(min(next[flow], 30))))})
+		case r < 8: // a late one, below the flow's lowest cached seq
+			if lo, _, ok := m.span(flow); ok && lo > 1 {
+				put(core.PacketID{Flow: flow, Seq: lo - 1 - core.Seq(rng.Intn(int(min(lo-1, 300))))})
+			}
+		case r < 11:
 			now += core.Time(rng.Intn(3000)) * time.Microsecond
 		default: // a quiet spell: the whole cache expires
 			if rng.Intn(20) == 0 {
 				now += ttl
 			}
 		}
-		for f := core.FlowID(1); f <= 4; f++ {
+		for _, f := range []core.FlowID{1, 2, 3, 4, flow} {
 			after := core.Seq(0)
-			if next[f] > 10 {
-				after = next[f] - core.Seq(rng.Intn(40))
+			if n := next[f]; n > 0 {
+				after = n - min(n, core.Seq(rng.Intn(600)))
 			}
 			got, want := s.DrainFlow(now, f, after), m.drain(now, f, after)
 			if !slices.Equal(got, want) {
@@ -324,47 +408,129 @@ func TestStoreMatchesModel(t *testing.T) {
 			}
 			for _, pid := range want {
 				got, ok := s.Get(now, pid)
-				if !ok || !bytes.Equal(got, m.fifo[m.find(pid)].payload) {
+				if want, _ := m.get(now, pid); !ok || !bytes.Equal(got, want) {
 					t.Fatalf("step %d: Get(%v) = %x %v", step, pid, got, ok)
 				}
 			}
 		}
-		st := s.Stats()
-		if s.Len() != len(m.fifo) || int(s.Stats().BytesHeld) != m.bytes() || st.Expired != m.expired || st.Evicted != m.evicted {
-			t.Fatalf("step %d at %v: len %d bytes %d expired %d evicted %d, model %d %d %d %d",
-				step, now, s.Len(), s.Stats().BytesHeld, st.Expired, st.Evicted, len(m.fifo), m.bytes(), m.expired, m.evicted)
-		}
-		if n := spareEntries(t, s); n > maxSpare {
-			t.Fatalf("step %d: %d spare entries, cap %d", step, n, maxSpare)
-		}
-		if len(s.flows) != countNonEmpty(m.flows) {
-			t.Fatalf("step %d: %d flow indexes for %d flows with cached packets", step, len(s.flows), countNonEmpty(m.flows))
-		}
+		checkStore(t, s, m, "step %d at %v", step, now)
 	}
-	if m.expired == 0 || m.evicted == 0 {
-		t.Errorf("expired %d evicted %d: a removal path went unexercised", m.expired, m.evicted)
+	if st := m.stats; st.Expired == 0 || st.Evicted == 0 {
+		t.Errorf("expired %d evicted %d: a removal path went unexercised", st.Expired, st.Evicted)
 	}
 }
 
-// spareEntries walks the spare list: every entry on it is out of the cache.
-func spareEntries(t *testing.T, s *Store) int {
-	t.Helper()
-	n := 0
-	for e := s.spare; e != nil; e = e.next {
-		if e.prev != nil || s.items[e.id] == e {
-			t.Fatalf("spare entry %v is still linked into the cache", e.id)
+// fuzzSeq spreads a fuzz byte over the seqs that matter: small ones, the
+// far edge of a window opened near 0, and the top of the seq space.
+func fuzzSeq(b byte) core.Seq {
+	switch {
+	case b >= 0xF8:
+		return maxSpan - 4 + core.Seq(b&7)
+	case b >= 0xF0:
+		return math.MaxUint64 - core.Seq(b&7)
+	}
+	return core.Seq(b)
+}
+
+// FuzzStore drives Store and modelStore through the same operations, three
+// fuzz bytes each — Put, re-Put of a cached packet, Get, DrainFlow and a
+// clock advance — and holds the two equal after every one.
+func FuzzStore(f *testing.F) {
+	f.Add([]byte{0, 40, 1, 0, 40, 2, 2, 0, 1, 3, 0, 0, 4, 0, 200, 2, 0, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const ttl = 40 * time.Millisecond
+		const maxBytes = 600
+		s := NewStore(ttl, maxBytes)
+		m := &modelStore{ttl: ttl, maxBytes: maxBytes}
+		var now core.Time
+		// The checks are linear in the live packets, so a run is kept to
+		// 256 operations.
+		ops = ops[:min(len(ops), 3*256)]
+		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			op, a, b := ops[0], ops[1], ops[2]
+			pid := core.PacketID{Flow: core.FlowID(1 + a%4), Seq: fuzzSeq(b)}
+			switch op % 5 {
+			case 0: // Put of any seq, the payload 0 to 63 bytes
+				p := bytes.Repeat([]byte{a ^ b}, int(a>>2))
+				s.Put(now, pid, p)
+				m.put(now, pid, p)
+			case 1: // re-Put of a cached packet
+				if len(m.fifo) > 0 {
+					pid = m.fifo[int(b)%len(m.fifo)].id
+					p := bytes.Repeat([]byte{a}, int(op>>3))
+					s.Put(now, pid, p)
+					m.put(now, pid, p)
+				}
+			case 2:
+				got, ok := s.Get(now, pid)
+				if want, wok := m.get(now, pid); ok != wok || !bytes.Equal(got, want) {
+					t.Fatalf("step %d: Get(%v) = %x %v, model %x %v", step, pid, got, ok, want, wok)
+				}
+			case 3:
+				got, want := s.DrainFlow(now, pid.Flow, pid.Seq), m.drain(now, pid.Flow, pid.Seq)
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d at %v: DrainFlow(%d, %d) = %v, model %v", step, now, pid.Flow, pid.Seq, got, want)
+				}
+			default:
+				now += core.Time(b) * 250 * time.Microsecond
+			}
+			checkStore(t, s, m, "step %d (%d %d %d) at %v", step, op, a, b, now)
 		}
-		n++
+	})
+}
+
+// TestStoreWindowIsBounded: a Put that would stretch its flow's window
+// over more than maxSpan seqs — far ahead, far behind, or alternating
+// between the two ends of the seq space — is refused and counted, the
+// store stays consistent, and what it allocates follows the span, not the
+// distance between seqs.
+func TestStoreWindowIsBounded(t *testing.T) {
+	s := NewStore(time.Second, 0)
+	m := &modelStore{ttl: time.Second}
+	put := func(flow uint64, seq core.Seq) {
+		pid := core.PacketID{Flow: core.FlowID(flow), Seq: seq}
+		s.Put(0, pid, []byte("p"))
+		m.put(0, pid, []byte("p"))
 	}
-	if n != s.spares {
-		t.Fatalf("spare list holds %d entries, counter says %d", n, s.spares)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	// Far ahead: a window may end maxSpan-1 seqs past its start.
+	put(1, 1000)
+	put(1, 1000+maxSpan-1)
+	put(1, 1000+maxSpan)
+	put(1, math.MaxUint64)
+	// Far behind: the same bound, the window growing at its front.
+	put(2, math.MaxUint64-5)
+	put(2, math.MaxUint64-5-maxSpan+1)
+	put(2, math.MaxUint64-5-maxSpan)
+	put(2, 0)
+	put(2, math.MaxUint64)
+	// Alternating between the extremes on one flow.
+	for i := core.Seq(0); i < 1000; i++ {
+		put(3, i)
+		put(3, math.MaxUint64-i)
 	}
-	return n
+	runtime.ReadMemStats(&after)
+	checkStore(t, s, m, "after the far seqs")
+	if st := s.Stats(); s.Len() != 1004 || st.Refused != 1005 || st.BytesHeld != 1004 {
+		t.Errorf("Len %d, Refused %d, BytesHeld %d; want 1004, 1005, 1004", s.Len(), st.Refused, st.BytesHeld)
+	}
+	// Two windows of maxSpan slots, each grown by doubling.
+	if limit := 8 * maxSpan * unsafe.Sizeof(slot{}); after.TotalAlloc-before.TotalAlloc > uint64(limit) {
+		t.Errorf("the far seqs allocated %d bytes, more than %d for two windows of %d slots",
+			after.TotalAlloc-before.TotalAlloc, limit, maxSpan)
+	}
+	// Once the windows expire, a flow may start again anywhere.
+	s.Get(time.Second, id(1, 0))
+	m.get(time.Second, id(1, 0))
+	put(1, math.MaxUint64)
+	checkStore(t, s, m, "after the expiry")
 }
 
 // TestPutSteadyStateAllocatesNothing: at a steady depth with equal-size
-// payloads every Put of a new packet reuses the entry, and the payload
-// buffer, of the one its expiry check just dropped.
+// payloads every Put of a new packet reuses the payload buffer of the one
+// its expiry check just dropped, and its slot in a window and in the put
+// order.
 func TestPutSteadyStateAllocatesNothing(t *testing.T) {
 	const depth = 500
 	s := NewStore(depth*time.Microsecond, 0)
@@ -394,8 +560,8 @@ func TestPutSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestIdleCacheShrinks: a cache whose packets have all expired holds no
-// more than the spare constant, and a small packet does not keep an
-// MTU-sized spare buffer alive.
+// more than the spare constant and no window of theirs, and a small packet
+// does not keep an MTU-sized spare buffer alive.
 func TestIdleCacheShrinks(t *testing.T) {
 	s := NewStore(time.Second, 0)
 	for seq := uint64(1); seq <= 10*maxSpare; seq++ {
@@ -405,38 +571,40 @@ func TestIdleCacheShrinks(t *testing.T) {
 	if s.Len() != 1 || s.Stats().BytesHeld != 4 || len(s.flows) != 1 {
 		t.Fatalf("after the idle hour: Len %d Bytes %d flows %d", s.Len(), s.Stats().BytesHeld, len(s.flows))
 	}
-	if n := spareEntries(t, s); n > maxSpare {
-		t.Errorf("an idle cache holds %d spare entries, cap %d", n, maxSpare)
+	if n := len(s.spare); n > maxSpare {
+		t.Errorf("an idle cache holds %d spare buffers, cap %d", n, maxSpare)
 	}
-	if e := s.items[id(2, 1)]; cap(e.payload) > 8 {
-		t.Errorf("a 4-byte packet sits in a %d-byte buffer", cap(e.payload))
+	if sl := s.flows[2].at(1); cap(sl.payload) > 8 {
+		t.Errorf("a 4-byte packet sits in a %d-byte buffer", cap(sl.payload))
 	}
-}
-
-func countNonEmpty(flows map[core.FlowID][]core.Seq) int {
-	n := 0
-	for _, seqs := range flows {
-		if len(seqs) > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 func BenchmarkPutGet(b *testing.B) {
 	payload := make([]byte, 512)
-	run := func(b *testing.B, s *Store) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			now := core.Time(i) * time.Microsecond
-			pid := id(1, uint64(i))
+	run := func(b *testing.B, s *Store, flows uint64) {
+		putGet := func(n int) {
+			now := core.Time(n) * time.Microsecond
+			pid := id(1+uint64(n)%flows, uint64(n)/flows)
 			s.Put(now, pid, payload)
 			s.Get(now, pid)
 		}
+		// Fill to the steady depth first: every timed Put then reuses what
+		// expiry or eviction freed.
+		const warm = 4096
+		for n := 0; n < warm; n++ {
+			putGet(n)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			putGet(warm + i)
+		}
 	}
 	// The byte cap evicts: 2 048 live packets of one flow.
-	b.Run("bytecap", func(b *testing.B) { run(b, NewStore(time.Second, 1<<20)) })
+	b.Run("bytecap", func(b *testing.B) { run(b, NewStore(time.Second, 1<<20), 1) })
 	// The TTL expires: 2 000 live packets of one flow, the oldest leaving
 	// on every Put — the steady state of a caching flow.
-	b.Run("ttl2000", func(b *testing.B) { run(b, NewStore(2000*time.Microsecond, 0)) })
+	b.Run("ttl2000", func(b *testing.B) { run(b, NewStore(2000*time.Microsecond, 0), 1) })
+	// The same depth over 64 interleaved flows, about 31 packets each.
+	b.Run("flows64", func(b *testing.B) { run(b, NewStore(2000*time.Microsecond, 0), 64) })
 }

@@ -1,14 +1,15 @@
 // Package ring is the FIFO every engine queue sits on: the egress
-// scheduler's sub-queues, the cache's per-flow seq index, the recoverer's
-// expiry queues, a receiver's recent window, the span collector's eviction
-// order and late reservoir, and the control-loop trace buffer.
+// scheduler's sub-queues, the cache's per-flow seq windows and its put
+// order, the recoverer's expiry queues, a receiver's recent window, the
+// span collector's eviction order and late reservoir, and the control-loop
+// trace buffer.
 package ring
 
 // Ring is a FIFO of T. Its backing array is a power of two that doubles,
-// from 8, when a Push finds it full, so a queue at a steady depth allocates
-// nothing. Every slot is zeroed as its entry leaves, so a Ring keeps nothing
-// reachable that it no longer holds. The zero value is an empty ring. Not
-// safe for concurrent use.
+// from 8, when a Push or PushFront finds it full, so a queue at a steady
+// depth allocates nothing. Every slot is zeroed as its entry leaves, so a
+// Ring keeps nothing reachable that it no longer holds. The zero value is
+// an empty ring. Not safe for concurrent use.
 type Ring[T any] struct {
 	buf     []T // len is zero or a power of two
 	head, n int
@@ -27,6 +28,16 @@ func (r *Ring[T]) Push(v T) {
 		r.resize(max(2*len(r.buf), 8))
 	}
 	*r.At(r.n) = v
+	r.n++
+}
+
+// PushFront inserts v at the front.
+func (r *Ring[T]) PushFront(v T) {
+	if r.n == len(r.buf) {
+		r.resize(max(2*len(r.buf), 8))
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = v
 	r.n++
 }
 

@@ -38,8 +38,9 @@ func check(t *testing.T, r *Ring[int], model []int, where string) {
 
 // TestRingMatchesSlice runs random programs of every operation against a
 // plain slice, checking the whole ring after each step, and that the array
-// grows only when a Push finds it full (to double, or 8) or a Reserve asks
-// for more than it has (to the least power of two that holds it).
+// grows only when a Push or PushFront finds it full (to double, or 8) or a
+// Reserve asks for more than it has (to the least power of two that holds
+// it).
 func TestRingMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	next := 1
@@ -50,7 +51,7 @@ func TestRingMatchesSlice(t *testing.T) {
 			size, n := len(r.buf), r.Len()
 			wantSize := size
 			var op string
-			switch k := rng.Intn(12); {
+			switch k := rng.Intn(14); {
 			case k < 5:
 				op = "Push"
 				r.Push(next)
@@ -59,24 +60,32 @@ func TestRingMatchesSlice(t *testing.T) {
 				if n == size {
 					wantSize = max(2*size, 8)
 				}
-			case k < 7 && n > 0:
+			case k < 7:
+				op = "PushFront"
+				r.PushFront(next)
+				model = slices.Insert(model, 0, next)
+				next++
+				if n == size {
+					wantSize = max(2*size, 8)
+				}
+			case k < 9 && n > 0:
 				op = "PopFront"
 				if got := r.PopFront(); got != model[0] {
 					t.Fatalf("program %d, step %d: PopFront = %d, model %d", prog, step, got, model[0])
 				}
 				model = model[1:]
-			case k < 8 && n > 0:
+			case k < 10 && n > 0:
 				op = "PopBack"
 				if got := r.PopBack(); got != model[n-1] {
 					t.Fatalf("program %d, step %d: PopBack = %d, model %d", prog, step, got, model[n-1])
 				}
 				model = model[:n-1]
-			case k < 10 && n > 0:
+			case k < 12 && n > 0:
 				op = "Delete"
 				i := rng.Intn(n)
 				r.Delete(i)
 				model = slices.Delete(model, i, i+1)
-			case k < 11:
+			case k < 13:
 				op = "Truncate"
 				keep := rng.Intn(n + 1)
 				r.Truncate(keep)
