@@ -5,11 +5,14 @@
 // (mobility/DTN rendezvous, Figure 3e), and hybrid multicast receivers
 // repair from the cached copy (Figure 3d).
 //
-// A cached packet is a slot held by value in its flow's window, a ring of
-// slots indexed by seq − the window's base seq, gaps left empty. One
-// put-order ring of (window, seq) refs drives TTL expiry and byte-cap
-// eviction. So the store keeps no map of packets and no heap object per
-// packet, and a steady Put reuses a payload buffer that expiry freed.
+// A cached packet is a slot held by value in a page of pageSize slots, slot
+// i of page n holding seq n·pageSize + i. A flow's window is a directory of
+// the pages from its lowest to its highest cached seq, a page allocated only
+// while it holds a packet. One put-order ring of refs drives TTL expiry and
+// byte-cap eviction. So the store keeps no map of packets and no heap object
+// per packet, its memory follows the packets it holds rather than the seqs
+// they span, and a steady Put reuses the page and payload buffer that expiry
+// freed.
 package cache
 
 import (
@@ -23,74 +26,76 @@ type Stats struct {
 	Hits    uint64
 	Misses  uint64
 	Expired uint64
-	Evicted uint64
-	// Refused counts the Puts not cached because their flow's window
-	// would have spanned more than maxSpan seqs.
-	Refused   uint64
+	// Evicted counts the packets dropped before their TTL: by the byte
+	// bound, and at the far end of a window that a Put would make too
+	// sparse (see dirPerPage).
+	Evicted   uint64
 	BytesHeld uint64
 }
 
-// maxSpare bounds the spare buffer list: enough for the puts landing in one
-// instant to reuse what that instant's expiry freed; an idle cache holds no
-// more.
+// maxSpare bounds each spare list, of payload buffers and of pages: enough
+// for the puts landing in one instant to reuse what that instant's expiry
+// freed; an idle cache holds no more.
 const maxSpare = 64
 
-// maxSpan bounds a flow's window, in seqs: 1<<16 holds 32 k pkt/s of one
-// flow for a 2 s TTL. The socket relay takes seqs from untrusted datagrams,
-// so a window sized by the distance to a forged seq would be a window of
-// any size.
-const maxSpan = 1 << 16
+const (
+	pageBits = 4
+	pageSize = 1 << pageBits
+)
 
-// slot is one cached packet. A nil payload is a gap: a held payload is
-// never nil, even when empty.
+// A window's directory may span at most dirPerPage entries per page it
+// holds, plus dirSlack: a Put of a seq further out first evicts the
+// window's far end. The relay takes seqs from untrusted datagrams, so a
+// directory sized by the distance to a forged seq would be of any size;
+// a flow's own traffic fills its pages, lost packets and all, and never
+// comes near the bound.
+const dirPerPage, dirSlack = 4, 32
+
+// slot is one cached packet. A nil payload is an empty slot: a held payload
+// is never nil, even when empty. put numbers the Put that stored it.
 type slot struct {
 	payload []byte
-	expires core.Time
+	put     uint64
 }
 
-// window is one flow's cached packets, slot i holding seq base+i. Its first
-// and last slots are held, so it spans the flow's lowest to highest cached
-// seq, and the store drops it when its last packet leaves.
+type page [pageSize]slot
+
+// dirEntry is one page of a window's directory, with the count of its held
+// slots; a page that holds nothing is nil.
+type dirEntry struct {
+	p *page
+	n int
+}
+
+// window is one flow's cached packets: dir entry i is page first+i. The
+// first and last entries hold a page, and the store drops the window when
+// its last packet leaves.
 type window struct {
 	flow  core.FlowID
-	base  core.Seq
-	slots ring.Ring[slot]
+	first uint64
+	dir   ring.Ring[dirEntry]
+	pages int // non-nil entries
 }
 
-// at returns seq's slot if it holds a packet, else nil.
-func (w *window) at(seq core.Seq) *slot {
-	// Unsigned, a seq below base is as far out as one past the end.
-	if i := seq - w.base; i < core.Seq(w.slots.Len()) && w.slots.At(int(i)).payload != nil {
-		return w.slots.At(int(i))
-	}
-	return nil
-}
-
-// cover widens the window to seq and returns seq's slot, or nil if the
-// window would then span more than maxSpan seqs.
-func (w *window) cover(seq core.Seq) *slot {
-	if seq < w.base {
-		if w.base-seq > maxSpan-core.Seq(w.slots.Len()) {
-			return nil
+// find returns seq's slot and its page's entry, or a nil slot if seq is
+// not cached.
+func (w *window) find(seq core.Seq) (*dirEntry, *slot) {
+	// Unsigned, a page below first is as far out as one past the end.
+	if i := uint64(seq>>pageBits) - w.first; i < uint64(w.dir.Len()) {
+		if e := w.dir.At(int(i)); e.p != nil && e.p[seq%pageSize].payload != nil {
+			return e, &e.p[seq%pageSize]
 		}
-		for ; w.base > seq; w.base-- {
-			w.slots.PushFront(slot{})
-		}
-		return w.slots.At(0)
 	}
-	if seq-w.base >= maxSpan {
-		return nil
-	}
-	for core.Seq(w.slots.Len()) <= seq-w.base {
-		w.slots.Push(slot{})
-	}
-	return w.slots.At(int(seq - w.base))
+	return nil, nil
 }
 
-// ref names a cached packet in the store's put order.
+// ref names a cached packet in the store's put order. It is stale once its
+// slot holds nothing or a later Put (slot.put differs).
 type ref struct {
-	w   *window
-	seq core.Seq
+	w       *window
+	seq     core.Seq
+	put     uint64
+	expires core.Time
 }
 
 // Store is the DC-side packet cache. The zero value is not usable; call
@@ -103,12 +108,16 @@ type Store struct {
 	// flows holds the window of every flow with a cached packet.
 	flows map[core.FlowID]*window
 	// order refs every cached packet, oldest Put first: expiry order, as
-	// the TTL is constant and the clock never steps back.
+	// the TTL is constant and the clock never steps back. A re-Put leaves
+	// its old ref stale rather than search for it.
 	order ring.Ring[ref]
-	// spare holds up to maxSpare payload buffers of packets that left.
-	spare [][]byte
-	bytes uint64
-	stats Stats
+	// spare and sparePages hold up to maxSpare payload buffers and pages
+	// of packets that left.
+	spare      [][]byte
+	sparePages []*page
+	n          int
+	bytes      uint64
+	stats      Stats
 }
 
 // NewStore creates a cache holding packets for ttl, bounded to maxBytes of
@@ -129,7 +138,7 @@ func NewStore(ttl core.Time, maxBytes uint64) *Store {
 func (s *Store) TTL() core.Time { return s.ttl }
 
 // Len returns the number of cached packets.
-func (s *Store) Len() int { return s.order.Len() }
+func (s *Store) Len() int { return s.n }
 
 // Stats returns a copy of the counters.
 func (s *Store) Stats() Stats {
@@ -140,42 +149,84 @@ func (s *Store) Stats() Stats {
 
 // Put caches a packet payload under id. The payload is copied. Re-putting
 // an existing id refreshes the payload and its TTL (the paper's senders
-// never reuse seqs, but retransmissions can race with duplication). A Put
-// that would stretch its flow's window over more than maxSpan seqs is
-// refused and counted in Stats.Refused: the flow's cached packets stay
-// until they expire.
+// never reuse seqs, but retransmissions can race with duplication). A new
+// seq so far from its flow's cached ones that the window's directory would
+// pass its bound first evicts the packets at the window's other end.
 func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 	s.expire(now)
 	s.stats.Puts++
 	w := s.flows[id.Flow]
 	if w == nil {
-		w = &window{flow: id.Flow, base: id.Seq}
+		w = &window{flow: id.Flow}
 		s.flows[id.Flow] = w
 	}
-	sl := w.at(id.Seq)
+	_, sl := w.find(id.Seq)
 	if sl != nil {
 		s.bytes -= uint64(len(sl.payload))
 		sl.payload = append(sl.payload[:0], payload...)
-		// A re-Put is of a recent packet: its ref is found from the back.
-		i := s.order.Len() - 1
-		for *s.order.At(i) != (ref{w, id.Seq}) {
-			i--
-		}
-		s.order.Delete(i)
 	} else {
-		if sl = w.cover(id.Seq); sl == nil {
-			s.stats.Refused++
-			return
-		}
+		sl = &s.cover(w, uint64(id.Seq>>pageBits))[id.Seq%pageSize]
 		sl.payload = append(s.buffer(len(payload)), payload...)
+		s.n++
 	}
-	sl.expires = now + s.ttl
-	s.order.Push(ref{w, id.Seq})
+	sl.put = s.stats.Puts
+	s.order.Push(ref{w, id.Seq, sl.put, now + s.ttl})
 	s.bytes += uint64(len(payload))
-	for s.maxBytes > 0 && s.bytes > s.maxBytes {
-		s.dropOldest()
-		s.stats.Evicted++
+	if s.order.Len() > 2*s.n+maxSpare {
+		// Stale refs outnumber the packets: one pass drops them, so the
+		// put order stays O(packets) at O(1) per Put.
+		for k := s.order.Len(); k > 0; k-- {
+			if r := s.order.PopFront(); r.live() {
+				s.order.Push(r)
+			}
+		}
 	}
+	for s.maxBytes > 0 && s.bytes > s.maxBytes {
+		if s.dropOldest() {
+			s.stats.Evicted++
+		}
+	}
+}
+
+// cover widens w's directory to page pn, first evicting w's far end while
+// the directory would pass its bound, and returns pn's page, counting the
+// slot about to be filled.
+func (s *Store) cover(w *window, pn uint64) *page {
+	for w.dir.Len() > 0 && pn-w.first >= uint64(w.dir.Len()) &&
+		max(pn, w.first+uint64(w.dir.Len())-1)-min(pn, w.first) >= dirPerPage*uint64(w.pages+1)+dirSlack {
+		end := 0
+		if pn < w.first {
+			end = w.dir.Len() - 1
+		}
+		// The last removal empties e, and trims it off the directory.
+		e := w.dir.At(end)
+		for p, i := e.p, 0; e.p != nil; i++ {
+			if p[i].payload != nil {
+				s.remove(w, e, &p[i])
+				s.stats.Evicted++
+			}
+		}
+	}
+	if w.dir.Len() == 0 {
+		w.first = pn
+	}
+	for ; pn < w.first; w.first-- {
+		w.dir.PushFront(dirEntry{})
+	}
+	for uint64(w.dir.Len()) <= pn-w.first {
+		w.dir.Push(dirEntry{})
+	}
+	e := w.dir.At(int(pn - w.first))
+	if e.p == nil {
+		if k := len(s.sparePages) - 1; k >= 0 {
+			e.p, s.sparePages = s.sparePages[k], s.sparePages[:k]
+		} else {
+			e.p = new(page)
+		}
+		w.pages++
+	}
+	e.n++
+	return e.p
 }
 
 // buffer returns an empty buffer for an n-byte payload: the newest spare,
@@ -198,7 +249,7 @@ func (s *Store) buffer(n int) []byte {
 func (s *Store) Get(now core.Time, id core.PacketID) ([]byte, bool) {
 	s.expire(now)
 	if w := s.flows[id.Flow]; w != nil {
-		if sl := w.at(id.Seq); sl != nil {
+		if _, sl := w.find(id.Seq); sl != nil {
 			s.stats.Hits++
 			return sl.payload, true
 		}
@@ -219,13 +270,16 @@ func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []cor
 		return nil
 	}
 	var out []core.PacketID
-	first := core.Seq(0) // the first slot past after
-	if after >= w.base {
-		first = min(after-w.base, core.Seq(w.slots.Len())) + 1
+	i := 0 // the first page holding a seq past after
+	if pn := uint64(after >> pageBits); pn >= w.first {
+		i = int(min(pn-w.first, uint64(w.dir.Len())))
 	}
-	for i := first; i < core.Seq(w.slots.Len()); i++ {
-		if w.slots.At(int(i)).payload != nil {
-			out = append(out, core.PacketID{Flow: flow, Seq: w.base + i})
+	for ; i < w.dir.Len(); i++ {
+		p := w.dir.At(i).p
+		for j := 0; p != nil && j < pageSize; j++ {
+			if seq := core.Seq(w.first+uint64(i))<<pageBits + core.Seq(j); seq > after && p[j].payload != nil {
+				out = append(out, core.PacketID{Flow: flow, Seq: seq})
+			}
 		}
 	}
 	return out
@@ -233,33 +287,57 @@ func (s *Store) DrainFlow(now core.Time, flow core.FlowID, after core.Seq) []cor
 
 // expire drops the packets whose TTL passed.
 func (s *Store) expire(now core.Time) {
-	for s.order.Len() > 0 {
-		if r := s.order.At(0); r.w.at(r.seq).expires > now {
-			return
+	for s.order.Len() > 0 && s.order.At(0).expires <= now {
+		if s.dropOldest() {
+			s.stats.Expired++
 		}
-		s.dropOldest()
-		s.stats.Expired++
 	}
 }
 
-// dropOldest takes the oldest packet out of the cache, spares its buffer
-// while there is room, and trims its window to the window's held slots.
-func (s *Store) dropOldest() {
+// live reports whether r still names its packet.
+func (r *ref) live() bool {
+	_, sl := r.w.find(r.seq)
+	return sl != nil && sl.put == r.put
+}
+
+// dropOldest pops the oldest ref and, unless it is stale, takes its packet
+// out of the cache; it reports whether it did.
+func (s *Store) dropOldest() bool {
 	r := s.order.PopFront()
-	w, sl := r.w, r.w.at(r.seq)
+	if !r.live() {
+		return false
+	}
+	e, sl := r.w.find(r.seq)
+	s.remove(r.w, e, sl)
+	if r.w.pages == 0 {
+		delete(s.flows, r.w.flow)
+	}
+	return true
+}
+
+// remove takes the packet in sl, of e's page in w, out of the cache. It
+// spares the packet's buffer, and its page once empty, while there is room,
+// and trims w's directory to the pages still held.
+func (s *Store) remove(w *window, e *dirEntry, sl *slot) {
 	s.bytes -= uint64(len(sl.payload))
+	s.n--
 	if len(s.spare) < maxSpare {
 		s.spare = append(s.spare, sl.payload)
 	}
 	*sl = slot{}
-	for w.slots.Len() > 0 && w.slots.At(0).payload == nil {
-		w.slots.PopFront()
-		w.base++
+	if e.n--; e.n > 0 {
+		return
 	}
-	for w.slots.Len() > 0 && w.slots.At(w.slots.Len()-1).payload == nil {
-		w.slots.PopBack()
+	if len(s.sparePages) < maxSpare {
+		s.sparePages = append(s.sparePages, e.p)
 	}
-	if w.slots.Len() == 0 {
-		delete(s.flows, w.flow)
+	e.p = nil
+	w.pages--
+	for w.dir.Len() > 0 && w.dir.At(0).p == nil {
+		w.dir.PopFront()
+		w.first++
+	}
+	for w.dir.Len() > 0 && w.dir.At(w.dir.Len()-1).p == nil {
+		w.dir.PopBack()
 	}
 }

@@ -173,13 +173,13 @@ func TestDrainFlowSkipsExpired(t *testing.T) {
 func TestFlowIndexCompaction(t *testing.T) {
 	s := NewStore(50*time.Millisecond, 0)
 	s.Put(0, id(7, 1), []byte("a"))
-	s.Put(0, id(7, 900), []byte("b"))
+	s.Put(0, id(7, 500), []byte("b"))
 	s.Get(time.Second, id(7, 1)) // force expiry
 	if len(s.flows) != 0 {
 		t.Errorf("flow window leaked: %v", s.flows)
 	}
 	s.Put(time.Second, id(7, 1<<40), []byte("c"))
-	if w := s.flows[7]; w == nil || w.base != 1<<40 || w.slots.Len() != 1 {
+	if w := s.flows[7]; w == nil || w.first != 1<<40>>pageBits || w.dir.Len() != 1 || w.pages != 1 {
 		t.Errorf("the flow's next packet found a stale window: %+v", w)
 	}
 }
@@ -206,6 +206,7 @@ type modelStore struct {
 	maxBytes int
 	fifo     []modelEntry // expiry order
 	stats    Stats        // BytesHeld unused
+	far      int          // far-end evictions, a part of stats.Evicted
 }
 
 type modelEntry struct {
@@ -231,18 +232,54 @@ func (m *modelStore) bytes() int {
 	return n
 }
 
-// span returns the lowest and highest cached seq of flow; ok is false if
-// it has none.
-func (m *modelStore) span(flow core.FlowID) (lo, hi core.Seq, ok bool) {
+// pages returns the number of cached packets of flow in each page that
+// holds one, and the lowest and highest such page.
+func (m *modelStore) pages(flow core.FlowID) (held map[uint64]int, lo, hi uint64) {
+	held = map[uint64]int{}
 	for _, e := range m.fifo {
 		if e.id.Flow == flow {
-			if !ok {
-				lo, hi, ok = e.id.Seq, e.id.Seq, true
+			pn := uint64(e.id.Seq >> pageBits)
+			if len(held) == 0 {
+				lo, hi = pn, pn
 			}
-			lo, hi = min(lo, e.id.Seq), max(hi, e.id.Seq)
+			held[pn]++
+			lo, hi = min(lo, pn), max(hi, pn)
 		}
 	}
-	return lo, hi, ok
+	return held, lo, hi
+}
+
+// fit evicts the page at the far end of id's flow while a directory
+// stretched to id's page would span dirPerPage entries or more per page
+// then held, plus dirSlack.
+func (m *modelStore) fit(id core.PacketID) {
+	pn := uint64(id.Seq >> pageBits)
+	for {
+		held, lo, hi := m.pages(id.Flow)
+		if len(held) == 0 || (lo <= pn && pn <= hi) ||
+			max(hi, pn)-min(lo, pn) < dirPerPage*uint64(len(held)+1)+dirSlack {
+			return
+		}
+		far := lo
+		if pn < lo {
+			far = hi
+		}
+		m.fifo = slices.DeleteFunc(m.fifo, func(e modelEntry) bool {
+			return e.id.Flow == id.Flow && uint64(e.id.Seq>>pageBits) == far
+		})
+		m.stats.Evicted += uint64(held[far])
+		m.far += held[far]
+	}
+}
+
+// lowest returns flow's lowest cached seq; ok is false if it has none.
+func (m *modelStore) lowest(flow core.FlowID) (lo core.Seq, ok bool) {
+	for _, e := range m.fifo {
+		if e.id.Flow == flow && (!ok || e.id.Seq < lo) {
+			lo, ok = e.id.Seq, true
+		}
+	}
+	return lo, ok
 }
 
 func (m *modelStore) expire(now core.Time) {
@@ -257,9 +294,8 @@ func (m *modelStore) put(now core.Time, id core.PacketID, payload []byte) {
 	m.stats.Puts++
 	if i := m.find(id); i >= 0 {
 		m.fifo = slices.Delete(m.fifo, i, i+1)
-	} else if lo, hi, ok := m.span(id.Flow); ok && max(hi, id.Seq)-min(lo, id.Seq) >= maxSpan {
-		m.stats.Refused++
-		return
+	} else {
+		m.fit(id)
 	}
 	m.fifo = append(m.fifo, modelEntry{id, slices.Clone(payload), now + m.ttl})
 	for m.maxBytes > 0 && m.bytes() > m.maxBytes {
@@ -291,9 +327,11 @@ func (m *modelStore) drain(now core.Time, flow core.FlowID, after core.Seq) []co
 }
 
 // checkStore holds s to m: the same packets with the same payloads, the same
-// counters, a window for each flow with a cached packet and none other, each
-// spanning exactly its flow's lowest to highest cached seq, and at most
-// maxSpare spare buffers, none of them a cached packet's.
+// counters, a window for each flow with a cached packet and none other, its
+// directory spanning exactly its flow's lowest to highest cached page and
+// holding a page, with the right count, for each page with a cached packet
+// and for no other, a put order of at most 2·Len + maxSpare refs, and at
+// most maxSpare spare buffers and pages, none of them a cached packet's.
 func checkStore(t *testing.T, s *Store, m *modelStore, format string, args ...any) {
 	t.Helper()
 	where := func() string { return fmt.Sprintf(format, args...) }
@@ -309,30 +347,48 @@ func checkStore(t *testing.T, s *Store, m *modelStore, format string, args ...an
 		if w == nil {
 			t.Fatalf("%s: no window for the cached %v", where(), e.id)
 		}
-		sl := w.at(e.id.Seq)
+		_, sl := w.find(e.id.Seq)
 		if sl == nil || !bytes.Equal(sl.payload, e.payload) {
 			t.Fatalf("%s: %v holds %v, model %x", where(), e.id, sl, e.payload)
 		}
 		if cap(sl.payload) > 0 {
 			held[&sl.payload[:1][0]] = true
 		}
-		if !windows[e.id.Flow] {
-			windows[e.id.Flow] = true
-			lo, hi, _ := m.span(e.id.Flow)
-			if w.base != lo || w.base+core.Seq(w.slots.Len()-1) != hi {
-				t.Fatalf("%s: flow %d's window spans %d+%d, model seqs %d..%d", where(), e.id.Flow, w.base, w.slots.Len(), lo, hi)
+		if windows[e.id.Flow] {
+			continue
+		}
+		windows[e.id.Flow] = true
+		pages, lo, hi := m.pages(e.id.Flow)
+		if w.first != lo || w.first+uint64(w.dir.Len()-1) != hi || w.pages != len(pages) {
+			t.Fatalf("%s: flow %d's directory spans pages %d+%d with %d held, model %d..%d with %d",
+				where(), e.id.Flow, w.first, w.dir.Len(), w.pages, lo, hi, len(pages))
+		}
+		for i := 0; i < w.dir.Len(); i++ {
+			if d := w.dir.At(i); (d.p != nil) != (pages[w.first+uint64(i)] > 0) || d.n != pages[w.first+uint64(i)] {
+				t.Fatalf("%s: flow %d's page %d holds %d (nil %v), model %d",
+					where(), e.id.Flow, w.first+uint64(i), d.n, d.p == nil, pages[w.first+uint64(i)])
 			}
 		}
 	}
 	if len(s.flows) != len(windows) {
 		t.Fatalf("%s: %d flow windows for %d flows with cached packets", where(), len(s.flows), len(windows))
 	}
-	if len(s.spare) > maxSpare {
-		t.Fatalf("%s: %d spare buffers, cap %d", where(), len(s.spare), maxSpare)
+	if s.order.Len() > 2*s.Len()+maxSpare {
+		t.Fatalf("%s: %d refs in the put order for %d packets", where(), s.order.Len(), s.Len())
+	}
+	if len(s.spare) > maxSpare || len(s.sparePages) > maxSpare {
+		t.Fatalf("%s: %d spare buffers and %d spare pages, cap %d", where(), len(s.spare), len(s.sparePages), maxSpare)
 	}
 	for _, b := range s.spare {
 		if cap(b) > 0 && held[&b[:1][0]] {
 			t.Fatalf("%s: a spare buffer is still a cached packet's", where())
+		}
+	}
+	for _, p := range s.sparePages {
+		for i := range p {
+			if p[i].payload != nil || p[i].put != 0 {
+				t.Fatalf("%s: a spare page still holds a packet", where())
+			}
 		}
 	}
 }
@@ -374,7 +430,10 @@ func TestStoreMatchesModel(t *testing.T) {
 					next[flow] = core.Seq(rng.Intn(1000))
 				}
 				next[flow]++
-				if rng.Intn(20) == 0 {
+				switch rng.Intn(200) {
+				case 0: // far ahead: the window's far end goes
+					next[flow] += core.Seq(1000 + rng.Intn(1<<20))
+				case 1, 2, 3, 4, 5, 6, 7, 8, 9, 10:
 					next[flow] += core.Seq(100 + rng.Intn(400))
 				}
 				if rng.Intn(4) == 0 {
@@ -387,8 +446,12 @@ func TestStoreMatchesModel(t *testing.T) {
 		case r < 7 && next[flow] > 0: // a recent one again
 			put(core.PacketID{Flow: flow, Seq: next[flow] - core.Seq(rng.Intn(int(min(next[flow], 30))))})
 		case r < 8: // a late one, below the flow's lowest cached seq
-			if lo, _, ok := m.span(flow); ok && lo > 1 {
-				put(core.PacketID{Flow: flow, Seq: lo - 1 - core.Seq(rng.Intn(int(min(lo-1, 300))))})
+			if lo, ok := m.lowest(flow); ok && lo > 1 {
+				seq := lo - 1 - core.Seq(rng.Intn(int(min(lo-1, 300))))
+				if rng.Intn(50) == 0 { // far behind: the window's far end goes
+					seq = core.Seq(rng.Int63n(int64(lo)))
+				}
+				put(core.PacketID{Flow: flow, Seq: seq})
 			}
 		case r < 11:
 			now += core.Time(rng.Intn(3000)) * time.Microsecond
@@ -415,17 +478,22 @@ func TestStoreMatchesModel(t *testing.T) {
 		}
 		checkStore(t, s, m, "step %d at %v", step, now)
 	}
-	if st := m.stats; st.Expired == 0 || st.Evicted == 0 {
-		t.Errorf("expired %d evicted %d: a removal path went unexercised", st.Expired, st.Evicted)
+	if st := m.stats; st.Expired == 0 || st.Evicted == uint64(m.far) || m.far == 0 {
+		t.Errorf("expired %d, evicted %d (%d at a window's far end): a removal path went unexercised", st.Expired, st.Evicted, m.far)
 	}
 }
 
+// loneReach is how many seqs past a one-page window's page a Put may land
+// without evicting it.
+const loneReach = (dirPerPage*2 + dirSlack) * pageSize
+
 // fuzzSeq spreads a fuzz byte over the seqs that matter: small ones, the
-// far edge of a window opened near 0, and the top of the seq space.
+// edge of what a window holding page 0 alone may reach, and the top of the
+// seq space.
 func fuzzSeq(b byte) core.Seq {
 	switch {
 	case b >= 0xF8:
-		return maxSpan - 4 + core.Seq(b&7)
+		return loneReach - 4 + core.Seq(b&7)
 	case b >= 0xF0:
 		return math.MaxUint64 - core.Seq(b&7)
 	}
@@ -479,11 +547,10 @@ func FuzzStore(f *testing.F) {
 	})
 }
 
-// TestStoreWindowIsBounded: a Put that would stretch its flow's window
-// over more than maxSpan seqs — far ahead, far behind, or alternating
-// between the two ends of the seq space — is refused and counted, the
-// store stays consistent, and what it allocates follows the span, not the
-// distance between seqs.
+// TestStoreWindowIsBounded: a Put far from its flow's cached seqs — far
+// ahead, far behind, or alternating between the two ends of the seq space
+// — is cached, evicting the window's far end, and the store stays
+// consistent.
 func TestStoreWindowIsBounded(t *testing.T) {
 	s := NewStore(time.Second, 0)
 	m := &modelStore{ttl: time.Second}
@@ -492,39 +559,81 @@ func TestStoreWindowIsBounded(t *testing.T) {
 		s.Put(0, pid, []byte("p"))
 		m.put(0, pid, []byte("p"))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	// Far ahead: a window may end maxSpan-1 seqs past its start.
+	// Far ahead: a window holding page 62 alone reaches page 101.
 	put(1, 1000)
-	put(1, 1000+maxSpan-1)
-	put(1, 1000+maxSpan)
+	put(1, 62*pageSize+loneReach-1)
 	put(1, math.MaxUint64)
-	// Far behind: the same bound, the window growing at its front.
+	// Far behind: the same reach, the directory growing at its front.
 	put(2, math.MaxUint64-5)
-	put(2, math.MaxUint64-5-maxSpan+1)
-	put(2, math.MaxUint64-5-maxSpan)
+	put(2, math.MaxUint64-loneReach+1)
 	put(2, 0)
-	put(2, math.MaxUint64)
 	// Alternating between the extremes on one flow.
 	for i := core.Seq(0); i < 1000; i++ {
 		put(3, i)
 		put(3, math.MaxUint64-i)
 	}
-	runtime.ReadMemStats(&after)
 	checkStore(t, s, m, "after the far seqs")
-	if st := s.Stats(); s.Len() != 1004 || st.Refused != 1005 || st.BytesHeld != 1004 {
-		t.Errorf("Len %d, Refused %d, BytesHeld %d; want 1004, 1005, 1004", s.Len(), st.Refused, st.BytesHeld)
-	}
-	// Two windows of maxSpan slots, each grown by doubling.
-	if limit := 8 * maxSpan * unsafe.Sizeof(slot{}); after.TotalAlloc-before.TotalAlloc > uint64(limit) {
-		t.Errorf("the far seqs allocated %d bytes, more than %d for two windows of %d slots",
-			after.TotalAlloc-before.TotalAlloc, limit, maxSpan)
+	if st := s.Stats(); s.Len() != 3 || st.Evicted != 2+2+1999 || st.BytesHeld != 3 {
+		t.Errorf("Len %d, Evicted %d, BytesHeld %d; want 3, 2003, 3", s.Len(), st.Evicted, st.BytesHeld)
 	}
 	// Once the windows expire, a flow may start again anywhere.
 	s.Get(time.Second, id(1, 0))
 	m.get(time.Second, id(1, 0))
 	put(1, math.MaxUint64)
 	checkStore(t, s, m, "after the expiry")
+}
+
+// TestForgedFlowsCostTheirPackets: many flows, each of two seqs as far
+// apart as a window holds or far beyond it, as forged datagrams at the
+// socket relay would make them. What the store allocates follows the
+// packets: at most a page, a directory of twice the reach of a lone page,
+// and a little bookkeeping per Put.
+func TestForgedFlowsCostTheirPackets(t *testing.T) {
+	s := NewStore(time.Second, 0)
+	const flows = 2000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for f := uint64(1); f <= flows; f++ {
+		s.Put(0, id(f, 0), nil)
+		if f%2 == 0 {
+			s.Put(0, id(f, loneReach-1), nil)
+		} else {
+			s.Put(0, id(f, 1<<16-1), nil)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("%d bytes per Put", (after.TotalAlloc-before.TotalAlloc)/(2*flows))
+	if s.Len() != flows*3/2 || s.Stats().Evicted != flows/2 {
+		t.Fatalf("Len %d, Evicted %d; want %d, %d", s.Len(), s.Stats().Evicted, flows*3/2, flows/2)
+	}
+	perPut := unsafe.Sizeof(page{}) + 2*(2*dirPerPage+dirSlack)*unsafe.Sizeof(dirEntry{}) + 256
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*flows*perPut); got > limit {
+		t.Errorf("%d Puts on %d flows allocated %d bytes, more than %d", 2*flows, flows, got, limit)
+	}
+}
+
+// TestLongTTLKeepsEveryPacket: at a rendezvous TTL of an hour a flow's
+// in-order packets stay cached however many there are.
+func TestLongTTLKeepsEveryPacket(t *testing.T) {
+	s := NewStore(time.Hour, 0)
+	const n = 1<<16 + 5000
+	for seq := uint64(1); seq <= n; seq++ {
+		s.Put(core.Time(seq)*time.Millisecond, id(1, seq), []byte{byte(seq)})
+	}
+	now := core.Time(n) * time.Millisecond
+	if st := s.Stats(); s.Len() != n || st.Evicted != 0 || st.Expired != 0 {
+		t.Fatalf("Len %d, %+v; want all %d cached", s.Len(), st, n)
+	}
+	got := s.DrainFlow(now, 1, 0)
+	if len(got) != n || got[0] != id(1, 1) || got[n-1] != id(1, n) {
+		t.Fatalf("drained %d packets, want %d in order", len(got), n)
+	}
+	for _, seq := range []uint64{1, 1 << 16, n} {
+		if p, ok := s.Get(now, id(1, seq)); !ok || p[0] != byte(seq) {
+			t.Errorf("Get(%d) = %v %v", seq, p, ok)
+		}
+	}
 }
 
 // TestPutSteadyStateAllocatesNothing: at a steady depth with equal-size
@@ -560,21 +669,22 @@ func TestPutSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestIdleCacheShrinks: a cache whose packets have all expired holds no
-// more than the spare constant and no window of theirs, and a small packet
-// does not keep an MTU-sized spare buffer alive.
+// more than the spare constant of buffers and of pages and no window of
+// theirs, and a small packet does not keep an MTU-sized spare buffer alive.
 func TestIdleCacheShrinks(t *testing.T) {
 	s := NewStore(time.Second, 0)
-	for seq := uint64(1); seq <= 10*maxSpare; seq++ {
-		s.Put(0, id(1, seq), make([]byte, 1400))
+	mtu := make([]byte, 1400)
+	for seq := uint64(1); seq <= 10*maxSpare*pageSize; seq++ {
+		s.Put(0, id(1, seq), mtu)
 	}
 	s.Put(time.Hour, id(2, 1), []byte("tiny"))
 	if s.Len() != 1 || s.Stats().BytesHeld != 4 || len(s.flows) != 1 {
 		t.Fatalf("after the idle hour: Len %d Bytes %d flows %d", s.Len(), s.Stats().BytesHeld, len(s.flows))
 	}
-	if n := len(s.spare); n > maxSpare {
-		t.Errorf("an idle cache holds %d spare buffers, cap %d", n, maxSpare)
+	if len(s.spare) > maxSpare || len(s.sparePages) > maxSpare {
+		t.Errorf("an idle cache holds %d spare buffers and %d spare pages, cap %d", len(s.spare), len(s.sparePages), maxSpare)
 	}
-	if sl := s.flows[2].at(1); cap(sl.payload) > 8 {
+	if _, sl := s.flows[2].find(1); cap(sl.payload) > 8 {
 		t.Errorf("a 4-byte packet sits in a %d-byte buffer", cap(sl.payload))
 	}
 }

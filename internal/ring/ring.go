@@ -1,5 +1,5 @@
 // Package ring is the FIFO every engine queue sits on: the egress
-// scheduler's sub-queues, the cache's per-flow seq windows and its put
+// scheduler's sub-queues, the cache's per-flow page directories and its put
 // order, the recoverer's expiry queues, a receiver's recent window, the
 // span collector's eviction order and late reservoir, and the control-loop
 // trace buffer.
@@ -58,22 +58,6 @@ func (r *Ring[T]) PopBack() T {
 	*p = *new(T)
 	r.n--
 	return v
-}
-
-// Delete removes the i-th entry, 0 ≤ i < Len, keeping the others in order.
-// It moves the shorter side of the gap, so deleting the front is PopFront.
-func (r *Ring[T]) Delete(i int) {
-	if i < r.n/2 {
-		for ; i > 0; i-- {
-			*r.At(i) = *r.At(i - 1)
-		}
-		r.PopFront()
-		return
-	}
-	for ; i+1 < r.n; i++ {
-		*r.At(i) = *r.At(i + 1)
-	}
-	r.PopBack()
 }
 
 // Truncate keeps the first n entries, 0 ≤ n ≤ Len, and drops the rest.

@@ -51,7 +51,7 @@ func TestRingMatchesSlice(t *testing.T) {
 			size, n := len(r.buf), r.Len()
 			wantSize := size
 			var op string
-			switch k := rng.Intn(14); {
+			switch k := rng.Intn(12); {
 			case k < 5:
 				op = "Push"
 				r.Push(next)
@@ -80,12 +80,7 @@ func TestRingMatchesSlice(t *testing.T) {
 					t.Fatalf("program %d, step %d: PopBack = %d, model %d", prog, step, got, model[n-1])
 				}
 				model = model[:n-1]
-			case k < 12 && n > 0:
-				op = "Delete"
-				i := rng.Intn(n)
-				r.Delete(i)
-				model = slices.Delete(model, i, i+1)
-			case k < 13:
+			case k < 11:
 				op = "Truncate"
 				keep := rng.Intn(n + 1)
 				r.Truncate(keep)
