@@ -33,9 +33,9 @@ type Stats struct {
 	BytesHeld uint64
 }
 
-// maxSpare bounds each spare list, of payload buffers and of pages: enough
-// for the puts landing in one instant to reuse what that instant's expiry
-// freed; an idle cache holds no more.
+// maxSpare bounds each spare list, of payload buffers, pages and windows:
+// enough for the puts landing in one instant to reuse what that instant's
+// expiry freed; an idle cache holds no more.
 const maxSpare = 64
 
 const (
@@ -111,13 +111,15 @@ type Store struct {
 	// the TTL is constant and the clock never steps back. A re-Put leaves
 	// its old ref stale rather than search for it.
 	order ring.Ring[ref]
-	// spare and sparePages hold up to maxSpare payload buffers and pages
-	// of packets that left.
-	spare      [][]byte
-	sparePages []*page
-	n          int
-	bytes      uint64
-	stats      Stats
+	// spare, sparePages and spareWindows hold up to maxSpare payload
+	// buffers, pages and flow windows that packets left. A recycled window
+	// may still be named by stale refs: their put stamps keep them stale.
+	spare        [][]byte
+	sparePages   []*page
+	spareWindows []*window
+	n            int
+	bytes        uint64
+	stats        Stats
 }
 
 // NewStore creates a cache holding packets for ttl, bounded to maxBytes of
@@ -157,7 +159,12 @@ func (s *Store) Put(now core.Time, id core.PacketID, payload []byte) {
 	s.stats.Puts++
 	w := s.flows[id.Flow]
 	if w == nil {
-		w = &window{flow: id.Flow}
+		if k := len(s.spareWindows) - 1; k >= 0 {
+			w, s.spareWindows = s.spareWindows[k], s.spareWindows[:k]
+		} else {
+			w = new(window)
+		}
+		w.flow = id.Flow
 		s.flows[id.Flow] = w
 	}
 	_, sl := w.find(id.Seq)
@@ -311,6 +318,9 @@ func (s *Store) dropOldest() bool {
 	s.remove(r.w, e, sl)
 	if r.w.pages == 0 {
 		delete(s.flows, r.w.flow)
+		if len(s.spareWindows) < maxSpare {
+			s.spareWindows = append(s.spareWindows, r.w)
+		}
 	}
 	return true
 }

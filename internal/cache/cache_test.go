@@ -376,8 +376,14 @@ func checkStore(t *testing.T, s *Store, m *modelStore, format string, args ...an
 	if s.order.Len() > 2*s.Len()+maxSpare {
 		t.Fatalf("%s: %d refs in the put order for %d packets", where(), s.order.Len(), s.Len())
 	}
-	if len(s.spare) > maxSpare || len(s.sparePages) > maxSpare {
-		t.Fatalf("%s: %d spare buffers and %d spare pages, cap %d", where(), len(s.spare), len(s.sparePages), maxSpare)
+	if len(s.spare) > maxSpare || len(s.sparePages) > maxSpare || len(s.spareWindows) > maxSpare {
+		t.Fatalf("%s: %d spare buffers, %d pages and %d windows, cap %d",
+			where(), len(s.spare), len(s.sparePages), len(s.spareWindows), maxSpare)
+	}
+	for _, w := range s.spareWindows {
+		if w.dir.Len() != 0 || s.flows[w.flow] == w {
+			t.Fatalf("%s: spare window of flow %d is in use", where(), w.flow)
+		}
 	}
 	for _, b := range s.spare {
 		if cap(b) > 0 && held[&b[:1][0]] {
@@ -674,17 +680,18 @@ func TestPutSteadyStateAllocatesNothing(t *testing.T) {
 func TestIdleCacheShrinks(t *testing.T) {
 	s := NewStore(time.Second, 0)
 	mtu := make([]byte, 1400)
-	for seq := uint64(1); seq <= 10*maxSpare*pageSize; seq++ {
-		s.Put(0, id(1, seq), mtu)
+	for n := uint64(0); n < 10*maxSpare*pageSize; n++ {
+		s.Put(0, id(2+n%(2*maxSpare), n/(2*maxSpare)), mtu)
 	}
-	s.Put(time.Hour, id(2, 1), []byte("tiny"))
+	s.Put(time.Hour, id(1, 1), []byte("tiny"))
 	if s.Len() != 1 || s.Stats().BytesHeld != 4 || len(s.flows) != 1 {
 		t.Fatalf("after the idle hour: Len %d Bytes %d flows %d", s.Len(), s.Stats().BytesHeld, len(s.flows))
 	}
-	if len(s.spare) > maxSpare || len(s.sparePages) > maxSpare {
-		t.Errorf("an idle cache holds %d spare buffers and %d spare pages, cap %d", len(s.spare), len(s.sparePages), maxSpare)
+	if len(s.spare) > maxSpare || len(s.sparePages) > maxSpare || len(s.spareWindows) > maxSpare {
+		t.Errorf("an idle cache holds %d spare buffers, %d pages and %d windows, cap %d",
+			len(s.spare), len(s.sparePages), len(s.spareWindows), maxSpare)
 	}
-	if _, sl := s.flows[2].find(1); cap(sl.payload) > 8 {
+	if _, sl := s.flows[1].find(1); cap(sl.payload) > 8 {
 		t.Errorf("a 4-byte packet sits in a %d-byte buffer", cap(sl.payload))
 	}
 }
@@ -717,4 +724,7 @@ func BenchmarkPutGet(b *testing.B) {
 	b.Run("ttl2000", func(b *testing.B) { run(b, NewStore(2000*time.Microsecond, 0), 1) })
 	// The same depth over 64 interleaved flows, about 31 packets each.
 	b.Run("flows64", func(b *testing.B) { run(b, NewStore(2000*time.Microsecond, 0), 64) })
+	// A flow that sends less than once a TTL: every Put opens the window
+	// of a flow whose last packet just expired.
+	b.Run("churn", func(b *testing.B) { run(b, NewStore(time.Microsecond, 0), 8) })
 }
