@@ -39,7 +39,7 @@ type DCNode struct {
 
 func newDCNode(d *Deployment, id core.NodeID) *DCNode {
 	n := &DCNode{d: d, id: id}
-	dp, err := dataplane.New(id, (*dcEnv)(n), d.cfg.Encoder, d.cfg.CacheTTL)
+	dp, err := dataplane.New(id, (*dcEnv)(n), d.cfg.Encoder, d.cfg.CacheTTL, &d.pool)
 	if err != nil {
 		panic("jqos: " + err.Error())
 	}

@@ -29,7 +29,7 @@ type Host struct {
 
 func newHost(d *Deployment, id, dc core.NodeID) *Host {
 	h := &Host{d: d, id: id, dc: dc}
-	h.core = dataplane.NewHost(id, dc, (*hostEnv)(h))
+	h.core = dataplane.NewHost(id, dc, (*hostEnv)(h), &d.pool)
 	h.timer = d.sim.NewTimer(h.onTimer)
 	return h
 }

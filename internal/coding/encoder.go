@@ -172,8 +172,9 @@ type crossKey struct {
 // for DC2. Not safe for concurrent use — the parallel pipeline (Figure 10)
 // shards flows across independent Encoders instead of locking one. The
 // Emits a call returns are the encoder's own buffer, valid until the next
-// call into it; each message is a region its recipient owns alone, though a
-// batch's messages share one array.
+// call into it; each message is a buffer drawn from the encoder's pool (see
+// SetPool) that its recipient owns alone, and the DC that consumes it hands
+// it back to that pool.
 //
 // The earliest open-queue deadline is kept cached (see earliest), so
 // NextDeadline is a field read and OnTimer returns at once when nothing is
@@ -182,11 +183,13 @@ type crossKey struct {
 //
 // The byte path touches a payload once to keep it (OnData's copy, shared by
 // both queues) and once per pair of parity rows to code it: when a batch
-// closes, its coded messages are allocated together at their final sizes and
+// closes, its coded messages are drawn from the pool at their final sizes and
 // the codec writes the parity straight into their tails from the unpadded
 // payloads (rs.Codec.EncodePacked). The copy lands in storage the encoder
 // recycles: a payload no queue holds any more goes to a bounded spare list
-// (see kept), so an OnData that closes no batch allocates nothing.
+// (see kept), so an OnData that closes no batch allocates nothing, and one
+// that closes a batch allocates only what its pool cannot supply: R
+// messages with no pool, none once the DC2s hand parity back.
 type Encoder struct {
 	cfg  EncoderConfig
 	self core.NodeID
@@ -210,7 +213,8 @@ type Encoder struct {
 	parity   [][]byte
 	emits    []core.Emit // the coded messages of the call in progress
 
-	spare []*kept // payload copies no queue holds, at most maxSpare
+	spare []*kept    // payload copies no queue holds, at most maxSpare
+	pool  *wire.Pool // what coded messages are drawn from; nil allocates
 
 	// earliest is the soonest deadline among open queues, 0 when none is
 	// open. A queue opening can only lower it; when a queue that may hold
@@ -237,6 +241,10 @@ func NewEncoder(self core.NodeID, cfg EncoderConfig) (*Encoder, error) {
 		codecs: rs.NewCache(cfg.K + cfg.InBlock),
 	}, nil
 }
+
+// SetPool names the pool the encoder draws its coded messages from: the
+// runtime's, which the DC2s that consume the parity hand it back to.
+func (e *Encoder) SetPool(p *wire.Pool) { e.pool = p }
 
 // Stats returns a copy of the counters.
 func (e *Encoder) Stats() EncoderStats { return e.stats }
@@ -429,9 +437,10 @@ func (e *Encoder) release(pkts []srcPkt) {
 }
 
 // encodeBatch appends the parity Emits for a batch of data packets to
-// e.emits. The batch's coded messages are capacity-limited regions of one
-// array, each with header and metadata marshalled into its head and its tail
-// handed to the codec to write parity in.
+// e.emits. Each coded message is a buffer from the pool, with header and
+// metadata marshalled into its head and its tail handed to the codec to
+// write parity in (the codec clears what it writes: a recycled buffer's old
+// bytes never reach the wire).
 func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kind wire.CodedKind, parity int) {
 	k := len(pkts)
 	codec := e.codecs.Get(k, parity)
@@ -464,10 +473,9 @@ func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kin
 	}
 	head := wire.HeaderLen + meta.MarshaledLen()
 	n := head + shardLen
-	buf := make([]byte, parity*n)
 	for i := 0; i < parity; i++ {
 		meta.Index = uint8(i)
-		msg := buf[i*n : i*n+wire.HeaderLen : (i+1)*n]
+		msg := e.pool.Get(n)[:wire.HeaderLen]
 		hdr.Marshal(msg)
 		msg = meta.AppendMarshal(msg, nil)[:n]
 		e.parity = append(e.parity, msg[head:])
@@ -477,6 +485,7 @@ func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kin
 	if err := codec.EncodePacked(e.payloads, e.parity); err != nil {
 		panic("coding: " + err.Error()) // shapes and sizes are ours by construction
 	}
+	clear(e.parity) // the messages are their recipients' now
 }
 
 // opened notes that a queue just opened with deadline d.

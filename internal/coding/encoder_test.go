@@ -514,50 +514,67 @@ func skipIfAppendMakeAllocates(t *testing.T) {
 
 // TestOnDataSteadyStateAllocs pins the encoder's steady state: the payload
 // copy lands in a buffer a flushed batch gave back, so an OnData that closes
-// no batch allocates nothing, and one that closes batches allocates exactly
-// one array per batch, shared by its parity messages.
+// no batch allocates nothing, and each parity message of one that closes
+// batches is drawn from the pool. Fed by a DC2 that hands every message
+// back, as the runtimes' are, the encoder allocates nothing at all; with no
+// pool, each parity message is an allocation of its own.
 func TestOnDataSteadyStateAllocs(t *testing.T) {
 	skipIfAppendMakeAllocates(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	cfg := testConfig()
-	e := mustEncoder(t, cfg)
-	payload := make([]byte, 200)
-	var seqs [7]core.Seq
-	i, emitted := 0, 0
-	next := func() {
-		flow := 1 + i%6
-		i++
-		seqs[flow]++
-		emitted = len(e.OnData(0, dc2, 100, core.FlowID(flow), seqs[flow], payload))
-	}
-	for j := 0; j < 1000; j++ { // every batch shape and scratch buffer grown
-		next()
-	}
-	batches := func() uint64 { st := e.Stats(); return st.InBatches + st.CrossBatches }
-	var ms runtime.MemStats
-	quiet, closing, multi := 0, 0, 0
-	for j := 0; j < 1000; j++ {
-		closed := batches()
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		next()
-		runtime.ReadMemStats(&ms)
-		closed = batches() - closed
-		if n := ms.Mallocs - before; n != closed {
-			t.Fatalf("call %d: OnData allocates %d times closing %d batches (%d parity messages)", j, n, closed, emitted)
-		}
-		switch {
-		case emitted == 0:
-			quiet++
-		case uint64(emitted) > closed:
-			multi++
-			fallthrough
-		default:
-			closing++
-		}
-	}
-	if quiet == 0 || closing == 0 || multi == 0 {
-		t.Fatalf("%d quiet calls, %d closing, %d with a batch of several parity messages: the script misses a kind", quiet, closing, multi)
+	for _, tc := range []struct {
+		name string
+		pool *wire.Pool
+	}{{"pool fed back", new(wire.Pool)}, {"no pool", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEncoder(t, testConfig())
+			e.SetPool(tc.pool)
+			payload := make([]byte, 200)
+			var seqs [7]core.Seq
+			i, emitted := 0, 0
+			next := func() {
+				flow := 1 + i%6
+				i++
+				seqs[flow]++
+				emits := e.OnData(0, dc2, 100, core.FlowID(flow), seqs[flow], payload)
+				emitted = len(emits)
+				for _, em := range emits {
+					tc.pool.Put(em.Msg) // DC2 has read it
+				}
+			}
+			for j := 0; j < 1000; j++ { // every batch shape, scratch buffer and pool class grown
+				next()
+			}
+			batches := func() uint64 { st := e.Stats(); return st.InBatches + st.CrossBatches }
+			var ms runtime.MemStats
+			quiet, closing, multi := 0, 0, 0
+			for j := 0; j < 1000; j++ {
+				closed := batches()
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				next()
+				runtime.ReadMemStats(&ms)
+				closed = batches() - closed
+				want := uint64(emitted)
+				if tc.pool != nil {
+					want = 0
+				}
+				if n := ms.Mallocs - before; n != want {
+					t.Fatalf("call %d: OnData allocates %d times closing %d batches (%d parity messages), want %d", j, n, closed, emitted, want)
+				}
+				switch {
+				case emitted == 0:
+					quiet++
+				case uint64(emitted) > closed:
+					multi++
+					fallthrough
+				default:
+					closing++
+				}
+			}
+			if quiet == 0 || closing == 0 || multi == 0 {
+				t.Fatalf("%d quiet calls, %d closing, %d with a batch of several parity messages: the script misses a kind", quiet, closing, multi)
+			}
+		})
 	}
 }
 

@@ -21,8 +21,15 @@
 // group packet out as one copy per member, a host's receiver hands a
 // delivered payload to the application as it arrived and keeps a copy of
 // its own, and the engines copy what they keep into storage they recycle.
-// Regions may share a backing array (a sender allocates every copy of one
-// send at once), so a holder that keeps many of them long should copy.
+// Data regions may share a backing array (a sender allocates every copy of
+// one send at once), so a holder that keeps many of them long should copy.
+// What a DC consumes — coded parity, NACKs, pulls, coop and verify
+// responses — travels in buffers of its own, drawn from the runtime's one
+// wire.Pool by the encoder, the receivers and HostCore.Pull; Core.Handle
+// hands each back to that pool once it has read it, so on a steady run
+// those messages allocate nothing. Nothing else goes back: not data, whose
+// bytes are the sender's, and not a message the DC relays, queues or fans
+// out, whose bytes are the next hop's.
 //
 // Neither core owns a clock, a socket or a topology. Its runtime passes
 // the time in and answers a few questions through Env / HostEnv. There
@@ -50,8 +57,9 @@ type Env interface {
 	// PathPolicy is the opaque key the encoder batches flow's parity
 	// under (0 = default fastest path, also for unknown flows).
 	PathPolicy(flow core.FlowID) uint32
-	// Send puts msg on the wire toward hop. The bytes may be shared with
-	// other sends and must not be modified.
+	// Send puts msg on the wire toward hop. The bytes are the recipient's
+	// from then on: the runtime must not modify them, nor hand them to a
+	// pool — whoever consumes the message does that.
 	Send(hop core.NodeID, msg []byte)
 }
 
@@ -68,17 +76,21 @@ type Core struct {
 
 	self core.NodeID
 	env  Env
+	pool *wire.Pool // the runtime's: parity is drawn from it, consumed messages go back
 	drop uint64
 	meta wire.Coded // scratch for parsing coded messages; the recoverer copies what it keeps
 }
 
 // New builds the core of DC self on env. The cache is bounded by cacheTTL
-// alone, and the recoverer runs coding.DefaultRecovererConfig.
-func New(self core.NodeID, env Env, enc coding.EncoderConfig, cacheTTL core.Time) (*Core, error) {
+// alone, and the recoverer runs coding.DefaultRecovererConfig. The encoder
+// draws parity from pool, and Handle hands what the DC consumes back to it;
+// a nil pool allocates every message and keeps none.
+func New(self core.NodeID, env Env, enc coding.EncoderConfig, cacheTTL core.Time, pool *wire.Pool) (*Core, error) {
 	e, err := coding.NewEncoder(self, enc)
 	if err != nil {
 		return nil, err
 	}
+	e.SetPool(pool)
 	return &Core{
 		Forwarder: forward.New(self),
 		Cache:     cache.NewStore(cacheTTL, 0),
@@ -86,6 +98,7 @@ func New(self core.NodeID, env Env, enc coding.EncoderConfig, cacheTTL core.Time
 		Recoverer: coding.NewRecoverer(self, coding.DefaultRecovererConfig()),
 		self:      self,
 		env:       env,
+		pool:      pool,
 	}, nil
 }
 
@@ -113,8 +126,13 @@ func (c *Core) OnTimer(now core.Time) {
 }
 
 // Handle dispatches one parsed message. raw is the whole datagram, which
-// body is a slice of; the core keeps both (transit messages are forwarded
-// as received), so the caller must not reuse the bytes.
+// body is a slice of, and the caller hands both over: a message in transit
+// leaves as received, and one addressed to this DC that is not data — coded
+// parity once the recoverer has copied its shard, a NACK, a pull, a coop or
+// verify response, or a message the DC drops — goes back to the pool, to be
+// overwritten by the next message drawn from it. Data never goes back: its
+// payload is copied by the cache or the encoder, and its bytes are the
+// sender's.
 func (c *Core) Handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 	// Point-to-point service messages addressed elsewhere are relayed
 	// (e.g. a helper's CoopResp transiting its own DC toward DC2). Data
@@ -127,8 +145,14 @@ func (c *Core) Handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 	switch hdr.Type {
 	case wire.TypeData:
 		c.onData(now, hdr, body, raw)
+		return
 	case wire.TypeCoded:
-		c.onCoded(now, hdr, body, raw)
+		if hdr.Dst != c.self {
+			flow, ok := wire.PeekCodedFlow(body)
+			c.send(hdr.Dst, raw, path{lookup: true, pin: ok, flow: flow, flags: hdr.Flags})
+			return
+		}
+		c.onCoded(now, hdr, body)
 	case wire.TypeNACK:
 		// A loss report goes to the service it names: the cache answers
 		// directly, coding goes through the recoverer.
@@ -141,17 +165,17 @@ func (c *Core) Handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 		c.onPull(now, hdr)
 	case wire.TypeCoopResp:
 		var ref wire.CoopRef
-		payload, err := ref.Unmarshal(body)
-		if err != nil {
+		if payload, err := ref.Unmarshal(body); err != nil {
 			c.drop++
-			return
+		} else {
+			c.emit(c.Recoverer.OnCoopResp(now, hdr, &ref, payload))
 		}
-		c.emit(c.Recoverer.OnCoopResp(now, hdr, &ref, payload))
 	case wire.TypeVerifyResp:
 		c.emit(c.Recoverer.OnVerifyResp(now, hdr))
 	default:
 		c.drop++
 	}
+	c.pool.Put(raw) // consumed: nothing the DC keeps or sends aliases it
 }
 
 // path says how one message picks the hop it leaves on (see send).
@@ -241,8 +265,9 @@ func (c *Core) emit(emits []core.Emit) {
 }
 
 // sendCoded sends encoder emits. Parity addressed to this very DC — a
-// partial overlay, where DC1 and DC2 are the same DC — goes back into the
-// recoverer without touching the network. The rest is pinned by its
+// partial overlay, where DC1 and DC2 are the same DC — goes into the
+// recoverer without touching the network, and then back to the pool, like
+// parity that arrived. The rest is pinned by its
 // batch's first source flow: cross-stream batches are policy-homogeneous
 // (the encoder keys them by the flow's path policy), so the first source
 // stands in for the whole batch, and transit DCs use the same key, which
@@ -252,12 +277,12 @@ func (c *Core) sendCoded(now core.Time, emits []core.Emit) {
 	for _, em := range emits {
 		if em.To == c.self {
 			var hdr wire.Header
-			body, err := wire.SplitMessage(&hdr, em.Msg)
-			if err != nil {
+			if body, err := wire.SplitMessage(&hdr, em.Msg); err != nil {
 				c.drop++
-				continue
+			} else {
+				c.onCoded(now, &hdr, body)
 			}
-			c.onCoded(now, &hdr, body, em.Msg)
+			c.pool.Put(em.Msg)
 			continue
 		}
 		var p path
@@ -323,15 +348,11 @@ func (c *Core) servesDst(dst core.NodeID) bool {
 	return ok && near == c.self
 }
 
-// onCoded handles a parity packet: addressed here, it is stored in the
-// recoverer (DC2 role); otherwise it moves along, on the pinned path of
-// its batch's first source flow when one is installed.
-func (c *Core) onCoded(now core.Time, hdr *wire.Header, body, raw []byte) {
-	if hdr.Dst != c.self {
-		flow, ok := wire.PeekCodedFlow(body)
-		c.send(hdr.Dst, raw, path{lookup: true, pin: ok, flow: flow, flags: hdr.Flags})
-		return
-	}
+// onCoded stores a parity packet addressed here in the recoverer (DC2
+// role), which copies the shard. Parity in transit moves along in Handle,
+// on the pinned path of its batch's first source flow when one is
+// installed.
+func (c *Core) onCoded(now core.Time, hdr *wire.Header, body []byte) {
 	shard, err := c.meta.Unmarshal(body)
 	if err != nil {
 		c.drop++

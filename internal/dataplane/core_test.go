@@ -26,12 +26,14 @@ const (
 )
 
 // fakeEnv is the one test implementation of Env: a static link set and
-// host→DC map, recording every send.
+// host→DC map, recording every send, and the pool its core draws from and
+// hands back to.
 type fakeEnv struct {
 	links   map[core.NodeID]bool
 	nearest map[core.NodeID]core.NodeID
 	policy  map[core.FlowID]uint32
 	sent    []core.Emit
+	pool    wire.Pool
 }
 
 func (e *fakeEnv) Linked(hop core.NodeID) bool { return e.links[hop] }
@@ -53,11 +55,32 @@ func newWorld(t testing.TB) (*Core, *fakeEnv) {
 	}
 	enc := coding.DefaultEncoderConfig()
 	enc.K, enc.CrossParity, enc.InBlock = 2, 1, 0
-	c, err := New(self, env, enc, core.Time(time.Second))
+	c, err := New(self, env, enc, core.Time(time.Second), &env.pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, env
+}
+
+// pooled copies msg into a buffer drawn from p, the way a runtime's hosts
+// build what its DCs consume.
+func pooled(p *wire.Pool, msg []byte) []byte { return append(p.Get(len(msg)), msg...) }
+
+// handedBack reports whether raw is what p holds: the one buffer in it,
+// the one the next draw of raw's size returns.
+func handedBack(t testing.TB, p *wire.Pool, raw []byte) bool {
+	t.Helper()
+	switch p.Len() {
+	case 0:
+		return false
+	case 1:
+		if got := p.Get(len(raw)); &got[:1][0] != &raw[:1][0] {
+			t.Fatalf("the pool holds a buffer that is not the message handled")
+		}
+		return true
+	}
+	t.Fatalf("the pool holds %d buffers after one message", p.Len())
+	return false
 }
 
 func message(typ wire.MsgType, svc core.Service, flow core.FlowID, seq core.Seq, src, dst core.NodeID, flags uint16, body []byte) []byte {
@@ -141,12 +164,16 @@ func TestCoreHandle(t *testing.T) {
 		return message(typ, svc, 7, 1, hostB, self, 0, body)
 	}
 
+	// back: the core consumed the message and handed its buffer back to
+	// the pool. Data never goes back, nor does anything relayed or fanned
+	// out.
 	cases := []struct {
 		name  string
 		setup func(*Core)
 		in    []byte
 		want  []sent
 		drops uint64
+		back  bool
 		check func(t *testing.T, c *Core)
 	}{
 		// Data, forwarding service.
@@ -213,10 +240,10 @@ func TestCoreHandle(t *testing.T) {
 		{name: "coded/transit/old-epoch tag", setup: drained,
 			in: coded(dcB, oldTag), want: []sent{{hop: dcB, msg: coded(dcB, oldTag)}}},
 		{name: "coded/here: stored in the recoverer", setup: noPin,
-			in:    coded(self, 0),
+			in: coded(self, 0), back: true,
 			check: func(t *testing.T, c *Core) { wantLen(t, c.Recoverer.Batches(), 1, "recoverer batches") }},
 		{name: "coded/here/truncated metadata: dropped", setup: noPin,
-			in: message(wire.TypeCoded, core.ServiceCoding, 0, 0, 5, self, 0, []byte{1, 2, 3}), drops: 1},
+			in: message(wire.TypeCoded, core.ServiceCoding, 0, 0, 5, self, 0, []byte{1, 2, 3}), drops: 1, back: true},
 
 		// Point-to-point service messages: transit is relayed untouched,
 		// whatever the type.
@@ -237,37 +264,41 @@ func TestCoreHandle(t *testing.T) {
 
 		// Addressed here.
 		{name: "nack/here/coding: handed to the recoverer", setup: noPin,
-			in:    here(wire.TypeNACK, core.ServiceCoding, nil),
+			in: here(wire.TypeNACK, core.ServiceCoding, nil), back: true,
 			check: func(t *testing.T, c *Core) { wantLen(t, int(c.Recoverer.Stats().NACKs), 1, "recoverer NACKs") }},
 		{name: "nack/here/caching miss: silent", setup: noPin,
-			in: here(wire.TypeNACK, core.ServiceCaching, nil)},
+			in: here(wire.TypeNACK, core.ServiceCaching, nil), back: true},
 		{name: "nack/here/caching hit: answered from the cache", setup: cached(1),
 			in:   here(wire.TypeNACK, core.ServiceCaching, nil),
-			want: []sent{{hop: dcB, typ: wire.TypePullResp, dst: hostB}}},
+			want: []sent{{hop: dcB, typ: wire.TypePullResp, dst: hostB}}, back: true},
 		{name: "pull/here/drain: every later packet of the flow", setup: cached(3),
 			in: message(wire.TypePull, core.ServiceCaching, 7, 1, hostB, self, wire.FlagDrain, nil),
 			want: []sent{{hop: dcB, typ: wire.TypePullResp, dst: hostB},
-				{hop: dcB, typ: wire.TypePullResp, dst: hostB}}},
+				{hop: dcB, typ: wire.TypePullResp, dst: hostB}}, back: true},
 		{name: "coopresp/here: no recovery pending, no reply", setup: noPin,
-			in: here(wire.TypeCoopResp, core.ServiceCoding, coopBody())},
+			in: here(wire.TypeCoopResp, core.ServiceCoding, coopBody()), back: true},
 		{name: "coopresp/here/truncated: dropped", setup: noPin,
-			in: here(wire.TypeCoopResp, core.ServiceCoding, []byte{1}), drops: 1},
+			in: here(wire.TypeCoopResp, core.ServiceCoding, []byte{1}), drops: 1, back: true},
 		{name: "verifyresp/here", setup: noPin,
-			in: here(wire.TypeVerifyResp, core.ServiceCoding, nil)},
+			in: here(wire.TypeVerifyResp, core.ServiceCoding, nil), back: true},
 		{name: "recovered/here: not a DC message, dropped", setup: noPin,
-			in: here(wire.TypeRecovered, core.ServiceCoding, []byte("x")), drops: 1},
+			in: here(wire.TypeRecovered, core.ServiceCoding, []byte("x")), drops: 1, back: true},
 		{name: "probe/here: control types are the host's, dropped", setup: noPin,
-			in: here(wire.TypeProbe, 0, nil), drops: 1},
+			in: here(wire.TypeProbe, 0, nil), drops: 1, back: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, env := newWorld(t)
 			tc.setup(c)
-			handle(t, c, tc.in)
+			raw := pooled(&env.pool, tc.in)
+			handle(t, c, raw)
 			if c.Dropped() != tc.drops {
 				t.Errorf("Dropped = %d, want %d", c.Dropped(), tc.drops)
 			}
 			checkSent(t, env.sent, tc.want)
+			if back := handedBack(t, &env.pool, raw); back != tc.back {
+				t.Errorf("handed back to the pool: %v, want %v", back, tc.back)
+			}
 			if tc.check != nil {
 				tc.check(t, c)
 			}
@@ -287,7 +318,7 @@ func TestHostAttachedMidDrainRoutesThroughHome(t *testing.T) {
 		links:   map[core.NodeID]bool{2: true, 5: true},
 		nearest: map[core.NodeID]core.NodeID{100: 4},
 	}
-	c, err := New(self, env, coding.DefaultEncoderConfig(), core.Time(time.Second))
+	c, err := New(self, env, coding.DefaultEncoderConfig(), core.Time(time.Second), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +422,7 @@ func TestCoreEncoderEgress(t *testing.T) {
 		handle(t, c, data(8, local))
 		checkSent(t, env.sent, nil)
 		wantLen(t, c.Recoverer.Batches(), 1, "recoverer batches")
+		wantLen(t, env.pool.Len(), 1, "parity handed back")
 	})
 	t.Run("loopback on timer flush", func(t *testing.T) {
 		c, env := newWorld(t)
@@ -403,6 +435,7 @@ func TestCoreEncoderEgress(t *testing.T) {
 		checkSent(t, env.sent, nil)
 		wantLen(t, c.Recoverer.Batches(), 1, "recoverer batches")
 		wantLen(t, int(c.Dropped()), 0, "drops")
+		wantLen(t, env.pool.Len(), 1, "parity handed back")
 	})
 	t.Run("timer flush to DC2", func(t *testing.T) {
 		c, env := newWorld(t)
@@ -415,8 +448,9 @@ func TestCoreEncoderEgress(t *testing.T) {
 
 // FuzzCoreHandle feeds arbitrary datagrams through the split both hosts
 // use into a core with pins, a group, a live drain and a warm cache: no
-// input may panic, and every message is accounted for — sent on, absorbed
-// by an engine, or counted in Dropped.
+// input may panic, every message is accounted for — sent on, absorbed by
+// an engine, or counted in Dropped — and exactly the messages addressed
+// here that are not data come back to the pool, never one that was sent.
 func FuzzCoreHandle(f *testing.F) {
 	for _, seed := range [][]byte{
 		message(wire.TypeData, core.ServiceForwarding, 7, 1, 100, hostB, wire.EpochFlags(0), []byte("payload")),
@@ -447,14 +481,17 @@ func FuzzCoreHandle(f *testing.F) {
 		drained(c)
 		cached(1)(c)
 
+		if len(data) > 1<<16 {
+			return // past the pool's largest class: it would not keep the buffer
+		}
+		raw := pooled(&env.pool, data)
 		var hdr wire.Header
-		body, err := wire.SplitMessage(&hdr, data)
+		body, err := wire.SplitMessage(&hdr, raw)
 		if err != nil {
 			return // the host counts these; the core never sees them
 		}
-		c.Handle(0, &hdr, body, data)
-
 		// Bodies the core must parse and cannot are counted, not ignored.
+		// Decided first: once handled, raw may be the pool's.
 		unparseable := false
 		if hdr.Dst == self {
 			switch hdr.Type {
@@ -466,6 +503,17 @@ func FuzzCoreHandle(f *testing.F) {
 				var ref wire.CoopRef
 				_, err := ref.Unmarshal(body)
 				unparseable = err != nil
+			}
+		}
+		c.Handle(0, &hdr, body, raw)
+
+		back, want := handedBack(t, &env.pool, raw), hdr.Dst == self && hdr.Type != wire.TypeData
+		if back != want {
+			t.Fatalf("%v to %v handed back to the pool: %v, want %v", hdr.Type, hdr.Dst, back, want)
+		}
+		for _, em := range env.sent {
+			if back && len(em.Msg) > 0 && &em.Msg[0] == &raw[0] {
+				t.Fatalf("sent %v to %v and handed it back too", hdr.Type, em.To)
 			}
 		}
 		if unparseable && (c.Dropped() != 1 || len(env.sent) != 0) {

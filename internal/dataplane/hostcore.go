@@ -87,6 +87,9 @@ type HostCore struct {
 	retired recovery.Stats
 	// spare lists receivers no flow holds, for Ensure to reuse.
 	spare []*recovery.Receiver
+	// pool is the runtime's: the receivers' NACKs, coop and verify
+	// responses and the core's pulls are drawn from it.
+	pool *wire.Pool
 }
 
 type flowReceiver struct {
@@ -95,8 +98,10 @@ type flowReceiver struct {
 }
 
 // NewHost builds the core of endpoint self, whose nearby DC is dc, on env.
-func NewHost(self, dc core.NodeID, env HostEnv) *HostCore {
-	return &HostCore{self: self, dc: dc, env: env}
+// The messages it sends for a DC to consume are drawn from pool (nil
+// allocates them), which the DC hands them back to.
+func NewHost(self, dc core.NodeID, env HostEnv, pool *wire.Pool) *HostCore {
+	return &HostCore{self: self, dc: dc, env: env, pool: pool}
 }
 
 // Receiver returns the recovery engine for a flow (nil if none yet). It is
@@ -163,6 +168,7 @@ func (c *HostCore) Ensure(flow core.FlowID, rtt core.Time, svc core.Service) *re
 		r.Reset(cfg)
 	} else {
 		r = recovery.New(cfg)
+		r.SetPool(c.pool)
 	}
 	// Found after any eviction above, which may have shifted the index.
 	i, _ := c.find(flow)
@@ -303,7 +309,7 @@ func (c *HostCore) Pull(now core.Time, flow core.FlowID, after core.Seq) bool {
 		Src:     c.self,
 		Dst:     c.dc,
 	}
-	c.env.Send(c.dc, wire.AppendMessage(nil, &hdr, nil))
+	c.env.Send(c.dc, wire.AppendMessage(c.pool.Get(wire.HeaderLen), &hdr, nil))
 	return true
 }
 

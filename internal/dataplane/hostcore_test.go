@@ -60,7 +60,7 @@ func (e *fakeHostEnv) Deliver(del core.Delivery) {
 
 func newHostWorld() (*HostCore, *fakeHostEnv) {
 	env := &fakeHostEnv{live: map[core.FlowID]core.Time{}}
-	return NewHost(hostSelf, hostDC, env), env
+	return NewHost(hostSelf, hostDC, env, nil), env
 }
 
 // hostHandle feeds raw through the same split both hosts do.
@@ -651,7 +651,7 @@ func (churnEnv) Deliver(core.Delivery)                   {}
 // host: registration, 100 in-order 200 B packets, close. Each flow after
 // the first runs on the receiver the one before let go.
 func BenchmarkHostCoreFlowChurn(b *testing.B) {
-	c := NewHost(hostSelf, hostDC, churnEnv{})
+	c := NewHost(hostSelf, hostDC, churnEnv{}, nil)
 	payload := make([]byte, 200)
 	var now core.Time
 	b.ReportAllocs()

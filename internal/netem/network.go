@@ -8,7 +8,10 @@ import (
 
 // Handler consumes datagrams addressed to a node. data is owned by the
 // receiver once delivered: the network drops its only reference (the
-// delivery record's) before the handler runs, and never reuses the bytes.
+// delivery record's) before the handler runs, and never reuses the bytes —
+// so the handler may recycle them (a DC hands what it consumed back to its
+// deployment's wire.Pool), and a wrapper around one must not read data once
+// the inner handler has returned.
 type Handler func(from, to core.NodeID, data []byte)
 
 // linkKey identifies a directed edge.

@@ -168,7 +168,9 @@ type slot struct {
 
 // Receiver is the reliability engine of one inbound flow. Not safe for
 // concurrent use. A Result it returns is valid until the next call into the
-// same Receiver.
+// same Receiver. The messages it addresses to a DC — NACKs, coop and verify
+// responses — are built in buffers drawn from its pool (SetPool), which the
+// DC that consumes one hands back to.
 type Receiver struct {
 	cfg Config
 	// flow is the flow this receiver serves, taken from the first data or
@@ -200,6 +202,9 @@ type Receiver struct {
 	stats  Stats
 	res    Result     // the result under construction
 	due    []core.Seq // OnTimer's scratch: the seqs to re-NACK, sorted
+	// pool is what the messages a DC consumes — NACKs, coop and verify
+	// responses — are drawn from (see SetPool); nil allocates them.
+	pool *wire.Pool
 
 	// OnCoded's scratch, kept across Reset: the shard table, the window's
 	// sources packed into shards, the positions to decode, and the states
@@ -282,8 +287,13 @@ func (r *Receiver) Reset(cfg Config) {
 		wanted:      r.wanted,
 		spareDec:    r.spareDec,
 		spareParity: r.spareParity,
+		pool:        r.pool,
 	}
 }
+
+// SetPool names the pool the receiver draws the messages its DC consumes
+// from: its runtime's, which the DC hands them back to. Reset keeps it.
+func (r *Receiver) SetPool(p *wire.Pool) { r.pool = p }
 
 // Stats returns a copy of the counters.
 func (r *Receiver) Stats() Stats { return r.stats }
@@ -436,7 +446,7 @@ func (r *Receiver) nack(now core.Time, seq core.Seq, wantVerify bool) {
 	if wantVerify {
 		hdr.Flags |= wire.FlagWantVerify
 	}
-	r.res.Emits = append(r.res.Emits, core.Emit{To: r.cfg.DC, Msg: wire.AppendMessage(nil, &hdr, nil)})
+	r.res.Emits = append(r.res.Emits, core.Emit{To: r.cfg.DC, Msg: wire.AppendMessage(r.pool.Get(wire.HeaderLen), &hdr, nil)})
 }
 
 // OnRecovered processes a repaired packet from the DC (TypeRecovered from
@@ -651,7 +661,7 @@ func (r *Receiver) OnCoopReq(now core.Time, hdr *wire.Header, ref *wire.CoopRef)
 		Src:     r.cfg.Self,
 		Dst:     hdr.Src,
 	}
-	msg := make([]byte, 0, wire.HeaderLen+ref.MarshaledLen()+len(payload))
+	msg := r.pool.Get(wire.HeaderLen + ref.MarshaledLen() + len(payload))
 	msg = ref.AppendMarshal(wire.AppendMessage(msg, &respHdr, nil), payload)
 	r.res.Emits = append(r.res.Emits, core.Emit{To: hdr.Src, Msg: msg})
 	return r.res
@@ -674,7 +684,7 @@ func (r *Receiver) OnVerify(now core.Time, hdr *wire.Header) Result {
 	if _, still := r.missing[hdr.Seq]; still {
 		respHdr.Flags |= wire.FlagStillWanted
 	}
-	r.res.Emits = append(r.res.Emits, core.Emit{To: hdr.Src, Msg: wire.AppendMessage(nil, &respHdr, nil)})
+	r.res.Emits = append(r.res.Emits, core.Emit{To: hdr.Src, Msg: wire.AppendMessage(r.pool.Get(wire.HeaderLen), &respHdr, nil)})
 	return r.res
 }
 

@@ -37,7 +37,7 @@ type HostEnd struct {
 // the service its NACKs request is the one each flow's packets carry.
 func NewHostEnd(ep *Endpoint, dc core.NodeID, rtt time.Duration) *HostEnd {
 	h := &HostEnd{ep: ep, dc: dc, rtt: core.Time(rtt), pump: newPump()}
-	h.hc = dataplane.NewHost(ep.Self, dc, (*hostEndEnv)(h))
+	h.hc = dataplane.NewHost(ep.Self, dc, (*hostEndEnv)(h), nil)
 	ep.Handler = h.handle
 	return h
 }

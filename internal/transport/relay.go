@@ -63,9 +63,13 @@ func DefaultRelayConfig() RelayConfig {
 // what the core sends meanwhile is queued in out and written to the socket
 // once mu is released.
 type Relay struct {
-	ep      *Endpoint
-	mu      sync.Mutex
-	dp      *dataplane.Core
+	ep *Endpoint
+	mu sync.Mutex
+	dp *dataplane.Core
+	// pool is the core's, used under mu: its parity is drawn from it, and
+	// each datagram the core consumes goes back to it. A datagram in out
+	// is never in it — the core hands back only what it does not send.
+	pool    wire.Pool
 	nearest map[core.NodeID]core.NodeID
 	out     []core.Emit // (hop, datagram) pairs awaiting the socket
 	pump    *pump
@@ -78,7 +82,7 @@ func NewRelay(ep *Endpoint, cfg RelayConfig, bindings []HostBinding) (*Relay, er
 		nearest: make(map[core.NodeID]core.NodeID),
 		pump:    newPump(),
 	}
-	dp, err := dataplane.New(ep.Self, (*relayEnv)(r), cfg.Encoder, core.Time(cfg.CacheTTL))
+	dp, err := dataplane.New(ep.Self, (*relayEnv)(r), cfg.Encoder, core.Time(cfg.CacheTTL), &r.pool)
 	if err != nil {
 		return nil, err
 	}

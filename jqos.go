@@ -438,6 +438,7 @@ import (
 	"jqos/internal/overlay"
 	"jqos/internal/routing"
 	"jqos/internal/tenant"
+	"jqos/internal/wire"
 )
 
 // Re-exported identity types so example code rarely needs internal imports.
@@ -583,6 +584,11 @@ type Deployment struct {
 
 	dcs   map[core.NodeID]*DCNode
 	hosts map[core.NodeID]*Host
+
+	// pool holds the message buffers that DCs consume — parity, NACKs,
+	// pulls, coop and verify responses — for every DC and host to draw
+	// from, and the DCs hand each back once read (dataplane.Core.Handle).
+	pool wire.Pool
 
 	// open holds the open flows in ascending ID order, which is
 	// registration order: RegisterFlow appends, Flow.Close removes, every

@@ -1,0 +1,82 @@
+//go:build !race
+
+// The race detector's instrumentation allocates on its own (about 0.55
+// more per packet on this world), so the count is pinned without it.
+
+package jqos
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"jqos/internal/dataset"
+	"jqos/internal/netem"
+)
+
+// poolIdleBound is the most buffers a wire.Pool keeps (its doc's idle
+// bound): 64 in each class up to 4 KiB, then 256 KiB worth per class.
+const poolIdleBound = 508
+
+// TestCodingSteadyStateAllocs: on a 2-DC coding world — eight flows of
+// 64 B packets every 2 ms over lossy direct paths, so NACKs, resent parity
+// and coop rounds run all along — a packet's whole trip allocates at most
+// 1.15 times once the run is warm: the sender's one array, and a little
+// recovery traffic the hosts keep. The parity, NACKs and coop answers the
+// DCs consume travel in buffers the deployment's pool hands out and the DCs
+// hand back (1.54 per packet when each was allocated). Once the deployment
+// is idle, its pool holds no more than its bound.
+func TestCodingSteadyStateAllocs(t *testing.T) {
+	const (
+		flows    = 8
+		interval = 2 * time.Millisecond
+		warm     = 3 * time.Second
+		measured = 4 * time.Second
+	)
+	d := NewDeploymentWithConfig(1, DefaultConfig())
+	a := d.AddDC("dc-a", dataset.RegionUSEast)
+	b := d.AddDC("dc-b", dataset.RegionEU)
+	d.ConnectDCs(a, b, 40*time.Millisecond)
+	payload := make([]byte, 64)
+	end := warm + measured
+	sent := 0
+	for i := 0; i < flows; i++ {
+		src := d.AddHost(a, 5*time.Millisecond)
+		dst := d.AddHost(b, 8*time.Millisecond)
+		d.SetDirectPath(src, dst, netem.UniformJitter{Base: 50 * time.Millisecond, Jitter: 2 * time.Millisecond},
+			netem.NewGilbertElliott(0.01, 3))
+		f, err := d.RegisterFlow(FlowSpec{Src: src, Dst: dst, Budget: 200 * time.Millisecond,
+			Service: ServiceCoding, ServiceFixed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var send func()
+		send = func() {
+			f.Send(payload)
+			sent++
+			if next := d.Now() + interval; next < end {
+				d.Sim().At(next, send)
+			}
+		}
+		d.Sim().At(time.Duration(i)*time.Millisecond%interval, send)
+	}
+	d.Run(warm)
+	before := sent
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	d.Run(measured)
+	runtime.ReadMemStats(&ms)
+	pkts := sent - before
+	perPkt := float64(ms.Mallocs-mallocs) / float64(pkts)
+	t.Logf("%d packets, %.4f allocations per packet", pkts, perPkt)
+	if pkts < flows*int(measured/interval)-flows || perPkt > 1.15 {
+		t.Errorf("%d packets sent allocate %.4f times per packet, want at most 1.15", pkts, perPkt)
+	}
+
+	d.RunUntilQuiet()
+	t.Logf("idle pool holds %d buffers", d.pool.Len())
+	if n := d.pool.Len(); n > poolIdleBound {
+		t.Errorf("an idle deployment's pool holds %d buffers, more than its bound %d", n, poolIdleBound)
+	}
+}
