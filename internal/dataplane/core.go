@@ -320,7 +320,9 @@ func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) {
 	// Forwarding — and Internet-service data, which should never reach a
 	// DC, moves on too so nothing silently vanishes. Multicast groups fan
 	// out with per-member destination rewriting, so downstream DCs route
-	// each copy as plain unicast (cloud multicast, Figure 3c).
+	// each copy as plain unicast (cloud multicast, Figure 3c). A member
+	// copy keeps the packet's epoch tag, and its hop toward the member's
+	// home resolves under it, like unicast data's.
 	if !c.Forwarder.IsGroup(hdr.Dst) {
 		c.send(hdr.Dst, raw, path{lookup: true, pin: true, flow: hdr.Flow, flags: hdr.Flags})
 		return
@@ -334,7 +336,7 @@ func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) {
 			c.drop++
 			continue
 		}
-		c.send(m, msg, path{})
+		c.send(m, msg, path{flags: hdr.Flags})
 	}
 }
 

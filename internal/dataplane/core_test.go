@@ -205,6 +205,11 @@ func TestCoreHandle(t *testing.T) {
 			in: fwdData(group, 0), want: []sent{
 				{hop: local, msg: rewritten(fwdData(group, 0), local)},
 				{hop: dcB, msg: rewritten(fwdData(group, 0), hostB)}}},
+		{name: "data/forwarding/multicast group, old-epoch tag: each copy resolves the retiring table",
+			setup: func(c *Core) { grouped(c); drained(c) },
+			in:    fwdData(group, oldTag), want: []sent{
+				{hop: local, msg: rewritten(fwdData(group, oldTag), local)},
+				{hop: dcB, msg: rewritten(fwdData(group, oldTag), hostB)}}},
 		{name: "data/internet service: moves on like forwarding", setup: noPin,
 			in:   message(wire.TypeData, core.ServiceInternet, 7, 1, 100, hostB, 0, []byte("p")),
 			want: []sent{{hop: dcB, msg: message(wire.TypeData, core.ServiceInternet, 7, 1, 100, hostB, 0, []byte("p"))}}},
