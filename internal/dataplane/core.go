@@ -267,11 +267,11 @@ func (c *Core) emit(emits []core.Emit) {
 // sendCoded sends encoder emits. Parity addressed to this very DC — a
 // partial overlay, where DC1 and DC2 are the same DC — goes into the
 // recoverer without touching the network, and then back to the pool, like
-// parity that arrived. The rest is pinned by its
-// batch's first source flow: cross-stream batches are policy-homogeneous
-// (the encoder keys them by the flow's path policy), so the first source
-// stands in for the whole batch, and transit DCs use the same key, which
-// keeps a batch on one path policy end to end.
+// parity that arrived. The rest is pinned by its batch's first source
+// flow: cross-stream batches are policy-homogeneous (the encoder keys them
+// by the flow's path policy), so the first source stands in for the whole
+// batch, and transit DCs use the same key, which keeps a batch on one path
+// policy end to end.
 func (c *Core) sendCoded(now core.Time, emits []core.Emit) {
 	pins := c.Forwarder.FlowRouteCount() > 0 // none here: skip the per-packet peek
 	for _, em := range emits {
