@@ -74,7 +74,7 @@ type dcEnv DCNode
 
 func (e *dcEnv) Linked(hop core.NodeID) bool { return e.d.net.HasRoute(e.id, hop) }
 
-func (e *dcEnv) NearestDC(host core.NodeID) (core.NodeID, bool) { return e.d.ctrl.Home(host) }
+func (e *dcEnv) Home(host core.NodeID) (core.NodeID, bool) { return e.d.ctrl.Home(host) }
 
 // PathPolicy folds a flow's declared PathPolicy into the opaque
 // discriminator the encoder batches by: 0 for the default fastest-path

@@ -71,6 +71,7 @@ type Flow struct {
 	dsts    []core.NodeID // one element for unicast; members for multicast
 	cloud   core.NodeID   // cloud-copy destination (receiver or group ID)
 	service core.Service
+	dc1     *DCNode // the source's home, where cloud copies enter; a host attaches once
 
 	// Declarative intent (normalized at registration) — the single
 	// source of truth for budget, fixedness, path policy and the event
@@ -333,41 +334,34 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 		}
 	}
 
-	// Cloud copy toward DC1, policed by the admission contract.
+	// Cloud copy toward DC1, policed by the admission contract and
+	// stamped with DC1's current table epoch: transit DCs resolve it
+	// against that table version while it stays live, so a reroute never
+	// re-resolves (and reorders) traffic already in the overlay.
 	if f.service != core.ServiceInternet {
-		if dc1, ok := f.d.topo.NearestDC(f.src); ok {
-			// Cloud copies are stamped with the ingress DC's current
-			// table epoch: transit DCs resolve the packet against that
-			// table version for as long as it stays live, so a reroute
-			// mid-flight never re-resolves (and reorders) traffic that
-			// entered the overlay under the old tables.
-			cflags := flags | wire.FlagDup
-			if dc, okDC := f.d.dcs[dc1]; okDC {
-				cflags |= wire.EpochFlags(dc.dp.Forwarder.Epoch())
-			}
-			// Deterministic trace sampling: every Nth cloud copy is
-			// stamped FlagTraced so the choke points downstream
-			// record spans for it. The trace opens here, before the
-			// ingress contracts, so a copy they drop is counted.
-			traced := f.traceEvery > 0 && uint64(f.seq)%f.traceEvery == 0
-			if traced {
-				cflags |= wire.FlagTraced
-			}
-			var msg []byte
-			if encoded != nil {
-				msg = append(region(), encoded...)
-				wire.RewriteDst(msg, f.cloud)
-				wire.RewriteFlags(msg, cflags)
-			} else {
-				hdr.Dst = f.cloud
-				hdr.Flags = cflags
-				msg = wire.AppendMessage(region(), &hdr, payload)
-			}
-			if traced {
-				f.d.tel.spans.Begin(core.PacketID{Flow: f.id, Seq: f.seq}, time.Duration(now))
-			}
-			f.sendCloud(now, dc1, msg, traced)
+		cflags := flags | wire.FlagDup | wire.EpochFlags(f.dc1.dp.Forwarder.Epoch())
+		// Deterministic trace sampling: every Nth cloud copy is stamped
+		// FlagTraced so the choke points downstream record spans for it.
+		// The trace opens here, before the ingress contracts, so a copy
+		// they drop is counted.
+		traced := f.traceEvery > 0 && uint64(f.seq)%f.traceEvery == 0
+		if traced {
+			cflags |= wire.FlagTraced
 		}
+		var msg []byte
+		if encoded != nil {
+			msg = append(region(), encoded...)
+			wire.RewriteDst(msg, f.cloud)
+			wire.RewriteFlags(msg, cflags)
+		} else {
+			hdr.Dst = f.cloud
+			hdr.Flags = cflags
+			msg = wire.AppendMessage(region(), &hdr, payload)
+		}
+		if traced {
+			f.d.tel.spans.Begin(core.PacketID{Flow: f.id, Seq: f.seq}, time.Duration(now))
+		}
+		f.sendCloud(now, msg, traced)
 	}
 	return f.seq
 }
@@ -379,7 +373,7 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 // count against both contracts: one uplink copy fans out to every
 // member, and a contract that priced it as one copy would let a
 // thousand-member group consume a thousand times its quota.
-func (f *Flow) sendCloud(now core.Time, dc1 core.NodeID, msg []byte, traced bool) {
+func (f *Flow) sendCloud(now core.Time, msg []byte, traced bool) {
 	n := len(msg)
 	if m := len(f.spec.Members); m > 0 {
 		n *= m
@@ -415,7 +409,7 @@ func (f *Flow) sendCloud(now core.Time, dc1 core.NodeID, msg []byte, traced bool
 	if traced {
 		f.d.tel.spans.NoteTx(pid, time.Duration(now))
 	}
-	f.d.net.Send(f.src, dc1, msg)
+	f.d.net.Send(f.src, f.dc1.id, msg)
 }
 
 // noteTenantQuotaDrop accounts one cloud copy refused by the tenant's

@@ -191,9 +191,11 @@ type FlowSpec struct {
 // controller's k-alternates, seeds the receivers, and starts the
 // bidirectional adaptation loop.
 func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
-	if _, ok := d.hosts[spec.Src]; !ok {
+	src, ok := d.hosts[spec.Src]
+	if !ok {
 		return nil, fmt.Errorf("jqos: source %v is not a host", spec.Src)
 	}
+	dc1 := d.DC(src.DC())
 	multicast := len(spec.Members) > 0
 	var dsts []core.NodeID
 	cloud := core.NodeID(spec.Dst)
@@ -273,8 +275,8 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		if !homeOK {
 			return nil, fmt.Errorf("jqos: path policy %v needs a resolvable cloud destination for %v (AddGroup before RegisterFlow)", spec.Path.Kind, cloud)
 		}
-		if dcA, ok := d.topo.NearestDC(spec.Src); ok && dcA != home {
-			if p := d.choosePolicyPath(spec.Path, dcA, home); p != nil {
+		if dc1.id != home {
+			if p := d.choosePolicyPath(spec.Path, dc1.id, home); p != nil {
 				policyPath = p
 				// Price selection on the path's honest latency, not its
 				// routing weight (Path.Cost is congestion-inflated).
@@ -321,7 +323,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	// cap the same way: a conformant burst larger than the queue would
 	// tail-drop at the egress no matter what the ingress admitted.
 	if bucket != nil && d.cfg.Scheduler.Enabled() {
-		if share, queueCap, ok := d.admissionEnvelope(svc, spec.Src, cloud, policyPath); ok {
+		if share, queueCap, ok := d.admissionEnvelope(svc, dc1.id, cloud, policyPath); ok {
 			if spec.Rate > share {
 				return nil, fmt.Errorf("jqos: admission Rate %d B/s exceeds the %v class's weighted share (%d B/s) of the path's bottleneck link — unhonorable under contention; lower Rate, or raise the class weight or link capacity",
 					spec.Rate, svc, share)
@@ -344,6 +346,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 		dsts:       dsts,
 		cloud:      cloud,
 		service:    svc,
+		dc1:        dc1,
 		spec:       spec,
 		bucket:     bucket,
 		tenant:     tn,
@@ -394,7 +397,7 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 }
 
 // admissionEnvelope computes the scheduler-aware admission bounds for a
-// flow of class svc from src's DC to its cloud home: the class's
+// flow of class svc from its DC1 dcA to its cloud home: the class's
 // weighted share of the path's bottleneck accounting capacity (the
 // minimum across capacitated hops of capacity × weight ⁄ Σweights) and
 // the per-class egress queue byte cap (0 when unbounded). policyPath
@@ -402,13 +405,12 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 // sized against the path the flow will actually ride. ok is false when
 // nothing constrains the path — same-DC flows, no route, or no
 // capacitated hop.
-func (d *Deployment) admissionEnvelope(svc core.Service, src, cloud core.NodeID, policyPath *routing.Path) (share, queueCap int64, ok bool) {
+func (d *Deployment) admissionEnvelope(svc core.Service, dcA, cloud core.NodeID, policyPath *routing.Path) (share, queueCap int64, ok bool) {
 	if svc == core.ServiceInternet {
 		return 0, 0, false // no cloud copies: nothing to size
 	}
-	dcA, okA := d.topo.NearestDC(src)
 	home, okB := d.ctrl.Home(cloud)
-	if !okA || !okB || dcA == home {
+	if !okB || dcA == home {
 		return 0, 0, false
 	}
 	var nodes []core.NodeID
@@ -527,9 +529,9 @@ func (f *Flow) resolvePath() { f.resolvePathWith(nil) }
 // path (registration passes the one it already priced selection on).
 func (f *Flow) resolvePathWith(chosen *routing.Path) {
 	d := f.d
-	dcA, okA := d.topo.NearestDC(f.src)
+	dcA := f.dc1.id
 	dcB, okB := d.ctrl.Home(f.cloud)
-	if !okA || !okB || dcA == dcB {
+	if !okB || dcA == dcB {
 		return
 	}
 	switch f.spec.Path.Kind {

@@ -16,7 +16,6 @@ import (
 type Host struct {
 	d  *Deployment
 	id core.NodeID
-	dc core.NodeID
 
 	core      *dataplane.HostCore
 	onDeliver func(core.Delivery)
@@ -28,7 +27,7 @@ type Host struct {
 }
 
 func newHost(d *Deployment, id, dc core.NodeID) *Host {
-	h := &Host{d: d, id: id, dc: dc}
+	h := &Host{d: d, id: id}
 	h.core = dataplane.NewHost(id, dc, (*hostEnv)(h), &d.pool)
 	h.timer = d.sim.NewTimer(h.onTimer)
 	return h
@@ -37,8 +36,8 @@ func newHost(d *Deployment, id, dc core.NodeID) *Host {
 // ID returns the host's node identity.
 func (h *Host) ID() core.NodeID { return h.id }
 
-// DC returns the host's nearby data center.
-func (h *Host) DC() core.NodeID { return h.dc }
+// DC returns the host's home data center.
+func (h *Host) DC() core.NodeID { return h.core.Home() }
 
 // SetDeliveryHandler installs a callback invoked for every packet the host
 // surfaces to the application (direct or recovered).
@@ -93,8 +92,8 @@ func (e *hostEnv) Send(to core.NodeID, msg []byte) {
 	switch {
 	case e.d.net.HasRoute(e.id, to):
 		e.d.net.Send(e.id, to, msg)
-	case e.d.net.HasRoute(e.id, e.dc):
-		e.d.net.Send(e.id, e.dc, msg)
+	case e.d.net.HasRoute(e.id, e.core.Home()):
+		e.d.net.Send(e.id, e.core.Home(), msg)
 	default:
 		e.drop++
 	}

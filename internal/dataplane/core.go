@@ -52,8 +52,8 @@ import (
 type Env interface {
 	// Linked reports whether hop can be sent to directly.
 	Linked(hop core.NodeID) bool
-	// NearestDC names the home DC of a host or multicast group.
-	NearestDC(host core.NodeID) (core.NodeID, bool)
+	// Home names the DC a host or multicast group was attached to.
+	Home(host core.NodeID) (core.NodeID, bool)
 	// PathPolicy is the opaque key the encoder batches flow's parity
 	// under (0 = default fastest path, also for unknown flows).
 	PathPolicy(flow core.FlowID) uint32
@@ -66,7 +66,7 @@ type Env interface {
 // Core runs all three services of one DC: a forwarder, a packet cache, a
 // CR-WAN encoder (DC1 role) and a CR-WAN recoverer (DC2 role). A single
 // DC plays both coding roles — which one applies depends on whether it is
-// nearest the sender or the receiver of a flow. Not safe for concurrent
+// the home of the sender or of the receiver of a flow. Not safe for concurrent
 // use; the host serializes Handle and OnTimer.
 type Core struct {
 	Forwarder *forward.Forwarder // routes, pins, groups
@@ -234,7 +234,7 @@ func (c *Core) send(to core.NodeID, msg []byte, p path) {
 	for _, em := range recipients {
 		via, ok := c.Forwarder.RouteTagged(tag, em.To)
 		if !ok {
-			if home, known := c.env.NearestDC(em.To); known && home != c.self {
+			if home, known := c.env.Home(em.To); known && home != c.self {
 				if via, ok = c.Forwarder.RouteTagged(tag, home); !ok || !c.usable(via) {
 					via, ok = home, true
 				}
@@ -296,7 +296,7 @@ func (c *Core) sendCoded(now core.Time, emits []core.Emit) {
 // onData handles an application data copy.
 //
 //   - forwarding: relay toward the (possibly multicast) destination.
-//   - caching: relay until this DC is the destination's nearest DC (or the
+//   - caching: relay until this DC is the destination's home DC (or the
 //     destination is a group homed here), then cache.
 //   - coding: this DC is DC1 for the flow — feed the encoder; parity flows
 //     to the receiver's DC2.
@@ -308,7 +308,7 @@ func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) {
 			return
 		}
 	case core.ServiceCoding:
-		dc2, ok := c.env.NearestDC(hdr.Dst)
+		dc2, ok := c.env.Home(hdr.Dst)
 		if !ok {
 			c.drop++
 			return
@@ -340,14 +340,14 @@ func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) {
 	}
 }
 
-// servesDst reports whether this DC is the egress DC for dst (its nearest
-// DC, or a multicast group installed here).
+// servesDst reports whether this DC is the egress DC for dst (the DC dst
+// was attached to, or a multicast group installed here).
 func (c *Core) servesDst(dst core.NodeID) bool {
 	if c.Forwarder.IsGroup(dst) {
 		return true
 	}
-	near, ok := c.env.NearestDC(dst)
-	return ok && near == c.self
+	home, ok := c.env.Home(dst)
+	return ok && home == c.self
 }
 
 // onCoded stores a parity packet addressed here in the recoverer (DC2

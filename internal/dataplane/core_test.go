@@ -29,16 +29,16 @@ const (
 // host→DC map, recording every send, and the pool its core draws from and
 // hands back to.
 type fakeEnv struct {
-	links   map[core.NodeID]bool
-	nearest map[core.NodeID]core.NodeID
-	policy  map[core.FlowID]uint32
-	sent    []core.Emit
-	pool    wire.Pool
+	links  map[core.NodeID]bool
+	homes  map[core.NodeID]core.NodeID
+	policy map[core.FlowID]uint32
+	sent   []core.Emit
+	pool   wire.Pool
 }
 
 func (e *fakeEnv) Linked(hop core.NodeID) bool { return e.links[hop] }
-func (e *fakeEnv) NearestDC(host core.NodeID) (core.NodeID, bool) {
-	dc, ok := e.nearest[host]
+func (e *fakeEnv) Home(host core.NodeID) (core.NodeID, bool) {
+	dc, ok := e.homes[host]
 	return dc, ok
 }
 func (e *fakeEnv) PathPolicy(flow core.FlowID) uint32 { return e.policy[flow] }
@@ -49,9 +49,9 @@ func (e *fakeEnv) Send(hop core.NodeID, msg []byte) {
 func newWorld(t testing.TB) (*Core, *fakeEnv) {
 	t.Helper()
 	env := &fakeEnv{
-		links:   map[core.NodeID]bool{dcB: true, dcC: true, local: true},
-		nearest: map[core.NodeID]core.NodeID{local: self, hostB: dcB, hostC: dcC},
-		policy:  map[core.FlowID]uint32{},
+		links:  map[core.NodeID]bool{dcB: true, dcC: true, local: true},
+		homes:  map[core.NodeID]core.NodeID{local: self, hostB: dcB, hostC: dcC},
+		policy: map[core.FlowID]uint32{},
 	}
 	enc := coding.DefaultEncoderConfig()
 	enc.K, enc.CrossParity, enc.InBlock = 2, 1, 0
@@ -320,8 +320,8 @@ func TestCoreHandle(t *testing.T) {
 // must leave toward DC 2, not be dropped for want of a host entry.
 func TestHostAttachedMidDrainRoutesThroughHome(t *testing.T) {
 	env := &fakeEnv{
-		links:   map[core.NodeID]bool{2: true, 5: true},
-		nearest: map[core.NodeID]core.NodeID{100: 4},
+		links: map[core.NodeID]bool{2: true, 5: true},
+		homes: map[core.NodeID]core.NodeID{100: 4},
 	}
 	c, err := New(self, env, coding.DefaultEncoderConfig(), core.Time(time.Second), nil)
 	if err != nil {

@@ -97,12 +97,15 @@ type flowReceiver struct {
 	r    *recovery.Receiver
 }
 
-// NewHost builds the core of endpoint self, whose nearby DC is dc, on env.
+// NewHost builds the core of endpoint self, whose home DC is dc, on env.
 // The messages it sends for a DC to consume are drawn from pool (nil
 // allocates them), which the DC hands them back to.
 func NewHost(self, dc core.NodeID, env HostEnv, pool *wire.Pool) *HostCore {
 	return &HostCore{self: self, dc: dc, env: env, pool: pool}
 }
+
+// Home returns the DC the endpoint is attached to.
+func (c *HostCore) Home() core.NodeID { return c.dc }
 
 // Receiver returns the recovery engine for a flow (nil if none yet). It is
 // the flow's only while the core holds it: after Drop or an eviction the

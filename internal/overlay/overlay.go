@@ -1,73 +1,49 @@
-// Package overlay models the cloud side of J-QoS: the data centers, the
-// latency structure of a deployment (host↔DC δ, inter-DC x, direct path y),
-// and the egress cost model used for judicious service selection (§2, §6.6).
+// Package overlay models the cloud side of J-QoS: the latency structure of
+// a deployment (host↔DC δ, inter-DC x, direct path y) and the egress cost
+// model used for judicious service selection (§2, §6.6). Which DC is a
+// host's home, and how far apart two DCs are, it asks the routing control
+// plane (PathOracle).
 package overlay
 
 import (
-	"fmt"
 	"slices"
 
 	"jqos/internal/core"
-	"jqos/internal/dataset"
 )
 
-// DC describes one data center in the overlay.
-type DC struct {
-	ID     core.NodeID
-	Name   string
-	Region dataset.Region
-}
-
-// PathOracle resolves DC-to-DC latency through a routing control plane:
-// the routed (possibly multi-hop) one-way latency between two DCs, with
-// ok=false when no path currently exists. routing.Controller implements
-// it.
+// PathOracle is the routing control plane as the topology reads it:
+// PathLatency is the routed (possibly multi-hop) one-way latency between
+// two DCs, with ok=false when no path currently exists, and Home the DC a
+// host was attached to. routing.Controller implements it.
 type PathOracle interface {
 	PathLatency(a, b core.NodeID) (core.Time, bool)
+	Home(host core.NodeID) (core.NodeID, bool)
 }
 
-// Topology is the latency map of a deployment: which DC is near each host,
-// δ/x segment latencies, and (estimated, online-updated) direct-path
-// latencies between host pairs. All latencies are one-way.
+// Topology is the latency map of a deployment: δ/x segment latencies and
+// (estimated, online-updated) direct-path latencies between host pairs.
+// All latencies are one-way.
 type Topology struct {
-	dcs     map[core.NodeID]DC
-	order   []core.NodeID // insertion order for deterministic iteration
-	nearest map[core.NodeID]core.NodeID
-	delta   map[core.NodeID]core.Time
+	delta map[core.NodeID]core.Time
 	// deltas holds every attached host's δ in ascending order, so the
 	// coding prediction's median is its middle element, not a sort.
 	deltas []core.Time
 	direct map[[2]core.NodeID]core.Time
 	// oracle answers InterDC with routed path latency — so sparse
 	// (non-mesh) overlays predict delays and select services for DC
-	// pairs with no direct link, and predictions track link health.
+	// pairs with no direct link, and predictions track link health — and
+	// each host's home DC.
 	oracle PathOracle
 }
 
-// NewTopology returns an empty topology whose inter-DC latencies come
-// from oracle.
+// NewTopology returns an empty topology whose homes and inter-DC
+// latencies come from oracle.
 func NewTopology(oracle PathOracle) *Topology {
 	return &Topology{
-		oracle:  oracle,
-		dcs:     make(map[core.NodeID]DC),
-		nearest: make(map[core.NodeID]core.NodeID),
-		delta:   make(map[core.NodeID]core.Time),
-		direct:  make(map[[2]core.NodeID]core.Time),
+		oracle: oracle,
+		delta:  make(map[core.NodeID]core.Time),
+		direct: make(map[[2]core.NodeID]core.Time),
 	}
-}
-
-// AddDC registers a data center.
-func (t *Topology) AddDC(dc DC) {
-	if _, dup := t.dcs[dc.ID]; !dup {
-		t.order = append(t.order, dc.ID)
-	}
-	t.dcs[dc.ID] = dc
-}
-
-// IsDC reports whether id names a registered data center.
-func (t *Topology) IsDC(id core.NodeID) bool {
-	_, ok := t.dcs[id]
-	return ok
 }
 
 // InterDC returns the routed one-way DC-to-DC latency (multi-hop when no
@@ -81,12 +57,8 @@ func (t *Topology) InterDC(a, b core.NodeID) (core.Time, bool) {
 	return t.oracle.PathLatency(a, b)
 }
 
-// AttachHost binds a host to its nearest DC with one-way latency delta.
-func (t *Topology) AttachHost(host, dc core.NodeID, delta core.Time) {
-	if !t.IsDC(dc) {
-		panic(fmt.Sprintf("overlay: attaching %v to unknown DC %v", host, dc))
-	}
-	t.nearest[host] = dc
+// AttachHost records a host's one-way latency delta to its home DC.
+func (t *Topology) AttachHost(host core.NodeID, delta core.Time) {
 	if old, ok := t.delta[host]; ok {
 		i, _ := slices.BinarySearch(t.deltas, old)
 		t.deltas = slices.Delete(t.deltas, i, i+1)
@@ -94,12 +66,6 @@ func (t *Topology) AttachHost(host, dc core.NodeID, delta core.Time) {
 	t.delta[host] = delta
 	i, _ := slices.BinarySearch(t.deltas, delta)
 	t.deltas = slices.Insert(t.deltas, i, delta)
-}
-
-// NearestDC returns the DC serving a host, or (0, false) for unknown hosts.
-func (t *Topology) NearestDC(host core.NodeID) (core.NodeID, bool) {
-	dc, ok := t.nearest[host]
-	return dc, ok
 }
 
 // Delta returns the one-way host↔DC latency δ for a host.
@@ -158,13 +124,13 @@ func (t *Topology) predictDelay(svc core.Service, src, dst core.NodeID, xOverrid
 	if svc == core.ServiceInternet {
 		return y, y > 0
 	}
-	dc1, ok1 := t.NearestDC(src)
-	dc2, ok2 := t.NearestDC(dst)
-	if !ok1 || !ok2 {
+	dS, okS := t.Delta(src)
+	dR, okR := t.Delta(dst)
+	dc1, ok1 := t.oracle.Home(src)
+	dc2, ok2 := t.oracle.Home(dst)
+	if !okS || !okR || !ok1 || !ok2 {
 		return 0, false
 	}
-	dS, _ := t.Delta(src)
-	dR, _ := t.Delta(dst)
 	x := xOverride
 	if !haveX {
 		var okX bool

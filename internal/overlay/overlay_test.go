@@ -8,19 +8,38 @@ import (
 	"time"
 
 	"jqos/internal/core"
-	"jqos/internal/dataset"
 )
 
 // staticOracle answers PathLatency from a fixed table of routed
-// one-way latencies, the same in both directions.
-type staticOracle map[[2]core.NodeID]core.Time
+// one-way latencies, the same in both directions, and Home from the
+// homes attach recorded.
+type staticOracle struct {
+	paths map[[2]core.NodeID]core.Time
+	homes map[core.NodeID]core.NodeID
+}
 
-func (o staticOracle) PathLatency(a, b core.NodeID) (core.Time, bool) {
-	if x, ok := o[[2]core.NodeID{a, b}]; ok {
+func newOracle(paths map[[2]core.NodeID]core.Time) *staticOracle {
+	return &staticOracle{paths: paths, homes: make(map[core.NodeID]core.NodeID)}
+}
+
+func (o *staticOracle) PathLatency(a, b core.NodeID) (core.Time, bool) {
+	if x, ok := o.paths[[2]core.NodeID{a, b}]; ok {
 		return x, true
 	}
-	x, ok := o[[2]core.NodeID{b, a}]
+	x, ok := o.paths[[2]core.NodeID{b, a}]
 	return x, ok
+}
+
+func (o *staticOracle) Home(host core.NodeID) (core.NodeID, bool) {
+	dc, ok := o.homes[host]
+	return dc, ok
+}
+
+// attach homes host at dc, as the controller does, and records its δ on
+// top, as the deployment does.
+func (o *staticOracle) attach(top *Topology, host, dc core.NodeID, delta core.Time) {
+	o.homes[host] = dc
+	top.AttachHost(host, delta)
 }
 
 // buildTestTopology makes a 2-DC full overlay:
@@ -28,33 +47,23 @@ func (o staticOracle) PathLatency(a, b core.NodeID) (core.Time, bool) {
 //	host 10 —5ms— DC1(1) —40ms— DC2(2) —10ms— host 20, direct 10→20 = 50ms.
 //
 // Host 30 (δ 8ms, at DC1) makes the median host δ 8ms.
-func buildTestTopology() *Topology {
-	t := NewTopology(staticOracle{{1, 2}: 40 * time.Millisecond})
-	t.AddDC(DC{ID: 1, Name: "us-east-1", Region: dataset.RegionUSEast})
-	t.AddDC(DC{ID: 2, Name: "eu-west-1", Region: dataset.RegionEU})
-	t.AttachHost(10, 1, 5*time.Millisecond)
-	t.AttachHost(20, 2, 10*time.Millisecond)
-	t.AttachHost(30, 1, 8*time.Millisecond)
+func buildTestTopology() (*Topology, *staticOracle) {
+	o := newOracle(map[[2]core.NodeID]core.Time{{1, 2}: 40 * time.Millisecond})
+	t := NewTopology(o)
+	o.attach(t, 10, 1, 5*time.Millisecond)
+	o.attach(t, 20, 2, 10*time.Millisecond)
+	o.attach(t, 30, 1, 8*time.Millisecond)
 	t.SetDirect(10, 20, 50*time.Millisecond)
-	return t
+	return t, o
 }
 
 func TestTopologyAccessors(t *testing.T) {
-	top := buildTestTopology()
-	if !top.IsDC(1) || top.IsDC(10) {
-		t.Error("IsDC wrong")
-	}
-	if !top.IsDC(2) {
-		t.Error("second DC missing")
-	}
-	if dc, ok := top.NearestDC(10); !ok || dc != 1 {
-		t.Errorf("NearestDC(10) = %v %v", dc, ok)
-	}
-	if _, ok := top.NearestDC(99); ok {
-		t.Error("unknown host has a nearest DC")
-	}
+	top, _ := buildTestTopology()
 	if d, ok := top.Delta(20); !ok || d != 10*time.Millisecond {
 		t.Errorf("Delta(20) = %v", d)
+	}
+	if _, ok := top.Delta(99); ok {
+		t.Error("unknown host has a δ")
 	}
 	if x, ok := top.InterDC(1, 2); !ok || x != 40*time.Millisecond {
 		t.Errorf("InterDC = %v", x)
@@ -68,23 +77,10 @@ func TestTopologyAccessors(t *testing.T) {
 	if _, ok := top.InterDC(1, 99); ok {
 		t.Error("unknown DC pair resolved")
 	}
-	if dc, ok := top.NearestDC(30); !ok || dc != 1 {
-		t.Errorf("NearestDC(30) = %v %v", dc, ok)
-	}
-}
-
-func TestAttachHostUnknownDCPanics(t *testing.T) {
-	top := NewTopology(staticOracle{})
-	defer func() {
-		if recover() == nil {
-			t.Error("attach to unknown DC did not panic")
-		}
-	}()
-	top.AttachHost(10, 1, time.Millisecond)
 }
 
 func TestDirectFallback(t *testing.T) {
-	top := buildTestTopology()
+	top, _ := buildTestTopology()
 	if y := top.Direct(10, 20); y != 50*time.Millisecond {
 		t.Errorf("known pair = %v", y)
 	}
@@ -94,7 +90,7 @@ func TestDirectFallback(t *testing.T) {
 }
 
 func TestPredictDelayFormulas(t *testing.T) {
-	top := buildTestTopology()
+	top, _ := buildTestTopology()
 	// internet: y = 50.
 	if d, ok := top.PredictDelay(core.ServiceInternet, 10, 20); !ok || d != 50*time.Millisecond {
 		t.Errorf("internet = %v %v", d, ok)
@@ -114,7 +110,7 @@ func TestPredictDelayFormulas(t *testing.T) {
 }
 
 func TestPredictDelayWaitDelta(t *testing.T) {
-	top := buildTestTopology()
+	top, _ := buildTestTopology()
 	// Make the direct path fast so the cloud copy lags: y = 20ms.
 	// Δ = (5+40) − (20+10) = 15ms; caching = 20+20+15 = 55.
 	top.SetDirect(10, 20, 20*time.Millisecond)
@@ -124,9 +120,9 @@ func TestPredictDelayWaitDelta(t *testing.T) {
 }
 
 func TestPredictDelayMedianDerived(t *testing.T) {
-	top := buildTestTopology()
+	top, o := buildTestTopology()
 	// A fourth host moves the median of host deltas {5,8,10,12} to 10ms.
-	top.AttachHost(40, 2, 12*time.Millisecond)
+	o.attach(top, 40, 2, 12*time.Millisecond)
 	d, ok := top.PredictDelay(core.ServiceCoding, 10, 20)
 	if !ok || d != (70+20)*time.Millisecond {
 		t.Errorf("coding with derived median = %v %v", d, ok)
@@ -137,12 +133,11 @@ func TestPredictDelayMedianDerived(t *testing.T) {
 // sort of every attached host's current δ, across re-attaches that move
 // a host's δ and ties between hosts.
 func TestMedianHostDeltaMatchesSort(t *testing.T) {
-	top := NewTopology(staticOracle{})
-	top.AddDC(DC{ID: 1})
+	top := NewTopology(newOracle(nil))
 	rng := rand.New(rand.NewSource(1))
 	for step := 0; step < 500; step++ {
 		host := core.NodeID(10 + rng.Intn(20))
-		top.AttachHost(host, 1, time.Duration(rng.Intn(8))*time.Millisecond)
+		top.AttachHost(host, time.Duration(rng.Intn(8))*time.Millisecond)
 		ds := make([]core.Time, 0, len(top.delta))
 		for _, d := range top.delta {
 			ds = append(ds, d)
@@ -155,7 +150,7 @@ func TestMedianHostDeltaMatchesSort(t *testing.T) {
 }
 
 func TestPredictDelayMissingInputs(t *testing.T) {
-	top := buildTestTopology()
+	top, o := buildTestTopology()
 	if _, ok := top.PredictDelay(core.ServiceForwarding, 99, 20); ok {
 		t.Error("unattached src predicted")
 	}
@@ -165,11 +160,20 @@ func TestPredictDelayMissingInputs(t *testing.T) {
 	if _, ok := top.PredictDelay(core.ServiceCaching, 20, 10); ok {
 		t.Error("caching with no y estimate should be unknown")
 	}
-	top2 := NewTopology(staticOracle{})
-	top2.AddDC(DC{ID: 1})
-	top2.AddDC(DC{ID: 2})
-	top2.AttachHost(10, 1, time.Millisecond)
-	top2.AttachHost(20, 2, time.Millisecond)
+	// A home with no δ (a multicast group) or a δ with no home is not
+	// enough to predict.
+	o.homes[40] = 2
+	if _, ok := top.PredictDelay(core.ServiceForwarding, 10, 40); ok {
+		t.Error("dst with no δ predicted")
+	}
+	top.AttachHost(50, time.Millisecond)
+	if _, ok := top.PredictDelay(core.ServiceForwarding, 10, 50); ok {
+		t.Error("dst with no home predicted")
+	}
+	o2 := newOracle(nil)
+	top2 := NewTopology(o2)
+	o2.attach(top2, 10, 1, time.Millisecond)
+	o2.attach(top2, 20, 2, time.Millisecond)
 	top2.SetDirect(10, 20, time.Millisecond)
 	if _, ok := top2.PredictDelay(core.ServiceForwarding, 10, 20); ok {
 		t.Error("missing inter-DC latency predicted")
@@ -177,14 +181,11 @@ func TestPredictDelayMissingInputs(t *testing.T) {
 }
 
 func TestInterDCDelegatesToOracle(t *testing.T) {
-	oracle := staticOracle{
+	oracle := newOracle(map[[2]core.NodeID]core.Time{
 		{1, 3}: 90 * time.Millisecond, // routed multi-hop
 		{1, 2}: 35 * time.Millisecond,
-	}
+	})
 	top := NewTopology(oracle)
-	for _, id := range []core.NodeID{1, 2, 3} {
-		top.AddDC(DC{ID: id})
-	}
 	// Routed latency answers sparse pairs, in both directions.
 	if x, ok := top.InterDC(3, 1); !ok || x != 90*time.Millisecond {
 		t.Errorf("InterDC(3,1) = %v %v, want routed 90ms", x, ok)
@@ -197,19 +198,19 @@ func TestInterDCDelegatesToOracle(t *testing.T) {
 		t.Error("partitioned pair resolved")
 	}
 	// PredictDelay follows: forwarding over the routed path.
-	top.AttachHost(10, 1, 5*time.Millisecond)
-	top.AttachHost(30, 3, 7*time.Millisecond)
+	oracle.attach(top, 10, 1, 5*time.Millisecond)
+	oracle.attach(top, 30, 3, 7*time.Millisecond)
 	if d, ok := top.PredictDelay(core.ServiceForwarding, 10, 30); !ok || d != (5+90+7)*time.Millisecond {
 		t.Errorf("forwarding via oracle = %v %v, want 102ms", d, ok)
 	}
-	delete(oracle, [2]core.NodeID{1, 3})
+	delete(oracle.paths, [2]core.NodeID{1, 3})
 	if _, ok := top.PredictDelay(core.ServiceForwarding, 10, 30); ok {
 		t.Error("forwarding predicted across a partition")
 	}
 }
 
 func TestSelectServicePicksCheapest(t *testing.T) {
-	top := buildTestTopology()
+	top, _ := buildTestTopology()
 	// Delays: internet 50, coding 86, caching 70, forwarding 55.
 	cases := []struct {
 		budget  core.Time
@@ -277,7 +278,7 @@ func TestCostOrderingMatchesServiceOrder(t *testing.T) {
 }
 
 func TestSelectServiceRequireRecovery(t *testing.T) {
-	top := buildTestTopology()
+	top, _ := buildTestTopology()
 	// Delays: internet 50, coding 86, caching 70, forwarding 55.
 	budget := 200 * time.Millisecond
 	cases := []struct {

@@ -104,8 +104,9 @@ type Endpoint struct {
 
 	// Handler receives every decoded datagram: the parsed header, the
 	// body, and raw, the whole datagram (body is a slice of it). Called
-	// from the receive goroutine. raw is a copy made for this call — the
-	// one copy a datagram gets — so the handler may keep or forward it.
+	// from the receive goroutine. raw is the endpoint's read buffer, valid
+	// for the call only: a handler that keeps or forwards the bytes copies
+	// them, into a buffer of its choosing.
 	Handler func(now core.Time, hdr *wire.Header, body, raw []byte)
 
 	// DropSend, if set, is consulted before each transmission; returning
@@ -170,7 +171,7 @@ func (e *Endpoint) receiveLoop() {
 		if err != nil {
 			return // closed
 		}
-		raw := append([]byte(nil), buf[:n]...)
+		raw := buf[:n]
 		body, err := wire.SplitMessage(&hdr, raw)
 		if err != nil {
 			continue

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -122,9 +123,10 @@ func (h *HostEnd) onTimer() {
 	h.finish()
 }
 
+// handle gives the core its own copy of the body: deliveries are the application's.
 func (h *HostEnd) handle(now core.Time, hdr *wire.Header, body, _ []byte) {
 	h.mu.Lock()
-	h.hc.Handle(now, hdr, body)
+	h.hc.Handle(now, hdr, slices.Clone(body))
 	h.finish()
 }
 

@@ -66,21 +66,21 @@ type Relay struct {
 	ep *Endpoint
 	mu sync.Mutex
 	dp *dataplane.Core
-	// pool is the core's, used under mu: its parity is drawn from it, and
-	// each datagram the core consumes goes back to it. A datagram in out
-	// is never in it — the core hands back only what it does not send.
-	pool    wire.Pool
-	nearest map[core.NodeID]core.NodeID
-	out     []core.Emit // (hop, datagram) pairs awaiting the socket
-	pump    *pump
+	// pool is the core's, used under mu: datagrams read and parity are
+	// drawn from it, and the core hands back each one it consumes — never
+	// one in out, which it sends.
+	pool  wire.Pool
+	homes map[core.NodeID]core.NodeID
+	out   []core.Emit // (hop, datagram) pairs awaiting the socket
+	pump  *pump
 }
 
 // NewRelay builds a relay on ep with the given host bindings.
 func NewRelay(ep *Endpoint, cfg RelayConfig, bindings []HostBinding) (*Relay, error) {
 	r := &Relay{
-		ep:      ep,
-		nearest: make(map[core.NodeID]core.NodeID),
-		pump:    newPump(),
+		ep:    ep,
+		homes: make(map[core.NodeID]core.NodeID),
+		pump:  newPump(),
 	}
 	dp, err := dataplane.New(ep.Self, (*relayEnv)(r), cfg.Encoder, core.Time(cfg.CacheTTL), &r.pool)
 	if err != nil {
@@ -88,7 +88,7 @@ func NewRelay(ep *Endpoint, cfg RelayConfig, bindings []HostBinding) (*Relay, er
 	}
 	r.dp = dp
 	for _, b := range bindings {
-		r.nearest[b.Host] = b.DC
+		r.homes[b.Host] = b.DC
 	}
 	ep.Handler = r.handle
 	return r, nil
@@ -101,8 +101,8 @@ type relayEnv Relay
 // Linked: a hop is reachable when the address book can name it.
 func (e *relayEnv) Linked(hop core.NodeID) bool { return e.ep.Book.Lookup(hop) != nil }
 
-func (e *relayEnv) NearestDC(host core.NodeID) (core.NodeID, bool) {
-	dc, ok := e.nearest[host]
+func (e *relayEnv) Home(host core.NodeID) (core.NodeID, bool) {
+	dc, ok := e.homes[host]
 	return dc, ok
 }
 
@@ -144,10 +144,11 @@ func (r *Relay) onTimer() {
 }
 
 // handle feeds one datagram to the core (called from the endpoint receive
-// loop, which hands over its own copy of the bytes).
+// loop), in a pooled copy of the endpoint's read buffer.
 func (r *Relay) handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 	r.mu.Lock()
-	r.dp.Handle(now, hdr, body, raw)
+	own := append(r.pool.Get(len(raw)), raw...)
+	r.dp.Handle(now, hdr, own[len(raw)-len(body):], own)
 	out := r.finishLocked()
 	r.mu.Unlock()
 	r.ep.Transmit(out)

@@ -104,6 +104,55 @@ func TestEndpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRelayRecyclesConsumedDatagrams: a relay reads each datagram into a
+// buffer from its pool, and one it consumes without answering — here a
+// caching NACK for a packet it never cached, a 40 B header — goes back
+// there. Each is handed back before the next is read, so all of them
+// pass through one pooled buffer.
+func TestRelayRecyclesConsumedDatagrams(t *testing.T) {
+	const relay, host, n = 1, 101, 16
+	book := NewAddrBook()
+	ep, err := NewEndpoint(relay, "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book.Set(relay, ep.LocalAddr())
+	r, err := NewRelay(ep, DefaultRelayConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var handled atomic.Int64
+	handle := ep.Handler
+	ep.Handler = func(now core.Time, hdr *wire.Header, body, raw []byte) {
+		handle(now, hdr, body, raw)
+		handled.Add(1)
+	}
+	src, err := NewEndpoint(host, "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	r.Start()
+	for i := 0; i < n; i++ {
+		hdr := wire.Header{Type: wire.TypeNACK, Service: core.ServiceCaching, Flow: 7, Seq: core.Seq(i), Src: host, Dst: relay}
+		if err := src.Send(relay, wire.AppendMessage(nil, &hdr, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); handled.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("relay handled %d of %d datagrams", handled.Load(), n)
+		}
+	}
+	r.mu.Lock()
+	held := r.pool.Len()
+	r.mu.Unlock()
+	if held != 1 {
+		t.Errorf("relay pool holds %d buffers after consuming %d NACKs, want the 1 they all passed through", held, n)
+	}
+}
+
 // TestLiveRecoveryOverUDP is the flagship transport test: a sender, two
 // relays (DC1, DC2), three helper endpoints and a receiver on loopback
 // UDP. The sender's direct datagrams to the receiver are partially

@@ -77,10 +77,10 @@
 // Fault injection and link inspection go through one surface:
 // Deployment.Link(a, b) returns a LinkHandle with Set / SetOneWay /
 // Disconnect / DisconnectOneWay / Reconnect / ReconnectOneWay mutators
-// plus Shape, Health, Load, and SetCapacity accessors. Service
-// selection sees routed latencies through
-// the topology's PathOracle, so PredictDelay and Register work on
-// sparse graphs too.
+// plus Shape, Health, Load, and SetCapacity accessors. The topology's
+// PathOracle is the routing controller: it answers the routed latency
+// between DCs, so PredictDelay and RegisterFlow work on sparse graphs
+// too, and every host's home DC, which nothing else keeps.
 //
 // # Flow API
 //
@@ -673,12 +673,12 @@ func (d *Deployment) allocNode() core.NodeID {
 // AllocGroupID reserves a node ID usable as a multicast group address.
 func (d *Deployment) AllocGroupID() core.NodeID { return d.allocNode() }
 
-// AddDC creates a data center node running all three services.
+// AddDC creates a data center node running all three services. Nothing
+// reads name or region: they only label the call.
 func (d *Deployment) AddDC(name string, region dataset.Region) core.NodeID {
 	id := d.allocNode()
 	dc := newDCNode(d, id)
 	d.dcs[id] = dc
-	d.topo.AddDC(overlay.DC{ID: id, Name: name, Region: region})
 	d.ctrl.AddDC(id, dc.dp.Forwarder)
 	d.net.AddNode(id, dc.handle)
 	return id
@@ -737,8 +737,10 @@ func WithAccessLossModel(m netem.LossModel) HostOption {
 
 // AddHost creates an endpoint attached to dc with one-way latency delta.
 // dc is the host's home: every other DC reaches the host through its
-// route to dc (multi-hop on sparse graphs).
+// route to dc (multi-hop on sparse graphs). A dc that is not a DC panics
+// before anything is allocated.
 func (d *Deployment) AddHost(dc core.NodeID, delta time.Duration, opts ...HostOption) core.NodeID {
+	d.DC(dc)
 	var p hostParams
 	for _, o := range opts {
 		o(&p)
@@ -746,7 +748,7 @@ func (d *Deployment) AddHost(dc core.NodeID, delta time.Duration, opts ...HostOp
 	id := d.allocNode()
 	h := newHost(d, id, dc)
 	d.hosts[id] = h
-	d.topo.AttachHost(id, dc, delta)
+	d.topo.AttachHost(id, delta)
 	d.net.AddNode(id, h.handle)
 	mkDelay := func() netem.DelayModel {
 		if p.delayModel != nil {

@@ -619,3 +619,31 @@ func TestHostAndDCAccessors(t *testing.T) {
 	}()
 	w.d.DC(w.src)
 }
+
+// TestAddHostOntoNonDCPanics: a home that is not a DC is refused before
+// the host takes an ID, so the failed call leaves no host, network node
+// or home behind, and the next host gets the ID it would have had.
+func TestAddHostOntoNonDCPanics(t *testing.T) {
+	w := newWorld(t, 24, nil)
+	next := w.dst + 1
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddHost onto a host did not panic")
+			}
+		}()
+		w.d.AddHost(w.src, time.Millisecond)
+	}()
+	if ids := w.d.HostIDs(); len(ids) != 2 {
+		t.Errorf("hosts after the failed AddHost: %v", ids)
+	}
+	if w.d.Network().NodeHandler(next) != nil {
+		t.Error("the failed AddHost left a network node")
+	}
+	if _, ok := w.d.Routing().Home(next); ok {
+		t.Error("the failed AddHost left a home")
+	}
+	if got := w.d.AddHost(w.dc1, time.Millisecond); got != next {
+		t.Errorf("next host got ID %v, want %v: the failed AddHost took one", got, next)
+	}
+}
