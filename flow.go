@@ -263,8 +263,8 @@ func (f *Flow) Send(payload []byte) core.Seq {
 
 // SendFlagged is Send with explicit header flags (the wire.Flag* bits).
 // The message is encoded once; per-destination copies only rewrite the
-// destination (and, for the cloud copy, the flags). Every copy is a region
-// of one allocation, each region its recipient's alone. Sending on a
+// destination (and, for the cloud copy, the flags). Every copy is its
+// recipient's alone, handed back to the pool once consumed. Sending on a
 // closed flow is a no-op returning 0.
 func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 	if f.closed {
@@ -289,33 +289,39 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 	f.metrics.Sent++
 	f.metrics.SentBytes += uint64(len(payload)) + wire.HeaderLen
 
-	// One backing array holds every copy: a region per direct destination,
-	// plus the cloud copy's unless the service is Internet. A region is
-	// capacity-limited to one message, so no append reaches a sibling, and
-	// one left unused (no route) costs bytes, not an allocation.
+	// Each copy — per routed direct destination, plus the cloud copy unless
+	// the service is Internet — is drawn from the pool. Once a burst drains
+	// it, the copies left are capacity-limited class-size regions of one
+	// array, so a send allocates at most once.
 	direct := !(f.service == core.ServiceForwarding && f.spec.PathSwitch)
-	copies := 0
+	left := 0 // the most copies still to draw
 	if direct {
-		copies = len(f.dsts)
+		left = len(f.dsts)
 	}
 	if f.service != core.ServiceInternet {
-		copies++
+		left++
 	}
 	n := wire.HeaderLen + len(payload)
-	var buf []byte
-	region := func() []byte {
-		if buf == nil {
-			buf = make([]byte, copies*n)
+	size := wire.ClassSize(n)
+	var slab []byte
+	draw := func() []byte {
+		left--
+		if len(slab) == 0 {
+			if f.d.pool.Holds(n) > 0 {
+				return f.d.pool.Get(n)
+			}
+			slab = make([]byte, (left+1)*size)
 		}
-		r := buf[:0:n]
-		buf = buf[n:]
+		r := slab[:0:size]
+		slab = slab[size:]
 		return r
 	}
 
 	// Direct path copies. The first destination encodes the message; later
 	// recipients each get a copy of it with Dst patched. Reading `encoded`
 	// after sending it is safe because delivery is deferred: no recipient,
-	// the application included, holds it before this call returns.
+	// the application included, holds it before this call returns. A
+	// destination with no route draws nothing.
 	var encoded []byte
 	if direct {
 		for _, dst := range f.dsts {
@@ -324,11 +330,11 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 			}
 			if encoded == nil {
 				hdr.Dst = dst
-				encoded = wire.AppendMessage(region(), &hdr, payload)
+				encoded = wire.AppendMessage(draw(), &hdr, payload)
 				f.d.net.Send(f.src, dst, encoded)
 				continue
 			}
-			msg := append(region(), encoded...)
+			msg := append(draw(), encoded...)
 			wire.RewriteDst(msg, dst)
 			f.d.net.Send(f.src, dst, msg)
 		}
@@ -350,13 +356,13 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 		}
 		var msg []byte
 		if encoded != nil {
-			msg = append(region(), encoded...)
+			msg = append(draw(), encoded...)
 			wire.RewriteDst(msg, f.cloud)
 			wire.RewriteFlags(msg, cflags)
 		} else {
 			hdr.Dst = f.cloud
 			hdr.Flags = cflags
-			msg = wire.AppendMessage(region(), &hdr, payload)
+			msg = wire.AppendMessage(draw(), &hdr, payload)
 		}
 		if traced {
 			f.d.tel.spans.Begin(core.PacketID{Flow: f.id, Seq: f.seq}, time.Duration(now))
@@ -369,10 +375,10 @@ func (f *Flow) SendFlagged(payload []byte, flags uint16) core.Seq {
 // sendCloud puts one packet's cloud copy on the uplink, subject first
 // to the tenant's aggregate quota and then to the flow's own admission
 // contract: no contract sends immediately, a contract polices — the
-// excess is dropped. A multicast flow is charged at wire size × member
-// count against both contracts: one uplink copy fans out to every
-// member, and a contract that priced it as one copy would let a
-// thousand-member group consume a thousand times its quota.
+// excess is dropped, back to the pool. A multicast flow is charged at
+// wire size × member count against both contracts: one uplink copy fans
+// out to every member, and a contract that priced it as one copy would
+// let a thousand-member group consume a thousand times its quota.
 func (f *Flow) sendCloud(now core.Time, msg []byte, traced bool) {
 	n := len(msg)
 	if m := len(f.spec.Members); m > 0 {
@@ -390,6 +396,7 @@ func (f *Flow) sendCloud(now core.Time, msg []byte, traced bool) {
 			f.d.tel.spans.Drop(pid)
 		}
 		f.noteTenantQuotaDrop(n)
+		f.d.pool.Put(msg)
 		return
 	}
 	if f.bucket != nil {
@@ -398,6 +405,7 @@ func (f *Flow) sendCloud(now core.Time, msg []byte, traced bool) {
 				f.d.tel.spans.Drop(pid)
 			}
 			f.noteAdmissionDrop(n)
+			f.d.pool.Put(msg)
 			return
 		}
 		// Admitted while congestion feedback holds the flow below its

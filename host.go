@@ -40,7 +40,8 @@ func (h *Host) ID() core.NodeID { return h.id }
 func (h *Host) DC() core.NodeID { return h.core.Home() }
 
 // SetDeliveryHandler installs a callback invoked for every packet the host
-// surfaces to the application (direct or recovered).
+// surfaces to the application (direct or recovered). A Payload is valid
+// until fn returns: a handler that keeps one copies it.
 func (h *Host) SetDeliveryHandler(fn func(core.Delivery)) { h.onDeliver = fn }
 
 // Receiver returns the recovery engine for a flow (nil if none yet). It is
@@ -108,17 +109,17 @@ func (e *hostEnv) Deliver(del core.Delivery) {
 	}
 }
 
-// handle is the host's network receive entry point.
+// handle is the host's network receive entry point. Once handled, every
+// delivery handler has returned, and data goes back to the pool.
 func (h *Host) handle(from, to core.NodeID, data []byte) {
 	var hdr wire.Header
 	body, err := wire.SplitMessage(&hdr, data)
 	if err != nil {
 		h.drop++
-		return
-	}
-	if h.core.Handle(h.d.sim.Now(), &hdr, body) {
+	} else if h.core.Handle(h.d.sim.Now(), &hdr, body) {
 		h.armTimer()
 	}
+	h.d.pool.Put(data)
 }
 
 // PullFlow asks the host's DC cache for every packet of flow after seq —

@@ -99,11 +99,10 @@ type Time = time.Duration
 
 // Packet is the unit of application data inside the framework: one
 // transport segment intercepted below TCP/UDP (§5). A delivered Payload is
-// the arriving datagram's own bytes and belongs to the application: the
-// framework keeps no reference to it. It may share a backing array with the
-// packet's sibling copies (the sender allocates every copy of a send at
-// once), so an application that keeps many payloads past its delivery
-// handler should copy them rather than pin those arrays.
+// the arriving datagram's own bytes, lent to the application until its
+// delivery handler returns: the runtime then reuses them for a later
+// message, so an application that keeps a payload copies it. The handler
+// may write to the bytes meanwhile; no other recipient sees them.
 type Packet struct {
 	ID      PacketID
 	Src     NodeID
@@ -134,7 +133,7 @@ func RecycleEmits(buf []Emit) []Emit {
 
 // Delivery is one application packet surfaced to the receiving endpoint,
 // with provenance for the experiment accounting. Its Packet's payload is
-// the application's from then on (see Packet).
+// lent to the application until its delivery handler returns (see Packet).
 type Delivery struct {
 	Packet    Packet
 	At        Time

@@ -17,19 +17,19 @@
 // every element before calling the engine again, so an Env / HostEnv must
 // not call Handle or OnTimer from Send or Deliver.
 //
-// A message is a per-packet region its recipient uses alone: a DC fans a
-// group packet out as one copy per member, a host's receiver hands a
-// delivered payload to the application as it arrived and keeps a copy of
-// its own, and the engines copy what they keep into storage they recycle.
-// Data regions may share a backing array (a sender allocates every copy of
-// one send at once), so a holder that keeps many of them long should copy.
-// What a DC consumes — coded parity, NACKs, pulls, coop and verify
-// responses — travels in buffers of its own, drawn from the runtime's one
-// wire.Pool by the encoder, the receivers and HostCore.Pull; Core.Handle
-// hands each back to that pool once it has read it, so on a steady run
-// those messages allocate nothing. Nothing else goes back: not data, whose
-// bytes are the sender's, and not a message the DC relays, queues or fans
-// out, whose bytes are the next hop's.
+// A message is a buffer its recipient uses alone — a DC fans a group packet
+// out as a copy per member, and copies a message its tables name several
+// recipients for — drawn from the runtime's one wire.Pool: by the sender,
+// the encoder, the receivers, HostCore.Pull and the DC's cache answers.
+// Whoever consumes a message hands it back, to be overwritten by the next
+// draw, so a steady run allocates almost nothing. Core.Handle hands back
+// what the DC consumes: coded parity, NACKs, pulls, coop and verify
+// responses, data it caches at the destination's home or feeds the
+// encoder at DC1, and what it drops — never a message it relays, queues or
+// fans out, whose bytes are the next hop's. A host's runtime hands back
+// every message once HostCore.Handle returns: a delivered payload is valid
+// until the delivery handler returns, and the engines copy what they keep
+// into storage they recycle.
 //
 // Neither core owns a clock, a socket or a topology. Its runtime passes
 // the time in and answers a few questions through Env / HostEnv. There
@@ -58,8 +58,8 @@ type Env interface {
 	// under (0 = default fastest path, also for unknown flows).
 	PathPolicy(flow core.FlowID) uint32
 	// Send puts msg on the wire toward hop. The bytes are the recipient's
-	// from then on: the runtime must not modify them, nor hand them to a
-	// pool — whoever consumes the message does that.
+	// from then on: whoever consumes the message hands it back to the pool,
+	// and a socket runtime is that consumer once it has written msg.
 	Send(hop core.NodeID, msg []byte)
 }
 
@@ -127,12 +127,11 @@ func (c *Core) OnTimer(now core.Time) {
 
 // Handle dispatches one parsed message. raw is the whole datagram, which
 // body is a slice of, and the caller hands both over: a message in transit
-// leaves as received, and one addressed to this DC that is not data — coded
-// parity once the recoverer has copied its shard, a NACK, a pull, a coop or
-// verify response, or a message the DC drops — goes back to the pool, to be
-// overwritten by the next message drawn from it. Data never goes back: its
-// payload is copied by the cache or the encoder, and its bytes are the
-// sender's.
+// leaves as received, and one the DC consumes goes back to the pool, to be
+// overwritten by the next message drawn from it — coded parity once the
+// recoverer has copied its shard, a NACK, a pull, a coop or verify
+// response, data the cache or the encoder has copied, and a message the DC
+// drops. Data the DC relays or fans out never goes back.
 func (c *Core) Handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 	// Point-to-point service messages addressed elsewhere are relayed
 	// (e.g. a helper's CoopResp transiting its own DC toward DC2). Data
@@ -144,8 +143,9 @@ func (c *Core) Handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 	}
 	switch hdr.Type {
 	case wire.TypeData:
-		c.onData(now, hdr, body, raw)
-		return
+		if !c.onData(now, hdr, body, raw) {
+			return
+		}
 	case wire.TypeCoded:
 		if hdr.Dst != c.self {
 			flow, ok := wire.PeekCodedFlow(body)
@@ -213,7 +213,8 @@ type path struct {
 //     link presence, decides.
 //  3. A direct link to the recipient: delivery at its home DC.
 //
-// A message none of these place is counted in Dropped.
+// A message none of these place is counted in Dropped; each recipient
+// after the first gets a copy of its own.
 func (c *Core) send(to core.NodeID, msg []byte, p path) {
 	if p.pin {
 		if via, ok := c.Forwarder.FlowRoute(p.flow, to); ok && c.usable(via) {
@@ -231,7 +232,7 @@ func (c *Core) send(to core.NodeID, msg []byte, p path) {
 	if p.lookup {
 		recipients = c.Forwarder.ForwardTagged(tag, to, msg)
 	}
-	for _, em := range recipients {
+	for i, em := range recipients {
 		via, ok := c.Forwarder.RouteTagged(tag, em.To)
 		if !ok {
 			if home, known := c.env.Home(em.To); known && home != c.self {
@@ -247,6 +248,9 @@ func (c *Core) send(to core.NodeID, msg []byte, p path) {
 		default:
 			c.drop++
 			continue
+		}
+		if i > 0 {
+			em.Msg = append(c.pool.Get(len(msg)), msg...)
 		}
 		c.env.Send(via, em.Msg)
 	}
@@ -293,29 +297,30 @@ func (c *Core) sendCoded(now core.Time, emits []core.Emit) {
 	}
 }
 
-// onData handles an application data copy.
+// onData handles an application data copy, and reports whether it
+// consumed raw: cached, encoded or dropped it.
 //
 //   - forwarding: relay toward the (possibly multicast) destination.
 //   - caching: relay until this DC is the destination's home DC (or the
 //     destination is a group homed here), then cache.
 //   - coding: this DC is DC1 for the flow — feed the encoder; parity flows
 //     to the receiver's DC2.
-func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) {
+func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) bool {
 	switch hdr.Service {
 	case core.ServiceCaching:
 		if c.servesDst(hdr.Dst) {
 			c.Cache.Put(now, hdr.ID(), payload)
-			return
+			return true
 		}
 	case core.ServiceCoding:
 		dc2, ok := c.env.Home(hdr.Dst)
 		if !ok {
 			c.drop++
-			return
+			return true
 		}
 		pol := c.env.PathPolicy(hdr.Flow)
 		c.sendCoded(now, c.Encoder.OnDataPolicy(now, dc2, hdr.Dst, hdr.Flow, hdr.Seq, pol, payload))
-		return
+		return true
 	}
 	// Forwarding — and Internet-service data, which should never reach a
 	// DC, moves on too so nothing silently vanishes. Multicast groups fan
@@ -325,19 +330,21 @@ func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) {
 	// home resolves under it, like unicast data's.
 	if !c.Forwarder.IsGroup(hdr.Dst) {
 		c.send(hdr.Dst, raw, path{lookup: true, pin: true, flow: hdr.Flow, flags: hdr.Flags})
-		return
+		return false
 	}
 	for _, m := range c.Forwarder.Group(hdr.Dst) {
 		if m == c.self {
 			continue
 		}
-		msg := append([]byte(nil), raw...)
+		msg := append(c.pool.Get(len(raw)), raw...)
 		if err := wire.RewriteDst(msg, m); err != nil {
+			c.pool.Put(msg)
 			c.drop++
 			continue
 		}
 		c.send(m, msg, path{flags: hdr.Flags})
 	}
+	return false
 }
 
 // servesDst reports whether this DC is the egress DC for dst (the DC dst
@@ -391,5 +398,5 @@ func (c *Core) answerFromCache(now core.Time, id core.PacketID, host core.NodeID
 		Src:     c.self,
 		Dst:     host,
 	}
-	c.send(host, wire.AppendMessage(nil, &resp, payload), path{})
+	c.send(host, wire.AppendMessage(c.pool.Get(wire.HeaderLen+len(payload)), &resp, payload), path{})
 }

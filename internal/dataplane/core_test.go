@@ -111,6 +111,20 @@ func handle(t testing.TB, c *Core, raw []byte) {
 	c.Handle(0, &hdr, body, raw)
 }
 
+// checkDistinct fails when two sends share a buffer: each recipient hands
+// its message back to a pool, so one buffer sent twice would be handed back
+// twice and drawn by two later messages at once.
+func checkDistinct(t testing.TB, emits []core.Emit) {
+	t.Helper()
+	for i, a := range emits {
+		for _, b := range emits[:i] {
+			if cap(a.Msg) > 0 && cap(b.Msg) > 0 && &a.Msg[:1][0] == &b.Msg[:1][0] {
+				t.Fatalf("one buffer sent to both %v and %v", b.To, a.To)
+			}
+		}
+	}
+}
+
 type sent struct {
 	hop core.NodeID
 	// msg is the exact datagram expected, or nil when typ names what the
@@ -165,8 +179,8 @@ func TestCoreHandle(t *testing.T) {
 	}
 
 	// back: the core consumed the message and handed its buffer back to
-	// the pool. Data never goes back, nor does anything relayed or fanned
-	// out.
+	// the pool — data it cached, encoded or dropped included. Nothing it
+	// forwarded, relayed or fanned out goes back.
 	cases := []struct {
 		name  string
 		setup func(*Core)
@@ -216,14 +230,14 @@ func TestCoreHandle(t *testing.T) {
 
 		// Data, caching service.
 		{name: "data/caching/served here: cached, not forwarded", setup: noPin,
-			in: message(wire.TypeData, core.ServiceCaching, 7, 1, 100, local, 0, []byte("keep")),
+			in: message(wire.TypeData, core.ServiceCaching, 7, 1, 100, local, 0, []byte("keep")), back: true,
 			check: func(t *testing.T, c *Core) {
 				if got, ok := c.Cache.Get(0, core.PacketID{Flow: 7, Seq: 1}); !ok || string(got) != "keep" {
 					t.Errorf("cache holds %q, %v", got, ok)
 				}
 			}},
 		{name: "data/caching/group homed here: cached", setup: grouped,
-			in:    message(wire.TypeData, core.ServiceCaching, 7, 1, 100, group, 0, []byte("keep")),
+			in: message(wire.TypeData, core.ServiceCaching, 7, 1, 100, group, 0, []byte("keep")), back: true,
 			check: func(t *testing.T, c *Core) { wantLen(t, c.Cache.Len(), 1, "cache") }},
 		{name: "data/caching/transit: relayed toward the egress DC", setup: noPin,
 			in:    message(wire.TypeData, core.ServiceCaching, 7, 1, 100, hostB, 0, []byte("keep")),
@@ -232,10 +246,10 @@ func TestCoreHandle(t *testing.T) {
 
 		// Data, coding service (this DC is DC1).
 		{name: "data/coding/first of batch: held by the encoder", setup: noPin,
-			in:    message(wire.TypeData, core.ServiceCoding, 7, 1, 100, hostB, 0, []byte("a")),
+			in: message(wire.TypeData, core.ServiceCoding, 7, 1, 100, hostB, 0, []byte("a")), back: true,
 			check: func(t *testing.T, c *Core) { wantLen(t, int(c.Encoder.Stats().DataPackets), 1, "encoder data") }},
 		{name: "data/coding/receiver unknown: dropped", setup: noPin,
-			in: message(wire.TypeData, core.ServiceCoding, 7, 1, 100, 999, 0, []byte("a")), drops: 1},
+			in: message(wire.TypeData, core.ServiceCoding, 7, 1, 100, 999, 0, []byte("a")), drops: 1, back: true},
 
 		// Coded parity.
 		{name: "coded/transit: forwarded as received", setup: noPin,
@@ -266,6 +280,10 @@ func TestCoreHandle(t *testing.T) {
 			want: []sent{{hop: dcB, msg: transit(wire.TypeNACK, nil)}}},
 		{name: "nack/transit/drain: current table", setup: drained, in: transit(wire.TypeNACK, nil),
 			want: []sent{{hop: dcC, msg: transit(wire.TypeNACK, nil)}}},
+		{name: "nack/to a group here: each member gets its own copy", setup: grouped,
+			in: message(wire.TypeNACK, core.ServiceCoding, 7, 1, hostC, group, 0, nil),
+			want: []sent{{hop: local, msg: message(wire.TypeNACK, core.ServiceCoding, 7, 1, hostC, group, 0, nil)},
+				{hop: dcB, msg: message(wire.TypeNACK, core.ServiceCoding, 7, 1, hostC, group, 0, nil)}}},
 
 		// Addressed here.
 		{name: "nack/here/coding: handed to the recoverer", setup: noPin,
@@ -301,6 +319,7 @@ func TestCoreHandle(t *testing.T) {
 				t.Errorf("Dropped = %d, want %d", c.Dropped(), tc.drops)
 			}
 			checkSent(t, env.sent, tc.want)
+			checkDistinct(t, env.sent)
 			if back := handedBack(t, &env.pool, raw); back != tc.back {
 				t.Errorf("handed back to the pool: %v, want %v", back, tc.back)
 			}
@@ -454,8 +473,10 @@ func TestCoreEncoderEgress(t *testing.T) {
 // FuzzCoreHandle feeds arbitrary datagrams through the split both hosts
 // use into a core with pins, a group, a live drain and a warm cache: no
 // input may panic, every message is accounted for — sent on, absorbed by
-// an engine, or counted in Dropped — and exactly the messages addressed
-// here that are not data come back to the pool, never one that was sent.
+// an engine, or counted in Dropped — no buffer is sent twice, and exactly
+// the messages the DC consumes come back to the pool, never one that was
+// sent: those addressed here that are not data, and data it caches at its
+// home or takes at DC1.
 func FuzzCoreHandle(f *testing.F) {
 	for _, seed := range [][]byte{
 		message(wire.TypeData, core.ServiceForwarding, 7, 1, 100, hostB, wire.EpochFlags(0), []byte("payload")),
@@ -510,9 +531,14 @@ func FuzzCoreHandle(f *testing.F) {
 				unparseable = err != nil
 			}
 		}
+		want := hdr.Dst == self && hdr.Type != wire.TypeData
+		if hdr.Type == wire.TypeData {
+			want = hdr.Service == core.ServiceCoding || hdr.Service == core.ServiceCaching && c.servesDst(hdr.Dst)
+		}
 		c.Handle(0, &hdr, body, raw)
 
-		back, want := handedBack(t, &env.pool, raw), hdr.Dst == self && hdr.Type != wire.TypeData
+		checkDistinct(t, env.sent)
+		back := handedBack(t, &env.pool, raw)
 		if back != want {
 			t.Fatalf("%v to %v handed back to the pool: %v, want %v", hdr.Type, hdr.Dst, back, want)
 		}

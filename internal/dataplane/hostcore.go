@@ -237,9 +237,10 @@ func (c *HostCore) refreshUnsolicited(flow core.FlowID) {
 
 // Handle dispatches one parsed message to the receiver of the flow it
 // names, then sends what the receiver emits and delivers what it
-// surfaces. Ownership of body passes to the receiver: a data or recovered
-// payload is delivered to the application as is, so the caller must not
-// reuse the bytes. It reports false when no receiver ran — an undecodable
+// surfaces. body is lent for the call: a data or recovered payload is
+// delivered to the application as is, valid until env.Deliver returns, and
+// the receiver copies what it keeps, so the caller may reuse the bytes once
+// Handle returns. It reports false when no receiver ran — an undecodable
 // body, an unknown type, a closed flow — so no deadline can have moved.
 func (c *HostCore) Handle(now core.Time, hdr *wire.Header, body []byte) bool {
 	var res recovery.Result

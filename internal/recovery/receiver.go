@@ -302,10 +302,10 @@ func (r *Receiver) Stats() Stats { return r.stats }
 // framework upgrades a flow to a more expensive service (§3.5).
 func (r *Receiver) SetService(s core.Service) { r.cfg.Service = s }
 
-// OnData processes a data packet from the direct path. Ownership of payload
-// passes to the receiver: a delivery hands it to the application as is, and
-// the window keeps a copy of a coding packet's, so the caller must not touch
-// the bytes again.
+// OnData processes a data packet from the direct path. payload is lent for
+// the call and for the walk of its Result: a delivery hands it to the
+// application as is, and the window keeps a copy of a coding packet's, so
+// the caller may reuse the bytes once the deliveries are surfaced.
 func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Result {
 	r.begin()
 	r.src = hdr.Src
@@ -349,7 +349,7 @@ func (r *Receiver) OnData(now core.Time, hdr *wire.Header, payload []byte) Resul
 	return r.res
 }
 
-// accept delivers a packet — payload itself, which the receiver owns — and
+// accept delivers a packet — payload itself, lent for the call — and
 // is the one place an arrival changes loss state, whichever path brought
 // it: the packet is no longer missing, the first one joins the flow
 // (earlier history is not ours to recover), and one at or past the
@@ -450,8 +450,7 @@ func (r *Receiver) nack(now core.Time, seq core.Seq, wantVerify bool) {
 }
 
 // OnRecovered processes a repaired packet from the DC (TypeRecovered from
-// coding, TypePullResp from caching). Ownership of payload passes to the
-// receiver, as for OnData.
+// coding, TypePullResp from caching). payload is lent as for OnData.
 func (r *Receiver) OnRecovered(now core.Time, hdr *wire.Header, payload []byte) Result {
 	r.begin()
 	if _, dup := r.recent[hdr.Seq]; dup {

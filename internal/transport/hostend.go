@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -27,7 +26,7 @@ type HostEnd struct {
 	dlv []core.Delivery
 
 	// OnDeliver receives every surfaced packet (may be called from the
-	// receive or timer goroutine).
+	// receive or timer goroutine), its Payload valid until it returns.
 	OnDeliver func(core.Delivery)
 
 	pump *pump
@@ -123,10 +122,10 @@ func (h *HostEnd) onTimer() {
 	h.finish()
 }
 
-// handle gives the core its own copy of the body: deliveries are the application's.
+// handle feeds one datagram to the core: finish delivers while it is read.
 func (h *HostEnd) handle(now core.Time, hdr *wire.Header, body, _ []byte) {
 	h.mu.Lock()
-	h.hc.Handle(now, hdr, slices.Clone(body))
+	h.hc.Handle(now, hdr, body)
 	h.finish()
 }
 

@@ -61,14 +61,14 @@ func DefaultRelayConfig() RelayConfig {
 // Relay is a J-QoS DC node on a real socket (see the package doc). mu
 // serializes the receive loop and the timer goroutine around the core;
 // what the core sends meanwhile is queued in out and written to the socket
-// once mu is released.
+// once mu is released, then handed back to the pool.
 type Relay struct {
 	ep *Endpoint
 	mu sync.Mutex
 	dp *dataplane.Core
 	// pool is the core's, used under mu: datagrams read and parity are
-	// drawn from it, and the core hands back each one it consumes — never
-	// one in out, which it sends.
+	// drawn from it, and the core hands back each one it consumes — the
+	// relay each one in out, once written.
 	pool  wire.Pool
 	homes map[core.NodeID]core.NodeID
 	out   []core.Emit // (hop, datagram) pairs awaiting the socket
@@ -138,9 +138,7 @@ func (r *Relay) Stats() (coding.EncoderStats, coding.RecovererStats, cache.Stats
 func (r *Relay) onTimer() {
 	r.mu.Lock()
 	r.dp.OnTimer(r.ep.Now())
-	out := r.finishLocked()
-	r.mu.Unlock()
-	r.ep.Transmit(out)
+	r.finish()
 }
 
 // handle feeds one datagram to the core (called from the endpoint receive
@@ -149,18 +147,27 @@ func (r *Relay) handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 	r.mu.Lock()
 	own := append(r.pool.Get(len(raw)), raw...)
 	r.dp.Handle(now, hdr, own[len(raw)-len(body):], own)
-	out := r.finishLocked()
-	r.mu.Unlock()
-	r.ep.Transmit(out)
+	r.finish()
 }
 
-// finishLocked ends one turn of the core: the timer moves to the earliest
-// engine deadline and the queued sends are handed to the caller, to be
-// written once the mutex is released.
-func (r *Relay) finishLocked() []core.Emit {
+// finish ends one turn of the core, entered with mu held: the timer moves
+// to the earliest engine deadline, the queued sends are written with mu
+// released, and then each goes back to the pool — the socket has copied
+// it — and their emptied array becomes out again, unless another turn has
+// started one meanwhile.
+func (r *Relay) finish() {
 	next, ok := r.dp.NextDeadline()
 	r.pump.arm(r.ep.Now(), next, ok)
 	out := r.out
 	r.out = nil
-	return out
+	r.mu.Unlock()
+	r.ep.Transmit(out)
+	r.mu.Lock()
+	for _, em := range out {
+		r.pool.Put(em.Msg)
+	}
+	if r.out == nil {
+		r.out = core.RecycleEmits(out)
+	}
+	r.mu.Unlock()
 }

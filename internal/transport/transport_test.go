@@ -153,6 +153,64 @@ func TestRelayRecyclesConsumedDatagrams(t *testing.T) {
 	}
 }
 
+// TestRelayRecyclesSentDatagrams: the datagrams a relay forwards are its
+// own once the socket has written them, so it hands each back to its pool,
+// and the next datagram it reads lands in the buffer the last one left.
+func TestRelayRecyclesSentDatagrams(t *testing.T) {
+	const relay, src, dst, n = 1, 101, 102, 16
+	book := NewAddrBook()
+	ep, err := NewEndpoint(relay, "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book.Set(relay, ep.LocalAddr())
+	r, err := NewRelay(ep, DefaultRelayConfig(), []HostBinding{{Host: dst, DC: relay}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var handled atomic.Int64
+	handle := ep.Handler
+	ep.Handler = func(now core.Time, hdr *wire.Header, body, raw []byte) {
+		handle(now, hdr, body, raw)
+		handled.Add(1)
+	}
+	// The destination's socket is bound, never read: the forwarded
+	// datagrams wait in its receive queue.
+	sink, err := NewEndpoint(dst, "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	book.Set(dst, sink.LocalAddr())
+	sender, err := NewEndpoint(src, "127.0.0.1:0", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	r.Start()
+	for i := 0; i < n; i++ {
+		hdr := wire.Header{Type: wire.TypeData, Service: core.ServiceForwarding, Flow: 7, Seq: core.Seq(i + 1), Src: src, Dst: dst}
+		if err := sender.Send(relay, wire.AppendMessage(nil, &hdr, []byte("forwarded"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); handled.Load() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("relay handled %d of %d datagrams", handled.Load(), n)
+		}
+	}
+	r.mu.Lock()
+	held, fwd := r.pool.Len(), r.dp.Forwarder.Stats().Unicast
+	r.mu.Unlock()
+	if fwd != n {
+		t.Fatalf("relay forwarded %d of %d datagrams", fwd, n)
+	}
+	if held != 1 {
+		t.Errorf("relay pool holds %d buffers after forwarding %d datagrams, want the 1 they all passed through", held, n)
+	}
+}
+
 // TestLiveRecoveryOverUDP is the flagship transport test: a sender, two
 // relays (DC1, DC2), three helper endpoints and a receiver on loopback
 // UDP. The sender's direct datagrams to the receiver are partially

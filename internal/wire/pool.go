@@ -1,11 +1,14 @@
 package wire
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Pool is a free list of message buffers, kept by size class. A runtime
-// draws from its one pool every message that its DCs consume — coded
-// parity, NACKs, pulls, coop and verify responses — and the DC core that
-// reads one hands it back (dataplane.Core.Handle), so a steady flow of
+// draws its messages from its one pool — data copies, parity, NACKs,
+// pulls and their answers, coop and verify responses — and whoever
+// consumes one hands it back (see package dataplane), so a steady flow of
 // them allocates nothing.
 //
 // Class k holds buffers whose capacity lies in [2^k, 2^(k+1)) and serves
@@ -49,20 +52,41 @@ func (p *Pool) Get(n int) []byte {
 	if p == nil || n > 1<<poolMaxShift {
 		return make([]byte, 0, n)
 	}
-	shift := max(poolMinShift, bits.Len(uint(max(n, 1)-1)))
-	free := &p.free[shift-poolMinShift]
+	free := &p.free[classOf(ClassSize(n))]
 	if k := len(*free); k > 0 {
 		buf := (*free)[k-1]
 		(*free)[k-1] = nil
 		*free = (*free)[:k-1]
 		return buf[:0]
 	}
-	return make([]byte, 0, 1<<shift)
+	return make([]byte, 0, ClassSize(n))
 }
+
+// Holds is how many of the buffers the pool holds a Get(n) could return.
+func (p *Pool) Holds(n int) int {
+	if p == nil || n > 1<<poolMaxShift {
+		return 0
+	}
+	return len(p.free[classOf(ClassSize(n))])
+}
+
+// ClassSize is the capacity Get(n) allocates: n's class size, or n past
+// the largest class. A buffer of that capacity goes back to n's class.
+func ClassSize(n int) int {
+	if n > 1<<poolMaxShift {
+		return n
+	}
+	return 1 << max(poolMinShift, bits.Len(uint(max(n, 1)-1)))
+}
+
+// classOf is the class a buffer of capacity c goes back to, out of range
+// when c is outside every class.
+func classOf(c int) int { return bits.Len(uint(c)) - 1 - poolMinShift }
 
 // Put hands buf back for a later Get. The caller must hold no other
 // reference to its bytes: the next Get of its class may write them. A
 // buffer of a class that is full, or outside every class, is dropped.
+// Built with -tags poolcheck, Put panics on a buffer the pool holds.
 func (p *Pool) Put(buf []byte) {
 	if p == nil {
 		return
@@ -70,9 +94,12 @@ func (p *Pool) Put(buf []byte) {
 	if poolCheck {
 		scribble(buf[:cap(buf)])
 	}
-	i := bits.Len(uint(cap(buf))) - 1 - poolMinShift
+	i := classOf(cap(buf))
 	if i < 0 || i >= poolClasses || len(p.free[i]) >= classCap(i) {
 		return
+	}
+	if poolCheck && slices.ContainsFunc(p.free[i], func(b []byte) bool { return &b[:1][0] == &buf[:1][0] }) {
+		panic("wire: Pool.Put of a buffer the pool already holds")
 	}
 	p.free[i] = append(p.free[i], buf[:0])
 }

@@ -14,8 +14,18 @@ func TestPoolClasses(t *testing.T) {
 	} {
 		var p Pool
 		buf := p.Get(tc.n)
-		if len(buf) != 0 || cap(buf) != tc.cap {
-			t.Errorf("Get(%d): len %d cap %d, want 0 and %d", tc.n, len(buf), cap(buf), tc.cap)
+		if len(buf) != 0 || cap(buf) != tc.cap || ClassSize(tc.n) != tc.cap {
+			t.Errorf("Get(%d): len %d cap %d, ClassSize %d, want 0 and %d", tc.n, len(buf), cap(buf), ClassSize(tc.n), tc.cap)
+		}
+		// Any buffer of the class size — a region of a larger array
+		// included — goes back to the class that serves n.
+		p.Put(make([]byte, 2*tc.cap)[:0:tc.cap])
+		want := 1
+		if tc.n > 1<<poolMaxShift {
+			want = 0 // past the largest class: allocated to size, never served
+		}
+		if p.Holds(tc.n) != want {
+			t.Errorf("Holds(%d) = %d after a buffer of its class size came back, want %d", tc.n, p.Holds(tc.n), want)
 		}
 	}
 
@@ -113,6 +123,28 @@ func TestPoolCheckScribbles(t *testing.T) {
 			t.Fatalf("byte %d of a buffer handed back is %#x, want 0xEE", i, b)
 		}
 	}
+}
+
+// TestPoolCheckCatchesDoublePut: built with -tags poolcheck, handing back a
+// buffer the pool already holds panics — two holders of one message would
+// otherwise each get it from a later Get and write over each other.
+func TestPoolCheckCatchesDoublePut(t *testing.T) {
+	if !poolCheck {
+		t.Skip("only with -tags poolcheck")
+	}
+	var p Pool
+	buf := p.Get(HeaderLen)
+	p.Put(p.Get(HeaderLen)) // another buffer of the class: the scan passes it
+	p.Put(buf)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Put of the same buffer did not panic")
+		}
+		if n := p.Len(); n != 2 {
+			t.Errorf("pool holds %d buffers after the refused Put, want 2", n)
+		}
+	}()
+	p.Put(buf[:0:cap(buf)])
 }
 
 // BenchmarkPoolGetPut: a message drawn and handed back, as a DC consumes

@@ -585,9 +585,9 @@ type Deployment struct {
 	dcs   map[core.NodeID]*DCNode
 	hosts map[core.NodeID]*Host
 
-	// pool holds the message buffers that DCs consume — parity, NACKs,
-	// pulls, coop and verify responses — for every DC and host to draw
-	// from, and the DCs hand each back once read (dataplane.Core.Handle).
+	// pool holds the message buffers every flow, DC and host draws from;
+	// whoever consumes one — a DC, a host, a flow's ingress contracts —
+	// hands it back (see package dataplane).
 	pool wire.Pool
 
 	// open holds the open flows in ascending ID order, which is
