@@ -54,6 +54,23 @@ func newEgressQueue(n *DCNode, to core.NodeID) *egressQueue {
 	return q
 }
 
+// eachEgress calls fn for every DC egress scheduler, ascending (from,
+// to). Node IDs are dense small integers, so a range scan with map
+// membership checks iterates deterministically without sorting.
+func (d *Deployment) eachEgress(fn func(from, to core.NodeID, q *egressQueue)) {
+	for from := core.NodeID(1); from < d.nextNode; from++ {
+		dc, ok := d.dcs[from]
+		if !ok || dc.egress == nil {
+			continue
+		}
+		for to := core.NodeID(1); to < d.nextNode; to++ {
+			if q, ok := dc.egress[to]; ok {
+				fn(from, to, q)
+			}
+		}
+	}
+}
+
 // scheduledSend routes one data-plane message of class cls into the
 // egress scheduler toward hop. On a byte-cap rejection the message is
 // dropped from the tail, accounted per class, and surfaced to the owning

@@ -1,7 +1,7 @@
 package jqos
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"jqos/internal/core"
@@ -65,44 +65,37 @@ type CongestionSignal struct {
 }
 
 // feedbackPlane is the deployment's congestion-feedback glue: it owns
-// the transition broadcaster and the subscription registry, arms the
-// batch-flush timer, and moves TypeCongestion control messages from
-// detecting DCs to ingress DCs (hop-by-hop over the control channel,
-// bypassing the very schedulers it reports on).
+// the transition broadcaster, arms the batch-flush and Hot-refresh
+// timers, and moves TypeCongestion control messages from detecting DCs
+// to ingress DCs (hop-by-hop over the control channel, bypassing the
+// very schedulers it reports on). It keeps no index of its own: who
+// hears a signal is read off the open-flow list (each Flow's announced
+// path and class), and which queues sit Hot off the egress schedulers.
 type feedbackPlane struct {
-	d   *Deployment
-	bc  *feedback.Broadcaster
-	reg *feedback.Registry
+	d  *Deployment
+	bc *feedback.Broadcaster
 
-	// flushTimer batches noted transitions for one signalInterval.
-	flushTimer *netem.Timer
-	batchFn    func([]feedback.Transition)
-
-	// hot tracks the (link, class) queues currently past the high
-	// watermark, for the level-triggered refresh loop (see armRefresh).
-	hot          map[feedback.LinkClass]struct{}
+	// flushTimer batches noted transitions for one signalInterval;
+	// refreshTimer re-announces the queues still Hot (see refresh).
+	flushTimer   *netem.Timer
+	batchFn      func([]feedback.Transition)
 	refreshTimer *netem.Timer
 
-	// Scratch buffers reused across flushes. Signal MESSAGES are not
+	// Scratch buffers reused across signals. Signal MESSAGES are not
 	// reusable: the emulator defers delivery, so each TypeCongestion
 	// buffer is owned by its in-flight event — one allocation per
 	// remote signal (flush or refresh), never per packet.
 	ingScratch    []core.NodeID
-	flowScratch   []core.FlowID
+	flowScratch   []*Flow
 	tenantScratch []*tenant.Tenant
 
 	// stats holds the plane's own counters; the snapshot builder fills
-	// in Enabled and the counts the broadcaster and registry keep.
+	// in Enabled, the broadcaster's counts and SubscribedFlows.
 	stats telemetry.FeedbackSnapshot
 }
 
 func newFeedbackPlane(d *Deployment) *feedbackPlane {
-	p := &feedbackPlane{
-		d:   d,
-		bc:  feedback.NewBroadcaster(),
-		reg: feedback.NewRegistry(),
-		hot: make(map[feedback.LinkClass]struct{}),
-	}
+	p := &feedbackPlane{d: d, bc: feedback.NewBroadcaster()}
 	p.flushTimer = d.sim.NewTimer(p.flush)
 	p.batchFn = p.fanOut
 	p.refreshTimer = d.sim.NewTimer(p.refresh)
@@ -110,82 +103,48 @@ func newFeedbackPlane(d *Deployment) *feedbackPlane {
 }
 
 // note records one watermark transition from a DC egress scheduler and
-// arms the batch flush. Called from the scheduler hot path via the
-// DRR's OnStateChange hook — allocation-free but for the (per-batch,
-// not per-packet) flush-timer event.
+// arms the batch flush, and on Hot the refresh. Called from the
+// scheduler hot path via the DRR's OnStateChange hook — allocation-free
+// but for the (per-batch, not per-packet) timer events.
 func (p *feedbackPlane) note(from, to core.NodeID, class core.Service, st sched.QueueState, depth int64) {
 	p.bc.Note(from, to, class, st, depth)
-	k := feedback.LinkClass{From: from, To: to, Class: class}
 	if st == sched.QueueHot {
-		p.hot[k] = struct{}{}
-		p.armRefresh()
-	} else {
-		delete(p.hot, k)
+		p.refreshTimer.Arm(pacerRecoverInterval)
 	}
 	p.flushTimer.Arm(signalInterval)
 }
 
 func (p *feedbackPlane) flush() { p.bc.Flush(p.batchFn) }
 
-// armRefresh keeps the level-triggered re-signal loop alive while any
-// queue sits Hot. Watermark transitions are EDGES: a queue that stays
-// pinned past the low watermark after one cut would never signal
-// again, and the pacers would freeze at a rate that still
-// oversubscribes the class (three 600 kB/s contracts halved once still
-// exceed an 800 kB/s share — the queue tail-drops forever with no
-// further feedback). The refresh re-announces Hot for every still-hot
-// (link, class) each pacerRecoverInterval — the cadence the pacers recover
-// at, so a standing backlog keeps cutting toward the floor strictly
-// faster than anything climbs.
-func (p *feedbackPlane) armRefresh() {
-	if len(p.hot) != 0 {
+// refresh is the level-triggered re-signal loop. Watermark transitions
+// are EDGES: a queue that stays pinned past the low watermark after one
+// cut would never signal again, and the pacers would freeze at a rate
+// that still oversubscribes the class (three 600 kB/s contracts halved
+// once still exceed an 800 kB/s share — the queue tail-drops forever
+// with no further feedback). So every pacerRecoverInterval — the cadence
+// the pacers recover at, so a standing backlog keeps cutting toward the
+// floor strictly faster than anything climbs — it re-announces Hot for
+// every class queue still Hot, ascending (from, to, class), and re-arms
+// while any is. The schedulers are the one record of which queues are
+// Hot: sched.DRR changes a state only where it calls OnStateChange, and
+// note arms the loop on every Hot one.
+func (p *feedbackPlane) refresh() {
+	hot := false
+	p.d.eachEgress(func(from, to core.NodeID, q *egressQueue) {
+		for c := core.Service(0); int(c) < sched.NumClasses; c++ {
+			if q.drr.State(c) != sched.QueueHot {
+				continue
+			}
+			hot = true
+			p.stats.HotRefreshes++
+			t := feedback.Transition{From: from, To: to, Class: c, State: feedback.Hot,
+				Depth: q.drr.Stats().PerClass[c].QueuedBytes}
+			p.fanOutOne(&t)
+		}
+	})
+	if hot {
 		p.refreshTimer.Arm(pacerRecoverInterval)
 	}
-}
-
-func (p *feedbackPlane) refresh() {
-	if len(p.hot) == 0 {
-		return
-	}
-	keys := make([]feedback.LinkClass, 0, len(p.hot))
-	for k := range p.hot {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Class < b.Class
-	})
-	for _, k := range keys {
-		depth, stillHot := p.liveDepth(k)
-		if !stillHot {
-			delete(p.hot, k) // cooled; its transition keeps the map honest
-			continue
-		}
-		p.stats.HotRefreshes++
-		t := feedback.Transition{From: k.From, To: k.To, Class: k.Class, State: feedback.Hot, Depth: depth}
-		p.fanOutOne(&t)
-	}
-	p.armRefresh()
-}
-
-// liveDepth reads a hot-set entry's current queue state straight from
-// the scheduler, reporting whether it is still Hot.
-func (p *feedbackPlane) liveDepth(k feedback.LinkClass) (int64, bool) {
-	dc, ok := p.d.dcs[k.From]
-	if !ok {
-		return 0, false
-	}
-	q := dc.egress[k.To]
-	if q == nil || q.drr.State(k.Class) != sched.QueueHot {
-		return 0, false
-	}
-	return q.drr.Stats().PerClass[k.Class].QueuedBytes, true
 }
 
 // fanOut delivers one flushed batch of transitions.
@@ -195,12 +154,11 @@ func (p *feedbackPlane) fanOut(batch []feedback.Transition) {
 	}
 }
 
-// fanOutOne delivers one transition to each distinct ingress DC
-// subscribed to its (link, class) — locally when the detecting DC is
+// fanOutOne delivers one transition to each distinct ingress DC of the
+// flows that hear its (link, class) — locally when the detecting DC is
 // itself the ingress, as a TypeCongestion control message otherwise.
 func (p *feedbackPlane) fanOutOne(t *feedback.Transition) {
-	p.ingScratch = p.reg.Ingresses(p.ingScratch[:0], t.From, t.To, t.Class)
-	for _, ingress := range p.ingScratch {
+	for _, ingress := range p.ingresses(t.From, t.To, t.Class) {
 		if ingress == t.From {
 			p.stats.SignalsLocal++
 			p.deliver(ingress, CongestionSignal{
@@ -211,6 +169,36 @@ func (p *feedbackPlane) fanOutOne(t *feedback.Transition) {
 		}
 		p.sendSignal(ingress, t)
 	}
+}
+
+// ingresses collects, into the plane's scratch, the distinct ingress
+// DCs of the open flows that hear from→to in class, ascending
+// (deterministic fan-out).
+func (p *feedbackPlane) ingresses(from, to core.NodeID, class core.Service) []core.NodeID {
+	ings := p.ingScratch[:0]
+	for _, f := range p.d.open {
+		if f.hears(from, to, class) && !slices.Contains(ings, f.fbPath[0]) {
+			ings = append(ings, f.fbPath[0])
+		}
+	}
+	slices.Sort(ings)
+	p.ingScratch = ings
+	return ings
+}
+
+// listeners collects, into the plane's scratch, the open flows entering
+// at ingress that hear from→to in class, ascending ID (deterministic
+// delivery) — all of them before any reacts, so a reaction that closes
+// or registers flows cannot change who hears the signal.
+func (p *feedbackPlane) listeners(ingress, from, to core.NodeID, class core.Service) []*Flow {
+	fs := p.flowScratch[:0]
+	for _, f := range p.d.open {
+		if f.hears(from, to, class) && f.fbPath[0] == ingress {
+			fs = append(fs, f)
+		}
+	}
+	p.flowScratch = fs
+	return fs
 }
 
 // sendSignal ships one transition to a remote ingress DC over the
@@ -261,32 +249,24 @@ func (p *feedbackPlane) onCongestionMsg(ingress core.NodeID, msg []byte) bool {
 	return true
 }
 
-// deliver fans one signal out to the flows subscribed at this ingress,
-// then ONCE to each distinct tenant among them: sibling flows sharing a
-// hot bottleneck back off as one sender, not N independent ones.
+// deliver fans one signal out to the flows that hear it at this
+// ingress, then ONCE to each distinct tenant among them: sibling flows
+// sharing a hot bottleneck back off as one sender, not N independent
+// ones.
 func (p *feedbackPlane) deliver(ingress core.NodeID, sig CongestionSignal) {
-	p.flowScratch = p.reg.FlowsAt(p.flowScratch[:0], ingress, sig.LinkA, sig.LinkB, core.Service(sig.Class))
+	flows := p.listeners(ingress, sig.LinkA, sig.LinkB, core.Service(sig.Class))
 	p.tenantScratch = p.tenantScratch[:0]
-	for _, id := range p.flowScratch {
-		f := p.d.flow(id)
-		if f == nil {
+	for _, f := range flows {
+		if f.closed { // a reaction earlier in this loop closed it
 			continue
 		}
 		p.stats.FlowSignals++
 		f.onCongestionSignal(sig)
-		if f.tenant != nil && f.tenant.Pacer() != nil {
-			dup := false
-			for _, t := range p.tenantScratch {
-				if t == f.tenant {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				p.tenantScratch = append(p.tenantScratch, f.tenant)
-			}
+		if f.tenant != nil && f.tenant.Pacer() != nil && !slices.Contains(p.tenantScratch, f.tenant) {
+			p.tenantScratch = append(p.tenantScratch, f.tenant)
 		}
 	}
+	clear(flows) // the scratch must not keep closed flows reachable
 	now := p.d.sim.Now()
 	key := feedback.LinkClass{From: sig.LinkA, To: sig.LinkB, Class: core.Service(sig.Class)}
 	for _, t := range p.tenantScratch {
@@ -306,28 +286,41 @@ func (p *feedbackPlane) deliver(ingress core.NodeID, sig CongestionSignal) {
 	}
 }
 
-// updateFeedbackSub (re)subscribes the flow's (path, class) in the
-// feedback registry. Called at registration, on every path change, and
-// on every service change; a flow with no inter-DC path holds no
-// subscription. A changed subscription also unfreezes the pacer: the
-// frozen Hot state described a queue whose cooling transition this
-// flow will no longer hear, and additive recovery must not stay wedged
-// on a signal that can never be contradicted.
+// hears reports whether the flow's announced path carries the directed
+// link from→to in class: the key a congestion signal names.
+func (f *Flow) hears(from, to core.NodeID, class core.Service) bool {
+	if f.fbClass != class {
+		return false
+	}
+	for i := 0; i+1 < len(f.fbPath); i++ {
+		if f.fbPath[i] == from && f.fbPath[i+1] == to {
+			return true
+		}
+	}
+	return false
+}
+
+// updateFeedbackSub announces the flow's (path, class) to the feedback
+// plane. Called at registration, on every path change, and on every
+// service change; a flow with no inter-DC path announces none. A changed
+// announcement also unfreezes the pacer: the frozen Hot state described
+// a queue whose cooling transition this flow will no longer hear, and
+// additive recovery must not stay wedged on a signal that can never be
+// contradicted.
 func (f *Flow) updateFeedbackSub() {
-	fb := f.d.fb
-	if fb == nil {
+	if f.d.fb == nil {
 		return
 	}
-	var changed bool
-	if f.closed || len(f.activePath) < 2 {
-		changed = fb.reg.Remove(f.id)
-	} else {
-		changed = fb.reg.Update(f.id, f.activePath[0], f.service, f.activePath)
+	path := f.activePath
+	if f.closed || len(path) < 2 {
+		path = nil
 	}
 	// Only a REAL change unfreezes: a re-resolution that picked the same
 	// path (routing churn, repin retries) must not undo an active Hot
 	// cut — a saturated queue emits no further transitions, so a
 	// spuriously unfrozen pacer would climb straight back into it.
+	changed := (path != nil || f.fbPath != nil) && (f.fbClass != f.service || !slices.Equal(f.fbPath, path))
+	f.fbPath, f.fbClass = path, f.service
 	if changed && f.pacer != nil {
 		f.pacer.Unfreeze()
 	}

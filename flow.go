@@ -84,6 +84,13 @@ type Flow struct {
 	// primary for PathFastest. Nil when the flow's DCs coincide or no
 	// path exists.
 	activePath []core.NodeID
+	// fbPath and fbClass are the path and class the flow last announced
+	// to the congestion-feedback plane (updateFeedbackSub): it hears the
+	// signals of every directed link of fbPath in class fbClass, at its
+	// ingress fbPath[0]. fbPath aliases activePath, which is replaced and
+	// never written in place; nil announces nothing.
+	fbPath  []core.NodeID
+	fbClass core.Service
 
 	// follow is the DC pair whose primary path the flow follows
 	// (PathFastest, or a pinned policy parked with no path; zero when
@@ -191,11 +198,7 @@ func (f *Flow) Close() {
 	for _, dc := range d.dcs {
 		dc.dp.Encoder.ForgetFlow(f.id)
 	}
-	if d.fb != nil {
-		d.fb.reg.Remove(f.id)
-	}
 	if f.tenant != nil {
-		f.tenant.RemoveFlow()
 		// A closing member may have been the only subscriber on the
 		// bottleneck whose cooling signal would have let the aggregate
 		// pacer recover — unfreeze and let the recovery loop decide.
@@ -206,7 +209,7 @@ func (f *Flow) Close() {
 	}
 	d.open = slices.DeleteFunc(d.open, func(o *Flow) bool { return o == f })
 	d.tel.forgetFlow(f)
-	f.activePath, f.primary, f.slo = nil, nil, nil
+	f.activePath, f.fbPath, f.primary, f.slo = nil, nil, nil, nil
 }
 
 // Service returns the currently selected service.

@@ -366,9 +366,6 @@ func (d *Deployment) RegisterFlow(spec FlowSpec) (*Flow, error) {
 	}
 	d.nextFlow++
 	d.open = append(d.open, f)
-	if tn != nil {
-		tn.AddFlow()
-	}
 
 	// Pre-create receiver engines with the right RTT estimate so the
 	// first loss is already covered. Any receiver already present under

@@ -25,8 +25,9 @@
 // draw, so a steady run allocates almost nothing. Core.Handle hands back
 // what the DC consumes: coded parity, NACKs, pulls, coop and verify
 // responses, data it caches at the destination's home or feeds the
-// encoder at DC1, and what it drops — never a message it relays, queues or
-// fans out, whose bytes are the next hop's. A host's runtime hands back
+// encoder at DC1, group data it has copied to every member, and what it
+// drops — never a message it relays or queues, whose bytes are the next
+// hop's. A host's runtime hands back
 // every message once HostCore.Handle returns: a delivered payload is valid
 // until the delivery handler returns, and the engines copy what they keep
 // into storage they recycle.
@@ -130,8 +131,9 @@ func (c *Core) OnTimer(now core.Time) {
 // leaves as received, and one the DC consumes goes back to the pool, to be
 // overwritten by the next message drawn from it — coded parity once the
 // recoverer has copied its shard, a NACK, a pull, a coop or verify
-// response, data the cache or the encoder has copied, and a message the DC
-// drops. Data the DC relays or fans out never goes back.
+// response, data the cache or the encoder has copied, group data once
+// every member has its own copy, and a message the DC drops. Data the DC
+// relays never goes back.
 func (c *Core) Handle(now core.Time, hdr *wire.Header, body, raw []byte) {
 	// Point-to-point service messages addressed elsewhere are relayed
 	// (e.g. a helper's CoopResp transiting its own DC toward DC2). Data
@@ -298,7 +300,8 @@ func (c *Core) sendCoded(now core.Time, emits []core.Emit) {
 }
 
 // onData handles an application data copy, and reports whether it
-// consumed raw: cached, encoded or dropped it.
+// consumed raw: cached, encoded, dropped or fanned out to a group (each
+// member's copy is its own).
 //
 //   - forwarding: relay toward the (possibly multicast) destination.
 //   - caching: relay until this DC is the destination's home DC (or the
@@ -344,7 +347,7 @@ func (c *Core) onData(now core.Time, hdr *wire.Header, payload, raw []byte) bool
 		}
 		c.send(m, msg, path{flags: hdr.Flags})
 	}
-	return false
+	return true
 }
 
 // servesDst reports whether this DC is the egress DC for dst (the DC dst

@@ -179,8 +179,9 @@ func TestCoreHandle(t *testing.T) {
 	}
 
 	// back: the core consumed the message and handed its buffer back to
-	// the pool — data it cached, encoded or dropped included. Nothing it
-	// forwarded, relayed or fanned out goes back.
+	// the pool — data it cached, encoded, dropped or fanned out to a
+	// group's members (each sent its own copy) included. Nothing it
+	// forwarded or relayed goes back.
 	cases := []struct {
 		name  string
 		setup func(*Core)
@@ -218,12 +219,12 @@ func TestCoreHandle(t *testing.T) {
 		{name: "data/forwarding/multicast group: per-member Dst rewrite", setup: grouped,
 			in: fwdData(group, 0), want: []sent{
 				{hop: local, msg: rewritten(fwdData(group, 0), local)},
-				{hop: dcB, msg: rewritten(fwdData(group, 0), hostB)}}},
+				{hop: dcB, msg: rewritten(fwdData(group, 0), hostB)}}, back: true},
 		{name: "data/forwarding/multicast group, old-epoch tag: each copy resolves the retiring table",
 			setup: func(c *Core) { grouped(c); drained(c) },
 			in:    fwdData(group, oldTag), want: []sent{
 				{hop: local, msg: rewritten(fwdData(group, oldTag), local)},
-				{hop: dcB, msg: rewritten(fwdData(group, oldTag), hostB)}}},
+				{hop: dcB, msg: rewritten(fwdData(group, oldTag), hostB)}}, back: true},
 		{name: "data/internet service: moves on like forwarding", setup: noPin,
 			in:   message(wire.TypeData, core.ServiceInternet, 7, 1, 100, hostB, 0, []byte("p")),
 			want: []sent{{hop: dcB, msg: message(wire.TypeData, core.ServiceInternet, 7, 1, 100, hostB, 0, []byte("p"))}}},
@@ -476,7 +477,7 @@ func TestCoreEncoderEgress(t *testing.T) {
 // an engine, or counted in Dropped — no buffer is sent twice, and exactly
 // the messages the DC consumes come back to the pool, never one that was
 // sent: those addressed here that are not data, and data it caches at its
-// home or takes at DC1.
+// home, takes at DC1 or copies to a group's members.
 func FuzzCoreHandle(f *testing.F) {
 	for _, seed := range [][]byte{
 		message(wire.TypeData, core.ServiceForwarding, 7, 1, 100, hostB, wire.EpochFlags(0), []byte("payload")),
@@ -533,7 +534,8 @@ func FuzzCoreHandle(f *testing.F) {
 		}
 		want := hdr.Dst == self && hdr.Type != wire.TypeData
 		if hdr.Type == wire.TypeData {
-			want = hdr.Service == core.ServiceCoding || hdr.Service == core.ServiceCaching && c.servesDst(hdr.Dst)
+			want = hdr.Service == core.ServiceCoding || hdr.Service == core.ServiceCaching && c.servesDst(hdr.Dst) ||
+				c.Forwarder.IsGroup(hdr.Dst)
 		}
 		c.Handle(0, &hdr, body, raw)
 

@@ -75,24 +75,3 @@ func BenchmarkPacerAdmit(b *testing.B) {
 		b.Fatal("pacer never cut")
 	}
 }
-
-// BenchmarkRegistryChurn is the subscription-mutation hot path: every
-// flow open, close, and reroute rewrites the fan-out registry. The
-// key-slice and fan-out-map freelists must hold steady-state churn at
-// 0 allocs/op (the CI bench gate enforces it).
-func BenchmarkRegistryChurn(b *testing.B) {
-	r := NewRegistry()
-	path := []core.NodeID{1, 2, 3, 4}
-	alt := []core.NodeID{1, 5, 6, 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Update(7, 1, core.ServiceForwarding, path)
-		r.Update(7, 1, core.ServiceForwarding, alt) // reroute rewrite
-		r.Remove(7)
-	}
-	b.StopTimer()
-	if r.Subscribed() != 0 {
-		b.Fatal("subscription leaked")
-	}
-}

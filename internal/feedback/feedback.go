@@ -8,14 +8,11 @@
 // building, seconds before the byte cap tail-drops, keeps interactive
 // budgets intact without permanently paying for the expensive tier.
 //
-// Three pieces, all sans-IO like the protocol engines:
+// Two pieces, both sans-IO like the protocol engines:
 //
 //   - Broadcaster batches watermark transitions noted on the scheduler
 //     hot path (allocation-free) until the hosting runtime flushes them
 //     as control messages;
-//   - Registry maps each directed (inter-DC link, class) to the flows —
-//     and their ingress DCs — currently routed across it, maintained on
-//     register/pin/reroute/close;
 //   - Pacer applies AIMD rate control to an admission token bucket (a
 //     flow's contract or a tenant's shared quota), one state per
 //     congested link-class: multiplicative cut toward a floor on Hot,
@@ -23,9 +20,6 @@
 package feedback
 
 import (
-	"slices"
-	"sort"
-
 	"jqos/internal/core"
 	"jqos/internal/sched"
 )
@@ -108,154 +102,3 @@ func (b *Broadcaster) Noted() uint64 { return b.noted }
 
 // Flushes returns the lifetime count of non-empty flushes.
 func (b *Broadcaster) Flushes() uint64 { return b.flushes }
-
-// Registry maps each directed (inter-DC link, class) to the subscribed
-// flows and their ingress DCs, so a congestion signal fans out to
-// exactly the DCs whose flows load the queue. The hosting runtime
-// updates a flow's subscription whenever its path or service class
-// changes and removes it on close.
-type Registry struct {
-	subs  map[LinkClass]map[core.FlowID]core.NodeID // flow → ingress DC
-	flows map[core.FlowID]flowSub                   // reverse index for update/remove
-	// keyFree / mapFree recycle key slices and emptied fan-out maps so
-	// subscription churn (every flow open, close, and reroute) settles at
-	// zero allocations per update.
-	keyFree [][]LinkClass
-	mapFree []map[core.FlowID]core.NodeID
-}
-
-// flowSub is one flow's stored subscription: its ingress plus the
-// directed link-class keys its path covers.
-type flowSub struct {
-	ingress core.NodeID
-	keys    []LinkClass
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		subs:  make(map[LinkClass]map[core.FlowID]core.NodeID),
-		flows: make(map[core.FlowID]flowSub),
-	}
-}
-
-// Update (re)subscribes a flow: its class traffic enters the overlay at
-// ingress and traverses every consecutive directed link of path (a DC
-// path, endpoints included). A previous subscription is replaced; a
-// path shorter than one link just unsubscribes. It reports whether the
-// subscription actually changed — callers use an unchanged update as
-// "nothing moved" (a re-resolution that picked the same path must not
-// reset per-flow reaction state).
-func (r *Registry) Update(flow core.FlowID, ingress core.NodeID, class core.Service, path []core.NodeID) bool {
-	if len(path) < 2 {
-		return r.Remove(flow)
-	}
-	keys := r.getKeys()
-	for i := 0; i+1 < len(path); i++ {
-		keys = append(keys, LinkClass{path[i], path[i+1], class})
-	}
-	if prev, ok := r.flows[flow]; ok && prev.ingress == ingress && slices.Equal(prev.keys, keys) {
-		r.keyFree = append(r.keyFree, keys)
-		return false
-	}
-	r.Remove(flow)
-	for _, k := range keys {
-		m, ok := r.subs[k]
-		if !ok {
-			m = r.getMap()
-			r.subs[k] = m
-		}
-		m[flow] = ingress
-	}
-	r.flows[flow] = flowSub{ingress: ingress, keys: keys}
-	return true
-}
-
-// Remove unsubscribes a flow everywhere, reporting whether a
-// subscription existed.
-func (r *Registry) Remove(flow core.FlowID) bool {
-	sub, had := r.flows[flow]
-	for _, k := range sub.keys {
-		if m, ok := r.subs[k]; ok {
-			delete(m, flow)
-			if len(m) == 0 {
-				delete(r.subs, k)
-				r.mapFree = append(r.mapFree, m)
-			}
-		}
-	}
-	if had {
-		delete(r.flows, flow)
-		r.keyFree = append(r.keyFree, sub.keys)
-	}
-	return had
-}
-
-// getKeys pops a recycled key slice (empty, capacity retained) or
-// returns nil for append to grow — the amortized cost of a new path
-// length, paid once.
-func (r *Registry) getKeys() []LinkClass {
-	if n := len(r.keyFree); n > 0 {
-		keys := r.keyFree[n-1]
-		r.keyFree = r.keyFree[:n-1]
-		return keys[:0]
-	}
-	return nil
-}
-
-// getMap pops a recycled fan-out map (emptied by Remove, buckets
-// retained) or makes a fresh one.
-func (r *Registry) getMap() map[core.FlowID]core.NodeID {
-	if n := len(r.mapFree); n > 0 {
-		m := r.mapFree[n-1]
-		r.mapFree = r.mapFree[:n-1]
-		return m
-	}
-	return make(map[core.FlowID]core.NodeID)
-}
-
-// Subscribed returns how many flows currently hold subscriptions.
-func (r *Registry) Subscribed() int { return len(r.flows) }
-
-// Ingresses appends to buf the distinct ingress DCs subscribed to the
-// directed link from→to for class, in ascending order (deterministic
-// fan-out). Pass buf[:0] to reuse a scratch slice.
-func (r *Registry) Ingresses(buf []core.NodeID, from, to core.NodeID, class core.Service) []core.NodeID {
-	m := r.subs[LinkClass{from, to, class}]
-	if len(m) == 0 {
-		return buf
-	}
-	start := len(buf)
-	for _, ing := range m {
-		seen := false
-		for _, have := range buf[start:] {
-			if have == ing {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			buf = append(buf, ing)
-		}
-	}
-	sort.Slice(buf[start:], func(i, j int) bool { return buf[start+i] < buf[start+j] })
-	return buf
-}
-
-// FlowsAt appends to buf the flows subscribed at ingress for the
-// directed link from→to and class, in ascending flow order
-// (deterministic delivery). Pass buf[:0] to reuse a scratch slice.
-func (r *Registry) FlowsAt(buf []core.FlowID, ingress, from, to core.NodeID, class core.Service) []core.FlowID {
-	m := r.subs[LinkClass{from, to, class}]
-	if len(m) == 0 {
-		return buf
-	}
-	start := len(buf)
-	for flow, ing := range m {
-		if ing == ingress {
-			buf = append(buf, flow)
-		}
-	}
-	sort.Slice(buf[start:], func(i, j int) bool { return buf[start+i] < buf[start+j] })
-	return buf
-}

@@ -40,63 +40,6 @@ func TestBroadcasterCoalesces(t *testing.T) {
 	}
 }
 
-func TestRegistrySubscriptions(t *testing.T) {
-	r := NewRegistry()
-	// Flow 1: ingress 10, path 10→11→12, forwarding.
-	r.Update(1, 10, core.ServiceForwarding, []core.NodeID{10, 11, 12})
-	// Flow 2: same path, same class, same ingress.
-	r.Update(2, 10, core.ServiceForwarding, []core.NodeID{10, 11, 12})
-	// Flow 3: different ingress, shares only the second link.
-	r.Update(3, 11, core.ServiceForwarding, []core.NodeID{11, 12})
-
-	if got := r.Ingresses(nil, 10, 11, core.ServiceForwarding); len(got) != 1 || got[0] != 10 {
-		t.Fatalf("ingresses(10→11) = %v", got)
-	}
-	if got := r.Ingresses(nil, 11, 12, core.ServiceForwarding); len(got) != 2 || got[0] != 10 || got[1] != 11 {
-		t.Fatalf("ingresses(11→12) = %v, want [10 11]", got)
-	}
-	// Class is part of the key.
-	if got := r.Ingresses(nil, 11, 12, core.ServiceCaching); len(got) != 0 {
-		t.Fatalf("caching ingresses = %v, want none", got)
-	}
-	// Direction is part of the key.
-	if got := r.Ingresses(nil, 12, 11, core.ServiceForwarding); len(got) != 0 {
-		t.Fatalf("reverse ingresses = %v, want none", got)
-	}
-	if got := r.FlowsAt(nil, 10, 11, 12, core.ServiceForwarding); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("flows at ingress 10 = %v, want [1 2]", got)
-	}
-
-	// Reroute: flow 1 moves to 10→13→12; the old links forget it.
-	r.Update(1, 10, core.ServiceForwarding, []core.NodeID{10, 13, 12})
-	if got := r.FlowsAt(nil, 10, 10, 11, core.ServiceForwarding); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("flows on old path = %v, want [2]", got)
-	}
-	if got := r.FlowsAt(nil, 10, 10, 13, core.ServiceForwarding); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("flows on new path = %v, want [1]", got)
-	}
-
-	// Class change re-keys the subscription.
-	r.Update(2, 10, core.ServiceCaching, []core.NodeID{10, 11, 12})
-	if got := r.FlowsAt(nil, 10, 10, 11, core.ServiceForwarding); len(got) != 0 {
-		t.Fatalf("forwarding flows after class change = %v", got)
-	}
-	if got := r.FlowsAt(nil, 10, 10, 11, core.ServiceCaching); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("caching flows after class change = %v", got)
-	}
-
-	// Removal frees everything; a short path is an unsubscribe.
-	r.Remove(1)
-	r.Update(2, 10, core.ServiceCaching, nil)
-	r.Remove(3)
-	if r.Subscribed() != 0 {
-		t.Fatalf("subscribed = %d after removals", r.Subscribed())
-	}
-	if got := r.Ingresses(nil, 11, 12, core.ServiceForwarding); len(got) != 0 {
-		t.Fatalf("stale ingresses = %v", got)
-	}
-}
-
 func TestPacerAIMD(t *testing.T) {
 	const rate, burst = 800_000, 10_000
 	b := load.NewBucket(rate, burst)
@@ -246,30 +189,5 @@ func TestPacerSetContract(t *testing.T) {
 	}
 	if p.Rate() != 400_000 {
 		t.Fatalf("recovery stalled at %d", p.Rate())
-	}
-}
-
-// TestRegistryUpdateReportsChange: an identical re-subscription is a
-// no-op (callers key pacer unfreezing off the return value).
-func TestRegistryUpdateReportsChange(t *testing.T) {
-	r := NewRegistry()
-	path := []core.NodeID{10, 11, 12}
-	if !r.Update(1, 10, core.ServiceForwarding, path) {
-		t.Fatal("first subscription not reported as a change")
-	}
-	if r.Update(1, 10, core.ServiceForwarding, path) {
-		t.Fatal("identical re-subscription reported as a change")
-	}
-	if !r.Update(1, 10, core.ServiceCaching, path) {
-		t.Fatal("class change not reported")
-	}
-	if !r.Update(1, 10, core.ServiceCaching, []core.NodeID{10, 13, 12}) {
-		t.Fatal("path change not reported")
-	}
-	if !r.Remove(1) || r.Remove(1) {
-		t.Fatal("Remove existence reporting wrong")
-	}
-	if r.Update(2, 10, core.ServiceCaching, nil) {
-		t.Fatal("empty-path subscribe of an unknown flow reported as a change")
 	}
 }

@@ -197,7 +197,7 @@ type FlowSnapshot struct {
 type TenantSnapshot struct {
 	ID   core.TenantID `json:"id"`
 	Name string        `json:"name,omitempty"`
-	// Flows is the tenant's open member-flow count.
+	// Flows is the tenant's open member-flow count: its member rows.
 	Flows int `json:"flows"`
 
 	// Member-flow rollups (sums over Snapshot.Flows rows with this
@@ -290,8 +290,8 @@ type FeedbackSnapshot struct {
 	// PreemptiveMoves counts congestion-driven service changes of
 	// unpaced flows.
 	PreemptiveMoves uint64 `json:"preemptive_moves"`
-	// SubscribedFlows is the current size of the (link, class) → flows
-	// subscription registry.
+	// SubscribedFlows counts the open flows that hear congestion
+	// signals: those with an announced inter-DC path.
 	SubscribedFlows int `json:"subscribed_flows"`
 }
 

@@ -66,8 +66,6 @@ type Tenant struct {
 	bucket   *load.Bucket    // nil when Contract.Rate == 0
 	pacer    *feedback.Pacer // nil when bucket is nil
 
-	flows int // live member flows (registry leak invariant)
-
 	quotaDrops     uint64
 	quotaDropBytes uint64
 	costViolations uint64
@@ -113,20 +111,6 @@ func (t *Tenant) QuotaRate() int64 { return t.contract.Rate }
 // Pacer returns the tenant's aggregate pacer (nil for unmetered
 // tenants — no bucket, nothing to pace).
 func (t *Tenant) Pacer() *feedback.Pacer { return t.pacer }
-
-// AddFlow notes a member flow registration.
-func (t *Tenant) AddFlow() { t.flows++ }
-
-// RemoveFlow notes a member flow close.
-func (t *Tenant) RemoveFlow() {
-	if t.flows == 0 {
-		panic(fmt.Sprintf("tenant: %v flow count underflow", t.contract.ID))
-	}
-	t.flows--
-}
-
-// FlowCount returns the live member-flow count.
-func (t *Tenant) FlowCount() int { return t.flows }
 
 // NoteCostViolation counts one budget-driven forced downgrade.
 func (t *Tenant) NoteCostViolation() { t.costViolations++ }

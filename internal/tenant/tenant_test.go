@@ -186,19 +186,6 @@ func TestPacerFloor(t *testing.T) {
 	}
 }
 
-func TestFlowCountUnderflowPanics(t *testing.T) {
-	r := NewRegistry()
-	tn, _ := r.Register(Contract{ID: 1}, feedback.PacerConfig{})
-	tn.AddFlow()
-	tn.RemoveFlow()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected underflow panic")
-		}
-	}()
-	tn.RemoveFlow()
-}
-
 // BenchmarkTenantAdmit gates the aggregate-quota hot path: every cloud
 // copy of every tenanted flow pays one Admit, so it must stay
 // allocation-free like the per-flow bucket it wraps.

@@ -162,8 +162,9 @@
 // out over the control channel —
 // hop-by-hop TypeCongestion messages that bypass the schedulers they
 // report on — to every ingress DC whose flows traverse the affected
-// (link, class), via a subscription registry maintained on
-// register/pin/reroute/close.
+// (link, class), read off the open flows' announced paths and classes
+// (each flow re-announces on register, pin, reroute and service change;
+// a closed flow leaves the open list).
 //
 // At the ingress the reaction depends on the flow. Flows with a Rate
 // contract get an AIMD pacer: a Hot signal cuts the admission bucket's
@@ -279,10 +280,11 @@
 // stranded pacers (every cut recovered once its queues left Hot), the
 // accounting balances (per-class egress bytes sum to direction totals;
 // trace ByKind counts match the flow/feedback counters), and — after
-// Flow.Close — no leaked receiver, registry, or pin state. chaos.Fuzz
-// derives a randomized scenario from a seed (same seed → byte-identical
-// Timeline), and cmd/jqos-chaos soaks N seeded runs, printing per-run
-// verdicts and writing failing seeds' timelines and final snapshots:
+// Flow.Close — no leaked receiver, feedback subscription, or pin state.
+// chaos.Fuzz derives a randomized scenario from a seed (same seed →
+// byte-identical Timeline), and cmd/jqos-chaos soaks N seeded runs,
+// printing per-run verdicts and writing failing seeds' timelines and
+// final snapshots:
 //
 //	jqos-chaos -runs 100 -seed 1          # CI smoke
 //	jqos-chaos -runs 1 -seed 1337 -v      # reproduce a failed seed

@@ -506,46 +506,34 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 		}
 	}
 
-	// Egress schedulers, ascending (from, to). Node IDs are dense small
-	// integers, so a range scan with map membership checks iterates
-	// deterministically without sorting.
-	for from := core.NodeID(1); from < d.nextNode; from++ {
-		dc, ok := d.dcs[from]
-		if !ok || dc.egress == nil {
-			continue
+	// Egress schedulers, ascending (from, to).
+	d.eachEgress(func(from, to core.NodeID, q *egressQueue) {
+		st := q.drr.Stats()
+		qs := telemetry.QueueSnapshot{
+			From: from, To: to,
+			Rounds:        st.Rounds,
+			QueuedBytes:   st.QueuedBytes,
+			QueuedPackets: st.QueuedPackets,
 		}
-		for to := core.NodeID(1); to < d.nextNode; to++ {
-			q, ok := dc.egress[to]
-			if !ok {
-				continue
+		for c := range st.PerClass {
+			cs := st.PerClass[c]
+			qs.PerClass[c] = telemetry.ClassQueueSnapshot{
+				EnqueuedBytes:   cs.EnqueuedBytes,
+				EnqueuedPackets: cs.EnqueuedPackets,
+				DequeuedBytes:   cs.DequeuedBytes,
+				DequeuedPackets: cs.DequeuedPackets,
+				DroppedBytes:    cs.DroppedBytes,
+				DroppedPackets:  cs.DroppedPackets,
+				QueuedBytes:     cs.QueuedBytes,
+				QueuedPackets:   cs.QueuedPackets,
+				State:           uint8(cs.State),
+				StateChanges:    cs.StateChanges,
+				FlowQueues:      cs.FlowQueues,
+				VictimDrops:     cs.VictimDrops,
 			}
-			st := q.drr.Stats()
-			qs := telemetry.QueueSnapshot{
-				From: from, To: to,
-				Rounds:        st.Rounds,
-				QueuedBytes:   st.QueuedBytes,
-				QueuedPackets: st.QueuedPackets,
-			}
-			for c := range st.PerClass {
-				cs := st.PerClass[c]
-				qs.PerClass[c] = telemetry.ClassQueueSnapshot{
-					EnqueuedBytes:   cs.EnqueuedBytes,
-					EnqueuedPackets: cs.EnqueuedPackets,
-					DequeuedBytes:   cs.DequeuedBytes,
-					DequeuedPackets: cs.DequeuedPackets,
-					DroppedBytes:    cs.DroppedBytes,
-					DroppedPackets:  cs.DroppedPackets,
-					QueuedBytes:     cs.QueuedBytes,
-					QueuedPackets:   cs.QueuedPackets,
-					State:           uint8(cs.State),
-					StateChanges:    cs.StateChanges,
-					FlowQueues:      cs.FlowQueues,
-					VictimDrops:     cs.VictimDrops,
-				}
-			}
-			s.Queues = append(s.Queues, qs)
 		}
-	}
+		s.Queues = append(s.Queues, qs)
+	})
 
 	// Flows, ascending ID. Attribution is enabled while an open flow
 	// samples hop traces.
@@ -592,7 +580,11 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 		s.Feedback.Enabled = true
 		s.Feedback.Transitions = fb.bc.Noted()
 		s.Feedback.Batches = fb.bc.Flushes()
-		s.Feedback.SubscribedFlows = fb.reg.Subscribed()
+		for _, f := range d.open {
+			if f.fbPath != nil {
+				s.Feedback.SubscribedFlows++
+			}
+		}
 	}
 
 	// Per-tenant slice: each rollup recomputed from the SAME member rows

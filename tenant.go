@@ -70,15 +70,20 @@ func (d *Deployment) Tenants() []TenantID {
 	return out
 }
 
-// TenantFlowCount returns the tenant's live member-flow count (panics
-// on an unregistered ID — a harness wiring bug). The chaos teardown
-// invariant drives it back to zero.
+// TenantFlowCount returns how many open flows are the tenant's members
+// (panics on an unregistered ID — a harness wiring bug). The chaos
+// teardown invariant drives it back to zero.
 func (d *Deployment) TenantFlowCount(id TenantID) int {
-	t, ok := d.tenants.Get(id)
-	if !ok {
+	if _, ok := d.tenants.Get(id); !ok {
 		panic(fmt.Sprintf("jqos: tenant %v not registered", id))
 	}
-	return t.FlowCount()
+	n := 0
+	for _, f := range d.open {
+		if f.spec.Tenant == id {
+			n++
+		}
+	}
+	return n
 }
 
 // tenantCostRun is one budget evaluation: for every tenant with a cost
@@ -179,7 +184,6 @@ func tenantSnap(t *tenant.Tenant, members []telemetry.FlowSnapshot) telemetry.Te
 	ts := telemetry.TenantSnapshot{
 		ID:                t.ID(),
 		Name:              t.Name(),
-		Flows:             t.FlowCount(),
 		QuotaRate:         t.QuotaRate(),
 		QuotaDropped:      drops,
 		QuotaDroppedBytes: dropBytes,
@@ -191,6 +195,7 @@ func tenantSnap(t *tenant.Tenant, members []telemetry.FlowSnapshot) telemetry.Te
 		if fs.Tenant != t.ID() {
 			continue
 		}
+		ts.Flows++
 		ts.Sent += fs.Sent
 		ts.SentBytes += fs.SentBytes
 		ts.Delivered += fs.Delivered
