@@ -531,7 +531,8 @@ func costCapped(t *testing.T, d *jqos.Deployment, ceiling float64, spec jqos.Flo
 // CURRENT service each tick, not just at registration.
 func TestCostViolationForcesDowngrade(t *testing.T) {
 	d := jqos.NewDeployment(76)
-	f := costCapped(t, d, 0.10, jqos.FlowSpec{})
+	rec := &recorder{}
+	f := costCapped(t, d, 0.10, jqos.FlowSpec{OnEvent: rec.onEvent})
 	d.Run(60 * time.Second)
 
 	var violations int
@@ -543,17 +544,17 @@ func TestCostViolationForcesDowngrade(t *testing.T) {
 	if violations == 0 {
 		t.Error("no tenant-cost-violation event for a member priced past its tenant's ceiling")
 	}
-	if ts, _ := d.TenantStats(1); ts.CostViolations == 0 {
-		t.Errorf("TenantStats.CostViolations = 0 after %d violation events", violations)
+	if ts := d.Snapshot().Tenants[0]; ts.CostViolations == 0 {
+		t.Errorf("tenant CostViolations = 0 after %d violation events", violations)
 	}
 	var forced bool
-	for _, ch := range f.Changes() {
+	for _, ch := range rec.changes {
 		if ch.Reason == jqos.ReasonCostViolation && ch.From == jqos.ServiceCaching && ch.To == jqos.ServiceCoding {
 			forced = true
 		}
 	}
 	if !forced {
-		t.Errorf("no caching → coding cost-violation transition recorded: %+v", f.Changes())
+		t.Errorf("no caching → coding cost-violation transition recorded: %+v", rec.changes)
 	}
 }
 

@@ -117,7 +117,7 @@ func (e *dcEnv) Send(hop core.NodeID, msg []byte) {
 // the per-link rate meters utilization-aware routing consumes (inter-DC
 // hops only; the registry ignores DC→host egress). The meters take the
 // offered bytes, accepted or lost. Scheduled sends reach here on dequeue,
-// not enqueue, so Link(a, b).Load reflects what actually left the DC
+// not enqueue, so Snapshot().Link(a, b) reflects what actually left the DC
 // rather than what piled up behind the scheduler.
 func (n *DCNode) putOnWire(hop core.NodeID, cls core.Service, msg []byte) {
 	now := n.d.sim.Now()
@@ -130,28 +130,37 @@ func (n *DCNode) putOnWire(hop core.NodeID, cls core.Service, msg []byte) {
 }
 
 // send is the data plane's one exit onto the wire, and where cloud egress
-// is billed: the bytes count once the link accepts them.
+// is billed: the bytes count once the link accepts them. A message the
+// link refuses goes back to the pool.
 func (n *DCNode) send(hop core.NodeID, msg []byte) {
 	if n.d.net.Send(n.id, hop, msg) {
 		n.billed += uint64(len(msg))
+	} else {
+		n.d.pool.Put(msg)
 	}
 }
 
 // handle is the DC's network receive entry point: control messages are
-// the emulator's own, everything else is the data-plane core's.
+// the emulator's own, everything else is the data-plane core's. What the
+// DC consumes here (an undecodable datagram, a probe, an ack, a congestion
+// message at its destination) goes back to the pool; a relayed congestion
+// message is the next hop's.
 func (n *DCNode) handle(from, to core.NodeID, data []byte) {
 	now := n.d.sim.Now()
 	var hdr wire.Header
 	body, err := wire.SplitMessage(&hdr, data)
 	if err != nil {
 		n.drop++
+		n.d.pool.Put(data)
 		return
 	}
 	switch hdr.Type {
 	case wire.TypeProbe:
 		n.onProbe(&hdr)
+		n.d.pool.Put(data)
 	case wire.TypeProbeAck:
 		n.onProbeAck(now, &hdr)
+		n.d.pool.Put(data)
 	case wire.TypeCongestion:
 		// Backpressure signals ride the control channel end to end: a
 		// transit DC relays them hop-by-hop via sendControl (never
@@ -160,9 +169,12 @@ func (n *DCNode) handle(from, to core.NodeID, data []byte) {
 		// subscribed flows.
 		if hdr.Dst != n.id {
 			n.relayControl(&hdr, data)
-		} else if n.d.fb == nil || !n.d.fb.onCongestionMsg(n.id, data) {
+			break
+		}
+		if n.d.fb == nil || !n.d.fb.onCongestionMsg(n.id, data) {
 			n.drop++
 		}
+		n.d.pool.Put(data)
 	default:
 		// DC arrival closes a traced packet's open propagation leg; time
 		// spent inside the DC until the next departure lands in SpanRelay.

@@ -90,6 +90,7 @@ func (n *DCNode) scheduledSend(hop core.NodeID, cls core.Service, msg []byte) {
 	if !q.drr.EnqueueStamped(cls, flow, msg, n.d.sim.Now()) {
 		n.d.tel.spanDropMsg(msg)
 		n.d.noteEgressDrop(flow, cls, len(msg))
+		n.d.pool.Put(msg)
 		return
 	}
 	if !q.wire.Armed() {

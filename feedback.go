@@ -232,7 +232,7 @@ func (p *feedbackPlane) sendSignal(ingress core.NodeID, t *feedback.Transition) 
 		Dst:  ingress,
 	}
 	p.stats.SignalsSent++
-	p.d.sendControl(t.From, via, wire.AppendMessage(nil, &hdr, buf[:]))
+	p.d.sendControl(t.From, via, wire.AppendMessage(p.d.pool.Get(wire.HeaderLen+wire.CongestionLen), &hdr, buf[:]))
 }
 
 // onCongestionMsg dispatches an arrived TypeCongestion message at its

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"jqos"
-	"jqos/internal/core"
+	"jqos/internal/chaos"
 	"jqos/internal/dataset"
 	"jqos/internal/netem"
 	"jqos/internal/routing"
@@ -110,19 +110,31 @@ func TestRapidFlapLeavesNoResidue(t *testing.T) {
 	}
 }
 
+// applyStep injects one chaos step now, as the chaos engine does at fault
+// time: it swaps the link models and nudges fault detection.
+func applyStep(t *testing.T, d *jqos.Deployment, s chaos.Step) {
+	t.Helper()
+	e, err := chaos.Bind(d, chaos.Scenario{Steps: []chaos.Step{s}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Apply(0)
+}
+
 // TestOneWayPartitionDetected: a fault that kills only one direction of
 // a link must still fail the link — probes cross it one way and their
 // answers the other, so the monitor sees 100% probe loss whichever
-// direction carries the fault — and the one-way reconnect must heal it.
+// direction carries the fault — and the one-way heal must heal it.
 func TestOneWayPartitionDetected(t *testing.T) {
-	for name, cut := range map[string]func(d *jqos.Deployment, a, b core.NodeID){
-		"forward": func(d *jqos.Deployment, a, b core.NodeID) { d.Link(a, b).DisconnectOneWay() },
-		"reverse": func(d *jqos.Deployment, a, b core.NodeID) { d.Link(b, a).DisconnectOneWay() },
-	} {
+	for _, name := range []string{"forward", "reverse"} {
 		t.Run(name, func(t *testing.T) {
 			d, dcs, f := buildTriangle(t, 61)
+			a, b := dcs[0], dcs[2] // the cut direction
+			if name == "reverse" {
+				a, b = b, a
+			}
 			dc1, dc3 := dcs[0], dcs[2]
-			cut(d, dc1, dc3)
+			applyStep(t, d, chaos.Step{Kind: chaos.StepPartitionAsym, A: a, B: b})
 			d.Run(2 * time.Second)
 			if h, ok := d.Link(dc1, dc3).Health(); !ok || h.State != routing.LinkDown {
 				t.Fatalf("half-dead link health = %+v (ok=%v), want down", h, ok)
@@ -132,11 +144,7 @@ func TestOneWayPartitionDetected(t *testing.T) {
 				t.Fatalf("flow still on the half-dead link: %v", p)
 			}
 			// Heal only the direction that was cut.
-			if name == "forward" {
-				d.Link(dc1, dc3).ReconnectOneWay()
-			} else {
-				d.Link(dc3, dc1).ReconnectOneWay()
-			}
+			applyStep(t, d, chaos.Step{Kind: chaos.StepHealAsym, A: a, B: b})
 			d.Run(2 * time.Second)
 			if h, ok := d.Link(dc1, dc3).Health(); !ok || h.State == routing.LinkDown {
 				t.Fatalf("link health = %+v (ok=%v) after one-way heal, want recovered", h, ok)
@@ -148,8 +156,8 @@ func TestOneWayPartitionDetected(t *testing.T) {
 	}
 }
 
-// TestAsymmetricDegradeRaisesRTT: Link.SetOneWay on one direction
-// must show up in the monitor's round-trip estimate (probes pay the
+// TestAsymmetricDegradeRaisesRTT: a one-way degrade (the chaos engine's
+// StepDegradeAsym) must show up in the monitor's round-trip estimate (probes pay the
 // extra one-way latency) without taking the link down.
 func TestAsymmetricDegradeRaisesRTT(t *testing.T) {
 	d, dcs, _ := buildTriangle(t, 62)
@@ -159,7 +167,7 @@ func TestAsymmetricDegradeRaisesRTT(t *testing.T) {
 	if !ok || h0.RTT == 0 {
 		t.Fatalf("no baseline RTT estimate: %+v", h0)
 	}
-	d.Link(dc1, dc3).SetOneWay(120*time.Millisecond, 0)
+	applyStep(t, d, chaos.Step{Kind: chaos.StepDegradeAsym, A: dc1, B: dc3, Latency: 120 * time.Millisecond})
 	d.Run(3 * time.Second)
 	h1, ok := d.Link(dc1, dc3).Health()
 	if !ok {

@@ -148,7 +148,9 @@ type Flow struct {
 
 	seq     core.Seq
 	metrics *FlowMetrics
-	changes []ServiceChange
+	// serviceChanges counts setService's moves; the moves themselves are
+	// the service-change events emit records.
+	serviceChanges int
 
 	// adapter decides every service move; Flow feeds it and applies
 	// its decisions.
@@ -163,15 +165,12 @@ type Flow struct {
 // ID returns the flow identity.
 func (f *Flow) ID() core.FlowID { return f.id }
 
-// Closed reports whether the flow was torn down.
-func (f *Flow) Closed() bool { return f.closed }
-
 // Close tears the flow down: the routing controller unpins it (per-flow
 // forwarder entries are removed), every receiving endpoint
 // returns its recovery state to the host for reuse, the adaptation ticker
-// stops, and further Sends are no-ops. Metrics and Changes stay readable,
-// but the flow leaves the deployment's open list (Flows, Snapshot,
-// TenantStats and every control loop stop visiting it) and late in-flight
+// stops, and further Sends are no-ops. Metrics stay readable, but the
+// flow leaves the deployment's open list (Flows, Snapshot and every
+// control loop stop visiting it) and late in-flight
 // packets are no longer tracked (receivers recreate transient state for
 // them and no event is emitted). Nothing per-flow outlives Close in the
 // deployment. Close is idempotent — the prerequisite for workloads of
@@ -232,30 +231,6 @@ func (f *Flow) Path() []NodeID { return append([]NodeID(nil), f.activePath...) }
 // Metrics returns the live metrics (owned by the deployment; read-only
 // for callers).
 func (f *Flow) Metrics() *FlowMetrics { return f.metrics }
-
-// ObservedLoss returns the flow's settled direct-path loss estimate:
-// the windowed fraction of packets the direct path failed to deliver,
-// whether a recovery service repaired them or an overlay-forwarded copy
-// delivered them anyway. This — not the residual LossRate, which
-// working recovery drives to zero — is what the tenant cost loop prices
-// caching's pull-response egress with.
-func (f *Flow) ObservedLoss() float64 { return f.lossEst }
-
-// Upgrades lists services this flow was upgraded to, in order (derived
-// from Changes, which records every transition).
-func (f *Flow) Upgrades() []core.Service {
-	var ups []core.Service
-	for _, ch := range f.changes {
-		if ch.To > ch.From {
-			ups = append(ups, ch.To)
-		}
-	}
-	return ups
-}
-
-// Changes lists every adaptation transition (upgrades and downgrades)
-// with virtual timestamps and reasons.
-func (f *Flow) Changes() []ServiceChange { return append([]ServiceChange(nil), f.changes...) }
 
 // Send transmits one application packet: a copy on the direct Internet
 // path to each destination, plus (by service and duplication policy) a
@@ -473,8 +448,7 @@ func (f *Flow) setService(next core.Service, reason ServiceChangeReason) {
 		return
 	}
 	f.service = next
-	ch := ServiceChange{At: f.d.sim.Now(), From: old, To: next, Reason: reason}
-	f.changes = append(f.changes, ch)
+	f.serviceChanges++
 	// Reset the loss-estimate window: epochs under different services
 	// have different direct-copy behavior (path-switched forwarding
 	// sends none at all), and a window straddling the change would read

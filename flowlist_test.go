@@ -16,8 +16,8 @@ import (
 // closes, some of them made by FlowSpec.OnEvent subscribers while the
 // post-recompute pass moves flows (a fault on the primary path, found by
 // the link monitor) or while the tenant cost loop forces a service move.
-// After every step Flows, the Snapshot's flow rows and totals, and
-// TenantStats must equal the test's own ascending list of open flows; no
+// After every step Flows, the Snapshot's flow rows and totals, and its
+// tenant rollup must equal the test's own ascending list of open flows; no
 // reroute or service change may name a flow after its Close; and between
 // passes every open flow is where the pass must have put it: on the
 // primary path, or, pinned with RepinOnHeal, back on its registration
@@ -79,9 +79,9 @@ func closeDuringPasses(t *testing.T, seed int64) (fromPass, fromCost int) {
 		if !slices.Equal(got, want) || snap.Totals.Flows != len(want) {
 			t.Fatalf("%s: Snapshot flows %v (Totals.Flows %d), want %v", where, got, snap.Totals.Flows, want)
 		}
-		ts, _ := d.TenantStats(1)
+		ts := snap.Tenants[0]
 		if ts.Flows != len(want) || ts.Sent != sent {
-			t.Fatalf("%s: TenantStats has %d flows, %d sent; want %d flows, %d sent", where, ts.Flows, ts.Sent, len(want), sent)
+			t.Fatalf("%s: Snapshot tenant has %d flows, %d sent; want %d flows, %d sent", where, ts.Flows, ts.Sent, len(want), sent)
 		}
 	}
 

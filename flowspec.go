@@ -76,13 +76,6 @@ const (
 	ReasonCostViolation   = overlay.ReasonCostViolation
 )
 
-// ServiceChange records one adaptation transition of a flow.
-type ServiceChange struct {
-	At       time.Duration // virtual time of the change
-	From, To Service
-	Reason   ServiceChangeReason
-}
-
 // FlowSpec is the declarative registration intent of one application
 // stream: where it goes, what latency it needs, which services and
 // overlay paths are acceptable, and who hears about its

@@ -16,16 +16,34 @@ import (
 // path's ends, so the recorder keeps the path it last saw (seeded by the
 // test after registration) to log {old, next} pairs.
 type recorder struct {
-	changes    []jqos.ServiceChange
+	changes    []serviceChange
 	reroutes   [][2][]jqos.NodeID
 	last       []jqos.NodeID
 	violations int
 }
 
+// serviceChange is one service-change event: the flow moved From → To.
+type serviceChange struct {
+	At       time.Duration
+	From, To jqos.Service
+	Reason   jqos.ServiceChangeReason
+}
+
+// upgrades lists the services the flow moved up to, in order.
+func (r *recorder) upgrades() []jqos.Service {
+	var ups []jqos.Service
+	for _, ch := range r.changes {
+		if ch.To > ch.From {
+			ups = append(ups, ch.To)
+		}
+	}
+	return ups
+}
+
 func (r *recorder) onEvent(f *jqos.Flow, e telemetry.Event) {
 	switch e.Kind {
 	case telemetry.KindServiceChange:
-		r.changes = append(r.changes, jqos.ServiceChange{
+		r.changes = append(r.changes, serviceChange{
 			At: e.At, From: jqos.Service(e.V1), To: e.Class,
 			Reason: jqos.ServiceChangeReason(e.Reason),
 		})
@@ -115,9 +133,9 @@ func TestBidirectionalAdaptation(t *testing.T) {
 	})
 	d.Run(30 * time.Second)
 
-	if len(f.Upgrades()) == 0 || f.Upgrades()[len(f.Upgrades())-1] != jqos.ServiceForwarding {
+	if ups := rec.upgrades(); len(ups) == 0 || ups[len(ups)-1] != jqos.ServiceForwarding {
 		t.Fatalf("never upgraded to forwarding: %v (onTime %d/%d)",
-			f.Upgrades(), f.Metrics().OnTime, f.Metrics().Delivered)
+			ups, f.Metrics().OnTime, f.Metrics().Delivered)
 	}
 	if rec.violations == 0 {
 		t.Error("no budget-violation events")
@@ -143,8 +161,12 @@ func TestBidirectionalAdaptation(t *testing.T) {
 		t.Errorf("final service = %v, want coding; changes: %+v",
 			f.Service(), rec.changes)
 	}
-	if len(f.Changes()) != len(rec.changes) {
-		t.Errorf("Changes() = %d events, observer saw %d", len(f.Changes()), len(rec.changes))
+	// The flow moved both ways; the snapshot's counter must count every
+	// move the events reported.
+	if rows := d.Snapshot().Flows; len(rows) != 1 {
+		t.Errorf("snapshot carries %d flow rows, want 1", len(rows))
+	} else if rows[0].ServiceChanges != len(rec.changes) {
+		t.Errorf("snapshot ServiceChanges = %d, OnEvent saw %d service-change events", rows[0].ServiceChanges, len(rec.changes))
 	}
 }
 
@@ -162,7 +184,8 @@ func TestAdaptationResumesAfterIdle(t *testing.T) {
 	src := d.AddHost(dc1, 3*time.Millisecond)
 	dst := d.AddHost(dc2, 4*time.Millisecond)
 	d.SetDirectPath(src, dst, netem.FixedDelay(60*time.Millisecond), nil)
-	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 100 * time.Millisecond})
+	rec := &recorder{}
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 100 * time.Millisecond, OnEvent: rec.onEvent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +205,7 @@ func TestAdaptationResumesAfterIdle(t *testing.T) {
 		d.Sim().At(at, func() { f.Send([]byte("b")) })
 	}
 	d.Run(20 * time.Second)
-	if len(f.Upgrades()) == 0 {
+	if len(rec.upgrades()) == 0 {
 		t.Fatalf("adaptation never resumed after idle: service=%v onTime=%d/%d",
 			f.Service(), f.Metrics().OnTime, f.Metrics().Delivered)
 	}
@@ -204,8 +227,10 @@ func TestLowRateFlowAdapts(t *testing.T) {
 	src := d.AddHost(dc1, 5*time.Millisecond)
 	dst := d.AddHost(dc2, 8*time.Millisecond)
 	d.SetDirectPath(src, dst, netem.FixedDelay(30*time.Millisecond), nil)
+	rec := &recorder{}
 	f, err := d.RegisterFlow(jqos.FlowSpec{
 		Src: src, Dst: dst, Budget: 100 * time.Millisecond, AllowInternet: true,
+		OnEvent: rec.onEvent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,10 +243,10 @@ func TestLowRateFlowAdapts(t *testing.T) {
 		d.Sim().At(time.Duration(i)*100*time.Millisecond, func() { f.Send([]byte("tick")) })
 	}
 	d.Run(30 * time.Second)
-	if len(f.Upgrades()) == 0 {
-		t.Fatalf("no upgrade in 30 s of late deliveries at 5 per window: %+v", f.Changes())
+	if len(rec.upgrades()) == 0 {
+		t.Fatalf("no upgrade in 30 s of late deliveries at 5 per window: %+v", rec.changes)
 	}
-	if ch := f.Changes()[0]; ch.Reason != jqos.ReasonBudgetViolation || ch.To != jqos.ServiceCoding {
+	if ch := rec.changes[0]; ch.Reason != jqos.ReasonBudgetViolation || ch.To != jqos.ServiceCoding {
 		t.Errorf("first change %+v, want a budget-violation upgrade to coding", ch)
 	}
 }

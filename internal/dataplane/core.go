@@ -60,7 +60,9 @@ type Env interface {
 	PathPolicy(flow core.FlowID) uint32
 	// Send puts msg on the wire toward hop. The bytes are the recipient's
 	// from then on: whoever consumes the message hands it back to the pool,
-	// and a socket runtime is that consumer once it has written msg.
+	// and a socket runtime is that consumer once it has written msg. The
+	// core never reads msg once passed here, so a runtime whose link
+	// refuses it may hand it back at once.
 	Send(hop core.NodeID, msg []byte)
 }
 
@@ -216,7 +218,8 @@ type path struct {
 //  3. A direct link to the recipient: delivery at its home DC.
 //
 // A message none of these place is counted in Dropped; each recipient
-// after the first gets a copy of its own.
+// but the last gets a copy of its own, taken before msg itself leaves, so
+// a runtime may hand back at once a message its link refuses.
 func (c *Core) send(to core.NodeID, msg []byte, p path) {
 	if p.pin {
 		if via, ok := c.Forwarder.FlowRoute(p.flow, to); ok && c.usable(via) {
@@ -251,7 +254,7 @@ func (c *Core) send(to core.NodeID, msg []byte, p path) {
 			c.drop++
 			continue
 		}
-		if i > 0 {
+		if i < len(recipients)-1 {
 			em.Msg = append(c.pool.Get(len(msg)), msg...)
 		}
 		c.env.Send(via, em.Msg)

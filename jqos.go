@@ -75,9 +75,10 @@
 // link-down).
 //
 // Fault injection and link inspection go through one surface:
-// Deployment.Link(a, b) returns a LinkHandle with Set / SetOneWay /
-// Disconnect / DisconnectOneWay / Reconnect / ReconnectOneWay mutators
-// plus Shape, Health, Load, and SetCapacity accessors. The topology's
+// Deployment.Link(a, b) returns a LinkHandle with Set / Disconnect /
+// Reconnect mutators plus Shape, Health and SetCapacity; one-way faults
+// are the chaos engine's asymmetric steps (internal/chaos), and a link's
+// load is Snapshot().Link(a, b). The topology's
 // PathOracle is the routing controller: it answers the routed latency
 // between DCs, so PredictDelay and RegisterFlow work on sparse graphs
 // too, and every host's home DC, which nothing else keeps.
@@ -101,7 +102,7 @@
 // The overlay's resources are finite, and judicious use means measuring
 // them: every DC egress is metered per (inter-DC link, service class)
 // into sliding-window rate meters (internal/load), and
-// Link(a, b).Load exposes the live rates, peaks, and utilization
+// Snapshot().Link(a, b) exposes the live rates, peaks, and utilization
 // (against Config.LinkCapacity / Link(a, b).SetCapacity accounting
 // capacities). Once any link has a capacity, a reporter feeds
 // utilization into the routing controller every 500 ms, which inflates
@@ -141,7 +142,7 @@
 // share flows to backlogged ones), per-class queues are byte-capped
 // with drop-from-tail accounting (surfaced per flow as
 // FlowMetrics.EgressDropped and an egress-drop event), and the load
-// meters feed on DEQUEUE, so Link(a, b).Load reports what actually left
+// meters feed on DEQUEUE, so Snapshot().Link(a, b) reports what actually left
 // the DC rather than what piled up. Snapshot().Queue(a, b) exposes
 // per-class enqueued/dequeued/dropped counters, live queue depth, and
 // deficit rounds per directed link. Nil Weights (the default) disables
@@ -174,8 +175,8 @@
 // Unpaced adaptive flows feed the signal into the adaptation loop and
 // move service PREEMPTIVELY — down to a cheaper tier that still fits
 // the budget when one exists, else up past the backlog — instead of
-// waiting for a budget-violation window (ServiceChange reason
-// "congestion", cooldown-bounded). FlowSpec.OnEvent hears every
+// waiting for a budget-violation window (a service-change event with
+// reason "congestion", cooldown-bounded). FlowSpec.OnEvent hears every
 // delivered signal before the reaction it triggers; Snapshot().Feedback
 // counts the plane's activity.
 //
@@ -307,9 +308,8 @@
 // exactly the same ceilings. Per-flow sub-queues
 // (Scheduler.PerFlowQueues) keep flows fair INSIDE each class queue,
 // so a tenant's own bulk flow cannot starve its interactive one.
-// Snapshot carries a per-tenant rollup slice (Snapshot.Tenants,
-// exposed over /snapshot and by jqos-stat), and TenantStats reads one
-// tenant's slice on demand:
+// Snapshot carries a per-tenant rollup slice (Snapshot.Tenants, in
+// ascending tenant ID, exposed over /snapshot and by jqos-stat):
 //
 //	dep.RegisterTenant(jqos.TenantContract{
 //	    ID: 1, Name: "acme", Rate: 512 << 10, CostCeilingPerGB: 0.06,
@@ -323,7 +323,7 @@
 //	})
 //	_, _ = fa, fb
 //	dep.Run(10 * time.Second)
-//	ts, _ := dep.TenantStats(1) // quota drops, est. spend, pacer state
+//	ts := dep.Snapshot().Tenants[0] // acme: quota drops, est. spend, pacer state
 //
 // Run `jqos-figures -fig tenancy -quick` to see it on worlds.Bottleneck.
 //

@@ -358,7 +358,8 @@ func TestServiceUpgradeOnBudgetViolation(t *testing.T) {
 	// Registration-time estimate says 60 ms, so coding looks fine for a
 	// 100 ms budget — but the real path has congestion spikes.
 	d.SetDirectPath(src, dst, netem.FixedDelay(60*time.Millisecond), nil)
-	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 100 * time.Millisecond})
+	rec := &recorder{}
+	f, err := d.RegisterFlow(jqos.FlowSpec{Src: src, Dst: dst, Budget: 100 * time.Millisecond, OnEvent: rec.onEvent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestServiceUpgradeOnBudgetViolation(t *testing.T) {
 		})
 	}
 	d.Run(10 * time.Second)
-	if len(f.Upgrades()) == 0 {
+	if len(rec.upgrades()) == 0 {
 		t.Fatalf("flow never upgraded; service=%v onTime=%d/%d",
 			f.Service(), f.Metrics().OnTime, f.Metrics().Delivered)
 	}

@@ -5,36 +5,35 @@ import (
 	"time"
 
 	"jqos/internal/core"
-	"jqos/internal/load"
 	"jqos/internal/netem"
 	"jqos/internal/routing"
 )
 
-// LinkHandle names one inter-DC link of a deployment and carries every
-// fault-injection and inspection operation on it — the single mutation
-// surface. Handles are plain values: cheap to construct, safe to copy,
+// LinkHandle names one inter-DC link of a deployment and carries the
+// fault-injection and inspection operations on both its directions.
+// Handles are plain values: cheap to construct, safe to copy,
 // and valid for the life of the deployment (including before the pair is
 // connected — mutating an unconnected pair is a no-op, restoring one
 // panics).
 //
 //	link := dep.Link(dc1, dc2)
-//	link.Disconnect()                       // blackhole both directions
-//	link.Set(60*time.Millisecond, 0.05)     // reshape: latency + loss
-//	link.SetOneWay(120*time.Millisecond, 0) // asymmetric degrade a→b
-//	link.Reconnect()                        // restore the connected shape
+//	link.Disconnect()                   // blackhole both directions
+//	link.Set(60*time.Millisecond, 0.05) // reshape: latency + loss
+//	link.Reconnect()                    // restore the connected shape
 //
 // All mutations act on the emulated links only; the control plane is
 // never told directly. The link-health monitor observes the change
 // through its probes (at the fast cadence once the link turns
-// suspicious) and adjusts routing.
+// suspicious) and adjusts routing. A one-way fault (one direction
+// degraded or cut) is the chaos engine's StepDegradeAsym,
+// StepPartitionAsym and StepHealAsym; its Engine.Apply nudges the
+// monitor the same way. The link's load is Snapshot().Link(a, b).
 type LinkHandle struct {
 	d    *Deployment
 	a, b core.NodeID
 }
 
-// Link returns the handle for the inter-DC link a↔b. Directional
-// operations (SetOneWay, DisconnectOneWay, ReconnectOneWay) act on the
-// a→b direction; build the reverse handle with Link(b, a).
+// Link returns the handle for the inter-DC link a↔b.
 func (d *Deployment) Link(a, b core.NodeID) LinkHandle {
 	return LinkHandle{d: d, a: a, b: b}
 }
@@ -43,33 +42,17 @@ func (d *Deployment) Link(a, b core.NodeID) LinkHandle {
 // and random loss rate. The monitor observes the change through its
 // probes and adjusts routing (degrade, recover, or cost refresh).
 func (l LinkHandle) Set(x time.Duration, loss float64) {
-	for _, pair := range [][2]core.NodeID{{l.a, l.b}, {l.b, l.a}} {
-		reshape(l.d.net.LinkBetween(pair[0], pair[1]), x, loss)
-	}
-	l.d.boostProbers()
-}
-
-// SetOneWay reshapes only the a→b direction to the given one-way latency
-// and random loss rate, leaving b→a alone — the asymmetric-degradation
-// form of Set (a's traffic to b straggles or drops while b's answers
-// arrive clean). The probe round-trip crosses both directions, so the
-// monitor observes the degradation whichever direction carries it —
-// through lost probes one way, lost acks the other.
-func (l LinkHandle) SetOneWay(x time.Duration, loss float64) {
-	reshape(l.d.net.LinkBetween(l.a, l.b), x, loss)
-	l.d.boostProbers()
-}
-
-func reshape(link *netem.Link, x time.Duration, loss float64) {
-	if link == nil {
-		return
-	}
-	link.SetDelay(netem.UniformJitter{Base: x, Jitter: x / 50})
+	var lm netem.LossModel
 	if loss > 0 {
-		link.SetLoss(netem.Bernoulli{P: loss})
-	} else {
-		link.SetLoss(nil)
+		lm = netem.Bernoulli{P: loss}
 	}
+	for _, pair := range [][2]core.NodeID{{l.a, l.b}, {l.b, l.a}} {
+		if link := l.d.net.LinkBetween(pair[0], pair[1]); link != nil {
+			link.SetDelay(netem.UniformJitter{Base: x, Jitter: x / 50})
+			link.SetLoss(lm)
+		}
+	}
+	l.d.boostProbers()
 }
 
 // Disconnect blackholes the link in both directions — a mid-path failure
@@ -86,19 +69,6 @@ func (l LinkHandle) Disconnect() {
 	l.d.boostProbers()
 }
 
-// DisconnectOneWay blackholes only the a→b direction — an asymmetric
-// partition (b's traffic toward a still flows). The probe round-trip
-// crosses both directions, so the monitor still times its probes out and
-// fails the whole link: routing treats a half-dead link as dead, which is
-// the correct control-plane reading of an asymmetric cut. Restore the
-// direction with ReconnectOneWay.
-func (l LinkHandle) DisconnectOneWay() {
-	if link := l.d.net.LinkBetween(l.a, l.b); link != nil {
-		link.SetLoss(netem.Bernoulli{P: 1})
-	}
-	l.d.boostProbers()
-}
-
 // Reconnect restores a disconnected (or reshaped) link to the shape
 // ConnectDCs originally gave it — the routing graph's configured latency,
 // lossless. Panics when the pair was never connected (a deployment
@@ -109,16 +79,6 @@ func (l LinkHandle) Reconnect() {
 		panic(fmt.Sprintf("jqos: Link(%v, %v).Reconnect: DCs were never connected", l.a, l.b))
 	}
 	l.Set(x, 0)
-}
-
-// ReconnectOneWay restores only the a→b direction to the connected shape
-// (recorded latency, lossless). Panics when the pair was never connected.
-func (l LinkHandle) ReconnectOneWay() {
-	x, ok := l.Shape()
-	if !ok {
-		panic(fmt.Sprintf("jqos: Link(%v, %v).ReconnectOneWay: DCs were never connected", l.a, l.b))
-	}
-	l.SetOneWay(x, 0)
 }
 
 // Shape returns the one-way latency ConnectDCs gave the pair — the
@@ -134,14 +94,6 @@ func (l LinkHandle) Shape() (time.Duration, bool) {
 // Health returns the monitor's view of the link.
 func (l LinkHandle) Health() (routing.Health, bool) {
 	return l.d.mon.Health(l.a, l.b)
-}
-
-// Load returns the live load snapshot of the link: windowed/EWMA rates
-// and peaks per direction, per-service-class breakdowns, and the
-// utilization reading congestion-aware routing inflates weights from.
-// ok is false for unconnected pairs.
-func (l LinkHandle) Load() (load.LinkLoad, bool) {
-	return l.d.loadReg.Load(l.d.sim.Now(), l.a, l.b)
 }
 
 // SetCapacity re-bases the link's accounting capacity (bytes/second;

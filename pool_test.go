@@ -12,6 +12,7 @@ import (
 
 	"jqos/internal/dataset"
 	"jqos/internal/netem"
+	"jqos/internal/wire"
 )
 
 // poolIdleBound is the most buffers a wire.Pool keeps (its doc's idle
@@ -94,6 +95,28 @@ func steadyStateAllocs(t *testing.T, svc Service, bound float64) {
 	}
 }
 
+// TestControlMessagesReturnToPool: probes and their acks are drawn from
+// the deployment's pool and handed back by the DC that consumes them, and
+// a probe the link refuses goes back at the sender, so a deployment with
+// DCs and no flows holds probe-sized buffers once its probers have run.
+func TestControlMessagesReturnToPool(t *testing.T) {
+	for _, cut := range []bool{false, true} {
+		d := NewDeploymentWithConfig(1, DefaultConfig())
+		a := d.AddDC("dc-a", dataset.RegionUSEast)
+		b := d.AddDC("dc-b", dataset.RegionEU)
+		d.ConnectDCs(a, b, 40*time.Millisecond)
+		if cut {
+			d.Link(a, b).Disconnect() // boosts the probers too
+		} else {
+			d.NudgeFaultDetection()
+		}
+		d.Run(time.Second)
+		if n := d.pool.Holds(wire.HeaderLen); n == 0 {
+			t.Errorf("link cut %v: after a second of probing the pool holds no probe-sized buffer", cut)
+		}
+	}
+}
+
 // TestQuotaDroppedCloudCopyReturnsToPool: a cloud copy the tenant's quota
 // refuses never leaves the sender, so the sender hands it back, and the
 // next send draws it again: a flow its tenant throttles allocates nothing.
@@ -114,8 +137,8 @@ func TestQuotaDroppedCloudCopyReturnsToPool(t *testing.T) {
 	}
 	payload := make([]byte, 4000) // past any burst the quota holds
 	f.Send(payload)
-	if st, _ := d.TenantStats(1); st.QuotaDropped != 1 {
-		t.Fatalf("quota dropped %d copies, want 1", st.QuotaDropped)
+	if n := d.Snapshot().Tenants[0].QuotaDropped; n != 1 {
+		t.Fatalf("quota dropped %d copies, want 1", n)
 	}
 	if n := d.pool.Len(); n != 1 {
 		t.Errorf("pool holds %d buffers after a dropped cloud copy, want 1", n)

@@ -89,7 +89,7 @@ func (p *prober) round() {
 		Dst:  p.b,
 	}
 	d.mon.ProbeSent(p.a, p.b, seq, now)
-	d.sendControl(p.a, p.b, wire.AppendMessage(nil, &hdr, nil))
+	d.sendControl(p.a, p.b, wire.AppendMessage(d.pool.Get(wire.HeaderLen), &hdr, nil))
 	// The timeout adapts to the measured RTT so a slowed-but-alive link
 	// keeps answering in time instead of reading as lossy forever. A
 	// timeout that leaves the link suspicious kicks the prober onto the
@@ -161,10 +161,11 @@ func (d *Deployment) noteActivity() {
 // sendControl transmits a control-plane message (probe, ack or congestion
 // signal). Control traffic rides the same emulated links as data but is
 // not billable cloud egress: it leaves by the network directly, never
-// through the DC's billed exit (DCNode.send).
+// through the DC's billed exit (DCNode.send). A message with no route, or
+// one the link refuses, goes back to the pool.
 func (d *Deployment) sendControl(from, to core.NodeID, msg []byte) {
-	if d.net.HasRoute(from, to) {
-		d.net.Send(from, to, msg)
+	if !d.net.HasRoute(from, to) || !d.net.Send(from, to, msg) {
+		d.pool.Put(msg)
 	}
 }
 
@@ -178,7 +179,7 @@ func (n *DCNode) onProbe(hdr *wire.Header) {
 		Src:  n.id,
 		Dst:  hdr.Src,
 	}
-	n.d.sendControl(n.id, hdr.Src, wire.AppendMessage(nil, &ack, nil))
+	n.d.sendControl(n.id, hdr.Src, wire.AppendMessage(n.d.pool.Get(wire.HeaderLen), &ack, nil))
 }
 
 // onProbeAck feeds a returned probe into the monitor.

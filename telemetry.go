@@ -662,7 +662,7 @@ func flowSnap(f *Flow, nodes *[]core.NodeID) telemetry.FlowSnapshot {
 		PacedBytes:       m.PacedBytes,
 		AdmissionRate:    f.AdmissionRate(),
 		Throttled:        f.pacer != nil && f.pacer.Throttled(),
-		ServiceChanges:   len(f.changes),
+		ServiceChanges:   f.serviceChanges,
 		Tenant:           f.spec.Tenant,
 		ByService:        m.ByService,
 	}

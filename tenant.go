@@ -3,7 +3,6 @@ package jqos
 import (
 	"fmt"
 
-	"jqos/internal/core"
 	"jqos/internal/feedback"
 	"jqos/internal/telemetry"
 	"jqos/internal/tenant"
@@ -35,32 +34,6 @@ func (d *Deployment) RegisterTenant(c TenantContract) error {
 		})
 	}
 	return nil
-}
-
-// TenantStats builds one tenant's telemetry slice on demand — the same
-// rollup Snapshot carries in Snapshot.Tenants, without building the
-// whole snapshot. Like Snapshot it walks live simulator-owned state and
-// must run on the simulator goroutine; concurrent readers use
-// LatestSnapshot. ok is false for unregistered IDs.
-func (d *Deployment) TenantStats(id TenantID) (telemetry.TenantSnapshot, bool) {
-	t, ok := d.tenants.Get(id)
-	if !ok {
-		return telemetry.TenantSnapshot{}, false
-	}
-	n := 0
-	for _, f := range d.open {
-		if f.spec.Tenant == id {
-			n += f.snapNodes()
-		}
-	}
-	nodes := make([]core.NodeID, n)
-	var members []telemetry.FlowSnapshot
-	for _, f := range d.open {
-		if f.spec.Tenant == id {
-			members = append(members, flowSnap(f, &nodes))
-		}
-	}
-	return tenantSnap(t, members), true
 }
 
 // Tenants returns the registered tenant IDs in ascending order.

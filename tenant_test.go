@@ -95,10 +95,12 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	}
 	d.Run(span + 8*time.Second)
 
-	bs, ok := d.TenantStats(1)
-	if !ok {
-		t.Fatal("bulk tenant not registered")
+	// The snapshot carries one rollup per tenant, in ascending ID.
+	s := d.Snapshot()
+	if len(s.Tenants) != 2 || s.Tenants[0].ID != 1 || s.Tenants[1].ID != 2 {
+		t.Fatalf("snapshot tenants %+v, want IDs 1 and 2", s.Tenants)
 	}
+	bs, ss := s.Tenants[0], s.Tenants[1]
 	if bs.QuotaDropped == 0 {
 		t.Fatal("bulk tenant never hit its quota — scenario premise broken")
 	}
@@ -107,10 +109,6 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	if max := uint64(float64(bs.QuotaRate)*span.Seconds()*1.2) + 16<<10; bs.SentBytes-bs.QuotaDroppedBytes > max {
 		t.Errorf("bulk tenant put %d bytes on the wire, quota admits ≤%d",
 			bs.SentBytes-bs.QuotaDroppedBytes, max)
-	}
-	ss, ok := d.TenantStats(2)
-	if !ok {
-		t.Fatal("solo tenant not registered")
 	}
 	if ss.QuotaDropped != 0 {
 		t.Errorf("interactive tenant lost %d packets to its own quota", ss.QuotaDropped)
@@ -126,14 +124,6 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	if ss.Delivered != m.Delivered || ss.OnTime != m.OnTime {
 		t.Errorf("solo tenant rollup %d delivered / %d on time, its one flow %d / %d",
 			ss.Delivered, ss.OnTime, m.Delivered, m.OnTime)
-	}
-	// The snapshot's tenant slice carries the same rollups.
-	s := d.Snapshot()
-	if len(s.Tenants) != 2 {
-		t.Fatalf("snapshot carries %d tenants, want 2", len(s.Tenants))
-	}
-	if s.Tenants[0].QuotaDropped != bs.QuotaDropped || s.Tenants[1].OnTime != ss.OnTime {
-		t.Errorf("snapshot tenants %+v disagree with TenantStats", s.Tenants)
 	}
 }
 
