@@ -72,10 +72,7 @@ func TestNoDeadCode(t *testing.T) {
 	seen := map[string]bool{}
 	for _, d := range found {
 		seen[d.name] = true
-		if _, ok := deadcodeAllow[d.name]; ok {
-			continue
-		}
-		if _, ok := deadcodeAPIAllow[d.name]; ok {
+		if deadcodeAllow[d.name] != "" || deadcodeAPIAllow[d.name] != "" {
 			continue
 		}
 		if d.kind == "field" {
