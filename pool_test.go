@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"jqos/internal/core"
 	"jqos/internal/dataset"
+	"jqos/internal/feedback"
 	"jqos/internal/netem"
 	"jqos/internal/wire"
 )
@@ -114,6 +116,77 @@ func TestControlMessagesReturnToPool(t *testing.T) {
 		if n := d.pool.Holds(wire.HeaderLen); n == 0 {
 			t.Errorf("link cut %v: after a second of probing the pool holds no probe-sized buffer", cut)
 		}
+	}
+}
+
+// TestTailDroppedCopiesReturnToPool: a burst of cloud copies overruns an
+// egress class queue that holds two of them, and the DC hands back every
+// copy it tail-drops, so before any copy is delivered the pool holds one
+// buffer of the data class per drop. Probing is off, so nothing else
+// hands a buffer back in that window.
+func TestTailDroppedCopiesReturnToPool(t *testing.T) {
+	const burst, size = 20, 1000
+	cfg := DefaultConfig()
+	cfg.Monitor.ProbeInterval = 0
+	cfg.LinkCapacity = 100_000
+	cfg.Scheduler = SchedulerConfig{
+		Weights:    map[Service]int{ServiceForwarding: 1},
+		QueueBytes: 2 * (wire.HeaderLen + size),
+	}
+	d := NewDeploymentWithConfig(1, cfg)
+	a := d.AddDC("dc-a", dataset.RegionUSEast)
+	b := d.AddDC("dc-b", dataset.RegionEU)
+	d.ConnectDCs(a, b, 40*time.Millisecond)
+	src := d.AddHost(a, 5*time.Millisecond)
+	dst := d.AddHost(b, 8*time.Millisecond) // no direct path: the cloud copy is the only one
+	f, err := d.RegisterFlow(FlowSpec{Src: src, Dst: dst, Budget: time.Second,
+		Service: ServiceForwarding, ServiceFixed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, size)
+	for i := 0; i < burst; i++ {
+		f.Send(payload)
+	}
+	d.Run(20 * time.Millisecond) // past the ingress, short of dc-b
+	dropped := f.Metrics().EgressDropped
+	if dropped == 0 {
+		t.Fatal("the burst tail-dropped nothing; the class queue must overflow")
+	}
+	if n := d.pool.Holds(wire.HeaderLen + size); uint64(n) != dropped {
+		t.Errorf("the pool holds %d data-class buffers after %d tail-drops, want one per drop", n, dropped)
+	}
+}
+
+// TestRelayedCongestionSignalStaysInFlight: on the chain a–b–c, a signal
+// from c to ingress a transits b. b relays the message without handing it
+// back, a consumes it whole and hands it back, so once it has arrived the
+// pool holds that one buffer. A relay that handed it back as well would
+// leave it in the pool twice (and, under -tags poolcheck, scribble over
+// the bytes a still has to read).
+func TestRelayedCongestionSignalStaysInFlight(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Monitor.ProbeInterval = 0
+	cfg.Scheduler = SchedulerConfig{Weights: map[Service]int{ServiceForwarding: 1}, QueueBytes: 64 << 10}
+	cfg.Feedback.Enabled = true
+	d := NewDeploymentWithConfig(1, cfg)
+	a := d.AddDC("a", dataset.RegionUSEast)
+	b := d.AddDC("b", dataset.RegionUSWest)
+	c := d.AddDC("c", dataset.RegionEU)
+	d.ConnectDCs(a, b, 10*time.Millisecond)
+	d.ConnectDCs(b, c, 10*time.Millisecond)
+	d.fb.sendSignal(a, &feedback.Transition{From: c, To: b, Class: ServiceForwarding, State: feedback.Hot, Depth: 1 << 10})
+	d.Run(time.Second)
+	if sent, dropped := d.fb.stats.SignalsSent, d.fb.stats.SignalsDropped; sent != 1 || dropped != 0 {
+		t.Fatalf("signals sent %d, dropped %d; want 1 sent, none dropped", sent, dropped)
+	}
+	for _, id := range []core.NodeID{a, b, c} {
+		if n := d.DC(id).Dropped(); n != 0 {
+			t.Errorf("DC %v dropped %d datagrams, want 0: the signal arrived damaged", id, n)
+		}
+	}
+	if n := d.pool.Holds(wire.HeaderLen + wire.CongestionLen); n != 1 {
+		t.Errorf("the pool holds %d congestion-sized buffers after one relayed signal, want 1", n)
 	}
 }
 
