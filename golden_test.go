@@ -27,8 +27,10 @@ var (
 )
 
 // TestGolden runs what a user runs — the examples, `jqos-figures -quick
-// -seed 42` and `jqos-chaos -runs 10 -seed 1 -v` — and fails on any byte
-// that differs from testdata/golden. The simulation is deterministic for a
+// -seed 42` (stdout, CSVs and final snapshots) and `jqos-chaos -runs 10
+// -seed 1 -v` — and fails on any byte that differs from testdata/golden.
+// The snapshot JSON pins every key the engines' stats records carry. The
+// simulation is deterministic for a
 // seed, so a difference means the change moved something the simulator
 // sees: a node ID, an RNG draw, the order of two same-instant events. Fig 10
 // is left out because it measures wall-clock throughput. Regenerate with
@@ -98,42 +100,52 @@ func TestGolden(t *testing.T) {
 				ids = append(ids, id)
 			}
 		}
-		out := run(t, "jqos-figures", "-fig", strings.Join(ids, ","), "-quick", "-seed", "42", "-out", "csv")
-		if *updateGolden { // a figure that no longer exists must not leave its CSV behind
-			if err := os.RemoveAll(filepath.Join("testdata", "golden", "figures")); err != nil {
-				t.Fatal(err)
+		out := run(t, "jqos-figures", "-fig", strings.Join(ids, ","), "-quick", "-seed", "42", "-out", "csv", "-snapshots", "snap")
+		if *updateGolden { // a figure that no longer exists must not leave its files behind
+			for _, dir := range []string{"figures", "snapshots"} {
+				if err := os.RemoveAll(filepath.Join("testdata", "golden", dir)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		checkGolden(t, filepath.Join("figures", "stdout.txt"), figureWallTime.ReplaceAll(out, nil))
-
-		got, err := filepath.Glob(filepath.Join(bin, "csv", "*.csv"))
-		if err != nil || len(got) == 0 {
-			t.Fatalf("no CSVs written: %v", err)
-		}
-		var names []string
-		for _, path := range got {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			names = append(names, filepath.Base(path))
-			checkGolden(t, filepath.Join("figures", filepath.Base(path)), data)
-		}
-		want, _ := filepath.Glob(filepath.Join("testdata", "golden", "figures", "*.csv"))
-		for i := range want {
-			want[i] = filepath.Base(want[i])
-		}
-		sort.Strings(names)
-		sort.Strings(want)
-		if strings.Join(names, " ") != strings.Join(want, " ") {
-			t.Errorf("CSV set changed:\n got %v\nwant %v", names, want)
-		}
+		checkGoldenSet(t, filepath.Join(bin, "csv"), "figures", "*.csv")
+		checkGoldenSet(t, filepath.Join(bin, "snap"), "snapshots", "*.json")
 	})
 
 	t.Run("chaos", func(t *testing.T) {
 		out := run(t, "jqos-chaos", "-runs", "10", "-seed", "1", "-v")
 		checkGolden(t, "chaos.txt", chaosWallTime.ReplaceAll(out, []byte(":")))
 	})
+}
+
+// checkGoldenSet compares every file matching pattern in dir with its
+// golden under testdata/golden/<golden>, and fails when the two file sets
+// differ.
+func checkGoldenSet(t *testing.T, dir, golden, pattern string) {
+	t.Helper()
+	got, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil || len(got) == 0 {
+		t.Fatalf("no %s written to %s: %v", pattern, dir, err)
+	}
+	var names []string
+	for _, path := range got {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, filepath.Base(path))
+		checkGolden(t, filepath.Join(golden, filepath.Base(path)), data)
+	}
+	want, _ := filepath.Glob(filepath.Join("testdata", "golden", golden, pattern))
+	for i := range want {
+		want[i] = filepath.Base(want[i])
+	}
+	sort.Strings(names)
+	sort.Strings(want)
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("%s set changed:\n got %v\nwant %v", pattern, names, want)
+	}
 }
 
 func checkGolden(t *testing.T, rel string, got []byte) {
