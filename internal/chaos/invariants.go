@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jqos"
+	"jqos/internal/load"
 	"jqos/internal/telemetry"
 )
 
@@ -93,7 +94,7 @@ func CheckAccounting(s *telemetry.Snapshot) []Violation {
 	for _, l := range s.Links {
 		for _, d := range []struct {
 			name string
-			dir  telemetry.DirSnapshot
+			dir  load.DirLoad
 		}{{"ab", l.AB}, {"ba", l.BA}} {
 			dirName, dir := d.name, d.dir
 			var sum uint64

@@ -151,8 +151,8 @@ func TestRegistryUtilization(t *testing.T) {
 	if ll.AB.Rate == 0 || ll.BA.Rate != 0 {
 		t.Fatalf("direction mixup: AB=%.0f BA=%.0f", ll.AB.Rate, ll.BA.Rate)
 	}
-	if ll.AB.ByClass[core.ServiceForwarding] != ll.AB.Rate {
-		t.Fatalf("class breakdown: %v vs total %v", ll.AB.ByClass, ll.AB.Rate)
+	if ll.AB.ClassRate[core.ServiceForwarding] != ll.AB.Rate {
+		t.Fatalf("class breakdown: %v vs total %v", ll.AB.ClassRate, ll.AB.Rate)
 	}
 	// Peak is the aggregate across classes, not the max of per-class
 	// peaks: two classes bursting together must read as one burst.

@@ -10,38 +10,44 @@ import (
 // one per J-QoS service, indexed by core.Service.
 const NumClasses = core.NumServices
 
-// DirLoad is the read-only load snapshot of one link direction.
+// DirLoad is the read-only load snapshot of one link direction. It is
+// also the direction's row in the telemetry snapshot, so the JSON tags
+// are that snapshot's keys.
 type DirLoad struct {
 	// Rate is the windowed mean rate in bytes/second, all classes.
-	Rate float64
+	Rate float64 `json:"rate"`
 	// Smoothed is the EWMA rate in bytes/second, all classes.
-	Smoothed float64
+	Smoothed float64 `json:"smoothed"`
 	// Peak is the highest single-slot rate within the window.
-	Peak float64
+	Peak float64 `json:"peak"`
 	// Bytes / Packets are lifetime totals.
-	Bytes, Packets uint64
-	// ByClass breaks the windowed rate down per service class.
-	ByClass [NumClasses]float64
+	Bytes   uint64 `json:"bytes"`
+	Packets uint64 `json:"packets"`
+	// ClassRate breaks the windowed rate down per service class.
+	ClassRate [NumClasses]float64 `json:"class_rate"`
 	// ClassBytes / ClassPackets break the lifetime totals down per
 	// service class. Their sums equal Bytes / Packets: the meters
 	// account the direction total and the class together on every
 	// Record (telemetry rollups assert this invariant).
-	ClassBytes   [NumClasses]uint64
-	ClassPackets [NumClasses]uint64
+	ClassBytes   [NumClasses]uint64 `json:"class_bytes"`
+	ClassPackets [NumClasses]uint64 `json:"class_packets"`
 }
 
-// LinkLoad is the read-only load snapshot of one inter-DC link pair.
+// LinkLoad is the read-only load snapshot of one inter-DC link pair, and
+// the link's row in the telemetry snapshot.
 type LinkLoad struct {
-	A, B core.NodeID
+	A core.NodeID `json:"a"`
+	B core.NodeID `json:"b"`
 	// Capacity is the accounting capacity in bytes/second (0 means
 	// uncapacitated: Utilization is always 0).
-	Capacity int64
+	Capacity int64 `json:"capacity"`
 	// Utilization is the hotter direction's windowed rate over Capacity,
 	// clamped to [0, 1].
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// AB and BA are the per-direction snapshots (A→B and B→A, with
 	// A < B as normalized by the registry).
-	AB, BA DirLoad
+	AB DirLoad `json:"ab"`
+	BA DirLoad `json:"ba"`
 }
 
 // dirMeters is one direction's meter bank: an aggregate meter for the
@@ -72,7 +78,7 @@ func (d *dirMeters) snapshot(now core.Time) DirLoad {
 	out.Peak = d.total.Peak(now)
 	out.Bytes, out.Packets = d.total.Totals()
 	for i := range d.class {
-		out.ByClass[i] = d.class[i].Rate(now)
+		out.ClassRate[i] = d.class[i].Rate(now)
 		out.ClassBytes[i], out.ClassPackets[i] = d.class[i].Totals()
 	}
 	return out

@@ -22,39 +22,45 @@ type RouteSink interface {
 	RetireEpoch(epoch uint64)
 }
 
-// Stats counts control-plane activity.
+// Stats counts control-plane activity. It is also the routing row of
+// the telemetry snapshot, so the JSON tags are that snapshot's keys.
 type Stats struct {
 	// Recomputes is the number of table computation events, each one
 	// Dijkstra per source.
-	Recomputes uint64
-	// EpochAdvances counts table epochs opened (recomputes that modified
-	// at least one pushed entry); EpochRetires counts old epochs drained
-	// and retired by the hosting runtime.
-	EpochAdvances uint64
-	EpochRetires  uint64
+	Recomputes uint64 `json:"recomputes"`
+	// IncrementalRecomputes always reads 0: every recompute runs one
+	// Dijkstra per source, and no delta engine serves a part of them. The
+	// field stays because the benchmark's routing.incremental_frac reads
+	// it.
+	IncrementalRecomputes uint64 `json:"incremental_recomputes"`
 	// Pushes counts route entries written to sinks (sets + deletes).
-	Pushes uint64
+	Pushes uint64 `json:"pushes"`
 	// RouteChanges counts installed entries whose next hop moved to a
 	// different, still-valid hop.
-	RouteChanges uint64
+	RouteChanges uint64 `json:"route_changes"`
 	// Reroutes counts recompute events that moved at least one existing
 	// destination onto a new next hop — i.e. traffic actually shifted.
-	Reroutes uint64
+	Reroutes uint64 `json:"reroutes"`
 	// Link health transitions reported by the monitor.
-	LinkFailures   uint64
-	LinkRecoveries uint64
-	LinkDegrades   uint64
+	LinkFailures   uint64 `json:"link_failures"`
+	LinkRecoveries uint64 `json:"link_recoveries"`
+	LinkDegrades   uint64 `json:"link_degrades"`
 	// UtilizationUpdates counts accepted load reports — those whose
 	// derived weight multiplier moved past the congestion hysteresis and
 	// triggered a recompute (sub-hysteresis reports are absorbed).
-	UtilizationUpdates uint64
+	UtilizationUpdates uint64 `json:"utilization_updates"`
 	// CongestionReroutes counts utilization-triggered recomputes that
 	// moved at least one installed route — traffic actually spread away
 	// from (or back onto) a hot link.
-	CongestionReroutes uint64
+	CongestionReroutes uint64 `json:"congestion_reroutes"`
 	// Unreachable is the number of ordered DC pairs with no path after
 	// the last recompute.
-	Unreachable int
+	Unreachable int `json:"unreachable"`
+	// EpochAdvances counts table epochs opened (recomputes that modified
+	// at least one pushed entry); EpochRetires counts old epochs drained
+	// and retired by the hosting runtime.
+	EpochAdvances uint64 `json:"epoch_advances"`
+	EpochRetires  uint64 `json:"epoch_retires"`
 }
 
 // dcTables is one registered DC's push state: its sink and the installed

@@ -184,38 +184,41 @@ type Item struct {
 	Stamp core.Time
 }
 
-// ClassStats counts one class queue's activity.
+// ClassStats counts one class queue's activity. It is also the class's
+// row in the telemetry snapshot, so the JSON tags are that snapshot's
+// keys.
 type ClassStats struct {
-	EnqueuedBytes   uint64
-	EnqueuedPackets uint64
-	DequeuedBytes   uint64
-	DequeuedPackets uint64
-	DroppedBytes    uint64
-	DroppedPackets  uint64
+	EnqueuedBytes   uint64 `json:"enqueued_bytes"`
+	EnqueuedPackets uint64 `json:"enqueued_packets"`
+	DequeuedBytes   uint64 `json:"dequeued_bytes"`
+	DequeuedPackets uint64 `json:"dequeued_packets"`
+	DroppedBytes    uint64 `json:"dropped_bytes"`
+	DroppedPackets  uint64 `json:"dropped_packets"`
 	// QueuedBytes / QueuedPackets are the live queue depth.
-	QueuedBytes   int64
-	QueuedPackets int
+	QueuedBytes   int64 `json:"queued_bytes"`
+	QueuedPackets int   `json:"queued_packets"`
 	// State is the queue's current congestion classification against the
-	// watermarks; StateChanges counts its transitions.
-	State        QueueState
-	StateChanges uint64
+	// watermarks (0 clear, 1 warm, 2 hot); StateChanges counts its
+	// transitions.
+	State        QueueState `json:"state"`
+	StateChanges uint64     `json:"state_changes"`
 	// FlowQueues is the live per-flow sub-queue count (0 unless
 	// Config.PerFlowQueues: a class's one sub-queue is no flow's own);
 	// VictimDrops counts packets dropped from the longest sub-queue's tail
 	// to admit another flow's arrival (a subset of DroppedPackets).
-	FlowQueues  int
-	VictimDrops uint64
+	FlowQueues  int    `json:"flow_queues,omitempty"`
+	VictimDrops uint64 `json:"victim_drops,omitempty"`
 }
 
 // Stats is a scheduler snapshot: per-class counters plus totals.
 type Stats struct {
-	PerClass [NumClasses]ClassStats
+	PerClass [NumClasses]ClassStats `json:"per_class"`
 	// Rounds counts deficit-credit grants — how often the round-robin
 	// visited a backlogged class and topped up its deficit.
-	Rounds uint64
+	Rounds uint64 `json:"rounds"`
 	// QueuedBytes / QueuedPackets total the live backlog across classes.
-	QueuedBytes   int64
-	QueuedPackets int
+	QueuedBytes   int64 `json:"queued_bytes"`
+	QueuedPackets int   `json:"queued_packets"`
 }
 
 // flowQ is one sub-queue inside a class: its own FIFO plus the flow-level

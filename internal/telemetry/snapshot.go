@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"jqos/internal/core"
+	"jqos/internal/load"
+	"jqos/internal/routing"
+	"jqos/internal/sched"
 )
 
 // NumClasses is the number of service classes in per-class rollups —
@@ -24,7 +27,7 @@ type Snapshot struct {
 	// At is the simulated capture time.
 	At time.Duration `json:"at"`
 	// Links are the tracked inter-DC links in ascending (A, B) order.
-	Links []LinkSnapshot `json:"links,omitempty"`
+	Links []load.LinkLoad `json:"links,omitempty"`
 	// Queues are the instantiated egress schedulers in ascending
 	// (From, To) order. Empty with scheduling disabled.
 	Queues []QueueSnapshot `json:"queues,omitempty"`
@@ -34,8 +37,9 @@ type Snapshot struct {
 	// when no tenant was ever registered). Per-flow rollups sum over the
 	// tenant's member rows in Flows.
 	Tenants []TenantSnapshot `json:"tenants,omitempty"`
-	// Routing / Feedback mirror the control planes' counters.
-	Routing  RoutingSnapshot  `json:"routing"`
+	// Routing is the routing controller's own counters; Feedback is the
+	// congestion-feedback plane's activity.
+	Routing  routing.Stats    `json:"routing"`
 	Feedback FeedbackSnapshot `json:"feedback"`
 	// Totals are deployment-wide rollups across flows and links.
 	Totals Totals `json:"totals"`
@@ -59,7 +63,7 @@ type Snapshot struct {
 
 // Link returns the snapshot row for the inter-DC link a↔b (order
 // agnostic). ok is false when the pair was not tracked at capture time.
-func (s *Snapshot) Link(a, b core.NodeID) (LinkSnapshot, bool) {
+func (s *Snapshot) Link(a, b core.NodeID) (load.LinkLoad, bool) {
 	if a > b {
 		a, b = b, a
 	}
@@ -68,7 +72,7 @@ func (s *Snapshot) Link(a, b core.NodeID) (LinkSnapshot, bool) {
 			return s.Links[i], true
 		}
 	}
-	return LinkSnapshot{}, false
+	return load.LinkLoad{}, false
 }
 
 // Queue returns the snapshot row for the directed egress scheduler
@@ -83,62 +87,12 @@ func (s *Snapshot) Queue(from, to core.NodeID) (QueueSnapshot, bool) {
 	return QueueSnapshot{}, false
 }
 
-// DirSnapshot is one link direction's load rollup.
-type DirSnapshot struct {
-	// Rate / Smoothed / Peak are windowed bytes-per-second readings.
-	Rate     float64 `json:"rate"`
-	Smoothed float64 `json:"smoothed"`
-	Peak     float64 `json:"peak"`
-	// Bytes / Packets are lifetime totals, with per-class breakdowns.
-	// The class arrays are indexed by core.Service, and their sums equal
-	// the direction totals (the rollup invariant tests assert it).
-	Bytes        uint64              `json:"bytes"`
-	Packets      uint64              `json:"packets"`
-	ClassRate    [NumClasses]float64 `json:"class_rate"`
-	ClassBytes   [NumClasses]uint64  `json:"class_bytes"`
-	ClassPackets [NumClasses]uint64  `json:"class_packets"`
-}
-
-// LinkSnapshot is one tracked inter-DC link (A < B as normalized by the
-// load registry; AB and BA are the A→B and B→A directions).
-type LinkSnapshot struct {
-	A           core.NodeID `json:"a"`
-	B           core.NodeID `json:"b"`
-	Capacity    int64       `json:"capacity"`
-	Utilization float64     `json:"utilization"`
-	AB          DirSnapshot `json:"ab"`
-	BA          DirSnapshot `json:"ba"`
-}
-
-// ClassQueueSnapshot is one egress class queue's counters.
-type ClassQueueSnapshot struct {
-	EnqueuedBytes   uint64 `json:"enqueued_bytes"`
-	EnqueuedPackets uint64 `json:"enqueued_packets"`
-	DequeuedBytes   uint64 `json:"dequeued_bytes"`
-	DequeuedPackets uint64 `json:"dequeued_packets"`
-	DroppedBytes    uint64 `json:"dropped_bytes"`
-	DroppedPackets  uint64 `json:"dropped_packets"`
-	QueuedBytes     int64  `json:"queued_bytes"`
-	QueuedPackets   int    `json:"queued_packets"`
-	// State is the queue's congestion classification (0 clear, 1 warm,
-	// 2 hot); StateChanges counts watermark transitions.
-	State        uint8  `json:"state"`
-	StateChanges uint64 `json:"state_changes"`
-	// FlowQueues is the live per-flow sub-queue count (0 unless per-flow
-	// queueing is configured); VictimDrops counts longest-queue victim
-	// evictions (a subset of DroppedPackets).
-	FlowQueues  int    `json:"flow_queues,omitempty"`
-	VictimDrops uint64 `json:"victim_drops,omitempty"`
-}
-
-// QueueSnapshot is one directed inter-DC egress scheduler.
+// QueueSnapshot is one directed inter-DC egress scheduler: its
+// direction and the scheduler's own counters.
 type QueueSnapshot struct {
-	From          core.NodeID                    `json:"from"`
-	To            core.NodeID                    `json:"to"`
-	PerClass      [NumClasses]ClassQueueSnapshot `json:"per_class"`
-	Rounds        uint64                         `json:"rounds"`
-	QueuedBytes   int64                          `json:"queued_bytes"`
-	QueuedPackets int                            `json:"queued_packets"`
+	From core.NodeID `json:"from"`
+	To   core.NodeID `json:"to"`
+	sched.Stats
 }
 
 // FlowSnapshot is one open flow's delivery and policing rollup.
@@ -234,30 +188,6 @@ type TenantSnapshot struct {
 	CostCeilingPerGB float64 `json:"cost_ceiling_per_gb,omitempty"`
 	CostPerGB        float64 `json:"cost_per_gb,omitempty"`
 	CostViolations   uint64  `json:"cost_violations"`
-}
-
-// RoutingSnapshot mirrors the routing controller's counters.
-type RoutingSnapshot struct {
-	Recomputes uint64 `json:"recomputes"`
-	// IncrementalRecomputes always reads 0: every recompute runs one
-	// Dijkstra per source, and no delta engine serves a part of them. The
-	// field stays because the benchmark's routing.incremental_frac reads
-	// it.
-	IncrementalRecomputes uint64 `json:"incremental_recomputes"`
-	Pushes                uint64 `json:"pushes"`
-	RouteChanges          uint64 `json:"route_changes"`
-	Reroutes              uint64 `json:"reroutes"`
-	LinkFailures          uint64 `json:"link_failures"`
-	LinkRecoveries        uint64 `json:"link_recoveries"`
-	LinkDegrades          uint64 `json:"link_degrades"`
-	UtilizationUpdates    uint64 `json:"utilization_updates"`
-	CongestionReroutes    uint64 `json:"congestion_reroutes"`
-	Unreachable           int    `json:"unreachable"`
-	// EpochAdvances / EpochRetires count make-before-break table versions
-	// opened and drained (an advance without a matching retire yet means
-	// a drain window is in flight).
-	EpochAdvances uint64 `json:"epoch_advances"`
-	EpochRetires  uint64 `json:"epoch_retires"`
 }
 
 // FeedbackSnapshot is the congestion-feedback plane's activity; all zero

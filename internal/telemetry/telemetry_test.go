@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"jqos/internal/load"
+	"jqos/internal/sched"
 )
 
 func TestCounter(t *testing.T) {
@@ -183,11 +186,11 @@ func testSnapshot() *Snapshot {
 
 	s := &Snapshot{
 		At: 3 * time.Second,
-		Links: []LinkSnapshot{{
+		Links: []load.LinkLoad{{
 			A: 1, B: 2, Capacity: 1_000_000, Utilization: 0.5,
-			AB: DirSnapshot{Bytes: 1000, Packets: 2, ClassBytes: [NumClasses]uint64{0, 0, 400, 600}},
+			AB: load.DirLoad{Bytes: 1000, Packets: 2, ClassBytes: [NumClasses]uint64{0, 0, 400, 600}},
 		}},
-		Queues: []QueueSnapshot{{From: 1, To: 2, Rounds: 9}},
+		Queues: []QueueSnapshot{{From: 1, To: 2, Stats: sched.Stats{Rounds: 9}}},
 		Flows: []FlowSnapshot{{
 			ID: 1, Service: 3, ServiceName: "forwarding", Sent: 10, Delivered: 8, OnTime: 8,
 		}},
@@ -195,7 +198,7 @@ func testSnapshot() *Snapshot {
 		Counters:   []CounterSnapshot{{Name: "app_ticks_total", Value: 7}},
 		Histograms: []HistogramSnapshot{h.Snapshot()},
 	}
-	s.Queues[0].PerClass[3] = ClassQueueSnapshot{EnqueuedPackets: 5, DequeuedPackets: 4, DroppedPackets: 1}
+	s.Queues[0].PerClass[3] = sched.ClassStats{EnqueuedPackets: 5, DequeuedPackets: 4, DroppedPackets: 1}
 	s.Trace.Recorded = 4
 	s.Trace.ByKind[KindReroute] = 4
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"jqos/internal/core"
-	"jqos/internal/load"
 	"jqos/internal/netem"
 	"jqos/internal/telemetry"
 	"jqos/internal/tenant"
@@ -492,14 +491,7 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 		if !ok {
 			continue
 		}
-		ls := telemetry.LinkSnapshot{
-			A: ll.A, B: ll.B,
-			Capacity:    ll.Capacity,
-			Utilization: ll.Utilization,
-			AB:          dirSnap(ll.AB),
-			BA:          dirSnap(ll.BA),
-		}
-		s.Links = append(s.Links, ls)
+		s.Links = append(s.Links, ll)
 		s.Totals.LinkBytes += ll.AB.Bytes + ll.BA.Bytes
 		for c := 0; c < telemetry.NumClasses; c++ {
 			s.Totals.ClassBytes[c] += ll.AB.ClassBytes[c] + ll.BA.ClassBytes[c]
@@ -508,31 +500,7 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 
 	// Egress schedulers, ascending (from, to).
 	d.eachEgress(func(from, to core.NodeID, q *egressQueue) {
-		st := q.drr.Stats()
-		qs := telemetry.QueueSnapshot{
-			From: from, To: to,
-			Rounds:        st.Rounds,
-			QueuedBytes:   st.QueuedBytes,
-			QueuedPackets: st.QueuedPackets,
-		}
-		for c := range st.PerClass {
-			cs := st.PerClass[c]
-			qs.PerClass[c] = telemetry.ClassQueueSnapshot{
-				EnqueuedBytes:   cs.EnqueuedBytes,
-				EnqueuedPackets: cs.EnqueuedPackets,
-				DequeuedBytes:   cs.DequeuedBytes,
-				DequeuedPackets: cs.DequeuedPackets,
-				DroppedBytes:    cs.DroppedBytes,
-				DroppedPackets:  cs.DroppedPackets,
-				QueuedBytes:     cs.QueuedBytes,
-				QueuedPackets:   cs.QueuedPackets,
-				State:           uint8(cs.State),
-				StateChanges:    cs.StateChanges,
-				FlowQueues:      cs.FlowQueues,
-				VictimDrops:     cs.VictimDrops,
-			}
-		}
-		s.Queues = append(s.Queues, qs)
+		s.Queues = append(s.Queues, telemetry.QueueSnapshot{From: from, To: to, Stats: q.drr.Stats()})
 	})
 
 	// Flows, ascending ID. Attribution is enabled while an open flow
@@ -559,21 +527,7 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 		t.PacedBytes += fs.PacedBytes
 	}
 
-	rt := d.ctrl.Stats()
-	s.Routing = telemetry.RoutingSnapshot{
-		Recomputes:         rt.Recomputes,
-		Pushes:             rt.Pushes,
-		RouteChanges:       rt.RouteChanges,
-		Reroutes:           rt.Reroutes,
-		LinkFailures:       rt.LinkFailures,
-		LinkRecoveries:     rt.LinkRecoveries,
-		LinkDegrades:       rt.LinkDegrades,
-		UtilizationUpdates: rt.UtilizationUpdates,
-		CongestionReroutes: rt.CongestionReroutes,
-		Unreachable:        rt.Unreachable,
-		EpochAdvances:      rt.EpochAdvances,
-		EpochRetires:       rt.EpochRetires,
-	}
+	s.Routing = d.ctrl.Stats()
 
 	if fb := d.fb; fb != nil {
 		s.Feedback = fb.stats
@@ -621,22 +575,6 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 
 	p.latest.Store(s)
 	return s
-}
-
-func dirSnap(dl load.DirLoad) telemetry.DirSnapshot {
-	out := telemetry.DirSnapshot{
-		Rate:     dl.Rate,
-		Smoothed: dl.Smoothed,
-		Peak:     dl.Peak,
-		Bytes:    dl.Bytes,
-		Packets:  dl.Packets,
-	}
-	for c := 0; c < telemetry.NumClasses; c++ {
-		out.ClassRate[c] = dl.ByClass[c]
-		out.ClassBytes[c] = dl.ClassBytes[c]
-		out.ClassPackets[c] = dl.ClassPackets[c]
-	}
-	return out
 }
 
 // flowSnap builds one flow's snapshot row. Its Dsts and Path are cut

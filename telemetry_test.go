@@ -11,6 +11,7 @@ import (
 
 	"jqos"
 	"jqos/internal/dataset"
+	"jqos/internal/load"
 	"jqos/internal/netem"
 	"jqos/internal/telemetry"
 )
@@ -50,7 +51,7 @@ func checkRollupInvariants(t *testing.T, withFeedback bool) {
 	// deployment-wide link rollup.
 	var linkBytes, classBytes uint64
 	for _, l := range s.Links {
-		for _, dir := range []telemetry.DirSnapshot{l.AB, l.BA} {
+		for _, dir := range []load.DirLoad{l.AB, l.BA} {
 			var sum uint64
 			for _, n := range dir.ClassBytes {
 				sum += n
