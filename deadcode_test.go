@@ -36,8 +36,6 @@ var deadcodeAllow = map[string]string{
 var deadcodeAPIAllow = map[string]string{
 	"jqos.DCNode.ID":              "a node's identity, the handle every topology call takes",
 	"jqos.Host.ID":                "a node's identity, the handle every topology call takes",
-	"jqos.DCNode.Dropped":         "the DC's fault counter: datagrams it could not decode, route or place",
-	"jqos.Host.Dropped":           "the host's fault counter: datagrams it could not decode or place",
 	"jqos.LinkHandle.SetCapacity": "the per-link override Config.LinkCapacity documents, how a caller builds a bottleneck",
 }
 

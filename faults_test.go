@@ -39,6 +39,9 @@ func TestDCNodeSurvivesGarbage(t *testing.T) {
 	if drops := w.d.DC(w.dc1).Dropped(); drops < 6 {
 		t.Errorf("DC dropped %d malformed datagrams, want ≥6", drops)
 	}
+	if got, want := w.d.Snapshot().Totals.NodeDropped, w.d.DC(w.dc1).Dropped(); got != want {
+		t.Errorf("snapshot node drops %d, want the DC's %d", got, want)
+	}
 	// The DC still works afterwards.
 	f, err := w.d.RegisterFlow(fixedSpec(w.src, w.dst, 300*time.Millisecond, jqos.ServiceForwarding))
 	if err != nil {
@@ -64,6 +67,9 @@ func TestHostSurvivesGarbage(t *testing.T) {
 	w.d.Run(time.Second)
 	if drops := w.d.Host(w.dst).Dropped(); drops < 4 {
 		t.Errorf("host dropped %d malformed datagrams, want ≥4", drops)
+	}
+	if got, want := w.d.Snapshot().Totals.NodeDropped, w.d.Host(w.dst).Dropped(); got != want {
+		t.Errorf("snapshot node drops %d, want the host's %d", got, want)
 	}
 }
 

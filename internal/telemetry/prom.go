@@ -42,6 +42,8 @@ func WriteMetrics(w io.Writer, s *Snapshot) error {
 	fmt.Fprintf(bw, "jqos_admission_dropped_total %d\n", s.Totals.AdmissionDropped)
 	counter("jqos_egress_dropped_total", "Copies tail-dropped by egress schedulers.")
 	fmt.Fprintf(bw, "jqos_egress_dropped_total %d\n", s.Totals.EgressDropped)
+	counter("jqos_node_dropped_total", "Datagrams DCs and hosts could not decode, route or place.")
+	fmt.Fprintf(bw, "jqos_node_dropped_total %d\n", s.Totals.NodeDropped)
 	counter("jqos_cloud_egress_bytes_total", "Billable cloud egress bytes.")
 	fmt.Fprintf(bw, "jqos_cloud_egress_bytes_total %d\n", s.Totals.EgressBytes)
 	gauge("jqos_cloud_cost_usd", "Accumulated egress cost under the default price model.")

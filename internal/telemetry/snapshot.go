@@ -243,6 +243,9 @@ type Totals struct {
 	// meters account total and class together).
 	LinkBytes  uint64             `json:"link_bytes"`
 	ClassBytes [NumClasses]uint64 `json:"class_bytes"`
+	// NodeDropped sums every DC's and host's Dropped: the datagrams a
+	// node could not decode, route or place.
+	NodeDropped uint64 `json:"node_dropped"`
 	// EgressBytes is billable cloud egress; CloudCostUSD prices it under
 	// the default cost model.
 	EgressBytes  uint64  `json:"egress_bytes"`
@@ -269,9 +272,13 @@ func humanBytes(b float64) string {
 func (s *Snapshot) Summary() string {
 	var b strings.Builder
 	t := s.Totals
-	fmt.Fprintf(&b, "jqos @ %v: %d flows, %d sent / %d delivered (%s), cloud egress %s ($%.4f)\n",
+	fmt.Fprintf(&b, "jqos @ %v: %d flows, %d sent / %d delivered (%s), cloud egress %s ($%.4f)",
 		s.At, t.Flows, t.Sent, t.Delivered, onTimeText(t.Sent, t.Delivered, t.OnTime),
 		humanBytes(float64(t.EgressBytes)), t.CloudCostUSD)
+	if t.NodeDropped > 0 {
+		fmt.Fprintf(&b, ", %d node drops", t.NodeDropped)
+	}
+	b.WriteByte('\n')
 	for _, l := range s.Links {
 		fmt.Fprintf(&b, "  link %v↔%v: cap %s/s, util %.0f%%, %v→%v %s%s, %v→%v %s%s\n",
 			l.A, l.B, humanBytes(float64(l.Capacity)), 100*l.Utilization,

@@ -552,6 +552,13 @@ func (p *telemetryPlane) build() *telemetry.Snapshot {
 
 	s.Totals.EgressBytes = d.TotalEgressBytes()
 	s.Totals.CloudCostUSD = d.CloudCost()
+	// Map order cannot matter: an integer sum.
+	for _, n := range d.dcs {
+		s.Totals.NodeDropped += n.Dropped()
+	}
+	for _, h := range d.hosts {
+		s.Totals.NodeDropped += h.Dropped()
+	}
 
 	// SLO and attribution assemble BEFORE the trace stats: the sweep may
 	// record transition events, and chaos accounting reconciles the
