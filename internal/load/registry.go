@@ -10,9 +10,8 @@ import (
 // one per J-QoS service, indexed by core.Service.
 const NumClasses = core.NumServices
 
-// DirLoad is the read-only load snapshot of one link direction. It is
-// also the direction's row in the telemetry snapshot, so the JSON tags
-// are that snapshot's keys.
+// DirLoad is the read-only load snapshot of one link direction. Its JSON
+// tags, and LinkLoad's, are the telemetry snapshot's keys.
 type DirLoad struct {
 	// Rate is the windowed mean rate in bytes/second, all classes.
 	Rate float64 `json:"rate"`
@@ -33,8 +32,7 @@ type DirLoad struct {
 	ClassPackets [NumClasses]uint64 `json:"class_packets"`
 }
 
-// LinkLoad is the read-only load snapshot of one inter-DC link pair, and
-// the link's row in the telemetry snapshot.
+// LinkLoad is the read-only load snapshot of one inter-DC link pair.
 type LinkLoad struct {
 	A core.NodeID `json:"a"`
 	B core.NodeID `json:"b"`

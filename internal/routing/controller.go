@@ -22,8 +22,8 @@ type RouteSink interface {
 	RetireEpoch(epoch uint64)
 }
 
-// Stats counts control-plane activity. It is also the routing row of
-// the telemetry snapshot, so the JSON tags are that snapshot's keys.
+// Stats counts control-plane activity. Its JSON tags are the telemetry
+// snapshot's routing keys.
 type Stats struct {
 	// Recomputes is the number of table computation events, each one
 	// Dijkstra per source.

@@ -184,9 +184,8 @@ type Item struct {
 	Stamp core.Time
 }
 
-// ClassStats counts one class queue's activity. It is also the class's
-// row in the telemetry snapshot, so the JSON tags are that snapshot's
-// keys.
+// ClassStats counts one class queue's activity. Its JSON tags, and
+// Stats', are the telemetry snapshot's keys.
 type ClassStats struct {
 	EnqueuedBytes   uint64 `json:"enqueued_bytes"`
 	EnqueuedPackets uint64 `json:"enqueued_packets"`

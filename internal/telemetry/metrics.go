@@ -4,18 +4,15 @@
 // aggregating every stat surface, and an HTTP exposition server
 // (Prometheus text format, JSON snapshot, pprof).
 //
-// The snapshot's link, queue and routing rows are the engines' own stats
-// records — load.LinkLoad, sched.Stats and routing.Stats, whose JSON tags
-// are the snapshot's keys — so a counter is declared once, where it is
-// counted, and reaches the JSON, /metrics and Summary without a copy.
-// None of those engines imports this package. The hosting runtime
-// (package jqos) builds Snapshots from the engines' records and its own
-// flow state, and records Events at its control-loop choke points;
-// telemetry owns the concurrency-safe primitives, the rows no single
-// engine holds (flows, tenants, feedback, totals) and the wire formats.
-// All timestamps are SIMULATED time (core.Time from the event simulator)
-// — never wall clock — so snapshots and traces are bit-stable across
-// same-seed runs.
+// The snapshot's link, queue and routing rows are the engines' own
+// records (load.LinkLoad, sched.Stats, routing.Stats, none of which
+// imports this package), so a counter is declared once, where it is
+// counted. The hosting runtime (package jqos) builds Snapshots from them
+// and its own flow state, and records Events at its control-loop choke
+// points; telemetry owns the primitives, the rows no one engine holds
+// and the wire formats. All timestamps are SIMULATED time (core.Time from
+// the event simulator) — never wall clock — so snapshots and traces are
+// bit-stable across same-seed runs.
 package telemetry
 
 import (
