@@ -30,10 +30,10 @@ var (
 // -seed 42` (stdout, CSVs and final snapshots) and `jqos-chaos -runs 10
 // -seed 1 -v` — and fails on any byte that differs from testdata/golden.
 // The snapshot JSON pins every key the engines' stats records carry. The
-// simulation is deterministic for a
-// seed, so a difference means the change moved something the simulator
-// sees: a node ID, an RNG draw, the order of two same-instant events. Fig 10
-// is left out because it measures wall-clock throughput. Regenerate with
+// simulation is deterministic for a seed, so a difference means the change
+// moved something the simulator sees: a node ID, an RNG draw, the order of
+// two same-instant events. Fig 10 is left out because it measures
+// wall-clock throughput. Regenerate with
 //
 //	go test -run TestGolden -update .
 //
