@@ -194,7 +194,7 @@ func testSnapshot() *Snapshot {
 		Flows: []FlowSnapshot{{
 			ID: 1, Service: 3, ServiceName: "forwarding", Sent: 10, Delivered: 8, OnTime: 8,
 		}},
-		Totals:     Totals{Flows: 1, Sent: 10, Delivered: 8, OnTime: 8, EgressBytes: 1000},
+		Totals:     Totals{Flows: 1, Sent: 10, Delivered: 8, OnTime: 8, EgressBytes: 1000, NodeDropped: 3},
 		Counters:   []CounterSnapshot{{Name: "app_ticks_total", Value: 7}},
 		Histograms: []HistogramSnapshot{h.Snapshot()},
 	}
@@ -246,6 +246,7 @@ func TestWriteMetricsParses(t *testing.T) {
 	}
 	for _, want := range []string{
 		"jqos_flows 1\n",
+		"jqos_node_dropped_total 3\n",
 		`jqos_link_bytes_total{from="1",to="2",class="forwarding"} 600`,
 		`jqos_queue_dropped_packets_total{from="1",to="2",class="forwarding"} 1`,
 		`jqos_trace_events_total{kind="reroute"} 4`,
@@ -313,7 +314,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestSummaryMentionsEverySurface(t *testing.T) {
 	sum := testSnapshot().Summary()
-	for _, want := range []string{"1 flows", "link", "queue", "flow 1", "routing:", "trace:", "slo:", "attribution:"} {
+	for _, want := range []string{"1 flows", "3 node drops", "link", "queue", "flow 1", "routing:", "trace:", "slo:", "attribution:"} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum)
 		}
